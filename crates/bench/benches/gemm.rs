@@ -1,246 +1,101 @@
-//! Blocked interval-GEMM benchmark: throughput across tile geometries on
-//! both backends.
+//! Interval-GEMM microbenchmark: the verifier's hot kernel in isolation.
 //!
-//! The interval GEMM is the verifier's hot kernel — every backsubstitution
-//! step is one. The device's cache-blocked layout (`DeviceConfig::gemm_tile`)
-//! packs panels of `B` and walks `C` in `tile_m × tile_n` blocks with an
-//! `mr × nr` register micro-kernel; this harness sweeps tile geometries over
-//! verification-shaped matrices and reports effective GFLOP/s per geometry.
-//! Results are bit-identical across every geometry (pinned by the device's
-//! conformance suite — blocking is scheduling only); this measures *speed*.
+//! Every backsubstitution step through a dense layer is one interval×scalar
+//! GEMM. This harness times it on verification-shaped matrices on both
+//! backends and both scalar widths, and reports effective GFLOP/s and
+//! nanoseconds per interval multiply-add. The two widths run different
+//! arithmetic (see the `gpupoly_device::backend` contract): `f32` takes the
+//! wide accumulator — exact products summed in `f64`, one directed rounding
+//! per output — while `f64` keeps the per-step directed chain, so the `f64`
+//! rows double as the "before" figure of that change. CPU-sim and reference
+//! results are asserted bit-identical on every shape.
 //!
-//! Modes:
-//!
-//! * `cargo bench --bench gemm` — full sweep, writes the machine-readable
-//!   `BENCH_gemm.json` baseline (override the path with `BENCH_GEMM_OUT`);
-//! * `cargo bench --bench gemm -- --smoke` — one tiny shape per backend,
-//!   no timing, no JSON; asserts every geometry computes identical output
-//!   bits (the CI guard that blocking stays pure scheduling). Honors
-//!   `GPUPOLY_BACKEND=cpusim|reference`.
+//! Run with `cargo bench --bench gemm`. It prints; end-to-end numbers come
+//! from `benchmark/run.sh`, not from here.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{gemm, Backend, Device, DeviceConfig, GemmTile};
-use gpupoly_interval::Itv;
+use gpupoly_device::{gemm, Backend, Device, DeviceConfig};
+use gpupoly_interval::{Fp, Itv};
 
 /// Deterministic pseudo-random matrix entries in `[-0.5, 0.5)`.
-fn mix(i: usize, salt: usize) -> f32 {
-    ((((i + 31) * (salt + 7)) * 2654435761 % 2001) as f32 / 1000.0 - 1.0) * 0.25
+fn mix(i: usize, salt: usize) -> f64 {
+    ((((i + 31) * (salt + 7)) * 2654435761 % 2001) as f64 / 1000.0 - 1.0) * 0.25
 }
 
-/// One interval×scalar GEMM timing at a given shape and tile geometry:
-/// `C[m×n] = A[m×k] (intervals) × B[k×n] (scalars)`.
-fn time_gemm<B: Backend>(
+/// Times `C[m×n] = A[m×k] (intervals) × B[k×n] (scalars)`; returns seconds
+/// per launch and the result bits.
+fn time_gemm<F: Fp, B: Backend>(
     device: &Device<B>,
     m: usize,
     k: usize,
     n: usize,
     reps: usize,
 ) -> (f64, Vec<u64>) {
-    let a: Vec<Itv<f32>> = (0..m * k)
+    let a: Vec<Itv<F>> = (0..m * k)
         .map(|i| {
             let c = mix(i, 1);
             // Sprinkle exact zeros so the mandatory zero-skip path runs.
             if i % 7 == 0 {
-                Itv::new(0.0, 0.0)
+                Itv::zero()
             } else {
-                Itv::new(c - 1e-3, c + 1e-3)
+                Itv::new(F::from_f64(c - 1e-3), F::from_f64(c + 1e-3))
             }
         })
         .collect();
-    let b: Vec<f32> = (0..k * n).map(|i| mix(i, 2)).collect();
-    let mut c = vec![Itv::new(0.0f32, 0.0); m * n];
+    let b: Vec<F> = (0..k * n).map(|i| F::from_f64(mix(i, 2))).collect();
+    let mut c = vec![Itv::<F>::zero(); m * n];
 
-    // Warm pass (pool population, panel packing scratch) then timed reps.
-    gemm::gemm_itv_f(device, &a, &b, &mut c, m, k, n);
+    gemm::gemm_itv_f(device, &a, &b, &mut c, m, k, n); // warm
     let t = Instant::now();
     for _ in 0..reps {
-        gemm::gemm_itv_f(device, &a, &b, &mut c, m, k, n);
+        gemm::gemm_itv_f(device, black_box(&a), black_box(&b), &mut c, m, k, n);
         black_box(&c);
     }
-    let secs = t.elapsed().as_secs_f64();
-    let bits: Vec<u64> = c
-        .iter()
-        .flat_map(|itv| [itv.lo.to_bits() as u64, itv.hi.to_bits() as u64])
-        .collect();
+    let secs = t.elapsed().as_secs_f64() / reps as f64;
+    let bits = c.iter().flat_map(|v| [v.lo.bits(), v.hi.bits()]).collect();
     (secs, bits)
 }
 
-/// The swept geometries: the default plus narrower/wider blocks and
-/// micro-kernels around it.
-fn geometries() -> Vec<(&'static str, GemmTile)> {
-    let d = GemmTile::default();
-    vec![
-        ("default", d),
-        (
-            "tile32",
-            GemmTile {
-                tile_m: 32,
-                tile_n: 64,
-                ..d
-            },
-        ),
-        (
-            "tile128",
-            GemmTile {
-                tile_m: 128,
-                tile_n: 256,
-                ..d
-            },
-        ),
-        ("mr2xnr4", GemmTile { mr: 2, nr: 4, ..d }),
-        ("mr8xnr8", GemmTile { mr: 8, nr: 8, ..d }),
-    ]
-}
-
-struct Cell {
-    backend: &'static str,
-    geometry: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    gflops: f64,
-}
-
-fn run_backend<B: Backend>(
-    backend: &'static str,
-    mk_device: &dyn Fn(GemmTile) -> Device<B>,
-    shapes: &[(usize, usize, usize)],
-    reps: usize,
-    cells: &mut Vec<Cell>,
-) {
-    for &(m, k, n) in shapes {
-        let mut reference_bits: Option<Vec<u64>> = None;
-        for (name, tile) in geometries() {
-            let device = mk_device(tile);
-            let (secs, bits) = time_gemm(&device, m, k, n, reps);
-            match &reference_bits {
-                None => reference_bits = Some(bits),
-                Some(want) => assert_eq!(
-                    want, &bits,
-                    "{backend}/{name} {m}x{k}x{n}: tile geometry changed result bits"
-                ),
-            }
-            // One interval×scalar MAC = 2 directed-rounded multiplies +
-            // 2 adds = 4 scalar flops.
-            let flops = (4 * m * k * n * reps) as f64;
-            cells.push(Cell {
-                backend,
-                geometry: name,
-                m,
-                k,
-                n,
-                gflops: flops / secs.max(1e-9) / 1e9,
-            });
-        }
-    }
-}
-
-fn backend_env() -> String {
-    std::env::var("GPUPOLY_BACKEND").unwrap_or_else(|_| "cpusim".to_string())
-}
-
-fn smoke() {
-    // Tiny shape, every geometry: the bit-identity assertion inside
-    // `run_backend` is the guard; timing is irrelevant.
-    let shapes = [(24usize, 16usize, 20usize)];
-    let mut cells = Vec::new();
-    match backend_env().as_str() {
-        "reference" => run_backend(
-            "reference",
-            &|tile| Device::reference(DeviceConfig::new().workers(2).gemm_tile(tile)),
-            &shapes,
-            1,
-            &mut cells,
-        ),
-        _ => run_backend(
-            "cpusim",
-            &|tile| Device::new(DeviceConfig::new().workers(2).gemm_tile(tile)),
-            &shapes,
-            1,
-            &mut cells,
-        ),
-    }
-    println!(
-        "[gemm --smoke] ok: {} geometries bit-identical on {}",
-        cells.len(),
-        cells[0].backend
+fn report<F: Fp>(width: &str, workers: usize, m: usize, k: usize, n: usize) {
+    let terms = (m * k * n) as f64;
+    // Enough repetitions for ~50 M multiply-adds per timing.
+    let reps = (50_000_000 / (m * k * n)).clamp(2, 2000);
+    let cpusim = Device::new(DeviceConfig::new().workers(workers));
+    let reference = Device::reference(DeviceConfig::new().workers(1));
+    let (fast, fast_bits) = time_gemm::<F, _>(&cpusim, m, k, n, reps);
+    let (naive, naive_bits) = time_gemm::<F, _>(&reference, m, k, n, reps.div_ceil(8));
+    assert_eq!(
+        fast_bits, naive_bits,
+        "{width} {m}x{k}x{n}: cpusim and reference results differ"
     );
-}
-
-fn full() {
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    // Verification-shaped GEMMs: tall row blocks (backsubstituted bounds)
-    // against layer-sized scalar panels.
-    let shapes = [
-        (256usize, 256usize, 256usize),
-        (512, 784, 128),
-        (64, 1024, 512),
-    ];
-    let mut cells = Vec::new();
-    run_backend(
-        "cpusim",
-        &|tile| Device::new(DeviceConfig::new().workers(workers).gemm_tile(tile)),
-        &shapes,
-        8,
-        &mut cells,
-    );
-    run_backend(
-        "reference",
-        &|tile| Device::reference(DeviceConfig::new().workers(1).gemm_tile(tile)),
-        &shapes,
-        2,
-        &mut cells,
-    );
-    for c in &cells {
+    for (backend, secs) in [("cpusim", fast), ("reference", naive)] {
+        // One interval×scalar multiply-add counts as 4 scalar flops.
         println!(
-            "[gemm] {:<9} {:>8} {:>4}x{:<4}x{:<4} {:>7.2} GFLOP/s",
-            c.backend, c.geometry, c.m, c.k, c.n, c.gflops
+            "[gemm] {backend:<9} {width} {m:>4}x{k:<4}x{n:<4} {:>7.2} GFLOP/s {:>6.2} ns/term {:>8.0} us/launch",
+            4.0 * terms / secs / 1e9,
+            secs * 1e9 / terms,
+            secs * 1e6,
         );
     }
-
-    use serde::Value;
-    let doc = Value::obj([
-        ("bench", Value::Str("gemm".to_string())),
-        (
-            "source",
-            Value::Str("cargo bench --bench gemm (release)".to_string()),
-        ),
-        ("workers", Value::Num(workers as f64)),
-        (
-            "results",
-            Value::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::obj([
-                            ("backend", Value::Str(c.backend.to_string())),
-                            ("geometry", Value::Str(c.geometry.to_string())),
-                            ("m", Value::Num(c.m as f64)),
-                            ("k", Value::Num(c.k as f64)),
-                            ("n", Value::Num(c.n as f64)),
-                            ("gflops", Value::Num(c.gflops)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let out = std::env::var("BENCH_GEMM_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json").to_string()
-    });
-    let text = serde_json::to_string(&doc).expect("serialize baseline");
-    std::fs::write(&out, text + "\n").expect("write baseline");
-    println!("[gemm] baseline written to {out}");
 }
 
 fn main() {
-    // This target has `test = false`: it only ever runs under
-    // `cargo bench --bench gemm`, with `--smoke` as the CI guard.
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-    } else {
-        full();
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    println!("[gemm] cpusim workers: {workers}; reference: 1");
+    // The three GEMM shapes of the Fc zoo networks at benchmark scale (spec
+    // rows and layer rows against 100- and 784-wide layers), then larger
+    // stacked-batch shapes.
+    for (m, k, n) in [
+        (9usize, 100usize, 100usize),
+        (100, 100, 100),
+        (100, 100, 784),
+        (256, 256, 256),
+        (512, 784, 128),
+        (64, 1024, 512),
+    ] {
+        report::<f32>("f32", workers, m, k, n);
+        report::<f64>("f64", workers, m, k, n);
     }
 }

@@ -16,9 +16,9 @@
 //! (see `README.md`, "Adding a backend"). Two implementations ship with the
 //! crate:
 //!
-//! * [`CpuSimBackend`] — the production CPU simulation: tiled GEMM and
-//!   chunked scan parallelized across the device's worker pool, buffer
-//!   pooling enabled. This is the default backend.
+//! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
+//!   GEMM and chunked scan parallelized across the device's worker pool,
+//!   buffer pooling enabled. This is the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
 //!   backend (and any future port): same contract, trivially-auditable
@@ -29,35 +29,58 @@
 //! Backends are not merely required to be sound — they must be
 //! **bit-identical** to each other, which is what makes cross-backend
 //! differential testing (and caching/resume across heterogeneous fleets)
-//! possible. Concretely, for every output element of a GEMM kernel the
-//! terms must be accumulated **in ascending `k` order** using the
-//! directed-rounding fused accumulate of `gpupoly-interval`
-//! ([`Itv::mul_add_f`] for interval kernels, [`Fp::mul_add`] for the
-//! unsound scalar kernel). In the *interval* kernels, terms whose
-//! coefficient is exactly zero (`lo == 0 && hi == 0`, either sign of zero)
-//! **must be skipped** — this is how dependence-set padding costs no flops,
-//! and it is a requirement rather than an allowance because accumulating a
-//! zero term is *not* a bitwise no-op when an accumulator bound is `-0.0`
-//! (the directed-rounding add rewrites it to `+0.0`); mandating the skip
-//! makes the `-0.0` case deterministic too. The scalar kernel must *not*
-//! skip (`fma(0, b, -0.0)` is `+0.0` under round-to-nearest, so there the
-//! skip would be the divergence), and reassociating is never allowed. A
-//! GPU port must therefore use a deterministic fixed-order reduction per
-//! output element — the same constraint the paper's cutlass kernels satisfy
-//! by construction, since they privatize one output element per thread.
-//! Scan, compaction and gather are exact integer/copy operations and must
-//! match element-for-element.
+//! possible. For the GEMM family that pins, per output element, the exact
+//! sequence of floating-point operations:
 //!
-//! **Blocking rule.** Cache/tensor-core blocking of the GEMM family is
-//! allowed — but only over `m` and `n`. [`CpuSimBackend`] tiles `C` into
-//! [`GemmTile`]-sized blocks and packs `B` into contiguous per-tile panels
-//! (packing is a pure copy, so it cannot change a bit); inside a tile each
-//! output element still accumulates over the **full `k` extent in ascending
-//! order** with the zero-skip rule above. A port may tile `m`/`n`, pack
+//! * **Interval kernels, `f32`** ([`Fp::EXACT_IN_F64`]): the wide
+//!   accumulator of [`gpupoly_interval::wide`]. Starting from the `C` entry
+//!   (zero for the fresh kernel), the element's terms are visited in
+//!   **ascending `k`**; a term whose coefficient is exactly zero
+//!   (`lo == 0 && hi == 0`, either sign of zero) is **skipped** and does not
+//!   count; every other term adds `min(a.lo·w, a.hi·w)` to the lower sum,
+//!   `max(a.lo·w, a.hi·w)` to the upper sum and `max(|a.lo|, |a.hi|)·|w|` to
+//!   the magnitude sum `T` — products exact in `f64`, sums in
+//!   round-to-nearest `f64`, `min`/`max` spelled `p < q ? p : q` and
+//!   `p > q ? p : q`. After the last term both sums move outward by
+//!   `up(T · adds · 2⁻⁵²)`, where `adds` is the number of terms with `w ≠ 0`,
+//!   plus one if the starting `C` entry was non-zero, minus one (never below
+//!   zero — with `adds = 0` nothing moves), and are rounded once, directed,
+//!   to `f32`. The module docs of [`gpupoly_interval::wide`] give the rule
+//!   line by line with its soundness proof; a port reproduces those lines.
+//! * **Fallback rule.** An output element whose magnitude sum `T` is not
+//!   finite — exactly the elements with a `±inf` or NaN among their own
+//!   operands (`A` row, `B` column, `C` entry) — is recomputed with the
+//!   per-step chain below; the other elements of the launch are unaffected.
+//!   Same rule in every backend; there is no switch.
+//! * **Interval kernels, `f64`, and fallback elements**: the per-step
+//!   directed chain — ascending `k`, zero coefficients skipped,
+//!   [`Itv::mul_add_f`] per term.
+//! * **Scalar kernel** (`gemm_f_f`, unsound by design): ascending `k`,
+//!   [`Fp::mul_add`] per term, and zero terms are **not** skipped
+//!   (`fma(0, b, -0.0)` is `+0.0` under round-to-nearest, so there the skip
+//!   would be the divergence).
+//!
+//! The zero-skip is a requirement rather than an allowance: skipped terms
+//! do not enter `adds` (so dependence-set padding and stable-zero column
+//! compaction change neither flops nor bits), and on the per-step chain
+//! accumulating a zero term is not a bitwise no-op when an accumulator bound
+//! is `-0.0`. Reassociating is never allowed. A GPU port must therefore use
+//! a deterministic fixed-order reduction per output element — the same
+//! constraint the paper's cutlass kernels satisfy by construction, since
+//! they privatize one output element per thread — and needs no rounding-mode
+//! control inside the `k` loop: plain `f64` multiplies and adds (or FMAs,
+//! which give the same bits because the products are exact), then the four
+//! directed operations of the epilogue. Scan, compaction and gather are
+//! exact integer/copy operations and must match element-for-element.
+//!
+//! **Blocking rule.** Cache/register blocking of the GEMM family is allowed
+//! — but only over `m` and `n`. [`CpuSimBackend`] hands each worker a block
+//! of rows and walks every row in column blocks whose accumulators stay in
+//! registers across the **full `k` extent**. A port may tile `m`/`n`, pack
 //! operands, and register-block freely, but must never split, reorder or
 //! tree-reduce `k`. [`crate::conformance::check_gemm_blocking`] pins the
-//! blocked kernels against the straight-line oracle across tile-boundary
-//! and remainder shapes for several tile geometries.
+//! kernels against the straight-line oracle across block-boundary and
+//! remainder shapes.
 //!
 //! Every implementation is checked against this contract by the
 //! [`crate::conformance`] suite; run
@@ -76,6 +99,7 @@
 //! Passing the conformance suite is the admission gate for the kernels; the
 //! buffer abstraction is the one remaining structural gap.
 
+use gpupoly_interval::wide::{WideAcc, WideTerm};
 use gpupoly_interval::{Fp, Itv};
 use rayon::prelude::*;
 
@@ -400,69 +424,167 @@ fn concretize_row<F: Fp>(
     Itv { lo, hi: hi.max(lo) }
 }
 
-/// Column-block width of the CPU-sim tiled GEMM: one block of `C`'s row
-/// plus one block of `B`'s row stay cache-resident while `k` streams — the
-/// CPU analogue of a cutlass thread-block tile. Tiling only reorders the
-/// *writes*; per-element accumulation order is still ascending `k`, so the
-/// result is bit-identical to the straight-line loop.
-const TILE_N: usize = 512;
-
-/// Tile geometry of the blocked GEMM family — the CPU analogue of a
-/// cutlass / tensor-core tile configuration, carried by the device
-/// ([`crate::DeviceConfig::gemm_tile`]) so a future wgpu/CUDA port inherits
-/// the same knobs instead of inventing its own. `tile_m × tile_n` is the
-/// block tile (one packed panel of `B` is `tile_n` columns wide) and
-/// `mr × nr` the register-blocked micro-kernel footprint inside it — the
-/// role the warp-level WMMA fragment shape plays on tensor cores.
-///
-/// The geometry never changes results: blocking only tiles the `m`/`n`
-/// dimensions and packs contiguous copies of `B` panels, while every output
-/// element is still accumulated over the full `k` extent in ascending order
-/// (see the module-level bit-reproducibility contract). It is purely a
-/// performance knob; `benches/gemm.rs` in `gpupoly-bench` sweeps it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct GemmTile {
-    /// Rows of `C` per block tile (upper bound — the device shrinks it to
-    /// keep all workers busy on short matrices).
-    pub tile_m: usize,
-    /// Columns of `C` — and packed-panel width of `B` — per block tile.
-    pub tile_n: usize,
-    /// Rows of the register-blocked micro-kernel (clamped to
-    /// [`GemmTile::MAX_MR`]).
-    pub mr: usize,
-    /// Columns of the register-blocked micro-kernel (clamped to
-    /// [`GemmTile::MAX_NR`]).
-    pub nr: usize,
+/// One output element of the interval GEMM family: the module-level
+/// contract in straight-line form. [`ReferenceBackend`] computes every
+/// element this way; [`CpuSimBackend`] uses it for the elements its
+/// register-blocked kernel hands back (non-finite operands).
+#[inline]
+fn gemm_itv_element<F: Fp>(init: Itv<F>, arow: &[Itv<F>], b: &[F], n: usize, j: usize) -> Itv<F> {
+    if F::EXACT_IN_F64 {
+        let mut acc = WideAcc::<1>::new(&[init]);
+        for (kk, &aik) in arow.iter().enumerate() {
+            // Mandatory zero-skip — see the module contract.
+            if aik.lo == F::ZERO && aik.hi == F::ZERO {
+                continue;
+            }
+            acc.mul_add(WideTerm::new(aik), &[b[kk * n + j]]);
+        }
+        if let Some(v) = acc.finish(0) {
+            return v;
+        }
+    }
+    let mut acc = init;
+    for (kk, &aik) in arow.iter().enumerate() {
+        if aik.lo == F::ZERO && aik.hi == F::ZERO {
+            continue;
+        }
+        acc = aik.mul_add_f(b[kk * n + j], acc);
+    }
+    acc
 }
 
-impl Default for GemmTile {
-    fn default() -> Self {
-        Self {
-            tile_m: 64,
-            tile_n: TILE_N,
-            mr: 4,
-            nr: 8,
+/// Columns per register block of [`wide_itv_rows`]: one row of `C` times
+/// this many columns accumulates in registers over the full `k` extent.
+/// Fixed, not configurable: four lanes keep the block's accumulators in
+/// baseline x86-64's sixteen vector registers, and a sweep of wider blocks
+/// and multi-row micro-kernels found none more than 10 % ahead.
+const GEMM_LANES: usize = 4;
+
+/// A block of rows of the interval product for scalar types with
+/// [`Fp::EXACT_IN_F64`]. Each row's non-zero coefficients are widened once
+/// into a term list (so the zero-skip and the `f32`→`f64` conversions leave
+/// the hot loop); then every [`GEMM_LANES`]-wide column block streams that
+/// list in ascending `k`. Per output element this is the operation sequence
+/// of [`gemm_itv_element`] — blocking covers `m`/`n` only — so the bits are
+/// the same. `fresh` starts from zero instead of reading `C`.
+fn wide_itv_rows<F: Fp>(
+    atile: &[Itv<F>],
+    b: &[F],
+    ctile: &mut [Itv<F>],
+    k: usize,
+    n: usize,
+    fresh: bool,
+) {
+    let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
+    for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
+        terms.clear();
+        terms.extend(
+            arow.iter()
+                .enumerate()
+                .filter(|(_, aik)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
+                .map(|(kk, &aik)| (kk * n, WideTerm::new(aik))),
+        );
+        for j0 in (0..n).step_by(GEMM_LANES) {
+            let nr = GEMM_LANES.min(n - j0);
+            let init: &[Itv<F>] = if fresh { &[] } else { &crow[j0..j0 + nr] };
+            let mut acc = WideAcc::<GEMM_LANES>::new(init);
+            if nr == GEMM_LANES {
+                for &(off, term) in &terms {
+                    let w = &b[off + j0..off + j0 + GEMM_LANES];
+                    acc.mul_add(term, w.try_into().expect("a full lane block"));
+                }
+            } else {
+                // Remainder columns: unused lanes multiply by zero.
+                let mut w = [F::ZERO; GEMM_LANES];
+                for &(off, term) in &terms {
+                    w[..nr].copy_from_slice(&b[off + j0..off + j0 + nr]);
+                    acc.mul_add(term, &w);
+                }
+            }
+            for jj in 0..nr {
+                crow[j0 + jj] = acc.finish(jj).unwrap_or_else(|| {
+                    let init = if fresh { Itv::zero() } else { crow[j0 + jj] };
+                    gemm_itv_element(init, arow, b, n, j0 + jj)
+                });
+            }
         }
     }
 }
 
-impl GemmTile {
-    /// Largest supported micro-kernel row count (accumulator budget).
-    pub const MAX_MR: usize = 8;
-    /// Largest supported micro-kernel column count (accumulator budget).
-    pub const MAX_NR: usize = 16;
-
-    /// Clamps every dimension into its supported range: at least 1
-    /// everywhere, `mr`/`nr` at most the fixed accumulator budget. The
-    /// device clamps its configured geometry once at construction.
-    pub fn clamped(self) -> Self {
-        Self {
-            tile_m: self.tile_m.max(1),
-            tile_n: self.tile_n.max(1),
-            mr: self.mr.clamp(1, Self::MAX_MR),
-            nr: self.nr.clamp(1, Self::MAX_NR),
+/// The `f64` counterpart of [`wide_itv_rows`]: the per-step chain, streamed
+/// row-wise over `B` — per output element the operation sequence of
+/// [`gemm_itv_element`].
+fn chain_itv_rows<F: Fp>(
+    atile: &[Itv<F>],
+    b: &[F],
+    ctile: &mut [Itv<F>],
+    k: usize,
+    n: usize,
+    fresh: bool,
+) {
+    if fresh {
+        ctile.fill(Itv::zero());
+    }
+    for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
+        for (kk, &aik) in arow.iter().enumerate() {
+            if aik.lo == F::ZERO && aik.hi == F::ZERO {
+                continue;
+            }
+            for (cv, &bv) in crow.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                *cv = aik.mul_add_f(bv, *cv);
+            }
         }
     }
+}
+
+/// Splits `C` (`m×n`) into one block of whole rows per worker and runs
+/// `body` on each block and its rows of `A` (`m×k`) in parallel — the only
+/// blocking over `m` the CPU-sim GEMM family does. `n` and `k` are non-zero.
+fn par_row_blocks<A: Sync, C: Send>(
+    device: &Device<CpuSimBackend>,
+    a: &[A],
+    c: &mut [C],
+    (m, k, n): (usize, usize, usize),
+    body: impl Fn(&[A], &mut [C]) + Sync,
+) {
+    let rows = m.div_ceil(device.workers()).max(1);
+    device.install(|| {
+        c.par_chunks_mut(rows * n)
+            .enumerate()
+            .for_each(|(t, ctile)| body(&a[t * rows * k..][..ctile.len() / n * k], ctile))
+    });
+}
+
+/// Driver of the CPU-sim interval GEMM family.
+#[allow(clippy::too_many_arguments)]
+fn gemm_itv_rows<F: Fp>(
+    device: &Device<CpuSimBackend>,
+    a: &[Itv<F>],
+    b: &[F],
+    c: &mut [Itv<F>],
+    m: usize,
+    k: usize,
+    n: usize,
+    fresh: bool,
+) {
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
+        if fresh {
+            c.fill(Itv::zero());
+        }
+        return;
+    }
+    let kernel = if F::EXACT_IN_F64 {
+        wide_itv_rows::<F>
+    } else {
+        chain_itv_rows::<F>
+    };
+    par_row_blocks(device, a, c, (m, k, n), |atile, ctile| {
+        kernel(atile, b, ctile, k, n, fresh)
+    });
 }
 
 /// The kernel surface a device implementation must provide.
@@ -507,7 +629,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
     }
 
     /// Sound interval×scalar GEMM `C = A · B` (`A: m×k` intervals, `B: k×n`
-    /// scalars), outward rounding, ascending-`k` accumulation per element.
+    /// scalars), ascending-`k` accumulation per element under the module
+    /// contract.
     fn gemm_itv_f<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -664,229 +787,11 @@ pub trait Backend: Send + Sync + Sized + 'static {
     );
 }
 
-/// The production CPU simulation of the paper's GPU machine model: tiled
+/// The production CPU simulation of the paper's GPU machine model: blocked
 /// kernels parallelized across the device worker pool, buffer pooling
 /// enabled. The default backend of [`Device`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuSimBackend;
-
-/// Packs `B` (`k×n`, row-major) into panel-major layout: the panel covering
-/// columns `j0 .. j0+w` occupies `packed[j0 * k ..][.. w * k]` as `k`
-/// contiguous rows of width `w`. A pure copy — packing cannot change a bit
-/// of the product — that makes the micro-kernel's `B` accesses unit-stride
-/// and cache-resident regardless of `n`.
-fn pack_b_panels<F: Fp>(
-    device: &Device<CpuSimBackend>,
-    b: &[F],
-    k: usize,
-    n: usize,
-    tile_n: usize,
-    packed: &mut [F],
-) {
-    let mut panels: Vec<(usize, &mut [F])> = Vec::new();
-    let mut rest = packed;
-    for j0 in (0..n).step_by(tile_n) {
-        let w = (j0 + tile_n).min(n) - j0;
-        let (head, tail) = rest.split_at_mut(w * k);
-        panels.push((j0, head));
-        rest = tail;
-    }
-    device.install(|| {
-        panels.par_iter_mut().for_each(|(j0, panel)| {
-            let w = panel.len() / k;
-            for kk in 0..k {
-                panel[kk * w..(kk + 1) * w].copy_from_slice(&b[kk * n + *j0..kk * n + *j0 + w]);
-            }
-        })
-    });
-}
-
-/// One m-tile of the blocked interval product: for every packed panel of
-/// `B`, an `mr × nr` register block of `C` streams the **full** `k` extent
-/// with ascending-`k` accumulation and the mandatory zero-skip per
-/// `(row, k)` term — bit-identical to the straight-line loop (see the
-/// module contract; blocking only tiles `m`/`n`). The register block loads
-/// from `C` first, so the same body serves the fresh kernel (rows zeroed by
-/// the caller) and the accumulating one.
-fn blocked_itv_tile<F: Fp>(
-    atile: &[Itv<F>],
-    packed: &[F],
-    ctile: &mut [Itv<F>],
-    k: usize,
-    n: usize,
-    tile: GemmTile,
-) {
-    let rows = ctile.len() / n;
-    let mut acc = [[Itv::<F>::zero(); GemmTile::MAX_NR]; GemmTile::MAX_MR];
-    for j0 in (0..n).step_by(tile.tile_n) {
-        let w = (j0 + tile.tile_n).min(n) - j0;
-        let panel = &packed[j0 * k..j0 * k + w * k];
-        for i0 in (0..rows).step_by(tile.mr) {
-            let mr = (i0 + tile.mr).min(rows) - i0;
-            for jj0 in (0..w).step_by(tile.nr) {
-                let nr = (jj0 + tile.nr).min(w) - jj0;
-                for (ri, areg) in acc.iter_mut().enumerate().take(mr) {
-                    let at = (i0 + ri) * n + j0 + jj0;
-                    areg[..nr].copy_from_slice(&ctile[at..at + nr]);
-                }
-                for kk in 0..k {
-                    let brow = &panel[kk * w + jj0..kk * w + jj0 + nr];
-                    for (ri, areg) in acc.iter_mut().enumerate().take(mr) {
-                        let aik = atile[(i0 + ri) * k + kk];
-                        // Mandatory zero-skip — see the module contract.
-                        if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                            continue;
-                        }
-                        for (av, &bv) in areg[..nr].iter_mut().zip(brow) {
-                            *av = aik.mul_add_f(bv, *av);
-                        }
-                    }
-                }
-                for (ri, areg) in acc.iter().enumerate().take(mr) {
-                    let at = (i0 + ri) * n + j0 + jj0;
-                    ctile[at..at + nr].copy_from_slice(&areg[..nr]);
-                }
-            }
-        }
-    }
-}
-
-/// The scalar counterpart of [`blocked_itv_tile`]: same blocking, no
-/// zero-skip (under round-to-nearest, `fma(0, b, -0.0)` is `+0.0`, so
-/// there skipping would be the divergence).
-fn blocked_f_tile<F: Fp>(
-    atile: &[F],
-    packed: &[F],
-    ctile: &mut [F],
-    k: usize,
-    n: usize,
-    tile: GemmTile,
-) {
-    let rows = ctile.len() / n;
-    let mut acc = [[F::ZERO; GemmTile::MAX_NR]; GemmTile::MAX_MR];
-    for j0 in (0..n).step_by(tile.tile_n) {
-        let w = (j0 + tile.tile_n).min(n) - j0;
-        let panel = &packed[j0 * k..j0 * k + w * k];
-        for i0 in (0..rows).step_by(tile.mr) {
-            let mr = (i0 + tile.mr).min(rows) - i0;
-            for jj0 in (0..w).step_by(tile.nr) {
-                let nr = (jj0 + tile.nr).min(w) - jj0;
-                for areg in acc.iter_mut().take(mr) {
-                    areg[..nr].fill(F::ZERO);
-                }
-                for kk in 0..k {
-                    let brow = &panel[kk * w + jj0..kk * w + jj0 + nr];
-                    for (ri, areg) in acc.iter_mut().enumerate().take(mr) {
-                        let aik = atile[(i0 + ri) * k + kk];
-                        for (av, &bv) in areg[..nr].iter_mut().zip(brow) {
-                            *av = aik.mul_add(bv, *av);
-                        }
-                    }
-                }
-                for (ri, areg) in acc.iter().enumerate().take(mr) {
-                    let at = (i0 + ri) * n + j0 + jj0;
-                    ctile[at..at + nr].copy_from_slice(&areg[..nr]);
-                }
-            }
-        }
-    }
-}
-
-/// Effective m-tile height: the configured `tile_m`, shrunk so short
-/// matrices still split into enough row blocks to keep every worker busy.
-/// Purely a scheduling choice — per-element bits do not depend on it.
-fn effective_tile_m(tile_m: usize, m: usize, workers: usize) -> usize {
-    tile_m.min(m.div_ceil(workers * 4).max(1)).max(1)
-}
-
-/// Allocation size of the packed-panel scratch for a `k×n` operand: the
-/// element count rounded up to a power of two, with a floor merging all
-/// small operands into one class. Stable-zero compaction makes `k` depend
-/// on each query's zero pattern; exact-size scratch would mint a fresh
-/// buffer-pool size class per compacted width, defeating steady-state pool
-/// reuse. Bucketing bounds the class count (≤2× transient over-allocation,
-/// recycled through the pool either way).
-fn panel_scratch_len(elems: usize) -> usize {
-    elems.checked_next_power_of_two().unwrap_or(elems).max(256)
-}
-
-/// One row of the tiled interval×scalar product, shared by the fresh and
-/// accumulating kernels (they differ only in whether `C`'s row is zeroed).
-/// The unpacked fallback of the blocked path: same bits, used when the
-/// panel scratch does not fit on a capacity-limited device.
-#[inline]
-fn tiled_itv_row<F: Fp>(arow: &[Itv<F>], b: &[F], crow: &mut [Itv<F>], n: usize) {
-    for j0 in (0..n).step_by(TILE_N) {
-        let j1 = (j0 + TILE_N).min(n);
-        for (kk, &aik) in arow.iter().enumerate() {
-            if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                continue;
-            }
-            let brow = &b[kk * n + j0..kk * n + j1];
-            let ctile = &mut crow[j0..j1];
-            for (cv, &bv) in ctile.iter_mut().zip(brow) {
-                *cv = aik.mul_add_f(bv, *cv);
-            }
-        }
-    }
-}
-
-/// Driver of the CPU-sim interval GEMM family: pack `B` once into a pooled
-/// panel buffer ([`crate::DeviceBuffer::for_overwrite`], so steady-state
-/// launches recycle the scratch instead of charging fresh bytes), then run
-/// the blocked micro-kernel over disjoint m-tiles in parallel. When the
-/// panel scratch does not fit on a capacity-limited device, falls back to
-/// the unpacked flat row loop — same bits either way.
-#[allow(clippy::too_many_arguments)]
-fn gemm_itv_blocked<F: Fp>(
-    device: &Device<CpuSimBackend>,
-    a: &[Itv<F>],
-    b: &[F],
-    c: &mut [Itv<F>],
-    m: usize,
-    k: usize,
-    n: usize,
-    fresh: bool,
-) {
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
-        if fresh {
-            c.fill(Itv::zero());
-        }
-        return;
-    }
-    if let Ok(mut packed) =
-        crate::DeviceBuffer::<F>::for_overwrite(device, panel_scratch_len(k * n))
-    {
-        let tile = device.gemm_tile();
-        pack_b_panels(device, b, k, n, tile.tile_n, &mut packed[..k * n]);
-        let tm = effective_tile_m(tile.tile_m, m, device.workers());
-        let packed: &[F] = &packed[..k * n];
-        device.install(|| {
-            c.par_chunks_mut(tm * n).enumerate().for_each(|(t, ctile)| {
-                let i0 = t * tm;
-                let rows = ctile.len() / n;
-                if fresh {
-                    ctile.fill(Itv::zero());
-                }
-                blocked_itv_tile(&a[i0 * k..(i0 + rows) * k], packed, ctile, k, n, tile);
-            })
-        });
-    } else {
-        device.install(|| {
-            c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-                let arow = &a[i * k..(i + 1) * k];
-                if fresh {
-                    crow.fill(Itv::zero());
-                }
-                tiled_itv_row(arow, b, crow, n);
-            })
-        });
-    }
-}
 
 impl Backend for CpuSimBackend {
     fn label(&self) -> &'static str {
@@ -903,7 +808,7 @@ impl Backend for CpuSimBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_itv_blocked(device, a, b, c, m, k, n, true);
+        gemm_itv_rows(device, a, b, c, m, k, n, true);
     }
 
     fn gemm_itv_f_acc<F: Fp>(
@@ -916,7 +821,7 @@ impl Backend for CpuSimBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_itv_blocked(device, a, b, c, m, k, n, false);
+        gemm_itv_rows(device, a, b, c, m, k, n, false);
     }
 
     fn gemm_f_f<F: Fp>(
@@ -936,42 +841,19 @@ impl Backend for CpuSimBackend {
             c.fill(F::ZERO);
             return;
         }
-        if let Ok(mut packed) =
-            crate::DeviceBuffer::<F>::for_overwrite(device, panel_scratch_len(k * n))
-        {
-            let tile = device.gemm_tile();
-            pack_b_panels(device, b, k, n, tile.tile_n, &mut packed[..k * n]);
-            let tm = effective_tile_m(tile.tile_m, m, device.workers());
-            let packed: &[F] = &packed[..k * n];
-            device.install(|| {
-                c.par_chunks_mut(tm * n).enumerate().for_each(|(t, ctile)| {
-                    let i0 = t * tm;
-                    let rows = ctile.len() / n;
-                    blocked_f_tile(&a[i0 * k..(i0 + rows) * k], packed, ctile, k, n, tile);
-                })
-            });
-        } else {
-            device.install(|| {
-                c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-                    let arow = &a[i * k..(i + 1) * k];
-                    crow.fill(F::ZERO);
-                    for j0 in (0..n).step_by(TILE_N) {
-                        let j1 = (j0 + TILE_N).min(n);
-                        // No zero-skip here, unlike the interval kernels:
-                        // under round-to-nearest, fma(0, b, -0.0) = +0.0, so
-                        // skipping a zero term is not a bitwise no-op for
-                        // plain scalars.
-                        for (kk, &aik) in arow.iter().enumerate() {
-                            let brow = &b[kk * n + j0..kk * n + j1];
-                            let ctile = &mut crow[j0..j1];
-                            for (cv, &bv) in ctile.iter_mut().zip(brow) {
-                                *cv = aik.mul_add(bv, *cv);
-                            }
-                        }
+        par_row_blocks(device, a, c, (m, k, n), |atile, ctile| {
+            for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
+                crow.fill(F::ZERO);
+                // No zero-skip here, unlike the interval kernels: under
+                // round-to-nearest, fma(0, b, -0.0) = +0.0, so skipping a
+                // zero term is not a bitwise no-op for plain scalars.
+                for (kk, &aik) in arow.iter().enumerate() {
+                    for (cv, &bv) in crow.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                        *cv = aik.mul_add(bv, *cv);
                     }
-                })
-            });
-        }
+                }
+            }
+        });
     }
 
     fn exclusive_scan(&self, device: &Device<Self>, xs: &[u32]) -> (Vec<u32>, u32) {
@@ -1245,8 +1127,8 @@ impl Backend for CpuSimBackend {
 /// auditable at a glance, making it the oracle half of cross-backend
 /// differential tests. Honors the same bit-reproducibility contract as
 /// [`CpuSimBackend`] (ascending-`k` accumulation with the shared
-/// directed-rounding primitives), so engine margins computed on it are
-/// bit-identical to the tiled parallel backend's.
+/// accumulation primitives), so engine margins computed on it are
+/// bit-identical to the blocked parallel backend's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReferenceBackend;
 
@@ -1271,16 +1153,7 @@ impl Backend for ReferenceBackend {
     ) {
         for i in 0..m {
             for j in 0..n {
-                let mut acc = Itv::zero();
-                for kk in 0..k {
-                    let aik = a[i * k + kk];
-                    // Mandatory zero-skip — see the module-level contract.
-                    if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                        continue;
-                    }
-                    acc = aik.mul_add_f(b[kk * n + j], acc);
-                }
-                c[i * n + j] = acc;
+                c[i * n + j] = gemm_itv_element(Itv::zero(), &a[i * k..(i + 1) * k], b, n, j);
             }
         }
     }
@@ -1297,16 +1170,7 @@ impl Backend for ReferenceBackend {
     ) {
         for i in 0..m {
             for j in 0..n {
-                let mut acc = c[i * n + j];
-                for kk in 0..k {
-                    let aik = a[i * k + kk];
-                    // Mandatory zero-skip — see the module-level contract.
-                    if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                        continue;
-                    }
-                    acc = aik.mul_add_f(b[kk * n + j], acc);
-                }
-                c[i * n + j] = acc;
+                c[i * n + j] = gemm_itv_element(c[i * n + j], &a[i * k..(i + 1) * k], b, n, j);
             }
         }
     }

@@ -5,12 +5,14 @@
 //! whole kernel contract of the [`crate::backend`] module docs:
 //!
 //! * **GEMM bit-reproducibility** — every kernel of the GEMM family matches
-//!   a straight-line scalar oracle *bit for bit* (ascending-`k`
-//!   accumulation with the shared directed-rounding primitives), over a
-//!   matrix of shapes that includes empty, single-element, non-square and
-//!   tile-boundary cases;
+//!   a straight-line scalar oracle *bit for bit* (for `f32` intervals:
+//!   exact products accumulated in round-to-nearest `f64` in ascending `k`,
+//!   one a-priori widening and one directed rounding per output; the
+//!   per-step directed chain for non-finite operands), over a matrix of
+//!   shapes that includes empty, single-element, non-square and
+//!   block-boundary cases;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
-//!   product;
+//!   product, and single-term outputs are the tightest enclosure;
 //! * **scan / compaction / gather exactness** against serial oracles;
 //! * **walk-step kernels** — GBC transpose convolution, bias fold, the
 //!   ReLU substitution step (including its stable-zero column guarantee),
@@ -78,11 +80,49 @@ fn bit_eq<F: Fp>(a: Itv<F>, b: Itv<F>) -> bool {
     a.lo.bits() == b.lo.bits() && a.hi.bits() == b.hi.bits()
 }
 
-/// Straight-line oracle for the interval×scalar GEMM family: ascending-`k`
-/// accumulation with [`Itv::mul_add_f`], starting from `init` (or zero).
-/// Exact-zero terms are skipped, as the contract mandates — accumulating
-/// them would rewrite a `-0.0` accumulator bound to `+0.0` and diverge
-/// from any skipping implementation.
+/// The wide-accumulator rule of the [`crate::backend`] contract for one
+/// output element, spelled out in plain `f64` arithmetic (deliberately not
+/// through `gpupoly_interval::wide`, which the backends use). `terms` are
+/// the element's non-skipped `(coefficient, weight)` pairs in ascending `k`.
+/// `None` when the rule does not apply: `F` is not `f32`, or an operand is
+/// not finite.
+fn oracle_wide<F: Fp>(c0: Itv<F>, terms: &[(Itv<F>, F)]) -> Option<Itv<F>> {
+    if !F::EXACT_IN_F64
+        || !c0.is_finite()
+        || !terms.iter().all(|(a, w)| a.is_finite() && w.is_finite())
+    {
+        return None;
+    }
+    let mag = |x: Itv<F>| x.lo.to_f64().abs().max(x.hi.to_f64().abs());
+    let (mut lo, mut hi, mut t) = (c0.lo.to_f64(), c0.hi.to_f64(), mag(c0));
+    for &(a, w) in terms {
+        let w = w.to_f64();
+        let (p, q) = (a.lo.to_f64() * w, a.hi.to_f64() * w);
+        lo += if p < q { p } else { q };
+        hi += if p > q { p } else { q };
+        t += mag(a) * w.abs();
+    }
+    // Additions that can round: non-zero products, plus a non-zero start.
+    let seeded = c0.lo != F::ZERO || c0.hi != F::ZERO;
+    let rounded = terms.iter().filter(|(_, w)| *w != F::ZERO).count() + usize::from(seeded);
+    let adds = rounded.saturating_sub(1);
+    if adds > 0 {
+        let e = round::mul_up(t, adds as f64 * 2f64.powi(-52));
+        lo = round::sub_down(lo, e);
+        hi = round::add_up(hi, e);
+    }
+    Some(Itv {
+        lo: round::from_f64_down(lo),
+        hi: round::from_f64_up(hi),
+    })
+}
+
+/// Straight-line oracle for the interval×scalar GEMM family, starting from
+/// `init` (or zero). Exact-zero coefficients are skipped, as the contract
+/// mandates: they neither count as terms of the error bound nor — on the
+/// per-step chain — get to rewrite a `-0.0` accumulator bound to `+0.0`.
+/// Elements the wide rule does not cover take the ascending-`k`
+/// [`Itv::mul_add_f`] chain.
 fn oracle_gemm_itv_f<F: Fp>(
     a: &[Itv<F>],
     b: &[F],
@@ -94,15 +134,16 @@ fn oracle_gemm_itv_f<F: Fp>(
     let mut c = vec![Itv::zero(); m * n];
     for i in 0..m {
         for j in 0..n {
-            let mut acc = init.map_or(Itv::zero(), |c0| c0[i * n + j]);
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                    continue;
-                }
-                acc = aik.mul_add_f(b[kk * n + j], acc);
-            }
-            c[i * n + j] = acc;
+            let c0 = init.map_or(Itv::zero(), |c0| c0[i * n + j]);
+            let terms: Vec<(Itv<F>, F)> = (0..k)
+                .map(|kk| (a[i * k + kk], b[kk * n + j]))
+                .filter(|(aik, _)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
+                .collect();
+            c[i * n + j] = oracle_wide(c0, &terms).unwrap_or_else(|| {
+                terms
+                    .iter()
+                    .fold(c0, |acc, &(aik, w)| aik.mul_add_f(w, acc))
+            });
         }
     }
     c
@@ -232,89 +273,113 @@ pub fn check_gemm_against_oracle<B: Backend>(
 }
 
 /// Pins the GEMM blocking rule (see the [`crate::backend`] module docs):
-/// several tile geometries — the default, degenerate 1×1 tiles, odd
-/// non-divisor tiles, and the maximal micro-kernel — must all produce
-/// results bit-identical to the straight-line oracle on tile-boundary and
-/// remainder shapes, and steady-state launches on a pool-retaining device
-/// must recycle the packed-panel scratch instead of charging fresh bytes.
+/// shapes that land exactly on and just past the register-block width and
+/// the per-worker row split must be bit-identical to the straight-line
+/// oracle, and a launch must leave no device memory behind (accumulators
+/// and term lists are kernel-local, not device buffers).
 ///
-/// `make` builds a device of the backend under test from a configuration
-/// (the suite varies [`DeviceConfig::gemm_tile`]). Backends that ignore the
-/// tile geometry (like [`crate::ReferenceBackend`]) pass trivially — the
-/// check then simply re-pins the oracle on more shapes.
+/// `make` builds a device of the backend under test from a configuration.
 ///
 /// # Panics
 ///
 /// Panics with a labeled message on any contract violation.
 pub fn check_gemm_blocking<B: Backend>(make: &impl Fn(DeviceConfig) -> Device<B>) {
-    use crate::backend::GemmTile;
-    let tiles = [
-        GemmTile::default(),
-        // Degenerate: every loop hits its remainder path on every step.
-        GemmTile {
-            tile_m: 1,
-            tile_n: 1,
-            mr: 1,
-            nr: 1,
-        },
-        // Odd non-divisor tiles: boundary logic everywhere.
-        GemmTile {
-            tile_m: 2,
-            tile_n: 7,
-            mr: 2,
-            nr: 3,
-        },
-        // Maximal register block inside a small panel.
-        GemmTile {
-            tile_m: 5,
-            tile_n: 9,
-            mr: GemmTile::MAX_MR,
-            nr: GemmTile::MAX_NR,
-        },
-        // All-zero geometry: must be clamped, not crash.
-        GemmTile {
-            tile_m: 0,
-            tile_n: 0,
-            mr: 0,
-            nr: 0,
-        },
-    ];
-    // Shapes chosen to land exactly on and just past the tile and
-    // micro-kernel boundaries of the geometries above.
     let shapes = [
         (1usize, 1usize, 1usize),
         (3, 5, 7),
-        (4, 4, 4),
+        (4, 4, 8),
         (5, 9, 9),
-        (6, 10, 11),
+        (6, 10, 16),
+        (7, 3, 17), // three workers get 3 + 3 + 1 rows
         (9, 16, 130),
-        (2, 3, 519), // crosses the default 512-wide panel, remainder 7
+        (2, 3, 519),
     ];
-    for (ti, tile) in tiles.iter().enumerate() {
-        let device = make(DeviceConfig::new().workers(3).gemm_tile(*tile));
-        let label = device.backend().label();
-        device.buffer_pool_retain();
-        for (ci, &(m, k, n)) in shapes.iter().enumerate() {
-            check_gemm_against_oracle(&device, m, k, n, (ti * 101 + ci) as u64);
+    let device = make(DeviceConfig::new().workers(3));
+    let label = device.backend().label();
+    device.buffer_pool_retain();
+    for (ci, &(m, k, n)) in shapes.iter().enumerate() {
+        check_gemm_against_oracle(&device, m, k, n, 101 + ci as u64);
+    }
+    assert_eq!(
+        device.stats().bytes_allocated(),
+        0,
+        "[{label}] GEMM launches must not allocate device memory"
+    );
+    device.buffer_pool_release();
+}
+
+/// Pins the corners of the interval GEMM contract that random data does not
+/// reach: a coefficient row or a weight column holding `±inf` (those outputs
+/// take the per-step chain, every other output of the launch the wide
+/// rule), all-zero rows (the accumulating kernel must leave `C` untouched,
+/// `-0.0` included), and single-term rows (no addition, so the result is
+/// the tightest enclosure of the one exact product).
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gemm_special_rows<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0x1f);
+    let (m, k, n) = (6usize, 11usize, 19usize);
+    let mut a: Vec<Itv<f32>> = (0..m * k)
+        .map(|_| {
+            let lo = s.next_f32();
+            Itv::new(lo, lo + s.next_f32().abs() * 0.125)
+        })
+        .collect();
+    let mut b: Vec<f32> = (0..k * n).map(|_| s.next_f32()).collect();
+    // One non-finite entry per row / column, so no `inf − inf` arises and
+    // the expected bits hold no NaN.
+    a[3] = Itv::new(1.0, f32::INFINITY); // row 0
+    a[k + 7] = Itv::top(); // row 1
+    a[2 * k..3 * k].fill(Itv::zero()); // row 2: nothing to accumulate
+    a[2 * k + 4] = Itv::point(-0.0);
+    a[3 * k..4 * k].fill(Itv::zero()); // row 3: a single term
+    a[3 * k + 5] = Itv::new(0.1, 0.3);
+    b[2 * n + 6] = f32::NEG_INFINITY; // column 6
+    b[4 * n..5 * n].fill(0.0); // a zero weight row: exact-zero products
+    b[4 * n + 1] = -0.0;
+    let init: Vec<Itv<f32>> = (0..m * n)
+        .map(|i| match i % 4 {
+            0 => Itv::point(-0.0),
+            1 => Itv::zero(),
+            _ => Itv::point(s.next_f32()),
+        })
+        .collect();
+
+    let mut fresh = vec![Itv::point(9.0_f32); m * n];
+    gemm::gemm_itv_f(device, &a, &b, &mut fresh, m, k, n);
+    let want = oracle_gemm_itv_f(&a, &b, None, m, k, n);
+    assert_planes_bit_eq(label, "gemm_itv_f (special rows)", &fresh, &want);
+    let mut acc = init.clone();
+    gemm::gemm_itv_f_acc(device, &a, &b, &mut acc, m, k, n);
+    let want = oracle_gemm_itv_f(&a, &b, Some(&init), m, k, n);
+    assert_planes_bit_eq(label, "gemm_itv_f_acc (special rows)", &acc, &want);
+
+    // The corners did what they are there for.
+    assert!(
+        fresh[..2 * n].iter().all(|v| !v.is_finite()),
+        "[{label}] non-finite rows lost"
+    );
+    for j in 0..n {
+        assert!(
+            bit_eq(acc[2 * n + j], init[2 * n + j]),
+            "[{label}] all-zero row must leave C[2,{j}] untouched"
+        );
+        if j == 6 {
+            continue; // the -inf weight column
         }
-        // Steady state: a repeated shape must recycle its panel scratch
-        // through the buffer pool — bytes_allocated stays flat per launch.
-        let (m, k, n) = (6, 10, 11);
-        check_gemm_against_oracle(&device, m, k, n, 4242);
-        let bytes0 = device.stats().bytes_allocated();
-        check_gemm_against_oracle(&device, m, k, n, 4243);
-        if device.buffer_pool_active() {
-            assert_eq!(
-                device.stats().bytes_allocated(),
-                bytes0,
-                "[{label}] steady-state GEMM launches must recycle panel scratch ({tile:?})"
-            );
-        }
-        device.buffer_pool_release();
-        assert_eq!(
-            device.memory_in_use(),
-            0,
-            "[{label}] GEMM panel scratch must be returned on pool release"
+        let w = b[5 * n + j] as f64;
+        let (p, q) = (0.1_f32 as f64 * w, 0.3_f32 as f64 * w);
+        let tight = Itv::<f32> {
+            lo: round::from_f64_down(p.min(q)),
+            hi: round::from_f64_up(p.max(q)),
+        };
+        assert!(
+            bit_eq(fresh[3 * n + j], tight),
+            "[{label}] single-term output [3,{j}] {} is not the tightest enclosure {tight}",
+            fresh[3 * n + j]
         );
     }
 }
@@ -1262,7 +1327,7 @@ fn shape_matrix() -> Vec<(usize, usize, usize)> {
         (1, 7, 1),   // dot product
         (4, 4, 4),   // small square
         (5, 17, 9),  // non-square
-        (2, 3, 519), // crosses the CPU-sim tile boundary (512)
+        (2, 3, 519), // many register blocks and a remainder
     ];
     let mut s = Stream::new(7);
     for _ in 0..12 {
@@ -1314,6 +1379,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
             check_residual_merge_against_oracle(&device, seed);
             check_concretize_against_oracle(&device, seed);
         }
+        check_gemm_special_rows(&device);
         check_dtod(&device);
         check_copies(&device);
         assert!(

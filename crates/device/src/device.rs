@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, CpuSimBackend, GemmTile, ReferenceBackend};
+use crate::backend::{Backend, CpuSimBackend, ReferenceBackend};
 
 /// Configuration of a simulated device.
 ///
@@ -26,7 +26,6 @@ pub struct DeviceConfig {
     workers: Option<usize>,
     memory_capacity: Option<usize>,
     name: Option<String>,
-    gemm_tile: Option<GemmTile>,
 }
 
 impl DeviceConfig {
@@ -53,15 +52,6 @@ impl DeviceConfig {
     /// Human-readable device name for diagnostics.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
-        self
-    }
-
-    /// Tile geometry of the blocked GEMM family (see [`GemmTile`]).
-    /// Defaults to [`GemmTile::default`]. Every geometry produces
-    /// bit-identical results — this is purely a performance knob, clamped
-    /// once at device construction via [`GemmTile::clamped`].
-    pub fn gemm_tile(mut self, tile: GemmTile) -> Self {
-        self.gemm_tile = Some(tile);
         self
     }
 }
@@ -279,7 +269,6 @@ pub(crate) struct DeviceInner<B> {
     stats: DeviceStats,
     name: String,
     workers: usize,
-    gemm_tile: GemmTile,
     /// Reference count of buffer-pool users (engines). While non-zero (and
     /// the backend supports pooling), dropped pooled [`crate::DeviceBuffer`]s
     /// are shelved here for exact size-class reuse instead of being freed.
@@ -388,7 +377,6 @@ impl<B: Backend> Device<B> {
                 stats: DeviceStats::default(),
                 name: config.name.unwrap_or_else(|| "gpupoly-sim".to_string()),
                 workers,
-                gemm_tile: config.gemm_tile.unwrap_or_default().clamped(),
                 recyclers: AtomicUsize::new(0),
                 shelves: Mutex::new(Shelves::new()),
                 shelved_bytes: AtomicUsize::new(0),
@@ -414,13 +402,6 @@ impl<B: Backend> Device<B> {
     /// Configured memory capacity in bytes (`None` = unlimited).
     pub fn memory_capacity(&self) -> Option<usize> {
         self.inner.capacity
-    }
-
-    /// The (clamped) blocked-GEMM tile geometry this device was configured
-    /// with. Backends read it inside their GEMM kernels; it never affects
-    /// results, only blocking.
-    pub fn gemm_tile(&self) -> GemmTile {
-        self.inner.gemm_tile
     }
 
     /// Bytes currently allocated on the device.

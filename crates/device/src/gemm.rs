@@ -1,28 +1,36 @@
-//! Tiled matrix–matrix kernels.
+//! Matrix–matrix kernels.
 //!
 //! Backsubstitution through a fully-connected layer is the matrix product
 //! `M_{k-1} = M_k · F_k` (paper Fig. 2). To stay floating-point sound the
 //! coefficients of `M_k` are intervals while `F_k` holds the scalar network
-//! weights, so the product is an *interval×scalar* GEMM built around the
-//! outward-rounded multiply-add of `gpupoly-interval` — the role cutlass +
-//! custom multiply-add plays in the CUDA implementation (§4.1). A plain
-//! round-to-nearest scalar GEMM is provided for the unsound baselines and for
-//! measuring the soundness overhead (the paper reports ≈2× memory and >2×
-//! flops; compare [`flops_itv_f`] with [`flops_f_f`]).
+//! weights, so the product is an *interval×scalar* GEMM — the role cutlass +
+//! custom multiply-add plays in the CUDA implementation (§4.1). The CUDA
+//! kernels round every multiply and add outward; here the `f32` kernels get
+//! the same guarantee from one directed rounding per output instead: the
+//! product of two `f32` is exact in `f64`, so each output element sums exact
+//! products in round-to-nearest `f64` (ascending `k`, zero coefficients
+//! skipped), widens the sum once by an a-priori bound on the additions'
+//! round-off, and rounds once, directed, back to `f32`
+//! (`gpupoly_interval::wide`). That is both an order of magnitude faster
+//! than stepping `next_up`/`next_down` after every operation and tighter —
+//! about one `f32` ulp per output instead of `2k`. `f64` intervals, and
+//! outputs with a non-finite operand, keep the per-step
+//! [`Itv::mul_add_f`] chain. A plain round-to-nearest scalar GEMM is
+//! provided for the unsound baselines and for measuring the soundness
+//! overhead (the paper reports ≈2× memory and >2× flops; compare
+//! [`flops_itv_f`] with [`flops_f_f`]).
 //!
 //! All matrices are dense row-major. The functions here are thin wrappers —
 //! dimension checks, launch recording, flop accounting — around the device's
-//! [`crate::Backend`], which supplies the actual kernel (cache-blocked and
-//! parallel on [`crate::CpuSimBackend`]: `C` is tiled by the device's
-//! [`crate::GemmTile`] geometry with `B` packed into per-tile panels and an
-//! `mr × nr` register-blocked micro-kernel inside — straight-line serial on
-//! [`crate::ReferenceBackend`]). Blocking only covers `m`/`n`; every backend
-//! still accumulates each output element over the full `k` extent in
-//! ascending order with the same directed-rounding primitives, so results
-//! are bit-identical across backends and tile geometries (see the
-//! [`crate::backend`] module docs for the contract, and
-//! [`crate::conformance`] — in particular
-//! [`crate::conformance::check_gemm_blocking`] — for the suite that
+//! [`crate::Backend`], which supplies the actual kernel (register-blocked
+//! and parallel over row blocks on [`crate::CpuSimBackend`], straight-line
+//! serial on [`crate::ReferenceBackend`]). Blocking only covers `m`/`n`;
+//! every backend performs the same operation sequence per output element,
+//! so results are bit-identical across backends (see the [`crate::backend`]
+//! module docs for the contract — what a GPU port must reproduce — and
+//! [`crate::conformance`], in particular
+//! [`crate::conformance::check_gemm_blocking`] and
+//! [`crate::conformance::check_gemm_special_rows`], for the suite that
 //! enforces it).
 //!
 //! # Example
@@ -68,7 +76,7 @@ pub fn flops_f_f(m: usize, k: usize, n: usize) -> u64 {
 }
 
 /// Sound interval×scalar GEMM: `C = A · B` with `A: m×k` interval entries,
-/// `B: k×n` scalar entries, outward rounding throughout.
+/// `B: k×n` scalar entries, rounded outward.
 ///
 /// Zero interval entries of `A` are skipped — mandatorily, by every
 /// backend — so the sparsity produced by dependence-set padding costs no
@@ -269,7 +277,7 @@ mod tests {
 
     #[test]
     fn tiling_boundary_exactness() {
-        // n spanning multiple tile blocks with an odd remainder.
+        // n spanning many register blocks with an odd remainder.
         let dev = Device::new(DeviceConfig::new().workers(2));
         let (m, k, n) = (2, 3, 512 + 7);
         let av: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 1.0).collect();

@@ -54,7 +54,7 @@ pub mod kernels;
 mod relax;
 pub mod scan;
 
-pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, GemmTile, ReferenceBackend};
+pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork};
 pub use relax::ReluRelax;

@@ -39,5 +39,24 @@ fn backends_are_bit_identical_on_shared_inputs() {
             assert_eq!(x.lo.to_bits(), y.lo.to_bits(), "{m}x{k}x{n} lo drifted");
             assert_eq!(x.hi.to_bits(), y.hi.to_bits(), "{m}x{k}x{n} hi drifted");
         }
+
+        // The same product accumulated into a non-zero C, with one
+        // unbounded coefficient and one infinite weight: those outputs fall
+        // back to the per-step chain on both backends alike.
+        let mut a = a;
+        let mut b = b;
+        a[k / 2] = Itv::new(0.5, f32::INFINITY);
+        b[(k - 1) * n + n / 2] = f32::NEG_INFINITY;
+        let init: Vec<Itv<f32>> = (0..m * n)
+            .map(|i| Itv::point(i as f32 * 0.25 - 1.0))
+            .collect();
+        let (mut c1, mut c2) = (init.clone(), init);
+        gemm::gemm_itv_f_acc(&cpu, &a, &b, &mut c1, m, k, n);
+        gemm::gemm_itv_f_acc(&naive, &a, &b, &mut c2, m, k, n);
+        assert!(c1[..n].iter().any(|v| !v.is_finite()), "{m}x{k}x{n}");
+        for (x, y) in c1.iter().zip(&c2) {
+            assert_eq!(x.lo.to_bits(), y.lo.to_bits(), "{m}x{k}x{n} acc lo drifted");
+            assert_eq!(x.hi.to_bits(), y.hi.to_bits(), "{m}x{k}x{n} acc hi drifted");
+        }
     }
 }

@@ -63,6 +63,12 @@ pub trait Fp:
     const MIN: Self;
     /// Smallest positive normal value.
     const MIN_POSITIVE: Self;
+    /// `true` when the product of any two finite values of this type is
+    /// exactly representable in `f64` — the precondition of the wide
+    /// accumulation in [`crate::wide`]. Holds for `f32` (a 48-bit
+    /// significand fits `f64`'s 53, and the smallest non-zero product,
+    /// `2⁻²⁹⁸`, is far above `f64`'s underflow threshold); not for `f64`.
+    const EXACT_IN_F64: bool;
 
     /// The next representable value towards `+inf`.
     fn next_up(self) -> Self;
@@ -113,7 +119,7 @@ pub trait Fp:
 }
 
 macro_rules! impl_fp {
-    ($t:ty) => {
+    ($t:ty, $exact_in_f64:expr) => {
         impl Fp for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -125,6 +131,7 @@ macro_rules! impl_fp {
             const MAX: Self = <$t>::MAX;
             const MIN: Self = <$t>::MIN;
             const MIN_POSITIVE: Self = <$t>::MIN_POSITIVE;
+            const EXACT_IN_F64: bool = $exact_in_f64;
 
             #[inline(always)]
             fn next_up(self) -> Self {
@@ -182,8 +189,8 @@ macro_rules! impl_fp {
     };
 }
 
-impl_fp!(f32);
-impl_fp!(f64);
+impl_fp!(f32, true);
+impl_fp!(f64, false);
 
 #[cfg(test)]
 mod tests {

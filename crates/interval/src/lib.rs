@@ -21,7 +21,10 @@
 //! * [`Itv`] — the interval type used for polyhedral coefficients and
 //!   concrete neuron bounds,
 //! * [`dot`] — sound dot products, sums and the forward-error bounds used to
-//!   account for the round-off of the network's own inference (Miné 2004).
+//!   account for the round-off of the network's own inference (Miné 2004),
+//! * [`wide`] — the interval GEMM's accumulator for `f32`: exact products
+//!   summed in round-to-nearest `f64`, widened once by an a-priori error
+//!   bound and rounded once, directed, back to `f32`.
 //!
 //! # Example
 //!
@@ -46,6 +49,7 @@ pub mod dot;
 mod fp;
 mod itv;
 pub mod round;
+pub mod wide;
 
 pub use fp::Fp;
 pub use itv::Itv;

@@ -139,9 +139,55 @@ pub fn fma_up<F: Fp>(a: F, b: F, acc: F) -> F {
     add_up(acc, mul_up(a, b))
 }
 
+/// Converts an `f64` to `F` rounded towards `-inf`. Overflow saturates
+/// outward-soundly: a value above `F::MAX` gives `F::MAX`, one below
+/// `F::MIN` gives `-inf`.
+#[inline(always)]
+pub fn from_f64_down<F: Fp>(x: f64) -> F {
+    let r = F::from_f64(x);
+    if r.to_f64() > x {
+        r.next_down()
+    } else {
+        r
+    }
+}
+
+/// Converts an `f64` to `F` rounded towards `+inf` (the mirror image of
+/// [`from_f64_down`]).
+#[inline(always)]
+pub fn from_f64_up<F: Fp>(x: f64) -> F {
+    let r = F::from_f64(x);
+    if r.to_f64() < x {
+        r.next_up()
+    } else {
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn narrowing_conversions_round_outward() {
+        let x = 0.1_f64; // not an f32
+        let (lo, hi): (f32, f32) = (from_f64_down(x), from_f64_up(x));
+        assert!((lo as f64) < x && x < (hi as f64));
+        assert_eq!(lo.next_up(), hi);
+        // Representable values (either sign of zero included) pass through.
+        assert_eq!(from_f64_down::<f32>(0.25), 0.25);
+        assert_eq!(from_f64_up::<f32>(-0.0).to_bits(), (-0.0_f32).to_bits());
+        // Overflow saturates on the sound side, never NaN.
+        assert_eq!(from_f64_down::<f32>(1e300), f32::MAX);
+        assert_eq!(from_f64_up::<f32>(1e300), f32::INFINITY);
+        assert_eq!(from_f64_down::<f32>(-1e300), f32::NEG_INFINITY);
+        assert_eq!(from_f64_up::<f32>(-1e300), f32::MIN);
+        // Below the smallest subnormal the bounds straddle zero.
+        assert_eq!(from_f64_down::<f32>(1e-60), 0.0);
+        assert!(from_f64_up::<f32>(1e-60) > 0.0);
+        // f64 -> f64 is the identity.
+        assert_eq!(from_f64_down::<f64>(x), x);
+    }
 
     #[test]
     fn down_below_up() {

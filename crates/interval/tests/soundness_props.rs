@@ -3,6 +3,7 @@
 //! intervals. We use f64 arithmetic as the (much more precise) reference for
 //! f32 intervals, and exact rational reasoning where cheap.
 
+use gpupoly_interval::wide::{WideAcc, WideTerm};
 use gpupoly_interval::{dot, round, Itv};
 use proptest::prelude::*;
 
@@ -149,4 +150,271 @@ proptest! {
         prop_assert!(lo <= a * b && a * b <= hi);
         prop_assert!(hi == lo || hi == lo.next_up() || hi == lo.next_up().next_up());
     }
+}
+
+// ---------------------------------------------------------------------------
+// The wide accumulator (`gpupoly_interval::wide`) against an error-free
+// oracle. Products of two f32 are exact in f64 and, like every f32, integer
+// multiples of 2⁻³⁵²; their sums are therefore exact in a fixed-point
+// integer wide enough for 4096 terms of magnitude up to 2²⁵⁶.
+// ---------------------------------------------------------------------------
+
+/// An exact sum of finite f64 values that are multiples of `2⁻³⁵²`:
+/// `Σ limb[i] · 2^(32·i − 352)`, carries left unpropagated until compared.
+#[derive(Clone)]
+struct Exact([i128; 24]);
+
+impl Exact {
+    const ZERO: Exact = Exact([0; 24]);
+
+    /// Adds `sign · x`.
+    fn add(&mut self, x: f64, sign: i128) {
+        assert!(x.is_finite());
+        if x == 0.0 {
+            return;
+        }
+        let bits = x.to_bits();
+        let field = ((bits >> 52) & 0x7ff) as i32;
+        let frac = (bits & ((1 << 52) - 1)) as i128;
+        // x = ±mant · 2^exp
+        let (mant, exp) = if field == 0 {
+            (frac, -1074)
+        } else {
+            (frac | (1 << 52), field - 1075)
+        };
+        let (mant, exp) = {
+            let tz = mant.trailing_zeros() as i32;
+            (mant >> tz, exp + tz)
+        };
+        let shift = exp + 352;
+        assert!(shift >= 0, "{x} is not a multiple of 2^-352");
+        let (limb, off) = ((shift / 32) as usize, shift % 32);
+        let signed = if x < 0.0 { -sign } else { sign };
+        self.0[limb] += signed * (mant << off);
+    }
+
+    /// `-1`, `0` or `1`.
+    fn signum(&self) -> i32 {
+        let mut limbs = self.0;
+        for i in 0..limbs.len() - 1 {
+            let carry = limbs[i] >> 32;
+            limbs[i] -= carry << 32;
+            limbs[i + 1] += carry;
+        }
+        // Every limb below the top now lies in [0, 2³²): the top decides.
+        match limbs[limbs.len() - 1] {
+            t if t < 0 => -1,
+            0 if limbs.iter().all(|&l| l == 0) => 0,
+            _ => 1,
+        }
+    }
+
+    /// Sign of `self − bound` (`bound` may be infinite, never NaN).
+    fn signum_minus(&self, bound: f32) -> i32 {
+        assert!(!bound.is_nan(), "NaN bound");
+        if bound.is_infinite() {
+            return if bound > 0.0 { -1 } else { 1 };
+        }
+        let mut d = self.clone();
+        d.add(bound as f64, -1);
+        d.signum()
+    }
+
+    /// `true` when `bound ≤ self`.
+    fn at_least(&self, bound: f32) -> bool {
+        self.signum_minus(bound) >= 0
+    }
+
+    /// `true` when `self ≤ bound`.
+    fn at_most(&self, bound: f32) -> bool {
+        self.signum_minus(bound) <= 0
+    }
+}
+
+/// One dot product the way the GEMM kernels drive the accumulator: start
+/// from `init`, skip exact-zero coefficients, feed the rest in order.
+fn wide_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Option<Itv<f32>> {
+    let mut acc = WideAcc::<1>::new(&[init]);
+    for &(a, w) in terms {
+        if a.lo == 0.0 && a.hi == 0.0 {
+            continue;
+        }
+        acc.mul_add(WideTerm::new(a), &[w]);
+    }
+    acc.finish(0)
+}
+
+/// The per-step chain the accumulator replaces, driven the same way.
+fn chain_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Itv<f32> {
+    terms
+        .iter()
+        .filter(|(a, _)| !(a.lo == 0.0 && a.hi == 0.0))
+        .fold(init, |acc, &(a, w)| a.mul_add_f(w, acc))
+}
+
+/// Exact `[Σ min, Σ max]` of `init + Σ a·w`.
+fn exact_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> (Exact, Exact) {
+    let (mut lo, mut hi) = (Exact::ZERO, Exact::ZERO);
+    lo.add(init.lo as f64, 1);
+    hi.add(init.hi as f64, 1);
+    for &(a, w) in terms {
+        let (p, q) = (a.lo as f64 * w as f64, a.hi as f64 * w as f64);
+        lo.add(p.min(q), 1);
+        hi.add(p.max(q), 1);
+    }
+    (lo, hi)
+}
+
+fn assert_encloses(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Result<Itv<f32>, TestCaseError> {
+    let y = wide_dot(init, terms).expect("finite operands have a result");
+    let (lo, hi) = exact_dot(init, terms);
+    prop_assert!(!y.lo.is_nan() && !y.hi.is_nan(), "NaN bound in {y}");
+    prop_assert!(y.lo <= y.hi, "inverted result {y}");
+    prop_assert!(
+        lo.at_least(y.lo),
+        "lower bound {} above the exact sum",
+        y.lo
+    );
+    prop_assert!(hi.at_most(y.hi), "upper bound {} below the exact sum", y.hi);
+    Ok(y)
+}
+
+/// Any finite f32: every exponent from the subnormals to 2¹²⁷, either sign.
+fn wild_f32() -> impl Strategy<Value = f32> {
+    (any::<bool>(), 0u32..255, 0u32..(1 << 23))
+        .prop_map(|(neg, exp, frac)| f32::from_bits((neg as u32) << 31 | exp << 23 | frac))
+}
+
+fn wild_itv() -> impl Strategy<Value = Itv<f32>> {
+    prop_oneof![
+        wild_f32().prop_map(Itv::point),
+        (wild_f32(), wild_f32()).prop_map(|(a, b)| Itv::new(a.min(b), a.max(b))),
+        // An endpoint on zero: one of the two products is an exact zero.
+        wild_f32().prop_map(|a| Itv::new(a.min(0.0), a.max(0.0))),
+    ]
+}
+
+/// Weights with the special values the per-step chain fast-paths.
+fn wild_weight() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        wild_f32(),
+        wild_f32(),
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(1.0f32),
+        Just(-1.0f32),
+    ]
+}
+
+/// Coefficients and weights away from the chain's exact fast paths (zero
+/// and one) and of comparable endpoint magnitude — the regime in which the
+/// chain pays its one-ulp step on every operation.
+fn generic_term() -> impl Strategy<Value = (Itv<f32>, f32)> {
+    let mag = || prop_oneof![1e-3f32..1.0f32, 1.0f32..1e3f32];
+    (any::<bool>(), mag(), 0.0f32..0.1, any::<bool>(), mag()).prop_map(|(an, c, r, wn, w)| {
+        let (lo, hi) = (c * (1.0 - r), c * (1.0 + r));
+        let a = if an {
+            Itv::new(-hi, -lo)
+        } else {
+            Itv::new(lo, hi)
+        };
+        let w = if w == 1.0 { 1.5 } else { w };
+        (a, if wn { -w } else { w })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn wide_dot_encloses_exact_sum_on_mixed_magnitudes(
+        init in prop_oneof![Just(Itv::zero()), wild_itv()],
+        terms in prop::collection::vec((wild_itv(), wild_weight()), 0..64),
+    ) {
+        // 2⁻¹⁴⁹ … 2¹²⁷ operands: sums that overflow f32 saturate outward
+        // (MAX / inf), tiny ones straddle the subnormals.
+        assert_encloses(init, &terms)?;
+    }
+
+    #[test]
+    fn wide_dot_encloses_exact_sum_at_k_up_to_4096(
+        k in 0usize..4097,
+        seed in prop::collection::vec((wild_itv(), wild_weight()), 1..32),
+    ) {
+        // Long rows from a short random motif, rescaled so they do not all
+        // overflow: term i is the motif entry i mod len.
+        let terms: Vec<(Itv<f32>, f32)> = (0..k)
+            .map(|i| {
+                let (a, w) = seed[i % seed.len()];
+                (a, if w.abs() > 1e10 { w * 1e-20 } else { w })
+            })
+            .collect();
+        assert_encloses(Itv::zero(), &terms)?;
+    }
+
+    #[test]
+    fn wide_dot_encloses_exact_sum_under_massive_cancellation(
+        big in prop::collection::vec((wild_itv(), wild_weight()), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+    ) {
+        // Every large term followed (eventually) by its negation: the exact
+        // sum is the small tail, the magnitude sum is astronomically larger.
+        let mut terms = big.clone();
+        terms.extend(big.iter().map(|&(a, w)| (a, -w)));
+        terms.extend(small.iter().map(|&(a, w)| (Itv::point(a), w)));
+        let y = assert_encloses(Itv::zero(), &terms)?;
+        // With point coefficients the two bounds bracket one real number.
+        if big.iter().all(|(a, _)| a.is_point()) {
+            let tail: f64 = small.iter().map(|&(a, w)| a as f64 * w as f64).sum();
+            prop_assert!((y.lo as f64) <= tail + 1e-50 && tail - 1e-50 <= (y.hi as f64));
+        }
+    }
+
+    #[test]
+    fn wide_dot_is_inside_the_per_step_chain(
+        init in prop_oneof![Just(Itv::zero()), generic_term().prop_map(|(a, _)| a)],
+        terms in prop::collection::vec(generic_term(), 0..256),
+    ) {
+        let wide = assert_encloses(init, &terms)?;
+        let chain = chain_dot(init, &terms);
+        prop_assert!(chain.contains_itv(wide), "{wide} not inside the chain's {chain}");
+    }
+}
+
+#[test]
+fn exact_oracle_resolves_what_f64_cannot() {
+    // 1 + 2⁻³⁰⁰ is not an f64; the oracle still orders it against f32s.
+    let mut above_one = Exact::ZERO;
+    above_one.add(1.0, 1);
+    above_one.add(2f64.powi(-300), 1);
+    assert!(above_one.at_least(1.0) && !above_one.at_most(1.0));
+    assert!(above_one.at_most(1.0_f32.next_up()) && !above_one.at_least(1.0_f32.next_up()));
+    let mut below_minus_one = Exact::ZERO;
+    below_minus_one.add(1.0, -1);
+    below_minus_one.add(2f64.powi(-300), -1);
+    assert!(below_minus_one.at_most(-1.0) && !below_minus_one.at_least(-1.0));
+    // Cancellation across limbs down to an exact zero.
+    let mut zero = Exact::ZERO;
+    for x in [3e38, 1e-40, -3e38, -1e-40] {
+        zero.add(x as f32 as f64, 1);
+    }
+    assert_eq!(zero.signum(), 0);
+    assert!(zero.at_least(0.0) && zero.at_most(-0.0));
+}
+
+#[test]
+fn wide_dot_saturates_outward_when_the_sum_overflows_f32() {
+    let max = Itv::point(f32::MAX);
+    let y = wide_dot(Itv::zero(), &[(max, 1.0), (max, 1.0), (max, 1.0)]).unwrap();
+    assert_eq!((y.lo, y.hi), (f32::MAX, f32::INFINITY));
+    let y = wide_dot(Itv::zero(), &[(max, -2.0), (max, -2.0)]).unwrap();
+    assert_eq!((y.lo, y.hi), (f32::NEG_INFINITY, f32::MIN));
+    // Products beyond f32 on their own that cancel back into range are
+    // not an overflow: the sum never left f64.
+    let y = wide_dot(Itv::zero(), &[(max, 4.0), (max, -3.5)]).unwrap();
+    assert!(y.lo <= f32::MAX / 2.0 && f32::MAX / 2.0 <= y.hi && y.hi.is_finite());
+    // Subnormal operands: the product 2⁻²⁹⁸ is far below f32, not lost.
+    let tiny = Itv::point(f32::from_bits(1));
+    let y = wide_dot(Itv::zero(), &[(tiny, f32::from_bits(1))]).unwrap();
+    assert_eq!((y.lo, y.hi), (0.0, f32::from_bits(1)));
 }

@@ -7,8 +7,9 @@
 //! * [`ThreadPool`] / [`ThreadPoolBuilder`] with [`ThreadPool::install`] —
 //!   the pool does not own threads; `install` sets the parallelism level for
 //!   parallel iterators run inside the closure (threads are scoped per
-//!   launch, which is adequate for the coarse kernel launches of the
-//!   simulated device).
+//!   launch — one fewer than the level, the caller runs the last part —
+//!   which is adequate for the coarse kernel launches of the simulated
+//!   device).
 //! * Indexed parallel iterators over slices, mutable slices, chunks and
 //!   ranges, with `map` / `zip` / `enumerate` / `filter` adaptors and
 //!   `for_each` / `collect` / `reduce` / `count` terminals.
@@ -122,9 +123,26 @@ impl ThreadPool {
     }
 }
 
+/// Marks the current thread as a worker until dropped (also on unwind), so
+/// parallel iterators launched from inside a part run sequentially.
+struct WorkerScope(bool);
+
+impl WorkerScope {
+    fn enter() -> Self {
+        WorkerScope(IN_WORKER.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for WorkerScope {
+    fn drop(&mut self) {
+        IN_WORKER.with(|c| c.set(self.0));
+    }
+}
+
 /// Splits `iter` into up to `current_threads()` contiguous parts and runs
-/// `f` over each part's sequential iterator on scoped threads, returning the
-/// per-part results in order.
+/// `f` over each part's sequential iterator, returning the per-part results
+/// in order. All parts but the last get a scoped thread each; the last runs
+/// on the calling thread, which would otherwise only wait.
 fn drive<I, R, F>(iter: I, f: &F) -> Vec<R>
 where
     I: ParallelIterator,
@@ -136,7 +154,7 @@ where
     if workers <= 1 {
         return vec![f(iter.pi_seq())];
     }
-    let mut parts = Vec::with_capacity(workers);
+    let mut parts = Vec::with_capacity(workers - 1);
     let mut rest = iter;
     let mut remaining = n;
     for i in 0..workers - 1 {
@@ -146,7 +164,6 @@ where
         rest = tail;
         remaining -= share;
     }
-    parts.push(rest);
     std::thread::scope(|s| {
         let handles: Vec<_> = parts
             .into_iter()
@@ -157,13 +174,21 @@ where
                 })
             })
             .collect();
-        handles
+        // A panic here unwinds out of the scope, which first joins the
+        // spawned parts.
+        let last = {
+            let _worker = WorkerScope::enter();
+            f(rest.pi_seq())
+        };
+        let mut results: Vec<R> = handles
             .into_iter()
             .map(|h| match h.join() {
                 Ok(r) => r,
                 Err(panic) => std::panic::resume_unwind(panic),
             })
-            .collect()
+            .collect();
+        results.push(last);
+        results
     })
 }
 
@@ -774,6 +799,41 @@ mod tests {
         let out: Vec<usize> = pool.install(|| (0..64usize).into_par_iter().map(|i| i).collect());
         assert_eq!(out, (0..64).collect::<Vec<_>>());
         assert_eq!(pool.current_num_threads(), 2);
+    }
+
+    #[test]
+    fn last_part_runs_on_the_caller() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let ids: Vec<std::thread::ThreadId> = pool.install(|| {
+            (0..3usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
+        let me = std::thread::current().id();
+        assert_eq!(ids[2], me);
+        assert!(ids[0] != me && ids[1] != me && ids[0] != ids[1]);
+    }
+
+    #[test]
+    fn panic_in_the_inline_part_unwinds_through_install() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let me = std::thread::current().id();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                (0..2usize).into_par_iter().for_each(|_| {
+                    if std::thread::current().id() == me {
+                        panic!("inline part");
+                    }
+                })
+            })
+        }));
+        assert!(outcome.is_err());
+        // The unwind restored both thread-locals: this thread is not a
+        // worker and carries no pool level, so launches go parallel again.
+        assert!(!IN_WORKER.with(Cell::get));
+        assert_eq!(POOL_THREADS.with(Cell::get), 0);
+        assert_eq!(pool.install(current_threads), 2);
     }
 
     #[test]

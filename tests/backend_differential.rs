@@ -10,9 +10,10 @@
 //!
 //! * **interval containment**: certified margins lower-bound the concrete
 //!   margin of every sampled attack inside the input box;
-//! * **baseline parity**: margins agree with the sparse CPU DeepPoly
-//!   baseline (`gpupoly::baselines::DeepPolyCpu`) to float-accumulation
-//!   tolerance (same relaxation, same schedule, different kernelization).
+//! * **baseline partial order**: margins are at least those of the sparse
+//!   CPU DeepPoly baseline (`gpupoly::baselines::DeepPolyCpu`: same
+//!   relaxation, same schedule, outward rounding after every operation
+//!   where the engine's GEMM rounds once per output) and within 5 % of them.
 //!
 //! Query radii are calibrated per family: the shallow families run a
 //! realistic ε (lots of unstable-ReLU refinement, compaction, pooling
@@ -757,12 +758,19 @@ fn zoo_complete_verdicts_identical_across_backends_and_convert() {
 
 #[test]
 fn zoo_margins_match_cpu_deeppoly_baseline() {
-    // Parity against the sparse CPU DeepPoly baseline on the MNIST
-    // non-residual families. The baseline's sparse representation is the
-    // paper's slow-by-design comparison point, so the larger CIFAR builds
-    // and the residual walk are out of budget here; residual-walk precision
-    // parity is covered by `precision_parity.rs` on smaller nets. Full
-    // backsubstitution on both sides so the schedules are identical.
+    // Partial order against the sparse CPU DeepPoly baseline on the MNIST
+    // non-residual families. Both compute the same relaxation, but the
+    // baseline rounds outward after every multiply and every add while the
+    // engine's dense layers accumulate exact products in f64 and round once
+    // per output (the `gpupoly_device::backend` contract), so the engine's
+    // margins are the tighter ones: never below the baseline's beyond a few
+    // ulps of schedule noise, and — same abstraction — never far above, with
+    // the f64 engine's margin as the hard ceiling.
+    // The baseline's sparse representation is the paper's slow-by-design
+    // comparison point, so the larger CIFAR builds and the residual walk
+    // are out of budget here; residual-walk precision parity is covered by
+    // `precision_parity.rs` on smaller nets. Full backsubstitution on both
+    // sides so the schedules are identical.
     let cfg = VerifyConfig {
         early_termination: false,
         ..Default::default()
@@ -782,15 +790,41 @@ fn zoo_margins_match_cpu_deeppoly_baseline() {
             .verify_robustness(&image, label, eps)
             .expect("gpupoly query");
         let dp = DeepPolyCpu::new(&net).verify_robustness(&image, label, eps);
+        // The same query on the f64 engine: per-step rounding at 2⁻⁵³ is as
+        // good as exact here, so an f32 margin above it would be a
+        // soundness bug in the f32 kernels, not a precision win.
+        let wide_image: Vec<f64> = image.iter().map(|&x| x as f64).collect();
+        let ceiling = Engine::new(
+            Device::new(DeviceConfig::new().workers(2)),
+            &net.widen(),
+            cfg,
+        )
+        .expect("f64 engine")
+        .verify_robustness(&wide_image, label, eps as f64)
+        .expect("f64 query");
 
-        assert_eq!(gp.verified, dp.verified, "{id}: verdict vs CPU DeepPoly");
+        assert!(
+            gp.verified || !dp.verified,
+            "{id}: CPU DeepPoly proved what the engine could not"
+        );
         assert_eq!(gp.margins.len(), dp.margins.len(), "{id}");
-        for (m, d) in gp.margins.iter().zip(&dp.margins) {
+        for ((m, d), top) in gp.margins.iter().zip(&dp.margins).zip(&ceiling.margins) {
+            let scale = 1.0 + d.abs();
             assert!(
-                (m.lower - d).abs() < 1e-3 * (1.0 + m.lower.abs()),
-                "{id}: margin mismatch gpupoly {} vs cpu {}",
+                m.lower as f64 <= top.lower,
+                "{id}: f32 margin {} above the f64 engine's {}",
                 m.lower,
-                d
+                top.lower
+            );
+            assert!(
+                m.lower >= d - 8.0 * f32::EPSILON * scale,
+                "{id}: gpupoly margin {} below the per-step baseline's {d}",
+                m.lower
+            );
+            assert!(
+                m.lower - d <= 0.05 * scale,
+                "{id}: gpupoly margin {} implausibly far above the baseline's {d}",
+                m.lower
             );
         }
     }
