@@ -704,6 +704,28 @@ pub fn query_cost_hint<F: Fp>(image: &[F], eps: F, relu_layers: usize) -> f64 {
     width * relu_layers.max(1) as f64
 }
 
+/// Deals a batch out for [`Engine::verify_batch`]: query indices in
+/// descending cost order (ties: lower index first), dealt round-robin over
+/// `lanes` lanes. A lane is one worker's queue, run front to back. Dealing a
+/// descending sequence this way keeps any two lanes' cost sums within one
+/// query's cost — the most expensive one's — of each other, where a
+/// contiguous split of the sorted order would give the first worker every
+/// expensive query.
+///
+/// No lane is dealt empty: a batch of fewer queries than `lanes` gets one
+/// lane per query. A single query is thus a single lane, which the batch
+/// launch runs inline — its kernels, not the batch, split across the workers.
+fn lpt_lanes(cost: &[f64], lanes: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..cost.len()).collect();
+    order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
+    let mut dealt = vec![Vec::new(); lanes.clamp(1, cost.len().max(1))];
+    for (rank, i) in order.into_iter().enumerate() {
+        let lane = rank % dealt.len();
+        dealt[lane].push(i);
+    }
+    dealt
+}
+
 /// The network-resident verification engine — see the module docs.
 ///
 /// # Example
@@ -1267,32 +1289,36 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// the sequential loop — while repeated input boxes share one cached
     /// analysis and transient buffers recycle through the device pool.
     ///
-    /// Queries are dispatched in descending [`Engine::query_cost`] order
-    /// (longest-processing-time-first): expensive queries start while cheap
-    /// ones backfill the workers, which trims the tail where one late heavy
-    /// query runs alone. Scheduling only — each query's margins are
-    /// bit-identical to any other submission order, and results are
-    /// returned in the callers' order.
+    /// Queries are dealt to the workers in descending [`Engine::query_cost`]
+    /// order, one lane per worker (`lpt_lanes`): every worker starts on one
+    /// of the most expensive queries and finishes on cheap ones, which trims
+    /// the tail where one late heavy query runs alone. A batch of fewer
+    /// queries than workers gets one lane per query, so a single query runs
+    /// inline and its kernels keep the whole pool. Scheduling only — each
+    /// query's margins are bit-identical to any other submission order, and
+    /// results are returned in the callers' order.
     pub fn verify_batch(
         &self,
         queries: &[Query<F>],
     ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
         let started = Instant::now();
         let cost: Vec<f64> = queries.iter().map(|q| self.query_cost(q)).collect();
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
-        let computed: Vec<(usize, Result<RobustnessVerdict<F>, VerifyError>)> =
-            self.device.install(|| {
-                order
-                    .par_iter()
-                    .map(|&i| {
-                        let q = &queries[i];
-                        (i, self.verify_robustness(&q.image, q.label, q.eps))
-                    })
-                    .collect()
-            });
+        let lanes = lpt_lanes(&cost, self.device.workers());
+        let computed: Vec<Vec<_>> = self.device.install(|| {
+            lanes
+                .par_iter()
+                .map(|lane| {
+                    lane.iter()
+                        .map(|&i| {
+                            let q = &queries[i];
+                            (i, self.verify_robustness(&q.image, q.label, q.eps))
+                        })
+                        .collect()
+                })
+                .collect()
+        });
         let mut slots: VerdictSlots<F> = queries.iter().map(|_| None).collect();
-        for (i, r) in computed {
+        for (i, r) in computed.into_iter().flatten() {
             slots[i] = Some(r);
         }
         let mut results: Vec<Result<RobustnessVerdict<F>, VerifyError>> = slots
@@ -1934,6 +1960,44 @@ impl<F: Fp, B: Backend> Drop for Engine<'_, F, B> {
     fn drop(&mut self) {
         if self.options.recycle_buffers {
             self.device.buffer_pool_release();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lpt_lanes;
+
+    #[test]
+    fn lpt_lanes_balance_a_skewed_batch_to_within_one_query() {
+        // A few heavy queries among many light ones, in a scrambled order.
+        let cost: Vec<f64> = (0..37usize)
+            .map(|i| {
+                if i % 9 == 4 {
+                    50.0 + i as f64
+                } else {
+                    (i * 7 % 5) as f64
+                }
+            })
+            .collect();
+        let heaviest = cost.iter().copied().fold(0.0, f64::max);
+        for lanes in [1, 2, 3, 4, 8, 64] {
+            let dealt = lpt_lanes(&cost, lanes);
+            assert_eq!(dealt.len(), lanes.min(cost.len()));
+            assert!(dealt.iter().all(|lane| !lane.is_empty()));
+            let mut seen: Vec<usize> = dealt.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert!(seen.into_iter().eq(0..cost.len()), "each query dealt once");
+            let sums: Vec<f64> = dealt
+                .iter()
+                .map(|lane| lane.iter().map(|&i| cost[i]).sum())
+                .collect();
+            let spread = sums.iter().copied().fold(0.0, f64::max)
+                - sums.iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(spread <= heaviest, "lanes={lanes}: sums {sums:?}");
+            for lane in &dealt {
+                assert!(lane.windows(2).all(|w| cost[w[0]] >= cost[w[1]]));
+            }
         }
     }
 }

@@ -17,7 +17,7 @@
 //! crate:
 //!
 //! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
-//!   GEMM and chunked scan parallelized across the device's worker pool,
+//!   GEMM and large gathers parallelized across the device's worker pool,
 //!   buffer pooling enabled. This is the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
@@ -555,6 +555,59 @@ fn par_row_blocks<A: Sync, C: Send>(
     });
 }
 
+/// Elements a part of a gather must hold before a pool helper is worth
+/// waking for it: the launch splits from `2 * STREAM_GRAIN` up. A gather is
+/// one copying pass and no arithmetic, so a second worker only pays once the
+/// rows outgrow the cache. Measured on the 2-vCPU reference container,
+/// 8-byte elements, one worker vs. split over two (row lengths 64 to 4096
+/// agree): 64 Ki elements 15 vs. 25 µs, 128 Ki 42 vs. 51 µs, 256 Ki 143 vs.
+/// 96 µs, 1 Mi 650 vs. 380 µs — the break-even lies between 128 Ki and
+/// 256 Ki. Of the benchmark's workloads only `conv_fused` gathers that much
+/// (84 of its 468 calls, two thirds of its gathered elements); the other
+/// three stay below 147 Ki. Fixed, not configurable.
+const STREAM_GRAIN: usize = 128 * 1024;
+
+/// Runs `op` over `items`, each about `elems_per_item` elements of streaming
+/// work: on the calling thread, without touching the pool, when the section
+/// is smaller than two parts of [`STREAM_GRAIN`] elements, and split over
+/// the device's workers otherwise. The split changes who runs an item, never
+/// what it computes.
+fn par_stream<I: ParallelIterator>(
+    device: &Device<CpuSimBackend>,
+    items: I,
+    elems_per_item: usize,
+    op: impl Fn(I::Item) + Sync + Send,
+) {
+    if items.pi_len() * elems_per_item < 2 * STREAM_GRAIN {
+        items.pi_seq().for_each(op);
+    } else {
+        device.install(|| items.for_each(op));
+    }
+}
+
+/// Exclusive prefix sum in one pass — the scan of both backends. The flag
+/// vectors the verifier scans and compacts hold one entry per row of a bound
+/// matrix (at most 1672 on the benchmark's workloads), far below the size
+/// at which a chunked three-phase scan would repay its two launches.
+fn serial_scan(xs: &[u32]) -> (Vec<u32>, u32) {
+    let mut out = Vec::with_capacity(xs.len());
+    let mut acc = 0u32;
+    for &x in xs {
+        out.push(acc);
+        acc += x;
+    }
+    (out, acc)
+}
+
+/// The indices of the `true` flags, ascending — the compaction of both
+/// backends (see [`serial_scan`] for why it is one pass).
+fn serial_compact(keep: &[bool]) -> Vec<u32> {
+    keep.iter()
+        .enumerate()
+        .filter_map(|(i, &k)| k.then_some(i as u32))
+        .collect()
+}
+
 /// Driver of the CPU-sim interval GEMM family.
 #[allow(clippy::too_many_arguments)]
 fn gemm_itv_rows<F: Fp>(
@@ -856,87 +909,12 @@ impl Backend for CpuSimBackend {
         });
     }
 
-    fn exclusive_scan(&self, device: &Device<Self>, xs: &[u32]) -> (Vec<u32>, u32) {
-        let n = xs.len();
-        if n == 0 {
-            return (Vec::new(), 0);
-        }
-        // Three phases, mirroring the GPU algorithm: per-chunk partial sums
-        // in parallel, a serial scan over the (few) chunk totals, and a
-        // parallel per-chunk rescan with offsets.
-        let chunk = n.div_ceil(device.workers() * 4).max(1);
-        let sums: Vec<u32> = device.install(|| {
-            xs.par_chunks(chunk)
-                .map(|c| c.iter().sum::<u32>())
-                .collect()
-        });
-        let mut offsets = Vec::with_capacity(sums.len());
-        let mut acc = 0u32;
-        for s in &sums {
-            offsets.push(acc);
-            acc += s;
-        }
-        let mut out = vec![0u32; n];
-        device.install(|| {
-            out.par_chunks_mut(chunk)
-                .zip(xs.par_chunks(chunk))
-                .zip(offsets.par_iter())
-                .for_each(|((o, x), &off)| {
-                    let mut a = off;
-                    for (oi, &xi) in o.iter_mut().zip(x) {
-                        *oi = a;
-                        a += xi;
-                    }
-                })
-        });
-        (out, acc)
+    fn exclusive_scan(&self, _device: &Device<Self>, xs: &[u32]) -> (Vec<u32>, u32) {
+        serial_scan(xs)
     }
 
-    fn compact_indices(&self, device: &Device<Self>, keep: &[bool]) -> Vec<u32> {
-        let n = keep.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let flags: Vec<u32> = keep.iter().map(|&k| k as u32).collect();
-        // Call the backend method, not the `scan::exclusive_scan` wrapper:
-        // the wrapper would record a nested "exclusive_scan" launch that
-        // ReferenceBackend's serial compaction has no counterpart for, and
-        // launch accounting must stay comparable across backends.
-        let (prefix, total) = Backend::exclusive_scan(self, device, &flags);
-        let chunk = n.div_ceil(device.workers() * 4).max(1);
-        let mut kept = vec![0u32; total as usize];
-        // Split the output into the disjoint ranges each input chunk writes
-        // to (chunk c's survivors land at prefix[c*chunk] .. next chunk's).
-        let mut out_parts: Vec<(usize, &mut [u32])> = Vec::new();
-        let mut rest: &mut [u32] = &mut kept;
-        let mut consumed = 0usize;
-        for c0 in (0..n).step_by(chunk) {
-            let c1 = (c0 + chunk).min(n);
-            let end = if c1 < n {
-                prefix[c1] as usize
-            } else {
-                total as usize
-            };
-            let take = end - consumed;
-            let (head, tail) = rest.split_at_mut(take);
-            out_parts.push((c0, head));
-            rest = tail;
-            consumed = end;
-        }
-        device.install(|| {
-            out_parts.par_iter_mut().for_each(|(c0, out)| {
-                let c1 = (*c0 + chunk).min(n);
-                let mut w = 0;
-                for (i, &k) in keep.iter().enumerate().take(c1).skip(*c0) {
-                    if k {
-                        out[w] = i as u32;
-                        w += 1;
-                    }
-                }
-                debug_assert_eq!(w, out.len());
-            })
-        });
-        kept
+    fn compact_indices(&self, _device: &Device<Self>, keep: &[bool]) -> Vec<u32> {
+        serial_compact(keep)
     }
 
     fn gather_rows<T: Copy + Send + Sync>(
@@ -947,14 +925,15 @@ impl Backend for CpuSimBackend {
         index: &[u32],
         dst: &mut [T],
     ) {
-        // Parallel gather: each destination row copies from its source row.
-        device.install(|| {
-            dst.par_chunks_mut(row_len.max(1))
-                .zip(index.par_iter())
-                .for_each(|(row, &i)| {
-                    row.copy_from_slice(&src[i as usize * row_len..(i as usize + 1) * row_len]);
-                })
-        });
+        // Each destination row copies from its source row.
+        par_stream(
+            device,
+            dst.par_chunks_mut(row_len.max(1)).zip(index.par_iter()),
+            row_len,
+            |(row, &i)| {
+                row.copy_from_slice(&src[i as usize * row_len..(i as usize + 1) * row_len]);
+            },
+        );
     }
 
     fn gbc<F: Fp>(
@@ -1197,20 +1176,11 @@ impl Backend for ReferenceBackend {
     }
 
     fn exclusive_scan(&self, _device: &Device<Self>, xs: &[u32]) -> (Vec<u32>, u32) {
-        let mut out = Vec::with_capacity(xs.len());
-        let mut acc = 0u32;
-        for &x in xs {
-            out.push(acc);
-            acc += x;
-        }
-        (out, acc)
+        serial_scan(xs)
     }
 
     fn compact_indices(&self, _device: &Device<Self>, keep: &[bool]) -> Vec<u32> {
-        keep.iter()
-            .enumerate()
-            .filter_map(|(i, &k)| k.then_some(i as u32))
-            .collect()
+        serial_compact(keep)
     }
 
     fn gather_rows<T: Copy + Send + Sync>(
@@ -1362,6 +1332,75 @@ impl Backend for ReferenceBackend {
                 geom,
                 bounds_per_seg[geom.seg[r] as usize],
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{scan, DeviceConfig};
+    use std::sync::{Barrier, Mutex};
+    use std::thread::{self, ThreadId};
+
+    /// The thread that ran each item of a two-worker [`par_stream`] section
+    /// of `items` items, in item order. `rendezvous` makes every item wait
+    /// for a second one, so a section that returns was split across threads.
+    fn stream_section_threads(
+        items: usize,
+        elems_per_item: usize,
+        rendezvous: bool,
+    ) -> Vec<ThreadId> {
+        let dev = Device::new(DeviceConfig::new().workers(2));
+        let both = Barrier::new(2);
+        let ran = Mutex::new(vec![None; items]);
+        par_stream(&dev, (0..items).into_par_iter(), elems_per_item, |i| {
+            if rendezvous {
+                both.wait();
+            }
+            ran.lock().unwrap()[i] = Some(thread::current().id());
+        });
+        let ran = ran.into_inner().unwrap();
+        ran.into_iter()
+            .map(|id| id.expect("every item ran"))
+            .collect()
+    }
+
+    #[test]
+    fn stream_sections_below_the_grain_stay_on_the_caller_and_larger_ones_use_a_helper() {
+        let me = thread::current().id();
+        // Just short of two parts' worth: the whole section is ours.
+        let below = stream_section_threads(8, STREAM_GRAIN / 4 - 1, false);
+        assert!(below.iter().all(|&id| id == me), "{below:?} vs {me:?}");
+        // Two parts' worth: the launcher keeps the last, a helper takes the
+        // first (the rendezvous would hang if one thread ran both).
+        let above = stream_section_threads(2, STREAM_GRAIN, true);
+        assert_eq!(above[1], me);
+        assert_ne!(above[0], me);
+    }
+
+    #[test]
+    fn gather_matches_the_reference_on_both_sides_of_the_grain() {
+        let reference = Device::reference(DeviceConfig::new());
+        for workers in [2, 3] {
+            let dev = Device::new(DeviceConfig::new().workers(workers));
+            // Gathered rows of 16: one row short of a split, the first
+            // split, and an uneven one.
+            for rows in [STREAM_GRAIN / 8 - 1, STREAM_GRAIN / 8, STREAM_GRAIN / 3 + 5] {
+                let src: Vec<f32> = (0..3 * rows * 16).map(|i| i as f32 * 0.5).collect();
+                let index: Vec<u32> = (0..3 * rows as u32).rev().step_by(3).collect();
+                assert_eq!(index.len(), rows);
+                let mut got = vec![0.0f32; rows * 16];
+                let mut want = got.clone();
+                scan::gather_rows_into(&dev, &src, 16, &index, &mut got);
+                scan::gather_rows_into(&reference, &src, 16, &index, &mut want);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "gather rows={rows} workers={workers}"
+                );
+            }
         }
     }
 }

@@ -554,6 +554,11 @@ impl<B: Backend> Device<B> {
     /// ([`crate::gemm`] / [`crate::scan`] / [`crate::kernels`]) records
     /// launches and work before delegating to the backend, so verifier
     /// compute can never bypass the metered kernel surface.
+    ///
+    /// The pool's `workers − 1` helper threads (`gpupoly-dev-{i}`) are
+    /// resident: spawned by the first section that splits, parked between
+    /// sections, joined when the last handle to the device drops. The
+    /// calling thread is always the last worker.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         self.inner.pool.install(f)
     }

@@ -8,9 +8,11 @@
 //! together with an index array mapping them back to their original neurons.
 //! This module is the wrapper layer for exactly that primitive: dimension
 //! checks and launch recording here, the kernel itself supplied by the
-//! device's [`crate::Backend`] (chunked and parallel on
-//! [`crate::CpuSimBackend`], straight-line serial on
-//! [`crate::ReferenceBackend`] — both exact, hence bit-identical).
+//! device's [`crate::Backend`]. On the CPU stand-ins the scan and the index
+//! compaction are one serial pass on both backends — their inputs hold one
+//! flag per matrix row, a few thousand at most — and the row gather, which
+//! moves the matrix itself, splits across [`crate::CpuSimBackend`]'s workers
+//! once it is large enough to repay waking one.
 //!
 //! # Example
 //!
@@ -32,7 +34,7 @@
 use crate::backend::Backend;
 use crate::Device;
 
-/// Work-efficient parallel exclusive prefix sum.
+/// Exclusive prefix sum (a parallel scan on a GPU port).
 ///
 /// Returns the scanned vector and the total sum.
 pub fn exclusive_scan<B: Backend>(device: &Device<B>, xs: &[u32]) -> (Vec<u32>, u32) {

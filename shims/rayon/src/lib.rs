@@ -1,46 +1,100 @@
 //! In-workspace stand-in for the `rayon` crate.
 //!
 //! The build environment has no registry access, so this shim reimplements
-//! the subset of rayon's API the workspace uses on top of
-//! `std::thread::scope`:
+//! the subset of rayon's API the workspace uses on a small resident worker
+//! pool:
 //!
 //! * [`ThreadPool`] / [`ThreadPoolBuilder`] with [`ThreadPool::install`] —
-//!   the pool does not own threads; `install` sets the parallelism level for
-//!   parallel iterators run inside the closure (threads are scoped per
-//!   launch — one fewer than the level, the caller runs the last part —
-//!   which is adequate for the coarse kernel launches of the simulated
-//!   device).
+//!   a pool of `num_threads` owns `num_threads − 1` *helper* threads (the
+//!   thread that launches keeps working, so it is the last worker). Helpers
+//!   are spawned on the pool's first parallel launch, park on a condvar
+//!   between launches and are joined when the pool drops: a pool that never
+//!   launches costs no thread, and a dropped pool leaves none behind.
+//!   `install` makes the pool current for parallel iterators run inside the
+//!   closure; launches outside any `install` use a process-wide pool sized
+//!   to the host.
 //! * Indexed parallel iterators over slices, mutable slices, chunks and
-//!   ranges, with `map` / `zip` / `enumerate` / `filter` adaptors and
-//!   `for_each` / `collect` / `reduce` / `count` terminals.
+//!   ranges, with `map` / `zip` / `enumerate` / `filter` adaptors and `for_each` / `collect` / `reduce` / `count` terminals.
 //!
-//! Work is split into one contiguous span per worker. Nested parallelism is
-//! flattened: a parallel iterator launched from inside a worker thread runs
-//! sequentially, so batch-level parallelism (outer) composes with kernel
-//! launches (inner) without thread explosion — mirroring how per-query GPU
-//! streams serialize kernels within a stream.
+//! # Launch dispatch
+//!
+//! A launch splits its iterator into one contiguous part per worker — the
+//! split depends on the pool's size and the iterator's length only, never on
+//! who ends up running what, so results are reproducible — and publishes the
+//! parts as one *job*: a claim counter over all parts but the last, and a
+//! result slot per part. Parked helpers wake and claim parts. The launching
+//! thread runs the last part, then claims whatever is still unclaimed, then
+//! waits for the helpers still inside a part. A launch therefore never waits
+//! for a thread to *start*: if the helpers are slow to wake, or busy, the
+//! launcher has done the work itself by the time they look.
+//!
+//! A pool holds one job at a time. A second thread launching on a pool whose
+//! job slot is taken (concurrent callers of one device, or an outer batch
+//! launch still in flight) runs all of its parts itself, which can neither
+//! deadlock nor oversubscribe. Nested parallelism is flattened the same way:
+//! a launch from inside a part runs sequentially on that thread, so
+//! batch-level parallelism (outer) composes with kernel launches (inner) —
+//! mirroring how per-query GPU streams serialize kernels within a stream.
+//!
+//! Every part runs under `catch_unwind`. A panicking part does not stop the
+//! others; once the job has drained, the first panic in part order is
+//! re-raised on the launching thread and the pool is ready for the next
+//! launch.
+//!
+//! # The one `unsafe` block
+//!
+//! Kernel closures borrow their operands, but resident helpers are
+//! `'static` threads, so `drive` hands them a reference to the job on its
+//! own stack with the lifetime erased (a `transmute` of
+//! `&'a dyn Claim` to `&'static dyn Claim`) — what real rayon does in its
+//! `StackJob`. It is sound because no helper can reach the job once `drive`
+//! is gone:
+//!
+//! 1. The erased reference lives only in `State::job`, behind the pool
+//!    mutex. A helper copies it out only while holding that mutex, and in
+//!    the same critical section counts itself into `State::active`; it
+//!    counts itself out, again under the mutex, only after its last use of
+//!    the job.
+//! 2. `drive` creates a `Retract` guard immediately after publishing. Its
+//!    `Drop` — which runs on return *and* on unwind — takes the mutex, waits
+//!    until `active == 0` and clears `State::job` in that same critical
+//!    section. From then on no helper holds the reference and none can
+//!    obtain it; the mutex hand-over orders every helper access before the
+//!    guard's return.
+//! 3. The guard is declared after the job, so it drops first: the job (part
+//!    slots, result slots, the borrowed closure) is intact until the last
+//!    helper has left it.
+//!
+//! Part and result hand-over inside the job is safe code: each slot is a
+//! `Mutex`, and the claim counter only decides who locks which slot.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 
 thread_local! {
-    static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// The pool made current by the innermost [`ThreadPool::install`].
+    static CURRENT: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
+    /// Set while this thread runs a part (always, on a helper).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
-pub(crate) fn current_threads() -> usize {
-    if IN_WORKER.with(Cell::get) {
-        return 1;
-    }
-    match POOL_THREADS.with(Cell::get) {
-        0 => default_threads(),
-        n => n,
-    }
+/// The pool a launch on this thread uses: the installed one, or the
+/// process-wide default (created on first use, never dropped).
+fn current_pool() -> Arc<Shared> {
+    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
+    CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
+        let global = GLOBAL.get_or_init(|| ThreadPool::new(default_threads(), Vec::new()));
+        global.shared.clone()
+    })
 }
 
 /// Error building a thread pool (this shim never fails to build one).
@@ -59,6 +113,7 @@ impl std::error::Error for ThreadPoolBuildError {}
 #[derive(Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
+    thread_name: Option<Box<dyn FnMut(usize) -> String>>,
 }
 
 impl ThreadPoolBuilder {
@@ -73,53 +128,183 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Sets the thread-name callback (accepted for API compatibility; this
-    /// shim spawns anonymous scoped threads).
-    pub fn thread_name<F>(self, _f: F) -> Self
+    /// Sets the callback naming the pool's threads by index. Helper `i` of
+    /// the `num_threads − 1` the pool owns is named `f(i)`; the last index
+    /// belongs to whichever thread launches.
+    pub fn thread_name<F>(mut self, f: F) -> Self
     where
-        F: FnMut(usize) -> String,
+        F: FnMut(usize) -> String + 'static,
     {
+        self.thread_name = Some(Box::new(f));
         self
     }
 
-    /// Builds the pool.
+    /// Builds the pool. No thread is spawned until its first parallel
+    /// launch.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
+        let threads = if self.num_threads == 0 {
             default_threads()
         } else {
             self.num_threads
         };
-        Ok(ThreadPool { threads: n })
+        let names = match self.thread_name {
+            Some(mut f) => (0..threads - 1).map(&mut *f).collect(),
+            None => Vec::new(),
+        };
+        Ok(ThreadPool::new(threads, names))
     }
 }
 
-/// A logical thread pool: a parallelism level applied to parallel iterators
-/// executed inside [`ThreadPool::install`].
-pub struct ThreadPool {
+/// One launch as the helpers see it.
+trait Claim {
+    /// Claims and runs one unclaimed part; `false` once none is left.
+    fn run_one(&self) -> bool;
+}
+
+/// What a pool's threads share.
+struct Shared {
+    /// The parallelism level: the helpers plus the launching thread.
     threads: usize,
+    /// Helper names by index (empty: unnamed).
+    names: Vec<String>,
+    state: Mutex<State>,
+    /// Helpers park here for a job (or shutdown).
+    work: Condvar,
+    /// The launcher parks here for `active` to reach zero.
+    done: Condvar,
 }
 
-struct PoolScope(usize);
+struct State {
+    /// The published job, from `drive`'s publish to its `Retract` guard's
+    /// drop. The `'static` is a lie told in `drive`; see the module docs.
+    job: Option<&'static (dyn Claim + Sync)>,
+    /// Publish count, so a helper that has drained a job still on display
+    /// does not pick it up again.
+    published: u64,
+    /// Helpers currently holding `job`.
+    active: usize,
+    shutdown: bool,
+    helpers: Vec<JoinHandle<()>>,
+}
 
-impl Drop for PoolScope {
-    fn drop(&mut self) {
-        POOL_THREADS.with(|c| c.set(self.0));
+impl Shared {
+    /// Every update of `State` is a single field store, valid at every
+    /// step, and user code never runs under the lock — so a poisoned lock
+    /// (a failed allocation in here, at worst) carries consistent data.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Spawns the helpers this pool is still missing. A failed spawn leaves
+    /// the pool short: launches complete on fewer threads and the next one
+    /// tries again.
+    fn spawn_helpers(self: &Arc<Self>, state: &mut State) {
+        while state.helpers.len() < self.threads - 1 {
+            let mut builder = thread::Builder::new();
+            if let Some(name) = self.names.get(state.helpers.len()) {
+                builder = builder.name(name.clone());
+            }
+            let pool = self.clone();
+            match builder.spawn(move || pool.helper_main()) {
+                Ok(handle) => state.helpers.push(handle),
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn helper_main(&self) {
+        IN_WORKER.with(|c| c.set(true));
+        let mut seen = 0;
+        let mut state = self.lock();
+        while !state.shutdown {
+            match state.job {
+                Some(job) if state.published != seen => {
+                    seen = state.published;
+                    state.active += 1;
+                    drop(state);
+                    while job.run_one() {}
+                    state = self.lock();
+                    state.active -= 1;
+                    if state.active == 0 {
+                        self.done.notify_one();
+                    }
+                }
+                _ => {
+                    state = self
+                        .work
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+            }
+        }
+    }
+}
+
+/// A pool of worker threads: [`ThreadPool::install`] makes it the one that
+/// parallel iterators launch on.
+pub struct ThreadPool {
+    shared: Arc<Shared>,
 }
 
 impl ThreadPool {
-    /// Runs `op` with this pool's parallelism level active.
+    fn new(threads: usize, names: Vec<String>) -> Self {
+        ThreadPool {
+            shared: Arc::new(Shared {
+                threads,
+                names,
+                state: Mutex::new(State {
+                    job: None,
+                    published: 0,
+                    active: 0,
+                    shutdown: false,
+                    helpers: Vec::new(),
+                }),
+                work: Condvar::new(),
+                done: Condvar::new(),
+            }),
+        }
+    }
+
+    /// Runs `op` with this pool current: parallel iterators launched inside
+    /// split `num_threads` ways and wake this pool's helpers.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
     {
-        let _guard = PoolScope(POOL_THREADS.with(|c| c.replace(self.threads)));
+        let _guard = PoolScope(CURRENT.with(|c| c.replace(Some(self.shared.clone()))));
         op()
     }
 
     /// The pool's configured thread count.
     pub fn current_num_threads(&self) -> usize {
-        self.threads
+        self.shared.threads
+    }
+}
+
+impl Drop for ThreadPool {
+    /// Releases the helpers: no launch can be in flight (`install` borrows
+    /// the pool), so they are parked, and exit as soon as they see the flag.
+    fn drop(&mut self) {
+        let helpers = {
+            let mut state = self.shared.lock();
+            state.shutdown = true;
+            std::mem::take(&mut state.helpers)
+        };
+        self.shared.work.notify_all();
+        for helper in helpers {
+            // A helper runs user code only under `catch_unwind`; it has no
+            // panic of its own to report.
+            let _ = helper.join();
+        }
+    }
+}
+
+/// Restores the previously current pool when dropped (also on unwind).
+struct PoolScope(Option<Arc<Shared>>);
+
+impl Drop for PoolScope {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.0.take());
     }
 }
 
@@ -139,57 +324,139 @@ impl Drop for WorkerScope {
     }
 }
 
-/// Splits `iter` into up to `current_threads()` contiguous parts and runs
-/// `f` over each part's sequential iterator, returning the per-part results
-/// in order. All parts but the last get a scoped thread each; the last runs
-/// on the calling thread, which would otherwise only wait.
+/// A part of a launch: waiting to be claimed, being run, or finished.
+enum Slot<I, R> {
+    Todo(I),
+    Running,
+    Done(thread::Result<R>),
+}
+
+/// One launch: every part but the last (which the launcher keeps), the
+/// counter that hands them out, and the kernel.
+struct Job<'f, I, R, F> {
+    slots: Vec<Mutex<Slot<I, R>>>,
+    /// Next unclaimed slot. `Relaxed`: it only deals out distinct indices;
+    /// parts and results change hands through the slot mutexes.
+    next: AtomicUsize,
+    f: &'f F,
+}
+
+impl<I, R, F> Claim for Job<'_, I, R, F>
+where
+    I: ParallelIterator,
+    F: Fn(I::Seq) -> R,
+{
+    fn run_one(&self) -> bool {
+        let Some(slot) = self.slots.get(self.next.fetch_add(1, Ordering::Relaxed)) else {
+            return false;
+        };
+        let lock = || slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let Slot::Todo(part) = std::mem::replace(&mut *lock(), Slot::Running) else {
+            unreachable!("the claim counter hands out each part once");
+        };
+        let result = run_part(self.f, part);
+        *lock() = Slot::Done(result);
+        true
+    }
+}
+
+/// Runs one part as a worker, catching its panic.
+fn run_part<I: ParallelIterator, R>(f: &impl Fn(I::Seq) -> R, part: I) -> thread::Result<R> {
+    let _worker = WorkerScope::enter();
+    catch_unwind(AssertUnwindSafe(|| f(part.pi_seq())))
+}
+
+/// Takes a published job back: waits for the helpers inside it to leave,
+/// then clears the pool's job slot. See the module docs, "The one `unsafe`
+/// block", for why this must run before `drive`'s frame goes away.
+struct Retract<'p>(&'p Shared);
+
+impl Drop for Retract<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        while state.active > 0 {
+            state = self
+                .0
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+    }
+}
+
+/// Splits `iter` into one contiguous part per thread of the current pool and
+/// runs `f` over each part's sequential iterator, returning the per-part
+/// results in order. See the module docs, "Launch dispatch".
 fn drive<I, R, F>(iter: I, f: &F) -> Vec<R>
 where
     I: ParallelIterator,
     R: Send,
     F: Fn(I::Seq) -> R + Sync,
 {
+    if IN_WORKER.with(Cell::get) {
+        return vec![f(iter.pi_seq())];
+    }
+    let pool = current_pool();
     let n = iter.pi_len();
-    let workers = current_threads().min(n.max(1));
+    let workers = pool.threads.min(n);
     if workers <= 1 {
         return vec![f(iter.pi_seq())];
     }
-    let mut parts = Vec::with_capacity(workers - 1);
+    let mut slots = Vec::with_capacity(workers - 1);
     let mut rest = iter;
     let mut remaining = n;
     for i in 0..workers - 1 {
         let share = remaining / (workers - i);
         let (head, tail) = rest.pi_split_at(share);
-        parts.push(head);
+        slots.push(Mutex::new(Slot::Todo(head)));
         rest = tail;
         remaining -= share;
     }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                s.spawn(move || {
-                    IN_WORKER.with(|c| c.set(true));
-                    f(part.pi_seq())
-                })
-            })
-            .collect();
-        // A panic here unwinds out of the scope, which first joins the
-        // spawned parts.
-        let last = {
-            let _worker = WorkerScope::enter();
-            f(rest.pi_seq())
-        };
-        let mut results: Vec<R> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect();
-        results.push(last);
-        results
-    })
+    let job = Job {
+        slots,
+        next: AtomicUsize::new(0),
+        f,
+    };
+    let retract = {
+        let mut state = pool.lock();
+        if state.job.is_some() {
+            // The pool is serving another launch: this one runs here.
+            None
+        } else {
+            pool.spawn_helpers(&mut state);
+            let claim: &(dyn Claim + Sync) = &job;
+            // SAFETY: this only extends the reference's lifetime. `retract`
+            // below is dropped before `job` on every path out of this
+            // function, and its drop returns only once no helper holds the
+            // reference and `State::job`, its one home, is cleared (module
+            // docs, "The one `unsafe` block").
+            state.job = Some(unsafe {
+                std::mem::transmute::<&(dyn Claim + Sync), &'static (dyn Claim + Sync)>(claim)
+            });
+            state.published += 1;
+            Some(Retract(&pool))
+        }
+    };
+    if retract.is_some() {
+        pool.work.notify_all();
+    }
+    let last = run_part(f, rest);
+    while job.run_one() {}
+    drop(retract);
+    let mut results = Vec::with_capacity(workers);
+    for slot in job.slots {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Slot::Done(Ok(r)) => results.push(r),
+            Slot::Done(Err(panic)) => resume_unwind(panic),
+            Slot::Todo(_) | Slot::Running => unreachable!("the job was drained"),
+        }
+    }
+    match last {
+        Ok(r) => results.push(r),
+        Err(panic) => resume_unwind(panic),
+    }
+    results
 }
 
 /// An indexed parallel iterator: splittable into contiguous parts, each
@@ -760,6 +1027,14 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::Barrier;
+
+    impl ThreadPool {
+        /// Helper threads this pool has spawned so far.
+        fn helpers_spawned(&self) -> usize {
+            self.shared.lock().helpers.len()
+        }
+    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -801,50 +1076,206 @@ mod tests {
         assert_eq!(pool.current_num_threads(), 2);
     }
 
+    /// Two-way launch on `pool` whose parts rendezvous at a barrier, so the
+    /// first part can only be run by a helper while the launcher sits in
+    /// the last; `part(i)` runs after the rendezvous.
+    fn two_way<R: Send>(pool: &ThreadPool, part: impl Fn(usize) -> R + Sync + Send) -> Vec<R> {
+        let both = Barrier::new(2);
+        pool.install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|i| {
+                    both.wait();
+                    part(i)
+                })
+                .collect()
+        })
+    }
+
+    fn panic_message(outcome: thread::Result<()>) -> &'static str {
+        outcome
+            .expect_err("the launch must panic")
+            .downcast_ref::<&'static str>()
+            .copied()
+            .expect("a &str payload")
+    }
+
     #[test]
     fn last_part_runs_on_the_caller() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let ids: Vec<std::thread::ThreadId> = pool.install(|| {
-            (0..3usize)
-                .into_par_iter()
-                .map(|_| std::thread::current().id())
-                .collect()
-        });
-        let me = std::thread::current().id();
-        assert_eq!(ids[2], me);
-        assert!(ids[0] != me && ids[1] != me && ids[0] != ids[1]);
+        let me = thread::current().id();
+        for _ in 0..200 {
+            let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            let ids: Vec<thread::ThreadId> = pool.install(|| {
+                (0..3usize)
+                    .into_par_iter()
+                    .map(|i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        thread::current().id()
+                    })
+                    .collect()
+            });
+            assert_eq!(ids[2], me, "the launcher keeps the last part");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn helpers_are_named_and_run_the_parts_the_launcher_cannot_reach() {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(2)
+            .thread_name(|i| format!("shim-test-{i}"))
+            .build()
+            .unwrap();
+        assert_eq!(
+            pool.helpers_spawned(),
+            0,
+            "no thread before the first launch"
+        );
+        let names = two_way(&pool, |_| thread::current().name().map(str::to_owned));
+        assert_eq!(names[0].as_deref(), Some("shim-test-0"));
+        assert_eq!(names[1].as_deref(), thread::current().name());
+        assert_eq!(pool.helpers_spawned(), 1);
+    }
+
+    #[test]
+    fn launches_spawn_no_thread_after_warm_up() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let launch = || -> Vec<(usize, thread::ThreadId)> {
+            pool.install(|| {
+                (0..3usize)
+                    .into_par_iter()
+                    .map(|i| (i, thread::current().id()))
+                    .collect()
+            })
+        };
+        launch();
+        assert_eq!(pool.helpers_spawned(), 2);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..10_000 {
+            let out = launch();
+            assert!(out.iter().map(|&(i, _)| i).eq(0..3));
+            seen.extend(out.into_iter().map(|(_, id)| id));
+        }
+        assert_eq!(pool.helpers_spawned(), 2);
+        assert!(seen.len() <= 3, "two helpers and the launcher, ever");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropped_pools_release_their_threads() {
+        fn os_threads() -> usize {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+            line["Threads:".len()..].trim().parse().unwrap()
+        }
+        // Each helper holds a strong reference to its pool's `Shared` for as
+        // long as it lives, so a count of zero after the drop says every
+        // helper of *this* pool has exited — whatever the tests sharing the
+        // process are doing. The OS-wide count is noisier (neighbours run up
+        // to a few dozen threads, and under `--test-threads=8` may be at
+        // their peak or trough when `before` is read), so its bound is wide:
+        // 200 leaked pools would be 600 threads.
+        let before = os_threads();
+        for _ in 0..200 {
+            let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+            two_way(&pool, |i| i);
+            assert_eq!(pool.helpers_spawned(), 3);
+            let shared = Arc::downgrade(&pool.shared);
+            drop(pool);
+            assert_eq!(shared.strong_count(), 0, "a helper outlived its pool");
+            assert!(os_threads() < before + 300);
+        }
+    }
+
+    #[test]
+    fn panic_in_a_helper_part_reaches_the_launcher_and_the_pool_survives() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            two_way(&pool, |i| {
+                if i == 0 {
+                    panic!("helper part");
+                }
+            });
+        }));
+        assert_eq!(panic_message(outcome), "helper part");
+        assert_eq!(two_way(&pool, |i| i), vec![0, 1]);
     }
 
     #[test]
     fn panic_in_the_inline_part_unwinds_through_install() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let me = std::thread::current().id();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.install(|| {
-                (0..2usize).into_par_iter().for_each(|_| {
-                    if std::thread::current().id() == me {
-                        panic!("inline part");
-                    }
-                })
-            })
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            two_way(&pool, |i| {
+                if i == 1 {
+                    panic!("launcher part");
+                }
+            });
         }));
-        assert!(outcome.is_err());
+        assert_eq!(panic_message(outcome), "launcher part");
         // The unwind restored both thread-locals: this thread is not a
-        // worker and carries no pool level, so launches go parallel again.
+        // worker and has no pool installed.
         assert!(!IN_WORKER.with(Cell::get));
-        assert_eq!(POOL_THREADS.with(Cell::get), 0);
-        assert_eq!(pool.install(current_threads), 2);
+        assert!(CURRENT.with(|c| c.borrow().is_none()));
+        assert_eq!(two_way(&pool, |i| i), vec![0, 1]);
+    }
+
+    #[test]
+    fn concurrent_launchers_on_one_pool_all_get_complete_ordered_results() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let start = Barrier::new(8);
+        thread::scope(|s| {
+            for t in 0..8usize {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..500usize {
+                        let out: Vec<usize> = pool.install(|| {
+                            (0..64usize)
+                                .into_par_iter()
+                                .map(|i| i * t + round)
+                                .collect()
+                        });
+                        assert!(out.iter().enumerate().all(|(i, &x)| x == i * t + round));
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.helpers_spawned(), 1);
     }
 
     #[test]
     fn nested_parallelism_flattens() {
-        let outer: Vec<usize> = (0..8usize)
+        // An inner launch runs serially on the thread of the part it is in.
+        let inner_stayed_put: Vec<bool> = (0..8usize)
             .into_par_iter()
-            .map(|i| {
-                // Inner launch runs serially inside a worker.
-                (0..100usize).into_par_iter().map(move |j| i + j).count()
+            .map(|_| {
+                let outer = thread::current().id();
+                let inner: Vec<thread::ThreadId> = (0..100usize)
+                    .into_par_iter()
+                    .map(|_| thread::current().id())
+                    .collect();
+                inner.len() == 100 && inner.iter().all(|&id| id == outer)
             })
             .collect();
-        assert!(outer.iter().all(|&c| c == 100));
+        assert_eq!(inner_stayed_put, vec![true; 8]);
+    }
+
+    #[test]
+    fn a_launch_too_short_to_split_is_not_a_part() {
+        // One item: the launch runs on the launcher as plain code, not as a
+        // worker, so launches made inside it still split — a one-query batch
+        // keeps its kernels parallel. (Flattened, the rendezvous would hang.)
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let me = thread::current().id();
+        let inner: Vec<Vec<thread::ThreadId>> = pool.install(|| {
+            (0..1usize)
+                .into_par_iter()
+                .map(|_| two_way(&pool, |_| thread::current().id()))
+                .collect()
+        });
+        assert_eq!(inner.len(), 1);
+        assert_ne!(inner[0][0], me);
+        assert_eq!(inner[0][1], me);
     }
 }
