@@ -11,6 +11,7 @@
 use gpupoly_device::{Backend, Device, DeviceError};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, NodeId, Op};
+use rayon::prelude::*;
 
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
@@ -201,11 +202,14 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
         )?;
         // Forward interval update per query — exactly when the sequential
         // path would perform it (a query with nothing selected skips it).
-        for (k, b) in bounds.iter_mut().enumerate() {
-            if !sels[k].is_empty() {
-                forward_update(graph, b, p);
-            }
-        }
+        // The queries are independent: spread them over the device workers.
+        device.install(|| {
+            bounds
+                .par_iter_mut()
+                .zip(sels.par_iter())
+                .filter(|(_, sel)| !sel.is_empty())
+                .for_each(|(b, _)| forward_update(graph, b, p))
+        });
     }
     Ok(bounds
         .into_iter()
@@ -641,6 +645,67 @@ mod tests {
         for (x, y) in a.output_bounds().iter().zip(b.output_bounds()) {
             assert!((x.lo - y.lo).abs() < 1e-5 && (x.hi - y.hi).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn warm_pool_does_not_shrink_chunks_on_a_capped_device() {
+        // Shelved buffers stay charged, but an allocation reclaims them
+        // before it fails: they must not count against the chunk size, or
+        // every walk after the first runs in smaller chunks than a cold
+        // device would use.
+        let net = NetworkBuilder::new_flat(16)
+            .flatten_dense(128, |i| ((i % 13) as f32 - 6.0) * 0.1, |_| 0.05)
+            .relu()
+            .flatten_dense(128, |i| ((i % 11) as f32 - 5.0) * 0.1, |_| -0.05)
+            .relu()
+            .flatten_dense(4, |i| ((i % 7) as f32 - 3.0) * 0.1, |_| 0.0)
+            .build()
+            .unwrap();
+        let graph = net.graph();
+        // The per-row estimate, read off a device so large that the division
+        // is exact; then room for 32 rows and 1 KiB to spare, so that any
+        // larger amount held against the capacity costs a row.
+        let probe = Device::new(DeviceConfig::new().memory_capacity(1 << 40));
+        let probe_rows = PreparedGraph::new(&probe, &graph, false)
+            .unwrap()
+            .chunk_for(&probe);
+        let capacity = 32 * ((1 << 40) / probe_rows) + 1024;
+        let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(capacity));
+        device.buffer_pool_retain();
+        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let input = vec![Itv::new(-1.0_f32, 1.0); 16];
+        let cfg = VerifyConfig::default();
+        let cold = prepared.chunk_for(&device);
+        assert_eq!(cold, 32);
+        let first = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+        assert!(
+            first.stats.chunks > first.stats.relu_nodes,
+            "expected chunked execution at {cold} rows a chunk"
+        );
+        assert!(
+            device.buffer_pool_bytes() > 1024,
+            "the walk leaves a warm shelf"
+        );
+        assert_eq!(prepared.chunk_for(&device), cold, "warm chunk size");
+        let second = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+        assert!(
+            second.stats.chunks <= first.stats.chunks,
+            "a repeated query needed {} chunks after {}",
+            second.stats.chunks,
+            first.stats.chunks
+        );
+        assert_eq!(
+            second.stats.chunk_shrinks, first.stats.chunk_shrinks,
+            "a warm shelf must not cost extra out-of-memory retries"
+        );
+        for (x, y) in first.output_bounds().iter().zip(second.output_bounds()) {
+            assert_eq!(
+                (x.lo.to_bits(), x.hi.to_bits()),
+                (y.lo.to_bits(), y.hi.to_bits())
+            );
+        }
+        device.buffer_pool_release();
+        assert_eq!(device.memory_in_use(), 0);
     }
 
     #[test]

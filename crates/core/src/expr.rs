@@ -28,7 +28,7 @@
 //! segment `0` throughout; every per-row operation is unchanged, so fused
 //! results are bit-identical to running each query's rows alone.
 
-use gpupoly_device::{kernels, scan, Backend, Device, DeviceBuffer, ExprGeom};
+use gpupoly_device::{kernels, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom};
 use gpupoly_interval::{dot, round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
@@ -73,8 +73,44 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         device: &Device<B>,
         node: NodeId,
         shape: Shape,
+        window: (usize, usize),
+        origins: Vec<(i32, i32)>,
+    ) -> Result<Self, VerifyError> {
+        Self::with_planes(device, node, shape, window, origins, DeviceBuffer::zeroed)
+    }
+
+    /// [`ExprBatch::zeroed`] with the contents of both coefficient planes
+    /// left unspecified — for steps whose kernels write every coefficient
+    /// (the dense GEMM, GBC), which a pool hit then spares the zeroing pass.
+    /// Constants are zero.
+    ///
+    /// # Errors
+    ///
+    /// Device out-of-memory.
+    pub(crate) fn for_overwrite(
+        device: &Device<B>,
+        node: NodeId,
+        shape: Shape,
+        window: (usize, usize),
+        origins: Vec<(i32, i32)>,
+    ) -> Result<Self, VerifyError> {
+        Self::with_planes(
+            device,
+            node,
+            shape,
+            window,
+            origins,
+            DeviceBuffer::for_overwrite,
+        )
+    }
+
+    fn with_planes(
+        device: &Device<B>,
+        node: NodeId,
+        shape: Shape,
         (win_h, win_w): (usize, usize),
         origins: Vec<(i32, i32)>,
+        plane: impl Fn(&Device<B>, usize) -> Result<DeviceBuffer<Itv<F>, B>, DeviceError>,
     ) -> Result<Self, VerifyError> {
         let rows = origins.len();
         let cols = win_h * win_w * shape.c;
@@ -85,8 +121,8 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             win_w,
             origins,
             seg: vec![0; rows],
-            lo: DeviceBuffer::zeroed(device, rows * cols)?,
-            hi: DeviceBuffer::zeroed(device, rows * cols)?,
+            lo: plane(device, rows * cols)?,
+            hi: plane(device, rows * cols)?,
             cst_lo: vec![Itv::zero(); rows],
             cst_hi: vec![Itv::zero(); rows],
             dead_cols: None,

@@ -78,7 +78,8 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     );
     debug_assert_eq!(parent_shape.len(), dense.in_len);
     let rows = batch.rows();
-    let mut out = ExprBatch::zeroed(
+    // The fresh GEMM writes every coefficient of both planes.
+    let mut out = ExprBatch::for_overwrite(
         device,
         parent,
         parent_shape,
@@ -128,10 +129,11 @@ pub fn step_dense_with<F: Fp, B: Backend>(
                     let base = (r * dense.out_len) as u32;
                     col_index.extend(live.iter().map(|&c| base + c));
                 }
-                // Scratch sized to the *full* (uncompacted) classes and
+                // Scratch sized to the *full* (uncompacted) extents and
                 // sliced to the live prefix: the live count varies per
-                // query, and pooling is by exact size class — stable
-                // classes keep steady-state `bytes_allocated` flat.
+                // query and the pool serves a request only from a buffer at
+                // most twice its size, so a request that recurs exactly is
+                // what keeps steady-state `bytes_allocated` flat.
                 let mut a_lo = DeviceBuffer::for_overwrite(device, rows * dense.out_len)?;
                 let mut a_hi = DeviceBuffer::for_overwrite(device, rows * dense.out_len)?;
                 scan::gather_rows_into(device, src_lo, 1, &col_index, &mut a_lo[..rows * k_live]);
@@ -266,7 +268,8 @@ pub fn step_conv_with<F: Fp, B: Backend>(
             )
         })
         .collect();
-    let mut out = ExprBatch::zeroed(device, parent, conv.in_shape, new_win, new_origins)?;
+    // GBC writes every coefficient of both planes, padding positions too.
+    let mut out = ExprBatch::for_overwrite(device, parent, conv.in_shape, new_win, new_origins)?;
     out.inherit_segments(&batch);
     let shape = GbcShape {
         kh: conv.kh,

@@ -4,8 +4,9 @@
 //! cost EWMA.
 
 use gpupoly_core::{query_cost_hint, Engine, EngineOptions, Query, VerifyConfig, VerifyError};
-use gpupoly_device::{Backend, Device, DeviceConfig};
+use gpupoly_device::{Backend, Device, DeviceConfig, SHELF_LIVE_MULTIPLE};
 use gpupoly_nn::builder::NetworkBuilder;
+use gpupoly_nn::zoo::{build_arch, ArchId, Dataset};
 use gpupoly_nn::{Network, Shape};
 
 /// A deterministic dense ReLU network.
@@ -284,6 +285,48 @@ fn fused_batch_survives_memory_capped_device() {
     .unwrap();
     let want = big.verify_batch_fused(&qs);
     assert_bit_identical(&got, &want, "memory-capped");
+}
+
+#[test]
+fn fused_conv_batches_keep_peak_memory_within_the_pool_bound() {
+    // The benchmark's `conv_fused` in small: fused batches on a scaled
+    // ConvBig. Every early-termination filter leaves a row count no earlier
+    // step had, so the walk's buffer sizes never repeat exactly; a pool that
+    // shelved them by exact size and never evicted peaked at 40 times what
+    // was ever live (1.24 GB against 31 MB on the benchmark).
+    let net = build_arch(ArchId::ConvBig, Dataset::MnistLike, 0.07, 7).unwrap();
+    let device = Device::new(DeviceConfig::new().workers(2));
+    let engine = Engine::new(device.clone(), &net, VerifyConfig::default()).unwrap();
+    for round in 0..2usize {
+        let qs: Vec<Query<f32>> = (0..4usize)
+            .map(|q| {
+                let image: Vec<f32> = (0..net.input_shape().len())
+                    .map(|i| (((round * 4 + q) * 131 + i * 17) % 251) as f32 / 251.0)
+                    .collect();
+                Query::new(image, q % 10, 5e-4 * (1 + q % 2) as f32)
+            })
+            .collect();
+        for verdict in engine.verify_batch_fused(&qs) {
+            verdict.expect("fused conv query");
+        }
+    }
+    let (peak, live) = (device.peak_memory(), device.peak_live_memory());
+    assert!(
+        peak <= (SHELF_LIVE_MULTIPLE + 1) * live,
+        "peak {peak} B against a live high-water mark of {live} B"
+    );
+    let stats = device.stats();
+    assert!(
+        stats.pool_hits() > stats.pool_misses(),
+        "walk buffers must mostly recycle: {} hits, {} misses",
+        stats.pool_hits(),
+        stats.pool_misses()
+    );
+    assert_eq!(
+        device.memory_in_use(),
+        engine.prepared().resident_bytes() + device.buffer_pool_bytes(),
+        "between batches only weights and the shelf stay charged"
+    );
 }
 
 #[test]

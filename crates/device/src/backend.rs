@@ -29,8 +29,9 @@
 //! Backends are not merely required to be sound — they must be
 //! **bit-identical** to each other, which is what makes cross-backend
 //! differential testing (and caching/resume across heterogeneous fleets)
-//! possible. For the GEMM family that pins, per output element, the exact
-//! sequence of floating-point operations:
+//! possible. For the GEMM family — and for GBC and concretize, which sum the
+//! same way (below) — that pins, per output element, the exact sequence of
+//! floating-point operations:
 //!
 //! * **Interval kernels, `f32`** ([`Fp::EXACT_IN_F64`]): the wide
 //!   accumulator of [`gpupoly_interval::wide`]. Starting from the `C` entry
@@ -82,6 +83,49 @@
 //! kernels against the straight-line oracle across block-boundary and
 //! remainder shapes.
 //!
+//! **GBC** (the transpose convolution of a conv step) is the same
+//! interval×scalar sum with the terms *gathered* per output: the element at
+//! destination window position `(a, b)`, input channel `c` of row `r` sums
+//! `src[i][j][d] · w[f][g][d][c]` over the source window positions `(i, j)`
+//! with `f = a − i·sh ∈ [0, kh)` and `g = b − j·sw ∈ [0, kw)` that are real
+//! ([`ExprGeom::is_real`]) and all output channels `d`, visited in
+//! **ascending `i`, then `j`, then `d`**. It starts from exact zero and
+//! follows the interval rule above term for term — zero coefficients skipped
+//! and uncounted, `adds` the terms with `w ≠ 0` minus one, the same epilogue
+//! — for `f32`; an element whose `T` is not finite, and every element for
+//! `f64`, is the per-step [`Itv::mul_add_f`] chain from `[0, 0]` over the
+//! same terms in the same order. Elements at virtual destination positions
+//! (the conv's padding) and elements no term reaches are written as exact
+//! `[+0, +0]`: the kernel defines every element of its destination, which
+//! the caller therefore need not zero. The `c_in` channels of one position
+//! share their terms and may be blocked like GEMM columns; nothing else
+//! about the order is free.
+//!
+//! **Concretize** evaluates, per row, the lower bound of the lower plane and
+//! the upper bound of the upper plane against interval bounds, so its terms
+//! are interval×interval: four exact endpoint products `p1 = a.lo·b.lo`,
+//! `p2 = a.lo·b.hi`, `p3 = a.hi·b.lo`, `p4 = a.hi·b.hi`. For `f32` the lower
+//! sum starts at `cst_lo.lo` and adds `m(m(p1, p2), m(p3, p4))` with
+//! `m(p, q) = p < q ? p : q`, the upper sum starts at `cst_hi.hi` and adds the
+//! same with `m(p, q) = p > q ? p : q`, each alongside its own magnitude sum
+//! `T += max(|a.lo|, |a.hi|) · max(|b.lo|, |b.hi|)` (seeded with the start's
+//! magnitude) — real window positions in ascending order, channels
+//! innermost, each plane skipping (and not counting) its own exact-zero
+//! coefficients. With `adds` = that plane's terms, plus one for a non-zero
+//! start, minus one (never below zero), the lower sum moves down and the
+//! upper sum up by `up(T · adds · 2⁻⁵²)` and each is rounded once, directed,
+//! to `f32`; the candidate is `[lo, max(hi, lo)]`. A term counts whatever
+//! its bound, `[0, 0]` included. If either `T` is not finite — a `±inf` or
+//! NaN coefficient, bound (`Itv::top()` bounds do occur) or constant met by
+//! a non-zero coefficient — the **whole row**, both sides, is the per-step
+//! chain instead: `lo = add_down(lo, (a·b).lo)`, `hi = add_up(hi, (a·b).hi)`
+//! with [`Itv::mul`], same order, same skip; so is every row for `f64`. The
+//! rule and its proof are the "Interval × interval" section of
+//! [`gpupoly_interval::wide`].
+//!
+//! `bias_fold`, `relu_step` and `residual_merge` are per-step directed
+//! arithmetic for every scalar type (see their row functions below).
+//!
 //! Every implementation is checked against this contract by the
 //! [`crate::conformance`] suite; run
 //! [`crate::conformance::assert_backend_conformance`] over a new backend
@@ -99,7 +143,7 @@
 //! Passing the conformance suite is the admission gate for the kernels; the
 //! buffer abstraction is the one remaining structural gap.
 
-use gpupoly_interval::wide::{WideAcc, WideTerm};
+use gpupoly_interval::wide::{WideAcc, WideBound, WideTerm};
 use gpupoly_interval::{Fp, Itv};
 use rayon::prelude::*;
 
@@ -207,10 +251,47 @@ impl GbcShape {
 // is held to the same bits.
 // ---------------------------------------------------------------------------
 
-/// One row of the GBC transpose convolution (paper Algorithm 1): scatter
-/// the row's dependence-set window through the filter taps into the grown
-/// destination window. Exact-zero source coefficients are skipped
-/// (mandatory, like the GEMM zero-skip).
+/// Calls `visit(s, w)` for every term of destination window position
+/// `(a, b)` of row `r`, in the contract's order: ascending source position
+/// `i`, then `j`, then output channel `d`. `s` indexes the source row's
+/// coefficient, `w` the filter weight of that tap for `c_in` channel 0 (the
+/// `c_in` weights of a term are contiguous from there). Source positions
+/// contribute when `a = i·sh + f` and `b = j·sw + g` for a filter tap
+/// `(f, g)` and `(i, j)` is a real position of the source window.
+#[inline(always)]
+fn gbc_terms(
+    r: usize,
+    (a, b): (usize, usize),
+    src_geom: &ExprGeom<'_>,
+    conv: &GbcShape,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let i_first = (a + 1).saturating_sub(conv.kh).div_ceil(conv.sh);
+    let j_first = (b + 1).saturating_sub(conv.kw).div_ceil(conv.sw);
+    for i in i_first..src_geom.win_h.min(a / conv.sh + 1) {
+        let f = a - i * conv.sh;
+        for j in j_first..src_geom.win_w.min(b / conv.sw + 1) {
+            if !src_geom.is_real(r, i, j) {
+                continue; // virtual source position: zero by invariant
+            }
+            let g = b - j * conv.sw;
+            let sbase = (i * src_geom.win_w + j) * conv.cout;
+            for d in 0..conv.cout {
+                visit(sbase + d, conv.widx(f, g, d, 0));
+            }
+        }
+    }
+}
+
+/// One row of the GBC transpose convolution (paper Algorithm 1) as a
+/// gather: every element of the grown destination window sums the terms
+/// [`gbc_terms`] lists for its position and is written exactly once —
+/// through the wide accumulator for [`Fp::EXACT_IN_F64`] (the row is widened
+/// into `wide` once, [`LANES`] `c_in` channels share one pass over the
+/// terms), through the per-step chain otherwise and for the elements the
+/// wide rule hands back. Exact-zero source coefficients are skipped
+/// (mandatory, like the GEMM zero-skip); virtual destination positions are
+/// exact zeros.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn gbc_row<F: Fp>(
@@ -222,42 +303,94 @@ fn gbc_row<F: Fp>(
     dst_row: &mut [Itv<F>],
     dst_origin: (i32, i32),
     dst_ww: usize,
+    wide: &mut Vec<WideTerm>,
 ) {
-    let (wh, ww) = (src_geom.win_h, src_geom.win_w);
-    let (cout, cin) = (conv.cout, conv.cin);
-    let (dst_oh, dst_ow) = dst_origin;
-    for i in 0..wh {
-        for j in 0..ww {
-            if !src_geom.is_real(r, i, j) {
-                continue; // virtual source position: zero by invariant
+    let cin = conv.cin;
+    if F::EXACT_IN_F64 {
+        wide.clear();
+        wide.extend(src_row.iter().map(|&m| WideTerm::new(m)));
+    }
+    // `nr` channels from `c0` of position `at` on the per-step chain.
+    let chain = |at: (usize, usize), c0: usize, nr: usize| {
+        let mut acc = [Itv::<F>::zero(); LANES];
+        gbc_terms(r, at, src_geom, conv, |s, w| {
+            let m = src_row[s];
+            if m.lo == F::ZERO && m.hi == F::ZERO {
+                return;
             }
-            let sbase = (i * ww + j) * cout;
-            for f in 0..conv.kh {
-                let a = i * conv.sh + f;
-                let dh = dst_oh + a as i32;
-                if dh < 0 || dh as usize >= conv.in_h {
-                    continue; // write would be virtual (padding)
+            for (v, &wv) in acc.iter_mut().zip(&weight[w + c0..w + c0 + nr]) {
+                *v = m.mul_add_f(wv, *v);
+            }
+        });
+        acc
+    };
+    for (pos, out) in dst_row.chunks_mut(cin).enumerate() {
+        let at = (pos / dst_ww, pos % dst_ww);
+        let (dh, dw) = (dst_origin.0 + at.0 as i32, dst_origin.1 + at.1 as i32);
+        if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
+            out.fill(Itv::zero()); // virtual (padding) position
+            continue;
+        }
+        for c0 in (0..cin).step_by(LANES) {
+            let nr = LANES.min(cin - c0);
+            if !F::EXACT_IN_F64 {
+                out[c0..c0 + nr].copy_from_slice(&chain(at, c0, nr)[..nr]);
+                continue;
+            }
+            let mut acc = WideAcc::<LANES>::new::<F>(&[]);
+            // Remainder channels: unused lanes multiply by zero.
+            let mut lanes = [F::ZERO; LANES];
+            gbc_terms(r, at, src_geom, conv, |s, w| {
+                let term = wide[s];
+                if term.is_zero() {
+                    return;
                 }
-                for g in 0..conv.kw {
-                    let b = j * conv.sw + g;
-                    let dw = dst_ow + b as i32;
-                    if dw < 0 || dw as usize >= conv.in_w {
-                        continue;
-                    }
-                    let obase = (a * dst_ww + b) * cin;
-                    for d in 0..cout {
-                        let m = src_row[sbase + d];
-                        if m.lo == F::ZERO && m.hi == F::ZERO {
-                            continue;
-                        }
-                        let wbase = conv.widx(f, g, d, 0);
-                        for c in 0..cin {
-                            dst_row[obase + c] = m.mul_add_f(weight[wbase + c], dst_row[obase + c]);
-                        }
-                    }
+                if nr == LANES {
+                    lanes.copy_from_slice(&weight[w + c0..w + c0 + LANES]);
+                } else {
+                    lanes[..nr].copy_from_slice(&weight[w + c0..w + c0 + nr]);
                 }
+                acc.mul_add(term, &lanes);
+            });
+            let mut redone = None;
+            for (l, v) in out[c0..c0 + nr].iter_mut().enumerate() {
+                *v = acc
+                    .finish(l)
+                    .unwrap_or_else(|| redone.get_or_insert_with(|| chain(at, c0, nr))[l]);
             }
         }
+    }
+}
+
+/// Rows `r0..` of a GBC launch into `dst` (whole rows of `dst_cols`), one
+/// after the other with one widened-row scratch between them: a worker's
+/// share on [`CpuSimBackend`], the whole launch on [`ReferenceBackend`].
+#[allow(clippy::too_many_arguments)]
+fn gbc_rows<F: Fp>(
+    r0: usize,
+    src: &[Itv<F>],
+    src_geom: &ExprGeom<'_>,
+    weight: &[F],
+    conv: &GbcShape,
+    dst: &mut [Itv<F>],
+    dst_origins: &[(i32, i32)],
+    dst_cols: usize,
+    dst_ww: usize,
+) {
+    let src_cols = src_geom.cols();
+    let mut wide = Vec::new();
+    for (r, row) in (r0..).zip(dst.chunks_mut(dst_cols)) {
+        gbc_row(
+            r,
+            &src[r * src_cols..(r + 1) * src_cols],
+            src_geom,
+            weight,
+            conv,
+            row,
+            dst_origins[r],
+            dst_ww,
+            &mut wide,
+        );
     }
 }
 
@@ -386,8 +519,26 @@ fn merge_add_row<F: Fp>(
     }
 }
 
+/// `(window offset, frontier index)` of channel 0 of every real window
+/// position of row `r`, in ascending window order.
+#[inline(always)]
+fn real_positions<'a>(
+    r: usize,
+    geom: &'a ExprGeom<'_>,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    (0..geom.win_h).flat_map(move |i| {
+        (0..geom.win_w)
+            .filter(move |&j| geom.is_real(r, i, j))
+            .map(move |j| ((i * geom.win_w + j) * geom.chans, geom.neuron_at(r, i, j)))
+    })
+}
+
 /// One row of concretization: substitute the row's segment's concrete
-/// bounds into both plane expressions and return the sound candidate.
+/// bounds into both plane expressions and return the sound candidate — the
+/// lower bound of the lower expression and the upper bound of the upper one,
+/// each through a [`WideBound`] for [`Fp::EXACT_IN_F64`]; on the per-step
+/// chain otherwise, and for a row either of whose magnitude sums is not
+/// finite. Exact-zero coefficients are skipped on both.
 #[inline]
 fn concretize_row<F: Fp>(
     r: usize,
@@ -399,25 +550,41 @@ fn concretize_row<F: Fp>(
     bounds: &[Itv<F>],
 ) -> Itv<F> {
     use gpupoly_interval::round;
+    let is_zero = |a: Itv<F>| a.lo == F::ZERO && a.hi == F::ZERO;
+    if F::EXACT_IN_F64 {
+        let mut lo = WideBound::<false>::new(cst_lo.lo);
+        let mut hi = WideBound::<true>::new(cst_hi.hi);
+        for (base, nbase) in real_positions(r, geom) {
+            for c in 0..geom.chans {
+                let (a_lo, a_hi) = (lo_row[base + c], hi_row[base + c]);
+                if is_zero(a_lo) && is_zero(a_hi) {
+                    continue;
+                }
+                let b = WideTerm::new(bounds[nbase + c]);
+                if !is_zero(a_lo) {
+                    lo.mul_add(WideTerm::new(a_lo), b);
+                }
+                if !is_zero(a_hi) {
+                    hi.mul_add(WideTerm::new(a_hi), b);
+                }
+            }
+        }
+        if let (Some(lo), Some(hi)) = (lo.finish::<F>(), hi.finish::<F>()) {
+            return Itv { lo, hi: hi.max(lo) };
+        }
+    }
     let mut lo = cst_lo.lo;
     let mut hi = cst_hi.hi;
-    for i in 0..geom.win_h {
-        for j in 0..geom.win_w {
-            if !geom.is_real(r, i, j) {
-                continue;
+    for (base, nbase) in real_positions(r, geom) {
+        for c in 0..geom.chans {
+            let b = bounds[nbase + c];
+            let a = lo_row[base + c];
+            if !is_zero(a) {
+                lo = round::add_down(lo, a.mul(b).lo);
             }
-            let base = (i * geom.win_w + j) * geom.chans;
-            let nbase = geom.neuron_at(r, i, j);
-            for c in 0..geom.chans {
-                let b = bounds[nbase + c];
-                let a = lo_row[base + c];
-                if !(a.lo == F::ZERO && a.hi == F::ZERO) {
-                    lo = round::add_down(lo, a.mul(b).lo);
-                }
-                let a = hi_row[base + c];
-                if !(a.lo == F::ZERO && a.hi == F::ZERO) {
-                    hi = round::add_up(hi, a.mul(b).hi);
-                }
+            let a = hi_row[base + c];
+            if !is_zero(a) {
+                hi = round::add_up(hi, a.mul(b).hi);
             }
         }
     }
@@ -453,17 +620,19 @@ fn gemm_itv_element<F: Fp>(init: Itv<F>, arow: &[Itv<F>], b: &[F], n: usize, j: 
     acc
 }
 
-/// Columns per register block of [`wide_itv_rows`]: one row of `C` times
-/// this many columns accumulates in registers over the full `k` extent.
-/// Fixed, not configurable: four lanes keep the block's accumulators in
-/// baseline x86-64's sixteen vector registers, and a sweep of wider blocks
-/// and multi-row micro-kernels found none more than 10 % ahead.
-const GEMM_LANES: usize = 4;
+/// Outputs per register block of the wide kernels: one row of `C` times this
+/// many columns in [`wide_itv_rows`], one window position times this many
+/// `c_in` channels in [`gbc_row`], accumulating in registers over all of the
+/// element's terms. Fixed, not configurable: four lanes keep the block's
+/// accumulators in baseline x86-64's sixteen vector registers, and a sweep of
+/// wider blocks and multi-row micro-kernels on the GEMM found none more than
+/// 10 % ahead.
+const LANES: usize = 4;
 
 /// A block of rows of the interval product for scalar types with
 /// [`Fp::EXACT_IN_F64`]. Each row's non-zero coefficients are widened once
 /// into a term list (so the zero-skip and the `f32`→`f64` conversions leave
-/// the hot loop); then every [`GEMM_LANES`]-wide column block streams that
+/// the hot loop); then every [`LANES`]-wide column block streams that
 /// list in ascending `k`. Per output element this is the operation sequence
 /// of [`gemm_itv_element`] — blocking covers `m`/`n` only — so the bits are
 /// the same. `fresh` starts from zero instead of reading `C`.
@@ -484,18 +653,18 @@ fn wide_itv_rows<F: Fp>(
                 .filter(|(_, aik)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
                 .map(|(kk, &aik)| (kk * n, WideTerm::new(aik))),
         );
-        for j0 in (0..n).step_by(GEMM_LANES) {
-            let nr = GEMM_LANES.min(n - j0);
+        for j0 in (0..n).step_by(LANES) {
+            let nr = LANES.min(n - j0);
             let init: &[Itv<F>] = if fresh { &[] } else { &crow[j0..j0 + nr] };
-            let mut acc = WideAcc::<GEMM_LANES>::new(init);
-            if nr == GEMM_LANES {
+            let mut acc = WideAcc::<LANES>::new(init);
+            if nr == LANES {
                 for &(off, term) in &terms {
-                    let w = &b[off + j0..off + j0 + GEMM_LANES];
+                    let w = &b[off + j0..off + j0 + LANES];
                     acc.mul_add(term, w.try_into().expect("a full lane block"));
                 }
             } else {
                 // Remainder columns: unused lanes multiply by zero.
-                let mut w = [F::ZERO; GEMM_LANES];
+                let mut w = [F::ZERO; LANES];
                 for &(off, term) in &terms {
                     w[..nr].copy_from_slice(&b[off + j0..off + j0 + nr]);
                     acc.mul_add(term, &w);
@@ -749,8 +918,9 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// plane per launch: every source row's dependence-set window is pushed
     /// one convolution backwards into the grown destination window
     /// (`dst_cols` wide, spatial width `dst_ww`, per-row origins
-    /// `dst_origins`). `dst` must be zeroed. Exact-zero source coefficients
-    /// must be skipped (same contract as the interval GEMM family).
+    /// `dst_origins`). Every element of `dst` is written — the caller need
+    /// not zero it — under the module contract's GBC rule; exact-zero source
+    /// coefficients must be skipped (as in the interval GEMM family).
     #[allow(clippy::too_many_arguments)]
     fn gbc<F: Fp>(
         &self,
@@ -825,7 +995,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
 
     /// Candidate concretization: substitute each row's segment's concrete
     /// bounds (`bounds_per_seg[geom.seg[r]]`) into both plane expressions,
-    /// writing one sound `[lower, upper]` candidate per row into `out`.
+    /// writing one sound `[lower, upper]` candidate per row into `out`
+    /// under the module contract's concretize rule.
     #[allow(clippy::too_many_arguments)]
     fn concretize<F: Fp>(
         &self,
@@ -951,19 +1122,21 @@ impl Backend for CpuSimBackend {
         if dst.is_empty() {
             return;
         }
-        let src_cols = src_geom.cols();
+        // One block of whole rows per worker, like the GEMM family.
+        let rows = src_geom.rows().div_ceil(device.workers()).max(1);
         device.install(|| {
-            dst.par_chunks_mut(dst_cols)
+            dst.par_chunks_mut(rows * dst_cols)
                 .enumerate()
-                .for_each(|(r, row)| {
-                    gbc_row(
-                        r,
-                        &src[r * src_cols..(r + 1) * src_cols],
+                .for_each(|(t, block)| {
+                    gbc_rows(
+                        t * rows,
+                        src,
                         src_geom,
                         weight,
                         conv,
-                        row,
-                        dst_origins[r],
+                        block,
+                        dst_origins,
+                        dst_cols,
                         dst_ww,
                     )
                 })
@@ -1211,19 +1384,17 @@ impl Backend for ReferenceBackend {
         if dst.is_empty() {
             return;
         }
-        let src_cols = src_geom.cols();
-        for (r, row) in dst.chunks_mut(dst_cols).enumerate() {
-            gbc_row(
-                r,
-                &src[r * src_cols..(r + 1) * src_cols],
-                src_geom,
-                weight,
-                conv,
-                row,
-                dst_origins[r],
-                dst_ww,
-            );
-        }
+        gbc_rows(
+            0,
+            src,
+            src_geom,
+            weight,
+            conv,
+            dst,
+            dst_origins,
+            dst_cols,
+            dst_ww,
+        );
     }
 
     fn bias_fold<F: Fp>(

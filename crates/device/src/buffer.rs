@@ -41,7 +41,12 @@ use crate::{Device, DeviceError};
 /// # Ok::<(), gpupoly_device::DeviceError>(())
 /// ```
 pub struct DeviceBuffer<T: Send + 'static, B: Backend = CpuSimBackend> {
+    /// The allocation, `bytes` long. A pool hit may be served by a shelved
+    /// allocation up to twice the size asked for; the buffer is its first
+    /// `len` elements, the rest is slack that stays charged and goes back to
+    /// the shelf with it.
     data: Vec<T>,
+    len: usize,
     bytes: usize,
     device: Device<B>,
     /// `true` when this allocation may be shelved in the device's buffer
@@ -55,7 +60,7 @@ pub struct DeviceBuffer<T: Send + 'static, B: Backend = CpuSimBackend> {
 impl<T: Send + fmt::Debug, B: Backend> fmt::Debug for DeviceBuffer<T, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DeviceBuffer")
-            .field("len", &self.data.len())
+            .field("len", &self.len)
             .field("bytes", &self.bytes)
             .field("pooled", &self.pooled)
             .finish()
@@ -80,8 +85,40 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
         }
     }
 
+    /// A fresh allocation holding exactly `data`.
+    fn fresh(device: &Device<B>, data: Vec<T>) -> Result<Self, DeviceError> {
+        let bytes = Self::charge(device, data.len())?;
+        Ok(Self {
+            len: data.len(),
+            data,
+            bytes,
+            device: device.clone(),
+            pooled: device.buffer_pool_active(),
+            persistent: false,
+        })
+    }
+
+    /// A buffer of `len` elements on a shelved allocation of at most
+    /// `max_len` (contents stale), or `None` — counted as a pool miss — when
+    /// the shelf has none that fits.
+    fn recycled(device: &Device<B>, len: usize, max_len: usize) -> Option<Self> {
+        let Some(data) = device.pool_take::<T>(len, max_len) else {
+            device.note_pool_miss();
+            return None;
+        };
+        Some(Self {
+            bytes: data.len() * mem::size_of::<T>(),
+            data,
+            len,
+            device: device.clone(),
+            pooled: true,
+            persistent: false,
+        })
+    }
+
     /// Allocates `len` default-initialized elements, reusing a shelved
-    /// buffer of the same size class when the device's pool is active.
+    /// allocation that fits (see [`Device::buffer_pool_retain`]) when the
+    /// device's pool is active; only the `len` elements are re-initialized.
     ///
     /// # Errors
     ///
@@ -91,27 +128,13 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone + Default,
     {
-        if let Some(mut data) = device.pool_take::<T>(len) {
-            for x in &mut data {
-                *x = T::default();
+        match Self::recycled(device, len, len.saturating_mul(2)) {
+            Some(mut buf) => {
+                buf.fill(T::default());
+                Ok(buf)
             }
-            return Ok(Self {
-                data,
-                bytes: len.saturating_mul(mem::size_of::<T>()),
-                device: device.clone(),
-                pooled: true,
-                persistent: false,
-            });
+            None => Self::fresh(device, vec![T::default(); len]),
         }
-        device.note_pool_miss();
-        let bytes = Self::charge(device, len)?;
-        Ok(Self {
-            data: vec![T::default(); len],
-            bytes,
-            device: device.clone(),
-            pooled: device.buffer_pool_active(),
-            persistent: false,
-        })
     }
 
     /// Allocates `len` elements whose initial contents are unspecified
@@ -127,21 +150,18 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone + Default,
     {
-        if let Some(data) = device.pool_take::<T>(len) {
-            return Ok(Self {
-                data,
-                bytes: len.saturating_mul(mem::size_of::<T>()),
-                device: device.clone(),
-                pooled: true,
-                persistent: false,
-            });
+        match Self::recycled(device, len, len.saturating_mul(2)) {
+            Some(buf) => Ok(buf),
+            None => Self::fresh(device, vec![T::default(); len]),
         }
-        Self::zeroed(device, len)
     }
 
     /// Uploads a host slice to the device (via [`Backend::htod`]), reusing a
-    /// shelved buffer of the same size class when the device's pool is
-    /// active.
+    /// shelved allocation of exactly its size when the device's pool is
+    /// active. Unlike working buffers an upload never takes a larger one: it
+    /// is sized by the model, so the same sizes recur exactly, and what is
+    /// uploaded — packed or gathered weights — is held for long and budgeted
+    /// by its length.
     ///
     /// # Errors
     ///
@@ -151,27 +171,16 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone,
     {
-        if let Some(mut data) = device.pool_take::<T>(src.len()) {
-            device.backend().htod(src, &mut data);
-            return Ok(Self {
-                data,
-                bytes: src.len().saturating_mul(mem::size_of::<T>()),
-                device: device.clone(),
-                pooled: true,
-                persistent: false,
-            });
+        match Self::recycled(device, src.len(), src.len()) {
+            Some(mut buf) => {
+                device.backend().htod(src, &mut buf);
+                Ok(buf)
+            }
+            // Fresh upload: host staging vector handed to the device (the
+            // sim's device memory *is* host memory, so this is the htod
+            // copy).
+            None => Self::fresh(device, src.to_vec()),
         }
-        device.note_pool_miss();
-        let bytes = Self::charge(device, src.len())?;
-        // Fresh upload: host staging vector handed to the device (the sim's
-        // device memory *is* host memory, so this is the htod copy).
-        Ok(Self {
-            data: src.to_vec(),
-            bytes,
-            device: device.clone(),
-            pooled: device.buffer_pool_active(),
-            persistent: false,
-        })
     }
 
     /// Wraps an existing host vector as a device allocation.
@@ -181,14 +190,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     /// Returns [`DeviceError::OutOfMemory`] when the allocation would exceed
     /// the device capacity.
     pub fn from_vec(device: &Device<B>, data: Vec<T>) -> Result<Self, DeviceError> {
-        let bytes = Self::charge(device, data.len())?;
-        Ok(Self {
-            data,
-            bytes,
-            device: device.clone(),
-            pooled: device.buffer_pool_active(),
-            persistent: false,
-        })
+        Self::fresh(device, data)
     }
 
     /// Exempts this buffer from pool recycling: on drop its memory is
@@ -209,27 +211,28 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// `true` when the buffer holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
-    /// Bytes charged against the device.
+    /// Bytes charged against the device: the allocation's size, which on a
+    /// pool hit can exceed `len` elements (by at most as much again).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// Read-only view of the contents.
     pub fn as_slice(&self) -> &[T] {
-        &self.data
+        &self.data[..self.len]
     }
 
     /// Mutable view of the contents.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        &mut self.data[..self.len]
     }
 
     /// Downloads the contents into a host slice of the same length (via
@@ -242,8 +245,8 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone,
     {
-        assert_eq!(dst.len(), self.data.len(), "copy_to_host length mismatch");
-        self.device.backend().dtoh(&self.data, dst);
+        assert_eq!(dst.len(), self.len, "copy_to_host length mismatch");
+        self.device.backend().dtoh(self, dst);
     }
 
     /// Downloads the contents, releasing the device allocation.
@@ -254,6 +257,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
         }
         self.device.track_free(self.bytes);
         self.bytes = 0;
+        self.data.truncate(self.len);
         mem::take(&mut self.data)
     }
 }
@@ -279,13 +283,13 @@ impl<T: Send + 'static, B: Backend> Drop for DeviceBuffer<T, B> {
 impl<T: Send + 'static, B: Backend> Deref for DeviceBuffer<T, B> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl<T: Send + 'static, B: Backend> DerefMut for DeviceBuffer<T, B> {
     fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
+        self.as_mut_slice()
     }
 }
 
@@ -387,15 +391,112 @@ mod tests {
             let _a = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
         }
         assert_eq!(dev.memory_in_use(), 1000, "shelved bytes stay charged");
-        // A different size class would OOM unless the shelf is reclaimed.
-        let b = DeviceBuffer::<u8>::zeroed(&dev, 512).unwrap();
-        assert_eq!(dev.memory_in_use(), 512);
+        assert_eq!(dev.memory_free(), 1024, "reclaimable bytes count as free");
+        // The shelved buffer is more than twice this request, so it does not
+        // serve it, and beside it the request would OOM: the shelf is
+        // reclaimed instead.
+        let b = DeviceBuffer::<u8>::zeroed(&dev, 400).unwrap();
+        assert_eq!(dev.stats().pool_hits(), 0);
+        assert_eq!(dev.memory_in_use(), 400);
         drop(b);
         dev.buffer_pool_release();
         assert_eq!(dev.memory_in_use(), 0);
         // Truly hopeless allocations still fail.
         dev.buffer_pool_retain();
         assert!(DeviceBuffer::<u8>::zeroed(&dev, 4096).is_err());
+        dev.buffer_pool_release();
+    }
+
+    #[test]
+    fn pool_hit_may_be_oversized_and_stays_charged_for_its_capacity() {
+        let dev = Device::default();
+        dev.buffer_pool_retain();
+        {
+            let mut a = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
+            a.fill(7);
+        }
+        // 1000 <= 2 * 512: served by the shelved allocation, charge unchanged.
+        let mut b = DeviceBuffer::<u8>::zeroed(&dev, 512).unwrap();
+        assert_eq!(dev.stats().pool_hits(), 1);
+        assert_eq!((b.len(), b.bytes()), (512, 1000));
+        assert_eq!(b.as_mut_slice().len(), 512);
+        assert!(
+            b.iter().all(|&x| x == 0),
+            "the requested length is re-zeroed"
+        );
+        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (1000, 0));
+        assert_eq!(dev.stats().bytes_allocated(), 1000, "no fresh bytes");
+        drop(b);
+        assert_eq!(
+            dev.buffer_pool_bytes(),
+            1000,
+            "the whole allocation returns"
+        );
+        // 1000 > 2 * 499: too large for this one, which allocates afresh.
+        let c = DeviceBuffer::<u8>::for_overwrite(&dev, 499).unwrap();
+        assert_eq!((c.bytes(), dev.stats().pool_hits()), (499, 1));
+        // The smallest allocation that fits wins, whatever the shelving order.
+        drop(c);
+        let d = DeviceBuffer::<u8>::for_overwrite(&dev, 500).unwrap();
+        assert_eq!(d.bytes(), 1000, "499 bytes do not hold 500");
+        let e = DeviceBuffer::<u8>::for_overwrite(&dev, 300).unwrap();
+        assert_eq!(e.bytes(), 499);
+        assert_eq!(
+            e.into_vec().len(),
+            300,
+            "into_vec returns the buffer, not the slack"
+        );
+        drop(d);
+        dev.buffer_pool_release();
+        assert_eq!(dev.memory_in_use(), 0);
+    }
+
+    #[test]
+    fn pool_uploads_reuse_only_an_allocation_of_their_exact_size() {
+        // Packed weights are uploaded through `from_slice` while an engine's
+        // pool is active and then made persistent: charged for a larger
+        // shelved allocation, the resident gauge would disagree with sizes
+        // computed from lengths.
+        let dev = Device::default();
+        dev.buffer_pool_retain();
+        {
+            let _a = DeviceBuffer::<u32>::zeroed(&dev, 250).unwrap();
+        }
+        let w = DeviceBuffer::from_slice(&dev, &[9u32; 150])
+            .unwrap()
+            .into_persistent();
+        assert_eq!((w.len(), w.bytes()), (150, 600));
+        assert_eq!(dev.stats().pool_hits(), 0, "1000 B is not 600 B");
+        assert_eq!(dev.stats().resident_bytes(), 600);
+        drop(w);
+        assert_eq!(dev.buffer_pool_bytes(), 1000, "persistent: never shelved");
+        let again = DeviceBuffer::from_slice(&dev, &[3u32; 250]).unwrap();
+        assert_eq!((again.bytes(), dev.stats().pool_hits()), (1000, 1));
+        assert!(again.iter().all(|&x| x == 3));
+        drop(again);
+        dev.buffer_pool_release();
+        assert_eq!((dev.memory_in_use(), dev.stats().resident_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn pool_shelf_is_cut_back_to_twice_the_live_high_water_oldest_first() {
+        let dev = Device::default();
+        dev.buffer_pool_retain();
+        // Requests that no shelved buffer serves (each is more than twice
+        // too large or too small), held one at a time: the live high-water
+        // mark is 1000.
+        for len in [1000usize, 400, 150, 60, 450] {
+            let _b = DeviceBuffer::<u8>::zeroed(&dev, len).unwrap();
+        }
+        assert_eq!(dev.peak_live_memory(), 1000);
+        // 1000 + 400 + 150 + 60 fit the 2000-byte budget; shelving 450 more
+        // frees the oldest (1000) and nothing else.
+        assert_eq!(dev.buffer_pool_bytes(), 400 + 150 + 60 + 450);
+        assert_eq!(dev.memory_in_use(), dev.buffer_pool_bytes());
+        assert!(dev.peak_memory() <= 3 * dev.peak_live_memory());
+        let hits = dev.stats().pool_hits();
+        let _again = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
+        assert_eq!(dev.stats().pool_hits(), hits, "the evicted buffer is gone");
         dev.buffer_pool_release();
     }
 

@@ -18,7 +18,10 @@
 //!   ReLU substitution step (including its stable-zero column guarantee),
 //!   densify, residual merge and concretize each match an independent
 //!   straight-line oracle bit for bit over cuboid/full windows, padding
-//!   origins and fused multi-segment batches;
+//!   origins and fused multi-segment batches; for GBC and concretize that
+//!   oracle is the contract's wide rule restated per output in plain `f64`
+//!   (per-step chain for non-finite operands), with the corners random data
+//!   does not reach pinned separately;
 //! * **host↔device and device↔device copies** round-trip bit-exactly;
 //! * **launch accounting** — every kernel wrapper records its launch label;
 //! * **memory accounting** — allocations charge and release capacity
@@ -114,6 +117,57 @@ fn oracle_wide<F: Fp>(c0: Itv<F>, terms: &[(Itv<F>, F)]) -> Option<Itv<F>> {
     Some(Itv {
         lo: round::from_f64_down(lo),
         hi: round::from_f64_up(hi),
+    })
+}
+
+/// The interval×interval rule of the [`crate::backend`] contract for one
+/// directed bound of `c + Σ a·b`, spelled out in plain `f64` arithmetic like
+/// [`oracle_wide`]. `terms` are the non-skipped `(coefficient, bound)` pairs
+/// in window order. `None` when the rule does not apply: `F` is not `f32`,
+/// or an operand is not finite.
+fn oracle_wide_bound<F: Fp>(c: F, terms: &[(Itv<F>, Itv<F>)], upper: bool) -> Option<F> {
+    if !F::EXACT_IN_F64
+        || !c.is_finite()
+        || !terms.iter().all(|(a, b)| a.is_finite() && b.is_finite())
+    {
+        return None;
+    }
+    let pick = |p: f64, q: f64| {
+        if upper {
+            if p > q {
+                p
+            } else {
+                q
+            }
+        } else if p < q {
+            p
+        } else {
+            q
+        }
+    };
+    let mag = |x: Itv<F>| x.lo.to_f64().abs().max(x.hi.to_f64().abs());
+    let (mut sum, mut t) = (c.to_f64(), c.to_f64().abs());
+    for &(a, b) in terms {
+        let (al, ah) = (a.lo.to_f64(), a.hi.to_f64());
+        let (bl, bh) = (b.lo.to_f64(), b.hi.to_f64());
+        sum += pick(pick(al * bl, al * bh), pick(ah * bl, ah * bh));
+        t += mag(a) * mag(b);
+    }
+    // Every term's addition may round, and so may the first onto a
+    // non-zero start.
+    let adds = (terms.len() + usize::from(c != F::ZERO)).saturating_sub(1);
+    if adds > 0 {
+        let e = round::mul_up(t, adds as f64 * 2f64.powi(-52));
+        sum = if upper {
+            round::add_up(sum, e)
+        } else {
+            round::sub_down(sum, e)
+        };
+    }
+    Some(if upper {
+        round::from_f64_up(sum)
+    } else {
+        round::from_f64_down(sum)
     })
 }
 
@@ -586,11 +640,102 @@ fn assert_planes_bit_eq<F: Fp>(label: &str, kernel: &str, got: &[Itv<F>], want: 
     }
 }
 
+/// [`assert_planes_bit_eq`] for expectations that hold NaN bounds (a NaN
+/// weight, `inf − inf`): a NaN matches any NaN, since its payload bits are
+/// not part of the contract.
+fn assert_planes_bit_eq_or_nan(label: &str, kernel: &str, got: &[Itv<f32>], want: &[Itv<f32>]) {
+    let same = |g: f32, w: f32| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+    assert_eq!(got.len(), want.len(), "[{label}] {kernel} length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            same(g.lo, w.lo) && same(g.hi, w.hi),
+            "[{label}] {kernel}[{i}]: {g} != oracle {w}"
+        );
+    }
+}
+
+/// The terms of destination element `(a, b, c)` of row `r` of a GBC launch,
+/// in the contract's order — ascending source window position `i`, then `j`,
+/// then output channel `d` — as `(coefficient, weight)` pairs: source
+/// position `(i, j)` contributes through filter tap `(f, g)` when
+/// `a = i·sh + f`, `b = j·sw + g` and the position is real. Exact-zero
+/// coefficients are skipped. Found by trying every source position, not by
+/// the kernel's index arithmetic.
+fn oracle_gbc_terms(
+    r: usize,
+    (a, b, c): (usize, usize, usize),
+    src: &[Itv<f32>],
+    g: &ExprGeom<'_>,
+    weight: &[f32],
+    conv: &GbcShape,
+) -> Vec<(Itv<f32>, f32)> {
+    let mut terms = Vec::new();
+    for i in 0..g.win_h {
+        for j in 0..g.win_w {
+            let tap = |at: usize, pos: usize, stride: usize, k: usize| {
+                at.checked_sub(pos * stride).filter(|&t| t < k)
+            };
+            let (Some(f), Some(gg)) = (tap(a, i, conv.sh, conv.kh), tap(b, j, conv.sw, conv.kw))
+            else {
+                continue;
+            };
+            if !g.is_real(r, i, j) {
+                continue;
+            }
+            for d in 0..conv.cout {
+                let m = src[r * g.cols() + (i * g.win_w + j) * conv.cout + d];
+                if !(m.lo == 0.0 && m.hi == 0.0) {
+                    terms.push((m, weight[conv.widx(f, gg, d, c)]));
+                }
+            }
+        }
+    }
+    terms
+}
+
+/// Straight-line oracle of a whole GBC launch from the written rule: every
+/// destination element on its own — exact zero at a virtual (padding)
+/// position, otherwise the wide rule over [`oracle_gbc_terms`] starting from
+/// exact zero, or the per-step chain over the same terms where the wide rule
+/// does not apply.
+fn oracle_gbc(
+    src: &[Itv<f32>],
+    g: &ExprGeom<'_>,
+    weight: &[f32],
+    conv: &GbcShape,
+    dst_origins: &[(i32, i32)],
+    dst_win: (usize, usize),
+) -> Vec<Itv<f32>> {
+    let mut want = Vec::with_capacity(g.rows() * dst_win.0 * dst_win.1 * conv.cin);
+    for (r, &(oh, ow)) in dst_origins.iter().enumerate() {
+        for a in 0..dst_win.0 {
+            for b in 0..dst_win.1 {
+                let (dh, dw) = (oh + a as i32, ow + b as i32);
+                let real =
+                    dh >= 0 && dw >= 0 && (dh as usize) < conv.in_h && (dw as usize) < conv.in_w;
+                for c in 0..conv.cin {
+                    if !real {
+                        want.push(Itv::zero());
+                        continue;
+                    }
+                    let terms = oracle_gbc_terms(r, (a, b, c), src, g, weight, conv);
+                    want.push(oracle_wide(Itv::zero(), &terms).unwrap_or_else(|| {
+                        terms
+                            .iter()
+                            .fold(Itv::zero(), |acc, &(m, w)| m.mul_add_f(w, acc))
+                    }));
+                }
+            }
+        }
+    }
+    want
+}
+
 /// Checks the GBC transpose-convolution kernel on one deterministic
-/// geometry: bit-identical to a straight-line serial oracle that walks the
-/// window, filter taps and channels exactly as Algorithm 1 prescribes
-/// (skipping virtual positions and exact-zero coefficients), and launch +
-/// flop accounting advances under the launch label.
+/// geometry: bit-identical to [`oracle_gbc`], the contract's rule evaluated
+/// one destination element at a time (skipping virtual positions and
+/// exact-zero coefficients), into a destination that was *not* zeroed; and
+/// launch + flop accounting advances under the launch label.
 ///
 /// # Panics
 ///
@@ -604,7 +749,7 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         sh: 1 + s.next_range(2),
         sw: 1 + s.next_range(2),
         cout: 1 + s.next_range(3),
-        cin: 1 + s.next_range(3),
+        cin: 1 + s.next_range(6),
         in_h: 4 + s.next_range(4),
         in_w: 4 + s.next_range(4),
     };
@@ -623,7 +768,7 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         .map(|&(oh, ow)| (oh * conv.sh as i32 - 1, ow * conv.sw as i32 - 1))
         .collect();
 
-    let mut dst = vec![Itv::zero(); rows * dst_cols];
+    let mut dst = vec![Itv::point(9.0_f32); rows * dst_cols]; // poisoned: must be overwritten
     let launches0 = device.stats().kernel_launches("gbc_lo");
     let flops0 = device.stats().kernel_flops("gbc_lo");
     kernels::gbc(
@@ -647,49 +792,146 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         device.stats().kernel_flops("gbc_lo") > flops0,
         "[{label}] gbc must meter its flops"
     );
+    let want = oracle_gbc(&src, &case.geom(), &weight, &conv, &dst_origins, dst_win);
+    assert_planes_bit_eq(label, "gbc", &dst, &want);
+}
 
-    // Independent straight-line oracle.
+/// Pins the corners of the GBC contract that random data does not reach, on
+/// a stride-2, padding-1 shape whose destination windows hang over every
+/// edge of the conv input and whose `c_in = 5` is one full register block
+/// plus a remainder: a `+inf` and a `−inf` source coefficient and a NaN
+/// weight (exactly the elements that sum such a term take the per-step
+/// chain), a zero weight of either sign, an all-zero source row (exact-zero
+/// destination), and a row with one non-zero coefficient (every element has
+/// at most one term, so it is the tightest enclosure of one exact product).
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0x6bc);
+    let conv = GbcShape {
+        kh: 3,
+        kw: 3,
+        sh: 2,
+        sw: 2,
+        cout: 2,
+        cin: 5,
+        in_h: 7,
+        in_w: 7,
+    };
+    // Source windows of 2×2 over the conv's 4×4 output; rows 2 and 5 hang
+    // over its edge themselves (virtual source positions).
+    let mut case = GeomCase::new(7, 2, 2, 4, 4, conv.cout, 1, &mut s);
+    case.origins = vec![(0, 0), (2, 2), (3, 3), (1, 0), (0, 2), (-1, 1), (1, 1)];
+    let cols = case.cols();
+    let mut src = case.plane(&mut s);
+    src[cols + 2] = Itv::new(1.0, f32::INFINITY); // row 1, position (0, 1), d = 0
+    for (k, v) in src[3 * cols..4 * cols].iter_mut().enumerate() {
+        *v = Itv::point(if k % 2 == 0 { 0.0 } else { -0.0 }); // row 3: nothing to sum
+    }
+    src[4 * cols..5 * cols].fill(Itv::zero()); // row 4: a single coefficient
+    let single = Itv::new(0.1_f32, 0.3);
+    src[4 * cols + 5] = single; // position (1, 0), d = 1
+    src[6 * cols + 7] = Itv::point(f32::NEG_INFINITY); // row 6, position (1, 1), d = 1
+    let mut weight: Vec<f32> = (0..conv.kh * conv.kw * conv.cout * conv.cin)
+        .map(|_| s.next_f32())
+        .collect();
+    weight[conv.widx(1, 2, 0, 2)] = f32::NAN;
+    weight[conv.widx(0, 0, 1, 0)] = 0.0; // exact-zero products
+    weight[conv.widx(0, 0, 1, 4)] = -0.0;
+    let dst_win = (5usize, 5usize);
+    let dst_cols = dst_win.0 * dst_win.1 * conv.cin;
+    let dst_origins: Vec<(i32, i32)> = case
+        .origins
+        .iter()
+        .map(|&(oh, ow)| (oh * 2 - 1, ow * 2 - 1))
+        .collect();
+
+    let mut dst = vec![Itv::point(9.0_f32); case.rows() * dst_cols];
+    kernels::gbc(
+        device,
+        "gbc_lo",
+        &src,
+        &case.geom(),
+        &weight,
+        &conv,
+        &mut dst,
+        &dst_origins,
+        dst_cols,
+        dst_win.1,
+    );
     let g = case.geom();
-    let mut want = vec![Itv::zero(); rows * dst_cols];
-    for r in 0..rows {
-        let row = &src[r * case.cols()..(r + 1) * case.cols()];
-        let (dst_oh, dst_ow) = dst_origins[r];
-        let out = &mut want[r * dst_cols..(r + 1) * dst_cols];
-        for i in 0..wh {
-            for j in 0..ww {
-                if !g.is_real(r, i, j) {
+    let want = oracle_gbc(&src, &g, &weight, &conv, &dst_origins, dst_win);
+    assert_planes_bit_eq_or_nan(label, "gbc (special cases)", &dst, &want);
+
+    // The corners did what they are there for.
+    let (mut nan_touched, mut edge_zeros, mut singles) = (0, 0, 0);
+    for r in 0..case.rows() {
+        for pos in 0..dst_win.0 * dst_win.1 {
+            let (a, b) = (pos / dst_win.1, pos % dst_win.1);
+            let (dh, dw) = (dst_origins[r].0 + a as i32, dst_origins[r].1 + b as i32);
+            let real = (0..7).contains(&dh) && (0..7).contains(&dw);
+            for c in 0..conv.cin {
+                let got = dst[r * dst_cols + pos * conv.cin + c];
+                let terms = oracle_gbc_terms(r, (a, b, c), &src, &g, &weight, &conv);
+                if !real {
+                    edge_zeros += 1;
+                    assert!(
+                        bit_eq(got, Itv::zero()),
+                        "[{label}] gbc: virtual position [{r}]({a},{b},{c}) holds {got}"
+                    );
                     continue;
                 }
-                let sbase = (i * ww + j) * conv.cout;
-                for f in 0..conv.kh {
-                    let a = i * conv.sh + f;
-                    let dh = dst_oh + a as i32;
-                    if dh < 0 || dh as usize >= conv.in_h {
-                        continue;
-                    }
-                    for gg in 0..conv.kw {
-                        let b = j * conv.sw + gg;
-                        let dw = dst_ow + b as i32;
-                        if dw < 0 || dw as usize >= conv.in_w {
-                            continue;
-                        }
-                        let obase = (a * dst_win.1 + b) * conv.cin;
-                        for d in 0..conv.cout {
-                            let m = row[sbase + d];
-                            if m.lo == 0.0 && m.hi == 0.0 {
-                                continue;
-                            }
-                            let wbase = conv.widx(f, gg, d, 0);
-                            for c in 0..conv.cin {
-                                out[obase + c] = m.mul_add_f(weight[wbase + c], out[obase + c]);
-                            }
-                        }
+                // Rows 0, 2 and 5 are finite: there, exactly the elements
+                // that meet the NaN weight leave the wide rule.
+                if matches!(r, 0 | 2 | 5) {
+                    let touched = terms.iter().any(|(_, w)| w.is_nan());
+                    nan_touched += usize::from(touched);
+                    assert_eq!(
+                        got.is_finite(),
+                        !touched,
+                        "[{label}] gbc: [{r}]({a},{b},{c}) = {got}, NaN weight among its \
+                         terms: {touched}"
+                    );
+                }
+                if r == 3 {
+                    assert!(
+                        bit_eq(got, Itv::zero()),
+                        "[{label}] gbc: all-zero source row left {got} at ({a},{b},{c})"
+                    );
+                }
+                if r == 4 {
+                    assert!(terms.len() <= 1, "one coefficient, one term at most");
+                    if let Some(&(_, w)) = terms.first().filter(|(_, w)| w.is_finite()) {
+                        singles += 1;
+                        let (p, q) = (0.1_f32 as f64 * w as f64, 0.3_f32 as f64 * w as f64);
+                        let tight = Itv::<f32> {
+                            lo: round::from_f64_down(p.min(q)),
+                            hi: round::from_f64_up(p.max(q)),
+                        };
+                        assert!(
+                            got.lo == tight.lo && got.hi == tight.hi,
+                            "[{label}] gbc: single-term element ({a},{b},{c}) {got} is not \
+                             the tightest enclosure {tight}"
+                        );
                     }
                 }
             }
         }
     }
-    assert_planes_bit_eq(label, "gbc", &dst, &want);
+    assert!(
+        nan_touched > 0 && edge_zeros > 0 && singles > 0,
+        "[{label}] gbc special cases lost their corners: {nan_touched} / {edge_zeros} / {singles}"
+    );
+    for r in [1, 6] {
+        let row = &dst[r * dst_cols..(r + 1) * dst_cols];
+        assert!(
+            row.iter().any(|v| !v.is_finite()) && row.iter().any(|v| v.is_finite() && v.hi != 0.0),
+            "[{label}] gbc: row {r} must mix fallback and wide elements"
+        );
+    }
 }
 
 /// Checks the bias-fold kernel on one deterministic geometry against the
@@ -1055,7 +1297,64 @@ pub fn check_residual_merge_against_oracle<B: Backend>(device: &Device<B>, seed:
     assert_planes_bit_eq(label, "residual_merge", &dst, &want);
 }
 
-/// Checks candidate concretization against a serial oracle on a
+/// Straight-line oracle of a concretize launch from the written rule: per
+/// row, the non-zero terms of each plane in ascending window order against
+/// the row's segment's bounds; the lower bound of the lower plane and the
+/// upper bound of the upper plane by [`oracle_wide_bound`], both on the
+/// per-step chain when either does not apply; `hi.max(lo)` last.
+fn oracle_concretize(
+    lo: &[Itv<f32>],
+    hi: &[Itv<f32>],
+    cst_lo: &[Itv<f32>],
+    cst_hi: &[Itv<f32>],
+    g: &ExprGeom<'_>,
+    bounds_per_seg: &[&[Itv<f32>]],
+) -> Vec<Itv<f32>> {
+    let cols = g.cols();
+    (0..g.rows())
+        .map(|r| {
+            let bounds = bounds_per_seg[g.seg[r] as usize];
+            let (mut lo_terms, mut hi_terms) = (Vec::new(), Vec::new());
+            for i in 0..g.win_h {
+                for j in 0..g.win_w {
+                    if !g.is_real(r, i, j) {
+                        continue;
+                    }
+                    for c in 0..g.chans {
+                        let at = r * cols + (i * g.win_w + j) * g.chans + c;
+                        let b = bounds[g.neuron_at(r, i, j) + c];
+                        for (plane, terms) in [(lo, &mut lo_terms), (hi, &mut hi_terms)] {
+                            if !(plane[at].lo == 0.0 && plane[at].hi == 0.0) {
+                                terms.push((plane[at], b));
+                            }
+                        }
+                    }
+                }
+            }
+            let wide = oracle_wide_bound(cst_lo[r].lo, &lo_terms, false).zip(oracle_wide_bound(
+                cst_hi[r].hi,
+                &hi_terms,
+                true,
+            ));
+            let (l, h) = wide.unwrap_or_else(|| {
+                (
+                    lo_terms
+                        .iter()
+                        .fold(cst_lo[r].lo, |l, &(a, b)| round::add_down(l, a.mul(b).lo)),
+                    hi_terms
+                        .iter()
+                        .fold(cst_hi[r].hi, |h, &(a, b)| round::add_up(h, a.mul(b).hi)),
+                )
+            });
+            Itv {
+                lo: l,
+                hi: h.max(l),
+            }
+        })
+        .collect()
+}
+
+/// Checks candidate concretization against [`oracle_concretize`] on a
 /// multi-segment geometry (each row substitutes its own segment's bounds).
 ///
 /// # Panics
@@ -1107,43 +1406,132 @@ pub fn check_concretize_against_oracle<B: Backend>(device: &Device<B>, seed: u64
         launches0 + 1,
         "[{label}] concretize must record its launch"
     );
-    let g = case.geom();
-    for r in 0..case.rows() {
-        let b = &bounds[case.seg[r] as usize];
-        let lo_row = &lo[r * case.cols()..(r + 1) * case.cols()];
-        let hi_row = &hi[r * case.cols()..(r + 1) * case.cols()];
-        let mut l = cst_lo[r].lo;
-        let mut h = cst_hi[r].hi;
-        for i in 0..case.win_h {
-            for j in 0..case.win_w {
-                if !g.is_real(r, i, j) {
-                    continue;
-                }
-                let base = (i * case.win_w + j) * case.chans;
-                let nbase = g.neuron_at(r, i, j);
-                for c in 0..case.chans {
-                    let bb = b[nbase + c];
-                    let a = lo_row[base + c];
-                    if !(a.lo == 0.0 && a.hi == 0.0) {
-                        l = round::add_down(l, a.mul(bb).lo);
-                    }
-                    let a = hi_row[base + c];
-                    if !(a.lo == 0.0 && a.hi == 0.0) {
-                        h = round::add_up(h, a.mul(bb).hi);
-                    }
-                }
-            }
-        }
-        let want = Itv {
-            lo: l,
-            hi: h.max(l),
-        };
+    let want = oracle_concretize(&lo, &hi, &cst_lo, &cst_hi, &case.geom(), &bref);
+    assert_planes_bit_eq(label, "concretize", &out, &want);
+}
+
+/// Pins the corners of the concretize contract that random data does not
+/// reach: a `+inf` coefficient and `top` / half-infinite bounds (exactly the
+/// rows that meet one take the per-step chain — a neighbouring segment with
+/// finite bounds does not), `[0, 0]` bounds of either sign, an all-zero row
+/// (the candidate is the constants, `-0.0` included) and single-term rows
+/// with zero constants (no addition, so each side is the tightest enclosure
+/// of one exact product).
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_concretize_special_cases<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0xc5c);
+    // Full 2×2×3 windows at the origin: every row sees all 12 neurons.
+    let mut case = GeomCase::new(8, 2, 2, 2, 2, 3, 2, &mut s);
+    case.origins = vec![(0, 0); 8];
+    case.origins[7] = (-1, 1); // one row hanging over the corner
+    let cols = case.cols();
+    let mut lo = case.plane(&mut s);
+    let mut hi = case.plane(&mut s);
+    let mut cst_lo = case.csts(&mut s);
+    let mut cst_hi = case.csts(&mut s);
+    let mut bounds: Vec<Vec<Itv<f32>>> = (0..2)
+        .map(|_| {
+            (0..case.frontier_len())
+                .map(|_| {
+                    let l = s.next_f32();
+                    Itv::new(l, l + s.next_f32().abs())
+                })
+                .collect()
+        })
+        .collect();
+    // Segment 0 (even rows) holds the non-finite bounds, segment 1 is finite.
+    bounds[0][1] = Itv::top();
+    bounds[0][6] = Itv::new(0.5, f32::INFINITY);
+    for seg in &mut bounds {
+        seg[3] = Itv::zero();
+        seg[10] = Itv::point(-0.0);
+    }
+    // Rows 0 and 4 (segment 0) keep their non-zero coefficients on the
+    // non-finite bounds; row 6 (segment 0) does not touch them.
+    for row in [0, 4] {
+        lo[row * cols + 1] = Itv::new(-0.25, 0.5);
+        hi[row * cols + 6] = Itv::point(0.75);
+    }
+    for plane in [&mut lo, &mut hi] {
+        plane[6 * cols + 1] = Itv::zero();
+        plane[6 * cols + 6] = Itv::point(-0.0);
+    }
+    lo[cols + 4] = Itv::new(1.0, f32::INFINITY); // row 1 (segment 1): a +inf coefficient
+    for plane in [&mut lo, &mut hi] {
+        plane[2 * cols..3 * cols].fill(Itv::point(-0.0)); // row 2: nothing to sum
+        plane[3 * cols..4 * cols].fill(Itv::zero()); // row 3: one term a side
+    }
+    cst_lo[2] = Itv::point(-0.0);
+    let (a_lo, a_hi) = (Itv::new(-0.3_f32, 0.1), Itv::new(0.2_f32, 0.7));
+    lo[3 * cols + 5] = a_lo;
+    hi[3 * cols + 8] = a_hi;
+    cst_lo[3] = Itv::zero();
+    cst_hi[3] = Itv::zero();
+
+    let bref: Vec<&[Itv<f32>]> = bounds.iter().map(Vec::as_slice).collect();
+    let mut out = vec![Itv::point(9.0_f32); case.rows()];
+    kernels::concretize(
+        device,
+        &lo,
+        &hi,
+        &cst_lo,
+        &cst_hi,
+        &case.geom(),
+        &bref,
+        &mut out,
+    );
+    let want = oracle_concretize(&lo, &hi, &cst_lo, &cst_hi, &case.geom(), &bref);
+    assert_planes_bit_eq_or_nan(label, "concretize (special cases)", &out, &want);
+
+    // The corners did what they are there for.
+    for row in [0, 4] {
         assert!(
-            bit_eq(out[r], want),
-            "[{label}] concretize[{r}]: {} != oracle {want}",
-            out[r]
+            out[row].lo == f32::NEG_INFINITY && out[row].hi == f32::INFINITY,
+            "[{label}] concretize: row {row} meets top and [0.5, inf] bounds, got {}",
+            out[row]
         );
     }
+    for row in [3, 5, 6, 7] {
+        assert!(
+            out[row].is_finite(),
+            "[{label}] concretize: row {row} has finite operands, got {}",
+            out[row]
+        );
+    }
+    let consts = Itv {
+        lo: cst_lo[2].lo,
+        hi: cst_hi[2].hi.max(cst_lo[2].lo),
+    };
+    assert!(
+        bit_eq(out[2], consts),
+        "[{label}] concretize: all-zero row must return its constants {consts}, got {}",
+        out[2]
+    );
+    // Row 3 is in segment 1: min / max of the four exact corner products.
+    let corners = |a: Itv<f32>, b: Itv<f32>| {
+        [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)].map(|(x, y)| x as f64 * y as f64)
+    };
+    let tight = Itv::<f32> {
+        lo: round::from_f64_down(
+            corners(a_lo, bounds[1][5])
+                .into_iter()
+                .fold(f64::INFINITY, f64::min),
+        ),
+        hi: round::from_f64_up(
+            corners(a_hi, bounds[1][8])
+                .into_iter()
+                .fold(f64::NEG_INFINITY, f64::max),
+        ),
+    };
+    assert!(
+        out[3].lo == tight.lo && out[3].hi == tight.hi,
+        "[{label}] concretize: single-term row {} is not the tightest enclosure {tight}",
+        out[3]
+    );
 }
 
 /// The device→device copy hook must round-trip bit-exactly and record its
@@ -1380,6 +1768,8 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
             check_concretize_against_oracle(&device, seed);
         }
         check_gemm_special_rows(&device);
+        check_gbc_special_cases(&device);
+        check_concretize_special_cases(&device);
         check_dtod(&device);
         check_copies(&device);
         assert!(

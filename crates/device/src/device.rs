@@ -1,7 +1,7 @@
 //! The device handle: worker pool, memory accounting, launch statistics.
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -257,8 +257,29 @@ impl DeviceStats {
     }
 }
 
-/// Shelved buffers keyed by `(element type, byte size)`.
-type Shelves = HashMap<(TypeId, usize), Vec<Box<dyn Any + Send>>>;
+/// One shelved buffer: a `Vec<T>` of `bytes / size_of::<T>()` elements behind
+/// `dyn Any`, with what best-fit reuse compares without downcasting.
+struct Shelved {
+    elem: TypeId,
+    bytes: usize,
+    data: Box<dyn Any + Send>,
+}
+
+/// How many times the device's live high-water mark
+/// ([`Device::peak_live_memory`]) the shelf may hold before the oldest
+/// shelved buffers are freed. Fixed, not configurable. Measured on the
+/// benchmark, `conv_fused` / `dense_single`, seed 1:
+///
+/// | multiple | pool hit share | `peak_device_mb` | `queries_per_s` |
+/// | --- | --- | --- | --- |
+/// | 1 | 0.37 / 0.73 | 59.9 / 2.05 | 12.4 / 63.0 |
+/// | **2** | 0.78 / 0.992 | 82.3 / 2.85 | 12.0–13.7 / 61.3–65.9 |
+/// | 4 | 0.95 / 0.999 | 127.8 / 3.32 | 13.6 / 62.4 |
+///
+/// Throughput does not tell them apart; at 1 a query no longer finds its own
+/// buffers again (`steady_state_queries_allocate_no_fresh_bytes` fails), and
+/// 4 buys the last misses of `conv_fused` with half as much memory again.
+pub const SHELF_LIVE_MULTIPLE: usize = 2;
 
 pub(crate) struct DeviceInner<B> {
     backend: B,
@@ -271,13 +292,19 @@ pub(crate) struct DeviceInner<B> {
     workers: usize,
     /// Reference count of buffer-pool users (engines). While non-zero (and
     /// the backend supports pooling), dropped pooled [`crate::DeviceBuffer`]s
-    /// are shelved here for exact size-class reuse instead of being freed.
+    /// are shelved here for reuse instead of being freed.
     recyclers: AtomicUsize,
-    /// Shelved buffers keyed by `(element type, byte size)`. Shelved bytes
-    /// stay charged against capacity; an allocation that would fail reclaims
-    /// the shelf before reporting out-of-memory.
-    shelves: Mutex<Shelves>,
+    /// Shelved buffers, oldest first. A request is served by the smallest
+    /// buffer of its element type that holds it and is at most twice as
+    /// large. Shelved bytes stay charged against capacity; the shelf is cut
+    /// back, oldest first, to [`SHELF_LIVE_MULTIPLE`] times `live_peak` after
+    /// every put, and an allocation that would fail reclaims all of it
+    /// before reporting out-of-memory.
+    shelf: Mutex<VecDeque<Shelved>>,
     shelved_bytes: AtomicUsize,
+    /// High-water mark of live bytes, `in_use − shelved_bytes`: what the
+    /// device's users held at once, which is what the shelf is sized by.
+    live_peak: AtomicUsize,
 }
 
 /// A handle to a simulated GPU, generic over the kernel [`Backend`]
@@ -378,8 +405,9 @@ impl<B: Backend> Device<B> {
                 name: config.name.unwrap_or_else(|| "gpupoly-sim".to_string()),
                 workers,
                 recyclers: AtomicUsize::new(0),
-                shelves: Mutex::new(Shelves::new()),
+                shelf: Mutex::new(VecDeque::new()),
                 shelved_bytes: AtomicUsize::new(0),
+                live_peak: AtomicUsize::new(0),
             }),
         }
     }
@@ -414,12 +442,31 @@ impl<B: Backend> Device<B> {
         self.inner.peak.load(Ordering::Relaxed)
     }
 
-    /// Bytes still allocatable (`usize::MAX` when unlimited).
+    /// Bytes still allocatable (`usize::MAX` when unlimited). Shelved pool
+    /// buffers count as free: an allocation that does not fit reclaims them
+    /// before it reports out-of-memory, so a warm pool leaves as much room
+    /// as a cold one.
     pub fn memory_free(&self) -> usize {
         match self.inner.capacity {
-            Some(cap) => cap.saturating_sub(self.memory_in_use()),
+            Some(cap) => cap.saturating_sub(self.live_bytes()),
             None => usize::MAX,
         }
+    }
+
+    /// `in_use` less the shelved bytes. The two counters are read one after
+    /// the other; where both change ([`Device::free_shelved`]) `in_use` drops
+    /// first, so a concurrent reader can see too little, never too much.
+    fn live_bytes(&self) -> usize {
+        self.memory_in_use()
+            .saturating_sub(self.buffer_pool_bytes())
+    }
+
+    /// Raises the live high-water mark after live bytes grew: an allocation
+    /// was charged, or a buffer left the shelf.
+    fn note_live(&self) {
+        self.inner
+            .live_peak
+            .fetch_max(self.live_bytes(), Ordering::Relaxed);
     }
 
     /// Work counters.
@@ -440,6 +487,7 @@ impl<B: Backend> Device<B> {
         }
         let new = self.inner.in_use.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.inner.peak.fetch_max(new, Ordering::Relaxed);
+        self.note_live();
         self.inner.stats.add_bytes(bytes);
         Ok(())
     }
@@ -458,6 +506,15 @@ impl<B: Backend> Device<B> {
     /// pool-eligible buffers are shelved for reuse instead of freed. Pair
     /// with [`Device::buffer_pool_release`]. A no-op in effect on backends
     /// that disable pooling (the user count is still balanced).
+    ///
+    /// Reuse is by capacity, not by exact size: a working buffer of `n`
+    /// bytes takes the smallest shelved buffer of its element type holding
+    /// between `n` and `2n` bytes and stays charged for all of it
+    /// ([`crate::DeviceBuffer::bytes`]) — the sizes a backsubstitution walk
+    /// asks for drift with every row it drops and rarely repeat. (Uploads,
+    /// [`crate::DeviceBuffer::from_slice`], take an exact fit only.) After
+    /// every drop the oldest shelved buffers are freed until the shelf holds
+    /// at most [`SHELF_LIVE_MULTIPLE`] times [`Device::peak_live_memory`].
     pub fn buffer_pool_retain(&self) {
         self.inner.recyclers.fetch_add(1, Ordering::Relaxed);
     }
@@ -483,12 +540,19 @@ impl<B: Backend> Device<B> {
 
     /// Frees every shelved buffer immediately.
     pub fn buffer_pool_clear(&self) {
-        let drained: Vec<_> = self.inner.shelves.lock().drain().collect();
-        for ((_, bytes), entries) in drained {
-            let freed = bytes * entries.len();
-            self.inner.shelved_bytes.fetch_sub(freed, Ordering::Relaxed);
-            self.track_free(freed);
+        let drained: Vec<Shelved> = self.inner.shelf.lock().drain(..).collect();
+        self.free_shelved(drained);
+    }
+
+    /// Returns the charge of buffers already taken off the shelf, then drops
+    /// their storage (outside the shelf lock).
+    fn free_shelved(&self, buffers: Vec<Shelved>) {
+        if buffers.is_empty() {
+            return;
         }
+        let freed: usize = buffers.iter().map(|s| s.bytes).sum();
+        self.track_free(freed);
+        self.inner.shelved_bytes.fetch_sub(freed, Ordering::Relaxed);
     }
 
     /// Bytes currently held by shelved (reusable) buffers. These count
@@ -497,48 +561,83 @@ impl<B: Backend> Device<B> {
         self.inner.shelved_bytes.load(Ordering::Relaxed)
     }
 
-    /// Takes a shelved buffer of exactly `len` elements of `T`, if any.
-    /// The returned storage keeps its existing memory charge.
-    pub(crate) fn pool_take<T: Send + 'static>(&self, len: usize) -> Option<Vec<T>> {
+    /// High-water mark of live bytes: [`Device::memory_in_use`] less
+    /// [`Device::buffer_pool_bytes`], i.e. what buffers in their owners'
+    /// hands (resident weights included) held at once. The shelf is bounded
+    /// by a fixed multiple of it, so [`Device::peak_memory`] stays within
+    /// that multiple plus one of this mark.
+    pub fn peak_live_memory(&self) -> usize {
+        self.inner.live_peak.load(Ordering::Relaxed)
+    }
+
+    /// Takes the best-fitting shelved buffer for `len` elements of `T`: the
+    /// smallest one of that element type holding at least `len` and at most
+    /// `max_len` elements (the newest among equals). The returned storage
+    /// may therefore be longer than `len`; it keeps its memory charge.
+    pub(crate) fn pool_take<T: Send + 'static>(
+        &self,
+        len: usize,
+        max_len: usize,
+    ) -> Option<Vec<T>> {
         if !self.buffer_pool_active() {
             return None;
         }
-        let bytes = len.saturating_mul(std::mem::size_of::<T>());
-        let key = (TypeId::of::<Vec<T>>(), bytes);
-        let boxed = {
-            let mut shelves = self.inner.shelves.lock();
-            let entry = shelves.get_mut(&key)?;
-            let boxed = entry.pop()?;
-            if entry.is_empty() {
-                shelves.remove(&key);
-            }
-            boxed
+        let size = std::mem::size_of::<T>();
+        let fits = len.saturating_mul(size)..=max_len.saturating_mul(size);
+        let elem = TypeId::of::<T>();
+        let taken = {
+            let mut shelf = self.inner.shelf.lock();
+            let at = shelf
+                .iter()
+                .enumerate()
+                .rev()
+                .filter(|(_, s)| s.elem == elem && fits.contains(&s.bytes))
+                .min_by_key(|(_, s)| s.bytes)?
+                .0;
+            shelf.remove(at).expect("index from the scan above")
         };
-        self.inner.shelved_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.inner
+            .shelved_bytes
+            .fetch_sub(taken.bytes, Ordering::Relaxed);
+        self.note_live();
         self.inner.stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-        let vec = *boxed.downcast::<Vec<T>>().expect("pool key/type mismatch");
-        debug_assert_eq!(vec.len(), len, "pooled buffer length drifted");
-        Some(vec)
+        Some(*taken.data.downcast::<Vec<T>>().expect("shelf type tag"))
     }
 
-    /// Shelves a buffer's storage for reuse, keeping its memory charge.
-    /// Returns `false` (storage not taken) when the pool is inactive —
-    /// the caller must then free the charge itself.
+    /// Shelves a buffer's storage for reuse, keeping its memory charge, then
+    /// frees the oldest shelved buffers while the shelf holds more than
+    /// [`SHELF_LIVE_MULTIPLE`] times the live high-water mark. Returns
+    /// `false` (storage not taken) when the pool is inactive — the caller
+    /// must then free the charge itself.
     pub(crate) fn pool_put<T: Send + 'static>(&self, data: Vec<T>, bytes: usize) -> bool {
         if bytes == 0 {
             return false;
         }
         debug_assert_eq!(data.len() * std::mem::size_of::<T>(), bytes);
-        let key = (TypeId::of::<Vec<T>>(), bytes);
-        let mut shelves = self.inner.shelves.lock();
-        // Re-checked under the shelves lock: the final buffer_pool_release
+        let mut shelf = self.inner.shelf.lock();
+        // Re-checked under the shelf lock: the final buffer_pool_release
         // drains under this lock after dropping the user count, so a put
         // that observes an active pool here cannot land after the drain.
         if !self.buffer_pool_active() {
             return false;
         }
-        shelves.entry(key).or_default().push(Box::new(data));
-        self.inner.shelved_bytes.fetch_add(bytes, Ordering::Relaxed);
+        shelf.push_back(Shelved {
+            elem: TypeId::of::<T>(),
+            bytes,
+            data: Box::new(data),
+        });
+        let mut shelved = self.inner.shelved_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        let budget = SHELF_LIVE_MULTIPLE.saturating_mul(self.peak_live_memory());
+        let mut evicted = Vec::new();
+        while shelved > budget {
+            let Some(oldest) = shelf.pop_front() else {
+                break;
+            };
+            shelved -= oldest.bytes;
+            evicted.push(oldest);
+        }
+        drop(shelf);
+        self.free_shelved(evicted);
         true
     }
 

@@ -22,9 +22,13 @@
 //!   through [`DeviceBuffer`] are charged against a configurable capacity and
 //!   fail with [`DeviceError::OutOfMemory`] when exceeded, which is exactly
 //!   the failure mode the paper reports for dense GPU implementations and the
-//!   reason for its chunked backsubstitution. Its [`DeviceStats`] meter
-//!   attributes launches, scalar-equivalent flops and bytes moved to every
-//!   kernel label.
+//!   reason for its chunked backsubstitution. While an engine is registered
+//!   ([`Device::buffer_pool_retain`]) dropped buffers are shelved and reused
+//!   by capacity — a working buffer takes the smallest shelved one that
+//!   holds it and is at most twice as large — and the shelf is held to
+//!   [`SHELF_LIVE_MULTIPLE`] times what was ever live at once. Its
+//!   [`DeviceStats`] meter attributes launches, scalar-equivalent flops and
+//!   bytes moved to every kernel label.
 //! * [`gemm`] / [`scan`] / [`kernels`] — the launch wrappers (dimension
 //!   checks + work metering) over the backend's GEMM family, prefix-sum /
 //!   compaction primitives (§4.2) and walk-step kernels. All verifier
@@ -56,5 +60,5 @@ pub mod scan;
 
 pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
-pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork};
+pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork, SHELF_LIVE_MULTIPLE};
 pub use relax::ReluRelax;

@@ -7,7 +7,7 @@
 //! strictly stronger than the original per-kernel assertions.
 
 use gpupoly_device::{conformance, gemm, CpuSimBackend, Device, DeviceConfig};
-use gpupoly_device::{Backend, ReferenceBackend};
+use gpupoly_device::{Backend, DeviceBuffer, ReferenceBackend, SHELF_LIVE_MULTIPLE};
 use gpupoly_interval::Itv;
 use proptest::prelude::*;
 
@@ -91,7 +91,6 @@ proptest! {
         sizes in prop::collection::vec(1usize..2000, 1..30),
         cap in 1000usize..10_000,
     ) {
-        use gpupoly_device::DeviceBuffer;
         let dev = Device::new(DeviceConfig::new().workers(1).memory_capacity(cap));
         let mut live = Vec::new();
         for (i, &s) in sizes.iter().enumerate() {
@@ -108,6 +107,146 @@ proptest! {
         prop_assert_eq!(dev.memory_in_use(), 0);
         prop_assert!(dev.peak_memory() <= cap);
     }
+}
+
+/// A held pool buffer of one of two element types of the same size — the
+/// pair a size-keyed shelf would be most tempted to confuse.
+enum Held {
+    U(DeviceBuffer<u64>),
+    I(DeviceBuffer<i64>),
+}
+
+impl Held {
+    fn bytes(&self) -> usize {
+        match self {
+            Held::U(b) => b.bytes(),
+            Held::I(b) => b.bytes(),
+        }
+    }
+}
+
+/// Allocates `len` elements of `T` through one of the three pool-eligible
+/// constructors and checks what the pool handed out: the length asked for,
+/// the promised contents, and a charge of one to two times the request.
+fn pool_alloc<T>(dev: &Device, len: usize, ctor: u32, fill: T) -> DeviceBuffer<T>
+where
+    T: Copy + Default + PartialEq + std::fmt::Debug + Send + 'static,
+{
+    let mut buf = match ctor {
+        0 => DeviceBuffer::<T>::zeroed(dev, len).unwrap(),
+        1 => DeviceBuffer::<T>::for_overwrite(dev, len).unwrap(),
+        _ => DeviceBuffer::from_slice(dev, &vec![fill; len]).unwrap(),
+    };
+    let want = len * std::mem::size_of::<T>();
+    assert_eq!(buf.len(), len);
+    assert!(
+        (want..=2 * want).contains(&buf.bytes()),
+        "{want} B served by a {} B allocation",
+        buf.bytes()
+    );
+    match ctor {
+        0 => assert!(buf.iter().all(|&x| x == T::default()), "zeroed contents"),
+        1 => {}
+        _ => assert!(buf.iter().all(|&x| x == fill), "uploaded contents"),
+    }
+    buf.fill(fill); // dirty it for whoever is served this allocation next
+    buf
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn pool_accounting_holds_over_random_alloc_drop_sequences(
+        ops in prop::collection::vec(
+            (0u32..100, 0.6f32..1.4, any::<bool>(), 0u32..3, 0usize..64),
+            50..400,
+        ),
+    ) {
+        let dev = Device::new(DeviceConfig::new().workers(1));
+        dev.buffer_pool_retain();
+        let mut held: Vec<Held> = Vec::new();
+        // Request sizes drift downwards, as the rows of a walk do after every
+        // early-termination filter, and start over with the next walk.
+        let mut base = 6000usize;
+        for &(choice, scale, unsigned, ctor, pick) in &ops {
+            if choice < 55 || held.is_empty() {
+                let len = (base as f32 * scale) as usize + 1;
+                base = if base < 64 { 6000 } else { base * 15 / 16 };
+                let (hits0, fresh0) = (dev.stats().pool_hits(), dev.stats().bytes_allocated());
+                let buf = if unsigned {
+                    Held::U(pool_alloc(&dev, len, ctor, u64::MAX))
+                } else {
+                    Held::I(pool_alloc(&dev, len, ctor, -1i64))
+                };
+                // Recycled (no fresh bytes) or fresh (exactly the request).
+                let fresh = (dev.stats().bytes_allocated() - fresh0) as usize;
+                if dev.stats().pool_hits() > hits0 {
+                    prop_assert_eq!(fresh, 0);
+                } else {
+                    prop_assert_eq!((fresh, buf.bytes()), (len * 8, len * 8));
+                }
+                held.push(buf);
+            } else {
+                held.swap_remove(pick % held.len());
+            }
+            let live: usize = held.iter().map(Held::bytes).sum();
+            prop_assert_eq!(dev.memory_in_use(), live + dev.buffer_pool_bytes());
+            prop_assert!(live <= dev.peak_live_memory());
+            prop_assert!(dev.buffer_pool_bytes() <= SHELF_LIVE_MULTIPLE * dev.peak_live_memory());
+            prop_assert!(dev.peak_memory() <= (SHELF_LIVE_MULTIPLE + 1) * dev.peak_live_memory());
+        }
+        prop_assert!(dev.stats().pool_hits() > 0, "the sequence never recycled");
+        drop(held);
+        prop_assert_eq!(dev.memory_in_use(), dev.buffer_pool_bytes());
+        dev.buffer_pool_release();
+        prop_assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
+    }
+}
+
+/// The shelf is shared by every lane of a batch: eight threads allocate and
+/// drop drifting sizes of both element types against one device at once. No
+/// interleaving is forced (none is special); what must hold whatever the
+/// schedule is that no charge is lost or double-counted and that the last
+/// release drains everything.
+#[test]
+fn pool_accounting_survives_concurrent_lanes() {
+    let dev = Device::new(DeviceConfig::new().workers(1));
+    dev.buffer_pool_retain();
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for lane in 0..8u64 {
+            let (dev, start) = (&dev, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut held: Vec<Held> = Vec::new();
+                let mut x = lane + 1;
+                for step in 0..600usize {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let len = 64 + (x >> 40) as usize % 4096;
+                    if held.len() < 6 {
+                        held.push(if x & 1 == 0 {
+                            Held::U(pool_alloc(dev, len, step as u32 % 3, lane))
+                        } else {
+                            Held::I(pool_alloc(dev, len, step as u32 % 3, lane as i64))
+                        });
+                    } else {
+                        held.swap_remove((x >> 20) as usize % held.len());
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        dev.memory_in_use(),
+        dev.buffer_pool_bytes(),
+        "every lane dropped its buffers: what is charged is on the shelf"
+    );
+    assert!(dev.stats().pool_hits() > 0);
+    dev.buffer_pool_release();
+    assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
 }
 
 #[test]

@@ -66,6 +66,40 @@
 //! therefore exact up to the final conversion: multiplying by an identity
 //! matrix returns its input bit for bit.
 //!
+//! # Interval × interval: one directed bound ([`WideBound`])
+//!
+//! Concretization substitutes *interval* bounds `b_i` for the variables of an
+//! expression with interval coefficients `a_i` and keeps one side of the
+//! result: the lower bound of the lower expression, the upper bound of the
+//! upper one. Both operands are `F` intervals, so all four endpoint products
+//! are exact in `f64` and the rule carries over with the interval product in
+//! place of `a_i · w_i`. For the lower bound, from a scalar start `c`
+//! (exact-zero coefficients `a_i` already skipped by the caller):
+//!
+//! ```text
+//! s = c;  T = |c|
+//! for i in 1..=t:
+//!     p1 = a_i.lo · b_i.lo;  p2 = a_i.lo · b_i.hi       // all four exact
+//!     p3 = a_i.hi · b_i.lo;  p4 = a_i.hi · b_i.hi
+//!     s = s + m(m(p1, p2), m(p3, p4))                   // m(p, q) = p < q ? p : q
+//!     T = T + max(|a_i.lo|, |a_i.hi|) · max(|b_i.lo|, |b_i.hi|)
+//! adds = max(t − 1 + [c ≠ 0], 0)
+//! e    = up(T · adds · 2⁻⁵²)                            // zero when adds = 0
+//! result = down_F(down(s − e))
+//! ```
+//!
+//! The upper bound is the mirror image: `m(p, q) = p > q ? p : q` and
+//! `result = up_F(up(s + e))`. `T` not finite — a `±inf` or NaN coefficient,
+//! bound or start — again means no result.
+//!
+//! *Soundness.* A product `x · y` over a box attains its extrema at the
+//! corners, so `x_i = min(p1, p2, p3, p4)` is the exact lower endpoint of
+//! `a_i · b_i` and `|x_i| ≤ max|a_i| · max|b_i| = T_i`. Two `f32` operands make
+//! every `p` and the magnitude product exact (step 1 above); steps 2–4 use
+//! nothing else about the summands and hold as written. Every fed term counts
+//! towards `adds`, including one whose bound is `[0, 0]` and whose addition
+//! is therefore exact: over-counting only widens.
+//!
 //! # Example
 //!
 //! ```
@@ -115,6 +149,29 @@ impl WideTerm {
             mag: mag_or_inf(lo, hi),
         }
     }
+
+    /// `true` for an exact-zero coefficient (`lo == 0 && hi == 0`, either
+    /// sign of zero): the term the kernels' mandatory zero-skip drops.
+    #[inline(always)]
+    pub fn is_zero(&self) -> bool {
+        self.mag == 0.0
+    }
+}
+
+/// The a-priori round-off bound `up(T · adds · 2⁻⁵²)` of `adds ≥ 1` inexact
+/// `f64` additions whose summands have magnitude sum `T` (step 3 of the
+/// proof, which needs `adds · 2⁻⁵³ ≤ 0.29`).
+///
+/// # Panics
+///
+/// Panics when `adds` exceeds `2³²`.
+#[inline]
+fn widening(t: f64, adds: usize) -> f64 {
+    assert!(
+        adds as u64 <= 1 << 32,
+        "wide accumulation over too many terms"
+    );
+    round::mul_up(t, adds as f64 * f64::EPSILON)
 }
 
 /// `N` interval×scalar dot products accumulated in `f64`; see the module
@@ -196,18 +253,94 @@ impl<const N: usize> WideAcc<N> {
         let adds = rounded.saturating_sub(1);
         let (mut lo, mut hi) = (self.lo[j], self.hi[j]);
         if adds > 0 {
-            // Step 3 of the proof needs adds·2⁻⁵³ ≤ 0.29.
-            assert!(
-                adds as u64 <= 1 << 32,
-                "wide accumulation over too many terms"
-            );
-            let e = round::mul_up(t, adds as f64 * f64::EPSILON);
+            let e = widening(t, adds);
             lo = round::sub_down(lo, e);
             hi = round::add_up(hi, e);
         }
         Some(Itv {
             lo: round::from_f64_down(lo),
             hi: round::from_f64_up(hi),
+        })
+    }
+}
+
+/// One directed bound of `c + Σ a_i · b_i` over interval coefficients *and*
+/// interval operands, accumulated in `f64`: the lower bound for
+/// `UPPER = false`, the upper bound for `UPPER = true`. See the module docs
+/// ("Interval × interval") for the rule and why it is sound. As with
+/// [`WideAcc`], the term count the error bound depends on is kept here.
+#[derive(Copy, Clone, Debug)]
+pub struct WideBound<const UPPER: bool> {
+    sum: f64,
+    mag: f64,
+    /// Additions that can round: every fed term, plus a non-zero start.
+    rounded: usize,
+}
+
+impl<const UPPER: bool> WideBound<UPPER> {
+    /// Starts the sum at the scalar `c` (an expression's constant bound).
+    #[inline(always)]
+    pub fn new<F: Fp>(c: F) -> Self {
+        debug_assert!(F::EXACT_IN_F64, "wide accumulation needs exact products");
+        let c = c.to_f64();
+        Self {
+            sum: c,
+            mag: mag_or_inf(c, c),
+            rounded: usize::from(c != 0.0),
+        }
+    }
+
+    /// Accumulates this side's endpoint of the interval product `a · b`. The
+    /// caller skips exact-zero coefficients `a` *before* calling: every call
+    /// counts as a term of the error bound.
+    #[inline(always)]
+    pub fn mul_add(&mut self, a: WideTerm, b: WideTerm) {
+        let pick = |p: f64, q: f64| {
+            if UPPER {
+                if p > q {
+                    p
+                } else {
+                    q
+                }
+            } else if p < q {
+                p
+            } else {
+                q
+            }
+        };
+        self.rounded += 1;
+        self.sum += pick(
+            pick(a.lo * b.lo, a.lo * b.hi),
+            pick(a.hi * b.lo, a.hi * b.hi),
+        );
+        self.mag += a.mag * b.mag;
+    }
+
+    /// The sound bound, or `None` when an operand was not finite (the caller
+    /// then falls back to the per-step chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics when more than `2³²` terms were accumulated.
+    #[inline]
+    pub fn finish<F: Fp>(&self) -> Option<F> {
+        if !self.mag.is_finite() {
+            return None;
+        }
+        let adds = self.rounded.saturating_sub(1);
+        let mut s = self.sum;
+        if adds > 0 {
+            let e = widening(self.mag, adds);
+            s = if UPPER {
+                round::add_up(s, e)
+            } else {
+                round::sub_down(s, e)
+            };
+        }
+        Some(if UPPER {
+            round::from_f64_up(s)
+        } else {
+            round::from_f64_down(s)
         })
     }
 }
@@ -279,6 +412,52 @@ mod tests {
             hi: 1.0,
         };
         assert_eq!(dot(None, &[(nan_lo, 1.0)]), None);
+    }
+
+    fn bounds(c: f32, terms: &[(Itv<f32>, Itv<f32>)]) -> Option<(f32, f32)> {
+        let mut lo = WideBound::<false>::new(c);
+        let mut hi = WideBound::<true>::new(c);
+        for &(a, b) in terms {
+            lo.mul_add(WideTerm::new(a), WideTerm::new(b));
+            hi.mul_add(WideTerm::new(a), WideTerm::new(b));
+        }
+        lo.finish().zip(hi.finish())
+    }
+
+    #[test]
+    fn bounds_pick_the_extreme_corner_of_each_interval_product() {
+        let (a, b) = (Itv::new(-1.0_f32, 2.0), Itv::new(-3.0_f32, 0.5));
+        // corners: 3, -0.5, -6, 1 — alone, a term is exact.
+        assert_eq!(bounds(0.0, &[(a, b)]), Some((-6.0, 3.0)));
+        // exact: [-6 - 2, 3 + 2] from 2 · [-1, 1]; two terms round once.
+        let (lo, hi) = bounds(0.0, &[(a, b), (Itv::point(2.0), Itv::new(-1.0, 1.0))]).unwrap();
+        assert!(lo <= -8.0 && 5.0 <= hi);
+        assert!(lo >= (-8.0_f32).next_down() && hi <= 5.0_f32.next_up());
+    }
+
+    #[test]
+    fn bounds_without_an_inexact_addition_are_exact() {
+        assert_eq!(bounds(-0.3, &[]), Some((-0.3, -0.3)));
+        let z = bounds(-0.0, &[]).unwrap();
+        assert_eq!(z.0.to_bits(), (-0.0_f32).to_bits());
+        assert_eq!(z.1.to_bits(), (-0.0_f32).to_bits());
+        // A product that is not an f32 rounds outward by exactly one step.
+        let (lo, hi) = bounds(0.0, &[(Itv::point(0.1), Itv::point(0.3))]).unwrap();
+        assert!((lo as f64) < 0.1_f32 as f64 * 0.3_f32 as f64);
+        assert_eq!(lo.next_up(), hi);
+        // A non-zero start makes the first addition round.
+        let (lo, hi) = bounds(1.0, &[(Itv::point(0.5), Itv::point(0.5))]).unwrap();
+        assert!(lo < 1.25 && 1.25 < hi);
+    }
+
+    #[test]
+    fn bounds_have_no_result_for_non_finite_operands() {
+        let one = Itv::point(1.0_f32);
+        assert_eq!(bounds(0.0, &[(one, Itv::top())]), None);
+        assert_eq!(bounds(0.0, &[(Itv::new(0.0, f32::INFINITY), one)]), None);
+        assert_eq!(bounds(0.0, &[(Itv::top(), Itv::zero())]), None);
+        assert_eq!(bounds(f32::INFINITY, &[]), None);
+        assert_eq!(bounds(f32::NAN, &[(one, one)]), None);
     }
 
     #[test]

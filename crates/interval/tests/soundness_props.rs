@@ -3,7 +3,7 @@
 //! intervals. We use f64 arithmetic as the (much more precise) reference for
 //! f32 intervals, and exact rational reasoning where cheap.
 
-use gpupoly_interval::wide::{WideAcc, WideTerm};
+use gpupoly_interval::wide::{WideAcc, WideBound, WideTerm};
 use gpupoly_interval::{dot, round, Itv};
 use proptest::prelude::*;
 
@@ -379,6 +379,203 @@ proptest! {
         let chain = chain_dot(init, &terms);
         prop_assert!(chain.contains_itv(wide), "{wide} not inside the chain's {chain}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The two kernels that joined the GEMM on the accumulator: GBC feeds it short
+// term lists that are mostly exact zeros, concretize uses the interval ×
+// interval rule (`WideBound`).
+// ---------------------------------------------------------------------------
+
+/// A term as the GBC gather meets it: ulp-wide coefficients left by earlier
+/// steps, about half of them exact zeros of either sign (dependence-set
+/// padding, stably dead ReLUs), and filter weights that are sometimes `±0`.
+fn gbc_term() -> impl Strategy<Value = (Itv<f32>, f32)> {
+    // (The shim's `prop_oneof!` is uniform: repeats are the weights.)
+    let live = || {
+        (-4.0f32..4.0f32, 0u32..3).prop_map(|(c, ulps)| {
+            let hi = (0..ulps).fold(c, |x, _| x.next_up());
+            Itv::new(c, hi)
+        })
+    };
+    let coeff = prop_oneof![
+        Just(Itv::zero()),
+        Just(Itv::zero()),
+        Just(Itv::point(-0.0f32)),
+        Just(Itv::new(-0.0f32, 0.0)),
+        live(),
+        live(),
+        live(),
+        live(),
+    ];
+    let weight = || -1.0f32..1.0f32;
+    let weight = prop_oneof![
+        weight(),
+        weight(),
+        weight(),
+        weight(),
+        weight(),
+        weight(),
+        Just(0.0f32),
+        Just(-0.0f32),
+    ];
+    (coeff, weight)
+}
+
+/// Both directed bounds of `c + Σ a·b` the way `concretize_row` drives
+/// [`WideBound`]: exact-zero coefficients skipped, the rest in order.
+fn wide_bounds(c: f32, terms: &[(Itv<f32>, Itv<f32>)]) -> Option<(f32, f32)> {
+    let mut lo = WideBound::<false>::new(c);
+    let mut hi = WideBound::<true>::new(c);
+    for &(a, b) in terms {
+        if a.lo == 0.0 && a.hi == 0.0 {
+            continue;
+        }
+        lo.mul_add(WideTerm::new(a), WideTerm::new(b));
+        hi.mul_add(WideTerm::new(a), WideTerm::new(b));
+    }
+    lo.finish().zip(hi.finish())
+}
+
+/// The per-step chain `concretize_row` falls back to, driven the same way.
+fn chain_bounds(c: f32, terms: &[(Itv<f32>, Itv<f32>)]) -> (f32, f32) {
+    terms
+        .iter()
+        .filter(|(a, _)| !(a.lo == 0.0 && a.hi == 0.0))
+        .fold((c, c), |(lo, hi), &(a, b)| {
+            let p = a * b;
+            (round::add_down(lo, p.lo), round::add_up(hi, p.hi))
+        })
+}
+
+/// The four exact corner products of `a · b`.
+fn corners(a: Itv<f32>, b: Itv<f32>) -> [f64; 4] {
+    [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)].map(|(x, y)| x as f64 * y as f64)
+}
+
+/// Checks `wide_bounds` against the exact `c + Σ min₄` and `c + Σ max₄`.
+fn assert_bounds_enclose(
+    c: f32,
+    terms: &[(Itv<f32>, Itv<f32>)],
+) -> Result<(f32, f32), TestCaseError> {
+    let (lo, hi) = wide_bounds(c, terms).expect("finite operands have a result");
+    let (mut exact_lo, mut exact_hi) = (Exact::ZERO, Exact::ZERO);
+    exact_lo.add(c as f64, 1);
+    exact_hi.add(c as f64, 1);
+    for &(a, b) in terms {
+        let p = corners(a, b);
+        exact_lo.add(p.into_iter().fold(f64::INFINITY, f64::min), 1);
+        exact_hi.add(p.into_iter().fold(f64::NEG_INFINITY, f64::max), 1);
+    }
+    prop_assert!(!lo.is_nan() && !hi.is_nan(), "NaN bound in [{lo}, {hi}]");
+    prop_assert!(
+        exact_lo.at_least(lo),
+        "lower bound {lo} above the exact sum"
+    );
+    prop_assert!(exact_hi.at_most(hi), "upper bound {hi} below the exact sum");
+    Ok((lo, hi))
+}
+
+/// Bounds as concretize meets them: any finite interval, and `[0, 0]` of
+/// either sign (a stably dead ReLU's output).
+fn wild_bound() -> impl Strategy<Value = Itv<f32>> {
+    prop_oneof![
+        wild_itv(),
+        wild_itv(),
+        wild_itv(),
+        wild_itv(),
+        Just(Itv::zero()),
+        Just(Itv::point(-0.0f32)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn wide_dot_encloses_exact_sum_on_gbc_shaped_term_lists(
+        // At most ⌈3/1⌉² taps × 8 output channels contribute to an element.
+        terms in prop::collection::vec(gbc_term(), 0..73),
+    ) {
+        let y = assert_encloses(Itv::zero(), &terms)?;
+        // Elements with at most one non-zero product are exact up to the
+        // final conversion: the tightest f32 enclosure of that product.
+        let live: Vec<_> = terms
+            .iter()
+            .filter(|(a, w)| !(a.lo == 0.0 && a.hi == 0.0) && *w != 0.0)
+            .collect();
+        if let [(a, w)] = live[..] {
+            let (p, q) = (a.lo as f64 * *w as f64, a.hi as f64 * *w as f64);
+            prop_assert_eq!(y.lo, round::from_f64_down::<f32>(p.min(q)));
+            prop_assert_eq!(y.hi, round::from_f64_up::<f32>(p.max(q)));
+        }
+        if live.is_empty() {
+            prop_assert!(y.lo == 0.0 && y.hi == 0.0, "no product, yet {y}");
+        }
+    }
+
+    #[test]
+    fn wide_bounds_enclose_exact_sum_on_mixed_magnitudes(
+        c in prop_oneof![Just(0.0f32), Just(-0.0f32), wild_f32()],
+        terms in prop::collection::vec((wild_itv(), wild_bound()), 0..64),
+    ) {
+        assert_bounds_enclose(c, &terms)?;
+    }
+
+    #[test]
+    fn wide_bounds_enclose_exact_sum_under_massive_cancellation(
+        big in prop::collection::vec((wild_f32(), wild_f32()), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+    ) {
+        // Point coefficients on point bounds, each large product followed
+        // (eventually) by its negation: both exact sums are the small tail.
+        let point = |&(a, b): &(f32, f32)| (Itv::point(a), Itv::point(b));
+        let mut terms: Vec<_> = big.iter().map(point).collect();
+        terms.extend(big.iter().map(|&(a, b)| (Itv::point(a), Itv::point(-b))));
+        terms.extend(small.iter().map(point));
+        let (lo, hi) = assert_bounds_enclose(0.0, &terms)?;
+        let tail: f64 = small.iter().map(|&(a, b)| a as f64 * b as f64).sum();
+        prop_assert!((lo as f64) <= tail + 1e-50 && tail - 1e-50 <= (hi as f64));
+    }
+
+    #[test]
+    fn wide_bounds_are_inside_the_per_step_chain(
+        c in prop_oneof![Just(0.0f32), -1e3f32..1e3f32],
+        terms in prop::collection::vec(
+            (generic_term(), generic_term()).prop_map(|((a, _), (b, _))| (a, b)),
+            0..256,
+        ),
+    ) {
+        let (lo, hi) = assert_bounds_enclose(c, &terms)?;
+        let (chain_lo, chain_hi) = chain_bounds(c, &terms);
+        prop_assert!(
+            chain_lo <= lo && hi <= chain_hi,
+            "[{lo}, {hi}] not inside the chain's [{chain_lo}, {chain_hi}]"
+        );
+    }
+}
+
+#[test]
+fn wide_bounds_have_no_result_for_non_finite_operands() {
+    let one = Itv::point(1.0_f32);
+    assert!(wide_bounds(0.0, &[(one, one)]).is_some());
+    assert_eq!(wide_bounds(0.0, &[(one, Itv::top())]), None);
+    assert_eq!(
+        wide_bounds(0.0, &[(one, Itv::new(0.5, f32::INFINITY))]),
+        None
+    );
+    assert_eq!(
+        wide_bounds(0.0, &[(Itv::new(1.0, f32::INFINITY), one)]),
+        None
+    );
+    assert_eq!(wide_bounds(0.0, &[(Itv::top(), Itv::zero())]), None);
+    assert_eq!(wide_bounds(f32::NEG_INFINITY, &[(one, one)]), None);
+    assert_eq!(wide_bounds(f32::NAN, &[]), None);
+    // A skipped (exact-zero) coefficient never meets its bound.
+    assert_eq!(
+        wide_bounds(0.25, &[(Itv::zero(), Itv::top())]),
+        Some((0.25, 0.25))
+    );
 }
 
 #[test]
