@@ -1,6 +1,5 @@
 //! Shared harness for the benchmark binaries that regenerate every table
-//! and figure of the GPUPoly evaluation (see `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for recorded results).
+//! and figure of the GPUPoly evaluation.
 //!
 //! The binaries (`table1` … `table4`, `figure5`) build the paper's networks
 //! at a configurable `--scale`, train them under their Table-1 regime on

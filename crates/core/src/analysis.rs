@@ -9,7 +9,7 @@
 //! chunks (§4.2, "Memory management").
 
 use gpupoly_device::{Backend, Device, DeviceError};
-use gpupoly_interval::{Fp, Itv};
+use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Graph, NodeId, Op};
 use rayon::prelude::*;
 
@@ -51,6 +51,16 @@ impl AnalysisStats {
 pub struct Analysis<F> {
     /// Per-node concrete bounds (indexed by [`NodeId`]).
     pub bounds: Vec<Vec<Itv<F>>>,
+    /// Per-node inference round-off (§4.1), indexed like `bounds`: for a
+    /// node that inference computes in floats — dense, convolution, residual
+    /// add — how far each neuron, as computed, can lie from the node's exact
+    /// map of its (computed) input, anywhere in the input region. A
+    /// backsubstitution step treats the node as that exact map, so a row owes
+    /// `Σ |coefficient| · round_off` to its constants before it steps through
+    /// ([`crate::ExprBatch::absorb_round_off`]). Empty for the nodes that are
+    /// exact (input, ReLU), and for every node when
+    /// [`VerifyConfig::account_inference_error`] is off.
+    pub round_off: Vec<Vec<F>>,
     /// Work counters.
     pub stats: AnalysisStats,
 }
@@ -59,6 +69,52 @@ impl<F: Fp> Analysis<F> {
     /// Bounds of the network output.
     pub fn output_bounds(&self) -> &[Itv<F>] {
         self.bounds.last().expect("non-empty graph")
+    }
+
+    /// The state an analysis starts from: forward interval bounds, no
+    /// round-off noted and no work counted yet.
+    pub(crate) fn seeded(bounds: Vec<Vec<Itv<F>>>) -> Self {
+        Self {
+            round_off: vec![Vec::new(); bounds.len()],
+            bounds,
+            stats: AnalysisStats::default(),
+        }
+    }
+
+    /// Notes the round-off of every node up to `upto` that has none yet,
+    /// from the bounds as they stand. The schedule calls this before its
+    /// walks first step through those nodes — by then everything up to `upto`
+    /// has its final bounds — and bounds only tighten, so what was noted
+    /// earlier stays valid.
+    fn note_round_off(&mut self, graph: &Graph<'_, F>, cfg: &VerifyConfig, upto: NodeId) {
+        if !cfg.account_inference_error {
+            return;
+        }
+        for (i, node) in graph.nodes.iter().enumerate().take(upto + 1) {
+            if !self.round_off[i].is_empty() || matches!(node.op, Op::Input | Op::Relu) {
+                continue;
+            }
+            let mut err = vec![F::ZERO; node.shape.len()];
+            let mut image = vec![Itv::zero(); err.len()];
+            match &node.op {
+                Op::Dense(d) => {
+                    d.forward_itv_round_off(&self.bounds[node.parents[0]], &mut image, &mut err)
+                }
+                Op::Conv(c) => {
+                    c.forward_itv_round_off(&self.bounds[node.parents[0]], &mut image, &mut err)
+                }
+                // One rounded addition: within half an ulp of its result,
+                // which the node's own bounds hold.
+                Op::Add { .. } => {
+                    let u = F::EPSILON * F::HALF;
+                    for (e, b) in err.iter_mut().zip(&self.bounds[i]) {
+                        *e = round::mul_up(u, b.mag());
+                    }
+                }
+                Op::Input | Op::Relu => unreachable!("exact nodes are skipped above"),
+            }
+            self.round_off[i] = err;
+        }
     }
 }
 
@@ -77,47 +133,40 @@ pub(crate) fn analyze<F: Fp, B: Backend>(
         )));
     }
     // Preliminary forward interval analysis (§4.2).
-    let mut bounds = graph.eval_itv(input);
-    let mut stats = AnalysisStats::default();
+    let mut analysis = Analysis::seeded(graph.eval_itv(input));
 
     // Refine the input of every ReLU in the precomputed topological
     // schedule (ReLUs directly on the input are skipped at preparation
     // time: their bounds are already exact).
     for &(_relu, p) in prepared.relu_plan() {
-        stats.relu_nodes += 1;
+        analysis.stats.relu_nodes += 1;
+        let bounds = &analysis.bounds[p];
         let sel: Vec<usize> = if cfg.early_termination {
-            (0..bounds[p].len())
-                .filter(|&i| bounds[p][i].straddles_zero())
+            (0..bounds.len())
+                .filter(|&i| bounds[i].straddles_zero())
                 .collect()
         } else {
-            (0..bounds[p].len()).collect()
+            (0..bounds.len()).collect()
         };
-        stats.rows_skipped_stable += bounds[p].len() - sel.len();
+        analysis.stats.rows_skipped_stable += bounds.len() - sel.len();
         if sel.is_empty() {
             continue;
         }
-        stats.rows_refined += sel.len();
+        analysis.stats.rows_refined += sel.len();
         let rule = if cfg.early_termination {
             StopRule::StableSign
         } else {
             StopRule::None
         };
-        refine_node(
-            device,
-            graph,
-            prepared,
-            cfg,
-            &mut bounds,
-            p,
-            &sel,
-            rule,
-            &mut stats,
-        )?;
+        analysis.note_round_off(graph, cfg, p);
+        refine_node(device, graph, prepared, cfg, &mut analysis, p, &sel, rule)?;
         // Forward interval update of everything downstream of the refined
         // node, intersected with the existing (still sound) bounds.
-        forward_update(graph, &mut bounds, p);
+        forward_update(graph, &mut analysis.bounds, p);
     }
-    Ok(Analysis { bounds, stats })
+    // The rest, for the walks that start at the output (spec checks).
+    analysis.note_round_off(graph, cfg, graph.output());
+    Ok(analysis)
 }
 
 /// Fused multi-query analysis — the cross-query kernel-fusion driver.
@@ -162,23 +211,21 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
         inputs.len(),
         "one seed bound set per box"
     );
-    let mut bounds = preliminary;
-    let mut stats: Vec<AnalysisStats> = vec![AnalysisStats::default(); inputs.len()];
+    let mut analyses: Vec<Analysis<F>> = preliminary.into_iter().map(Analysis::seeded).collect();
 
     for &(_relu, p) in prepared.relu_plan() {
         // Per-query row selection — identical to the sequential schedule.
-        let mut sels: Vec<Vec<usize>> = Vec::with_capacity(bounds.len());
-        for (k, b) in bounds.iter().enumerate() {
-            stats[k].relu_nodes += 1;
+        let mut sels: Vec<Vec<usize>> = Vec::with_capacity(analyses.len());
+        for a in &mut analyses {
+            a.stats.relu_nodes += 1;
+            let b = &a.bounds[p];
             let sel: Vec<usize> = if cfg.early_termination {
-                (0..b[p].len())
-                    .filter(|&i| b[p][i].straddles_zero())
-                    .collect()
+                (0..b.len()).filter(|&i| b[i].straddles_zero()).collect()
             } else {
-                (0..b[p].len()).collect()
+                (0..b.len()).collect()
             };
-            stats[k].rows_skipped_stable += b[p].len() - sel.len();
-            stats[k].rows_refined += sel.len();
+            a.stats.rows_skipped_stable += b.len() - sel.len();
+            a.stats.rows_refined += sel.len();
             sels.push(sel);
         }
         if sels.iter().all(Vec::is_empty) {
@@ -189,33 +236,33 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
         } else {
             StopRule::None
         };
-        refine_node_fused(
-            device,
-            graph,
-            prepared,
-            cfg,
-            &mut bounds,
-            p,
-            &sels,
-            rule,
-            &mut stats,
-        )?;
+        // Exactly when the sequential path would note it, and like the
+        // forward update below spread over the device workers.
+        device.install(|| {
+            analyses
+                .par_iter_mut()
+                .zip(sels.par_iter())
+                .filter(|(_, sel)| !sel.is_empty())
+                .for_each(|(a, _)| a.note_round_off(graph, cfg, p))
+        });
+        refine_node_fused(device, graph, prepared, cfg, &mut analyses, p, &sels, rule)?;
         // Forward interval update per query — exactly when the sequential
         // path would perform it (a query with nothing selected skips it).
         // The queries are independent: spread them over the device workers.
         device.install(|| {
-            bounds
+            analyses
                 .par_iter_mut()
                 .zip(sels.par_iter())
                 .filter(|(_, sel)| !sel.is_empty())
-                .for_each(|(b, _)| forward_update(graph, b, p))
+                .for_each(|(a, _)| forward_update(graph, &mut a.bounds, p))
         });
     }
-    Ok(bounds
-        .into_iter()
-        .zip(stats)
-        .map(|(bounds, stats)| Analysis { bounds, stats })
-        .collect())
+    device.install(|| {
+        analyses
+            .par_iter_mut()
+            .for_each(|a| a.note_round_off(graph, cfg, graph.output()))
+    });
+    Ok(analyses)
 }
 
 /// Chunked, OOM-adaptive *fused* backsubstitution: the concatenated
@@ -229,11 +276,10 @@ fn refine_node_fused<F: Fp, B: Backend>(
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
     cfg: &VerifyConfig,
-    bounds: &mut [Vec<Vec<Itv<F>>>],
+    analyses: &mut [Analysis<F>],
     p: NodeId,
     sels: &[Vec<usize>],
     rule: StopRule,
-    stats: &mut [AnalysisStats],
 ) -> Result<(), VerifyError> {
     // Segment-major concatenation: a chunk covers each query at most once,
     // in one contiguous run. Chunk boundaries are arithmetic-neutral (a
@@ -258,25 +304,25 @@ fn refine_node_fused<F: Fp, B: Backend>(
         // only a query too large for the chunk on its own is ever split.
         let end = seg_aware_end(&work[i..], chunk) + i;
         let rows = &work[i..end];
-        let attempt = fused_chunk_walk(device, graph, prepared, cfg, bounds, p, rows, rule);
+        let attempt = fused_chunk_walk(device, graph, prepared, cfg, analyses, p, rows, rule);
         match attempt {
             Ok(out) => {
                 for (j, &(k, n)) in rows.iter().enumerate() {
-                    let cur = bounds[k][p][n];
-                    bounds[k][p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
+                    let cur = analyses[k].bounds[p][n];
+                    analyses[k].bounds[p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
                 }
                 // Attribute the shared launches to every contributing query,
                 // and each stopped row to its own query.
-                let mut seen = vec![false; stats.len()];
+                let mut seen = vec![false; analyses.len()];
                 for &(k, _) in rows {
                     if !seen[k] {
                         seen[k] = true;
-                        stats[k].candidates += out.candidates;
-                        stats[k].chunks += 1;
+                        analyses[k].stats.candidates += out.candidates;
+                        analyses[k].stats.chunks += 1;
                     }
                 }
                 for &r in &out.stopped_rows {
-                    stats[rows[r as usize].0].rows_stopped_early += 1;
+                    analyses[rows[r as usize].0].stats.rows_stopped_early += 1;
                 }
                 i = end;
             }
@@ -284,11 +330,11 @@ fn refine_node_fused<F: Fp, B: Backend>(
                 chunk = (chunk / 2).max(1);
                 // Attribute the shrink to the queries whose rows were in
                 // the failing chunk, mirroring the sequential accounting.
-                let mut seen = vec![false; stats.len()];
+                let mut seen = vec![false; analyses.len()];
                 for &(k, _) in rows {
                     if !seen[k] {
                         seen[k] = true;
-                        stats[k].chunk_shrinks += 1;
+                        analyses[k].stats.chunk_shrinks += 1;
                     }
                 }
             }
@@ -322,7 +368,7 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
     cfg: &VerifyConfig,
-    bounds: &[Vec<Vec<Itv<F>>>],
+    analyses: &[Analysis<F>],
     p: NodeId,
     rows: &[(usize, usize)],
     rule: StopRule,
@@ -337,7 +383,7 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
     }
     let batches = runs
         .iter()
-        .map(|(k, ns)| initial_batch(device, graph, prepared, cfg, &bounds[*k], p, ns))
+        .map(|(k, ns)| initial_batch(device, graph, prepared, &analyses[*k], p, ns))
         .collect::<Result<Vec<_>, _>>()?;
     let stacked = if batches.len() == 1 {
         batches.into_iter().next().expect("one batch")
@@ -348,25 +394,24 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
         device,
         graph,
         prepared,
-        seg_bounds: runs.iter().map(|(k, _)| bounds[*k].as_slice()).collect(),
+        segs: runs.iter().map(|(k, _)| &analyses[*k]).collect(),
         compact_dead_cols: cfg.stable_zero_compaction,
     };
     walker.run(stacked, rule)
 }
 
 /// Chunked, OOM-adaptive backsubstitution of the selected neurons of node
-/// `p`; refined bounds are intersected into `bounds[p]`.
+/// `p`; refined bounds are intersected into the analysis' `bounds[p]`.
 #[allow(clippy::too_many_arguments)]
 fn refine_node<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
     cfg: &VerifyConfig,
-    bounds: &mut [Vec<Itv<F>>],
+    analysis: &mut Analysis<F>,
     p: NodeId,
     sel: &[usize],
     rule: StopRule,
-    stats: &mut AnalysisStats,
 ) -> Result<(), VerifyError> {
     let mut chunk = cfg
         .chunk_rows
@@ -381,25 +426,27 @@ fn refine_node<F: Fp, B: Backend>(
                 device,
                 graph,
                 prepared,
-                seg_bounds: vec![&*bounds],
+                segs: vec![&*analysis],
                 compact_dead_cols: cfg.stable_zero_compaction,
             };
-            initial_batch(device, graph, prepared, cfg, bounds, p, rows)
+            initial_batch(device, graph, prepared, analysis, p, rows)
                 .and_then(|batch| walker.run(batch, rule))
         };
         match attempt {
             Ok(out) => {
                 for (j, &n) in rows.iter().enumerate() {
-                    let cur = bounds[p][n];
-                    bounds[p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
+                    let cur = analysis.bounds[p][n];
+                    analysis.bounds[p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
                 }
-                stats.absorb_walk(out.stopped_rows.len(), out.candidates);
-                stats.chunks += 1;
+                analysis
+                    .stats
+                    .absorb_walk(out.stopped_rows.len(), out.candidates);
+                analysis.stats.chunks += 1;
                 i = end;
             }
             Err(VerifyError::Device(DeviceError::OutOfMemory { .. })) if chunk > 1 => {
                 chunk = (chunk / 2).max(1);
-                stats.chunk_shrinks += 1;
+                analysis.stats.chunk_shrinks += 1;
             }
             Err(e) => return Err(e),
         }
@@ -408,22 +455,22 @@ fn refine_node<F: Fp, B: Backend>(
 }
 
 /// The starting expression for refining node `p`'s neurons: the layer's own
-/// affine expression for dense/conv nodes (skipping one identity step), an
-/// identity batch otherwise (residual Add heads).
-pub(crate) fn initial_batch<F: Fp, B: Backend>(
+/// affine expression for dense/conv nodes (skipping one identity step, the
+/// layer's noted round-off included), an identity batch otherwise (residual
+/// Add heads).
+fn initial_batch<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
-    cfg: &VerifyConfig,
-    bounds: &[Vec<Itv<F>>],
+    analysis: &Analysis<F>,
     p: NodeId,
     rows: &[usize],
 ) -> Result<ExprBatch<F, B>, VerifyError> {
     let node = &graph.nodes[p];
+    let round_off = Some(analysis.round_off[p].as_slice()).filter(|e| !e.is_empty());
     match node.op {
         Op::Dense(d) => {
             let par = node.parents[0];
-            let widen = cfg.account_inference_error.then(|| bounds[par].as_slice());
             let packed = prepared.weights(p)?;
             let (weight, bias) = packed.slices();
             ExprBatch::from_dense_with(
@@ -434,15 +481,14 @@ pub(crate) fn initial_batch<F: Fp, B: Backend>(
                 rows,
                 par,
                 graph.nodes[par].shape,
-                widen,
+                round_off,
             )
         }
         Op::Conv(c) => {
             let par = node.parents[0];
-            let widen = cfg.account_inference_error.then(|| bounds[par].as_slice());
             let packed = prepared.weights(p)?;
             let (weight, bias) = packed.slices();
-            ExprBatch::from_conv_with(device, c, weight, bias, rows, par, widen)
+            ExprBatch::from_conv_with(device, c, weight, bias, rows, par, round_off)
         }
         _ => ExprBatch::identity(device, p, node.shape, rows),
     }

@@ -25,9 +25,24 @@ pub struct VerifyConfig {
     /// Skip backsubstitution for ReLU inputs whose sign is already fixed and
     /// drop rows that stabilize mid-backsubstitution (paper §3.2, §4.2).
     pub early_termination: bool,
-    /// Widen affine constants by a forward-error bound so the certificate
-    /// also covers the round-off of the network's own float inference under
-    /// any summation order (paper §4.1, Miné 2004).
+    /// Make the certificate hold what the network's own float inference
+    /// computes, round-off included (paper §4.1): every expression pays
+    /// `Σ |coefficient| · round-off` into its constants for each dense,
+    /// convolution and residual-add node it starts from or is substituted
+    /// through ([`crate::Analysis::round_off`],
+    /// [`crate::ExprBatch::absorb_round_off`]).
+    ///
+    /// The round-off covered is that of inference as `gpupoly_nn` performs
+    /// it (`Dense::forward`, `Conv2d::forward`, `Graph::eval`): per neuron
+    /// the bias, then one fused multiply-add per input in index order,
+    /// rounded to nearest; one rounded addition per residual add. It is a
+    /// running error bound over exactly that recursion
+    /// (`gpupoly_interval::wide::WideRun`), not the order-independent
+    /// a-priori bound of Miné 2004 — which on the benchmark's `dense_single`
+    /// costs 8 of the 118 queries proven. An implementation that sums in
+    /// another order, or rounds products on their own, is not covered. The
+    /// forward interval pass encloses the same recursion whatever this is
+    /// set to.
     pub account_inference_error: bool,
     /// Upper bound on backsubstitution rows processed at once; `None` sizes
     /// chunks from the device's free memory (paper §4.2, "Memory

@@ -75,9 +75,10 @@ pub struct EngineOptions {
     /// Capacity (entries) of the LRU analysis cache keyed by input box;
     /// `0` disables caching.
     ///
-    /// Each entry pins concrete bounds for every node of the network
-    /// (roughly `2 * size_of::<F>() * total neuron count` host bytes), so
-    /// size this down for very large networks or long-lived engines.
+    /// Each entry pins concrete bounds for every node of the network, and
+    /// the inference round-off of its float-computed ones (roughly
+    /// `3 * size_of::<F>() * total neuron count` host bytes), so size this
+    /// down for very large networks or long-lived engines.
     pub analysis_cache: usize,
     /// ε-monotone cache reuse: on an analysis-cache miss at box `B`, probe
     /// for a cached analysis whose box *contains* `B` and try to prove the
@@ -1183,7 +1184,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             device: &self.device,
             graph: &self.graph,
             prepared: &self.prepared,
-            seg_bounds: vec![analysis.bounds.as_slice()],
+            segs: vec![analysis],
             compact_dead_cols: self.cfg.stable_zero_compaction,
         };
         let out = walker.run(batch, rule)?;
@@ -1235,8 +1236,14 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 image.len()
             )));
         }
-        if image.iter().any(|x| x.is_nan()) {
-            return Err(VerifyError::BadQuery("NaN image value".to_string()));
+        // Infinite pixels too: the clamp below would quietly turn them into
+        // 0 or 1, and the verdict would be for an image nobody sent (a wire
+        // `1e39` is `+inf` once narrowed to `f32`).
+        if let Some(at) = image.iter().position(|x| !x.is_finite()) {
+            return Err(VerifyError::BadQuery(format!(
+                "image value {at} is {}, not a finite number",
+                image[at]
+            )));
         }
         let out_len = self.graph.nodes[self.graph.output()].shape.len();
         if out_len < 2 {
@@ -1746,10 +1753,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             device: &self.device,
             graph: &self.graph,
             prepared: &self.prepared,
-            seg_bounds: group_of
-                .iter()
-                .map(|&g| analyses[g].bounds.as_slice())
-                .collect(),
+            segs: group_of.iter().map(|&g| &*analyses[g]).collect(),
             compact_dead_cols: self.cfg.stable_zero_compaction,
         };
         let out = walker.run(stacked, rule)?;

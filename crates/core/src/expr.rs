@@ -29,7 +29,7 @@
 //! results are bit-identical to running each query's rows alone.
 
 use gpupoly_device::{kernels, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom};
-use gpupoly_interval::{dot, round, Fp, Itv};
+use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
 use crate::VerifyError;
@@ -161,8 +161,10 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
 
     /// The initial batch of a dense layer: row `r` is the layer's weight row
     /// for `neurons[r]`, over the layer's parent node (full window). The
-    /// constant is the bias, optionally widened by the inference round-off
-    /// bound computed from the parent's concrete bounds (§4.1).
+    /// constant is the bias, widened by the neuron's entry of `round_off`
+    /// when one is given: the layer's inference round-off per output neuron
+    /// (§4.1, [`crate::Analysis::round_off`]) — the row's share of it, like
+    /// the one [`ExprBatch::absorb_round_off`] takes at every later layer.
     ///
     /// # Errors
     ///
@@ -173,7 +175,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         neurons: &[usize],
         parent: NodeId,
         parent_shape: Shape,
-        widen_from: Option<&[Itv<F>]>,
+        round_off: Option<&[F]>,
     ) -> Result<Self, VerifyError> {
         Self::from_dense_with(
             device,
@@ -183,7 +185,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             neurons,
             parent,
             parent_shape,
-            widen_from,
+            round_off,
         )
     }
 
@@ -203,7 +205,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         neurons: &[usize],
         parent: NodeId,
         parent_shape: Shape,
-        widen_from: Option<&[Itv<F>]>,
+        round_off: Option<&[F]>,
     ) -> Result<Self, VerifyError> {
         debug_assert_eq!(parent_shape.len(), dense.in_len);
         let origins = vec![(0i32, 0i32); neurons.len()];
@@ -221,10 +223,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
                 batch.lo[r * cols + j] = Itv::point(w);
                 batch.hi[r * cols + j] = Itv::point(w);
             }
-            let mut cst = Itv::point(bias[n]);
-            if let Some(pb) = widen_from {
-                cst = cst.widen(inference_error(row, pb, bias[n]));
-            }
+            let cst = Itv::point(bias[n]).widen(round_off.map_or(F::ZERO, |e| e[n]));
             batch.cst_lo[r] = cst;
             batch.cst_hi[r] = cst;
         }
@@ -234,7 +233,8 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     /// The initial batch of a convolution layer: row `r` holds the filter
     /// taps of `neurons[r]` in its first dependence set (window `kh × kw`
     /// at origin `(h·s − p, w·s − p)`), over the layer's parent node.
-    /// Virtual taps (padding) stay zero.
+    /// Virtual taps (padding) stay zero. `round_off` is the layer's, per
+    /// output neuron, as for [`ExprBatch::from_dense`].
     ///
     /// # Errors
     ///
@@ -244,7 +244,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         conv: &Conv2d<F>,
         neurons: &[usize],
         parent: NodeId,
-        widen_from: Option<&[Itv<F>]>,
+        round_off: Option<&[F]>,
     ) -> Result<Self, VerifyError> {
         Self::from_conv_with(
             device,
@@ -253,7 +253,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             &conv.bias,
             neurons,
             parent,
-            widen_from,
+            round_off,
         )
     }
 
@@ -271,7 +271,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         bias: &[F],
         neurons: &[usize],
         parent: NodeId,
-        widen_from: Option<&[Itv<F>]>,
+        round_off: Option<&[F]>,
     ) -> Result<Self, VerifyError> {
         let parent_shape = conv.in_shape;
         let origins = neurons
@@ -290,8 +290,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         for (r, &n) in neurons.iter().enumerate() {
             let (_, _, d) = conv.out_shape.pos(n);
             let (oh, ow) = batch.origins[r];
-            let mut abs_acc = F::ZERO;
-            let mut taps = 0usize;
             for f in 0..conv.kh {
                 for g in 0..conv.kw {
                     let h = oh + f as i32;
@@ -308,20 +306,10 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
                         let at = r * cols + (f * conv.kw + g) * cin + ci;
                         batch.lo[at] = Itv::point(wv);
                         batch.hi[at] = Itv::point(wv);
-                        if let Some(pb) = widen_from {
-                            let bi = pb[parent_shape.idx(h as usize, w as usize, ci)];
-                            abs_acc = round::fma_up(wv.abs(), bi.mag(), abs_acc);
-                            taps += 1;
-                        }
                     }
                 }
             }
-            let mut cst = Itv::point(bias[d]);
-            if widen_from.is_some() {
-                let total = round::add_up(abs_acc, bias[d].abs());
-                let err = round::mul_up(dot::gamma::<F>(taps + 2), total);
-                cst = cst.widen(err);
-            }
+            let cst = Itv::point(bias[d]).widen(round_off.map_or(F::ZERO, |e| e[n]));
             batch.cst_lo[r] = cst;
             batch.cst_hi[r] = cst;
         }
@@ -784,6 +772,41 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         Ok((mk(node_a, shape_a, true)?, mk(node_b, shape_b, false)?))
     }
 
+    /// Pays inference's round-off in the frontier node (§4.1) before the
+    /// batch is substituted through it. A step treats the node as the exact
+    /// map of its input, while inference computes neuron `n` to within
+    /// `err[n]` of that map (`err_per_seg[seg[r]]` for row `r`: one
+    /// [`crate::Analysis::round_off`] entry per query segment); an expression
+    /// with coefficients `a` over the computed neurons therefore moves by at
+    /// most `Σ_n |a_n| · err[n]` when they are replaced by the exact map, and
+    /// both constants of the row are widened by a bound on that sum. Exact
+    /// products and one `f64` sum per plane for `f32`, rounded up once;
+    /// directed `F` operations otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a segment index is out of range or an `err` slice does
+    /// not cover the frontier.
+    pub fn absorb_round_off(&mut self, err_per_seg: &[&[F]]) {
+        let (cols, chans) = (self.cols(), self.shape.c);
+        for r in 0..self.rows() {
+            let err = err_per_seg[self.seg[r] as usize];
+            assert_eq!(err.len(), self.shape.len(), "round-off length");
+            let geom = self.geom();
+            let (mut lo, mut hi) = (Owed::default(), Owed::default());
+            for i in 0..self.win_h {
+                for j in (0..self.win_w).filter(|&j| geom.is_real(r, i, j)) {
+                    let base = r * cols + (i * self.win_w + j) * chans;
+                    let err = &err[geom.neuron_at(r, i, j)..][..chans];
+                    lo.add(&self.lo[base..base + chans], err);
+                    hi.add(&self.hi[base..base + chans], err);
+                }
+            }
+            self.cst_lo[r] = self.cst_lo[r].widen(lo.bound());
+            self.cst_hi[r] = self.cst_hi[r].widen(hi.bound());
+        }
+    }
+
     /// Sets a coefficient in both planes (used to assemble spec rows).
     ///
     /// # Panics
@@ -802,20 +825,76 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     }
 }
 
-/// Forward-error widening for one dense row (paper §4.1 / Miné 2004): a
-/// bound on how far any float evaluation of `Σ w·x + b` (any order, any
-/// rounding mode) can drift from the exact value.
-fn inference_error<F: Fp>(ws: &[F], xs: &[Itv<F>], bias: F) -> F {
-    let mags: Vec<F> = xs.iter().map(|b| b.mag()).collect();
-    let abs = dot::abs_dot_up(ws, &mags);
-    let total = round::add_up(abs, bias.abs());
-    round::mul_up(dot::gamma::<F>(ws.len() + 2), total)
+/// A running upper bound of `Σ |a_n| · err[n]`, the sum
+/// [`ExprBatch::absorb_round_off`] takes per row and plane.
+struct Owed<F> {
+    /// [`Fp::EXACT_IN_F64`]: plain `f64` sums of the exact products, four
+    /// side by side (the summands are non-negative, so any order will do,
+    /// and one running sum would wait on itself).
+    wide: [f64; 4],
+    /// Summands of `wide`.
+    terms: usize,
+    /// Other scalar types: the sum in `F`, every operation rounded up.
+    chain: F,
+}
+
+impl<F: Fp> Default for Owed<F> {
+    fn default() -> Self {
+        Self {
+            wide: [0.0; 4],
+            terms: 0,
+            chain: F::ZERO,
+        }
+    }
+}
+
+impl<F: Fp> Owed<F> {
+    fn add(&mut self, coeffs: &[Itv<F>], err: &[F]) {
+        if F::EXACT_IN_F64 {
+            // `min` keeps a zero coefficient times an unbounded round-off
+            // (`+inf`, or NaN) a zero; any other product of it overflows `F`.
+            let owed = |a: &Itv<F>, e: F| a.mag().to_f64() * e.min(F::MAX).to_f64();
+            let (blocks, tail) = (coeffs.chunks_exact(4), err.chunks_exact(4));
+            for (a, &e) in blocks.remainder().iter().zip(tail.remainder()) {
+                self.wide[0] += owed(a, e);
+            }
+            for (a, e) in blocks.zip(tail) {
+                for l in 0..4 {
+                    self.wide[l] += owed(&a[l], e[l]);
+                }
+            }
+            self.terms += coeffs.len();
+        } else {
+            for (a, &e) in coeffs.iter().zip(err) {
+                self.chain = round::fma_up(a.mag(), e, self.chain);
+            }
+        }
+    }
+
+    /// The bound; `+inf` when a NaN got into the sum.
+    fn bound(&self) -> F {
+        let sum = if F::EXACT_IN_F64 {
+            // Non-negative summands, exact in `f64`: however `n` additions
+            // to nearest are arranged, they fall short of the true sum by at
+            // most `n·2⁻⁵³` of it.
+            let [a, b, c, d] = self.wide;
+            let short = 1.0 + (self.terms + 3) as f64 * f64::EPSILON;
+            round::from_f64_up(round::mul_up((a + b) + (c + d), short))
+        } else {
+            self.chain
+        };
+        if sum >= F::ZERO {
+            sum
+        } else {
+            F::INFINITY
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpupoly_device::DeviceConfig;
+    use gpupoly_device::{CpuSimBackend, DeviceConfig};
 
     fn dev() -> Device {
         Device::new(DeviceConfig::new().workers(2))
@@ -866,10 +945,13 @@ mod tests {
     #[test]
     fn widening_grows_constants() {
         let device = dev();
-        let d = Dense::new(1, 2, vec![1.0_f32, 1.0], vec![0.0]).unwrap();
-        let pb = vec![Itv::new(-1.0_f32, 1.0); 2];
-        let plain = ExprBatch::from_dense(&device, &d, &[0], 0, Shape::flat(2), None).unwrap();
-        let wide = ExprBatch::from_dense(&device, &d, &[0], 0, Shape::flat(2), Some(&pb)).unwrap();
+        // Eight terms: the round-off of the sum exceeds a step of the bound.
+        let d = Dense::new(1, 8, vec![1.0_f32; 8], vec![0.0]).unwrap();
+        let pb = vec![Itv::new(-1.0_f32, 1.0); 8];
+        let mut err = [0.0_f32];
+        d.forward_itv_round_off(&pb, &mut [Itv::zero()], &mut err);
+        let plain = ExprBatch::from_dense(&device, &d, &[0], 0, Shape::flat(8), None).unwrap();
+        let wide = ExprBatch::from_dense(&device, &d, &[0], 0, Shape::flat(8), Some(&err)).unwrap();
         let cp = plain.concretize(&device, &pb);
         let cw = wide.concretize(&device, &pb);
         assert!(cw[0].hi > cp[0].hi);
@@ -926,6 +1008,94 @@ mod tests {
         let cand = batch.concretize(&device, &bounds);
         assert!(cand[0].contains(4.0));
         assert!(cand[0].width() < 1e-5);
+    }
+
+    /// The rows of a padded 3×3 convolution over a 3×3×2 input: corner
+    /// windows hang over the edge.
+    fn padded_conv_rows<F: Fp>(device: &Device) -> ExprBatch<F, CpuSimBackend> {
+        let w = (0..3 * 3 * 2 * 2).map(|i| F::from_f64(((i * 7) % 11) as f64 * 0.25 - 1.25));
+        let conv = Conv2d::new(
+            Shape::new(3, 3, 2),
+            2,
+            (3, 3),
+            (1, 1),
+            (1, 1),
+            w.collect(),
+            vec![F::from_f64(0.5), F::from_f64(-0.25)],
+        )
+        .unwrap();
+        ExprBatch::from_conv(device, &conv, &[0, 9, 17], 0, None).unwrap()
+    }
+
+    /// `Σ |a|·err` over the real positions of row `r`'s plane, in `f64`.
+    fn owed<F: Fp>(batch: &ExprBatch<F, CpuSimBackend>, r: usize, err: &[F], upper: bool) -> f64 {
+        let (geom, chans) = (batch.geom(), batch.shape().c);
+        let plane = if upper { &batch.hi } else { &batch.lo };
+        let mut sum = 0.0;
+        for i in 0..batch.win_h {
+            for j in (0..batch.win_w).filter(|&j| geom.is_real(r, i, j)) {
+                for c in 0..chans {
+                    let a = plane[r * batch.cols() + (i * batch.win_w + j) * chans + c];
+                    sum += a.mag().to_f64() * err[geom.neuron_at(r, i, j) + c].to_f64();
+                }
+            }
+        }
+        sum
+    }
+
+    fn absorb_round_off_widens_by_the_weighted_round_off<F: Fp>() {
+        let device = dev();
+        // Two segments with different round-off, stacked.
+        let err_a: Vec<F> = (0..18)
+            .map(|n| F::from_f64(1e-6 * (n + 1) as f64))
+            .collect();
+        let err_b: Vec<F> = (0..18)
+            .map(|n| F::from_f64(3e-5 / (n + 1) as f64))
+            .collect();
+        let parts = vec![padded_conv_rows::<F>(&device), padded_conv_rows(&device)];
+        let mut batch = ExprBatch::stack(&device, parts).unwrap();
+        batch.hi[3] = Itv::new(F::from_f64(-2.0), F::from_f64(0.5)); // planes differ
+        let before = (batch.cst_lo.clone(), batch.cst_hi.clone());
+        batch.absorb_round_off(&[&err_a, &err_b]);
+        for r in 0..batch.rows() {
+            let err = if r < 3 { &err_a } else { &err_b };
+            for (upper, was, now) in [
+                (false, before.0[r], batch.cst_lo[r]),
+                (true, before.1[r], batch.cst_hi[r]),
+            ] {
+                let want = owed(&batch, r, err, upper);
+                assert!(want > 0.0);
+                let (down, up) = (
+                    was.lo.to_f64() - now.lo.to_f64(),
+                    now.hi.to_f64() - was.hi.to_f64(),
+                );
+                // Never less than owed; and within rounding (of the sum, and
+                // of the widened constant) of it.
+                assert!(down >= want && up >= want, "row {r}: {down}, {up} < {want}");
+                let most = want * 1.001 + 2.0 * F::EPSILON.to_f64() * now.mag().to_f64();
+                assert!(down <= most && up <= most, "row {r} pays too much");
+            }
+        }
+        // An unbounded round-off costs nothing under a zero coefficient and
+        // everything under any other: row 0 hangs over the top-left corner
+        // and has no term at neuron 17, row 2 (the opposite corner) has.
+        let mut batch = padded_conv_rows::<F>(&device);
+        let mut err = err_a.clone();
+        err[17] = F::INFINITY;
+        batch.absorb_round_off(&[&err]);
+        assert!(batch.cst_lo[0].is_finite() && batch.cst_hi[0].is_finite());
+        assert_eq!(batch.cst_lo[2], Itv::top());
+        assert_eq!(batch.cst_hi[2], Itv::top());
+    }
+
+    #[test]
+    fn absorb_round_off_widens_by_the_weighted_round_off_f32() {
+        absorb_round_off_widens_by_the_weighted_round_off::<f32>();
+    }
+
+    #[test]
+    fn absorb_round_off_widens_by_the_weighted_round_off_f64() {
+        absorb_round_off_widens_by_the_weighted_round_off::<f64>();
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   row compaction (§3.2/§4.2),
 //! * memory-aware chunking when bound matrices exceed device memory (§4.2),
 //! * floating-point soundness end to end: interval coefficients with
-//!   outward rounding, plus optional widening that covers the round-off of
-//!   the network's own inference (§4.1).
+//!   outward rounding, plus (on by default) the round-off of the network's
+//!   own inference, paid at every layer an expression starts from or is
+//!   substituted through (§4.1, [`VerifyConfig::account_inference_error`]).
 //!
 //! # Quickstart
 //!

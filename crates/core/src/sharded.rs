@@ -20,7 +20,7 @@
 //! Concrete bounds (the DeepPoly analysis per input box) are the
 //! *activations* of that decomposition: computed once — unique boxes are
 //! distributed across the pool — and broadcast to every shard as host-side
-//! `seg_bounds`, exactly like replicated activations under tensor
+//! `segs`, exactly like replicated activations under tensor
 //! parallelism. Analyses are deterministic per box, so which device
 //! computed one never shows in the bits.
 //!
@@ -474,7 +474,7 @@ impl<'n, F: Fp, B: Backend> ShardedEngine<'n, F, B> {
                         let q_first = start / rpq;
                         let q_last = (end - 1) / rpq;
                         let mut sub_batches = Vec::with_capacity(q_last - q_first + 1);
-                        let mut seg_bounds = Vec::with_capacity(q_last - q_first + 1);
+                        let mut segs = Vec::with_capacity(q_last - q_first + 1);
                         let mut row_spans: Vec<(usize, usize)> = Vec::new();
                         for q in q_first..=q_last {
                             let lo = start.max(q * rpq) - q * rpq;
@@ -495,7 +495,7 @@ impl<'n, F: Fp, B: Backend> ShardedEngine<'n, F, B> {
                                 batch.add_cst(r, Itv::point(row.cst));
                             }
                             sub_batches.push(batch);
-                            seg_bounds.push(analyses[group_of[q]].bounds.as_slice());
+                            segs.push(&*analyses[group_of[q]]);
                             row_spans.push((q, hi - lo));
                         }
                         let stacked = ExprBatch::stack(engine.device(), sub_batches)?;
@@ -503,7 +503,7 @@ impl<'n, F: Fp, B: Backend> ShardedEngine<'n, F, B> {
                             device: engine.device(),
                             graph: engine.graph(),
                             prepared: engine.prepared(),
-                            seg_bounds,
+                            segs,
                             compact_dead_cols: engine.config().stable_zero_compaction,
                         };
                         let out = walker.run(stacked, rule)?;

@@ -93,9 +93,10 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     {
         let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
         // Constants absorb the bias first, over the *uncompacted* batch:
-        // cst' = cst + Σ_i a_i · b_i. The fold accumulates every term (no
-        // zero-skip — see the backend contract), so its bit pattern must
-        // never depend on whether column compaction engages below.
+        // cst' = cst + Σ_i a_i · b_i. The fold skips exact-zero
+        // coefficients like every kernel of the family, so it would read
+        // the same bits off the compacted batch; this order just needs no
+        // compacted bias.
         kernels::bias_fold(
             device,
             "bias_fold_lo",
@@ -493,23 +494,48 @@ mod tests {
         )
         .unwrap(); // out 2x2x2
         let neurons: Vec<usize> = (0..c2.out_shape.len()).collect();
-        let batch = ExprBatch::from_conv(&device, &c2, &neurons, 2, None).unwrap();
+        // A concrete input, and what inference's round-off in either layer
+        // can add to the exact composition the two steps assume (§4.1).
+        let x: Vec<f32> = (0..50).map(|i| (i as f32 * 0.713).sin() * 0.5).collect();
+        let bounds: Vec<Itv<f32>> = x.iter().map(|&v| Itv::point(v)).collect();
+        let mut z_bounds = vec![Itv::zero(); c1.out_shape.len()];
+        let mut err1 = vec![0.0_f32; c1.out_shape.len()];
+        c1.forward_itv_round_off(&bounds, &mut z_bounds, &mut err1);
+        let mut err2 = vec![0.0_f32; c2.out_shape.len()];
+        c2.forward_itv_round_off(&z_bounds, &mut vec![Itv::zero(); err2.len()], &mut err2);
+        let mut batch = ExprBatch::from_conv(&device, &c2, &neurons, 2, Some(&err2)).unwrap();
         assert_eq!(batch.window(), (2, 2));
+        batch.absorb_round_off(&[&err1]);
         let out = step_conv(&device, batch, &c1, 1).unwrap();
         // W2 = (2-1)*1 + 3 = 4 (paper Eq. 5)
         assert_eq!(out.window(), (4, 4));
-        // Check against composed forward on a concrete input.
-        let x: Vec<f32> = (0..50).map(|i| (i as f32 * 0.713).sin() * 0.5).collect();
+        // Check against the composed forward on that input: as f32 inference
+        // computes it, and exactly (the layers' f64 twins).
         let mut z = vec![0.0_f32; c1.out_shape.len()];
         c1.forward(&x, &mut z);
         let mut y = vec![0.0_f32; c2.out_shape.len()];
         c2.forward(&z, &mut y);
-        let bounds: Vec<Itv<f32>> = x.iter().map(|&v| Itv::point(v)).collect();
+        let x64: Vec<f64> = x.iter().map(|&v| v as f64).collect();
+        let mut z64 = vec![0.0_f64; z.len()];
+        c1.widen().forward(&x64, &mut z64);
+        let mut y64 = vec![0.0_f64; y.len()];
+        c2.widen().forward(&z64, &mut y64);
         let cand = out.concretize(&device, &bounds);
-        for (c, want) in cand.iter().zip(&y) {
-            assert!(c.contains(*want), "{c} misses {want}");
+        for ((c, want), want64) in cand.iter().zip(&y).zip(&y64) {
+            assert!(c.contains(*want), "{c} misses f32 inference's {want}");
+            assert!(
+                c.to_f64().contains(*want64),
+                "{c} misses the exact {want64}"
+            );
             assert!(c.width() < 1e-3);
         }
+        // Without the round-off the expression is the exact composition,
+        // within a few f32 steps: it misses some of what inference returns.
+        let batch = ExprBatch::from_conv(&device, &c2, &neurons, 2, None).unwrap();
+        let exact = step_conv(&device, batch, &c1, 1).unwrap();
+        let cand = exact.concretize(&device, &bounds);
+        assert!(cand.iter().zip(&y64).all(|(c, v)| c.to_f64().contains(*v)));
+        assert!(cand.iter().zip(&y).any(|(c, v)| !c.contains(*v)));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use gpupoly_device::{Backend, Device};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Op};
 
+use crate::analysis::Analysis;
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
 use crate::relax::ReluRelax;
@@ -46,8 +47,12 @@ pub(crate) struct Walker<'a, 'n, F: Fp, B: Backend> {
     pub device: &'a Device<B>,
     pub graph: &'a Graph<'n, F>,
     pub prepared: &'a PreparedGraph<'n, F, B>,
-    /// Per-segment concrete bounds, indexed `seg_bounds[segment][node]`.
-    pub seg_bounds: Vec<&'a [Vec<Itv<F>>]>,
+    /// One analysis per query segment of the batch being walked: its
+    /// concrete bounds, and its inference round-off (§4.1) — before a batch
+    /// is substituted through a node, its constants absorb what the node's
+    /// own float arithmetic may add to the exact map the substitution
+    /// assumes ([`Analysis::round_off`]).
+    pub segs: Vec<&'a Analysis<F>>,
     /// Stable-zero column compaction
     /// ([`crate::VerifyConfig::stable_zero_compaction`]): after a ReLU step
     /// whose relaxation is identically zero for a neuron in *every*
@@ -60,7 +65,10 @@ pub(crate) struct Walker<'a, 'n, F: Fp, B: Backend> {
 impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
     /// The per-segment bounds of one node, in segment order.
     fn node_bounds(&self, node: usize) -> Vec<&[Itv<F>]> {
-        self.seg_bounds.iter().map(|b| b[node].as_slice()).collect()
+        self.segs
+            .iter()
+            .map(|a| a.bounds[node].as_slice())
+            .collect()
     }
 
     /// Runs the batch to the input node, returning per-row best bounds.
@@ -130,9 +138,19 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
     }
 
     /// One step backwards through the frontier node's operation.
-    fn step_through(&self, batch: ExprBatch<F, B>) -> Result<ExprBatch<F, B>, VerifyError> {
+    fn step_through(&self, mut batch: ExprBatch<F, B>) -> Result<ExprBatch<F, B>, VerifyError> {
         let node = batch.node();
         let op = self.graph.nodes[node].op;
+        // §4.1: the step below treats the node as the exact map of its
+        // input; inference computes it in floats.
+        let round_off: Vec<&[F]> = self
+            .segs
+            .iter()
+            .map(|a| a.round_off[node].as_slice())
+            .collect();
+        if round_off.iter().any(|e| !e.is_empty()) {
+            batch.absorb_round_off(&round_off);
+        }
         match op {
             Op::Dense(d) => {
                 let p = self.graph.nodes[node].parents[0];
@@ -163,13 +181,13 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                 // a fused batch) share one table instead of recomputing
                 // identical ones. Sharing is by slice identity: duplicate
                 // boxes resolve to the same cached `Analysis`.
-                let n = self.seg_bounds.len();
+                let n = self.segs.len();
                 let mut owners: Vec<usize> = Vec::new();
                 let mut table_of: Vec<usize> = Vec::with_capacity(n);
                 for s in 0..n {
                     let at = owners
                         .iter()
-                        .position(|&o| std::ptr::eq(self.seg_bounds[o], self.seg_bounds[s]))
+                        .position(|&o| std::ptr::eq(self.segs[o], self.segs[s]))
                         .unwrap_or_else(|| {
                             owners.push(s);
                             owners.len() - 1
@@ -178,7 +196,7 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                 }
                 let tables: Vec<Vec<ReluRelax<F>>> = owners
                     .iter()
-                    .map(|&s| ReluRelax::layer(&self.seg_bounds[s][p]))
+                    .map(|&s| ReluRelax::layer(&self.segs[s].bounds[p]))
                     .collect();
                 let relax_refs: Vec<&[ReluRelax<F>]> =
                     table_of.iter().map(|&t| tables[t].as_slice()).collect();
@@ -278,12 +296,13 @@ mod tests {
         let graph = net.graph();
         let input = vec![Itv::new(-1.0_f32, 1.0), Itv::new(-1.0, 1.0)];
         let bounds: Vec<Vec<Itv<f32>>> = graph.eval_itv(&input);
+        let analysis = Analysis::seeded(bounds.clone());
         let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
-            seg_bounds: vec![bounds.as_slice()],
+            segs: vec![&analysis],
             compact_dead_cols: true,
         };
         // Bound the output node's neurons via identity start.
@@ -314,12 +333,13 @@ mod tests {
         let graph = net.graph();
         let input = vec![Itv::new(0.0_f32, 1.0), Itv::new(0.0, 1.0)];
         let bounds = graph.eval_itv(&input);
+        let analysis = Analysis::seeded(bounds.clone());
         let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
-            seg_bounds: vec![bounds.as_slice()],
+            segs: vec![&analysis],
             compact_dead_cols: true,
         };
         let batch = ExprBatch::identity(&device, 2, graph.nodes[2].shape, &[0, 1]).unwrap();
@@ -342,12 +362,13 @@ mod tests {
         let graph = net.graph();
         let input = vec![Itv::new(0.0_f32, 1.0), Itv::new(0.0, 1.0)];
         let bounds = graph.eval_itv(&input);
+        let analysis = Analysis::seeded(bounds.clone());
         let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
-            seg_bounds: vec![bounds.as_slice()],
+            segs: vec![&analysis],
             compact_dead_cols: true,
         };
         let batch = ExprBatch::identity(&device, 1, graph.nodes[1].shape, &[0, 1]).unwrap();
@@ -377,12 +398,13 @@ mod tests {
         let graph = net.graph();
         let input = vec![Itv::new(-1.0_f32, 1.0), Itv::new(0.5, 1.0)];
         let bounds = graph.eval_itv(&input);
+        let analysis = Analysis::seeded(bounds.clone());
         let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
-            seg_bounds: vec![bounds.as_slice()],
+            segs: vec![&analysis],
             compact_dead_cols: true,
         };
         let out_node = graph.output();
@@ -405,12 +427,13 @@ mod tests {
         let eps = 0.3;
         let input: Vec<Itv<f32>> = center.iter().map(|&c| Itv::new(c - eps, c + eps)).collect();
         let bounds = graph.eval_itv(&input);
+        let analysis = Analysis::seeded(bounds.clone());
         let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
-            seg_bounds: vec![bounds.as_slice()],
+            segs: vec![&analysis],
             compact_dead_cols: true,
         };
         let on = graph.output();

@@ -197,3 +197,71 @@ proptest! {
         }
     }
 }
+
+/// A chain of `layers + 1` affine layers without a ReLU between them: the
+/// walk composes it exactly, so nothing but the analysis' own outward
+/// rounding and the round-off accounting (§4.1) stands between a certificate
+/// and what f32 inference returns.
+fn affine_chain(seed: u64, layers: u64, width: usize) -> Network<f32> {
+    let mix =
+        |i: usize, s: u64| (((i as u64 + 17) * (s + 29)) * 2654435761 % 2001) as f32 / 1000.0 - 1.0;
+    let mut b = NetworkBuilder::new_flat(width);
+    for layer in 0..layers {
+        let w = (0..width * width).map(|i| mix(i, seed + layer)).collect();
+        let bias = (0..width).map(|i| mix(i, seed + 100 + layer)).collect();
+        b = b.dense_flat(width, w, bias);
+    }
+    let w = (0..3 * width).map(|i| mix(i, seed + 999)).collect();
+    b.dense_flat(3, w, vec![0.1, -0.2, 0.3])
+        .build()
+        .expect("valid net")
+}
+
+#[test]
+fn certificates_hold_what_f32_inference_computes_at_zero_eps() {
+    // `eps = 0`, every neuron backsubstituted to the input: the bounds are
+    // as tight as the analysis gets, and have to hold the one execution
+    // there is — as f32 inference computes it, round-off and all. (At the
+    // level of one step, `steps::tests::conv_step_matches_composed_forward`
+    // shows the exact composition alone missing it.)
+    let cfg = VerifyConfig {
+        early_termination: false,
+        ..Default::default()
+    };
+    let mut checked = 0;
+    for seed in 0..8u64 {
+        for (layers, width) in [(1, 16), (2, 6), (3, 16), (3, 48)] {
+            let chain = affine_chain(seed, layers, width);
+            let relu = random_net(seed, layers as usize, width);
+            for net in [&chain, &relu] {
+                let len = net.graph().nodes[0].shape.len();
+                let image: Vec<f32> = (0..len)
+                    .map(|i| (i as f32 * 0.37 + seed as f32).sin() * 0.5 + 0.5)
+                    .collect();
+                let verifier = GpuPoly::new(device(), net, cfg).unwrap();
+                let region: Vec<Itv<f32>> = image.iter().map(|&x| Itv::point(x)).collect();
+                let analysis = verifier.analyze(&region).unwrap();
+                let acts = net.graph().eval(&image);
+                for (node, (act, bounds)) in acts.iter().zip(&analysis.bounds).enumerate() {
+                    for (v, b) in act.iter().zip(bounds) {
+                        assert!(b.contains(*v), "seed {seed} node {node}: {b} misses {v}");
+                    }
+                }
+                let y = acts.last().unwrap();
+                let label = net.classify(&image);
+                let verdict = verifier.verify_robustness(&image, label, 0.0).unwrap();
+                for m in &verdict.margins {
+                    // The difference of two f32 is exact in f64.
+                    let computed = y[label] as f64 - y[m.adversary] as f64;
+                    assert!(
+                        m.lower as f64 <= computed,
+                        "seed {seed}: margin bound {} above inference's {computed}",
+                        m.lower
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 8 * 4 * 2 * 2);
+}

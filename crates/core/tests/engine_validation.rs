@@ -3,7 +3,7 @@
 //! never a panic — on every public entry point, including mid-batch and
 //! through the compatibility wrapper.
 
-use gpupoly_core::{Engine, GpuPoly, LinearSpec, Query, VerifyConfig, VerifyError};
+use gpupoly_core::{Engine, GpuPoly, LinearSpec, Query, RefineBudget, VerifyConfig, VerifyError};
 use gpupoly_device::Device;
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -73,6 +73,36 @@ fn non_finite_queries_are_bad_queries_not_panics() {
     bad_query(engine.verify_robustness(&[0.5f32; 4], 0, f32::INFINITY));
     bad_query(engine.verify_robustness(&[0.5, f32::NAN, 0.5, 0.5], 0, 0.01));
     bad_query(engine.verify_robustness(&[0.5f32; 4], 0, -0.01));
+}
+
+#[test]
+fn infinite_pixels_are_bad_queries_on_every_entry_point() {
+    // The pixel clamp would otherwise turn +inf into 1.0 and -inf into 0.0
+    // and answer for an image nobody sent.
+    let n = net(4);
+    let engine = Engine::new(Device::default(), &n, VerifyConfig::default()).unwrap();
+    for bad in [f32::INFINITY, f32::NEG_INFINITY] {
+        let image = [0.5, 0.5, bad, 0.5];
+        bad_query(engine.verify_robustness(&image, 0, 0.01));
+        // eps = 0 does not make it a point either.
+        bad_query(engine.verify_robustness(&image, 0, 0.0));
+        let qs = vec![
+            Query::new(vec![0.5f32; 4], 0, 0.01),
+            Query::new(image.to_vec(), 0, 0.01),
+            Query::new(vec![0.5f32; 4], 1, 0.01),
+        ];
+        for out in [engine.verify_batch(&qs), engine.verify_batch_fused(&qs)] {
+            assert!(out[0].is_ok() && out[2].is_ok());
+            bad_query(out[1].clone());
+        }
+        bad_query(engine.verify_complete(&qs[1], &RefineBudget::default()));
+        let v = GpuPoly::new(Device::default(), &n, VerifyConfig::default()).unwrap();
+        bad_query(v.verify_robustness(&image, 0, 0.01));
+    }
+    // The finite extremes still get an answer (for the clamped box).
+    assert!(engine
+        .verify_robustness(&[f32::MAX, f32::MIN, 0.5, 0.5], 0, 0.01)
+        .is_ok());
 }
 
 #[test]

@@ -29,77 +29,93 @@
 //! Backends are not merely required to be sound — they must be
 //! **bit-identical** to each other, which is what makes cross-backend
 //! differential testing (and caching/resume across heterogeneous fleets)
-//! possible. For the GEMM family — and for GBC and concretize, which sum the
-//! same way (below) — that pins, per output element, the exact sequence of
-//! floating-point operations:
+//! possible. For the GEMM family — and for GBC, concretize, the bias fold and
+//! the ReLU step, which sum the same way (below) — that pins, per output
+//! element, the exact sequence of floating-point operations:
 //!
 //! * **Interval kernels, `f32`** ([`Fp::EXACT_IN_F64`]): the wide
-//!   accumulator of [`gpupoly_interval::wide`]. Starting from the `C` entry
-//!   (zero for the fresh kernel), the element's terms are visited in
-//!   **ascending `k`**; a term whose coefficient is exactly zero
-//!   (`lo == 0 && hi == 0`, either sign of zero) is **skipped** and does not
-//!   count; every other term adds `min(a.lo·w, a.hi·w)` to the lower sum,
-//!   `max(a.lo·w, a.hi·w)` to the upper sum and `max(|a.lo|, |a.hi|)·|w|` to
-//!   the magnitude sum `T` — products exact in `f64`, sums in
+//!   accumulator of [`gpupoly_interval::wide`]. A row of `C` is one *term
+//!   list*: the row's coefficients in **ascending `k`**, those that are
+//!   exactly zero (`lo == 0 && hi == 0`, either sign of zero) **skipped**
+//!   and uncounted. Every output `j` of the row starts from its `C` entry
+//!   (zero for the fresh kernel) and adds, per term,
+//!   `min(a.lo·w, a.hi·w)` to its lower sum and `max(a.lo·w, a.hi·w)` to its
+//!   upper sum, `w = B[k][j]` — products exact in `f64`, sums in
 //!   round-to-nearest `f64`, `min`/`max` spelled `p < q ? p : q` and
-//!   `p > q ? p : q`. After the last term both sums move outward by
-//!   `up(T · adds · 2⁻⁵²)`, where `adds` is the number of terms with `w ≠ 0`,
-//!   plus one if the starting `C` entry was non-zero, minus one (never below
-//!   zero — with `adds = 0` nothing moves), and are rounded once, directed,
-//!   to `f32`. The module docs of [`gpupoly_interval::wide`] give the rule
-//!   line by line with its soundness proof; a port reproduces those lines.
-//! * **Fallback rule.** An output element whose magnitude sum `T` is not
-//!   finite — exactly the elements with a `±inf` or NaN among their own
-//!   operands (`A` row, `B` column, `C` entry) — is recomputed with the
-//!   per-step chain below; the other elements of the launch are unaffected.
-//!   Same rule in every backend; there is no switch.
-//! * **Interval kernels, `f64`, and fallback elements**: the per-step
-//!   directed chain — ascending `k`, zero coefficients skipped,
-//!   [`Itv::mul_add_f`] per term.
+//!   `p > q ? p : q`. The magnitude sum is taken **once per row**, not per
+//!   output: `T` starts at the largest magnitude among the row's `C` entries
+//!   (zero for the fresh kernel) and adds `max(|a.lo|, |a.hi|) · wmax[k]` per
+//!   term, in the same order, with `wmax[k] = max_j |B[k][j]|` over the
+//!   launch's whole `B` row. With `adds` = the list's terms, plus one if that
+//!   starting magnitude is non-zero, minus one (never below zero), every
+//!   output's sums move outward by the same `e = up(T · adds · 2⁻⁵²)` — with
+//!   `e = 0` nothing moves, the sign of a zero included — and are rounded
+//!   once, directed, to `f32`. The module docs of [`gpupoly_interval::wide`]
+//!   give the rule line by line with its soundness proof; a port reproduces
+//!   those lines.
+//! * **Fallback rule.** A term list whose `T` is not finite — exactly the
+//!   rows with a `±inf` or NaN among their `C` entries, their non-zero
+//!   coefficients, or the `B` rows those coefficients meet (`wmax[k] = +inf`
+//!   as soon as one `B[k][j]` is `±inf` or NaN; a plain `max` would drop the
+//!   NaN) — is recomputed with the per-step chain below, **every output of
+//!   the row**; the other rows of the launch are unaffected. Same rule in
+//!   every backend; there is no switch.
+//! * **Interval kernels, `f64`, and fallback rows**: the per-step directed
+//!   chain — ascending `k`, zero coefficients skipped, [`Itv::mul_add_f`]
+//!   per term.
 //! * **Scalar kernel** (`gemm_f_f`, unsound by design): ascending `k`,
 //!   [`Fp::mul_add`] per term, and zero terms are **not** skipped
 //!   (`fma(0, b, -0.0)` is `+0.0` under round-to-nearest, so there the skip
 //!   would be the divergence).
 //!
 //! The zero-skip is a requirement rather than an allowance: skipped terms
-//! do not enter `adds` (so dependence-set padding and stable-zero column
-//! compaction change neither flops nor bits), and on the per-step chain
-//! accumulating a zero term is not a bitwise no-op when an accumulator bound
-//! is `-0.0`. Reassociating is never allowed. A GPU port must therefore use
-//! a deterministic fixed-order reduction per output element — the same
-//! constraint the paper's cutlass kernels satisfy by construction, since
-//! they privatize one output element per thread — and needs no rounding-mode
-//! control inside the `k` loop: plain `f64` multiplies and adds (or FMAs,
-//! which give the same bits because the products are exact), then the four
-//! directed operations of the epilogue. Scan, compaction and gather are
-//! exact integer/copy operations and must match element-for-element.
+//! enter neither `adds` nor `T` (so dependence-set padding and stable-zero
+//! column compaction — which removes `B` rows that no coefficient meets, and
+//! leaves `wmax` of the others as it was — change neither flops nor bits),
+//! and on the per-step chain accumulating a zero term is not a bitwise no-op
+//! when an accumulator bound is `-0.0`. Reassociating is never allowed. A
+//! GPU port must therefore use a deterministic fixed-order reduction per
+//! output element — the same constraint the paper's cutlass kernels satisfy
+//! by construction, since they privatize one output element per thread — and
+//! needs no rounding-mode control inside the `k` loop: plain `f64` multiplies
+//! and adds (or FMAs, which give the same bits because the products are
+//! exact), one `max`-reduction over `B` per launch, one short sum per row,
+//! then the four directed operations of the epilogue. Scan, compaction and
+//! gather are exact integer/copy operations and must match
+//! element-for-element.
 //!
 //! **Blocking rule.** Cache/register blocking of the GEMM family is allowed
 //! — but only over `m` and `n`. [`CpuSimBackend`] hands each worker a block
 //! of rows and walks every row in column blocks whose accumulators stay in
 //! registers across the **full `k` extent**. A port may tile `m`/`n`, pack
 //! operands, and register-block freely, but must never split, reorder or
-//! tree-reduce `k`. [`crate::conformance::check_gemm_blocking`] pins the
-//! kernels against the straight-line oracle across block-boundary and
-//! remainder shapes.
+//! tree-reduce `k`, nor take `wmax` over less than the launch's `n` columns.
+//! [`crate::conformance::check_gemm_blocking`] pins the kernels against the
+//! straight-line oracle across block-boundary and remainder shapes.
 //!
 //! **GBC** (the transpose convolution of a conv step) is the same
-//! interval×scalar sum with the terms *gathered* per output: the element at
-//! destination window position `(a, b)`, input channel `c` of row `r` sums
-//! `src[i][j][d] · w[f][g][d][c]` over the source window positions `(i, j)`
-//! with `f = a − i·sh ∈ [0, kh)` and `g = b − j·sw ∈ [0, kw)` that are real
+//! interval×scalar sum with the terms *gathered*: the term list of
+//! destination window position `(a, b)` of row `r` is
+//! `src[i][j][d]` over the source window positions `(i, j)` with
+//! `f = a − i·sh ∈ [0, kh)` and `g = b − j·sw ∈ [0, kw)` that are real
 //! ([`ExprGeom::is_real`]) and all output channels `d`, visited in
-//! **ascending `i`, then `j`, then `d`**. It starts from exact zero and
-//! follows the interval rule above term for term — zero coefficients skipped
-//! and uncounted, `adds` the terms with `w ≠ 0` minus one, the same epilogue
-//! — for `f32`; an element whose `T` is not finite, and every element for
-//! `f64`, is the per-step [`Itv::mul_add_f`] chain from `[0, 0]` over the
-//! same terms in the same order. Elements at virtual destination positions
-//! (the conv's padding) and elements no term reaches are written as exact
-//! `[+0, +0]`: the kernel defines every element of its destination, which
-//! the caller therefore need not zero. The `c_in` channels of one position
-//! share their terms and may be blocked like GEMM columns; nothing else
-//! about the order is free.
+//! **ascending `i`, then `j`, then `d`**, exact-zero coefficients skipped
+//! and uncounted. The position's `c_in` elements share the list: element `c`
+//! starts from exact zero and sums `src[i][j][d] · w[f][g][d][c]`; `T` is
+//! taken once per position with `wmax = max_c |w[f][g][d][c]|`
+//! (`+inf` if one of them is `±inf` or NaN), `adds` is the list's terms
+//! minus one, and all `c_in` elements share the epilogue's `e` — for `f32`;
+//! a position whose `T` is not finite (all `c_in` elements of it), and every
+//! position for `f64`, is the per-step [`Itv::mul_add_f`] chain from `[0, 0]`
+//! over the same terms in the same order. The bound is per position, not per
+//! row: a row's positions see different terms, and one `T` for all of them
+//! would over-count both `T` and `adds` by the ratio of a row's terms to one
+//! position's (50–90× on ConvBig's layers). Elements at virtual destination
+//! positions (the conv's padding) and elements no term reaches are written
+//! as exact `[+0, +0]`: the kernel defines every element of its destination,
+//! which the caller therefore need not zero. The `c_in` channels of one
+//! position may be blocked like GEMM columns; nothing else about the order
+//! is free.
 //!
 //! **Concretize** evaluates, per row, the lower bound of the lower plane and
 //! the upper bound of the upper plane against interval bounds, so its terms
@@ -123,8 +139,52 @@
 //! rule and its proof are the "Interval × interval" section of
 //! [`gpupoly_interval::wide`].
 //!
-//! `bias_fold`, `relu_step` and `residual_merge` are per-step directed
-//! arithmetic for every scalar type (see their row functions below).
+//! **Bias fold** is one interval×scalar output per row over its own term
+//! list: the row's non-zero coefficients at real window positions, ascending
+//! (channels innermost), each with `w = bias[t mod |bias|]`, started from the
+//! row's constant. The interval rule above applies with `wmax = |w|` — the
+//! list has one output — and `T` seeded with the constant's magnitude; a row
+//! whose `T` is not finite (a `±inf` or NaN constant, non-zero coefficient,
+//! or bias entry such a coefficient meets), and every row for `f64`, is the
+//! [`Itv::mul_add_f`] chain from the constant over the same terms.
+//!
+//! **ReLU step.** Per row, the *terms* are the non-zero coefficients at real
+//! positions whose neuron's relaxation is not the identity (`alpha = gamma =
+//! [1, 1]`, `beta = delta = [0, 0]`, [`ReluRelax::is_identity`]); every other
+//! element, and the constant of a row without terms, stays bit for bit. A
+//! term `a` of definite sign is a *line* term and substitutes through a
+//! `(slope, intercept)` pair — lower plane: `a ≥ 0` takes `(alpha, beta)`,
+//! `a ≤ 0` takes `(gamma, delta)`; the upper plane mirrors the choice — and
+//! one that straddles zero is a *hull* term. The identity test comes
+//! **before** the sign test: a coefficient that straddles zero on an identity
+//! neuron is kept as it is (`relu(x) = x` there whatever the coefficient's
+//! sign), not turned into a hull term. The **constant** is one two-sided
+//! interval×interval sum seeded with the row's constant, over the row as it
+//! was before the step, terms ascending: a line term adds
+//! `m(m(p1, p2), m(p3, p4))` of `a · intercept` below (`m = min` as above)
+//! and the same with `max` above — or nothing, uncounted, when the intercept
+//! is exactly zero — and a hull term adds one endpoint of
+//! `a · out_bound`, the `max` for the upper plane and the `min` for the
+//! lower, to *both* sides; `T += max|a| · max|b|` for either kind, one
+//! `adds` and one `e` for both sides, epilogue as above
+//! ([`gpupoly_interval::wide::WideSum`]). The **coefficients**: a line term
+//! becomes `a · slope` — `[down_F(min), up_F(max)]` of its four exact endpoint
+//! products when `a` and the slope are finite, [`Itv::mul`] otherwise — and a
+//! hull term exact `[+0, +0]`. If `T` is not finite, and for `f64`, the
+//! **whole row** — constant and coefficients — is the per-step chain over the
+//! same terms instead: `cst.add(a.mul(intercept))`, `cst.add([v, v])` with
+//! `v` that endpoint of `a.mul(out_bound)`, and `a.mul(slope)`.
+//!
+//! Two things about the terms are new with this rule and hold on the chain
+//! too, i.e. they changed `f64` results and fallback rows against the
+//! per-step chain as it was before the rule (both sound, both no looser):
+//! the straddling coefficient on an identity neuron above — it used to become
+//! a hull term, zeroed, with an endpoint of `a · out_bound` in the constant
+//! — and the skipped zero intercept, which used to be added (a bitwise no-op
+//! except for the sign of a zero constant).
+//!
+//! `residual_merge` is per-step directed arithmetic for every scalar type
+//! (see its row function below).
 //!
 //! Every implementation is checked against this contract by the
 //! [`crate::conformance`] suite; run
@@ -143,8 +203,8 @@
 //! Passing the conformance suite is the admission gate for the kernels; the
 //! buffer abstraction is the one remaining structural gap.
 
-use gpupoly_interval::wide::{WideAcc, WideBound, WideTerm};
-use gpupoly_interval::{Fp, Itv};
+use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideSum, WideTerm};
+use gpupoly_interval::{round, Fp, Itv};
 use rayon::prelude::*;
 
 use crate::relax::ReluRelax;
@@ -251,13 +311,14 @@ impl GbcShape {
 // is held to the same bits.
 // ---------------------------------------------------------------------------
 
-/// Calls `visit(s, w)` for every term of destination window position
+/// Calls `visit(s, t)` for every term of destination window position
 /// `(a, b)` of row `r`, in the contract's order: ascending source position
 /// `i`, then `j`, then output channel `d`. `s` indexes the source row's
-/// coefficient, `w` the filter weight of that tap for `c_in` channel 0 (the
-/// `c_in` weights of a term are contiguous from there). Source positions
-/// contribute when `a = i·sh + f` and `b = j·sw + g` for a filter tap
-/// `(f, g)` and `(i, j)` is a real position of the source window.
+/// coefficient, `t = (f·kw + g)·c_out + d` the filter tap and output channel
+/// it meets (the term's `c_in` weights are the contiguous
+/// `weight[t·c_in..][..c_in]`). Source positions contribute when
+/// `a = i·sh + f` and `b = j·sw + g` for a filter tap `(f, g)` and `(i, j)`
+/// is a real position of the source window.
 #[inline(always)]
 fn gbc_terms(
     r: usize,
@@ -276,129 +337,179 @@ fn gbc_terms(
             }
             let g = b - j * conv.sw;
             let sbase = (i * src_geom.win_w + j) * conv.cout;
+            let tbase = (f * conv.kw + g) * conv.cout;
             for d in 0..conv.cout {
-                visit(sbase + d, conv.widx(f, g, d, 0));
+                visit(sbase + d, tbase + d);
             }
         }
     }
 }
 
-/// One row of the GBC transpose convolution (paper Algorithm 1) as a
-/// gather: every element of the grown destination window sums the terms
-/// [`gbc_terms`] lists for its position and is written exactly once —
-/// through the wide accumulator for [`Fp::EXACT_IN_F64`] (the row is widened
-/// into `wide` once, [`LANES`] `c_in` channels share one pass over the
-/// terms), through the per-step chain otherwise and for the elements the
-/// wide rule hands back. Exact-zero source coefficients are skipped
-/// (mandatory, like the GEMM zero-skip); virtual destination positions are
-/// exact zeros.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gbc_row<F: Fp>(
-    r: usize,
-    src_row: &[Itv<F>],
-    src_geom: &ExprGeom<'_>,
-    weight: &[F],
-    conv: &GbcShape,
-    dst_row: &mut [Itv<F>],
-    dst_origin: (i32, i32),
-    dst_ww: usize,
-    wide: &mut Vec<WideTerm>,
-) {
-    let cin = conv.cin;
-    if F::EXACT_IN_F64 {
-        wide.clear();
-        wide.extend(src_row.iter().map(|&m| WideTerm::new(m)));
-    }
-    // `nr` channels from `c0` of position `at` on the per-step chain.
-    let chain = |at: (usize, usize), c0: usize, nr: usize| {
-        let mut acc = [Itv::<F>::zero(); LANES];
-        gbc_terms(r, at, src_geom, conv, |s, w| {
-            let m = src_row[s];
-            if m.lo == F::ZERO && m.hi == F::ZERO {
-                return;
-            }
-            for (v, &wv) in acc.iter_mut().zip(&weight[w + c0..w + c0 + nr]) {
-                *v = m.mul_add_f(wv, *v);
-            }
-        });
-        acc
-    };
-    for (pos, out) in dst_row.chunks_mut(cin).enumerate() {
-        let at = (pos / dst_ww, pos % dst_ww);
-        let (dh, dw) = (dst_origin.0 + at.0 as i32, dst_origin.1 + at.1 as i32);
-        if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
-            out.fill(Itv::zero()); // virtual (padding) position
-            continue;
-        }
-        for c0 in (0..cin).step_by(LANES) {
-            let nr = LANES.min(cin - c0);
-            if !F::EXACT_IN_F64 {
-                out[c0..c0 + nr].copy_from_slice(&chain(at, c0, nr)[..nr]);
-                continue;
-            }
-            let mut acc = WideAcc::<LANES>::new::<F>(&[]);
-            // Remainder channels: unused lanes multiply by zero.
-            let mut lanes = [F::ZERO; LANES];
-            gbc_terms(r, at, src_geom, conv, |s, w| {
-                let term = wide[s];
-                if term.is_zero() {
-                    return;
-                }
-                if nr == LANES {
-                    lanes.copy_from_slice(&weight[w + c0..w + c0 + LANES]);
-                } else {
-                    lanes[..nr].copy_from_slice(&weight[w + c0..w + c0 + nr]);
-                }
-                acc.mul_add(term, &lanes);
-            });
-            let mut redone = None;
-            for (l, v) in out[c0..c0 + nr].iter_mut().enumerate() {
-                *v = acc
-                    .finish(l)
-                    .unwrap_or_else(|| redone.get_or_insert_with(|| chain(at, c0, nr))[l]);
-            }
-        }
-    }
-}
-
-/// Rows `r0..` of a GBC launch into `dst` (whole rows of `dst_cols`), one
-/// after the other with one widened-row scratch between them: a worker's
-/// share on [`CpuSimBackend`], the whole launch on [`ReferenceBackend`].
-#[allow(clippy::too_many_arguments)]
-fn gbc_rows<F: Fp>(
-    r0: usize,
-    src: &[Itv<F>],
-    src_geom: &ExprGeom<'_>,
-    weight: &[F],
-    conv: &GbcShape,
-    dst: &mut [Itv<F>],
-    dst_origins: &[(i32, i32)],
+/// The operands of one GBC launch, shared by the row blocks its workers
+/// take, and its [`launch_wmax`], indexed by filter tap and output channel
+/// `t` like the terms [`gbc_terms`] visits.
+struct GbcLaunch<'a, F> {
+    src: &'a [Itv<F>],
+    src_geom: &'a ExprGeom<'a>,
+    weight: &'a [F],
+    wmax: Vec<f64>,
+    conv: &'a GbcShape,
+    dst_origins: &'a [(i32, i32)],
     dst_cols: usize,
     dst_ww: usize,
-) {
-    let src_cols = src_geom.cols();
-    let mut wide = Vec::new();
-    for (r, row) in (r0..).zip(dst.chunks_mut(dst_cols)) {
-        gbc_row(
-            r,
-            &src[r * src_cols..(r + 1) * src_cols],
+}
+
+impl<'a, F: Fp> GbcLaunch<'a, F> {
+    fn new(
+        src: &'a [Itv<F>],
+        src_geom: &'a ExprGeom<'a>,
+        weight: &'a [F],
+        conv: &'a GbcShape,
+        dst_origins: &'a [(i32, i32)],
+        dst_cols: usize,
+        dst_ww: usize,
+    ) -> Self {
+        Self {
+            src,
             src_geom,
             weight,
+            wmax: launch_wmax(weight, conv.cin),
             conv,
-            row,
-            dst_origins[r],
+            dst_origins,
+            dst_cols,
             dst_ww,
-            &mut wide,
-        );
+        }
+    }
+
+    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`), one
+    /// after the other with one widened-row scratch between them: one block
+    /// on [`CpuSimBackend`], the whole launch on [`ReferenceBackend`].
+    fn rows(&self, r0: usize, dst: &mut [Itv<F>]) {
+        // Lane blocks sized to the layer's `c_in` — one, four or eight: a
+        // narrower block streams the position's terms again, a wider one
+        // multiplies by zeros. (No two-lane block: no workload has a layer
+        // with two input channels to measure it on.)
+        let row = match self.conv.cin {
+            1 => Self::row::<1>,
+            2..=4 => Self::row::<4>,
+            _ => Self::row::<8>,
+        };
+        let mut wide = Vec::new();
+        for (r, dst_row) in (r0..).zip(dst.chunks_mut(self.dst_cols)) {
+            row(self, r, dst_row, &mut wide);
+        }
+    }
+
+    /// One row of the GBC transpose convolution (paper Algorithm 1) as a
+    /// gather: every element of the grown destination window sums the terms
+    /// [`gbc_terms`] lists for its position and is written exactly once —
+    /// through the wide accumulator for [`Fp::EXACT_IN_F64`] (the row is
+    /// widened into `wide` once; a position's `c_in` channels share its term
+    /// list, hence one [`WideMag`], and stream the list `N` channels a pass),
+    /// through the per-step chain otherwise and for the positions the wide
+    /// rule hands back. Exact-zero source coefficients are skipped
+    /// (mandatory, like the GEMM zero-skip); virtual destination positions
+    /// are exact zeros.
+    fn row<const N: usize>(&self, r: usize, dst_row: &mut [Itv<F>], wide: &mut Vec<WideTerm>) {
+        let (src_geom, conv, weight) = (self.src_geom, self.conv, self.weight);
+        let cin = conv.cin;
+        let src_cols = src_geom.cols();
+        let src_row = &self.src[r * src_cols..(r + 1) * src_cols];
+        if F::EXACT_IN_F64 {
+            wide.clear();
+            wide.extend(src_row.iter().map(|&m| WideTerm::new(m)));
+        }
+        // Every channel of position `at` on the per-step chain.
+        let chain = |at: (usize, usize), out: &mut [Itv<F>]| {
+            out.fill(Itv::zero());
+            gbc_terms(r, at, src_geom, conv, |s, t| {
+                let m = src_row[s];
+                if m.lo == F::ZERO && m.hi == F::ZERO {
+                    return;
+                }
+                for (v, &wv) in out.iter_mut().zip(&weight[t * cin..]) {
+                    *v = m.mul_add_f(wv, *v);
+                }
+            });
+        };
+        let dst_origin = self.dst_origins[r];
+        for (pos, out) in dst_row.chunks_mut(cin).enumerate() {
+            let at = (pos / self.dst_ww, pos % self.dst_ww);
+            let (dh, dw) = (dst_origin.0 + at.0 as i32, dst_origin.1 + at.1 as i32);
+            if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
+                out.fill(Itv::zero()); // virtual (padding) position
+                continue;
+            }
+            if !F::EXACT_IN_F64 {
+                chain(at, out);
+                continue;
+            }
+            // The first pass over the position's terms also takes their
+            // magnitude sum; later lane blocks reuse its bound.
+            let mut mag = WideMag::new::<F>(&[]);
+            let mut bound = None;
+            for c0 in (0..cin).step_by(N) {
+                let nr = N.min(cin - c0);
+                let mut acc = WideAcc::<N>::new::<F>(&[]);
+                // Remainder channels: unused lanes multiply by zero.
+                let mut lanes = [F::ZERO; N];
+                gbc_terms(r, at, src_geom, conv, |s, t| {
+                    let term = wide[s];
+                    if term.is_zero() {
+                        return;
+                    }
+                    if c0 == 0 {
+                        mag.add(term, self.wmax[t]);
+                    }
+                    let w = t * cin + c0;
+                    lanes[..nr].copy_from_slice(&weight[w..w + nr]);
+                    acc.mul_add(term, &lanes);
+                });
+                if c0 == 0 {
+                    bound = mag.finish();
+                }
+                let Some(e) = bound else {
+                    chain(at, out); // a non-finite operand: the whole position
+                    break;
+                };
+                for (l, v) in out[c0..c0 + nr].iter_mut().enumerate() {
+                    *v = acc.finish(l, e);
+                }
+            }
+        }
+    }
+}
+
+/// Calls `visit(a, b)` for every term of a row's bias fold: the non-zero
+/// coefficients `a` at real window positions, ascending, each with its bias
+/// entry `b = bias[t mod |bias|]`.
+#[inline(always)]
+fn bias_terms<F: Fp>(
+    r: usize,
+    row: &[Itv<F>],
+    geom: &ExprGeom<'_>,
+    bias: &[F],
+    mut visit: impl FnMut(Itv<F>, F),
+) {
+    for (base, _) in real_positions(r, geom) {
+        let mut t = base % bias.len();
+        for &a in &row[base..base + geom.chans] {
+            if !(a.lo == F::ZERO && a.hi == F::ZERO) {
+                visit(a, bias[t]);
+            }
+            t += 1;
+            if t == bias.len() {
+                t = 0;
+            }
+        }
     }
 }
 
 /// One row of the bias fold: `cst' = cst + Σ a_t · bias[t mod |bias|]` over
-/// the real window positions, in ascending window order. Zero coefficients
-/// are **not** skipped here — the fold predates the trait and its bit
-/// pattern is pinned by the differential suite, so the accumulation is the
-/// plain ascending walk (unlike the GEMM family's mandatory zero-skip).
+/// [`bias_terms`] — one output over its own term list: the wide rule seeded
+/// with `cst` for [`Fp::EXACT_IN_F64`], the per-step chain otherwise and
+/// when an operand is not finite. Exact-zero coefficients are skipped on
+/// both (mandatory, like the GEMM zero-skip).
 #[inline]
 fn bias_fold_row<F: Fp>(
     r: usize,
@@ -407,25 +518,106 @@ fn bias_fold_row<F: Fp>(
     bias: &[F],
     cst: Itv<F>,
 ) -> Itv<F> {
-    let mut acc = cst;
-    let blen = bias.len();
-    for i in 0..geom.win_h {
-        for j in 0..geom.win_w {
-            if !geom.is_real(r, i, j) {
-                continue;
-            }
-            let base = (i * geom.win_w + j) * geom.chans;
-            for c in 0..geom.chans {
-                acc = row[base + c].mul_add_f(bias[(base + c) % blen], acc);
-            }
+    if F::EXACT_IN_F64 {
+        let mut mag = WideMag::new(&[cst]);
+        let mut acc = WideAcc::<1>::new(&[cst]);
+        bias_terms(r, row, geom, bias, |a, b| {
+            let a = WideTerm::new(a);
+            mag.add(a, b.to_f64().abs()); // one weight: its own bound
+            acc.mul_add(a, &[b]);
+        });
+        if let Some(e) = mag.finish() {
+            return acc.finish(0, e);
         }
     }
+    let mut acc = cst;
+    bias_terms(r, row, geom, bias, |a, b| acc = a.mul_add_f(b, acc));
     acc
 }
 
-/// One row of the ReLU substitution step (DeepPoly diagonal substitution).
-/// `upper` selects the mirrored coefficient choice of the upper plane.
+/// What the ReLU step does with one coefficient.
+enum ReluTerm<F> {
+    /// Not a term of the step: an exact-zero coefficient, or a neuron whose
+    /// relaxation is the identity ([`ReluRelax::is_identity`]). Coefficient
+    /// and constant stay as they are.
+    Keep,
+    /// A coefficient of definite sign: it is multiplied by the slope, and
+    /// its product with the intercept joins the constant.
+    Line(Itv<F>, Itv<F>),
+    /// A coefficient that straddles zero: it becomes exact zero, and the
+    /// endpoint of its product with the neuron's concrete bound that faces
+    /// the plane joins the constant.
+    Hull,
+}
+
+/// Classifies coefficient `a` of the plane selected by `upper` against its
+/// neuron's relaxation. Lower plane: `a ≥ 0` takes `(alpha, beta)`, `a ≤ 0`
+/// takes `(gamma, delta)`; the upper plane mirrors the choice.
+#[inline(always)]
+fn relu_term<F: Fp>(a: Itv<F>, rx: &ReluRelax<F>, upper: bool) -> ReluTerm<F> {
+    if (a.lo == F::ZERO && a.hi == F::ZERO) || rx.is_identity() {
+        ReluTerm::Keep
+    } else if a.lo >= F::ZERO {
+        if upper {
+            ReluTerm::Line(rx.gamma, rx.delta)
+        } else {
+            ReluTerm::Line(rx.alpha, rx.beta)
+        }
+    } else if a.hi <= F::ZERO {
+        if upper {
+            ReluTerm::Line(rx.alpha, rx.beta)
+        } else {
+            ReluTerm::Line(rx.gamma, rx.delta)
+        }
+    } else {
+        ReluTerm::Hull
+    }
+}
+
+/// Calls `visit(at, n)` for every element of row `r` at a real window
+/// position, ascending: its offset in the row and its frontier neuron.
+#[inline(always)]
+fn real_elements(r: usize, geom: &ExprGeom<'_>, mut visit: impl FnMut(usize, usize)) {
+    for (base, nbase) in real_positions(r, geom) {
+        for c in 0..geom.chans {
+            visit(base + c, nbase + c);
+        }
+    }
+}
+
+/// `true` when every relaxation and concrete bound of a segment's tables is
+/// finite: a row of finite coefficients then has a finite magnitude sum,
+/// and [`relu_step_row`] need not keep the copy it would fall back from.
+/// Taken once per launch and segment.
+fn finite_tables<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> bool {
+    let finite = |rx: &ReluRelax<F>| {
+        rx.alpha.is_finite() && rx.beta.is_finite() && rx.gamma.is_finite() && rx.delta.is_finite()
+    };
+    relax.iter().all(finite) && out_bounds.iter().all(|b| b.is_finite())
+}
+
+/// One row of the ReLU substitution step (DeepPoly diagonal substitution);
+/// `upper` selects the mirrored coefficient choice of the upper plane. The
+/// row's terms are its [`ReluTerm::Line`] and [`ReluTerm::Hull`] elements at
+/// real positions, in ascending window order; one pass classifies each
+/// element once and deals with both of its products.
+///
+/// To the constant a line term adds `a · intercept` — nothing, and
+/// uncounted, when the intercept is exactly zero — and a hull term the
+/// endpoint of `a · out_bound` facing the plane (the upper one for `upper`)
+/// as a point. The coefficient of a line term becomes `a · slope`, that of a
+/// hull term exact zero. For [`Fp::EXACT_IN_F64`] the constant is one
+/// [`WideSum`] seeded with `cst`, and `a · slope` the exact endpoint
+/// products narrowed once, directed (for a finite `a` and slope; [`Itv::mul`]
+/// otherwise). When an operand of that sum turns out not to be finite the
+/// row is put back as it was — from a copy that is only taken when
+/// `tables_finite` ([`finite_tables`] of the row's segment) and the row's own
+/// finiteness do not rule the case out — and goes through the per-step chain
+/// like every row of other scalar types: `cst.add(a.mul(intercept))`,
+/// `cst.add([v, v])` with `v` the endpoint of `a.mul(out_bound)`, and
+/// `a.mul(slope)`.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn relu_step_row<F: Fp>(
     r: usize,
     row: &mut [Itv<F>],
@@ -434,42 +626,63 @@ fn relu_step_row<F: Fp>(
     relax: &[ReluRelax<F>],
     out_bounds: &[Itv<F>],
     upper: bool,
+    tables_finite: bool,
 ) {
-    for i in 0..geom.win_h {
-        for j in 0..geom.win_w {
-            if !geom.is_real(r, i, j) {
-                continue;
-            }
-            let nbase = geom.neuron_at(r, i, j);
-            let base = (i * geom.win_w + j) * geom.chans;
-            for c in 0..geom.chans {
-                let a = row[base + c];
-                if a.lo == F::ZERO && a.hi == F::ZERO {
-                    continue;
+    let is_zero = |v: Itv<F>| v.lo == F::ZERO && v.hi == F::ZERO;
+    if F::EXACT_IN_F64 {
+        let surely_finite = tables_finite && cst.is_finite() && row.iter().all(Itv::is_finite);
+        let saved = (!surely_finite).then(|| row.to_vec());
+        let mut sum = WideSum::new(*cst);
+        real_elements(r, geom, |at, n| {
+            let a = WideTerm::new(row[at]);
+            match relu_term(row[at], &relax[n], upper) {
+                ReluTerm::Keep => {}
+                ReluTerm::Hull => {
+                    sum.add_endpoint(a, WideTerm::new(out_bounds[n]), upper);
+                    row[at] = Itv::zero();
                 }
-                let rx = &relax[nbase + c];
-                // Lower plane: a >= 0 -> (alpha, beta); a <= 0 -> (gamma,
-                // delta). Upper plane mirrors the choice.
-                let (pos_s, pos_c, neg_s, neg_c) = if upper {
-                    (rx.gamma, rx.delta, rx.alpha, rx.beta)
-                } else {
-                    (rx.alpha, rx.beta, rx.gamma, rx.delta)
-                };
-                if a.lo >= F::ZERO {
-                    row[base + c] = a.mul(pos_s);
-                    *cst = cst.add(a.mul(pos_c));
-                } else if a.hi <= F::ZERO {
-                    row[base + c] = a.mul(neg_s);
-                    *cst = cst.add(a.mul(neg_c));
-                } else {
-                    let hull = a.mul(out_bounds[nbase + c]);
-                    row[base + c] = Itv::zero();
-                    let point = if upper { hull.hi } else { hull.lo };
-                    *cst = cst.add(Itv::point(point));
+                ReluTerm::Line(slope, icpt) => {
+                    if !is_zero(icpt) {
+                        sum.mul_add(a, WideTerm::new(icpt));
+                    }
+                    let s = WideTerm::new(slope);
+                    row[at] = if a.is_finite() && s.is_finite() {
+                        let (lo, hi) = a.product(s);
+                        Itv {
+                            lo: round::from_f64_down(lo),
+                            hi: round::from_f64_up(hi),
+                        }
+                    } else {
+                        row[at].mul(slope)
+                    };
                 }
             }
+        });
+        match sum.finish() {
+            Some(sum) => {
+                *cst = sum;
+                return;
+            }
+            None => row.copy_from_slice(&saved.expect("finite operands sum to a finite bound")),
         }
     }
+    real_elements(r, geom, |at, n| {
+        let a = row[at];
+        match relu_term(a, &relax[n], upper) {
+            ReluTerm::Keep => {}
+            ReluTerm::Hull => {
+                let hull = a.mul(out_bounds[n]);
+                *cst = cst.add(Itv::point(if upper { hull.hi } else { hull.lo }));
+                row[at] = Itv::zero();
+            }
+            ReluTerm::Line(slope, icpt) => {
+                if !is_zero(icpt) {
+                    *cst = cst.add(a.mul(icpt));
+                }
+                row[at] = a.mul(slope);
+            }
+        }
+    });
 }
 
 /// One row of the densify scatter: copy the cuboid window's real positions
@@ -549,7 +762,6 @@ fn concretize_row<F: Fp>(
     geom: &ExprGeom<'_>,
     bounds: &[Itv<F>],
 ) -> Itv<F> {
-    use gpupoly_interval::round;
     let is_zero = |a: Itv<F>| a.lo == F::ZERO && a.hi == F::ZERO;
     if F::EXACT_IN_F64 {
         let mut lo = WideBound::<false>::new(cst_lo.lo);
@@ -591,54 +803,96 @@ fn concretize_row<F: Fp>(
     Itv { lo, hi: hi.max(lo) }
 }
 
-/// One output element of the interval GEMM family: the module-level
-/// contract in straight-line form. [`ReferenceBackend`] computes every
-/// element this way; [`CpuSimBackend`] uses it for the elements its
-/// register-blocked kernel hands back (non-finite operands).
-#[inline]
-fn gemm_itv_element<F: Fp>(init: Itv<F>, arow: &[Itv<F>], b: &[F], n: usize, j: usize) -> Itv<F> {
-    if F::EXACT_IN_F64 {
-        let mut acc = WideAcc::<1>::new(&[init]);
-        for (kk, &aik) in arow.iter().enumerate() {
-            // Mandatory zero-skip — see the module contract.
-            if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                continue;
-            }
-            acc.mul_add(WideTerm::new(aik), &[b[kk * n + j]]);
-        }
-        if let Some(v) = acc.finish(0) {
-            return v;
-        }
+/// `wmax` of a launch for scalar types with [`Fp::EXACT_IN_F64`] (empty
+/// otherwise): per run of `n` weights that multiply one term — a row of `B`
+/// for the GEMM, the `c_in` weights of one filter tap and output channel for
+/// GBC — the largest magnitude among them, i.e. what the term is multiplied
+/// by at most, whichever of the outputs sharing it sums it. Taken once per
+/// launch.
+fn launch_wmax<F: Fp>(weights: &[F], n: usize) -> Vec<f64> {
+    if !F::EXACT_IN_F64 {
+        return Vec::new();
     }
-    let mut acc = init;
-    for (kk, &aik) in arow.iter().enumerate() {
-        if aik.lo == F::ZERO && aik.hi == F::ZERO {
-            continue;
-        }
-        acc = aik.mul_add_f(b[kk * n + j], acc);
-    }
-    acc
+    weights.chunks(n).map(max_mag).collect()
 }
 
-/// Outputs per register block of the wide kernels: one row of `C` times this
-/// many columns in [`wide_itv_rows`], one window position times this many
-/// `c_in` channels in [`gbc_row`], accumulating in registers over all of the
-/// element's terms. Fixed, not configurable: four lanes keep the block's
-/// accumulators in baseline x86-64's sixteen vector registers, and a sweep of
-/// wider blocks and multi-row micro-kernels on the GEMM found none more than
+/// One row of the interval GEMM family: the module-level contract in
+/// straight-line form, which is how [`ReferenceBackend`] computes every row.
+/// `fresh` starts from zero instead of reading `C`.
+fn gemm_itv_row<F: Fp>(arow: &[Itv<F>], b: &[F], wmax: &[f64], crow: &mut [Itv<F>], fresh: bool) {
+    let n = crow.len();
+    // Mandatory zero-skip — see the module contract.
+    let terms = || {
+        arow.iter()
+            .enumerate()
+            .filter(|(_, aik)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
+    };
+    if F::EXACT_IN_F64 {
+        let init: &[Itv<F>] = if fresh { &[] } else { crow };
+        let mut mag = WideMag::new(init);
+        for (kk, &aik) in terms() {
+            mag.add(WideTerm::new(aik), wmax[kk]);
+        }
+        if let Some(e) = mag.finish() {
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let init: &[Itv<F>] = if fresh { &[] } else { &[*cv] };
+                let mut acc = WideAcc::<1>::new(init);
+                for (kk, &aik) in terms() {
+                    acc.mul_add(WideTerm::new(aik), &[b[kk * n + j]]);
+                }
+                *cv = acc.finish(0, e);
+            }
+            return;
+        }
+    }
+    chain_itv_rows(arow, b, crow, arow.len(), n, fresh);
+}
+
+/// The interval GEMM family of [`ReferenceBackend`]: [`gemm_itv_row`], one
+/// row of `C` after the other.
+fn reference_gemm_itv<F: Fp>(
+    a: &[Itv<F>],
+    b: &[F],
+    c: &mut [Itv<F>],
+    k: usize,
+    n: usize,
+    fresh: bool,
+) {
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
+        if fresh {
+            c.fill(Itv::zero());
+        }
+        return;
+    }
+    let wmax = launch_wmax(b, n);
+    for (arow, crow) in a.chunks(k).zip(c.chunks_mut(n)) {
+        gemm_itv_row(arow, b, &wmax, crow, fresh);
+    }
+}
+
+/// Outputs per register block of the wide GEMM kernel: one row of `C` times
+/// this many columns in [`wide_itv_rows`], accumulating in registers over
+/// all of the row's terms. Fixed, not configurable: four lanes keep the
+/// block's accumulators in baseline x86-64's sixteen vector registers, and a
+/// sweep of wider blocks and multi-row micro-kernels found none more than
 /// 10 % ahead.
 const LANES: usize = 4;
 
 /// A block of rows of the interval product for scalar types with
 /// [`Fp::EXACT_IN_F64`]. Each row's non-zero coefficients are widened once
-/// into a term list (so the zero-skip and the `f32`→`f64` conversions leave
-/// the hot loop); then every [`LANES`]-wide column block streams that
-/// list in ascending `k`. Per output element this is the operation sequence
-/// of [`gemm_itv_element`] — blocking covers `m`/`n` only — so the bits are
-/// the same. `fresh` starts from zero instead of reading `C`.
+/// into a term list (so the zero-skip, the `f32`→`f64` conversions and the
+/// row's magnitude sum leave the hot loop); then every [`LANES`]-wide column
+/// block streams that list in ascending `k`. Per output element this is the
+/// operation sequence of [`gemm_itv_row`] — blocking covers `m`/`n` only —
+/// so the bits are the same. `fresh` starts from zero instead of reading `C`.
 fn wide_itv_rows<F: Fp>(
     atile: &[Itv<F>],
     b: &[F],
+    wmax: &[f64],
     ctile: &mut [Itv<F>],
     k: usize,
     n: usize,
@@ -647,12 +901,19 @@ fn wide_itv_rows<F: Fp>(
     let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
     for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
         terms.clear();
-        terms.extend(
-            arow.iter()
-                .enumerate()
-                .filter(|(_, aik)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
-                .map(|(kk, &aik)| (kk * n, WideTerm::new(aik))),
-        );
+        let mut mag = WideMag::new(if fresh { &[] } else { &crow[..] });
+        for (kk, &aik) in arow.iter().enumerate() {
+            let term = WideTerm::new(aik);
+            if !term.is_zero() {
+                mag.add(term, wmax[kk]);
+                terms.push((kk * n, term));
+            }
+        }
+        let Some(e) = mag.finish() else {
+            // A non-finite operand somewhere in the row: all of it.
+            chain_itv_rows(arow, b, crow, k, n, fresh);
+            continue;
+        };
         for j0 in (0..n).step_by(LANES) {
             let nr = LANES.min(n - j0);
             let init: &[Itv<F>] = if fresh { &[] } else { &crow[j0..j0 + nr] };
@@ -670,19 +931,17 @@ fn wide_itv_rows<F: Fp>(
                     acc.mul_add(term, &w);
                 }
             }
-            for jj in 0..nr {
-                crow[j0 + jj] = acc.finish(jj).unwrap_or_else(|| {
-                    let init = if fresh { Itv::zero() } else { crow[j0 + jj] };
-                    gemm_itv_element(init, arow, b, n, j0 + jj)
-                });
+            for (jj, cv) in crow[j0..j0 + nr].iter_mut().enumerate() {
+                *cv = acc.finish(jj, e);
             }
         }
     }
 }
 
-/// The `f64` counterpart of [`wide_itv_rows`]: the per-step chain, streamed
-/// row-wise over `B` — per output element the operation sequence of
-/// [`gemm_itv_element`].
+/// The per-step chain over a block of rows, streamed row-wise over `B`: the
+/// interval GEMM of `f64`, and of the rows the wide rule hands back — per
+/// output element ascending `k`, zero coefficients skipped,
+/// [`Itv::mul_add_f`] per term.
 fn chain_itv_rows<F: Fp>(
     atile: &[Itv<F>],
     b: &[F],
@@ -706,7 +965,22 @@ fn chain_itv_rows<F: Fp>(
     }
 }
 
-/// Splits `C` (`m×n`) into one block of whole rows per worker and runs
+/// Row blocks a GEMM or GBC launch makes per device worker. The blocks are
+/// what the worker pool hands out, and it hands out up to four parts per
+/// thread: a row costs what its non-zero coefficients cost, and on a shared
+/// host a worker can lose its processor under its block, so with one block
+/// each a launch takes as long as its slower half. With four, whoever is
+/// running takes the next block. A block costs its kernel one scratch term
+/// list, nothing per row.
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// Rows per block of an `m`-row launch on `device`: [`BLOCKS_PER_WORKER`]
+/// blocks of whole rows per worker, the last one short.
+fn block_rows(device: &Device<CpuSimBackend>, m: usize) -> usize {
+    m.div_ceil(BLOCKS_PER_WORKER * device.workers()).max(1)
+}
+
+/// Splits `C` (`m×n`) into [`block_rows`] blocks of whole rows and runs
 /// `body` on each block and its rows of `A` (`m×k`) in parallel — the only
 /// blocking over `m` the CPU-sim GEMM family does. `n` and `k` are non-zero.
 fn par_row_blocks<A: Sync, C: Send>(
@@ -716,7 +990,7 @@ fn par_row_blocks<A: Sync, C: Send>(
     (m, k, n): (usize, usize, usize),
     body: impl Fn(&[A], &mut [C]) + Sync,
 ) {
-    let rows = m.div_ceil(device.workers()).max(1);
+    let rows = block_rows(device, m);
     device.install(|| {
         c.par_chunks_mut(rows * n)
             .enumerate()
@@ -799,13 +1073,13 @@ fn gemm_itv_rows<F: Fp>(
         }
         return;
     }
-    let kernel = if F::EXACT_IN_F64 {
-        wide_itv_rows::<F>
-    } else {
-        chain_itv_rows::<F>
-    };
+    let wmax = launch_wmax(b, n);
     par_row_blocks(device, a, c, (m, k, n), |atile, ctile| {
-        kernel(atile, b, ctile, k, n, fresh)
+        if F::EXACT_IN_F64 {
+            wide_itv_rows(atile, b, &wmax, ctile, k, n, fresh)
+        } else {
+            chain_itv_rows(atile, b, ctile, k, n, fresh)
+        }
     });
 }
 
@@ -937,8 +1211,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
 
     /// Bias absorption of the affine steps, one plane per launch:
     /// `out_cst[r] = src_cst[r] + Σ_t plane[r][t] · bias[t mod |bias|]`
-    /// over the real window positions in ascending order, with **no**
-    /// zero-skip (see [`bias_fold_row`]'s bit-pattern note).
+    /// over the real window positions in ascending order, exact-zero
+    /// coefficients skipped, under the module contract's bias-fold rule.
     fn bias_fold<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -952,7 +1226,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// The DeepPoly ReLU substitution step, one plane per launch (`upper`
     /// selects the mirrored coefficient choice): row `r` substitutes the
     /// relaxation of *its own* query segment
-    /// (`relax_per_seg[geom.seg[r]]`), in place.
+    /// (`relax_per_seg[geom.seg[r]]`), in place, under the module
+    /// contract's ReLU-step rule.
     #[allow(clippy::too_many_arguments)]
     fn relu_step<F: Fp>(
         &self,
@@ -1122,24 +1397,13 @@ impl Backend for CpuSimBackend {
         if dst.is_empty() {
             return;
         }
-        // One block of whole rows per worker, like the GEMM family.
-        let rows = src_geom.rows().div_ceil(device.workers()).max(1);
+        let launch = GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww);
+        // Blocks of whole rows, like the GEMM family.
+        let rows = block_rows(device, src_geom.rows());
         device.install(|| {
             dst.par_chunks_mut(rows * dst_cols)
                 .enumerate()
-                .for_each(|(t, block)| {
-                    gbc_rows(
-                        t * rows,
-                        src,
-                        src_geom,
-                        weight,
-                        conv,
-                        block,
-                        dst_origins,
-                        dst_cols,
-                        dst_ww,
-                    )
-                })
+                .for_each(|(t, block)| launch.rows(t * rows, block))
         });
     }
 
@@ -1177,6 +1441,11 @@ impl Backend for CpuSimBackend {
             return;
         }
         let cols = geom.cols();
+        let finite: Vec<bool> = relax_per_seg
+            .iter()
+            .zip(out_bounds_per_seg)
+            .map(|(relax, out_bounds)| finite_tables(relax, out_bounds))
+            .collect();
         device.install(|| {
             plane
                 .par_chunks_mut(cols.max(1))
@@ -1192,6 +1461,7 @@ impl Backend for CpuSimBackend {
                         relax_per_seg[s],
                         out_bounds_per_seg[s],
                         upper,
+                        finite[s],
                     )
                 })
         });
@@ -1299,15 +1569,11 @@ impl Backend for ReferenceBackend {
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
     ) {
-        for i in 0..m {
-            for j in 0..n {
-                c[i * n + j] = gemm_itv_element(Itv::zero(), &a[i * k..(i + 1) * k], b, n, j);
-            }
-        }
+        reference_gemm_itv(a, b, c, k, n, true);
     }
 
     fn gemm_itv_f_acc<F: Fp>(
@@ -1316,15 +1582,11 @@ impl Backend for ReferenceBackend {
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
     ) {
-        for i in 0..m {
-            for j in 0..n {
-                c[i * n + j] = gemm_itv_element(c[i * n + j], &a[i * k..(i + 1) * k], b, n, j);
-            }
-        }
+        reference_gemm_itv(a, b, c, k, n, false);
     }
 
     fn gemm_f_f<F: Fp>(
@@ -1384,17 +1646,7 @@ impl Backend for ReferenceBackend {
         if dst.is_empty() {
             return;
         }
-        gbc_rows(
-            0,
-            src,
-            src_geom,
-            weight,
-            conv,
-            dst,
-            dst_origins,
-            dst_cols,
-            dst_ww,
-        );
+        GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww).rows(0, dst);
     }
 
     fn bias_fold<F: Fp>(
@@ -1428,6 +1680,8 @@ impl Backend for ReferenceBackend {
             .zip(cst.iter_mut())
             .enumerate()
         {
+            // No table summary here: every row keeps its copy, and the same
+            // bits come out.
             let s = geom.seg[r] as usize;
             relu_step_row(
                 r,
@@ -1437,6 +1691,7 @@ impl Backend for ReferenceBackend {
                 relax_per_seg[s],
                 out_bounds_per_seg[s],
                 upper,
+                false,
             );
         }
     }

@@ -7,18 +7,21 @@
 //! * **GEMM bit-reproducibility** — every kernel of the GEMM family matches
 //!   a straight-line scalar oracle *bit for bit* (for `f32` intervals:
 //!   exact products accumulated in round-to-nearest `f64` in ascending `k`,
-//!   one a-priori widening and one directed rounding per output; the
-//!   per-step directed chain for non-finite operands), over a matrix of
-//!   shapes that includes empty, single-element, non-square and
+//!   one a-priori widening per row — from one magnitude sum against the
+//!   largest weight of each `B` row — and one directed rounding per output;
+//!   the per-step directed chain for rows with a non-finite operand), over a
+//!   matrix of shapes that includes empty, single-element, non-square and
 //!   block-boundary cases;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
-//!   product, and single-term outputs are the tightest enclosure;
+//!   product, and the outputs of single-term rows are the tightest
+//!   enclosure;
 //! * **scan / compaction / gather exactness** against serial oracles;
 //! * **walk-step kernels** — GBC transpose convolution, bias fold, the
 //!   ReLU substitution step (including its stable-zero column guarantee),
 //!   densify, residual merge and concretize each match an independent
 //!   straight-line oracle bit for bit over cuboid/full windows, padding
-//!   origins and fused multi-segment batches; for GBC and concretize that
+//!   origins and fused multi-segment batches; for GBC (one bound per
+//!   destination position), bias fold, the ReLU step and concretize that
 //!   oracle is the contract's wide rule restated per output in plain `f64`
 //!   (per-step chain for non-finite operands), with the corners random data
 //!   does not reach pinned separately;
@@ -83,100 +86,112 @@ fn bit_eq<F: Fp>(a: Itv<F>, b: Itv<F>) -> bool {
     a.lo.bits() == b.lo.bits() && a.hi.bits() == b.hi.bits()
 }
 
-/// The wide-accumulator rule of the [`crate::backend`] contract for one
-/// output element, spelled out in plain `f64` arithmetic (deliberately not
-/// through `gpupoly_interval::wide`, which the backends use). `terms` are
-/// the element's non-skipped `(coefficient, weight)` pairs in ascending `k`.
-/// `None` when the rule does not apply: `F` is not `f32`, or an operand is
-/// not finite.
-fn oracle_wide<F: Fp>(c0: Itv<F>, terms: &[(Itv<F>, F)]) -> Option<Itv<F>> {
+/// `max(|lo|, |hi|)` in plain `f64` (finite operands only).
+fn oracle_mag<F: Fp>(x: Itv<F>) -> f64 {
+    x.lo.to_f64().abs().max(x.hi.to_f64().abs())
+}
+
+/// The contract's `wmax` of one term: the largest magnitude among the
+/// weights `ws` its outputs multiply it by, `+inf` if any is `±inf` or NaN.
+fn oracle_wmax<F: Fp>(ws: &[F]) -> f64 {
+    if !ws.iter().all(|w| w.is_finite()) {
+        return f64::INFINITY;
+    }
+    ws.iter().map(|w| w.to_f64().abs()).fold(0.0, f64::max)
+}
+
+/// The shared half of the wide rule of the [`crate::backend`] contract,
+/// spelled out in plain `f64` arithmetic (deliberately not through
+/// `gpupoly_interval::wide`, which the backends use): the error bound `e` of
+/// one term list whose outputs start at `starts` and whose non-skipped terms
+/// are `terms`, in order — each coefficient with the magnitude that bounds
+/// what any output multiplies it by (`wmax`; the other factor's magnitude
+/// for an interval×interval term). `None` when the rule does not apply: `F`
+/// is not `f32`, or an operand is not finite.
+fn oracle_widening<F: Fp>(starts: &[Itv<F>], terms: &[(Itv<F>, f64)]) -> Option<f64> {
     if !F::EXACT_IN_F64
-        || !c0.is_finite()
+        || !starts.iter().all(|c| c.is_finite())
         || !terms.iter().all(|(a, w)| a.is_finite() && w.is_finite())
     {
         return None;
     }
-    let mag = |x: Itv<F>| x.lo.to_f64().abs().max(x.hi.to_f64().abs());
-    let (mut lo, mut hi, mut t) = (c0.lo.to_f64(), c0.hi.to_f64(), mag(c0));
+    let mut t = starts.iter().map(|&c| oracle_mag(c)).fold(0.0, f64::max);
+    // Additions that can round: every term, plus a non-zero start.
+    let adds = (terms.len() + usize::from(t != 0.0)).saturating_sub(1);
+    for &(a, w) in terms {
+        t += oracle_mag(a) * w;
+    }
+    Some(if adds > 0 {
+        round::mul_up(t, adds as f64 * 2f64.powi(-52))
+    } else {
+        0.0
+    })
+}
+
+/// `[down_F(down(lo − e)), up_F(up(hi + e))]`; a zero `e` moves nothing.
+fn oracle_outward<F: Fp>(mut lo: f64, mut hi: f64, e: f64) -> Itv<F> {
+    if e > 0.0 {
+        lo = round::sub_down(lo, e);
+        hi = round::add_up(hi, e);
+    }
+    Itv {
+        lo: round::from_f64_down(lo),
+        hi: round::from_f64_up(hi),
+    }
+}
+
+/// The per-output half of the wide rule, in plain `f64` like
+/// [`oracle_widening`], which supplies `e`: the output that starts at `c0`
+/// and sums `terms`, the list's non-skipped `(coefficient, weight)` pairs in
+/// order.
+fn oracle_wide<F: Fp>(c0: Itv<F>, terms: &[(Itv<F>, F)], e: f64) -> Itv<F> {
+    let (mut lo, mut hi) = (c0.lo.to_f64(), c0.hi.to_f64());
     for &(a, w) in terms {
         let w = w.to_f64();
         let (p, q) = (a.lo.to_f64() * w, a.hi.to_f64() * w);
         lo += if p < q { p } else { q };
         hi += if p > q { p } else { q };
-        t += mag(a) * w.abs();
     }
-    // Additions that can round: non-zero products, plus a non-zero start.
-    let seeded = c0.lo != F::ZERO || c0.hi != F::ZERO;
-    let rounded = terms.iter().filter(|(_, w)| *w != F::ZERO).count() + usize::from(seeded);
-    let adds = rounded.saturating_sub(1);
-    if adds > 0 {
-        let e = round::mul_up(t, adds as f64 * 2f64.powi(-52));
-        lo = round::sub_down(lo, e);
-        hi = round::add_up(hi, e);
-    }
-    Some(Itv {
-        lo: round::from_f64_down(lo),
-        hi: round::from_f64_up(hi),
-    })
+    oracle_outward(lo, hi, e)
+}
+
+/// The exact endpoints `(min, max)` of `a · b`: its extreme corner products
+/// in plain `f64`, `min`/`max` spelled as the contract spells them.
+fn oracle_corners<F: Fp>(a: Itv<F>, b: Itv<F>) -> (f64, f64) {
+    let min = |p: f64, q: f64| if p < q { p } else { q };
+    let max = |p: f64, q: f64| if p > q { p } else { q };
+    let (al, ah) = (a.lo.to_f64(), a.hi.to_f64());
+    let (bl, bh) = (b.lo.to_f64(), b.hi.to_f64());
+    let (p1, p2, p3, p4) = (al * bl, al * bh, ah * bl, ah * bh);
+    (min(min(p1, p2), min(p3, p4)), max(max(p1, p2), max(p3, p4)))
 }
 
 /// The interval×interval rule of the [`crate::backend`] contract for one
-/// directed bound of `c + Σ a·b`, spelled out in plain `f64` arithmetic like
-/// [`oracle_wide`]. `terms` are the non-skipped `(coefficient, bound)` pairs
-/// in window order. `None` when the rule does not apply: `F` is not `f32`,
-/// or an operand is not finite.
+/// directed bound of `c + Σ a·b`, spelled out in plain `f64` arithmetic.
+/// `terms` are the non-skipped `(coefficient, bound)` pairs in window order.
+/// `None` when the rule does not apply: `F` is not `f32`, or an operand is
+/// not finite.
 fn oracle_wide_bound<F: Fp>(c: F, terms: &[(Itv<F>, Itv<F>)], upper: bool) -> Option<F> {
-    if !F::EXACT_IN_F64
-        || !c.is_finite()
-        || !terms.iter().all(|(a, b)| a.is_finite() && b.is_finite())
-    {
+    if !terms.iter().all(|(_, b)| b.is_finite()) {
         return None;
     }
-    let pick = |p: f64, q: f64| {
-        if upper {
-            if p > q {
-                p
-            } else {
-                q
-            }
-        } else if p < q {
-            p
-        } else {
-            q
-        }
-    };
-    let mag = |x: Itv<F>| x.lo.to_f64().abs().max(x.hi.to_f64().abs());
-    let (mut sum, mut t) = (c.to_f64(), c.to_f64().abs());
-    for &(a, b) in terms {
-        let (al, ah) = (a.lo.to_f64(), a.hi.to_f64());
-        let (bl, bh) = (b.lo.to_f64(), b.hi.to_f64());
-        sum += pick(pick(al * bl, al * bh), pick(ah * bl, ah * bh));
-        t += mag(a) * mag(b);
-    }
-    // Every term's addition may round, and so may the first onto a
-    // non-zero start.
-    let adds = (terms.len() + usize::from(c != F::ZERO)).saturating_sub(1);
-    if adds > 0 {
-        let e = round::mul_up(t, adds as f64 * 2f64.powi(-52));
-        sum = if upper {
-            round::add_up(sum, e)
-        } else {
-            round::sub_down(sum, e)
-        };
-    }
-    Some(if upper {
-        round::from_f64_up(sum)
-    } else {
-        round::from_f64_down(sum)
-    })
+    let shared: Vec<(Itv<F>, f64)> = terms.iter().map(|&(a, b)| (a, oracle_mag(b))).collect();
+    let e = oracle_widening(&[Itv { lo: c, hi: c }], &shared)?;
+    let sum = terms.iter().fold(c.to_f64(), |sum, &(a, b)| {
+        let (min, max) = oracle_corners(a, b);
+        sum + if upper { max } else { min }
+    });
+    let y: Itv<F> = oracle_outward(sum, sum, e);
+    Some(if upper { y.hi } else { y.lo })
 }
 
 /// Straight-line oracle for the interval×scalar GEMM family, starting from
-/// `init` (or zero). Exact-zero coefficients are skipped, as the contract
-/// mandates: they neither count as terms of the error bound nor — on the
-/// per-step chain — get to rewrite a `-0.0` accumulator bound to `+0.0`.
-/// Elements the wide rule does not cover take the ascending-`k`
-/// [`Itv::mul_add_f`] chain.
+/// `init` (or zero), one row of `C` — one term list — at a time. Exact-zero
+/// coefficients are skipped, as the contract mandates: they neither count as
+/// terms of the error bound nor — on the per-step chain — get to rewrite a
+/// `-0.0` accumulator bound to `+0.0`. The row's `n` outputs share the bound
+/// of [`oracle_widening`] over `wmax[k] = max_j |B[k][j]|`; a row it does not
+/// cover takes the ascending-`k` [`Itv::mul_add_f`] chain, every element.
 fn oracle_gemm_itv_f<F: Fp>(
     a: &[Itv<F>],
     b: &[F],
@@ -187,17 +202,26 @@ fn oracle_gemm_itv_f<F: Fp>(
 ) -> Vec<Itv<F>> {
     let mut c = vec![Itv::zero(); m * n];
     for i in 0..m {
+        let row: Vec<(usize, Itv<F>)> = (0..k)
+            .map(|kk| (kk, a[i * k + kk]))
+            .filter(|(_, aik)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
+            .collect();
+        let starts = init.map_or(&[][..], |c0| &c0[i * n..(i + 1) * n]);
+        let shared: Vec<(Itv<F>, f64)> = row
+            .iter()
+            .map(|&(kk, aik)| (aik, oracle_wmax(&b[kk * n..(kk + 1) * n])))
+            .collect();
+        let e = oracle_widening(starts, &shared);
         for j in 0..n {
             let c0 = init.map_or(Itv::zero(), |c0| c0[i * n + j]);
-            let terms: Vec<(Itv<F>, F)> = (0..k)
-                .map(|kk| (a[i * k + kk], b[kk * n + j]))
-                .filter(|(aik, _)| !(aik.lo == F::ZERO && aik.hi == F::ZERO))
-                .collect();
-            c[i * n + j] = oracle_wide(c0, &terms).unwrap_or_else(|| {
-                terms
+            let terms: Vec<(Itv<F>, F)> =
+                row.iter().map(|&(kk, aik)| (aik, b[kk * n + j])).collect();
+            c[i * n + j] = match e {
+                Some(e) => oracle_wide(c0, &terms, e),
+                None => terms
                     .iter()
-                    .fold(c0, |acc, &(aik, w)| aik.mul_add_f(w, acc))
-            });
+                    .fold(c0, |acc, &(aik, w)| aik.mul_add_f(w, acc)),
+            };
         }
     }
     c
@@ -363,11 +387,13 @@ pub fn check_gemm_blocking<B: Backend>(make: &impl Fn(DeviceConfig) -> Device<B>
 }
 
 /// Pins the corners of the interval GEMM contract that random data does not
-/// reach: a coefficient row or a weight column holding `±inf` (those outputs
-/// take the per-step chain, every other output of the launch the wide
-/// rule), all-zero rows (the accumulating kernel must leave `C` untouched,
-/// `-0.0` included), and single-term rows (no addition, so the result is
-/// the tightest enclosure of the one exact product).
+/// reach: a coefficient row holding `±inf` and a weight that is `−inf`
+/// (exactly the rows whose term list meets one take the per-step chain, all
+/// of each; a row whose coefficient on the bad weight is zero keeps the wide
+/// rule, in that weight's column too), all-zero rows (the accumulating kernel
+/// must leave `C` untouched, `-0.0` included), and single-term rows (no
+/// addition, so the result is the tightest enclosure of the one exact
+/// product).
 ///
 /// # Panics
 ///
@@ -391,7 +417,8 @@ pub fn check_gemm_special_rows<B: Backend>(device: &Device<B>) {
     a[2 * k + 4] = Itv::point(-0.0);
     a[3 * k..4 * k].fill(Itv::zero()); // row 3: a single term
     a[3 * k + 5] = Itv::new(0.1, 0.3);
-    b[2 * n + 6] = f32::NEG_INFINITY; // column 6
+    b[2 * n + 6] = f32::NEG_INFINITY; // weight row 2: met by row 5 ...
+    a[4 * k + 2] = Itv::point(-0.0); // ... but not by row 4
     b[4 * n..5 * n].fill(0.0); // a zero weight row: exact-zero products
     b[4 * n + 1] = -0.0;
     let init: Vec<Itv<f32>> = (0..m * n)
@@ -416,14 +443,26 @@ pub fn check_gemm_special_rows<B: Backend>(device: &Device<B>) {
         fresh[..2 * n].iter().all(|v| !v.is_finite()),
         "[{label}] non-finite rows lost"
     );
+    assert!(
+        fresh[4 * n..5 * n].iter().all(|v| v.is_finite()) && !fresh[5 * n + 6].is_finite(),
+        "[{label}] the -inf weight must reach row 5 and only row 5"
+    );
     for j in 0..n {
         assert!(
             bit_eq(acc[2 * n + j], init[2 * n + j]),
             "[{label}] all-zero row must leave C[2,{j}] untouched"
         );
-        if j == 6 {
-            continue; // the -inf weight column
-        }
+        // Row 5 is on the chain in every column, not only the bad one.
+        let chain = a[5 * k..6 * k]
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !(v.lo == 0.0 && v.hi == 0.0))
+            .fold(Itv::zero(), |c, (kk, v)| v.mul_add_f(b[kk * n + j], c));
+        assert!(
+            bit_eq(fresh[5 * n + j], chain),
+            "[{label}] row 5 meets a -inf weight: [5,{j}] {} is not the chain's {chain}",
+            fresh[5 * n + j]
+        );
         let w = b[5 * n + j] as f64;
         let (p, q) = (0.1_f32 as f64 * w, 0.3_f32 as f64 * w);
         let tight = Itv::<f32> {
@@ -654,21 +693,22 @@ fn assert_planes_bit_eq_or_nan(label: &str, kernel: &str, got: &[Itv<f32>], want
     }
 }
 
-/// The terms of destination element `(a, b, c)` of row `r` of a GBC launch,
-/// in the contract's order — ascending source window position `i`, then `j`,
-/// then output channel `d` — as `(coefficient, weight)` pairs: source
+/// The term list of destination position `(a, b)` of row `r` of a GBC
+/// launch, in the contract's order — ascending source window position `i`,
+/// then `j`, then output channel `d` — as `(coefficient, weights)` pairs,
+/// `weights[c]` what input channel `c` multiplies the term by: source
 /// position `(i, j)` contributes through filter tap `(f, g)` when
 /// `a = i·sh + f`, `b = j·sw + g` and the position is real. Exact-zero
 /// coefficients are skipped. Found by trying every source position, not by
 /// the kernel's index arithmetic.
-fn oracle_gbc_terms(
+fn oracle_gbc_terms<'w>(
     r: usize,
-    (a, b, c): (usize, usize, usize),
+    (a, b): (usize, usize),
     src: &[Itv<f32>],
     g: &ExprGeom<'_>,
-    weight: &[f32],
+    weight: &'w [f32],
     conv: &GbcShape,
-) -> Vec<(Itv<f32>, f32)> {
+) -> Vec<(Itv<f32>, &'w [f32])> {
     let mut terms = Vec::new();
     for i in 0..g.win_h {
         for j in 0..g.win_w {
@@ -685,7 +725,7 @@ fn oracle_gbc_terms(
             for d in 0..conv.cout {
                 let m = src[r * g.cols() + (i * g.win_w + j) * conv.cout + d];
                 if !(m.lo == 0.0 && m.hi == 0.0) {
-                    terms.push((m, weight[conv.widx(f, gg, d, c)]));
+                    terms.push((m, &weight[conv.widx(f, gg, d, 0)..][..conv.cin]));
                 }
             }
         }
@@ -694,10 +734,11 @@ fn oracle_gbc_terms(
 }
 
 /// Straight-line oracle of a whole GBC launch from the written rule: every
-/// destination element on its own — exact zero at a virtual (padding)
-/// position, otherwise the wide rule over [`oracle_gbc_terms`] starting from
-/// exact zero, or the per-step chain over the same terms where the wide rule
-/// does not apply.
+/// destination position on its own — exact zeros at a virtual (padding)
+/// position; otherwise its `c_in` elements share [`oracle_gbc_terms`] and
+/// the bound of [`oracle_widening`] over `wmax = max_c |w[f][g][d][c]|`, and
+/// each is the wide rule from exact zero — or all of them the per-step chain
+/// over the same terms where the wide rule does not apply.
 fn oracle_gbc(
     src: &[Itv<f32>],
     g: &ExprGeom<'_>,
@@ -711,19 +752,23 @@ fn oracle_gbc(
         for a in 0..dst_win.0 {
             for b in 0..dst_win.1 {
                 let (dh, dw) = (oh + a as i32, ow + b as i32);
-                let real =
-                    dh >= 0 && dw >= 0 && (dh as usize) < conv.in_h && (dw as usize) < conv.in_w;
+                if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
+                    want.extend((0..conv.cin).map(|_| Itv::zero()));
+                    continue;
+                }
+                let list = oracle_gbc_terms(r, (a, b), src, g, weight, conv);
+                let shared: Vec<(Itv<f32>, f64)> =
+                    list.iter().map(|&(m, ws)| (m, oracle_wmax(ws))).collect();
+                let e = oracle_widening(&[], &shared);
                 for c in 0..conv.cin {
-                    if !real {
-                        want.push(Itv::zero());
-                        continue;
-                    }
-                    let terms = oracle_gbc_terms(r, (a, b, c), src, g, weight, conv);
-                    want.push(oracle_wide(Itv::zero(), &terms).unwrap_or_else(|| {
-                        terms
+                    let terms: Vec<(Itv<f32>, f32)> =
+                        list.iter().map(|&(m, ws)| (m, ws[c])).collect();
+                    want.push(match e {
+                        Some(e) => oracle_wide(Itv::zero(), &terms, e),
+                        None => terms
                             .iter()
-                            .fold(Itv::zero(), |acc, &(m, w)| m.mul_add_f(w, acc))
-                    }));
+                            .fold(Itv::zero(), |acc, &(m, w)| m.mul_add_f(w, acc)),
+                    });
                 }
             }
         }
@@ -800,10 +845,11 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
 /// a stride-2, padding-1 shape whose destination windows hang over every
 /// edge of the conv input and whose `c_in = 5` is one full register block
 /// plus a remainder: a `+inf` and a `−inf` source coefficient and a NaN
-/// weight (exactly the elements that sum such a term take the per-step
-/// chain), a zero weight of either sign, an all-zero source row (exact-zero
-/// destination), and a row with one non-zero coefficient (every element has
-/// at most one term, so it is the tightest enclosure of one exact product).
+/// weight (exactly the positions whose term list meets one take the per-step
+/// chain, all `c_in` channels of each), a zero weight of either sign, an
+/// all-zero source row (exact-zero destination), and a row with one non-zero
+/// coefficient (every position has at most one term, so its elements are the
+/// tightest enclosure of one exact product).
 ///
 /// # Panics
 ///
@@ -873,9 +919,9 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
             let (a, b) = (pos / dst_win.1, pos % dst_win.1);
             let (dh, dw) = (dst_origins[r].0 + a as i32, dst_origins[r].1 + b as i32);
             let real = (0..7).contains(&dh) && (0..7).contains(&dw);
+            let list = oracle_gbc_terms(r, (a, b), &src, &g, &weight, &conv);
             for c in 0..conv.cin {
                 let got = dst[r * dst_cols + pos * conv.cin + c];
-                let terms = oracle_gbc_terms(r, (a, b, c), &src, &g, &weight, &conv);
                 if !real {
                     edge_zeros += 1;
                     assert!(
@@ -885,9 +931,9 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
                     continue;
                 }
                 // Rows 0, 2 and 5 are finite: there, exactly the elements
-                // that meet the NaN weight leave the wide rule.
+                // that multiply by the NaN weight are not.
                 if matches!(r, 0 | 2 | 5) {
-                    let touched = terms.iter().any(|(_, w)| w.is_nan());
+                    let touched = list.iter().any(|(_, ws)| ws[c].is_nan());
                     nan_touched += usize::from(touched);
                     assert_eq!(
                         got.is_finite(),
@@ -903,8 +949,8 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
                     );
                 }
                 if r == 4 {
-                    assert!(terms.len() <= 1, "one coefficient, one term at most");
-                    if let Some(&(_, w)) = terms.first().filter(|(_, w)| w.is_finite()) {
+                    assert!(list.len() <= 1, "one coefficient, one term at most");
+                    if let Some(w) = list.first().map(|(_, ws)| ws[c]).filter(|w| w.is_finite()) {
                         singles += 1;
                         let (p, q) = (0.1_f32 as f64 * w as f64, 0.3_f32 as f64 * w as f64);
                         let tight = Itv::<f32> {
@@ -934,8 +980,41 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
     }
 }
 
-/// Checks the bias-fold kernel on one deterministic geometry against the
-/// serial no-skip ascending fold.
+/// Straight-line oracle of one row of the bias fold from the written rule:
+/// the non-zero coefficients at real window positions, ascending, each with
+/// its bias entry, are one output's own term list (`wmax = |bias|`) — the
+/// wide rule seeded with the constant, or the per-step chain over the same
+/// terms where it does not apply.
+fn oracle_bias_fold_row(
+    r: usize,
+    row: &[Itv<f32>],
+    g: &ExprGeom<'_>,
+    bias: &[f32],
+    cst: Itv<f32>,
+) -> Itv<f32> {
+    let mut terms = Vec::new();
+    for i in 0..g.win_h {
+        for j in 0..g.win_w {
+            if !g.is_real(r, i, j) {
+                continue;
+            }
+            for c in 0..g.chans {
+                let t = (i * g.win_w + j) * g.chans + c;
+                if !(row[t].lo == 0.0 && row[t].hi == 0.0) {
+                    terms.push((row[t], bias[t % bias.len()]));
+                }
+            }
+        }
+    }
+    let shared: Vec<(Itv<f32>, f64)> = terms.iter().map(|&(a, b)| (a, oracle_wmax(&[b]))).collect();
+    match oracle_widening(&[cst], &shared) {
+        Some(e) => oracle_wide(cst, &terms, e),
+        None => terms.iter().fold(cst, |acc, &(a, b)| a.mul_add_f(b, acc)),
+    }
+}
+
+/// Checks the bias-fold kernel on one deterministic geometry against
+/// `oracle_bias_fold_row`, the written rule applied per row.
 ///
 /// # Panics
 ///
@@ -972,33 +1051,278 @@ pub fn check_bias_fold_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
         launches0 + 1,
         "[{label}] bias_fold must record its launch"
     );
-    let g = case.geom();
-    for r in 0..case.rows() {
-        let row = &plane[r * case.cols()..(r + 1) * case.cols()];
-        let mut acc = src_cst[r];
-        for i in 0..case.win_h {
-            for j in 0..case.win_w {
-                if !g.is_real(r, i, j) {
-                    continue;
-                }
-                let base = (i * case.win_w + j) * case.chans;
-                for c in 0..case.chans {
-                    // No zero-skip: the fold accumulates every real term.
-                    acc = row[base + c].mul_add_f(bias[(base + c) % bias.len()], acc);
-                }
-            }
-        }
+    let want: Vec<Itv<f32>> = (0..case.rows())
+        .map(|r| {
+            let row = &plane[r * case.cols()..(r + 1) * case.cols()];
+            oracle_bias_fold_row(r, row, &case.geom(), &bias, src_cst[r])
+        })
+        .collect();
+    assert_planes_bit_eq(label, "bias_fold", &out_cst, &want);
+}
+
+/// Pins the corners of the bias-fold contract that random data does not
+/// reach, on full windows over a dense-layer-sized bias (one entry per
+/// column): a `+inf` coefficient, a NaN bias entry and a `−inf` constant
+/// (each sends its own row, and no other, to the per-step chain — a row
+/// whose coefficient on the NaN entry is zero is not one of them), an
+/// all-zero row (the constant comes back bit for bit, `-0.0` included) and a
+/// single-term row on a zero constant of either sign (no addition, so the
+/// result is the tightest enclosure of the one exact product).
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_bias_fold_special_cases<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0xb1a5);
+    let mut case = GeomCase::new(7, 2, 2, 2, 2, 3, 1, &mut s);
+    case.origins = vec![(0, 0); 7];
+    let cols = case.cols();
+    let mut plane: Vec<Itv<f32>> = (0..case.rows() * cols)
+        .map(|_| {
+            let lo = s.next_f32();
+            Itv::new(lo, lo + s.next_f32().abs() * 0.125)
+        })
+        .collect();
+    let mut cst = case.csts(&mut s);
+    let mut bias: Vec<f32> = (0..cols).map(|_| s.next_f32()).collect();
+    bias[7] = f32::NAN; // met by every row but 0, 3, 4 and 5
+    plane[7] = Itv::point(-0.0);
+    plane[cols + 2] = Itv::new(1.0, f32::INFINITY); // row 1
+    cst[2] = Itv::point(f32::NEG_INFINITY); // row 2
+    for (k, v) in plane[3 * cols..4 * cols].iter_mut().enumerate() {
+        *v = Itv::point(if k % 2 == 0 { 0.0 } else { -0.0 }); // row 3: nothing to sum
+    }
+    cst[3] = Itv::point(-0.0);
+    let single = Itv::new(0.1_f32, 0.3);
+    for (row, zero) in [(4, 0.0_f32), (5, -0.0)] {
+        plane[row * cols..(row + 1) * cols].fill(Itv::zero()); // one term
+        plane[row * cols + 5] = single;
+        cst[row] = Itv::point(zero);
+    }
+    let mut out = vec![Itv::point(9.0_f32); case.rows()];
+    kernels::bias_fold(
+        device,
+        "bias_fold_lo",
+        &plane,
+        &case.geom(),
+        &bias,
+        &cst,
+        &mut out,
+    );
+    let want: Vec<Itv<f32>> = (0..case.rows())
+        .map(|r| {
+            let row = &plane[r * cols..(r + 1) * cols];
+            oracle_bias_fold_row(r, row, &case.geom(), &bias, cst[r])
+        })
+        .collect();
+    assert_planes_bit_eq_or_nan(label, "bias_fold (special cases)", &out, &want);
+
+    // The corners did what they are there for.
+    assert!(
+        out[0].is_finite() && !out[1].is_finite() && !out[2].is_finite() && out[6].lo.is_nan(),
+        "[{label}] bias_fold: non-finite operands must reach rows 1, 2 and 6 only: {out:?}"
+    );
+    assert!(
+        bit_eq(out[3], cst[3]),
+        "[{label}] bias_fold: all-zero row must return its constant, got {}",
+        out[3]
+    );
+    let (p, q) = (
+        0.1_f32 as f64 * bias[5] as f64,
+        0.3_f32 as f64 * bias[5] as f64,
+    );
+    let tight = Itv::<f32> {
+        lo: round::from_f64_down(p.min(q)),
+        hi: round::from_f64_up(p.max(q)),
+    };
+    for row in [4, 5] {
         assert!(
-            bit_eq(out_cst[r], acc),
-            "[{label}] bias_fold[{r}]: {} != oracle {acc}",
-            out_cst[r]
+            bit_eq(out[row], tight),
+            "[{label}] bias_fold: single-term row {} is not the tightest enclosure {tight}",
+            out[row]
         );
     }
 }
 
+/// What the written ReLU-step rule does with one coefficient: `None` for an
+/// element that is not a term (exact-zero coefficient, identity relaxation),
+/// else the `(slope, intercept)` it substitutes through — `Err` for a
+/// coefficient that straddles zero, which takes the concrete bound instead.
+#[allow(clippy::type_complexity)]
+fn oracle_relu_term(
+    a: Itv<f32>,
+    rx: &ReluRelax<f32>,
+    upper: bool,
+) -> Option<Result<(Itv<f32>, Itv<f32>), ()>> {
+    let one = Itv::point(1.0_f32);
+    let is_zero = |v: Itv<f32>| v.lo == 0.0 && v.hi == 0.0;
+    let identity = rx.alpha == one && rx.gamma == one && is_zero(rx.beta) && is_zero(rx.delta);
+    if is_zero(a) || identity {
+        return None;
+    }
+    // Lower plane: a >= 0 -> (alpha, beta); a <= 0 -> (gamma, delta). The
+    // upper plane mirrors the choice.
+    Some(if a.lo >= 0.0 {
+        Ok(if upper {
+            (rx.gamma, rx.delta)
+        } else {
+            (rx.alpha, rx.beta)
+        })
+    } else if a.hi <= 0.0 {
+        Ok(if upper {
+            (rx.alpha, rx.beta)
+        } else {
+            (rx.gamma, rx.delta)
+        })
+    } else {
+        Err(())
+    })
+}
+
+/// Straight-line oracle of one row of the ReLU step from the written rule,
+/// in place. Constant first, over the untouched row: the terms with a
+/// non-zero intercept add `a · intercept` and those that straddle zero the
+/// endpoint of `a · out_bound` facing the plane, to both sides — under the
+/// two-sided interval×interval wide rule seeded with the constant
+/// (`T += max|a| · max|b|`, one bound for both sides), or on the per-step
+/// chain where it does not apply. Then the coefficients: `a · slope` from
+/// its exact corner products narrowed once (finite operands of a row whose
+/// constant took the wide rule; [`Itv::mul`] otherwise), exact zero where
+/// `a` straddled.
+fn oracle_relu_step_row(
+    r: usize,
+    row: &mut [Itv<f32>],
+    cst: &mut Itv<f32>,
+    g: &ExprGeom<'_>,
+    relax: &[ReluRelax<f32>],
+    out_bounds: &[Itv<f32>],
+    upper: bool,
+) {
+    // (offset in the row, coefficient, what it substitutes through)
+    let mut terms = Vec::new();
+    for i in 0..g.win_h {
+        for j in 0..g.win_w {
+            if !g.is_real(r, i, j) {
+                continue;
+            }
+            for c in 0..g.chans {
+                let (at, n) = ((i * g.win_w + j) * g.chans + c, g.neuron_at(r, i, j) + c);
+                if let Some(term) = oracle_relu_term(row[at], &relax[n], upper) {
+                    terms.push((at, row[at], term, out_bounds[n]));
+                }
+            }
+        }
+    }
+    // The constant's summands: (coefficient, other factor, endpoint only?).
+    let summands: Vec<(Itv<f32>, Itv<f32>, bool)> = terms
+        .iter()
+        .filter_map(|&(_, a, term, ob)| match term {
+            Ok((_, icpt)) if icpt.lo == 0.0 && icpt.hi == 0.0 => None,
+            Ok((_, icpt)) => Some((a, icpt, false)),
+            Err(()) => Some((a, ob, true)),
+        })
+        .collect();
+    let wide = summands
+        .iter()
+        .all(|(_, b, _)| b.is_finite())
+        .then(|| {
+            let shared: Vec<(Itv<f32>, f64)> = summands
+                .iter()
+                .map(|&(a, b, _)| (a, oracle_mag(b)))
+                .collect();
+            oracle_widening(&[*cst], &shared)
+        })
+        .flatten();
+    let on_chain = wide.is_none();
+    *cst = match wide {
+        Some(e) => {
+            let (mut lo, mut hi) = (cst.lo as f64, cst.hi as f64);
+            for &(a, b, endpoint) in &summands {
+                let (min, max) = oracle_corners(a, b);
+                lo += if endpoint && upper { max } else { min };
+                hi += if endpoint && !upper { min } else { max };
+            }
+            oracle_outward(lo, hi, e)
+        }
+        None => summands.iter().fold(*cst, |acc, &(a, b, endpoint)| {
+            let p = a.mul(b);
+            acc.add(match (endpoint, upper) {
+                (false, _) => p,
+                (true, true) => Itv::point(p.hi),
+                (true, false) => Itv::point(p.lo),
+            })
+        }),
+    };
+    for (at, a, term, _) in terms {
+        row[at] = match term {
+            Err(()) => Itv::zero(),
+            Ok((slope, _)) if !on_chain && a.is_finite() && slope.is_finite() => {
+                let (min, max) = oracle_corners(a, slope);
+                Itv {
+                    lo: round::from_f64_down(min),
+                    hi: round::from_f64_up(max),
+                }
+            }
+            Ok((slope, _)) => a.mul(slope),
+        };
+    }
+}
+
+/// Runs one ReLU-step launch and checks plane and constants against
+/// [`oracle_relu_step_row`], row by row; returns what the kernel left.
+#[allow(clippy::too_many_arguments)]
+fn assert_relu_step_matches_oracle<B: Backend>(
+    device: &Device<B>,
+    klabel: &'static str,
+    case: &GeomCase,
+    plane0: &[Itv<f32>],
+    cst0: &[Itv<f32>],
+    relax: &[Vec<ReluRelax<f32>>],
+    out_bounds: &[Vec<Itv<f32>>],
+    upper: bool,
+) -> (Vec<Itv<f32>>, Vec<Itv<f32>>) {
+    let label = device.backend().label();
+    let relax_refs: Vec<&[ReluRelax<f32>]> = relax.iter().map(Vec::as_slice).collect();
+    let ob_refs: Vec<&[Itv<f32>]> = out_bounds.iter().map(Vec::as_slice).collect();
+    let (mut plane, mut cst) = (plane0.to_vec(), cst0.to_vec());
+    let launches0 = device.stats().kernel_launches(klabel);
+    kernels::relu_step(
+        device,
+        klabel,
+        &mut plane,
+        &mut cst,
+        &case.geom(),
+        &relax_refs,
+        &ob_refs,
+        upper,
+    );
+    assert_eq!(
+        device.stats().kernel_launches(klabel),
+        launches0 + 1,
+        "[{label}] relu_step must record its launch"
+    );
+    let (mut wplane, mut wcst) = (plane0.to_vec(), cst0.to_vec());
+    for r in 0..case.rows() {
+        let seg = case.seg[r] as usize;
+        oracle_relu_step_row(
+            r,
+            &mut wplane[r * case.cols()..(r + 1) * case.cols()],
+            &mut wcst[r],
+            &case.geom(),
+            &relax[seg],
+            &out_bounds[seg],
+            upper,
+        );
+    }
+    assert_planes_bit_eq_or_nan(label, klabel, &plane, &wplane);
+    assert_planes_bit_eq_or_nan(label, klabel, &cst, &wcst);
+    (plane, cst)
+}
+
 /// Checks the ReLU substitution kernel (both plane variants) on one
-/// deterministic multi-segment geometry against a serial oracle applying
-/// the DeepPoly coefficient selection per row/segment.
+/// deterministic multi-segment geometry against `oracle_relu_step_row`,
+/// the written rule applied per row/segment.
 ///
 /// # Panics
 ///
@@ -1048,8 +1372,6 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
                 .collect()
         })
         .collect();
-    let relax_refs: Vec<&[ReluRelax<f32>]> = relax.iter().map(Vec::as_slice).collect();
-    let ob_refs: Vec<&[Itv<f32>]> = out_bounds.iter().map(Vec::as_slice).collect();
 
     for upper in [false, true] {
         let klabel: &'static str = if upper {
@@ -1059,79 +1381,21 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
         };
         let plane0 = case.plane(&mut s);
         let cst0 = case.csts(&mut s);
-        let mut plane = plane0.clone();
-        let mut cst = cst0.clone();
-        let launches0 = device.stats().kernel_launches(klabel);
-        kernels::relu_step(
+        let (plane, _) = assert_relu_step_matches_oracle(
             device,
             klabel,
-            &mut plane,
-            &mut cst,
-            &case.geom(),
-            &relax_refs,
-            &ob_refs,
+            &case,
+            &plane0,
+            &cst0,
+            &relax,
+            &out_bounds,
             upper,
         );
-        assert_eq!(
-            device.stats().kernel_launches(klabel),
-            launches0 + 1,
-            "[{label}] relu_step must record its launch"
-        );
-
-        // Serial oracle with the original lower/upper branch spelling.
-        let g = case.geom();
-        let mut wplane = plane0;
-        let mut wcst = cst0;
-        for r in 0..case.rows() {
-            let rx_tab = &relax[case.seg[r] as usize];
-            let ob = &out_bounds[case.seg[r] as usize];
-            let row = &mut wplane[r * case.cols()..(r + 1) * case.cols()];
-            let c0 = &mut wcst[r];
-            for i in 0..case.win_h {
-                for j in 0..case.win_w {
-                    if !g.is_real(r, i, j) {
-                        continue;
-                    }
-                    let nbase = g.neuron_at(r, i, j);
-                    let base = (i * case.win_w + j) * case.chans;
-                    for c in 0..case.chans {
-                        let a = row[base + c];
-                        if a.lo == 0.0 && a.hi == 0.0 {
-                            continue;
-                        }
-                        let rx = &rx_tab[nbase + c];
-                        if a.lo >= 0.0 {
-                            let (sl, ic) = if upper {
-                                (rx.gamma, rx.delta)
-                            } else {
-                                (rx.alpha, rx.beta)
-                            };
-                            row[base + c] = a.mul(sl);
-                            *c0 = c0.add(a.mul(ic));
-                        } else if a.hi <= 0.0 {
-                            let (sl, ic) = if upper {
-                                (rx.alpha, rx.beta)
-                            } else {
-                                (rx.gamma, rx.delta)
-                            };
-                            row[base + c] = a.mul(sl);
-                            *c0 = c0.add(a.mul(ic));
-                        } else {
-                            let hull = a.mul(ob[nbase + c]);
-                            row[base + c] = Itv::zero();
-                            let p = if upper { hull.hi } else { hull.lo };
-                            *c0 = c0.add(Itv::point(p));
-                        }
-                    }
-                }
-            }
-        }
-        assert_planes_bit_eq(label, klabel, &plane, &wplane);
-        assert_planes_bit_eq(label, klabel, &cst, &wcst);
 
         // Stable-zero guarantee: columns of stably-negative neurons (zero
         // relaxation in every segment) are exact zeros after the step —
         // the invariant stable-zero column compaction builds on.
+        let g = case.geom();
         for n in 0..case.frontier_len() {
             if !relax.iter().all(|t| t[n].is_zero()) {
                 continue;
@@ -1156,6 +1420,139 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
                 }
             }
         }
+    }
+}
+
+/// Pins the corners of the ReLU-step contract that random data does not
+/// reach, on full windows over six neurons (stable positive, stable
+/// negative, four unstable) for both planes: a row over identity
+/// relaxations only comes back bit for bit, `-0.0` coefficients and
+/// constant included — and so does a coefficient that *straddles zero* on an
+/// identity neuron, which is no hull term (the identity test comes before
+/// the sign test: `relu(x) = x` there, whatever the coefficient's sign);
+/// `-0.0` and `+0.0` constants under real terms; a
+/// `+inf` coefficient and a `top` concrete bound (each sends its own row's
+/// constant, and no other's, to the per-step chain — unless its intercept is
+/// zero and it is no summand at all — and only the non-finite coefficient
+/// itself to [`Itv::mul`]); and a single straddling term on a
+/// zero constant (no addition, so the constant is the exact endpoint,
+/// narrowed once).
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_relu_step_special_cases<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0x5e1f);
+    let mut case = GeomCase::new(6, 1, 2, 1, 2, 3, 2, &mut s);
+    case.origins = vec![(0, 0); 6];
+    let cols = case.cols();
+    let bounds = [
+        Itv::new(0.25_f32, 1.0), // identity
+        Itv::new(-1.0, -0.5),    // zero
+        Itv::new(-0.3, 0.9),
+        Itv::new(-0.9, 0.3),
+        Itv::new(-0.5, 0.5),
+        Itv::new(-0.1, 0.7),
+    ];
+    // Segment 1 (odd rows) differs from segment 0 in one concrete bound only.
+    let relax = vec![ReluRelax::layer(&bounds); 2];
+    let mut out_bounds: Vec<Vec<Itv<f32>>> = (0..2)
+        .map(|_| {
+            bounds
+                .iter()
+                .map(|x| Itv::new(x.lo.max(0.0), x.hi.max(0.0)))
+                .collect()
+        })
+        .collect();
+    out_bounds[1][4] = Itv::top();
+    let mut plane: Vec<Itv<f32>> = (0..case.rows() * cols)
+        .map(|i| {
+            let v = s.next_f32().abs() + 1e-3;
+            match i % 3 {
+                0 => Itv::new(v * 0.5, v),
+                1 => Itv::new(-v, -v * 0.5),
+                _ => Itv::new(-v, v * 0.5), // straddles zero
+            }
+        })
+        .collect();
+    let mut cst = case.csts(&mut s);
+    // Row 0: only the identity neuron carries a coefficient, and it
+    // straddles zero; row 2 meets the same neuron from a `-0.0` bound.
+    plane[..cols].fill(Itv::zero());
+    plane[0] = Itv::new(-0.25, 0.75);
+    plane[1] = Itv::point(-0.0);
+    plane[2 * cols] = Itv::new(-0.0, 0.75);
+    cst[0] = Itv::point(-0.0);
+    cst[2] = Itv::point(-0.0);
+    cst[4] = Itv::zero();
+    plane[3 * cols + 2] = Itv::new(1.0, f32::INFINITY); // row 3 (segment 1)
+    plane[cols + 4] = Itv::new(-0.5, 0.25); // row 1 (segment 1) meets the top bound
+    plane[3 * cols + 4] = Itv::zero(); // rows 3 and 5 (segment 1) do not
+    plane[5 * cols..6 * cols].fill(Itv::zero()); // row 5: one straddling term
+    let single = Itv::new(-0.3_f32, 0.1);
+    plane[5 * cols + 5] = single;
+    cst[5] = Itv::point(-0.0);
+
+    for upper in [false, true] {
+        let klabel: &'static str = if upper {
+            "relu_step_hi"
+        } else {
+            "relu_step_lo"
+        };
+        let (got, got_cst) = assert_relu_step_matches_oracle(
+            device,
+            klabel,
+            &case,
+            &plane,
+            &cst,
+            &relax,
+            &out_bounds,
+            upper,
+        );
+        // The corners did what they are there for.
+        assert!(
+            got[..cols]
+                .iter()
+                .zip(&plane[..cols])
+                .all(|(g, w)| bit_eq(*g, *w))
+                && bit_eq(got_cst[0], cst[0]),
+            "[{label}] {klabel}: identity relaxations must leave row 0 bit-identical, its \
+             straddling coefficient {} included",
+            got[0]
+        );
+        assert!(
+            bit_eq(got[2 * cols], plane[2 * cols]),
+            "[{label}] {klabel}: identity relaxation changed {} to {}",
+            plane[2 * cols],
+            got[2 * cols]
+        );
+        // The +inf coefficient is non-negative: on the lower plane its
+        // intercept is beta = 0, so it is no summand of the constant there.
+        for (row, c) in got_cst.iter().enumerate() {
+            assert_eq!(
+                c.is_finite(),
+                !(row == 1 || (row == 3 && upper)),
+                "[{label}] {klabel}: non-finite operands must reach the constants of rows 1 \
+                 and (upper plane) 3 only; row {row} holds {c}"
+            );
+        }
+        assert!(
+            got[3 * cols + 2].hi == f32::INFINITY
+                && got[3 * cols..4 * cols].iter().all(|v| !v.lo.is_nan()),
+            "[{label}] {klabel}: the +inf coefficient goes through Itv::mul"
+        );
+        let (min, max) = oracle_corners(single, out_bounds[1][5]);
+        let v = if upper { max } else { min };
+        let point = Itv::<f32> {
+            lo: round::from_f64_down(v),
+            hi: round::from_f64_up(v),
+        };
+        assert!(
+            bit_eq(got_cst[5], point),
+            "[{label}] {klabel}: single-term constant {} is not the narrowed endpoint {point}",
+            got_cst[5]
+        );
     }
 }
 
@@ -1769,6 +2166,8 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         }
         check_gemm_special_rows(&device);
         check_gbc_special_cases(&device);
+        check_bias_fold_special_cases(&device);
+        check_relu_step_special_cases(&device);
         check_concretize_special_cases(&device);
         check_dtod(&device);
         check_copies(&device);

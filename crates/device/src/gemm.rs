@@ -180,9 +180,16 @@ mod tests {
         let b = vec![1.0f32, 0.0, 0.0, 1.0];
         let mut c = vec![Itv::zero(); 4];
         gemm_itv_f(&dev, &a, &b, &mut c, 2, 2, 2);
+        // Each sum is exact, but the outputs of a row share the error bound
+        // of the row's term list — two terms here — so the result is one
+        // step wide of the input on either side, and no more.
         for (ci, ai) in c.iter().zip(&a) {
-            assert_eq!(ci, ai);
+            assert_eq!((ci.lo, ci.hi), (ai.lo.next_down(), ai.hi.next_up()));
         }
+        // A one-term list has no addition to bound: bit for bit.
+        let mut c = vec![Itv::zero(); 4];
+        gemm_itv_f(&dev, &a, &[1.0f32], &mut c, 4, 1, 1);
+        assert_eq!(c, a);
     }
 
     #[test]

@@ -96,6 +96,18 @@ impl<F: Fp> ReluRelax<F> {
         bounds.iter().map(|&b| Self::from_bounds(b)).collect()
     }
 
+    /// `true` when the relaxation is the identity on both sides
+    /// (`alpha = gamma = [1, 1]`, `beta = delta = [0, 0]` — a stably
+    /// non-negative input): substituting through it changes neither a
+    /// coefficient nor the constant, so the ReLU step passes such neurons by.
+    pub fn is_identity(&self) -> bool {
+        let is = |v: Itv<F>, x: F| v.lo == x && v.hi == x;
+        is(self.alpha, F::ONE)
+            && is(self.gamma, F::ONE)
+            && is(self.beta, F::ZERO)
+            && is(self.delta, F::ZERO)
+    }
+
     /// `true` when the relaxation is the zero function on both sides
     /// (stably-negative input): every coefficient substituted through it
     /// becomes an exact-zero interval. Such neurons yield all-zero columns

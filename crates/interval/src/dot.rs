@@ -21,9 +21,13 @@
 //! ```
 
 use crate::round;
+use crate::wide::{WideAcc, WideMag, WideTerm};
 use crate::{Fp, Itv};
 
-/// Outward-rounded dot product of interval coefficients with scalar values.
+/// Sound dot product of interval coefficients with scalar values: the wide
+/// rule of [`crate::wide`] for [`Fp::EXACT_IN_F64`] (one directed rounding
+/// for the whole sum), the per-step [`Itv::mul_add_f`] chain otherwise and
+/// when an operand is not finite.
 ///
 /// # Panics
 ///
@@ -31,6 +35,20 @@ use crate::{Fp, Itv};
 #[inline]
 pub fn dot_itv_f<F: Fp>(coeffs: &[Itv<F>], xs: &[F]) -> Itv<F> {
     assert_eq!(coeffs.len(), xs.len(), "dot length mismatch");
+    if F::EXACT_IN_F64 {
+        let mut mag = WideMag::new::<F>(&[]);
+        let mut acc = WideAcc::<1>::new::<F>(&[]);
+        for (&a, &x) in coeffs.iter().zip(xs) {
+            let a = WideTerm::new(a);
+            // The one weight of the term is its own bound, non-finite if
+            // it is; a zero coefficient just counts as one more addition.
+            mag.add(a, x.to_f64().abs());
+            acc.mul_add(a, &[x]);
+        }
+        if let Some(e) = mag.finish() {
+            return acc.finish(0, e);
+        }
+    }
     let mut acc = Itv::zero();
     for (a, &x) in coeffs.iter().zip(xs) {
         acc = a.mul_add_f(x, acc);

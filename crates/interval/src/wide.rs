@@ -9,62 +9,142 @@
 //! the only round-off left is that of the `f64` additions, which a single
 //! a-priori bound covers. [`WideAcc`] accumulates `N` independent dot
 //! products that way (the lanes are the columns of a GEMM register block;
-//! the layout is struct-of-arrays so the lane loop vectorizes).
+//! the layout is struct-of-arrays so the lane loop vectorizes), and the
+//! magnitude sum the bound needs is taken **once per term list**
+//! ([`WideMag`]) for every output that shares the list — it never enters
+//! the lane loop.
 //!
 //! # The rule (what every backend must reproduce, bit for bit)
 //!
-//! For one output with initial value `c` (zero for a fresh product),
-//! coefficient intervals `a_1 … a_t` (exact-zero coefficients already
-//! skipped by the caller) and scalars `w_1 … w_t`, all in `f64`
-//! round-to-nearest and in the order the terms are fed:
+//! A *term list* is a sequence of coefficient intervals `a_1 … a_t`
+//! (exact-zero coefficients already skipped by the caller) shared by a set
+//! `J` of outputs: the columns of one GEMM row, the `c_in` channels of one
+//! GBC position, the lanes of one forward-pass block, or a single output.
+//! Output `j` has its own scalars `w_1j … w_tj` and its own initial value
+//! `c_j` (zero for a fresh product). Let `wmax_i = max_j |w_ij|` and
+//! `cmax = max_j max(|c_j.lo|, |c_j.hi|)`, each `+inf` as soon as one of its
+//! operands is `±inf` or NaN ([`max_mag`]). All in `f64` round-to-nearest
+//! and in the order the terms are fed:
 //!
 //! ```text
-//! lo = c.lo;  hi = c.hi;  T = max(|c.lo|, |c.hi|)
+//! T = cmax                                         // once per list
 //! for i in 1..=t:
-//!     p = a_i.lo · w_i;  q = a_i.hi · w_i          // both exact
+//!     T = T + max(|a_i.lo|, |a_i.hi|) · wmax_i     // product exact
+//! adds = max(t − 1 + [cmax ≠ 0], 0)                // inexact additions
+//! e    = up(T · adds · 2⁻⁵²)                       // zero when adds = 0
+//!
+//! lo = c_j.lo;  hi = c_j.hi                        // per output j
+//! for i in 1..=t:
+//!     p = a_i.lo · w_ij;  q = a_i.hi · w_ij        // both exact
 //!     lo = lo + (p < q ? p : q)
 //!     hi = hi + (p > q ? p : q)
-//!     T  = T + max(|a_i.lo|, |a_i.hi|) · |w_i|     // product exact
-//! adds = max(#{i : w_i ≠ 0} − 1 + [c ≠ 0], 0)      // inexact additions
-//! e    = up(T · adds · 2⁻⁵²)                       // zero when adds = 0
-//! result = [ down_F(down(lo − e)), up_F(up(hi + e)) ]
+//! result_j = [ down_F(down(lo − e)), up_F(up(hi + e)) ]
 //! ```
 //!
 //! `up`/`down` are the nudged `f64` operations of [`crate::round`],
 //! `down_F`/`up_F` the directed narrowing conversions
 //! [`round::from_f64_down`]/[`round::from_f64_up`]. When `T` is not finite —
-//! which happens exactly when some participating operand is `±inf` or NaN —
-//! there is no result ([`WideAcc::finish`] returns `None`) and the caller
-//! recomputes that output with the per-step [`Itv::mul_add_f`] chain.
+//! some coefficient of the list, or some weight or initial value of one of
+//! its outputs, is `±inf` or NaN — the list has no result
+//! ([`WideMag::finish`] returns `None`) and the caller recomputes **every**
+//! output of the list with the per-step [`Itv::mul_add_f`] chain.
 //!
 //! # Soundness
 //!
-//! Let `x_0 = c.lo` and `x_i = min(a_i.lo·w_i, a_i.hi·w_i)`, the exact
-//! lower endpoint of `a_i·w_i`; the exact lower bound is `S = Σ x_i`.
+//! Fix an output `j`. Let `x_0 = c_j.lo` and
+//! `x_i = min(a_i.lo·w_ij, a_i.hi·w_ij)`, the exact lower endpoint of
+//! `a_i·w_ij`; the exact lower bound is `S = Σ x_i`.
 //!
 //! 1. *Products are exact.* Two `f32` significands multiply to at most 48
 //!    bits and the exponent stays within `[−298, 256]`, so `p`, `q` and the
-//!    magnitude product are computed without error and `|x_i| ≤ T_i`, the
-//!    `i`-th summand of `T`.
+//!    magnitude product are computed without error, and
+//!    `|x_i| ≤ max|a_i|·|w_ij| ≤ T_i`, the `i`-th summand of `T`
+//!    (`|x_0| ≤ cmax = T_0`). `T` therefore bounds `Σ|x_i|` for every
+//!    output of the list at once; that is all the proof asks of it.
 //! 2. *Additions.* `lo` is the recursive `f64` sum of `x_0 … x_t`. Adding
-//!    an exact zero (`w_i = 0`) or adding to one (the first non-zero
-//!    summand) is exact, and `f64` addition cannot underflow, so at most
-//!    `adds` of the additions round, each with relative error at most
-//!    `u = 2⁻⁵³`. The classical bound (Higham, *Accuracy and Stability*,
-//!    §4.2) gives `|lo − S| ≤ γ·Σ|x_i| ≤ γ·T*` with
-//!    `γ = adds·u / (1 − adds·u)` and `T*` the exact value of `Σ T_i`.
-//! 3. *`T` is itself rounded.* It is a sum of non-negative terms with the
-//!    same additions, so the computed `T ≥ T*·(1 − adds·u)`. Hence
-//!    `e ≥ T · 2·adds·u ≥ 2·adds·u·(1 − adds·u)·T* ≥ γ·T*` whenever
-//!    `(1 − adds·u)² ≥ ½`, i.e. `adds ≤ 0.29·2⁵³`; [`WideAcc::finish`]
+//!    to an exact zero (the first summand when `c_j = 0`) is exact, and
+//!    `f64` addition cannot underflow, so at most `adds` of the additions
+//!    round, each with relative error at most `u = 2⁻⁵³`. The classical
+//!    bound (Higham, *Accuracy and Stability*, §4.2) gives
+//!    `|lo − S| ≤ γ·Σ|x_i| ≤ γ·T*` with `γ = adds·u / (1 − adds·u)` and
+//!    `T*` the exact value of `Σ T_i`.
+//! 3. *`T` is itself rounded.* It is a sum of non-negative terms in which
+//!    at most `adds` additions round, so the computed `T ≥ T*·(1 − adds·u)`.
+//!    Hence `e ≥ T · 2·adds·u ≥ 2·adds·u·(1 − adds·u)·T* ≥ γ·T*` whenever
+//!    `(1 − adds·u)² ≥ ½`, i.e. `adds ≤ 0.29·2⁵³`; [`WideMag::finish`]
 //!    asserts a far smaller limit.
 //! 4. *Final steps are directed.* `e` is rounded up, the subtraction down
 //!    and the narrowing conversion down, so the result's lower bound is
 //!    `≤ lo − e ≤ S`. The upper bound is symmetric.
 //!
-//! Outputs with at most one non-zero product have `adds = 0` and are
-//! therefore exact up to the final conversion: multiplying by an identity
-//! matrix returns its input bit for bit.
+//! Sharing `T` costs tightness, not soundness: `e` grows by about
+//! `wmax_i / |w_ij|` over the bound an output would get from its own
+//! weights — a factor of 3–4 on trained layers, from about `2⁻⁴⁰` relative
+//! to the sum against an `f32` half-ulp of `2⁻²⁵`, so the rounded result
+//! almost never moves. What it gives up is exactness for outputs that meet
+//! a single *non-zero weight* inside a longer list (a column of an identity
+//! matrix): those are now one `f32` step wide of the exact product. Lists
+//! with at most one term have `adds = 0` and stay exact up to the final
+//! conversion.
+//!
+//! # Covering the network's own arithmetic ([`WideRun`])
+//!
+//! The sums above are expression algebra: their exact value is what has to
+//! be enclosed. The forward interval pass is different — its sum
+//! `b + Σ w_i·x_i` is a layer of the network, which inference evaluates in
+//! `F` itself, and the bounds of a *float* network (paper §4.1) have to hold
+//! what that evaluation returns. Inference is the recursion
+//! `ŝ_0 = b`, `ŝ_i = fl(ŝ_{i−1} + w_i·x̂_i)` — terms in feeding order, one
+//! fused multiply-add each, round-to-nearest — for a point `x̂` of the box.
+//! **That recursion is all the rule covers**: not another summation order,
+//! not a product rounded on its own before the addition (whose `u·|w_i·x̂_i|`
+//! is in no term below), not a directed rounding mode. The per-step chain
+//! this replaces enclosed all of those; what it bought with that is in the
+//! last paragraph.
+//!
+//! Each step errs by at most `u·|ŝ_i| + η` (`u = F::EPSILON / 2`, `η` half
+//! the smallest subnormal, for a result that underflows), so the *drift*
+//! `D = |ŝ_t − s_t|` from the exact sum at the same point obeys Higham's
+//! *running error bound* (§4.3) `D ≤ u·Σ|ŝ_i| + t·η`, and `|ŝ_i| ≤ M_i + D`
+//! with `M_i = max(|lo_i|, |hi_i|)` over the exact prefix interval sums —
+//! which are this accumulator's lanes after term `i`, to within `e`.
+//! [`WideRun`] keeps `R = Σ_i max(|lo_i|, |hi_i|)` per lane and bounds the
+//! drift by
+//!
+//! ```text
+//! D = up( up(u · up(R + t·e)) / down(1 − 2·t·u) ) + t · 2η      // zero when R = 0
+//! ```
+//!
+//! which widens the enclosure on top of `e`, and which [`WideRun::finish`]
+//! also returns on its own (the layer's *round-off*: what an expression owes
+//! when it is substituted through the layer as if the layer were exact).
+//! Solving `D ≤ u·(R* + t·D) + t·η` gives `D ≤ (u·R* + t·η) / (1 − t·u)`; the
+//! computed `R + t·e` falls short of `R*` by at most its own `t` additions'
+//! `t·2⁻⁵³`, which the second `t·u` in the denominator more than returns, and
+//! `t·u ≤ ¼` is asserted. A term the caller skipped (exact-zero input) is an
+//! exact step of inference too, and `R = 0` means every product was an exact
+//! zero.
+//!
+//! *Overflow.* One relative error per step describes a step whose result is
+//! finite. Every prefix has `|ŝ_i| ≤ M_i + D ≤ R + D`, so while
+//! `up(R + t·e) + D ≤ F::MAX` none overflows (by induction: the exact value
+//! of step `i`, computed from a finite `ŝ_{i−1}`, is below `F::MAX`, and
+//! rounding to nearest does not carry it past). Beyond that the lane has no
+//! result — inference may sit at an infinity that the exact sums came back
+//! from — and the caller takes the per-step chain, whose directed `F`
+//! arithmetic saturates where inference does. The test is on `R`, the sum of
+//! the prefix magnitudes the accumulator has anyway, not on the largest of
+//! them: it gives up early by a factor of at most `t`, at magnitudes no
+//! trained layer comes near.
+//!
+//! Against the classical a-priori bound `γ_t·T` this is tighter by the
+//! cancellation in the sum — `Σ M_i` grows like the partial sums, `t·T` like
+//! their absolute values — and on the sums the forward pass meets (more than
+//! a few terms, boxes that are narrow where round-off matters) it keeps the
+//! enclosure inside the per-step chain's. That is measured, not proven: a
+//! sum of one or two terms can come out a step wider than the chain's, whose
+//! first steps are exact, and on a wide box each side pays for the larger of
+//! the two prefix magnitudes.
 //!
 //! # Interval × interval: one directed bound ([`WideBound`])
 //!
@@ -73,8 +153,9 @@
 //! result: the lower bound of the lower expression, the upper bound of the
 //! upper one. Both operands are `F` intervals, so all four endpoint products
 //! are exact in `f64` and the rule carries over with the interval product in
-//! place of `a_i · w_i`. For the lower bound, from a scalar start `c`
-//! (exact-zero coefficients `a_i` already skipped by the caller):
+//! place of `a_i · w_i` and the list's one output owning its `T`. For the
+//! lower bound, from a scalar start `c` (exact-zero coefficients `a_i`
+//! already skipped by the caller):
 //!
 //! ```text
 //! s = c;  T = |c|
@@ -100,17 +181,40 @@
 //! towards `adds`, including one whose bound is `[0, 0]` and whose addition
 //! is therefore exact: over-counting only widens.
 //!
+//! # Both sides of one sum ([`WideSum`])
+//!
+//! The ReLU substitution step adds, into one interval constant `c`, interval
+//! products `a_i · b_i` and — for a coefficient that straddles zero — a
+//! single endpoint of such a product, the same number on both sides.
+//! [`WideSum`] is [`WideBound`] kept two-sided for that: `lo` starts at
+//! `c.lo` and takes the `min` of the four corner products of every term,
+//! `hi` starts at `c.hi` and takes the `max`; an *endpoint* term adds the
+//! `min` (or, on request, the `max`) to both. `T` starts at
+//! `max(|c.lo|, |c.hi|)` and takes `max|a_i| · max|b_i|` for either kind of
+//! term, `adds = max(t − 1 + [c ≠ 0], 0)`, and the result is
+//! `[down_F(down(lo − e)), up_F(up(hi + e))]`. The argument above applies to
+//! each side as written: an endpoint is a corner product, exact and bounded
+//! by the same `T_i`.
+//!
 //! # Example
 //!
 //! ```
-//! use gpupoly_interval::wide::{WideAcc, WideTerm};
+//! use gpupoly_interval::wide::{max_mag, WideAcc, WideMag, WideTerm};
 //! use gpupoly_interval::Itv;
 //!
 //! // Two dot products at once: [0.1, 0.2]·3 + [-1, 1]·w for w ∈ {2, -4}.
+//! let terms = [
+//!     (WideTerm::new(Itv::new(0.1_f32, 0.2)), [3.0_f32, 3.0]),
+//!     (WideTerm::new(Itv::new(-1.0_f32, 1.0)), [2.0, -4.0]),
+//! ];
+//! let mut mag = WideMag::new::<f32>(&[]);
 //! let mut acc = WideAcc::<2>::new::<f32>(&[]);
-//! acc.mul_add(WideTerm::new(Itv::new(0.1_f32, 0.2)), &[3.0, 3.0]);
-//! acc.mul_add(WideTerm::new(Itv::new(-1.0_f32, 1.0)), &[2.0, -4.0]);
-//! let y: Itv<f32> = acc.finish(1).expect("finite operands");
+//! for (a, w) in &terms {
+//!     mag.add(*a, max_mag(w)); // once per term, for both outputs
+//!     acc.mul_add(*a, w);
+//! }
+//! let e = mag.finish().expect("finite operands");
+//! let y: Itv<f32> = acc.finish(1, e);
 //! assert!(y.lo <= 0.3 - 4.0 && y.hi >= 0.6 + 4.0);
 //! assert!(y.hi - y.lo < 8.31);
 //! ```
@@ -122,10 +226,51 @@ use crate::{round, Fp, Itv};
 /// the magnitude sum non-finite.
 #[inline(always)]
 fn mag_or_inf(lo: f64, hi: f64) -> f64 {
-    if lo.is_finite() && hi.is_finite() {
-        lo.abs().max(hi.abs())
+    let (lo, hi) = (lo.abs(), hi.abs());
+    // One test for both: the sum is `+inf` or NaN exactly when a bound is
+    // (the operands are widened `F` values: two of them cannot overflow).
+    if lo + hi < f64::INFINITY {
+        lo.max(hi) // not a compare-and-pick: that compiles to a data-dependent branch
     } else {
         f64::INFINITY
+    }
+}
+
+/// The largest magnitude among `ws`, or `+inf` when one of them is `±inf` or
+/// NaN (zero for an empty slice): the `wmax` of a term whose weights, one
+/// per output sharing the term list, are `ws`.
+#[inline]
+pub fn max_mag<F: Fp>(ws: &[F]) -> f64 {
+    // A GEMM launch takes this over every row of `B`, so it is written for
+    // the vector unit: `K` independent lanes instead of one running maximum
+    // (a chain of dependent compares), and no test inside the loop. `max`
+    // keeps an infinity but drops a NaN; `poison` keeps both: `w · 0` is NaN
+    // for either and a zero for every finite `w`.
+    const K: usize = 8;
+    let (mut max, mut poison) = ([F::ZERO; K], [F::ZERO; K]);
+    let mut take = |j: usize, w: F| {
+        let w = w.abs();
+        max[j] = if w > max[j] { w } else { max[j] };
+        poison[j] += w * F::ZERO;
+    };
+    let blocks = ws.chunks_exact(K);
+    for (j, &w) in blocks.remainder().iter().enumerate() {
+        take(j, w);
+    }
+    for block in blocks {
+        for (j, &w) in block.iter().enumerate() {
+            take(j, w);
+        }
+    }
+    let (mut all, mut bad) = (F::ZERO, F::ZERO);
+    for j in 0..K {
+        all = if max[j] > all { max[j] } else { all };
+        bad += poison[j];
+    }
+    if bad.is_nan() || !all.is_finite() {
+        f64::INFINITY
+    } else {
+        all.to_f64()
     }
 }
 
@@ -156,6 +301,24 @@ impl WideTerm {
     pub fn is_zero(&self) -> bool {
         self.mag == 0.0
     }
+
+    /// `true` when both bounds are finite.
+    #[inline(always)]
+    pub fn is_finite(&self) -> bool {
+        self.mag.is_finite()
+    }
+
+    /// The exact endpoints `(min, max)` of the interval product `self · b`:
+    /// the extreme corner products, spelled `p < q ? p : q` and
+    /// `p > q ? p : q`. Meaningful for finite operands only.
+    #[inline(always)]
+    pub fn product(self, b: WideTerm) -> (f64, f64) {
+        let min = |p: f64, q: f64| if p < q { p } else { q };
+        let max = |p: f64, q: f64| if p > q { p } else { q };
+        let (p1, p2) = (self.lo * b.lo, self.lo * b.hi);
+        let (p3, p4) = (self.hi * b.lo, self.hi * b.hi);
+        (min(min(p1, p2), min(p3, p4)), max(max(p1, p2), max(p3, p4)))
+    }
 }
 
 /// The a-priori round-off bound `up(T · adds · 2⁻⁵²)` of `adds ≥ 1` inexact
@@ -174,20 +337,97 @@ fn widening(t: f64, adds: usize) -> f64 {
     round::mul_up(t, adds as f64 * f64::EPSILON)
 }
 
-/// `N` interval×scalar dot products accumulated in `f64`; see the module
-/// docs for the rule and its soundness proof. The fields are private: the
-/// term count that the error bound depends on is maintained here, not by
-/// the caller.
+/// The error bound of one term list, shared by every output summed over it:
+/// how far [`WideAcc::finish`] moves both sums outward before narrowing.
+/// Only [`WideMag::finish`] makes one.
+#[derive(Copy, Clone, Debug)]
+pub struct Widening(f64);
+
+impl Widening {
+    /// The rule's epilogue, `[down_F(down(lo − e)), up_F(up(hi + e))]`; a
+    /// zero bound — no addition rounded, or only zeros were summed — moves
+    /// nothing before the narrowing, the sign of a zero included.
+    #[inline(always)]
+    fn enclose<F: Fp>(self, lo: f64, hi: f64) -> Itv<F> {
+        let (lo, hi) = if self.0 > 0.0 {
+            (round::sub_down(lo, self.0), round::add_up(hi, self.0))
+        } else {
+            (lo, hi)
+        };
+        Itv {
+            lo: round::from_f64_down(lo),
+            hi: round::from_f64_up(hi),
+        }
+    }
+}
+
+/// The magnitude sum `T` of one term list and the count of its additions —
+/// the half of the rule that is taken once per list, whatever the number of
+/// outputs ([`WideAcc`] lanes) that stream the list afterwards. Feed it the
+/// list's terms exactly as the accumulators get them; see the module docs.
+#[derive(Copy, Clone, Debug)]
+pub struct WideMag {
+    t: f64,
+    /// Additions that can round: every fed term, plus a non-zero start.
+    rounded: usize,
+}
+
+impl WideMag {
+    /// Starts `T` at the largest magnitude among `init`, the initial values
+    /// of the outputs sharing the list (the accumulating GEMM's `C` row;
+    /// empty for outputs that start at exact zero).
+    #[inline]
+    pub fn new<F: Fp>(init: &[Itv<F>]) -> Self {
+        debug_assert!(F::EXACT_IN_F64, "wide accumulation needs exact products");
+        let t = init.iter().fold(0.0, |m, c| {
+            mag_or_inf(m, mag_or_inf(c.lo.to_f64(), c.hi.to_f64()))
+        });
+        Self {
+            t,
+            rounded: usize::from(t != 0.0),
+        }
+    }
+
+    /// Counts the term `a`, which no output multiplies by a weight larger in
+    /// magnitude than `wmax`: [`max_mag`] of its weights — or, when there is
+    /// one, its plain magnitude, since an infinite or NaN `wmax` leaves `T`
+    /// not finite either way. The caller skips exact-zero coefficients
+    /// *before* calling (the kernels' mandatory zero-skip): every call counts
+    /// as a term of the error bound.
+    #[inline(always)]
+    pub fn add(&mut self, a: WideTerm, wmax: f64) {
+        self.t += a.mag * wmax;
+        self.rounded += 1;
+    }
+
+    /// The list's error bound, or `None` when an operand was not finite (the
+    /// caller then falls back to the per-step [`Itv::mul_add_f`] chain for
+    /// every output of the list).
+    ///
+    /// # Panics
+    ///
+    /// Panics when more than `2³²` terms were counted.
+    #[inline]
+    pub fn finish(&self) -> Option<Widening> {
+        if !self.t.is_finite() {
+            return None;
+        }
+        let adds = self.rounded.saturating_sub(1);
+        Some(Widening(if adds > 0 {
+            widening(self.t, adds)
+        } else {
+            0.0
+        }))
+    }
+}
+
+/// `N` interval×scalar dot products over one term list, accumulated in
+/// `f64`; see the module docs for the rule and its soundness proof. The
+/// error bound is not kept per lane: it comes from the list's [`WideMag`].
 #[derive(Copy, Clone, Debug)]
 pub struct WideAcc<const N: usize> {
     lo: [f64; N],
     hi: [f64; N],
-    mag: [f64; N],
-    /// Lanes whose initial value was non-zero: their first addition rounds.
-    seeded: [bool; N],
-    /// Per lane, the terms whose weight was zero: those additions are exact.
-    zero_w: [u32; N],
-    terms: usize,
 }
 
 impl<const N: usize> WideAcc<N> {
@@ -204,89 +444,133 @@ impl<const N: usize> WideAcc<N> {
         let mut acc = Self {
             lo: [0.0; N],
             hi: [0.0; N],
-            mag: [0.0; N],
-            seeded: [false; N],
-            zero_w: [0; N],
-            terms: 0,
         };
         for (j, c) in init.iter().enumerate() {
-            let (lo, hi) = (c.lo.to_f64(), c.hi.to_f64());
-            acc.lo[j] = lo;
-            acc.hi[j] = hi;
-            acc.mag[j] = mag_or_inf(lo, hi);
-            acc.seeded[j] = lo != 0.0 || hi != 0.0;
+            acc.lo[j] = c.lo.to_f64();
+            acc.hi[j] = c.hi.to_f64();
         }
         acc
     }
 
-    /// Lane `j` accumulates `a · w[j]`. The caller skips exact-zero
-    /// coefficients *before* calling (the GEMM contract's mandatory
-    /// zero-skip): every call counts as a term of the error bound.
+    /// Lane `j` accumulates `a · w[j]`.
     #[inline(always)]
-    #[allow(clippy::needless_range_loop)] // one index over five lane arrays
+    #[allow(clippy::needless_range_loop)] // one index over three lane arrays
     pub fn mul_add<F: Fp>(&mut self, a: WideTerm, w: &[F; N]) {
-        self.terms += 1;
         for j in 0..N {
             let wj = w[j].to_f64();
             let (p, q) = (a.lo * wj, a.hi * wj);
             self.lo[j] += if p < q { p } else { q };
             self.hi[j] += if p > q { p } else { q };
-            self.mag[j] += a.mag * wj.abs();
-            self.zero_w[j] += u32::from(w[j] == F::ZERO);
         }
     }
 
-    /// The sound enclosure of lane `j`, or `None` when an operand of that
-    /// lane was not finite (the caller then falls back to the per-step
-    /// [`Itv::mul_add_f`] chain for this output).
+    /// The sound enclosure of lane `j` under the error bound `e` of the term
+    /// list the lane was fed.
+    // Never inlined: next to the lane loop, the epilogue's pairing of a
+    // lane's `lo` with its `hi` decides how the compiler lays the
+    // accumulators out in vector registers — pairwise, every term then
+    // paying shuffles — and a call per output costs nothing against that.
+    #[inline(never)]
+    pub fn finish<F: Fp>(&self, j: usize, e: Widening) -> Itv<F> {
+        e.enclose(self.lo[j], self.hi[j])
+    }
+}
+
+/// [`WideAcc`] for sums the network itself evaluates in `F`: the layers of
+/// the forward interval pass. Besides the exact sums it keeps, per lane, the
+/// running sum of their magnitudes after every term, and its enclosure also
+/// holds the result of the `F` recursion `fl(ŝ + w·x̂)` — fused, rounded to
+/// nearest — from the same start over the same terms in the same order, for
+/// every point `x̂` of the box, and of nothing else; see the module docs
+/// ("Covering the network's own arithmetic").
+#[derive(Copy, Clone, Debug)]
+pub struct WideRun<const N: usize> {
+    acc: WideAcc<N>,
+    run: [f64; N],
+    terms: usize,
+}
+
+impl<const N: usize> WideRun<N> {
+    /// Starts lane `j` at `init[j]` (a layer's bias); lanes past
+    /// `init.len()` start at exact zero.
     ///
     /// # Panics
     ///
-    /// Panics when more than `2³²` terms were accumulated.
+    /// Panics when `init` is longer than `N`.
+    #[inline(always)]
+    pub fn new<F: Fp>(init: &[Itv<F>]) -> Self {
+        Self {
+            acc: WideAcc::new(init),
+            run: [0.0; N],
+            terms: 0,
+        }
+    }
+
+    /// Lane `j` accumulates `a · w[j]`.
+    #[inline(always)]
+    pub fn mul_add<F: Fp>(&mut self, a: WideTerm, w: &[F; N]) {
+        self.acc.mul_add(a, w);
+        self.terms += 1;
+        for j in 0..N {
+            let (lo, hi) = (self.acc.lo[j].abs(), self.acc.hi[j].abs());
+            self.run[j] += if lo > hi { lo } else { hi };
+        }
+    }
+
+    /// The sound enclosure of lane `j` — of its exact sums and of what `F`
+    /// inference makes of them — under the error bound `e` of the term list
+    /// the lane was fed (finite operands, then: `e` exists), and next to it
+    /// the bound `D` itself, rounded up: how far inference's result can lie
+    /// from the exact sum over the point of the box it was given. `None`
+    /// when the bound on the recursion's prefixes exceeds `F::MAX`: a prefix
+    /// that overflows is not within a relative `u` of its exact value, the
+    /// rule does not describe it, and the caller takes the per-step chain,
+    /// whose `F` arithmetic saturates with inference's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the terms fed, times `F::EPSILON`, exceed one half.
     #[inline]
-    pub fn finish<F: Fp>(&self, j: usize) -> Option<Itv<F>> {
-        let t = self.mag[j];
-        if !t.is_finite() {
-            return None;
+    pub fn finish<F: Fp>(&self, j: usize, e: Widening) -> Option<(Itv<F>, F)> {
+        let mut drift = 0.0;
+        if self.run[j] > 0.0 {
+            let (t, u) = (self.terms as f64, F::EPSILON.to_f64() / 2.0);
+            let tu = round::mul_up(t, u);
+            assert!(tu <= 0.25, "float round-off bound over too many terms");
+            let partials = round::add_up(self.run[j], round::mul_up(t, e.0));
+            let relative =
+                round::div_up(round::mul_up(u, partials), round::sub_down(1.0, 2.0 * tu));
+            let smallest = F::MIN_POSITIVE.to_f64() * F::EPSILON.to_f64();
+            drift = round::add_up(relative, round::mul_up(t, smallest));
+            // `|ŝ_i| ≤ M_i + D ≤ R + D` for every prefix (finite operands:
+            // the sums are).
+            if round::add_up(partials, drift) > F::MAX.to_f64() {
+                return None;
+            }
         }
-        let rounded = self.terms - self.zero_w[j] as usize + usize::from(self.seeded[j]);
-        let adds = rounded.saturating_sub(1);
-        let (mut lo, mut hi) = (self.lo[j], self.hi[j]);
-        if adds > 0 {
-            let e = widening(t, adds);
-            lo = round::sub_down(lo, e);
-            hi = round::add_up(hi, e);
-        }
-        Some(Itv {
-            lo: round::from_f64_down(lo),
-            hi: round::from_f64_up(hi),
-        })
+        let y = Widening(round::add_up(e.0, drift)).enclose(self.acc.lo[j], self.acc.hi[j]);
+        Some((y, round::from_f64_up(drift)))
     }
 }
 
 /// One directed bound of `c + Σ a_i · b_i` over interval coefficients *and*
 /// interval operands, accumulated in `f64`: the lower bound for
 /// `UPPER = false`, the upper bound for `UPPER = true`. See the module docs
-/// ("Interval × interval") for the rule and why it is sound. As with
-/// [`WideAcc`], the term count the error bound depends on is kept here.
+/// ("Interval × interval") for the rule and why it is sound. The sum is its
+/// term list's only output, so it owns the list's [`WideMag`].
 #[derive(Copy, Clone, Debug)]
 pub struct WideBound<const UPPER: bool> {
     sum: f64,
-    mag: f64,
-    /// Additions that can round: every fed term, plus a non-zero start.
-    rounded: usize,
+    mag: WideMag,
 }
 
 impl<const UPPER: bool> WideBound<UPPER> {
     /// Starts the sum at the scalar `c` (an expression's constant bound).
     #[inline(always)]
     pub fn new<F: Fp>(c: F) -> Self {
-        debug_assert!(F::EXACT_IN_F64, "wide accumulation needs exact products");
-        let c = c.to_f64();
         Self {
-            sum: c,
-            mag: mag_or_inf(c, c),
-            rounded: usize::from(c != 0.0),
+            sum: c.to_f64(),
+            mag: WideMag::new(&[Itv { lo: c, hi: c }]),
         }
     }
 
@@ -295,25 +579,9 @@ impl<const UPPER: bool> WideBound<UPPER> {
     /// counts as a term of the error bound.
     #[inline(always)]
     pub fn mul_add(&mut self, a: WideTerm, b: WideTerm) {
-        let pick = |p: f64, q: f64| {
-            if UPPER {
-                if p > q {
-                    p
-                } else {
-                    q
-                }
-            } else if p < q {
-                p
-            } else {
-                q
-            }
-        };
-        self.rounded += 1;
-        self.sum += pick(
-            pick(a.lo * b.lo, a.lo * b.hi),
-            pick(a.hi * b.lo, a.hi * b.hi),
-        );
-        self.mag += a.mag * b.mag;
+        let (min, max) = a.product(b);
+        self.sum += if UPPER { max } else { min };
+        self.mag.add(a, b.mag);
     }
 
     /// The sound bound, or `None` when an operand was not finite (the caller
@@ -324,24 +592,62 @@ impl<const UPPER: bool> WideBound<UPPER> {
     /// Panics when more than `2³²` terms were accumulated.
     #[inline]
     pub fn finish<F: Fp>(&self) -> Option<F> {
-        if !self.mag.is_finite() {
-            return None;
+        let y: Itv<F> = self.mag.finish()?.enclose(self.sum, self.sum);
+        Some(if UPPER { y.hi } else { y.lo })
+    }
+}
+
+/// Both sides of `c + Σ a_i · b_i` at once — [`WideBound`] kept two-sided,
+/// for the constant of the ReLU substitution step. See the module docs
+/// ("Both sides of one sum").
+#[derive(Copy, Clone, Debug)]
+pub struct WideSum {
+    lo: f64,
+    hi: f64,
+    mag: WideMag,
+}
+
+impl WideSum {
+    /// Starts the sum at the interval `c`.
+    #[inline(always)]
+    pub fn new<F: Fp>(c: Itv<F>) -> Self {
+        Self {
+            lo: c.lo.to_f64(),
+            hi: c.hi.to_f64(),
+            mag: WideMag::new(&[c]),
         }
-        let adds = self.rounded.saturating_sub(1);
-        let mut s = self.sum;
-        if adds > 0 {
-            let e = widening(self.mag, adds);
-            s = if UPPER {
-                round::add_up(s, e)
-            } else {
-                round::sub_down(s, e)
-            };
-        }
-        Some(if UPPER {
-            round::from_f64_up(s)
-        } else {
-            round::from_f64_down(s)
-        })
+    }
+
+    /// Adds the interval product `a · b`: its exact lower endpoint below,
+    /// its exact upper endpoint above.
+    #[inline(always)]
+    pub fn mul_add(&mut self, a: WideTerm, b: WideTerm) {
+        let (min, max) = a.product(b);
+        self.lo += min;
+        self.hi += max;
+        self.mag.add(a, b.mag);
+    }
+
+    /// Adds one exact endpoint of `a · b` — the upper one for `upper`, else
+    /// the lower — to both sides: a point, not an interval, enters the sum.
+    #[inline(always)]
+    pub fn add_endpoint(&mut self, a: WideTerm, b: WideTerm, upper: bool) {
+        let (min, max) = a.product(b);
+        let v = if upper { max } else { min };
+        self.lo += v;
+        self.hi += v;
+        self.mag.add(a, b.mag);
+    }
+
+    /// The sound enclosure, or `None` when an operand was not finite (the
+    /// caller then falls back to the per-step chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics when more than `2³²` terms were accumulated.
+    #[inline]
+    pub fn finish<F: Fp>(&self) -> Option<Itv<F>> {
+        Some(self.mag.finish()?.enclose(self.lo, self.hi))
     }
 }
 
@@ -349,12 +655,16 @@ impl<const UPPER: bool> WideBound<UPPER> {
 mod tests {
     use super::*;
 
+    /// One output over its own term list, the way `dot_itv_f` drives the
+    /// pair: exact-zero coefficients are the caller's to skip.
     fn dot(init: Option<Itv<f32>>, terms: &[(Itv<f32>, f32)]) -> Option<Itv<f32>> {
+        let mut mag = WideMag::new(init.as_slice());
         let mut acc = WideAcc::<1>::new(init.as_slice());
         for &(a, w) in terms {
+            mag.add(WideTerm::new(a), max_mag(&[w]));
             acc.mul_add(WideTerm::new(a), &[w]);
         }
-        acc.finish(0)
+        mag.finish().map(|e| acc.finish(0, e))
     }
 
     #[test]
@@ -372,14 +682,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_weights_do_not_count_as_additions() {
-        // An identity column: one unit weight among zeros returns its
-        // coefficient bit for bit, whichever sign the zeros have.
+    fn every_fed_term_counts_whatever_its_weight() {
+        // One unit weight among zeros: the sum is exact, but the list has
+        // three terms, so the result is one step wide of it on either side.
         let (a, b) = (Itv::new(0.1_f32, 0.2), Itv::point(0.7_f32));
-        assert_eq!(dot(None, &[(b, 0.0), (a, 1.0), (b, -0.0)]), Some(a));
-        // Two non-zero weights do round.
-        let y = dot(None, &[(b, 0.0), (a, 1.0), (b, 1.0)]).unwrap();
-        assert!(y.lo < 0.1_f32 + 0.7 && 0.2_f32 + 0.7 < y.hi);
+        let y = dot(None, &[(b, 0.0), (a, 1.0), (b, -0.0)]).unwrap();
+        assert_eq!((y.lo, y.hi), (a.lo.next_down(), a.hi.next_up()));
+        // Zero magnitude sum: nothing to widen by, however many terms.
+        assert_eq!(dot(None, &[(b, 0.0), (a, 0.0)]), Some(Itv::zero()));
     }
 
     #[test]
@@ -412,6 +722,99 @@ mod tests {
             hi: 1.0,
         };
         assert_eq!(dot(None, &[(nan_lo, 1.0)]), None);
+    }
+
+    #[test]
+    fn a_running_bound_holds_the_sum_as_f32_inference_computes_it() {
+        // 1 + 8 · 2⁻²⁵ = 1 + 2⁻²², two steps above 1 — where f32 inference
+        // stays, every increment being a quarter of its step.
+        let start = Itv::point(1.0_f32);
+        let terms = [(2f32.powi(-25), 1.0_f32); 8];
+        let mut mag = WideMag::new(&[start]);
+        let mut acc = WideAcc::<1>::new(&[start]);
+        let mut run = WideRun::<1>::new(&[start]);
+        for &(a, w) in &terms {
+            mag.add(WideTerm::new(Itv::point(a)), max_mag(&[w]));
+            acc.mul_add(WideTerm::new(Itv::point(a)), &[w]);
+            run.mul_add(WideTerm::new(Itv::point(a)), &[w]);
+        }
+        let e = mag.finish().unwrap();
+        let tight: Itv<f32> = acc.finish(0, e);
+        let (float, drift): (Itv<f32>, f32) = run.finish(0, e).unwrap();
+        assert!(float.contains_itv(tight) && float.width() < 10.0 * f32::EPSILON);
+        let inference = terms.iter().fold(start.lo, |s, &(a, w)| a.mul_add(w, s));
+        assert_eq!(inference, 1.0);
+        assert!(float.contains(inference), "{float} misses {inference}");
+        assert!(
+            !tight.contains(inference),
+            "the example should need the wider bound"
+        );
+        // The drift alone: inference is 2⁻²² short of the exact sum.
+        assert!(2f32.powi(-22) <= drift && drift < 5.0 * f32::EPSILON);
+        // Nothing summed, or nothing but exact zeros: nothing to cover.
+        let e = WideMag::new(&[start]).finish().unwrap();
+        let idle = WideRun::<1>::new(&[start]);
+        assert_eq!(idle.finish::<f32>(0, e), Some((start, 0.0)));
+        let mut run = WideRun::<1>::new::<f32>(&[]);
+        run.mul_add(WideTerm::new(Itv::point(0.7_f32)), &[0.0_f32]);
+        run.mul_add(WideTerm::new(Itv::point(0.1_f32)), &[-0.0_f32]);
+        assert_eq!(run.finish::<f32>(0, e), Some((Itv::zero(), 0.0)));
+    }
+
+    #[test]
+    fn a_running_bound_has_no_result_where_inference_could_overflow_on_the_way() {
+        // MAX + MAX − MAX − MAX: the exact sums are finite and end at zero,
+        // the f32 recursion is at +inf after the second term and stays.
+        let terms = [
+            (f32::MAX, 1.0_f32),
+            (f32::MAX, 1.0),
+            (f32::MAX, -1.0),
+            (f32::MAX, -1.0),
+        ];
+        let run_over = |terms: &[(f32, f32)]| {
+            let mut mag = WideMag::new::<f32>(&[]);
+            let mut run = WideRun::<1>::new::<f32>(&[]);
+            for &(a, w) in terms {
+                mag.add(WideTerm::new(Itv::point(a)), max_mag(&[w]));
+                run.mul_add(WideTerm::new(Itv::point(a)), &[w]);
+            }
+            run.finish::<f32>(0, mag.finish().expect("finite operands"))
+        };
+        let inference = terms.iter().fold(0.0_f32, |s, &(a, w)| a.mul_add(w, s));
+        assert_eq!(inference, f32::INFINITY);
+        assert_eq!(run_over(&terms), None);
+        // Prefixes whose magnitudes sum to less than MAX are safe (the test
+        // is on that sum, which the accumulator has, not on the largest).
+        let (y, _) = run_over(&[(f32::MAX, 0.25), (f32::MAX, 0.25), (f32::MAX, -0.5)]).unwrap();
+        assert!(y.contains(0.0) && y.width() < f32::MAX * f32::EPSILON);
+    }
+
+    #[test]
+    fn max_mag_keeps_what_a_plain_max_drops() {
+        assert_eq!(max_mag::<f32>(&[]), 0.0);
+        assert_eq!(max_mag(&[0.5_f32, -2.0, 1.0]), 2.0);
+        assert_eq!(max_mag(&[-0.0_f32, 0.0]), 0.0);
+        // Long enough for the blocked path, with a remainder: the largest
+        // magnitude wherever it sits, and any bad value anywhere.
+        let long: Vec<f32> = (0..37).map(|i| (i as f32 - 20.0) * 0.25).collect();
+        assert_eq!(max_mag(&long), 5.0);
+        for at in 0..long.len() {
+            let mut ws = long.clone();
+            ws[at] = -7.5;
+            assert_eq!(max_mag(&ws), 7.5, "at {at}");
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                ws[at] = bad;
+                assert_eq!(max_mag(&ws), f64::INFINITY, "{bad} at {at}");
+            }
+        }
+        // NaN first, last and in between; either infinity.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in 0..3 {
+                let mut ws = [0.5_f32, -2.0, 1.0];
+                ws[at] = bad;
+                assert_eq!(max_mag(&ws), f64::INFINITY, "{ws:?}");
+            }
+        }
     }
 
     fn bounds(c: f32, terms: &[(Itv<f32>, Itv<f32>)]) -> Option<(f32, f32)> {
@@ -461,17 +864,58 @@ mod tests {
     }
 
     #[test]
+    fn a_two_sided_sum_is_its_two_bounds_and_an_endpoint_is_a_point() {
+        let c = Itv::new(-0.25_f32, 0.5);
+        let (a, b) = (Itv::new(-1.0_f32, 2.0), Itv::new(-3.0_f32, 0.5));
+        let mut sum = WideSum::new(c);
+        sum.mul_add(WideTerm::new(a), WideTerm::new(b));
+        let y: Itv<f32> = sum.finish().unwrap();
+        // corners: 3, -0.5, -6, 1.
+        assert!(y.lo <= -6.25 && 3.5 <= y.hi);
+        assert!(y.lo >= (-6.25_f32).next_down() && y.hi <= 3.5_f32.next_up());
+        // The same product as an endpoint moves both sides by one number.
+        for (upper, v) in [(false, -6.0_f32), (true, 3.0)] {
+            let mut sum = WideSum::new(Itv::<f32>::zero());
+            sum.add_endpoint(WideTerm::new(a), WideTerm::new(b), upper);
+            assert_eq!(sum.finish::<f32>(), Some(Itv::point(v)));
+        }
+        // Non-finite operands: no result, a zero factor notwithstanding.
+        let mut sum = WideSum::new(Itv::<f32>::zero());
+        sum.add_endpoint(
+            WideTerm::new(Itv::<f32>::top()),
+            WideTerm::new(Itv::<f32>::zero()),
+            true,
+        );
+        assert_eq!(sum.finish::<f32>(), None);
+        assert_eq!(WideSum::new(Itv::<f32>::top()).finish::<f32>(), None);
+    }
+
+    #[test]
     fn lanes_are_independent() {
         let a = Itv::new(0.25_f32, 0.5);
         let b = Itv::point(-3.0_f32);
-        let mut wide = WideAcc::<4>::new::<f32>(&[Itv::point(1.0)]);
-        wide.mul_add(WideTerm::new(a), &[2.0, -2.0, 0.0, f32::INFINITY]);
-        wide.mul_add(WideTerm::new(b), &[0.5, 0.5, 0.5, 0.5]);
-        let lane0 = dot(Some(Itv::point(1.0)), &[(a, 2.0), (b, 0.5)]);
-        let lane1 = dot(None, &[(a, -2.0), (b, 0.5)]);
-        assert_eq!(wide.finish::<f32>(0), lane0);
-        assert_eq!(wide.finish::<f32>(1), lane1);
-        assert!(wide.finish::<f32>(2).is_some());
-        assert_eq!(wide.finish::<f32>(3), None);
+        let init = [Itv::point(2.0_f32)];
+        let list = [(a, [2.0_f32, -2.0, 0.0]), (b, [0.5, 0.5, 0.5])];
+        let mut mag = WideMag::new(&init);
+        let mut wide = WideAcc::<3>::new(&init);
+        for (a, w) in &list {
+            mag.add(WideTerm::new(*a), max_mag(w));
+            wide.mul_add(WideTerm::new(*a), w);
+        }
+        let e = mag.finish().unwrap();
+        // exact lane sums: 2 + [.5, 1] − 1.5, [−1, −.5] − 1.5, −1.5.
+        let want = [(1.0_f32, 1.5_f32), (-2.5, -2.0), (-1.5, -1.5)];
+        for (j, (lo, hi)) in want.into_iter().enumerate() {
+            let y: Itv<f32> = wide.finish(j, e);
+            assert!(y.lo <= lo && hi <= y.hi, "lane {j}: {y}");
+            assert!(
+                y.lo >= lo.next_down() && y.hi <= hi.next_up(),
+                "lane {j}: {y}"
+            );
+        }
+        // One non-finite weight in any lane takes the whole list along.
+        let mut mag = WideMag::new::<f32>(&[]);
+        mag.add(WideTerm::new(a), max_mag(&[2.0_f32, f32::INFINITY]));
+        assert!(mag.finish().is_none());
     }
 }

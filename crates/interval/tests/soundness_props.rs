@@ -3,7 +3,7 @@
 //! intervals. We use f64 arithmetic as the (much more precise) reference for
 //! f32 intervals, and exact rational reasoning where cheap.
 
-use gpupoly_interval::wide::{WideAcc, WideBound, WideTerm};
+use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRun, WideSum, WideTerm};
 use gpupoly_interval::{dot, round, Itv};
 use proptest::prelude::*;
 
@@ -231,17 +231,31 @@ impl Exact {
     }
 }
 
-/// One dot product the way the GEMM kernels drive the accumulator: start
-/// from `init`, skip exact-zero coefficients, feed the rest in order.
-fn wide_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Option<Itv<f32>> {
-    let mut acc = WideAcc::<1>::new(&[init]);
-    for &(a, w) in terms {
+/// `N` outputs over one term list the way the GEMM kernels drive the pair:
+/// start from `init`, skip exact-zero coefficients, feed the rest in order —
+/// once, with the largest of its weights, to the list's magnitude sum, and
+/// to every lane with the lane's own weight.
+fn wide_lanes<const N: usize>(
+    init: [Itv<f32>; N],
+    terms: &[(Itv<f32>, [f32; N])],
+) -> Option<[Itv<f32>; N]> {
+    let mut mag = WideMag::new(&init);
+    let mut acc = WideAcc::<N>::new(&init);
+    for (a, w) in terms {
         if a.lo == 0.0 && a.hi == 0.0 {
             continue;
         }
-        acc.mul_add(WideTerm::new(a), &[w]);
+        mag.add(WideTerm::new(*a), max_mag(w));
+        acc.mul_add(WideTerm::new(*a), w);
     }
-    acc.finish(0)
+    let e = mag.finish()?;
+    Some(std::array::from_fn(|j| acc.finish(j, e)))
+}
+
+/// One dot product: a list with a single output, whose `wmax` is its `|w|`.
+fn wide_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Option<Itv<f32>> {
+    let terms: Vec<_> = terms.iter().map(|&(a, w)| (a, [w])).collect();
+    wide_lanes([init], &terms).map(|[y]| y)
 }
 
 /// The per-step chain the accumulator replaces, driven the same way.
@@ -265,8 +279,12 @@ fn exact_dot(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> (Exact, Exact) {
     (lo, hi)
 }
 
-fn assert_encloses(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Result<Itv<f32>, TestCaseError> {
-    let y = wide_dot(init, terms).expect("finite operands have a result");
+/// Checks `y` against the exact `[Σ min, Σ max]` of `init + Σ a·w`.
+fn assert_encloses_exact(
+    y: Itv<f32>,
+    init: Itv<f32>,
+    terms: &[(Itv<f32>, f32)],
+) -> Result<(), TestCaseError> {
     let (lo, hi) = exact_dot(init, terms);
     prop_assert!(!y.lo.is_nan() && !y.hi.is_nan(), "NaN bound in {y}");
     prop_assert!(y.lo <= y.hi, "inverted result {y}");
@@ -276,7 +294,18 @@ fn assert_encloses(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Result<Itv<f32>
         y.lo
     );
     prop_assert!(hi.at_most(y.hi), "upper bound {} below the exact sum", y.hi);
+    Ok(())
+}
+
+fn assert_encloses(init: Itv<f32>, terms: &[(Itv<f32>, f32)]) -> Result<Itv<f32>, TestCaseError> {
+    let y = wide_dot(init, terms).expect("finite operands have a result");
+    assert_encloses_exact(y, init, terms)?;
     Ok(y)
+}
+
+/// Lane `j`'s own view of a shared term list.
+fn lane<const N: usize>(terms: &[(Itv<f32>, [f32; N])], j: usize) -> Vec<(Itv<f32>, f32)> {
+    terms.iter().map(|&(a, w)| (a, w[j])).collect()
 }
 
 /// Any finite f32: every exponent from the subnormals to 2¹²⁷, either sign.
@@ -498,18 +527,19 @@ proptest! {
         terms in prop::collection::vec(gbc_term(), 0..73),
     ) {
         let y = assert_encloses(Itv::zero(), &terms)?;
-        // Elements with at most one non-zero product are exact up to the
-        // final conversion: the tightest f32 enclosure of that product.
-        let live: Vec<_> = terms
+        // A list of one term is exact up to the final conversion: the
+        // tightest f32 enclosure of its product.
+        let list: Vec<_> = terms
             .iter()
-            .filter(|(a, w)| !(a.lo == 0.0 && a.hi == 0.0) && *w != 0.0)
+            .filter(|(a, _)| !(a.lo == 0.0 && a.hi == 0.0))
             .collect();
-        if let [(a, w)] = live[..] {
+        if let [(a, w)] = list[..] {
             let (p, q) = (a.lo as f64 * *w as f64, a.hi as f64 * *w as f64);
             prop_assert_eq!(y.lo, round::from_f64_down::<f32>(p.min(q)));
             prop_assert_eq!(y.hi, round::from_f64_up::<f32>(p.max(q)));
         }
-        if live.is_empty() {
+        // No non-zero product: nothing to sum and nothing to widen by.
+        if list.iter().all(|(_, w)| *w == 0.0) {
             prop_assert!(y.lo == 0.0 && y.hi == 0.0, "no product, yet {y}");
         }
     }
@@ -553,6 +583,484 @@ proptest! {
             "[{lo}, {hi}] not inside the chain's [{chain_lo}, {chain_hi}]"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// One magnitude sum per term list: the outputs that share a list (a GEMM
+// row's columns, a GBC position's channels, a forward-pass block) share the
+// bound taken against the largest weight any of them multiplies a term by.
+// ---------------------------------------------------------------------------
+
+/// Three lanes whose weights for one term differ by up to 2⁶⁰ in magnitude,
+/// and are sometimes zero in one lane only.
+fn lane_weights() -> impl Strategy<Value = [f32; 3]> {
+    let scale = || prop_oneof![Just(1.0f32), Just(1e-18f32), Just(0.0f32), Just(-1.0f32)];
+    (wild_weight(), scale(), scale()).prop_map(|(w, s1, s2)| [w, w * s1, w * s2])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn shared_bound_encloses_every_lanes_exact_sum_on_mixed_magnitudes(
+        init in prop_oneof![Just([Itv::zero(); 3]), (wild_itv(), wild_itv()).prop_map(|(a, b)| [a, Itv::zero(), b])],
+        terms in prop::collection::vec((wild_itv(), lane_weights()), 0..64),
+    ) {
+        let ys = wide_lanes(init, &terms).expect("finite operands have a result");
+        for (j, y) in ys.into_iter().enumerate() {
+            assert_encloses_exact(y, init[j], &lane(&terms, j))?;
+        }
+    }
+
+    #[test]
+    fn shared_bound_encloses_every_lanes_exact_sum_under_massive_cancellation(
+        big in prop::collection::vec((wild_itv(), wild_weight()), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+    ) {
+        // Lane 0 sums every large term and, eventually, its negation; lane 1
+        // the same at 2⁻⁶⁰ of the weight; lane 2 meets zeros there. The
+        // round-off of lane 0 is what the shared bound has to cover: a bound
+        // from any smaller weight than the largest would not.
+        let shrink = |w: f32| if w.abs() > 1e-10 { w * 2f32.powi(-60) } else { 0.0 };
+        let mut terms: Vec<(Itv<f32>, [f32; 3])> =
+            big.iter().map(|&(a, w)| (a, [w, shrink(w), 0.0])).collect();
+        terms.extend(big.iter().map(|&(a, w)| (a, [-w, -shrink(w), -0.0])));
+        terms.extend(small.iter().map(|&(a, w)| (Itv::point(a), [w, w, w])));
+        let ys = wide_lanes([Itv::zero(); 3], &terms).expect("finite operands have a result");
+        for (j, y) in ys.into_iter().enumerate() {
+            assert_encloses_exact(y, Itv::zero(), &lane(&terms, j))?;
+        }
+    }
+
+    #[test]
+    fn shared_bound_is_inside_the_per_step_chain(
+        init in prop_oneof![Just(Itv::zero()), generic_term().prop_map(|(a, _)| a)],
+        terms in prop::collection::vec(
+            (generic_term(), generic_term(), generic_term())
+                .prop_map(|((a, w0), (_, w1), (_, w2))| (a, [w0, w1, w2])),
+            0..256,
+        ),
+    ) {
+        // Weights within 10⁶ of each other, as a layer's are: the shared
+        // bound stays far below the f32 step the chain pays per operation.
+        let ys = wide_lanes([init; 3], &terms).expect("finite operands have a result");
+        for (j, y) in ys.into_iter().enumerate() {
+            let chain = chain_dot(init, &lane(&terms, j));
+            prop_assert!(chain.contains_itv(y), "lane {j}: {y} not inside the chain's {chain}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_operand_anywhere_leaves_the_whole_list_without_a_result(
+        terms in prop::collection::vec((wild_itv(), lane_weights()), 1..16),
+        at in 0usize..16,
+        lane_at in 0usize..3,
+        bad in prop_oneof![Just(f32::NAN), Just(f32::INFINITY), Just(f32::NEG_INFINITY)],
+    ) {
+        let at = at % terms.len();
+        let live = |a: Itv<f32>| !(a.lo == 0.0 && a.hi == 0.0);
+        // A bad weight, in one lane of one term.
+        let mut poisoned = terms.clone();
+        poisoned[at].1[lane_at] = bad;
+        prop_assert_eq!(
+            wide_lanes([Itv::zero(); 3], &poisoned).is_none(),
+            live(poisoned[at].0),
+            "a skipped coefficient never meets its weights; any other must"
+        );
+        // A bad coefficient bound.
+        let mut poisoned = terms.clone();
+        poisoned[at].0 = Itv { lo: poisoned[at].0.lo, hi: bad };
+        prop_assert!(wide_lanes([Itv::zero(); 3], &poisoned).is_none());
+        // A bad initial value, in one lane.
+        let mut init = [Itv::zero(); 3];
+        init[lane_at] = Itv { lo: bad, hi: f32::INFINITY };
+        prop_assert!(wide_lanes(init, &terms).is_none());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `dot::dot_itv_f`, the public primitive: the wide rule over its own list,
+// the per-step chain when an operand is not finite.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn dot_itv_f_encloses_exact_sum_on_mixed_magnitudes(
+        terms in prop::collection::vec((wild_itv(), wild_weight()), 0..64),
+    ) {
+        let (coeffs, xs): (Vec<_>, Vec<_>) = terms.iter().copied().unzip();
+        assert_encloses_exact(dot::dot_itv_f(&coeffs, &xs), Itv::zero(), &terms)?;
+    }
+
+    #[test]
+    fn dot_itv_f_encloses_exact_sum_under_massive_cancellation(
+        big in prop::collection::vec((wild_itv(), wild_weight()), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+    ) {
+        let mut terms = big.clone();
+        terms.extend(big.iter().map(|&(a, w)| (a, -w)));
+        terms.extend(small.iter().map(|&(a, w)| (Itv::point(a), w)));
+        let (coeffs, xs): (Vec<_>, Vec<_>) = terms.iter().copied().unzip();
+        assert_encloses_exact(dot::dot_itv_f(&coeffs, &xs), Itv::zero(), &terms)?;
+    }
+
+    #[test]
+    fn dot_itv_f_is_inside_the_per_step_chain_and_is_the_chain_for_non_finite_operands(
+        terms in prop::collection::vec(generic_term(), 0..256),
+        at in 0usize..256,
+        bad in prop_oneof![Just(f32::INFINITY), Just(f32::NEG_INFINITY)],
+    ) {
+        let (coeffs, mut xs): (Vec<_>, Vec<_>) = terms.iter().copied().unzip();
+        let y = dot::dot_itv_f(&coeffs, &xs);
+        let chain = chain_dot(Itv::zero(), &terms);
+        prop_assert!(chain.contains_itv(y), "{y} not inside the chain's {chain}");
+        if !terms.is_empty() {
+            xs[at % terms.len()] = bad;
+            let terms: Vec<_> = coeffs.iter().copied().zip(xs.iter().copied()).collect();
+            let (y, chain) = (dot::dot_itv_f(&coeffs, &xs), chain_dot(Itv::zero(), &terms));
+            prop_assert_eq!((y.lo.to_bits(), y.hi.to_bits()), (chain.lo.to_bits(), chain.hi.to_bits()));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The ReLU step's constant (`WideSum`): interval × interval products on both
+// sides of one sum, and single endpoints of such products as points.
+// ---------------------------------------------------------------------------
+
+/// One summand of the constant: `a · b` as an interval, or — for `Some(upper)`
+/// — only its upper (lower) endpoint, on both sides.
+type Summand = (Itv<f32>, Itv<f32>, Option<bool>);
+
+/// The constant the way `relu_step_row` drives [`WideSum`].
+fn wide_sum(c: Itv<f32>, terms: &[Summand]) -> Option<Itv<f32>> {
+    let mut sum = WideSum::new(c);
+    for &(a, b, endpoint) in terms {
+        match endpoint {
+            None => sum.mul_add(WideTerm::new(a), WideTerm::new(b)),
+            Some(upper) => sum.add_endpoint(WideTerm::new(a), WideTerm::new(b), upper),
+        }
+    }
+    sum.finish()
+}
+
+/// The per-step chain `relu_step_row` falls back to, driven the same way.
+fn chain_sum(c: Itv<f32>, terms: &[Summand]) -> Itv<f32> {
+    terms.iter().fold(c, |acc, &(a, b, endpoint)| {
+        let p = a * b;
+        acc + match endpoint {
+            None => p,
+            Some(true) => Itv::point(p.hi),
+            Some(false) => Itv::point(p.lo),
+        }
+    })
+}
+
+/// Checks `wide_sum` against the exact two-sided sum.
+fn assert_sum_encloses(c: Itv<f32>, terms: &[Summand]) -> Result<Itv<f32>, TestCaseError> {
+    let y = wide_sum(c, terms).expect("finite operands have a result");
+    let (mut exact_lo, mut exact_hi) = (Exact::ZERO, Exact::ZERO);
+    exact_lo.add(c.lo as f64, 1);
+    exact_hi.add(c.hi as f64, 1);
+    for &(a, b, endpoint) in terms {
+        let p = corners(a, b);
+        let min = p.into_iter().fold(f64::INFINITY, f64::min);
+        let max = p.into_iter().fold(f64::NEG_INFINITY, f64::max);
+        exact_lo.add(if endpoint == Some(true) { max } else { min }, 1);
+        exact_hi.add(if endpoint == Some(false) { min } else { max }, 1);
+    }
+    prop_assert!(!y.lo.is_nan() && !y.hi.is_nan(), "NaN bound in {y}");
+    prop_assert!(
+        exact_lo.at_least(y.lo),
+        "lower bound {} above the exact sum",
+        y.lo
+    );
+    prop_assert!(
+        exact_hi.at_most(y.hi),
+        "upper bound {} below the exact sum",
+        y.hi
+    );
+    Ok(y)
+}
+
+fn endpoint() -> impl Strategy<Value = Option<bool>> {
+    prop_oneof![Just(None), Just(None), Just(Some(false)), Just(Some(true))]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn wide_sum_encloses_exact_sum_on_mixed_magnitudes(
+        c in prop_oneof![Just(Itv::zero()), Just(Itv::point(-0.0f32)), wild_itv()],
+        terms in prop::collection::vec((wild_itv(), wild_bound(), endpoint()), 0..64),
+    ) {
+        assert_sum_encloses(c, &terms)?;
+    }
+
+    #[test]
+    fn wide_sum_encloses_exact_sum_under_massive_cancellation(
+        big in prop::collection::vec((wild_f32(), wild_f32(), endpoint()), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+    ) {
+        // Point factors, each large product followed (eventually) by its
+        // negation, as intervals and as endpoints alike: both exact sums are
+        // the small tail.
+        let mut terms: Vec<Summand> =
+            big.iter().map(|&(a, b, e)| (Itv::point(a), Itv::point(b), e)).collect();
+        terms.extend(big.iter().map(|&(a, b, e)| (Itv::point(a), Itv::point(-b), e)));
+        terms.extend(small.iter().map(|&(a, b)| (Itv::point(a), Itv::point(b), None)));
+        let y = assert_sum_encloses(Itv::zero(), &terms)?;
+        let tail: f64 = small.iter().map(|&(a, b)| a as f64 * b as f64).sum();
+        prop_assert!((y.lo as f64) <= tail + 1e-50 && tail - 1e-50 <= (y.hi as f64));
+    }
+
+    #[test]
+    fn wide_sum_is_inside_the_per_step_chain(
+        c in prop_oneof![Just(Itv::zero()), generic_term().prop_map(|(a, _)| a)],
+        terms in prop::collection::vec(
+            (generic_term(), generic_term(), endpoint()).prop_map(|((a, _), (b, _), e)| (a, b, e)),
+            0..256,
+        ),
+    ) {
+        let y = assert_sum_encloses(c, &terms)?;
+        let chain = chain_sum(c, &terms);
+        prop_assert!(chain.contains_itv(y), "{y} not inside the chain's {chain}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The forward pass' accumulator (`WideRun`): its enclosure must hold the
+// exact sums like every other rule — and what f32 inference makes of them,
+// the recursion `ŝ = fl(ŝ + w·x̂)` with one fused, nearest-rounded operation
+// per term from the same start in the same order, for every point `x̂` of the
+// box; the drift it reports must bound the distance between the two.
+// ---------------------------------------------------------------------------
+
+/// One output the way the forward pass drives the accumulator: the bias as
+/// a point start, exact-zero inputs skipped, the rest in order. `None` when
+/// the list has no result (a prefix of the recursion could overflow).
+fn run_dot(bias: f32, terms: &[(Itv<f32>, f32)]) -> Option<(Itv<f32>, f32)> {
+    let start = [Itv::point(bias)];
+    let mut mag = WideMag::new(&start);
+    let mut run = WideRun::<1>::new(&start);
+    for &(x, w) in terms {
+        if x.lo == 0.0 && x.hi == 0.0 {
+            continue;
+        }
+        mag.add(WideTerm::new(x), max_mag(&[w]));
+        run.mul_add(WideTerm::new(x), &[w]);
+    }
+    run.finish(0, mag.finish().expect("finite operands"))
+}
+
+/// Points of the box: both corners, the corners alternating, and `t` of the
+/// way through every interval.
+fn box_points(terms: &[(Itv<f32>, f32)], t: f32) -> [Vec<f32>; 4] {
+    let at = |f: &dyn Fn(usize, Itv<f32>) -> f32| -> Vec<f32> {
+        terms
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, _))| f(i, x))
+            .collect()
+    };
+    [
+        at(&|_, x| x.lo),
+        at(&|_, x| x.hi),
+        at(&|i, x| if i % 2 == 0 { x.lo } else { x.hi }),
+        at(&|_, x| pick(x, t)),
+    ]
+}
+
+/// Checks a [`run_dot`] result against the oracle and against inference at
+/// the points of [`box_points`]; a list without a result against the chain
+/// that then takes over. Returns the result.
+fn assert_run_encloses(
+    bias: f32,
+    terms: &[(Itv<f32>, f32)],
+    t: f32,
+) -> Result<Option<(Itv<f32>, f32)>, TestCaseError> {
+    let result = run_dot(bias, terms);
+    if let Some((y, _)) = result {
+        assert_encloses_exact(y, Itv::point(bias), terms)?;
+    }
+    let chain = chain_dot(Itv::point(bias), terms);
+    for point in box_points(terms, t) {
+        // Inference, and the exact value of the same sum at the same point.
+        let mut computed = bias;
+        let mut exact = Exact::ZERO;
+        exact.add(bias as f64, 1);
+        for (&(_, w), &x) in terms.iter().zip(&point) {
+            computed = w.mul_add(x, computed);
+            exact.add(w as f64 * x as f64, 1);
+        }
+        prop_assert!(!computed.is_nan());
+        match result {
+            Some((y, drift)) => {
+                prop_assert!(y.contains(computed), "{y} misses inference's {computed}");
+                // |computed − exact| ≤ drift, exactly.
+                prop_assert!(computed.is_finite());
+                exact.add(computed as f64, -1);
+                prop_assert!(
+                    exact.at_most(drift) && exact.at_least(-drift),
+                    "inference's {computed} is further than {drift} from the exact sum"
+                );
+            }
+            None => prop_assert!(
+                chain.contains(computed),
+                "the chain's {chain} misses inference's {computed}"
+            ),
+        }
+    }
+    Ok(result)
+}
+
+/// Inputs and weights whose sums stay far from f32's range on the way.
+fn tame_term() -> impl Strategy<Value = (Itv<f32>, f32)> {
+    let tame = || wild_f32().prop_map(|v| if v.abs() > 1e15 { v * 1e-25 } else { v });
+    (wild_itv(), tame()).prop_map(|(x, w)| {
+        let shrink = |v: f32| if v.abs() > 1e15 { v * 1e-25 } else { v };
+        (
+            Itv::new(
+                shrink(x.lo).min(shrink(x.hi)),
+                shrink(x.lo).max(shrink(x.hi)),
+            ),
+            w,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn running_bound_holds_exact_sum_and_f32_inference_on_mixed_magnitudes(
+        bias in prop_oneof![Just(0.0f32), wild_f32()],
+        terms in prop::collection::vec((wild_itv(), wild_weight()), 0..64),
+        t in 0.0f32..1.0,
+    ) {
+        // 2⁻¹⁴⁹ … 2¹²⁷ operands: most lists could overflow on the way and
+        // have no result — then the chain has to hold inference instead.
+        assert_run_encloses(bias, &terms, t)?;
+    }
+
+    #[test]
+    fn running_bound_holds_exact_sum_and_f32_inference_away_from_overflow(
+        bias in prop_oneof![Just(0.0f32), tame_term().prop_map(|(_, w)| w)],
+        terms in prop::collection::vec(tame_term(), 0..256),
+        t in 0.0f32..1.0,
+    ) {
+        // Still 2⁻¹⁴⁹ … 2⁵⁰, but every prefix fits f32: always a result.
+        prop_assert!(assert_run_encloses(bias, &terms, t)?.is_some());
+    }
+
+    #[test]
+    fn running_bound_holds_f32_inference_under_massive_cancellation(
+        big in prop::collection::vec(tame_term(), 1..24),
+        small in prop::collection::vec((-1e-20f32..1e-20f32, -1.0f32..1.0f32), 0..8),
+        t in 0.0f32..1.0,
+    ) {
+        // Every large term followed (eventually) by its negation: inference
+        // is left with the round-off of the large prefixes, many orders of
+        // magnitude above the exact sum — the small tail.
+        let mut terms = big.clone();
+        terms.extend(big.iter().map(|&(x, w)| (x, -w)));
+        terms.extend(small.iter().map(|&(x, w)| (Itv::point(x), w)));
+        prop_assert!(assert_run_encloses(0.0, &terms, t)?.is_some());
+    }
+
+    #[test]
+    fn running_bound_holds_f32_inference_among_the_subnormals(
+        bias in prop_oneof![Just(0.0f32), (0u32..(1 << 24)).prop_map(f32::from_bits)],
+        terms in prop::collection::vec(
+            ((0u32..(1 << 24), 0u32..(1 << 24), any::<bool>()), -1.0f32..1.0f32),
+            1..48,
+        ),
+        t in 0.0f32..1.0,
+    ) {
+        // Inputs below 2⁻¹²⁵, weights below one: every step of inference
+        // underflows, and errs by an absolute half of the smallest subnormal
+        // rather than by a relative u.
+        let terms: Vec<(Itv<f32>, f32)> = terms
+            .iter()
+            .map(|&((a, b, neg), w)| {
+                let (a, b) = (f32::from_bits(a), f32::from_bits(b));
+                let x = Itv::new(a.min(b), a.max(b));
+                (if neg { Itv::new(-x.hi, -x.lo) } else { x }, w)
+            })
+            .collect();
+        let (y, drift) = assert_run_encloses(bias, &terms, t)?.expect("tiny sums");
+        prop_assert!(drift < f32::MIN_POSITIVE && y.mag() < 1e-33);
+    }
+
+    #[test]
+    fn running_bound_is_inside_the_per_step_chain_on_narrow_boxes(
+        bias in prop_oneof![Just(0.0f32), generic_term().prop_map(|(_, w)| w)],
+        terms in prop::collection::vec((generic_term(), 0.0f32..1e-4), 8..256),
+    ) {
+        // Not a theorem, but the regime the forward pass runs in: sums of
+        // more than a few terms (below that the chain's exact first steps
+        // win by a step) over points and intervals a few steps wide (on a
+        // wide box each side pays for the larger magnitude of the two prefix
+        // sums, the chain for its own side's).
+        let terms: Vec<(Itv<f32>, f32)> = terms
+            .iter()
+            .map(|&((x, w), r)| (Itv::new(x.lo, x.lo + x.lo.abs() * r), w))
+            .collect();
+        let (y, _) = run_dot(bias, &terms).expect("moderate operands");
+        let chain = chain_dot(Itv::point(bias), &terms);
+        prop_assert!(chain.contains_itv(y), "{y} not inside the chain's {chain}");
+    }
+}
+
+#[test]
+fn running_bound_pays_for_every_step_that_underflows() {
+    // Eight times half the smallest subnormal: each step of inference is a
+    // tie that rounds back to the zero it started from, the exact sum is
+    // four subnormal steps — an absolute error no relative `u` accounts for.
+    let tiny = f32::from_bits(1);
+    let terms = [(Itv::point(tiny), 0.5_f32); 8];
+    let inference = terms.iter().fold(0.0_f32, |s, &(x, w)| w.mul_add(x.lo, s));
+    assert_eq!(inference, 0.0);
+    let (y, drift) = assert_run_encloses(0.0, &terms, 0.5)
+        .unwrap()
+        .expect("tiny sums");
+    assert!(y.contains(0.0) && y.contains(4.0 * tiny));
+    assert!((4.0 * tiny..=16.0 * tiny).contains(&drift));
+}
+
+#[test]
+fn wide_sum_has_no_result_for_non_finite_operands() {
+    let one = Itv::point(1.0_f32);
+    assert!(wide_sum(Itv::zero(), &[(one, one, None), (one, one, Some(true))]).is_some());
+    for endpoint in [None, Some(false), Some(true)] {
+        assert_eq!(wide_sum(Itv::zero(), &[(one, Itv::top(), endpoint)]), None);
+        assert_eq!(
+            wide_sum(
+                Itv::zero(),
+                &[(Itv::new(1.0, f32::INFINITY), one, endpoint)]
+            ),
+            None
+        );
+        // inf · 0 is not a zero the sum may keep.
+        assert_eq!(
+            wide_sum(Itv::zero(), &[(Itv::top(), Itv::zero(), endpoint)]),
+            None
+        );
+    }
+    assert_eq!(wide_sum(Itv::new(f32::NEG_INFINITY, 0.0), &[]), None);
+    assert_eq!(
+        wide_sum(
+            Itv {
+                lo: f32::NAN,
+                hi: 1.0
+            },
+            &[(one, one, None)]
+        ),
+        None
+    );
 }
 
 #[test]

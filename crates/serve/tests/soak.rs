@@ -385,6 +385,45 @@ fn oversized_frames_are_bounced_not_buffered() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Pixels that are not finite numbers — `1e39` overflows `f32`, `1e999`
+/// even `f64` — are a `bad_query`, not a verdict for the clamped image
+/// nobody sent; the connection keeps serving.
+#[test]
+fn non_finite_pixels_are_bad_queries_over_the_wire() {
+    let dir = temp_dir("pixels");
+    store::save(&dir, "tiny", &make_net(5, 4, 6, 3)).unwrap();
+    let server =
+        Server::<CpuSimBackend>::bind("127.0.0.1:0", ServerConfig::new(&dir)).expect("bind");
+    let handle = server.spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    for (kind, pixel) in [("verify", "1e39"), ("verify", "-1e39"), ("verify", "1e999")]
+        .into_iter()
+        .chain([("verify_complete", "1e39"), ("verify_complete", "-1e999")])
+    {
+        let frame = format!(
+            r#"{{"type":"{kind}","model":"tiny","image":[0.5,{pixel},0.5,0.5],"label":0,"eps":0.01}}"#
+        );
+        match client.send_raw(&frame).unwrap() {
+            gpupoly_serve::protocol::Reply::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadQuery, "{kind} {pixel}: {message}");
+                assert!(message.contains("inf"), "{kind} {pixel}: {message}");
+            }
+            other => panic!("{kind} {pixel}: expected bad_query, got {other:?}"),
+        }
+        client.ping().expect("the connection survives a bad pixel");
+    }
+    // The same frame with the pixel in range is answered.
+    let served = client.verify("tiny", &[0.5, 1.0, 0.5, 0.5], 0, 0.01);
+    served.expect("finite pixels verify");
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Admission coalescing: while the worker chews on one query, a
 /// synchronized burst queues up behind it and the next wakeup runs the
 /// whole backlog as one `verify_batch` — visible as `max_batch >= 2`.

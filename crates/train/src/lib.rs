@@ -5,8 +5,8 @@
 //! IBP-loss based). This crate rebuilds that pipeline without any ML
 //! framework:
 //!
-//! * [`data`] — seeded synthetic MNIST-like / CIFAR-like datasets (see
-//!   DESIGN.md for why this substitution preserves the evaluation),
+//! * [`data`] — seeded synthetic MNIST-like / CIFAR-like datasets (the
+//!   build container has no network, hence no real ones),
 //! * [`backward`] — hand-written adjoints for every graph operation, both
 //!   for point inference and through interval bound propagation,
 //! * [`trainer`] — momentum SGD over the four regimes, a PGD attack, and

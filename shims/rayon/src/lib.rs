@@ -18,15 +18,19 @@
 //!
 //! # Launch dispatch
 //!
-//! A launch splits its iterator into one contiguous part per worker — the
-//! split depends on the pool's size and the iterator's length only, never on
-//! who ends up running what, so results are reproducible — and publishes the
+//! A launch splits its iterator into four contiguous parts per thread of the
+//! pool (`PARTS_PER_THREAD`; fewer when the iterator is shorter) — the split
+//! depends on the pool's size and the iterator's length only, never on who
+//! ends up running what, so results are reproducible — and publishes the
 //! parts as one *job*: a claim counter over all parts but the last, and a
 //! result slot per part. Parked helpers wake and claim parts. The launching
 //! thread runs the last part, then claims whatever is still unclaimed, then
 //! waits for the helpers still inside a part. A launch therefore never waits
 //! for a thread to *start*: if the helpers are slow to wake, or busy, the
-//! launcher has done the work itself by the time they look.
+//! launcher has done the work itself by the time they look. Nor does it wait
+//! long for one to *finish*: a helper that loses its processor in the middle
+//! of a launch holds up the part it is in, a fraction of the launch, and
+//! every other part goes to whoever is still running.
 //!
 //! A pool holds one job at a time. A second thread launching on a pool whose
 //! job slot is taken (concurrent callers of one device, or an outer batch
@@ -385,9 +389,20 @@ impl Drop for Retract<'_> {
     }
 }
 
-/// Splits `iter` into one contiguous part per thread of the current pool and
-/// runs `f` over each part's sequential iterator, returning the per-part
-/// results in order. See the module docs, "Launch dispatch".
+/// Parts a launch makes per thread of its pool. One part per thread fixes
+/// who computes what before anyone knows who will be running: on a shared
+/// host a helper that is woken late, or descheduled inside its part, then
+/// keeps the launcher waiting for a whole thread's share of the launch. With
+/// four parts each, the threads that are running take what one that is not
+/// leaves behind, and a two-thread launch waits for an eighth of itself at
+/// most. An extra part costs one claim: a counter increment and two
+/// uncontended slot locks.
+const PARTS_PER_THREAD: usize = 4;
+
+/// Splits `iter` into [`PARTS_PER_THREAD`] contiguous parts per thread of
+/// the current pool and runs `f` over each part's sequential iterator,
+/// returning the per-part results in order. See the module docs, "Launch
+/// dispatch".
 fn drive<I, R, F>(iter: I, f: &F) -> Vec<R>
 where
     I: ParallelIterator,
@@ -399,15 +414,15 @@ where
     }
     let pool = current_pool();
     let n = iter.pi_len();
-    let workers = pool.threads.min(n);
-    if workers <= 1 {
+    if pool.threads.min(n) <= 1 {
         return vec![f(iter.pi_seq())];
     }
-    let mut slots = Vec::with_capacity(workers - 1);
+    let parts = (pool.threads * PARTS_PER_THREAD).min(n);
+    let mut slots = Vec::with_capacity(parts - 1);
     let mut rest = iter;
     let mut remaining = n;
-    for i in 0..workers - 1 {
-        let share = remaining / (workers - i);
+    for i in 0..parts - 1 {
+        let share = remaining / (parts - i);
         let (head, tail) = rest.pi_split_at(share);
         slots.push(Mutex::new(Slot::Todo(head)));
         rest = tail;
@@ -444,7 +459,7 @@ where
     let last = run_part(f, rest);
     while job.run_one() {}
     drop(retract);
-    let mut results = Vec::with_capacity(workers);
+    let mut results = Vec::with_capacity(parts);
     for slot in job.slots {
         match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Slot::Done(Ok(r)) => results.push(r),
@@ -1117,6 +1132,36 @@ mod tests {
             });
             assert_eq!(ids[2], me, "the launcher keeps the last part");
             assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn a_stalled_part_holds_up_nothing_but_itself() {
+        // Item 0 does not return before every other item has run. Whoever
+        // claims it — the helper, or the launcher once its own part is done —
+        // the other thread must get through all the rest. (Split one part
+        // per thread, items 1 to 3 would sit behind item 0 in the same part
+        // and this would hang.)
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let items = 2 * PARTS_PER_THREAD;
+        for _ in 0..50 {
+            let others_done = AtomicUsize::new(0);
+            let out: Vec<usize> = pool.install(|| {
+                (0..items)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == 0 {
+                            while others_done.load(Ordering::Acquire) < items - 1 {
+                                thread::yield_now();
+                            }
+                        } else {
+                            others_done.fetch_add(1, Ordering::Release);
+                        }
+                        i
+                    })
+                    .collect()
+            });
+            assert_eq!(out, (0..items).collect::<Vec<_>>());
         }
     }
 

@@ -15,8 +15,8 @@
 //! * [`serve`] — the batch-admission verification daemon (`gpupoly-serve`)
 //!   and its line-JSON protocol + client.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `README.md` for a tour and `ROADMAP.md` for direction and the
+//! measured record.
 //!
 //! # Quickstart
 //!
