@@ -118,6 +118,7 @@ impl<F: Fp> Analysis<F> {
     }
 }
 
+/// One input box through the schedule: [`analyze_fused`] over a batch of one.
 pub(crate) fn analyze<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
@@ -125,77 +126,35 @@ pub(crate) fn analyze<F: Fp, B: Backend>(
     cfg: &VerifyConfig,
     input: &[Itv<F>],
 ) -> Result<Analysis<F>, VerifyError> {
-    let in_len = graph.nodes[0].shape.len();
-    if input.len() != in_len {
-        return Err(VerifyError::BadQuery(format!(
-            "input has {} values, network expects {in_len}",
-            input.len()
-        )));
-    }
-    // Preliminary forward interval analysis (§4.2).
-    let mut analysis = Analysis::seeded(graph.eval_itv(input));
-
-    // Refine the input of every ReLU in the precomputed topological
-    // schedule (ReLUs directly on the input are skipped at preparation
-    // time: their bounds are already exact).
-    for &(_relu, p) in prepared.relu_plan() {
-        analysis.stats.relu_nodes += 1;
-        let bounds = &analysis.bounds[p];
-        let sel: Vec<usize> = if cfg.early_termination {
-            (0..bounds.len())
-                .filter(|&i| bounds[i].straddles_zero())
-                .collect()
-        } else {
-            (0..bounds.len()).collect()
-        };
-        analysis.stats.rows_skipped_stable += bounds.len() - sel.len();
-        if sel.is_empty() {
-            continue;
-        }
-        analysis.stats.rows_refined += sel.len();
-        let rule = if cfg.early_termination {
-            StopRule::StableSign
-        } else {
-            StopRule::None
-        };
-        analysis.note_round_off(graph, cfg, p);
-        refine_node(device, graph, prepared, cfg, &mut analysis, p, &sel, rule)?;
-        // Forward interval update of everything downstream of the refined
-        // node, intersected with the existing (still sound) bounds.
-        forward_update(graph, &mut analysis.bounds, p);
-    }
-    // The rest, for the walks that start at the output (spec checks).
-    analysis.note_round_off(graph, cfg, graph.output());
-    Ok(analysis)
+    let mut one = analyze_fused(device, graph, prepared, cfg, &[input])?;
+    Ok(one.pop().expect("one analysis per box"))
 }
 
-/// Fused multi-query analysis — the cross-query kernel-fusion driver.
+/// The §4.2 refinement schedule, for any number of same-network input boxes
+/// at once — the cross-query kernel-fusion driver.
 ///
-/// Runs the §4.2 refinement schedule for `inputs.len()` same-network input
-/// boxes *together*: at every ReLU layer the selected rows of every query
-/// are stacked into one [`ExprBatch`] (tagged with a per-row query-segment
-/// index), so each backsubstitution step issues one large GEMM/GBC/ReLU
-/// launch for all queries instead of one small walk per query.
-///
-/// `preliminary` holds each input's forward interval bounds
-/// (`graph.eval_itv`) — the caller computes them anyway for its fusion
-/// heuristic, and they are exactly the seed bounds [`analyze`] would start
-/// from.
+/// A preliminary forward interval pass seeds every box's bounds. Then, at
+/// every ReLU layer of the precomputed topological schedule (ReLUs directly
+/// on the input are skipped at preparation time: their bounds are already
+/// exact), the selected rows of every query are stacked into one
+/// [`ExprBatch`] (tagged with a per-row query-segment index), so each
+/// backsubstitution step issues one large GEMM/GBC/ReLU launch for all
+/// queries instead of one small walk per query. A single box is a batch of
+/// one: nothing is stacked, every per-query loop runs once, inline.
 ///
 /// **Bit-identity:** each query's row selections, per-row walk arithmetic
-/// and bound intersections are exactly those of [`analyze`] run on that
-/// query alone (rows never interact across segments; chunk boundaries are
-/// arithmetic-neutral), so every returned [`Analysis`] carries bit-identical
-/// bounds to the sequential path. Work counters differ in shape: fused
-/// launches are shared, so `candidates`/`chunks` count the joint launches a
-/// query's rows participated in, not per-query work.
+/// and bound intersections do not depend on which other queries share its
+/// launches (rows never interact across segments; chunk boundaries are
+/// arithmetic-neutral), so every returned [`Analysis`] carries the bounds it
+/// would have alone. Work counters differ in shape: fused launches are
+/// shared, so `candidates`/`chunks` count the joint launches a query's rows
+/// participated in, not per-query work.
 pub(crate) fn analyze_fused<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
     cfg: &VerifyConfig,
     inputs: &[&[Itv<F>]],
-    preliminary: Vec<Vec<Vec<Itv<F>>>>,
 ) -> Result<Vec<Analysis<F>>, VerifyError> {
     let in_len = graph.nodes[0].shape.len();
     for input in inputs {
@@ -206,15 +165,18 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
             )));
         }
     }
-    assert_eq!(
-        preliminary.len(),
-        inputs.len(),
-        "one seed bound set per box"
-    );
-    let mut analyses: Vec<Analysis<F>> = preliminary.into_iter().map(Analysis::seeded).collect();
+    // Preliminary forward interval analysis (§4.2). Each pass is independent:
+    // run them across the device workers so a wide batch doesn't serialize
+    // this phase on the calling thread.
+    let mut analyses: Vec<Analysis<F>> = device.install(|| {
+        inputs
+            .par_iter()
+            .map(|input| Analysis::seeded(graph.eval_itv(input)))
+            .collect()
+    });
 
     for &(_relu, p) in prepared.relu_plan() {
-        // Per-query row selection — identical to the sequential schedule.
+        // Per-query row selection.
         let mut sels: Vec<Vec<usize>> = Vec::with_capacity(analyses.len());
         for a in &mut analyses {
             a.stats.relu_nodes += 1;
@@ -236,8 +198,8 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
         } else {
             StopRule::None
         };
-        // Exactly when the sequential path would note it, and like the
-        // forward update below spread over the device workers.
+        // Only the queries about to walk need it; like the forward update
+        // below, spread over the device workers.
         device.install(|| {
             analyses
                 .par_iter_mut()
@@ -245,10 +207,11 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
                 .filter(|(_, sel)| !sel.is_empty())
                 .for_each(|(a, _)| a.note_round_off(graph, cfg, p))
         });
-        refine_node_fused(device, graph, prepared, cfg, &mut analyses, p, &sels, rule)?;
-        // Forward interval update per query — exactly when the sequential
-        // path would perform it (a query with nothing selected skips it).
-        // The queries are independent: spread them over the device workers.
+        refine_layer(device, graph, prepared, cfg, &mut analyses, p, &sels, rule)?;
+        // Forward interval update of everything downstream of the refined
+        // node, intersected with the existing (still sound) bounds; a query
+        // with nothing selected skips it. The queries are independent:
+        // spread them over the device workers.
         device.install(|| {
             analyses
                 .par_iter_mut()
@@ -257,6 +220,7 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
                 .for_each(|(a, _)| forward_update(graph, &mut a.bounds, p))
         });
     }
+    // The rest, for the walks that start at the output (spec checks).
     device.install(|| {
         analyses
             .par_iter_mut()
@@ -265,13 +229,13 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
     Ok(analyses)
 }
 
-/// Chunked, OOM-adaptive *fused* backsubstitution: the concatenated
+/// Chunked, OOM-adaptive backsubstitution of one layer: the concatenated
 /// (query, neuron) work list is walked in chunks; each chunk stacks one
 /// initial batch per contributing query (built against that query's own
 /// bounds, including the §4.1 inference-error widening) and runs a single
 /// multi-segment walk.
 #[allow(clippy::too_many_arguments)]
-fn refine_node_fused<F: Fp, B: Backend>(
+fn refine_layer<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
@@ -329,7 +293,7 @@ fn refine_node_fused<F: Fp, B: Backend>(
             Err(VerifyError::Device(DeviceError::OutOfMemory { .. })) if chunk > 1 => {
                 chunk = (chunk / 2).max(1);
                 // Attribute the shrink to the queries whose rows were in
-                // the failing chunk, mirroring the sequential accounting.
+                // the failing chunk.
                 let mut seen = vec![false; analyses.len()];
                 for &(k, _) in rows {
                     if !seen[k] {
@@ -398,60 +362,6 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
         compact_dead_cols: cfg.stable_zero_compaction,
     };
     walker.run(stacked, rule)
-}
-
-/// Chunked, OOM-adaptive backsubstitution of the selected neurons of node
-/// `p`; refined bounds are intersected into the analysis' `bounds[p]`.
-#[allow(clippy::too_many_arguments)]
-fn refine_node<F: Fp, B: Backend>(
-    device: &Device<B>,
-    graph: &Graph<'_, F>,
-    prepared: &PreparedGraph<'_, F, B>,
-    cfg: &VerifyConfig,
-    analysis: &mut Analysis<F>,
-    p: NodeId,
-    sel: &[usize],
-    rule: StopRule,
-) -> Result<(), VerifyError> {
-    let mut chunk = cfg
-        .chunk_rows
-        .unwrap_or_else(|| prepared.chunk_for(device))
-        .clamp(1, sel.len());
-    let mut i = 0;
-    while i < sel.len() {
-        let end = (i + chunk).min(sel.len());
-        let rows = &sel[i..end];
-        let attempt = {
-            let walker = Walker {
-                device,
-                graph,
-                prepared,
-                segs: vec![&*analysis],
-                compact_dead_cols: cfg.stable_zero_compaction,
-            };
-            initial_batch(device, graph, prepared, analysis, p, rows)
-                .and_then(|batch| walker.run(batch, rule))
-        };
-        match attempt {
-            Ok(out) => {
-                for (j, &n) in rows.iter().enumerate() {
-                    let cur = analysis.bounds[p][n];
-                    analysis.bounds[p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
-                }
-                analysis
-                    .stats
-                    .absorb_walk(out.stopped_rows.len(), out.candidates);
-                analysis.stats.chunks += 1;
-                i = end;
-            }
-            Err(VerifyError::Device(DeviceError::OutOfMemory { .. })) if chunk > 1 => {
-                chunk = (chunk / 2).max(1);
-                analysis.stats.chunk_shrinks += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// The starting expression for refining node `p`'s neurons: the layer's own

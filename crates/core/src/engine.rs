@@ -15,7 +15,12 @@
 //! * [`Engine::verify_batch`] runs independent queries in parallel across
 //!   device workers, and an LRU analysis cache keyed by the input box lets
 //!   queries over a repeated box (robustness sweeps over ε, several specs
-//!   over one region) share a single DeepPoly analysis.
+//!   over one region) share a single DeepPoly analysis;
+//! * every entry runs the same algorithm through one driver: a single
+//!   query's analysis is the fused analysis over a batch of one box, and
+//!   [`Engine::verify_batch_fused`] is the walk driver over a single lane —
+//!   [`crate::ShardedEngine`] hands it one lane per walking device, and
+//!   branch-and-bound refinement sends it each frontier generation.
 //!
 //! The legacy [`crate::GpuPoly`] API is a thin compatibility wrapper over an
 //! `Engine` in [`EngineOptions::compat`] mode (host-resident weights, no
@@ -33,10 +38,10 @@ use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceError};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
-use crate::analysis::{analyze, analyze_fused, Analysis};
-use crate::fsdp::{GatheredLayer, ShardStore, WeightShard};
-use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecVerdict};
-use crate::walk::{StopRule, Walker};
+use crate::analysis::{analyze, analyze_fused, Analysis, AnalysisStats};
+use crate::fsdp::{GatheredLayer, ShardStore, WeightShard, PREFETCH_DEPTH};
+use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
+use crate::walk::{StopRule, WalkOutcome, Walker};
 use crate::{ExprBatch, VerifyConfig, VerifyError};
 
 /// One robustness query: is `label` certified for every image within `eps`
@@ -89,44 +94,6 @@ pub struct EngineOptions {
     /// superset's (looser, still sound) margins rather than the exact-path
     /// bit pattern.
     pub monotone_cache_reuse: bool,
-    /// Minimum unstable-neuron overlap below which
-    /// [`Engine::verify_batch_fused`] falls back to the per-query path.
-    ///
-    /// Overlap measures how much the fused queries agree on *which*
-    /// neurons need refinement: selections and their union are pooled
-    /// across every refinable ReLU layer into one ratio
-    /// `Σ_q |sel_q| / (Q · |∪_q sel_q|)`, which lives in `[1/Q, 1]` — `1`
-    /// when all `Q` to-be-analyzed queries select identical neuron sets,
-    /// `1/Q` when fully disjoint. Because of that floor the default only
-    /// bites for large, heavily divergent batches (disjoint selections
-    /// stack rows that stop at very different walk depths, churning
-    /// compaction and chunk memory for little launch saving); below the
-    /// threshold the engine runs plain [`Engine::verify_batch`] instead.
-    /// Scheduling only — fused and per-query margins are bit-identical
-    /// either way.
-    pub fusion_min_overlap: f64,
-    /// Enable the precision-tiered fast pass of a
-    /// [`crate::TieredEngine`]: queries run in `f32` first (sound, directed
-    /// rounding) and only Unknown or narrow-margin verdicts are re-run in
-    /// `f64`. Off (the default), a tiered engine escalates *every* query —
-    /// pure-`f64` behavior behind the tiered API. Ignored by a plain
-    /// single-precision [`Engine`].
-    pub precision_tier: bool,
-    /// Byte capacity of the gather cache of a weight-sharded / hybrid
-    /// engine (how many remote layers stay resident on the executing
-    /// device between uses). `None` (the default) auto-sizes to half the
-    /// executing device's free bytes at construction — unlimited on an
-    /// uncapped device. Either way the cache never shrinks below the
-    /// double-buffer floor of two max-size layers
-    /// ([`crate::WeightShardBudget::double_buffer`]). Scheduling only:
-    /// capacity changes gather traffic, never margins. Ignored by
-    /// non-sharded engines.
-    pub gather_cache_bytes: Option<usize>,
-    /// How many upcoming remote layers each walk acquisition prefetches
-    /// onto a weight-sharded / hybrid engine's executing device (in walk
-    /// order, overlapping the current layer's step). `0` disables the
-    /// prefetch thread. Ignored by non-sharded engines.
-    pub gather_prefetch_depth: usize,
 }
 
 impl Default for EngineOptions {
@@ -136,10 +103,6 @@ impl Default for EngineOptions {
             recycle_buffers: true,
             analysis_cache: 64,
             monotone_cache_reuse: false,
-            fusion_min_overlap: 0.05,
-            precision_tier: false,
-            gather_cache_bytes: None,
-            gather_prefetch_depth: 1,
         }
     }
 }
@@ -227,8 +190,8 @@ pub struct EngineStats {
     /// bytes onto the executing device — the `comms` traffic, in events.
     pub gather_misses: u64,
     /// Weight-sharded / hybrid engines: gathered layers evicted by the
-    /// next-use-distance policy to stay inside
-    /// [`EngineOptions::gather_cache_bytes`].
+    /// next-use-distance policy to stay inside the gather cache's capacity
+    /// (half the executing device's free bytes at construction).
     pub gather_evictions: u64,
 }
 
@@ -307,12 +270,9 @@ pub struct PreparedGraph<'n, F: Fp, B: Backend> {
     /// Bytes of weights resident on the executing device.
     resident_bytes: usize,
     /// Weight-shard state (gather cache + prefetch thread) when this graph
-    /// was built with [`PreparedGraph::new_weight_sharded`]; `None` for
-    /// single-device graphs.
+    /// is a view over a pool's [`ShardStore`]; `None` for single-device
+    /// graphs.
     shard: Option<WeightShard<F, B>>,
-    /// Per-pool-device resident weight bytes of a weight-sharded graph
-    /// (index 0 = the executing device); empty for single-device graphs.
-    shard_bytes: Vec<usize>,
 }
 
 impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
@@ -387,45 +347,25 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             bytes_per_row: Self::bytes_per_row(graph),
             resident_bytes,
             shard: None,
-            shard_bytes: Vec::new(),
         })
     }
 
-    /// Validates the graph and packs its weights **layer-sharded** across a
-    /// device pool: each affine layer is uploaded persistently onto exactly
-    /// one pool device (deterministic greedy balance by bytes), so every
-    /// device holds ~1/N of the model. `devices[0]` is the executing
-    /// device — layers it owns resolve to their owner-resident buffers
-    /// copy-free; the other devices' layers are all-gathered into transient
-    /// scratch on demand during the walk, cached capacity-aware and
-    /// prefetched ahead (see [`crate::fsdp`]). A layer whose upload fails
-    /// falls back to borrowing host weights, exactly like the
-    /// single-device packing path.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] when residual branches disagree on shape.
-    pub fn new_weight_sharded(
-        devices: &[Device<B>],
-        graph: &Graph<'n, F>,
-        options: &EngineOptions,
-    ) -> Result<Self, VerifyError> {
-        assert!(!devices.is_empty(), "weight sharding needs >= 1 device");
-        let store = ShardStore::build(devices, graph);
-        Self::new_sharded_view(devices, 0, graph, store, options)
-    }
-
-    /// One executing device's view of a pool-shared weight shard
-    /// ([`ShardStore`]): the hybrid building block — every view shares the
-    /// same owner-resident uploads, marks the same layers `Sharded`, and
-    /// gathers remote layers onto *its own* device. `new_weight_sharded`
-    /// is the single-view (device 0) special case.
+    /// One executing device's view of a network whose weights are
+    /// **layer-sharded** across a device pool ([`ShardStore`]: each affine
+    /// layer uploaded persistently onto exactly one pool device,
+    /// deterministic greedy balance by bytes, so every device holds ~1/N of
+    /// the model). Layers `devices[exec_idx]` owns resolve to their
+    /// owner-resident buffers copy-free; the other devices' layers are
+    /// all-gathered onto it on demand during the walk, cached
+    /// capacity-aware and prefetched ahead (see [`crate::fsdp`]). Every
+    /// view of one store shares the same uploads and marks the same layers
+    /// `Sharded`; a layer whose upload failed borrows host weights, exactly
+    /// like the single-device packing path.
     pub(crate) fn new_sharded_view(
         devices: &[Device<B>],
         exec_idx: usize,
         graph: &Graph<'n, F>,
         store: Arc<ShardStore<F, B>>,
-        options: &EngineOptions,
     ) -> Result<Self, VerifyError> {
         let mut base = Self::new(&devices[exec_idx], graph, false)?;
         for id in 0..graph.nodes.len() {
@@ -434,13 +374,12 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             }
         }
         base.resident_bytes = store.shard_bytes()[exec_idx];
-        base.shard_bytes = store.shard_bytes().to_vec();
         base.shard = WeightShard::new_view(
             store,
             devices[exec_idx].clone(),
             exec_idx,
-            options.gather_cache_bytes,
-            options.gather_prefetch_depth,
+            None,
+            PREFETCH_DEPTH,
         );
         Ok(base)
     }
@@ -505,12 +444,6 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
         }
     }
 
-    /// Per-pool-device resident weight bytes of a weight-sharded or hybrid
-    /// graph, in pool order. Empty for single-device graphs.
-    pub fn shard_resident_bytes(&self) -> &[usize] {
-        &self.shard_bytes
-    }
-
     /// `(hits, misses, evictions)` of the gather cache; all zero for
     /// non-sharded graphs.
     pub(crate) fn gather_counters(&self) -> (u64, u64, u64) {
@@ -570,8 +503,8 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
 /// (a multi-KB vector for image-sized inputs — cloned once, never copied).
 type BoxKey = Arc<[u64]>;
 
-/// Per-query result slots of a fused batch (`None` = not yet resolved).
-type VerdictSlots<F> = Vec<Option<Result<RobustnessVerdict<F>, VerifyError>>>;
+/// One query's outcome in a batch.
+type BatchVerdict<F> = Result<RobustnessVerdict<F>, VerifyError>;
 
 /// One cached analysis together with the box it was computed over (kept so
 /// ε-monotone reuse can probe for containment without decoding key bits).
@@ -678,7 +611,7 @@ impl<F: Fp> AnalysisCache<F> {
     }
 }
 
-pub(crate) fn box_key<F: Fp>(input: &[Itv<F>]) -> BoxKey {
+fn box_key<F: Fp>(input: &[Itv<F>]) -> BoxKey {
     input
         .iter()
         .flat_map(|b| [b.lo.bits(), b.hi.bits()])
@@ -703,6 +636,25 @@ pub fn query_cost_hint<F: Fp>(image: &[F], eps: F, relu_layers: usize) -> f64 {
         })
         .sum();
     width * relu_layers.max(1) as f64
+}
+
+/// Folds one measured batch (wall ms over total cost) into an ms-per-cost
+/// EWMA kept as `f64` bits (`0` = nothing measured yet): the first sample
+/// seeds it, later ones weigh 0.2. Unusable samples are dropped.
+pub(crate) fn fold_ms_per_cost(ewma: &AtomicU64, elapsed_ms: f64, total_cost: f64) {
+    if total_cost <= 0.0 || total_cost.is_nan() || !elapsed_ms.is_finite() {
+        return;
+    }
+    let sample = elapsed_ms / total_cost;
+    let _ = ewma.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+        let old = f64::from_bits(bits);
+        let new = if old == 0.0 {
+            sample
+        } else {
+            0.2 * sample + 0.8 * old
+        };
+        Some(new.to_bits())
+    });
 }
 
 /// Deals a batch out for [`Engine::verify_batch`]: query indices in
@@ -802,76 +754,46 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         // Resident weights are marked persistent at packing time, so a
         // buffer pool active on the shared device can never shelve them.
         let prepared = PreparedGraph::new(&device, &graph, options.pack_weights)?;
-        if options.recycle_buffers {
-            device.buffer_pool_retain();
-        }
-        Ok(Self {
-            device,
-            graph,
-            cfg,
-            prepared,
-            cache: Mutex::new(AnalysisCache::new(options.analysis_cache)),
-            in_flight: Mutex::new(HashMap::new()),
-            options,
-            monotone_hits: AtomicU64::new(0),
-            fused_batches: AtomicU64::new(0),
-            ewma_ms_per_cost: AtomicU64::new(0),
-            split_counters: SplitCounters::default(),
-        })
+        Ok(Self::over(device, graph, prepared, cfg, options))
     }
 
-    /// Builds an engine whose [`PreparedGraph`] is **weight-sharded**
-    /// layer-wise across a device pool ([`PreparedGraph::new_weight_sharded`]).
-    /// The engine itself runs on `devices[0]`; the other devices only hold
-    /// their weight shards. [`EngineOptions::pack_weights`] is implied
-    /// (sharded packing *is* the packing).
+    /// Builds one walker of a weight-sharded pool: an engine on
+    /// `devices[exec_idx]` whose [`PreparedGraph`] is that device's view
+    /// over the pool-shared [`ShardStore`]
+    /// ([`PreparedGraph::new_sharded_view`]). It gathers remote layers onto
+    /// itself; devices that run no engine only hold their shards.
+    /// [`EngineOptions::pack_weights`] is implied (the shards *are* the
+    /// packing).
     ///
     /// # Errors
     ///
     /// [`VerifyError::BadQuery`] when residual branches disagree on shape.
-    pub(crate) fn with_options_weight_sharded(
-        devices: &[Device<B>],
-        net: &'n Network<F>,
-        cfg: VerifyConfig,
-        options: EngineOptions,
-    ) -> Result<Self, VerifyError> {
-        let graph = net.graph();
-        let prepared = PreparedGraph::new_weight_sharded(devices, &graph, &options)?;
-        Self::from_sharded_parts(devices[0].clone(), graph, cfg, options, prepared)
-    }
-
-    /// Builds one hybrid pool member: an engine on `devices[exec_idx]`
-    /// whose [`PreparedGraph`] is a per-device view over the pool-shared
-    /// [`ShardStore`] ([`PreparedGraph::new_sharded_view`]). Every member
-    /// walks its own row shard and gathers remote layers onto itself.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] when residual branches disagree on shape.
-    pub(crate) fn with_options_sharded_view(
+    pub(crate) fn over_shards(
         devices: &[Device<B>],
         exec_idx: usize,
+        store: Arc<ShardStore<F, B>>,
         net: &'n Network<F>,
         cfg: VerifyConfig,
         options: EngineOptions,
-        store: Arc<ShardStore<F, B>>,
     ) -> Result<Self, VerifyError> {
         let graph = net.graph();
-        let prepared = PreparedGraph::new_sharded_view(devices, exec_idx, &graph, store, &options)?;
-        Self::from_sharded_parts(devices[exec_idx].clone(), graph, cfg, options, prepared)
+        let prepared = PreparedGraph::new_sharded_view(devices, exec_idx, &graph, store)?;
+        let device = devices[exec_idx].clone();
+        Ok(Self::over(device, graph, prepared, cfg, options))
     }
 
-    fn from_sharded_parts(
+    /// An engine over an already prepared graph.
+    fn over(
         device: Device<B>,
         graph: Graph<'n, F>,
+        prepared: PreparedGraph<'n, F, B>,
         cfg: VerifyConfig,
         options: EngineOptions,
-        prepared: PreparedGraph<'n, F, B>,
-    ) -> Result<Self, VerifyError> {
+    ) -> Self {
         if options.recycle_buffers {
             device.buffer_pool_retain();
         }
-        Ok(Self {
+        Self {
             device,
             graph,
             cfg,
@@ -883,7 +805,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             fused_batches: AtomicU64::new(0),
             ewma_ms_per_cost: AtomicU64::new(0),
             split_counters: SplitCounters::default(),
-        })
+        }
     }
 
     /// The device this engine runs on.
@@ -960,21 +882,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// Folds one measured batch (wall time, total [`Engine::query_cost`])
     /// into the ms-per-cost EWMA exposed via [`EngineStats`].
     fn note_batch_time(&self, elapsed_ms: f64, total_cost: f64) {
-        if total_cost <= 0.0 || total_cost.is_nan() || !elapsed_ms.is_finite() {
-            return;
-        }
-        let sample = elapsed_ms / total_cost;
-        let _ = self
-            .ewma_ms_per_cost
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                let old = f64::from_bits(bits);
-                let new = if old == 0.0 {
-                    sample
-                } else {
-                    0.2 * sample + 0.8 * old
-                };
-                Some(new.to_bits())
-            });
+        fold_ms_per_cost(&self.ewma_ms_per_cost, elapsed_ms, total_cost);
     }
 
     /// A cheap, deterministic cost estimate for one query: the total width
@@ -1067,7 +975,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         }
     }
 
-    pub(crate) fn analyze_fresh(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
+    fn analyze_fresh(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
         analyze(&self.device, &self.graph, &self.prepared, &self.cfg, input)
     }
 
@@ -1095,25 +1003,43 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             && input.len() == self.graph.nodes[0].shape.len()
             && input.iter().all(|b| !b.lo.is_nan() && !b.hi.is_nan())
         {
-            let key = box_key(input);
-            let superset = {
-                let cache = self.cache.lock();
-                if cache.peek(&key) {
-                    None // exact hit: the normal path serves (and counts) it
-                } else {
-                    cache.get_containing(&key, input)
-                }
-            };
-            if let Some(superset) = superset {
-                let verdict = self.check_spec_with(&superset, spec)?;
-                if verdict.all_proven() {
-                    self.monotone_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(verdict);
-                }
+            if let Some(verdict) = self.prove_from_superset(input, spec)? {
+                return Ok(verdict);
             }
         }
         let analysis = self.analyze(input)?;
         self.check_spec_with(&analysis, spec)
+    }
+
+    /// The ε-monotone probe: when the exact box misses the cache but a
+    /// cached analysis covers a box *containing* it, tries to prove `spec`
+    /// against that analysis. `Some` only for a complete proof (counted in
+    /// `monotone_hits`); unproven rows are `None` — the over-approximation
+    /// is never used to refute — and so is an exact hit, which the normal
+    /// lookup serves (and counts).
+    fn prove_from_superset(
+        &self,
+        input: &[Itv<F>],
+        spec: &LinearSpec<F>,
+    ) -> Result<Option<SpecVerdict<F>>, VerifyError> {
+        let key = box_key(input);
+        let superset = {
+            let cache = self.cache.lock();
+            if cache.peek(&key) {
+                None
+            } else {
+                cache.get_containing(&key, input)
+            }
+        };
+        let Some(superset) = superset else {
+            return Ok(None);
+        };
+        let verdict = self.check_spec_with(&superset, spec)?;
+        if !verdict.all_proven() {
+            return Ok(None);
+        }
+        self.monotone_hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(verdict))
     }
 
     /// Spec check reusing an existing analysis (several specs over the same
@@ -1150,9 +1076,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                     .to_string(),
             ));
         }
-        let out_node = self.graph.output();
-        let out_shape = self.graph.nodes[out_node].shape;
-        let out_len = out_shape.len();
+        let out_len = self.out_len();
         for row in spec.rows() {
             for &(i, _) in &row.coeffs {
                 if i >= out_len {
@@ -1162,19 +1086,45 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
             }
         }
+        let out = self.walk_spec(self.spec_batch(spec.rows())?, vec![analysis])?;
+        let mut stats = analysis.stats.clone();
+        stats.absorb_walk(out.stopped_rows.len(), out.candidates);
+        Ok(Self::spec_verdict(&out.best, stats))
+    }
+
+    /// Number of network outputs.
+    fn out_len(&self) -> usize {
+        self.graph.nodes[self.graph.output()].shape.len()
+    }
+
+    /// Spec rows as a backsubstitution batch at the output node, one
+    /// expression per row.
+    fn spec_batch(&self, rows: &[SpecRow<F>]) -> Result<ExprBatch<F, B>, VerifyError> {
+        let out_node = self.graph.output();
+        let out_shape = self.graph.nodes[out_node].shape;
         let mut batch = ExprBatch::zeroed(
             &self.device,
             out_node,
             out_shape,
             (out_shape.h, out_shape.w),
-            vec![(0, 0); spec.rows().len()],
+            vec![(0, 0); rows.len()],
         )?;
-        for (r, row) in spec.rows().iter().enumerate() {
+        for (r, row) in rows.iter().enumerate() {
             for &(i, c) in &row.coeffs {
                 batch.set_coeff(r, i, Itv::point(c));
             }
             batch.add_cst(r, Itv::point(row.cst));
         }
+        Ok(batch)
+    }
+
+    /// Walks a batch of spec rows to the input; segment `k` of the batch
+    /// reads `segs[k]`'s bounds.
+    fn walk_spec(
+        &self,
+        batch: ExprBatch<F, B>,
+        segs: Vec<&Analysis<F>>,
+    ) -> Result<WalkOutcome<F>, VerifyError> {
         let rule = if self.cfg.early_termination {
             StopRule::ProvenPositive
         } else {
@@ -1184,19 +1134,21 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             device: &self.device,
             graph: &self.graph,
             prepared: &self.prepared,
-            segs: vec![analysis],
+            segs,
             compact_dead_cols: self.cfg.stable_zero_compaction,
         };
-        let out = walker.run(batch, rule)?;
-        let mut stats = analysis.stats.clone();
-        stats.absorb_walk(out.stopped_rows.len(), out.candidates);
-        let lower_bounds: Vec<F> = out.best.iter().map(|b| b.lo).collect();
+        walker.run(batch, rule)
+    }
+
+    /// The verdict over spec rows whose walk ended at `best`.
+    fn spec_verdict(best: &[Itv<F>], stats: AnalysisStats) -> SpecVerdict<F> {
+        let lower_bounds: Vec<F> = best.iter().map(|b| b.lo).collect();
         let proven: Vec<bool> = lower_bounds.iter().map(|&l| l > F::ZERO).collect();
-        Ok(SpecVerdict {
+        SpecVerdict {
             proven,
             lower_bounds,
             stats,
-        })
+        }
     }
 
     /// Certifies L∞ robustness of one query — identical semantics (and
@@ -1214,9 +1166,18 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         eps: F,
     ) -> Result<RobustnessVerdict<F>, VerifyError> {
         let input = self.robustness_box(image, label, eps)?;
-        let out_len = self.graph.nodes[self.graph.output()].shape.len();
-        let spec = LinearSpec::robustness(label, out_len);
-        let verdict = self.verify_spec(&input, &spec)?;
+        self.verify_box(label, &input)
+    }
+
+    /// The robustness verdict for `label` over an already validated box
+    /// ([`Engine::robustness_box`]).
+    fn verify_box(
+        &self,
+        label: usize,
+        input: &[Itv<F>],
+    ) -> Result<RobustnessVerdict<F>, VerifyError> {
+        let out_len = self.out_len();
+        let verdict = self.verify_spec(input, &LinearSpec::robustness(label, out_len))?;
         Ok(Self::robustness_verdict(label, out_len, verdict))
     }
 
@@ -1245,7 +1206,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 image[at]
             )));
         }
-        let out_len = self.graph.nodes[self.graph.output()].shape.len();
+        let out_len = self.out_len();
         if out_len < 2 {
             return Err(VerifyError::BadQuery(format!(
                 "network has {out_len} output(s); robustness needs at least two"
@@ -1267,9 +1228,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .collect())
     }
 
-    /// Shapes a robustness-spec verdict into per-adversary margins (shared
-    /// with the sharded tensor-parallel path in [`crate::sharded`]).
-    pub(crate) fn robustness_verdict(
+    /// Shapes a robustness-spec verdict into per-adversary margins.
+    fn robustness_verdict(
         label: usize,
         out_len: usize,
         verdict: SpecVerdict<F>,
@@ -1290,6 +1250,38 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         }
     }
 
+    /// The admission gate of every batch entry: validates each query into
+    /// its box, hands the valid ones' labels and boxes to `verify` together,
+    /// and returns every verdict in submission order. A malformed query gets
+    /// its [`VerifyError::BadQuery`] slot and never reaches a device.
+    fn with_admitted(
+        &self,
+        queries: &[Query<F>],
+        verify: impl FnOnce(&[usize], Vec<Vec<Itv<F>>>) -> Vec<BatchVerdict<F>>,
+    ) -> Vec<BatchVerdict<F>> {
+        let mut slots: Vec<Option<BatchVerdict<F>>> = queries.iter().map(|_| None).collect();
+        let mut admitted: Vec<usize> = Vec::new();
+        let mut labels: Vec<usize> = Vec::new();
+        let mut boxes: Vec<Vec<Itv<F>>> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            match self.robustness_box(&q.image, q.label, q.eps) {
+                Ok(input) => {
+                    admitted.push(i);
+                    labels.push(q.label);
+                    boxes.push(input);
+                }
+                Err(e) => slots[i] = Some(Err(e)),
+            }
+        }
+        for (i, verdict) in admitted.into_iter().zip(verify(&labels, boxes)) {
+            slots[i] = Some(verdict);
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("one verdict per admitted query"))
+            .collect()
+    }
+
     /// Verifies a batch of independent robustness queries in parallel
     /// across the device's workers. Each query is processed exactly as
     /// [`Engine::verify_robustness`] would — margins are bit-identical to
@@ -1304,31 +1296,37 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// inline and its kernels keep the whole pool. Scheduling only — each
     /// query's margins are bit-identical to any other submission order, and
     /// results are returned in the callers' order.
-    pub fn verify_batch(
+    pub fn verify_batch(&self, queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
+        self.with_admitted(queries, |labels, boxes| {
+            self.verify_boxes_per_query(labels, &boxes)
+        })
+    }
+
+    /// The per-query path over validated boxes: what [`Engine::verify_batch`]
+    /// runs, and what the fused driver falls back to.
+    fn verify_boxes_per_query(
         &self,
-        queries: &[Query<F>],
-    ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
+        labels: &[usize],
+        boxes: &[Vec<Itv<F>>],
+    ) -> Vec<BatchVerdict<F>> {
         let started = Instant::now();
-        let cost: Vec<f64> = queries.iter().map(|q| self.query_cost(q)).collect();
+        let cost: Vec<f64> = boxes.iter().map(|b| self.box_cost(b)).collect();
         let lanes = lpt_lanes(&cost, self.device.workers());
         let computed: Vec<Vec<_>> = self.device.install(|| {
             lanes
                 .par_iter()
                 .map(|lane| {
                     lane.iter()
-                        .map(|&i| {
-                            let q = &queries[i];
-                            (i, self.verify_robustness(&q.image, q.label, q.eps))
-                        })
+                        .map(|&j| (j, self.verify_box(labels[j], &boxes[j])))
                         .collect()
                 })
                 .collect()
         });
-        let mut slots: VerdictSlots<F> = queries.iter().map(|_| None).collect();
-        for (i, r) in computed.into_iter().flatten() {
-            slots[i] = Some(r);
+        let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
+        for (j, r) in computed.into_iter().flatten() {
+            slots[j] = Some(r);
         }
-        let mut results: Vec<Result<RobustnessVerdict<F>, VerifyError>> = slots
+        let mut results: Vec<BatchVerdict<F>> = slots
             .into_iter()
             .map(|slot| slot.expect("every index scheduled exactly once"))
             .collect();
@@ -1337,12 +1335,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         // because siblings held the remaining capacity. Retry those
         // sequentially once the parallel phase has drained, so a batch is
         // never less reliable than the equivalent sequential loop.
-        for (q, slot) in queries.iter().zip(results.iter_mut()) {
+        for (j, slot) in results.iter_mut().enumerate() {
             if matches!(
                 slot,
                 Err(VerifyError::Device(DeviceError::OutOfMemory { .. }))
             ) {
-                *slot = self.verify_robustness(&q.image, q.label, q.eps);
+                *slot = self.verify_box(labels[j], &boxes[j]);
             }
         }
         self.note_batch_time(
@@ -1350,6 +1348,15 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             cost.iter().sum::<f64>(),
         );
         results
+    }
+
+    /// [`Engine::query_cost`] of an already clamped box.
+    fn box_cost(&self, input: &[Itv<F>]) -> f64 {
+        let width: f64 = input
+            .iter()
+            .map(|b| (b.hi - b.lo).max(F::ZERO).to_f64())
+            .sum();
+        width * self.prepared.relu_plan().len().max(1) as f64
     }
 
     /// Verifies a batch of robustness queries over the same network with
@@ -1367,12 +1374,11 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// one analysis through the cache, and results come back in submission
     /// order.
     ///
-    /// The engine falls back to the per-query path when fusion is
-    /// unprofitable: fewer than two fusable queries, unstable-neuron
-    /// overlap below [`EngineOptions::fusion_min_overlap`], or a device
-    /// out-of-memory inside the fused pipeline (per-query chunking is
-    /// strictly more memory-frugal). Fallbacks only re-verify queries not
-    /// already resolved.
+    /// The engine falls back to the per-query path when there is nothing to
+    /// fuse (fewer than two fusable queries) or on a device out-of-memory
+    /// inside the fused pipeline (per-query chunking is strictly more
+    /// memory-frugal). Fallbacks only re-verify queries not already
+    /// resolved.
     ///
     /// With [`EngineOptions::monotone_cache_reuse`] enabled, each query
     /// whose exact box misses the cache first probes for a cached analysis
@@ -1381,81 +1387,146 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// fused pipeline, so downward ε-sweeps submitted as fused batches hit
     /// the anchor analysis too (proving only; unproven queries fall
     /// through to the exact fused analysis).
-    pub fn verify_batch_fused(
-        &self,
-        queries: &[Query<F>],
-    ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
+    pub fn verify_batch_fused(&self, queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
+        Self::verify_batch_on(std::slice::from_ref(self), queries)
+    }
+
+    /// [`Engine::verify_batch_fused`] over a pool: `lanes` are engines over
+    /// the same network and configuration, one per walking device. One lane
+    /// is the engine itself.
+    pub(crate) fn verify_batch_on(lanes: &[Self], queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
+        let lead = &lanes[0];
+        lead.with_admitted(queries, |labels, boxes| {
+            Self::verify_boxes_fused(lanes, labels, boxes, lead.options.monotone_cache_reuse)
+        })
+    }
+
+    /// The one walk driver: verifies *arbitrary* validated input boxes (one
+    /// robustness spec, hence one `labels[j]`, each) through the fused
+    /// cross-query pipeline, over any number of lanes. Query batches arrive
+    /// here as their boxes; branch-and-bound sends each frontier generation
+    /// of sibling sub-boxes, which share one launch per layer step exactly
+    /// like a fused query batch.
+    ///
+    /// Boxes must already be valid for this network (right length, finite,
+    /// inside the input domain) — they come from [`Engine::robustness_box`]
+    /// or from bisecting such a box. With `monotone` set, a box whose exact
+    /// analysis misses the cache first probes every lane for a cached
+    /// analysis over a *containing* box (an anchor query, an ancestor from
+    /// an earlier refinement, a sibling) and a successful superset proof
+    /// resolves it without any new analysis — proving only, same soundness
+    /// rule as [`EngineOptions::monotone_cache_reuse`]. Fewer than two boxes
+    /// left to fuse, or any device failure inside the fused pipeline, go
+    /// through the first lane's per-query path (strictly more
+    /// memory-frugal, same bits). The batch is counted and timed on the
+    /// first lane.
+    pub(crate) fn verify_boxes_fused(
+        lanes: &[Self],
+        labels: &[usize],
+        boxes: Vec<Vec<Itv<F>>>,
+        monotone: bool,
+    ) -> Vec<BatchVerdict<F>> {
         let started = Instant::now();
-        let total_cost: f64 = queries.iter().map(|q| self.query_cost(q)).sum();
+        let lead = &lanes[0];
+        let out_len = lead.out_len();
+        let total_cost: f64 = boxes.iter().map(|b| lead.box_cost(b)).sum();
 
-        // Validate up front: malformed queries get their BadQuery slot and
-        // never reach the fused pipeline.
-        let mut slots: VerdictSlots<F> = queries.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
         let mut fusable: Vec<usize> = Vec::new();
-        let mut boxes: Vec<Vec<Itv<F>>> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            match self.robustness_box(&q.image, q.label, q.eps) {
-                Ok(input) => {
-                    fusable.push(i);
-                    boxes.push(input);
+        let mut live_labels: Vec<usize> = Vec::new();
+        let mut live: Vec<Vec<Itv<F>>> = Vec::new();
+        for (j, input) in boxes.into_iter().enumerate() {
+            // Any probe failure (unproven rows or a device error) simply
+            // falls through to the exact path below.
+            let proof = if monotone {
+                let spec = LinearSpec::robustness(labels[j], out_len);
+                lanes
+                    .iter()
+                    .find_map(|lane| lane.prove_from_superset(&input, &spec).ok().flatten())
+            } else {
+                None
+            };
+            match proof {
+                Some(verdict) => {
+                    slots[j] = Some(Ok(Self::robustness_verdict(labels[j], out_len, verdict)))
                 }
-                Err(e) => slots[i] = Some(Err(e)),
+                None => {
+                    fusable.push(j);
+                    live_labels.push(labels[j]);
+                    live.push(input);
+                }
             }
         }
 
-        // ε-monotone pre-resolution (the fused mirror of the probe in
-        // [`Engine::verify_spec`]): a query whose exact box misses but is
-        // contained in a cached box tries a proof against the superset
-        // analysis first. Resolved queries leave the fused batch; any
-        // probe failure (unproven rows or a device error) simply falls
-        // through to the exact path below.
-        if self.options.monotone_cache_reuse {
-            let out_len = self.graph.nodes[self.graph.output()].shape.len();
-            let mut still: Vec<usize> = Vec::new();
-            let mut still_boxes: Vec<Vec<Itv<F>>> = Vec::new();
-            for (j, &i) in fusable.iter().enumerate() {
-                let key = box_key(&boxes[j]);
-                let superset = {
-                    let cache = self.cache.lock();
-                    if cache.peek(&key) {
-                        None // exact hit: the fused pipeline serves it
-                    } else {
-                        cache.get_containing(&key, &boxes[j])
-                    }
-                };
-                let resolved = superset.is_some_and(|superset| {
-                    let spec = LinearSpec::robustness(queries[i].label, out_len);
-                    match self.check_spec_with(&superset, &spec) {
-                        Ok(verdict) if verdict.all_proven() => {
-                            self.monotone_hits.fetch_add(1, Ordering::Relaxed);
-                            slots[i] = Some(Ok(Self::robustness_verdict(
-                                queries[i].label,
-                                out_len,
-                                verdict,
-                            )));
-                            true
-                        }
-                        _ => false,
-                    }
-                });
-                if !resolved {
-                    still.push(i);
-                    still_boxes.push(std::mem::take(&mut boxes[j]));
-                }
+        let fused = if fusable.len() < 2 {
+            None
+        } else {
+            Self::fused_pipeline(lanes, &live_labels, &live).ok()
+        };
+        let verdicts: Vec<BatchVerdict<F>> = match fused {
+            Some(verdicts) => {
+                lead.fused_batches.fetch_add(1, Ordering::Relaxed);
+                lead.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
+                verdicts.into_iter().map(Ok).collect()
             }
-            fusable = still;
-            boxes = still_boxes;
+            None => lead.verify_boxes_per_query(&live_labels, &live),
+        };
+        for (j, verdict) in fusable.into_iter().zip(verdicts) {
+            slots[j] = Some(verdict);
         }
-        if fusable.len() < 2 {
-            return self.finish_per_query(queries, slots, &fusable);
-        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every box proven from a superset or verified"))
+            .collect()
+    }
 
-        // Unique boxes in first-appearance order; `group_of[j]` maps the
-        // j-th fusable query to its group.
+    /// Runs `f(index, lane)` for every lane — inline on the caller for a
+    /// single lane, one scoped thread per lane otherwise — and returns the
+    /// results in lane order.
+    fn on_lanes<T: Send>(lanes: &[Self], f: impl Fn(usize, &Self) -> T + Sync) -> Vec<T> {
+        if let [only] = lanes {
+            return vec![f(0, only)];
+        }
+        std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = lanes
+                .iter()
+                .enumerate()
+                .map(|(i, lane)| scope.spawn(move || f(i, lane)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("lane thread panicked"))
+                .collect()
+        })
+    }
+
+    /// The fused pipeline proper, over `n` lanes: one analysis per unique
+    /// box (unique box `g` resolved on lane `g % n`), then every query's
+    /// robustness-spec rows in one stacked row space, cut into `n`
+    /// contiguous blocks, block `s` walked on lane `s`.
+    ///
+    /// Splitting is pure scheduling. An analysis is deterministic per box, so
+    /// which lane computed it never shows in the bits. Every kernel of the
+    /// walk — concretize, GEMM, GBC, ReLU substitution, compaction — is
+    /// per-row: rows never read or write each other, relaxation tables
+    /// depend only on the row's query segment, and each element accumulates
+    /// in ascending-`k` order regardless of which rows share its launch (the
+    /// backend bit-reproducibility contract). The blocks are contiguous and
+    /// ascending, so splicing their results in lane order reproduces the
+    /// one-lane row order exactly.
+    fn fused_pipeline(
+        lanes: &[Self],
+        labels: &[usize],
+        boxes: &[Vec<Itv<F>>],
+    ) -> Result<Vec<RobustnessVerdict<F>>, VerifyError> {
+        let n = lanes.len();
+        // Unique boxes in first-appearance order: `groups[g]` is the index
+        // of group g's first box, `group_of[j]` the group of the j-th box.
         let keys: Vec<BoxKey> = boxes.iter().map(|b| box_key(b)).collect();
         let mut group_index: HashMap<&[u64], usize> = HashMap::new();
-        let mut groups: Vec<usize> = Vec::new(); // representative index into `boxes`
-        let mut group_of: Vec<usize> = Vec::with_capacity(fusable.len());
+        let mut groups: Vec<usize> = Vec::new();
+        let mut group_of: Vec<usize> = Vec::with_capacity(boxes.len());
         for (j, key) in keys.iter().enumerate() {
             let g = *group_index.entry(key.as_ref()).or_insert_with(|| {
                 groups.push(j);
@@ -1464,120 +1535,100 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             group_of.push(g);
         }
 
-        // Which groups miss the cache (peeked without counting — the real
-        // lookups below replicate the sequential hit/miss accounting).
-        let caching = self.options.analysis_cache > 0;
-        let missed: Vec<usize> = {
-            let cache = self.cache.lock();
-            (0..groups.len())
-                .filter(|&g| !caching || !cache.peek(&keys[groups[g]]))
-                .collect()
-        };
+        // Group g is lane g % n's (g / n)-th group.
+        let resolved = Self::on_lanes(lanes, |e, lane| {
+            let mine: Vec<usize> = groups.iter().skip(e).step_by(n).copied().collect();
+            let uses: Vec<usize> = group_of
+                .iter()
+                .filter(|&&g| g % n == e)
+                .map(|&g| g / n)
+                .collect();
+            lane.resolve_boxes(boxes, &keys, &mine, &uses)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let analyses: Vec<&Analysis<F>> =
+            group_of.iter().map(|&g| &*resolved[g % n][g / n]).collect();
 
-        // Preliminary forward interval pass per missed box: both the seed
-        // bounds of the fused analysis and the input to the fusion
-        // heuristic. Each pass is independent — run them across the device
-        // workers so a wide batch doesn't serialize this phase on the
-        // calling thread.
-        let prelim: Vec<Vec<Vec<Itv<F>>>> = self.device.install(|| {
-            missed
-                .par_iter()
-                .map(|&g| self.graph.eval_itv(&boxes[groups[g]]))
-                .collect()
+        // Query j owns rows [j·rpq, (j+1)·rpq) of the stacked row space.
+        let out_len = lanes[0].out_len();
+        let rpq = out_len - 1;
+        let total = labels.len() * rpq;
+        let block = |s: usize| total * s / n..total * (s + 1) / n;
+        let walks = Self::on_lanes(lanes, |s, lane| {
+            lane.walk_spec_rows(labels, &analyses, block(s))
         });
-        if self.fusion_overlap(&prelim) < self.options.fusion_min_overlap {
-            return self.finish_per_query(queries, slots, &fusable);
-        }
 
-        let labels: Vec<usize> = fusable.iter().map(|&i| queries[i].label).collect();
-        match self.fused_pipeline(&labels, &boxes, &keys, &groups, &group_of, &missed, prelim) {
-            Ok(mut fused_results) => {
-                self.fused_batches.fetch_add(1, Ordering::Relaxed);
-                for (j, &i) in fusable.iter().enumerate() {
-                    slots[i] = Some(fused_results[j].take().expect("one verdict per query"));
-                }
-                self.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot filled"))
-                    .collect()
+        let mut best: Vec<Itv<F>> = Vec::with_capacity(total);
+        let mut stopped = vec![0usize; labels.len()];
+        let mut candidates = 0usize;
+        for (s, walk) in walks.into_iter().enumerate() {
+            let walk = walk?;
+            for &r in &walk.stopped_rows {
+                stopped[(block(s).start + r as usize) / rpq] += 1;
             }
-            // Any device failure inside the fused pipeline (OOM while a
-            // stacked chunk held more rows than per-query chunks would):
-            // the per-query path is strictly more memory-frugal, so retry
-            // through it rather than surfacing a fusion artifact.
-            Err(_) => self.finish_per_query(queries, slots, &fusable),
+            // Lanes walk side by side: the batch took the longest one's
+            // candidate rounds.
+            candidates = candidates.max(walk.candidates);
+            best.extend(walk.best);
         }
+        Ok(labels
+            .iter()
+            .enumerate()
+            .map(|(j, &label)| {
+                let mut stats = analyses[j].stats.clone();
+                stats.absorb_walk(stopped[j], candidates);
+                let verdict = Self::spec_verdict(&best[j * rpq..(j + 1) * rpq], stats);
+                Self::robustness_verdict(label, out_len, verdict)
+            })
+            .collect())
     }
 
-    /// Completes a fused batch through the per-query path: verifies the
-    /// still-pending indices with [`Engine::verify_batch`] and fills their
-    /// slots, leaving already-resolved slots (validation errors, monotone
-    /// superset proofs) untouched.
-    fn finish_per_query(
-        &self,
-        queries: &[Query<F>],
-        mut slots: VerdictSlots<F>,
-        pending: &[usize],
-    ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
-        let subset: Vec<Query<F>> = pending.iter().map(|&i| queries[i].clone()).collect();
-        for (&i, r) in pending.iter().zip(self.verify_batch(&subset)) {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
-    }
-
-    /// Mean agreement of the missed boxes on *which* neurons are unstable
-    /// (see [`EngineOptions::fusion_min_overlap`]); `1.0` when nothing
-    /// needs refining, when fewer than two analyses are missing, or when
-    /// early termination is off (every row is refined regardless).
-    fn fusion_overlap(&self, prelim: &[Vec<Vec<Itv<F>>>]) -> f64 {
-        if prelim.len() < 2 || !self.cfg.early_termination {
-            return 1.0;
-        }
-        let mut total_sel = 0usize;
-        let mut total_union = 0usize;
-        for &(_, p) in self.prepared.relu_plan() {
-            let width = self.graph.nodes[p].shape.len();
-            let mut in_any = vec![false; width];
-            for b in prelim {
-                for (i, flag) in in_any.iter_mut().enumerate() {
-                    if b[p][i].straddles_zero() {
-                        total_sel += 1;
-                        *flag = true;
-                    }
-                }
-            }
-            total_union += in_any.iter().filter(|&&x| x).count();
-        }
-        if total_union == 0 {
-            return 1.0;
-        }
-        total_sel as f64 / (prelim.len() as f64 * total_union as f64)
-    }
-
-    /// The fused pipeline proper: resolve one analysis per unique box
-    /// (cache or fused multi-query analysis), then prove every query's
-    /// robustness spec in one fused multi-segment walk.
-    ///
-    /// `labels[j]` is the claimed label of the j-th admitted query; the
-    /// pipeline needs nothing else from a [`Query`], which is what lets
-    /// branch-and-bound sub-boxes (arbitrary boxes, one label each) share
-    /// this exact path.
-    #[allow(clippy::too_many_arguments)]
-    fn fused_pipeline(
+    /// One lane's block `rows` of the stacked robustness-spec row space
+    /// (query j owns rows `[j·rpq, (j+1)·rpq)` and reads `analyses[j]`),
+    /// walked to the input in one multi-segment pass: per-query sub-batches
+    /// covering the block, stacked so each query keeps its own segment (and
+    /// hence its own relaxation tables).
+    fn walk_spec_rows(
         &self,
         labels: &[usize],
+        analyses: &[&Analysis<F>],
+        rows: std::ops::Range<usize>,
+    ) -> Result<WalkOutcome<F>, VerifyError> {
+        if rows.is_empty() {
+            // More lanes than rows.
+            return Ok(WalkOutcome {
+                best: Vec::new(),
+                stopped_rows: Vec::new(),
+                candidates: 0,
+            });
+        }
+        let out_len = self.out_len();
+        let rpq = out_len - 1;
+        let mut batches = Vec::new();
+        let mut segs = Vec::new();
+        for j in rows.start / rpq..=(rows.end - 1) / rpq {
+            let spec = LinearSpec::robustness(labels[j], out_len);
+            let lo = rows.start.max(j * rpq) - j * rpq;
+            let hi = rows.end.min((j + 1) * rpq) - j * rpq;
+            batches.push(self.spec_batch(&spec.rows()[lo..hi])?);
+            segs.push(analyses[j]);
+        }
+        self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs)
+    }
+
+    /// The cache-and-gate half of the fused pipeline, on one lane: one
+    /// analysis per unique box, served from this engine's cache or computed
+    /// together by one fused multi-query analysis. `mine[g]` indexes the
+    /// g-th unique box in `boxes` / `keys`; `uses` lists, per query over one
+    /// of them and in query order, which one.
+    fn resolve_boxes(
+        &self,
         boxes: &[Vec<Itv<F>>],
         keys: &[BoxKey],
-        groups: &[usize],
-        group_of: &[usize],
-        missed: &[usize],
-        prelim: Vec<Vec<Vec<Itv<F>>>>,
-    ) -> Result<VerdictSlots<F>, VerifyError> {
+        mine: &[usize],
+        uses: &[usize],
+    ) -> Result<Vec<Arc<Analysis<F>>>, VerifyError> {
         let caching = self.options.analysis_cache > 0;
 
         /// Removes claimed in-flight gate entries even if the owner
@@ -1595,8 +1646,16 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             }
         }
 
-        let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; groups.len()];
-        let mut own = vec![false; groups.len()];
+        // Which boxes miss the cache (peeked without counting — the real
+        // lookups below replicate the sequential hit/miss accounting).
+        let missed: Vec<usize> = {
+            let cache = self.cache.lock();
+            (0..mine.len())
+                .filter(|&g| !caching || !cache.peek(&keys[mine[g]]))
+                .collect()
+        };
+        let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; mine.len()];
+        let mut own = vec![false; mine.len()];
         {
             // Dedup against concurrent analyses of the same boxes: claim an
             // in-flight gate per missed box, exactly like [`Engine::analyze`].
@@ -1607,8 +1666,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 let mut in_flight = self.in_flight.lock();
                 let mut arcs = Vec::new();
                 let mut claimed = Vec::new();
-                for &g in missed {
-                    let key = &keys[groups[g]];
+                for &g in &missed {
+                    let key = &keys[mine[g]];
                     if in_flight.contains_key(key) {
                         continue; // someone else is computing this box
                     }
@@ -1620,7 +1679,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
                 (arcs, claimed)
             } else {
-                for &g in missed {
+                for &g in &missed {
                     own[g] = true;
                 }
                 (Vec::new(), Vec::new())
@@ -1639,9 +1698,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             // and double-count the miss.
             if caching {
                 let mut cache = self.cache.lock();
-                for &g in missed {
+                for &g in &missed {
                     if own[g] {
-                        if let Some(hit) = cache.get(&keys[groups[g]]) {
+                        if let Some(hit) = cache.get(&keys[mine[g]]) {
                             analyses[g] = Some(hit); // counts the hit
                             own[g] = false;
                         }
@@ -1649,25 +1708,15 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
             }
 
-            // Fused analysis of every owned missed box (`prelim` is indexed
-            // like `missed`; select the owned subset).
-            let mut owned_groups: Vec<usize> = Vec::new();
-            let mut owned_inputs: Vec<&[Itv<F>]> = Vec::new();
-            let mut owned_prelim: Vec<Vec<Vec<Itv<F>>>> = Vec::new();
-            for (&g, pre) in missed.iter().zip(prelim) {
-                if own[g] {
-                    owned_groups.push(g);
-                    owned_inputs.push(boxes[groups[g]].as_slice());
-                    owned_prelim.push(pre);
-                }
-            }
+            // Fused analysis of every owned missed box.
+            let owned: Vec<usize> = missed.iter().copied().filter(|&g| own[g]).collect();
+            let inputs: Vec<&[Itv<F>]> = owned.iter().map(|&g| boxes[mine[g]].as_slice()).collect();
             let computed: Vec<Arc<Analysis<F>>> = analyze_fused(
                 &self.device,
                 &self.graph,
                 &self.prepared,
                 &self.cfg,
-                &owned_inputs,
-                owned_prelim,
+                &inputs,
             )?
             .into_iter()
             .map(Arc::new)
@@ -1675,287 +1724,48 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
             // Publish to the cache with sequential-path accounting: one true
             // miss per computed analysis, one hit for every other lookup of
-            // a group. Already-cached groups are pinned *before* the inserts
+            // a box. Already-cached boxes are pinned *before* the inserts
             // so a small-capacity LRU can't evict them mid-batch.
             if caching {
                 let mut cache = self.cache.lock();
-                for (g, &rep) in groups.iter().enumerate() {
+                for (g, &rep) in mine.iter().enumerate() {
                     if !missed.contains(&g) {
                         analyses[g] = cache.get(&keys[rep]); // counts the hit
                     }
                 }
-                for (&g, analysis) in owned_groups.iter().zip(&computed) {
+                for (&g, analysis) in owned.iter().zip(&computed) {
                     cache.note_computed();
-                    cache.insert(keys[groups[g]].clone(), &boxes[groups[g]], analysis.clone());
+                    cache.insert(keys[mine[g]].clone(), &boxes[mine[g]], analysis.clone());
                     analyses[g] = Some(analysis.clone());
                 }
-                // Each further query of a group is one more cache-served
+                // Each further query of a box is one more cache-served
                 // lookup.
-                let mut first_use = vec![true; groups.len()];
-                for &g in group_of {
+                let mut first_use = vec![true; mine.len()];
+                for &g in uses {
                     if first_use[g] {
                         first_use[g] = false;
                     } else {
-                        let _ = cache.get(&keys[groups[g]]);
+                        let _ = cache.get(&keys[mine[g]]);
                     }
                 }
             } else {
-                for (&g, analysis) in owned_groups.iter().zip(&computed) {
+                for (&g, analysis) in owned.iter().zip(&computed) {
                     analyses[g] = Some(analysis.clone());
                 }
             }
             // Gates release here (cache already holds the results), so the
             // deferred/raced resolution below can never self-deadlock.
         }
-        // A group can still be unresolved: deferred to a concurrent
-        // thread's in-flight computation, or evicted between our peek and
-        // the pinning get. The normal gated path waits/recomputes.
-        let analyses: Vec<Arc<Analysis<F>>> = analyses
+        // A box can still be unresolved: deferred to a concurrent thread's
+        // in-flight computation, or evicted between our peek and the
+        // pinning get. The normal gated path waits/recomputes.
+        analyses
             .into_iter()
             .enumerate()
             .map(|(g, a)| match a {
                 Some(a) => Ok(a),
-                None => self.analyze(&boxes[groups[g]]),
+                None => self.analyze(&boxes[mine[g]]),
             })
-            .collect::<Result<_, _>>()?;
-
-        // One fused multi-segment spec walk for every query: segment j uses
-        // query j's analysis bounds, rows are its robustness-spec rows.
-        let out_node = self.graph.output();
-        let out_shape = self.graph.nodes[out_node].shape;
-        let out_len = out_shape.len();
-        let mut spec_batches = Vec::with_capacity(labels.len());
-        for &label in labels {
-            let spec = LinearSpec::robustness(label, out_len);
-            let mut batch = ExprBatch::zeroed(
-                &self.device,
-                out_node,
-                out_shape,
-                (out_shape.h, out_shape.w),
-                vec![(0, 0); spec.rows().len()],
-            )?;
-            for (r, row) in spec.rows().iter().enumerate() {
-                for &(o, c) in &row.coeffs {
-                    batch.set_coeff(r, o, Itv::point(c));
-                }
-                batch.add_cst(r, Itv::point(row.cst));
-            }
-            spec_batches.push(batch);
-        }
-        let rows_per_query: Vec<usize> = spec_batches.iter().map(ExprBatch::rows).collect();
-        let stacked = ExprBatch::stack(&self.device, spec_batches)?;
-        let rule = if self.cfg.early_termination {
-            StopRule::ProvenPositive
-        } else {
-            StopRule::None
-        };
-        let walker = Walker {
-            device: &self.device,
-            graph: &self.graph,
-            prepared: &self.prepared,
-            segs: group_of.iter().map(|&g| &*analyses[g]).collect(),
-            compact_dead_cols: self.cfg.stable_zero_compaction,
-        };
-        let out = walker.run(stacked, rule)?;
-
-        // Split the joint outcome back into per-query verdicts.
-        let mut offsets = Vec::with_capacity(labels.len());
-        let mut at = 0usize;
-        for &rows in &rows_per_query {
-            offsets.push(at);
-            at += rows;
-        }
-        let mut stopped_per_query = vec![0usize; labels.len()];
-        for &r in &out.stopped_rows {
-            let q = offsets
-                .partition_point(|&o| o <= r as usize)
-                .saturating_sub(1);
-            stopped_per_query[q] += 1;
-        }
-        let mut results = Vec::with_capacity(labels.len());
-        for (j, &label) in labels.iter().enumerate() {
-            let best = &out.best[offsets[j]..offsets[j] + rows_per_query[j]];
-            let lower_bounds: Vec<F> = best.iter().map(|b| b.lo).collect();
-            let proven: Vec<bool> = lower_bounds.iter().map(|&l| l > F::ZERO).collect();
-            let mut stats = analyses[group_of[j]].stats.clone();
-            stats.absorb_walk(stopped_per_query[j], out.candidates);
-            let verdict = SpecVerdict {
-                proven,
-                lower_bounds,
-                stats,
-            };
-            results.push(Some(Ok(Self::robustness_verdict(label, out_len, verdict))));
-        }
-        Ok(results)
-    }
-
-    /// Verifies a batch of *arbitrary* input boxes (one robustness spec,
-    /// hence one `labels[j]`, each) through the fused cross-query pipeline
-    /// — the dispatch surface of branch-and-bound refinement, where a
-    /// frontier generation of sibling sub-boxes shares one launch per
-    /// layer step exactly like a fused query batch.
-    ///
-    /// Boxes must already be valid for this network (right length, finite,
-    /// inside the input domain) — refinement only ever bisects boxes that
-    /// passed [`Engine::robustness_box`]. With `monotone` set, a box whose
-    /// exact analysis misses the cache first probes for a cached analysis
-    /// over a *containing* box (typically an ancestor from an earlier
-    /// refinement or a sibling query) and a successful superset proof
-    /// resolves it without any new analysis — proving only, same
-    /// soundness rule as [`EngineOptions::monotone_cache_reuse`].
-    pub(crate) fn verify_boxes_fused(
-        &self,
-        labels: &[usize],
-        boxes: &[Vec<Itv<F>>],
-        monotone: bool,
-    ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
-        let started = Instant::now();
-        let relu_layers = self.prepared.relu_plan().len();
-        let total_cost: f64 = boxes
-            .iter()
-            .map(|b| {
-                b.iter().map(|iv| iv.width().to_f64()).sum::<f64>() * relu_layers.max(1) as f64
-            })
-            .sum();
-        let out_len = self.graph.nodes[self.graph.output()].shape.len();
-
-        let mut slots: VerdictSlots<F> = boxes.iter().map(|_| None).collect();
-        let mut fusable: Vec<usize> = (0..boxes.len()).collect();
-        let mut live: Vec<Vec<Itv<F>>> = boxes.to_vec();
-
-        // ε-monotone pre-resolution, mirroring `verify_batch_fused`.
-        if monotone && self.options.analysis_cache > 0 {
-            let mut still: Vec<usize> = Vec::new();
-            let mut still_boxes: Vec<Vec<Itv<F>>> = Vec::new();
-            for (j, bx) in live.iter_mut().enumerate() {
-                let i = fusable[j];
-                let key = box_key(bx);
-                let superset = {
-                    let cache = self.cache.lock();
-                    if cache.peek(&key) {
-                        None // exact hit: the fused pipeline serves it
-                    } else {
-                        cache.get_containing(&key, bx)
-                    }
-                };
-                let resolved = superset.is_some_and(|superset| {
-                    let spec = LinearSpec::robustness(labels[i], out_len);
-                    match self.check_spec_with(&superset, &spec) {
-                        Ok(verdict) if verdict.all_proven() => {
-                            self.monotone_hits.fetch_add(1, Ordering::Relaxed);
-                            slots[i] =
-                                Some(Ok(Self::robustness_verdict(labels[i], out_len, verdict)));
-                            true
-                        }
-                        _ => false,
-                    }
-                });
-                if !resolved {
-                    still.push(i);
-                    still_boxes.push(std::mem::take(bx));
-                }
-            }
-            fusable = still;
-            live = still_boxes;
-        }
-        if fusable.len() < 2 {
-            return self.finish_boxes_per_query(labels, &live, slots, &fusable);
-        }
-
-        let keys: Vec<BoxKey> = live.iter().map(|b| box_key(b)).collect();
-        let mut group_index: HashMap<&[u64], usize> = HashMap::new();
-        let mut groups: Vec<usize> = Vec::new();
-        let mut group_of: Vec<usize> = Vec::with_capacity(fusable.len());
-        for (j, key) in keys.iter().enumerate() {
-            let g = *group_index.entry(key.as_ref()).or_insert_with(|| {
-                groups.push(j);
-                groups.len() - 1
-            });
-            group_of.push(g);
-        }
-        let caching = self.options.analysis_cache > 0;
-        let missed: Vec<usize> = {
-            let cache = self.cache.lock();
-            (0..groups.len())
-                .filter(|&g| !caching || !cache.peek(&keys[groups[g]]))
-                .collect()
-        };
-        let prelim: Vec<Vec<Vec<Itv<F>>>> = self.device.install(|| {
-            missed
-                .par_iter()
-                .map(|&g| self.graph.eval_itv(&live[groups[g]]))
-                .collect()
-        });
-        if self.fusion_overlap(&prelim) < self.options.fusion_min_overlap {
-            return self.finish_boxes_per_query(labels, &live, slots, &fusable);
-        }
-
-        let fused_labels: Vec<usize> = fusable.iter().map(|&i| labels[i]).collect();
-        match self.fused_pipeline(
-            &fused_labels,
-            &live,
-            &keys,
-            &groups,
-            &group_of,
-            &missed,
-            prelim,
-        ) {
-            Ok(mut fused_results) => {
-                self.fused_batches.fetch_add(1, Ordering::Relaxed);
-                for (j, &i) in fusable.iter().enumerate() {
-                    slots[i] = Some(fused_results[j].take().expect("one verdict per box"));
-                }
-                self.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot filled"))
-                    .collect()
-            }
-            Err(_) => self.finish_boxes_per_query(labels, &live, slots, &fusable),
-        }
-    }
-
-    /// Per-box completion of [`Engine::verify_boxes_fused`]: analyze and
-    /// spec-check each still-pending box across the device workers (with
-    /// the same sequential OOM retry as [`Engine::verify_batch`]).
-    ///
-    /// `live[j]` holds the box of the query whose index is `pending[j]`.
-    fn finish_boxes_per_query(
-        &self,
-        labels: &[usize],
-        live: &[Vec<Itv<F>>],
-        mut slots: VerdictSlots<F>,
-        pending: &[usize],
-    ) -> Vec<Result<RobustnessVerdict<F>, VerifyError>> {
-        let out_len = self.graph.nodes[self.graph.output()].shape.len();
-        let one = |label: usize, bx: &[Itv<F>]| -> Result<RobustnessVerdict<F>, VerifyError> {
-            let analysis = self.analyze(bx)?;
-            let spec = LinearSpec::robustness(label, out_len);
-            let verdict = self.check_spec_with(&analysis, &spec)?;
-            Ok(Self::robustness_verdict(label, out_len, verdict))
-        };
-        let computed: Vec<(usize, Result<RobustnessVerdict<F>, VerifyError>)> =
-            self.device.install(|| {
-                pending
-                    .par_iter()
-                    .zip(live)
-                    .map(|(&i, bx)| (i, one(labels[i], bx)))
-                    .collect()
-            });
-        for (i, r) in computed {
-            slots[i] = Some(r);
-        }
-        for (&i, bx) in pending.iter().zip(live) {
-            if matches!(
-                slots[i],
-                Some(Err(VerifyError::Device(DeviceError::OutOfMemory { .. })))
-            ) {
-                slots[i] = Some(one(labels[i], bx));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
             .collect()
     }
 }

@@ -10,16 +10,15 @@
 //! a layer the executing device owns itself resolves to the store's
 //! resident buffer with no copy at all. Because a gather copies the
 //! owner's exact bit pattern and the walk arithmetic is unchanged, margins
-//! are bit-identical to a single-device run at any N — in weight-only mode
-//! (one view on device 0) and in hybrid row×weight mode (one view per
-//! device, each walking its own row shard) alike.
+//! are bit-identical to a single-device run at any N — with one walker (one
+//! view, on device 0) and with every device walking its own row block (one
+//! view per device) alike.
 //!
 //! Three mechanisms bound the gather cost:
 //!
 //! * a **capacity-aware cache** of gathered layers per view: it holds as
-//!   many gathered layers as the executing device's budget allows
-//!   ([`EngineOptions::gather_cache_bytes`], defaulting to half the
-//!   device's free bytes at view construction), never less than the
+//!   many gathered layers as the executing device's budget allows (half
+//!   the device's free bytes at view construction), never less than the
 //!   double-buffer floor of two max-size layers;
 //! * **next-use-distance eviction**: the walk visits sharded layers in
 //!   descending node order, cyclically across batches. Each view keeps a
@@ -30,8 +29,8 @@
 //!   victim). The layer currently being inserted is pinned, and an evicted
 //!   buffer stays alive while any walk still holds its `Arc`;
 //! * a **prefetch thread** per view: acquiring layer *l* enqueues gathers
-//!   of the next [`EngineOptions::gather_prefetch_depth`] remote layers in
-//!   walk order, so those copies overlap the walk over layer *l*.
+//!   of the next [`PREFETCH_DEPTH`] remote layers in walk order, so those
+//!   copies overlap the walk over layer *l*.
 //!   Prefetching is pure scheduling — a missed or failed prefetch just
 //!   means the walk gathers synchronously — and can never change results.
 //!
@@ -40,9 +39,6 @@
 //! hits and evictions are metered as zero-byte records under `gather_hit` /
 //! `gather_evict`, so benchmarks and the serving stats endpoint can report
 //! gather-cache behavior per device.
-//!
-//! [`EngineOptions::gather_cache_bytes`]: crate::EngineOptions::gather_cache_bytes
-//! [`EngineOptions::gather_prefetch_depth`]: crate::EngineOptions::gather_prefetch_depth
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -67,6 +63,11 @@ pub(crate) const GATHER_HIT_LABEL: &str = "gather_hit";
 /// next-use-distance policy.
 pub(crate) const GATHER_EVICT_LABEL: &str = "gather_evict";
 
+/// How many upcoming remote layers each walk acquisition prefetches onto
+/// the executing device (in walk order, overlapping the current layer's
+/// step).
+pub(crate) const PREFETCH_DEPTH: usize = 1;
+
 /// One layer's weights gathered onto (or resident on) a device. Shared by
 /// `Arc` between the store, the gather cache and any walk currently using
 /// the layer, so cache eviction can never free a buffer mid-step.
@@ -81,8 +82,7 @@ type GatherEntry<F, B> = (NodeId, Arc<GatheredLayer<F, B>>);
 /// The pool-shared half of weight sharding: every affine layer uploaded
 /// persistently onto its owner device under the deterministic greedy
 /// partition. Holds device buffers and node ids only (no graph borrow), so
-/// it is `Arc`-shared between the per-device gather views of a hybrid
-/// deployment.
+/// it is `Arc`-shared between the gather views of a pool's walkers.
 pub(crate) struct ShardStore<F: Fp, B: Backend> {
     /// Per-node owner device index; `None` for non-affine nodes and for
     /// layers whose upload failed (those stay host borrows in every view).

@@ -17,8 +17,7 @@
 //! The payoff is throughput: the `f32` walk moves half the bytes and (on
 //! wide SIMD backends) retires twice the lanes per instruction, and on
 //! typical robustness workloads it resolves the large majority of queries
-//! outright. `benches/precision.rs` measures the split and the end-to-end
-//! speedup against an all-`f64` engine.
+//! outright.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -28,7 +27,7 @@ use gpupoly_interval::Fp;
 use gpupoly_nn::Network;
 
 use crate::config::VerifyConfig;
-use crate::engine::{Engine, EngineOptions, EngineStats, Query};
+use crate::engine::{fold_ms_per_cost, Engine, EngineOptions, EngineStats, Query};
 use crate::error::VerifyError;
 use crate::verifier::{Margin, RobustnessVerdict};
 
@@ -67,10 +66,6 @@ pub fn escalation_cost_weight(escalated: u64, fast_resolved: u64) -> f64 {
 /// both network precisions — the widened copy must equal
 /// [`Network::widen`] of the narrow one, which the constructor checks.
 ///
-/// With [`EngineOptions::precision_tier`] off the fast tier is bypassed and
-/// every query runs `f64`-only — the tiered API with pure-`f64` behavior,
-/// which the parity tests and benchmarks use as their baseline.
-///
 /// # Example
 ///
 /// ```
@@ -103,8 +98,7 @@ pub struct TieredEngine<'n, B: Backend> {
 }
 
 impl<'n, B: Backend> TieredEngine<'n, B> {
-    /// Builds a tiered engine with the fast pass enabled and otherwise
-    /// default options.
+    /// Builds a tiered engine with default options.
     ///
     /// # Errors
     ///
@@ -116,16 +110,11 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
         wide: &'n Network<f64>,
         cfg: VerifyConfig,
     ) -> Result<Self, VerifyError> {
-        let options = EngineOptions {
-            precision_tier: true,
-            ..EngineOptions::default()
-        };
-        Self::with_options(device, net, wide, cfg, options)
+        Self::with_options(device, net, wide, cfg, EngineOptions::default())
     }
 
     /// Builds a tiered engine with explicit options. Both tiers get the
-    /// same options; [`EngineOptions::precision_tier`] decides whether the
-    /// fast pass runs at all.
+    /// same options.
     ///
     /// # Errors
     ///
@@ -192,15 +181,25 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
                 .all(|m| m.proven && m.lower > f32::escalation_envelope(self.depth, m.lower))
     }
 
+    /// The `f32` fast pass over a batch: the verdict of every query it
+    /// resolves, `None` for every query to escalate. Errors escalate too:
+    /// the `f64` tier re-derives them so messages (which format eps at
+    /// `f64` width) match an all-`f64` run exactly.
+    fn fast_pass(&self, queries: &[Query<f32>]) -> Vec<Option<RobustnessVerdict<f32>>> {
+        self.fast
+            .verify_batch_fused(queries)
+            .into_iter()
+            .map(|r| r.ok().filter(|v| self.fast_resolves(v)))
+            .collect()
+    }
+
     /// Verifies a batch at full (`f64`) output precision: fast-resolved
     /// verdicts widened losslessly, escalated verdicts exactly as an
     /// all-`f64` engine would produce them.
     ///
-    /// This is the parity-testing surface: with the fast pass disabled
-    /// ([`EngineOptions::precision_tier`] `= false`) the output is
-    /// bit-identical to `Engine::<f64>::verify_batch` on the widened
-    /// queries, and the tier tests assert the escalated subset matches it
-    /// bit-for-bit even with the fast pass on.
+    /// This is the parity-testing surface: the tier tests assert the
+    /// escalated subset matches `Engine::<f64>::verify_batch_fused` on the
+    /// widened queries bit-for-bit.
     pub fn verify_batch_f64(
         &self,
         queries: &[Query<f32>],
@@ -211,19 +210,11 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
         let mut out: Vec<Option<Result<RobustnessVerdict<f64>, VerifyError>>> =
             vec![None; queries.len()];
         let mut escalate: Vec<usize> = Vec::new();
-        if self.fast.options().precision_tier && !queries.is_empty() {
-            let fast_verdicts = self.fast.verify_batch_fused(queries);
-            for (i, result) in fast_verdicts.into_iter().enumerate() {
-                match result {
-                    Ok(v) if self.fast_resolves(&v) => out[i] = Some(Ok(widen_verdict(&v))),
-                    // Errors escalate too: the f64 tier re-derives them so
-                    // messages (which format eps at f64 width) match an
-                    // all-f64 run exactly.
-                    _ => escalate.push(i),
-                }
+        for (i, kept) in self.fast_pass(queries).into_iter().enumerate() {
+            match kept {
+                Some(v) => out[i] = Some(Ok(widen_verdict(&v))),
+                None => escalate.push(i),
             }
-        } else {
-            escalate.extend(0..queries.len());
         }
 
         let resolved = queries.len() - escalate.len();
@@ -244,7 +235,13 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
             self.escalated.load(Ordering::Relaxed),
             self.fast_pass_resolved.load(Ordering::Relaxed),
         );
-        self.note_batch_time(start.elapsed().as_secs_f64() * 1e3, total_cost * weight);
+        // The same fold as the per-engine EWMA, so the two estimates stay
+        // directly comparable.
+        fold_ms_per_cost(
+            &self.ewma_ms_per_cost,
+            start.elapsed().as_secs_f64() * 1e3,
+            total_cost * weight,
+        );
 
         settle_slots(out)
     }
@@ -304,21 +301,16 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
         let mut out: Vec<Option<Result<crate::CompleteVerdict<f64>, VerifyError>>> =
             vec![None; queries.len()];
         let mut escalate: Vec<usize> = Vec::new();
-        if self.fast.options().precision_tier && !queries.is_empty() {
-            let fast_verdicts = self.fast.verify_batch_fused(queries);
-            for (i, result) in fast_verdicts.into_iter().enumerate() {
-                match result {
-                    Ok(v) if self.fast_resolves(&v) => {
-                        out[i] = Some(Ok(crate::CompleteVerdict::Proven {
-                            base: Some(widen_verdict(&v)),
-                            splits: 0,
-                        }));
-                    }
-                    _ => escalate.push(i),
+        for (i, kept) in self.fast_pass(queries).into_iter().enumerate() {
+            match kept {
+                Some(v) => {
+                    out[i] = Some(Ok(crate::CompleteVerdict::Proven {
+                        base: Some(widen_verdict(&v)),
+                        splits: 0,
+                    }));
                 }
+                None => escalate.push(i),
             }
-        } else {
-            escalate.extend(0..queries.len());
         }
         self.fast_pass_resolved
             .fetch_add((queries.len() - escalate.len()) as u64, Ordering::Relaxed);
@@ -369,27 +361,6 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
             gather_misses: fast.gather_misses + full.gather_misses,
             gather_evictions: fast.gather_evictions + full.gather_evictions,
         }
-    }
-
-    /// Folds one measured batch into the ms-per-weighted-cost EWMA, with
-    /// the same 0.2/0.8 fold as the per-engine EWMA so the two estimates
-    /// stay directly comparable.
-    fn note_batch_time(&self, elapsed_ms: f64, weighted_cost: f64) {
-        if weighted_cost <= 0.0 || weighted_cost.is_nan() || !elapsed_ms.is_finite() {
-            return;
-        }
-        let sample = elapsed_ms / weighted_cost;
-        let _ = self
-            .ewma_ms_per_cost
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                let old = f64::from_bits(bits);
-                let new = if old == 0.0 {
-                    sample
-                } else {
-                    0.2 * sample + 0.8 * old
-                };
-                Some(new.to_bits())
-            });
     }
 }
 
@@ -609,45 +580,6 @@ mod tests {
         );
         // The malformed and the huge-eps query must have escalated.
         assert!(stats.escalated >= 2);
-    }
-
-    #[test]
-    fn disabled_tier_escalates_everything() {
-        let net = zoo_net();
-        let wide = net.widen();
-        let options = EngineOptions {
-            precision_tier: false,
-            ..EngineOptions::default()
-        };
-        let tiered = TieredEngine::with_options(
-            Device::default(),
-            &net,
-            &wide,
-            VerifyConfig::default(),
-            options,
-        )
-        .unwrap();
-        let queries = zoo_queries();
-        let baseline = Engine::new(Device::default(), &wide, VerifyConfig::default()).unwrap();
-        let wide_queries: Vec<Query<f64>> = queries.iter().map(widen_query).collect();
-
-        let got = tiered.verify_batch_f64(&queries);
-        let want = baseline.verify_batch_fused(&wide_queries);
-        for (g, w) in got.iter().zip(&want) {
-            match (g, w) {
-                (Ok(gv), Ok(wv)) => {
-                    assert_eq!(gv.verified, wv.verified);
-                    let gb: Vec<u64> = gv.margins.iter().map(|m| m.lower.to_bits()).collect();
-                    let wb: Vec<u64> = wv.margins.iter().map(|m| m.lower.to_bits()).collect();
-                    assert_eq!(gb, wb, "escalated margins must be bit-identical");
-                }
-                (Err(ge), Err(we)) => assert_eq!(ge, we),
-                _ => panic!("disabled-tier verdicts disagree on Ok vs Err"),
-            }
-        }
-        let stats = tiered.stats();
-        assert_eq!(stats.fast_pass_resolved, 0);
-        assert_eq!(stats.escalated, queries.len() as u64);
     }
 
     #[test]

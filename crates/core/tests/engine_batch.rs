@@ -325,9 +325,8 @@ fn empty_specs_are_rejected_not_vacuously_proven() {
 
 #[test]
 fn batch_parallelism_does_not_regress_throughput() {
-    // On a single-core runner this only smoke-tests the parallel path; the
-    // speedup claim itself is measured by `benches/throughput.rs` where
-    // multiple workers are available.
+    // On a single-core runner this only smoke-tests the parallel path;
+    // queries per second are the benchmark's business (`benchmark/run.sh`).
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let net = random_net(7, 3, 24);
     let qs = queries(16);

@@ -231,40 +231,6 @@ fn fused_handles_malformed_duplicate_and_degenerate_queries() {
 }
 
 #[test]
-fn fusion_falls_back_below_overlap_threshold_with_identical_results() {
-    let net = random_net(5, 3, 6);
-    let qs = queries(6, 4);
-
-    // A threshold above 1.0 can never be met: the engine must take the
-    // per-query path and still return bit-identical verdicts.
-    let opts = EngineOptions {
-        fusion_min_overlap: 1.5,
-        ..Default::default()
-    };
-    let engine = Engine::with_options(
-        Device::new(DeviceConfig::new().workers(2)),
-        &net,
-        VerifyConfig::default(),
-        opts,
-    )
-    .unwrap();
-    let got = engine.verify_batch_fused(&qs);
-    assert_eq!(engine.stats().fused_batches, 0, "must have fallen back");
-
-    let sequential = Engine::new(
-        Device::new(DeviceConfig::new().workers(2)),
-        &net,
-        VerifyConfig::default(),
-    )
-    .unwrap();
-    let want: Vec<_> = qs
-        .iter()
-        .map(|q| sequential.verify_robustness(&q.image, q.label, q.eps))
-        .collect();
-    assert_bit_identical(&got, &want, "fallback");
-}
-
-#[test]
 fn fused_batch_survives_memory_capped_device() {
     // A device whose capacity forces chunked walks (and possibly a fused
     // OOM fallback): results must match the unconstrained engine.

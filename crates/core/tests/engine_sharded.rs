@@ -1,8 +1,9 @@
-//! Tensor-parallel sharded verification (`ShardedEngine`): bit-identity of
-//! the row-partitioned multi-device walk to the single-device fused path,
-//! error parity, fallback behavior and aggregated stats.
+//! Pool-sharded verification (`ShardedEngine`): bit-identity of the
+//! row-partitioned multi-device walk to the single-device fused path,
+//! error parity, fallback behavior, aggregated stats, and the pool of one
+//! device being the engine.
 
-use gpupoly_core::{Engine, EngineOptions, Query, ShardedEngine, VerifyConfig};
+use gpupoly_core::{Engine, EngineOptions, Plan, Query, RefineBudget, ShardedEngine, VerifyConfig};
 use gpupoly_device::{Backend, CpuSimBackend, Device, DeviceConfig, ReferenceBackend};
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::{Network, Shape};
@@ -71,6 +72,24 @@ fn devices<B: Backend + Default>(n: usize) -> Vec<Device<B>> {
         .collect()
 }
 
+/// Every device walks its own row block; each packs the whole network.
+const ROWS: Plan = Plan {
+    split_rows: true,
+    shard_weights: false,
+};
+
+/// A row-sharded pool of `n` one-worker devices with default options.
+fn rows_pool<B: Backend + Default>(n: usize, net: &Network<f32>) -> ShardedEngine<'_, f32, B> {
+    ShardedEngine::new(
+        devices::<B>(n),
+        ROWS,
+        net,
+        VerifyConfig::default(),
+        EngineOptions::default(),
+    )
+    .expect("sharded engine")
+}
+
 fn assert_bit_identical<B: Backend + Default>(net: &Network<f32>, batch: &[Query<f32>]) {
     let single = Engine::new(
         Device::with_backend(B::default(), DeviceConfig::new().workers(1)),
@@ -80,13 +99,7 @@ fn assert_bit_identical<B: Backend + Default>(net: &Network<f32>, batch: &[Query
     .expect("single engine");
     let expected = single.verify_batch_fused(batch);
     for n in [1usize, 2, 3, 4, 7] {
-        let sharded = ShardedEngine::new(
-            devices::<B>(n),
-            net,
-            VerifyConfig::default(),
-            EngineOptions::default(),
-        )
-        .expect("sharded engine");
+        let sharded = rows_pool::<B>(n, net);
         let got = sharded.verify_batch_sharded(batch);
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -133,22 +146,17 @@ fn sharded_margins_bit_identical_conv() {
 
 #[test]
 fn sharded_handles_more_devices_than_rows() {
-    // 1 query × 2 margins across 7 devices: most shards are empty.
+    // 2 queries × 2 margins across 7 devices: some shards are empty. One
+    // query alone is nothing to fuse, on a pool as on one device.
     let net = random_net(11, 2, 8, 3);
-    let batch = queries(1, 4, 3);
-    assert_bit_identical::<CpuSimBackend>(&net, &batch);
+    assert_bit_identical::<CpuSimBackend>(&net, &queries(2, 4, 3));
+    assert_bit_identical::<CpuSimBackend>(&net, &queries(1, 4, 3));
 }
 
 #[test]
 fn sharded_preserves_validation_errors_in_place() {
     let net = random_net(5, 2, 8, 3);
-    let sharded = ShardedEngine::new(
-        devices::<CpuSimBackend>(2),
-        &net,
-        VerifyConfig::default(),
-        EngineOptions::default(),
-    )
-    .expect("sharded engine");
+    let sharded = rows_pool::<CpuSimBackend>(2, &net);
     let mut batch = queries(4, 4, 3);
     batch[1] = Query::new(vec![0.5f32; 3], 0, 0.01); // wrong length
     batch[2] = Query::new(vec![0.5f32; 4], 9, 0.01); // label out of range
@@ -162,18 +170,13 @@ fn sharded_rejects_empty_pool_and_counts_devices() {
     let net = random_net(5, 2, 8, 3);
     assert!(ShardedEngine::new(
         Vec::<Device<CpuSimBackend>>::new(),
+        ROWS,
         &net,
         VerifyConfig::default(),
         EngineOptions::default()
     )
     .is_err());
-    let sharded = ShardedEngine::new(
-        devices::<CpuSimBackend>(3),
-        &net,
-        VerifyConfig::default(),
-        EngineOptions::default(),
-    )
-    .expect("sharded engine");
+    let sharded = rows_pool::<CpuSimBackend>(3, &net);
     assert_eq!(sharded.device_count(), 3);
     assert_eq!(sharded.engines().len(), 3);
 }
@@ -182,13 +185,7 @@ fn sharded_rejects_empty_pool_and_counts_devices() {
 fn sharded_stats_aggregate_across_devices() {
     let net = random_net(7, 3, 10, 4);
     let batch = queries(8, 4, 4);
-    let sharded = ShardedEngine::new(
-        devices::<CpuSimBackend>(2),
-        &net,
-        VerifyConfig::default(),
-        EngineOptions::default(),
-    )
-    .expect("sharded engine");
+    let sharded = rows_pool::<CpuSimBackend>(2, &net);
     let _ = sharded.verify_batch_sharded(&batch);
 
     let per = sharded.per_device_stats();
@@ -225,14 +222,8 @@ fn sharded_complete_mode_delegates_with_single_device_verdicts() {
         VerifyConfig::default(),
     )
     .expect("engine");
-    let sharded = ShardedEngine::new(
-        devices::<CpuSimBackend>(2),
-        &net,
-        VerifyConfig::default(),
-        EngineOptions::default(),
-    )
-    .expect("sharded engine");
-    let budget = gpupoly_core::RefineBudget::default();
+    let sharded = rows_pool::<CpuSimBackend>(2, &net);
+    let budget = RefineBudget::default();
     let a = single
         .verify_complete_batch(std::slice::from_ref(&q), &budget)
         .pop()
@@ -244,4 +235,116 @@ fn sharded_complete_mode_delegates_with_single_device_verdicts() {
         .unwrap()
         .unwrap();
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+/// A fused batch on a pool is counted and timed like one on a single
+/// device: cost-aware admission reads the pool's `ewma_ms_per_cost`.
+#[test]
+fn sharded_batch_warms_the_ewma_and_counts_as_fused() {
+    let net = random_net(17, 3, 10, 4);
+    let batch = queries(6, 4, 4);
+    for shard_weights in [false, true] {
+        let plan = Plan {
+            split_rows: true,
+            shard_weights,
+        };
+        let sharded = ShardedEngine::new(
+            devices::<CpuSimBackend>(2),
+            plan,
+            &net,
+            VerifyConfig::default(),
+            EngineOptions::default(),
+        )
+        .expect("sharded engine");
+        assert_eq!(sharded.stats().ewma_ms_per_cost, 0.0, "cold EWMA");
+        assert!(sharded
+            .verify_batch_sharded(&batch)
+            .iter()
+            .all(Result::is_ok));
+        let stats = sharded.stats();
+        assert_eq!(stats.fused_batches, 1, "{plan:?}");
+        assert!(
+            stats.ewma_ms_per_cost > 0.0 && stats.ewma_ms_per_cost.is_finite(),
+            "{plan:?}: one measured batch must warm the EWMA, got {}",
+            stats.ewma_ms_per_cost
+        );
+    }
+}
+
+/// The default plan on one device is the engine: same verdicts (margin
+/// bits and work counters), same cache traffic, same batch and refinement
+/// counters, through a mixed batch, a monotone sweep and complete mode.
+#[test]
+fn pool_of_one_is_the_engine() {
+    let net = random_net(19, 2, 6, 3);
+    let options = EngineOptions {
+        monotone_cache_reuse: true,
+        ..EngineOptions::default()
+    };
+    let device = || Device::with_backend(CpuSimBackend, DeviceConfig::new().workers(2));
+    let engine = Engine::with_options(device(), &net, VerifyConfig::default(), options).unwrap();
+    let pool = ShardedEngine::new(
+        vec![device()],
+        Plan::default(),
+        &net,
+        VerifyConfig::default(),
+        options,
+    )
+    .unwrap();
+    assert_eq!(pool.engines().len(), 1);
+
+    let image = vec![0.45_f32, 0.55, 0.35, 0.6];
+    let label = net.classify(&image);
+    let mut mixed = queries(4, 4, 3);
+    mixed.push(Query::new(image.clone(), label, 0.02)); // the sweep's anchor
+    mixed.push(mixed[1].clone()); // duplicate box: shares one analysis
+    mixed.push(Query::new(vec![0.5; 3], 0, 0.01)); // wrong length
+    mixed.push(Query::new(vec![0.5; 4], 9, 0.01)); // label out of range
+    let sweep: Vec<Query<f32>> = (1..=4)
+        .map(|i| Query::new(image.clone(), label, 0.004 * i as f32))
+        .collect();
+
+    for batch in [&mixed, &sweep] {
+        let want = engine.verify_batch_fused(batch);
+        let got = pool.verify_batch_sharded(batch);
+        // Margins bit for bit; the debug form on top covers adversaries,
+        // flags, the `AnalysisStats` of every verdict and every reject.
+        let bits = |verdicts: &[Result<gpupoly_core::RobustnessVerdict<f32>, _>]| -> Vec<u32> {
+            let ok = verdicts.iter().flatten();
+            ok.flat_map(|v| v.margins.iter().map(|m| m.lower.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+    let hard = Query::new(image, label, 0.3);
+    let budget = RefineBudget::with_max_splits(6);
+    let want = engine.verify_complete_batch(std::slice::from_ref(&hard), &budget);
+    let got = pool.verify_complete_batch(std::slice::from_ref(&hard), &budget);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+    let (got, want) = (pool.stats(), engine.stats());
+    assert!(want.monotone_hits > 0, "the sweep must have hit its anchor");
+    assert!(want.fused_batches > 0 && want.cache_hits > 0 && want.cache_misses > 0);
+    assert!(want.splits > 0, "the hard query must have split: {want:?}");
+    assert_eq!(
+        (got.cache_hits, got.cache_misses, got.monotone_hits),
+        (want.cache_hits, want.cache_misses, want.monotone_hits)
+    );
+    assert_eq!(got.fused_batches, want.fused_batches);
+    assert_eq!(
+        (
+            got.splits,
+            got.frontier_peak,
+            got.proven_by_split,
+            got.cex_found
+        ),
+        (
+            want.splits,
+            want.frontier_peak,
+            want.proven_by_split,
+            want.cex_found
+        )
+    );
+    assert_eq!(got.resident_bytes, want.resident_bytes);
 }

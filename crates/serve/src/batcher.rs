@@ -1,19 +1,19 @@
 //! The admission batcher: one worker thread per resident model.
 //!
-//! The thread *owns* its `Network` and the `Engine` built over it — the
+//! The thread *owns* its `Network` and the engine built over it — the
 //! engine borrows the network, so tying both to one thread's stack gives the
 //! resident pair a single owner with no self-referential storage. Requests
 //! arrive over a bounded channel (the admission queue); the worker coalesces
-//! whatever is in flight into one [`Engine::verify_batch`] call, bounded by
-//! a max-batch / max-delay policy:
+//! whatever is in flight into one fused batch call, bounded by a max-batch /
+//! max-delay policy:
 //!
 //! * the first request of a batch is taken blocking (an idle model costs
 //!   nothing),
 //! * further requests are drained until the batch holds `max_batch` queries
 //!   or `max_delay` has passed since the batch opened — the classic
 //!   admission trade of a little latency for a lot of coalescing,
-//! * the whole batch runs as one `verify_batch` (LPT-scheduled, analysis
-//!   cache shared), and every requester gets its own reply.
+//! * the whole batch runs as one fused call (analysis cache shared), and
+//!   every requester gets its own reply.
 //!
 //! Dropping the queue sender shuts the worker down: it answers what is
 //! already queued, then the engine drops and every device byte the model
@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpupoly_core::{
-    CompleteVerdict, Engine, EngineOptions, EngineStats, Query, RefineBudget, RobustnessVerdict,
+    CompleteVerdict, EngineOptions, EngineStats, Plan, Query, RefineBudget, RobustnessVerdict,
     ShardedEngine, TieredEngine, VerifyConfig, VerifyError,
 };
 use gpupoly_device::{Backend, Device};
@@ -43,40 +43,21 @@ pub(crate) type RetireFn = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// What the batching loop needs from a resident verification engine: one
 /// fused batch call at serving precision, one branch-and-bound refinement
-/// call, and a stats snapshot to mirror. Implemented by the plain `f32`
-/// [`Engine`], by the precision-tiered [`TieredEngine`], and by the
-/// tensor-parallel [`ShardedEngine`], so one loop serves every worker
-/// flavor.
+/// call, and a stats snapshot to mirror. Implemented by the pool
+/// [`ShardedEngine`] (a pool of one device is the plain engine) and by the
+/// precision-tiered [`TieredEngine`], so one loop serves both worker
+/// flavors.
 trait BatchVerifier {
     fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>>;
     /// Complete-mode verdicts always cross the worker boundary as `f64`:
-    /// the tiered engine escalates before splitting, and the plain `f32`
-    /// engine's verdicts widen losslessly.
+    /// the tiered engine escalates before splitting, and the `f32` pool's
+    /// verdicts widen losslessly.
     fn verify_complete(
         &self,
         queries: &[Query<f32>],
         budget: &RefineBudget,
     ) -> Vec<Result<CompleteVerdict<f64>, VerifyError>>;
     fn stats(&self) -> EngineStats;
-}
-
-impl<B: Backend> BatchVerifier for Engine<'_, f32, B> {
-    fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>> {
-        self.verify_batch_fused(queries)
-    }
-    fn verify_complete(
-        &self,
-        queries: &[Query<f32>],
-        budget: &RefineBudget,
-    ) -> Vec<Result<CompleteVerdict<f64>, VerifyError>> {
-        self.verify_complete_batch(queries, budget)
-            .into_iter()
-            .map(|r| r.map(|v| v.widen()))
-            .collect()
-    }
-    fn stats(&self) -> EngineStats {
-        Engine::stats(self)
-    }
 }
 
 impl<B: Backend> BatchVerifier for TieredEngine<'_, B> {
@@ -194,20 +175,11 @@ pub(crate) struct WorkItem {
 /// up. On success the model is resident: `stats.resident_bytes` is set and
 /// the returned sender is the admission queue (capacity `queue_cap`).
 ///
-/// With one device the worker runs a plain [`Engine`] (or a
-/// [`TieredEngine`] when `precision_tier` is set); with several it runs a
-/// tensor-parallel [`ShardedEngine`] whose backsubstitution row space is
-/// partitioned across all of them per layer step. The tiered flavor is
-/// single-device only (the registry validates that), so `precision_tier`
-/// with several devices uses the first alone. When `weight_sharded` is set
-/// the worker instead runs an FSDP-style weight-sharded [`ShardedEngine`]:
-/// the model's layers are partitioned across all devices (each holds ~1/N
-/// of the weight bytes) and all-gathered just in time per layer step. Set
-/// **together with** `tensor_parallel` on a multi-device pool, the worker
-/// runs the hybrid 2D-sharded flavor — every device walks its own row
-/// block through the shared weight shards, gathering remote layers onto
-/// itself. Only the precision tier refuses to combine (the registry
-/// validates that).
+/// The worker runs a [`ShardedEngine`] over `devices`, placed by `plan` (one
+/// device under the default plan is the plain engine), or — when
+/// `precision_tier` is set — a [`TieredEngine`] on the first device alone:
+/// the tiered flavor is single-device and refuses to combine with a pool
+/// plan (the server validates that at bind time).
 ///
 /// `retire` is invoked with the item's admission cost charge every time a
 /// reply goes out — the hook the registry uses to credit the device pool's
@@ -228,8 +200,7 @@ pub(crate) fn spawn_worker<B: Backend>(
     policy: BatchPolicy,
     queue_cap: usize,
     precision_tier: bool,
-    weight_sharded: bool,
-    tensor_parallel: bool,
+    plan: Plan,
     stats: Arc<ModelStats>,
     retire: RetireFn,
 ) -> Result<(SyncSender<WorkItem>, JoinHandle<()>), VerifyError> {
@@ -245,7 +216,7 @@ pub(crate) fn spawn_worker<B: Backend>(
         .spawn(move || {
             // Every engine flavor borrows networks living on this thread's
             // stack; the startup handshake and batching loop are shared.
-            let startup = |engine: &dyn BatchVerifier| {
+            let serve = |engine: &dyn BatchVerifier| {
                 let snapshot = engine.stats();
                 stats
                     .resident_bytes
@@ -255,62 +226,25 @@ pub(crate) fn spawn_worker<B: Backend>(
                     .relu_layers
                     .store(snapshot.relu_layers as u64, Ordering::Release);
                 let _ = startup_tx.send(Ok(()));
+                run_loop(engine, &rx, policy, &stats, &retire);
             };
-            if weight_sharded {
-                // Weight shards alone walk on device 0; with
-                // tensor_parallel riding along, every device walks its own
-                // row block over the shared shards (hybrid 2D sharding).
-                let hybrid = tensor_parallel && devices.len() > 1;
-                let build = if hybrid {
-                    ShardedEngine::new_hybrid
-                } else {
-                    ShardedEngine::new_weight_sharded
-                };
-                let engine = match build(devices, &net, verify, EngineOptions::default()) {
-                    Ok(engine) => engine,
-                    Err(e) => {
-                        let _ = startup_tx.send(Err(e));
-                        return;
-                    }
-                };
-                startup(&engine);
-                run_loop(&engine, &rx, policy, &stats, &retire);
-            } else if precision_tier {
+            let refuse = |e: VerifyError| {
+                let _ = startup_tx.send(Err(e));
+            };
+            if precision_tier {
                 // The widened copy also lives on this stack, so the tiered
                 // engine's two borrows share the worker as their owner.
                 let device = devices.into_iter().next().expect("checked non-empty");
                 let wide = net.widen();
-                let engine = match TieredEngine::new(device, &net, &wide, verify) {
-                    Ok(engine) => engine,
-                    Err(e) => {
-                        let _ = startup_tx.send(Err(e));
-                        return;
-                    }
+                match TieredEngine::new(device, &net, &wide, verify) {
+                    Ok(engine) => serve(&engine),
+                    Err(e) => refuse(e),
                 };
-                startup(&engine);
-                run_loop(&engine, &rx, policy, &stats, &retire);
-            } else if devices.len() > 1 {
-                let engine =
-                    match ShardedEngine::new(devices, &net, verify, EngineOptions::default()) {
-                        Ok(engine) => engine,
-                        Err(e) => {
-                            let _ = startup_tx.send(Err(e));
-                            return;
-                        }
-                    };
-                startup(&engine);
-                run_loop(&engine, &rx, policy, &stats, &retire);
             } else {
-                let device = devices.into_iter().next().expect("checked non-empty");
-                let engine = match Engine::new(device, &net, verify) {
-                    Ok(engine) => engine,
-                    Err(e) => {
-                        let _ = startup_tx.send(Err(e));
-                        return;
-                    }
-                };
-                startup(&engine);
-                run_loop(&engine, &rx, policy, &stats, &retire);
+                match ShardedEngine::new(devices, plan, &net, verify, EngineOptions::default()) {
+                    Ok(engine) => serve(&engine),
+                    Err(e) => refuse(e),
+                }
             }
         })
         .map_err(|e| VerifyError::Internal(format!("spawn worker thread: {e}")))?;
@@ -357,6 +291,8 @@ fn run_loop(
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
+        #[cfg(test)]
+        let _held_by_a_test = stats.dispatch_gate.lock();
         run_batch(engine, batch, stats, retire);
     }
 }
@@ -581,8 +517,7 @@ mod tests {
             },
             16,
             false,
-            false,
-            false,
+            Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
         )
@@ -631,8 +566,7 @@ mod tests {
             },
             16,
             true,
-            false,
-            false,
+            Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
         )
@@ -695,8 +629,10 @@ mod tests {
             },
             16,
             false,
-            false,
-            false,
+            Plan {
+                split_rows: true,
+                shard_weights: false,
+            },
             stats.clone(),
             Arc::new(move |cost| {
                 retired_in_worker.fetch_add(cost.max(1), Ordering::AcqRel);
@@ -755,8 +691,7 @@ mod tests {
             },
             16,
             false,
-            false,
-            false,
+            Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
         )
@@ -818,8 +753,7 @@ mod tests {
             },
             16,
             false,
-            false,
-            false,
+            Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
         )
@@ -871,8 +805,7 @@ mod tests {
             BatchPolicy::default(),
             4,
             false,
-            false,
-            false,
+            Plan::default(),
             stats,
             Arc::new(|_| {}),
         )

@@ -12,13 +12,15 @@
 //!   least-loaded. A device-memory budget is enforced per device by
 //!   reclaiming shelved pool bytes, then evicting LRU-first among models
 //!   not *pinned* by in-flight work. On a multi-device pool a model whose
-//!   queues saturate replicates onto an idle device; with
-//!   `tensor_parallel` every model instead spans the whole pool through a
-//!   row-sharded [`gpupoly_core::ShardedEngine`] (margins bit-identical to
-//!   one device).
+//!   queues saturate replicates onto an idle device; under a pool
+//!   [`Plan`] (`--tensor-parallel` → `split_rows`, `--weight-sharded` →
+//!   `shard_weights`, both → hybrid) every model instead spans the whole
+//!   pool through one [`gpupoly_core::ShardedEngine`] (margins
+//!   bit-identical to one device). Every worker runs that engine: a pool
+//!   of one device under the default plan is the plain engine.
 //! * **admission batcher** ([`BatchPolicy`]) — each model replica has a
 //!   worker thread and a bounded queue; queued queries coalesce into one
-//!   `verify_batch` call per wakeup (up to `max_batch` queries or
+//!   fused batch call per wakeup (up to `max_batch` queries or
 //!   `max_delay` of extra latency), so concurrent clients share batches,
 //!   analyses and pooled buffers. A full queue answers `overloaded`
 //!   immediately — backpressure is a reply, never a hang.
@@ -62,6 +64,7 @@ mod stats;
 
 pub use batcher::{BatchPolicy, WorkError, WorkOutput, WorkReply};
 pub use client::{Client, ClientError, CompleteOutcome, Verdict};
+pub use gpupoly_core::Plan;
 pub use gpupoly_shard::DevicePool;
 pub use registry::{Registry, RegistryConfig, SubmitError};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -168,18 +168,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(n) = flags.take_parsed::<usize>("--devices")? {
         cfg.devices = n.max(1);
     }
-    cfg.tensor_parallel = flags.take_bool("--tensor-parallel");
+    cfg.plan.split_rows = flags.take_bool("--tensor-parallel");
     // FSDP-style: each device holds ~1/N of every model's weight bytes,
     // layer shards are all-gathered just in time during backsubstitution.
     // Combined with --tensor-parallel this becomes hybrid 2D sharding:
     // every device walks its own row block over the gathered layers.
-    cfg.weight_sharded = flags.take_bool("--weight-sharded");
-    if cfg.tensor_parallel && cfg.precision_tier {
-        return Err("--tensor-parallel and --precision-tier are mutually exclusive".into());
-    }
-    if cfg.weight_sharded && cfg.precision_tier {
-        return Err("--weight-sharded and --precision-tier are mutually exclusive".into());
-    }
+    // Either refuses --precision-tier (checked at bind).
+    cfg.plan.shard_weights = flags.take_bool("--weight-sharded");
     let rest = flags.finish()?;
     if !rest.is_empty() {
         return Err(format!("unexpected arguments {rest:?}"));

@@ -5,10 +5,10 @@
 //! least-loaded: a cold model lands on the pool's least-loaded device and
 //! stays there; a **hot** model whose admission queues saturate is
 //! *replicated* onto the least-loaded device not yet holding it, and
-//! admission then routes each query to the least-loaded replica. In
-//! tensor-parallel mode every model instead gets one worker whose
-//! backsubstitution row space is sharded across the whole pool
-//! ([`gpupoly_core::ShardedEngine`]), bit-identical to the single-device
+//! admission then routes each query to the least-loaded replica. Under a
+//! pool [`Plan`] every model instead gets one worker spanning the whole pool
+//! ([`gpupoly_core::ShardedEngine`]: row blocks walked per device, weights
+//! sharded across devices, or both), bit-identical to the single-device
 //! walk.
 //!
 //! Each device's `memory_in_use()` is the source of truth its budget is
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use gpupoly_core::{RefineBudget, VerifyConfig};
+use gpupoly_core::{Plan, RefineBudget, VerifyConfig};
 use gpupoly_device::{Backend, Device};
 use gpupoly_nn::{store, Network};
 use gpupoly_shard::DevicePool;
@@ -73,26 +73,23 @@ pub struct RegistryConfig {
     /// pass with sound `f64` escalation for Unknown or narrow-margin
     /// verdicts. Costs roughly 3× the resident weight bytes per model
     /// (both precisions stay resident); escalated verdicts match an
-    /// all-`f64` engine exactly. Mutually exclusive with
-    /// `tensor_parallel` (the tiered engine is single-device).
+    /// all-`f64` engine exactly. Mutually exclusive with a pool `plan`
+    /// (the tiered engine is single-device).
     pub precision_tier: bool,
-    /// Serve every model through one tensor-parallel worker whose fused
-    /// backsubstitution row space is sharded across *all* pool devices
-    /// per layer step (margins bit-identical to a single-device run).
-    /// Weights are resident on every device; with it off, devices instead
-    /// hold disjoint models with hot-model replication.
-    pub tensor_parallel: bool,
-    /// Serve every model through one FSDP-style weight-sharded worker: the
-    /// model's layers are partitioned across *all* pool devices (each holds
-    /// ~1/N of the weight bytes) and all-gathered onto the executing device
-    /// just in time per layer step (margins bit-identical to a
-    /// single-device run). Admission accounts per-device *shard* bytes, so
-    /// a model bigger than any one device's budget still loads across the
-    /// pool. Combined with `tensor_parallel` this becomes **hybrid 2D
-    /// sharding**: the same weight partition, but every device walks its
-    /// own row block and gathers remote layers onto itself. Mutually
-    /// exclusive with `precision_tier`.
-    pub weight_sharded: bool,
+    /// How every model is placed over the pool. Under the default plan,
+    /// devices hold disjoint models with hot-model replication. With
+    /// [`Plan::split_rows`] every model is served by one tensor-parallel
+    /// worker whose fused backsubstitution row space is sharded across *all*
+    /// pool devices per layer step. With [`Plan::shard_weights`] the model's
+    /// layers are partitioned FSDP-style across *all* pool devices (each
+    /// holds ~1/N of the weight bytes) and all-gathered onto the walking
+    /// device just in time; admission then accounts per-device *shard*
+    /// bytes, so a model bigger than any one device's budget still loads
+    /// across the pool. Both together are **hybrid 2D sharding**: the same
+    /// weight partition, every device walking its own row block and
+    /// gathering remote layers onto itself. Margins are bit-identical to a
+    /// single-device run under every plan.
+    pub plan: Plan,
 }
 
 impl RegistryConfig {
@@ -107,8 +104,7 @@ impl RegistryConfig {
             memory_budget: None,
             verify: VerifyConfig::default(),
             precision_tier: false,
-            tensor_parallel: false,
-            weight_sharded: false,
+            plan: Plan::default(),
         }
     }
 }
@@ -352,11 +348,10 @@ impl<B: Backend> Registry<B> {
             if saturated {
                 // A saturated model replicates onto a device not yet
                 // holding it — unless every model already spans the pool
-                // (tensor-parallel mode) or the pool is covered, in which
-                // case the honest answer is the same structured overload
-                // as a full single-device queue.
-                let can_replicate = !self.cfg.tensor_parallel
-                    && !self.cfg.weight_sharded
+                // (a pool plan) or the pool is covered, in which case the
+                // honest answer is the same structured overload as a full
+                // single-device queue.
+                let can_replicate = !self.spans_pool()
                     && self.pool.len() > 1
                     && self.pool.replication_candidate(model).is_some();
                 if can_replicate && self.replicate(model)? {
@@ -564,7 +559,7 @@ impl<B: Backend> Registry<B> {
         // bigger than any one device's budget admit. In hybrid mode every
         // device both holds a shard and gathers, so the same worst-device
         // charge covers each of them.
-        if self.cfg.weight_sharded {
+        if self.cfg.plan.shard_weights {
             return gpupoly_core::weight_shard_budget(net, self.pool.len()).worst_device_bytes();
         }
         // A tiered worker keeps both precisions resident: f32 + f64 weights
@@ -574,11 +569,15 @@ impl<B: Backend> Registry<B> {
         net.param_count() * std::mem::size_of::<f32>() * tier_factor
     }
 
+    /// Whether the plan gives every model one worker over the whole pool.
+    fn spans_pool(&self) -> bool {
+        self.cfg.plan.split_rows || self.cfg.plan.shard_weights
+    }
+
     /// The devices a fresh worker for `model` should span: the whole pool
-    /// in tensor-parallel or weight-sharded mode, else the model's sticky
-    /// least-loaded placement.
+    /// under a pool plan, else the model's sticky least-loaded placement.
     fn placement(&self, model: &str) -> Vec<usize> {
-        if (self.cfg.tensor_parallel || self.cfg.weight_sharded) && self.pool.len() > 1 {
+        if self.spans_pool() && self.pool.len() > 1 {
             (0..self.pool.len()).collect()
         } else {
             vec![self.pool.place(model)]
@@ -609,8 +608,7 @@ impl<B: Backend> Registry<B> {
             self.cfg.policy,
             self.cfg.queue_cap,
             self.cfg.precision_tier,
-            self.cfg.weight_sharded,
-            self.cfg.tensor_parallel,
+            self.cfg.plan,
             stats,
             Arc::new(move |cost| pool.note_done(home, cost.max(1))),
         )
@@ -1163,23 +1161,11 @@ mod tests {
         use gpupoly_device::DeviceConfig;
         use gpupoly_shard::DevicePool;
         let dir = temp_dir("replicate");
-        // A wide two-hidden-layer model so each single-query verify keeps
-        // its worker measurably busy — the saturation below is sequenced on
-        // that, not on sleeps.
-        let mix = |i: usize| ((((i + 5) * 2654435761) % 997) as f32 / 499.0 - 1.0) * 0.2;
-        let wide = NetworkBuilder::new_flat(8)
-            .dense_flat(150, (0..150 * 8).map(mix).collect(), vec![0.0; 150])
-            .relu()
-            .dense_flat(150, (0..150 * 150).map(mix).collect(), vec![0.0; 150])
-            .relu()
-            .dense_flat(3, (0..3 * 150).map(mix).collect(), vec![0.0; 3])
-            .build()
-            .unwrap();
-        store::save(&dir, "m", &wide).unwrap();
+        write_model(&dir, "m", 8, 24);
 
         let mut cfg = RegistryConfig::new(&dir);
-        // Single-query batches + a one-slot queue: one verify in flight and
-        // one queued item saturate a replica.
+        // Single-query batches + a one-slot queue: one popped item and one
+        // queued item saturate a replica.
         cfg.queue_cap = 1;
         cfg.policy = BatchPolicy {
             max_batch: 1,
@@ -1189,8 +1175,8 @@ mod tests {
             Arc::new(DevicePool::build(2, DeviceConfig::new().workers(1)));
         let registry = Registry::with_pool(pool.clone(), cfg);
 
-        // Waits until every queued item has been popped (the workers are
-        // busy verifying, their queues empty) so the next submission lands
+        // Waits until every queued item has been popped (the workers hold
+        // one item each, their queues empty) so the next submission lands
         // in a known queue state.
         let drained_queues = |registry: &Registry<gpupoly_device::CpuSimBackend>| {
             let deadline = Instant::now() + Duration::from_secs(30);
@@ -1204,9 +1190,17 @@ mod tests {
             }
         };
 
+        let cold = registry.submit("m", vec![0.5; 8], 0, 0.02).unwrap();
+        assert!(recv(cold).is_ok());
+        assert_eq!(pool.replicas("m").len(), 1, "cold load places one replica");
+        // A worker that has popped an item stays busy with it until the test
+        // opens the model's dispatch gate: the saturation below is sequenced
+        // on that, not on how long a verify takes.
+        let stats = registry.entries.lock()["m"].stats.clone();
+        let gate = stats.dispatch_gate.lock();
+
         // q1 occupies the worker, q2 fills its one-slot queue.
         let q1 = registry.submit("m", vec![0.5; 8], 0, 0.01).unwrap();
-        assert_eq!(pool.replicas("m").len(), 1, "cold load places one replica");
         drained_queues(&registry);
         let q2 = registry.submit("m", vec![0.45; 8], 1, 0.01).unwrap();
         // q3 finds every queue full: the model replicates onto the second
@@ -1221,16 +1215,18 @@ mod tests {
             pool.device(0).memory_in_use() > 0 && pool.device(1).memory_in_use() > 0,
             "weights resident on both devices"
         );
+        drop(gate);
         for rx in [q1, q2, q3] {
             assert!(recv(rx).is_ok());
         }
-        let stats = registry.model_stats();
-        assert_eq!(stats[0].completed, 3);
-        assert_eq!(stats[0].rejected_overload, 0, "nothing bounced");
+        let wire = registry.model_stats();
+        assert_eq!(wire[0].completed, 4);
+        assert_eq!(wire[0].rejected_overload, 0, "nothing bounced");
 
         // With the pool covered, saturation of both replicas bounces with
-        // the structured overload: two verifying workers, two full queues,
-        // and a fifth query with nowhere left to replicate.
+        // the structured overload: two busy workers, two full queues, and a
+        // fifth query with nowhere left to replicate.
+        let gate = stats.dispatch_gate.lock();
         let busy_a = registry.submit("m", vec![0.5; 8], 0, 0.01).unwrap();
         drained_queues(&registry);
         let busy_b = registry.submit("m", vec![0.44; 8], 1, 0.01).unwrap();
@@ -1243,6 +1239,7 @@ mod tests {
             }
             other => panic!("expected Overloaded on a covered pool, got {other:?}"),
         }
+        drop(gate);
         for rx in [busy_a, busy_b, queued_a, queued_b] {
             assert!(recv(rx).is_ok());
         }
@@ -1256,7 +1253,7 @@ mod tests {
         let dir = temp_dir("tp");
         write_model(&dir, "m", 8, 24);
         let mut cfg = RegistryConfig::new(&dir);
-        cfg.tensor_parallel = true;
+        cfg.plan.split_rows = true;
         let pool: Arc<DevicePool<gpupoly_device::CpuSimBackend>> =
             Arc::new(DevicePool::build(2, DeviceConfig::new().workers(1)));
         let registry = Registry::with_pool(pool.clone(), cfg);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gpupoly_core::{CompleteVerdict, RefineBudget, VerifyConfig, VerifyError};
+use gpupoly_core::{CompleteVerdict, Plan, RefineBudget, VerifyConfig, VerifyError};
 use gpupoly_device::{Backend, Device, DeviceConfig};
 use gpupoly_shard::DevicePool;
 use parking_lot::Mutex;
@@ -64,18 +64,14 @@ pub struct ServerConfig {
     /// apply per device). With more than one device, models are placed
     /// least-loaded and hot models replicate onto idle devices.
     pub devices: usize,
-    /// Serve every model tensor-parallel across the whole pool instead of
-    /// replicating (see `RegistryConfig::tensor_parallel`). Mutually
-    /// exclusive with `precision_tier`.
-    pub tensor_parallel: bool,
-    /// Serve every model FSDP-style weight-sharded across the whole pool:
-    /// each device holds ~1/N of the weight bytes and layers are
-    /// all-gathered just in time (see `RegistryConfig::weight_sharded`).
-    /// Combined with `tensor_parallel`, serving is **hybrid**: every
-    /// device walks its own row block through the shared weight shards,
-    /// gathering remote layers onto itself. Mutually exclusive with
+    /// How every model is placed over the pool (see `RegistryConfig::plan`):
+    /// `--tensor-parallel` sets [`Plan::split_rows`] (one worker per model,
+    /// every device walking its own row block, instead of replicating),
+    /// `--weight-sharded` sets [`Plan::shard_weights`] (each device holds
+    /// ~1/N of the weight bytes, layers all-gathered just in time), both
+    /// together serve **hybrid**. Either is mutually exclusive with
     /// `precision_tier`.
-    pub weight_sharded: bool,
+    pub plan: Plan,
 }
 
 impl ServerConfig {
@@ -93,8 +89,7 @@ impl ServerConfig {
             verify: VerifyConfig::default(),
             precision_tier: false,
             devices: 1,
-            tensor_parallel: false,
-            weight_sharded: false,
+            plan: Plan::default(),
         }
     }
 }
@@ -120,22 +115,15 @@ impl<B: Backend + Default> Server<B> {
     ///
     /// # Errors
     ///
-    /// Any socket error from binding, or `InvalidInput` when
-    /// `tensor_parallel` or `weight_sharded` is combined with
-    /// `precision_tier` (the tiered engine is single-device and keeps full
-    /// weights on one device). `tensor_parallel` + `weight_sharded`
-    /// composes as hybrid 2D sharding.
+    /// Any socket error from binding, or `InvalidInput` when a pool `plan`
+    /// is combined with `precision_tier` (the tiered engine is
+    /// single-device and keeps full weights on one device). The plan's two
+    /// choices compose freely (both = hybrid 2D sharding).
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Self> {
-        if cfg.tensor_parallel && cfg.precision_tier {
+        if cfg.precision_tier && cfg.plan != Plan::default() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "tensor-parallel serving and the precision tier are mutually exclusive",
-            ));
-        }
-        if cfg.weight_sharded && cfg.precision_tier {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "weight-sharded serving and the precision tier are mutually exclusive",
+                "tensor-parallel / weight-sharded serving and the precision tier are mutually exclusive",
             ));
         }
         let listener = TcpListener::bind(addr)?;
@@ -168,8 +156,7 @@ impl<B: Backend + Default> Server<B> {
                 memory_budget: cfg.memory_budget,
                 verify: cfg.verify,
                 precision_tier: cfg.precision_tier,
-                tensor_parallel: cfg.tensor_parallel,
-                weight_sharded: cfg.weight_sharded,
+                plan: cfg.plan,
             },
         );
         Ok(Self {

@@ -69,6 +69,11 @@ pub struct ModelStats {
     /// **single** atomic, so there is no two-gauge read window in which a
     /// model with live work can look evictable.
     pub pinned: AtomicU64,
+    /// Unit tests only: a worker takes this lock around every batch it has
+    /// popped, so a test holding it keeps the model's workers busy — with
+    /// their queues drained — for exactly as long as it needs.
+    #[cfg(test)]
+    pub(crate) dispatch_gate: parking_lot::Mutex<()>,
 }
 
 impl ModelStats {

@@ -10,9 +10,9 @@ use gpupoly_core::{Engine, Query, VerifyConfig};
 use gpupoly_device::{CpuSimBackend, Device, DeviceConfig};
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::{store, Network};
-use gpupoly_serve::protocol::{ErrorCode, Reply, Request};
+use gpupoly_serve::protocol::{ErrorCode, Reply, Request, WireMargin};
 use gpupoly_serve::{
-    Client, ClientError, DevicePool, Registry, RegistryConfig, Server, ServerConfig,
+    BatchPolicy, Client, ClientError, DevicePool, Registry, RegistryConfig, Server, ServerConfig,
 };
 
 /// Deterministic dense ReLU net: `inputs → width (ReLU) → outputs`.
@@ -45,6 +45,51 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A coalescing window wide enough that pipelined queries ride one batch: a
+/// pool only splits a batch it can fuse, so a lone query walks on the first
+/// device like it would on a single one.
+const COALESCING: BatchPolicy = BatchPolicy {
+    max_batch: 16,
+    max_delay: Duration::from_millis(250),
+};
+
+/// Pipelines `queries` id-tagged over one connection without reading a
+/// reply in between, and returns `(verified, margins)` per query, in query
+/// order.
+fn verify_pipelined(
+    client: &mut Client,
+    model: &str,
+    queries: &[(Vec<f32>, usize, f32)],
+) -> Vec<(bool, Vec<WireMargin>)> {
+    for (id, (image, label, eps)) in queries.iter().enumerate() {
+        let request = Request::Verify {
+            model: model.into(),
+            image: image.clone(),
+            label: *label,
+            eps: *eps,
+        };
+        client
+            .send_request(&request, Some(id as u64))
+            .expect("pipelined send");
+    }
+    let mut served = vec![None; queries.len()];
+    for _ in queries {
+        match client.recv_any().expect("mux reply") {
+            (
+                Some(id),
+                Reply::Verdict {
+                    verified, margins, ..
+                },
+            ) => served[id as usize] = Some((verified, margins)),
+            other => panic!("expected an id-tagged verdict, got {other:?}"),
+        }
+    }
+    served
+        .into_iter()
+        .map(|s| s.expect("every id answered"))
+        .collect()
 }
 
 /// One connection, many outstanding id-tagged requests: every reply comes
@@ -125,7 +170,8 @@ fn tensor_parallel_pool_is_bit_identical_and_metered_per_device() {
 
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.tensor_parallel = true;
+    cfg.plan.split_rows = true;
+    cfg.policy = COALESCING;
     cfg.workers = Some(1);
     cfg.verify = VerifyConfig {
         early_termination: false,
@@ -147,10 +193,7 @@ fn tensor_parallel_pool_is_bit_identical_and_metered_per_device() {
             (image, q % 4, 0.005 + 0.003 * (q % 3) as f32)
         })
         .collect();
-    let mut served = Vec::new();
-    for (image, label, eps) in &queries {
-        served.push(client.verify("beta", image, *label, *eps).expect("verify"));
-    }
+    let served = verify_pipelined(&mut client, "beta", &queries);
 
     // Bit-identity against a direct single-device engine.
     let direct_device = Device::with_backend(CpuSimBackend, DeviceConfig::new().workers(1));
@@ -169,10 +212,10 @@ fn tensor_parallel_pool_is_bit_identical_and_metered_per_device() {
             .map(|(image, label, eps)| Query::new(image.clone(), *label, *eps))
             .collect::<Vec<_>>(),
     );
-    for (s, d) in served.iter().zip(direct) {
+    for ((verified, margins), d) in served.iter().zip(direct) {
         let d = d.expect("direct verdict");
-        assert_eq!(s.verified, d.verified);
-        for (sm, dm) in s.margins.iter().zip(&d.margins) {
+        assert_eq!(*verified, d.verified);
+        for (sm, dm) in margins.iter().zip(&d.margins) {
             assert_eq!(sm.adversary, dm.adversary);
             assert_eq!(sm.proven, dm.proven);
             assert_eq!(
@@ -205,6 +248,14 @@ fn tensor_parallel_pool_is_bit_identical_and_metered_per_device() {
     assert_eq!(
         stats.device.flops,
         stats.devices.iter().map(|d| d.flops).sum::<u64>()
+    );
+    // A pool's batches are counted and timed like a single device's, so
+    // cost-aware admission (`queue_cost_cap`) can engage.
+    assert!(stats.models[0].fused_batches > 0, "{:?}", stats.models);
+    assert!(
+        stats.models[0].ewma_ms_per_cost > 0.0,
+        "a served batch must warm the EWMA: {:?}",
+        stats.models
     );
 
     handle.shutdown();
@@ -263,7 +314,7 @@ fn weight_sharded_pool_is_bit_identical_and_metered_per_device() {
 
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.weight_sharded = true;
+    cfg.plan.shard_weights = true;
     cfg.workers = Some(1);
     cfg.verify = VerifyConfig {
         early_termination: false,
@@ -375,8 +426,9 @@ fn hybrid_sharded_pool_walks_and_gathers_on_every_device() {
 
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.weight_sharded = true;
-    cfg.tensor_parallel = true;
+    cfg.plan.shard_weights = true;
+    cfg.plan.split_rows = true;
+    cfg.policy = COALESCING;
     cfg.workers = Some(1);
     cfg.verify = VerifyConfig {
         early_termination: false,
@@ -398,10 +450,7 @@ fn hybrid_sharded_pool_walks_and_gathers_on_every_device() {
             (image, q % 4, 0.004 + 0.002 * (q % 3) as f32)
         })
         .collect();
-    let mut served = Vec::new();
-    for (image, label, eps) in &queries {
-        served.push(client.verify("delta", image, *label, *eps).expect("verify"));
-    }
+    let served = verify_pipelined(&mut client, "delta", &queries);
 
     let direct_device = Device::with_backend(CpuSimBackend, DeviceConfig::new().workers(1));
     let engine = Engine::new(
@@ -419,10 +468,10 @@ fn hybrid_sharded_pool_walks_and_gathers_on_every_device() {
             .map(|(image, label, eps)| Query::new(image.clone(), *label, *eps))
             .collect::<Vec<_>>(),
     );
-    for (s, d) in served.iter().zip(direct) {
+    for ((verified, margins), d) in served.iter().zip(direct) {
         let d = d.expect("direct verdict");
-        assert_eq!(s.verified, d.verified);
-        for (sm, dm) in s.margins.iter().zip(&d.margins) {
+        assert_eq!(*verified, d.verified);
+        for (sm, dm) in margins.iter().zip(&d.margins) {
             assert_eq!(sm.adversary, dm.adversary);
             assert_eq!(sm.proven, dm.proven);
             assert_eq!(
@@ -509,7 +558,7 @@ fn weight_sharded_eviction_frees_every_devices_shard_and_respects_pins() {
     // ~1264 full bytes per model; worst shard + double buffer ≈ 2592. A
     // 3000-byte per-device budget fits one weight-sharded model, never two.
     let mut cfg = RegistryConfig::new(&dir);
-    cfg.weight_sharded = true;
+    cfg.plan.shard_weights = true;
     cfg.memory_budget = Some(3000);
     // A long coalescing window keeps m1's query admitted-but-unanswered
     // (hence pinned) while m2 applies pressure.
@@ -621,7 +670,7 @@ fn oversized_model_loads_weight_sharded_and_device_ooms_without() {
     // bit-identically to an (unbudgeted) single-device engine.
     let mut ws = ServerConfig::new(&dir);
     ws.devices = 2;
-    ws.weight_sharded = true;
+    ws.plan.shard_weights = true;
     ws.memory_budget = Some(budget);
     ws.workers = Some(1);
     let server = Server::<CpuSimBackend>::bind("127.0.0.1:0", ws).unwrap();
@@ -670,15 +719,15 @@ fn weight_sharded_excludes_tensor_parallel_and_precision_tier_at_bind() {
     // Hybrid is a supported composition: bind must succeed.
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.weight_sharded = true;
-    cfg.tensor_parallel = true;
+    cfg.plan.shard_weights = true;
+    cfg.plan.split_rows = true;
     let server = Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg)
         .expect("hybrid (--weight-sharded --tensor-parallel) must bind");
     drop(server);
 
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.weight_sharded = true;
+    cfg.plan.shard_weights = true;
     cfg.precision_tier = true;
     match Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg) {
         Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}"),
@@ -694,7 +743,7 @@ fn tensor_parallel_excludes_precision_tier_at_bind() {
     let dir = temp_dir("excl");
     let mut cfg = ServerConfig::new(&dir);
     cfg.devices = 2;
-    cfg.tensor_parallel = true;
+    cfg.plan.split_rows = true;
     cfg.precision_tier = true;
     match Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg) {
         Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput),

@@ -12,18 +12,19 @@
 //!   least-loaded of them), otherwise the least-loaded device overall,
 //!   recorded as the model's new affinity.
 //! * **sharded walks** — [`ShardedEngine`] (re-exported from
-//!   `gpupoly_core`) spans the pool in any of three modes: tensor-parallel
-//!   *row* sharding packs one resident engine per device and partitions the
-//!   fused backsubstitution row space across them per layer step;
-//!   FSDP-style *weight* sharding partitions the model's layers across the
-//!   pool (each device holds ~1/N of the weight bytes) and all-gathers them
-//!   onto device 0 just in time — serving models bigger than any one
-//!   device; *hybrid* 2D sharding composes both, every device walking its
-//!   own row block and gathering remote layers onto itself. All three keep
-//!   margins bit-identical to the single-device walk. Admission charges
-//!   weight-sharded and hybrid workers the same per-device bound — the
-//!   worst shard plus the gather cache's double-buffer floor
-//!   (`weight_shard_budget(...).worst_device_bytes()`): in hybrid mode
+//!   `gpupoly_core`) spans the pool under a `gpupoly_core::Plan` of two
+//!   independent choices: *row* sharding (`split_rows`) makes every device
+//!   a walker over its own contiguous block of the fused backsubstitution
+//!   row space; FSDP-style *weight* sharding (`shard_weights`) partitions
+//!   the model's layers across the pool (each device holds ~1/N of the
+//!   weight bytes) and all-gathers them onto the walking device just in
+//!   time — serving models bigger than any one device; both together are
+//!   *hybrid* 2D sharding, every device walking its own row block and
+//!   gathering remote layers onto itself. Every plan keeps margins
+//!   bit-identical to the single-device walk. Admission charges every
+//!   weight-sharded worker the same per-device bound — the worst shard
+//!   plus the gather cache's double-buffer floor
+//!   (`weight_shard_budget(...).worst_device_bytes()`): with both choices
 //!   every device both holds a shard and gathers, so one worst-device
 //!   charge covers each of them.
 //!

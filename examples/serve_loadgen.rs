@@ -94,8 +94,8 @@ fn drive<B: gpupoly::device::Backend + Default>(
     cfg.devices = devices;
     // Hybrid = both flags: weight shards on every device AND row-parallel
     // walks across the pool.
-    cfg.weight_sharded = (weight_shard || hybrid) && devices > 1;
-    cfg.tensor_parallel = (hybrid || !weight_shard) && devices > 1;
+    cfg.plan.shard_weights = (weight_shard || hybrid) && devices > 1;
+    cfg.plan.split_rows = (hybrid || !weight_shard) && devices > 1;
     let server = Server::<B>::bind("127.0.0.1:0", cfg).expect("bind");
     let registry = server.registry().clone();
     let handle = server.spawn();
