@@ -579,6 +579,40 @@ mod tests {
         assert!(chunked.stats.chunks >= whole.stats.chunks);
     }
 
+    /// Two padded convolutions (the second strided) and a dense head over an
+    /// 8×8 image: dependence-set windows that meet every border.
+    fn conv_net() -> Network<f32> {
+        let b = NetworkBuilder::new(gpupoly_nn::Shape::new(8, 8, 1))
+            .conv(
+                4,
+                (3, 3),
+                (1, 1),
+                (1, 1),
+                (0..36).map(|i| ((i % 9) as f32 - 4.0) * 0.12).collect(),
+                vec![0.02; 4],
+            )
+            .relu()
+            .conv(
+                6,
+                (3, 3),
+                (2, 2),
+                (1, 1),
+                (0..216).map(|i| ((i % 7) as f32 - 3.0) * 0.08).collect(),
+                vec![0.0; 6],
+            )
+            .relu();
+        let in_len = b.current_shape().len();
+        b.flatten_dense(
+            12,
+            move |i| (((i * 13) % 23) as f32 - 11.0) * 0.4 / in_len as f32,
+            |_| 0.01,
+        )
+        .relu()
+        .flatten_dense(4, |i| ((i % 7) as f32 - 3.0) * 0.1, |_| 0.0)
+        .build()
+        .unwrap()
+    }
+
     #[test]
     fn constrained_memory_still_completes_via_chunking() {
         // A device whose memory only fits a handful of rows at a time.
@@ -601,6 +635,39 @@ mod tests {
         for (x, y) in a.output_bounds().iter().zip(b.output_bounds()) {
             assert!((x.lo - y.lo).abs() < 1e-5 && (x.hi - y.hi).abs() < 1e-5);
         }
+        // A convolutional net under the same kind of cap. Windows are stored
+        // clipped to their layer, so a row is sized by the largest layer and
+        // not by a padded one: the cap holds more rows than it used to be
+        // credited with (with a margin of two positions per convolution
+        // around every layer, this net took PARENT_CHUNKS chunks here), and
+        // the estimate still covers what a chunk allocates.
+        const PARENT_CHUNKS: usize = 91;
+        let conv = conv_net();
+        let graph = conv.graph();
+        let input = vec![Itv::new(0.3_f32, 0.7); 64];
+        let cfg = VerifyConfig {
+            early_termination: false,
+            ..Default::default()
+        };
+        let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(1 << 17));
+        let a = run(&device, &graph, &cfg, &input).unwrap();
+        assert!(
+            a.stats.chunks > a.stats.relu_nodes,
+            "expected chunked execution"
+        );
+        assert!(
+            a.stats.chunks <= PARENT_CHUNKS,
+            "{} chunks where a padded estimate took {PARENT_CHUNKS}",
+            a.stats.chunks
+        );
+        assert_eq!(a.stats.chunk_shrinks, 0, "the estimate must cover a chunk");
+        let b = run(&big, &graph, &cfg, &input).unwrap();
+        for (x, y) in a.output_bounds().iter().zip(b.output_bounds()) {
+            assert_eq!(
+                (x.lo.to_bits(), x.hi.to_bits()),
+                (y.lo.to_bits(), y.hi.to_bits())
+            );
+        }
     }
 
     #[test]
@@ -609,7 +676,7 @@ mod tests {
         // before it fails: they must not count against the chunk size, or
         // every walk after the first runs in smaller chunks than a cold
         // device would use.
-        let net = NetworkBuilder::new_flat(16)
+        let dense = NetworkBuilder::new_flat(16)
             .flatten_dense(128, |i| ((i % 13) as f32 - 6.0) * 0.1, |_| 0.05)
             .relu()
             .flatten_dense(128, |i| ((i % 11) as f32 - 5.0) * 0.1, |_| -0.05)
@@ -617,51 +684,70 @@ mod tests {
             .flatten_dense(4, |i| ((i % 7) as f32 - 3.0) * 0.1, |_| 0.0)
             .build()
             .unwrap();
-        let graph = net.graph();
-        // The per-row estimate, read off a device so large that the division
-        // is exact; then room for 32 rows and 1 KiB to spare, so that any
-        // larger amount held against the capacity costs a row.
-        let probe = Device::new(DeviceConfig::new().memory_capacity(1 << 40));
-        let probe_rows = PreparedGraph::new(&probe, &graph, false)
-            .unwrap()
-            .chunk_for(&probe);
-        let capacity = 32 * ((1 << 40) / probe_rows) + 1024;
-        let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(capacity));
-        device.buffer_pool_retain();
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
-        let input = vec![Itv::new(-1.0_f32, 1.0); 16];
-        let cfg = VerifyConfig::default();
-        let cold = prepared.chunk_for(&device);
-        assert_eq!(cold, 32);
-        let first = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
-        assert!(
-            first.stats.chunks > first.stats.relu_nodes,
-            "expected chunked execution at {cold} rows a chunk"
-        );
-        assert!(
-            device.buffer_pool_bytes() > 1024,
-            "the walk leaves a warm shelf"
-        );
-        assert_eq!(prepared.chunk_for(&device), cold, "warm chunk size");
-        let second = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
-        assert!(
-            second.stats.chunks <= first.stats.chunks,
-            "a repeated query needed {} chunks after {}",
-            second.stats.chunks,
-            first.stats.chunks
-        );
-        assert_eq!(
-            second.stats.chunk_shrinks, first.stats.chunk_shrinks,
-            "a warm shelf must not cost extra out-of-memory retries"
-        );
-        for (x, y) in first.output_bounds().iter().zip(second.output_bounds()) {
-            assert_eq!(
-                (x.lo.to_bits(), x.hi.to_bits()),
-                (y.lo.to_bits(), y.hi.to_bits())
+        // The same on convolutions, whose rows are sized by the largest
+        // layer now that no window is stored larger: the chunks that size
+        // credits the cap with must fit it, warm or cold.
+        let cases = [
+            (
+                dense,
+                vec![Itv::new(-1.0_f32, 1.0); 16],
+                VerifyConfig::default(),
+            ),
+            (
+                conv_net(),
+                vec![Itv::new(0.3_f32, 0.7); 64],
+                VerifyConfig {
+                    early_termination: false,
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (net, input, cfg) in cases {
+            let graph = net.graph();
+            // The per-row estimate, read off a device so large that the
+            // division is exact; then room for 32 rows and 1 KiB to spare, so
+            // that any larger amount held against the capacity costs a row.
+            let probe = Device::new(DeviceConfig::new().memory_capacity(1 << 40));
+            let probe_rows = PreparedGraph::new(&probe, &graph, false)
+                .unwrap()
+                .chunk_for(&probe);
+            let capacity = 32 * ((1 << 40) / probe_rows) + 1024;
+            let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(capacity));
+            device.buffer_pool_retain();
+            let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+            let cold = prepared.chunk_for(&device);
+            assert_eq!(cold, 32);
+            let first = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+            assert!(
+                first.stats.chunks > first.stats.relu_nodes,
+                "expected chunked execution at {cold} rows a chunk"
             );
+            assert_eq!(first.stats.chunk_shrinks, 0, "32 rows must fit the cap");
+            assert!(
+                device.buffer_pool_bytes() > 1024,
+                "the walk leaves a warm shelf"
+            );
+            assert_eq!(prepared.chunk_for(&device), cold, "warm chunk size");
+            let second = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+            assert!(
+                second.stats.chunks <= first.stats.chunks,
+                "a repeated query needed {} chunks after {}",
+                second.stats.chunks,
+                first.stats.chunks
+            );
+            assert_eq!(
+                second.stats.chunk_shrinks, first.stats.chunk_shrinks,
+                "a warm shelf must not cost extra out-of-memory retries"
+            );
+            for (x, y) in first.output_bounds().iter().zip(second.output_bounds()) {
+                assert_eq!(
+                    (x.lo.to_bits(), x.hi.to_bits()),
+                    (y.lo.to_bits(), y.hi.to_bits())
+                );
+            }
+            device.buffer_pool_release();
+            assert_eq!(device.memory_in_use(), 0);
         }
-        device.buffer_pool_release();
-        assert_eq!(device.memory_in_use(), 0);
     }
 
     #[test]

@@ -478,22 +478,11 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
     }
 
     /// Worst-case per-row footprint: the window of a backsubstituted
-    /// expression never exceeds a layer's padded spatial extent, so the
-    /// per-row bytes are bounded by the largest such window times two
-    /// interval planes, double-buffered across a step.
+    /// expression is stored clipped to its layer ([`crate::expr`]), so the
+    /// per-row bytes are bounded by the largest layer times two interval
+    /// planes, double-buffered across a step.
     fn bytes_per_row(graph: &Graph<'_, F>) -> usize {
-        let margin = 2 * graph
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.op, Op::Conv(_)))
-            .count()
-            .max(2);
-        let max_cols = graph
-            .nodes
-            .iter()
-            .map(|n| (n.shape.h + margin) * (n.shape.w + margin) * n.shape.c)
-            .max()
-            .unwrap_or(1);
+        let max_cols = graph.nodes.iter().map(|n| n.shape.len()).max().unwrap_or(1);
         max_cols * std::mem::size_of::<Itv<F>>() * 2 * 3
     }
 }

@@ -13,10 +13,17 @@
 //!   with a per-row origin (§3.1/§4.3): convolutional backsubstitution only
 //!   stores and processes these small dense windows.
 //!
-//! Window positions that fall outside the frontier layer (negative origins
-//! from padding) are *virtual*: they correspond to zero padding, carry zero
-//! coefficients (an invariant maintained by every step), and are skipped by
-//! all consumers.
+//! A window always lies **inside** the frontier layer. The dependence set of
+//! a padded convolution reaches past the layer's border, into zero padding
+//! that no neuron stands for; every constructor that grows a window
+//! ([`ExprBatch::from_conv`], [`crate::steps::step_conv`],
+//! [`ExprBatch::merge`]) stores it *clipped* to the layer ([`clip_origin`])
+//! — never larger than the layer, and slid back inside it where it would
+//! start in the padding or end past the far border. All rows of a batch share
+//! one window size, so a slid window covers, beside the row's real
+//! dependence set, positions the set does not contain: their coefficients are
+//! exact zeros, which every kernel skips and none counts. No position is
+//! *virtual*; no consumer tests for one.
 //!
 //! # Query segments (cross-query fusion)
 //!
@@ -33,6 +40,16 @@ use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
 use crate::VerifyError;
+
+/// Clips a dependence-set window to its layer, one dimension at a time: a
+/// window of `win` positions from `origin` (which may lie in the padding,
+/// before `0`) over a layer of `extent` positions is stored `min(win, extent)`
+/// long — pass that as `win` — from the nearest origin that keeps it inside.
+/// The positions of the layer the unclipped window covered stay covered.
+pub(crate) fn clip_origin(origin: i32, win: usize, extent: usize) -> i32 {
+    debug_assert!(win <= extent, "clip the window size first");
+    origin.clamp(0, (extent - win) as i32)
+}
 
 /// A batch of paired (lower, upper) polyhedral expressions over one node.
 ///
@@ -69,6 +86,10 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     /// # Errors
     ///
     /// Device out-of-memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row's window leaves the layer (see the module docs).
     pub fn zeroed(
         device: &Device<B>,
         node: NodeId,
@@ -114,6 +135,16 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     ) -> Result<Self, VerifyError> {
         let rows = origins.len();
         let cols = win_h * win_w * shape.c;
+        ExprGeom {
+            win_h,
+            win_w,
+            shape_h: shape.h,
+            shape_w: shape.w,
+            chans: shape.c,
+            origins: &origins,
+            seg: &[],
+        }
+        .assert_in_extent("ExprBatch");
         Ok(Self {
             node,
             shape,
@@ -232,9 +263,10 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
 
     /// The initial batch of a convolution layer: row `r` holds the filter
     /// taps of `neurons[r]` in its first dependence set (window `kh × kw`
-    /// at origin `(h·s − p, w·s − p)`), over the layer's parent node.
-    /// Virtual taps (padding) stay zero. `round_off` is the layer's, per
-    /// output neuron, as for [`ExprBatch::from_dense`].
+    /// at origin `(h·s − p, w·s − p)`), over the layer's parent node —
+    /// clipped to the parent (module docs): taps that fall into the padding
+    /// are not stored. `round_off` is the layer's, per output neuron, as for
+    /// [`ExprBatch::from_dense`].
     ///
     /// # Errors
     ///
@@ -274,36 +306,42 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         round_off: Option<&[F]>,
     ) -> Result<Self, VerifyError> {
         let parent_shape = conv.in_shape;
+        let (win_h, win_w) = (conv.kh.min(parent_shape.h), conv.kw.min(parent_shape.w));
+        // Where tap (0, 0) of a neuron lies, padding included.
+        let tap0 = |n: usize| {
+            let (h, w, _) = conv.out_shape.pos(n);
+            (
+                (h * conv.sh) as i32 - conv.ph as i32,
+                (w * conv.sw) as i32 - conv.pw as i32,
+            )
+        };
         let origins = neurons
             .iter()
             .map(|&n| {
-                let (h, w, _) = conv.out_shape.pos(n);
+                let (th, tw) = tap0(n);
                 (
-                    (h * conv.sh) as i32 - conv.ph as i32,
-                    (w * conv.sw) as i32 - conv.pw as i32,
+                    clip_origin(th, win_h, parent_shape.h),
+                    clip_origin(tw, win_w, parent_shape.w),
                 )
             })
             .collect();
-        let mut batch = Self::zeroed(device, parent, parent_shape, (conv.kh, conv.kw), origins)?;
+        let mut batch = Self::zeroed(device, parent, parent_shape, (win_h, win_w), origins)?;
         let cols = batch.cols();
         let cin = parent_shape.c;
         for (r, &n) in neurons.iter().enumerate() {
             let (_, _, d) = conv.out_shape.pos(n);
-            let (oh, ow) = batch.origins[r];
+            let ((th, tw), (oh, ow)) = (tap0(n), batch.origins[r]);
             for f in 0..conv.kh {
                 for g in 0..conv.kw {
-                    let h = oh + f as i32;
-                    let w = ow + g as i32;
-                    if h < 0
-                        || w < 0
-                        || h as usize >= parent_shape.h
-                        || w as usize >= parent_shape.w
-                    {
-                        continue; // virtual tap: padding, coefficient stays 0
+                    // Window coordinates of the tap; outside the window, it
+                    // lies in the padding.
+                    let (i, j) = (th + f as i32 - oh, tw + g as i32 - ow);
+                    if i < 0 || j < 0 || i as usize >= win_h || j as usize >= win_w {
+                        continue;
                     }
                     for ci in 0..cin {
                         let wv = weight[conv.widx(f, g, d, ci)];
-                        let at = r * cols + (f * conv.kw + g) * cin + ci;
+                        let at = r * cols + (i as usize * win_w + j as usize) * cin + ci;
                         batch.lo[at] = Itv::point(wv);
                         batch.hi[at] = Itv::point(wv);
                     }
@@ -493,17 +531,8 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         self.node = node;
     }
 
-    /// `true` when window position `(i, j)` of row `r` maps to a real neuron.
-    #[inline(always)]
-    pub fn is_real(&self, r: usize, i: usize, j: usize) -> bool {
-        let (oh, ow) = self.origins[r];
-        let h = oh + i as i32;
-        let w = ow + j as i32;
-        h >= 0 && w >= 0 && (h as usize) < self.shape.h && (w as usize) < self.shape.w
-    }
-
     /// Linear index (into the frontier node) of window position
-    /// `(i, j, c)` of row `r`; caller must have checked [`ExprBatch::is_real`].
+    /// `(i, j, c)` of row `r`.
     #[inline(always)]
     pub fn neuron_at(&self, r: usize, i: usize, j: usize, c: usize) -> usize {
         let (oh, ow) = self.origins[r];
@@ -676,7 +705,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         assert_eq!(a.seg, b.seg, "merge: different segment maps");
         let rows = a.rows();
         // Union geometry: per-row min origin; uniform window sized to cover
-        // the worst row.
+        // the worst row (inside the layer, as both branches' windows are).
         let mut origins = Vec::with_capacity(rows);
         let (mut uw_h, mut uw_w) = (0usize, 0usize);
         for r in 0..rows {
@@ -687,6 +716,14 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             uw_h = uw_h.max(((ah + a.win_h as i32).max(bh + b.win_h as i32) - oh) as usize);
             uw_w = uw_w.max(((aw + a.win_w as i32).max(bw + b.win_w as i32) - ow) as usize);
             origins.push((oh, ow));
+        }
+        // The uniform window is the largest row's union; a smaller union
+        // near the far border slides inward under it.
+        for o in &mut origins {
+            *o = (
+                clip_origin(o.0, uw_h, a.shape.h),
+                clip_origin(o.1, uw_w, a.shape.w),
+            );
         }
         let mut m = Self::zeroed(device, a.node, a.shape, (uw_h, uw_w), origins)?;
         m.seg.copy_from_slice(&a.seg);
@@ -795,7 +832,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             let geom = self.geom();
             let (mut lo, mut hi) = (Owed::default(), Owed::default());
             for i in 0..self.win_h {
-                for j in (0..self.win_w).filter(|&j| geom.is_real(r, i, j)) {
+                for j in 0..self.win_w {
                     let base = r * cols + (i * self.win_w + j) * chans;
                     let err = &err[geom.neuron_at(r, i, j)..][..chans];
                     lo.add(&self.lo[base..base + chans], err);
@@ -990,7 +1027,7 @@ mod tests {
     #[test]
     fn from_conv_padding_taps_are_zero() {
         let device = dev();
-        // 2x2 input, 3x3 filter pad 1: neuron (0,0) has 4 virtual taps rows/cols
+        // 2x2 input, 3x3 filter pad 1: five taps of neuron (0,0) are padding
         let conv = Conv2d::new(
             Shape::new(2, 2, 1),
             1,
@@ -1002,7 +1039,8 @@ mod tests {
         )
         .unwrap();
         let batch = ExprBatch::from_conv(&device, &conv, &[0], 0, None).unwrap();
-        assert_eq!(batch.origins()[0], (-1, -1));
+        // The 3×3 filter at (-1, -1) is stored as the 2×2 layer it covers.
+        assert_eq!((batch.window(), batch.origins()[0]), ((2, 2), (0, 0)));
         // Sum over the window with unit bounds = number of real taps = 4.
         let bounds = vec![Itv::point(1.0_f32); 4];
         let cand = batch.concretize(&device, &bounds);
@@ -1010,8 +1048,9 @@ mod tests {
         assert!(cand[0].width() < 1e-5);
     }
 
-    /// The rows of a padded 3×3 convolution over a 3×3×2 input: corner
-    /// windows hang over the edge.
+    /// The rows of a padded 3×3 convolution over a 3×3×2 input: every window
+    /// is the whole layer, and a corner neuron's holds zeros where its filter
+    /// does not reach.
     fn padded_conv_rows<F: Fp>(device: &Device) -> ExprBatch<F, CpuSimBackend> {
         let w = (0..3 * 3 * 2 * 2).map(|i| F::from_f64(((i * 7) % 11) as f64 * 0.25 - 1.25));
         let conv = Conv2d::new(
@@ -1033,7 +1072,7 @@ mod tests {
         let plane = if upper { &batch.hi } else { &batch.lo };
         let mut sum = 0.0;
         for i in 0..batch.win_h {
-            for j in (0..batch.win_w).filter(|&j| geom.is_real(r, i, j)) {
+            for j in 0..batch.win_w {
                 for c in 0..chans {
                     let a = plane[r * batch.cols() + (i * batch.win_w + j) * chans + c];
                     sum += a.mag().to_f64() * err[geom.neuron_at(r, i, j) + c].to_f64();
@@ -1077,8 +1116,8 @@ mod tests {
             }
         }
         // An unbounded round-off costs nothing under a zero coefficient and
-        // everything under any other: row 0 hangs over the top-left corner
-        // and has no term at neuron 17, row 2 (the opposite corner) has.
+        // everything under any other: row 0 sits in the top-left corner
+        // and has a zero at neuron 17, row 2 (the opposite corner) a tap.
         let mut batch = padded_conv_rows::<F>(&device);
         let mut err = err_a.clone();
         err[17] = F::INFINITY;

@@ -16,7 +16,7 @@ use gpupoly_device::{gemm, kernels, scan, Backend, Device, DeviceBuffer, ExprGeo
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
-use crate::expr::ExprBatch;
+use crate::expr::{clip_origin, ExprBatch};
 use crate::relax::ReluRelax;
 use crate::VerifyError;
 
@@ -212,8 +212,14 @@ fn live_columns<F: Fp, B: Backend>(
 ///
 /// The batch's window over the conv output (the `(ℓ−k)`-th dependence set)
 /// grows to `(W−1)·s + f` over the conv input (the `(ℓ−k+1)`-th dependence
-/// set, Eq. 5) with per-row origins `o·s − p` (Eqs. 7–10). Only filter taps
-/// are touched — the loop nest is `rows ∥ (window) (filter) (c_out ⊣) (c_in
+/// set, Eq. 5) with per-row origins `o·s − p` (Eqs. 7–10) — and is stored
+/// clipped to the conv input: no larger than the layer, each row's origin
+/// slid to the nearest one that keeps the window inside it (see
+/// [`crate::expr`]). What the clip drops is padding; a walk that starts at a
+/// dense layer, whose window is a whole layer already, never carries more
+/// than whole layers. The kernel is told both sets of origins and the
+/// padding, and finds each term's place from them. Only filter taps are
+/// touched — the loop nest is `rows ∥ (window) (filter) (c_out ⊣) (c_in
 /// contiguous)`, matching the paper's parallelization strategy (§4.4).
 ///
 /// # Errors
@@ -258,18 +264,29 @@ pub fn step_conv_with<F: Fp, B: Backend>(
         "conv step: frontier/layer mismatch"
     );
     let (wh, ww) = batch.window();
-    let new_win = ((wh - 1) * conv.sh + conv.kh, (ww - 1) * conv.sw + conv.kw);
+    let new_win = (
+        ((wh - 1) * conv.sh + conv.kh).min(conv.in_shape.h),
+        ((ww - 1) * conv.sw + conv.kw).min(conv.in_shape.w),
+    );
     let new_origins: Vec<(i32, i32)> = batch
         .origins()
         .iter()
         .map(|&(oh, ow)| {
             (
-                oh * conv.sh as i32 - conv.ph as i32,
-                ow * conv.sw as i32 - conv.pw as i32,
+                clip_origin(
+                    oh * conv.sh as i32 - conv.ph as i32,
+                    new_win.0,
+                    conv.in_shape.h,
+                ),
+                clip_origin(
+                    ow * conv.sw as i32 - conv.pw as i32,
+                    new_win.1,
+                    conv.in_shape.w,
+                ),
             )
         })
         .collect();
-    // GBC writes every coefficient of both planes, padding positions too.
+    // GBC writes every coefficient of both planes, those no term reaches too.
     let mut out = ExprBatch::for_overwrite(device, parent, conv.in_shape, new_win, new_origins)?;
     out.inherit_segments(&batch);
     let shape = GbcShape {
@@ -277,6 +294,8 @@ pub fn step_conv_with<F: Fp, B: Backend>(
         kw: conv.kw,
         sh: conv.sh,
         sw: conv.sw,
+        ph: conv.ph,
+        pw: conv.pw,
         cout: conv.out_shape.c,
         cin: conv.in_shape.c,
         in_h: conv.in_shape.h,
@@ -289,7 +308,7 @@ pub fn step_conv_with<F: Fp, B: Backend>(
     let (src_lo, src_hi, src_cst_lo, src_cst_hi) = batch.planes();
     {
         let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
-        // Constants absorb the conv bias over real window positions.
+        // Constants absorb the conv bias.
         kernels::bias_fold(
             device,
             "bias_fold_lo",

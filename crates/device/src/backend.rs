@@ -69,9 +69,10 @@
 //!   would be the divergence).
 //!
 //! The zero-skip is a requirement rather than an allowance: skipped terms
-//! enter neither `adds` nor `T` (so dependence-set padding and stable-zero
-//! column compaction — which removes `B` rows that no coefficient meets, and
-//! leaves `wmax` of the others as it was — change neither flops nor bits),
+//! enter neither `adds` nor `T` (so the zeros a dependence-set window holds
+//! beside its row's own coefficients, and stable-zero column compaction —
+//! which removes `B` rows that no coefficient meets, and leaves `wmax` of the
+//! others as it was — change neither flops nor bits),
 //! and on the per-step chain accumulating a zero term is not a bitwise no-op
 //! when an accumulator bound is `-0.0`. Reassociating is never allowed. A
 //! GPU port must therefore use a deterministic fixed-order reduction per
@@ -94,28 +95,48 @@
 //! straight-line oracle across block-boundary and remainder shapes.
 //!
 //! **GBC** (the transpose convolution of a conv step) is the same
-//! interval×scalar sum with the terms *gathered*: the term list of
-//! destination window position `(a, b)` of row `r` is
-//! `src[i][j][d]` over the source window positions `(i, j)` with
-//! `f = a − i·sh ∈ [0, kh)` and `g = b − j·sw ∈ [0, kw)` that are real
-//! ([`ExprGeom::is_real`]) and all output channels `d`, visited in
-//! **ascending `i`, then `j`, then `d`**, exact-zero coefficients skipped
-//! and uncounted. The position's `c_in` elements share the list: element `c`
-//! starts from exact zero and sums `src[i][j][d] · w[f][g][d][c]`; `T` is
-//! taken once per position with `wmax = max_c |w[f][g][d][c]|`
-//! (`+inf` if one of them is `±inf` or NaN), `adds` is the list's terms
-//! minus one, and all `c_in` elements share the epilogue's `e` — for `f32`;
-//! a position whose `T` is not finite (all `c_in` elements of it), and every
-//! position for `f64`, is the per-step [`Itv::mul_add_f`] chain from `[0, 0]`
-//! over the same terms in the same order. The bound is per position, not per
-//! row: a row's positions see different terms, and one `T` for all of them
-//! would over-count both `T` and `adds` by the ratio of a row's terms to one
-//! position's (50–90× on ConvBig's layers). Elements at virtual destination
-//! positions (the conv's padding) and elements no term reaches are written
-//! as exact `[+0, +0]`: the kernel defines every element of its destination,
-//! which the caller therefore need not zero. The `c_in` channels of one
-//! position may be blocked like GEMM columns; nothing else about the order
-//! is free.
+//! interval×scalar sum with the terms *gathered*, stated in the two layers'
+//! own coordinates: window position `(i, j)` of source row `r` stands for
+//! position `(y, x) = o_src[r] + (i, j)` of the conv output, window position
+//! `(a, b)` of its destination row for position `o_dst[r] + (a, b)` of the
+//! conv input, and the term list of a destination position at `(v, u)` is
+//! `src[i][j][d]` over the source window positions with
+//! `f = v + ph − y·sh ∈ [0, kh)` and `g = u + pw − x·sw ∈ [0, kw)` and all
+//! output channels `d`, visited in **ascending `i`, then `j`, then `d`**,
+//! exact-zero coefficients skipped and uncounted. The position's `c_in`
+//! elements share the list: element `c` starts from exact zero and sums
+//! `src[i][j][d] · w[f][g][d][c]`; `T` is taken once per position with
+//! `wmax = max_c |w[f][g][d][c]|` (`+inf` if one of them is `±inf` or NaN),
+//! `adds` is the list's terms minus one, and all `c_in` elements share the
+//! epilogue's `e` — for `f32`; a position whose `T` is not finite (all `c_in`
+//! elements of it), and every position for `f64`, is the per-step
+//! [`Itv::mul_add_f`] chain from `[0, 0]` over the same terms in the same
+//! order. The bound is per position, not per row: a row's positions see
+//! different terms, and one `T` for all of them would over-count both `T`
+//! and `adds` by the ratio of a row's terms to one position's (50–90× on
+//! ConvBig's layers).
+//!
+//! **Both sets of origins are the caller's**, and both windows lie inside
+//! their layers ([`ExprGeom`]): the kernel never assumes
+//! `o_dst = o_src · s − p`. A term whose conv-input position no destination
+//! window position stands for — it fell into the padding, or the caller
+//! stored the window clipped — belongs to no list and vanishes; a destination
+//! element no term reaches is written as exact `[+0, +0]`. The kernel defines
+//! every element of its destination, which the caller therefore need not
+//! zero. No position of either window is *virtual*: `gpupoly-core` clips
+//! every window it grows to the layer (its `expr` module says how), nothing
+//! in this crate builds one, and the launch wrappers refuse a window that
+//! leaves its layer.
+//!
+//! What the order pins is each destination *element's* sequence of
+//! operations. How a backend gets there is free: [`ReferenceBackend`] walks
+//! every destination position's list (the gather, as written above);
+//! [`CpuSimBackend`] walks every source row once and adds each non-zero term
+//! to all the elements it reaches (a scatter, [`GbcScatter`]) — an element
+//! receives its terms in the same order either way, because a source position
+//! reaches it through one filter tap at most. The `c_in` channels of one
+//! position may be blocked like GEMM columns; nothing else about the order is
+//! free.
 //!
 //! **Concretize** evaluates, per row, the lower bound of the lower plane and
 //! the upper bound of the upper plane against interval bounds, so its terms
@@ -125,9 +146,8 @@
 //! `m(p, q) = p < q ? p : q`, the upper sum starts at `cst_hi.hi` and adds the
 //! same with `m(p, q) = p > q ? p : q`, each alongside its own magnitude sum
 //! `T += max(|a.lo|, |a.hi|) · max(|b.lo|, |b.hi|)` (seeded with the start's
-//! magnitude) — real window positions in ascending order, channels
-//! innermost, each plane skipping (and not counting) its own exact-zero
-//! coefficients. With `adds` = that plane's terms, plus one for a non-zero
+//! magnitude) — window positions in ascending order, channels innermost,
+//! each plane skipping (and not counting) its own exact-zero coefficients. With `adds` = that plane's terms, plus one for a non-zero
 //! start, minus one (never below zero), the lower sum moves down and the
 //! upper sum up by `up(T · adds · 2⁻⁵²)` and each is rounded once, directed,
 //! to `f32`; the candidate is `[lo, max(hi, lo)]`. A term counts whatever
@@ -140,7 +160,7 @@
 //! [`gpupoly_interval::wide`].
 //!
 //! **Bias fold** is one interval×scalar output per row over its own term
-//! list: the row's non-zero coefficients at real window positions, ascending
+//! list: the row's non-zero coefficients, window positions ascending
 //! (channels innermost), each with `w = bias[t mod |bias|]`, started from the
 //! row's constant. The interval rule above applies with `wmax = |w|` — the
 //! list has one output — and `T` seeded with the constant's magnitude; a row
@@ -148,8 +168,8 @@
 //! or bias entry such a coefficient meets), and every row for `f64`, is the
 //! [`Itv::mul_add_f`] chain from the constant over the same terms.
 //!
-//! **ReLU step.** Per row, the *terms* are the non-zero coefficients at real
-//! positions whose neuron's relaxation is not the identity (`alpha = gamma =
+//! **ReLU step.** Per row, the *terms* are the non-zero coefficients whose
+//! neuron's relaxation is not the identity (`alpha = gamma =
 //! [1, 1]`, `beta = delta = [0, 0]`, [`ReluRelax::is_identity`]); every other
 //! element, and the constant of a row without terms, stays bit for bit. A
 //! term `a` of definite sign is a *line* term and substitutes through a
@@ -203,7 +223,7 @@
 //! Passing the conformance suite is the admission gate for the kernels; the
 //! buffer abstraction is the one remaining structural gap.
 
-use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideSum, WideTerm};
+use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm};
 use gpupoly_interval::{round, Fp, Itv};
 use rayon::prelude::*;
 
@@ -216,9 +236,15 @@ use crate::Device;
 /// row's origin in the frontier node's `shape_h × shape_w × chans` extent,
 /// and the per-row query-segment index of fused cross-query batches.
 ///
-/// Window positions falling outside the frontier extent (negative origins
-/// from padding) are *virtual*: they carry zero coefficients by invariant
-/// and every kernel skips them via [`ExprGeom::is_real`].
+/// Every window lies **inside** the extent: `0 ≤ origin` and
+/// `origin + win ≤ shape` in both dimensions, for every row. A dependence set
+/// that reaches into a convolution's padding is stored clipped (and, where a
+/// uniform window size leaves room, slid inward over coefficients that are
+/// exact zeros) by whoever builds the batch; no kernel tests a position for
+/// being real, and the launch wrappers of [`crate::kernels`] refuse a
+/// geometry that breaks the rule ([`ExprGeom::assert_in_extent`]). One window
+/// row is therefore one contiguous run of `win_w · chans` elements in the
+/// window *and* in the frontier.
 #[derive(Copy, Clone, Debug)]
 pub struct ExprGeom<'a> {
     /// Window height.
@@ -253,27 +279,62 @@ impl ExprGeom<'_> {
         self.shape_h * self.shape_w * self.chans
     }
 
-    /// `true` when window position `(i, j)` of row `r` maps to a real
-    /// neuron of the frontier node.
-    #[inline(always)]
-    pub fn is_real(&self, r: usize, i: usize, j: usize) -> bool {
-        let (oh, ow) = self.origins[r];
-        let h = oh + i as i32;
-        let w = ow + j as i32;
-        h >= 0 && w >= 0 && (h as usize) < self.shape_h && (w as usize) < self.shape_w
-    }
-
     /// Linear frontier index of window position `(i, j, channel 0)` of row
-    /// `r`; the caller must have checked [`ExprGeom::is_real`].
+    /// `r`.
     #[inline(always)]
     pub fn neuron_at(&self, r: usize, i: usize, j: usize) -> usize {
         let (oh, ow) = self.origins[r];
-        ((oh + i as i32) as usize * self.shape_w + (ow + j as i32) as usize) * self.chans
+        ((oh as usize + i) * self.shape_w + ow as usize + j) * self.chans
+    }
+
+    /// Checks the rule of the type's docs, once per launch.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `kernel`, when a row's window leaves the frontier
+    /// extent.
+    pub fn assert_in_extent(&self, kernel: &str) {
+        assert_windows_in_extent(
+            kernel,
+            self.origins,
+            (self.win_h, self.win_w),
+            (self.shape_h, self.shape_w),
+        );
+    }
+}
+
+/// Panics, naming `kernel`, unless `0 ≤ origin` and `origin + win ≤ extent`
+/// for every origin, in both dimensions.
+pub(crate) fn assert_windows_in_extent(
+    kernel: &str,
+    origins: &[(i32, i32)],
+    win: (usize, usize),
+    extent: (usize, usize),
+) {
+    let inside = |o: i32, win: usize, extent: usize| o >= 0 && o as usize + win <= extent;
+    for (r, &(oh, ow)) in origins.iter().enumerate() {
+        assert!(
+            inside(oh, win.0, extent.0) && inside(ow, win.1, extent.1),
+            "{kernel}: the {}×{} window of row {r} at ({oh}, {ow}) leaves the {}×{} layer",
+            win.0,
+            win.1,
+            extent.0,
+            extent.1
+        );
     }
 }
 
 /// The convolution geometry of one GBC (transpose-convolution) launch —
 /// everything Algorithm 1 needs beyond the source batch geometry.
+///
+/// The kernel works in the layer's own coordinates: source position `(y, x)`
+/// of the conv output reaches, through filter tap `(f, g)`, position
+/// `(y·sh − ph + f, x·sw − pw + g)` of the conv input, and lands wherever the
+/// **caller's** destination origins put that position in the destination
+/// window — nowhere, when it lies outside the window (it is then padding, or
+/// a position the caller clipped). What the kernel trusts is the two sets of
+/// origins and the padding given here; it never assumes
+/// `o_dst = o_src · s − p`.
 #[derive(Copy, Clone, Debug)]
 pub struct GbcShape {
     /// Filter height / width.
@@ -284,6 +345,10 @@ pub struct GbcShape {
     pub sh: usize,
     /// Horizontal stride.
     pub sw: usize,
+    /// Vertical zero padding (rows added above the conv input).
+    pub ph: usize,
+    /// Horizontal zero padding.
+    pub pw: usize,
     /// Output channels (the conv layer's, i.e. the *source* batch's chans).
     pub cout: usize,
     /// Input channels (the *destination* batch's chans).
@@ -306,48 +371,34 @@ impl GbcShape {
 // Shared per-row kernel bodies. Both backends dispatch these row functions
 // (in parallel on CpuSimBackend, serially on ReferenceBackend), so per-row
 // arithmetic — and therefore every result bit — is identical by
-// construction. The conformance suite still checks each backend against
-// *independent* straight-line oracles, so a port that reimplements the rows
-// is held to the same bits.
+// construction; GBC is the exception, a scatter on CpuSimBackend and the
+// contract's gather on ReferenceBackend. The conformance suite checks each
+// backend against *independent* straight-line oracles, so a port that
+// reimplements the rows is held to the same bits.
 // ---------------------------------------------------------------------------
 
-/// Calls `visit(s, t)` for every term of destination window position
-/// `(a, b)` of row `r`, in the contract's order: ascending source position
-/// `i`, then `j`, then output channel `d`. `s` indexes the source row's
-/// coefficient, `t = (f·kw + g)·c_out + d` the filter tap and output channel
-/// it meets (the term's `c_in` weights are the contiguous
-/// `weight[t·c_in..][..c_in]`). Source positions contribute when
-/// `a = i·sh + f` and `b = j·sw + g` for a filter tap `(f, g)` and `(i, j)`
-/// is a real position of the source window.
+/// The source positions along one dimension that reach destination-window
+/// coordinate `a`, as `(i, f)` pairs — source-window coordinate and filter
+/// tap, ascending `i` — given both windows' origins in their layers.
 #[inline(always)]
-fn gbc_terms(
-    r: usize,
-    (a, b): (usize, usize),
-    src_geom: &ExprGeom<'_>,
-    conv: &GbcShape,
-    mut visit: impl FnMut(usize, usize),
-) {
-    let i_first = (a + 1).saturating_sub(conv.kh).div_ceil(conv.sh);
-    let j_first = (b + 1).saturating_sub(conv.kw).div_ceil(conv.sw);
-    for i in i_first..src_geom.win_h.min(a / conv.sh + 1) {
-        let f = a - i * conv.sh;
-        for j in j_first..src_geom.win_w.min(b / conv.sw + 1) {
-            if !src_geom.is_real(r, i, j) {
-                continue; // virtual source position: zero by invariant
-            }
-            let g = b - j * conv.sw;
-            let sbase = (i * src_geom.win_w + j) * conv.cout;
-            let tbase = (f * conv.kw + g) * conv.cout;
-            for d in 0..conv.cout {
-                visit(sbase + d, tbase + d);
-            }
-        }
-    }
+fn reaching(
+    a: usize,
+    (src_origin, src_win): (i32, usize),
+    dst_origin: i32,
+    (k, stride, pad): (usize, usize, usize),
+) -> impl Iterator<Item = (usize, usize)> {
+    // Row (or column) of the zero-padded conv input, and the conv-output
+    // rows whose `k` taps cover it.
+    let y = dst_origin as usize + a + pad;
+    let src_origin = src_origin as usize;
+    let first = (y + 1).saturating_sub(k).div_ceil(stride).max(src_origin);
+    let end = (y / stride + 1).min(src_origin + src_win);
+    (first..end).map(move |sy| (sy - src_origin, y - sy * stride))
 }
 
 /// The operands of one GBC launch, shared by the row blocks its workers
 /// take, and its [`launch_wmax`], indexed by filter tap and output channel
-/// `t` like the terms [`gbc_terms`] visits.
+/// `t = (f·kw + g)·c_out + d`.
 struct GbcLaunch<'a, F> {
     src: &'a [Itv<F>],
     src_geom: &'a ExprGeom<'a>,
@@ -381,126 +432,248 @@ impl<'a, F: Fp> GbcLaunch<'a, F> {
         }
     }
 
-    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`), one
-    /// after the other with one widened-row scratch between them: one block
-    /// on [`CpuSimBackend`], the whole launch on [`ReferenceBackend`].
-    fn rows(&self, r0: usize, dst: &mut [Itv<F>]) {
-        // Lane blocks sized to the layer's `c_in` — one, four or eight: a
-        // narrower block streams the position's terms again, a wider one
-        // multiplies by zeros. (No two-lane block: no workload has a layer
-        // with two input channels to measure it on.)
-        let row = match self.conv.cin {
-            1 => Self::row::<1>,
-            2..=4 => Self::row::<4>,
-            _ => Self::row::<8>,
-        };
-        let mut wide = Vec::new();
-        for (r, dst_row) in (r0..).zip(dst.chunks_mut(self.dst_cols)) {
-            row(self, r, dst_row, &mut wide);
+    fn src_row(&self, r: usize) -> &'a [Itv<F>] {
+        let cols = self.src_geom.cols();
+        &self.src[r * cols..(r + 1) * cols]
+    }
+
+    /// Calls `visit(s, t)` for every term of destination window position
+    /// `(a, b)` of row `r`, in the contract's order: ascending source
+    /// position `i`, then `j`, then output channel `d`. `s` indexes the
+    /// source row's coefficient, `t` the filter tap and output channel it
+    /// meets (the term's `c_in` weights are the contiguous
+    /// `weight[t·c_in..][..c_in]`).
+    #[inline(always)]
+    fn terms(&self, r: usize, (a, b): (usize, usize), mut visit: impl FnMut(usize, usize)) {
+        let (g, conv) = (self.src_geom, self.conv);
+        let ((src_h, src_w), (dst_h, dst_w)) = (g.origins[r], self.dst_origins[r]);
+        for (i, f) in reaching(a, (src_h, g.win_h), dst_h, (conv.kh, conv.sh, conv.ph)) {
+            for (j, tap) in reaching(b, (src_w, g.win_w), dst_w, (conv.kw, conv.sw, conv.pw)) {
+                let sbase = (i * g.win_w + j) * conv.cout;
+                let tbase = (f * conv.kw + tap) * conv.cout;
+                for d in 0..conv.cout {
+                    visit(sbase + d, tbase + d);
+                }
+            }
         }
     }
 
-    /// One row of the GBC transpose convolution (paper Algorithm 1) as a
-    /// gather: every element of the grown destination window sums the terms
-    /// [`gbc_terms`] lists for its position and is written exactly once —
-    /// through the wide accumulator for [`Fp::EXACT_IN_F64`] (the row is
-    /// widened into `wide` once; a position's `c_in` channels share its term
-    /// list, hence one [`WideMag`], and stream the list `N` channels a pass),
-    /// through the per-step chain otherwise and for the positions the wide
-    /// rule hands back. Exact-zero source coefficients are skipped
-    /// (mandatory, like the GEMM zero-skip); virtual destination positions
-    /// are exact zeros.
-    fn row<const N: usize>(&self, r: usize, dst_row: &mut [Itv<F>], wide: &mut Vec<WideTerm>) {
-        let (src_geom, conv, weight) = (self.src_geom, self.conv, self.weight);
-        let cin = conv.cin;
-        let src_cols = src_geom.cols();
-        let src_row = &self.src[r * src_cols..(r + 1) * src_cols];
+    /// One destination position by the letter of the contract — the gather:
+    /// its `c_in` elements sum the position's term list ([`Self::terms`],
+    /// exact-zero coefficients skipped) through the wide rule, one
+    /// [`WideMag`] for all of them, for [`Fp::EXACT_IN_F64`]; through the
+    /// per-step chain otherwise, and when that magnitude sum is not finite.
+    /// All of [`ReferenceBackend`]; on [`CpuSimBackend`] the `f64` path and
+    /// the positions [`GbcScatter`] hands back. `list` is scratch.
+    fn position(
+        &self,
+        r: usize,
+        at: (usize, usize),
+        out: &mut [Itv<F>],
+        list: &mut Vec<(WideTerm, usize)>,
+    ) {
+        let (src_row, weight, cin) = (self.src_row(r), self.weight, self.conv.cin);
         if F::EXACT_IN_F64 {
-            wide.clear();
-            wide.extend(src_row.iter().map(|&m| WideTerm::new(m)));
-        }
-        // Every channel of position `at` on the per-step chain.
-        let chain = |at: (usize, usize), out: &mut [Itv<F>]| {
-            out.fill(Itv::zero());
-            gbc_terms(r, at, src_geom, conv, |s, t| {
-                let m = src_row[s];
-                if m.lo == F::ZERO && m.hi == F::ZERO {
-                    return;
-                }
-                for (v, &wv) in out.iter_mut().zip(&weight[t * cin..]) {
-                    *v = m.mul_add_f(wv, *v);
+            list.clear();
+            let mut mag = WideMag::new::<F>(&[]);
+            self.terms(r, at, |s, t| {
+                let term = WideTerm::new(src_row[s]);
+                if !term.is_zero() {
+                    mag.add(term, self.wmax[t]);
+                    list.push((term, t * cin));
                 }
             });
-        };
-        let dst_origin = self.dst_origins[r];
-        for (pos, out) in dst_row.chunks_mut(cin).enumerate() {
-            let at = (pos / self.dst_ww, pos % self.dst_ww);
-            let (dh, dw) = (dst_origin.0 + at.0 as i32, dst_origin.1 + at.1 as i32);
-            if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
-                out.fill(Itv::zero()); // virtual (padding) position
-                continue;
-            }
-            if !F::EXACT_IN_F64 {
-                chain(at, out);
-                continue;
-            }
-            // The first pass over the position's terms also takes their
-            // magnitude sum; later lane blocks reuse its bound.
-            let mut mag = WideMag::new::<F>(&[]);
-            let mut bound = None;
-            for c0 in (0..cin).step_by(N) {
-                let nr = N.min(cin - c0);
-                let mut acc = WideAcc::<N>::new::<F>(&[]);
-                // Remainder channels: unused lanes multiply by zero.
-                let mut lanes = [F::ZERO; N];
-                gbc_terms(r, at, src_geom, conv, |s, t| {
-                    let term = wide[s];
-                    if term.is_zero() {
-                        return;
+            if let Some(e) = mag.finish() {
+                for (c, v) in out.iter_mut().enumerate() {
+                    let mut acc = WideAcc::<1>::new::<F>(&[]);
+                    for &(term, w) in list.iter() {
+                        acc.mul_add(term, &[weight[w + c]]);
                     }
-                    if c0 == 0 {
-                        mag.add(term, self.wmax[t]);
-                    }
-                    let w = t * cin + c0;
-                    lanes[..nr].copy_from_slice(&weight[w..w + nr]);
-                    acc.mul_add(term, &lanes);
-                });
-                if c0 == 0 {
-                    bound = mag.finish();
+                    *v = acc.finish(0, e);
                 }
-                let Some(e) = bound else {
-                    chain(at, out); // a non-finite operand: the whole position
-                    break;
-                };
-                for (l, v) in out[c0..c0 + nr].iter_mut().enumerate() {
-                    *v = acc.finish(l, e);
+                return;
+            }
+        }
+        out.fill(Itv::zero());
+        self.terms(r, at, |s, t| {
+            let m = src_row[s];
+            if m.lo == F::ZERO && m.hi == F::ZERO {
+                return;
+            }
+            for (v, &wv) in out.iter_mut().zip(&weight[t * cin..]) {
+                *v = m.mul_add_f(wv, *v);
+            }
+        });
+    }
+
+    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`),
+    /// every position a gather.
+    fn gather_rows(&self, r0: usize, dst: &mut [Itv<F>]) {
+        let mut list = Vec::new();
+        for (r, dst_row) in (r0..).zip(dst.chunks_mut(self.dst_cols)) {
+            for (pos, out) in dst_row.chunks_mut(self.conv.cin).enumerate() {
+                self.position(r, (pos / self.dst_ww, pos % self.dst_ww), out, &mut list);
+            }
+        }
+    }
+}
+
+/// The filter taps `f` of one dimension that land inside a destination
+/// window of `win` positions when tap 0 lands on window coordinate `first`
+/// (which may lie before the window, or past it).
+#[inline(always)]
+fn taps_inside(first: isize, k: usize, win: usize) -> std::ops::Range<usize> {
+    let lo = (-first).clamp(0, k as isize) as usize;
+    let hi = (win as isize - first).clamp(lo as isize, k as isize) as usize;
+    lo..hi
+}
+
+/// One non-zero coefficient of a source window row, and where its filter
+/// row lands in a destination window row: on `taps` consecutive positions
+/// from column `b`, the first of them through filter tap `t − d·kw`.
+#[derive(Copy, Clone)]
+struct Landing {
+    term: WideTerm,
+    b: u32,
+    /// `d·kw + first tap`: offset of the run's first weight run in one
+    /// filter row of [`GbcScatter::w`], and of its first `wmax`.
+    t: u32,
+    taps: u32,
+}
+
+/// GBC as a scatter, the production kernel of [`CpuSimBackend`] for
+/// [`Fp::EXACT_IN_F64`]: a row's coefficients are tested for zero **once**,
+/// and every other term is added to all the destination elements it reaches
+/// — per filter row `f` its `kw` taps land on consecutive window positions,
+/// i.e. on `kw · c_in` consecutive lanes of the row's [`WideRow`], against
+/// weights widened and repacked `[f][d][g][c]` once per launch so that those
+/// lanes' weights are consecutive too. The loop nest is source row `i`,
+/// filter row `f`, then the row's non-zero terms in ascending `(j, d)`: one
+/// `(i, f)` pair feeds one destination row, so a destination element
+/// receives its terms in the order [`GbcLaunch::terms`] lists them (a source
+/// position reaches it through one tap at most, and source rows arrive
+/// ascending), its position's [`WideMag`] receives the same terms with the
+/// same `wmax`, and the epilogue is the gather's: the same bits, without a
+/// zero test or an index computation per (term, destination) pair. A
+/// position whose magnitude sum is not finite is recomputed by
+/// [`GbcLaunch::position`].
+struct GbcScatter<'a, F> {
+    launch: &'a GbcLaunch<'a, F>,
+    /// `weight` as `f64`, `[f][d][g][c]`.
+    w: Vec<f64>,
+    /// [`GbcLaunch::wmax`], `[f][d][g]`.
+    wmax: Vec<f64>,
+}
+
+impl<'a, F: Fp> GbcScatter<'a, F> {
+    fn new(launch: &'a GbcLaunch<'a, F>) -> Self {
+        let conv = launch.conv;
+        let mut w = Vec::with_capacity(launch.weight.len());
+        let mut wmax = Vec::with_capacity(launch.wmax.len());
+        for f in 0..conv.kh {
+            for d in 0..conv.cout {
+                for g in 0..conv.kw {
+                    let t = (f * conv.kw + g) * conv.cout + d;
+                    wmax.push(launch.wmax[t]);
+                    let taps = &launch.weight[t * conv.cin..(t + 1) * conv.cin];
+                    w.extend(taps.iter().map(|v| v.to_f64()));
+                }
+            }
+        }
+        Self { launch, w, wmax }
+    }
+
+    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`), one
+    /// after the other over one set of row accumulators.
+    fn rows(&self, r0: usize, dst: &mut [Itv<F>]) {
+        let l = self.launch;
+        let (conv, g) = (l.conv, l.src_geom);
+        let (cin, cout, dst_ww) = (conv.cin, conv.cout, l.dst_ww);
+        let dst_wh = l.dst_cols / (dst_ww * cin);
+        // One filter row of the repacked weights, and of `wmax`.
+        let (w_row, wmax_row) = (cout * conv.kw * cin, cout * conv.kw);
+        let (mut sums, mut mags, mut list) = (WideRow::default(), Vec::new(), Vec::new());
+        let nowhere = Landing {
+            term: WideTerm::new(Itv::<F>::zero()),
+            b: 0,
+            t: 0,
+            taps: 0,
+        };
+        let mut landings = vec![nowhere; g.win_w * cout];
+        for (r, dst_row) in (r0..).zip(dst.chunks_mut(l.dst_cols)) {
+            sums.reset(l.dst_cols);
+            mags.clear();
+            mags.resize(dst_wh * dst_ww, WideMag::new::<F>(&[]));
+            // Window coordinate of what tap (0, 0) of source position (0, 0)
+            // reaches: both origins are the caller's.
+            let ((src_h, src_w), (dst_h, dst_w)) = (g.origins[r], l.dst_origins[r]);
+            let first_h = src_h as isize * conv.sh as isize - conv.ph as isize - dst_h as isize;
+            let first_w = src_w as isize * conv.sw as isize - conv.pw as isize - dst_w as isize;
+            for (i, src_row) in l.src_row(r).chunks(g.win_w * cout).enumerate() {
+                let a0 = first_h + (i * conv.sh) as isize;
+                let fs = taps_inside(a0, conv.kh, dst_wh);
+                if fs.is_empty() {
+                    continue; // the source row reaches padding only
+                }
+                // The row's terms, compacted: an exact zero is overwritten
+                // by the next coefficient instead of being branched around.
+                let mut terms = 0;
+                for (j, coeffs) in src_row.chunks(cout).enumerate() {
+                    let b0 = first_w + (j * conv.sw) as isize;
+                    let gs = taps_inside(b0, conv.kw, dst_ww);
+                    if gs.is_empty() {
+                        continue;
+                    }
+                    let (b, taps) = ((b0 + gs.start as isize) as u32, gs.len() as u32);
+                    for (d, &m) in coeffs.iter().enumerate() {
+                        let term = WideTerm::new(m);
+                        let t = (d * conv.kw + gs.start) as u32;
+                        landings[terms] = Landing { term, b, t, taps };
+                        terms += usize::from(!term.is_zero());
+                    }
+                }
+                for f in fs {
+                    let at = (a0 + f as isize) as usize * dst_ww;
+                    let mags = &mut mags[at..at + dst_ww];
+                    let w = &self.w[f * w_row..(f + 1) * w_row];
+                    let wmax = &self.wmax[f * wmax_row..(f + 1) * wmax_row];
+                    for landing in &landings[..terms] {
+                        let (b, t, taps) = (
+                            landing.b as usize,
+                            landing.t as usize,
+                            landing.taps as usize,
+                        );
+                        for (mag, &wmax) in mags[b..b + taps].iter_mut().zip(&wmax[t..t + taps]) {
+                            mag.add(landing.term, wmax);
+                        }
+                        sums.mul_add((at + b) * cin, landing.term, &w[t * cin..(t + taps) * cin]);
+                    }
+                }
+            }
+            for (pos, (out, mag)) in dst_row.chunks_mut(cin).zip(&mags).enumerate() {
+                match mag.finish() {
+                    Some(e) => sums.finish(pos * cin, e, out),
+                    // A non-finite operand: the whole position, on the chain.
+                    None => l.position(r, (pos / dst_ww, pos % dst_ww), out, &mut list),
                 }
             }
         }
     }
 }
 
-/// Calls `visit(a, b)` for every term of a row's bias fold: the non-zero
-/// coefficients `a` at real window positions, ascending, each with its bias
-/// entry `b = bias[t mod |bias|]`.
+/// Calls `visit(a, b)` for every term of a row's bias fold: its non-zero
+/// coefficients `a`, ascending, each with its bias entry
+/// `b = bias[t mod |bias|]`.
 #[inline(always)]
-fn bias_terms<F: Fp>(
-    r: usize,
-    row: &[Itv<F>],
-    geom: &ExprGeom<'_>,
-    bias: &[F],
-    mut visit: impl FnMut(Itv<F>, F),
-) {
-    for (base, _) in real_positions(r, geom) {
-        let mut t = base % bias.len();
-        for &a in &row[base..base + geom.chans] {
-            if !(a.lo == F::ZERO && a.hi == F::ZERO) {
-                visit(a, bias[t]);
-            }
-            t += 1;
-            if t == bias.len() {
-                t = 0;
-            }
+fn bias_terms<F: Fp>(row: &[Itv<F>], bias: &[F], mut visit: impl FnMut(Itv<F>, F)) {
+    let mut t = 0;
+    for &a in row {
+        if !(a.lo == F::ZERO && a.hi == F::ZERO) {
+            visit(a, bias[t]);
+        }
+        t += 1;
+        if t == bias.len() {
+            t = 0;
         }
     }
 }
@@ -511,17 +684,11 @@ fn bias_terms<F: Fp>(
 /// when an operand is not finite. Exact-zero coefficients are skipped on
 /// both (mandatory, like the GEMM zero-skip).
 #[inline]
-fn bias_fold_row<F: Fp>(
-    r: usize,
-    row: &[Itv<F>],
-    geom: &ExprGeom<'_>,
-    bias: &[F],
-    cst: Itv<F>,
-) -> Itv<F> {
+fn bias_fold_row<F: Fp>(row: &[Itv<F>], bias: &[F], cst: Itv<F>) -> Itv<F> {
     if F::EXACT_IN_F64 {
         let mut mag = WideMag::new(&[cst]);
         let mut acc = WideAcc::<1>::new(&[cst]);
-        bias_terms(r, row, geom, bias, |a, b| {
+        bias_terms(row, bias, |a, b| {
             let a = WideTerm::new(a);
             mag.add(a, b.to_f64().abs()); // one weight: its own bound
             acc.mul_add(a, &[b]);
@@ -531,7 +698,7 @@ fn bias_fold_row<F: Fp>(
         }
     }
     let mut acc = cst;
-    bias_terms(r, row, geom, bias, |a, b| acc = a.mul_add_f(b, acc));
+    bias_terms(row, bias, |a, b| acc = a.mul_add_f(b, acc));
     acc
 }
 
@@ -574,13 +741,13 @@ fn relu_term<F: Fp>(a: Itv<F>, rx: &ReluRelax<F>, upper: bool) -> ReluTerm<F> {
     }
 }
 
-/// Calls `visit(at, n)` for every element of row `r` at a real window
-/// position, ascending: its offset in the row and its frontier neuron.
+/// Calls `visit(at, n)` for every element of row `r`, ascending: its offset
+/// in the row and its frontier neuron.
 #[inline(always)]
-fn real_elements(r: usize, geom: &ExprGeom<'_>, mut visit: impl FnMut(usize, usize)) {
-    for (base, nbase) in real_positions(r, geom) {
-        for c in 0..geom.chans {
-            visit(base + c, nbase + c);
+fn window_elements(r: usize, geom: &ExprGeom<'_>, mut visit: impl FnMut(usize, usize)) {
+    for (base, nbase) in window_rows(r, geom) {
+        for k in 0..geom.win_w * geom.chans {
+            visit(base + k, nbase + k);
         }
     }
 }
@@ -598,9 +765,9 @@ fn finite_tables<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> bool {
 
 /// One row of the ReLU substitution step (DeepPoly diagonal substitution);
 /// `upper` selects the mirrored coefficient choice of the upper plane. The
-/// row's terms are its [`ReluTerm::Line`] and [`ReluTerm::Hull`] elements at
-/// real positions, in ascending window order; one pass classifies each
-/// element once and deals with both of its products.
+/// row's terms are its [`ReluTerm::Line`] and [`ReluTerm::Hull`] elements, in
+/// ascending window order; one pass classifies each element once and deals
+/// with both of its products.
 ///
 /// To the constant a line term adds `a · intercept` — nothing, and
 /// uncounted, when the intercept is exactly zero — and a hull term the
@@ -633,7 +800,7 @@ fn relu_step_row<F: Fp>(
         let surely_finite = tables_finite && cst.is_finite() && row.iter().all(Itv::is_finite);
         let saved = (!surely_finite).then(|| row.to_vec());
         let mut sum = WideSum::new(*cst);
-        real_elements(r, geom, |at, n| {
+        window_elements(r, geom, |at, n| {
             let a = WideTerm::new(row[at]);
             match relu_term(row[at], &relax[n], upper) {
                 ReluTerm::Keep => {}
@@ -666,7 +833,7 @@ fn relu_step_row<F: Fp>(
             None => row.copy_from_slice(&saved.expect("finite operands sum to a finite bound")),
         }
     }
-    real_elements(r, geom, |at, n| {
+    window_elements(r, geom, |at, n| {
         let a = row[at];
         match relu_term(a, &relax[n], upper) {
             ReluTerm::Keep => {}
@@ -685,19 +852,13 @@ fn relu_step_row<F: Fp>(
     });
 }
 
-/// One row of the densify scatter: copy the cuboid window's real positions
-/// into their linear frontier slots of a full-window row (assumed zeroed).
+/// One row of the densify scatter: copy each row of the cuboid window into
+/// its linear frontier slots of a full-window row (assumed zeroed).
 #[inline]
 fn densify_row<F: Fp>(r: usize, src_row: &[Itv<F>], geom: &ExprGeom<'_>, dst_row: &mut [Itv<F>]) {
-    for i in 0..geom.win_h {
-        for j in 0..geom.win_w {
-            if !geom.is_real(r, i, j) {
-                continue;
-            }
-            let nbase = geom.neuron_at(r, i, j);
-            let base = (i * geom.win_w + j) * geom.chans;
-            dst_row[nbase..nbase + geom.chans].copy_from_slice(&src_row[base..base + geom.chans]);
-        }
+    let run = geom.win_w * geom.chans;
+    for (base, nbase) in window_rows(r, geom) {
+        dst_row[nbase..nbase + run].copy_from_slice(&src_row[base..base + run]);
     }
 }
 
@@ -732,18 +893,14 @@ fn merge_add_row<F: Fp>(
     }
 }
 
-/// `(window offset, frontier index)` of channel 0 of every real window
-/// position of row `r`, in ascending window order.
+/// `(window offset, frontier index)` of the first element of every window
+/// row of row `r`, ascending. Windows lie inside the frontier extent
+/// ([`ExprGeom`]), so each is the start of a run of `win_w · chans` elements
+/// that is contiguous on both sides.
 #[inline(always)]
-fn real_positions<'a>(
-    r: usize,
-    geom: &'a ExprGeom<'_>,
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    (0..geom.win_h).flat_map(move |i| {
-        (0..geom.win_w)
-            .filter(move |&j| geom.is_real(r, i, j))
-            .map(move |j| ((i * geom.win_w + j) * geom.chans, geom.neuron_at(r, i, j)))
-    })
+fn window_rows<'a>(r: usize, geom: &'a ExprGeom<'_>) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let run = geom.win_w * geom.chans;
+    (0..geom.win_h).map(move |i| (i * run, geom.neuron_at(r, i, 0)))
 }
 
 /// One row of concretization: substitute the row's segment's concrete
@@ -763,11 +920,12 @@ fn concretize_row<F: Fp>(
     bounds: &[Itv<F>],
 ) -> Itv<F> {
     let is_zero = |a: Itv<F>| a.lo == F::ZERO && a.hi == F::ZERO;
+    let run = geom.win_w * geom.chans;
     if F::EXACT_IN_F64 {
         let mut lo = WideBound::<false>::new(cst_lo.lo);
         let mut hi = WideBound::<true>::new(cst_hi.hi);
-        for (base, nbase) in real_positions(r, geom) {
-            for c in 0..geom.chans {
+        for (base, nbase) in window_rows(r, geom) {
+            for c in 0..run {
                 let (a_lo, a_hi) = (lo_row[base + c], hi_row[base + c]);
                 if is_zero(a_lo) && is_zero(a_hi) {
                     continue;
@@ -787,8 +945,8 @@ fn concretize_row<F: Fp>(
     }
     let mut lo = cst_lo.lo;
     let mut hi = cst_hi.hi;
-    for (base, nbase) in real_positions(r, geom) {
-        for c in 0..geom.chans {
+    for (base, nbase) in window_rows(r, geom) {
+        for c in 0..run {
             let b = bounds[nbase + c];
             let a = lo_row[base + c];
             if !is_zero(a) {
@@ -1190,11 +1348,13 @@ pub trait Backend: Send + Sync + Sized + 'static {
 
     /// GBC transpose convolution (paper Algorithm 1), one coefficient
     /// plane per launch: every source row's dependence-set window is pushed
-    /// one convolution backwards into the grown destination window
-    /// (`dst_cols` wide, spatial width `dst_ww`, per-row origins
-    /// `dst_origins`). Every element of `dst` is written — the caller need
-    /// not zero it — under the module contract's GBC rule; exact-zero source
-    /// coefficients must be skipped (as in the interval GEMM family).
+    /// one convolution backwards into the destination window the caller
+    /// chose for it (`dst_cols` wide, spatial width `dst_ww`, per-row
+    /// origins `dst_origins` in the conv input, every window inside it —
+    /// the grown window, clipped). Every element of `dst` is written — the
+    /// caller need not zero it — under the module contract's GBC rule;
+    /// exact-zero source coefficients must be skipped (as in the interval
+    /// GEMM family).
     #[allow(clippy::too_many_arguments)]
     fn gbc<F: Fp>(
         &self,
@@ -1211,7 +1371,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
 
     /// Bias absorption of the affine steps, one plane per launch:
     /// `out_cst[r] = src_cst[r] + Σ_t plane[r][t] · bias[t mod |bias|]`
-    /// over the real window positions in ascending order, exact-zero
+    /// over the window positions in ascending order, exact-zero
     /// coefficients skipped, under the module contract's bias-fold rule.
     fn bias_fold<F: Fp>(
         &self,
@@ -1241,7 +1401,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
     );
 
     /// Expands cuboid windows to full rows over the frontier node, one
-    /// plane per launch: scatter each row's real window positions into
+    /// plane per launch: scatter each row's window positions into
     /// their linear frontier slots. `dst` must be zeroed.
     fn densify<F: Fp>(
         &self,
@@ -1400,10 +1560,16 @@ impl Backend for CpuSimBackend {
         let launch = GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww);
         // Blocks of whole rows, like the GEMM family.
         let rows = block_rows(device, src_geom.rows());
+        // The scatter where products are exact in `f64`; the gather is the
+        // per-step chain of the other scalar types.
+        let scatter = F::EXACT_IN_F64.then(|| GbcScatter::new(&launch));
         device.install(|| {
             dst.par_chunks_mut(rows * dst_cols)
                 .enumerate()
-                .for_each(|(t, block)| launch.rows(t * rows, block))
+                .for_each(|(t, block)| match &scatter {
+                    Some(scatter) => scatter.rows(t * rows, block),
+                    None => launch.gather_rows(t * rows, block),
+                })
         });
     }
 
@@ -1422,7 +1588,7 @@ impl Backend for CpuSimBackend {
         let cols = geom.cols();
         device.install(|| {
             out_cst.par_iter_mut().enumerate().for_each(|(r, v)| {
-                *v = bias_fold_row(r, &plane[r * cols..(r + 1) * cols], geom, bias, src_cst[r])
+                *v = bias_fold_row(&plane[r * cols..(r + 1) * cols], bias, src_cst[r])
             })
         });
     }
@@ -1646,7 +1812,8 @@ impl Backend for ReferenceBackend {
         if dst.is_empty() {
             return;
         }
-        GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww).rows(0, dst);
+        GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww)
+            .gather_rows(0, dst);
     }
 
     fn bias_fold<F: Fp>(
@@ -1660,7 +1827,7 @@ impl Backend for ReferenceBackend {
     ) {
         let cols = geom.cols();
         for (r, v) in out_cst.iter_mut().enumerate() {
-            *v = bias_fold_row(r, &plane[r * cols..(r + 1) * cols], geom, bias, src_cst[r]);
+            *v = bias_fold_row(&plane[r * cols..(r + 1) * cols], bias, src_cst[r]);
         }
     }
 

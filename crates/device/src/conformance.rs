@@ -19,8 +19,10 @@
 //! * **walk-step kernels** — GBC transpose convolution, bias fold, the
 //!   ReLU substitution step (including its stable-zero column guarantee),
 //!   densify, residual merge and concretize each match an independent
-//!   straight-line oracle bit for bit over cuboid/full windows, padding
-//!   origins and fused multi-segment batches; for GBC (one bound per
+//!   straight-line oracle bit for bit over cuboid/full windows on every
+//!   border of their layer and fused multi-segment batches; for GBC (its
+//!   oracle written in the layers' absolute coordinates, over destination
+//!   windows that were clipped, slid and moved; one bound per
 //!   destination position), bias fold, the ReLU step and concretize that
 //!   oracle is the contract's wide rule restated per output in plain `f64`
 //!   (per-step chain for non-finite operands), with the corners random data
@@ -559,10 +561,9 @@ pub fn check_compaction_against_oracle<B: Backend>(
 }
 
 /// A deterministic test geometry for the walk-step kernels: `rows` cuboid
-/// windows (`win_h × win_w × chans`) over a `shape_h × shape_w × chans`
-/// frontier, with origins spread across the extent including negative
-/// (padding) positions, and rows alternating between `segments` query
-/// segments.
+/// windows (`win_h × win_w × chans`) inside a `shape_h × shape_w × chans`
+/// frontier, with origins spread across the extent, its borders included,
+/// and rows alternating between `segments` query segments.
 struct GeomCase {
     win_h: usize,
     win_w: usize,
@@ -588,8 +589,8 @@ impl GeomCase {
         let origins = (0..rows)
             .map(|_| {
                 (
-                    s.next_range(shape_h + win_h) as i32 - win_h as i32,
-                    s.next_range(shape_w + win_w) as i32 - win_w as i32,
+                    s.next_range(shape_h - win_h + 1) as i32,
+                    s.next_range(shape_w - win_w + 1) as i32,
                 )
             })
             .collect();
@@ -629,34 +630,21 @@ impl GeomCase {
         self.shape_h * self.shape_w * self.chans
     }
 
-    /// A coefficient plane honoring the zero-on-virtual invariant, mixing
-    /// exact zeros (both signs), stable-sign and straddling intervals.
+    /// A coefficient plane mixing exact zeros (both signs), stable-sign and
+    /// straddling intervals.
     fn plane(&self, s: &mut Stream) -> Vec<Itv<f32>> {
-        let g = self.geom();
-        let mut plane = vec![Itv::zero(); self.rows() * self.cols()];
-        for r in 0..self.rows() {
-            for i in 0..self.win_h {
-                for j in 0..self.win_w {
-                    if !g.is_real(r, i, j) {
-                        continue; // virtual taps stay exactly zero
-                    }
-                    let base = r * self.cols() + (i * self.win_w + j) * self.chans;
-                    for c in 0..self.chans {
-                        plane[base + c] = match s.next_range(6) {
-                            0 => Itv::zero(),
-                            1 => Itv::point(-0.0_f32),
-                            2 => {
-                                let v = s.next_f32().abs() + 1e-3;
-                                Itv::new(-v, v * 0.5) // straddles zero
-                            }
-                            3 => Itv::point(-(s.next_f32().abs()) - 1e-3),
-                            _ => Itv::point(s.next_f32().abs() + 1e-3),
-                        };
-                    }
+        (0..self.rows() * self.cols())
+            .map(|_| match s.next_range(6) {
+                0 => Itv::zero(),
+                1 => Itv::point(-0.0_f32),
+                2 => {
+                    let v = s.next_f32().abs() + 1e-3;
+                    Itv::new(-v, v * 0.5) // straddles zero
                 }
-            }
-        }
-        plane
+                3 => Itv::point(-(s.next_f32().abs()) - 1e-3),
+                _ => Itv::point(s.next_f32().abs() + 1e-3),
+            })
+            .collect()
     }
 
     fn csts(&self, s: &mut Stream) -> Vec<Itv<f32>> {
@@ -693,17 +681,18 @@ fn assert_planes_bit_eq_or_nan(label: &str, kernel: &str, got: &[Itv<f32>], want
     }
 }
 
-/// The term list of destination position `(a, b)` of row `r` of a GBC
-/// launch, in the contract's order — ascending source window position `i`,
-/// then `j`, then output channel `d` — as `(coefficient, weights)` pairs,
-/// `weights[c]` what input channel `c` multiplies the term by: source
-/// position `(i, j)` contributes through filter tap `(f, g)` when
-/// `a = i·sh + f`, `b = j·sw + g` and the position is real. Exact-zero
-/// coefficients are skipped. Found by trying every source position, not by
-/// the kernel's index arithmetic.
+/// The term list of the destination elements at position `(y, x)` of the
+/// conv *input*, for row `r` of a GBC launch, in the contract's order —
+/// ascending source position, then output channel `d` — as
+/// `(coefficient, weights)` pairs, `weights[c]` what input channel `c`
+/// multiplies the term by. Written in the two layers' absolute coordinates
+/// and found by trying every source position, not by the kernel's window
+/// arithmetic: the source position at `(sy, sx)` of the conv output
+/// contributes through filter tap `(f, g)` when `sy·sh + f = y + ph` and
+/// `sx·sw + g = x + pw`. Exact-zero coefficients are skipped.
 fn oracle_gbc_terms<'w>(
     r: usize,
-    (a, b): (usize, usize),
+    (y, x): (usize, usize),
     src: &[Itv<f32>],
     g: &ExprGeom<'_>,
     weight: &'w [f32],
@@ -712,16 +701,16 @@ fn oracle_gbc_terms<'w>(
     let mut terms = Vec::new();
     for i in 0..g.win_h {
         for j in 0..g.win_w {
+            let (sy, sx) = (g.origins[r].0 as usize + i, g.origins[r].1 as usize + j);
             let tap = |at: usize, pos: usize, stride: usize, k: usize| {
                 at.checked_sub(pos * stride).filter(|&t| t < k)
             };
-            let (Some(f), Some(gg)) = (tap(a, i, conv.sh, conv.kh), tap(b, j, conv.sw, conv.kw))
-            else {
+            let (Some(f), Some(gg)) = (
+                tap(y + conv.ph, sy, conv.sh, conv.kh),
+                tap(x + conv.pw, sx, conv.sw, conv.kw),
+            ) else {
                 continue;
             };
-            if !g.is_real(r, i, j) {
-                continue;
-            }
             for d in 0..conv.cout {
                 let m = src[r * g.cols() + (i * g.win_w + j) * conv.cout + d];
                 if !(m.lo == 0.0 && m.hi == 0.0) {
@@ -734,11 +723,13 @@ fn oracle_gbc_terms<'w>(
 }
 
 /// Straight-line oracle of a whole GBC launch from the written rule: every
-/// destination position on its own — exact zeros at a virtual (padding)
-/// position; otherwise its `c_in` elements share [`oracle_gbc_terms`] and
-/// the bound of [`oracle_widening`] over `wmax = max_c |w[f][g][d][c]|`, and
-/// each is the wide rule from exact zero — or all of them the per-step chain
-/// over the same terms where the wide rule does not apply.
+/// destination position on its own, wherever the caller's origin put it —
+/// its `c_in` elements share [`oracle_gbc_terms`] of the conv-input position
+/// it stands for and the bound of [`oracle_widening`] over
+/// `wmax = max_c |w[f][g][d][c]|`, and each is the wide rule from exact zero,
+/// or all of them the per-step chain over the same terms where the wide rule
+/// does not apply. A term whose conv-input position no window position
+/// stands for is in no list.
 fn oracle_gbc(
     src: &[Itv<f32>],
     g: &ExprGeom<'_>,
@@ -751,12 +742,8 @@ fn oracle_gbc(
     for (r, &(oh, ow)) in dst_origins.iter().enumerate() {
         for a in 0..dst_win.0 {
             for b in 0..dst_win.1 {
-                let (dh, dw) = (oh + a as i32, ow + b as i32);
-                if dh < 0 || dw < 0 || dh as usize >= conv.in_h || dw as usize >= conv.in_w {
-                    want.extend((0..conv.cin).map(|_| Itv::zero()));
-                    continue;
-                }
-                let list = oracle_gbc_terms(r, (a, b), src, g, weight, conv);
+                let at = (oh as usize + a, ow as usize + b);
+                let list = oracle_gbc_terms(r, at, src, g, weight, conv);
                 let shared: Vec<(Itv<f32>, f64)> =
                     list.iter().map(|&(m, ws)| (m, oracle_wmax(ws))).collect();
                 let e = oracle_widening(&[], &shared);
@@ -776,11 +763,71 @@ fn oracle_gbc(
     want
 }
 
+/// Extent of the conv output (the source frontier of a GBC launch).
+fn conv_out_extent(conv: &GbcShape) -> (usize, usize) {
+    (
+        (conv.in_h + 2 * conv.ph - conv.kh) / conv.sh + 1,
+        (conv.in_w + 2 * conv.pw - conv.kw) / conv.sw + 1,
+    )
+}
+
+/// The destination windows `gpupoly-core`'s conv step asks for: each source
+/// window grown through the convolution — `(W − 1)·s + k` positions from
+/// `o·s − p` — then clipped to the conv input and slid inside it. Returns the
+/// (uniform) window and the per-row origins.
+fn grown_windows(case: &GeomCase, conv: &GbcShape) -> ((usize, usize), Vec<(i32, i32)>) {
+    let win = (
+        ((case.win_h - 1) * conv.sh + conv.kh).min(conv.in_h),
+        ((case.win_w - 1) * conv.sw + conv.kw).min(conv.in_w),
+    );
+    let slide = |o: i32, stride: usize, pad: usize, win: usize, extent: usize| {
+        (o * stride as i32 - pad as i32).clamp(0, (extent - win) as i32)
+    };
+    let origins = case
+        .origins
+        .iter()
+        .map(|&(oh, ow)| {
+            (
+                slide(oh, conv.sh, conv.ph, win.0, conv.in_h),
+                slide(ow, conv.sw, conv.pw, win.1, conv.in_w),
+            )
+        })
+        .collect();
+    (win, origins)
+}
+
+/// One `gbc_lo` launch into a destination that was *not* zeroed.
+fn launch_gbc<B: Backend>(
+    device: &Device<B>,
+    src: &[Itv<f32>],
+    case: &GeomCase,
+    weight: &[f32],
+    conv: &GbcShape,
+    dst_origins: &[(i32, i32)],
+    dst_win: (usize, usize),
+) -> Vec<Itv<f32>> {
+    let dst_cols = dst_win.0 * dst_win.1 * conv.cin;
+    let mut dst = vec![Itv::point(9.0_f32); case.rows() * dst_cols]; // poisoned: must be overwritten
+    kernels::gbc(
+        device,
+        "gbc_lo",
+        src,
+        &case.geom(),
+        weight,
+        conv,
+        &mut dst,
+        dst_origins,
+        dst_cols,
+        dst_win.1,
+    );
+    dst
+}
+
 /// Checks the GBC transpose-convolution kernel on one deterministic
 /// geometry: bit-identical to [`oracle_gbc`], the contract's rule evaluated
-/// one destination element at a time (skipping virtual positions and
-/// exact-zero coefficients), into a destination that was *not* zeroed; and
-/// launch + flop accounting advances under the launch label.
+/// one destination element at a time (skipping exact-zero coefficients),
+/// into a destination that was *not* zeroed; and launch + flop accounting
+/// advances under the launch label.
 ///
 /// # Panics
 ///
@@ -793,41 +840,29 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         kw: 1 + s.next_range(3),
         sh: 1 + s.next_range(2),
         sw: 1 + s.next_range(2),
+        ph: s.next_range(3),
+        pw: s.next_range(3),
         cout: 1 + s.next_range(3),
         cin: 1 + s.next_range(6),
         in_h: 4 + s.next_range(4),
         in_w: 4 + s.next_range(4),
     };
+    let (out_h, out_w) = conv_out_extent(&conv);
     let rows = 1 + s.next_range(7);
-    let (wh, ww) = (1 + s.next_range(3), 1 + s.next_range(3));
-    let case = GeomCase::new(rows, wh, ww, 6, 6, conv.cout, 1, &mut s);
+    let (wh, ww) = (
+        1 + s.next_range(3.min(out_h)),
+        1 + s.next_range(3.min(out_w)),
+    );
+    let case = GeomCase::new(rows, wh, ww, out_h, out_w, conv.cout, 1, &mut s);
     let src = case.plane(&mut s);
     let weight: Vec<f32> = (0..conv.kh * conv.kw * conv.cout * conv.cin)
         .map(|_| s.next_f32())
         .collect();
-    let dst_win = ((wh - 1) * conv.sh + conv.kh, (ww - 1) * conv.sw + conv.kw);
-    let dst_cols = dst_win.0 * dst_win.1 * conv.cin;
-    let dst_origins: Vec<(i32, i32)> = case
-        .origins
-        .iter()
-        .map(|&(oh, ow)| (oh * conv.sh as i32 - 1, ow * conv.sw as i32 - 1))
-        .collect();
+    let (dst_win, dst_origins) = grown_windows(&case, &conv);
 
-    let mut dst = vec![Itv::point(9.0_f32); rows * dst_cols]; // poisoned: must be overwritten
     let launches0 = device.stats().kernel_launches("gbc_lo");
     let flops0 = device.stats().kernel_flops("gbc_lo");
-    kernels::gbc(
-        device,
-        "gbc_lo",
-        &src,
-        &case.geom(),
-        &weight,
-        &conv,
-        &mut dst,
-        &dst_origins,
-        dst_cols,
-        dst_win.1,
-    );
+    let dst = launch_gbc(device, &src, &case, &weight, &conv, &dst_origins, dst_win);
     assert_eq!(
         device.stats().kernel_launches("gbc_lo"),
         launches0 + 1,
@@ -842,14 +877,15 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
 }
 
 /// Pins the corners of the GBC contract that random data does not reach, on
-/// a stride-2, padding-1 shape whose destination windows hang over every
-/// edge of the conv input and whose `c_in = 5` is one full register block
-/// plus a remainder: a `+inf` and a `−inf` source coefficient and a NaN
-/// weight (exactly the positions whose term list meets one take the per-step
-/// chain, all `c_in` channels of each), a zero weight of either sign, an
-/// all-zero source row (exact-zero destination), and a row with one non-zero
-/// coefficient (every position has at most one term, so its elements are the
-/// tightest enclosure of one exact product).
+/// a stride-2, padding-1 shape whose grown windows meet every edge of the
+/// conv input (and are stored slid inside it) and whose `c_in = 5` is no
+/// multiple of any vector width: a `+inf` and a `−inf` source coefficient and
+/// a NaN weight (exactly the positions whose term list meets one take the
+/// per-step chain, all `c_in` channels of each), a zero weight of either
+/// sign, an all-zero source row (exact-zero destination), positions no term
+/// reaches (exact `[+0, +0]`) and a row with one non-zero coefficient (every
+/// position has at most one term, so its elements are the tightest enclosure
+/// of one exact product).
 ///
 /// # Panics
 ///
@@ -862,15 +898,16 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
         kw: 3,
         sh: 2,
         sw: 2,
+        ph: 1,
+        pw: 1,
         cout: 2,
         cin: 5,
         in_h: 7,
         in_w: 7,
     };
-    // Source windows of 2×2 over the conv's 4×4 output; rows 2 and 5 hang
-    // over its edge themselves (virtual source positions).
+    // Source windows of 2×2 over the conv's 4×4 output, corners included.
     let mut case = GeomCase::new(7, 2, 2, 4, 4, conv.cout, 1, &mut s);
-    case.origins = vec![(0, 0), (2, 2), (3, 3), (1, 0), (0, 2), (-1, 1), (1, 1)];
+    case.origins = vec![(0, 0), (2, 2), (2, 0), (1, 0), (0, 2), (0, 1), (1, 1)];
     let cols = case.cols();
     let mut src = case.plane(&mut s);
     src[cols + 2] = Itv::new(1.0, f32::INFINITY); // row 1, position (0, 1), d = 0
@@ -887,46 +924,31 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
     weight[conv.widx(1, 2, 0, 2)] = f32::NAN;
     weight[conv.widx(0, 0, 1, 0)] = 0.0; // exact-zero products
     weight[conv.widx(0, 0, 1, 4)] = -0.0;
-    let dst_win = (5usize, 5usize);
+    // 5×5 windows: the ones grown from a border row or column of the conv
+    // output would start in the padding, and start at the edge instead.
+    let (dst_win, dst_origins) = grown_windows(&case, &conv);
+    assert_eq!(dst_win, (5, 5));
     let dst_cols = dst_win.0 * dst_win.1 * conv.cin;
-    let dst_origins: Vec<(i32, i32)> = case
-        .origins
-        .iter()
-        .map(|&(oh, ow)| (oh * 2 - 1, ow * 2 - 1))
-        .collect();
 
-    let mut dst = vec![Itv::point(9.0_f32); case.rows() * dst_cols];
-    kernels::gbc(
-        device,
-        "gbc_lo",
-        &src,
-        &case.geom(),
-        &weight,
-        &conv,
-        &mut dst,
-        &dst_origins,
-        dst_cols,
-        dst_win.1,
-    );
+    let dst = launch_gbc(device, &src, &case, &weight, &conv, &dst_origins, dst_win);
     let g = case.geom();
     let want = oracle_gbc(&src, &g, &weight, &conv, &dst_origins, dst_win);
     assert_planes_bit_eq_or_nan(label, "gbc (special cases)", &dst, &want);
 
     // The corners did what they are there for.
-    let (mut nan_touched, mut edge_zeros, mut singles) = (0, 0, 0);
+    let (mut nan_touched, mut unreached, mut singles) = (0, 0, 0);
     for r in 0..case.rows() {
         for pos in 0..dst_win.0 * dst_win.1 {
             let (a, b) = (pos / dst_win.1, pos % dst_win.1);
-            let (dh, dw) = (dst_origins[r].0 + a as i32, dst_origins[r].1 + b as i32);
-            let real = (0..7).contains(&dh) && (0..7).contains(&dw);
-            let list = oracle_gbc_terms(r, (a, b), &src, &g, &weight, &conv);
+            let at = (dst_origins[r].0 as usize + a, dst_origins[r].1 as usize + b);
+            let list = oracle_gbc_terms(r, at, &src, &g, &weight, &conv);
             for c in 0..conv.cin {
                 let got = dst[r * dst_cols + pos * conv.cin + c];
-                if !real {
-                    edge_zeros += 1;
+                if list.is_empty() {
+                    unreached += usize::from(r != 3);
                     assert!(
                         bit_eq(got, Itv::zero()),
-                        "[{label}] gbc: virtual position [{r}]({a},{b},{c}) holds {got}"
+                        "[{label}] gbc: no term reaches [{r}]({a},{b},{c}), which holds {got}"
                     );
                     continue;
                 }
@@ -940,12 +962,6 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
                         !touched,
                         "[{label}] gbc: [{r}]({a},{b},{c}) = {got}, NaN weight among its \
                          terms: {touched}"
-                    );
-                }
-                if r == 3 {
-                    assert!(
-                        bit_eq(got, Itv::zero()),
-                        "[{label}] gbc: all-zero source row left {got} at ({a},{b},{c})"
                     );
                 }
                 if r == 4 {
@@ -968,8 +984,8 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
         }
     }
     assert!(
-        nan_touched > 0 && edge_zeros > 0 && singles > 0,
-        "[{label}] gbc special cases lost their corners: {nan_touched} / {edge_zeros} / {singles}"
+        nan_touched > 0 && unreached > 0 && singles > 0,
+        "[{label}] gbc special cases lost their corners: {nan_touched} / {unreached} / {singles}"
     );
     for r in [1, 6] {
         let row = &dst[r * dst_cols..(r + 1) * dst_cols];
@@ -980,32 +996,111 @@ pub fn check_gbc_special_cases<B: Backend>(device: &Device<B>) {
     }
 }
 
-/// Straight-line oracle of one row of the bias fold from the written rule:
-/// the non-zero coefficients at real window positions, ascending, each with
-/// its bias entry, are one output's own term list (`wmax = |bias|`) — the
-/// wide rule seeded with the constant, or the per-step chain over the same
-/// terms where it does not apply.
-fn oracle_bias_fold_row(
-    r: usize,
-    row: &[Itv<f32>],
-    g: &ExprGeom<'_>,
-    bias: &[f32],
-    cst: Itv<f32>,
-) -> Itv<f32> {
-    let mut terms = Vec::new();
-    for i in 0..g.win_h {
-        for j in 0..g.win_w {
-            if !g.is_real(r, i, j) {
-                continue;
-            }
-            for c in 0..g.chans {
-                let t = (i * g.win_w + j) * g.chans + c;
-                if !(row[t].lo == 0.0 && row[t].hi == 0.0) {
-                    terms.push((row[t], bias[t % bias.len()]));
+/// Pins what the destination origins being the caller's means, against
+/// [`oracle_gbc`] (which never sees a window coordinate): stride 1 and 2,
+/// `c_in` of 1, 3, 8 and 11, padding drawn from `0..=2` per dimension, and
+/// for each of those three families of source windows over the conv output —
+/// 2×2 windows on its four corners, its four edges and inside it, whose grown
+/// windows slide off the padding; the full window (a walk that starts at a
+/// dense layer), whose grown window is larger than the conv input wherever
+/// there is padding, and is stored clipped to it; and windows one short of
+/// full at each of their four placements. Every other row's destination
+/// origin is then moved by one position (where the layer has room), so some
+/// terms have nowhere to land: they must vanish, and nothing else may move.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gbc_slid_windows<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0x511d);
+    let (mut slid, mut clipped, mut moved) = (0, 0, 0);
+    for stride in [1usize, 2] {
+        for cin in [1usize, 3, 8, 11] {
+            let conv = GbcShape {
+                kh: 2 + stride,
+                kw: 2 + stride,
+                sh: stride,
+                sw: stride,
+                ph: s.next_range(3),
+                pw: s.next_range(3),
+                cout: 2,
+                cin,
+                in_h: 9,
+                in_w: 8,
+            };
+            let (out_h, out_w) = conv_out_extent(&conv);
+            let (last_h, last_w) = (out_h as i32 - 2, out_w as i32 - 2);
+            let (mid_h, mid_w) = (last_h / 2, last_w / 2);
+            let families = [
+                (
+                    (2, 2),
+                    vec![
+                        (0, 0),
+                        (0, mid_w),
+                        (0, last_w),
+                        (mid_h, 0),
+                        (mid_h, mid_w),
+                        (mid_h, last_w),
+                        (last_h, 0),
+                        (last_h, mid_w),
+                        (last_h, last_w),
+                    ],
+                ),
+                ((out_h, out_w), vec![(0, 0); 2]),
+                ((out_h - 1, out_w - 1), vec![(0, 0), (0, 1), (1, 0), (1, 1)]),
+            ];
+            for ((wh, ww), origins) in families {
+                let mut case = GeomCase::new(origins.len(), wh, ww, out_h, out_w, 2, 1, &mut s);
+                case.origins = origins;
+                let src = case.plane(&mut s);
+                let weight: Vec<f32> = (0..conv.kh * conv.kw * conv.cout * cin)
+                    .map(|_| s.next_f32())
+                    .collect();
+                let (dst_win, mut dst_origins) = grown_windows(&case, &conv);
+                clipped += usize::from(dst_win.0 < (wh - 1) * stride + conv.kh);
+                for (r, (o, &(sh, sw))) in dst_origins.iter_mut().zip(&case.origins).enumerate() {
+                    let grown = (
+                        sh * stride as i32 - conv.ph as i32,
+                        sw * stride as i32 - conv.pw as i32,
+                    );
+                    slid += usize::from(*o != grown);
+                    if r % 2 == 1 {
+                        let was = *o;
+                        let step = if r % 4 == 1 { 1 } else { -1 };
+                        o.0 = (o.0 + step).clamp(0, (conv.in_h - dst_win.0) as i32);
+                        o.1 = (o.1 - step).clamp(0, (conv.in_w - dst_win.1) as i32);
+                        moved += usize::from(*o != was);
+                    }
                 }
+                let dst = launch_gbc(device, &src, &case, &weight, &conv, &dst_origins, dst_win);
+                let want = oracle_gbc(&src, &case.geom(), &weight, &conv, &dst_origins, dst_win);
+                let kernel = format!(
+                    "gbc (stride {stride}, c_in {cin}, padding ({}, {}), {wh}×{ww} windows)",
+                    conv.ph, conv.pw
+                );
+                assert_planes_bit_eq(label, &kernel, &dst, &want);
             }
         }
     }
+    assert!(
+        slid > 0 && clipped > 0 && moved > 0,
+        "[{label}] gbc slid-window cases lost their corners: {slid} / {clipped} / {moved}"
+    );
+}
+
+/// Straight-line oracle of one row of the bias fold from the written rule:
+/// the row's non-zero coefficients, ascending, each with its bias entry, are
+/// one output's own term list (`wmax = |bias|`) — the wide rule seeded with
+/// the constant, or the per-step chain over the same terms where it does not
+/// apply.
+fn oracle_bias_fold_row(row: &[Itv<f32>], bias: &[f32], cst: Itv<f32>) -> Itv<f32> {
+    let terms: Vec<(Itv<f32>, f32)> = row
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| !(a.lo == 0.0 && a.hi == 0.0))
+        .map(|(t, &a)| (a, bias[t % bias.len()]))
+        .collect();
     let shared: Vec<(Itv<f32>, f64)> = terms.iter().map(|&(a, b)| (a, oracle_wmax(&[b]))).collect();
     match oracle_widening(&[cst], &shared) {
         Some(e) => oracle_wide(cst, &terms, e),
@@ -1054,7 +1149,7 @@ pub fn check_bias_fold_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
     let want: Vec<Itv<f32>> = (0..case.rows())
         .map(|r| {
             let row = &plane[r * case.cols()..(r + 1) * case.cols()];
-            oracle_bias_fold_row(r, row, &case.geom(), &bias, src_cst[r])
+            oracle_bias_fold_row(row, &bias, src_cst[r])
         })
         .collect();
     assert_planes_bit_eq(label, "bias_fold", &out_cst, &want);
@@ -1113,7 +1208,7 @@ pub fn check_bias_fold_special_cases<B: Backend>(device: &Device<B>) {
     let want: Vec<Itv<f32>> = (0..case.rows())
         .map(|r| {
             let row = &plane[r * cols..(r + 1) * cols];
-            oracle_bias_fold_row(r, row, &case.geom(), &bias, cst[r])
+            oracle_bias_fold_row(row, &bias, cst[r])
         })
         .collect();
     assert_planes_bit_eq_or_nan(label, "bias_fold (special cases)", &out, &want);
@@ -1203,9 +1298,6 @@ fn oracle_relu_step_row(
     let mut terms = Vec::new();
     for i in 0..g.win_h {
         for j in 0..g.win_w {
-            if !g.is_real(r, i, j) {
-                continue;
-            }
             for c in 0..g.chans {
                 let (at, n) = ((i * g.win_w + j) * g.chans + c, g.neuron_at(r, i, j) + c);
                 if let Some(term) = oracle_relu_term(row[at], &relax[n], upper) {
@@ -1403,7 +1495,7 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
             for r in 0..case.rows() {
                 for i in 0..case.win_h {
                     for j in 0..case.win_w {
-                        if !g.is_real(r, i, j) || g.neuron_at(r, i, j) > n {
+                        if g.neuron_at(r, i, j) > n {
                             continue;
                         }
                         let c = n - g.neuron_at(r, i, j);
@@ -1589,9 +1681,6 @@ pub fn check_densify_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
     for r in 0..case.rows() {
         for i in 0..case.win_h {
             for j in 0..case.win_w {
-                if !g.is_real(r, i, j) {
-                    continue;
-                }
                 let nbase = g.neuron_at(r, i, j);
                 let base = (i * case.win_w + j) * case.chans;
                 for c in 0..case.chans {
@@ -1649,6 +1738,11 @@ pub fn check_residual_merge_against_oracle<B: Backend>(device: &Device<B>, seed:
         uw_h = uw_h.max(((ah + a_case.win_h as i32).max(bh + b_case.win_h as i32) - oh) as usize);
         uw_w = uw_w.max(((aw + a_case.win_w as i32).max(bw + b_case.win_w as i32) - ow) as usize);
         dst_origins.push((oh, ow));
+    }
+    // The uniform window is the largest row's; a smaller union near the far
+    // border slides inward under it, over zeros.
+    for o in &mut dst_origins {
+        *o = (o.0.min((4 - uw_h) as i32), o.1.min((4 - uw_w) as i32));
     }
     let dst_cols = uw_h * uw_w * chans;
     let mut dst = vec![Itv::zero(); rows * dst_cols];
@@ -1714,9 +1808,6 @@ fn oracle_concretize(
             let (mut lo_terms, mut hi_terms) = (Vec::new(), Vec::new());
             for i in 0..g.win_h {
                 for j in 0..g.win_w {
-                    if !g.is_real(r, i, j) {
-                        continue;
-                    }
                     for c in 0..g.chans {
                         let at = r * cols + (i * g.win_w + j) * g.chans + c;
                         let b = bounds[g.neuron_at(r, i, j) + c];
@@ -1824,7 +1915,6 @@ pub fn check_concretize_special_cases<B: Backend>(device: &Device<B>) {
     // Full 2×2×3 windows at the origin: every row sees all 12 neurons.
     let mut case = GeomCase::new(8, 2, 2, 2, 2, 3, 2, &mut s);
     case.origins = vec![(0, 0); 8];
-    case.origins[7] = (-1, 1); // one row hanging over the corner
     let cols = case.cols();
     let mut lo = case.plane(&mut s);
     let mut hi = case.plane(&mut s);
@@ -2154,7 +2244,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         check_compaction_against_oracle(&device, &[true; 9], 2);
         // The walk-step kernel surface: every promoted kernel against its
         // independent serial oracle, over a deterministic geometry spread
-        // (cuboid and full windows, negative origins, fused segments).
+        // (cuboid and full windows, every border, fused segments).
         for case in 0..6u64 {
             let seed = case * 7919 + workers as u64;
             check_gbc_against_oracle(&device, seed);
@@ -2166,6 +2256,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         }
         check_gemm_special_rows(&device);
         check_gbc_special_cases(&device);
+        check_gbc_slid_windows(&device);
         check_bias_fold_special_cases(&device);
         check_relu_step_special_cases(&device);
         check_concretize_special_cases(&device);

@@ -16,7 +16,7 @@
 
 use gpupoly_interval::{Fp, Itv};
 
-use crate::backend::{Backend, ExprGeom, GbcShape};
+use crate::backend::{assert_windows_in_extent, Backend, ExprGeom, GbcShape};
 use crate::relax::ReluRelax;
 use crate::Device;
 
@@ -26,7 +26,9 @@ fn itv_bytes<F>(elems: usize) -> u64 {
 
 /// Scalar-equivalent flop count of one GBC plane launch: every (row,
 /// window position, filter tap, channel pair) performs one interval×scalar
-/// fused accumulate (2 multiplies + 2 adds).
+/// fused accumulate (2 multiplies + 2 adds). Analytic, over the *source*
+/// window as stored: taps that land in the padding count, and a window the
+/// caller stores smaller counts less.
 pub fn flops_gbc(rows: usize, win: (usize, usize), conv: &GbcShape) -> u64 {
     4 * (rows * win.0 * win.1 * conv.kh * conv.kw * conv.cout * conv.cin) as u64
 }
@@ -35,7 +37,8 @@ pub fn flops_gbc(rows: usize, win: (usize, usize), conv: &GbcShape) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics on geometry/shape mismatches.
+/// Panics on geometry/shape mismatches, and when a source or destination
+/// window leaves its layer.
 #[allow(clippy::too_many_arguments)]
 pub fn gbc<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -53,6 +56,18 @@ pub fn gbc<F: Fp, B: Backend>(
     assert_eq!(src.len(), rows * src_geom.cols(), "gbc: source shape");
     assert_eq!(dst.len(), rows * dst_cols, "gbc: destination shape");
     assert_eq!(dst_origins.len(), rows, "gbc: destination origins");
+    assert_eq!(src_geom.chans, conv.cout, "gbc: source channels");
+    assert!(
+        dst_ww * conv.cin > 0 && dst_cols.is_multiple_of(dst_ww * conv.cin),
+        "gbc: destination window shape"
+    );
+    src_geom.assert_in_extent("gbc (source)");
+    assert_windows_in_extent(
+        "gbc (destination)",
+        dst_origins,
+        (dst_cols / (dst_ww * conv.cin), dst_ww),
+        (conv.in_h, conv.in_w),
+    );
     assert_eq!(
         weight.len(),
         conv.kh * conv.kw * conv.cout * conv.cin,
@@ -80,7 +95,8 @@ pub fn gbc<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics on geometry/shape mismatches or an empty bias.
+/// Panics on geometry/shape mismatches, an empty bias, or a window that
+/// leaves the frontier extent.
 pub fn bias_fold<F: Fp, B: Backend>(
     device: &Device<B>,
     label: &'static str,
@@ -95,6 +111,7 @@ pub fn bias_fold<F: Fp, B: Backend>(
     assert_eq!(src_cst.len(), rows, "bias_fold: source constants");
     assert_eq!(out_cst.len(), rows, "bias_fold: output constants");
     assert!(!bias.is_empty() || rows == 0, "bias_fold: empty bias");
+    geom.assert_in_extent("bias_fold");
     device.stats().record_work(
         label,
         4 * plane.len() as u64,
@@ -109,8 +126,8 @@ pub fn bias_fold<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics when a relaxation/bounds table does not cover the frontier or a
-/// segment index is out of range.
+/// Panics when a relaxation/bounds table does not cover the frontier, a
+/// segment index is out of range, or a window leaves the frontier extent.
 #[allow(clippy::too_many_arguments)]
 pub fn relu_step<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -125,6 +142,7 @@ pub fn relu_step<F: Fp, B: Backend>(
     let rows = geom.rows();
     assert_eq!(plane.len(), rows * geom.cols(), "relu_step: plane shape");
     assert_eq!(cst.len(), rows, "relu_step: constants");
+    geom.assert_in_extent("relu_step");
     assert_eq!(
         relax_per_seg.len(),
         out_bounds_per_seg.len(),
@@ -164,7 +182,8 @@ pub fn relu_step<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics on geometry/shape mismatches.
+/// Panics on geometry/shape mismatches, and when a window leaves the
+/// frontier extent.
 pub fn densify<F: Fp, B: Backend>(
     device: &Device<B>,
     label: &'static str,
@@ -177,6 +196,7 @@ pub fn densify<F: Fp, B: Backend>(
     assert_eq!(src.len(), rows * geom.cols(), "densify: source shape");
     assert_eq!(dst.len(), rows * dst_cols, "densify: destination shape");
     assert_eq!(dst_cols, geom.frontier_len(), "densify: full-window width");
+    geom.assert_in_extent("densify");
     device
         .stats()
         .record_work(label, 0, itv_bytes::<F>(src.len() + dst.len()));
@@ -188,7 +208,8 @@ pub fn densify<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics on geometry/shape mismatches.
+/// Panics on geometry/shape mismatches, and when a branch or destination
+/// window leaves the frontier extent.
 #[allow(clippy::too_many_arguments)]
 pub fn residual_merge<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -206,6 +227,18 @@ pub fn residual_merge<F: Fp, B: Backend>(
     assert_eq!(a.len(), rows * a_geom.cols(), "residual_merge: branch a");
     assert_eq!(b.len(), rows * b_geom.cols(), "residual_merge: branch b");
     assert_eq!(dst.len(), rows * dst_cols, "residual_merge: destination");
+    assert!(
+        dst_ww * a_geom.chans > 0 && dst_cols.is_multiple_of(dst_ww * a_geom.chans),
+        "residual_merge: destination window shape"
+    );
+    a_geom.assert_in_extent("residual_merge (branch a)");
+    b_geom.assert_in_extent("residual_merge (branch b)");
+    assert_windows_in_extent(
+        "residual_merge (destination)",
+        dst_origins,
+        (dst_cols / (dst_ww * a_geom.chans), dst_ww),
+        (a_geom.shape_h, a_geom.shape_w),
+    );
     device.stats().record_work(
         label,
         2 * (a.len() + b.len()) as u64,
@@ -229,8 +262,8 @@ pub fn residual_merge<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics when a bounds slice does not cover the frontier or a segment
-/// index is out of range.
+/// Panics when a bounds slice does not cover the frontier, a segment index
+/// is out of range, or a window leaves the frontier extent.
 #[allow(clippy::too_many_arguments)]
 pub fn concretize<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -248,6 +281,7 @@ pub fn concretize<F: Fp, B: Backend>(
     assert_eq!(cst_lo.len(), rows, "concretize: lower constants");
     assert_eq!(cst_hi.len(), rows, "concretize: upper constants");
     assert_eq!(out.len(), rows, "concretize: output length");
+    geom.assert_in_extent("concretize");
     for b in bounds_per_seg {
         assert_eq!(b.len(), geom.frontier_len(), "concretize: bounds length");
     }

@@ -74,6 +74,17 @@ pub trait Fp:
     fn next_up(self) -> Self;
     /// The next representable value towards `-inf`.
     fn next_down(self) -> Self;
+    /// [`Fp::next_up`] when `step`, `self` otherwise — bit for bit, for every
+    /// value (`±0` step to the smallest positive subnormal; `+inf` and NaN
+    /// stay) — and without a branch: one integer addition to the bit
+    /// pattern, of a step that is masked to zero when there is none to take.
+    /// The narrowing conversions of [`crate::round`] and the epilogue of
+    /// [`crate::wide`] step on a comparison of data, which a branch
+    /// predictor gets wrong every other time.
+    fn next_up_if(self, step: bool) -> Self;
+    /// [`Fp::next_down`] when `step`, `self` otherwise; the mirror image of
+    /// [`Fp::next_up_if`].
+    fn next_down_if(self, step: bool) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
     /// IEEE maximum (NaN-ignoring, like `f32::max`).
@@ -119,7 +130,7 @@ pub trait Fp:
 }
 
 macro_rules! impl_fp {
-    ($t:ty, $exact_in_f64:expr) => {
+    ($t:ty, $bits:ty, $exact_in_f64:expr) => {
         impl Fp for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -140,6 +151,31 @@ macro_rules! impl_fp {
             #[inline(always)]
             fn next_down(self) -> Self {
                 self.next_down()
+            }
+            #[inline(always)]
+            fn next_up_if(self, step: bool) -> Self {
+                const SIGN: $bits = 1 << (<$bits>::BITS - 1);
+                const INF: $bits = <$t>::INFINITY.to_bits();
+                let bits = self.to_bits();
+                let abs = bits & !SIGN;
+                // Either zero steps as `+0` does: its pattern is cleared
+                // first (all ones here at a zero, to mask with).
+                let zero = ((abs == 0) as $bits).wrapping_neg();
+                // Towards `+inf` the pattern of a positive value counts up
+                // and that of a negative one down: `1 - 2 * sign`.
+                let delta = (1 as $bits).wrapping_sub((bits & !zero) >> (<$bits>::BITS - 1) << 1);
+                // Nothing lies above `+inf`, and a NaN stays what it is.
+                let go = ((step & (abs <= INF) & (bits != INF)) as $bits).wrapping_neg();
+                // One addition to the pattern, of zero when there is no step
+                // to take: written as a choice between two *values* the
+                // compiler picks between two floats, which on x86-64 is a
+                // jump.
+                <$t>::from_bits(bits.wrapping_add(delta.wrapping_sub(bits & zero) & go))
+            }
+            #[inline(always)]
+            fn next_down_if(self, step: bool) -> Self {
+                // Negation flips one bit and nothing else, NaN payloads kept.
+                -(-self).next_up_if(step)
             }
             #[inline(always)]
             fn abs(self) -> Self {
@@ -189,8 +225,8 @@ macro_rules! impl_fp {
     };
 }
 
-impl_fp!(f32, true);
-impl_fp!(f64, false);
+impl_fp!(f32, u32, true);
+impl_fp!(f64, u64, false);
 
 #[cfg(test)]
 mod tests {
@@ -215,6 +251,74 @@ mod tests {
     fn next_down_of_infinity_is_max() {
         assert_eq!(<f32 as Fp>::INFINITY.next_down(), f32::MAX);
         assert_eq!(<f64 as Fp>::NEG_INFINITY.next_up(), f64::MIN);
+    }
+
+    /// `next_up_if` / `next_down_if` against `std`'s `next_up` / `next_down`
+    /// on one bit pattern, stepping and not.
+    macro_rules! assert_steps_match_std {
+        ($t:ty, $bits:expr) => {{
+            let x = <$t>::from_bits($bits);
+            assert_eq!(
+                x.next_up_if(true).to_bits(),
+                x.next_up().to_bits(),
+                "up {x:e}"
+            );
+            assert_eq!(
+                x.next_down_if(true).to_bits(),
+                x.next_down().to_bits(),
+                "down {x:e}"
+            );
+            assert_eq!(x.next_up_if(false).to_bits(), $bits, "up, not taken {x:e}");
+            assert_eq!(
+                x.next_down_if(false).to_bits(),
+                $bits,
+                "down, not taken {x:e}"
+            );
+        }};
+    }
+
+    #[test]
+    fn conditional_steps_match_std_bit_for_bit() {
+        // Where the pattern arithmetic changes regime: both zeros, the
+        // subnormal and normal thresholds, one, the largest finite value and
+        // the infinities (the one a step can leave and the one it cannot),
+        // and a NaN of either sign.
+        for x in [
+            0.0_f32,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            1.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ] {
+            assert_steps_match_std!(f32, x.to_bits());
+            assert_steps_match_std!(f32, (-x).to_bits());
+        }
+        for x in [
+            0.0_f64,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_steps_match_std!(f64, x.to_bits());
+            assert_steps_match_std!(f64, (-x).to_bits());
+        }
+        // A million patterns of each width (splitmix64): every exponent,
+        // either sign, NaN payloads included.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..1 << 20 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            assert_steps_match_std!(f32, z as u32);
+            assert_steps_match_std!(f64, z);
+        }
     }
 
     #[test]

@@ -141,15 +141,13 @@ pub fn fma_up<F: Fp>(a: F, b: F, acc: F) -> F {
 
 /// Converts an `f64` to `F` rounded towards `-inf`. Overflow saturates
 /// outward-soundly: a value above `F::MAX` gives `F::MAX`, one below
-/// `F::MIN` gives `-inf`.
+/// `F::MIN` gives `-inf`. Whether round-to-nearest landed above `x` is a coin
+/// toss per value, so the step is taken without a branch
+/// ([`Fp::next_down_if`]): every epilogue of [`crate::wide`] ends here.
 #[inline(always)]
 pub fn from_f64_down<F: Fp>(x: f64) -> F {
     let r = F::from_f64(x);
-    if r.to_f64() > x {
-        r.next_down()
-    } else {
-        r
-    }
+    r.next_down_if(r.to_f64() > x)
 }
 
 /// Converts an `f64` to `F` rounded towards `+inf` (the mirror image of
@@ -157,11 +155,7 @@ pub fn from_f64_down<F: Fp>(x: f64) -> F {
 #[inline(always)]
 pub fn from_f64_up<F: Fp>(x: f64) -> F {
     let r = F::from_f64(x);
-    if r.to_f64() < x {
-        r.next_up()
-    } else {
-        r
-    }
+    r.next_up_if(r.to_f64() < x)
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! the layout is struct-of-arrays so the lane loop vectorizes), and the
 //! magnitude sum the bound needs is taken **once per term list**
 //! ([`WideMag`]) for every output that shares the list — it never enters
-//! the lane loop.
+//! the lane loop. [`WideRow`] is the same accumulator with its lanes in
+//! memory, as many as a kernel's row has outputs, for kernels that *scatter*:
+//! a term is visited once and added to every output it reaches, instead of
+//! every output walking its own term list.
 //!
 //! # The rule (what every backend must reproduce, bit for bit)
 //!
@@ -344,16 +347,22 @@ fn widening(t: f64, adds: usize) -> f64 {
 pub struct Widening(f64);
 
 impl Widening {
-    /// The rule's epilogue, `[down_F(down(lo − e)), up_F(up(hi + e))]`; a
+    /// The rule's epilogue, `[down_F(down(lo − e)), up_F(up(hi + e))]`, for
+    /// the two sums of one output of the list this bound was made for; a
     /// zero bound — no addition rounded, or only zeros were summed — moves
     /// nothing before the narrowing, the sign of a zero included.
     #[inline(always)]
     fn enclose<F: Fp>(self, lo: f64, hi: f64) -> Itv<F> {
-        let (lo, hi) = if self.0 > 0.0 {
-            (round::sub_down(lo, self.0), round::add_up(hi, self.0))
-        } else {
-            (lo, hi)
-        };
+        // `round::sub_down(lo, e)` and `round::add_up(hi, e)` for an `e` that
+        // is `+0` or positive, bit for bit, without their branches — the one
+        // `std`'s `next_down` takes on the sign of its argument is as good
+        // as random here. Subtracting `+0` moves nothing, the sign of a zero
+        // included, which adding it to `-0` would; hence the upper side as
+        // the mirror image of the lower, `up(hi + e) = -down(-hi - e)`. A
+        // zero sum plus `e` is exact and takes no step (`add_up`'s rule).
+        let e = self.0;
+        let lo = (lo - e).next_down_if(e > 0.0);
+        let hi = -(-hi - e).next_down_if((e > 0.0) & (hi != 0.0));
         Itv {
             lo: round::from_f64_down(lo),
             hi: round::from_f64_up(hi),
@@ -473,6 +482,62 @@ impl<const N: usize> WideAcc<N> {
     #[inline(never)]
     pub fn finish<F: Fp>(&self, j: usize, e: Widening) -> Itv<F> {
         e.enclose(self.lo[j], self.hi[j])
+    }
+}
+
+/// [`WideAcc`] with its lanes in memory and their number chosen at run time:
+/// the sums of every output of one kernel row. The caller owns the mapping
+/// from outputs to lanes and from lanes to term lists — lanes that share a
+/// list share its [`WideMag`] — and feeds each lane its terms in the list's
+/// order; between two lanes the order is free, which is what lets a kernel
+/// visit a *term* once and add it to every output it reaches. Per lane the
+/// operations are [`WideAcc::mul_add`]'s, so the bits are.
+#[derive(Clone, Debug, Default)]
+pub struct WideRow {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl WideRow {
+    /// `lanes` outputs, each at exact zero. The storage is kept from one
+    /// row to the next.
+    pub fn reset(&mut self, lanes: usize) {
+        for sums in [&mut self.lo, &mut self.hi] {
+            sums.clear();
+            sums.resize(lanes, 0.0);
+        }
+    }
+
+    /// Lane `at + j` accumulates `a · w[j]`, for every `j`: one term into a
+    /// run of consecutive outputs. The weights come widened (`F` → `f64` is
+    /// exact), so a launch converts its weights once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run leaves the lanes of the last [`WideRow::reset`].
+    #[inline(always)]
+    pub fn mul_add(&mut self, at: usize, a: WideTerm, w: &[f64]) {
+        let run = at..at + w.len();
+        let (lo, hi) = (&mut self.lo[run.clone()], &mut self.hi[run]);
+        for ((lo, hi), &w) in lo.iter_mut().zip(hi).zip(w) {
+            let (p, q) = (a.lo * w, a.hi * w);
+            *lo += if p < q { p } else { q };
+            *hi += if p > q { p } else { q };
+        }
+    }
+
+    /// The sound enclosures of lanes `at..at + out.len()` — outputs that
+    /// shared one term list — under the list's error bound `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lanes leave those of the last [`WideRow::reset`].
+    #[inline]
+    pub fn finish<F: Fp>(&self, at: usize, e: Widening, out: &mut [Itv<F>]) {
+        let (lo, hi) = (&self.lo[at..at + out.len()], &self.hi[at..at + out.len()]);
+        for ((v, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+            *v = e.enclose(lo, hi);
+        }
     }
 }
 
@@ -707,6 +772,92 @@ mod tests {
         // exact: [1·3 + 2·(−5), 2·3 + 1·(−5)] = [−7, 1]
         assert!(y.lo <= -7.0 && y.hi >= 1.0);
         assert!(y.lo >= (-7.0_f32).next_down() && y.hi <= 1.0_f32.next_up());
+    }
+
+    #[test]
+    fn the_epilogue_is_the_directed_operations_it_stands_for() {
+        // `enclose` spells `sub_down`, `add_up` and their exact shortcuts
+        // without branches; here they are with them.
+        let sums = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -0.3,
+            1e-300,
+            -1e-300,
+            5e-324,
+            -5e-324,
+            3.5e38,
+            -3.5e38,
+            f64::MAX,
+            f64::MIN,
+            2f64.powi(-149),
+            -(2f64.powi(-150)),
+        ];
+        for e in [0.0, 5e-324, 1e-30, 0.25, 1e300, f64::MAX] {
+            for lo in sums {
+                for hi in sums {
+                    let got: Itv<f32> = Widening(e).enclose(lo, hi);
+                    // A zero bound moves nothing, the sign of a zero included.
+                    let (down, up) = if e > 0.0 {
+                        (round::sub_down(lo, e), round::add_up(hi, e))
+                    } else {
+                        (lo, hi)
+                    };
+                    let want: Itv<f32> = Itv {
+                        lo: round::from_f64_down(down),
+                        hi: round::from_f64_up(up),
+                    };
+                    assert_eq!(
+                        (got.lo.to_bits(), got.hi.to_bits()),
+                        (want.lo.to_bits(), want.hi.to_bits()),
+                        "[{lo:e}, {hi:e}] widened by {e:e}: {got} != {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_of_lanes_sums_like_register_lanes() {
+        let terms = [
+            (Itv::new(0.1_f32, 0.2), [3.0_f32, -3.0, 0.0, 1e-3]),
+            (Itv::new(-1.0_f32, 1.0), [2.0, -4.0, 0.5, -0.0]),
+            (Itv::point(-0.7_f32), [1e10, 0.3, -0.25, 7.0]),
+        ];
+        let mut mag = WideMag::new::<f32>(&[]);
+        let mut acc = WideAcc::<4>::new::<f32>(&[]);
+        let mut row = WideRow::default();
+        row.reset(9); // lanes 3..7 take the terms, the others stay at zero
+        for (a, w) in &terms {
+            let a = WideTerm::new(*a);
+            mag.add(a, max_mag(w));
+            acc.mul_add(a, w);
+            row.mul_add(3, a, &w.map(f64::from));
+        }
+        let e = mag.finish().expect("finite operands");
+        let mut got = [Itv::point(9.0_f32); 9];
+        row.finish(0, e, &mut got);
+        for (j, y) in got.iter().enumerate() {
+            let want: Itv<f32> = match j {
+                3..=6 => acc.finish(j - 3, e),
+                _ => e.enclose(0.0, 0.0),
+            };
+            assert_eq!(
+                (y.lo.to_bits(), y.hi.to_bits()),
+                (want.lo.to_bits(), want.hi.to_bits()),
+                "lane {j}"
+            );
+        }
+        // A reset row is exact zeros again, whatever it held.
+        row.reset(2);
+        let mut zeros = [Itv::point(9.0_f32); 2];
+        row.finish(0, WideMag::new::<f32>(&[]).finish().unwrap(), &mut zeros);
+        assert!(zeros
+            .iter()
+            .all(|z| z.lo.to_bits() == 0 && z.hi.to_bits() == 0));
     }
 
     #[test]
