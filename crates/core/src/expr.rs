@@ -35,9 +35,12 @@
 //! segment `0` throughout; every per-row operation is unchanged, so fused
 //! results are bit-identical to running each query's rows alone.
 
-use gpupoly_device::{kernels, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom};
+use gpupoly_device::{
+    kernels, par_stream, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom,
+};
 use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
+use rayon::prelude::*;
 
 use crate::VerifyError;
 
@@ -818,30 +821,65 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     /// most `Σ_n |a_n| · err[n]` when they are replaced by the exact map, and
     /// both constants of the row are widened by a bound on that sum. Exact
     /// products and one `f64` sum per plane for `f32`, rounded up once;
-    /// directed `F` operations otherwise.
+    /// directed `F` operations otherwise. The rows are independent: a batch
+    /// large enough to repay a pool section ([`par_stream`]) runs them across
+    /// the device's workers.
     ///
     /// # Panics
     ///
     /// Panics when a segment index is out of range or an `err` slice does
     /// not cover the frontier.
-    pub fn absorb_round_off(&mut self, err_per_seg: &[&[F]]) {
-        let (cols, chans) = (self.cols(), self.shape.c);
-        for r in 0..self.rows() {
-            let err = err_per_seg[self.seg[r] as usize];
+    pub fn absorb_round_off(&mut self, device: &Device<B>, err_per_seg: &[&[F]]) {
+        for err in err_per_seg {
             assert_eq!(err.len(), self.shape.len(), "round-off length");
-            let geom = self.geom();
-            let (mut lo, mut hi) = (Owed::default(), Owed::default());
-            for i in 0..self.win_h {
-                for j in 0..self.win_w {
-                    let base = r * cols + (i * self.win_w + j) * chans;
-                    let err = &err[geom.neuron_at(r, i, j)..][..chans];
-                    lo.add(&self.lo[base..base + chans], err);
-                    hi.add(&self.hi[base..base + chans], err);
-                }
-            }
-            self.cst_lo[r] = self.cst_lo[r].widen(lo.bound());
-            self.cst_hi[r] = self.cst_hi[r].widen(hi.bound());
         }
+        let (cols, run) = (self.cols(), self.win_w * self.shape.c);
+        let mut csts = (
+            std::mem::take(&mut self.cst_lo),
+            std::mem::take(&mut self.cst_hi),
+        );
+        let geom = self.geom();
+        // What the wide sum takes of a segment's round-off, once for all of
+        // its rows; a lone row converts its own window (`scratch` below).
+        let rows = geom.seg_rows(err_per_seg.len());
+        let wide: Vec<Option<Vec<f64>>> = err_per_seg
+            .iter()
+            .zip(&rows)
+            .map(|(err, &rows)| {
+                (F::EXACT_IN_F64 && rows > 1).then(|| err.iter().map(Owed::wide_err).collect())
+            })
+            .collect();
+        let (lo, hi): (&[Itv<F>], &[Itv<F>]) = (&self.lo, &self.hi);
+        let rows = csts.0.par_iter_mut().zip(csts.1.par_iter_mut());
+        par_stream(
+            device,
+            rows.enumerate(),
+            2 * cols,
+            |(r, (cst_lo, cst_hi))| {
+                let s = geom.seg[r] as usize;
+                let (mut owed_lo, mut owed_hi) = (Owed::default(), Owed::default());
+                let mut scratch = Vec::new();
+                for i in 0..geom.win_h {
+                    let (base, n) = (r * cols + i * run, geom.neuron_at(r, i, 0));
+                    let err = &err_per_seg[s][n..n + run];
+                    let wide = match &wide[s] {
+                        Some(wide) => &wide[n..n + run],
+                        None => {
+                            scratch.clear();
+                            if F::EXACT_IN_F64 {
+                                scratch.extend(err.iter().map(Owed::wide_err));
+                            }
+                            &scratch[..]
+                        }
+                    };
+                    owed_lo.add(&lo[base..base + run], err, wide);
+                    owed_hi.add(&hi[base..base + run], err, wide);
+                }
+                *cst_lo = cst_lo.widen(owed_lo.bound());
+                *cst_hi = cst_hi.widen(owed_hi.bound());
+            },
+        );
+        (self.cst_lo, self.cst_hi) = csts;
     }
 
     /// Sets a coefficient in both planes (used to assemble spec rows).
@@ -886,12 +924,19 @@ impl<F: Fp> Default for Owed<F> {
 }
 
 impl<F: Fp> Owed<F> {
-    fn add(&mut self, coeffs: &[Itv<F>], err: &[F]) {
+    /// One neuron's round-off as the wide sum takes it. `min` keeps a zero
+    /// coefficient times an unbounded round-off (`+inf`, or NaN) a zero; any
+    /// other product of it overflows `F`.
+    fn wide_err(e: &F) -> f64 {
+        e.min(F::MAX).to_f64()
+    }
+
+    /// Adds `Σ |coeffs[k]| · err[k]`; `wide` is `err` through
+    /// [`Owed::wide_err`], for [`Fp::EXACT_IN_F64`] (unread otherwise).
+    fn add(&mut self, coeffs: &[Itv<F>], err: &[F], wide: &[f64]) {
         if F::EXACT_IN_F64 {
-            // `min` keeps a zero coefficient times an unbounded round-off
-            // (`+inf`, or NaN) a zero; any other product of it overflows `F`.
-            let owed = |a: &Itv<F>, e: F| a.mag().to_f64() * e.min(F::MAX).to_f64();
-            let (blocks, tail) = (coeffs.chunks_exact(4), err.chunks_exact(4));
+            let owed = |a: &Itv<F>, e: f64| a.mag().to_f64() * e;
+            let (blocks, tail) = (coeffs.chunks_exact(4), wide.chunks_exact(4));
             for (a, &e) in blocks.remainder().iter().zip(tail.remainder()) {
                 self.wide[0] += owed(a, e);
             }
@@ -1095,7 +1140,7 @@ mod tests {
         let mut batch = ExprBatch::stack(&device, parts).unwrap();
         batch.hi[3] = Itv::new(F::from_f64(-2.0), F::from_f64(0.5)); // planes differ
         let before = (batch.cst_lo.clone(), batch.cst_hi.clone());
-        batch.absorb_round_off(&[&err_a, &err_b]);
+        batch.absorb_round_off(&device, &[&err_a, &err_b]);
         for r in 0..batch.rows() {
             let err = if r < 3 { &err_a } else { &err_b };
             for (upper, was, now) in [
@@ -1121,7 +1166,7 @@ mod tests {
         let mut batch = padded_conv_rows::<F>(&device);
         let mut err = err_a.clone();
         err[17] = F::INFINITY;
-        batch.absorb_round_off(&[&err]);
+        batch.absorb_round_off(&device, &[&err]);
         assert!(batch.cst_lo[0].is_finite() && batch.cst_hi[0].is_finite());
         assert_eq!(batch.cst_lo[2], Itv::top());
         assert_eq!(batch.cst_hi[2], Itv::top());

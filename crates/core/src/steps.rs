@@ -524,7 +524,7 @@ mod tests {
         c2.forward_itv_round_off(&z_bounds, &mut vec![Itv::zero(); err2.len()], &mut err2);
         let mut batch = ExprBatch::from_conv(&device, &c2, &neurons, 2, Some(&err2)).unwrap();
         assert_eq!(batch.window(), (2, 2));
-        batch.absorb_round_off(&[&err1]);
+        batch.absorb_round_off(&device, &[&err1]);
         let out = step_conv(&device, batch, &c1, 1).unwrap();
         // W2 = (2-1)*1 + 3 = 4 (paper Eq. 5)
         assert_eq!(out.window(), (4, 4));

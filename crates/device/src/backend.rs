@@ -159,6 +159,14 @@
 //! rule and its proof are the "Interval × interval" section of
 //! [`gpupoly_interval::wide`].
 //!
+//! Widening a bound to `f64` is exact, so *when* it happens is scheduling,
+//! not arithmetic: [`ReferenceBackend`] widens the bound of every term as it
+//! meets it, [`CpuSimBackend`] widens a segment's bounds once per launch —
+//! for the segments with more than one row in it; a single row would widen
+//! exactly what the table holds, and after early termination a fused batch
+//! carries segments without rows — and the bias fold does the same with its
+//! bias. Neither changes a term list, its order, a skip or a count.
+//!
 //! **Bias fold** is one interval×scalar output per row over its own term
 //! list: the row's non-zero coefficients, window positions ascending
 //! (channels innermost), each with `w = bias[t mod |bias|]`, started from the
@@ -195,6 +203,45 @@
 //! same terms instead: `cst.add(a.mul(intercept))`, `cst.add([v, v])` with
 //! `v` that endpoint of `a.mul(out_bound)`, and `a.mul(slope)`.
 //!
+//! **Resolving the table is scheduling.** Whether an element is a term, and
+//! of which kind, is decided by the coefficient and the four intervals of its
+//! neuron, by value, as written above; a backend may look at a segment's table
+//! once per launch instead of once per element, and skip arithmetic whose
+//! result the table already tells — it may not change a term list, its
+//! order, `T` or a count by doing so. [`CpuSimBackend`] resolves each side
+//! `(slope, intercept)` of each neuron (for the segments with more than one
+//! row in the launch, whose tables are finite) to one of three kinds, and
+//! these are the only patterns that resolve:
+//!
+//! * **One** — slope `[1, 1]` and an intercept that is an exact zero (either
+//!   sign of zero, the test the zero-skip uses): no term of the constant, and
+//!   `a · [1, 1]` narrows to `a` bit for bit, so nothing is computed. A neuron
+//!   with two such sides is the identity neuron of the rule.
+//! * **Zero** — slope `[+0, +0]` *to the bit* and an exact-zero intercept: no
+//!   term of the constant, and the four corner products of a coefficient that
+//!   does not straddle zero narrow to `[z, z]` with `z = a.hi · 0`, whose sign
+//!   is the coefficient's upper bound's. This is the stable-zero column
+//!   guarantee's neuron.
+//! * **General** — anything else: another bit pattern of a zero slope
+//!   (`[-0, +0]`, `[-0, -0]`: their products carry other signs), a slope a
+//!   step wide of one, any slope over a non-zero intercept, and any slope
+//!   over a zero intercept (the coefficient is multiplied; the intercept is
+//!   still no term, the skip taken as a mask —
+//!   [`gpupoly_interval::wide::WideSum::mul_add_if`]). The rule's arithmetic,
+//!   over operands widened once.
+//!
+//! The shortcuts are results of the rule for a coefficient that is finite,
+//! ordered and does not strictly straddle zero; a row holding any other
+//! coefficient (a hull term, `±inf`, NaN, `lo > hi`) or a non-finite constant,
+//! a segment whose relaxations or concrete bounds are not all finite, a row
+//! that finds its segment's table still being made by another worker, and
+//! every other scalar type take the rule as written, row by row
+//! (`relu_step_row`) — as every row does on [`ReferenceBackend`]. An
+//! exact-zero coefficient is no term on any kind of side.
+//! [`crate::conformance::check_relu_step_sides`] holds a backend to the
+//! straight-line oracle on tables built to look resolvable where they are
+//! not.
+//!
 //! Two things about the terms are new with this rule and hold on the chain
 //! too, i.e. they changed `f64` results and fallback rows against the
 //! per-step chain as it was before the rule (both sound, both no looser):
@@ -226,6 +273,8 @@
 use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm};
 use gpupoly_interval::{round, Fp, Itv};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use crate::relax::ReluRelax;
 use crate::Device;
@@ -285,6 +334,20 @@ impl ExprGeom<'_> {
     pub fn neuron_at(&self, r: usize, i: usize, j: usize) -> usize {
         let (oh, ow) = self.origins[r];
         ((oh as usize + i) * self.shape_w + ow as usize + j) * self.chans
+    }
+
+    /// How many rows each of `segments` query segments has. After early
+    /// termination filtered a fused batch, some have none.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row's segment index is not below `segments`.
+    pub fn seg_rows(&self, segments: usize) -> Vec<usize> {
+        let mut rows = vec![0; segments];
+        for &s in self.seg {
+            rows[s as usize] += 1;
+        }
+        rows
     }
 
     /// Checks the rule of the type's docs, once per launch.
@@ -371,10 +434,15 @@ impl GbcShape {
 // Shared per-row kernel bodies. Both backends dispatch these row functions
 // (in parallel on CpuSimBackend, serially on ReferenceBackend), so per-row
 // arithmetic — and therefore every result bit — is identical by
-// construction; GBC is the exception, a scatter on CpuSimBackend and the
-// contract's gather on ReferenceBackend. The conformance suite checks each
-// backend against *independent* straight-line oracles, so a port that
-// reimplements the rows is held to the same bits.
+// construction. The exceptions are CpuSimBackend's: GBC is a scatter there
+// and the contract's gather on ReferenceBackend, and the ReLU step,
+// concretize and the bias fold run `relu_step_row_by_sides`,
+// `concretize_row_widened` and `bias_fold_row_widened` over tables the launch
+// made once, with `relu_step_row`, `concretize_row` and `bias_fold_row` — all
+// that ReferenceBackend runs — for other scalar types and for the rows those
+// hand back. The conformance suite checks each backend against *independent*
+// straight-line oracles, so a port that reimplements the rows is held to
+// the same bits.
 // ---------------------------------------------------------------------------
 
 /// The source positions along one dimension that reach destination-window
@@ -665,7 +733,7 @@ impl<'a, F: Fp> GbcScatter<'a, F> {
 /// coefficients `a`, ascending, each with its bias entry
 /// `b = bias[t mod |bias|]`.
 #[inline(always)]
-fn bias_terms<F: Fp>(row: &[Itv<F>], bias: &[F], mut visit: impl FnMut(Itv<F>, F)) {
+fn bias_terms<F: Fp, W: Copy>(row: &[Itv<F>], bias: &[W], mut visit: impl FnMut(Itv<F>, W)) {
     let mut t = 0;
     for &a in row {
         if !(a.lo == F::ZERO && a.hi == F::ZERO) {
@@ -700,6 +768,21 @@ fn bias_fold_row<F: Fp>(row: &[Itv<F>], bias: &[F], cst: Itv<F>) -> Itv<F> {
     let mut acc = cst;
     bias_terms(row, bias, |a, b| acc = a.mul_add_f(b, acc));
     acc
+}
+
+/// [`bias_fold_row`]'s wide rule over a bias the launch widened once, for
+/// [`Fp::EXACT_IN_F64`]; `None` when an operand is not finite and the row is
+/// [`bias_fold_row`]'s.
+#[inline]
+fn bias_fold_row_widened<F: Fp>(row: &[Itv<F>], bias: &[f64], cst: Itv<F>) -> Option<Itv<F>> {
+    let mut mag = WideMag::new(&[cst]);
+    let mut acc = WideAcc::<1>::new(&[cst]);
+    bias_terms(row, bias, |a, b| {
+        let a = WideTerm::new(a);
+        mag.add(a, b.abs());
+        acc.mul_add_wide(a, &[b]);
+    });
+    mag.finish().map(|e| acc.finish(0, e))
 }
 
 /// What the ReLU step does with one coefficient.
@@ -752,17 +835,6 @@ fn window_elements(r: usize, geom: &ExprGeom<'_>, mut visit: impl FnMut(usize, u
     }
 }
 
-/// `true` when every relaxation and concrete bound of a segment's tables is
-/// finite: a row of finite coefficients then has a finite magnitude sum,
-/// and [`relu_step_row`] need not keep the copy it would fall back from.
-/// Taken once per launch and segment.
-fn finite_tables<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> bool {
-    let finite = |rx: &ReluRelax<F>| {
-        rx.alpha.is_finite() && rx.beta.is_finite() && rx.gamma.is_finite() && rx.delta.is_finite()
-    };
-    relax.iter().all(finite) && out_bounds.iter().all(|b| b.is_finite())
-}
-
 /// One row of the ReLU substitution step (DeepPoly diagonal substitution);
 /// `upper` selects the mirrored coefficient choice of the upper plane. The
 /// row's terms are its [`ReluTerm::Line`] and [`ReluTerm::Hull`] elements, in
@@ -778,7 +850,8 @@ fn finite_tables<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> bool {
 /// products narrowed once, directed (for a finite `a` and slope; [`Itv::mul`]
 /// otherwise). When an operand of that sum turns out not to be finite the
 /// row is put back as it was — from a copy that is only taken when
-/// `tables_finite` ([`finite_tables`] of the row's segment) and the row's own
+/// `tables_finite` (every relaxation and concrete bound of the row's segment
+/// is finite, which [`ReluSides::resolve`] establishes) and the row's own
 /// finiteness do not rule the case out — and goes through the per-step chain
 /// like every row of other scalar types: `cst.add(a.mul(intercept))`,
 /// `cst.add([v, v])` with `v` the endpoint of `a.mul(out_bound)`, and
@@ -850,6 +923,203 @@ fn relu_step_row<F: Fp>(
             }
         }
     });
+}
+
+/// What a launch works out once for the rows of one query segment: a table
+/// per segment, `make(s)`, made inside the launch's one pool section by the
+/// first row of the segment that asks — and only for a segment with more than
+/// one row in the launch: a segment without rows never asks, and the table of
+/// a segment with one row is exactly what that row would compute itself.
+/// Nobody waits for a table. A row that asks while another worker is still
+/// making its segment's gets none, like a row whose segment has none, and
+/// takes the row function that reads the caller's tables — the same bits,
+/// so who got there first decides how long a row takes and nothing else.
+struct SegTables<T, M> {
+    rows: Vec<usize>,
+    claimed: Vec<AtomicBool>,
+    tables: Vec<OnceLock<Option<T>>>,
+    make: M,
+}
+
+impl<T, M: Fn(usize) -> Option<T>> SegTables<T, M> {
+    fn new(geom: &ExprGeom<'_>, segments: usize, make: M) -> Self {
+        Self {
+            rows: geom.seg_rows(segments),
+            claimed: (0..segments).map(|_| AtomicBool::new(false)).collect(),
+            tables: (0..segments).map(|_| OnceLock::new()).collect(),
+            make,
+        }
+    }
+
+    /// Segment `s`'s table, if it has one by now.
+    fn of(&self, s: usize) -> Option<&T> {
+        if let Some(table) = self.tables[s].get() {
+            return table.as_ref();
+        }
+        // `Relaxed`: the flag says who makes the table and publishes nothing;
+        // the table is published by the `OnceLock`.
+        if self.rows[s] < 2 || self.claimed[s].swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        self.tables[s].get_or_init(|| (self.make)(s)).as_ref()
+    }
+}
+
+/// One side of a neuron's relaxation — the `(slope, intercept)` pair
+/// `(alpha, beta)` or `(gamma, delta)` — as the ReLU step meets it, resolved
+/// **by value** once per launch. The kinds are scheduling: each does what
+/// [`relu_step_row`] does with such a pair, minus the arithmetic whose result
+/// is known beforehand.
+#[derive(Copy, Clone)]
+enum Side {
+    /// Slope `[1, 1]`, intercept an exact zero: `a · [1, 1]` narrows to `a`
+    /// and a zero intercept is no term, so coefficient and constant stay.
+    One,
+    /// Slope `[+0, +0]` to the bit, intercept an exact zero: no term of the
+    /// constant either, and the four corner products of a coefficient that
+    /// does not straddle zero are all `a.hi · 0` or narrow to it.
+    Zero,
+    /// Anything else, any other bit pattern of a zero slope included: the
+    /// step's arithmetic over this entry of [`ReluSides::lines`].
+    General(u32),
+}
+
+/// The operands of a [`Side::General`], widened once. `take` is the
+/// intercept's zero-skip, decided once: `false` for an exact-zero intercept,
+/// which is no term of the constant.
+struct Line {
+    slope: WideTerm,
+    icpt: WideTerm,
+    take: bool,
+}
+
+/// One segment's relaxation table resolved for a ReLU-step launch: the
+/// neurons with a side that is not [`Side::One`] — every neuron but those
+/// [`ReluRelax::is_identity`] passes by — and where a run of the frontier
+/// finds them.
+struct ReluSides {
+    /// `(neuron, [(alpha, beta), (gamma, delta)])`, ascending.
+    listed: Vec<(u32, [Side; 2])>,
+    /// `first[n]`: the listed neurons below `n`, for `n` up to the frontier's
+    /// length inclusive.
+    first: Vec<u32>,
+    lines: Vec<Line>,
+}
+
+impl ReluSides {
+    /// The one place a side is resolved.
+    fn side<F: Fp>(&mut self, slope: Itv<F>, icpt: Itv<F>) -> Side {
+        let is = |v: Itv<F>, x: F| v.lo == x && v.hi == x;
+        let no_icpt = is(icpt, F::ZERO);
+        let plus_zero = F::ZERO.bits();
+        if no_icpt && is(slope, F::ONE) {
+            Side::One
+        } else if no_icpt && slope.lo.bits() == plus_zero && slope.hi.bits() == plus_zero {
+            Side::Zero
+        } else {
+            self.lines.push(Line {
+                slope: WideTerm::new(slope),
+                icpt: WideTerm::new(icpt),
+                take: !no_icpt,
+            });
+            Side::General(self.lines.len() as u32 - 1)
+        }
+    }
+
+    /// Resolves a segment's table, or `None` when one of its relaxations or
+    /// concrete bounds is not finite: a row of finite coefficients over a
+    /// resolved table has a finite magnitude sum, and [`relu_step_row`] need
+    /// not keep the copy it would fall back from.
+    fn resolve<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> Option<Self> {
+        // `x · 0` is a zero for a finite `x` and NaN for any other: one sum
+        // over the tables instead of a test per value.
+        let poison = |v: Itv<F>| v.lo * F::ZERO + v.hi * F::ZERO;
+        let mut poisoned = out_bounds.iter().fold(F::ZERO, |p, &b| p + poison(b));
+        let mut sides = Self {
+            listed: Vec::with_capacity(relax.len()),
+            first: Vec::with_capacity(relax.len() + 1),
+            lines: Vec::new(),
+        };
+        for (n, rx) in relax.iter().enumerate() {
+            poisoned +=
+                (poison(rx.alpha) + poison(rx.beta)) + (poison(rx.gamma) + poison(rx.delta));
+            sides.first.push(sides.listed.len() as u32);
+            let pair = [
+                sides.side(rx.alpha, rx.beta),
+                sides.side(rx.gamma, rx.delta),
+            ];
+            if !matches!(pair, [Side::One, Side::One]) {
+                sides.listed.push((n as u32, pair));
+            }
+        }
+        sides.first.push(sides.listed.len() as u32);
+        (poisoned == F::ZERO).then_some(sides)
+    }
+
+    /// The listed neurons among the `run` from `n0`, ascending.
+    #[inline(always)]
+    fn among(&self, n0: usize, run: usize) -> &[(u32, [Side; 2])] {
+        &self.listed[self.first[n0] as usize..self.first[n0 + run] as usize]
+    }
+}
+
+/// One row of the ReLU step over a resolved table, for [`Fp::EXACT_IN_F64`]:
+/// `true` when the row was stepped, `false` — row and constant untouched —
+/// when it is [`relu_step_row`]'s. One pass decides: a row whose constant and
+/// coefficients are finite, ordered (`lo ≤ hi`) and none of them strictly
+/// straddling zero has no hull term and, over a finite table, a finite
+/// magnitude sum, so nothing to fall back from. Such a row visits its listed
+/// neurons only, in ascending window order — the order of its terms — and
+/// each through the side its sign selects: the same term list, `T`, count and
+/// epilogue as [`relu_step_row`], element for element.
+fn relu_step_row_by_sides<F: Fp>(
+    r: usize,
+    row: &mut [Itv<F>],
+    cst: &mut Itv<F>,
+    geom: &ExprGeom<'_>,
+    sides: &ReluSides,
+    upper: bool,
+) -> bool {
+    let plain = |a: &Itv<F>| {
+        a.lo.is_finite()
+            & a.hi.is_finite()
+            & (a.lo <= a.hi)
+            & !((a.lo < F::ZERO) & (a.hi > F::ZERO))
+    };
+    if !(cst.is_finite() && row.iter().fold(true, |all, a| all & plain(a))) {
+        return false;
+    }
+    let run = geom.win_w * geom.chans;
+    let mut sum = WideSum::new(*cst);
+    for (base, nbase) in window_rows(r, geom) {
+        for &(n, pair) in sides.among(nbase, run) {
+            let at = base + (n as usize - nbase);
+            let a = row[at];
+            if a.lo == F::ZERO && a.hi == F::ZERO {
+                continue;
+            }
+            // Lower plane: `a ≥ 0` takes `(alpha, beta)`, `a ≤ 0` takes
+            // `(gamma, delta)`; the upper plane mirrors the choice.
+            match pair[usize::from((a.lo >= F::ZERO) == upper)] {
+                Side::One => {}
+                Side::Zero => {
+                    let z = a.hi * F::ZERO;
+                    row[at] = Itv { lo: z, hi: z };
+                }
+                Side::General(line) => {
+                    let (a, line) = (WideTerm::new(a), &sides.lines[line as usize]);
+                    sum.mul_add_if(line.take, a, line.icpt);
+                    let (lo, hi) = a.product(line.slope);
+                    row[at] = Itv {
+                        lo: round::from_f64_down(lo),
+                        hi: round::from_f64_up(hi),
+                    };
+                }
+            }
+        }
+    }
+    *cst = sum.finish().expect("finite operands sum to a finite bound");
+    true
 }
 
 /// One row of the densify scatter: copy each row of the cuboid window into
@@ -959,6 +1229,43 @@ fn concretize_row<F: Fp>(
         }
     }
     Itv { lo, hi: hi.max(lo) }
+}
+
+/// [`concretize_row`]'s wide rule over bounds the launch widened once per
+/// segment, for [`Fp::EXACT_IN_F64`]; `None` when either magnitude sum is not
+/// finite and the row is [`concretize_row`]'s.
+#[inline]
+fn concretize_row_widened<F: Fp>(
+    r: usize,
+    lo_row: &[Itv<F>],
+    hi_row: &[Itv<F>],
+    cst_lo: Itv<F>,
+    cst_hi: Itv<F>,
+    geom: &ExprGeom<'_>,
+    bounds: &[WideTerm],
+) -> Option<Itv<F>> {
+    let is_zero = |a: Itv<F>| a.lo == F::ZERO && a.hi == F::ZERO;
+    let run = geom.win_w * geom.chans;
+    let mut lo = WideBound::<false>::new(cst_lo.lo);
+    let mut hi = WideBound::<true>::new(cst_hi.hi);
+    for (base, nbase) in window_rows(r, geom) {
+        let rows = lo_row[base..base + run]
+            .iter()
+            .zip(&hi_row[base..base + run]);
+        for ((&a_lo, &a_hi), &b) in rows.zip(&bounds[nbase..nbase + run]) {
+            if is_zero(a_lo) && is_zero(a_hi) {
+                continue;
+            }
+            if !is_zero(a_lo) {
+                lo.mul_add(WideTerm::new(a_lo), b);
+            }
+            if !is_zero(a_hi) {
+                hi.mul_add(WideTerm::new(a_hi), b);
+            }
+        }
+    }
+    let (lo, hi) = (lo.finish::<F>()?, hi.finish::<F>()?);
+    Some(Itv { lo, hi: hi.max(lo) })
 }
 
 /// `wmax` of a launch for scalar types with [`Fp::EXACT_IN_F64`] (empty
@@ -1172,9 +1479,12 @@ const STREAM_GRAIN: usize = 128 * 1024;
 /// work: on the calling thread, without touching the pool, when the section
 /// is smaller than two parts of [`STREAM_GRAIN`] elements, and split over
 /// the device's workers otherwise. The split changes who runs an item, never
-/// what it computes.
-fn par_stream<I: ParallelIterator>(
-    device: &Device<CpuSimBackend>,
+/// what it computes. Public for the host-side passes of `gpupoly-core` that
+/// stream a batch the way a gather does — one light pass per element — and
+/// would pay a pool section per step for rows a thread is through in
+/// microseconds.
+pub fn par_stream<B: Backend, I: ParallelIterator>(
+    device: &Device<B>,
     items: I,
     elems_per_item: usize,
     op: impl Fn(I::Item) + Sync + Send,
@@ -1586,9 +1896,17 @@ impl Backend for CpuSimBackend {
             return;
         }
         let cols = geom.cols();
+        // Like a segment's table (`SegTables`): one row would widen exactly
+        // what the table holds.
+        let widened: Option<Vec<f64>> = (F::EXACT_IN_F64 && out_cst.len() > 1)
+            .then(|| bias.iter().map(|b| b.to_f64()).collect());
         device.install(|| {
             out_cst.par_iter_mut().enumerate().for_each(|(r, v)| {
-                *v = bias_fold_row(&plane[r * cols..(r + 1) * cols], bias, src_cst[r])
+                let row = &plane[r * cols..(r + 1) * cols];
+                *v = widened
+                    .as_deref()
+                    .and_then(|bias| bias_fold_row_widened(row, bias, src_cst[r]))
+                    .unwrap_or_else(|| bias_fold_row(row, bias, src_cst[r]))
             })
         });
     }
@@ -1607,11 +1925,11 @@ impl Backend for CpuSimBackend {
             return;
         }
         let cols = geom.cols();
-        let finite: Vec<bool> = relax_per_seg
-            .iter()
-            .zip(out_bounds_per_seg)
-            .map(|(relax, out_bounds)| finite_tables(relax, out_bounds))
-            .collect();
+        let sides = SegTables::new(geom, relax_per_seg.len(), |s| {
+            F::EXACT_IN_F64
+                .then(|| ReluSides::resolve(relax_per_seg[s], out_bounds_per_seg[s]))
+                .flatten()
+        });
         device.install(|| {
             plane
                 .par_chunks_mut(cols.max(1))
@@ -1619,16 +1937,19 @@ impl Backend for CpuSimBackend {
                 .enumerate()
                 .for_each(|(r, (row, c))| {
                     let s = geom.seg[r] as usize;
-                    relu_step_row(
-                        r,
-                        row,
-                        c,
-                        geom,
-                        relax_per_seg[s],
-                        out_bounds_per_seg[s],
-                        upper,
-                        finite[s],
-                    )
+                    let sides = sides.of(s);
+                    if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
+                        relu_step_row(
+                            r,
+                            row,
+                            c,
+                            geom,
+                            relax_per_seg[s],
+                            out_bounds_per_seg[s],
+                            upper,
+                            sides.is_some(),
+                        )
+                    }
                 })
         });
     }
@@ -1694,17 +2015,23 @@ impl Backend for CpuSimBackend {
             return;
         }
         let cols = geom.cols();
+        // The one place bounds are widened for a launch.
+        let widened = SegTables::new(geom, bounds_per_seg.len(), |s| {
+            F::EXACT_IN_F64.then(|| {
+                let widen = |&b: &Itv<F>| WideTerm::new(b);
+                bounds_per_seg[s].iter().map(widen).collect::<Vec<_>>()
+            })
+        });
         device.install(|| {
             out.par_iter_mut().enumerate().for_each(|(r, v)| {
-                *v = concretize_row(
-                    r,
-                    &lo[r * cols..(r + 1) * cols],
-                    &hi[r * cols..(r + 1) * cols],
-                    cst_lo[r],
-                    cst_hi[r],
-                    geom,
-                    bounds_per_seg[geom.seg[r] as usize],
-                )
+                let s = geom.seg[r] as usize;
+                let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
+                *v = widened
+                    .of(s)
+                    .and_then(|b| concretize_row_widened(r, lo, hi, cst_lo[r], cst_hi[r], geom, b))
+                    .unwrap_or_else(|| {
+                        concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds_per_seg[s])
+                    })
             })
         });
     }

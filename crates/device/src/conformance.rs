@@ -1648,6 +1648,183 @@ pub fn check_relu_step_special_cases<B: Backend>(device: &Device<B>) {
     }
 }
 
+/// Pins what a backend may and may not conclude from a relaxation *table* —
+/// [`crate::CpuSimBackend`] resolves every side `(slope, intercept)` of every
+/// neuron once per launch and skips the arithmetic whose result it knows —
+/// against `oracle_relu_step_row`, which knows no such thing. Hand-made
+/// tables mix the relaxations real bounds produce (identity, zero, unstable
+/// with `alpha` 0 and 1) with sides that look resolvable and are not: slope
+/// `[1, 1 + ulp]`, zero slopes `[-0, +0]` and `[-0, -0]` (whose products
+/// carry other signs than `[+0, +0]`'s), `alpha = [1, 1]` over a non-zero
+/// `beta`, a zero `delta` under a non-trivial `gamma` (a coefficient
+/// product, but no term of the constant), and intercepts that are zero by
+/// value only. Every coefficient shape — `[+0, +0]`, `[-0, +0]`, `[-0, -0]`,
+/// `[-0, x]`, `[-x, +0]`, either definite sign — meets every such neuron on
+/// both planes, on full windows and on slid cuboid windows; further rows
+/// hold a coefficient that strictly straddles zero (on an unstable and on an
+/// identity neuron), a `+inf` and a NaN coefficient, one whose bounds are
+/// out of order (`a · [1, 1]` is not `a` then) and a `top` constant, each of
+/// which takes its whole row, and no other, through the straight rule. The launches have four segments, one without rows and one with a
+/// single row, and run once more over a table with a non-finite entry. The
+/// stable-zero column guarantee of [`check_relu_step_against_oracle`] is
+/// re-asserted for the zero neuron.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_relu_step_sides<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let itv = |lo: f32, hi: f32| Itv { lo, hi };
+    let (zero, one) = (Itv::<f32>::zero(), Itv::point(1.0_f32));
+    let (gamma, delta) = (itv(0.625, 0.625_f32.next_up()), itv(0.125, 0.25));
+    let relax_of = |alpha, beta, gamma, delta| ReluRelax {
+        alpha,
+        beta,
+        gamma,
+        delta,
+        exact: false,
+    };
+    let patterns = [
+        relax_of(one, zero, one, zero),     // identity
+        relax_of(zero, zero, zero, zero),   // zero
+        relax_of(zero, zero, gamma, delta), // unstable, alpha = 0
+        relax_of(one, zero, gamma, delta),  // unstable, alpha = 1
+        // Not the identity: one slope is a step wide.
+        relax_of(itv(1.0, 1.0_f32.next_up()), zero, one, zero),
+        // Not zero: other bit patterns of a zero slope.
+        relax_of(itv(-0.0, 0.0), zero, itv(-0.0, -0.0), zero),
+        // Not the identity: a non-zero beta.
+        relax_of(one, Itv::point(0.25), one, itv(-0.125, 0.5)),
+        // A slope to multiply by, but no term of the constant.
+        relax_of(zero, zero, itv(0.5, 0.75), zero),
+        // Zero by value is enough for an intercept, on either kind of side.
+        relax_of(one, Itv::point(-0.0), zero, itv(-0.0, 0.0)),
+        // A negative slope and intercept: nothing about signs is assumed.
+        relax_of(itv(-0.5, -0.25), itv(-0.25, 0.0), itv(-1.0, 0.5), delta),
+    ];
+    const KINDS: usize = 8;
+    let coeff = |kind: usize, s: &mut Stream| -> Itv<f32> {
+        let (x, y) = (s.next_f32().abs() + 1e-3, s.next_f32().abs() + 2.0);
+        match kind % KINDS {
+            0 => itv(0.0, 0.0),
+            1 => itv(-0.0, 0.0),
+            2 => itv(-0.0, -0.0),
+            3 => itv(-0.0, x),
+            4 => itv(-x, 0.0),
+            5 => itv(x, y),
+            6 => itv(-y, -x),
+            _ => Itv::point(-x),
+        }
+    };
+    // Segment 1 has no row, segment 2 one; 0 and 3 take turns at the rest.
+    let seg_of = |r: usize| match r {
+        r if r == 2 * KINDS => 2,
+        r if r % 2 == 0 => 0,
+        _ => 3,
+    };
+    let mut s = Stream::new(0x51de5);
+    // Full windows over one neuron per pattern, then slid cuboid windows
+    // over a layer that repeats the patterns.
+    let rows = 2 * KINDS + 1;
+    let mut cases = [
+        GeomCase::new(rows + 6, 1, 1, 1, 1, patterns.len(), 1, &mut s),
+        GeomCase::new(rows, 2, 3, 4, 5, 2, 1, &mut s),
+    ];
+    for (which, case) in cases.iter_mut().enumerate() {
+        case.seg = (0..case.rows()).map(|r| seg_of(r) as u32).collect();
+        let cols = case.cols();
+        let pattern_of = |n: usize| n % patterns.len();
+        // Segments differ in one intercept, so a table read for the wrong
+        // segment shows.
+        let relax: Vec<Vec<ReluRelax<f32>>> = (0..4)
+            .map(|seg| {
+                (0..case.frontier_len())
+                    .map(|n| {
+                        let mut rx = patterns[pattern_of(n)];
+                        if pattern_of(n) == 3 {
+                            rx.delta = itv(0.125, 0.25 + seg as f32);
+                        }
+                        rx
+                    })
+                    .collect()
+            })
+            .collect();
+        let out_bounds: Vec<Vec<Itv<f32>>> = (0..4)
+            .map(|seg| {
+                (0..case.frontier_len())
+                    .map(|n| itv(0.0, 0.5 + (n + seg) as f32 * 0.125))
+                    .collect()
+            })
+            .collect();
+        // Row `r` meets neuron `n` with coefficient shape `r + n`: every
+        // shape on every pattern within each of the two large segments.
+        let g = case.geom();
+        let mut plane = vec![zero; case.rows() * cols];
+        for r in 0..case.rows() {
+            for i in 0..case.win_h {
+                for j in 0..case.win_w {
+                    for c in 0..case.chans {
+                        let n = g.neuron_at(r, i, j) + c;
+                        plane[r * cols + (i * case.win_w + j) * case.chans + c] =
+                            coeff(r / 2 + n, &mut s);
+                    }
+                }
+            }
+        }
+        let mut cst = case.csts(&mut s);
+        if which == 0 {
+            // The rows that are the straight rule's, among rows that are not.
+            let at = |r: usize, n: usize| r * cols + n;
+            plane[at(rows, 2)] = itv(-0.5, 0.25); // straddles, unstable neuron
+            plane[at(rows + 1, 0)] = itv(-0.5, 0.25); // straddles, identity neuron
+            plane[at(rows + 2, 3)] = itv(1.0, f32::INFINITY);
+            plane[at(rows + 3, 7)] = itv(f32::NAN, 1.0);
+            cst[rows + 4] = Itv::top();
+            plane[at(rows + 5, 3)] = itv(0.5, 0.25); // bounds out of order
+        }
+        for poisoned in [false, true] {
+            let mut relax = relax.clone();
+            if poisoned {
+                // A table that is not finite: nothing of segment 0 resolves.
+                relax[0][2].gamma.hi = f32::INFINITY;
+            }
+            for upper in [false, true] {
+                let klabel: &'static str = if upper {
+                    "relu_step_hi"
+                } else {
+                    "relu_step_lo"
+                };
+                let (got, _) = assert_relu_step_matches_oracle(
+                    device,
+                    klabel,
+                    case,
+                    &plane,
+                    &cst,
+                    &relax,
+                    &out_bounds,
+                    upper,
+                );
+                // Stable-zero guarantee: the zero neuron's column.
+                for r in 0..case.rows() {
+                    for i in 0..case.win_h {
+                        for j in 0..case.win_w {
+                            for c in 0..case.chans {
+                                let n = g.neuron_at(r, i, j) + c;
+                                let v = got[r * cols + (i * case.win_w + j) * case.chans + c];
+                                assert!(
+                                    pattern_of(n) != 1 || (v.lo == 0.0 && v.hi == 0.0),
+                                    "[{label}] {klabel}: stably-dead neuron {n} left a non-zero \
+                                     column entry {v} in row {r}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Checks the densify scatter against a serial oracle.
 ///
 /// # Panics
@@ -2259,6 +2436,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         check_gbc_slid_windows(&device);
         check_bias_fold_special_cases(&device);
         check_relu_step_special_cases(&device);
+        check_relu_step_sides(&device);
         check_concretize_special_cases(&device);
         check_dtod(&device);
         check_copies(&device);

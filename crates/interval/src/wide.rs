@@ -199,6 +199,20 @@
 //! each side as written: an endpoint is a corner product, exact and bounded
 //! by the same `T_i`.
 //!
+//! *The masked add.* Whether a product is a term at all can be a property of
+//! its operands that a branch predictor gets wrong every other time — the
+//! ReLU step skips a term whose intercept is an exact zero.
+//! [`WideSum::mul_add_if`] takes the decision as data: `lo += take ? min :
+//! −0.0`, `hi += take ? max : −0.0`, `T += take ? max|a| · max|b| : +0.0`,
+//! count `+= take`. Both constants are the identity of the addition they
+//! enter, bit for bit: `x + (−0.0)` is `x` for every `x` under
+//! round-to-nearest — `−0.0` itself included, which `+0.0` would turn into
+//! `+0.0` — and `T`, a sum of magnitudes from a magnitude, is never `−0.0`,
+//! so `T + (+0.0)` is `T`. A term that is not taken therefore leaves the two
+//! sums, `T` and `adds` as the branching form leaves them, whatever its
+//! operands (its products are computed and dropped, a NaN among them
+//! included), and the result is the same interval.
+//!
 //! # Example
 //!
 //! ```
@@ -324,6 +338,16 @@ impl WideTerm {
     }
 }
 
+/// `v` for `take`, `idle` otherwise, chosen on the bit patterns. Written
+/// `if take { v } else { idle }` the same function compiles to a jump on
+/// `take` — x86-64 has no conditional move between float registers — which
+/// is what the masked adds are there to avoid.
+#[inline(always)]
+fn keep_if(take: bool, v: f64, idle: f64) -> f64 {
+    let keep = u64::from(take).wrapping_neg();
+    f64::from_bits((v.to_bits() & keep) | (idle.to_bits() & !keep))
+}
+
 /// The a-priori round-off bound `up(T · adds · 2⁻⁵²)` of `adds ≥ 1` inexact
 /// `f64` additions whose summands have magnitude sum `T` (step 3 of the
 /// proof, which needs `adds · 2⁻⁵³ ≤ 0.29`).
@@ -409,6 +433,16 @@ impl WideMag {
         self.rounded += 1;
     }
 
+    /// [`WideMag::add`] for `take`, nothing otherwise — as a select
+    /// ([`keep_if`]), not a branch: `T` takes the product or `+0.0`, which
+    /// leaves it as it is (it is never negative, so never `-0.0`), and the
+    /// count takes `take`.
+    #[inline(always)]
+    fn add_if(&mut self, take: bool, a: WideTerm, wmax: f64) {
+        self.t += keep_if(take, a.mag * wmax, 0.0);
+        self.rounded += usize::from(take);
+    }
+
     /// The list's error bound, or `None` when an operand was not finite (the
     /// caller then falls back to the per-step [`Itv::mul_add_f`] chain for
     /// every output of the list).
@@ -468,6 +502,18 @@ impl<const N: usize> WideAcc<N> {
         for j in 0..N {
             let wj = w[j].to_f64();
             let (p, q) = (a.lo * wj, a.hi * wj);
+            self.lo[j] += if p < q { p } else { q };
+            self.hi[j] += if p > q { p } else { q };
+        }
+    }
+
+    /// [`WideAcc::mul_add`] over weights that come widened (`F` → `f64` is
+    /// exact), so a launch converts its weights once: the same operations
+    /// per lane, so the same bits.
+    #[inline(always)]
+    pub fn mul_add_wide(&mut self, a: WideTerm, w: &[f64; N]) {
+        for (j, &w) in w.iter().enumerate() {
+            let (p, q) = (a.lo * w, a.hi * w);
             self.lo[j] += if p < q { p } else { q };
             self.hi[j] += if p > q { p } else { q };
         }
@@ -691,6 +737,20 @@ impl WideSum {
         self.lo += min;
         self.hi += max;
         self.mag.add(a, b.mag);
+    }
+
+    /// [`WideSum::mul_add`] for `take`, nothing otherwise — as selects, not
+    /// a branch, for callers whose mask is as good as random: both sums take
+    /// their endpoint or `-0.0`, the additive identity of round-to-nearest
+    /// (`x + -0.0` is `x` for every `x`, either zero included), and the
+    /// magnitude sum takes its product or `+0.0` and the count takes `take`.
+    /// A term that is not taken leaves no trace, whatever its operands.
+    #[inline(always)]
+    pub fn mul_add_if(&mut self, take: bool, a: WideTerm, b: WideTerm) {
+        let (min, max) = a.product(b);
+        self.lo += keep_if(take, min, -0.0);
+        self.hi += keep_if(take, max, -0.0);
+        self.mag.add_if(take, a, b.mag);
     }
 
     /// Adds one exact endpoint of `a · b` — the upper one for `upper`, else
@@ -1039,6 +1099,146 @@ mod tests {
         );
         assert_eq!(sum.finish::<f32>(), None);
         assert_eq!(WideSum::new(Itv::<f32>::top()).finish::<f32>(), None);
+    }
+
+    /// splitmix64.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// An `f32` from the corners of the format as often as from its middle:
+    /// both zeros, subnormals, `MAX`, the infinities, NaN, and any pattern.
+    fn wild(state: &mut u64) -> f32 {
+        const NAMED: [f32; 12] = [
+            0.0,
+            -0.0,
+            1e-45,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let z = next(state);
+        match z % 3 {
+            0 => NAMED[(z >> 8) as usize % NAMED.len()],
+            1 => ((z >> 40) as f32 / (1u64 << 23) as f32) - 1.0, // [-1, 1)
+            _ => f32::from_bits((z >> 32) as u32),
+        }
+    }
+
+    /// Bit for bit, except that a NaN is a NaN (payloads are no contract).
+    fn same(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    #[test]
+    fn masked_adds_are_the_branching_adds_bit_for_bit() {
+        let mut state = 0x5eed_u64;
+        let wild_itv = |state: &mut u64| {
+            let (lo, hi) = (wild(state), wild(state));
+            // Ordered when they can be, as they are not when one is a NaN.
+            Itv {
+                lo: if hi < lo { hi } else { lo },
+                hi: if hi < lo { lo } else { hi },
+            }
+        };
+        for case in 0..20_000 {
+            let c = match case % 4 {
+                0 => Itv::point(-0.0_f32),
+                1 => Itv::<f32>::zero(),
+                _ => wild_itv(&mut state),
+            };
+            let (mut masked, mut branching) = (WideSum::new(c), WideSum::new(c));
+            let (mut mag_masked, mut mag_branching) = (WideMag::new(&[c]), WideMag::new(&[c]));
+            for term in 0..next(&mut state) % 24 {
+                let a = WideTerm::new(wild_itv(&mut state));
+                let b = WideTerm::new(wild_itv(&mut state));
+                let take = next(&mut state) & 1 == 0;
+                masked.mul_add_if(take, a, b);
+                mag_masked.add_if(take, a, b.mag);
+                if take {
+                    branching.mul_add(a, b);
+                    mag_branching.add(a, b.mag);
+                }
+                assert!(
+                    same(masked.lo, branching.lo)
+                        && same(masked.hi, branching.hi)
+                        && same(masked.mag.t, branching.mag.t)
+                        && masked.mag.rounded == branching.mag.rounded,
+                    "case {case}, term {term} (taken: {take}): {masked:?} != {branching:?}"
+                );
+                assert!(
+                    same(mag_masked.t, mag_branching.t)
+                        && mag_masked.rounded == mag_branching.rounded,
+                    "case {case}, term {term} (taken: {take}): {mag_masked:?} != {mag_branching:?}"
+                );
+            }
+            let (got, want) = (masked.finish::<f32>(), branching.finish::<f32>());
+            assert_eq!(got.is_some(), want.is_some(), "case {case}");
+            if let (Some(got), Some(want)) = (got, want) {
+                assert_eq!(
+                    (got.lo.to_bits(), got.hi.to_bits()),
+                    (want.lo.to_bits(), want.hi.to_bits()),
+                    "case {case}: {got} != {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_masked_term_leaves_no_trace() {
+        // The two ways to get the identity wrong, each on the sum it shows
+        // on: `+0.0` would turn a `-0.0` sum into `+0.0`, and a counted term
+        // would widen a sum that has rounded nothing.
+        let (a, b) = (Itv::point(0.5_f32), Itv::point(0.25_f32));
+        let mut sum = WideSum::new(Itv::point(-0.0_f32));
+        sum.mul_add_if(false, WideTerm::new(a), WideTerm::new(b));
+        sum.mul_add_if(false, WideTerm::new(Itv::<f32>::top()), WideTerm::new(b));
+        let y: Itv<f32> = sum.finish().expect("nothing was added");
+        assert_eq!(y.lo.to_bits(), (-0.0_f32).to_bits());
+        assert_eq!(y.hi.to_bits(), (-0.0_f32).to_bits());
+        // One term on an exact zero: no addition rounds, the sum is exact.
+        let mut sum = WideSum::new(Itv::<f32>::zero());
+        sum.mul_add_if(false, WideTerm::new(a), WideTerm::new(b));
+        sum.mul_add_if(true, WideTerm::new(a), WideTerm::new(b));
+        sum.mul_add_if(false, WideTerm::new(b), WideTerm::new(b));
+        assert_eq!(sum.finish::<f32>(), Some(Itv::point(0.125)));
+    }
+
+    #[test]
+    fn widened_weights_sum_like_narrow_ones() {
+        let terms = [
+            (Itv::new(0.1_f32, 0.2), [3.0_f32, -3.0]),
+            (Itv::new(-1.0_f32, 1.0), [-0.0, 1e-3]),
+            (Itv::point(-0.7_f32), [1e10, f32::MIN_POSITIVE]),
+        ];
+        let init = [Itv::point(-0.0_f32), Itv::new(-1.0, 2.0)];
+        let (mut narrow, mut wide) = (WideAcc::<2>::new(&init), WideAcc::<2>::new(&init));
+        let mut mag = WideMag::new(&init);
+        for (a, w) in &terms {
+            let a = WideTerm::new(*a);
+            mag.add(a, max_mag(w));
+            narrow.mul_add(a, w);
+            wide.mul_add_wide(a, &w.map(f64::from));
+        }
+        let e = mag.finish().expect("finite operands");
+        for j in 0..2 {
+            let (got, want): (Itv<f32>, Itv<f32>) = (wide.finish(j, e), narrow.finish(j, e));
+            assert_eq!(
+                (got.lo.to_bits(), got.hi.to_bits()),
+                (want.lo.to_bits(), want.hi.to_bits()),
+                "lane {j}"
+            );
+        }
     }
 
     #[test]
