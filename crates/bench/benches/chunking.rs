@@ -3,13 +3,26 @@
 //! runtime cost of chunking on a memory-constrained device against an
 //! unconstrained run, and checks that the constrained run stays under its
 //! capacity while producing identical verdicts.
+//!
+//! It also prints the table [`gpupoly_core::STREAMS_PER_WORKER`] is read
+//! from ([`stream_table`]): a layer's rows are cut into walks that run side
+//! by side as the streams of one pool section, and how many streams a worker
+//! should get is a measurement. The stream count is a constant of the build
+//! and nothing sets it at run time, so one run prints two rows — lists left
+//! in one walk, and cut as built — and the rows for another count come from
+//! editing the constant and running again. End-to-end numbers come from
+//! `benchmark/run.sh`, not from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpupoly_core::{GpuPoly, VerifyConfig};
+use gpupoly_core::{Engine, EngineOptions, GpuPoly, Query, VerifyConfig, STREAMS_PER_WORKER};
 use gpupoly_device::{Device, DeviceConfig};
+use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
+use gpupoly_nn::zoo::{build_arch, ArchId, Dataset};
 use gpupoly_nn::Network;
+use gpupoly_train::data;
 use std::hint::black_box;
+use std::time::Instant;
 
 fn mid_net() -> Network<f32> {
     let mut b = NetworkBuilder::new_flat(32);
@@ -73,6 +86,111 @@ fn bench_chunking(c: &mut Criterion) {
         tight_dev.peak_memory(),
         tight,
     );
+    stream_table();
+}
+
+fn fnv1a(hash: &mut u64, bits: u64) {
+    for b in bits.to_le_bytes() {
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Wall of one full `analyze` and of one fused batch of 16 on the
+/// benchmark's three networks, with a list's rows in one walk (`1`: what the
+/// walk was before streams, every kernel split over the workers) and cut
+/// into [`STREAMS_PER_WORKER`] streams a worker on a device of `w = 2`
+/// workers (`w`, `2w` and `4w` streams with the constant at 1, 2 and 4);
+/// `peak_memory()` beside each, and a digest of every bound and margin that
+/// must not differ between the rows. Medians over `ANALYSES` fresh boxes and
+/// `BATCHES` fresh batches after one warm-up of each.
+fn stream_table() {
+    const WORKERS: usize = 2;
+    const ANALYSES: usize = 24;
+    const BATCHES: usize = 6;
+    let nets = [
+        ("Fc6x500 x0.2", ArchId::Fc6x500, 0.2, 1e-4f32),
+        ("ConvBig x0.12", ArchId::ConvBig, 0.12, 1e-3),
+        ("Fc6x500 x0.05", ArchId::Fc6x500, 0.05, 5e-4),
+    ];
+    println!("[streams] {WORKERS} workers; analyze ms | fused-16 ms, peak MB beside each");
+    for (name, arch, scale, eps) in nets {
+        let net = build_arch(arch, Dataset::MnistLike, scale, 7).expect("zoo architecture");
+        let images =
+            data::synthetic(Dataset::MnistLike, 1 + ANALYSES + 16 * (1 + BATCHES), 1).images;
+        let queries: Vec<Query<f32>> = images
+            .iter()
+            .map(|image| Query::new(image.clone(), net.classify(image), eps))
+            .collect();
+        let boxed = |q: &Query<f32>| -> Vec<Itv<f32>> {
+            q.image
+                .iter()
+                .map(|&x| Itv::new(x - q.eps, x + q.eps).clamp_to(0.0, 1.0))
+                .collect()
+        };
+        let mut digests = Vec::new();
+        let built = format!("{}", STREAMS_PER_WORKER * WORKERS);
+        for (label, cut) in [("1", false), (built.as_str(), true)] {
+            let run = |fused: bool| {
+                let device = Device::new(DeviceConfig::new().workers(WORKERS));
+                let cfg = VerifyConfig {
+                    // One walk a list, whatever its length.
+                    chunk_rows: (!cut).then_some(usize::MAX),
+                    ..Default::default()
+                };
+                let opts = EngineOptions {
+                    analysis_cache: 0,
+                    ..Default::default()
+                };
+                let engine = Engine::with_options(device.clone(), &net, cfg, opts).expect("engine");
+                let mut digest = 0xcbf2_9ce4_8422_2325u64;
+                let mut walls = Vec::new();
+                if fused {
+                    for (i, batch) in queries[1 + ANALYSES..].chunks(16).enumerate() {
+                        let t = Instant::now();
+                        let verdicts = engine.verify_batch_fused(batch);
+                        if i > 0 {
+                            walls.push(t.elapsed().as_secs_f64() * 1e3);
+                        }
+                        for v in verdicts {
+                            for m in v.expect("verdict").margins {
+                                fnv1a(&mut digest, m.lower.to_bits() as u64);
+                            }
+                        }
+                    }
+                } else {
+                    for (i, q) in queries[..1 + ANALYSES].iter().enumerate() {
+                        let t = Instant::now();
+                        let analysis = engine.analyze(&boxed(q)).expect("analysis");
+                        if i > 0 {
+                            walls.push(t.elapsed().as_secs_f64() * 1e3);
+                        }
+                        for b in analysis.bounds.iter().flatten() {
+                            fnv1a(&mut digest, b.lo.to_bits() as u64);
+                            fnv1a(&mut digest, b.hi.to_bits() as u64);
+                        }
+                    }
+                }
+                (median(walls), device.peak_memory() as f64 / 1e6, digest)
+            };
+            let (analyze_ms, analyze_mb, d1) = run(false);
+            let (fused_ms, fused_mb, d2) = run(true);
+            println!(
+                "[streams] {name:14} {label:>2} streams: {analyze_ms:7.2} ms {analyze_mb:6.2} MB | \
+                 {fused_ms:8.2} ms {fused_mb:6.2} MB | digest {d1:016x} {d2:016x}"
+            );
+            digests.push((d1, d2));
+        }
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "{name}: the cut changed a bound or a margin"
+        );
+    }
 }
 
 criterion_group!(benches, bench_chunking);

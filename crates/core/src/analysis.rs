@@ -5,8 +5,33 @@
 //! are refined by backsubstitution — restricted, when early termination is
 //! on, to neurons whose sign is not yet fixed. After each refinement a
 //! forward interval pass updates the approximations of the following layers.
-//! Backsubstitution batches that exceed device memory are processed in
-//! chunks (§4.2, "Memory management").
+//!
+//! # Rows are the parallel grain
+//!
+//! GPUPoly's parallelism is the independence of the rows of a bound matrix
+//! (§4): one neuron's backsubstitution never reads another's. The paper cuts
+//! a layer's rows into chunks when the matrix exceeds device memory (§4.2,
+//! "Memory management"); here the same cut is also what keeps the device's
+//! workers busy. A layer's rows are cut into *walks* ([`walk_streams`]), a
+//! walk takes its rows all the way to the input, and the walks run as the
+//! *streams* of one section of the device's pool: side by side, `workers` at
+//! a time, every kernel a walk launches running inline on the thread that
+//! owns the walk. A stream is a chunk that runs beside its siblings instead
+//! of after them. The workers meet once per layer, when its last walk is
+//! done — not once per kernel, of which a layer has dozens and of which most
+//! are through in microseconds once early termination has thinned the rows.
+//! The spec walks that follow an analysis go through the same schedule
+//! ([`crate::Engine::check_spec_with`], the fused driver's row blocks), and
+//! so does everything that reaches the one driver: branch-and-bound
+//! generations, tier escalations, every lane of a pool.
+//!
+//! What is left serial is the host work between two layers' sections: the
+//! forward interval update of everything downstream of a refined node, the
+//! round-off notes and the seeding pass (parallel across the queries of a
+//! fused batch, one thread for a single query), and the one gather of live
+//! weight rows a list's walks share ([`crate::walk::LiveWeights`]).
+
+use std::ops::Range;
 
 use gpupoly_device::{Backend, Device, DeviceError};
 use gpupoly_interval::{round, Fp, Itv};
@@ -15,7 +40,7 @@ use rayon::prelude::*;
 
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
-use crate::walk::{StopRule, Walker};
+use crate::walk::{LiveWeights, StopRule, WalkOutcome, Walker};
 use crate::{VerifyConfig, VerifyError};
 
 /// Work counters of one analysis (and of the spec check run on top of it).
@@ -30,11 +55,20 @@ pub struct AnalysisStats {
     pub rows_skipped_stable: usize,
     /// Rows dropped mid-backsubstitution by the stop rule (§4.2).
     pub rows_stopped_early: usize,
-    /// Concrete-bound candidate evaluations.
+    /// Concrete-bound candidate rounds of the walks this query's rows were
+    /// in: summed over walks that ran one after the other (the layers, the
+    /// rounds of a list that had to be cut again), the longest stream's
+    /// where they ran side by side (the streams of one list, the lanes of a
+    /// pool) — what a single walk over the list would count, to within the
+    /// rows that stop early in one stream and not in another. Shared by the
+    /// queries of a fused walk.
     pub candidates: usize,
-    /// Chunked backsubstitution launches.
+    /// Backsubstitution walks this query's rows were in: the pieces each
+    /// ReLU layer's row list was cut into, for memory (§4.2) or to run side
+    /// by side as streams. Spec walks are not counted.
     pub chunks: usize,
-    /// Times a chunk had to shrink after a device out-of-memory.
+    /// Walks with rows of this query that ran out of device memory and had
+    /// their rows cut again at half the length.
     pub chunk_shrinks: usize,
 }
 
@@ -143,12 +177,20 @@ pub(crate) fn analyze<F: Fp, B: Backend>(
 /// one: nothing is stacked, every per-query loop runs once, inline.
 ///
 /// **Bit-identity:** each query's row selections, per-row walk arithmetic
-/// and bound intersections do not depend on which other queries share its
-/// launches (rows never interact across segments; chunk boundaries are
-/// arithmetic-neutral), so every returned [`Analysis`] carries the bounds it
-/// would have alone. Work counters differ in shape: fused launches are
-/// shared, so `candidates`/`chunks` count the joint launches a query's rows
-/// participated in, not per-query work.
+/// and bound intersections do not depend on which other rows share its
+/// launches — of other queries or of its own. A row's walk reads the row's
+/// own coefficients, its own query's bounds of the nodes *behind* the one
+/// being refined (fixed while that node refines; what the walks of a layer
+/// find is written back only when all of them are done) and the network's
+/// weights; every kernel accumulates an output element in ascending-`k`
+/// order whatever rows share its launch (the backend bit-reproducibility
+/// contract); and the relaxation tables a walk makes are functions of a
+/// query's bounds, the same in every walk that makes them. So where the
+/// list is cut, how many walks run at once and which thread runs which is
+/// scheduling: every returned [`Analysis`] carries the bounds it would
+/// have alone, on one worker, in one walk. Work counters differ in shape:
+/// `chunks` counts the walks a query's rows were in and `candidates` their
+/// candidate rounds ([`AnalysisStats`]), and a fused batch shares both.
 pub(crate) fn analyze_fused<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
@@ -229,11 +271,10 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
     Ok(analyses)
 }
 
-/// Chunked, OOM-adaptive backsubstitution of one layer: the concatenated
-/// (query, neuron) work list is walked in chunks; each chunk stacks one
-/// initial batch per contributing query (built against that query's own
-/// bounds, including the §4.1 inference-error widening) and runs a single
-/// multi-segment walk.
+/// Backsubstitution of one layer: the concatenated (query, neuron) work list
+/// goes through [`walk_streams`]; each of its walks stacks one initial batch
+/// per contributing query (built against that query's own bounds, including
+/// the §4.1 inference-error widening) and runs a single multi-segment walk.
 #[allow(clippy::too_many_arguments)]
 fn refine_layer<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -245,83 +286,320 @@ fn refine_layer<F: Fp, B: Backend>(
     sels: &[Vec<usize>],
     rule: StopRule,
 ) -> Result<(), VerifyError> {
-    // Segment-major concatenation: a chunk covers each query at most once,
-    // in one contiguous run. Chunk boundaries are arithmetic-neutral (a
-    // row's walk reads only ancestor bounds, which stay fixed while `p`
-    // refines), so the fused rows compute exactly what per-query chunks
-    // would.
+    // Segment-major concatenation: a walk covers each query at most once,
+    // in one contiguous run.
     let work: Vec<(usize, usize)> = sels
         .iter()
         .enumerate()
         .flat_map(|(k, sel)| sel.iter().map(move |&n| (k, n)))
         .collect();
-    let mut chunk = cfg
-        .chunk_rows
-        .unwrap_or_else(|| prepared.chunk_for(device))
-        .clamp(1, work.len());
-    let mut i = 0;
-    while i < work.len() {
-        // Segment-aware sizing: snap the chunk end back to the last
-        // query boundary inside it, so a chunk covers whole queries
-        // whenever it can. A failing (OOM) chunk then re-runs — and has
-        // its `chunk_shrinks` attributed to — the fewest whole queries;
-        // only a query too large for the chunk on its own is ever split.
-        let end = seg_aware_end(&work[i..], chunk) + i;
-        let rows = &work[i..end];
-        let attempt = fused_chunk_walk(device, graph, prepared, cfg, analyses, p, rows, rule);
-        match attempt {
-            Ok(out) => {
-                for (j, &(k, n)) in rows.iter().enumerate() {
-                    let cur = analyses[k].bounds[p][n];
-                    analyses[k].bounds[p][n] = cur.intersect(out.best[j]).unwrap_or(cur);
-                }
-                // Attribute the shared launches to every contributing query,
-                // and each stopped row to its own query.
-                let mut seen = vec![false; analyses.len()];
-                for &(k, _) in rows {
-                    if !seen[k] {
-                        seen[k] = true;
-                        analyses[k].stats.candidates += out.candidates;
-                        analyses[k].stats.chunks += 1;
-                    }
-                }
-                for &r in &out.stopped_rows {
-                    analyses[rows[r as usize].0].stats.rows_stopped_early += 1;
-                }
-                i = end;
-            }
-            Err(VerifyError::Device(DeviceError::OutOfMemory { .. })) if chunk > 1 => {
-                chunk = (chunk / 2).max(1);
-                // Attribute the shrink to the queries whose rows were in
-                // the failing chunk.
-                let mut seen = vec![false; analyses.len()];
-                for &(k, _) in rows {
-                    if !seen[k] {
-                        seen[k] = true;
-                        analyses[k].stats.chunk_shrinks += 1;
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    let streamed = {
+        // The walks read `analyses` side by side; what they find is written
+        // back once they are all done. Nothing is lost by waiting: a row's
+        // walk reads ancestor bounds, which stay fixed while `p` refines,
+        // and of `p`'s own bounds (a residual head starts from the
+        // identity) only its own neuron's.
+        let analyses = &*analyses;
+        let walking: Vec<&Analysis<F>> = analyses
+            .iter()
+            .zip(sels)
+            .filter(|(_, sel)| !sel.is_empty())
+            .map(|(a, _)| a)
+            .collect();
+        let live = LiveWeights::for_list(device, graph, prepared, cfg, &walking, p);
+        walk_streams(
+            device,
+            prepared,
+            cfg,
+            work.len(),
+            analyses.len(),
+            &|i| work[i].0,
+            &|rows| {
+                fused_chunk_walk(
+                    device,
+                    graph,
+                    prepared,
+                    &live,
+                    analyses,
+                    p,
+                    &work[rows],
+                    rule,
+                )
+            },
+        )?
+    };
+    for (&(k, n), best) in work.iter().zip(streamed.best) {
+        let cur = analyses[k].bounds[p][n];
+        analyses[k].bounds[p][n] = cur.intersect(best).unwrap_or(cur);
+    }
+    for (a, w) in analyses.iter_mut().zip(&streamed.work) {
+        a.stats.absorb_walk(w.stopped, w.candidates);
+        a.stats.chunks += w.walks;
+        a.stats.chunk_shrinks += w.shrinks;
     }
     Ok(())
 }
 
-/// The exclusive end (relative to `rest`) of the next fused chunk of at
-/// most `chunk` rows: the largest prefix of whole-query runs that fits, or
-/// — when even the first query's run exceeds `chunk` — the plain `chunk`
-/// cut into that single query. Chunk boundaries are arithmetic-neutral, so
-/// this is scheduling/attribution only.
-fn seg_aware_end(rest: &[(usize, usize)], chunk: usize) -> usize {
-    let end = chunk.min(rest.len());
-    if end == rest.len() || rest[end - 1].0 != rest[end].0 {
-        return end; // already on a query boundary
+/// Streams a list is cut into per worker of its device (a list under
+/// [`STREAM_MIN_COEFFS`] is not cut). Fixed, not configurable. Measured on the
+/// benchmark, seed 1, ten rounds alternating parent (every kernel split over
+/// the two workers, one walk a list), one and two streams a worker —
+/// `queries_per_s` median \[quartiles\] and `peak_device_mb`:
+///
+/// | workload | parent | 1 a worker | **2 a worker** |
+/// | --- | --- | --- | --- |
+/// | `dense_single` | 98.2 \[91.2–104.9\], 2.84 | 133.4 \[130.3–137.9\], 2.17 | 131.1 \[120.6–135.6\], 1.79 |
+/// | `dense_fused` | 149.5 \[135.5–162.6\], 24.3 | 182.2 \[169.5–201.5\], 18.0 | 178.4 \[174.2–192.5\], 14.7–14.9 |
+/// | `conv_fused` | 30.6 \[30.1–32.2\], 60.7 | 33.4 \[32.9–34.9\], 57.7 | 34.0 \[30.7–36.4\], 52.5 |
+/// | `serve_mix` | 630 \[611–684\], 3.14–3.44 | 815 \[726–889\], 2.79–3.21 | 800 \[775–889\], 3.00–3.49 |
+///
+/// and six rounds with four a worker beside them (`dense_single` /
+/// `dense_fused` medians): parent 101.5 / 150.4, one 153.6 / 192.6, two
+/// 139.6 / 188.0, four 137.0 / 200.5 q/s at 1.87 / 15.6 MB. Throughput does
+/// not tell one from two (either is ahead of the parent in every round);
+/// memory does — a stream holds its rows and a shelf lane of its own, and of
+/// `2·workers` streams only `workers` are live — and finer streams are the
+/// ones that even out rows that stop early. Four buys nothing and repeats
+/// per stream what a launch does once for all its rows (`launch_wmax` over
+/// the weights, the GBC weight repack, the relaxation and side tables of a
+/// segment). Those tables were read while stable-zero compaction engaged
+/// on uncut lists only; with one gather per list shared by its walks
+/// (`walk::LiveWeights`), as committed, six more rounds of one
+/// against two a worker read `dense_single` 129.3 / 125.1 q/s at 2.90 /
+/// 2.79 MB, `dense_fused` 163.8 / 167.1 at 25.1 / 20.3, `conv_fused` 30.0 /
+/// 33.0 at 58.0 / 52.1, `serve_mix` 763 / 820 at 3.22–3.54 / 3.20–3.64 —
+/// still no telling them apart by throughput, and one a worker now peaks
+/// above the parent on both dense workloads (2.84, 24.3). `cargo bench -p
+/// gpupoly-bench --bench chunking` prints one analysis and one fused batch,
+/// uncut and cut as built, without a benchmark run; for another count, edit
+/// this constant.
+///
+/// Also tried: cutting evenly instead of on query boundaries (`cut`) —
+/// `dense_fused` 171.6 against 182.6, `conv_fused` 31.2 against 34.4 q/s
+/// (six rounds, medians, inside the spread) — kept on boundaries, which no
+/// query's tables are made twice for and which blame an out-of-memory walk
+/// on the fewest queries. Not tried again: one row block per launch inside
+/// a stream instead of four per worker, which the prototype of this
+/// schedule read inside noise on `dense_single` and `conv_fused` — not
+/// worth an interface into the worker pool.
+pub const STREAMS_PER_WORKER: usize = 2;
+
+/// A list with fewer coefficients than this — its rows × the network's
+/// widest layer — stays one walk, whose kernels split over the workers as
+/// they did before there were streams. On a 784-pixel input that is a list
+/// of five rows or fewer; on a network under 64 neurons a layer, input
+/// included, every list.
+///
+/// **Higher than speed asks for, and held there by tests.** The same walks
+/// cut (this constant at 0) and uncut (as committed), single queries on
+/// four-layer networks of `n` neurons a layer, ten alternating rounds of
+/// 2000 queries, q/s median \[quartiles\]:
+///
+/// | network (largest list) | uncut | cut | |
+/// | --- | --- | --- | --- |
+/// | 8 wide, 4 inputs (64 coefficients) | 8126 \[7750–8626\] | 6337 \[6037–6851\] | uncut 1.28×, 10 of 10 |
+/// | 24 wide, 16 inputs (576) | 969 \[960–997\] | 1334 \[1298–1424\] | cut 1.38×, 10 of 10 |
+/// | 48 wide, 16 inputs (2304) | 376 \[370–406\] | 596 \[570–630\] | cut 1.58×, 10 of 10 |
+///
+/// so a list is worth cutting from somewhere between 64 and 576
+/// coefficients on, and the benchmark's lists are cut either way (the
+/// smallest are `serve_mix`'s, a dozen rows of 784, and a spec's nine). It is
+/// at 4096 because tier-1 pins, on networks that small, what a walk was
+/// before streams: `a_one_query_batch_still_splits_its_kernels_across_the_workers`
+/// (48 wide: at least eight pool hand-overs a query, where a cut query has
+/// one per list) needs more than 2304; `fused_batch_issues_fewer_gemm_launches`
+/// (8 wide: a fused batch of six at most half the GEMM launches of six single
+/// queries — cut, every walk launches its own, 42 against 62) and
+/// `bad_query_mid_batch_leaves_pool_accounting_intact` (8 wide: no fresh
+/// bytes for single queries after a per-query batch warmed the pool — a
+/// stream's shelf lane is cold for sizes its position has not seen) need
+/// their lists uncut. Those tests are not this change's to edit; ROADMAP,
+/// "Retire `STREAM_MIN_COEFFS`", says what re-basing them takes.
+pub const STREAM_MIN_COEFFS: usize = 4096;
+
+/// What the walks of one list did for one query segment.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct SegWork {
+    /// Walks the segment's rows were in.
+    pub walks: usize,
+    /// Candidate rounds of those walks: summed where they ran one after the
+    /// other, the longest stream's where they ran side by side.
+    pub candidates: usize,
+    /// Walks with rows of the segment that ran out of device memory and were
+    /// cut again.
+    pub shrinks: usize,
+    /// Rows of the segment dropped by the stop rule before the input.
+    pub stopped: usize,
+}
+
+/// A list of rows, walked: the best interval per row and the work per
+/// query segment.
+pub(crate) struct Streamed<F> {
+    pub best: Vec<Itv<F>>,
+    pub work: Vec<SegWork>,
+}
+
+/// The schedule of every backsubstitution: a list of `rows` independent
+/// rows — row `i` belongs to query segment `seg_of(i) < segs`, a query's rows
+/// are contiguous — is cut into walks, and the walks run as the streams of
+/// one section of the device's pool ([`Device::streams`]): side by side,
+/// every kernel of a walk inline on the thread that owns it. `walk` takes a
+/// range of the list to the input.
+///
+/// **One cut.** A walk is at most as long as the device's memory allows
+/// the walks that are live together ([`PreparedGraph::chunk_for`] over
+/// [`Device::streams_at_once`]; §4.2, "Memory management") and short enough
+/// that every worker gets [`STREAMS_PER_WORKER`] of them — unless the whole
+/// list is below [`STREAM_MIN_COEFFS`], which stays one walk;
+/// [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query boundaries where one is in reach
+/// ([`cut`]). Stream position `s` of `n` takes walks `s`, `s + n`, … in
+/// order, so what runs in a position — and what that position's lane of the
+/// buffer pool holds — does not depend on which thread claims it when.
+///
+/// **One loop.** A walk that runs out of device memory fails alone: its
+/// rows go round again, cut at half the length, while every walk that fit
+/// keeps its result; at one row a walk, what still fails runs once more with
+/// the device to itself before the error stands. One worker, one row, a
+/// list too small to cut, or a caller that is itself a part of a section (a
+/// query of a per-query batch) is the same loop over one stream.
+///
+/// The cut is scheduling only — a row's walk reads its own query's bounds
+/// and nothing of its neighbours — so `best` is what one walk over the
+/// whole list gives, bit for bit.
+pub(crate) fn walk_streams<F: Fp, B: Backend>(
+    device: &Device<B>,
+    prepared: &PreparedGraph<'_, F, B>,
+    cfg: &VerifyConfig,
+    rows: usize,
+    segs: usize,
+    seg_of: &(impl Fn(usize) -> usize + Sync),
+    walk: &(impl Fn(Range<usize>) -> Result<WalkOutcome<F>, VerifyError> + Sync),
+) -> Result<Streamed<F>, VerifyError> {
+    let mut out = Streamed {
+        best: vec![Itv::top(); rows],
+        work: vec![SegWork::default(); segs],
+    };
+    if rows == 0 {
+        return Ok(out);
     }
-    match (1..end).rev().find(|&e| rest[e - 1].0 != rest[e].0) {
-        Some(boundary) => boundary,
-        None => end, // one query larger than the chunk: split it
+    // Walks live together: the device's workers, or one — for a caller
+    // that is itself a part of a section, and for a list too small to cut.
+    let at_once = if rows.saturating_mul(prepared.widest_layer()) < STREAM_MIN_COEFFS {
+        1
+    } else {
+        device.streams_at_once()
+    };
+    // Finer streams are for balance between workers; one has nobody to
+    // balance with.
+    let mut streams = if at_once > 1 {
+        STREAMS_PER_WORKER * at_once
+    } else {
+        1
+    };
+    let mut len = cfg
+        .chunk_rows
+        .unwrap_or_else(|| {
+            let fits = (prepared.chunk_for(device) / at_once).max(1);
+            fits.min(rows.div_ceil(streams))
+        })
+        .clamp(1, rows);
+    // Segments of a range of the list, each once.
+    let segs_of = |part: &Range<usize>| {
+        let mut last = None;
+        part.clone()
+            .map(seg_of)
+            .filter(move |&k| last.replace(k) != Some(k))
+    };
+    let mut walks: Vec<Range<usize>> = cut(0..rows, len, seg_of).collect();
+    while !walks.is_empty() {
+        let positions = walks.len().min(streams);
+        let mine = |pos: usize| walks.iter().skip(pos).step_by(positions);
+        let ran = device.streams(positions, |pos| {
+            mine(pos).map(|part| walk(part.clone())).collect::<Vec<_>>()
+        });
+        let mut failed = Vec::new();
+        // Streams ran side by side: the round took the longest one's
+        // candidate rounds.
+        let mut round = vec![0usize; segs];
+        for (pos, stream) in ran.into_iter().enumerate() {
+            let mut candidates = vec![0usize; segs];
+            for (part, result) in mine(pos).zip(stream) {
+                match result {
+                    Ok(walked) => {
+                        for k in segs_of(part) {
+                            out.work[k].walks += 1;
+                            candidates[k] += walked.candidates;
+                        }
+                        for &r in &walked.stopped_rows {
+                            out.work[seg_of(part.start + r as usize)].stopped += 1;
+                        }
+                        out.best[part.clone()].copy_from_slice(&walked.best);
+                    }
+                    Err(VerifyError::Device(DeviceError::OutOfMemory { .. }))
+                        if len > 1 || positions > 1 =>
+                    {
+                        for k in segs_of(part) {
+                            out.work[k].shrinks += 1;
+                        }
+                        failed.push(part.clone());
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            for (r, c) in round.iter_mut().zip(candidates) {
+                *r = (*r).max(c);
+            }
+        }
+        for (w, r) in out.work.iter_mut().zip(round) {
+            w.candidates += r;
+        }
+        // What failed goes round again at half the length; at one row a
+        // walk, with the device to itself.
+        if len > 1 {
+            len /= 2;
+        } else {
+            streams = 1;
+        }
+        walks = failed
+            .into_iter()
+            .flat_map(|part| cut(part, len, seg_of))
+            .collect();
     }
+    Ok(out)
+}
+
+/// Cuts `rows` of a list into walks of at most `len` rows: each walk is the
+/// largest prefix of whole-query runs that fits, or — when even the first
+/// query's run exceeds `len` — the plain `len` cut into that single query.
+/// A walk then covers whole queries whenever it can, and one that fails
+/// (out of memory) re-runs, and has its `chunk_shrinks` attributed to, the
+/// fewest of them.
+fn cut<'a>(
+    rows: Range<usize>,
+    len: usize,
+    seg_of: &'a impl Fn(usize) -> usize,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let mut start = rows.start;
+    std::iter::from_fn(move || {
+        if start == rows.end {
+            return None;
+        }
+        let full = (start + len).min(rows.end);
+        let on_boundary = |e: usize| e == rows.end || seg_of(e - 1) != seg_of(e);
+        let end = if on_boundary(full) {
+            full
+        } else {
+            // Back to the last boundary inside; without one, a single query
+            // is larger than the walk and is split.
+            (start + 1..full)
+                .rev()
+                .find(|&e| on_boundary(e))
+                .unwrap_or(full)
+        };
+        let walk = start..end;
+        start = end;
+        Some(walk)
+    })
 }
 
 /// One fused chunk: per-query initial batches stacked into a single
@@ -331,12 +609,12 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
-    cfg: &VerifyConfig,
+    live: &LiveWeights<F, B>,
     analyses: &[Analysis<F>],
     p: NodeId,
     rows: &[(usize, usize)],
     rule: StopRule,
-) -> Result<crate::walk::WalkOutcome<F>, VerifyError> {
+) -> Result<WalkOutcome<F>, VerifyError> {
     // Contiguous per-query runs of the (query, neuron) chunk.
     let mut runs: Vec<(usize, Vec<usize>)> = Vec::new();
     for &(k, n) in rows {
@@ -359,7 +637,7 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
         graph,
         prepared,
         segs: runs.iter().map(|(k, _)| &analyses[*k]).collect(),
-        compact_dead_cols: cfg.stable_zero_compaction,
+        live,
     };
     walker.run(stacked, rule)
 }

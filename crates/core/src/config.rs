@@ -44,9 +44,11 @@ pub struct VerifyConfig {
     /// forward interval pass encloses the same recursion whatever this is
     /// set to.
     pub account_inference_error: bool,
-    /// Upper bound on backsubstitution rows processed at once; `None` sizes
-    /// chunks from the device's free memory (paper §4.2, "Memory
-    /// management").
+    /// Upper bound on the rows of one backsubstitution walk; `None` sizes
+    /// walks from the device's free memory (paper §4.2, "Memory management")
+    /// and from its worker count, which runs that many walks side by side.
+    /// `Some(usize::MAX)` is one walk per layer, every kernel of it split
+    /// over the workers.
     pub chunk_rows: Option<usize>,
     /// Stable-zero column compaction: after a ReLU substitution step,
     /// neurons whose relaxation is exactly zero (stably-negative inputs)
@@ -55,7 +57,9 @@ pub struct VerifyConfig {
     /// away so GEMM flops scale with *live* columns. Bit-neutral by the
     /// kernel contract (exact-zero terms are mandatorily skipped in the
     /// accumulation, so removing them reproduces the same fma sequence);
-    /// engagement is guarded off for layers with non-finite weights.
+    /// engagement is guarded off for layers with non-finite weights. The
+    /// walks a list of rows is cut into share one gather of a layer's live
+    /// weight rows.
     pub stable_zero_compaction: bool,
 }
 

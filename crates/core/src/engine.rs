@@ -27,21 +27,23 @@
 //! pool, no cache), preserving the original per-query memory profile.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceError};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
-use crate::analysis::{analyze, analyze_fused, Analysis, AnalysisStats};
+use crate::analysis::{
+    analyze, analyze_fused, walk_streams, Analysis, AnalysisStats, SegWork, Streamed,
+};
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard, PREFETCH_DEPTH};
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
-use crate::walk::{StopRule, WalkOutcome, Walker};
+use crate::walk::{LiveWeights, StopRule, WalkOutcome, Walker};
 use crate::{ExprBatch, VerifyConfig, VerifyError};
 
 /// One robustness query: is `label` certified for every image within `eps`
@@ -264,9 +266,9 @@ pub struct PreparedGraph<'n, F: Fp, B: Backend> {
     /// zero column is bit-neutral for finite weights but could swallow a
     /// NaN product otherwise.
     weights_finite: Vec<bool>,
-    /// Worst-case device bytes per backsubstitution row (from the largest
-    /// padded dependence-set window over all nodes).
-    bytes_per_row: usize,
+    /// Neurons of the widest layer: the most columns a backsubstitution row
+    /// ever has (a window is stored clipped to its layer).
+    widest_layer: usize,
     /// Bytes of weights resident on the executing device.
     resident_bytes: usize,
     /// Weight-shard state (gather cache + prefetch thread) when this graph
@@ -344,7 +346,7 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             affine,
             relu_plan,
             weights_finite,
-            bytes_per_row: Self::bytes_per_row(graph),
+            widest_layer: graph.nodes.iter().map(|n| n.shape.len()).max().unwrap_or(1),
             resident_bytes,
             shard: None,
         })
@@ -461,29 +463,34 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
         self.weights_finite[node]
     }
 
+    /// `true` when the node's weights live in shards across a pool and are
+    /// on this device only while gathered ([`PreparedGraph::weights`]).
+    pub(crate) fn weights_sharded(&self, node: NodeId) -> bool {
+        matches!(self.affine[node], Some(PackedAffine::Sharded))
+    }
+
     /// Bytes of weights resident on the device.
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
     }
 
     /// How many backsubstitution rows fit in the device's currently free
-    /// memory (the §4.2 chunking heuristic, with the per-row footprint
-    /// precomputed at preparation time).
+    /// memory (the §4.2 chunking heuristic). Worst-case per-row footprint:
+    /// the window of a backsubstituted expression is stored clipped to its
+    /// layer ([`crate::expr`]), so a row is bounded by the widest layer
+    /// times two interval planes, double-buffered across a step.
     pub(crate) fn chunk_for(&self, device: &Device<B>) -> usize {
         let free = device.memory_free();
         if free == usize::MAX {
             return usize::MAX;
         }
-        (free / self.bytes_per_row.max(1)).max(1)
+        let bytes_per_row = self.widest_layer * std::mem::size_of::<Itv<F>>() * 2 * 3;
+        (free / bytes_per_row.max(1)).max(1)
     }
 
-    /// Worst-case per-row footprint: the window of a backsubstituted
-    /// expression is stored clipped to its layer ([`crate::expr`]), so the
-    /// per-row bytes are bounded by the largest layer times two interval
-    /// planes, double-buffered across a step.
-    fn bytes_per_row(graph: &Graph<'_, F>) -> usize {
-        let max_cols = graph.nodes.iter().map(|n| n.shape.len()).max().unwrap_or(1);
-        max_cols * std::mem::size_of::<Itv<F>>() * 2 * 3
+    /// Neurons of the network's widest layer.
+    pub(crate) fn widest_layer(&self) -> usize {
+        self.widest_layer
     }
 }
 
@@ -1075,9 +1082,19 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
             }
         }
-        let out = self.walk_spec(self.spec_batch(spec.rows())?, vec![analysis])?;
+        let rows = spec.rows();
+        let live = self.live_weights(&[analysis]);
+        let out = walk_streams(
+            &self.device,
+            &self.prepared,
+            &self.cfg,
+            rows.len(),
+            1,
+            &|_| 0,
+            &|part| self.walk_spec(self.spec_batch(&rows[part])?, vec![analysis], &live),
+        )?;
         let mut stats = analysis.stats.clone();
-        stats.absorb_walk(out.stopped_rows.len(), out.candidates);
+        stats.absorb_walk(out.work[0].stopped, out.work[0].candidates);
         Ok(Self::spec_verdict(&out.best, stats))
     }
 
@@ -1107,12 +1124,26 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         Ok(batch)
     }
 
+    /// Stable-zero compaction for a list of spec rows over the queries
+    /// `segs`, whose walks start at the output.
+    fn live_weights(&self, segs: &[&Analysis<F>]) -> LiveWeights<F, B> {
+        LiveWeights::for_list(
+            &self.device,
+            &self.graph,
+            &self.prepared,
+            &self.cfg,
+            segs,
+            self.graph.output(),
+        )
+    }
+
     /// Walks a batch of spec rows to the input; segment `k` of the batch
     /// reads `segs[k]`'s bounds.
     fn walk_spec(
         &self,
         batch: ExprBatch<F, B>,
         segs: Vec<&Analysis<F>>,
+        live: &LiveWeights<F, B>,
     ) -> Result<WalkOutcome<F>, VerifyError> {
         let rule = if self.cfg.early_termination {
             StopRule::ProvenPositive
@@ -1124,7 +1155,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             graph: &self.graph,
             prepared: &self.prepared,
             segs,
-            compact_dead_cols: self.cfg.stable_zero_compaction,
+            live,
         };
         walker.run(batch, rule)
     }
@@ -1280,9 +1311,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// Queries are dealt to the workers in descending [`Engine::query_cost`]
     /// order, one lane per worker (`lpt_lanes`): every worker starts on one
     /// of the most expensive queries and finishes on cheap ones, which trims
-    /// the tail where one late heavy query runs alone. A batch of fewer
-    /// queries than workers gets one lane per query, so a single query runs
-    /// inline and its kernels keep the whole pool. Scheduling only — each
+    /// the tail where one late heavy query runs alone. The lanes are the
+    /// streams of one pool section ([`Device::streams`]): everything a lane's
+    /// queries launch runs inline on the lane's thread, in its own lane of
+    /// the buffer pool. A batch of fewer queries than workers gets one lane
+    /// per query, so a single query runs inline and its *walks* keep the
+    /// whole pool. Scheduling only — each
     /// query's margins are bit-identical to any other submission order, and
     /// results are returned in the callers' order.
     pub fn verify_batch(&self, queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
@@ -1301,14 +1335,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         let started = Instant::now();
         let cost: Vec<f64> = boxes.iter().map(|b| self.box_cost(b)).collect();
         let lanes = lpt_lanes(&cost, self.device.workers());
-        let computed: Vec<Vec<_>> = self.device.install(|| {
-            lanes
-                .par_iter()
-                .map(|lane| {
-                    lane.iter()
-                        .map(|&j| (j, self.verify_box(labels[j], &boxes[j])))
-                        .collect()
-                })
+        // One stream per lane: each lane's queries find their own buffers
+        // again, and every walk inside one runs inline.
+        let computed: Vec<Vec<_>> = self.device.streams(lanes.len(), |l| {
+            lanes[l]
+                .iter()
+                .map(|&j| (j, self.verify_box(labels[j], &boxes[j])))
                 .collect()
         });
         let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
@@ -1548,17 +1580,16 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             lane.walk_spec_rows(labels, &analyses, block(s))
         });
 
+        // Lanes walk side by side: a query split between two took the longer
+        // one's candidate rounds.
         let mut best: Vec<Itv<F>> = Vec::with_capacity(total);
-        let mut stopped = vec![0usize; labels.len()];
-        let mut candidates = 0usize;
-        for (s, walk) in walks.into_iter().enumerate() {
+        let mut work = vec![SegWork::default(); labels.len()];
+        for walk in walks {
             let walk = walk?;
-            for &r in &walk.stopped_rows {
-                stopped[(block(s).start + r as usize) / rpq] += 1;
+            for (w, lane) in work.iter_mut().zip(&walk.work) {
+                w.stopped += lane.stopped;
+                w.candidates = w.candidates.max(lane.candidates);
             }
-            // Lanes walk side by side: the batch took the longest one's
-            // candidate rounds.
-            candidates = candidates.max(walk.candidates);
             best.extend(walk.best);
         }
         Ok(labels
@@ -1566,7 +1597,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .enumerate()
             .map(|(j, &label)| {
                 let mut stats = analyses[j].stats.clone();
-                stats.absorb_walk(stopped[j], candidates);
+                stats.absorb_walk(work[j].stopped, work[j].candidates);
                 let verdict = Self::spec_verdict(&best[j * rpq..(j + 1) * rpq], stats);
                 Self::robustness_verdict(label, out_len, verdict)
             })
@@ -1575,35 +1606,49 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
     /// One lane's block `rows` of the stacked robustness-spec row space
     /// (query j owns rows `[j·rpq, (j+1)·rpq)` and reads `analyses[j]`),
-    /// walked to the input in one multi-segment pass: per-query sub-batches
-    /// covering the block, stacked so each query keeps its own segment (and
-    /// hence its own relaxation tables).
+    /// through the one schedule ([`walk_streams`]). Each of its walks is one
+    /// multi-segment pass: per-query sub-batches covering the walk's rows,
+    /// stacked so each query keeps its own segment (and hence its own
+    /// relaxation tables).
     fn walk_spec_rows(
         &self,
         labels: &[usize],
         analyses: &[&Analysis<F>],
-        rows: std::ops::Range<usize>,
-    ) -> Result<WalkOutcome<F>, VerifyError> {
-        if rows.is_empty() {
-            // More lanes than rows.
-            return Ok(WalkOutcome {
-                best: Vec::new(),
-                stopped_rows: Vec::new(),
-                candidates: 0,
-            });
-        }
+        rows: Range<usize>,
+    ) -> Result<Streamed<F>, VerifyError> {
         let out_len = self.out_len();
         let rpq = out_len - 1;
-        let mut batches = Vec::new();
-        let mut segs = Vec::new();
-        for j in rows.start / rpq..=(rows.end - 1) / rpq {
-            let spec = LinearSpec::robustness(labels[j], out_len);
-            let lo = rows.start.max(j * rpq) - j * rpq;
-            let hi = rows.end.min((j + 1) * rpq) - j * rpq;
-            batches.push(self.spec_batch(&spec.rows()[lo..hi])?);
-            segs.push(analyses[j]);
-        }
-        self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs)
+        let query_of = |r: usize| (rows.start + r) / rpq;
+        // The queries with rows in the block (none when the pool has more
+        // lanes than the batch has rows).
+        let queries = if rows.is_empty() {
+            0..0
+        } else {
+            rows.start / rpq..(rows.end - 1) / rpq + 1
+        };
+        let live = self.live_weights(&analyses[queries]);
+        let walk = |part: Range<usize>| {
+            let part = rows.start + part.start..rows.start + part.end;
+            let mut batches = Vec::new();
+            let mut segs = Vec::new();
+            for j in part.start / rpq..=(part.end - 1) / rpq {
+                let spec = LinearSpec::robustness(labels[j], out_len);
+                let lo = part.start.max(j * rpq) - j * rpq;
+                let hi = part.end.min((j + 1) * rpq) - j * rpq;
+                batches.push(self.spec_batch(&spec.rows()[lo..hi])?);
+                segs.push(analyses[j]);
+            }
+            self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs, &live)
+        };
+        walk_streams(
+            &self.device,
+            &self.prepared,
+            &self.cfg,
+            rows.len(),
+            labels.len(),
+            &query_of,
+            &walk,
+        )
     }
 
     /// The cache-and-gate half of the fused pipeline, on one lane: one

@@ -35,6 +35,8 @@
 //! segment `0` throughout; every per-row operation is unchanged, so fused
 //! results are bit-identical to running each query's rows alone.
 
+use std::sync::Arc;
+
 use gpupoly_device::{
     kernels, par_stream, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom,
 };
@@ -42,6 +44,7 @@ use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 use rayon::prelude::*;
 
+use crate::walk::LiveLayer;
 use crate::VerifyError;
 
 /// Clips a dependence-set window to its layer, one dimension at a time: a
@@ -74,13 +77,13 @@ pub struct ExprBatch<F: Fp, B: Backend> {
     hi: DeviceBuffer<Itv<F>, B>,
     cst_lo: Vec<Itv<F>>,
     cst_hi: Vec<Itv<F>>,
-    /// Per-frontier-neuron stable-zero mask: `true` marks a neuron whose
-    /// coefficient column is exactly `[0, 0]` in *every* row of both
-    /// planes (set by the walker after a ReLU step whose relaxation is
-    /// identically zero for that neuron in all segments). Consumed by the
-    /// dense step's stable-zero column compaction; cleared by any step
-    /// that changes the frontier.
-    dead_cols: Option<Vec<bool>>,
+    /// Stable-zero column compaction: the frontier neurons outside
+    /// `live_cols.index()` have a coefficient column that is exactly
+    /// `[0, 0]` in *every* row of both planes (attached by the walker after
+    /// a ReLU step whose relaxation is identically zero for those neurons in
+    /// all segments). Consumed by the dense step that follows; cleared by
+    /// any step that changes the frontier.
+    live_cols: Option<Arc<LiveLayer<F, B>>>,
 }
 
 impl<F: Fp, B: Backend> ExprBatch<F, B> {
@@ -159,7 +162,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             hi: plane(device, rows * cols)?,
             cst_lo: vec![Itv::zero(); rows],
             cst_hi: vec![Itv::zero(); rows],
-            dead_cols: None,
+            live_cols: None,
         })
     }
 
@@ -418,24 +421,22 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         }
     }
 
-    /// The stable-zero column mask, if the walker attached one (see the
-    /// field docs): `mask[n]` marks frontier neuron `n`'s column as exactly
-    /// zero in every row of both planes.
-    pub(crate) fn dead_cols(&self) -> Option<&[bool]> {
-        self.dead_cols.as_deref()
+    /// The frontier's live columns, if the walker attached them (see the
+    /// field docs).
+    pub(crate) fn live_cols(&self) -> Option<&LiveLayer<F, B>> {
+        self.live_cols.as_deref()
     }
 
-    /// Attaches a stable-zero column mask. The caller asserts the masked
-    /// columns are exact zeros in both planes (the ReLU step guarantees
-    /// this for neurons whose relaxation is identically zero in every
-    /// segment — pinned by the conformance suite).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mask does not cover the frontier.
-    pub(crate) fn set_dead_cols(&mut self, mask: Vec<bool>) {
-        assert_eq!(mask.len(), self.shape.len(), "dead-col mask length");
-        self.dead_cols = Some(mask);
+    /// Attaches the frontier's live columns. The caller asserts every other
+    /// column is exact zeros in both planes (the ReLU step guarantees this
+    /// for neurons whose relaxation is identically zero in every segment —
+    /// pinned by the conformance suite).
+    pub(crate) fn set_live_cols(&mut self, live: Arc<LiveLayer<F, B>>) {
+        debug_assert!(live
+            .index()
+            .iter()
+            .all(|&n| (n as usize) < self.shape.len()));
+        self.live_cols = Some(live);
     }
 
     /// Stacks batches from independent queries over the *same frontier*
@@ -495,7 +496,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             hi,
             cst_lo,
             cst_hi,
-            dead_cols: None,
+            live_cols: None,
         })
     }
 
@@ -645,7 +646,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             cst_lo,
             cst_hi,
             // Row removal leaves column zero-ness intact.
-            dead_cols: self.dead_cols,
+            live_cols: self.live_cols,
         };
         Ok((batch, index))
     }
@@ -670,7 +671,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         full.cst_lo.copy_from_slice(&self.cst_lo);
         full.cst_hi.copy_from_slice(&self.cst_hi);
         full.seg.copy_from_slice(&self.seg);
-        full.dead_cols = self.dead_cols.clone();
+        full.live_cols = self.live_cols.clone();
         let fcols = full.cols();
         kernels::densify(
             device,
@@ -806,7 +807,7 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
                 } else {
                     vec![Itv::zero(); self.rows()]
                 },
-                dead_cols: None,
+                live_cols: None,
             })
         };
         Ok((mk(node_a, shape_a, true)?, mk(node_b, shape_b, false)?))

@@ -54,7 +54,7 @@ mod tiered;
 mod verifier;
 mod walk;
 
-pub use analysis::{Analysis, AnalysisStats};
+pub use analysis::{Analysis, AnalysisStats, STREAMS_PER_WORKER, STREAM_MIN_COEFFS};
 pub use bnb::CompleteVerdict;
 pub use config::{RefineBudget, SplitRule, VerifyConfig};
 pub use engine::{query_cost_hint, Engine, EngineOptions, EngineStats, PreparedGraph, Query};

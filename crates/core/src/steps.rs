@@ -88,7 +88,11 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     )?;
     out.inherit_segments(&batch);
     let geom = batch.geom();
-    let live = live_columns(device, &batch, dense.out_len);
+    // The gather addresses elements of the batch by `u32`.
+    let live = batch.live_cols().filter(|_| {
+        rows.checked_mul(dense.out_len)
+            .is_some_and(|n| n <= u32::MAX as usize)
+    });
     let (src_lo, src_hi, src_cst_lo, src_cst_hi) = batch.planes();
     {
         let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
@@ -118,12 +122,15 @@ pub fn step_dense_with<F: Fp, B: Backend>(
         match live {
             // Stable-zero column compaction: gather the live columns of
             // both planes (an element gather — `gather_rows` over the
-            // transposed view) and the matching live rows of the weight
-            // matrix, then run the GEMM over `k_live` instead of `k`.
-            // Bit-identical to the dense product because every backend
-            // mandatorily skips exact-zero A terms: the surviving
-            // ascending-k fma sequence per output element is unchanged.
+            // transposed view) and run the GEMM over `k_live` instead of
+            // `k`, against the matching live rows of the weight matrix,
+            // which the walks of the list share. Bit-identical to the dense
+            // product because every backend mandatorily skips exact-zero A
+            // terms: the surviving ascending-k fma sequence per output
+            // element is unchanged.
             Some(live) => {
+                let w_live = live.rows();
+                let live = live.index();
                 let k_live = live.len();
                 let mut col_index: Vec<u32> = Vec::with_capacity(rows * k_live);
                 for r in 0..rows {
@@ -139,18 +146,10 @@ pub fn step_dense_with<F: Fp, B: Backend>(
                 let mut a_hi = DeviceBuffer::for_overwrite(device, rows * dense.out_len)?;
                 scan::gather_rows_into(device, src_lo, 1, &col_index, &mut a_lo[..rows * k_live]);
                 scan::gather_rows_into(device, src_hi, 1, &col_index, &mut a_hi[..rows * k_live]);
-                let mut w_live = DeviceBuffer::for_overwrite(device, dense.out_len * dense.in_len)?;
-                scan::gather_rows_into(
-                    device,
-                    weight,
-                    dense.in_len,
-                    &live,
-                    &mut w_live[..k_live * dense.in_len],
-                );
                 gemm::gemm_itv_f(
                     device,
                     &a_lo[..rows * k_live],
-                    &w_live[..k_live * dense.in_len],
+                    w_live,
                     out_lo,
                     rows,
                     k_live,
@@ -159,7 +158,7 @@ pub fn step_dense_with<F: Fp, B: Backend>(
                 gemm::gemm_itv_f(
                     device,
                     &a_hi[..rows * k_live],
-                    &w_live[..k_live * dense.in_len],
+                    w_live,
                     out_hi,
                     rows,
                     k_live,
@@ -189,23 +188,6 @@ pub fn step_dense_with<F: Fp, B: Backend>(
         }
     }
     Ok(out)
-}
-
-/// The live-column index of a stable-zero-masked batch, or `None` when
-/// compaction should not engage (no mask, nothing dead, or an index that
-/// would not fit the gather's `u32` addressing).
-fn live_columns<F: Fp, B: Backend>(
-    device: &Device<B>,
-    batch: &ExprBatch<F, B>,
-    k: usize,
-) -> Option<Vec<u32>> {
-    let dead = batch.dead_cols()?;
-    debug_assert_eq!(dead.len(), k, "dead-col mask covers the frontier");
-    if !dead.iter().any(|&d| d) || batch.rows().checked_mul(k)? > u32::MAX as usize {
-        return None;
-    }
-    let alive: Vec<bool> = dead.iter().map(|&d| !d).collect();
-    Some(scan::compact_indices(device, &alive))
 }
 
 /// GBC: backsubstitutes through a convolution (paper Algorithm 1).

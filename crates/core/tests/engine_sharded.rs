@@ -348,3 +348,66 @@ fn pool_of_one_is_the_engine() {
     );
     assert_eq!(got.resident_bytes, want.resident_bytes);
 }
+
+#[test]
+fn streams_gather_a_weight_shard_once_like_the_uncut_walk() {
+    // Under `shard_weights` every stream of a walking device acquires the
+    // same remote layers at nearly the same time. The gather cache decides
+    // under its lock, so a layer in flight is waited for, not gathered
+    // twice: a pool of many-worker devices (lists cut into streams) must
+    // meter the misses and evictions of the same pool with one worker a
+    // device (uncut walks), and more hits — one per stream that found the
+    // layer already there.
+    use gpupoly_nn::zoo::{build_arch, ArchId, Dataset};
+    let net = build_arch(ArchId::Fc6x500, Dataset::MnistLike, 0.1, 7).expect("zoo architecture");
+    let batch: Vec<Query<f32>> = (0..4usize)
+        .map(|q| {
+            let image: Vec<f32> = (0..784)
+                .map(|i| 0.3 + 0.4 * (((q * 131 + i * 17) % 101) as f32 / 101.0))
+                .collect();
+            let label = net.classify(&image);
+            Query::new(image, label, 2e-4)
+        })
+        .collect();
+    for split_rows in [false, true] {
+        let plan = Plan {
+            split_rows,
+            shard_weights: true,
+        };
+        let run = |workers: usize| {
+            let pool: Vec<Device<CpuSimBackend>> = (0..2)
+                .map(|_| Device::new(DeviceConfig::new().workers(workers)))
+                .collect();
+            let sharded = ShardedEngine::new(
+                pool,
+                plan,
+                &net,
+                VerifyConfig::default(),
+                EngineOptions::default(),
+            )
+            .expect("sharded engine");
+            let verdicts = sharded.verify_batch_sharded(&batch);
+            let verdicts: Vec<_> = verdicts
+                .iter()
+                .map(|v| v.as_ref().expect("sharded verdict"))
+                .collect();
+            let margins: Vec<Vec<u32>> = verdicts
+                .iter()
+                .map(|v| v.margins.iter().map(|m| m.lower.to_bits()).collect())
+                .collect();
+            let walks: usize = verdicts.iter().map(|v| v.stats.chunks).sum();
+            (margins, walks, sharded.stats())
+        };
+        let (want, uncut_walks, uncut) = run(1);
+        let (got, walks, streamed) = run(3);
+        assert_eq!(got, want, "{plan:?}: margins");
+        assert!(walks > uncut_walks, "{plan:?}: the lists must be cut");
+        assert!(uncut.gather_misses > 0, "{plan:?}: remote layers exist");
+        assert_eq!(
+            (streamed.gather_misses, streamed.gather_evictions),
+            (uncut.gather_misses, uncut.gather_evictions),
+            "{plan:?}: gathers and evictions"
+        );
+        assert!(streamed.gather_hits > uncut.gather_hits, "{plan:?}");
+    }
+}

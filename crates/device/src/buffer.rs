@@ -49,6 +49,9 @@ pub struct DeviceBuffer<T: Send + 'static, B: Backend = CpuSimBackend> {
     len: usize,
     bytes: usize,
     device: Device<B>,
+    /// The shelf lane the allocation is live in and returns to (the lane of
+    /// the thread that made it, see [`Device::streams`]).
+    lane: usize,
     /// `true` when this allocation may be shelved in the device's buffer
     /// pool on drop (it was created while the pool was active).
     pooled: bool,
@@ -69,18 +72,15 @@ impl<T: Send + fmt::Debug, B: Backend> fmt::Debug for DeviceBuffer<T, B> {
 
 impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     /// Charges `len` elements against the device, reclaiming shelved pool
-    /// buffers once before giving up on an out-of-memory condition.
+    /// buffers before giving up on an out-of-memory condition — as often as
+    /// a sibling stream shelves more between the reclaim and the retry.
     fn charge(device: &Device<B>, len: usize) -> Result<usize, DeviceError> {
         let bytes = len.saturating_mul(mem::size_of::<T>());
-        match device.track_alloc(bytes) {
-            Ok(()) => Ok(bytes),
-            Err(first) => {
-                if device.buffer_pool_bytes() == 0 {
-                    return Err(first);
-                }
-                device.buffer_pool_clear();
-                device.track_alloc(bytes)?;
-                Ok(bytes)
+        loop {
+            match device.track_alloc(bytes) {
+                Ok(()) => return Ok(bytes),
+                Err(e) if device.buffer_pool_bytes() == 0 => return Err(e),
+                Err(_) => device.buffer_pool_clear(),
             }
         }
     }
@@ -93,6 +93,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
             data,
             bytes,
             device: device.clone(),
+            lane: device.lane_alloc(bytes),
             pooled: device.buffer_pool_active(),
             persistent: false,
         })
@@ -102,7 +103,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     /// `max_len` (contents stale), or `None` — counted as a pool miss — when
     /// the shelf has none that fits.
     fn recycled(device: &Device<B>, len: usize, max_len: usize) -> Option<Self> {
-        let Some(data) = device.pool_take::<T>(len, max_len) else {
+        let Some((data, lane)) = device.pool_take::<T>(len, max_len) else {
             device.note_pool_miss();
             return None;
         };
@@ -111,6 +112,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
             data,
             len,
             device: device.clone(),
+            lane,
             pooled: true,
             persistent: false,
         })
@@ -255,7 +257,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
             self.persistent = false;
             self.device.stats().note_resident_free(self.bytes as u64);
         }
-        self.device.track_free(self.bytes);
+        self.device.lane_free(self.lane, self.bytes);
         self.bytes = 0;
         self.data.truncate(self.len);
         mem::take(&mut self.data)
@@ -272,11 +274,11 @@ impl<T: Send + 'static, B: Backend> Drop for DeviceBuffer<T, B> {
         }
         if self.pooled {
             let data = mem::take(&mut self.data);
-            if self.device.pool_put(data, self.bytes) {
+            if self.device.pool_put(self.lane, data, self.bytes) {
                 return; // charge stays with the shelved buffer
             }
         }
-        self.device.track_free(self.bytes);
+        self.device.lane_free(self.lane, self.bytes);
     }
 }
 

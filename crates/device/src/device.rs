@@ -1,12 +1,14 @@
 //! The device handle: worker pool, memory accounting, launch statistics.
 
 use std::any::{Any, TypeId};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rayon::prelude::*;
 
 use crate::backend::{Backend, CpuSimBackend, ReferenceBackend};
 
@@ -265,10 +267,12 @@ struct Shelved {
     data: Box<dyn Any + Send>,
 }
 
-/// How many times the device's live high-water mark
-/// ([`Device::peak_live_memory`]) the shelf may hold before the oldest
-/// shelved buffers are freed. Fixed, not configurable. Measured on the
-/// benchmark, `conv_fused` / `dense_single`, seed 1:
+/// How many times a shelf lane's live high-water mark the lane may hold
+/// before its oldest shelved buffers are freed (one lane, one stream: on a
+/// device that runs nothing side by side this is the device's own mark,
+/// [`Device::peak_live_memory`]). Fixed, not configurable. Measured on the
+/// benchmark when the device had one shelf, `conv_fused` / `dense_single`,
+/// seed 1:
 ///
 /// | multiple | pool hit share | `peak_device_mb` | `queries_per_s` |
 /// | --- | --- | --- | --- |
@@ -280,6 +284,50 @@ struct Shelved {
 /// buffers again (`steady_state_queries_allocate_no_fresh_bytes` fails), and
 /// 4 buys the last misses of `conv_fused` with half as much memory again.
 pub const SHELF_LIVE_MULTIPLE: usize = 2;
+
+thread_local! {
+    /// The shelf lane this thread allocates from: the position of the stream
+    /// it is running ([`Device::streams`]), 0 outside any. It belongs to the
+    /// thread, not to a device — a kernel of a wrapping backend that
+    /// allocates scratch on an inner device stays in its stream's lane there.
+    static LANE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Makes `lane` the calling thread's shelf lane until dropped (also on
+/// unwind).
+struct LaneScope(usize);
+
+impl LaneScope {
+    fn enter(lane: usize) -> Self {
+        LaneScope(LANE.with(|l| l.replace(lane)))
+    }
+}
+
+impl Drop for LaneScope {
+    fn drop(&mut self) {
+        LANE.with(|l| l.set(self.0));
+    }
+}
+
+/// One lane of the shelf: what the stream at one position
+/// ([`Device::streams`]) left behind, and how much it held at once.
+#[derive(Default)]
+struct Lane {
+    /// Shelved buffers, oldest first.
+    shelved: VecDeque<Shelved>,
+    shelved_bytes: usize,
+    /// Bytes of the buffers allocated in this lane and not yet dropped,
+    /// wherever they are dropped.
+    live: usize,
+    live_peak: usize,
+}
+
+impl Lane {
+    fn grow(&mut self, bytes: usize) {
+        self.live += bytes;
+        self.live_peak = self.live_peak.max(self.live);
+    }
+}
 
 pub(crate) struct DeviceInner<B> {
     backend: B,
@@ -294,17 +342,37 @@ pub(crate) struct DeviceInner<B> {
     /// the backend supports pooling), dropped pooled [`crate::DeviceBuffer`]s
     /// are shelved here for reuse instead of being freed.
     recyclers: AtomicUsize,
-    /// Shelved buffers, oldest first. A request is served by the smallest
-    /// buffer of its element type that holds it and is at most twice as
-    /// large. Shelved bytes stay charged against capacity; the shelf is cut
-    /// back, oldest first, to [`SHELF_LIVE_MULTIPLE`] times `live_peak` after
-    /// every put, and an allocation that would fail reclaims all of it
-    /// before reporting out-of-memory.
-    shelf: Mutex<VecDeque<Shelved>>,
+    /// The shelf, one lane per stream position (lane 0 is every thread that
+    /// is not running a stream). A buffer belongs to the lane it was
+    /// allocated in: its bytes count as that lane's live bytes until it is
+    /// dropped, and it is shelved there whichever thread drops it. A request
+    /// is served by the smallest buffer *of the requesting thread's lane*
+    /// that has its element type, holds it and is at most twice as large;
+    /// after every put the lane is cut back, oldest first, to
+    /// [`SHELF_LIVE_MULTIPLE`] times its own live high-water mark — or its
+    /// share of the device's resident-bytes mark, `resident / workers`,
+    /// where that is higher: the weights are in lane 0's mark only (uploads
+    /// happen outside any stream), and a stream budgeted by its own few rows
+    /// alone loses buffers it asks for again (`dense_single`, traced:
+    /// `pool_hit_share` 0.9879 and 2.70 MB of fresh allocations where one
+    /// shelf for the whole device had 0.9934 and 3.12 MB; with the share,
+    /// on two workers, 0.9998 and 0.24 MB).
+    /// The weights' allowance is the device's, dealt out once: `n` lanes
+    /// hold at most `n / workers` times the multiple of the resident bytes
+    /// between them on that account, however many workers the device has.
+    /// So what a stream finds is what the stream at its position left the
+    /// last time, whatever its siblings are doing meanwhile, and hits,
+    /// misses and `bytes_allocated` repeat from run to run — the CPU
+    /// stand-in for a stream-ordered allocator. The price: a lane is warm
+    /// for what its position has run, and no other lane's buffers help it.
+    /// Work that reaches a position in a new shape — whole queries in the
+    /// lanes of a per-query batch, then one query's lists a quarter each —
+    /// allocates afresh there once, where a single shelf would have served
+    /// it. Shelved bytes stay charged against capacity, and an allocation
+    /// that would fail reclaims every lane before reporting out-of-memory.
+    shelf: Mutex<Vec<Lane>>,
+    /// Sum of the lanes' `shelved_bytes`, readable without the lock.
     shelved_bytes: AtomicUsize,
-    /// High-water mark of live bytes, `in_use − shelved_bytes`: what the
-    /// device's users held at once, which is what the shelf is sized by.
-    live_peak: AtomicUsize,
 }
 
 /// A handle to a simulated GPU, generic over the kernel [`Backend`]
@@ -405,9 +473,8 @@ impl<B: Backend> Device<B> {
                 name: config.name.unwrap_or_else(|| "gpupoly-sim".to_string()),
                 workers,
                 recyclers: AtomicUsize::new(0),
-                shelf: Mutex::new(VecDeque::new()),
+                shelf: Mutex::new(Vec::new()),
                 shelved_bytes: AtomicUsize::new(0),
-                live_peak: AtomicUsize::new(0),
             }),
         }
     }
@@ -461,39 +528,63 @@ impl<B: Backend> Device<B> {
             .saturating_sub(self.buffer_pool_bytes())
     }
 
-    /// Raises the live high-water mark after live bytes grew: an allocation
-    /// was charged, or a buffer left the shelf.
-    fn note_live(&self) {
-        self.inner
-            .live_peak
-            .fetch_max(self.live_bytes(), Ordering::Relaxed);
-    }
-
     /// Work counters.
     pub fn stats(&self) -> &DeviceStats {
         &self.inner.stats
     }
 
+    /// Charges `bytes` against the capacity, or fails. One atomic update:
+    /// walks allocate side by side ([`Device::streams`]), and two requests
+    /// that each fit on their own must not both be let past the cap.
     pub(crate) fn track_alloc(&self, bytes: usize) -> Result<(), DeviceError> {
-        let in_use = self.inner.in_use.load(Ordering::Relaxed);
-        if let Some(cap) = self.inner.capacity {
-            if in_use.saturating_add(bytes) > cap {
-                return Err(DeviceError::OutOfMemory {
-                    requested: bytes,
-                    in_use,
-                    capacity: cap,
+        let cap = self.inner.capacity.unwrap_or(usize::MAX);
+        let charged =
+            self.inner
+                .in_use
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |in_use| {
+                    in_use.checked_add(bytes).filter(|&new| new <= cap)
                 });
+        match charged {
+            Ok(was) => {
+                self.inner.peak.fetch_max(was + bytes, Ordering::Relaxed);
+                self.inner.stats.add_bytes(bytes);
+                Ok(())
             }
+            Err(in_use) => Err(DeviceError::OutOfMemory {
+                requested: bytes,
+                in_use,
+                capacity: cap,
+            }),
         }
-        let new = self.inner.in_use.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.inner.peak.fetch_max(new, Ordering::Relaxed);
-        self.note_live();
-        self.inner.stats.add_bytes(bytes);
-        Ok(())
     }
 
     pub(crate) fn track_free(&self, bytes: usize) {
         self.inner.in_use.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// Runs `f` on lane `lane` of the shelf, under the shelf lock.
+    fn with_lane<R>(&self, lane: usize, f: impl FnOnce(&mut Lane) -> R) -> R {
+        let mut shelf = self.inner.shelf.lock();
+        if shelf.len() <= lane {
+            shelf.resize_with(lane + 1, Lane::default);
+        }
+        f(&mut shelf[lane])
+    }
+
+    /// Counts `bytes` just charged ([`Device::track_alloc`]) as live in the
+    /// calling thread's lane and returns that lane, which the allocation
+    /// keeps until [`Device::pool_put`] or [`Device::lane_free`] ends it.
+    pub(crate) fn lane_alloc(&self, bytes: usize) -> usize {
+        let lane = LANE.with(Cell::get);
+        self.with_lane(lane, |l| l.grow(bytes));
+        lane
+    }
+
+    /// Ends an allocation of `lane` that is not shelved: its bytes are no
+    /// longer live there and their charge is returned.
+    pub(crate) fn lane_free(&self, lane: usize, bytes: usize) {
+        self.with_lane(lane, |l| l.live -= bytes);
+        self.track_free(bytes);
     }
 
     /// `true` while at least one buffer-pool user is registered *and* the
@@ -512,9 +603,13 @@ impl<B: Backend> Device<B> {
     /// between `n` and `2n` bytes and stays charged for all of it
     /// ([`crate::DeviceBuffer::bytes`]) — the sizes a backsubstitution walk
     /// asks for drift with every row it drops and rarely repeat. (Uploads,
-    /// [`crate::DeviceBuffer::from_slice`], take an exact fit only.) After
-    /// every drop the oldest shelved buffers are freed until the shelf holds
-    /// at most [`SHELF_LIVE_MULTIPLE`] times [`Device::peak_live_memory`].
+    /// [`crate::DeviceBuffer::from_slice`], take an exact fit only.) The
+    /// shelf has one lane per stream position ([`Device::streams`]): a
+    /// thread takes from its own lane, a buffer returns to the lane it was
+    /// allocated in, and after every drop that lane's oldest shelved
+    /// buffers are freed until it holds at most [`SHELF_LIVE_MULTIPLE`]
+    /// times what the lane held live at once ([`Device::peak_live_memory`]
+    /// is the sum over the lanes).
     pub fn buffer_pool_retain(&self) {
         self.inner.recyclers.fetch_add(1, Ordering::Relaxed);
     }
@@ -538,9 +633,18 @@ impl<B: Backend> Device<B> {
         }
     }
 
-    /// Frees every shelved buffer immediately.
+    /// Frees every shelved buffer of every lane immediately.
     pub fn buffer_pool_clear(&self) {
-        let drained: Vec<Shelved> = self.inner.shelf.lock().drain(..).collect();
+        let drained: Vec<Shelved> = {
+            let mut shelf = self.inner.shelf.lock();
+            shelf
+                .iter_mut()
+                .flat_map(|lane| {
+                    lane.shelved_bytes = 0;
+                    lane.shelved.drain(..)
+                })
+                .collect()
+        };
         self.free_shelved(drained);
     }
 
@@ -561,55 +665,87 @@ impl<B: Backend> Device<B> {
         self.inner.shelved_bytes.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of live bytes: [`Device::memory_in_use`] less
-    /// [`Device::buffer_pool_bytes`], i.e. what buffers in their owners'
-    /// hands (resident weights included) held at once. The shelf is bounded
-    /// by a fixed multiple of it, so [`Device::peak_memory`] stays within
-    /// that multiple plus one of this mark.
+    /// High-water mark of live bytes — [`Device::memory_in_use`] less
+    /// [`Device::buffer_pool_bytes`], what buffers in their owners' hands
+    /// (resident weights included) held at once — taken per shelf lane and
+    /// summed. On a device whose walks run one at a time that is the
+    /// device's own high-water mark; where streams run side by side it is
+    /// what they would hold if every one were at its peak at the same
+    /// moment, which no schedule exceeds and which, unlike the moment's sum,
+    /// does not depend on the schedule. Each lane's shelf is bounded by a
+    /// fixed multiple of its mark, or of `1 / workers` of the resident
+    /// weights' bytes where a lane's own mark is lower, so with `n` lanes
+    /// [`Device::peak_memory`] stays within [`SHELF_LIVE_MULTIPLE`] plus one
+    /// of this sum, plus [`SHELF_LIVE_MULTIPLE`] × `n / workers` of the
+    /// resident bytes.
     pub fn peak_live_memory(&self) -> usize {
-        self.inner.live_peak.load(Ordering::Relaxed)
+        let shelf = self.inner.shelf.lock();
+        shelf.iter().map(|lane| lane.live_peak).sum()
     }
 
-    /// Takes the best-fitting shelved buffer for `len` elements of `T`: the
-    /// smallest one of that element type holding at least `len` and at most
-    /// `max_len` elements (the newest among equals). The returned storage
-    /// may therefore be longer than `len`; it keeps its memory charge.
+    /// Per lane of the shelf, in lane order: `(shelved bytes, live
+    /// high-water mark)` — a diagnostic for tests and tuning.
+    pub fn shelf_lanes(&self) -> Vec<(usize, usize)> {
+        let shelf = self.inner.shelf.lock();
+        shelf
+            .iter()
+            .map(|lane| (lane.shelved_bytes, lane.live_peak))
+            .collect()
+    }
+
+    /// Takes the best-fitting buffer for `len` elements of `T` off the
+    /// calling thread's lane of the shelf: the smallest one of that element
+    /// type holding at least `len` and at most `max_len` elements (the
+    /// newest among equals). The returned storage may therefore be longer
+    /// than `len`; it keeps its memory charge and is live in the lane
+    /// returned with it, the one it was shelved in.
     pub(crate) fn pool_take<T: Send + 'static>(
         &self,
         len: usize,
         max_len: usize,
-    ) -> Option<Vec<T>> {
+    ) -> Option<(Vec<T>, usize)> {
         if !self.buffer_pool_active() {
             return None;
         }
         let size = std::mem::size_of::<T>();
         let fits = len.saturating_mul(size)..=max_len.saturating_mul(size);
         let elem = TypeId::of::<T>();
-        let taken = {
-            let mut shelf = self.inner.shelf.lock();
-            let at = shelf
+        let lane = LANE.with(Cell::get);
+        let taken = self.with_lane(lane, |l| {
+            let at = l
+                .shelved
                 .iter()
                 .enumerate()
                 .rev()
                 .filter(|(_, s)| s.elem == elem && fits.contains(&s.bytes))
                 .min_by_key(|(_, s)| s.bytes)?
                 .0;
-            shelf.remove(at).expect("index from the scan above")
-        };
+            let taken = l.shelved.remove(at).expect("index from the scan above");
+            l.shelved_bytes -= taken.bytes;
+            l.grow(taken.bytes);
+            Some(taken)
+        })?;
         self.inner
             .shelved_bytes
             .fetch_sub(taken.bytes, Ordering::Relaxed);
-        self.note_live();
         self.inner.stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-        Some(*taken.data.downcast::<Vec<T>>().expect("shelf type tag"))
+        let data = *taken.data.downcast::<Vec<T>>().expect("shelf type tag");
+        Some((data, lane))
     }
 
-    /// Shelves a buffer's storage for reuse, keeping its memory charge, then
-    /// frees the oldest shelved buffers while the shelf holds more than
-    /// [`SHELF_LIVE_MULTIPLE`] times the live high-water mark. Returns
-    /// `false` (storage not taken) when the pool is inactive — the caller
-    /// must then free the charge itself.
-    pub(crate) fn pool_put<T: Send + 'static>(&self, data: Vec<T>, bytes: usize) -> bool {
+    /// Ends an allocation of `lane` by shelving its storage there for reuse,
+    /// keeping its memory charge, then frees the lane's oldest shelved
+    /// buffers while it holds more than [`SHELF_LIVE_MULTIPLE`] times its
+    /// live high-water mark (or the lane's share of the device's resident
+    /// one, if higher; see `DeviceInner::shelf`). Returns `false` (nothing done) when the pool is
+    /// inactive — the caller must then end the allocation itself
+    /// ([`Device::lane_free`]).
+    pub(crate) fn pool_put<T: Send + 'static>(
+        &self,
+        lane: usize,
+        data: Vec<T>,
+        bytes: usize,
+    ) -> bool {
         if bytes == 0 {
             return false;
         }
@@ -621,19 +757,26 @@ impl<B: Backend> Device<B> {
         if !self.buffer_pool_active() {
             return false;
         }
-        shelf.push_back(Shelved {
+        let l = &mut shelf[lane]; // made when the allocation became live
+        l.live -= bytes;
+        l.shelved.push_back(Shelved {
             elem: TypeId::of::<T>(),
             bytes,
             data: Box::new(data),
         });
-        let mut shelved = self.inner.shelved_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let budget = SHELF_LIVE_MULTIPLE.saturating_mul(self.peak_live_memory());
+        l.shelved_bytes += bytes;
+        self.inner.shelved_bytes.fetch_add(bytes, Ordering::Relaxed);
+        // Resident weights counted as live for the one shelf a device used
+        // to have; now only lane 0's own mark holds them, and every lane is
+        // credited with a worker's share.
+        let resident = self.inner.stats.peak_resident_bytes() as usize / self.inner.workers;
+        let budget = SHELF_LIVE_MULTIPLE.saturating_mul(l.live_peak.max(resident));
         let mut evicted = Vec::new();
-        while shelved > budget {
-            let Some(oldest) = shelf.pop_front() else {
+        while l.shelved_bytes > budget {
+            let Some(oldest) = l.shelved.pop_front() else {
                 break;
             };
-            shelved -= oldest.bytes;
+            l.shelved_bytes -= oldest.bytes;
             evicted.push(oldest);
         }
         drop(shelf);
@@ -660,6 +803,43 @@ impl<B: Backend> Device<B> {
     /// calling thread is always the last worker.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         self.inner.pool.install(f)
+    }
+
+    /// How many streams of a [`Device::streams`] section opened by the
+    /// calling thread would run at once: the worker count, or one when the
+    /// thread is already running a part of some section (a query of a
+    /// per-query batch, a stream) — whatever it launches runs inline there.
+    pub fn streams_at_once(&self) -> usize {
+        if rayon::in_part() {
+            1
+        } else {
+            self.inner.workers
+        }
+    }
+
+    /// Runs `f(0)`, …, `f(n − 1)` as the *streams* of one pool section and
+    /// returns their results in order. Streams are claimed one at a time by
+    /// the device's workers, so at most [`Device::streams_at_once`] are live
+    /// together, and everything a stream launches — every kernel of a
+    /// backsubstitution walk — runs inline on the thread that claimed it:
+    /// the workers meet again when the section ends, not once per kernel.
+    /// While it runs, a stream allocates from the shelf lane of its position
+    /// (see `DeviceInner::shelf`; on every device, so a wrapping backend's
+    /// inner device follows). A section opened from inside a part runs its
+    /// streams one after the other in the lane the thread is already in.
+    pub fn streams<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync + Send) -> Vec<R> {
+        if rayon::in_part() {
+            return (0..n).map(f).collect();
+        }
+        self.install(|| {
+            (0..n)
+                .into_par_iter()
+                .map(|pos| {
+                    let _lane = LaneScope::enter(pos);
+                    f(pos)
+                })
+                .collect()
+        })
     }
 }
 

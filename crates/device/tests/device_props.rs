@@ -204,7 +204,8 @@ proptest! {
     }
 }
 
-/// The shelf is shared by every lane of a batch: eight threads allocate and
+/// Threads that are not running a stream all use lane 0 of the shelf: eight
+/// of them allocate and
 /// drop drifting sizes of both element types against one device at once. No
 /// interleaving is forced (none is special); what must hold whatever the
 /// schedule is that no charge is lost or double-counted and that the last
@@ -246,6 +247,160 @@ fn pool_accounting_survives_concurrent_lanes() {
     );
     assert!(dev.stats().pool_hits() > 0);
     dev.buffer_pool_release();
+    assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
+}
+
+/// One stream's share of a seeded allocation script: drifting sizes of both
+/// element types, at most six buffers held, a yield wherever `yields` says
+/// so. What the script asks for depends on `pos` and the step only.
+fn run_pool_script(dev: &Device, pos: usize, mut yields: u64) {
+    let mut held: Vec<Held> = Vec::new();
+    let mut x = pos as u64 + 1;
+    let mut base = 5000usize;
+    for step in 0..300u32 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        yields = yields
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
+        if yields >> 61 == 0 {
+            std::thread::yield_now();
+        }
+        if held.len() < 6 && x & 3 != 0 {
+            let len = base / 2 + (x >> 40) as usize % base;
+            base = if base < 64 { 5000 } else { base * 7 / 8 };
+            held.push(if x & 4 == 0 {
+                Held::U(pool_alloc(dev, len, step % 3, pos as u64))
+            } else {
+                Held::I(pool_alloc(dev, len, step % 3, pos as i64))
+            });
+        } else if !held.is_empty() {
+            held.swap_remove((x >> 20) as usize % held.len());
+        }
+    }
+}
+
+/// The shelf has one lane per stream position, so what a stream finds there
+/// is what the stream at its position left — whatever its siblings did in
+/// between. The same script on fresh devices, its streams yielding at
+/// different points every time, must leave the same counters every time.
+#[test]
+fn pool_counters_of_streams_repeat_whatever_the_interleaving() {
+    let counters = |yields: u64| {
+        let dev = Device::new(DeviceConfig::new().workers(2));
+        dev.buffer_pool_retain();
+        for round in 0..3u64 {
+            // Lane 0 between sections, as a driver's own allocations are.
+            run_pool_script(&dev, 7, 0);
+            dev.streams(4, |pos| {
+                run_pool_script(&dev, pos, (yields + round) * 4 + pos as u64 + 1)
+            });
+        }
+        let seen = (
+            dev.stats().pool_hits(),
+            dev.stats().pool_misses(),
+            dev.stats().bytes_allocated(),
+            dev.peak_live_memory(),
+            dev.shelf_lanes(),
+        );
+        assert_eq!(dev.memory_in_use(), dev.buffer_pool_bytes());
+        dev.buffer_pool_release();
+        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
+        seen
+    };
+    let want = counters(0);
+    assert!(want.0 > 0 && want.1 > 0, "the script both hits and misses");
+    assert_eq!(want.4.len(), 4, "one lane per stream position");
+    for yields in 1..200 {
+        assert_eq!(counters(yields), want, "yield pattern {yields}");
+    }
+}
+
+/// Resident weights are in lane 0's live mark only, and every lane's budget
+/// is credited with a worker's share of them — so the allowance they add to
+/// the shelf is the device's, `lanes / workers` times over, not one per
+/// lane. Eight workers, two lanes each; a stream holds one 8 kB buffer at a
+/// time, of five element types in turn, so its own mark lets it keep two of
+/// the five: with 160 kB of weights (a 20 kB share) it keeps all five, with
+/// 16 kB (2 kB) the two — and the device's peak stays inside the bound
+/// [`gpupoly_device::Device::peak_live_memory`] documents.
+#[test]
+fn pool_lanes_share_the_resident_allowance_between_them() {
+    const WORKERS: usize = 8;
+    const LANES: usize = 2 * WORKERS;
+    for (weights, kept) in [(160_000, 40_000), (16_000, 16_000)] {
+        let dev = Device::new(DeviceConfig::new().workers(WORKERS));
+        dev.buffer_pool_retain();
+        let resident = DeviceBuffer::from_slice(&dev, &vec![1u8; weights])
+            .unwrap()
+            .into_persistent();
+        dev.streams(LANES, |_| {
+            drop(DeviceBuffer::<u8>::for_overwrite(&dev, 8000).unwrap());
+            drop(DeviceBuffer::<u16>::for_overwrite(&dev, 4000).unwrap());
+            drop(DeviceBuffer::<u32>::for_overwrite(&dev, 2000).unwrap());
+            drop(DeviceBuffer::<u64>::for_overwrite(&dev, 1000).unwrap());
+            drop(DeviceBuffer::<i64>::for_overwrite(&dev, 1000).unwrap());
+        });
+        let lanes = dev.shelf_lanes();
+        assert_eq!(lanes.len(), LANES);
+        // Lane 0 also holds the weights, live: its own mark covers all five.
+        assert_eq!(lanes[0], (40_000, weights + 8000));
+        for (lane, &seen) in lanes.iter().enumerate().skip(1) {
+            assert_eq!(seen, (kept, 8000), "lane {lane} on {weights} B of weights");
+        }
+        let live = dev.peak_live_memory();
+        assert_eq!(live, weights + LANES * 8000);
+        let allowance = SHELF_LIVE_MULTIPLE * (LANES / WORKERS) * weights;
+        assert!(dev.buffer_pool_bytes() <= SHELF_LIVE_MULTIPLE * live + allowance);
+        assert!(dev.peak_memory() <= (SHELF_LIVE_MULTIPLE + 1) * live + allowance);
+        // A share apiece, not the weights apiece.
+        assert!(dev.buffer_pool_bytes() <= 40_000 + (LANES - 1) * kept);
+        drop(resident);
+        dev.buffer_pool_release();
+        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
+    }
+}
+
+#[test]
+fn pool_lane_serves_only_what_it_shelved_and_release_drains_every_lane() {
+    let dev = Device::new(DeviceConfig::new().workers(2));
+    dev.buffer_pool_retain();
+    // Shelved outside any stream: lane 0.
+    drop(DeviceBuffer::from_slice(&dev, &[7u32; 1000]).unwrap());
+    assert_eq!(dev.shelf_lanes(), vec![(4000, 4000)]);
+    assert_eq!((dev.stats().pool_hits(), dev.stats().pool_misses()), (0, 1));
+    let both = std::sync::Barrier::new(2);
+    let from_lane_1 = dev.streams(2, |pos| {
+        both.wait(); // both streams are live: neither runs in the other's place
+        let buf = DeviceBuffer::<u32>::for_overwrite(&dev, 1000).unwrap();
+        both.wait(); // both have asked before either drops
+        if pos == 0 {
+            assert!(buf.iter().all(|&x| x == 7), "lane 0 finds its own buffer");
+            None
+        } else {
+            assert!(buf.iter().all(|&x| x == 0), "lane 1 has nothing shelved");
+            Some(buf)
+        }
+    });
+    assert_eq!(
+        (dev.stats().pool_hits(), dev.stats().pool_misses()),
+        (1, 2),
+        "one request per lane: lane 0's hit, lane 1's miss"
+    );
+    assert_eq!(dev.stats().bytes_allocated(), 8000);
+    // Dropped by a thread in lane 0, the buffer still goes home to lane 1.
+    drop(from_lane_1);
+    assert_eq!(dev.shelf_lanes(), vec![(4000, 4000), (4000, 4000)]);
+    assert_eq!(dev.peak_live_memory(), 8000, "the lanes' marks, summed");
+    // ... where lane 0 does not find it.
+    let a = DeviceBuffer::<u32>::for_overwrite(&dev, 1000).unwrap();
+    let b = DeviceBuffer::<u32>::for_overwrite(&dev, 1000).unwrap();
+    assert_eq!(dev.stats().pool_hits(), 2, "lane 0 holds one such buffer");
+    assert_eq!(dev.stats().bytes_allocated(), 12000);
+    drop((a, b));
+    dev.buffer_pool_release();
+    assert!(dev.shelf_lanes().iter().all(|&(shelved, _)| shelved == 0));
     assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
 }
 

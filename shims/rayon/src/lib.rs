@@ -32,13 +32,23 @@
 //! of a launch holds up the part it is in, a fraction of the launch, and
 //! every other part goes to whoever is still running.
 //!
+//! The launches that reach a pool are the *outer* ones: the verifier opens
+//! one section per backsubstitution layer whose items are whole walks
+//! (`gpupoly_device::Device::streams`), a handful of long parts claimed one
+//! at a time. Everything a walk launches — every GEMM, every element-wise
+//! kernel — is an *inner* launch, made from inside a part, and inner
+//! launches are flattened: a launch from a thread that is running a part
+//! runs whole, sequentially, on that thread, whichever pool is current
+//! there ([`in_part`] is the test; the flag belongs to the thread, not to a
+//! pool, so a part of pool A that launches on pool B stays on its thread
+//! too). Nothing is handed over and nothing is joined inside a walk —
+//! mirroring how a GPU stream serializes its kernels while streams run side
+//! by side. A launch that is not inside a part (a lone kernel, a batch of
+//! forward passes) splits as described above.
+//!
 //! A pool holds one job at a time. A second thread launching on a pool whose
-//! job slot is taken (concurrent callers of one device, or an outer batch
-//! launch still in flight) runs all of its parts itself, which can neither
-//! deadlock nor oversubscribe. Nested parallelism is flattened the same way:
-//! a launch from inside a part runs sequentially on that thread, so
-//! batch-level parallelism (outer) composes with kernel launches (inner) —
-//! mirroring how per-query GPU streams serialize kernels within a stream.
+//! job slot is taken (concurrent callers of one device) runs all of its
+//! parts itself, which can neither deadlock nor oversubscribe.
 //!
 //! Every part runs under `catch_unwind`. A panicking part does not stop the
 //! others; once the job has drained, the first panic in part order is
@@ -99,6 +109,14 @@ fn current_pool() -> Arc<Shared> {
         let global = GLOBAL.get_or_init(|| ThreadPool::new(default_threads(), Vec::new()));
         global.shared.clone()
     })
+}
+
+/// `true` while the calling thread is running a part of a launch: a launch
+/// made now would be flattened — run whole, on this thread, without touching
+/// a pool (module docs, "Launch dispatch"). A caller that cuts work to keep
+/// a pool's threads busy asks this first: inside a part there is one thread.
+pub fn in_part() -> bool {
+    IN_WORKER.with(Cell::get)
 }
 
 /// Error building a thread pool (this shim never fails to build one).
@@ -409,7 +427,7 @@ where
     R: Send,
     F: Fn(I::Seq) -> R + Sync,
 {
-    if IN_WORKER.with(Cell::get) {
+    if in_part() {
         return vec![f(iter.pi_seq())];
     }
     let pool = current_pool();
@@ -1304,6 +1322,58 @@ mod tests {
             })
             .collect();
         assert_eq!(inner_stayed_put, vec![true; 8]);
+    }
+
+    #[test]
+    fn a_part_of_one_pool_launching_on_another_stays_on_its_thread() {
+        // A traced device's walks are parts of the outer device's pool, and
+        // every kernel inside them launches on the inner device's pool:
+        // that launch must not leave the thread its walk is on.
+        let outer = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let inner = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        assert!(!in_part());
+        let stayed_put = two_way(&outer, |_| {
+            let me = thread::current().id();
+            let ids: Vec<thread::ThreadId> = inner.install(|| {
+                assert!(in_part());
+                (0..100usize)
+                    .into_par_iter()
+                    .map(|_| thread::current().id())
+                    .collect()
+            });
+            ids.len() == 100 && ids.iter().all(|&id| id == me)
+        });
+        assert_eq!(stayed_put, vec![true, true]);
+        assert_eq!(inner.helpers_spawned(), 0, "nothing was handed over");
+        // Outside a part the inner pool splits as ever.
+        let split = two_way(&inner, |_| thread::current().id());
+        assert_ne!(split[0], thread::current().id());
+    }
+
+    #[test]
+    fn a_panic_in_a_launch_nested_across_pools_surfaces_once_on_the_outer_launcher() {
+        let outer = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let inner = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let raised = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            two_way(&outer, |i| {
+                inner.install(|| {
+                    (0..8usize).into_par_iter().for_each(|j| {
+                        if i == 0 && j == 3 {
+                            raised.fetch_add(1, Ordering::Relaxed);
+                            panic!("nested launch");
+                        }
+                    })
+                })
+            });
+        }));
+        assert_eq!(panic_message(outcome), "nested launch");
+        assert_eq!(raised.load(Ordering::Relaxed), 1);
+        assert!(!in_part());
+        assert!(CURRENT.with(|c| c.borrow().is_none()));
+        // Neither pool is left with a job on display or a worker flag set.
+        assert_eq!(two_way(&outer, |i| i), vec![0, 1]);
+        assert_eq!(two_way(&inner, |i| i), vec![0, 1]);
     }
 
     #[test]
