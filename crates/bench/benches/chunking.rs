@@ -14,7 +14,7 @@
 //! `benchmark/run.sh`, not from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpupoly_core::{Engine, EngineOptions, GpuPoly, Query, VerifyConfig, STREAMS_PER_WORKER};
+use gpupoly_core::{Engine, EngineOptions, Query, VerifyConfig, STREAMS_PER_WORKER};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -23,6 +23,12 @@ use gpupoly_nn::Network;
 use gpupoly_train::data;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Every timed call computes its analysis.
+const UNCACHED: EngineOptions = EngineOptions {
+    analysis_cache: 0,
+    monotone_cache_reuse: false,
+};
 
 fn mid_net() -> Network<f32> {
     let mut b = NetworkBuilder::new_flat(32);
@@ -57,9 +63,11 @@ fn bench_chunking(c: &mut Criterion) {
                 dc = dc.memory_capacity(cap);
             }
             let device = Device::new(dc);
-            let verifier = GpuPoly::new(device, &net, VerifyConfig::default()).expect("verifier");
+            // One box, timed over and over: no cache to serve it from.
+            let engine = Engine::with_options(device, &net, VerifyConfig::default(), UNCACHED)
+                .expect("engine");
             bench.iter(|| {
-                let v = verifier.verify_robustness(&image, label, eps).unwrap();
+                let v = engine.verify_robustness(&image, label, eps).unwrap();
                 black_box(v.verified);
             });
         });
@@ -67,12 +75,12 @@ fn bench_chunking(c: &mut Criterion) {
 
     // Equivalence + memory ceiling check.
     let free_dev = Device::new(DeviceConfig::new());
-    let big = GpuPoly::new(free_dev.clone(), &net, VerifyConfig::default())
+    let big = Engine::new(free_dev.clone(), &net, VerifyConfig::default())
         .unwrap()
         .verify_robustness(&image, label, eps)
         .unwrap();
     let tight_dev = Device::new(DeviceConfig::new().memory_capacity(tight));
-    let small = GpuPoly::new(tight_dev.clone(), &net, VerifyConfig::default())
+    let small = Engine::new(tight_dev.clone(), &net, VerifyConfig::default())
         .unwrap()
         .verify_robustness(&image, label, eps)
         .unwrap();
@@ -143,11 +151,8 @@ fn stream_table() {
                     chunk_rows: (!cut).then_some(usize::MAX),
                     ..Default::default()
                 };
-                let opts = EngineOptions {
-                    analysis_cache: 0,
-                    ..Default::default()
-                };
-                let engine = Engine::with_options(device.clone(), &net, cfg, opts).expect("engine");
+                let engine =
+                    Engine::with_options(device.clone(), &net, cfg, UNCACHED).expect("engine");
                 let mut digest = 0xcbf2_9ce4_8422_2325u64;
                 let mut walls = Vec::new();
                 if fused {

@@ -8,7 +8,7 @@
 //! either way (checked here).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpupoly_core::{GpuPoly, VerifyConfig};
+use gpupoly_core::{Engine, EngineOptions, VerifyConfig};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::Network;
@@ -45,20 +45,25 @@ fn bench_early_term(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(mode, name), &(), |bench, _| {
                 let device = Device::new(DeviceConfig::new());
-                let verifier = GpuPoly::new(device, &net, cfg).expect("verifier");
+                // One box, timed over and over: no cache to serve it from.
+                let uncached = EngineOptions {
+                    analysis_cache: 0,
+                    ..Default::default()
+                };
+                let engine = Engine::with_options(device, &net, cfg, uncached).expect("engine");
                 bench.iter(|| {
-                    let v = verifier.verify_robustness(&image, label, eps).unwrap();
+                    let v = engine.verify_robustness(&image, label, eps).unwrap();
                     black_box(v.verified);
                 });
             });
         }
         // Verdict equivalence (the paper: no precision loss).
         let device = Device::new(DeviceConfig::new());
-        let on = GpuPoly::new(device.clone(), &net, VerifyConfig::default())
+        let on = Engine::new(device.clone(), &net, VerifyConfig::default())
             .unwrap()
             .verify_robustness(&image, label, eps)
             .unwrap();
-        let off = GpuPoly::new(
+        let off = Engine::new(
             device,
             &net,
             VerifyConfig {

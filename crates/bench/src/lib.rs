@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use gpupoly_baselines::{ibp, CrownIbp, DeepPolyCpu};
-use gpupoly_core::{GpuPoly, VerifyConfig};
+use gpupoly_core::{Engine, Query, VerifyConfig};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_nn::zoo::{self, ModelSpec};
 use gpupoly_nn::Network;
@@ -163,16 +163,23 @@ impl VerifyRow {
     }
 }
 
+/// The candidate images: those the network classifies correctly, with
+/// their labels.
+fn candidates<'a>(
+    net: &'a Network<f32>,
+    test: &'a data::Dataset,
+) -> impl Iterator<Item = (&'a Vec<f32>, usize)> {
+    let labelled = test.images.iter().zip(test.labels.iter().copied());
+    labelled.filter(|&(img, label)| net.classify(img) == label)
+}
+
 fn run_over_candidates(
     net: &Network<f32>,
     test: &data::Dataset,
     mut verify: impl FnMut(&[f32], usize) -> bool,
 ) -> VerifyRow {
     let mut row = VerifyRow::default();
-    for (img, &label) in test.images.iter().zip(&test.labels) {
-        if net.classify(img) != label {
-            continue;
-        }
+    for (img, label) in candidates(net, test) {
         row.candidates += 1;
         let t0 = Instant::now();
         let ok = verify(img, label);
@@ -184,7 +191,12 @@ fn run_over_candidates(
     row
 }
 
-/// Runs GPUPoly on every candidate image.
+/// Candidates per [`Engine::verify_batch_fused`] call of [`run_gpupoly`].
+pub const FUSED_BATCH: usize = 8;
+
+/// Runs GPUPoly on every candidate image, [`FUSED_BATCH`] candidates to a
+/// fused call — the engine the daemon and the benchmark run. A candidate's
+/// time is its call's wall time divided evenly over the call's candidates.
 pub fn run_gpupoly(
     net: &Network<f32>,
     test: &data::Dataset,
@@ -192,13 +204,26 @@ pub fn run_gpupoly(
     device: &Device,
     cfg: VerifyConfig,
 ) -> VerifyRow {
-    let verifier = GpuPoly::new(device.clone(), net, cfg).expect("verifier construction");
-    run_over_candidates(net, test, |img, label| {
-        verifier
-            .verify_robustness(img, label, eps)
-            .expect("verification should not error")
-            .verified
-    })
+    let engine = Engine::new(device.clone(), net, cfg).expect("engine construction");
+    let queries: Vec<Query<f32>> = candidates(net, test)
+        .map(|(img, label)| Query::new(img.clone(), label, eps))
+        .collect();
+    let mut row = VerifyRow {
+        candidates: queries.len(),
+        ..VerifyRow::default()
+    };
+    for batch in queries.chunks(FUSED_BATCH) {
+        let t0 = Instant::now();
+        let verdicts = engine.verify_batch_fused(batch);
+        let each = t0.elapsed() / batch.len() as u32;
+        for verdict in verdicts {
+            row.times.push(each);
+            if verdict.expect("verification should not error").verified {
+                row.verified += 1;
+            }
+        }
+    }
+    row
 }
 
 /// Runs the CROWN-IBP baseline on every candidate image.

@@ -28,8 +28,7 @@
 //! What is left serial is the host work between two layers' sections: the
 //! forward interval update of everything downstream of a refined node, the
 //! round-off notes and the seeding pass (parallel across the queries of a
-//! fused batch, one thread for a single query), and the one gather of live
-//! weight rows a list's walks share ([`crate::walk::LiveWeights`]).
+//! fused batch, one thread for a single query).
 
 use std::ops::Range;
 
@@ -40,7 +39,7 @@ use rayon::prelude::*;
 
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
-use crate::walk::{LiveWeights, StopRule, WalkOutcome, Walker};
+use crate::walk::{StopRule, WalkOutcome, Walker};
 use crate::{VerifyConfig, VerifyError};
 
 /// Work counters of one analysis (and of the spec check run on top of it).
@@ -300,13 +299,6 @@ fn refine_layer<F: Fp, B: Backend>(
         // and of `p`'s own bounds (a residual head starts from the
         // identity) only its own neuron's.
         let analyses = &*analyses;
-        let walking: Vec<&Analysis<F>> = analyses
-            .iter()
-            .zip(sels)
-            .filter(|(_, sel)| !sel.is_empty())
-            .map(|(a, _)| a)
-            .collect();
-        let live = LiveWeights::for_list(device, graph, prepared, cfg, &walking, p);
         walk_streams(
             device,
             prepared,
@@ -314,18 +306,7 @@ fn refine_layer<F: Fp, B: Backend>(
             work.len(),
             analyses.len(),
             &|i| work[i].0,
-            &|rows| {
-                fused_chunk_walk(
-                    device,
-                    graph,
-                    prepared,
-                    &live,
-                    analyses,
-                    p,
-                    &work[rows],
-                    rule,
-                )
-            },
+            &|rows| fused_chunk_walk(device, graph, prepared, analyses, p, &work[rows], rule),
         )?
     };
     for (&(k, n), best) in work.iter().zip(streamed.best) {
@@ -362,17 +343,9 @@ fn refine_layer<F: Fp, B: Backend>(
 /// ones that even out rows that stop early. Four buys nothing and repeats
 /// per stream what a launch does once for all its rows (`launch_wmax` over
 /// the weights, the GBC weight repack, the relaxation and side tables of a
-/// segment). Those tables were read while stable-zero compaction engaged
-/// on uncut lists only; with one gather per list shared by its walks
-/// (`walk::LiveWeights`), as committed, six more rounds of one
-/// against two a worker read `dense_single` 129.3 / 125.1 q/s at 2.90 /
-/// 2.79 MB, `dense_fused` 163.8 / 167.1 at 25.1 / 20.3, `conv_fused` 30.0 /
-/// 33.0 at 58.0 / 52.1, `serve_mix` 763 / 820 at 3.22–3.54 / 3.20–3.64 —
-/// still no telling them apart by throughput, and one a worker now peaks
-/// above the parent on both dense workloads (2.84, 24.3). `cargo bench -p
-/// gpupoly-bench --bench chunking` prints one analysis and one fused batch,
-/// uncut and cut as built, without a benchmark run; for another count, edit
-/// this constant.
+/// segment). `cargo bench -p gpupoly-bench --bench chunking` prints one
+/// analysis and one fused batch, uncut and cut as built, without a benchmark
+/// run; for another count, edit this constant.
 ///
 /// Also tried: cutting evenly instead of on query boundaries (`cut`) —
 /// `dense_fused` 171.6 against 182.6, `conv_fused` 31.2 against 34.4 q/s
@@ -411,7 +384,7 @@ pub const STREAMS_PER_WORKER: usize = 2;
 /// (8 wide: a fused batch of six at most half the GEMM launches of six single
 /// queries — cut, every walk launches its own, 42 against 62) and
 /// `bad_query_mid_batch_leaves_pool_accounting_intact` (8 wide: no fresh
-/// bytes for single queries after a per-query batch warmed the pool — a
+/// bytes for single queries after a fused batch warmed the pool — a
 /// stream's shelf lane is cold for sizes its position has not seen) need
 /// their lists uncut. Those tests are not this change's to edit; ROADMAP,
 /// "Retire `STREAM_MIN_COEFFS`", says what re-basing them takes.
@@ -460,8 +433,8 @@ pub(crate) struct Streamed<F> {
 /// rows go round again, cut at half the length, while every walk that fit
 /// keeps its result; at one row a walk, what still fails runs once more with
 /// the device to itself before the error stands. One worker, one row, a
-/// list too small to cut, or a caller that is itself a part of a section (a
-/// query of a per-query batch) is the same loop over one stream.
+/// list too small to cut, or a caller that is itself a part of a section
+/// is the same loop over one stream.
 ///
 /// The cut is scheduling only — a row's walk reads its own query's bounds
 /// and nothing of its neighbours — so `best` is what one walk over the
@@ -604,12 +577,10 @@ fn cut<'a>(
 
 /// One fused chunk: per-query initial batches stacked into a single
 /// multi-segment batch, walked to the input in one pass.
-#[allow(clippy::too_many_arguments)]
 fn fused_chunk_walk<F: Fp, B: Backend>(
     device: &Device<B>,
     graph: &Graph<'_, F>,
     prepared: &PreparedGraph<'_, F, B>,
-    live: &LiveWeights<F, B>,
     analyses: &[Analysis<F>],
     p: NodeId,
     rows: &[(usize, usize)],
@@ -637,7 +608,6 @@ fn fused_chunk_walk<F: Fp, B: Backend>(
         graph,
         prepared,
         segs: runs.iter().map(|(k, _)| &analyses[*k]).collect(),
-        live,
     };
     walker.run(stacked, rule)
 }
@@ -737,7 +707,7 @@ mod tests {
         cfg: &VerifyConfig,
         input: &[Itv<f32>],
     ) -> Result<Analysis<f32>, VerifyError> {
-        let prepared = PreparedGraph::new(device, graph, false).unwrap();
+        let prepared = PreparedGraph::build(device, graph, false).unwrap();
         analyze(device, graph, &prepared, cfg, input)
     }
 
@@ -986,13 +956,13 @@ mod tests {
             // division is exact; then room for 32 rows and 1 KiB to spare, so
             // that any larger amount held against the capacity costs a row.
             let probe = Device::new(DeviceConfig::new().memory_capacity(1 << 40));
-            let probe_rows = PreparedGraph::new(&probe, &graph, false)
+            let probe_rows = PreparedGraph::build(&probe, &graph, false)
                 .unwrap()
                 .chunk_for(&probe);
             let capacity = 32 * ((1 << 40) / probe_rows) + 1024;
             let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(capacity));
             device.buffer_pool_retain();
-            let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+            let prepared = PreparedGraph::build(&device, &graph, false).unwrap();
             let cold = prepared.chunk_for(&device);
             assert_eq!(cold, 32);
             let first = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();

@@ -50,17 +50,6 @@ pub struct VerifyConfig {
     /// `Some(usize::MAX)` is one walk per layer, every kernel of it split
     /// over the workers.
     pub chunk_rows: Option<usize>,
-    /// Stable-zero column compaction: after a ReLU substitution step,
-    /// neurons whose relaxation is exactly zero (stably-negative inputs)
-    /// leave all-zero coefficient columns; when the next step is a dense
-    /// GEMM, those columns (and the matching weight rows) are compacted
-    /// away so GEMM flops scale with *live* columns. Bit-neutral by the
-    /// kernel contract (exact-zero terms are mandatorily skipped in the
-    /// accumulation, so removing them reproduces the same fma sequence);
-    /// engagement is guarded off for layers with non-finite weights. The
-    /// walks a list of rows is cut into share one gather of a layer's live
-    /// weight rows.
-    pub stable_zero_compaction: bool,
 }
 
 impl Default for VerifyConfig {
@@ -69,7 +58,6 @@ impl Default for VerifyConfig {
             early_termination: true,
             account_inference_error: true,
             chunk_rows: None,
-            stable_zero_compaction: true,
         }
     }
 }
@@ -142,7 +130,6 @@ mod tests {
         assert!(c.early_termination);
         assert!(c.account_inference_error);
         assert!(c.chunk_rows.is_none());
-        assert!(c.stable_zero_compaction);
     }
 
     #[test]

@@ -12,19 +12,14 @@
 //!   buffer pool recycles so steady-state verification performs no fresh
 //!   device allocations ([`gpupoly_device::DeviceStats::bytes_allocated`]
 //!   stays flat across a batch);
-//! * [`Engine::verify_batch`] runs independent queries in parallel across
-//!   device workers, and an LRU analysis cache keyed by the input box lets
-//!   queries over a repeated box (robustness sweeps over ε, several specs
-//!   over one region) share a single DeepPoly analysis;
+//! * an LRU analysis cache keyed by the input box lets queries over a
+//!   repeated box (robustness sweeps over ε, several specs over one region)
+//!   share a single DeepPoly analysis;
 //! * every entry runs the same algorithm through one driver: a single
 //!   query's analysis is the fused analysis over a batch of one box, and
 //!   [`Engine::verify_batch_fused`] is the walk driver over a single lane —
 //!   [`crate::ShardedEngine`] hands it one lane per walking device, and
 //!   branch-and-bound refinement sends it each frontier generation.
-//!
-//! The legacy [`crate::GpuPoly`] API is a thin compatibility wrapper over an
-//! `Engine` in [`EngineOptions::compat`] mode (host-resident weights, no
-//! pool, no cache), preserving the original per-query memory profile.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -34,7 +29,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceError};
+use gpupoly_device::{Backend, Device, DeviceBuffer};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
@@ -43,7 +38,7 @@ use crate::analysis::{
 };
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard, PREFETCH_DEPTH};
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
-use crate::walk::{LiveWeights, StopRule, WalkOutcome, Walker};
+use crate::walk::{StopRule, WalkOutcome, Walker};
 use crate::{ExprBatch, VerifyConfig, VerifyError};
 
 /// One robustness query: is `label` certified for every image within `eps`
@@ -72,13 +67,6 @@ impl<F: Fp> Query<F> {
 /// Construction-time knobs of an [`Engine`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EngineOptions {
-    /// Upload dense/conv weights into device-resident buffers at
-    /// construction (falls back per-layer to borrowing host weights when
-    /// the device is too memory-constrained to hold them comfortably).
-    pub pack_weights: bool,
-    /// Recycle transient per-query device buffers through the device's
-    /// buffer pool, eliminating steady-state allocation churn.
-    pub recycle_buffers: bool,
     /// Capacity (entries) of the LRU analysis cache keyed by input box;
     /// `0` disables caching.
     ///
@@ -101,24 +89,8 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         Self {
-            pack_weights: true,
-            recycle_buffers: true,
             analysis_cache: 64,
             monotone_cache_reuse: false,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// The legacy single-query profile used by [`crate::GpuPoly`]: host
-    /// weights, no buffer pool, no cache — every query leaves the device
-    /// exactly as it found it.
-    pub fn compat() -> Self {
-        Self {
-            pack_weights: false,
-            recycle_buffers: false,
-            analysis_cache: 0,
-            ..Self::default()
         }
     }
 }
@@ -152,15 +124,14 @@ pub struct EngineStats {
     /// with other engines on the same device).
     pub launches: u64,
     /// Scalar-equivalent flops metered on the engine's device
-    /// (device-wide). Divided by queries served, this is the
-    /// `flops_per_query` figure the stable-zero compaction benchmark
-    /// tracks.
+    /// (device-wide): the kernels' analytic counts, which charge a term the
+    /// interval GEMM skips (an exact-zero coefficient) like any other.
     pub flops: u64,
     /// Bytes read + written by kernels on the engine's device
     /// (device-wide).
     pub bytes_moved: u64,
     /// Exponentially-weighted moving average of measured wall milliseconds
-    /// per unit of [`Engine::query_cost`], fed by every `verify_batch` /
+    /// per unit of [`Engine::query_cost`], fed by every
     /// `verify_batch_fused` call. `0.0` until the first measured batch.
     /// Admission layers multiply it with a query's cost hint to weigh a
     /// queue by estimated *time* instead of raw query count.
@@ -260,12 +231,6 @@ pub struct PreparedGraph<'n, F: Fp, B: Backend> {
     /// `(relu_node, parent)` for every ReLU whose input can be refined,
     /// in topological order.
     relu_plan: Vec<(NodeId, NodeId)>,
-    /// Per-node: `true` when the node's weights and bias are all finite
-    /// (trivially `true` for non-affine nodes). Stable-zero column
-    /// compaction only engages on finite-weight dense layers — dropping a
-    /// zero column is bit-neutral for finite weights but could swallow a
-    /// NaN product otherwise.
-    weights_finite: Vec<bool>,
     /// Neurons of the widest layer: the most columns a backsubstitution row
     /// ever has (a window is stored clipped to its layer).
     widest_layer: usize,
@@ -278,15 +243,22 @@ pub struct PreparedGraph<'n, F: Fp, B: Backend> {
 }
 
 impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
-    /// Validates the graph and packs weights.
+    /// Validates the graph and uploads its weights (a layer the device
+    /// has no comfortable room for borrows the host's instead).
     ///
     /// # Errors
     ///
     /// [`VerifyError::BadQuery`] when residual branches disagree on shape.
-    pub fn new(
+    pub fn new(device: &Device<B>, graph: &Graph<'n, F>) -> Result<Self, VerifyError> {
+        Self::build(device, graph, true)
+    }
+
+    /// [`PreparedGraph::new`]; with `upload` off every layer borrows host
+    /// weights — the base a sharded view marks its shards on.
+    pub(crate) fn build(
         device: &Device<B>,
         graph: &Graph<'n, F>,
-        pack_weights: bool,
+        upload: bool,
     ) -> Result<Self, VerifyError> {
         for node in &graph.nodes {
             if let Op::Add { .. } = node.op {
@@ -308,14 +280,14 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
                     device,
                     &d.weight,
                     &d.bias,
-                    pack_weights,
+                    upload,
                     &mut resident_bytes,
                 )),
                 Op::Conv(c) => Some(Self::pack_one(
                     device,
                     &c.weight,
                     &c.bias,
-                    pack_weights,
+                    upload,
                     &mut resident_bytes,
                 )),
                 _ => None,
@@ -329,23 +301,9 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             .map(|(id, node)| (id, node.parents[0]))
             .filter(|&(_, parent)| parent != 0)
             .collect();
-        let weights_finite = graph
-            .nodes
-            .iter()
-            .map(|node| match node.op {
-                Op::Dense(d) => {
-                    d.weight.iter().all(|w| w.is_finite()) && d.bias.iter().all(|b| b.is_finite())
-                }
-                Op::Conv(c) => {
-                    c.weight.iter().all(|w| w.is_finite()) && c.bias.iter().all(|b| b.is_finite())
-                }
-                _ => true,
-            })
-            .collect();
         Ok(Self {
             affine,
             relu_plan,
-            weights_finite,
             widest_layer: graph.nodes.iter().map(|n| n.shape.len()).max().unwrap_or(1),
             resident_bytes,
             shard: None,
@@ -369,7 +327,7 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
         graph: &Graph<'n, F>,
         store: Arc<ShardStore<F, B>>,
     ) -> Result<Self, VerifyError> {
-        let mut base = Self::new(&devices[exec_idx], graph, false)?;
+        let mut base = Self::build(&devices[exec_idx], graph, false)?;
         for id in 0..graph.nodes.len() {
             if store.is_sharded(id) {
                 base.affine[id] = Some(PackedAffine::Sharded);
@@ -455,18 +413,6 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
     /// The precomputed `(relu, parent)` refinement schedule.
     pub(crate) fn relu_plan(&self) -> &[(NodeId, NodeId)] {
         &self.relu_plan
-    }
-
-    /// `true` when the node's weights and bias are all finite (trivially
-    /// `true` for non-affine nodes) — the stable-zero compaction guard.
-    pub(crate) fn weights_finite(&self, node: NodeId) -> bool {
-        self.weights_finite[node]
-    }
-
-    /// `true` when the node's weights live in shards across a pool and are
-    /// on this device only while gathered ([`PreparedGraph::weights`]).
-    pub(crate) fn weights_sharded(&self, node: NodeId) -> bool {
-        matches!(self.affine[node], Some(PackedAffine::Sharded))
     }
 
     /// Bytes of weights resident on the device.
@@ -607,6 +553,30 @@ impl<F: Fp> AnalysisCache<F> {
     }
 }
 
+/// Per-box gates deduplicating concurrent cache misses: the first thread to
+/// miss a box claims it and computes its analysis, concurrent requesters
+/// for the same box block on the gate and then hit the cache.
+type InFlight = Mutex<HashMap<BoxKey, Arc<Mutex<()>>>>;
+
+/// The boxes one thread has claimed in an [`InFlight`] table
+/// ([`Engine::with_claims`]). Dropping it takes them out again — also when
+/// the owner unwinds: a key left behind with its gate open would have every
+/// later [`Engine::analyze`] of that box look, wait on nothing and look
+/// again, forever.
+struct GateSet<'a> {
+    map: &'a InFlight,
+    keys: Vec<BoxKey>,
+}
+
+impl Drop for GateSet<'_> {
+    fn drop(&mut self) {
+        let mut map = self.map.lock();
+        for key in &self.keys {
+            map.remove(key);
+        }
+    }
+}
+
 fn box_key<F: Fp>(input: &[Itv<F>]) -> BoxKey {
     input
         .iter()
@@ -653,28 +623,6 @@ pub(crate) fn fold_ms_per_cost(ewma: &AtomicU64, elapsed_ms: f64, total_cost: f6
     });
 }
 
-/// Deals a batch out for [`Engine::verify_batch`]: query indices in
-/// descending cost order (ties: lower index first), dealt round-robin over
-/// `lanes` lanes. A lane is one worker's queue, run front to back. Dealing a
-/// descending sequence this way keeps any two lanes' cost sums within one
-/// query's cost — the most expensive one's — of each other, where a
-/// contiguous split of the sorted order would give the first worker every
-/// expensive query.
-///
-/// No lane is dealt empty: a batch of fewer queries than `lanes` gets one
-/// lane per query. A single query is thus a single lane, which the batch
-/// launch runs inline — its kernels, not the batch, split across the workers.
-fn lpt_lanes(cost: &[f64], lanes: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..cost.len()).collect();
-    order.sort_by(|&a, &b| cost[b].total_cmp(&cost[a]).then(a.cmp(&b)));
-    let mut dealt = vec![Vec::new(); lanes.clamp(1, cost.len().max(1))];
-    for (rank, i) in order.into_iter().enumerate() {
-        let lane = rank % dealt.len();
-        dealt[lane].push(i);
-    }
-    dealt
-}
-
 /// The network-resident verification engine — see the module docs.
 ///
 /// # Example
@@ -694,7 +642,7 @@ fn lpt_lanes(cost: &[f64], lanes: usize) -> Vec<Vec<usize>> {
 ///     Query::new(vec![0.4_f32, 0.6], 0, 0.05),
 ///     Query::new(vec![0.5_f32, 0.5], 0, 0.02),
 /// ];
-/// let verdicts = engine.verify_batch(&queries);
+/// let verdicts = engine.verify_batch_fused(&queries);
 /// assert!(verdicts.iter().all(|v| v.as_ref().unwrap().verified));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -704,10 +652,7 @@ pub struct Engine<'n, F: Fp, B: Backend> {
     cfg: VerifyConfig,
     prepared: PreparedGraph<'n, F, B>,
     cache: Mutex<AnalysisCache<F>>,
-    /// Per-box gates deduplicating concurrent cache misses: the first
-    /// thread to miss a box computes its analysis, concurrent requesters
-    /// for the same box block on the gate and then hit the cache.
-    in_flight: Mutex<HashMap<BoxKey, Arc<Mutex<()>>>>,
+    in_flight: InFlight,
     options: EngineOptions,
     /// Queries proven via ε-monotone reuse of a containing box's analysis.
     monotone_hits: AtomicU64,
@@ -721,8 +666,7 @@ pub struct Engine<'n, F: Fp, B: Backend> {
 }
 
 impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
-    /// Builds an engine with default options (weights packed, buffer pool
-    /// on, analysis cache on).
+    /// Builds an engine with default options (analysis cache on).
     ///
     /// # Errors
     ///
@@ -749,7 +693,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         let graph = net.graph();
         // Resident weights are marked persistent at packing time, so a
         // buffer pool active on the shared device can never shelve them.
-        let prepared = PreparedGraph::new(&device, &graph, options.pack_weights)?;
+        let prepared = PreparedGraph::new(&device, &graph)?;
         Ok(Self::over(device, graph, prepared, cfg, options))
     }
 
@@ -757,9 +701,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// `devices[exec_idx]` whose [`PreparedGraph`] is that device's view
     /// over the pool-shared [`ShardStore`]
     /// ([`PreparedGraph::new_sharded_view`]). It gathers remote layers onto
-    /// itself; devices that run no engine only hold their shards.
-    /// [`EngineOptions::pack_weights`] is implied (the shards *are* the
-    /// packing).
+    /// itself; devices that run no engine only hold their shards (the shards
+    /// *are* the packing).
     ///
     /// # Errors
     ///
@@ -786,9 +729,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         cfg: VerifyConfig,
         options: EngineOptions,
     ) -> Self {
-        if options.recycle_buffers {
-            device.buffer_pool_retain();
-        }
+        // Transient per-query buffers recycle through the device's pool.
+        device.buffer_pool_retain();
         Self {
             device,
             graph,
@@ -887,10 +829,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// Wider boxes leave more ReLUs unstable and every unstable ReLU layer
     /// adds a backsubstitution pass, so this estimate ranks queries by how
     /// much refinement work they are *prone* to trigger without running any
-    /// analysis. [`Engine::verify_batch`] uses it for LPT-style scheduling;
-    /// serving layers use it for admission (weigh a queue by cost instead
-    /// of query count). Malformed queries (wrong image length, non-finite
-    /// values) get a zero estimate — they will be rejected as
+    /// analysis. Serving layers use it for admission (weigh a queue by cost
+    /// instead of query count). Malformed queries (wrong image length,
+    /// non-finite values) get a zero estimate — they will be rejected as
     /// [`VerifyError::BadQuery`] at verification time, costing nothing.
     pub fn query_cost(&self, query: &Query<F>) -> f64 {
         if query.image.len() != self.graph.nodes[0].shape.len() {
@@ -926,49 +867,69 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 return Ok(hit);
             }
             // Claim the box, or wait for the thread already computing it
-            // (concurrent queries over one box in a batch must share one
-            // analysis, not race to duplicate it).
-            let claimed = {
-                let mut in_flight = self.in_flight.lock();
-                match in_flight.get(&key) {
-                    Some(gate) => Err(gate.clone()),
-                    None => {
-                        let gate = Arc::new(Mutex::new(()));
-                        in_flight.insert(key.clone(), gate.clone());
-                        Ok(gate)
-                    }
+            // (concurrent queries over one box must share one analysis, not
+            // race to duplicate it).
+            let computed = self.with_claims(std::slice::from_ref(&key), |owned| {
+                if !owned[0] {
+                    return None;
                 }
-            };
-            match claimed {
-                Err(gate) => {
-                    // Block until the owner finishes, then re-check the cache.
-                    drop(gate.lock());
+                // Re-check: an owner may have finished (and released its
+                // claim) between our cache miss and our claim.
+                if let Some(hit) = self.cache.lock().get(&key) {
+                    return Some(Ok(hit));
                 }
-                Ok(gate) => {
-                    let _guard = gate.lock();
-                    // Re-check: an owner may have finished (and dropped its
-                    // gate) between our cache miss and our claim.
-                    if let Some(hit) = self.cache.lock().get(&key) {
-                        self.in_flight.lock().remove(&key);
-                        return Ok(hit);
-                    }
-                    self.cache.lock().note_computed();
-                    let result = self.analyze_fresh(input);
-                    let out = match result {
-                        Ok(analysis) => {
-                            let analysis = Arc::new(analysis);
-                            self.cache
-                                .lock()
-                                .insert(key.clone(), input, analysis.clone());
-                            Ok(analysis)
-                        }
-                        Err(e) => Err(e),
-                    };
-                    self.in_flight.lock().remove(&key);
-                    return out;
-                }
+                self.cache.lock().note_computed();
+                Some(self.analyze_fresh(input).map(|analysis| {
+                    let analysis = Arc::new(analysis);
+                    self.cache
+                        .lock()
+                        .insert(key.clone(), input, analysis.clone());
+                    analysis
+                }))
+            });
+            if let Some(out) = computed {
+                return out;
+            }
+            // Block until the owner is done, then look again: its result is
+            // in the cache, or it failed and the box is free to claim.
+            let gate = self.in_flight.lock().get(&key).cloned();
+            if let Some(gate) = gate {
+                drop(gate.lock());
             }
         }
+    }
+
+    /// The one way into the in-flight table: claims every box of `keys`
+    /// that no other thread is computing and runs `body(owned)` holding
+    /// their gates, `owned[i]` telling whether `keys[i]` is this thread's.
+    /// Concurrent [`Engine::analyze`] callers of a claimed box park on its
+    /// gate instead of spinning; the claims are released when `body` is
+    /// done — by return, error or unwind ([`GateSet`]), before the gates
+    /// open.
+    fn with_claims<T>(&self, keys: &[BoxKey], body: impl FnOnce(&[bool]) -> T) -> T {
+        let mut owned = vec![false; keys.len()];
+        let mut claimed: Vec<BoxKey> = Vec::new();
+        let mut gates: Vec<Arc<Mutex<()>>> = Vec::new();
+        let mut in_flight = self.in_flight.lock();
+        for (key, own) in keys.iter().zip(&mut owned) {
+            if !in_flight.contains_key(key) {
+                let gate = Arc::new(Mutex::new(()));
+                in_flight.insert(key.clone(), gate.clone());
+                gates.push(gate);
+                claimed.push(key.clone());
+                *own = true;
+            }
+        }
+        // Fresh gates, locked before anyone can find them in the table.
+        let _guards: Vec<_> = gates.iter().map(|gate| gate.lock()).collect();
+        drop(in_flight);
+        // Declared last, so dropped first: the claims go before the gates
+        // open, on every way out of `body`.
+        let _claimed = GateSet {
+            map: &self.in_flight,
+            keys: claimed,
+        };
+        body(&owned)
     }
 
     fn analyze_fresh(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
@@ -1083,7 +1044,6 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             }
         }
         let rows = spec.rows();
-        let live = self.live_weights(&[analysis]);
         let out = walk_streams(
             &self.device,
             &self.prepared,
@@ -1091,7 +1051,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             rows.len(),
             1,
             &|_| 0,
-            &|part| self.walk_spec(self.spec_batch(&rows[part])?, vec![analysis], &live),
+            &|part| self.walk_spec(self.spec_batch(&rows[part])?, vec![analysis]),
         )?;
         let mut stats = analysis.stats.clone();
         stats.absorb_walk(out.work[0].stopped, out.work[0].candidates);
@@ -1124,26 +1084,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         Ok(batch)
     }
 
-    /// Stable-zero compaction for a list of spec rows over the queries
-    /// `segs`, whose walks start at the output.
-    fn live_weights(&self, segs: &[&Analysis<F>]) -> LiveWeights<F, B> {
-        LiveWeights::for_list(
-            &self.device,
-            &self.graph,
-            &self.prepared,
-            &self.cfg,
-            segs,
-            self.graph.output(),
-        )
-    }
-
     /// Walks a batch of spec rows to the input; segment `k` of the batch
     /// reads `segs[k]`'s bounds.
     fn walk_spec(
         &self,
         batch: ExprBatch<F, B>,
         segs: Vec<&Analysis<F>>,
-        live: &LiveWeights<F, B>,
     ) -> Result<WalkOutcome<F>, VerifyError> {
         let rule = if self.cfg.early_termination {
             StopRule::ProvenPositive
@@ -1155,7 +1101,6 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             graph: &self.graph,
             prepared: &self.prepared,
             segs,
-            live,
         };
         walker.run(batch, rule)
     }
@@ -1171,8 +1116,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         }
     }
 
-    /// Certifies L∞ robustness of one query — identical semantics (and
-    /// bit-identical margins) to [`crate::GpuPoly::verify_robustness`].
+    /// Certifies L∞ robustness of one query: every image within `eps` of
+    /// `image` (clamped to the `[0, 1]` pixel domain) classifies as `label`.
     ///
     /// # Errors
     ///
@@ -1302,75 +1247,6 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .collect()
     }
 
-    /// Verifies a batch of independent robustness queries in parallel
-    /// across the device's workers. Each query is processed exactly as
-    /// [`Engine::verify_robustness`] would — margins are bit-identical to
-    /// the sequential loop — while repeated input boxes share one cached
-    /// analysis and transient buffers recycle through the device pool.
-    ///
-    /// Queries are dealt to the workers in descending [`Engine::query_cost`]
-    /// order, one lane per worker (`lpt_lanes`): every worker starts on one
-    /// of the most expensive queries and finishes on cheap ones, which trims
-    /// the tail where one late heavy query runs alone. The lanes are the
-    /// streams of one pool section ([`Device::streams`]): everything a lane's
-    /// queries launch runs inline on the lane's thread, in its own lane of
-    /// the buffer pool. A batch of fewer queries than workers gets one lane
-    /// per query, so a single query runs inline and its *walks* keep the
-    /// whole pool. Scheduling only — each
-    /// query's margins are bit-identical to any other submission order, and
-    /// results are returned in the callers' order.
-    pub fn verify_batch(&self, queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
-        self.with_admitted(queries, |labels, boxes| {
-            self.verify_boxes_per_query(labels, &boxes)
-        })
-    }
-
-    /// The per-query path over validated boxes: what [`Engine::verify_batch`]
-    /// runs, and what the fused driver falls back to.
-    fn verify_boxes_per_query(
-        &self,
-        labels: &[usize],
-        boxes: &[Vec<Itv<F>>],
-    ) -> Vec<BatchVerdict<F>> {
-        let started = Instant::now();
-        let cost: Vec<f64> = boxes.iter().map(|b| self.box_cost(b)).collect();
-        let lanes = lpt_lanes(&cost, self.device.workers());
-        // One stream per lane: each lane's queries find their own buffers
-        // again, and every walk inside one runs inline.
-        let computed: Vec<Vec<_>> = self.device.streams(lanes.len(), |l| {
-            lanes[l]
-                .iter()
-                .map(|&j| (j, self.verify_box(labels[j], &boxes[j])))
-                .collect()
-        });
-        let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
-        for (j, r) in computed.into_iter().flatten() {
-            slots[j] = Some(r);
-        }
-        let mut results: Vec<BatchVerdict<F>> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every index scheduled exactly once"))
-            .collect();
-        // On a memory-capped device, concurrent queries share one budget and
-        // a query can transiently OOM (even at single-row chunks) only
-        // because siblings held the remaining capacity. Retry those
-        // sequentially once the parallel phase has drained, so a batch is
-        // never less reliable than the equivalent sequential loop.
-        for (j, slot) in results.iter_mut().enumerate() {
-            if matches!(
-                slot,
-                Err(VerifyError::Device(DeviceError::OutOfMemory { .. }))
-            ) {
-                *slot = self.verify_box(labels[j], &boxes[j]);
-            }
-        }
-        self.note_batch_time(
-            started.elapsed().as_secs_f64() * 1e3,
-            cost.iter().sum::<f64>(),
-        );
-        results
-    }
-
     /// [`Engine::query_cost`] of an already clamped box.
     fn box_cost(&self, input: &[Itv<F>]) -> f64 {
         let width: f64 = input
@@ -1387,19 +1263,18 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// whole batch instead of one small walk per query — the paper's
     /// batched-bounds scaling lever applied *across* queries.
     ///
-    /// Semantics are identical to [`Engine::verify_batch`]: each query's
-    /// margins are **bit-identical** to the sequential
+    /// Each query's margins are **bit-identical** to the sequential
     /// [`Engine::verify_robustness`] path (rows never interact across
     /// queries; per-row arithmetic, refinement schedules and relaxation
     /// choices are exactly the per-query ones), repeated input boxes share
     /// one analysis through the cache, and results come back in submission
     /// order.
     ///
-    /// The engine falls back to the per-query path when there is nothing to
-    /// fuse (fewer than two fusable queries) or on a device out-of-memory
-    /// inside the fused pipeline (per-query chunking is strictly more
-    /// memory-frugal). Fallbacks only re-verify queries not already
-    /// resolved.
+    /// With nothing to fuse (fewer than two fusable queries), or after a
+    /// device failure inside the fused pipeline, the queries not already
+    /// resolved go one after the other through the
+    /// [`Engine::verify_robustness`] path — which is also what a device that
+    /// just ran out of memory should get: one query's rows at a time.
     ///
     /// With [`EngineOptions::monotone_cache_reuse`] enabled, each query
     /// whose exact box misses the cache first probes for a cached analysis
@@ -1438,7 +1313,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// resolves it without any new analysis — proving only, same soundness
     /// rule as [`EngineOptions::monotone_cache_reuse`]. Fewer than two boxes
     /// left to fuse, or any device failure inside the fused pipeline, go
-    /// through the first lane's per-query path (strictly more
+    /// through the first lane one box after the other (strictly more
     /// memory-frugal, same bits). The batch is counted and timed on the
     /// first lane.
     pub(crate) fn verify_boxes_fused(
@@ -1490,7 +1365,19 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 lead.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
                 verdicts.into_iter().map(Ok).collect()
             }
-            None => lead.verify_boxes_per_query(&live_labels, &live),
+            None => {
+                let started = Instant::now();
+                let verdicts = live_labels
+                    .iter()
+                    .zip(&live)
+                    .map(|(&label, input)| lead.verify_box(label, input))
+                    .collect();
+                lead.note_batch_time(
+                    started.elapsed().as_secs_f64() * 1e3,
+                    live.iter().map(|b| lead.box_cost(b)).sum(),
+                );
+                verdicts
+            }
         };
         for (j, verdict) in fusable.into_iter().zip(verdicts) {
             slots[j] = Some(verdict);
@@ -1619,14 +1506,6 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         let out_len = self.out_len();
         let rpq = out_len - 1;
         let query_of = |r: usize| (rows.start + r) / rpq;
-        // The queries with rows in the block (none when the pool has more
-        // lanes than the batch has rows).
-        let queries = if rows.is_empty() {
-            0..0
-        } else {
-            rows.start / rpq..(rows.end - 1) / rpq + 1
-        };
-        let live = self.live_weights(&analyses[queries]);
         let walk = |part: Range<usize>| {
             let part = rows.start + part.start..rows.start + part.end;
             let mut batches = Vec::new();
@@ -1638,7 +1517,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 batches.push(self.spec_batch(&spec.rows()[lo..hi])?);
                 segs.push(analyses[j]);
             }
-            self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs, &live)
+            self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs)
         };
         walk_streams(
             &self.device,
@@ -1665,21 +1544,6 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     ) -> Result<Vec<Arc<Analysis<F>>>, VerifyError> {
         let caching = self.options.analysis_cache > 0;
 
-        /// Removes claimed in-flight gate entries even if the owner
-        /// unwinds (same hygiene as the sequential path's gate handling).
-        struct GateSet<'a> {
-            map: &'a Mutex<HashMap<BoxKey, Arc<Mutex<()>>>>,
-            keys: Vec<BoxKey>,
-        }
-        impl Drop for GateSet<'_> {
-            fn drop(&mut self) {
-                let mut map = self.map.lock();
-                for key in &self.keys {
-                    map.remove(key);
-                }
-            }
-        }
-
         // Which boxes miss the cache (peeked without counting — the real
         // lookups below replicate the sequential hit/miss accounting).
         let missed: Vec<usize> = {
@@ -1689,47 +1553,26 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 .collect()
         };
         let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; mine.len()];
-        let mut own = vec![false; mine.len()];
-        {
-            // Dedup against concurrent analyses of the same boxes: claim an
-            // in-flight gate per missed box, exactly like [`Engine::analyze`].
-            // A box another thread is already computing is *deferred* — left
-            // out of our fused analysis and resolved through the gated path
-            // below, which blocks on that thread's gate and serves the cache.
-            let (gate_arcs, claimed) = if caching {
-                let mut in_flight = self.in_flight.lock();
-                let mut arcs = Vec::new();
-                let mut claimed = Vec::new();
-                for &g in &missed {
-                    let key = &keys[mine[g]];
-                    if in_flight.contains_key(key) {
-                        continue; // someone else is computing this box
-                    }
-                    let gate = Arc::new(Mutex::new(()));
-                    in_flight.insert(key.clone(), gate.clone());
-                    own[g] = true;
-                    arcs.push(gate);
-                    claimed.push(key.clone());
-                }
-                (arcs, claimed)
-            } else {
-                for &g in &missed {
-                    own[g] = true;
-                }
-                (Vec::new(), Vec::new())
-            };
-            // Hold every claimed gate for the compute+publish window so
-            // concurrent `analyze` callers park on it instead of spinning.
-            let _guards: Vec<_> = gate_arcs.iter().map(|g| g.lock()).collect();
-            let _gate_set = GateSet {
-                map: &self.in_flight,
-                keys: claimed,
-            };
-
+        // Dedup against concurrent analyses of the same boxes: claim every
+        // missed box, exactly like [`Engine::analyze`]. A box another thread
+        // is already computing is *deferred* — left out of our fused analysis
+        // and resolved through the gated path below, which blocks on that
+        // thread's gate and serves the cache. Without a cache there is
+        // nothing to share, and nothing to claim.
+        let to_claim: Vec<BoxKey> = if caching {
+            missed.iter().map(|&g| keys[mine[g]].clone()).collect()
+        } else {
+            Vec::new()
+        };
+        self.with_claims(&to_claim, |claimed| -> Result<(), VerifyError> {
+            let mut own = vec![false; mine.len()];
+            for (i, &g) in missed.iter().enumerate() {
+                own[g] = !caching || claimed[i];
+            }
             // Re-check after the claim, like the sequential path: an owner
-            // may have finished (insert + gate removal) between our cache
-            // peek and our claim — recomputing would waste a full analysis
-            // and double-count the miss.
+            // may have finished (insert + release) between our cache peek
+            // and our claim — recomputing would waste a full analysis and
+            // double-count the miss.
             if caching {
                 let mut cache = self.cache.lock();
                 for &g in &missed {
@@ -1787,9 +1630,11 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                     analyses[g] = Some(analysis.clone());
                 }
             }
-            // Gates release here (cache already holds the results), so the
-            // deferred/raced resolution below can never self-deadlock.
-        }
+            Ok(())
+            // The claims are released here (the cache already holds the
+            // results), so the deferred/raced resolution below can never
+            // self-deadlock.
+        })?;
         // A box can still be unresolved: deferred to a concurrent thread's
         // in-flight computation, or evicted between our peek and the
         // pinning get. The normal gated path waits/recomputes.
@@ -1806,46 +1651,46 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
 impl<F: Fp, B: Backend> Drop for Engine<'_, F, B> {
     fn drop(&mut self) {
-        if self.options.recycle_buffers {
-            self.device.buffer_pool_release();
-        }
+        self.device.buffer_pool_release();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::lpt_lanes;
+    use super::*;
+    use gpupoly_nn::builder::NetworkBuilder;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn lpt_lanes_balance_a_skewed_batch_to_within_one_query() {
-        // A few heavy queries among many light ones, in a scrambled order.
-        let cost: Vec<f64> = (0..37usize)
-            .map(|i| {
-                if i % 9 == 4 {
-                    50.0 + i as f64
-                } else {
-                    (i * 7 % 5) as f64
-                }
+    fn a_claim_that_unwinds_leaves_no_gate_behind_and_the_box_analyzes_again() {
+        // What the daemon survives: a worker panics inside an analysis, the
+        // panic is caught and the engine kept. The box it had claimed must
+        // be free again, or every later analysis of it finds the key, waits
+        // on an open gate, misses the cache and looks again — forever.
+        let net = NetworkBuilder::new_flat(2)
+            .dense(&[[1.0_f32, -1.0], [1.0, 1.0]], &[0.0, 0.0])
+            .relu()
+            .dense(&[[1.0_f32, 1.0], [1.0, -1.0]], &[0.5, 0.0])
+            .build()
+            .unwrap();
+        let engine = Engine::new(Device::default(), &net, VerifyConfig::default()).unwrap();
+        let input = [Itv::new(0.35_f32, 0.45), Itv::new(0.55, 0.65)];
+        let key = box_key(&input);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.with_claims(std::slice::from_ref(&key), |owned| {
+                assert!(owned[0], "nobody else holds the box");
+                assert!(engine.in_flight.lock().contains_key(&key));
+                panic!("analysis blew up");
             })
-            .collect();
-        let heaviest = cost.iter().copied().fold(0.0, f64::max);
-        for lanes in [1, 2, 3, 4, 8, 64] {
-            let dealt = lpt_lanes(&cost, lanes);
-            assert_eq!(dealt.len(), lanes.min(cost.len()));
-            assert!(dealt.iter().all(|lane| !lane.is_empty()));
-            let mut seen: Vec<usize> = dealt.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert!(seen.into_iter().eq(0..cost.len()), "each query dealt once");
-            let sums: Vec<f64> = dealt
-                .iter()
-                .map(|lane| lane.iter().map(|&i| cost[i]).sum())
-                .collect();
-            let spread = sums.iter().copied().fold(0.0, f64::max)
-                - sums.iter().copied().fold(f64::INFINITY, f64::min);
-            assert!(spread <= heaviest, "lanes={lanes}: sums {sums:?}");
-            for lane in &dealt {
-                assert!(lane.windows(2).all(|w| cost[w[0]] >= cost[w[1]]));
-            }
-        }
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            engine.in_flight.lock().is_empty(),
+            "the unwound claim is still in flight"
+        );
+        // So the next analysis of the same box claims it and returns.
+        assert!(engine.analyze(&input).is_ok());
+        assert_eq!(engine.cache_stats(), (0, 1));
+        assert!(engine.in_flight.lock().is_empty());
     }
 }

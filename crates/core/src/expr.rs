@@ -35,8 +35,6 @@
 //! segment `0` throughout; every per-row operation is unchanged, so fused
 //! results are bit-identical to running each query's rows alone.
 
-use std::sync::Arc;
-
 use gpupoly_device::{
     kernels, par_stream, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom,
 };
@@ -44,7 +42,6 @@ use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 use rayon::prelude::*;
 
-use crate::walk::LiveLayer;
 use crate::VerifyError;
 
 /// Clips a dependence-set window to its layer, one dimension at a time: a
@@ -77,13 +74,6 @@ pub struct ExprBatch<F: Fp, B: Backend> {
     hi: DeviceBuffer<Itv<F>, B>,
     cst_lo: Vec<Itv<F>>,
     cst_hi: Vec<Itv<F>>,
-    /// Stable-zero column compaction: the frontier neurons outside
-    /// `live_cols.index()` have a coefficient column that is exactly
-    /// `[0, 0]` in *every* row of both planes (attached by the walker after
-    /// a ReLU step whose relaxation is identically zero for those neurons in
-    /// all segments). Consumed by the dense step that follows; cleared by
-    /// any step that changes the frontier.
-    live_cols: Option<Arc<LiveLayer<F, B>>>,
 }
 
 impl<F: Fp, B: Backend> ExprBatch<F, B> {
@@ -162,7 +152,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             hi: plane(device, rows * cols)?,
             cst_lo: vec![Itv::zero(); rows],
             cst_hi: vec![Itv::zero(); rows],
-            live_cols: None,
         })
     }
 
@@ -421,24 +410,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         }
     }
 
-    /// The frontier's live columns, if the walker attached them (see the
-    /// field docs).
-    pub(crate) fn live_cols(&self) -> Option<&LiveLayer<F, B>> {
-        self.live_cols.as_deref()
-    }
-
-    /// Attaches the frontier's live columns. The caller asserts every other
-    /// column is exact zeros in both planes (the ReLU step guarantees this
-    /// for neurons whose relaxation is identically zero in every segment —
-    /// pinned by the conformance suite).
-    pub(crate) fn set_live_cols(&mut self, live: Arc<LiveLayer<F, B>>) {
-        debug_assert!(live
-            .index()
-            .iter()
-            .all(|&n| (n as usize) < self.shape.len()));
-        self.live_cols = Some(live);
-    }
-
     /// Stacks batches from independent queries over the *same frontier*
     /// into one fused batch: rows concatenate in order and row `r` of input
     /// batch `k` gets segment index `k`. Every per-row quantity is copied
@@ -496,7 +467,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             hi,
             cst_lo,
             cst_hi,
-            live_cols: None,
         })
     }
 
@@ -645,8 +615,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             hi: hi_new,
             cst_lo,
             cst_hi,
-            // Row removal leaves column zero-ness intact.
-            live_cols: self.live_cols,
         };
         Ok((batch, index))
     }
@@ -671,7 +639,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
         full.cst_lo.copy_from_slice(&self.cst_lo);
         full.cst_hi.copy_from_slice(&self.cst_hi);
         full.seg.copy_from_slice(&self.seg);
-        full.live_cols = self.live_cols.clone();
         let fcols = full.cols();
         kernels::densify(
             device,
@@ -807,7 +774,6 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
                 } else {
                     vec![Itv::zero(); self.rows()]
                 },
-                live_cols: None,
             })
         };
         Ok((mk(node_a, shape_a, true)?, mk(node_b, shape_b, false)?))

@@ -21,7 +21,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use gpupoly_core::{GpuPoly, VerifyConfig};
+//! use gpupoly_core::{Engine, VerifyConfig};
 //! use gpupoly_device::Device;
 //! use gpupoly_nn::builder::NetworkBuilder;
 //!
@@ -30,8 +30,8 @@
 //!     .relu()
 //!     .dense(&[[1.0_f32, 1.0], [1.0, -1.0]], &[0.5, 0.0])
 //!     .build()?;
-//! let verifier = GpuPoly::new(Device::default(), &net, VerifyConfig::default())?;
-//! let verdict = verifier.verify_robustness(&[0.4, 0.6], 0, 0.05)?;
+//! let engine = Engine::new(Device::default(), &net, VerifyConfig::default())?;
+//! let verdict = engine.verify_robustness(&[0.4, 0.6], 0, 0.05)?;
 //! assert!(verdict.verified);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -63,4 +63,4 @@ pub use expr::ExprBatch;
 pub use relax::ReluRelax;
 pub use sharded::{weight_shard_budget, Plan, ShardedEngine, WeightShardBudget};
 pub use tiered::{escalation_cost_weight, TieredEngine};
-pub use verifier::{GpuPoly, LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
+pub use verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};

@@ -12,7 +12,7 @@
 //! Residual Add nodes are handled by the walk engine via
 //! [`crate::expr::ExprBatch::split_add`] / [`crate::expr::ExprBatch::merge`].
 
-use gpupoly_device::{gemm, kernels, scan, Backend, Device, DeviceBuffer, ExprGeom, GbcShape};
+use gpupoly_device::{gemm, kernels, Backend, Device, ExprGeom, GbcShape};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
@@ -88,19 +88,10 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     )?;
     out.inherit_segments(&batch);
     let geom = batch.geom();
-    // The gather addresses elements of the batch by `u32`.
-    let live = batch.live_cols().filter(|_| {
-        rows.checked_mul(dense.out_len)
-            .is_some_and(|n| n <= u32::MAX as usize)
-    });
     let (src_lo, src_hi, src_cst_lo, src_cst_hi) = batch.planes();
     {
         let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
-        // Constants absorb the bias first, over the *uncompacted* batch:
-        // cst' = cst + Σ_i a_i · b_i. The fold skips exact-zero
-        // coefficients like every kernel of the family, so it would read
-        // the same bits off the compacted batch; this order just needs no
-        // compacted bias.
+        // Constants absorb the bias: cst' = cst + Σ_i a_i · b_i.
         kernels::bias_fold(
             device,
             "bias_fold_lo",
@@ -119,73 +110,24 @@ pub fn step_dense_with<F: Fp, B: Backend>(
             src_cst_hi,
             out_cst_hi,
         );
-        match live {
-            // Stable-zero column compaction: gather the live columns of
-            // both planes (an element gather — `gather_rows` over the
-            // transposed view) and run the GEMM over `k_live` instead of
-            // `k`, against the matching live rows of the weight matrix,
-            // which the walks of the list share. Bit-identical to the dense
-            // product because every backend mandatorily skips exact-zero A
-            // terms: the surviving ascending-k fma sequence per output
-            // element is unchanged.
-            Some(live) => {
-                let w_live = live.rows();
-                let live = live.index();
-                let k_live = live.len();
-                let mut col_index: Vec<u32> = Vec::with_capacity(rows * k_live);
-                for r in 0..rows {
-                    let base = (r * dense.out_len) as u32;
-                    col_index.extend(live.iter().map(|&c| base + c));
-                }
-                // Scratch sized to the *full* (uncompacted) extents and
-                // sliced to the live prefix: the live count varies per
-                // query and the pool serves a request only from a buffer at
-                // most twice its size, so a request that recurs exactly is
-                // what keeps steady-state `bytes_allocated` flat.
-                let mut a_lo = DeviceBuffer::for_overwrite(device, rows * dense.out_len)?;
-                let mut a_hi = DeviceBuffer::for_overwrite(device, rows * dense.out_len)?;
-                scan::gather_rows_into(device, src_lo, 1, &col_index, &mut a_lo[..rows * k_live]);
-                scan::gather_rows_into(device, src_hi, 1, &col_index, &mut a_hi[..rows * k_live]);
-                gemm::gemm_itv_f(
-                    device,
-                    &a_lo[..rows * k_live],
-                    w_live,
-                    out_lo,
-                    rows,
-                    k_live,
-                    dense.in_len,
-                );
-                gemm::gemm_itv_f(
-                    device,
-                    &a_hi[..rows * k_live],
-                    w_live,
-                    out_hi,
-                    rows,
-                    k_live,
-                    dense.in_len,
-                );
-            }
-            None => {
-                gemm::gemm_itv_f(
-                    device,
-                    src_lo,
-                    weight,
-                    out_lo,
-                    rows,
-                    dense.out_len,
-                    dense.in_len,
-                );
-                gemm::gemm_itv_f(
-                    device,
-                    src_hi,
-                    weight,
-                    out_hi,
-                    rows,
-                    dense.out_len,
-                    dense.in_len,
-                );
-            }
-        }
+        gemm::gemm_itv_f(
+            device,
+            src_lo,
+            weight,
+            out_lo,
+            rows,
+            dense.out_len,
+            dense.in_len,
+        );
+        gemm::gemm_itv_f(
+            device,
+            src_hi,
+            weight,
+            out_hi,
+            rows,
+            dense.out_len,
+            dense.in_len,
+        );
     }
     Ok(out)
 }

@@ -1,14 +1,9 @@
-//! The public verifier API.
+//! The specification and verdict types of the public API
+//! ([`crate::Engine`] is the verifier).
 
-use std::sync::Arc;
+use gpupoly_interval::Fp;
 
-use gpupoly_device::{Backend, Device};
-use gpupoly_interval::{Fp, Itv};
-use gpupoly_nn::Network;
-
-use crate::analysis::{Analysis, AnalysisStats};
-use crate::engine::{Engine, EngineOptions};
-use crate::{VerifyConfig, VerifyError};
+use crate::analysis::AnalysisStats;
 
 /// A conjunction of strict linear inequalities over the network output:
 /// each row claims `Σ coeffs·y + cst > 0`.
@@ -64,7 +59,7 @@ impl<F: Fp> LinearSpec<F> {
     }
 }
 
-/// Outcome of a [`GpuPoly::verify_spec`] call.
+/// Outcome of an [`crate::Engine::verify_spec`] call.
 #[derive(Clone, Debug)]
 pub struct SpecVerdict<F> {
     /// Per spec row: was `row > 0` proven?
@@ -93,7 +88,7 @@ pub struct Margin<F> {
     pub proven: bool,
 }
 
-/// Outcome of a [`GpuPoly::verify_robustness`] call.
+/// Outcome of an [`crate::Engine::verify_robustness`] call.
 #[derive(Clone, Debug)]
 pub struct RobustnessVerdict<F> {
     /// `true` when the label is certified for the whole L∞ ball.
@@ -104,133 +99,12 @@ pub struct RobustnessVerdict<F> {
     pub stats: AnalysisStats,
 }
 
-/// The GPUPoly verifier: floating-point-sound DeepPoly analysis on the
-/// (simulated) GPU, with dependence-set convolution backsubstitution, early
-/// termination and memory-aware chunking.
-///
-/// # Example
-///
-/// ```
-/// use gpupoly_core::{GpuPoly, VerifyConfig};
-/// use gpupoly_device::{Backend, Device};
-/// use gpupoly_nn::builder::NetworkBuilder;
-///
-/// let net = NetworkBuilder::new_flat(2)
-///     .dense(&[[1.0_f32, -1.0], [1.0, 1.0]], &[0.0, 0.0])
-///     .relu()
-///     .dense(&[[1.0_f32, 1.0], [1.0, -1.0]], &[0.5, 0.0])
-///     .build()?;
-/// let verifier = GpuPoly::new(Device::default(), &net, VerifyConfig::default())?;
-/// let verdict = verifier.verify_robustness(&[0.4, 0.6], 0, 0.05)?;
-/// assert!(verdict.verified);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct GpuPoly<'n, F: Fp, B: Backend> {
-    engine: Engine<'n, F, B>,
-}
-
-impl<'n, F: Fp, B: Backend> GpuPoly<'n, F, B> {
-    /// Builds a verifier for a network on a device.
-    ///
-    /// The verifier is a thin wrapper over [`Engine`] in
-    /// [`EngineOptions::compat`] mode: weights stay host-resident, no
-    /// buffer pool, no analysis cache — every query leaves the device
-    /// exactly as it found it. For batched / high-throughput verification
-    /// construct an [`Engine`] directly.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] when the network uses residual blocks whose
-    /// branches disagree on shape (the cuboid merge needs identical frontier
-    /// shapes).
-    pub fn new(
-        device: Device<B>,
-        net: &'n Network<F>,
-        cfg: VerifyConfig,
-    ) -> Result<Self, VerifyError> {
-        Ok(Self {
-            engine: Engine::with_options(device, net, cfg, EngineOptions::compat())?,
-        })
-    }
-
-    /// The device this verifier runs on.
-    pub fn device(&self) -> &Device<B> {
-        self.engine.device()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &VerifyConfig {
-        self.engine.config()
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine<'n, F, B> {
-        &self.engine
-    }
-
-    /// Runs the full DeepPoly analysis over an input box, producing sound
-    /// concrete bounds for every node.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] for a wrong input length,
-    /// [`VerifyError::Device`] when even single-row chunks exceed memory.
-    pub fn analyze(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
-        let analysis = self.engine.analyze(input)?;
-        Ok(Arc::try_unwrap(analysis).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
-    /// Proves (or fails to prove) each row of a linear output spec over an
-    /// input box.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] for an empty spec, out-of-range output
-    /// indices or a wrong input length; [`VerifyError::Device`] on
-    /// unrecoverable OOM.
-    pub fn verify_spec(
-        &self,
-        input: &[Itv<F>],
-        spec: &LinearSpec<F>,
-    ) -> Result<SpecVerdict<F>, VerifyError> {
-        self.engine.verify_spec(input, spec)
-    }
-
-    /// Spec check reusing an existing analysis (several specs over the same
-    /// input box share one analysis).
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] for an empty spec (zero rows would be
-    /// vacuously "all proven") or out-of-range output indices.
-    pub fn check_spec_with(
-        &self,
-        analysis: &Analysis<F>,
-        spec: &LinearSpec<F>,
-    ) -> Result<SpecVerdict<F>, VerifyError> {
-        self.engine.check_spec_with(analysis, spec)
-    }
-
-    /// Certifies L∞ robustness: every image within `eps` of `image`
-    /// (clamped to the `[0, 1]` pixel domain) classifies as `label`.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadQuery`] for a wrong image length or out-of-range
-    /// label; [`VerifyError::Device`] on unrecoverable OOM.
-    pub fn verify_robustness(
-        &self,
-        image: &[F],
-        label: usize,
-        eps: F,
-    ) -> Result<RobustnessVerdict<F>, VerifyError> {
-        self.engine.verify_robustness(image, label, eps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, VerifyConfig, VerifyError};
+    use gpupoly_device::Device;
+    use gpupoly_interval::Itv;
     use gpupoly_nn::builder::NetworkBuilder;
     use gpupoly_nn::Network;
 
@@ -243,8 +117,8 @@ mod tests {
             .unwrap()
     }
 
-    fn verifier(n: &Network<f32>) -> GpuPoly<'_, f32, gpupoly_device::CpuSimBackend> {
-        GpuPoly::new(Device::default(), n, VerifyConfig::default()).unwrap()
+    fn verifier(n: &Network<f32>) -> Engine<'_, f32, gpupoly_device::CpuSimBackend> {
+        Engine::new(Device::default(), n, VerifyConfig::default()).unwrap()
     }
 
     #[test]

@@ -2,18 +2,16 @@
 //! to the input layer, taking the best concrete candidate at every frontier
 //! (§2) and optionally compacting away rows that satisfy a stop rule (§4.2).
 
-use std::sync::Arc;
-
-use gpupoly_device::{scan, Backend, Device, DeviceBuffer};
+use gpupoly_device::{Backend, Device};
 use gpupoly_interval::{Fp, Itv};
-use gpupoly_nn::{Graph, NodeId, Op};
+use gpupoly_nn::{Graph, Op};
 
 use crate::analysis::Analysis;
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
 use crate::relax::ReluRelax;
 use crate::steps::{step_conv_with, step_dense_with, step_relu_per_seg};
-use crate::{VerifyConfig, VerifyError};
+use crate::VerifyError;
 
 /// When a row may be dropped mid-walk.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -55,132 +53,6 @@ pub(crate) struct Walker<'a, 'n, F: Fp, B: Backend> {
     /// own float arithmetic may add to the exact map the substitution
     /// assumes ([`Analysis::round_off`]).
     pub segs: Vec<&'a Analysis<F>>,
-    /// Stable-zero column compaction, as the walk's list has it
-    /// ([`LiveWeights`]): a batch that leaves the ReLU in front of one of its
-    /// layers is marked with the layer's live columns, so the dense step that
-    /// follows runs over those alone.
-    pub live: &'a LiveWeights<F, B>,
-}
-
-/// Stable-zero column compaction
-/// ([`VerifyConfig::stable_zero_compaction`]) for the walks of one list of
-/// rows: per dense layer behind the list's start, which of its neurons are
-/// *live* and the rows of its weight matrix they select.
-///
-/// A neuron is dead when the ReLU it feeds is stably off in **every** query
-/// of the list: the ReLU step then leaves an exactly-zero column in every
-/// row of every walk, and the dense step can run its GEMM over the live
-/// columns and the matching weight rows alone — bit-identical, because every
-/// backend must skip an exact-zero term anyway. That depends on the list's
-/// queries and not on its rows, so it is made once per list, before the list
-/// is cut ([`crate::analysis::walk_streams`]), on the thread that owns the
-/// list: the walks share one gather per layer instead of each making (and
-/// shelving, in its own lane of the buffer pool) a copy as large as the
-/// layer, and what the pool sees does not depend on which stream gets where
-/// first.
-#[derive(Debug)]
-pub(crate) struct LiveWeights<F: Fp, B: Backend> {
-    /// Indexed by dense node; `None` where compaction does not engage.
-    layers: Vec<Option<Arc<LiveLayer<F, B>>>>,
-}
-
-impl<F: Fp, B: Backend> Default for LiveWeights<F, B> {
-    /// No compaction anywhere.
-    fn default() -> Self {
-        Self { layers: Vec::new() }
-    }
-}
-
-/// One dense layer of a [`LiveWeights`].
-#[derive(Debug)]
-pub(crate) struct LiveLayer<F: Fp, B: Backend> {
-    /// The live neurons, ascending.
-    index: Vec<u32>,
-    /// The weight rows `index` selects, in a buffer with room for the whole
-    /// matrix (a size that recurs from list to list, so the pool serves it).
-    rows: DeviceBuffer<F, B>,
-    /// Elements of `rows` that are filled: `index.len()` rows.
-    filled: usize,
-}
-
-impl<F: Fp, B: Backend> LiveLayer<F, B> {
-    /// The live neurons, ascending.
-    pub fn index(&self) -> &[u32] {
-        &self.index
-    }
-
-    /// Rows [`LiveLayer::index`] of the layer's weight matrix.
-    pub fn rows(&self) -> &[F] {
-        &self.rows[..self.filled]
-    }
-}
-
-impl<F: Fp, B: Backend> LiveWeights<F, B> {
-    /// For a list over the queries `segs` whose walks start at `start`:
-    /// every dense layer before `start` that feeds a ReLU directly and has a
-    /// dead neuron. Three kinds of layer go without: one with a non-finite
-    /// weight (which could turn a dropped zero term into a dropped NaN), one
-    /// whose weights are sharded (they are on the device only while a walk
-    /// steps through them; a copy of their live rows held for the length of
-    /// a list is what sharding is there to avoid), and one the device has no
-    /// room for.
-    pub fn for_list(
-        device: &Device<B>,
-        graph: &Graph<'_, F>,
-        prepared: &PreparedGraph<'_, F, B>,
-        cfg: &VerifyConfig,
-        segs: &[&Analysis<F>],
-        start: NodeId,
-    ) -> Self {
-        let mut layers = Vec::new();
-        if !cfg.stable_zero_compaction || segs.is_empty() {
-            return Self { layers };
-        }
-        layers.resize_with(start, || None);
-        for relu in graph.nodes[..start].iter() {
-            let p = match (relu.op, relu.parents.first()) {
-                (Op::Relu, Some(&p)) => p,
-                _ => continue,
-            };
-            let Op::Dense(d) = graph.nodes[p].op else {
-                continue;
-            };
-            if !prepared.weights_finite(p) || prepared.weights_sharded(p) {
-                continue;
-            }
-            let alive: Vec<bool> = (0..d.out_len)
-                .map(|n| {
-                    !segs
-                        .iter()
-                        .all(|a| ReluRelax::from_bounds(a.bounds[p][n]).is_zero())
-                })
-                .collect();
-            if alive.iter().all(|&a| a) {
-                continue;
-            }
-            let (Ok(mut rows), Ok(packed)) = (
-                DeviceBuffer::for_overwrite(device, d.out_len * d.in_len),
-                prepared.weights(p),
-            ) else {
-                continue;
-            };
-            let index = scan::compact_indices(device, &alive);
-            let filled = index.len() * d.in_len;
-            let (weight, _) = packed.slices();
-            scan::gather_rows_into(device, weight, d.in_len, &index, &mut rows[..filled]);
-            layers[p] = Some(Arc::new(LiveLayer {
-                index,
-                rows,
-                filled,
-            }));
-        }
-        Self { layers }
-    }
-
-    /// The live columns of dense node `p`, if compaction engages there.
-    fn of(&self, p: NodeId) -> Option<Arc<LiveLayer<F, B>>> {
-        self.layers.get(p)?.clone()
-    }
 }
 
 impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
@@ -321,17 +193,13 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                     .collect();
                 let relax_refs: Vec<&[ReluRelax<F>]> =
                     table_of.iter().map(|&t| tables[t].as_slice()).collect();
-                let mut out =
-                    step_relu_per_seg(self.device, batch, &relax_refs, &self.node_bounds(node), p);
-                // Stable-zero column compaction: a neuron dead in every
-                // query of the list has the zero relaxation in every table
-                // above, which leaves an exactly-zero coefficient column
-                // (pinned by the backend conformance suite) that the dense
-                // step through `p` can drop.
-                if let Some(live) = self.live.of(p) {
-                    out.set_live_cols(live);
-                }
-                Ok(out)
+                Ok(step_relu_per_seg(
+                    self.device,
+                    batch,
+                    &relax_refs,
+                    &self.node_bounds(node),
+                    p,
+                ))
             }
             Op::Add { head } => {
                 let pa = self.graph.nodes[node].parents[0];
@@ -408,13 +276,12 @@ mod tests {
         let input = vec![Itv::new(-1.0_f32, 1.0), Itv::new(-1.0, 1.0)];
         let bounds: Vec<Vec<Itv<f32>>> = graph.eval_itv(&input);
         let analysis = Analysis::seeded(bounds.clone());
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
-            live: &LiveWeights::default(),
         };
         // Bound the output node's neurons via identity start.
         let on = graph.output();
@@ -445,13 +312,12 @@ mod tests {
         let input = vec![Itv::new(0.0_f32, 1.0), Itv::new(0.0, 1.0)];
         let bounds = graph.eval_itv(&input);
         let analysis = Analysis::seeded(bounds.clone());
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
-            live: &LiveWeights::default(),
         };
         let batch = ExprBatch::identity(&device, 2, graph.nodes[2].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::None).unwrap();
@@ -474,13 +340,12 @@ mod tests {
         let input = vec![Itv::new(0.0_f32, 1.0), Itv::new(0.0, 1.0)];
         let bounds = graph.eval_itv(&input);
         let analysis = Analysis::seeded(bounds.clone());
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
-            live: &LiveWeights::default(),
         };
         let batch = ExprBatch::identity(&device, 1, graph.nodes[1].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::StableSign).unwrap();
@@ -510,13 +375,12 @@ mod tests {
         let input = vec![Itv::new(-1.0_f32, 1.0), Itv::new(0.5, 1.0)];
         let bounds = graph.eval_itv(&input);
         let analysis = Analysis::seeded(bounds.clone());
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
-            live: &LiveWeights::default(),
         };
         let out_node = graph.output();
         let batch =
@@ -539,13 +403,12 @@ mod tests {
         let input: Vec<Itv<f32>> = center.iter().map(|&c| Itv::new(c - eps, c + eps)).collect();
         let bounds = graph.eval_itv(&input);
         let analysis = Analysis::seeded(bounds.clone());
-        let prepared = PreparedGraph::new(&device, &graph, false).unwrap();
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
         let walker = Walker {
             device: &device,
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
-            live: &LiveWeights::default(),
         };
         let on = graph.output();
         let batch = ExprBatch::identity(&device, on, graph.nodes[on].shape, &[0, 1]).unwrap();

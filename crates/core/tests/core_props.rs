@@ -3,7 +3,7 @@
 //! termination and chunking, and the dependence-set algebra.
 
 use gpupoly_core::depset::DepCuboid;
-use gpupoly_core::{GpuPoly, ReluRelax, VerifyConfig};
+use gpupoly_core::{Engine, ReluRelax, VerifyConfig};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -48,7 +48,7 @@ proptest! {
         let net = random_net(seed, depth, 6);
         let image = [cx, cy, 1.0 - cx, 0.5];
         let dev = device();
-        let verifier = GpuPoly::new(dev, &net, VerifyConfig::default()).unwrap();
+        let verifier = Engine::new(dev, &net, VerifyConfig::default()).unwrap();
         let input: Vec<Itv<f32>> = image
             .iter()
             .map(|&x| Itv::new((x - eps).max(0.0), (x + eps).min(1.0)))
@@ -80,7 +80,7 @@ proptest! {
         let image = [0.4f32, 0.6, 0.3, 0.7];
         let label = net.classify(&image);
         let dev = device();
-        let base = GpuPoly::new(dev.clone(), &net, VerifyConfig::default())
+        let base = Engine::new(dev.clone(), &net, VerifyConfig::default())
             .unwrap()
             .verify_robustness(&image, label, eps)
             .unwrap();
@@ -89,7 +89,7 @@ proptest! {
             VerifyConfig { chunk_rows: Some(1), ..Default::default() },
             VerifyConfig { chunk_rows: Some(3), early_termination: false, ..Default::default() },
         ] {
-            let v = GpuPoly::new(dev.clone(), &net, cfg)
+            let v = Engine::new(dev.clone(), &net, cfg)
                 .unwrap()
                 .verify_robustness(&image, label, eps)
                 .unwrap();
@@ -107,7 +107,7 @@ proptest! {
         let label = net.classify(&image);
         let y = net.infer(&image);
         let dev = device();
-        let verifier = GpuPoly::new(dev, &net, VerifyConfig::default()).unwrap();
+        let verifier = Engine::new(dev, &net, VerifyConfig::default()).unwrap();
         for eps in [0.0f32, 0.01, 0.03, 0.08] {
             let v = verifier.verify_robustness(&image, label, eps).unwrap();
             for m in &v.margins {
@@ -178,7 +178,7 @@ proptest! {
         let label = net.classify(&image);
         let eps = 0.03f32;
         let dev = device();
-        let v = GpuPoly::new(dev, &net, VerifyConfig::default())
+        let v = Engine::new(dev, &net, VerifyConfig::default())
             .unwrap()
             .verify_robustness(&image, label, eps)
             .unwrap();
@@ -238,7 +238,7 @@ fn certificates_hold_what_f32_inference_computes_at_zero_eps() {
                 let image: Vec<f32> = (0..len)
                     .map(|i| (i as f32 * 0.37 + seed as f32).sin() * 0.5 + 0.5)
                     .collect();
-                let verifier = GpuPoly::new(device(), net, cfg).unwrap();
+                let verifier = Engine::new(device(), net, cfg).unwrap();
                 let region: Vec<Itv<f32>> = image.iter().map(|&x| Itv::point(x)).collect();
                 let analysis = verifier.analyze(&region).unwrap();
                 let acts = net.graph().eval(&image);

@@ -1,9 +1,9 @@
 //! Engine-level guarantees: batch-vs-sequential parity (bit-identical
 //! margins), analysis-cache reuse, steady-state allocation flatness under
-//! the device buffer pool, weight residency, and soundness of concurrent
-//! batched verification on a memory-capped device.
+//! the device buffer pool, weight residency, and soundness of batched
+//! verification on a memory-capped device.
 
-use gpupoly_core::{Engine, GpuPoly, LinearSpec, Query, VerifyConfig, VerifyError};
+use gpupoly_core::{Engine, LinearSpec, Query, VerifyConfig, VerifyError};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -48,7 +48,7 @@ fn batch_margins_bit_identical_to_sequential_gpupoly() {
         let net = random_net(seed, 3, 6);
         let qs = queries(12);
 
-        let sequential = GpuPoly::new(
+        let sequential = Engine::new(
             Device::new(DeviceConfig::new().workers(2)),
             &net,
             VerifyConfig::default(),
@@ -61,7 +61,7 @@ fn batch_margins_bit_identical_to_sequential_gpupoly() {
         )
         .unwrap();
 
-        let batch = engine.verify_batch(&qs);
+        let batch = engine.verify_batch_fused(&qs);
         assert_eq!(batch.len(), qs.len());
         for (q, got) in qs.iter().zip(batch) {
             let got = got.expect("batch query failed");
@@ -81,62 +81,6 @@ fn batch_margins_bit_identical_to_sequential_gpupoly() {
                     w.lower
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn lpt_scheduling_keeps_margins_bit_identical_to_unsorted_order() {
-    // verify_batch dispatches queries by descending query_cost (LPT). That
-    // must be pure scheduling: for a batch whose cost order is the reverse
-    // of its submission order, every margin must match the plain unsorted
-    // sequential loop bit for bit, and results must come back in submission
-    // order.
-    let net = random_net(13, 3, 8);
-    // Ascending eps => ascending cost => LPT visits them in reverse.
-    let qs: Vec<Query<f32>> = (0..10)
-        .map(|q| {
-            let image: Vec<f32> = (0..4)
-                .map(|i| 0.25 + 0.5 * (((q * 13 + i * 5) % 89) as f32 / 89.0))
-                .collect();
-            Query::new(image, q % 3, 0.001 + 0.003 * q as f32)
-        })
-        .collect();
-    let engine = Engine::new(
-        Device::new(DeviceConfig::new().workers(3)),
-        &net,
-        VerifyConfig::default(),
-    )
-    .unwrap();
-    let costs: Vec<f64> = qs.iter().map(|q| engine.query_cost(q)).collect();
-    assert!(
-        costs.windows(2).all(|w| w[0] < w[1]),
-        "test setup: costs must strictly ascend so LPT actually reorders"
-    );
-
-    // Unsorted order: a fresh engine, one query at a time, submission order.
-    let reference = Engine::new(
-        Device::new(DeviceConfig::new().workers(3)),
-        &net,
-        VerifyConfig::default(),
-    )
-    .unwrap();
-    let batch = engine.verify_batch(&qs);
-    for (q, got) in qs.iter().zip(batch) {
-        let got = got.expect("batch query failed");
-        let want = reference
-            .verify_robustness(&q.image, q.label, q.eps)
-            .expect("sequential query failed");
-        assert_eq!(got.verified, want.verified);
-        for (g, w) in got.margins.iter().zip(&want.margins) {
-            assert_eq!(g.adversary, w.adversary, "results out of submission order");
-            assert_eq!(
-                g.lower.to_bits(),
-                w.lower.to_bits(),
-                "LPT scheduling changed a margin ({} vs {})",
-                g.lower,
-                w.lower
-            );
         }
     }
 }
@@ -177,13 +121,12 @@ fn analysis_cache_shares_repeated_boxes() {
     assert_eq!(misses, 3, "three distinct boxes analyzed");
     assert_eq!(hits, 5, "all repeats served from cache");
 
-    // Concurrent duplicates inside one batch must also share one analysis:
-    // the in-flight gate serializes same-box misses, so the miss count
-    // equals the number of unique boxes regardless of scheduling.
+    // Duplicates inside one batch must also share one analysis: the miss
+    // count equals the number of unique boxes.
     let engine = Engine::new(Device::default(), &net, VerifyConfig::default()).unwrap();
     let q = |eps: f32| Query::new(vec![0.4f32, 0.6, 0.3, 0.7], 1, eps);
     let batch = vec![q(0.01), q(0.02), q(0.01), q(0.02), q(0.01), q(0.01)];
-    let out = engine.verify_batch(&batch);
+    let out = engine.verify_batch_fused(&batch);
     assert!(out.iter().all(Result::is_ok));
     let (hits, misses) = engine.cache_stats();
     assert_eq!(misses, 2, "two unique boxes in the batch");
@@ -193,8 +136,11 @@ fn analysis_cache_shares_repeated_boxes() {
 #[test]
 fn steady_state_queries_allocate_no_fresh_bytes() {
     // Early termination off => every query runs the same deterministic
-    // batch shapes, so after one warmup query the buffer pool serves every
-    // allocation and `bytes_allocated` stays flat.
+    // batch shapes, so once the shelf is warm the buffer pool serves every
+    // allocation and `bytes_allocated` stays flat. Warm is two queries: the
+    // shelf matches by capacity (smallest buffer within 2x), so the second
+    // query, which finds all of the first one's buffers shelved at once, can
+    // pair them with its requests differently and come up two short.
     let cfg = VerifyConfig {
         early_termination: false,
         ..Default::default()
@@ -204,11 +150,13 @@ fn steady_state_queries_allocate_no_fresh_bytes() {
     let engine = Engine::new(device.clone(), &net, cfg).unwrap();
     let qs = queries(10);
 
-    let warmup = engine.verify_robustness(&qs[0].image, qs[0].label, qs[0].eps);
-    assert!(warmup.is_ok());
+    for q in &qs[..2] {
+        let warmup = engine.verify_robustness(&q.image, q.label, q.eps);
+        assert!(warmup.is_ok());
+    }
     let bytes_after_warmup = device.stats().bytes_allocated();
 
-    for q in &qs[1..] {
+    for q in &qs[2..] {
         // Distinct images (cache misses), identical batch geometry.
         engine.verify_robustness(&q.image, q.label, q.eps).unwrap();
     }
@@ -230,18 +178,12 @@ fn weights_are_resident_exactly_once_per_engine() {
         assert!(resident > 0, "default engine packs weights on the device");
         assert!(device.memory_in_use() >= resident);
         let bytes_after_build = device.stats().bytes_allocated();
-        engine.verify_batch(&queries(4));
-        engine.verify_batch(&queries(4));
+        engine.verify_batch_fused(&queries(4));
+        engine.verify_batch_fused(&queries(4));
         // Weights were uploaded once at construction; batches reuse them.
         assert!(device.stats().bytes_allocated() >= bytes_after_build);
     }
     // Dropping the engine releases both weights and pooled buffers.
-    assert_eq!(device.memory_in_use(), 0);
-
-    // Compat mode (GpuPoly) keeps the device untouched between queries.
-    let device = Device::new(DeviceConfig::new().workers(1));
-    let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default()).unwrap();
-    assert_eq!(verifier.engine().prepared().resident_bytes(), 0);
     assert_eq!(device.memory_in_use(), 0);
 }
 
@@ -257,7 +199,7 @@ fn capped_device_batch_matches_uncapped_and_still_chunks() {
     )
     .unwrap();
     let want: Vec<_> = free
-        .verify_batch(&qs)
+        .verify_batch_fused(&qs)
         .into_iter()
         .map(|v| v.expect("uncapped query failed"))
         .collect();
@@ -265,7 +207,7 @@ fn capped_device_batch_matches_uncapped_and_still_chunks() {
     let cap = 48 * 1024;
     let tight_dev = Device::new(DeviceConfig::new().workers(2).memory_capacity(cap));
     let tight = Engine::new(tight_dev.clone(), &net, VerifyConfig::default()).unwrap();
-    let got = tight.verify_batch(&qs);
+    let got = tight.verify_batch_fused(&qs);
     let mut chunked_queries = 0usize;
     for (g, w) in got.into_iter().zip(&want) {
         let g = g.expect("capped query failed");
@@ -303,11 +245,10 @@ fn empty_specs_are_rejected_not_vacuously_proven() {
         "got {err:?}"
     );
 
-    // Same through the compatibility wrapper, including an analysis reuse.
-    let verifier = GpuPoly::new(Device::default(), &net, VerifyConfig::default()).unwrap();
-    let analysis = verifier.analyze(&input).unwrap();
+    // Same over an analysis that is reused.
+    let analysis = engine.analyze(&input).unwrap();
     assert!(matches!(
-        verifier.check_spec_with(&analysis, &LinearSpec::new(vec![])),
+        engine.check_spec_with(&analysis, &LinearSpec::new(vec![])),
         Err(VerifyError::BadQuery(_))
     ));
 
@@ -343,7 +284,7 @@ fn batch_parallelism_does_not_regress_throughput() {
     let device = Device::new(DeviceConfig::new().workers(workers));
     let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
     let t = std::time::Instant::now();
-    let out = engine.verify_batch(&qs);
+    let out = engine.verify_batch_fused(&qs);
     let batch = t.elapsed();
     assert!(out.iter().all(Result::is_ok));
 

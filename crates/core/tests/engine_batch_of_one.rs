@@ -1,5 +1,5 @@
-//! A batch of one query is not a batch-level launch: `Engine::verify_batch`
-//! runs it inline, so the query's kernels — not the batch — split across
+//! A batch of one query has nothing to fuse: `Engine::verify_batch_fused`
+//! runs it as the single query it is, so the query's kernels split across
 //! the device's workers. Alone in its test binary on purpose: it watches the
 //! device's helper thread through `/proc`, by name.
 #![cfg(target_os = "linux")]
@@ -46,22 +46,23 @@ fn a_one_query_batch_still_splits_its_kernels_across_the_workers() {
     let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
     let query = |shift: f32| Query::new(vec![0.4 + shift; 16], 3, 0.02);
 
-    // Warm-up: a two-query batch is a batch-level launch, which spawns the
-    // helper; its queries' kernels run flattened inside their lanes.
-    for r in engine.verify_batch(&[query(0.0), query(0.1)]) {
+    // Warm-up: the first kernel that splits spawns the helper.
+    for r in engine.verify_batch_fused(&[query(0.0), query(0.1)]) {
         r.unwrap();
     }
-    // Run as a lane of a batch launch, a query wakes the helper once, for
-    // that launch, and keeps every kernel to one thread. Inline, each of its
-    // backsubstitution GEMMs is a launch of its own, some eighty here. A
+    // Run as one stream among others, a query would wake the helper once,
+    // for the section, and keep every kernel to one thread. On its own, each
+    // of its backsubstitution GEMMs is a launch of its own, some eighty here. A
     // woken helper the scheduler does not run before the launcher is done
     // never parks again, so one quiet batch proves nothing: look at several
     // (a fresh input box each, so none is served from the analysis cache).
     let mut most = 0;
     for attempt in 1..=50 {
-        let before = helper_parks().expect("the batch launch spawned the helper");
+        let before = helper_parks().expect("the warm-up spawned the helper");
         let shift = 0.1 + 0.005 * attempt as f32;
-        engine.verify_batch(&[query(shift)])[0].as_ref().unwrap();
+        engine.verify_batch_fused(&[query(shift)])[0]
+            .as_ref()
+            .unwrap();
         most = most.max(helper_parks().unwrap() - before);
         if most >= 8 {
             return;

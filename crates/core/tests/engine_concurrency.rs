@@ -6,7 +6,7 @@
 //!   thread shares the same `Arc`;
 //! * a bounded LRU cache under eviction pressure stays allocation-flat
 //!   (`bytes_allocated` stops growing once the pool is warm);
-//! * a `BadQuery` rejected mid-`verify_batch` leaves the buffer pool's
+//! * a `BadQuery` rejected mid-`verify_batch_fused` leaves the buffer pool's
 //!   accounting intact — subsequent queries still recycle, and dropping the
 //!   engine returns every byte (regression test for pool double-release /
 //!   leak on the error path).
@@ -156,7 +156,7 @@ fn bad_query_mid_batch_leaves_pool_accounting_intact() {
         good(2),
         Query::new(vec![0.5f32; 4], 0, -0.5), // negative eps
     ];
-    let out = engine.verify_batch(&batch);
+    let out = engine.verify_batch_fused(&batch);
     assert!(out[0].is_ok() && out[2].is_ok() && out[4].is_ok());
     for bad in [1, 3, 5] {
         assert!(
@@ -170,7 +170,7 @@ fn bad_query_mid_batch_leaves_pool_accounting_intact() {
     // (never exceed) the in-use charge, and a repeat batch still succeeds
     // against intact accounting.
     assert!(device.buffer_pool_bytes() <= device.memory_in_use());
-    let out = engine.verify_batch(&batch);
+    let out = engine.verify_batch_fused(&batch);
     assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 3);
 
     // The pool still recycles: sequential repeats allocate zero fresh
@@ -296,55 +296,73 @@ fn promoted_kernel_walks_stay_allocation_flat_on_the_pooling_backend() {
 }
 
 #[test]
-fn compaction_scratch_stays_allocation_flat_and_drop_returns_every_byte() {
-    // The stable-zero compaction path allocates gather scratch (plane
-    // column gathers + the live-weight view). Those buffers use stable
-    // full-size classes, so steady-state stays flat; dropping the engine
-    // must return every byte including the scratch.
-    let w = |i: usize| (((i * 2654435761 + 13) % 1000) as f32 / 1000.0 - 0.5) * 0.4;
-    let net = NetworkBuilder::new_flat(6)
-        .flatten_dense(16, w, |i| if i % 2 == 0 { -4.0 } else { 0.1 })
-        .relu()
-        .flatten_dense(16, |i| w(i + 31), |i| if i % 3 == 0 { -4.0 } else { 0.05 })
-        .relu()
-        .flatten_dense(3, |i| w(i + 77), |_| 0.0)
-        .build()
-        .unwrap();
+fn dead_neurons_cost_no_gather_and_no_device_memory() {
+    // Rows that stop early are the one thing a walk compacts. A neuron that
+    // is stably off leaves an exactly-zero column, which the interval GEMM
+    // skips term by term: no gather is launched for it and no copy of a
+    // layer's weights or of a bound matrix is made without it. With early
+    // termination off no row ever stops, so a batch gathers nothing at all,
+    // and what it holds live at once is what the same architecture holds
+    // with every neuron on: resident weights and the bound matrices.
+    let w = |seed: usize| {
+        move |i: usize| (((i * 2654435761 + seed * 97) % 1000) as f32 / 1000.0 - 0.5) * 0.4
+    };
+    // Inputs in [0, 1], |w| <= 0.2: a bias of -4 is stably off, 2 or 8 on.
+    let net = |b1: fn(usize) -> f32, b2: fn(usize) -> f32| {
+        NetworkBuilder::new_flat(6)
+            .flatten_dense(16, w(1), b1)
+            .relu()
+            .flatten_dense(16, w(2), b2)
+            .relu()
+            .flatten_dense(3, w(3), |_| 0.0)
+            .build()
+            .unwrap()
+    };
+    let dead = net(
+        |i| if i % 2 == 0 { -4.0 } else { 0.1 },
+        |i| if i % 3 == 0 { -4.0 } else { 0.05 },
+    );
+    let live = net(|_| 2.0, |_| 8.0);
     let cfg = VerifyConfig {
         early_termination: false,
         ..Default::default()
     };
-    let device = Device::new(DeviceConfig::new().workers(2));
-    {
-        let engine = Engine::new(device.clone(), &net, cfg).unwrap();
-        let image = |q: usize| -> Vec<f32> {
-            (0..6)
-                .map(|i| 0.3 + 0.4 * (((q * 41 + i * 17) % 100) as f32 / 100.0))
-                .collect()
-        };
-        engine.verify_robustness(&image(0), 0, 0.02).unwrap();
-        let flops0 = device.stats().flops();
-        let bytes_after_warmup = device.stats().bytes_allocated();
-        for q in 1..6 {
-            engine.verify_robustness(&image(q), q % 3, 0.02).unwrap();
-        }
-        assert!(
-            device.stats().flops() > flops0,
-            "queries after warmup must do metered work"
-        );
-        assert!(
-            device.stats().kernel_launches("compact_indices") > 0,
-            "the dead-ReLU net must engage column compaction"
-        );
-        assert_eq!(
-            device.stats().bytes_allocated(),
-            bytes_after_warmup,
-            "compaction gather scratch must recycle through the pool"
-        );
-    }
-    // Engine drop: pool drained, every byte returned.
-    assert_eq!(device.memory_in_use(), 0, "drop must return every byte");
-    assert_eq!(device.buffer_pool_bytes(), 0, "drop must drain the pool");
+    let batch: Vec<Query<f32>> = (0..4)
+        .map(|q| {
+            let image: Vec<f32> = (0..6)
+                .map(|i| 0.3 + 0.4 * (((q * 37 + i * 11) % 100) as f32 / 100.0))
+                .collect();
+            Query::new(image, q % 3, 0.03)
+        })
+        .collect();
+    let run = |net: &Network<f32>| {
+        let device = Device::new(DeviceConfig::new().workers(2));
+        let engine = Engine::new(device.clone(), net, cfg).unwrap();
+        let resident = engine.prepared().resident_bytes();
+        let out = engine.verify_batch_fused(&batch);
+        assert!(out.iter().all(Result::is_ok));
+        assert_eq!(engine.stats().fused_batches, 1);
+        assert_eq!(device.stats().kernel_launches("gather_rows"), 0);
+        assert_eq!(device.stats().kernel_launches("compact_indices"), 0);
+        (resident, device.peak_live_memory())
+    };
+    let (resident, peak) = run(&dead);
+    assert_eq!(
+        (resident, peak),
+        run(&live),
+        "dead neurons changed the peak"
+    );
+    // The bound matrices, as the chunking heuristic of §4.2 prices them: the
+    // longest list is a hidden layer's 16 rows for each of the four queries,
+    // 16 columns wide, two interval planes, three deep (the source and the
+    // destination of a step, and what they are assembled from). One more
+    // copy of a list's planes would not fit under it.
+    let itv = std::mem::size_of::<Itv<f32>>();
+    let matrices = (4 * 16) * 16 * itv * 2 * 3;
+    assert!(
+        peak <= resident + matrices,
+        "peak live {peak} B over {resident} B resident + {matrices} B of bound matrices"
+    );
 }
 
 #[test]

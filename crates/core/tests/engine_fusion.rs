@@ -402,7 +402,7 @@ fn ewma_cost_hint_warms_up_and_matches_free_function() {
         assert_eq!(via_engine, via_hint, "admission hint must match engine");
     }
 
-    assert!(engine.verify_batch(&qs).iter().all(Result::is_ok));
+    assert!(engine.verify_batch_fused(&qs).iter().all(Result::is_ok));
     let after_batch = engine.stats().ewma_ms_per_cost;
     assert!(
         after_batch > 0.0 && after_batch.is_finite(),
@@ -664,17 +664,7 @@ fn fused_chunk_shrinks_attribute_to_the_failing_chunk_only() {
             ..Default::default()
         };
         let device = Device::new(DeviceConfig::new().workers(1).memory_capacity(cap));
-        let engine = Engine::with_options(
-            device,
-            &net,
-            cfg,
-            EngineOptions {
-                pack_weights: false,
-                recycle_buffers: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let engine = Engine::new(device, &net, cfg).unwrap();
         let got = engine.verify_batch_fused(&qs);
         if !got.iter().all(Result::is_ok) || engine.stats().fused_batches != 1 {
             continue; // too tight (fell back / errored): try the next cap

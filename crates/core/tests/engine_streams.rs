@@ -421,8 +421,8 @@ fn a_stream_finds_its_own_buffers_whatever_its_siblings_do() {
 fn cut_lists_reach_a_steady_state_that_allocates_nothing() {
     // What the engine's allocation-flatness tests check on networks too
     // small to cut, on lists that are: a one-entry analysis cache under a
-    // rotation of boxes recomputes every query, with early termination and
-    // stable-zero compaction on, and once every lane of the shelf has seen
+    // rotation of boxes recomputes every query, with early termination on
+    // (so rows are compacted out mid-walk), and once every lane of the shelf has seen
     // the rotation nothing is allocated afresh — `bytes_allocated` and
     // `memory_in_use` stand still, run after run, and dropping the engine
     // returns every byte.
@@ -465,7 +465,7 @@ fn cut_lists_reach_a_steady_state_that_allocates_nothing() {
     }
     assert!(
         device.stats().kernel_launches("compact_indices") > 0,
-        "compaction engaged on the cut lists"
+        "rows that stopped early were compacted out of the cut lists"
     );
     let (hits, misses) = engine.cache_stats();
     assert_eq!((hits, misses), (0, 20), "every query was recomputed");

@@ -1,10 +1,11 @@
 //! Input-validation hardening: a query whose dimensions (or values) do not
 //! match the prepared network must come back as [`VerifyError::BadQuery`] —
-//! never a panic — on every public entry point, including mid-batch and
-//! through the compatibility wrapper.
+//! never a panic — on every public entry point, including mid-batch. And
+//! what is valid but hostile — a non-finite weight, a coefficient that
+//! overflowed — never earns a proof.
 
-use gpupoly_core::{Engine, GpuPoly, LinearSpec, Query, RefineBudget, VerifyConfig, VerifyError};
-use gpupoly_device::Device;
+use gpupoly_core::{Engine, LinearSpec, Query, RefineBudget, VerifyConfig, VerifyError};
+use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::Network;
@@ -58,7 +59,7 @@ fn wrong_dimension_mid_batch_fails_only_that_query() {
         Query::new(vec![0.4f32; 5], 0, 0.01), // long
         Query::new(vec![0.6f32; 4], 1, 0.01),
     ];
-    let out = engine.verify_batch(&qs);
+    let out = engine.verify_batch_fused(&qs);
     assert!(out[0].is_ok());
     bad_query(out[1].clone());
     bad_query(out[2].clone());
@@ -91,13 +92,10 @@ fn infinite_pixels_are_bad_queries_on_every_entry_point() {
             Query::new(image.to_vec(), 0, 0.01),
             Query::new(vec![0.5f32; 4], 1, 0.01),
         ];
-        for out in [engine.verify_batch(&qs), engine.verify_batch_fused(&qs)] {
-            assert!(out[0].is_ok() && out[2].is_ok());
-            bad_query(out[1].clone());
-        }
+        let out = engine.verify_batch_fused(&qs);
+        assert!(out[0].is_ok() && out[2].is_ok());
+        bad_query(out[1].clone());
         bad_query(engine.verify_complete(&qs[1], &RefineBudget::default()));
-        let v = GpuPoly::new(Device::default(), &n, VerifyConfig::default()).unwrap();
-        bad_query(v.verify_robustness(&image, 0, 0.01));
     }
     // The finite extremes still get an answer (for the clamped box).
     assert!(engine
@@ -125,16 +123,6 @@ fn foreign_analysis_is_rejected_by_check_spec_with() {
 }
 
 #[test]
-fn compat_wrapper_rejects_the_same_malformed_queries() {
-    let n = net(4);
-    let v = GpuPoly::new(Device::default(), &n, VerifyConfig::default()).unwrap();
-    bad_query(v.verify_robustness(&[0.5f32; 3], 0, 0.01));
-    bad_query(v.verify_robustness(&[0.5f32; 4], 0, f32::NAN));
-    bad_query(v.analyze(&[Itv::point(0.5f32)]));
-    bad_query(v.verify_spec(&[Itv::point(0.5f32); 2], &LinearSpec::robustness(0, 3)));
-}
-
-#[test]
 fn query_cost_ranks_wider_boxes_and_deeper_work_higher() {
     let n = net(4);
     let engine = Engine::new(Device::default(), &n, VerifyConfig::default()).unwrap();
@@ -152,4 +140,93 @@ fn query_cost_ranks_wider_boxes_and_deeper_work_higher() {
     let stats = engine.stats();
     assert_eq!(stats.relu_layers, 1);
     assert!(stats.resident_bytes > 0);
+}
+
+#[test]
+fn non_finite_weights_never_prove_and_never_panic() {
+    // Through the plain dense step, a network with a non-finite parameter
+    // gets an answer or a typed error, never a panic — and no proof rests on
+    // the non-finite value.
+    let w = |i: usize| (((i * 131) % 17) as f32 - 8.0) * 0.02;
+    let net_with = |bad_bias: f32, bad_weight: f32| {
+        NetworkBuilder::new_flat(4)
+            .flatten_dense(8, w, move |i| if i % 2 == 0 { bad_bias } else { 0.1 })
+            .relu()
+            .flatten_dense(
+                3,
+                move |i| if i == 1 { bad_weight } else { w(i + 5) },
+                |_| 0.0,
+            )
+            .build()
+            .expect("net builds")
+    };
+    let image = [0.4_f32, 0.6, 0.5, 0.3];
+    for workers in [1, 2] {
+        let device = Device::new(DeviceConfig::new().workers(workers));
+        // A `-inf` bias makes its neurons stably dead (their pre-activation
+        // bounds collapse to -inf) and nothing past the ReLU non-finite: the
+        // query is answered, with the margins of the net without them.
+        let dead = net_with(f32::NEG_INFINITY, w(6));
+        let engine = Engine::new(device.clone(), &dead, VerifyConfig::default()).unwrap();
+        let got = engine.verify_robustness(&image, 0, 0.02).expect("answered");
+        let pruned = net_with(-100.0, w(6));
+        let engine = Engine::new(device.clone(), &pruned, VerifyConfig::default()).unwrap();
+        let want = engine.verify_robustness(&image, 0, 0.02).expect("answered");
+        assert_eq!(got.margins, want.margins);
+        // The weight from hidden neuron 1 (bias 0.1: not stably off) to
+        // output 0. NaN there leaves nothing provable; `+inf` can only help
+        // class 0 and `-inf` only hurt it, so the other side has no proof.
+        for (bad, unprovable) in [
+            (f32::NAN, 0..3),
+            (f32::INFINITY, 1..3),
+            (f32::NEG_INFINITY, 0..1),
+        ] {
+            let poisoned = net_with(0.1, bad);
+            let engine = Engine::new(device.clone(), &poisoned, VerifyConfig::default()).unwrap();
+            for label in unprovable {
+                if let Ok(v) = engine.verify_robustness(&image, label, 0.02) {
+                    assert!(!v.verified, "label {label} proven through a {bad} weight");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_relaxation_annihilates_non_finite_coefficients() {
+    // A stably-dead neuron's zero relaxation maps *any* coefficient —
+    // including ±inf from upstream blowup — to an exact-zero interval (the
+    // directed-rounding multiply special-cases zero operands), so what a
+    // walk carries past a dead ReLU is exactly `[0, 0]`: an overflowed row
+    // cannot leak a NaN through a neuron that is off.
+    use gpupoly_core::expr::ExprBatch;
+    use gpupoly_core::{steps, ReluRelax};
+    use gpupoly_nn::Shape;
+
+    let device = Device::default();
+    let shape = Shape::flat(3);
+    let mut batch =
+        ExprBatch::<f32, _>::zeroed(&device, 2, shape, (1, 1), vec![(0, 0), (0, 0), (0, 0)])
+            .unwrap();
+    // Rows carry pathological coefficients on their own neuron. (NaN
+    // bounds are unconstructible — `Itv::new` debug-asserts them away —
+    // so overflow to ±inf is the worst a blown-up walk can feed in.)
+    batch.set_coeff(0, 0, Itv::new(f32::INFINITY, f32::INFINITY));
+    batch.set_coeff(1, 0, Itv::new(f32::NEG_INFINITY, f32::INFINITY));
+    batch.set_coeff(2, 0, Itv::new(f32::MAX, f32::INFINITY));
+    // Every neuron stably dead: zero relaxation, zero output bounds.
+    let in_bounds = [Itv::new(-2.0_f32, -1.0); 3];
+    let relax = ReluRelax::layer(&in_bounds);
+    assert!(relax.iter().all(ReluRelax::is_zero));
+    let out_bounds = [Itv::new(0.0_f32, 0.0); 3];
+    let out = steps::step_relu(&device, batch, &relax, &out_bounds, 1);
+    let bounds = [Itv::new(0.0_f32, 1.0); 3];
+    let cand = out.concretize(&device, &bounds);
+    for (r, c) in cand.iter().enumerate() {
+        assert_eq!(
+            (c.lo.to_bits(), c.hi.to_bits()),
+            (0.0_f32.to_bits(), 0.0_f32.to_bits()),
+            "row {r}: dead column must be exactly zero, got {c}"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! 1×1 convolutions, and conv-after-dense orderings that force window
 //! densification mid-walk.
 
-use gpupoly_core::{GpuPoly, VerifyConfig};
+use gpupoly_core::{Engine, VerifyConfig};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -15,7 +15,7 @@ fn device() -> Device {
 
 /// Analysis bounds must contain sampled concrete executions.
 fn check_sound(net: &Network<f32>, image: &[f32], eps: f32) {
-    let verifier = GpuPoly::new(device(), net, VerifyConfig::default()).expect("verifier");
+    let verifier = Engine::new(device(), net, VerifyConfig::default()).expect("verifier");
     let input: Vec<Itv<f32>> = image.iter().map(|&x| Itv::new(x - eps, x + eps)).collect();
     let analysis = verifier.analyze(&input).expect("analysis");
     let graph = net.graph();
@@ -245,7 +245,7 @@ fn verification_through_strided_downsample_chain() {
     check_sound(&net, &image, 0.03);
 
     // And the full robustness query runs.
-    let verifier = GpuPoly::new(device(), &net, VerifyConfig::default()).unwrap();
+    let verifier = Engine::new(device(), &net, VerifyConfig::default()).unwrap();
     let label = net.classify(&image);
     let v = verifier.verify_robustness(&image, label, 0.01).unwrap();
     assert_eq!(v.margins.len(), 1);

@@ -70,9 +70,9 @@
 //!
 //! The zero-skip is a requirement rather than an allowance: skipped terms
 //! enter neither `adds` nor `T` (so the zeros a dependence-set window holds
-//! beside its row's own coefficients, and stable-zero column compaction —
-//! which removes `B` rows that no coefficient meets, and leaves `wmax` of the
-//! others as it was — change neither flops nor bits),
+//! beside its row's own coefficients, and the all-zero column a stably-off
+//! ReLU leaves, change no bit; a port that wants dead columns out of its
+//! tiles can drop them inside its own `gemm_itv_f`),
 //! and on the per-step chain accumulating a zero term is not a bitwise no-op
 //! when an accumulator bound is `-0.0`. Reassociating is never allowed. A
 //! GPU port must therefore use a deterministic fixed-order reduction per

@@ -1434,7 +1434,7 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
         &mut s,
     );
     // Per-segment input bounds spanning stable-positive, stable-negative
-    // (the stable-zero columns compaction keys on) and unstable neurons.
+    // (the stable-zero columns) and unstable neurons.
     let bounds: Vec<Vec<Itv<f32>>> = (0..segments)
         .map(|_| {
             (0..case.frontier_len())
@@ -1486,7 +1486,7 @@ pub fn check_relu_step_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
 
         // Stable-zero guarantee: columns of stably-negative neurons (zero
         // relaxation in every segment) are exact zeros after the step —
-        // the invariant stable-zero column compaction builds on.
+        // whatever the coefficient was, an overflowed one included.
         let g = case.geom();
         for n in 0..case.frontier_len() {
             if !relax.iter().all(|t| t[n].is_zero()) {

@@ -365,9 +365,8 @@ pub(crate) struct DeviceInner<B> {
     /// misses and `bytes_allocated` repeat from run to run — the CPU
     /// stand-in for a stream-ordered allocator. The price: a lane is warm
     /// for what its position has run, and no other lane's buffers help it.
-    /// Work that reaches a position in a new shape — whole queries in the
-    /// lanes of a per-query batch, then one query's lists a quarter each —
-    /// allocates afresh there once, where a single shelf would have served
+    /// Work that reaches a position in a new shape — a fused batch's lists
+    /// a quarter each, then one query's — allocates afresh there once, where a single shelf would have served
     /// it. Shelved bytes stay charged against capacity, and an allocation
     /// that would fail reclaims every lane before reporting out-of-memory.
     shelf: Mutex<Vec<Lane>>,
@@ -807,8 +806,8 @@ impl<B: Backend> Device<B> {
 
     /// How many streams of a [`Device::streams`] section opened by the
     /// calling thread would run at once: the worker count, or one when the
-    /// thread is already running a part of some section (a query of a
-    /// per-query batch, a stream) — whatever it launches runs inline there.
+    /// thread is already running a part of some section (a stream) —
+    /// whatever it launches runs inline there.
     pub fn streams_at_once(&self) -> usize {
         if rayon::in_part() {
             1

@@ -111,8 +111,8 @@ impl<F: Fp> ReluRelax<F> {
     /// `true` when the relaxation is the zero function on both sides
     /// (stably-negative input): every coefficient substituted through it
     /// becomes an exact-zero interval. Such neurons yield all-zero columns
-    /// after a ReLU substitution step, which is what makes stable-zero
-    /// column compaction sound.
+    /// after a ReLU substitution step, which the interval GEMM of the next
+    /// dense step skips term by term.
     pub fn is_zero(&self) -> bool {
         let z = |v: Itv<F>| v.lo == F::ZERO && v.hi == F::ZERO;
         z(self.alpha) && z(self.beta) && z(self.gamma) && z(self.delta)

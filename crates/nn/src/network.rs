@@ -456,7 +456,7 @@ pub enum Op<'a, F> {
 pub struct Node<'a, F> {
     /// The operation.
     pub op: Op<'a, F>,
-    /// Parent nodes ([] for input, [x] for layers, [a, b] for Add).
+    /// Parent nodes (`[]` for input, `[x]` for layers, `[a, b]` for Add).
     pub parents: Vec<NodeId>,
     /// Output shape of this node.
     pub shape: Shape,

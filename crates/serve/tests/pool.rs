@@ -206,7 +206,7 @@ fn tensor_parallel_pool_is_bit_identical_and_metered_per_device() {
         },
     )
     .unwrap();
-    let direct = engine.verify_batch(
+    let direct = engine.verify_batch_fused(
         &queries
             .iter()
             .map(|(image, label, eps)| Query::new(image.clone(), *label, *eps))
@@ -353,7 +353,7 @@ fn weight_sharded_pool_is_bit_identical_and_metered_per_device() {
         },
     )
     .unwrap();
-    let direct = engine.verify_batch(
+    let direct = engine.verify_batch_fused(
         &queries
             .iter()
             .map(|(image, label, eps)| Query::new(image.clone(), *label, *eps))
@@ -462,7 +462,7 @@ fn hybrid_sharded_pool_walks_and_gathers_on_every_device() {
         },
     )
     .unwrap();
-    let direct = engine.verify_batch(
+    let direct = engine.verify_batch_fused(
         &queries
             .iter()
             .map(|(image, label, eps)| Query::new(image.clone(), *label, *eps))
@@ -690,7 +690,7 @@ fn oversized_model_loads_weight_sharded_and_device_ooms_without() {
         VerifyConfig::default(),
     )
     .unwrap();
-    let direct = engine.verify_batch(&[Query::new(image, 0, 0.002)]);
+    let direct = engine.verify_batch_fused(&[Query::new(image, 0, 0.002)]);
     let direct = direct[0].as_ref().expect("direct verdict");
     assert_eq!(served.verified, direct.verified);
     for (sm, dm) in served.margins.iter().zip(&direct.margins) {

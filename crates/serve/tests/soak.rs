@@ -2,7 +2,7 @@
 //! mixed good/malformed traffic — asserting the three serving guarantees:
 //!
 //! 1. every verdict's margins are **bit-identical** to a direct
-//!    `Engine::verify_batch` on the same network and configuration,
+//!    `Engine::verify_batch_fused` on the same network and configuration,
 //! 2. malformed frames and overload earn **typed error replies** on a
 //!    surviving connection — no panic, no hang, no dropped socket,
 //! 3. device accounting is **flat after drain**: once traffic stops, the
@@ -302,7 +302,7 @@ fn soak_backend<B: Backend + Default>() {
             .iter()
             .map(|(image, label, eps, _)| Query::new(image.clone(), *label, *eps))
             .collect();
-        let direct = engine.verify_batch(&queries);
+        let direct = engine.verify_batch_fused(&queries);
         for ((_, _, _, served), direct) in entries.iter().zip(direct) {
             let direct = direct.expect("direct query succeeds");
             assert_eq!(served.verified, direct.verified);

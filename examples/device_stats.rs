@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example device_stats`
 
-use gpupoly::core::{GpuPoly, VerifyConfig};
+use gpupoly::core::{Engine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::nn::builder::NetworkBuilder;
 use gpupoly::nn::Shape;
@@ -43,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cfg = cfg.memory_capacity(cap);
         }
         let device = Device::new(cfg);
-        let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default())?;
-        let verdict = verifier.verify_robustness(&image, label, 0.01)?;
+        let engine = Engine::new(device.clone(), &net, VerifyConfig::default())?;
+        let verdict = engine.verify_robustness(&image, label, 0.01)?;
         println!("--- device memory: {name} ---");
         println!(
             "verified: {} | chunks: {} (shrinks: {})",

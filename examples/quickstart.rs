@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use gpupoly::core::{GpuPoly, VerifyConfig};
+use gpupoly::core::{Engine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::interval::Itv;
 use gpupoly::nn::builder::NetworkBuilder;
@@ -17,13 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let device = Device::new(DeviceConfig::new().name("sim-v100"));
-    let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default())?;
+    let engine = Engine::new(device.clone(), &net, VerifyConfig::default())?;
 
     // The point (0.4, 0.6) classifies as label 0. Is every image within
     // eps = 0.05 (L-infinity) also classified 0?
     let image = [0.4_f32, 0.6];
     let label = net.classify(&image);
-    let verdict = verifier.verify_robustness(&image, label, 0.05)?;
+    let verdict = engine.verify_robustness(&image, label, 0.05)?;
 
     println!(
         "label = {label}, robust within eps=0.05: {}",
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&x| Itv::new(x - 0.05, x + 0.05).clamp_to(0.0, 1.0))
         .collect();
-    let analysis = verifier.analyze(&input)?;
+    let analysis = engine.analyze(&input)?;
     println!("\nper-node output bounds:");
     for (node, bounds) in analysis.bounds.iter().enumerate() {
         let s: Vec<String> = bounds.iter().map(|b| format!("{b}")).collect();

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|&(img, label)| Query::new(img.clone(), label, eps))
                 .collect();
             let mut v_gp = 0usize;
-            for verdict in engine.verify_batch(&queries) {
+            for verdict in engine.verify_batch_fused(&queries) {
                 v_gp += usize::from(verdict?.verified);
             }
             let (mut v_ibp, mut v_crown) = (0usize, 0usize);

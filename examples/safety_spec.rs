@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example safety_spec`
 
-use gpupoly::core::{GpuPoly, LinearSpec, SpecRow, VerifyConfig};
+use gpupoly::core::{Engine, LinearSpec, SpecRow, VerifyConfig};
 use gpupoly::device::Device;
 use gpupoly::interval::Itv;
 use gpupoly::nn::builder::NetworkBuilder;
@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     ]);
 
-    let verifier = GpuPoly::new(Device::default(), &net, VerifyConfig::default())?;
-    let verdict = verifier.verify_spec(&input, &spec)?;
+    let engine = Engine::new(Device::default(), &net, VerifyConfig::default())?;
+    let verdict = engine.verify_spec(&input, &spec)?;
     for (i, (proven, lb)) in verdict.proven.iter().zip(&verdict.lower_bounds).enumerate() {
         println!(
             "property {i}: {} (certified lower bound {lb:+.4})",

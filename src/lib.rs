@@ -9,7 +9,7 @@
 //! * [`nn`] — the neural-network substrate (layers, residual networks,
 //!   inference, the Table-1 model zoo),
 //! * [`train`] — synthetic datasets and normal / PGD / IBP-robust training,
-//! * [`core`] — the GPUPoly verifier itself (DeepPoly domain, dependence
+//! * [`core`] — the GPUPoly engine itself (DeepPoly domain, dependence
 //!   sets, early termination, chunked backsubstitution),
 //! * [`baselines`] — IBP, CROWN-IBP and sparse CPU DeepPoly,
 //! * [`serve`] — the batch-admission verification daemon (`gpupoly-serve`)
@@ -21,7 +21,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use gpupoly::core::{GpuPoly, VerifyConfig};
+//! use gpupoly::core::{Engine, VerifyConfig};
 //! use gpupoly::device::{Device, DeviceConfig};
 //! use gpupoly::nn::builder::NetworkBuilder;
 //!
@@ -34,9 +34,9 @@
 //!     .unwrap();
 //!
 //! let device = Device::new(DeviceConfig::default());
-//! let verifier = GpuPoly::new(device, &net, VerifyConfig::default()).unwrap();
+//! let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
 //! // Is the network robust around (0.4, 0.6) for label 0 within eps = 0.05?
-//! let verdict = verifier.verify_robustness(&[0.4, 0.6], 0, 0.05).unwrap();
+//! let verdict = engine.verify_robustness(&[0.4, 0.6], 0, 0.05).unwrap();
 //! assert!(verdict.verified);
 //! ```
 //!
@@ -44,8 +44,8 @@
 //!
 //! For many queries against one network, [`core::Engine`] keeps the
 //! network resident on the device (weights packed once), recycles
-//! transient buffers, caches analyses of repeated input boxes, and runs
-//! independent queries in parallel across device workers:
+//! transient buffers, caches analyses of repeated input boxes, and fuses
+//! the backsubstitution rows of a batch's queries into shared launches:
 //!
 //! ```
 //! use gpupoly::core::{Engine, Query, VerifyConfig};
@@ -64,7 +64,7 @@
 //!     Query::new(vec![0.45, 0.55], 0, 0.03),
 //! ];
 //! assert!(engine
-//!     .verify_batch(&queries)
+//!     .verify_batch_fused(&queries)
 //!     .into_iter()
 //!     .all(|v| v.unwrap().verified));
 //! ```

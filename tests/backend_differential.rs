@@ -4,9 +4,9 @@
 //! `gpupoly-device`'s `backend` module) claims that the tiled, parallel,
 //! pooled `CpuSimBackend` and the straight-line, serial, pool-less
 //! `ReferenceBackend` compute **bit-identical** certified margins. This
-//! test enforces that end to end through `Engine::verify_batch` on every
-//! zoo architecture/dataset combination of the paper's Table 1, and checks
-//! the margins against ground truth two ways:
+//! test enforces that end to end through `Engine::verify_batch_fused` on
+//! the zoo architecture/dataset combinations of the paper's Table 1, and
+//! checks the margins against ground truth two ways:
 //!
 //! * **interval containment**: certified margins lower-bound the concrete
 //!   margin of every sampled attack inside the input box;
@@ -21,6 +21,12 @@
 //! layer spec walk still exercises every backsubstitution kernel (GBC,
 //! residual split/merge, dense GEMM) differentially, without the
 //! debug-build cost of refining thousands of untrained unstable ReLUs.
+//!
+//! Every test sweeps two architectures per family ([`Sweep::Tier1`]: the
+//! dense net on both datasets, two conv nets, two deep residual nets) so
+//! that the file fits tier-1's budget; its `_whole_zoo` twin sweeps all
+//! eleven builds and is `#[ignore]`d — the CI leg that runs the ignored
+//! tests of this file picks it up.
 
 use std::collections::HashSet;
 
@@ -71,14 +77,37 @@ fn damp(net: &mut Network<f32>, factor: f32) {
     }
 }
 
-/// The unique (architecture, dataset) pairs of Table 1. Training regimes
-/// reuse the same untrained build, so verifying each build once covers
-/// every zoo network without redundant work.
-fn zoo_builds() -> Vec<(ArchId, Dataset, Network<f32>)> {
+/// How much of the zoo a test sweeps.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Sweep {
+    /// Two architectures per family: the ones in [`TIER1`].
+    Tier1,
+    /// Every unique build of Table 1.
+    Zoo,
+}
+
+/// The tier-1 builds: per family the two that are cheapest unoptimized. What
+/// they leave to the whole-zoo twins is `ConvLarge`, the conv nets on
+/// three-channel input, `ResNetTiny` (the one residual net at a radius that
+/// refines) and the 34-layer walk.
+const TIER1: [(ArchId, Dataset); 6] = [
+    (ArchId::Fc6x500, Dataset::MnistLike),
+    (ArchId::Fc6x500, Dataset::Cifar10Like),
+    (ArchId::ConvBig, Dataset::MnistLike),
+    (ArchId::ConvSuper, Dataset::MnistLike),
+    (ArchId::ResNet18, Dataset::Cifar10Like),
+    (ArchId::SkipNet18, Dataset::Cifar10Like),
+];
+
+/// The unique (architecture, dataset) pairs of Table 1 that `sweep` covers.
+/// Training regimes reuse the same untrained build, so verifying each build
+/// once covers every zoo network without redundant work.
+fn zoo_builds(sweep: Sweep) -> Vec<(ArchId, Dataset, Network<f32>)> {
     let mut seen = HashSet::new();
     zoo::table1_specs()
         .into_iter()
         .filter(|s| seen.insert((s.arch, s.dataset)))
+        .filter(|s| sweep == Sweep::Zoo || TIER1.contains(&(s.arch, s.dataset)))
         .map(|s| {
             let mut net = zoo::build_arch(s.arch, s.dataset, 0.04, 1).expect("arch builds");
             if matches!(
@@ -112,9 +141,8 @@ fn queries(net: &Network<f32>, input_len: usize, eps: f32, n: usize) -> Vec<Quer
         .collect()
 }
 
-#[test]
-fn zoo_margins_bit_identical_across_backends_and_sound() {
-    for (arch, dataset, net) in zoo_builds() {
+fn margins_across_backends(sweep: Sweep) {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{}", arch.name(), dataset.name());
         let eps = family_eps(arch);
         let n_queries = if arch.is_residual() { 1 } else { 2 };
@@ -133,8 +161,8 @@ fn zoo_margins_bit_identical_across_backends_and_sound() {
         )
         .expect("reference engine");
 
-        let got_cpu = cpusim.verify_batch(&qs);
-        let got_ref = reference.verify_batch(&qs);
+        let got_cpu = cpusim.verify_batch_fused(&qs);
+        let got_ref = reference.verify_batch_fused(&qs);
         for (q, (c, r)) in qs.iter().zip(got_cpu.iter().zip(&got_ref)) {
             let c = c.as_ref().expect("cpusim query");
             let r = r.as_ref().expect("reference query");
@@ -181,6 +209,17 @@ fn zoo_margins_bit_identical_across_backends_and_sound() {
     }
 }
 
+#[test]
+fn zoo_margins_bit_identical_across_backends_and_sound() {
+    margins_across_backends(Sweep::Tier1);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_margins_bit_identical_across_backends_and_sound_whole_zoo() {
+    margins_across_backends(Sweep::Zoo);
+}
+
 /// Cross-query fusion over the zoo: for every Table-1 build and both
 /// backends, `verify_batch_fused` must return margins **bit-identical** to
 /// the sequential per-query path, while issuing strictly fewer device
@@ -188,9 +227,8 @@ fn zoo_margins_bit_identical_across_backends_and_sound() {
 /// fused walk shares each step's launch across all K queries; early
 /// termination lets some queries stop sooner, so the bound asserted is
 /// fused ≤ seq/2 for K ≥ 2).
-#[test]
-fn zoo_fused_margins_bit_identical_and_launches_collapse() {
-    for (arch, dataset, net) in zoo_builds() {
+fn fused_margins_and_launches(sweep: Sweep) {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{}", arch.name(), dataset.name());
         let eps = family_eps(arch);
         let k = if arch.is_residual() { 2 } else { 3 };
@@ -234,6 +272,17 @@ fn zoo_fused_margins_bit_identical_and_launches_collapse() {
     }
 }
 
+#[test]
+fn zoo_fused_margins_bit_identical_and_launches_collapse() {
+    fused_margins_and_launches(Sweep::Tier1);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_fused_margins_bit_identical_and_launches_collapse_whole_zoo() {
+    fused_margins_and_launches(Sweep::Zoo);
+}
+
 /// Tensor-parallel row sharding over the zoo: for every Table-1 build,
 /// The pool plans that differ from a plain engine, by the names the serving
 /// flags give them.
@@ -260,14 +309,21 @@ const HYBRID: Plan = Plan {
 /// however the pool is cut — while every walker's rows, the per-device
 /// resident split and the gathered `comms` bytes must show up in the
 /// meters.
-fn zoo_plan_row(plan: Plan, pool_sizes: &[usize]) {
-    zoo_plan_case("cpusim", &|cfg| Device::new(cfg), plan, pool_sizes);
-    zoo_plan_case("reference", &|cfg| Device::reference(cfg), plan, pool_sizes);
+fn zoo_plan_row(sweep: Sweep, plan: Plan, pool_sizes: &[usize]) {
+    zoo_plan_case("cpusim", &|cfg| Device::new(cfg), sweep, plan, pool_sizes);
+    zoo_plan_case(
+        "reference",
+        &|cfg| Device::reference(cfg),
+        sweep,
+        plan,
+        pool_sizes,
+    );
 }
 
 fn zoo_plan_case<B: gpupoly::device::Backend>(
     tag: &str,
     make: &dyn Fn(DeviceConfig) -> Device<B>,
+    sweep: Sweep,
     plan: Plan,
     pool_sizes: &[usize],
 ) {
@@ -277,7 +333,7 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
     // point), but a zoo-wide sweep at N > 1 must gather *somewhere* or the
     // comms meter is broken.
     let mut total_comms: u64 = 0;
-    for (arch, dataset, net) in zoo_builds() {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{} ({tag}, {plan:?})", arch.name(), dataset.name());
         let eps = family_eps(arch);
         let mut qs = queries(&net, dataset.input_shape().len(), eps, 2);
@@ -368,29 +424,47 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
 // Tier-1 runs the column where a pool first differs from an engine: two
 // devices. One device under any plan is one lane of the same driver the
 // reference run uses (`engine_sharded.rs::pool_of_one_is_the_engine` pins
-// it); that column and the 4-device one wait for the CI leg that runs
-// `--include-ignored`.
+// it); that column and the 4-device one wait, like the whole zoo at two
+// devices, for the CI leg that runs this file's ignored tests.
 
 #[test]
 fn zoo_sharded_margins_bit_identical_across_device_counts() {
-    zoo_plan_row(ROWS, &[2]);
+    zoo_plan_row(Sweep::Tier1, ROWS, &[2]);
 }
 
 #[test]
 fn zoo_weight_sharded_margins_bit_identical_across_device_counts() {
-    zoo_plan_row(WEIGHTS, &[2]);
+    zoo_plan_row(Sweep::Tier1, WEIGHTS, &[2]);
 }
 
 #[test]
 fn zoo_hybrid_sharded_margins_bit_identical_across_device_counts() {
-    zoo_plan_row(HYBRID, &[2]);
+    zoo_plan_row(Sweep::Tier1, HYBRID, &[2]);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_sharded_margins_bit_identical_across_device_counts_whole_zoo() {
+    zoo_plan_row(Sweep::Zoo, ROWS, &[2]);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_weight_sharded_margins_bit_identical_across_device_counts_whole_zoo() {
+    zoo_plan_row(Sweep::Zoo, WEIGHTS, &[2]);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_hybrid_sharded_margins_bit_identical_across_device_counts_whole_zoo() {
+    zoo_plan_row(Sweep::Zoo, HYBRID, &[2]);
 }
 
 #[test]
 #[ignore = "1- and 4-device pools over the whole zoo: minutes in a debug build"]
 fn zoo_plans_bit_identical_at_one_and_four_devices() {
     for plan in [ROWS, WEIGHTS, HYBRID] {
-        zoo_plan_row(plan, &[1, 4]);
+        zoo_plan_row(Sweep::Zoo, plan, &[1, 4]);
     }
 }
 
@@ -458,10 +532,9 @@ fn count_fused<B: gpupoly::device::Backend>(
 /// would have caught (escalation is monotone), and across the whole zoo
 /// the `f32` fast pass must resolve at least one query outright (the tier
 /// actually earns its keep on realistic workloads).
-#[test]
-fn zoo_tiered_verdicts_agree_with_all_f64() {
+fn tiered_vs_all_f64(sweep: Sweep) {
     let mut fast_resolved_total = 0u64;
-    for (arch, dataset, net) in zoo_builds() {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{}", arch.name(), dataset.name());
         let eps = family_eps(arch);
         let n_queries = if arch.is_residual() { 1 } else { 2 };
@@ -501,6 +574,17 @@ fn zoo_tiered_verdicts_agree_with_all_f64() {
         fast_resolved_total > 0,
         "the f32 fast pass resolved nothing across the whole zoo"
     );
+}
+
+#[test]
+fn zoo_tiered_verdicts_agree_with_all_f64() {
+    tiered_vs_all_f64(Sweep::Tier1);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_tiered_verdicts_agree_with_all_f64_whole_zoo() {
+    tiered_vs_all_f64(Sweep::Zoo);
 }
 
 /// Runs one tiered-vs-all-`f64` comparison and returns how many queries
@@ -554,13 +638,12 @@ fn check_tiered_parity<B: gpupoly::device::Backend>(
 /// * across the whole zoo, at least one base-`Unknown` query is converted
 ///   (here a wrong-label query, whose center is a real misclassification
 ///   the refinement must surface as a verified counterexample).
-#[test]
-fn zoo_complete_verdicts_identical_across_backends_and_convert() {
+fn complete_verdicts(sweep: Sweep) {
     use gpupoly::core::{CompleteVerdict, RefineBudget};
     use gpupoly::interval::Itv;
 
     let mut converted_total = 0u64;
-    for (arch, dataset, net) in zoo_builds() {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{}", arch.name(), dataset.name());
         let eps = family_eps(arch);
         // Debug-build budget: the residual walks pay 18–34 layers per leaf
@@ -592,7 +675,7 @@ fn zoo_complete_verdicts_identical_across_backends_and_convert() {
         )
         .expect("reference engine");
 
-        let plain = cpusim.verify_batch(&qs);
+        let plain = cpusim.verify_batch_fused(&qs);
         let got_cpu = cpusim.verify_complete_batch(&qs, &budget);
         let got_ref = reference.verify_complete_batch(&qs, &budget);
         for (qi, (q, (c, r))) in qs.iter().zip(got_cpu.iter().zip(&got_ref)).enumerate() {
@@ -669,7 +752,17 @@ fn zoo_complete_verdicts_identical_across_backends_and_convert() {
 }
 
 #[test]
-fn zoo_margins_match_cpu_deeppoly_baseline() {
+fn zoo_complete_verdicts_identical_across_backends_and_convert() {
+    complete_verdicts(Sweep::Tier1);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_complete_verdicts_identical_across_backends_and_convert_whole_zoo() {
+    complete_verdicts(Sweep::Zoo);
+}
+
+fn cpu_deeppoly_baseline(sweep: Sweep) {
     // Partial order against the sparse CPU DeepPoly baseline on the MNIST
     // non-residual families. Both compute the same relaxation, but the
     // baseline rounds outward after every multiply and every add while the
@@ -687,7 +780,7 @@ fn zoo_margins_match_cpu_deeppoly_baseline() {
         early_termination: false,
         ..Default::default()
     };
-    for (arch, dataset, net) in zoo_builds() {
+    for (arch, dataset, net) in zoo_builds(sweep) {
         if arch.is_residual() || dataset != Dataset::MnistLike || arch == ArchId::ConvLarge {
             continue;
         }
@@ -740,4 +833,15 @@ fn zoo_margins_match_cpu_deeppoly_baseline() {
             );
         }
     }
+}
+
+#[test]
+fn zoo_margins_match_cpu_deeppoly_baseline() {
+    cpu_deeppoly_baseline(Sweep::Tier1);
+}
+
+#[test]
+#[ignore = "the whole zoo: minutes in a debug build"]
+fn zoo_margins_match_cpu_deeppoly_baseline_whole_zoo() {
+    cpu_deeppoly_baseline(Sweep::Zoo);
 }

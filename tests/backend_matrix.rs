@@ -7,7 +7,7 @@
 //! so this test also pins that the public engine API stays fully
 //! backend-generic.
 
-use gpupoly::core::{Engine, GpuPoly, Query, VerifyConfig};
+use gpupoly::core::{Engine, Query, VerifyConfig};
 use gpupoly::device::{Backend, Device, DeviceConfig};
 use gpupoly::nn::builder::NetworkBuilder;
 use gpupoly::nn::Network;
@@ -35,7 +35,7 @@ fn verify_end_to_end<B: Backend>(device: Device<B>) {
     let queries: Vec<Query<f32>> = (0..4)
         .map(|q| Query::new(image.clone(), label, 0.005 + 0.005 * q as f32))
         .collect();
-    let verdicts = engine.verify_batch(&queries);
+    let verdicts = engine.verify_batch_fused(&queries);
     for (q, v) in queries.iter().zip(verdicts) {
         let v = v.expect("query succeeds");
         // Soundness at the box center: the certified margin lower-bounds
@@ -53,15 +53,15 @@ fn verify_end_to_end<B: Backend>(device: Device<B>) {
         }
     }
 
-    // Compatibility wrapper path on the same device.
-    let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default()).expect("verifier");
-    let v = verifier
+    // The single-query path, on a second engine sharing the device.
+    let second = Engine::new(device.clone(), &net, VerifyConfig::default()).expect("engine");
+    let v = second
         .verify_robustness(&image, label, 0.005)
         .expect("query succeeds");
     assert_eq!(v.margins.len(), 3);
 
     drop(engine);
-    drop(verifier);
+    drop(second);
     assert_eq!(
         device.memory_in_use(),
         0,

@@ -3,7 +3,7 @@
 //! unconstrained run, never exceeds the cap, and fails cleanly when even a
 //! single row cannot fit.
 
-use gpupoly::core::{GpuPoly, VerifyConfig, VerifyError};
+use gpupoly::core::{Engine, VerifyConfig, VerifyError};
 use gpupoly::device::{Device, DeviceConfig, DeviceError};
 use gpupoly::nn::builder::NetworkBuilder;
 use gpupoly::nn::{Network, Shape};
@@ -46,14 +46,14 @@ fn constrained_device_matches_unconstrained_results() {
     let eps = 0.02f32;
 
     let free = Device::new(DeviceConfig::new().workers(2));
-    let big = GpuPoly::new(free.clone(), &net, VerifyConfig::default())
+    let big = Engine::new(free.clone(), &net, VerifyConfig::default())
         .unwrap()
         .verify_robustness(&image, label, eps)
         .unwrap();
 
     for cap in [96 * 1024usize, 192 * 1024] {
         let tight = Device::new(DeviceConfig::new().workers(2).memory_capacity(cap));
-        let small = GpuPoly::new(tight.clone(), &net, VerifyConfig::default())
+        let small = Engine::new(tight.clone(), &net, VerifyConfig::default())
             .unwrap()
             .verify_robustness(&image, label, eps)
             .unwrap();
@@ -82,7 +82,7 @@ fn manual_chunk_sizes_agree() {
     let device = Device::new(DeviceConfig::new().workers(2));
     let mut reference = None;
     for chunk in [usize::MAX, 64, 7, 1] {
-        let verdict = GpuPoly::new(
+        let verdict = Engine::new(
             device.clone(),
             &net,
             VerifyConfig {
@@ -115,8 +115,8 @@ fn hopeless_capacity_fails_with_oom() {
     let label = net.classify(&image);
     // 2 KiB cannot hold even a single backsubstitution row here.
     let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(2 * 1024));
-    let verifier = GpuPoly::new(device, &net, VerifyConfig::default()).unwrap();
-    match verifier.verify_robustness(&image, label, 0.02) {
+    let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
+    match engine.verify_robustness(&image, label, 0.02) {
         Err(VerifyError::Device(DeviceError::OutOfMemory { capacity, .. })) => {
             assert_eq!(capacity, 2 * 1024);
         }
@@ -130,13 +130,19 @@ fn memory_is_released_between_queries() {
     let image = vec![0.5f32; 64];
     let label = net.classify(&image);
     let device = Device::new(DeviceConfig::new().workers(2));
-    let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default()).unwrap();
-    for _ in 0..3 {
-        let _ = verifier.verify_robustness(&image, label, 0.02).unwrap();
+    let engine = Engine::new(device.clone(), &net, VerifyConfig::default()).unwrap();
+    let resident = engine.prepared().resident_bytes();
+    // A fresh box each time, so that none is served from the cache.
+    for eps in [0.02, 0.021, 0.022] {
+        let _ = engine.verify_robustness(&image, label, eps).unwrap();
+        // Between queries the device holds the weights and what the buffer
+        // pool keeps for the next one; nothing a query allocated is live.
         assert_eq!(
             device.memory_in_use(),
-            0,
+            resident + device.buffer_pool_bytes(),
             "verification leaked device memory"
         );
     }
+    drop(engine);
+    assert_eq!(device.memory_in_use(), 0, "the engine leaked device memory");
 }

@@ -5,7 +5,7 @@
 //! * the ladder IBP ≤ CROWN-IBP ≤ GPUPoly holds — Tables 2 and 4.
 
 use gpupoly::baselines::{ibp, CrownIbp, DeepPolyCpu};
-use gpupoly::core::{GpuPoly, VerifyConfig};
+use gpupoly::core::{Engine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::nn::builder::NetworkBuilder;
 use gpupoly::nn::{Network, Shape};
@@ -39,7 +39,7 @@ fn gpupoly_matches_cpu_deeppoly_verdicts_and_margins() {
         let label = net.classify(&image);
         for eps in [0.01f32, 0.03] {
             // Full-backsubstitution GPUPoly = DeepPoly's schedule.
-            let gp = GpuPoly::new(
+            let gp = Engine::new(
                 device.clone(),
                 &net,
                 VerifyConfig {
@@ -77,11 +77,11 @@ fn early_termination_never_changes_the_verdict() {
         let image: Vec<f32> = (0..25).map(|_| rng.random_range(0.2..0.8)).collect();
         let label = net.classify(&image);
         for eps in [0.005f32, 0.02, 0.05] {
-            let on = GpuPoly::new(device.clone(), &net, VerifyConfig::default())
+            let on = Engine::new(device.clone(), &net, VerifyConfig::default())
                 .unwrap()
                 .verify_robustness(&image, label, eps)
                 .unwrap();
-            let off = GpuPoly::new(
+            let off = Engine::new(
                 device.clone(),
                 &net,
                 VerifyConfig {
@@ -114,7 +114,7 @@ fn precision_ladder_ibp_crown_gpupoly() {
             let vc = CrownIbp::new(&net)
                 .verify_robustness(&image, label, eps)
                 .verified;
-            let vg = GpuPoly::new(device.clone(), &net, VerifyConfig::default())
+            let vg = Engine::new(device.clone(), &net, VerifyConfig::default())
                 .unwrap()
                 .verify_robustness(&image, label, eps)
                 .unwrap()
@@ -143,11 +143,11 @@ fn inference_error_widening_costs_little_precision() {
     let net = mixed_net(&mut rng);
     let image: Vec<f32> = (0..25).map(|_| rng.random_range(0.2..0.8)).collect();
     let label = net.classify(&image);
-    let with = GpuPoly::new(device.clone(), &net, VerifyConfig::default())
+    let with = Engine::new(device.clone(), &net, VerifyConfig::default())
         .unwrap()
         .verify_robustness(&image, label, 0.02)
         .unwrap();
-    let without = GpuPoly::new(
+    let without = Engine::new(
         device,
         &net,
         VerifyConfig {

@@ -2,7 +2,7 @@
 //! networks, the verifier's certificates must hold against concrete
 //! executions and gradient-based attacks.
 
-use gpupoly::core::{GpuPoly, VerifyConfig};
+use gpupoly::core::{Engine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::interval::Itv;
 use gpupoly::nn::builder::NetworkBuilder;
@@ -77,7 +77,7 @@ fn random_residual_net(rng: &mut StdRng) -> Network<f32> {
 
 fn assert_bounds_contain_samples(net: &Network<f32>, image: &[f32], eps: f32, samples: usize) {
     let device = Device::new(DeviceConfig::new().workers(2));
-    let verifier = GpuPoly::new(device, net, VerifyConfig::default()).expect("verifier");
+    let verifier = Engine::new(device, net, VerifyConfig::default()).expect("verifier");
     let input: Vec<Itv<f32>> = image
         .iter()
         .map(|&x| Itv::new((x - eps).max(0.0), (x + eps).min(1.0)))
@@ -142,7 +142,7 @@ fn verified_instances_resist_pgd_attacks() {
         let image: Vec<f32> = (0..6).map(|_| rng.random_range(0.2..0.8)).collect();
         let label = net.classify(&image);
         let eps = 0.04;
-        let verifier = GpuPoly::new(device.clone(), &net, VerifyConfig::default()).unwrap();
+        let verifier = Engine::new(device.clone(), &net, VerifyConfig::default()).unwrap();
         let verdict = verifier.verify_robustness(&image, label, eps).unwrap();
         if !verdict.verified {
             continue;
@@ -186,7 +186,7 @@ fn f64_verifier_works_and_is_sound() {
         .build()
         .unwrap();
     let device = Device::new(DeviceConfig::new().workers(2));
-    let verifier = GpuPoly::new(device, &net64, VerifyConfig::default()).unwrap();
+    let verifier = Engine::new(device, &net64, VerifyConfig::default()).unwrap();
     let verdict = verifier.verify_robustness(&[0.4, 0.6], 0, 0.05).unwrap();
     assert!(verdict.verified);
     let y = net64.infer(&[0.43, 0.58]);

@@ -4,7 +4,7 @@
 //! rests on (robust training ⇒ stable ReLUs ⇒ early termination ⇒ fast,
 //! certifiable verification).
 
-use gpupoly::core::{GpuPoly, VerifyConfig};
+use gpupoly::core::{Engine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::nn::zoo::{self, ArchId, Dataset, TrainingRegime};
 use gpupoly::train::{data, trainer};
@@ -52,7 +52,7 @@ fn robust_training_enables_early_termination_and_verification() {
     let device = Device::new(DeviceConfig::new().workers(2));
 
     let run = |net: &gpupoly::nn::Network<f32>| {
-        let verifier = GpuPoly::new(device.clone(), net, VerifyConfig::default()).unwrap();
+        let verifier = Engine::new(device.clone(), net, VerifyConfig::default()).unwrap();
         let mut skipped = 0usize;
         let mut refined = 0usize;
         let mut verified = 0usize;
@@ -98,7 +98,7 @@ fn residual_zoo_network_verifies_end_to_end() {
         0.05,
     );
     let device = Device::new(DeviceConfig::new().workers(2));
-    let verifier = GpuPoly::new(device, &net, VerifyConfig::default()).unwrap();
+    let verifier = Engine::new(device, &net, VerifyConfig::default()).unwrap();
     let mut ran = 0;
     for (img, &label) in test.images.iter().zip(&test.labels).take(4) {
         let predicted = net.classify(img);
