@@ -46,6 +46,7 @@ pub fn step_dense<F: Fp, B: Backend>(
         &dense.bias,
         parent,
         parent_shape,
+        None,
     )
 }
 
@@ -54,13 +55,22 @@ pub fn step_dense<F: Fp, B: Backend>(
 /// [`crate::PreparedGraph`] so no host weight slice is touched per query.
 /// `weight`/`bias` must hold the same values and layout as `dense`'s own.
 ///
+/// `live_per_seg`, when the layer's input is a ReLU layer, lists per query
+/// segment the input neurons that are not stably off
+/// ([`ReluRelax::live`], from the bounds the ReLU step will relax): the
+/// product is computed over those columns only and every other column is an
+/// exact zero ([`gemm::gemm_itv_f_live`]) — what the ReLU step would make
+/// of it anyway. `None` computes every column.
+///
 /// # Errors
 ///
 /// Device out-of-memory.
 ///
 /// # Panics
 ///
-/// Panics when the batch frontier does not match the layer's output.
+/// Panics when the batch frontier does not match the layer's output, or a
+/// segment has no live list.
+#[allow(clippy::too_many_arguments)]
 pub fn step_dense_with<F: Fp, B: Backend>(
     device: &Device<B>,
     batch: ExprBatch<F, B>,
@@ -69,6 +79,7 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     bias: &[F],
     parent: NodeId,
     parent_shape: Shape,
+    live_per_seg: Option<&[&[u32]]>,
 ) -> Result<ExprBatch<F, B>, VerifyError> {
     let batch = batch.densify(device)?;
     assert_eq!(
@@ -110,24 +121,23 @@ pub fn step_dense_with<F: Fp, B: Backend>(
             src_cst_hi,
             out_cst_hi,
         );
-        gemm::gemm_itv_f(
-            device,
-            src_lo,
-            weight,
-            out_lo,
-            rows,
-            dense.out_len,
-            dense.in_len,
-        );
-        gemm::gemm_itv_f(
-            device,
-            src_hi,
-            weight,
-            out_hi,
-            rows,
-            dense.out_len,
-            dense.in_len,
-        );
+        let (k, n) = (dense.out_len, dense.in_len);
+        for (src, dst) in [(src_lo, out_lo), (src_hi, out_hi)] {
+            match live_per_seg {
+                Some(live) => gemm::gemm_itv_f_live(
+                    device,
+                    src,
+                    weight,
+                    dst,
+                    rows,
+                    k,
+                    n,
+                    batch.segments(),
+                    live,
+                ),
+                None => gemm::gemm_itv_f(device, src, weight, dst, rows, k, n),
+            }
+        }
     }
     Ok(out)
 }
@@ -521,6 +531,108 @@ mod tests {
         for (c, want) in cand.iter().zip(&y) {
             assert!(c.contains(*want), "{c} misses {want}");
             assert!(c.width() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn live_columns_give_what_the_relu_step_makes_of_every_column() {
+        let device = dev();
+        let (inf, sub) = (f32::INFINITY, f32::from_bits(1));
+        // ReLU input bounds at the edges of the dead-neuron rule.
+        let in_bounds = [
+            Itv::new(-1.0_f32, -0.0),
+            Itv::new(-1.0, 0.0),
+            Itv::new(0.0, 0.0),
+            Itv::new(-inf, -inf),
+            Itv::new(-inf, 1.0),
+            Itv::new(-1.0, sub),
+            Itv::new(-2.0, 3.0),
+            Itv::new(0.5, 1.0),
+        ];
+        let n = in_bounds.len();
+        let relu = |b: &Itv<f32>| Itv::new(b.lo.max(0.0), b.hi.max(0.0));
+        let out_bounds: Vec<Itv<f32>> = in_bounds.iter().map(relu).collect();
+        let relax = ReluRelax::layer(&in_bounds);
+        let live = ReluRelax::live(&in_bounds);
+        assert_eq!(live, [2, 4, 5, 6, 7]);
+        let w: Vec<f32> = (0..3 * n)
+            .map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.25)
+            .collect();
+        let layer = Dense::new(3, n, w, vec![0.5, -0.25, 0.125]).unwrap();
+        let zero = |v: Itv<f32>| v.lo == 0.0 && v.hi == 0.0;
+        // Rows of point coefficients, and rows whose coefficients straddle
+        // zero: those make straddling columns, hull terms of the ReLU step.
+        for straddle in [false, true] {
+            let run = |live: Option<&[&[u32]]>| {
+                let mut batch = ExprBatch::<f32, _>::zeroed(
+                    &device,
+                    2,
+                    Shape::flat(3),
+                    (1, 1),
+                    vec![(0, 0); 3],
+                )
+                .unwrap();
+                for r in 0..3 {
+                    for c in 0..3 {
+                        let x = (r * 3 + c) as f32 * 0.3 - 1.0;
+                        let v = if straddle {
+                            Itv::new(x - 0.5, x + 0.5)
+                        } else {
+                            Itv::point(x)
+                        };
+                        batch.set_coeff(r, c, v);
+                    }
+                }
+                let flat = Shape::flat(n);
+                let b = step_dense_with(
+                    &device,
+                    batch,
+                    &layer,
+                    &layer.weight,
+                    &layer.bias,
+                    1,
+                    flat,
+                    live,
+                )
+                .unwrap();
+                step_relu(&device, b, &relax, &out_bounds, 0)
+            };
+            let full = run(None);
+            let skipped = run(Some(&[&live]));
+            let (full, skipped) = (full.planes(), skipped.planes());
+            // The coefficients are the same, but for the sign of an exact
+            // zero: the ReLU step writes `a.hi · 0` over a dead neuron, the
+            // live product `+0`.
+            for (f, s) in full
+                .0
+                .iter()
+                .chain(full.1)
+                .zip(skipped.0.iter().chain(skipped.1))
+            {
+                assert!(
+                    (zero(*f) && zero(*s))
+                        || (f.lo.to_bits(), f.hi.to_bits()) == (s.lo.to_bits(), s.hi.to_bits()),
+                    "straddle {straddle}: {f} vs {s}"
+                );
+            }
+            // Constants: bit for bit without hull terms; with them, a dead
+            // column's hull term was one more addition of the error bound,
+            // so the constant is the same or inside.
+            for (f, s) in full
+                .2
+                .iter()
+                .chain(full.3)
+                .zip(skipped.2.iter().chain(skipped.3))
+            {
+                if straddle {
+                    assert!(f.lo <= s.lo && s.hi <= f.hi, "{s} is not inside {f}");
+                } else {
+                    assert_eq!(
+                        (f.lo.to_bits(), f.hi.to_bits()),
+                        (s.lo.to_bits(), s.hi.to_bits())
+                    );
+                }
+            }
         }
     }
 

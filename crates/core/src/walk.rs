@@ -64,6 +64,27 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
             .collect()
     }
 
+    /// `make` of each *distinct* analysis among the segments, and per
+    /// segment the index of its own. Segments sharing one analysis
+    /// (duplicate input boxes in a fused batch resolve to the same cached
+    /// `Analysis`) share one result instead of recomputing identical ones;
+    /// sharing is by identity.
+    fn per_analysis<T>(&self, make: impl Fn(&Analysis<F>) -> T) -> (Vec<T>, Vec<usize>) {
+        let mut owners: Vec<usize> = Vec::new();
+        let mut of: Vec<usize> = Vec::with_capacity(self.segs.len());
+        for s in 0..self.segs.len() {
+            let at = owners
+                .iter()
+                .position(|&o| std::ptr::eq(self.segs[o], self.segs[s]))
+                .unwrap_or_else(|| {
+                    owners.push(s);
+                    owners.len() - 1
+                });
+            of.push(at);
+        }
+        (owners.iter().map(|&s| make(self.segs[s])).collect(), of)
+    }
+
     /// Runs the batch to the input node, returning per-row best bounds.
     pub fn run(
         &self,
@@ -147,6 +168,16 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
         match op {
             Op::Dense(d) => {
                 let p = self.graph.nodes[node].parents[0];
+                // Into a ReLU layer, each query's product skips the columns
+                // over its stably-off neurons: the ReLU step, next, would
+                // zero them, by the relaxation table made from these bounds.
+                let live = matches!(self.graph.nodes[p].op, Op::Relu).then(|| {
+                    let q = self.graph.nodes[p].parents[0];
+                    self.per_analysis(|a| ReluRelax::live(&a.bounds[q]))
+                });
+                let live_refs: Option<Vec<&[u32]>> = live
+                    .as_ref()
+                    .map(|(lists, of)| of.iter().map(|&l| lists[l].as_slice()).collect());
                 let packed = self.prepared.weights(node)?;
                 let (weight, bias) = packed.slices();
                 step_dense_with(
@@ -157,6 +188,7 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                     bias,
                     p,
                     self.graph.nodes[p].shape,
+                    live_refs.as_deref(),
                 )
             }
             Op::Conv(c) => {
@@ -167,30 +199,10 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
             }
             Op::Relu => {
                 let p = self.graph.nodes[node].parents[0];
-                // One relaxation table per *distinct* bounds set: each
-                // query's analysis bounds the ReLU inputs differently, so
-                // the fused step selects coefficients per segment — but
-                // segments sharing one analysis (duplicate input boxes in
-                // a fused batch) share one table instead of recomputing
-                // identical ones. Sharing is by slice identity: duplicate
-                // boxes resolve to the same cached `Analysis`.
-                let n = self.segs.len();
-                let mut owners: Vec<usize> = Vec::new();
-                let mut table_of: Vec<usize> = Vec::with_capacity(n);
-                for s in 0..n {
-                    let at = owners
-                        .iter()
-                        .position(|&o| std::ptr::eq(self.segs[o], self.segs[s]))
-                        .unwrap_or_else(|| {
-                            owners.push(s);
-                            owners.len() - 1
-                        });
-                    table_of.push(at);
-                }
-                let tables: Vec<Vec<ReluRelax<F>>> = owners
-                    .iter()
-                    .map(|&s| ReluRelax::layer(&self.segs[s].bounds[p]))
-                    .collect();
+                // One relaxation table per distinct analysis: each query's
+                // bounds the ReLU inputs differently, so the fused step
+                // selects coefficients per segment.
+                let (tables, table_of) = self.per_analysis(|a| ReluRelax::layer(&a.bounds[p]));
                 let relax_refs: Vec<&[ReluRelax<F>]> =
                     table_of.iter().map(|&t| tables[t].as_slice()).collect();
                 Ok(step_relu_per_seg(
@@ -250,6 +262,7 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::steps::{step_dense, step_relu};
     use gpupoly_device::DeviceConfig;
     use gpupoly_nn::builder::NetworkBuilder;
     use gpupoly_nn::Network;
@@ -324,6 +337,68 @@ mod tests {
         // z0 = 2x0 + x1 + 1 in [1, 4]; z1 = 2x0 - x1 + 1.5 in [0.5, 3.5]
         assert!((out.best[0].lo - 1.0).abs() < 1e-4 && (out.best[0].hi - 4.0).abs() < 1e-4);
         assert!((out.best[1].lo - 0.5).abs() < 1e-4 && (out.best[1].hi - 3.5).abs() < 1e-4);
+    }
+
+    #[test]
+    fn a_dense_step_into_a_relu_skips_exactly_what_the_relu_step_zeroes() {
+        let device = dev();
+        // Hidden neuron 0 is exactly zero on the box (bounds [0, 0]: the
+        // identity relaxation, live), 1 is stably off, 2 stably on, 3
+        // unstable.
+        let net = NetworkBuilder::new_flat(3)
+            .dense(
+                &[
+                    [0.0_f32, 0.0, 0.0],
+                    [1.0, 0.5, -0.5],
+                    [1.0, 0.5, -0.5],
+                    [1.0, -1.0, 0.5],
+                ],
+                &[0.0, -10.0, 10.0, -0.25],
+            )
+            .relu()
+            .dense(
+                &[[1.0_f32, -2.0, 0.5, 1.5], [-1.0, 3.0, 0.25, -0.5]],
+                &[0.1, -0.1],
+            )
+            .build()
+            .unwrap();
+        let graph = net.graph();
+        let mut bounds = graph.eval_itv(&[Itv::new(0.0_f32, 1.0); 3]);
+        // The forward pass pads its bounds; neuron 0 is exactly zero.
+        (bounds[1][0], bounds[2][0]) = (Itv::zero(), Itv::zero());
+        let b = &bounds[1];
+        assert!(b[1].hi < 0.0 && b[2].lo > 0.0, "{b:?}");
+        assert!(b[3].straddles_zero());
+        assert_eq!(ReluRelax::live(b), [0, 2, 3]);
+        let analysis = Analysis::seeded(bounds.clone());
+        let prepared = PreparedGraph::new(&device, &graph).unwrap();
+        let walker = Walker {
+            device: &device,
+            graph: &graph,
+            prepared: &prepared,
+            segs: vec![&analysis],
+        };
+        let start = || ExprBatch::identity(&device, 3, graph.nodes[3].shape, &[0, 1]).unwrap();
+        // Through the walker: the live product, then the ReLU step.
+        let walked = walker.step_through(start()).unwrap();
+        let walked = walker.step_through(walked).unwrap();
+        // By hand: every column, then the ReLU step.
+        let Op::Dense(d) = graph.nodes[3].op else {
+            unreachable!("node 3 is the output layer")
+        };
+        let full = step_dense(&device, start(), d, 2, graph.nodes[2].shape).unwrap();
+        let full = step_relu(&device, full, &ReluRelax::layer(b), &bounds[2], 1);
+        let ((wl, wh, wcl, wch), (fl, fh, fcl, fch)) = (walked.planes(), full.planes());
+        let zero = |v: &Itv<f32>| v.lo == 0.0 && v.hi == 0.0;
+        let bits = |v: &Itv<f32>| (v.lo.to_bits(), v.hi.to_bits());
+        for (w, f) in wl.iter().chain(wh).zip(fl.iter().chain(fh)) {
+            assert!((zero(w) && zero(f)) || bits(w) == bits(f), "{w} vs {f}");
+        }
+        for (w, f) in wcl.iter().chain(wch).zip(fcl.iter().chain(fch)) {
+            assert_eq!(bits(w), bits(f), "{w} vs {f}");
+        }
+        // The neuron that is exactly zero keeps its coefficient.
+        assert!(!zero(&wl[0]) && zero(&wl[1]));
     }
 
     #[test]

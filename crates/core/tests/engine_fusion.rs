@@ -3,8 +3,11 @@
 //! fallback behavior, cache accounting, ε-monotone reuse and the measured
 //! cost EWMA.
 
-use gpupoly_core::{query_cost_hint, Engine, EngineOptions, Query, VerifyConfig, VerifyError};
+use gpupoly_core::{
+    query_cost_hint, Engine, EngineOptions, Query, ReluRelax, VerifyConfig, VerifyError,
+};
 use gpupoly_device::{Backend, Device, DeviceConfig, SHELF_LIVE_MULTIPLE};
+use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::zoo::{build_arch, ArchId, Dataset};
 use gpupoly_nn::{Network, Shape};
@@ -687,4 +690,94 @@ fn fused_chunk_shrinks_attribute_to_the_failing_chunk_only() {
         "no capacity in the scan window produced a q1-only shrink; \
          widen the window"
     );
+}
+
+/// Two hidden layers of 72, where pixel 0 decides how much of the first is
+/// stably off: its weight into every first-layer neuron is -4 against small
+/// weights elsewhere and a bias near 1, so at pixel 0 = 1 the whole layer is
+/// dead and at pixel 0 = 0 none of it is.
+fn dead_set_net() -> Network<f32> {
+    let mix = |i: usize| ((i * 2654435761) % 2001) as f32 / 1000.0 - 1.0;
+    NetworkBuilder::new_flat(8)
+        .flatten_dense(
+            72,
+            move |i| if i % 8 == 0 { -4.0 } else { mix(i) * 0.2 },
+            move |i| 1.0 + mix(i + 999) * 0.25,
+        )
+        .relu()
+        .flatten_dense(72, move |i| mix(i + 77) * 0.3, move |i| mix(i + 55) * 0.2)
+        .relu()
+        .flatten_dense(3, move |i| mix(i + 5) * 0.5, |_| 0.0)
+        .build()
+        .expect("net builds")
+}
+
+#[test]
+fn fused_queries_with_different_dead_sets_get_the_bits_they_get_alone() {
+    let net = dead_set_net();
+    let image = |x0: f32| -> Vec<f32> {
+        (0..8)
+            .map(|i| if i == 0 { x0 } else { 0.3 + 0.05 * i as f32 })
+            .collect()
+    };
+    // A whole first layer dead; none of it dead, much of it unstable; a mix.
+    let qs = vec![
+        Query::new(image(1.0), 0, 0.01),
+        Query::new(image(0.0), 1, 0.3),
+        Query::new(image(0.25), 2, 0.05),
+        Query::new(image(0.3), 0, 0.02),
+    ];
+    let dead_share = |engine: &Engine<'_, f32, gpupoly_device::CpuSimBackend>, q: &Query<f32>| {
+        let boxed: Vec<Itv<f32>> = q
+            .image
+            .iter()
+            .map(|&x| Itv::new((x - q.eps).max(0.0), (x + q.eps).min(1.0)))
+            .collect();
+        let pre = &engine.analyze(&boxed).expect("analysis").bounds[1];
+        1.0 - ReluRelax::live(pre).len() as f64 / pre.len() as f64
+    };
+    let opts = EngineOptions {
+        analysis_cache: 0,
+        ..Default::default()
+    };
+    let seen = |v: &Result<gpupoly_core::RobustnessVerdict<f32>, VerifyError>| {
+        let v = v.as_ref().expect("answered");
+        let bits: Vec<u32> = v.margins.iter().map(|m| m.lower.to_bits()).collect();
+        (
+            v.verified,
+            bits,
+            v.stats.rows_refined,
+            v.stats.rows_stopped_early,
+        )
+    };
+    let mut want = None;
+    for workers in [1usize, 2, 3] {
+        let device = Device::new(DeviceConfig::new().workers(workers));
+        let engine = Engine::with_options(device, &net, VerifyConfig::default(), opts).unwrap();
+        if workers == 1 {
+            let shares: Vec<f64> = qs.iter().map(|q| dead_share(&engine, q)).collect();
+            assert_eq!(shares[0], 1.0, "query 0 must have its first layer dead");
+            assert_eq!(shares[1], 0.0, "query 1 must have no dead neuron");
+            assert!(
+                shares[2..].iter().all(|&s| s > 0.0 && s < 1.0),
+                "queries 2 and 3 must have some neurons dead: {shares:?}"
+            );
+        }
+        let alone: Vec<_> = qs
+            .iter()
+            .map(|q| seen(&engine.verify_robustness(&q.image, q.label, q.eps)))
+            .collect();
+        let fused: Vec<_> = engine.verify_batch_fused(&qs).iter().map(seen).collect();
+        assert_eq!(
+            engine.stats().fused_batches,
+            1,
+            "{workers} workers: must fuse"
+        );
+        assert_eq!(fused, alone, "{workers} workers: fused against alone");
+        assert!(alone[1].2 > 0, "query 1 must refine rows");
+        match &want {
+            None => want = Some(alone),
+            Some(w) => assert_eq!(&alone, w, "{workers} workers against one"),
+        }
+    }
 }

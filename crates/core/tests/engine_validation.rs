@@ -193,6 +193,70 @@ fn non_finite_weights_never_prove_and_never_panic() {
 }
 
 #[test]
+fn a_non_finite_weight_out_of_a_dead_neuron_is_answered_whatever_its_value() {
+    // Hidden neurons with an even index are stably off (bias -100). A NaN or
+    // ±inf weight out of one of them reaches nothing through the neuron: its
+    // column of the product is an exact zero. The weight is still in its row
+    // of the matrix, and the error bound of every output of a row of the
+    // product is taken against the largest weight of each matrix row it
+    // meets, so the rows that meet that matrix row take the per-step chain in
+    // their live columns: a step or two looser than the finite net's, the
+    // same for every non-finite value, and never a proof the finite net does
+    // not have.
+    let w = |i: usize| (((i * 131) % 17) as f32 - 8.0) * 0.02;
+    let net_with = |at: usize, weight: f32| {
+        NetworkBuilder::new_flat(4)
+            .flatten_dense(8, w, |i| if i % 2 == 0 { -100.0 } else { 0.1 })
+            .relu()
+            .flatten_dense(3, move |i| if i == at { weight } else { w(i + 5) }, |_| 0.0)
+            .build()
+            .expect("net builds")
+    };
+    let image = [0.4_f32, 0.6, 0.5, 0.3];
+    for workers in [1, 2] {
+        let device = Device::new(DeviceConfig::new().workers(workers));
+        let answer = |net: &gpupoly_nn::Network<f32>, label: usize| {
+            let engine = Engine::new(device.clone(), net, VerifyConfig::default()).unwrap();
+            engine
+                .verify_robustness(&image, label, 0.02)
+                .expect("answered")
+        };
+        // Weights out of hidden neurons 0 and 2 into output 0, out of 0 into
+        // output 1 and out of 6 into output 2.
+        for at in [0usize, 2, 8, 22] {
+            assert_eq!(at % 2, 0, "a weight out of a dead neuron");
+            for label in 0..3 {
+                let finite = answer(&net_with(at, w(at + 5)), label);
+                let bad: Vec<_> = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                    .map(|v| answer(&net_with(at, v), label))
+                    .into_iter()
+                    .collect();
+                for v in &bad {
+                    assert_eq!(v.verified, bad[0].verified);
+                    assert!(
+                        !v.verified || finite.verified,
+                        "at {at}: a proof from a bad weight"
+                    );
+                    for ((m, m0), f) in v.margins.iter().zip(&bad[0].margins).zip(&finite.margins) {
+                        assert_eq!(
+                            m.lower.to_bits(),
+                            m0.lower.to_bits(),
+                            "at {at}: value leaked"
+                        );
+                        assert!(
+                            m.lower <= f.lower && f.lower - m.lower <= 8.0 * f32::EPSILON,
+                            "at {at}, label {label}: {} against the finite net's {}",
+                            m.lower,
+                            f.lower
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn zero_relaxation_annihilates_non_finite_coefficients() {
     // A stably-dead neuron's zero relaxation maps *any* coefficient —
     // including ±inf from upstream blowup — to an exact-zero interval (the

@@ -70,9 +70,8 @@
 //!
 //! The zero-skip is a requirement rather than an allowance: skipped terms
 //! enter neither `adds` nor `T` (so the zeros a dependence-set window holds
-//! beside its row's own coefficients, and the all-zero column a stably-off
-//! ReLU leaves, change no bit; a port that wants dead columns out of its
-//! tiles can drop them inside its own `gemm_itv_f`),
+//! beside its row's own coefficients, and the all-zero columns a stably-off
+//! ReLU leaves, change no bit of the next product),
 //! and on the per-step chain accumulating a zero term is not a bitwise no-op
 //! when an accumulator bound is `-0.0`. Reassociating is never allowed. A
 //! GPU port must therefore use a deterministic fixed-order reduction per
@@ -93,6 +92,25 @@
 //! tree-reduce `k`, nor take `wmax` over less than the launch's `n` columns.
 //! [`crate::conformance::check_gemm_blocking`] pins the kernels against the
 //! straight-line oracle across block-boundary and remainder shapes.
+//!
+//! **Live columns.** [`Backend::gemm_itv_f_live`] is `gemm_itv_f` with some
+//! outputs not computed: row `r` writes the columns its segment lists live,
+//! each the bits `gemm_itv_f` gives it — the row's term list, `T` against
+//! `wmax` over the **whole** `B` row, dead columns and their non-finite
+//! weights included, and the fallback rule as stated — and exact `[+0, +0]`
+//! in every other column. Which columns are dead is the caller's: the
+//! verifier lists the outputs over a stably-off ReLU neuron, which the ReLU
+//! step would turn into zeros whatever they held. The zeros are skipped by
+//! every later kernel, so they change no bit *except* where a dead column's
+//! coefficient, had it been computed, would have counted: concretize counts
+//! a term whatever its bound, `[0, 0]` included, and the ReLU step counts a
+//! hull term (a coefficient straddling zero) of a dead neuron. Such a term
+//! adds nothing to either sum or to `T` — the bound is `[0, 0]` — and one to
+//! `adds`, so without it `e` is the same or smaller: the candidate, or the
+//! constant, is the same or inside. [`CpuSimBackend`] packs each segment's
+//! live columns of `B` once per launch and streams a row's term list over
+//! them as [`gemm_itv_f`](Backend::gemm_itv_f) streams it over `B`; the
+//! provided body computes every column and zeroes the dead ones.
 //!
 //! **GBC** (the transpose convolution of a conv step) is the same
 //! interval×scalar sum with the terms *gathered*, stated in the two layers'
@@ -273,6 +291,7 @@
 use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm};
 use gpupoly_interval::{round, Fp, Itv};
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -1446,21 +1465,197 @@ fn block_rows(device: &Device<CpuSimBackend>, m: usize) -> usize {
 }
 
 /// Splits `C` (`m×n`) into [`block_rows`] blocks of whole rows and runs
-/// `body` on each block and its rows of `A` (`m×k`) in parallel — the only
-/// blocking over `m` the CPU-sim GEMM family does. `n` and `k` are non-zero.
+/// `body` on each block's first row index, its rows of `A` (`m×k`) and its
+/// rows of `C` in parallel — the only blocking over `m` the CPU-sim GEMM
+/// family does. `n` and `k` are non-zero.
 fn par_row_blocks<A: Sync, C: Send>(
     device: &Device<CpuSimBackend>,
     a: &[A],
     c: &mut [C],
     (m, k, n): (usize, usize, usize),
-    body: impl Fn(&[A], &mut [C]) + Sync,
+    body: impl Fn(usize, &[A], &mut [C]) + Sync,
 ) {
     let rows = block_rows(device, m);
     device.install(|| {
         c.par_chunks_mut(rows * n)
             .enumerate()
-            .for_each(|(t, ctile)| body(&a[t * rows * k..][..ctile.len() / n * k], ctile))
+            .for_each(|(t, ctile)| body(t * rows, &a[t * rows * k..][..ctile.len() / n * k], ctile))
     });
+}
+
+/// The operands of one [`Backend::gemm_itv_f_live`] launch on
+/// [`CpuSimBackend`]: the launch's `B` (`k×n`); per segment, which rows of
+/// `B` a term of one of its rows meets (`used`: a row of `B` that no term
+/// meets is never read); the whole-row `wmax` of the rows some segment uses;
+/// and per segment — made by the first row of the segment that needs them,
+/// once per launch — its live columns of its used rows, widened to `f64` and
+/// packed `k×live`, so that a row streams its term list over them as
+/// [`wide_itv_rows`] streams it over `B`, without a conversion in the lane
+/// loop.
+struct LiveGemm<'a, F> {
+    b: &'a [F],
+    k: usize,
+    n: usize,
+    used: Vec<Vec<bool>>,
+    wmax: Vec<f64>,
+    live_per_seg: &'a [&'a [u32]],
+    packed: Vec<OnceLock<Vec<f64>>>,
+}
+
+/// Packed columns a launch is done with, kept by the thread that ran it for
+/// the next launch to pack into (at most [`PACKED_KEPT`]). A launch packs
+/// tens of kilobytes per segment; allocated and freed afresh each time, that
+/// memory goes back to the system at the end of one launch and is faulted in
+/// again by the next — measured slower than the arithmetic it saves on a
+/// launch of sixteen segments.
+const PACKED_KEPT: usize = 16;
+
+thread_local! {
+    static PACKED: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl<F> Drop for LiveGemm<'_, F> {
+    fn drop(&mut self) {
+        PACKED.with(|kept| {
+            let mut kept = kept.borrow_mut();
+            let room = PACKED_KEPT.saturating_sub(kept.len());
+            kept.extend(self.packed.iter_mut().filter_map(OnceLock::take).take(room));
+        });
+    }
+}
+
+impl<'a, F: Fp> LiveGemm<'a, F> {
+    fn new(
+        a: &[Itv<F>],
+        b: &'a [F],
+        (k, n): (usize, usize),
+        seg: &[u32],
+        live_per_seg: &'a [&'a [u32]],
+    ) -> Self {
+        let mut used = vec![Vec::new(); live_per_seg.len()];
+        for (arow, &s) in a.chunks(k).zip(seg) {
+            let used = &mut used[s as usize];
+            used.resize(k, false);
+            for (u, a) in used.iter_mut().zip(arow) {
+                *u |= !(a.lo == F::ZERO && a.hi == F::ZERO);
+            }
+        }
+        // `launch_wmax`, row by row, for the rows a term meets.
+        let wmax = match F::EXACT_IN_F64 {
+            true => b
+                .chunks(n)
+                .enumerate()
+                .map(
+                    |(kk, brow)| match used.iter().any(|u| u.get(kk) == Some(&true)) {
+                        true => max_mag(brow),
+                        false => 0.0,
+                    },
+                )
+                .collect(),
+            false => Vec::new(),
+        };
+        Self {
+            b,
+            k,
+            n,
+            used,
+            wmax,
+            live_per_seg,
+            packed: live_per_seg.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Segment `s`'s live columns of `B`, widened and packed. `s` has a row
+    /// and a live column. The rows of `B` its terms do not meet are left as
+    /// the kept buffer had them: nothing reads them.
+    fn columns(&self, s: usize) -> &[f64] {
+        self.packed[s].get_or_init(|| {
+            let live = self.live_per_seg[s];
+            let mut packed = PACKED
+                .with(|kept| kept.borrow_mut().pop())
+                .unwrap_or_default();
+            packed.resize(self.k * live.len(), 0.0);
+            let rows = packed
+                .chunks_exact_mut(live.len())
+                .zip(self.b.chunks_exact(self.n))
+                .zip(&self.used[s]);
+            for ((dst, brow), _) in rows.filter(|(_, &u)| u) {
+                for (d, &j) in dst.iter_mut().zip(live) {
+                    *d = brow[j as usize].to_f64();
+                }
+            }
+            packed
+        })
+    }
+
+    /// The rows of one block, row `i` of `atile` in segment `seg[i]`: each
+    /// writes its segment's live columns as [`gemm_itv_rows`] writes them —
+    /// the wide rule against the whole-row `wmax` (the same term list, `T`
+    /// and lane operations: [`WideAcc::mul_add_wide`] is
+    /// [`WideAcc::mul_add`] over weights widened beforehand), or the
+    /// per-step chain for other scalar types and rows with a non-finite
+    /// operand — and every other column as an exact zero. Never inlined, so
+    /// that its lane loop is a symbol of its own for the disassembly check
+    /// that it stays packed.
+    #[inline(never)]
+    fn rows(&self, seg: &[u32], atile: &[Itv<F>], ctile: &mut [Itv<F>]) {
+        let (k, n) = (self.k, self.n);
+        let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
+        for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(n)).zip(seg) {
+            crow.fill(Itv::zero());
+            let live = self.live_per_seg[s as usize];
+            if live.is_empty() {
+                continue;
+            }
+            if F::EXACT_IN_F64 {
+                let cols = live.len();
+                terms.clear();
+                let mut mag = WideMag::new::<F>(&[]);
+                for (kk, &aik) in arow.iter().enumerate() {
+                    let term = WideTerm::new(aik);
+                    if !term.is_zero() {
+                        mag.add(term, self.wmax[kk]);
+                        terms.push((kk * cols, term));
+                    }
+                }
+                if let Some(e) = mag.finish() {
+                    let b = self.columns(s as usize);
+                    for (j0, out) in (0..cols).step_by(LANES).zip(live.chunks(LANES)) {
+                        let mut acc = WideAcc::<LANES>::new::<F>(&[]);
+                        if out.len() == LANES {
+                            for &(off, term) in &terms {
+                                let w = &b[off + j0..off + j0 + LANES];
+                                acc.mul_add_wide(term, w.try_into().expect("a full lane block"));
+                            }
+                        } else {
+                            // Remainder columns: unused lanes multiply by zero.
+                            let mut w = [0.0; LANES];
+                            for &(off, term) in &terms {
+                                w[..out.len()].copy_from_slice(&b[off + j0..][..out.len()]);
+                                acc.mul_add_wide(term, &w);
+                            }
+                        }
+                        for (jj, &j) in out.iter().enumerate() {
+                            crow[j as usize] = acc.finish(jj, e);
+                        }
+                    }
+                    continue;
+                }
+            }
+            // The per-step chain from zero, ascending `k`, zero coefficients
+            // skipped: `chain_itv_rows` over the live columns.
+            for (kk, &aik) in arow.iter().enumerate() {
+                if aik.lo == F::ZERO && aik.hi == F::ZERO {
+                    continue;
+                }
+                let brow = &self.b[kk * n..(kk + 1) * n];
+                for &j in live {
+                    let j = j as usize;
+                    crow[j] = aik.mul_add_f(brow[j], crow[j]);
+                }
+            }
+        }
+    }
 }
 
 /// Elements a part of a gather must hold before a pool helper is worth
@@ -1542,7 +1737,7 @@ fn gemm_itv_rows<F: Fp>(
         return;
     }
     let wmax = launch_wmax(b, n);
-    par_row_blocks(device, a, c, (m, k, n), |atile, ctile| {
+    par_row_blocks(device, a, c, (m, k, n), |_, atile, ctile| {
         if F::EXACT_IN_F64 {
             wide_itv_rows(atile, b, &wmax, ctile, k, n, fresh)
         } else {
@@ -1605,6 +1800,48 @@ pub trait Backend: Send + Sync + Sized + 'static {
         k: usize,
         n: usize,
     );
+
+    /// [`Backend::gemm_itv_f`] over each row's *live* columns: row `r` of `C`
+    /// holds, in the ascending columns `live_per_seg[seg[r]]`, exactly the
+    /// bits `gemm_itv_f` writes there — its term list, and `wmax` taken over
+    /// the **whole** `B` row, dead columns included, so a non-finite weight
+    /// anywhere in a row of `B` sends the rows that meet it to the per-step
+    /// chain as it does there — and exact `[+0, +0]` in every other column.
+    /// The caller lists as dead only columns whose every use multiplies them
+    /// by zero (the outputs over a stably-off ReLU neuron, which the next
+    /// step annihilates whatever they hold), so the zeros are exact, not
+    /// merely sound, and the zero-skip of every later kernel drops them.
+    ///
+    /// The provided body is that definition: the full product, then the dead
+    /// columns zeroed. It is the conformance oracle of the method and what
+    /// [`ReferenceBackend`] runs. A backend overrides it to skip the dead
+    /// columns' arithmetic ([`CpuSimBackend`] does); one launch covers every
+    /// segment, as `gemm_itv_f`'s does.
+    fn gemm_itv_f_live<F: Fp>(
+        &self,
+        device: &Device<Self>,
+        a: &[Itv<F>],
+        b: &[F],
+        c: &mut [Itv<F>],
+        m: usize,
+        k: usize,
+        n: usize,
+        seg: &[u32],
+        live_per_seg: &[&[u32]],
+    ) {
+        self.gemm_itv_f(device, a, b, c, m, k, n);
+        if n == 0 {
+            return;
+        }
+        for (crow, &s) in c.chunks_mut(n).zip(seg) {
+            let mut live = live_per_seg[s as usize].iter().peekable();
+            for (j, v) in crow.iter_mut().enumerate() {
+                if live.next_if(|&&l| l as usize == j).is_none() {
+                    *v = Itv::zero();
+                }
+            }
+        }
+    }
 
     /// Sound interval×scalar GEMM accumulating into `C`: `C += A · B`.
     fn gemm_itv_f_acc<F: Fp>(
@@ -1780,6 +2017,31 @@ impl Backend for CpuSimBackend {
         gemm_itv_rows(device, a, b, c, m, k, n, true);
     }
 
+    fn gemm_itv_f_live<F: Fp>(
+        &self,
+        device: &Device<Self>,
+        a: &[Itv<F>],
+        b: &[F],
+        c: &mut [Itv<F>],
+        m: usize,
+        k: usize,
+        n: usize,
+        seg: &[u32],
+        live_per_seg: &[&[u32]],
+    ) {
+        if m == 0 || n == 0 {
+            return;
+        }
+        if k == 0 {
+            c.fill(Itv::zero());
+            return;
+        }
+        let live = LiveGemm::new(a, b, (k, n), seg, live_per_seg);
+        par_row_blocks(device, a, c, (m, k, n), |r0, atile, ctile| {
+            live.rows(&seg[r0..r0 + ctile.len() / n], atile, ctile)
+        });
+    }
+
     fn gemm_itv_f_acc<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -1810,7 +2072,7 @@ impl Backend for CpuSimBackend {
             c.fill(F::ZERO);
             return;
         }
-        par_row_blocks(device, a, c, (m, k, n), |atile, ctile| {
+        par_row_blocks(device, a, c, (m, k, n), |_, atile, ctile| {
             for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
                 crow.fill(F::ZERO);
                 // No zero-skip here, unlike the interval kernels: under

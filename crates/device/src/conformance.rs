@@ -12,6 +12,9 @@
 //!   the per-step directed chain for rows with a non-finite operand), over a
 //!   matrix of shapes that includes empty, single-element, non-square and
 //!   block-boundary cases;
+//! * **the live GEMM** — [`gemm::gemm_itv_f_live`] equals the full product
+//!   in every live column and is an exact zero in every other, per segment,
+//!   non-finite operands in live and dead columns included;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
 //!   product, and the outputs of single-term rows are the tightest
 //!   enclosure;
@@ -477,6 +480,192 @@ pub fn check_gemm_special_rows<B: Backend>(device: &Device<B>) {
             fresh[3 * n + j]
         );
     }
+}
+
+/// The contract of [`Backend::gemm_itv_f_live`] in straight-line form: the
+/// [`oracle_gemm_itv_f`] product, every column outside row `i`'s list
+/// `live_per_seg[seg[i]]` an exact `[+0, +0]`.
+fn oracle_gemm_itv_f_live(
+    a: &[Itv<f32>],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    seg: &[u32],
+    live_per_seg: &[Vec<u32>],
+) -> Vec<Itv<f32>> {
+    let mut c = oracle_gemm_itv_f(a, b, None, m, k, n);
+    for i in 0..m {
+        for j in 0..n {
+            if !live_per_seg[seg[i] as usize].contains(&(j as u32)) {
+                c[i * n + j] = Itv::zero();
+            }
+        }
+    }
+    c
+}
+
+/// Runs [`gemm::gemm_itv_f_live`] into a poisoned `C` and holds it to
+/// [`oracle_gemm_itv_f_live`] bit for bit, and its meter to one
+/// `gemm_itv_f` launch of `4·k` flops per live output. Returns `C`.
+fn assert_gemm_live_matches_oracle<B: Backend>(
+    device: &Device<B>,
+    tag: &str,
+    (a, b): (&[Itv<f32>], &[f32]),
+    (m, k, n): (usize, usize, usize),
+    seg: &[u32],
+    live_per_seg: &[Vec<u32>],
+) -> Vec<Itv<f32>> {
+    let label = device.backend().label();
+    let lists: Vec<&[u32]> = live_per_seg.iter().map(Vec::as_slice).collect();
+    let mut c = vec![Itv::new(9.0f32, 9.0); m * n];
+    let (launches0, flops0) = (
+        device.stats().kernel_launches("gemm_itv_f"),
+        device.stats().kernel_flops("gemm_itv_f"),
+    );
+    gemm::gemm_itv_f_live(device, a, b, &mut c, m, k, n, seg, &lists);
+    let outputs: usize = seg.iter().map(|&s| lists[s as usize].len()).sum();
+    assert_eq!(
+        device.stats().kernel_launches("gemm_itv_f"),
+        launches0 + 1,
+        "[{label}] {tag}: gemm_itv_f_live is one gemm_itv_f launch"
+    );
+    assert_eq!(
+        device.stats().kernel_flops("gemm_itv_f") - flops0,
+        4 * (k * outputs) as u64,
+        "[{label}] {tag}: gemm_itv_f_live meters its live outputs only"
+    );
+    let want = oracle_gemm_itv_f_live(a, b, (m, k, n), seg, live_per_seg);
+    assert_planes_bit_eq(label, &format!("gemm_itv_f_live ({tag})"), &c, &want);
+    c
+}
+
+/// Checks [`gemm::gemm_itv_f_live`] against its oracle over random shapes —
+/// block-boundary and remainder ones among them — with rows dealt to up to
+/// four segments in no particular order, each segment's live list empty,
+/// full, or a random subset of the columns.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gemm_live_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
+    let mut s = Stream::new(seed ^ 0x11fe);
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (7, 3, 17),
+        (9, 16, 130),
+        (2, 3, 519),
+        (
+            s.next_range(12) + 1,
+            s.next_range(23) + 1,
+            s.next_range(40) + 1,
+        ),
+    ];
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let a: Vec<Itv<f32>> = (0..m * k)
+            .map(|_| match s.next_range(5) {
+                0 => Itv::zero(),
+                1 => Itv::point(-0.0),
+                2 => {
+                    let lo = s.next_f32();
+                    Itv::new(lo, lo + s.next_f32().abs())
+                }
+                _ => Itv::point(s.next_f32()),
+            })
+            .collect();
+        let b: Vec<f32> = (0..k * n).map(|_| s.next_f32()).collect();
+        let segments = s.next_range(4) + 1;
+        let seg: Vec<u32> = (0..m).map(|_| s.next_range(segments) as u32).collect();
+        let live: Vec<Vec<u32>> = (0..segments)
+            .map(|_| match s.next_range(4) {
+                0 => Vec::new(),
+                1 => (0..n as u32).collect(),
+                _ => (0..n as u32).filter(|_| s.next_range(2) == 0).collect(),
+            })
+            .collect();
+        let tag = format!("{m}x{k}x{n}, case {case}");
+        assert_gemm_live_matches_oracle(device, &tag, (&a, &b), (m, k, n), &seg, &live);
+    }
+}
+
+/// Pins the corners of [`gemm::gemm_itv_f_live`] that random data does not
+/// reach. A `-inf` weight in a column one segment has dead and another live:
+/// a row that meets its `B` row goes to the per-step chain in its live
+/// columns either way (`wmax` spans the whole row), and the dead column is
+/// still an exact zero. A row with a non-finite coefficient takes the chain
+/// over its live columns; under an empty list it is all zeros. And the
+/// empty dimensions: `k = 0` writes zeros, `m = 0` and `n = 0` nothing.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gemm_live_special_cases<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    let mut s = Stream::new(0x11fe5);
+    let (m, k, n) = (6usize, 11usize, 19usize);
+    let mut a: Vec<Itv<f32>> = (0..m * k)
+        .map(|_| {
+            let lo = s.next_f32();
+            Itv::new(lo, lo + s.next_f32().abs() * 0.125)
+        })
+        .collect();
+    let mut b: Vec<f32> = (0..k * n).map(|_| s.next_f32()).collect();
+    a[3] = Itv::new(1.0, f32::INFINITY); // row 0, segment 0: nothing live
+    a[k + 7] = Itv::top(); // row 1, segment 1: every column live
+    b[2 * n + 6] = f32::NEG_INFINITY; // column 6: live in segment 1, dead in 2
+    a[4 * k + 2] = Itv::point(-0.0); // row 4 (segment 1) does not meet it
+    let seg = [0u32, 1, 2, 0, 1, 2];
+    let live = vec![
+        Vec::new(),
+        (0..n as u32).collect(),
+        (0..n as u32).filter(|j| j % 3 != 0).collect::<Vec<_>>(),
+    ];
+    assert!(!live[2].contains(&6));
+    let c = assert_gemm_live_matches_oracle(device, "special", (&a, &b), (m, k, n), &seg, &live);
+    let zero = Itv::<f32>::zero();
+    assert!(
+        c[..n]
+            .iter()
+            .chain(&c[3 * n..4 * n])
+            .all(|v| bit_eq(*v, zero)),
+        "[{label}] rows without live columns must be exact zeros, a non-finite one too"
+    );
+    assert!(
+        c[n..2 * n].iter().all(|v| !v.is_finite()),
+        "[{label}] row 1's unbounded coefficient must reach its live columns"
+    );
+    assert!(
+        c[4 * n..5 * n].iter().all(|v| v.is_finite()),
+        "[{label}] row 4 does not meet the -inf weight"
+    );
+    // Row 5 meets the -inf weight in a column it has dead: the column is an
+    // exact zero, and its live columns are the per-step chain's, every one.
+    assert!(bit_eq(c[5 * n + 6], zero), "[{label}] dead -inf column");
+    for &j in &live[2] {
+        let j = j as usize;
+        let chain = (0..k)
+            .map(|kk| (kk, a[5 * k + kk]))
+            .filter(|(_, v)| !(v.lo == 0.0 && v.hi == 0.0))
+            .fold(Itv::zero(), |c, (kk, v)| v.mul_add_f(b[kk * n + j], c));
+        assert!(
+            bit_eq(c[5 * n + j], chain),
+            "[{label}] row 5 meets a -inf weight: [5,{j}] {} is not the chain's {chain}",
+            c[5 * n + j]
+        );
+    }
+    // Empty dimensions.
+    let lists = [vec![0, 1, 2, 3], vec![1, 3]];
+    let k0 =
+        assert_gemm_live_matches_oracle(device, "k = 0", (&[], &[]), (3, 0, 4), &[0, 1, 0], &lists);
+    assert!(k0.iter().all(|v| bit_eq(*v, zero)), "[{label}] k = 0");
+    let none: Vec<Vec<u32>> = vec![vec![0, 2]];
+    assert_gemm_live_matches_oracle(device, "m = 0", (&[], &b[..2 * 3]), (0, 2, 3), &[], &none);
+    assert_gemm_live_matches_oracle(
+        device,
+        "n = 0",
+        (&a[..4], &[]),
+        (2, 2, 0),
+        &[0, 0],
+        &[Vec::new()],
+    );
 }
 
 /// Checks [`scan::exclusive_scan`] against the serial oracle on one input.
@@ -2431,7 +2620,11 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
             check_residual_merge_against_oracle(&device, seed);
             check_concretize_against_oracle(&device, seed);
         }
+        for case in 0..4u64 {
+            check_gemm_live_against_oracle(&device, case * 7919 + workers as u64);
+        }
         check_gemm_special_rows(&device);
+        check_gemm_live_special_cases(&device);
         check_gbc_special_cases(&device);
         check_gbc_slid_windows(&device);
         check_bias_fold_special_cases(&device);

@@ -102,6 +102,65 @@ pub fn gemm_itv_f<F: Fp, B: Backend>(
     device.backend().gemm_itv_f(device, a, b, c, m, k, n);
 }
 
+/// [`gemm_itv_f`] over each row's live columns: row `r` computes the
+/// ascending columns `live_per_seg[seg[r]]` — bit for bit what
+/// [`gemm_itv_f`] writes there, each term's `wmax` taken over the whole row
+/// of `B` — and writes every other column as an exact zero (see
+/// [`Backend::gemm_itv_f_live`]). A dense step whose input is a ReLU layer
+/// lists each query's neurons that are not stably off: the columns over a
+/// dead neuron are multiplied by zero in the next step whatever they hold.
+///
+/// One launch for every segment, metered under the `gemm_itv_f` label and
+/// counting live columns only: flops `4·k` per live output, and `B` read
+/// once per segment with rows, its live columns only.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches, when `seg` does not have `m` entries or
+/// names a segment without a list, and when a list is not strictly
+/// ascending below `n`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_itv_f_live<F: Fp, B: Backend>(
+    device: &Device<B>,
+    a: &[Itv<F>],
+    b: &[F],
+    c: &mut [Itv<F>],
+    m: usize,
+    k: usize,
+    n: usize,
+    seg: &[u32],
+    live_per_seg: &[&[u32]],
+) {
+    check_dims(a, b, c, m, k, n);
+    assert_eq!(seg.len(), m, "GEMM: one segment index per row");
+    for live in live_per_seg {
+        assert!(
+            live.windows(2).all(|p| p[0] < p[1]) && live.last().is_none_or(|&j| (j as usize) < n),
+            "GEMM: live columns must be strictly ascending and below n = {n}"
+        );
+    }
+    let mut rows = vec![0u64; live_per_seg.len()];
+    for &s in seg {
+        *rows
+            .get_mut(s as usize)
+            .expect("GEMM: segment index without a live list") += 1;
+    }
+    let (mut outputs, mut b_read) = (0u64, 0u64);
+    for (&r, live) in rows.iter().zip(live_per_seg) {
+        outputs += r * live.len() as u64;
+        b_read += u64::from(r > 0) * live.len() as u64;
+    }
+    let itv = std::mem::size_of::<Itv<F>>() as u64;
+    device.stats().record_work(
+        "gemm_itv_f",
+        4 * k as u64 * outputs,
+        itv * (a.len() + c.len()) as u64 + std::mem::size_of::<F>() as u64 * k as u64 * b_read,
+    );
+    device
+        .backend()
+        .gemm_itv_f_live(device, a, b, c, m, k, n, seg, live_per_seg);
+}
+
 /// Sound interval×scalar GEMM accumulating into `C`: `C += A · B`.
 ///
 /// Used when the two branches of a residual block merge their coefficient

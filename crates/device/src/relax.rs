@@ -96,6 +96,19 @@ impl<F: Fp> ReluRelax<F> {
         bounds.iter().map(|&b| Self::from_bounds(b)).collect()
     }
 
+    /// The *live* neurons of a layer whose inputs are bounded by `bounds`,
+    /// ascending: those whose relaxation is not [`ReluRelax::is_zero`]. A
+    /// dense step into the layer computes only these columns
+    /// ([`crate::gemm::gemm_itv_f_live`]). The test is the relaxation
+    /// table's own, not a second comparison on the bounds: an input bound
+    /// `b.hi > 0` would disagree with it on a NaN bound, which the table
+    /// treats as unstable.
+    pub fn live(bounds: &[Itv<F>]) -> Vec<u32> {
+        (0..bounds.len() as u32)
+            .filter(|&j| !Self::from_bounds(bounds[j as usize]).is_zero())
+            .collect()
+    }
+
     /// `true` when the relaxation is the identity on both sides
     /// (`alpha = gamma = [1, 1]`, `beta = delta = [0, 0]` — a stably
     /// non-negative input): substituting through it changes neither a
@@ -110,9 +123,11 @@ impl<F: Fp> ReluRelax<F> {
 
     /// `true` when the relaxation is the zero function on both sides
     /// (stably-negative input): every coefficient substituted through it
-    /// becomes an exact-zero interval. Such neurons yield all-zero columns
-    /// after a ReLU substitution step, which the interval GEMM of the next
-    /// dense step skips term by term.
+    /// becomes an exact-zero interval. Such a neuron is *dead*: the dense
+    /// step into its layer does not compute its column at all but writes it
+    /// as exact zero ([`ReluRelax::live`]), the ReLU step leaves that zero
+    /// as it is, and the interval GEMM of the next dense step skips it term
+    /// by term.
     pub fn is_zero(&self) -> bool {
         let z = |v: Itv<F>| v.lo == F::ZERO && v.hi == F::ZERO;
         z(self.alpha) && z(self.beta) && z(self.gamma) && z(self.delta)
@@ -198,6 +213,40 @@ mod tests {
         let exact = (u as f64) / ((u - l) as f64);
         assert!((r.gamma.lo as f64) <= exact && exact <= (r.gamma.hi as f64));
         assert!(r.gamma.hi - r.gamma.lo < 1e-5, "enclosure should be tight");
+    }
+
+    #[test]
+    fn live_neurons_are_the_tables_on_signed_zero_infinite_and_subnormal_bounds() {
+        let (inf, sub) = (f32::INFINITY, f32::from_bits(1));
+        // (bounds, live): `l >= 0` is tested first, so a bound at zero from
+        // below is the identity (live), and `u <= 0` holds for either zero.
+        let cases = [
+            (Itv::new(-1.0_f32, -0.0), false), // hi = -0.0: stably off
+            (Itv::new(-1.0, 0.0), false),      // hi = +0.0: stably off
+            (Itv::new(0.0, 0.0), true),        // lo = hi = 0: the identity
+            (Itv::new(-0.0, -0.0), true),      // -0.0 >= 0 too
+            (Itv::new(-inf, -inf), false),     // hi = -inf
+            (Itv::new(-inf, -1.0), false),     // lo = -inf, stably off
+            (Itv::new(-inf, 1.0), true),       // lo = -inf, unstable
+            (Itv::new(-1.0, sub), true),       // subnormal hi: unstable
+            (Itv::new(-sub, sub), true),
+            (Itv::new(-sub, -0.0), false),
+            (Itv::new(sub, inf), true),
+            (Itv::new(-1.0, 2.0), true),
+        ];
+        let bounds: Vec<Itv<f32>> = cases.iter().map(|c| c.0).collect();
+        let want: Vec<u32> = (0..cases.len() as u32)
+            .filter(|&j| cases[j as usize].1)
+            .collect();
+        assert_eq!(ReluRelax::live(&bounds), want);
+        for (j, &b) in bounds.iter().enumerate() {
+            assert_eq!(
+                want.contains(&(j as u32)),
+                !ReluRelax::from_bounds(b).is_zero(),
+                "neuron {j} ({b}): live list and relaxation table disagree"
+            );
+        }
+        assert!(ReluRelax::<f32>::live(&[]).is_empty());
     }
 
     #[test]

@@ -90,6 +90,14 @@
 //! with at most one term have `adds = 0` and stay exact up to the final
 //! conversion.
 //!
+//! `J` is every output that *could* share the list, not only those that are
+//! computed: when a GEMM computes only a row's live columns (the outputs
+//! over ReLU neurons that are not stably off), `wmax_i` still spans the whole
+//! row `i` of `B`. A bound over fewer weights would be sound too, and
+//! tighter, but every live output would then differ, bit for bit, from the
+//! same output of the full product — and a non-finite weight in a column
+//! nobody computes would no longer send the list to the chain.
+//!
 //! # Covering the network's own arithmetic ([`WideRun`])
 //!
 //! The sums above are expression algebra: their exact value is what has to
