@@ -14,21 +14,24 @@
 //! "Memory management"); here the same cut is also what keeps the device's
 //! workers busy. A layer's rows are cut into *walks* ([`walk_streams`]), a
 //! walk takes its rows all the way to the input, and the walks run as the
-//! *streams* of one section of the device's pool: side by side, `workers` at
-//! a time, every kernel a walk launches running inline on the thread that
-//! owns the walk. A stream is a chunk that runs beside its siblings instead
-//! of after them. The workers meet once per layer, when its last walk is
-//! done — not once per kernel, of which a layer has dozens and of which most
-//! are through in microseconds once early termination has thinned the rows.
-//! The spec walks that follow an analysis go through the same schedule
-//! ([`crate::Engine::check_spec_with`], the fused driver's row blocks), and
-//! so does everything that reaches the one driver: branch-and-bound
-//! generations, tier escalations, every lane of a pool.
+//! *streams* of one section of each walking device's pool: side by side,
+//! `workers` at a time on every device, every kernel a walk launches running
+//! inline on the thread that owns the walk. A stream is a chunk that runs
+//! beside its siblings instead of after them. The workers meet once per
+//! layer, when its last walk is done — not once per kernel, of which a layer
+//! has dozens and of which most are through in microseconds once early
+//! termination has thinned the rows. A pool's devices are more stream slots
+//! of the same cut, so one query's refinement spans the pool. The spec walks
+//! that follow an analysis go through the same schedule
+//! ([`crate::Engine::check_spec_with`], the fused driver's stacked spec
+//! rows), and so does everything that reaches the one driver:
+//! branch-and-bound generations and tier escalations.
 //!
 //! What is left serial is the host work between two layers' sections: the
 //! forward interval update of everything downstream of a refined node, the
 //! round-off notes and the seeding pass (parallel across the queries of a
-//! fused batch, one thread for a single query).
+//! fused batch, over every device of a pool; one thread for a single
+//! query).
 
 use std::ops::Range;
 
@@ -37,7 +40,7 @@ use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Graph, NodeId, Op};
 use rayon::prelude::*;
 
-use crate::engine::PreparedGraph;
+use crate::engine::{Lane, PreparedGraph};
 use crate::expr::ExprBatch;
 use crate::walk::{StopRule, WalkOutcome, Walker};
 use crate::{VerifyConfig, VerifyError};
@@ -57,14 +60,15 @@ pub struct AnalysisStats {
     /// Concrete-bound candidate rounds of the walks this query's rows were
     /// in: summed over walks that ran one after the other (the layers, the
     /// rounds of a list that had to be cut again), the longest stream's
-    /// where they ran side by side (the streams of one list, the lanes of a
-    /// pool) — what a single walk over the list would count, to within the
-    /// rows that stop early in one stream and not in another. Shared by the
-    /// queries of a fused walk.
+    /// where they ran side by side (the streams of one list, on every device
+    /// of a pool) — what a single walk over the list would count, to within
+    /// the rows that stop early in one stream and not in another. Shared by
+    /// the queries of a fused walk.
     pub candidates: usize,
     /// Backsubstitution walks this query's rows were in: the pieces each
     /// ReLU layer's row list was cut into, for memory (§4.2) or to run side
-    /// by side as streams. Spec walks are not counted.
+    /// by side as streams, whichever devices of a pool ran them. Spec walks
+    /// are not counted.
     pub chunks: usize,
     /// Walks with rows of this query that ran out of device memory and had
     /// their rows cut again at half the length.
@@ -152,14 +156,13 @@ impl<F: Fp> Analysis<F> {
 }
 
 /// One input box through the schedule: [`analyze_fused`] over a batch of one.
-pub(crate) fn analyze<F: Fp, B: Backend>(
-    device: &Device<B>,
-    graph: &Graph<'_, F>,
-    prepared: &PreparedGraph<'_, F, B>,
+pub(crate) fn analyze<'n, F: Fp, B: Backend>(
+    lanes: &[Lane<'n, F, B>],
+    graph: &Graph<'n, F>,
     cfg: &VerifyConfig,
     input: &[Itv<F>],
 ) -> Result<Analysis<F>, VerifyError> {
-    let mut one = analyze_fused(device, graph, prepared, cfg, &[input])?;
+    let mut one = analyze_fused(lanes, graph, cfg, &[input])?;
     Ok(one.pop().expect("one analysis per box"))
 }
 
@@ -187,13 +190,19 @@ pub(crate) fn analyze<F: Fp, B: Backend>(
 /// query's bounds, the same in every walk that makes them. So where the
 /// list is cut, how many walks run at once and which thread runs which is
 /// scheduling: every returned [`Analysis`] carries the bounds it would
-/// have alone, on one worker, in one walk. Work counters differ in shape:
-/// `chunks` counts the walks a query's rows were in and `candidates` their
-/// candidate rounds ([`AnalysisStats`]), and a fused batch shares both.
-pub(crate) fn analyze_fused<F: Fp, B: Backend>(
-    device: &Device<B>,
-    graph: &Graph<'_, F>,
-    prepared: &PreparedGraph<'_, F, B>,
+/// have alone, on one worker of one device, in one walk. Work counters
+/// differ in shape: `chunks` counts the walks a query's rows were in and
+/// `candidates` their candidate rounds ([`AnalysisStats`]), and a fused
+/// batch shares both.
+///
+/// The walks run on `lanes` ([`walk_streams`]). Between two layers' walks
+/// each query has host work — the forward update of what the last layer
+/// refined, the next one's row selection and round-off notes — done in one
+/// pass, the queries cut into one block a lane and each block spread over
+/// its device's workers.
+pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
+    lanes: &[Lane<'n, F, B>],
+    graph: &Graph<'n, F>,
     cfg: &VerifyConfig,
     inputs: &[&[Itv<F>]],
 ) -> Result<Vec<Analysis<F>>, VerifyError> {
@@ -206,67 +215,62 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
             )));
         }
     }
-    // Preliminary forward interval analysis (§4.2). Each pass is independent:
-    // run them across the device workers so a wide batch doesn't serialize
-    // this phase on the calling thread.
-    let mut analyses: Vec<Analysis<F>> = device.install(|| {
-        inputs
-            .par_iter()
-            .map(|input| Analysis::seeded(graph.eval_itv(input)))
-            .collect()
-    });
-
-    for &(_relu, p) in prepared.relu_plan() {
-        // Per-query row selection.
-        let mut sels: Vec<Vec<usize>> = Vec::with_capacity(analyses.len());
-        for a in &mut analyses {
-            a.stats.relu_nodes += 1;
-            let b = &a.bounds[p];
-            let sel: Vec<usize> = if cfg.early_termination {
-                (0..b.len()).filter(|&i| b[i].straddles_zero()).collect()
-            } else {
-                (0..b.len()).collect()
-            };
-            a.stats.rows_skipped_stable += b.len() - sel.len();
-            a.stats.rows_refined += sel.len();
-            sels.push(sel);
-        }
-        if sels.iter().all(Vec::is_empty) {
-            continue;
-        }
-        let rule = if cfg.early_termination {
-            StopRule::StableSign
-        } else {
-            StopRule::None
-        };
-        // Only the queries about to walk need it; like the forward update
-        // below, spread over the device workers.
-        device.install(|| {
-            analyses
-                .par_iter_mut()
-                .zip(sels.par_iter())
-                .filter(|(_, sel)| !sel.is_empty())
-                .for_each(|(a, _)| a.note_round_off(graph, cfg, p))
+    let rule = if cfg.early_termination {
+        StopRule::StableSign
+    } else {
+        StopRule::None
+    };
+    let plan = lanes[0].prepared.relu_plan();
+    let mut analyses: Vec<Analysis<F>> = inputs
+        .iter()
+        .map(|_| Analysis::seeded(Vec::new()))
+        .collect();
+    // Per query, the rows its last walked layer selected.
+    let mut sels: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
+    for step in 0..=plan.len() {
+        let walked = step.checked_sub(1).map(|s| plan[s].1);
+        let next = plan.get(step).map(|&(_relu, p)| p);
+        // A query's host work between two layers' walks, queries spread over
+        // the devices: finish the layer just walked, then ready the next.
+        let mut queries: Vec<_> = analyses.iter_mut().zip(&mut sels).zip(inputs).collect();
+        on_each_device(lanes, &mut queries, &|((a, sel), input)| {
+            match walked {
+                // Preliminary forward interval analysis (§4.2).
+                None => **a = Analysis::seeded(graph.eval_itv(input)),
+                // Forward interval update of everything downstream of the
+                // refined node, intersected with the existing (still sound)
+                // bounds; a query with nothing selected skips it.
+                Some(p) if !sel.is_empty() => forward_update(graph, &mut a.bounds, p),
+                Some(_) => {}
+            }
+            match next {
+                // Row selection; only a query about to walk needs its
+                // round-off noted.
+                Some(p) => {
+                    a.stats.relu_nodes += 1;
+                    let b = &a.bounds[p];
+                    **sel = if cfg.early_termination {
+                        (0..b.len()).filter(|&i| b[i].straddles_zero()).collect()
+                    } else {
+                        (0..b.len()).collect()
+                    };
+                    a.stats.rows_skipped_stable += b.len() - sel.len();
+                    a.stats.rows_refined += sel.len();
+                    if !sel.is_empty() {
+                        a.note_round_off(graph, cfg, p);
+                    }
+                }
+                // The rest, for the walks that start at the output (spec
+                // checks).
+                None => a.note_round_off(graph, cfg, graph.output()),
+            }
         });
-        refine_layer(device, graph, prepared, cfg, &mut analyses, p, &sels, rule)?;
-        // Forward interval update of everything downstream of the refined
-        // node, intersected with the existing (still sound) bounds; a query
-        // with nothing selected skips it. The queries are independent:
-        // spread them over the device workers.
-        device.install(|| {
-            analyses
-                .par_iter_mut()
-                .zip(sels.par_iter())
-                .filter(|(_, sel)| !sel.is_empty())
-                .for_each(|(a, _)| forward_update(graph, &mut a.bounds, p))
-        });
+        if let Some(p) = next {
+            if sels.iter().any(|sel| !sel.is_empty()) {
+                refine_layer(lanes, graph, cfg, &mut analyses, p, &sels, rule)?;
+            }
+        }
     }
-    // The rest, for the walks that start at the output (spec checks).
-    device.install(|| {
-        analyses
-            .par_iter_mut()
-            .for_each(|a| a.note_round_off(graph, cfg, graph.output()))
-    });
     Ok(analyses)
 }
 
@@ -274,11 +278,9 @@ pub(crate) fn analyze_fused<F: Fp, B: Backend>(
 /// goes through [`walk_streams`]; each of its walks stacks one initial batch
 /// per contributing query (built against that query's own bounds, including
 /// the §4.1 inference-error widening) and runs a single multi-segment walk.
-#[allow(clippy::too_many_arguments)]
-fn refine_layer<F: Fp, B: Backend>(
-    device: &Device<B>,
-    graph: &Graph<'_, F>,
-    prepared: &PreparedGraph<'_, F, B>,
+fn refine_layer<'n, F: Fp, B: Backend>(
+    lanes: &[Lane<'n, F, B>],
+    graph: &Graph<'n, F>,
     cfg: &VerifyConfig,
     analyses: &mut [Analysis<F>],
     p: NodeId,
@@ -300,13 +302,12 @@ fn refine_layer<F: Fp, B: Backend>(
         // identity) only its own neuron's.
         let analyses = &*analyses;
         walk_streams(
-            device,
-            prepared,
+            lanes,
             cfg,
             work.len(),
             analyses.len(),
             &|i| work[i].0,
-            &|rows| fused_chunk_walk(device, graph, prepared, analyses, p, &work[rows], rule),
+            &|lane, rows| fused_chunk_walk(lane, graph, analyses, p, &work[rows], rule),
         )?
     };
     for (&(k, n), best) in work.iter().zip(streamed.best) {
@@ -415,38 +416,45 @@ pub(crate) struct Streamed<F> {
 /// The schedule of every backsubstitution: a list of `rows` independent
 /// rows — row `i` belongs to query segment `seg_of(i) < segs`, a query's rows
 /// are contiguous — is cut into walks, and the walks run as the streams of
-/// one section of the device's pool ([`Device::streams`]): side by side,
-/// every kernel of a walk inline on the thread that owns it. `walk` takes a
-/// range of the list to the input.
+/// one section of each walking device's pool ([`Device::streams`]): side by
+/// side, every kernel of a walk inline on the thread that owns it. `walk`
+/// takes a range of the list to the input on the lane it is given.
 ///
-/// **One cut.** A walk is at most as long as the device's memory allows
-/// the walks that are live together ([`PreparedGraph::chunk_for`] over
-/// [`Device::streams_at_once`]; §4.2, "Memory management") and short enough
-/// that every worker gets [`STREAMS_PER_WORKER`] of them — unless the whole
-/// list is below [`STREAM_MIN_COEFFS`], which stays one walk;
-/// [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query boundaries where one is in reach
-/// ([`cut`]). Stream position `s` of `n` takes walks `s`, `s + n`, … in
-/// order, so what runs in a position — and what that position's lane of the
-/// buffer pool holds — does not depend on which thread claims it when.
+/// **One cut.** A walk is at most as long as every device's memory allows
+/// the walks that are live together on it (the least of
+/// [`crate::PreparedGraph::chunk_for`] over [`Device::streams_at_once`];
+/// §4.2, "Memory management") and short enough that every worker of every
+/// device gets [`STREAMS_PER_WORKER`] of them. A list below
+/// [`STREAM_MIN_COEFFS`] is one walk a lane instead, its kernels split over
+/// the lane's workers, and such a list of one query's rows is one walk on
+/// the first lane. [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query
+/// boundaries where one is in reach ([`cut`]).
+///
+/// **One deal.** The stream slots are (lane, position) pairs, dealt round
+/// the lanes — every lane's position 0, then every position 1, … — and slot
+/// `s` of `n` takes walks `s`, `s + n`, … in order, so what runs in a slot —
+/// and what that position's lane of its device's buffer pool holds — depends
+/// on the list alone, not on which thread claims it when. The first lane's
+/// section runs on the calling thread, every other lane's on a scoped thread
+/// of its own; one lane is one section and no thread.
 ///
 /// **One loop.** A walk that runs out of device memory fails alone: its
 /// rows go round again, cut at half the length, while every walk that fit
-/// keeps its result; at one row a walk, what still fails runs once more with
-/// the device to itself before the error stands. One worker, one row, a
-/// list too small to cut, or a caller that is itself a part of a section
-/// is the same loop over one stream.
+/// keeps its result; at one row a walk, what still fails runs once more on
+/// the first lane with the device to itself before the error stands. One
+/// worker, one row, a list too small to cut, or a caller that is itself a
+/// part of a section is the same loop over one stream a lane.
 ///
 /// The cut is scheduling only — a row's walk reads its own query's bounds
-/// and nothing of its neighbours — so `best` is what one walk over the
-/// whole list gives, bit for bit.
-pub(crate) fn walk_streams<F: Fp, B: Backend>(
-    device: &Device<B>,
-    prepared: &PreparedGraph<'_, F, B>,
+/// and nothing of its neighbours, and every lane walks the same network —
+/// so `best` is what one walk over the whole list gives, bit for bit.
+pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
+    lanes: &[Lane<'n, F, B>],
     cfg: &VerifyConfig,
     rows: usize,
     segs: usize,
     seg_of: &(impl Fn(usize) -> usize + Sync),
-    walk: &(impl Fn(Range<usize>) -> Result<WalkOutcome<F>, VerifyError> + Sync),
+    walk: &(impl Fn(&Lane<'n, F, B>, Range<usize>) -> Result<WalkOutcome<F>, VerifyError> + Sync),
 ) -> Result<Streamed<F>, VerifyError> {
     let mut out = Streamed {
         best: vec![Itv::top(); rows],
@@ -455,25 +463,37 @@ pub(crate) fn walk_streams<F: Fp, B: Backend>(
     if rows == 0 {
         return Ok(out);
     }
-    // Walks live together: the device's workers, or one — for a caller
-    // that is itself a part of a section, and for a list too small to cut.
-    let at_once = if rows.saturating_mul(prepared.widest_layer()) < STREAM_MIN_COEFFS {
-        1
+    // Walks live together on a device: its workers, or one — for a caller
+    // that is itself a part of a section. A list too small to cut is one
+    // walk a lane, and one query's is one walk on the first lane.
+    let small = rows.saturating_mul(lanes[0].prepared.widest_layer()) < STREAM_MIN_COEFFS;
+    let one_query = seg_of(0) == seg_of(rows - 1);
+    let mut lanes = if small && one_query {
+        &lanes[..1]
     } else {
-        device.streams_at_once()
+        lanes
     };
-    // Finer streams are for balance between workers; one has nobody to
-    // balance with.
-    let mut streams = if at_once > 1 {
-        STREAMS_PER_WORKER * at_once
+    let at_once: Vec<usize> = if small {
+        vec![1; lanes.len()]
     } else {
-        1
+        lanes.iter().map(|l| l.device.streams_at_once()).collect()
     };
+    // Finer streams are for balance between a device's workers; one has
+    // nobody to balance with.
+    let mut streams: Vec<usize> = at_once
+        .iter()
+        .map(|&a| if a > 1 { STREAMS_PER_WORKER * a } else { 1 })
+        .collect();
     let mut len = cfg
         .chunk_rows
         .unwrap_or_else(|| {
-            let fits = (prepared.chunk_for(device) / at_once).max(1);
-            fits.min(rows.div_ceil(streams))
+            let fits = lanes
+                .iter()
+                .zip(&at_once)
+                .map(|(lane, &a)| (lane.prepared.chunk_for(&lane.device) / a).max(1))
+                .min()
+                .expect("at least one lane");
+            fits.min(rows.div_ceil(streams.iter().sum()))
         })
         .clamp(1, rows);
     // Segments of a range of the list, each once.
@@ -485,18 +505,20 @@ pub(crate) fn walk_streams<F: Fp, B: Backend>(
     };
     let mut walks: Vec<Range<usize>> = cut(0..rows, len, seg_of).collect();
     while !walks.is_empty() {
-        let positions = walks.len().min(streams);
-        let mine = |pos: usize| walks.iter().skip(pos).step_by(positions);
-        let ran = device.streams(positions, |pos| {
-            mine(pos).map(|part| walk(part.clone())).collect::<Vec<_>>()
+        let slots = deal(&streams, walks.len());
+        let mine = |s: usize| walks.iter().skip(s).step_by(slots.len());
+        let ran = run_slots(lanes, &slots, |lane, s| {
+            mine(s)
+                .map(|part| walk(lane, part.clone()))
+                .collect::<Vec<_>>()
         });
         let mut failed = Vec::new();
         // Streams ran side by side: the round took the longest one's
         // candidate rounds.
         let mut round = vec![0usize; segs];
-        for (pos, stream) in ran.into_iter().enumerate() {
+        for (s, stream) in ran.into_iter().enumerate() {
             let mut candidates = vec![0usize; segs];
-            for (part, result) in mine(pos).zip(stream) {
+            for (part, result) in mine(s).zip(stream) {
                 match result {
                     Ok(walked) => {
                         for k in segs_of(part) {
@@ -509,7 +531,7 @@ pub(crate) fn walk_streams<F: Fp, B: Backend>(
                         out.best[part.clone()].copy_from_slice(&walked.best);
                     }
                     Err(VerifyError::Device(DeviceError::OutOfMemory { .. }))
-                        if len > 1 || positions > 1 =>
+                        if len > 1 || slots.len() > 1 =>
                     {
                         for k in segs_of(part) {
                             out.work[k].shrinks += 1;
@@ -527,11 +549,12 @@ pub(crate) fn walk_streams<F: Fp, B: Backend>(
             w.candidates += r;
         }
         // What failed goes round again at half the length; at one row a
-        // walk, with the device to itself.
+        // walk, on the first lane with the device to itself.
         if len > 1 {
             len /= 2;
         } else {
-            streams = 1;
+            lanes = &lanes[..1];
+            streams = vec![1];
         }
         walks = failed
             .into_iter()
@@ -539,6 +562,94 @@ pub(crate) fn walk_streams<F: Fp, B: Backend>(
             .collect();
     }
     Ok(out)
+}
+
+/// The first `n` stream slots `(lane, position)` of lanes running
+/// `streams[lane]` streams each, dealt round the lanes: every lane's
+/// position 0, then every lane's position 1, and so on. A lane's slots are
+/// its positions from 0 up, in order.
+fn deal(streams: &[usize], n: usize) -> Vec<(usize, usize)> {
+    let deepest = streams.iter().copied().max().unwrap_or(0);
+    (0..deepest)
+        .flat_map(|pos| {
+            streams
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &s)| pos < s)
+                .map(move |(lane, _)| (lane, pos))
+        })
+        .take(n)
+        .collect()
+}
+
+/// Runs `stream(lane, s)` for every slot `s` of `slots`: a lane's slots as
+/// the streams of one section of its device ([`Device::streams`], position
+/// `p` being the lane's slot `(lane, p)`), the first lane's section on the
+/// calling thread and every other lane's on a scoped thread of its own.
+/// Results come back in slot order.
+fn run_slots<'n, F: Fp, B: Backend, R: Send>(
+    lanes: &[Lane<'n, F, B>],
+    slots: &[(usize, usize)],
+    stream: impl Fn(&Lane<'n, F, B>, usize) -> R + Sync,
+) -> Vec<R> {
+    // Slots are dealt round the lanes, so the lanes holding one are a prefix.
+    let used = slots.iter().map(|&(l, _)| l + 1).max().unwrap_or(1);
+    let mut ran = side_by_side(lanes[..used].iter().collect(), |l, lane| {
+        let positions = slots.iter().filter(|&&(x, _)| x == l).count();
+        let slot = |p| slots.iter().position(|&x| x == (l, p)).expect("dealt");
+        lane.device
+            .streams(positions, |p| stream(lane, slot(p)))
+            .into_iter()
+    });
+    // A lane's slots come in its position order.
+    slots
+        .iter()
+        .map(|&(l, _)| ran[l].next().expect("every slot ran"))
+        .collect()
+}
+
+/// Runs `f` on every item across the lanes' devices: the items cut into one
+/// contiguous block a lane, each block spread over its device's workers. A
+/// batch's host work between two layers' walks runs here; one lane, or one
+/// item, is one device's pool and no thread.
+fn on_each_device<F: Fp, B: Backend, T: Send>(
+    lanes: &[Lane<'_, F, B>],
+    items: &mut [T],
+    f: &(impl Fn(&mut T) + Sync),
+) {
+    let len = items.len().div_ceil(lanes.len()).max(1);
+    side_by_side(items.chunks_mut(len).collect(), |l, block| {
+        lanes[l].device.install(|| block.par_iter_mut().for_each(f))
+    });
+}
+
+/// `run(i, parts[i])` for every part, side by side: part 0 on the calling
+/// thread, every other on a scoped thread of its own. Results in part order;
+/// one part spawns nothing.
+fn side_by_side<I: Send, R: Send>(parts: Vec<I>, run: impl Fn(usize, I) -> R + Sync) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    if parts.len() == 0 {
+        return vec![run(0, first)];
+    }
+    std::thread::scope(|scope| {
+        let run = &run;
+        let others: Vec<_> = parts
+            .enumerate()
+            .map(|(i, part)| scope.spawn(move || run(i + 1, part)))
+            .collect();
+        let mut out = vec![run(0, first)];
+        for other in others {
+            out.push(
+                other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        out
+    })
 }
 
 /// Cuts `rows` of a list into walks of at most `len` rows: each walk is the
@@ -576,16 +687,16 @@ fn cut<'a>(
 }
 
 /// One fused chunk: per-query initial batches stacked into a single
-/// multi-segment batch, walked to the input in one pass.
-fn fused_chunk_walk<F: Fp, B: Backend>(
-    device: &Device<B>,
-    graph: &Graph<'_, F>,
-    prepared: &PreparedGraph<'_, F, B>,
+/// multi-segment batch, walked to the input in one pass on `lane`.
+fn fused_chunk_walk<'n, F: Fp, B: Backend>(
+    lane: &Lane<'n, F, B>,
+    graph: &Graph<'n, F>,
     analyses: &[Analysis<F>],
     p: NodeId,
     rows: &[(usize, usize)],
     rule: StopRule,
 ) -> Result<WalkOutcome<F>, VerifyError> {
+    let (device, prepared) = (&lane.device, &lane.prepared);
     // Contiguous per-query runs of the (query, neuron) chunk.
     let mut runs: Vec<(usize, Vec<usize>)> = Vec::new();
     for &(k, n) in rows {
@@ -692,7 +803,7 @@ fn forward_update<F: Fp>(graph: &Graph<'_, F>, bounds: &mut [Vec<Itv<F>>], from:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpupoly_device::DeviceConfig;
+    use gpupoly_device::{CpuSimBackend, DeviceConfig};
     use gpupoly_nn::builder::NetworkBuilder;
     use gpupoly_nn::Network;
 
@@ -700,15 +811,23 @@ mod tests {
         Device::new(DeviceConfig::new().workers(2))
     }
 
-    /// Prepares the graph (host-resident weights) and analyzes in one go.
+    /// `device` with the graph prepared on it (host-resident weights).
+    fn lane<'n>(device: &Device, graph: &Graph<'n, f32>) -> [Lane<'n, f32, CpuSimBackend>; 1] {
+        let prepared = PreparedGraph::build(device, graph, false).unwrap();
+        [Lane {
+            device: device.clone(),
+            prepared,
+        }]
+    }
+
+    /// Prepares the graph and analyzes in one go.
     fn run(
         device: &Device,
         graph: &Graph<'_, f32>,
         cfg: &VerifyConfig,
         input: &[Itv<f32>],
     ) -> Result<Analysis<f32>, VerifyError> {
-        let prepared = PreparedGraph::build(device, graph, false).unwrap();
-        analyze(device, graph, &prepared, cfg, input)
+        analyze(&lane(device, graph), graph, cfg, input)
     }
 
     fn deep_net() -> Network<f32> {
@@ -962,10 +1081,11 @@ mod tests {
             let capacity = 32 * ((1 << 40) / probe_rows) + 1024;
             let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(capacity));
             device.buffer_pool_retain();
-            let prepared = PreparedGraph::build(&device, &graph, false).unwrap();
+            let lanes = lane(&device, &graph);
+            let prepared = &lanes[0].prepared;
             let cold = prepared.chunk_for(&device);
             assert_eq!(cold, 32);
-            let first = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+            let first = analyze(&lanes, &graph, &cfg, &input).unwrap();
             assert!(
                 first.stats.chunks > first.stats.relu_nodes,
                 "expected chunked execution at {cold} rows a chunk"
@@ -976,7 +1096,7 @@ mod tests {
                 "the walk leaves a warm shelf"
             );
             assert_eq!(prepared.chunk_for(&device), cold, "warm chunk size");
-            let second = analyze(&device, &graph, &prepared, &cfg, &input).unwrap();
+            let second = analyze(&lanes, &graph, &cfg, &input).unwrap();
             assert!(
                 second.stats.chunks <= first.stats.chunks,
                 "a repeated query needed {} chunks after {}",

@@ -216,30 +216,13 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// into the same per-layer launches, and a query decided early (by a
     /// counterexample or an error) has its remaining sub-boxes discarded
     /// instead of analyzed.
+    ///
+    /// On a pool ([`Engine::on_pool`]) every generation's walks are dealt
+    /// over the walking devices like any other list's, and verdicts and
+    /// split counts are the one-device ones: the base pass and every
+    /// generation's box analyses are deterministic.
     pub fn verify_complete_batch(
         &self,
-        queries: &[Query<F>],
-        budget: &RefineBudget,
-    ) -> Vec<Result<CompleteVerdict<F>, VerifyError>> {
-        Self::verify_complete_on(std::slice::from_ref(self), queries, budget)
-    }
-
-    /// [`Engine::verify_complete_batch`] over a pool (`lanes` as in
-    /// [`Engine::verify_batch_on`]): the base pass is the pool's fused walk,
-    /// and frontier generation `g` (all sibling sub-boxes pending at one
-    /// depth, across every query of the batch) dispatches through lane
-    /// `g % n`'s fused box path, so refinement work — and its split
-    /// counters — spreads over every walking device instead of saturating
-    /// the first.
-    ///
-    /// Verdicts and split counts do not depend on the pool: the base pass
-    /// and every generation's box analyses are deterministic, and
-    /// ε-monotone cache reuse is proving-only *and* complete relative to the
-    /// exact analysis (a sub-box whose containing box proved also proves
-    /// when analyzed exactly), so which lane's cache a generation hits never
-    /// changes what proves — the split tree is the one-lane one.
-    pub(crate) fn verify_complete_on(
-        lanes: &[Self],
         queries: &[Query<F>],
         budget: &RefineBudget,
     ) -> Vec<Result<CompleteVerdict<F>, VerifyError>> {
@@ -260,8 +243,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
         // Base pass: plain (fused) DeepPoly over every full ball. A
         // decided base verdict is final — zero splits spent.
-        let lead = &lanes[0];
-        let base = Self::verify_batch_on(lanes, queries);
+        let base = self.verify_batch_fused(queries);
         let mut out: Vec<Option<Result<CompleteVerdict<F>, VerifyError>>> =
             queries.iter().map(|_| None).collect();
         let mut pend: Vec<Pending<F>> = Vec::new();
@@ -278,14 +260,14 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
                 Ok(v) => {
                     let q = &queries[i];
-                    match lead.robustness_box(&q.image, q.label, q.eps) {
+                    match self.robustness_box(&q.image, q.label, q.eps) {
                         Err(e) => out[i] = Some(Err(e)),
                         Ok(bx) => {
                             // Cheap refutation probe before any splitting:
                             // is the ball's center already a verified
                             // counterexample?
-                            if let Some((point, adversary)) = lead.concrete_cex(q.label, &bx) {
-                                lead.note_cex_found();
+                            if let Some((point, adversary)) = self.concrete_cex(q.label, &bx) {
+                                self.note_cex_found();
                                 out[i] = Some(Ok(CompleteVerdict::Falsified {
                                     counterexample: point,
                                     adversary,
@@ -308,19 +290,15 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             }
         }
 
-        // Frontier loop: one fused dispatch per generation, generation g
-        // run (and metered) on lane g % n.
-        let mut generation = 0usize;
+        // Frontier loop: one fused dispatch per generation.
         while !frontier.is_empty() {
-            let eng = &lanes[generation % lanes.len()];
-            generation += 1;
-            eng.split_counters().note_frontier(frontier.len());
+            self.split_counters().note_frontier(frontier.len());
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 break; // the post-loop sweep reports the typed Unknown
             }
             let labels: Vec<usize> = frontier.iter().map(|&(p, _)| pend[p].label).collect();
             let boxes: Vec<Vec<Itv<F>>> = frontier.iter().map(|(_, b)| b.clone()).collect();
-            let results = Self::verify_boxes_fused(std::slice::from_ref(eng), &labels, boxes, true);
+            let results = self.verify_boxes_fused(&labels, boxes, true);
 
             let mut next: Vec<(usize, Vec<Itv<F>>)> = Vec::new();
             for ((p, bx), result) in frontier.into_iter().zip(results) {
@@ -333,7 +311,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                     Ok(v) if v.verified => {
                         pending.open -= 1;
                         if pending.open == 0 {
-                            eng.split_counters()
+                            self.split_counters()
                                 .proven_by_split
                                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             out[pending.qidx] = Some(Ok(CompleteVerdict::Proven {
@@ -345,8 +323,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                     Ok(_) => {
                         // Undecided leaf: refute concretely, split, or run
                         // out of budget — in that order.
-                        if let Some((point, adversary)) = eng.concrete_cex(pending.label, &bx) {
-                            eng.note_cex_found();
+                        if let Some((point, adversary)) = self.concrete_cex(pending.label, &bx) {
+                            self.note_cex_found();
                             out[pending.qidx] = Some(Ok(CompleteVerdict::Falsified {
                                 counterexample: point,
                                 adversary,
@@ -361,7 +339,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                             Some((a, b)) => {
                                 pending.splits += 1;
                                 pending.open += 1; // one leaf became two
-                                eng.split_counters()
+                                self.split_counters()
                                     .splits
                                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 next.push((p, a));

@@ -16,10 +16,12 @@
 //!   repeated box (robustness sweeps over ε, several specs over one region)
 //!   share a single DeepPoly analysis;
 //! * every entry runs the same algorithm through one driver: a single
-//!   query's analysis is the fused analysis over a batch of one box, and
-//!   [`Engine::verify_batch_fused`] is the walk driver over a single lane —
-//!   [`crate::ShardedEngine`] hands it one lane per walking device, and
-//!   branch-and-bound refinement sends it each frontier generation.
+//!   query's analysis is the fused analysis over a batch of one box,
+//!   [`Engine::verify_batch_fused`] is the walk driver, and branch-and-bound
+//!   refinement sends it each frontier generation;
+//! * an engine owns its devices: one ([`Engine::new`]) or a pool placed by a
+//!   [`Plan`] ([`Engine::on_pool`]), whose walking devices are more stream
+//!   slots of the one walk schedule ([`crate::analysis`]) behind one cache.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -29,14 +31,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use gpupoly_device::{Backend, Device, DeviceBuffer};
+use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceStats};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
-use crate::analysis::{
-    analyze, analyze_fused, walk_streams, Analysis, AnalysisStats, SegWork, Streamed,
-};
+use crate::analysis::{analyze, analyze_fused, walk_streams, Analysis, AnalysisStats, Streamed};
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard, PREFETCH_DEPTH};
+use crate::sharded::Plan;
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
 use crate::walk::{StopRule, WalkOutcome, Walker};
 use crate::{ExprBatch, VerifyConfig, VerifyError};
@@ -106,10 +107,12 @@ pub struct EngineStats {
     /// Queries proven through ε-monotone reuse of a containing box's
     /// analysis ([`EngineOptions::monotone_cache_reuse`]).
     pub monotone_hits: u64,
-    /// Bytes of network weights resident on the device.
+    /// Bytes of network weights resident on the engine's devices: one copy
+    /// per walking device, or one model pool-wide under
+    /// [`Plan::shard_weights`].
     pub resident_bytes: usize,
     /// High-water mark of persistent (weight) bytes ever simultaneously
-    /// resident on the engine's device
+    /// resident, summed over the engine's devices
     /// ([`gpupoly_device::DeviceStats::peak_resident_bytes`]; device-wide:
     /// shared with other engines on the same device). Capacity planning
     /// for shard budgets reads this.
@@ -120,14 +123,14 @@ pub struct EngineStats {
     /// Batches that ran through the fused cross-query path
     /// ([`Engine::verify_batch_fused`] without falling back).
     pub fused_batches: u64,
-    /// Kernel launches on the engine's device (device-wide counter: shared
-    /// with other engines on the same device).
+    /// Kernel launches, summed over the engine's devices (device-wide
+    /// counters: shared with other engines on the same device).
     pub launches: u64,
-    /// Scalar-equivalent flops metered on the engine's device
+    /// Scalar-equivalent flops metered on the engine's devices
     /// (device-wide): the kernels' analytic counts, which charge a term the
     /// interval GEMM skips (an exact-zero coefficient) like any other.
     pub flops: u64,
-    /// Bytes read + written by kernels on the engine's device
+    /// Bytes read + written by kernels on the engine's devices
     /// (device-wide).
     pub bytes_moved: u64,
     /// Exponentially-weighted moving average of measured wall milliseconds
@@ -156,15 +159,16 @@ pub struct EngineStats {
     /// Queries refinement refuted with a *verified* concrete
     /// counterexample (sound interval evaluation at a point).
     pub cex_found: u64,
-    /// Weight-sharded / hybrid engines: remote-layer gathers served from
-    /// the executing device's gather cache (always `0` otherwise).
+    /// Weight-sharded engines: remote-layer gathers served from a walking
+    /// device's gather cache, summed over the walking devices (always `0`
+    /// otherwise).
     pub gather_hits: u64,
-    /// Weight-sharded / hybrid engines: remote-layer gathers that copied
-    /// bytes onto the executing device — the `comms` traffic, in events.
+    /// Weight-sharded engines: remote-layer gathers that copied bytes onto
+    /// a walking device — the `comms` traffic, in events.
     pub gather_misses: u64,
-    /// Weight-sharded / hybrid engines: gathered layers evicted by the
-    /// next-use-distance policy to stay inside the gather cache's capacity
-    /// (half the executing device's free bytes at construction).
+    /// Weight-sharded engines: gathered layers evicted by the
+    /// next-use-distance policy to stay inside a gather cache's capacity
+    /// (half its walking device's free bytes at construction).
     pub gather_evictions: u64,
 }
 
@@ -440,6 +444,14 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
     }
 }
 
+/// One walking device of an engine and the network's weights as that device
+/// reads them: its own packing, or its view of the pool's weight shards
+/// under [`Plan::shard_weights`].
+pub(crate) struct Lane<'n, F: Fp, B: Backend> {
+    pub(crate) device: Device<B>,
+    pub(crate) prepared: PreparedGraph<'n, F, B>,
+}
+
 /// A box key: the exact bit pattern of the input intervals, shared by
 /// reference between the cache map, the LRU order and the in-flight table
 /// (a multi-KB vector for image-sized inputs — cloned once, never copied).
@@ -647,10 +659,16 @@ pub(crate) fn fold_ms_per_cost(ewma: &AtomicU64, elapsed_ms: f64, total_cost: f6
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Engine<'n, F: Fp, B: Backend> {
-    device: Device<B>,
+    /// The walking devices: every pool device under [`Plan::split_rows`],
+    /// else the first alone.
+    lanes: Vec<Lane<'n, F, B>>,
+    /// Every device of the engine, in order. Devices past the lanes only
+    /// hold weight shards (if anything), but are still metered.
+    devices: Vec<Device<B>>,
+    /// Weight bytes the engine keeps on its devices ([`EngineStats`]).
+    resident_bytes: usize,
     graph: Graph<'n, F>,
     cfg: VerifyConfig,
-    prepared: PreparedGraph<'n, F, B>,
     cache: Mutex<AnalysisCache<F>>,
     in_flight: InFlight,
     options: EngineOptions,
@@ -690,52 +708,71 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         cfg: VerifyConfig,
         options: EngineOptions,
     ) -> Result<Self, VerifyError> {
-        let graph = net.graph();
-        // Resident weights are marked persistent at packing time, so a
-        // buffer pool active on the shared device can never shelve them.
-        let prepared = PreparedGraph::new(&device, &graph)?;
-        Ok(Self::over(device, graph, prepared, cfg, options))
+        Self::on_pool(vec![device], Plan::default(), net, cfg, options)
     }
 
-    /// Builds one walker of a weight-sharded pool: an engine on
-    /// `devices[exec_idx]` whose [`PreparedGraph`] is that device's view
-    /// over the pool-shared [`ShardStore`]
-    /// ([`PreparedGraph::new_sharded_view`]). It gathers remote layers onto
-    /// itself; devices that run no engine only hold their shards (the shards
-    /// *are* the packing).
+    /// Builds one engine over a pool of `devices`, placed by `plan`: a
+    /// walking lane on every device with [`Plan::split_rows`], else on the
+    /// first alone, each over the whole network packed on its own device
+    /// or — with [`Plan::shard_weights`] — over its view of one pool-wide
+    /// layer partition. The walking devices are stream slots of every walk
+    /// the engine runs, so margins are bit-identical to one device's under
+    /// every plan; the engine keeps one analysis cache, one set of in-flight
+    /// gates and one set of counters. A pool of one device under the default
+    /// plan is [`Engine::with_options`].
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadQuery`] when residual branches disagree on shape.
-    pub(crate) fn over_shards(
-        devices: &[Device<B>],
-        exec_idx: usize,
-        store: Arc<ShardStore<F, B>>,
+    /// [`VerifyError::BadQuery`] for an empty device list or when residual
+    /// branches disagree on shape.
+    pub fn on_pool(
+        devices: Vec<Device<B>>,
+        plan: Plan,
         net: &'n Network<F>,
         cfg: VerifyConfig,
         options: EngineOptions,
     ) -> Result<Self, VerifyError> {
+        if devices.is_empty() {
+            return Err(VerifyError::BadQuery(
+                "an engine needs at least one device".to_string(),
+            ));
+        }
         let graph = net.graph();
-        let prepared = PreparedGraph::new_sharded_view(devices, exec_idx, &graph, store)?;
-        let device = devices[exec_idx].clone();
-        Ok(Self::over(device, graph, prepared, cfg, options))
-    }
-
-    /// An engine over an already prepared graph.
-    fn over(
-        device: Device<B>,
-        graph: Graph<'n, F>,
-        prepared: PreparedGraph<'n, F, B>,
-        cfg: VerifyConfig,
-        options: EngineOptions,
-    ) -> Self {
-        // Transient per-query buffers recycle through the device's pool.
-        device.buffer_pool_retain();
-        Self {
-            device,
+        let store = plan
+            .shard_weights
+            .then(|| ShardStore::build(&devices, &graph));
+        let walkers = if plan.split_rows { devices.len() } else { 1 };
+        // Resident weights are marked persistent at packing time, so a
+        // buffer pool active on the shared device can never shelve them.
+        let lanes = (0..walkers)
+            .map(|i| {
+                let prepared = match &store {
+                    Some(store) => {
+                        PreparedGraph::new_sharded_view(&devices, i, &graph, store.clone())?
+                    }
+                    None => PreparedGraph::new(&devices[i], &graph)?,
+                };
+                Ok(Lane {
+                    device: devices[i].clone(),
+                    prepared,
+                })
+            })
+            .collect::<Result<Vec<_>, VerifyError>>()?;
+        let resident_bytes = match &store {
+            Some(store) => store.shard_bytes().iter().sum(),
+            None => lanes.iter().map(|l| l.prepared.resident_bytes()).sum(),
+        };
+        // Transient per-query buffers recycle through each walking device's
+        // pool.
+        for lane in &lanes {
+            lane.device.buffer_pool_retain();
+        }
+        Ok(Self {
+            lanes,
+            devices,
+            resident_bytes,
             graph,
             cfg,
-            prepared,
             cache: Mutex::new(AnalysisCache::new(options.analysis_cache)),
             in_flight: Mutex::new(HashMap::new()),
             options,
@@ -743,12 +780,18 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             fused_batches: AtomicU64::new(0),
             ewma_ms_per_cost: AtomicU64::new(0),
             split_counters: SplitCounters::default(),
-        }
+        })
     }
 
-    /// The device this engine runs on.
+    /// The engine's first device (its only one outside a pool).
     pub fn device(&self) -> &Device<B> {
-        &self.device
+        &self.devices[0]
+    }
+
+    /// Every device of the engine, in pool order: per-device meters are
+    /// each one's [`Device::stats`].
+    pub fn devices(&self) -> &[Device<B>] {
+        &self.devices
     }
 
     /// The active configuration.
@@ -761,9 +804,10 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         &self.options
     }
 
-    /// The prepared (device-resident) form of the network.
+    /// The prepared (device-resident) form of the network on the first
+    /// device.
     pub fn prepared(&self) -> &PreparedGraph<'n, F, B> {
-        &self.prepared
+        &self.lanes[0].prepared
     }
 
     /// `(hits, misses)` of the analysis cache: lookups served from the
@@ -776,22 +820,32 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
     /// A snapshot of the serving-relevant counters: cache hits/misses,
     /// resident weight bytes, the ReLU schedule depth and the measured
-    /// per-cost batch-time EWMA.
+    /// per-cost batch-time EWMA. Device meters (launches, flops, bytes,
+    /// peak residency) and gather counters are summed over the engine's
+    /// devices.
     pub fn stats(&self) -> EngineStats {
         let (cache_hits, cache_misses) = self.cache_stats();
-        let (gather_hits, gather_misses, gather_evictions) = self.prepared.gather_counters();
-        let device = self.device.stats();
+        let (mut gather_hits, mut gather_misses, mut gather_evictions) = (0, 0, 0);
+        for lane in &self.lanes {
+            let (hits, misses, evictions) = lane.prepared.gather_counters();
+            gather_hits += hits;
+            gather_misses += misses;
+            gather_evictions += evictions;
+        }
+        let sum = |meter: fn(&DeviceStats) -> u64| -> u64 {
+            self.devices.iter().map(|d| meter(d.stats())).sum()
+        };
         EngineStats {
             cache_hits,
             cache_misses,
             monotone_hits: self.monotone_hits.load(Ordering::Relaxed),
-            resident_bytes: self.prepared.resident_bytes(),
-            peak_resident_bytes: device.peak_resident_bytes(),
-            relu_layers: self.prepared.relu_plan().len(),
+            resident_bytes: self.resident_bytes,
+            peak_resident_bytes: sum(|d| d.peak_resident_bytes()),
+            relu_layers: self.prepared().relu_plan().len(),
             fused_batches: self.fused_batches.load(Ordering::Relaxed),
-            launches: device.launches(),
-            flops: device.flops(),
-            bytes_moved: device.bytes_moved(),
+            launches: sum(|d| d.launches()),
+            flops: sum(|d| d.flops()),
+            bytes_moved: sum(|d| d.bytes_moved()),
             ewma_ms_per_cost: f64::from_bits(self.ewma_ms_per_cost.load(Ordering::Relaxed)),
             fast_pass_resolved: 0,
             escalated: 0,
@@ -837,7 +891,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         if query.image.len() != self.graph.nodes[0].shape.len() {
             return 0.0;
         }
-        query_cost_hint(&query.image, query.eps, self.prepared.relu_plan().len())
+        query_cost_hint(&query.image, query.eps, self.prepared().relu_plan().len())
     }
 
     /// Runs (or reuses) the full DeepPoly analysis over an input box,
@@ -933,7 +987,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     }
 
     fn analyze_fresh(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
-        analyze(&self.device, &self.graph, &self.prepared, &self.cfg, input)
+        analyze(&self.lanes, &self.graph, &self.cfg, input)
     }
 
     /// Proves (or fails to prove) each row of a linear output spec over an
@@ -1045,13 +1099,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         }
         let rows = spec.rows();
         let out = walk_streams(
-            &self.device,
-            &self.prepared,
+            &self.lanes,
             &self.cfg,
             rows.len(),
             1,
             &|_| 0,
-            &|part| self.walk_spec(self.spec_batch(&rows[part])?, vec![analysis]),
+            &|lane, part| self.walk_spec(lane, self.spec_batch(lane, &rows[part])?, vec![analysis]),
         )?;
         let mut stats = analysis.stats.clone();
         stats.absorb_walk(out.work[0].stopped, out.work[0].candidates);
@@ -1064,12 +1117,16 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     }
 
     /// Spec rows as a backsubstitution batch at the output node, one
-    /// expression per row.
-    fn spec_batch(&self, rows: &[SpecRow<F>]) -> Result<ExprBatch<F, B>, VerifyError> {
+    /// expression per row, on `lane`'s device.
+    fn spec_batch(
+        &self,
+        lane: &Lane<'n, F, B>,
+        rows: &[SpecRow<F>],
+    ) -> Result<ExprBatch<F, B>, VerifyError> {
         let out_node = self.graph.output();
         let out_shape = self.graph.nodes[out_node].shape;
         let mut batch = ExprBatch::zeroed(
-            &self.device,
+            &lane.device,
             out_node,
             out_shape,
             (out_shape.h, out_shape.w),
@@ -1084,10 +1141,11 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         Ok(batch)
     }
 
-    /// Walks a batch of spec rows to the input; segment `k` of the batch
-    /// reads `segs[k]`'s bounds.
+    /// Walks a batch of spec rows to the input on `lane`; segment `k` of the
+    /// batch reads `segs[k]`'s bounds.
     fn walk_spec(
         &self,
+        lane: &Lane<'n, F, B>,
         batch: ExprBatch<F, B>,
         segs: Vec<&Analysis<F>>,
     ) -> Result<WalkOutcome<F>, VerifyError> {
@@ -1097,9 +1155,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             StopRule::None
         };
         let walker = Walker {
-            device: &self.device,
+            device: &lane.device,
             graph: &self.graph,
-            prepared: &self.prepared,
+            prepared: &lane.prepared,
             segs,
         };
         walker.run(batch, rule)
@@ -1253,7 +1311,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .iter()
             .map(|b| (b.hi - b.lo).max(F::ZERO).to_f64())
             .sum();
-        width * self.prepared.relu_plan().len().max(1) as f64
+        width * self.prepared().relu_plan().len().max(1) as f64
     }
 
     /// Verifies a batch of robustness queries over the same network with
@@ -1284,48 +1342,37 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// the anchor analysis too (proving only; unproven queries fall
     /// through to the exact fused analysis).
     pub fn verify_batch_fused(&self, queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
-        Self::verify_batch_on(std::slice::from_ref(self), queries)
-    }
-
-    /// [`Engine::verify_batch_fused`] over a pool: `lanes` are engines over
-    /// the same network and configuration, one per walking device. One lane
-    /// is the engine itself.
-    pub(crate) fn verify_batch_on(lanes: &[Self], queries: &[Query<F>]) -> Vec<BatchVerdict<F>> {
-        let lead = &lanes[0];
-        lead.with_admitted(queries, |labels, boxes| {
-            Self::verify_boxes_fused(lanes, labels, boxes, lead.options.monotone_cache_reuse)
+        self.with_admitted(queries, |labels, boxes| {
+            self.verify_boxes_fused(labels, boxes, self.options.monotone_cache_reuse)
         })
     }
 
     /// The one walk driver: verifies *arbitrary* validated input boxes (one
     /// robustness spec, hence one `labels[j]`, each) through the fused
-    /// cross-query pipeline, over any number of lanes. Query batches arrive
-    /// here as their boxes; branch-and-bound sends each frontier generation
-    /// of sibling sub-boxes, which share one launch per layer step exactly
-    /// like a fused query batch.
+    /// cross-query pipeline. Query batches arrive here as their boxes;
+    /// branch-and-bound sends each frontier generation of sibling sub-boxes,
+    /// which share one launch per layer step exactly like a fused query
+    /// batch.
     ///
     /// Boxes must already be valid for this network (right length, finite,
     /// inside the input domain) — they come from [`Engine::robustness_box`]
     /// or from bisecting such a box. With `monotone` set, a box whose exact
-    /// analysis misses the cache first probes every lane for a cached
-    /// analysis over a *containing* box (an anchor query, an ancestor from
-    /// an earlier refinement, a sibling) and a successful superset proof
-    /// resolves it without any new analysis — proving only, same soundness
-    /// rule as [`EngineOptions::monotone_cache_reuse`]. Fewer than two boxes
-    /// left to fuse, or any device failure inside the fused pipeline, go
-    /// through the first lane one box after the other (strictly more
-    /// memory-frugal, same bits). The batch is counted and timed on the
-    /// first lane.
+    /// analysis misses the cache first probes it for a cached analysis over
+    /// a *containing* box (an anchor query, an ancestor from an earlier
+    /// refinement, a sibling) and a successful superset proof resolves it
+    /// without any new analysis — proving only, same soundness rule as
+    /// [`EngineOptions::monotone_cache_reuse`]. Fewer than two boxes left to
+    /// fuse, or any device failure inside the fused pipeline, go one box
+    /// after the other (strictly more memory-frugal, same bits).
     pub(crate) fn verify_boxes_fused(
-        lanes: &[Self],
+        &self,
         labels: &[usize],
         boxes: Vec<Vec<Itv<F>>>,
         monotone: bool,
     ) -> Vec<BatchVerdict<F>> {
         let started = Instant::now();
-        let lead = &lanes[0];
-        let out_len = lead.out_len();
-        let total_cost: f64 = boxes.iter().map(|b| lead.box_cost(b)).sum();
+        let out_len = self.out_len();
+        let total_cost: f64 = boxes.iter().map(|b| self.box_cost(b)).sum();
 
         let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
         let mut fusable: Vec<usize> = Vec::new();
@@ -1336,9 +1383,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             // falls through to the exact path below.
             let proof = if monotone {
                 let spec = LinearSpec::robustness(labels[j], out_len);
-                lanes
-                    .iter()
-                    .find_map(|lane| lane.prove_from_superset(&input, &spec).ok().flatten())
+                self.prove_from_superset(&input, &spec).ok().flatten()
             } else {
                 None
             };
@@ -1357,12 +1402,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         let fused = if fusable.len() < 2 {
             None
         } else {
-            Self::fused_pipeline(lanes, &live_labels, &live).ok()
+            self.fused_pipeline(&live_labels, &live).ok()
         };
         let verdicts: Vec<BatchVerdict<F>> = match fused {
             Some(verdicts) => {
-                lead.fused_batches.fetch_add(1, Ordering::Relaxed);
-                lead.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
+                self.fused_batches.fetch_add(1, Ordering::Relaxed);
+                self.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
                 verdicts.into_iter().map(Ok).collect()
             }
             None => {
@@ -1370,11 +1415,11 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 let verdicts = live_labels
                     .iter()
                     .zip(&live)
-                    .map(|(&label, input)| lead.verify_box(label, input))
+                    .map(|(&label, input)| self.verify_box(label, input))
                     .collect();
-                lead.note_batch_time(
+                self.note_batch_time(
                     started.elapsed().as_secs_f64() * 1e3,
-                    live.iter().map(|b| lead.box_cost(b)).sum(),
+                    live.iter().map(|b| self.box_cost(b)).sum(),
                 );
                 verdicts
             }
@@ -1388,47 +1433,21 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .collect()
     }
 
-    /// Runs `f(index, lane)` for every lane — inline on the caller for a
-    /// single lane, one scoped thread per lane otherwise — and returns the
-    /// results in lane order.
-    fn on_lanes<T: Send>(lanes: &[Self], f: impl Fn(usize, &Self) -> T + Sync) -> Vec<T> {
-        if let [only] = lanes {
-            return vec![f(0, only)];
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, lane)| scope.spawn(move || f(i, lane)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lane thread panicked"))
-                .collect()
-        })
-    }
-
-    /// The fused pipeline proper, over `n` lanes: one analysis per unique
-    /// box (unique box `g` resolved on lane `g % n`), then every query's
-    /// robustness-spec rows in one stacked row space, cut into `n`
-    /// contiguous blocks, block `s` walked on lane `s`.
+    /// The fused pipeline proper: one analysis per unique box, then every
+    /// query's robustness-spec rows in one stacked row space through the one
+    /// schedule ([`walk_streams`]).
     ///
-    /// Splitting is pure scheduling. An analysis is deterministic per box, so
-    /// which lane computed it never shows in the bits. Every kernel of the
-    /// walk — concretize, GEMM, GBC, ReLU substitution, compaction — is
-    /// per-row: rows never read or write each other, relaxation tables
-    /// depend only on the row's query segment, and each element accumulates
-    /// in ascending-`k` order regardless of which rows share its launch (the
-    /// backend bit-reproducibility contract). The blocks are contiguous and
-    /// ascending, so splicing their results in lane order reproduces the
-    /// one-lane row order exactly.
+    /// Where the rows run is pure scheduling. Every kernel of the walk —
+    /// concretize, GEMM, GBC, ReLU substitution, compaction — is per-row:
+    /// rows never read or write each other, relaxation tables depend only on
+    /// the row's query segment, and each element accumulates in
+    /// ascending-`k` order regardless of which rows share its launch (the
+    /// backend bit-reproducibility contract).
     fn fused_pipeline(
-        lanes: &[Self],
+        &self,
         labels: &[usize],
         boxes: &[Vec<Itv<F>>],
     ) -> Result<Vec<RobustnessVerdict<F>>, VerifyError> {
-        let n = lanes.len();
         // Unique boxes in first-appearance order: `groups[g]` is the index
         // of group g's first box, `group_of[j]` the group of the j-th box.
         let keys: Vec<BoxKey> = boxes.iter().map(|b| box_key(b)).collect();
@@ -1443,104 +1462,70 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             group_of.push(g);
         }
 
-        // Group g is lane g % n's (g / n)-th group.
-        let resolved = Self::on_lanes(lanes, |e, lane| {
-            let mine: Vec<usize> = groups.iter().skip(e).step_by(n).copied().collect();
-            let uses: Vec<usize> = group_of
-                .iter()
-                .filter(|&&g| g % n == e)
-                .map(|&g| g / n)
-                .collect();
-            lane.resolve_boxes(boxes, &keys, &mine, &uses)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let analyses: Vec<&Analysis<F>> =
-            group_of.iter().map(|&g| &*resolved[g % n][g / n]).collect();
+        let resolved = self.resolve_boxes(boxes, &keys, &groups, &group_of)?;
+        let analyses: Vec<&Analysis<F>> = group_of.iter().map(|&g| &*resolved[g]).collect();
 
         // Query j owns rows [j·rpq, (j+1)·rpq) of the stacked row space.
-        let out_len = lanes[0].out_len();
+        let out_len = self.out_len();
         let rpq = out_len - 1;
-        let total = labels.len() * rpq;
-        let block = |s: usize| total * s / n..total * (s + 1) / n;
-        let walks = Self::on_lanes(lanes, |s, lane| {
-            lane.walk_spec_rows(labels, &analyses, block(s))
-        });
-
-        // Lanes walk side by side: a query split between two took the longer
-        // one's candidate rounds.
-        let mut best: Vec<Itv<F>> = Vec::with_capacity(total);
-        let mut work = vec![SegWork::default(); labels.len()];
-        for walk in walks {
-            let walk = walk?;
-            for (w, lane) in work.iter_mut().zip(&walk.work) {
-                w.stopped += lane.stopped;
-                w.candidates = w.candidates.max(lane.candidates);
-            }
-            best.extend(walk.best);
-        }
+        let walked = self.walk_spec_rows(labels, &analyses)?;
         Ok(labels
             .iter()
             .enumerate()
             .map(|(j, &label)| {
                 let mut stats = analyses[j].stats.clone();
-                stats.absorb_walk(work[j].stopped, work[j].candidates);
-                let verdict = Self::spec_verdict(&best[j * rpq..(j + 1) * rpq], stats);
+                stats.absorb_walk(walked.work[j].stopped, walked.work[j].candidates);
+                let verdict = Self::spec_verdict(&walked.best[j * rpq..(j + 1) * rpq], stats);
                 Self::robustness_verdict(label, out_len, verdict)
             })
             .collect())
     }
 
-    /// One lane's block `rows` of the stacked robustness-spec row space
-    /// (query j owns rows `[j·rpq, (j+1)·rpq)` and reads `analyses[j]`),
-    /// through the one schedule ([`walk_streams`]). Each of its walks is one
-    /// multi-segment pass: per-query sub-batches covering the walk's rows,
-    /// stacked so each query keeps its own segment (and hence its own
-    /// relaxation tables).
+    /// The stacked robustness-spec row space (query j owns rows
+    /// `[j·rpq, (j+1)·rpq)` and reads `analyses[j]`), through the one
+    /// schedule ([`walk_streams`]). Each of its walks is one multi-segment
+    /// pass: per-query sub-batches covering the walk's rows, stacked so each
+    /// query keeps its own segment (and hence its own relaxation tables).
     fn walk_spec_rows(
         &self,
         labels: &[usize],
         analyses: &[&Analysis<F>],
-        rows: Range<usize>,
     ) -> Result<Streamed<F>, VerifyError> {
         let out_len = self.out_len();
         let rpq = out_len - 1;
-        let query_of = |r: usize| (rows.start + r) / rpq;
-        let walk = |part: Range<usize>| {
-            let part = rows.start + part.start..rows.start + part.end;
+        let walk = |lane: &Lane<'n, F, B>, part: Range<usize>| {
             let mut batches = Vec::new();
             let mut segs = Vec::new();
             for j in part.start / rpq..=(part.end - 1) / rpq {
                 let spec = LinearSpec::robustness(labels[j], out_len);
                 let lo = part.start.max(j * rpq) - j * rpq;
                 let hi = part.end.min((j + 1) * rpq) - j * rpq;
-                batches.push(self.spec_batch(&spec.rows()[lo..hi])?);
+                batches.push(self.spec_batch(lane, &spec.rows()[lo..hi])?);
                 segs.push(analyses[j]);
             }
-            self.walk_spec(ExprBatch::stack(&self.device, batches)?, segs)
+            self.walk_spec(lane, ExprBatch::stack(&lane.device, batches)?, segs)
         };
         walk_streams(
-            &self.device,
-            &self.prepared,
+            &self.lanes,
             &self.cfg,
-            rows.len(),
+            labels.len() * rpq,
             labels.len(),
-            &query_of,
+            &|r| r / rpq,
             &walk,
         )
     }
 
-    /// The cache-and-gate half of the fused pipeline, on one lane: one
-    /// analysis per unique box, served from this engine's cache or computed
-    /// together by one fused multi-query analysis. `mine[g]` indexes the
-    /// g-th unique box in `boxes` / `keys`; `uses` lists, per query over one
-    /// of them and in query order, which one.
+    /// The cache-and-gate half of the fused pipeline: one analysis per
+    /// unique box, served from the cache or computed together by one fused
+    /// multi-query analysis. `groups[g]` indexes the g-th unique box in
+    /// `boxes` / `keys`; `group_of` lists, per query and in query order,
+    /// which one it is over.
     fn resolve_boxes(
         &self,
         boxes: &[Vec<Itv<F>>],
         keys: &[BoxKey],
-        mine: &[usize],
-        uses: &[usize],
+        groups: &[usize],
+        group_of: &[usize],
     ) -> Result<Vec<Arc<Analysis<F>>>, VerifyError> {
         let caching = self.options.analysis_cache > 0;
 
@@ -1548,11 +1533,11 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         // lookups below replicate the sequential hit/miss accounting).
         let missed: Vec<usize> = {
             let cache = self.cache.lock();
-            (0..mine.len())
-                .filter(|&g| !caching || !cache.peek(&keys[mine[g]]))
+            (0..groups.len())
+                .filter(|&g| !caching || !cache.peek(&keys[groups[g]]))
                 .collect()
         };
-        let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; mine.len()];
+        let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; groups.len()];
         // Dedup against concurrent analyses of the same boxes: claim every
         // missed box, exactly like [`Engine::analyze`]. A box another thread
         // is already computing is *deferred* — left out of our fused analysis
@@ -1560,12 +1545,12 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         // thread's gate and serves the cache. Without a cache there is
         // nothing to share, and nothing to claim.
         let to_claim: Vec<BoxKey> = if caching {
-            missed.iter().map(|&g| keys[mine[g]].clone()).collect()
+            missed.iter().map(|&g| keys[groups[g]].clone()).collect()
         } else {
             Vec::new()
         };
         self.with_claims(&to_claim, |claimed| -> Result<(), VerifyError> {
-            let mut own = vec![false; mine.len()];
+            let mut own = vec![false; groups.len()];
             for (i, &g) in missed.iter().enumerate() {
                 own[g] = !caching || claimed[i];
             }
@@ -1577,7 +1562,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 let mut cache = self.cache.lock();
                 for &g in &missed {
                     if own[g] {
-                        if let Some(hit) = cache.get(&keys[mine[g]]) {
+                        if let Some(hit) = cache.get(&keys[groups[g]]) {
                             analyses[g] = Some(hit); // counts the hit
                             own[g] = false;
                         }
@@ -1587,17 +1572,13 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
             // Fused analysis of every owned missed box.
             let owned: Vec<usize> = missed.iter().copied().filter(|&g| own[g]).collect();
-            let inputs: Vec<&[Itv<F>]> = owned.iter().map(|&g| boxes[mine[g]].as_slice()).collect();
-            let computed: Vec<Arc<Analysis<F>>> = analyze_fused(
-                &self.device,
-                &self.graph,
-                &self.prepared,
-                &self.cfg,
-                &inputs,
-            )?
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+            let inputs: Vec<&[Itv<F>]> =
+                owned.iter().map(|&g| boxes[groups[g]].as_slice()).collect();
+            let computed: Vec<Arc<Analysis<F>>> =
+                analyze_fused(&self.lanes, &self.graph, &self.cfg, &inputs)?
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect();
 
             // Publish to the cache with sequential-path accounting: one true
             // miss per computed analysis, one hit for every other lookup of
@@ -1605,24 +1586,24 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             // so a small-capacity LRU can't evict them mid-batch.
             if caching {
                 let mut cache = self.cache.lock();
-                for (g, &rep) in mine.iter().enumerate() {
+                for (g, &rep) in groups.iter().enumerate() {
                     if !missed.contains(&g) {
                         analyses[g] = cache.get(&keys[rep]); // counts the hit
                     }
                 }
                 for (&g, analysis) in owned.iter().zip(&computed) {
                     cache.note_computed();
-                    cache.insert(keys[mine[g]].clone(), &boxes[mine[g]], analysis.clone());
+                    cache.insert(keys[groups[g]].clone(), &boxes[groups[g]], analysis.clone());
                     analyses[g] = Some(analysis.clone());
                 }
                 // Each further query of a box is one more cache-served
                 // lookup.
-                let mut first_use = vec![true; mine.len()];
-                for &g in uses {
+                let mut first_use = vec![true; groups.len()];
+                for &g in group_of {
                     if first_use[g] {
                         first_use[g] = false;
                     } else {
-                        let _ = cache.get(&keys[mine[g]]);
+                        let _ = cache.get(&keys[groups[g]]);
                     }
                 }
             } else {
@@ -1643,7 +1624,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             .enumerate()
             .map(|(g, a)| match a {
                 Some(a) => Ok(a),
-                None => self.analyze(&boxes[mine[g]]),
+                None => self.analyze(&boxes[groups[g]]),
             })
             .collect()
     }
@@ -1651,7 +1632,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
 impl<F: Fp, B: Backend> Drop for Engine<'_, F, B> {
     fn drop(&mut self) {
-        self.device.buffer_pool_release();
+        for lane in &self.lanes {
+            lane.device.buffer_pool_release();
+        }
     }
 }
 

@@ -10,9 +10,9 @@
 //! a layer the executing device owns itself resolves to the store's
 //! resident buffer with no copy at all. Because a gather copies the
 //! owner's exact bit pattern and the walk arithmetic is unchanged, margins
-//! are bit-identical to a single-device run at any N — with one walker (one
-//! view, on device 0) and with every device walking its own row block (one
-//! view per device) alike.
+//! are bit-identical to a single-device run at any N — with one walking
+//! device (one view, on device 0) and with every device walking its share of
+//! every row list (one view per device) alike.
 //!
 //! Three mechanisms bound the gather cost:
 //!
@@ -82,7 +82,7 @@ type GatherEntry<F, B> = (NodeId, Arc<GatheredLayer<F, B>>);
 /// The pool-shared half of weight sharding: every affine layer uploaded
 /// persistently onto its owner device under the deterministic greedy
 /// partition. Holds device buffers and node ids only (no graph borrow), so
-/// it is `Arc`-shared between the gather views of a pool's walkers.
+/// it is `Arc`-shared between the gather views of a pool's walking devices.
 pub(crate) struct ShardStore<F: Fp, B: Backend> {
     /// Per-node owner device index; `None` for non-affine nodes and for
     /// layers whose upload failed (those stay host borrows in every view).

@@ -61,6 +61,6 @@ pub use engine::{query_cost_hint, Engine, EngineOptions, EngineStats, PreparedGr
 pub use error::VerifyError;
 pub use expr::ExprBatch;
 pub use relax::ReluRelax;
-pub use sharded::{weight_shard_budget, Plan, ShardedEngine, WeightShardBudget};
+pub use sharded::{weight_shard_budget, Plan, WeightShardBudget};
 pub use tiered::{escalation_cost_weight, TieredEngine};
 pub use verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};

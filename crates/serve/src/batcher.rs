@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpupoly_core::{
-    CompleteVerdict, EngineOptions, EngineStats, Plan, Query, RefineBudget, RobustnessVerdict,
-    ShardedEngine, TieredEngine, VerifyConfig, VerifyError,
+    CompleteVerdict, Engine, EngineOptions, EngineStats, Plan, Query, RefineBudget,
+    RobustnessVerdict, TieredEngine, VerifyConfig, VerifyError,
 };
 use gpupoly_device::{Backend, Device};
 use gpupoly_nn::Network;
@@ -43,9 +43,9 @@ pub(crate) type RetireFn = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// What the batching loop needs from a resident verification engine: one
 /// fused batch call at serving precision, one branch-and-bound refinement
-/// call, and a stats snapshot to mirror. Implemented by the pool
-/// [`ShardedEngine`] (a pool of one device is the plain engine) and by the
-/// precision-tiered [`TieredEngine`], so one loop serves both worker
+/// call, and a stats snapshot to mirror. Implemented by the [`Engine`] over
+/// the worker's devices (a pool of one device is the plain engine) and by
+/// the precision-tiered [`TieredEngine`], so one loop serves both worker
 /// flavors.
 trait BatchVerifier {
     fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>>;
@@ -76,9 +76,9 @@ impl<B: Backend> BatchVerifier for TieredEngine<'_, B> {
     }
 }
 
-impl<B: Backend> BatchVerifier for ShardedEngine<'_, f32, B> {
+impl<B: Backend> BatchVerifier for Engine<'_, f32, B> {
     fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>> {
-        self.verify_batch_sharded(queries)
+        self.verify_batch_fused(queries)
     }
     fn verify_complete(
         &self,
@@ -91,9 +91,9 @@ impl<B: Backend> BatchVerifier for ShardedEngine<'_, f32, B> {
             .collect()
     }
     fn stats(&self) -> EngineStats {
-        // Aggregated across all pool devices — launch/FLOP/bytes meters sum
-        // the whole walk, not just the first device's shard.
-        ShardedEngine::stats(self)
+        // Summed over the pool's devices — launch/FLOP/bytes meters cover
+        // the whole walk, not just the first device's share.
+        Engine::stats(self)
     }
 }
 
@@ -175,8 +175,10 @@ pub(crate) struct WorkItem {
 /// up. On success the model is resident: `stats.resident_bytes` is set and
 /// the returned sender is the admission queue (capacity `queue_cap`).
 ///
-/// The worker runs a [`ShardedEngine`] over `devices`, placed by `plan` (one
-/// device under the default plan is the plain engine), or — when
+/// The worker runs an [`Engine`] over `devices`, placed by `plan`
+/// ([`Engine::on_pool`]: the walks of every row list dealt over the pool's
+/// stream slots; one device under the default plan is the plain engine), or
+/// — when
 /// `precision_tier` is set — a [`TieredEngine`] on the first device alone:
 /// the tiered flavor is single-device and refuses to combine with a pool
 /// plan (the server validates that at bind time).
@@ -241,7 +243,7 @@ pub(crate) fn spawn_worker<B: Backend>(
                     Err(e) => refuse(e),
                 };
             } else {
-                match ShardedEngine::new(devices, plan, &net, verify, EngineOptions::default()) {
+                match Engine::on_pool(devices, plan, &net, verify, EngineOptions::default()) {
                     Ok(engine) => serve(&engine),
                     Err(e) => refuse(e),
                 }

@@ -12,8 +12,8 @@
 //!
 //! `--weight-sharded` and `--tensor-parallel` compose: passing both with
 //! `--devices N` (N > 1) serves each model with hybrid 2D sharding —
-//! weights partitioned across devices and every device walking its own
-//! contiguous row block over the gathered layers.
+//! weights partitioned across devices and every device walking its share of
+//! every row list over the gathered layers.
 //!
 //! The kernel backend is selected with `GPUPOLY_BACKEND=cpusim|reference`
 //! (default `cpusim`), mirroring the test suite's backend matrix.
@@ -172,7 +172,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // FSDP-style: each device holds ~1/N of every model's weight bytes,
     // layer shards are all-gathered just in time during backsubstitution.
     // Combined with --tensor-parallel this becomes hybrid 2D sharding:
-    // every device walks its own row block over the gathered layers.
+    // every device walks its share of every row list over the gathered
+    // layers.
     // Either refuses --precision-tier (checked at bind).
     cfg.plan.shard_weights = flags.take_bool("--weight-sharded");
     let rest = flags.finish()?;

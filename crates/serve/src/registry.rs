@@ -7,9 +7,9 @@
 //! *replicated* onto the least-loaded device not yet holding it, and
 //! admission then routes each query to the least-loaded replica. Under a
 //! pool [`Plan`] every model instead gets one worker spanning the whole pool
-//! ([`gpupoly_core::ShardedEngine`]: row blocks walked per device, weights
-//! sharded across devices, or both), bit-identical to the single-device
-//! walk.
+//! ([`gpupoly_core::Engine::on_pool`]: walks dealt over the pool's stream
+//! slots, weights sharded across devices, or both), bit-identical to the
+//! single-device walk.
 //!
 //! Each device's `memory_in_use()` is the source of truth its budget is
 //! enforced against. Loading a model that would exceed the target device's
@@ -79,14 +79,15 @@ pub struct RegistryConfig {
     /// How every model is placed over the pool. Under the default plan,
     /// devices hold disjoint models with hot-model replication. With
     /// [`Plan::split_rows`] every model is served by one tensor-parallel
-    /// worker whose fused backsubstitution row space is sharded across *all*
-    /// pool devices per layer step. With [`Plan::shard_weights`] the model's
+    /// worker whose walks — of every layer's refinement rows and of the
+    /// fused batch's spec rows — are dealt over the stream slots of *all*
+    /// pool devices. With [`Plan::shard_weights`] the model's
     /// layers are partitioned FSDP-style across *all* pool devices (each
     /// holds ~1/N of the weight bytes) and all-gathered onto the walking
     /// device just in time; admission then accounts per-device *shard*
     /// bytes, so a model bigger than any one device's budget still loads
     /// across the pool. Both together are **hybrid 2D sharding**: the same
-    /// weight partition, every device walking its own row block and
+    /// weight partition, every device walking its share of the walks and
     /// gathering remote layers onto itself. Margins are bit-identical to a
     /// single-device run under every plan.
     pub plan: Plan,

@@ -66,7 +66,7 @@ pub struct ServerConfig {
     pub devices: usize,
     /// How every model is placed over the pool (see `RegistryConfig::plan`):
     /// `--tensor-parallel` sets [`Plan::split_rows`] (one worker per model,
-    /// every device walking its own row block, instead of replicating),
+    /// its walks dealt over the pool's stream slots, instead of replicating),
     /// `--weight-sharded` sets [`Plan::shard_weights`] (each device holds
     /// ~1/N of the weight bytes, layers all-gathered just in time), both
     /// together serve **hybrid**. Either is mutually exclusive with

@@ -48,8 +48,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// A coalescing window wide enough that pipelined queries ride one batch: a
-/// pool only splits a batch it can fuse, so a lone query walks on the first
-/// device like it would on a single one.
+/// pool deals a small model's rows over its devices only where a list holds
+/// more than one query, so a lone query walks on the first device like it
+/// would on a single one.
 const COALESCING: BatchPolicy = BatchPolicy {
     max_batch: 16,
     max_delay: Duration::from_millis(250),
@@ -489,7 +490,7 @@ fn hybrid_sharded_pool_walks_and_gathers_on_every_device() {
     assert_eq!(stats.devices.len(), 2, "{stats:?}");
     assert!(
         stats.devices.iter().all(|d| d.launches > 0 && d.flops > 0),
-        "every device must walk its own row block: {:?}",
+        "every device must walk its share of the rows: {:?}",
         stats.devices
     );
     assert!(

@@ -11,17 +11,17 @@
 //!   model?" deterministically: an existing replica if one exists (the
 //!   least-loaded of them), otherwise the least-loaded device overall,
 //!   recorded as the model's new affinity.
-//! * **sharded walks** — [`ShardedEngine`] (re-exported from
-//!   `gpupoly_core`) spans the pool under a `gpupoly_core::Plan` of two
-//!   independent choices: *row* sharding (`split_rows`) makes every device
-//!   a walker over its own contiguous block of the fused backsubstitution
-//!   row space; FSDP-style *weight* sharding (`shard_weights`) partitions
-//!   the model's layers across the pool (each device holds ~1/N of the
-//!   weight bytes) and all-gathers them onto the walking device just in
-//!   time — serving models bigger than any one device; both together are
-//!   *hybrid* 2D sharding, every device walking its own row block and
-//!   gathering remote layers onto itself. Every plan keeps margins
-//!   bit-identical to the single-device walk. Admission charges every
+//! * **sharded walks** — one `gpupoly_core::Engine` spans the pool
+//!   (`Engine::on_pool`) under a `gpupoly_core::Plan` of two independent
+//!   choices: *row* sharding (`split_rows`) makes every device a walking
+//!   device, the walks of every backsubstitution row list dealt over the
+//!   pool's stream slots; FSDP-style *weight* sharding (`shard_weights`)
+//!   partitions the model's layers across the pool (each device holds ~1/N
+//!   of the weight bytes) and all-gathers them onto the walking device just
+//!   in time — serving models bigger than any one device; both together are
+//!   *hybrid* 2D sharding, every device walking its share and gathering
+//!   remote layers onto itself. Every plan keeps margins bit-identical to
+//!   the single-device walk. Admission charges every
 //!   weight-sharded worker the same per-device bound — the worst shard
 //!   plus the gather cache's double-buffer floor
 //!   (`weight_shard_budget(...).worst_device_bytes()`): with both choices
@@ -41,8 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use gpupoly_device::{Backend, Device, DeviceConfig};
-
-pub use gpupoly_core::ShardedEngine;
 
 /// A pool of N devices with per-device load gauges and sticky model
 /// placement.

@@ -31,9 +31,7 @@
 use std::collections::HashSet;
 
 use gpupoly::baselines::DeepPolyCpu;
-use gpupoly::core::{
-    Engine, EngineOptions, Plan, Query, ShardedEngine, TieredEngine, VerifyConfig,
-};
+use gpupoly::core::{Engine, EngineOptions, Plan, Query, TieredEngine, VerifyConfig};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::nn::zoo::{self, ArchId, Dataset};
 use gpupoly::nn::Network;
@@ -299,14 +297,14 @@ const HYBRID: Plan = Plan {
     shard_weights: true,
 };
 
-/// One row of the plan table: for every Table-1 build and both backends, a
-/// `ShardedEngine` under `plan` at each pool size of `pool_sizes` returns
-/// margins **bit-identical** to the single-device fused path. Row sharding
-/// is pure scheduling — contiguous row blocks with an ordered gather
-/// preserve each expression row's ascending-k accumulation exactly — and
-/// weight gathering reconstructs each remote layer byte-for-byte on the
-/// walking device, so neither axis of the split may show up in a margin,
-/// however the pool is cut — while every walker's rows, the per-device
+/// One row of the plan table: for every Table-1 build and both backends, an
+/// engine on a pool placed by `plan` at each pool size of `pool_sizes`
+/// returns margins **bit-identical** to the single-device fused path. Row
+/// sharding is pure scheduling — walks dealt over the pool's stream slots
+/// keep each expression row's ascending-k accumulation exactly — and weight
+/// gathering reconstructs each remote layer byte-for-byte on the walking
+/// device, so neither axis of the split may show up in a margin, however
+/// the pool is cut — while every walking device's rows, the per-device
 /// resident split and the gathered `comms` bytes must show up in the
 /// meters.
 fn zoo_plan_row(sweep: Sweep, plan: Plan, pool_sizes: &[usize]) {
@@ -356,7 +354,7 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
                 .map(|i| make(DeviceConfig::new().workers(1).name(format!("d{i}"))))
                 .collect();
             let handles = devices.clone();
-            let sharded = ShardedEngine::new(
+            let sharded = Engine::on_pool(
                 devices,
                 plan,
                 &net,
@@ -364,7 +362,7 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
                 EngineOptions::default(),
             )
             .expect("sharded engine");
-            let got = sharded.verify_batch_sharded(&qs);
+            let got = sharded.verify_batch_fused(&qs);
             assert_eq!(got.len(), want.len(), "{id}");
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 let g = g.as_ref().expect("sharded verdict");
@@ -400,8 +398,8 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
                 // full model. Gathered bytes land on the walking device
                 // under the `comms` label whenever its walk reaches a
                 // remote shard.
-                let bytes = sharded.shard_resident_bytes();
-                let full: usize = bytes.iter().sum();
+                let bytes: Vec<u64> = handles.iter().map(|h| h.stats().resident_bytes()).collect();
+                let full: u64 = bytes.iter().sum();
                 let worst = bytes.iter().copied().max().expect("non-empty plan");
                 assert!(
                     worst < full,
@@ -422,10 +420,10 @@ fn zoo_plan_case<B: gpupoly::device::Backend>(
 }
 
 // Tier-1 runs the column where a pool first differs from an engine: two
-// devices. One device under any plan is one lane of the same driver the
-// reference run uses (`engine_sharded.rs::pool_of_one_is_the_engine` pins
-// it); that column and the 4-device one wait, like the whole zoo at two
-// devices, for the CI leg that runs this file's ignored tests.
+// devices. One device under the default plan is the engine the reference
+// run uses (`engine_sharded.rs::pool_of_one_is_the_engine` pins it); that
+// column and the 4-device one wait, like the whole zoo at two devices, for
+// the CI leg that runs this file's ignored tests.
 
 #[test]
 fn zoo_sharded_margins_bit_identical_across_device_counts() {
