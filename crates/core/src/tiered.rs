@@ -12,12 +12,8 @@
 //! narrow margins, errors — is re-run through a resident `f64` engine whose
 //! answer is returned verbatim. The escalated answers are bit-identical to
 //! an all-`f64` run; the fast-resolved ones are proofs the `f64` walk would
-//! only have widened.
-//!
-//! The payoff is throughput: the `f32` walk moves half the bytes and (on
-//! wide SIMD backends) retires twice the lanes per instruction, and on
-//! typical robustness workloads it resolves the large majority of queries
-//! outright.
+//! only have widened. Both rungs are placed over a device pool by one
+//! [`Plan`], so the tier composes with every placement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -29,6 +25,7 @@ use gpupoly_nn::Network;
 use crate::config::VerifyConfig;
 use crate::engine::{fold_ms_per_cost, Engine, EngineOptions, EngineStats, Query};
 use crate::error::VerifyError;
+use crate::sharded::Plan;
 use crate::verifier::{Margin, RobustnessVerdict};
 
 /// How much a query stream's unit of [`Engine::query_cost`] is expected to
@@ -59,12 +56,12 @@ pub fn escalation_cost_weight(escalated: u64, fast_resolved: u64) -> f64 {
 }
 
 /// A two-tier verification engine: an `f32` fast pass backed by a sound
-/// `f64` escalation path over the same network and device.
-///
-/// Both tiers share one [`Device`] (weights of both precisions are resident
-/// simultaneously) and one [`VerifyConfig`]. The caller keeps ownership of
-/// both network precisions — the widened copy must equal
-/// [`Network::widen`] of the narrow one, which the constructor checks.
+/// `f64` escalation rung, both an [`Engine::on_pool`] over the same devices
+/// and [`Plan`]. Placement is scheduling, so a tiered pool answers as a
+/// tiered device does, bit for bit. The caller keeps ownership of both
+/// network precisions — the widened copy must equal [`Network::widen`] of
+/// the narrow one, which the constructor checks; without one there is no
+/// rung, and the engine answers exactly as the `f32` [`Engine`] does.
 ///
 /// # Example
 ///
@@ -86,7 +83,8 @@ pub fn escalation_cost_weight(escalated: u64, fast_resolved: u64) -> f64 {
 /// ```
 pub struct TieredEngine<'n, B: Backend> {
     fast: Engine<'n, f32, B>,
-    full: Engine<'n, f64, B>,
+    /// The `f64` rung; `None` serves the fast engine alone.
+    full: Option<Engine<'n, f64, B>>,
     /// Layer count of the network — the depth factor of the escalation
     /// envelope.
     depth: usize,
@@ -98,75 +96,65 @@ pub struct TieredEngine<'n, B: Backend> {
 }
 
 impl<'n, B: Backend> TieredEngine<'n, B> {
-    /// Builds a tiered engine with default options.
+    /// Builds a tiered engine on one device with default options.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadQuery`] when `wide` is not `net.widen()` or when
-    /// either tier's engine fails validation.
+    /// As [`TieredEngine::on_pool`].
     pub fn new(
         device: Device<B>,
         net: &'n Network<f32>,
         wide: &'n Network<f64>,
         cfg: VerifyConfig,
     ) -> Result<Self, VerifyError> {
-        Self::with_options(device, net, wide, cfg, EngineOptions::default())
+        Self::on_pool(
+            vec![device],
+            Plan::default(),
+            net,
+            Some(wide),
+            cfg,
+            EngineOptions::default(),
+        )
     }
 
-    /// Builds a tiered engine with explicit options. Both tiers get the
-    /// same options.
+    /// Builds both rungs as [`Engine::on_pool`] over the same `devices`,
+    /// `plan` and `options`: the `f32` fast pass over `net`, and — when
+    /// `wide` is given — the `f64` rung over it. Under
+    /// [`Plan::shard_weights`] both follow one greedy layer partition (it is
+    /// scale-invariant), each `f64` shard beside its `f32` shard at twice
+    /// the bytes.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadQuery`] when `wide` is not `net.widen()` or when
-    /// either tier's engine fails validation.
-    pub fn with_options(
-        device: Device<B>,
+    /// [`VerifyError::BadQuery`] when `wide` is not `net.widen()`, and any
+    /// error of either rung's [`Engine::on_pool`].
+    pub fn on_pool(
+        devices: Vec<Device<B>>,
+        plan: Plan,
         net: &'n Network<f32>,
-        wide: &'n Network<f64>,
+        wide: Option<&'n Network<f64>>,
         cfg: VerifyConfig,
         options: EngineOptions,
     ) -> Result<Self, VerifyError> {
-        if *wide != net.widen() {
+        if wide.is_some_and(|wide| *wide != net.widen()) {
             return Err(VerifyError::BadQuery(
                 "tiered engine: `wide` must be exactly `net.widen()` \
                  (the f64 tier would otherwise verify a different network)"
                     .into(),
             ));
         }
-        let depth = net.layer_count();
-        let fast = Engine::with_options(device.clone(), net, cfg, options)?;
-        let full = Engine::with_options(device, wide, cfg, options)?;
+        let fast = Engine::on_pool(devices.clone(), plan, net, cfg, options)?;
+        let full = wide
+            .map(|wide| Engine::on_pool(devices, plan, wide, cfg, options))
+            .transpose()?;
         Ok(Self {
             fast,
             full,
-            depth,
+            depth: net.layer_count(),
             fast_pass_resolved: AtomicU64::new(0),
             escalated: AtomicU64::new(0),
             ewma_ms_per_cost: AtomicU64::new(0),
         })
-    }
-
-    /// The device both tiers run on.
-    pub fn device(&self) -> &Device<B> {
-        self.fast.device()
-    }
-
-    /// The `f32` fast-tier engine.
-    pub fn fast(&self) -> &Engine<'n, f32, B> {
-        &self.fast
-    }
-
-    /// The `f64` full-precision engine.
-    pub fn full(&self) -> &Engine<'n, f64, B> {
-        &self.full
-    }
-
-    /// The fast tier's cost estimate for one query (see
-    /// [`Engine::query_cost`]). The tiered EWMA already folds escalation
-    /// overhead into its per-cost time, so this stays the raw hint.
-    pub fn query_cost(&self, query: &Query<f32>) -> f64 {
-        self.fast.query_cost(query)
     }
 
     /// `true` when the fast tier may keep this verdict without escalating:
@@ -181,16 +169,40 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
                 .all(|m| m.proven && m.lower > f32::escalation_envelope(self.depth, m.lower))
     }
 
-    /// The `f32` fast pass over a batch: the verdict of every query it
-    /// resolves, `None` for every query to escalate. Errors escalate too:
-    /// the `f64` tier re-derives them so messages (which format eps at
-    /// `f64` width) match an all-`f64` run exactly.
-    fn fast_pass(&self, queries: &[Query<f32>]) -> Vec<Option<RobustnessVerdict<f32>>> {
-        self.fast
-            .verify_batch_fused(queries)
+    /// The one tiered step: the `f32` fast pass over `queries`, every
+    /// verdict it resolves kept through `keep`, and everything else —
+    /// errors included, so the `f64` rung re-derives their messages at its
+    /// width — widened and answered by `escalate` on the `f64` rung,
+    /// spliced back in query order and counted once per query.
+    fn tiered<T>(
+        &self,
+        queries: &[Query<f32>],
+        keep: impl Fn(&RobustnessVerdict<f32>) -> T,
+        escalate: impl FnOnce(&[Query<f64>]) -> Vec<Result<T, VerifyError>>,
+    ) -> Vec<Result<T, VerifyError>> {
+        let fast = self.fast.verify_batch_fused(queries);
+        let mut out: Vec<Option<Result<T, VerifyError>>> = fast
             .into_iter()
-            .map(|r| r.ok().filter(|v| self.fast_resolves(v)))
-            .collect()
+            .map(|r| match r {
+                Ok(v) if self.fast_resolves(&v) => Some(Ok(keep(&v))),
+                _ => None,
+            })
+            .collect();
+        let escalated: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+        self.fast_pass_resolved
+            .fetch_add((queries.len() - escalated.len()) as u64, Ordering::Relaxed);
+        self.escalated
+            .fetch_add(escalated.len() as u64, Ordering::Relaxed);
+        if !escalated.is_empty() {
+            let wide_queries: Vec<Query<f64>> = escalated
+                .iter()
+                .map(|&i| widen_query(&queries[i]))
+                .collect();
+            for (&i, result) in escalated.iter().zip(escalate(&wide_queries)) {
+                out[i] = Some(result);
+            }
+        }
+        settle_slots(out)
     }
 
     /// Verifies a batch at full (`f64`) output precision: fast-resolved
@@ -204,33 +216,17 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
         &self,
         queries: &[Query<f32>],
     ) -> Vec<Result<RobustnessVerdict<f64>, VerifyError>> {
+        let Some(full) = &self.full else {
+            return self
+                .fast
+                .verify_batch_fused(queries)
+                .into_iter()
+                .map(|r| r.map(|v| widen_verdict(&v)))
+                .collect();
+        };
         let start = Instant::now();
         let total_cost: f64 = queries.iter().map(|q| self.fast.query_cost(q)).sum();
-
-        let mut out: Vec<Option<Result<RobustnessVerdict<f64>, VerifyError>>> =
-            vec![None; queries.len()];
-        let mut escalate: Vec<usize> = Vec::new();
-        for (i, kept) in self.fast_pass(queries).into_iter().enumerate() {
-            match kept {
-                Some(v) => out[i] = Some(Ok(widen_verdict(&v))),
-                None => escalate.push(i),
-            }
-        }
-
-        let resolved = queries.len() - escalate.len();
-        if !escalate.is_empty() {
-            let wide_queries: Vec<Query<f64>> =
-                escalate.iter().map(|&i| widen_query(&queries[i])).collect();
-            let full_verdicts = self.full.verify_batch_fused(&wide_queries);
-            for (&i, result) in escalate.iter().zip(full_verdicts) {
-                out[i] = Some(result);
-            }
-        }
-
-        self.fast_pass_resolved
-            .fetch_add(resolved as u64, Ordering::Relaxed);
-        self.escalated
-            .fetch_add(escalate.len() as u64, Ordering::Relaxed);
+        let out = self.tiered(queries, widen_verdict, |wide| full.verify_batch_fused(wide));
         let weight = escalation_cost_weight(
             self.escalated.load(Ordering::Relaxed),
             self.fast_pass_resolved.load(Ordering::Relaxed),
@@ -242,8 +238,7 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
             start.elapsed().as_secs_f64() * 1e3,
             total_cost * weight,
         );
-
-        settle_slots(out)
+        out
     }
 
     /// Verifies a batch at the serving (`f32`) output precision.
@@ -257,33 +252,14 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
         &self,
         queries: &[Query<f32>],
     ) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>> {
-        // Fast-resolved verdicts round-trip losslessly through f64 (widen
-        // is exact, and narrowing an exactly-representable value is the
-        // identity), so one pipeline serves both output precisions.
+        // Fast verdicts — every verdict without a rung — round-trip
+        // losslessly through f64 (widen is exact, and narrowing an
+        // exactly-representable value is the identity), so one pipeline
+        // serves both output precisions.
         self.verify_batch_f64(queries)
             .into_iter()
             .map(|r| r.map(|v| narrow_verdict(&v)))
             .collect()
-    }
-
-    /// Complete (branch-and-bound) verification of one query through the
-    /// tiers — see [`TieredEngine::verify_complete_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Engine::verify_complete`].
-    pub fn verify_complete(
-        &self,
-        query: &Query<f32>,
-        budget: &crate::RefineBudget,
-    ) -> Result<crate::CompleteVerdict<f64>, VerifyError> {
-        self.verify_complete_batch(std::slice::from_ref(query), budget)
-            .pop()
-            .unwrap_or_else(|| {
-                Err(VerifyError::Internal(
-                    "tiered verify_complete_batch returned no verdict for a one-query batch".into(),
-                ))
-            })
     }
 
     /// Batch complete verification with tier composition: **escalate
@@ -292,57 +268,51 @@ impl<'n, B: Backend> TieredEngine<'n, B> {
     /// `Proven` with zero splits; everything else escalates to the `f64`
     /// engine's branch-and-bound, so every split is analyzed — and every
     /// refutation decided — at the precision that will judge it. Output is
-    /// always the `f64` surface (widening a fast proof is lossless).
+    /// always the `f64` surface (widening a fast proof is lossless); without
+    /// a rung it is the fast engine's branch-and-bound, widened.
     pub fn verify_complete_batch(
         &self,
         queries: &[Query<f32>],
         budget: &crate::RefineBudget,
     ) -> Vec<Result<crate::CompleteVerdict<f64>, VerifyError>> {
-        let mut out: Vec<Option<Result<crate::CompleteVerdict<f64>, VerifyError>>> =
-            vec![None; queries.len()];
-        let mut escalate: Vec<usize> = Vec::new();
-        for (i, kept) in self.fast_pass(queries).into_iter().enumerate() {
-            match kept {
-                Some(v) => {
-                    out[i] = Some(Ok(crate::CompleteVerdict::Proven {
-                        base: Some(widen_verdict(&v)),
-                        splits: 0,
-                    }));
-                }
-                None => escalate.push(i),
-            }
-        }
-        self.fast_pass_resolved
-            .fetch_add((queries.len() - escalate.len()) as u64, Ordering::Relaxed);
-        self.escalated
-            .fetch_add(escalate.len() as u64, Ordering::Relaxed);
-        if !escalate.is_empty() {
-            let wide_queries: Vec<Query<f64>> =
-                escalate.iter().map(|&i| widen_query(&queries[i])).collect();
-            let full_verdicts = self.full.verify_complete_batch(&wide_queries, budget);
-            for (&i, result) in escalate.iter().zip(full_verdicts) {
-                out[i] = Some(result);
-            }
-        }
-        settle_slots(out)
+        let Some(full) = &self.full else {
+            return self
+                .fast
+                .verify_complete_batch(queries, budget)
+                .into_iter()
+                .map(|r| r.map(|v| v.widen()))
+                .collect();
+        };
+        self.tiered(
+            queries,
+            |v| crate::CompleteVerdict::Proven {
+                base: Some(widen_verdict(v)),
+                splits: 0,
+            },
+            |wide| full.verify_complete_batch(wide, budget),
+        )
     }
 
-    /// Merged counters of both tiers plus the tier split.
+    /// Merged counters of both tiers plus the tier split; without a rung,
+    /// the fast engine's own.
     ///
     /// Engine-local counters (cache activity, resident bytes, fused
     /// batches) are summed across the tiers. Device-wide counters
     /// (launches, flops, bytes moved) are shared by both tiers' common
-    /// device and therefore taken once. The EWMA is the tiered engine's
+    /// pool and therefore taken once. The EWMA is the tiered engine's
     /// own, folded over escalation-weighted cost.
     pub fn stats(&self) -> EngineStats {
         let fast = self.fast.stats();
-        let full = self.full.stats();
+        let Some(full) = &self.full else {
+            return fast;
+        };
+        let full = full.stats();
         EngineStats {
             cache_hits: fast.cache_hits + full.cache_hits,
             cache_misses: fast.cache_misses + full.cache_misses,
             monotone_hits: fast.monotone_hits + full.monotone_hits,
             resident_bytes: fast.resident_bytes + full.resident_bytes,
-            // Device-wide high-water of the tiers' shared device: taken
+            // Device-wide high-water of the tiers' shared pool: taken
             // once, like launches/flops.
             peak_resident_bytes: fast.peak_resident_bytes,
             relu_layers: fast.relu_layers,
@@ -393,19 +363,7 @@ fn widen_query(q: &Query<f32>) -> Query<f64> {
 
 /// Widens a fast-tier verdict losslessly to the `f64` output surface.
 pub(crate) fn widen_verdict(v: &RobustnessVerdict<f32>) -> RobustnessVerdict<f64> {
-    RobustnessVerdict {
-        verified: v.verified,
-        margins: v
-            .margins
-            .iter()
-            .map(|m| Margin {
-                adversary: m.adversary,
-                lower: m.lower as f64,
-                proven: m.proven,
-            })
-            .collect(),
-        stats: v.stats.clone(),
-    }
+    map_margins(v, f64::from)
 }
 
 /// Narrows a full-tier verdict to `f32`, rounding every margin's lower
@@ -413,6 +371,11 @@ pub(crate) fn widen_verdict(v: &RobustnessVerdict<f32>) -> RobustnessVerdict<f64
 /// `verified`/`proven` flags are the `f64` tier's exact decisions and are
 /// kept as-is.
 fn narrow_verdict(v: &RobustnessVerdict<f64>) -> RobustnessVerdict<f32> {
+    map_margins(v, narrow_down)
+}
+
+/// A verdict with every margin's lower bound mapped through `lower`.
+fn map_margins<F: Copy, G>(v: &RobustnessVerdict<F>, lower: fn(F) -> G) -> RobustnessVerdict<G> {
     RobustnessVerdict {
         verified: v.verified,
         margins: v
@@ -420,7 +383,7 @@ fn narrow_verdict(v: &RobustnessVerdict<f64>) -> RobustnessVerdict<f32> {
             .iter()
             .map(|m| Margin {
                 adversary: m.adversary,
-                lower: narrow_down(m.lower),
+                lower: lower(m.lower),
                 proven: m.proven,
             })
             .collect(),
@@ -580,6 +543,42 @@ mod tests {
         );
         // The malformed and the huge-eps query must have escalated.
         assert!(stats.escalated >= 2);
+    }
+
+    #[test]
+    fn without_a_rung_the_f32_engine_answers_alone() {
+        let net = zoo_net();
+        let queries = zoo_queries();
+        let budget = crate::RefineBudget::with_max_splits(2);
+        let tiered = TieredEngine::on_pool(
+            vec![Device::default()],
+            Plan::default(),
+            &net,
+            None,
+            VerifyConfig::default(),
+            EngineOptions::default(),
+        )
+        .unwrap();
+        let engine = Engine::new(Device::default(), &net, VerifyConfig::default()).unwrap();
+
+        // Debug prints every float in its shortest round-trip form: equal
+        // text is equal verdicts, margins, work counters and errors.
+        let got = tiered.verify_batch(&queries);
+        let want = engine.verify_batch_fused(&queries);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let got = tiered.verify_complete_batch(&queries, &budget);
+        let want = engine.verify_complete_batch(&queries, &budget);
+        let want: Vec<_> = want.into_iter().map(|r| r.map(|v| v.widen())).collect();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+        // Every counter is the f32 engine's; the EWMA is its own measured
+        // wall time, so only its presence compares across two engines.
+        let (mut got, mut want) = (tiered.stats(), engine.stats());
+        assert_eq!((got.fast_pass_resolved, got.escalated), (0, 0));
+        assert!(got.ewma_ms_per_cost > 0.0 && want.ewma_ms_per_cost > 0.0);
+        got.ewma_ms_per_cost = 0.0;
+        want.ewma_ms_per_cost = 0.0;
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpupoly_core::{
-    CompleteVerdict, Engine, EngineOptions, EngineStats, Plan, Query, RefineBudget,
-    RobustnessVerdict, TieredEngine, VerifyConfig, VerifyError,
+    CompleteVerdict, EngineOptions, Plan, Query, RefineBudget, RobustnessVerdict, TieredEngine,
+    VerifyConfig, VerifyError,
 };
 use gpupoly_device::{Backend, Device};
 use gpupoly_nn::Network;
@@ -40,62 +40,6 @@ use crate::stats::ModelStats;
 /// gauge, keeping least-loaded routing honest without coupling this module
 /// to the pool type.
 pub(crate) type RetireFn = Arc<dyn Fn(u64) + Send + Sync>;
-
-/// What the batching loop needs from a resident verification engine: one
-/// fused batch call at serving precision, one branch-and-bound refinement
-/// call, and a stats snapshot to mirror. Implemented by the [`Engine`] over
-/// the worker's devices (a pool of one device is the plain engine) and by
-/// the precision-tiered [`TieredEngine`], so one loop serves both worker
-/// flavors.
-trait BatchVerifier {
-    fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>>;
-    /// Complete-mode verdicts always cross the worker boundary as `f64`:
-    /// the tiered engine escalates before splitting, and the `f32` pool's
-    /// verdicts widen losslessly.
-    fn verify_complete(
-        &self,
-        queries: &[Query<f32>],
-        budget: &RefineBudget,
-    ) -> Vec<Result<CompleteVerdict<f64>, VerifyError>>;
-    fn stats(&self) -> EngineStats;
-}
-
-impl<B: Backend> BatchVerifier for TieredEngine<'_, B> {
-    fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>> {
-        self.verify_batch(queries)
-    }
-    fn verify_complete(
-        &self,
-        queries: &[Query<f32>],
-        budget: &RefineBudget,
-    ) -> Vec<Result<CompleteVerdict<f64>, VerifyError>> {
-        self.verify_complete_batch(queries, budget)
-    }
-    fn stats(&self) -> EngineStats {
-        TieredEngine::stats(self)
-    }
-}
-
-impl<B: Backend> BatchVerifier for Engine<'_, f32, B> {
-    fn verify(&self, queries: &[Query<f32>]) -> Vec<Result<RobustnessVerdict<f32>, VerifyError>> {
-        self.verify_batch_fused(queries)
-    }
-    fn verify_complete(
-        &self,
-        queries: &[Query<f32>],
-        budget: &RefineBudget,
-    ) -> Vec<Result<CompleteVerdict<f64>, VerifyError>> {
-        self.verify_complete_batch(queries, budget)
-            .into_iter()
-            .map(|r| r.map(|v| v.widen()))
-            .collect()
-    }
-    fn stats(&self) -> EngineStats {
-        // Summed over the pool's devices — launch/FLOP/bytes meters cover
-        // the whole walk, not just the first device's share.
-        Engine::stats(self)
-    }
-}
 
 /// How a model worker coalesces queued requests into batches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -142,7 +86,8 @@ pub(crate) enum WorkKind {
 pub enum WorkOutput {
     /// Reply to a plain robustness query.
     Plain(RobustnessVerdict<f32>),
-    /// Reply to a complete-mode query (always `f64`; see `BatchVerifier`).
+    /// Reply to a complete-mode query (always `f64`: the tier escalates
+    /// before splitting, and `f32` verdicts widen losslessly).
     Complete(CompleteVerdict<f64>),
 }
 
@@ -175,13 +120,10 @@ pub(crate) struct WorkItem {
 /// up. On success the model is resident: `stats.resident_bytes` is set and
 /// the returned sender is the admission queue (capacity `queue_cap`).
 ///
-/// The worker runs an [`Engine`] over `devices`, placed by `plan`
-/// ([`Engine::on_pool`]: the walks of every row list dealt over the pool's
-/// stream slots; one device under the default plan is the plain engine), or
-/// — when
-/// `precision_tier` is set — a [`TieredEngine`] on the first device alone:
-/// the tiered flavor is single-device and refuses to combine with a pool
-/// plan (the server validates that at bind time).
+/// The worker runs one [`TieredEngine`] over `devices`, placed by `plan`
+/// ([`TieredEngine::on_pool`]: the walks of every row list dealt over the
+/// pool's stream slots). Given the widened network `wide`, the engine
+/// escalates to its `f64` rung; without one it is the `f32` engine alone.
 ///
 /// `retire` is invoked with the item's admission cost charge every time a
 /// reply goes out — the hook the registry uses to credit the device pool's
@@ -197,11 +139,11 @@ pub(crate) struct WorkItem {
 pub(crate) fn spawn_worker<B: Backend>(
     name: String,
     net: Network<f32>,
+    wide: Option<Network<f64>>,
     devices: Vec<Device<B>>,
     verify: VerifyConfig,
     policy: BatchPolicy,
     queue_cap: usize,
-    precision_tier: bool,
     plan: Plan,
     stats: Arc<ModelStats>,
     retire: RetireFn,
@@ -216,36 +158,30 @@ pub(crate) fn spawn_worker<B: Backend>(
     let join = std::thread::Builder::new()
         .name(format!("gpupoly-serve-{name}"))
         .spawn(move || {
-            // Every engine flavor borrows networks living on this thread's
-            // stack; the startup handshake and batching loop are shared.
-            let serve = |engine: &dyn BatchVerifier| {
-                let snapshot = engine.stats();
-                stats
-                    .resident_bytes
-                    .store(snapshot.resident_bytes as u64, Ordering::Release);
-                // Admission threads compute cost hints from this depth.
-                stats
-                    .relu_layers
-                    .store(snapshot.relu_layers as u64, Ordering::Release);
-                let _ = startup_tx.send(Ok(()));
-                run_loop(engine, &rx, policy, &stats, &retire);
-            };
-            let refuse = |e: VerifyError| {
-                let _ = startup_tx.send(Err(e));
-            };
-            if precision_tier {
-                // The widened copy also lives on this stack, so the tiered
-                // engine's two borrows share the worker as their owner.
-                let device = devices.into_iter().next().expect("checked non-empty");
-                let wide = net.widen();
-                match TieredEngine::new(device, &net, &wide, verify) {
-                    Ok(engine) => serve(&engine),
-                    Err(e) => refuse(e),
-                };
-            } else {
-                match Engine::on_pool(devices, plan, &net, verify, EngineOptions::default()) {
-                    Ok(engine) => serve(&engine),
-                    Err(e) => refuse(e),
+            // The engine borrows both networks, which live on this
+            // thread's stack: the worker is their one owner.
+            match TieredEngine::on_pool(
+                devices,
+                plan,
+                &net,
+                wide.as_ref(),
+                verify,
+                EngineOptions::default(),
+            ) {
+                Ok(engine) => {
+                    let snapshot = engine.stats();
+                    stats
+                        .resident_bytes
+                        .store(snapshot.resident_bytes as u64, Ordering::Release);
+                    // Admission threads compute cost hints from this depth.
+                    stats
+                        .relu_layers
+                        .store(snapshot.relu_layers as u64, Ordering::Release);
+                    let _ = startup_tx.send(Ok(()));
+                    run_loop(&engine, &rx, policy, &stats, &retire);
+                }
+                Err(e) => {
+                    let _ = startup_tx.send(Err(e));
                 }
             }
         })
@@ -266,8 +202,8 @@ pub(crate) fn spawn_worker<B: Backend>(
     }
 }
 
-fn run_loop(
-    engine: &dyn BatchVerifier,
+fn run_loop<B: Backend>(
+    engine: &TieredEngine<'_, B>,
     rx: &Receiver<WorkItem>,
     policy: BatchPolicy,
     stats: &ModelStats,
@@ -302,7 +238,7 @@ fn run_loop(
 /// Mirrors the engine-side counters into the serving stats. Called after
 /// every engine call and *before* the replies it produced go out, so a
 /// requester that has its verdict in hand already sees consistent stats.
-fn mirror_engine_stats(engine: &dyn BatchVerifier, stats: &ModelStats) {
+fn mirror_engine_stats<B: Backend>(engine: &TieredEngine<'_, B>, stats: &ModelStats) {
     let snapshot = engine.stats();
     stats
         .cache_hits
@@ -332,8 +268,8 @@ fn mirror_engine_stats(engine: &dyn BatchVerifier, stats: &ModelStats) {
         .store(snapshot.ewma_ms_per_cost.to_bits(), Ordering::Release);
 }
 
-fn run_batch(
-    engine: &dyn BatchVerifier,
+fn run_batch<B: Backend>(
+    engine: &TieredEngine<'_, B>,
     batch: Vec<WorkItem>,
     stats: &ModelStats,
     retire: &RetireFn,
@@ -416,8 +352,9 @@ fn run_batch(
 
     if !plain.is_empty() {
         let (queries, replies) = split(plain);
-        let results =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.verify(&queries)));
+        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.verify_batch(&queries)
+        }));
         settle(
             &replies,
             results
@@ -432,7 +369,7 @@ fn run_batch(
     for (budget, items) in complete {
         let (queries, replies) = split(items);
         let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.verify_complete(&queries, &budget)
+            engine.verify_complete_batch(&queries, &budget)
         }));
         settle(
             &replies,
@@ -511,6 +448,7 @@ mod tests {
         let (tx, join) = spawn_worker(
             "tiny".into(),
             tiny_net(),
+            None,
             vec![device.clone()],
             VerifyConfig::default(),
             BatchPolicy {
@@ -518,7 +456,6 @@ mod tests {
                 max_delay: Duration::from_millis(20),
             },
             16,
-            false,
             Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
@@ -560,6 +497,7 @@ mod tests {
         let (tx, join) = spawn_worker(
             "tiny-tiered".into(),
             tiny_net(),
+            Some(tiny_net().widen()),
             vec![device.clone()],
             VerifyConfig::default(),
             BatchPolicy {
@@ -567,7 +505,6 @@ mod tests {
                 max_delay: Duration::from_millis(20),
             },
             16,
-            true,
             Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
@@ -623,6 +560,7 @@ mod tests {
         let (tx, join) = spawn_worker(
             "tiny-sharded".into(),
             tiny_net(),
+            None,
             devices,
             VerifyConfig::default(),
             BatchPolicy {
@@ -630,7 +568,6 @@ mod tests {
                 max_delay: Duration::from_millis(20),
             },
             16,
-            false,
             Plan {
                 split_rows: true,
                 shard_weights: false,
@@ -685,6 +622,7 @@ mod tests {
         let (tx, join) = spawn_worker(
             "expiry".into(),
             tiny_net(),
+            None,
             vec![device],
             VerifyConfig::default(),
             BatchPolicy {
@@ -692,7 +630,6 @@ mod tests {
                 max_delay: Duration::from_millis(20),
             },
             16,
-            false,
             Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
@@ -747,6 +684,7 @@ mod tests {
         let (tx, join) = spawn_worker(
             "complete".into(),
             tiny_net(),
+            None,
             vec![device],
             VerifyConfig::default(),
             BatchPolicy {
@@ -754,7 +692,6 @@ mod tests {
                 max_delay: Duration::from_millis(20),
             },
             16,
-            false,
             Plan::default(),
             stats.clone(),
             Arc::new(|_| {}),
@@ -802,11 +739,11 @@ mod tests {
         let err = spawn_worker(
             "mismatched".into(),
             net,
+            None,
             vec![device.clone()],
             VerifyConfig::default(),
             BatchPolicy::default(),
             4,
-            false,
             Plan::default(),
             stats,
             Arc::new(|_| {}),

@@ -15,11 +15,11 @@
 //!   queues saturate replicates onto an idle device; under a pool
 //!   [`Plan`] (`--tensor-parallel` → `split_rows`, `--weight-sharded` →
 //!   `shard_weights`, both → hybrid) every model instead spans the whole
-//!   pool through one [`gpupoly_core::Engine`] built by
-//!   [`gpupoly_core::Engine::on_pool`] (walks dealt over the pool's stream
-//!   slots, margins bit-identical to one device). Every worker runs that
-//!   engine: a pool of one device under the default plan is the plain
-//!   engine.
+//!   pool through one [`gpupoly_core::TieredEngine`] built by
+//!   [`gpupoly_core::TieredEngine::on_pool`] (walks dealt over the pool's
+//!   stream slots, margins bit-identical to one device). Every worker runs
+//!   that engine: with `--precision-tier` it escalates to an `f64` rung
+//!   placed by the same plan; without, it is the `f32` engine alone.
 //! * **admission batcher** ([`BatchPolicy`]) — each model replica has a
 //!   worker thread and a bounded queue; queued queries coalesce into one
 //!   fused batch call per wakeup (up to `max_batch` queries or

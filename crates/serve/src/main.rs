@@ -5,7 +5,8 @@
 //!                     [--max-batch N] [--max-delay-ms MS] [--queue-cap N]
 //!                     [--queue-cost-ms MS] [--memory-budget BYTES]
 //!                     [--workers N] [--request-timeout-ms MS]
-//!                     [--devices N] [--tensor-parallel] [--weight-sharded]
+//!                     [--precision-tier] [--devices N] [--tensor-parallel]
+//!                     [--weight-sharded]
 //! gpupoly-serve init-zoo DIR [--scale S] [--seed N]
 //! gpupoly-serve smoke ADDR [--ping-only]
 //! ```
@@ -13,7 +14,8 @@
 //! `--weight-sharded` and `--tensor-parallel` compose: passing both with
 //! `--devices N` (N > 1) serves each model with hybrid 2D sharding —
 //! weights partitioned across devices and every device walking its share of
-//! every row list over the gathered layers.
+//! every row list over the gathered layers. `--precision-tier` composes
+//! with either: both rungs are placed by the same plan.
 //!
 //! The kernel backend is selected with `GPUPOLY_BACKEND=cpusim|reference`
 //! (default `cpusim`), mirroring the test suite's backend matrix.
@@ -59,7 +61,8 @@ USAGE:
   gpupoly-serve init-zoo DIR [--scale S] [--seed N]
   gpupoly-serve smoke ADDR [--ping-only]
 
-`--weight-sharded --tensor-parallel` together select hybrid 2D sharding.
+`--weight-sharded --tensor-parallel` together select hybrid 2D sharding;
+`--precision-tier` composes with every plan.
 
 ENVIRONMENT:
   GPUPOLY_BACKEND   kernel backend: cpusim (default) | reference
@@ -173,8 +176,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // layer shards are all-gathered just in time during backsubstitution.
     // Combined with --tensor-parallel this becomes hybrid 2D sharding:
     // every device walks its share of every row list over the gathered
-    // layers.
-    // Either refuses --precision-tier (checked at bind).
+    // layers. Every plan places both rungs of --precision-tier.
     cfg.plan.shard_weights = flags.take_bool("--weight-sharded");
     let rest = flags.finish()?;
     if !rest.is_empty() {

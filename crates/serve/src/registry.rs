@@ -73,8 +73,8 @@ pub struct RegistryConfig {
     /// pass with sound `f64` escalation for Unknown or narrow-margin
     /// verdicts. Costs roughly 3× the resident weight bytes per model
     /// (both precisions stay resident); escalated verdicts match an
-    /// all-`f64` engine exactly. Mutually exclusive with a pool `plan`
-    /// (the tiered engine is single-device).
+    /// all-`f64` engine exactly. Composes with every pool `plan`: both
+    /// precisions are placed by it.
     pub precision_tier: bool,
     /// How every model is placed over the pool. Under the default plan,
     /// devices hold disjoint models with hot-model replication. With
@@ -551,8 +551,8 @@ impl<B: Backend> Registry<B> {
         Ok(EnqueueOutcome::Saturated(item.image))
     }
 
-    /// The f32-weight bytes a resident copy of `net` will pin per device,
-    /// scaled for the tiered worker's double residency.
+    /// The bytes a resident copy of `net` will pin on its most-loaded
+    /// device: the plan's per-device charge, tripled for a tiered worker.
     fn incoming_bytes(&self, net: &Network<f32>) -> usize {
         // A weight-sharded (or hybrid) worker pins only its worst device's
         // shard plus the gather working set (whose floor is the double
@@ -560,14 +560,17 @@ impl<B: Backend> Registry<B> {
         // bigger than any one device's budget admit. In hybrid mode every
         // device both holds a shard and gathers, so the same worst-device
         // charge covers each of them.
-        if self.cfg.plan.shard_weights {
-            return gpupoly_core::weight_shard_budget(net, self.pool.len()).worst_device_bytes();
-        }
-        // A tiered worker keeps both precisions resident: f32 + f64 weights
-        // are 3× the f32 bytes, so budget-driven eviction must make room
-        // for the real footprint up front.
+        let per_device = if self.cfg.plan.shard_weights {
+            gpupoly_core::weight_shard_budget(net, self.pool.len()).worst_device_bytes()
+        } else {
+            net.param_count() * std::mem::size_of::<f32>()
+        };
+        // A tiered worker keeps both precisions resident, the `f64` rung
+        // under the same plan (its shards sit beside the `f32` ones at twice
+        // the bytes): 3× the `f32` charge, so budget-driven eviction makes
+        // room for the real footprint up front.
         let tier_factor = if self.cfg.precision_tier { 3 } else { 1 };
-        net.param_count() * std::mem::size_of::<f32>() * tier_factor
+        per_device * tier_factor
     }
 
     /// Whether the plan gives every model one worker over the whole pool.
@@ -601,14 +604,15 @@ impl<B: Backend> Registry<B> {
             .collect();
         let home = device_indices[0];
         let pool = self.pool.clone();
+        let wide = self.cfg.precision_tier.then(|| net.widen());
         let (queue, join) = spawn_worker(
             model.to_string(),
             net,
+            wide,
             devices,
             self.cfg.verify,
             self.cfg.policy,
             self.cfg.queue_cap,
-            self.cfg.precision_tier,
             self.cfg.plan,
             stats,
             Arc::new(move |cost| pool.note_done(home, cost.max(1))),

@@ -69,7 +69,7 @@ pub struct ServerConfig {
     /// its walks dealt over the pool's stream slots, instead of replicating),
     /// `--weight-sharded` sets [`Plan::shard_weights`] (each device holds
     /// ~1/N of the weight bytes, layers all-gathered just in time), both
-    /// together serve **hybrid**. Either is mutually exclusive with
+    /// together serve **hybrid**. Every plan composes with
     /// `precision_tier`.
     pub plan: Plan,
 }
@@ -115,17 +115,8 @@ impl<B: Backend + Default> Server<B> {
     ///
     /// # Errors
     ///
-    /// Any socket error from binding, or `InvalidInput` when a pool `plan`
-    /// is combined with `precision_tier` (the tiered engine is
-    /// single-device and keeps full weights on one device). The plan's two
-    /// choices compose freely (both = hybrid 2D sharding).
+    /// Any socket error from binding.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> std::io::Result<Self> {
-        if cfg.precision_tier && cfg.plan != Plan::default() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "tensor-parallel / weight-sharded serving and the precision tier are mutually exclusive",
-            ));
-        }
         let listener = TcpListener::bind(addr)?;
         let n = cfg.devices.max(1);
         let devices: Vec<Device<B>> = (0..n)

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use gpupoly_core::{Engine, Query, VerifyConfig};
+use gpupoly_core::{Engine, Plan, Query, VerifyConfig};
 use gpupoly_device::{CpuSimBackend, Device, DeviceConfig};
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::{store, Network};
@@ -707,13 +707,58 @@ fn oversized_model_loads_weight_sharded_and_device_ooms_without() {
         .all(|d| d.resident_bytes > 0 && d.resident_bytes < full));
 
     handle.shutdown();
+
+    // Tiered, the same plan places both precisions: the charge is the
+    // plan's per-device one tripled. The budget above sits between the two
+    // charges, so the tiered model earns a typed device_oom there; served
+    // unbudgeted, no device reports more resident bytes than the charge.
+    let untiered = gpupoly_core::weight_shard_budget(&net, 2).worst_device_bytes();
+    let charge = 3 * untiered;
+    assert!(
+        untiered <= budget && budget < charge,
+        "{untiered} {budget} {charge}"
+    );
+    for memory_budget in [Some(budget), None] {
+        let mut tiered = ServerConfig::new(&dir);
+        tiered.devices = 2;
+        tiered.plan.shard_weights = true;
+        tiered.precision_tier = true;
+        tiered.memory_budget = memory_budget;
+        tiered.workers = Some(1);
+        let server = Server::<CpuSimBackend>::bind("127.0.0.1:0", tiered).unwrap();
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        match (memory_budget, client.verify("big", &[0.5; 12], 0, 0.002)) {
+            (
+                Some(_),
+                Err(ClientError::Server {
+                    code: ErrorCode::DeviceOom,
+                    ..
+                }),
+            ) => {}
+            (None, Ok(_)) => {
+                let stats = client.stats().expect("stats");
+                let worst = stats.devices.iter().map(|d| d.resident_bytes).max();
+                assert!(
+                    worst.is_some_and(|w| w > 0 && w <= charge as u64),
+                    "the tiered charge {charge} must cover every device: {:?}",
+                    stats.devices
+                );
+            }
+            (_, other) => panic!("tiered, budget {memory_budget:?}: got {other:?}"),
+        }
+        handle.shutdown();
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Weight sharding composes with tensor-parallel serving (hybrid 2D
-/// sharding) but still refuses the single-device precision tier at bind.
+/// sharding) and with the precision tier: both bind.
 #[test]
-fn weight_sharded_excludes_tensor_parallel_and_precision_tier_at_bind() {
+fn weight_sharded_binds_with_tensor_parallel_and_precision_tier() {
     let dir = temp_dir("ws-excl");
     store::save(&dir, "m", &make_net(1, 6, 8, 3)).unwrap();
 
@@ -730,25 +775,83 @@ fn weight_sharded_excludes_tensor_parallel_and_precision_tier_at_bind() {
     cfg.devices = 2;
     cfg.plan.shard_weights = true;
     cfg.precision_tier = true;
-    match Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg) {
-        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}"),
-        Ok(_) => panic!("bind must refuse --weight-sharded with --precision-tier"),
-    }
+    let server = Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg)
+        .expect("--weight-sharded --precision-tier must bind");
+    drop(server);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The tiered engine is single-device: combining it with tensor-parallel
-/// serving must be refused at bind time, not discovered at load time.
+/// The precision tier is placed by the pool's plan like any engine: under
+/// every plan a 2-device tiered pool answers margins bit-identical to a
+/// 1-device tiered daemon, attributes every query to exactly one rung, and
+/// under `--tensor-parallel` walks on every device.
 #[test]
-fn tensor_parallel_excludes_precision_tier_at_bind() {
-    let dir = temp_dir("excl");
-    let mut cfg = ServerConfig::new(&dir);
-    cfg.devices = 2;
-    cfg.plan.split_rows = true;
-    cfg.precision_tier = true;
-    match Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg) {
-        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput),
-        Ok(_) => panic!("tensor-parallel + precision-tier must be refused at bind"),
+fn tiered_pool_answers_as_a_tiered_device_under_every_plan() {
+    let dir = temp_dir("tier-plan");
+    store::save(&dir, "tier", &make_net(7, 8, 14, 4)).unwrap();
+    // Small radii the fast pass settles and large ones it escalates.
+    let queries: Vec<(Vec<f32>, usize, f32)> = (0..8)
+        .map(|q| {
+            let image: Vec<f32> = (0..8)
+                .map(|i| 0.15 + 0.7 * (((q * 31 + i * 7) % 101) as f32 / 101.0))
+                .collect();
+            (image, q % 4, [0.002, 0.01, 0.05, 0.2][q % 4])
+        })
+        .collect();
+    let serve = |devices: usize, plan: Plan| {
+        let mut cfg = ServerConfig::new(&dir);
+        cfg.devices = devices;
+        cfg.plan = plan;
+        cfg.precision_tier = true;
+        cfg.policy = COALESCING;
+        cfg.workers = Some(1);
+        let server = Server::<CpuSimBackend>::bind("127.0.0.1:0", cfg)
+            .expect("a tiered pool binds under every plan");
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let served = verify_pipelined(&mut client, "tier", &queries);
+        let stats = client.stats().expect("stats");
+        handle.shutdown();
+        (served, stats)
+    };
+
+    let (want, one) = serve(1, Plan::default());
+    assert!(
+        one.models[0].escalated > 0 && one.models[0].fast_pass_resolved > 0,
+        "the queries must exercise both rungs: {:?}",
+        one.models
+    );
+    for (split_rows, shard_weights) in [(true, false), (false, true), (true, true)] {
+        let plan = Plan {
+            split_rows,
+            shard_weights,
+        };
+        let (got, stats) = serve(2, plan);
+        for ((gv, gm), (wv, wm)) in got.iter().zip(&want) {
+            assert_eq!(gv, wv, "{plan:?}");
+            assert_eq!(gm.len(), wm.len(), "{plan:?}");
+            for (g, w) in gm.iter().zip(wm) {
+                assert_eq!(g.adversary, w.adversary, "{plan:?}");
+                assert_eq!(g.proven, w.proven, "{plan:?}");
+                assert_eq!(g.lower.to_bits(), w.lower.to_bits(), "{plan:?}");
+            }
+        }
+        let model = &stats.models[0];
+        assert_eq!(
+            model.fast_pass_resolved + model.escalated,
+            queries.len() as u64,
+            "{plan:?}: every query attributed to exactly one rung"
+        );
+        if split_rows {
+            assert!(
+                stats.devices.iter().all(|d| d.launches > 0),
+                "{plan:?}: every device must walk: {:?}",
+                stats.devices
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

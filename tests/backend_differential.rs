@@ -31,7 +31,9 @@
 use std::collections::HashSet;
 
 use gpupoly::baselines::DeepPolyCpu;
-use gpupoly::core::{Engine, EngineOptions, Plan, Query, TieredEngine, VerifyConfig};
+use gpupoly::core::{
+    Engine, EngineOptions, Plan, Query, RobustnessVerdict, TieredEngine, VerifyConfig, VerifyError,
+};
 use gpupoly::device::{Device, DeviceConfig};
 use gpupoly::nn::zoo::{self, ArchId, Dataset};
 use gpupoly::nn::Network;
@@ -529,8 +531,11 @@ fn count_fused<B: gpupoly::device::Backend>(
 /// Table-1 build — fast-resolved queries are never flips the `f64` walk
 /// would have caught (escalation is monotone), and across the whole zoo
 /// the `f32` fast pass must resolve at least one query outright (the tier
-/// actually earns its keep on realistic workloads).
-fn tiered_vs_all_f64(sweep: Sweep) {
+/// actually earns its keep on realistic workloads). Both rungs are placed
+/// by the pool's plan, and placement is scheduling: a tier on a pool of
+/// each size in `pool_sizes`, under every [`Plan`], must also answer the
+/// 1-device tier's margins bit for bit.
+fn tiered_vs_all_f64(sweep: Sweep, pool_sizes: &[usize]) {
     let mut fast_resolved_total = 0u64;
     for (arch, dataset, net) in zoo_builds(sweep) {
         let id = format!("{}/{}", arch.name(), dataset.name());
@@ -549,19 +554,19 @@ fn tiered_vs_all_f64(sweep: Sweep) {
             })
             .collect();
 
-        fast_resolved_total += check_tiered_parity(
+        fast_resolved_total += tier_over_plans(
             &format!("{id} (cpusim)"),
-            Device::new(DeviceConfig::new().workers(2)),
-            Device::new(DeviceConfig::new().workers(2)),
+            &|cfg| Device::new(cfg.workers(2)),
+            pool_sizes,
             &net,
             &wide,
             &qs,
             &wide_qs,
         );
-        fast_resolved_total += check_tiered_parity(
+        fast_resolved_total += tier_over_plans(
             &format!("{id} (reference)"),
-            Device::reference(DeviceConfig::new().workers(1)),
-            Device::reference(DeviceConfig::new().workers(1)),
+            &|cfg| Device::reference(cfg.workers(1)),
+            pool_sizes,
             &net,
             &wide,
             &qs,
@@ -576,33 +581,70 @@ fn tiered_vs_all_f64(sweep: Sweep) {
 
 #[test]
 fn zoo_tiered_verdicts_agree_with_all_f64() {
-    tiered_vs_all_f64(Sweep::Tier1);
+    tiered_vs_all_f64(Sweep::Tier1, &[2]);
 }
 
 #[test]
 #[ignore = "the whole zoo: minutes in a debug build"]
 fn zoo_tiered_verdicts_agree_with_all_f64_whole_zoo() {
-    tiered_vs_all_f64(Sweep::Zoo);
+    tiered_vs_all_f64(Sweep::Zoo, &[2, 4]);
 }
 
-/// Runs one tiered-vs-all-`f64` comparison and returns how many queries
-/// the fast tier resolved.
-#[allow(clippy::too_many_arguments)]
-fn check_tiered_parity<B: gpupoly::device::Backend>(
+/// One backend's row of the tier table: the 1-device tier, then a tier on a
+/// pool of each size under every plan, each checked against the all-`f64`
+/// engine and its margins against the 1-device tier's bits. Returns how
+/// many queries the 1-device tier's fast pass resolved.
+fn tier_over_plans<B: gpupoly::device::Backend>(
     tag: &str,
-    tiered_device: Device<B>,
-    baseline_device: Device<B>,
+    make: &dyn Fn(DeviceConfig) -> Device<B>,
+    pool_sizes: &[usize],
     net: &Network<f32>,
     wide: &Network<f64>,
     qs: &[Query<f32>],
     wide_qs: &[Query<f64>],
 ) -> u64 {
-    let tiered = TieredEngine::new(tiered_device, net, wide, VerifyConfig::default())
-        .expect("tiered engine");
-    let baseline = Engine::new(baseline_device, wide, VerifyConfig::default()).expect("f64 engine");
-    let got = tiered.verify_batch_f64(qs);
+    let pool = |n: usize| -> Vec<Device<B>> {
+        (0..n)
+            .map(|i| make(DeviceConfig::new().name(format!("d{i}"))))
+            .collect()
+    };
+    let baseline =
+        Engine::new(make(DeviceConfig::new()), wide, VerifyConfig::default()).expect("f64 engine");
     let want = baseline.verify_batch_fused(wide_qs);
-    for (g, w) in got.iter().zip(&want) {
+    let (fast_resolved, one) =
+        check_tiered_parity(tag, (pool(1), Plan::default()), net, wide, qs, &want);
+    for &n in pool_sizes {
+        for plan in [ROWS, WEIGHTS, HYBRID] {
+            let tag = format!("{tag}, {n} devices, {plan:?}");
+            let (_, got) = check_tiered_parity(&tag, (pool(n), plan), net, wide, qs, &want);
+            assert_eq!(got, one, "{tag}: margins drifted from the 1-device tier");
+        }
+    }
+    fast_resolved
+}
+
+/// Runs one tiered-vs-all-`f64` comparison of a tier on `devices` placed by
+/// `plan` and returns how many queries the fast tier resolved, with the bits
+/// of every margin it answered.
+fn check_tiered_parity<B: gpupoly::device::Backend>(
+    tag: &str,
+    (devices, plan): (Vec<Device<B>>, Plan),
+    net: &Network<f32>,
+    wide: &Network<f64>,
+    qs: &[Query<f32>],
+    want: &[Result<RobustnessVerdict<f64>, VerifyError>],
+) -> (u64, Vec<Vec<u64>>) {
+    let tiered = TieredEngine::on_pool(
+        devices,
+        plan,
+        net,
+        Some(wide),
+        VerifyConfig::default(),
+        EngineOptions::default(),
+    )
+    .expect("tiered engine");
+    let got = tiered.verify_batch_f64(qs);
+    for (g, w) in got.iter().zip(want) {
         let g = g.as_ref().expect("tiered query");
         let w = w.as_ref().expect("baseline query");
         assert_eq!(g.verified, w.verified, "{tag}: tiered verdict flipped");
@@ -618,7 +660,16 @@ fn check_tiered_parity<B: gpupoly::device::Backend>(
         qs.len() as u64,
         "{tag}: every query attributed to exactly one tier"
     );
-    stats.fast_pass_resolved
+    let bits = got
+        .iter()
+        .map(|g| {
+            g.iter()
+                .flat_map(|v| &v.margins)
+                .map(|m| m.lower.to_bits())
+                .collect()
+        })
+        .collect();
+    (stats.fast_pass_resolved, bits)
 }
 
 /// Branch-and-bound refinement over the zoo: for every Table-1 build, the
