@@ -1530,7 +1530,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         let caching = self.options.analysis_cache > 0;
 
         // Which boxes miss the cache (peeked without counting — the real
-        // lookups below replicate the sequential hit/miss accounting).
+        // lookups below reproduce the sequential hit/miss accounting).
         let missed: Vec<usize> = {
             let cache = self.cache.lock();
             (0..groups.len())

@@ -17,9 +17,9 @@
 //! degenerates to an ordered gather because no partial sums ever cross a
 //! row boundary. Concrete bounds (the DeepPoly analysis per input box) are
 //! the *activations* of that decomposition: held once, in the engine's one
-//! analysis cache, and read by every device's walks, exactly like replicated
-//! activations under tensor parallelism. Without `split_rows`, device 0
-//! walks alone.
+//! analysis cache, and read by every device's walks, exactly like the
+//! activations every rank shares under tensor parallelism. Without
+//! `split_rows`, device 0 walks alone.
 //!
 //! # Where weights live ([`Plan::shard_weights`])
 //!

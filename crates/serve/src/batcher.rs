@@ -1,22 +1,26 @@
-//! The admission batcher: one worker thread per resident model.
+//! The admission batcher: one thread per resident model, and one drainer
+//! per daemon device pulling batches from the model's one queue.
 //!
-//! The thread *owns* its `Network` and the engine built over it — the
+//! The model thread *owns* its `Network` and the engine built over it — the
 //! engine borrows the network, so tying both to one thread's stack gives the
 //! resident pair a single owner with no self-referential storage. Requests
-//! arrive over a bounded channel (the admission queue); the worker coalesces
-//! whatever is in flight into one fused batch call, bounded by a max-batch /
-//! max-delay policy:
+//! arrive over a bounded channel (the admission queue). Inside a
+//! `std::thread::scope` the model thread runs the drainers, itself one of
+//! them, over that channel behind one lock. A drainer coalesces a batch
+//! under the lock, bounded by a max-batch / max-delay policy, then lets go
+//! and runs it, so the next drainer's batch forms while this one's verifies:
 //!
 //! * the first request of a batch is taken blocking (an idle model costs
 //!   nothing),
 //! * further requests are drained until the batch holds `max_batch` queries
 //!   or `max_delay` has passed since the batch opened — the classic
 //!   admission trade of a little latency for a lot of coalescing,
-//! * the whole batch runs as one fused call (analysis cache shared), and
-//!   every requester gets its own reply.
+//! * the whole batch runs as one fused call on the one engine (one analysis
+//!   cache, whichever drainer runs it), and every requester gets its own
+//!   reply.
 //!
-//! Dropping the queue sender shuts the worker down: it answers what is
-//! already queued, then the engine drops and every device byte the model
+//! Dropping the queue sender shuts the model down: the drainers answer what
+//! is already queued, then the engine drops and every device byte the model
 //! pinned (weights and pooled buffers) returns to the device.
 
 use std::sync::atomic::Ordering;
@@ -24,6 +28,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use gpupoly_core::{
     CompleteVerdict, EngineOptions, Plan, Query, RefineBudget, RobustnessVerdict, TieredEngine,
@@ -34,14 +40,7 @@ use gpupoly_nn::Network;
 
 use crate::stats::ModelStats;
 
-/// Called with the admission cost charge whenever an item is answered (on
-/// every path: verdict, per-query error, expiry, contained panic). The
-/// registry uses it to retire the item's charge from the device pool's load
-/// gauge, keeping least-loaded routing honest without coupling this module
-/// to the pool type.
-pub(crate) type RetireFn = Arc<dyn Fn(u64) + Send + Sync>;
-
-/// How a model worker coalesces queued requests into batches.
+/// How a model's drainers coalesce queued requests into batches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest coalesced batch.
@@ -116,18 +115,15 @@ pub(crate) struct WorkItem {
     pub reply: Sender<WorkReply>,
 }
 
-/// Spawns the worker thread for one model and waits for its engine to come
-/// up. On success the model is resident: `stats.resident_bytes` is set and
-/// the returned sender is the admission queue (capacity `queue_cap`).
+/// Spawns the thread for one model and waits for its engine to come up. On
+/// success the model is resident: `stats.resident_bytes` is set and the
+/// returned sender is the admission queue (capacity `queue_cap`), drained by
+/// `drainers` threads.
 ///
-/// The worker runs one [`TieredEngine`] over `devices`, placed by `plan`
+/// The thread runs one [`TieredEngine`] over `devices`, placed by `plan`
 /// ([`TieredEngine::on_pool`]: the walks of every row list dealt over the
 /// pool's stream slots). Given the widened network `wide`, the engine
 /// escalates to its `f64` rung; without one it is the `f32` engine alone.
-///
-/// `retire` is invoked with the item's admission cost charge every time a
-/// reply goes out — the hook the registry uses to credit the device pool's
-/// load gauge.
 ///
 /// # Errors
 ///
@@ -141,12 +137,12 @@ pub(crate) fn spawn_worker<B: Backend>(
     net: Network<f32>,
     wide: Option<Network<f64>>,
     devices: Vec<Device<B>>,
+    drainers: usize,
     verify: VerifyConfig,
     policy: BatchPolicy,
     queue_cap: usize,
     plan: Plan,
     stats: Arc<ModelStats>,
-    retire: RetireFn,
 ) -> Result<(SyncSender<WorkItem>, JoinHandle<()>), VerifyError> {
     if devices.is_empty() {
         return Err(VerifyError::Internal(
@@ -178,7 +174,13 @@ pub(crate) fn spawn_worker<B: Backend>(
                         .relu_layers
                         .store(snapshot.relu_layers as u64, Ordering::Release);
                     let _ = startup_tx.send(Ok(()));
-                    run_loop(&engine, &rx, policy, &stats, &retire);
+                    let rx = Mutex::new(rx);
+                    std::thread::scope(|scope| {
+                        for _ in 1..drainers {
+                            scope.spawn(|| drain(&engine, &rx, policy, &stats));
+                        }
+                        drain(&engine, &rx, policy, &stats);
+                    });
                 }
                 Err(e) => {
                     let _ = startup_tx.send(Err(e));
@@ -202,65 +204,64 @@ pub(crate) fn spawn_worker<B: Backend>(
     }
 }
 
-fn run_loop<B: Backend>(
+/// One drainer: coalesces a batch under the queue's lock, lets go, runs the
+/// batch, and again, until the queue closes.
+fn drain<B: Backend>(
     engine: &TieredEngine<'_, B>,
-    rx: &Receiver<WorkItem>,
+    rx: &Mutex<Receiver<WorkItem>>,
     policy: BatchPolicy,
     stats: &ModelStats,
-    retire: &RetireFn,
 ) {
     loop {
-        // Block for the head of the next batch; channel closed = shut down.
-        let Ok(first) = rx.recv() else {
-            return;
-        };
-        stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-        let mut batch = vec![first];
-        let deadline = Instant::now() + policy.max_delay;
-        while batch.len() < policy.max_batch.max(1) {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(timeout) {
-                Ok(item) => {
-                    stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                    batch.push(item);
+        let batch = {
+            let rx = rx.lock();
+            // Block for the head of the next batch; channel closed = shut down.
+            let Ok(first) = rx.recv() else {
+                return;
+            };
+            stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
+            let mut batch = vec![first];
+            let deadline = Instant::now() + policy.max_delay;
+            while batch.len() < policy.max_batch.max(1) {
+                let timeout = deadline.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(timeout) {
+                    Ok(item) => {
+                        stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
+                        batch.push(item);
+                    }
+                    Err(RecvTimeoutError::Timeout) => break,
+                    // Sender gone: answer what we have, then exit via recv().
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
-                Err(RecvTimeoutError::Timeout) => break,
-                // Sender gone: answer what we have, then exit via recv().
-                Err(RecvTimeoutError::Disconnected) => break,
             }
-        }
+            batch
+        };
         #[cfg(test)]
         let _held_by_a_test = stats.dispatch_gate.lock();
-        run_batch(engine, batch, stats, retire);
+        run_batch(engine, batch, stats);
     }
 }
 
 /// Mirrors the engine-side counters into the serving stats. Called after
 /// every engine call and *before* the replies it produced go out, so a
 /// requester that has its verdict in hand already sees consistent stats.
+/// The counters only grow, so a drainer whose snapshot is older than
+/// another's never winds them back.
 fn mirror_engine_stats<B: Backend>(engine: &TieredEngine<'_, B>, stats: &ModelStats) {
     let snapshot = engine.stats();
-    stats
-        .cache_hits
-        .store(snapshot.cache_hits, Ordering::Release);
-    stats
-        .cache_misses
-        .store(snapshot.cache_misses, Ordering::Release);
-    stats
-        .fused_batches
-        .store(snapshot.fused_batches, Ordering::Release);
-    stats
-        .fast_pass_resolved
-        .store(snapshot.fast_pass_resolved, Ordering::Release);
-    stats.escalated.store(snapshot.escalated, Ordering::Release);
-    stats.splits.store(snapshot.splits, Ordering::Release);
-    stats
-        .frontier_peak
-        .store(snapshot.frontier_peak, Ordering::Release);
-    stats
-        .proven_by_split
-        .store(snapshot.proven_by_split, Ordering::Release);
-    stats.cex_found.store(snapshot.cex_found, Ordering::Release);
+    for (counter, value) in [
+        (&stats.cache_hits, snapshot.cache_hits),
+        (&stats.cache_misses, snapshot.cache_misses),
+        (&stats.fused_batches, snapshot.fused_batches),
+        (&stats.fast_pass_resolved, snapshot.fast_pass_resolved),
+        (&stats.escalated, snapshot.escalated),
+        (&stats.splits, snapshot.splits),
+        (&stats.frontier_peak, snapshot.frontier_peak),
+        (&stats.proven_by_split, snapshot.proven_by_split),
+        (&stats.cex_found, snapshot.cex_found),
+    ] {
+        counter.fetch_max(value, Ordering::AcqRel);
+    }
     // Feed the measured per-batch wall time (folded by the engine into its
     // ms-per-cost EWMA) back to the admission side.
     stats
@@ -268,21 +269,15 @@ fn mirror_engine_stats<B: Backend>(engine: &TieredEngine<'_, B>, stats: &ModelSt
         .store(snapshot.ewma_ms_per_cost.to_bits(), Ordering::Release);
 }
 
-fn run_batch<B: Backend>(
-    engine: &TieredEngine<'_, B>,
-    batch: Vec<WorkItem>,
-    stats: &ModelStats,
-    retire: &RetireFn,
-) {
+fn run_batch<B: Backend>(engine: &TieredEngine<'_, B>, batch: Vec<WorkItem>, stats: &ModelStats) {
     let answer = |reply: &Sender<WorkReply>, cost_us: u64, result: WorkReply| {
         stats.completed.fetch_add(1, Ordering::Relaxed);
         stats.in_flight.fetch_sub(1, Ordering::AcqRel);
         stats.pending_cost_us.fetch_sub(cost_us, Ordering::AcqRel);
-        // Release the admission pin and the pool load charge on every reply
-        // path — verdict, typed error, expiry, and contained panic alike —
-        // so eviction pinning and least-loaded routing both stay exact.
+        // Release the admission pin on every reply path — verdict, typed
+        // error, expiry, and contained panic alike — so eviction pinning
+        // stays exact.
         stats.unpin();
-        retire(cost_us);
         let _ = reply.send(result);
     };
 
@@ -398,6 +393,9 @@ mod tests {
             .unwrap()
     }
 
+    /// The admission cost charge every test item carries.
+    const CHARGE_US: u64 = 7;
+
     fn submit_item(
         tx: &SyncSender<WorkItem>,
         stats: &ModelStats,
@@ -410,6 +408,7 @@ mod tests {
         let (reply, rx) = std::sync::mpsc::channel();
         stats.queue_depth.fetch_add(1, Ordering::AcqRel);
         stats.in_flight.fetch_add(1, Ordering::AcqRel);
+        stats.pending_cost_us.fetch_add(CHARGE_US, Ordering::AcqRel);
         stats.pin();
         tx.try_send(WorkItem {
             image,
@@ -417,7 +416,7 @@ mod tests {
             eps,
             kind,
             deadline,
-            cost_us: 0,
+            cost_us: CHARGE_US,
             reply,
         })
         .expect("queue has room");
@@ -450,6 +449,7 @@ mod tests {
             tiny_net(),
             None,
             vec![device.clone()],
+            1,
             VerifyConfig::default(),
             BatchPolicy {
                 max_batch: 8,
@@ -458,7 +458,6 @@ mod tests {
             16,
             Plan::default(),
             stats.clone(),
-            Arc::new(|_| {}),
         )
         .unwrap();
         assert!(stats.resident_bytes.load(Ordering::Acquire) > 0);
@@ -499,6 +498,7 @@ mod tests {
             tiny_net(),
             Some(tiny_net().widen()),
             vec![device.clone()],
+            1,
             VerifyConfig::default(),
             BatchPolicy {
                 max_batch: 8,
@@ -507,7 +507,6 @@ mod tests {
             16,
             Plan::default(),
             stats.clone(),
-            Arc::new(|_| {}),
         )
         .unwrap();
         // Both precisions' weights are resident.
@@ -549,22 +548,20 @@ mod tests {
     #[test]
     fn sharded_worker_spans_devices_retires_charges_and_frees_all() {
         use gpupoly_device::DeviceConfig;
-        use std::sync::atomic::AtomicU64;
         let devices: Vec<Device> = (0..2)
             .map(|i| Device::new(DeviceConfig::new().workers(1).name(format!("w{i}"))))
             .collect();
         let handles = devices.clone();
         let stats = Arc::new(ModelStats::default());
-        let retired = Arc::new(AtomicU64::new(0));
-        let retired_in_worker = retired.clone();
         let (tx, join) = spawn_worker(
             "tiny-sharded".into(),
             tiny_net(),
             None,
             devices,
+            2,
             VerifyConfig::default(),
             BatchPolicy {
-                max_batch: 8,
+                max_batch: 2,
                 max_delay: Duration::from_millis(20),
             },
             16,
@@ -573,9 +570,6 @@ mod tests {
                 shard_weights: false,
             },
             stats.clone(),
-            Arc::new(move |cost| {
-                retired_in_worker.fetch_add(cost.max(1), Ordering::AcqRel);
-            }),
         )
         .unwrap();
         // Weights resident on *both* devices; resident_bytes sums them.
@@ -598,8 +592,8 @@ mod tests {
         }
         assert_eq!(stats.completed.load(Ordering::Relaxed), 5);
         assert_eq!(
-            retired.load(Ordering::Acquire),
-            5,
+            stats.pending_cost_us.load(Ordering::Acquire),
+            0,
             "every reply retires its charge"
         );
         assert_eq!(
@@ -624,6 +618,7 @@ mod tests {
             tiny_net(),
             None,
             vec![device],
+            1,
             VerifyConfig::default(),
             BatchPolicy {
                 max_batch: 8,
@@ -632,7 +627,6 @@ mod tests {
             16,
             Plan::default(),
             stats.clone(),
-            Arc::new(|_| {}),
         )
         .unwrap();
 
@@ -686,6 +680,7 @@ mod tests {
             tiny_net(),
             None,
             vec![device],
+            1,
             VerifyConfig::default(),
             BatchPolicy {
                 max_batch: 8,
@@ -694,7 +689,6 @@ mod tests {
             16,
             Plan::default(),
             stats.clone(),
-            Arc::new(|_| {}),
         )
         .unwrap();
 
@@ -741,12 +735,12 @@ mod tests {
             net,
             None,
             vec![device.clone()],
+            1,
             VerifyConfig::default(),
             BatchPolicy::default(),
             4,
             Plan::default(),
             stats,
-            Arc::new(|_| {}),
         )
         .map(|_| ())
         .unwrap_err()

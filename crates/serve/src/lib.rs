@@ -8,24 +8,23 @@
 //!
 //! * **registry** ([`Registry`]) — models live as `<name>.json` files in a
 //!   directory; the first query for a name loads the network and makes it
-//!   resident on a pool device ([`gpupoly_shard::DevicePool`]), placed
-//!   least-loaded. A device-memory budget is enforced per device by
-//!   reclaiming shelved pool bytes, then evicting LRU-first among models
-//!   not *pinned* by in-flight work. On a multi-device pool a model whose
-//!   queues saturate replicates onto an idle device; under a pool
-//!   [`Plan`] (`--tensor-parallel` → `split_rows`, `--weight-sharded` →
-//!   `shard_weights`, both → hybrid) every model instead spans the whole
-//!   pool through one [`gpupoly_core::TieredEngine`] built by
-//!   [`gpupoly_core::TieredEngine::on_pool`] (walks dealt over the pool's
-//!   stream slots, margins bit-identical to one device). Every worker runs
-//!   that engine: with `--precision-tier` it escalates to an `f64` rung
-//!   placed by the same plan; without, it is the `f32` engine alone.
-//! * **admission batcher** ([`BatchPolicy`]) — each model replica has a
-//!   worker thread and a bounded queue; queued queries coalesce into one
-//!   fused batch call per wakeup (up to `max_batch` queries or
-//!   `max_delay` of extra latency), so concurrent clients share batches,
-//!   analyses and pooled buffers. A full queue answers `overloaded`
-//!   immediately — backpressure is a reply, never a hang.
+//!   resident as one [`gpupoly_core::TieredEngine`] over the devices its
+//!   [`Plan`] gives it: under the default plan the device with the least
+//!   memory in use, under a pool plan (`--tensor-parallel` → `split_rows`,
+//!   `--weight-sharded` → `shard_weights`, both → hybrid) every device,
+//!   through [`gpupoly_core::TieredEngine::on_pool`] (walks dealt over the
+//!   devices' stream slots, margins bit-identical to one device). With
+//!   `--precision-tier` the engine escalates to an `f64` rung placed by the
+//!   same plan; without, it is the `f32` engine alone. A device-memory
+//!   budget is enforced per device by reclaiming shelved pool bytes, then
+//!   evicting LRU-first among models not *pinned* by in-flight work.
+//! * **admission batcher** ([`BatchPolicy`]) — each model has one bounded
+//!   queue, drained by one thread per device; a drainer coalesces queued
+//!   queries into one fused batch call (up to `max_batch` queries or
+//!   `max_delay` of extra latency) and runs it while the next drainer
+//!   coalesces, so concurrent clients share batches, the analysis cache
+//!   and pooled buffers. A full queue answers `overloaded` immediately —
+//!   backpressure is a reply, never a hang.
 //! * **protocol** ([`protocol`]) — line-delimited JSON over TCP. Frames
 //!   may carry an `"id"` to multiplex many outstanding requests over one
 //!   connection (replies echo the id, possibly out of order); id-less
@@ -67,7 +66,6 @@ mod stats;
 pub use batcher::{BatchPolicy, WorkError, WorkOutput, WorkReply};
 pub use client::{Client, ClientError, CompleteOutcome, Verdict};
 pub use gpupoly_core::Plan;
-pub use gpupoly_shard::DevicePool;
 pub use registry::{Registry, RegistryConfig, SubmitError};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stats::ModelStats;

@@ -11,6 +11,10 @@
 //! gpupoly-serve smoke ADDR [--ping-only]
 //! ```
 //!
+//! `--devices N` builds N devices; each model's one admission queue is
+//! drained by N threads. With no plan flag a model's engine loads onto the
+//! device with the least memory in use.
+//!
 //! `--weight-sharded` and `--tensor-parallel` compose: passing both with
 //! `--devices N` (N > 1) serves each model with hybrid 2D sharding —
 //! weights partitioned across devices and every device walking its share of
@@ -61,8 +65,11 @@ USAGE:
   gpupoly-serve init-zoo DIR [--scale S] [--seed N]
   gpupoly-serve smoke ADDR [--ping-only]
 
-`--weight-sharded --tensor-parallel` together select hybrid 2D sharding;
-`--precision-tier` composes with every plan.
+`--devices N` builds N devices and drains each model's one queue with N
+threads; with no plan flag a model loads onto the device with the least
+memory in use. `--tensor-parallel` deals its walks over every device,
+`--weight-sharded` spreads its weights over them, and both together select
+hybrid 2D sharding. `--precision-tier` composes with every plan.
 
 ENVIRONMENT:
   GPUPOLY_BACKEND   kernel backend: cpusim (default) | reference
@@ -166,8 +173,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     // f32 fast pass with sound f64 escalation; ~3× resident bytes/model.
     cfg.precision_tier = flags.take_bool("--precision-tier");
-    // Pool size: >1 enables least-loaded placement and hot-model
-    // replication (or, with --tensor-parallel, row-sharded walks).
+    // Pool size: one drainer a device for every model's queue; with no
+    // plan flag a model loads onto the device with the least memory in use.
     if let Some(n) = flags.take_parsed::<usize>("--devices")? {
         cfg.devices = n.max(1);
     }

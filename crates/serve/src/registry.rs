@@ -1,15 +1,15 @@
-//! The model registry: name → resident engine(s), loaded lazily onto a
-//! device pool, evicted LRU under a per-device memory budget.
+//! The model registry: name → one resident engine, loaded lazily onto the
+//! daemon's devices, evicted LRU under a per-device memory budget.
 //!
-//! A [`DevicePool`] backs every resident model. Placement is sticky and
-//! least-loaded: a cold model lands on the pool's least-loaded device and
-//! stays there; a **hot** model whose admission queues saturate is
-//! *replicated* onto the least-loaded device not yet holding it, and
-//! admission then routes each query to the least-loaded replica. Under a
-//! pool [`Plan`] every model instead gets one worker spanning the whole pool
-//! ([`gpupoly_core::Engine::on_pool`]: walks dealt over the pool's stream
-//! slots, weights sharded across devices, or both), bit-identical to the
-//! single-device walk.
+//! A resident model is one [`gpupoly_core::TieredEngine`] over the devices
+//! its [`Plan`] gives it, with **one** admission queue drained by one thread
+//! per daemon device (see `batcher`). Under the default plan a cold model
+//! lands on the device with the least memory in use, ties to the lowest
+//! index. Under any other plan it spans every device
+//! ([`gpupoly_core::TieredEngine::on_pool`]: walks dealt over the devices'
+//! stream slots, weights sharded across them, or both), bit-identical to
+//! the single-device walk. Either way the drainers overlap batch pipelines
+//! on the one engine and its one analysis cache.
 //!
 //! Each device's `memory_in_use()` is the source of truth its budget is
 //! enforced against. Loading a model that would exceed the target device's
@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,7 +35,6 @@ use parking_lot::Mutex;
 use gpupoly_core::{Plan, RefineBudget, VerifyConfig};
 use gpupoly_device::{Backend, Device};
 use gpupoly_nn::{store, Network};
-use gpupoly_shard::DevicePool;
 
 use crate::batcher::{spawn_worker, BatchPolicy, WorkItem, WorkKind, WorkReply};
 use crate::protocol::{ModelInfo, ModelStatsWire};
@@ -46,10 +45,11 @@ use crate::stats::{cost_admission_ok, ModelStats};
 pub struct RegistryConfig {
     /// Directory of `<name>.json` model files.
     pub model_dir: PathBuf,
-    /// Admission batching policy applied to every model worker.
+    /// Admission batching policy applied to every model's drainers.
     pub policy: BatchPolicy,
-    /// Admission-queue capacity per model; a full queue bounces requests
-    /// with `overloaded` instead of queueing unboundedly.
+    /// Admission-queue capacity per model (one queue a model, however many
+    /// drainers serve it); a full queue bounces requests with `overloaded`
+    /// instead of queueing unboundedly.
     pub queue_cap: usize,
     /// Cost-aware admission cap: the most *estimated* wall time of
     /// admitted-but-unanswered work a model may hold (each query weighed by
@@ -76,20 +76,20 @@ pub struct RegistryConfig {
     /// all-`f64` engine exactly. Composes with every pool `plan`: both
     /// precisions are placed by it.
     pub precision_tier: bool,
-    /// How every model is placed over the pool. Under the default plan,
-    /// devices hold disjoint models with hot-model replication. With
-    /// [`Plan::split_rows`] every model is served by one tensor-parallel
-    /// worker whose walks — of every layer's refinement rows and of the
-    /// fused batch's spec rows — are dealt over the stream slots of *all*
-    /// pool devices. With [`Plan::shard_weights`] the model's
-    /// layers are partitioned FSDP-style across *all* pool devices (each
-    /// holds ~1/N of the weight bytes) and all-gathered onto the walking
-    /// device just in time; admission then accounts per-device *shard*
-    /// bytes, so a model bigger than any one device's budget still loads
-    /// across the pool. Both together are **hybrid 2D sharding**: the same
-    /// weight partition, every device walking its share of the walks and
-    /// gathering remote layers onto itself. Margins are bit-identical to a
-    /// single-device run under every plan.
+    /// How every model is placed over the devices. Under the default plan
+    /// a model's engine sits on one device, the one with the least memory
+    /// in use when it loads. With [`Plan::split_rows`] the engine's walks —
+    /// of every layer's refinement rows and of the fused batch's spec rows
+    /// — are dealt over the stream slots of *all* devices. With
+    /// [`Plan::shard_weights`] the model's layers are partitioned FSDP-style
+    /// across *all* devices (each holds ~1/N of the weight bytes) and
+    /// all-gathered onto the walking device just in time; admission then
+    /// accounts per-device *shard* bytes, so a model bigger than any one
+    /// device's budget still loads across the pool. Both together are
+    /// **hybrid 2D sharding**: the same weight partition, every device
+    /// walking its share of the walks and gathering remote layers onto
+    /// itself. Margins are bit-identical to a single-device run under every
+    /// plan.
     pub plan: Plan,
 }
 
@@ -123,83 +123,40 @@ pub enum SubmitError {
     /// this on one device can still load across several.)
     DeviceOom(String),
     /// Queue full, memory budget exhausted, or the registry is shutting
-    /// down; the client should retry later (against this or another
-    /// replica).
+    /// down; the client should retry later.
     Overloaded(String),
 }
 
-/// What happened to a query inside `enqueue_locked`.
-enum EnqueueOutcome {
-    /// Admitted; the worker will answer on this receiver.
-    Enqueued(Receiver<WorkReply>),
-    /// Every live replica's queue is full. The image is handed back so the
-    /// caller can retry after replicating the model onto another device.
-    Saturated(Vec<f32>),
-}
-
-/// One worker serving a model: its admission queue, thread and the device
-/// footprint it occupies.
-struct Replica {
-    queue: std::sync::mpsc::SyncSender<WorkItem>,
-    join: Option<JoinHandle<()>>,
-    /// Every pool device this worker holds weights on (all of them for a
-    /// tensor-parallel worker, one otherwise). `devices[0]` is the *home*
-    /// device whose load gauge this replica's admissions charge.
-    devices: Vec<usize>,
-}
-
-impl Replica {
-    fn home(&self) -> usize {
-        self.devices[0]
-    }
-
-    /// Closes the admission queue and waits for the worker to drain and
-    /// drop its engine.
-    fn shut_down(mut self) {
-        drop(self.queue);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
+/// One resident model: its admission queue, the thread that owns its engine
+/// and drains the queue, the devices it holds weights on, and its counters.
 struct ModelEntry {
-    /// The workers serving this model, in spawn order. Always non-empty
-    /// while the entry is in the map.
-    replicas: Vec<Replica>,
-    /// Shared across replicas: admission gauges, the eviction pin and the
-    /// wire counters are per *model*, not per replica.
+    queue: SyncSender<WorkItem>,
+    join: JoinHandle<()>,
+    /// Every device the engine holds weights on: all of them under a pool
+    /// plan, one otherwise.
+    devices: Vec<usize>,
     stats: Arc<ModelStats>,
 }
 
 impl ModelEntry {
-    /// Closes every admission queue first (so replicas drain in parallel),
-    /// then joins all workers.
+    /// Closes the admission queue and waits for the drainers to answer what
+    /// is queued and the engine to drop.
     fn shut_down(self) {
-        let joins: Vec<JoinHandle<()>> = self
-            .replicas
-            .into_iter()
-            .filter_map(|mut r| {
-                drop(r.queue);
-                r.join.take()
-            })
-            .collect();
-        for join in joins {
-            let _ = join.join();
-        }
+        drop(self.queue);
+        let _ = self.join.join();
     }
 }
 
 /// The registry of resident models. See the module docs.
 pub struct Registry<B: Backend> {
-    pool: Arc<DevicePool<B>>,
+    devices: Vec<Device<B>>,
     cfg: RegistryConfig,
     epoch: Instant,
     entries: Mutex<HashMap<String, ModelEntry>>,
-    /// Per-model gates serializing concurrent cold loads and replications:
-    /// the first requester loads, the rest block on the gate and then
-    /// re-check the entries map. Never held together with a long-running
-    /// operation's data locks — see [`Registry::submit`].
+    /// Per-model gates serializing concurrent cold loads: the first
+    /// requester loads, the rest block on the gate and then re-check the
+    /// entries map. Never held together with a long-running operation's
+    /// data locks — see [`Registry::submit`].
     loading: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     /// `(input_len, outputs)` per model name, filled on first listing/load.
     meta: Mutex<HashMap<String, (usize, usize)>>,
@@ -208,16 +165,21 @@ pub struct Registry<B: Backend> {
 
 impl<B: Backend> Registry<B> {
     /// Creates a single-device registry serving models from
-    /// `cfg.model_dir` on `device` (a one-device pool).
+    /// `cfg.model_dir` on `device`.
     pub fn new(device: Device<B>, cfg: RegistryConfig) -> Self {
-        Self::with_pool(Arc::new(DevicePool::from_devices(vec![device])), cfg)
+        Self::on_devices(vec![device], cfg)
     }
 
-    /// Creates a registry serving models from `cfg.model_dir` across a
-    /// device pool.
-    pub fn with_pool(pool: Arc<DevicePool<B>>, cfg: RegistryConfig) -> Self {
+    /// Creates a registry serving models from `cfg.model_dir` across
+    /// `devices`: each model's queue gets one drainer a device.
+    ///
+    /// # Panics
+    ///
+    /// When `devices` is empty.
+    pub fn on_devices(devices: Vec<Device<B>>, cfg: RegistryConfig) -> Self {
+        assert!(!devices.is_empty(), "a registry needs at least one device");
         Self {
-            pool,
+            devices,
             cfg,
             epoch: Instant::now(),
             entries: Mutex::new(HashMap::new()),
@@ -227,14 +189,14 @@ impl<B: Backend> Registry<B> {
         }
     }
 
-    /// The pool's first device (the only one for a single-device registry).
+    /// The first device (the only one for a single-device registry).
     pub fn device(&self) -> &Device<B> {
-        self.pool.device(0)
+        &self.devices[0]
     }
 
-    /// The device pool all resident engines run on.
-    pub fn pool(&self) -> &Arc<DevicePool<B>> {
-        &self.pool
+    /// The devices resident engines run on, in index order.
+    pub fn devices(&self) -> &[Device<B>] {
+        &self.devices
     }
 
     /// The active configuration.
@@ -326,48 +288,15 @@ impl<B: Backend> Registry<B> {
         // enqueues (load/evict ping-pong). Retrying a few times absorbs
         // benign races; past that the honest answer is backpressure, not
         // an unbounded stall inside submit.
-        let mut image = image;
         for _attempt in 0..8 {
             if self.closed.load(Ordering::Acquire) {
                 return Err(SubmitError::Overloaded("daemon shutting down".into()));
             }
-            let saturated = {
+            {
                 let mut entries = self.entries.lock();
                 if entries.contains_key(model) {
-                    match self.enqueue_locked(&mut entries, model, image, label, eps, kind)? {
-                        EnqueueOutcome::Enqueued(rx) => return Ok(rx),
-                        // Every replica's queue is full: maybe replicate.
-                        EnqueueOutcome::Saturated(img) => {
-                            image = img;
-                            true
-                        }
-                    }
-                } else {
-                    false
+                    return self.enqueue_locked(&mut entries, model, image, label, eps, kind);
                 }
-            };
-            if saturated {
-                // A saturated model replicates onto a device not yet
-                // holding it — unless every model already spans the pool
-                // (a pool plan) or the pool is covered, in which case the
-                // honest answer is the same structured overload as a full
-                // single-device queue.
-                let can_replicate = !self.spans_pool()
-                    && self.pool.len() > 1
-                    && self.pool.replication_candidate(model).is_some();
-                if can_replicate && self.replicate(model)? {
-                    continue; // retry through the widened replica set
-                }
-                if let Some(entry) = self.entries.lock().get(model) {
-                    entry
-                        .stats
-                        .rejected_overload
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(SubmitError::Overloaded(format!(
-                    "admission queue for `{model}` is full ({} waiting)",
-                    self.cfg.queue_cap
-                )));
             }
             // Cold path only (a resident model must stay serveable even if
             // its backing file vanished, and hot traffic must not stat the
@@ -429,7 +358,7 @@ impl<B: Backend> Registry<B> {
         label: usize,
         eps: f32,
         kind: WorkKind,
-    ) -> Result<EnqueueOutcome, SubmitError> {
+    ) -> Result<Receiver<WorkReply>, SubmitError> {
         let entry = entries.get(model).expect("caller checked");
         entry
             .stats
@@ -466,11 +395,11 @@ impl<B: Backend> Registry<B> {
         }
 
         let (reply, rx) = std::sync::mpsc::channel();
-        // Gauge up *before* try_send: the worker decrements when it pops
+        // Gauge up *before* try_send: a drainer decrements when it pops
         // (cost when it answers), so the pairs can never go negative, and a
         // successfully queued item is always counted. The eviction pin
         // rides the same discipline — pinned at admission, released by the
-        // worker's reply (or the rollback below), so make_room can never
+        // drainer's reply (or the rollback below), so make_room can never
         // observe a window where admitted work isn't pinned.
         entry.stats.queue_depth.fetch_add(1, Ordering::AcqRel);
         entry.stats.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -480,46 +409,24 @@ impl<B: Backend> Registry<B> {
             .fetch_add(cost_us, Ordering::AcqRel);
         entry.stats.pin();
 
-        // Route to the least-loaded replica, falling back through the rest
-        // in ascending load order when queues are full.
-        let mut order: Vec<usize> = (0..entry.replicas.len()).collect();
-        order.sort_by_key(|&i| {
-            (
-                self.pool.load(entry.replicas[i].home()),
-                entry.replicas[i].home(),
-            )
-        });
-        let mut item = WorkItem {
+        let item = WorkItem {
             image,
             label,
             eps,
             kind,
             // Admission-time deadline: the serving layer stops waiting for
             // this item's reply after `request_timeout`, so any later
-            // verification would go unread — the worker drops it instead.
+            // verification would go unread — the drainer drops it instead.
             deadline: Some(Instant::now() + self.cfg.request_timeout),
             cost_us,
             reply,
         };
-        let mut dead: Vec<usize> = Vec::new();
-        for i in order {
-            let replica = &entry.replicas[i];
-            match replica.queue.try_send(item) {
-                Ok(()) => {
-                    // Charge the replica's home device so least-loaded
-                    // routing sees this item until the worker retires it.
-                    self.pool.note_enqueued(replica.home(), cost_us.max(1));
-                    return Ok(EnqueueOutcome::Enqueued(rx));
-                }
-                Err(TrySendError::Full(it)) => item = it,
-                Err(TrySendError::Disconnected(it)) => {
-                    item = it;
-                    dead.push(i);
-                }
-            }
-        }
+        let refused = match entry.queue.try_send(item) {
+            Ok(()) => return Ok(rx),
+            Err(refused) => refused,
+        };
 
-        // Nothing accepted the item: roll every admission gauge back.
+        // The queue refused the item: roll every admission gauge back.
         entry.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
         entry.stats.in_flight.fetch_sub(1, Ordering::AcqRel);
         entry
@@ -527,45 +434,46 @@ impl<B: Backend> Registry<B> {
             .pending_cost_us
             .fetch_sub(cost_us, Ordering::AcqRel);
         entry.stats.unpin();
-
-        if !dead.is_empty() {
-            // A worker died (it can only exit when its queue closes or its
-            // thread panicked fatally); prune the corpses so retries route
-            // around them, and drop the whole entry when none survive.
-            let entry = entries.get_mut(model).expect("caller checked");
-            for &i in dead.iter().rev() {
-                let corpse = entry.replicas.remove(i);
-                self.pool.remove_replica(model, corpse.home());
-                corpse.shut_down();
+        match refused {
+            TrySendError::Full(_) => {
+                entry
+                    .stats
+                    .rejected_overload
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(SubmitError::Overloaded(format!(
+                    "admission queue for `{model}` is full ({} waiting)",
+                    self.cfg.queue_cap
+                )))
             }
-            if entry.replicas.is_empty() {
-                if let Some(empty) = entries.remove(model) {
-                    self.pool.remove_model(model);
-                    empty.shut_down();
+            TrySendError::Disconnected(_) => {
+                // The model's thread is gone (it only exits when its queue
+                // closes or it panicked fatally): drop the entry so the
+                // next submission reloads the model.
+                if let Some(corpse) = entries.remove(model) {
+                    corpse.shut_down();
                 }
-                return Err(SubmitError::LoadFailed(format!(
+                Err(SubmitError::LoadFailed(format!(
                     "model worker for `{model}` is gone; retry to reload"
-                )));
+                )))
             }
         }
-        Ok(EnqueueOutcome::Saturated(item.image))
     }
 
     /// The bytes a resident copy of `net` will pin on its most-loaded
-    /// device: the plan's per-device charge, tripled for a tiered worker.
+    /// device: the plan's per-device charge, tripled for a tiered engine.
     fn incoming_bytes(&self, net: &Network<f32>) -> usize {
-        // A weight-sharded (or hybrid) worker pins only its worst device's
+        // A weight-sharded (or hybrid) engine pins only its worst device's
         // shard plus the gather working set (whose floor is the double
         // buffer) per device — that per-device figure is what lets a model
         // bigger than any one device's budget admit. In hybrid mode every
         // device both holds a shard and gathers, so the same worst-device
         // charge covers each of them.
         let per_device = if self.cfg.plan.shard_weights {
-            gpupoly_core::weight_shard_budget(net, self.pool.len()).worst_device_bytes()
+            gpupoly_core::weight_shard_budget(net, self.devices.len()).worst_device_bytes()
         } else {
             net.param_count() * std::mem::size_of::<f32>()
         };
-        // A tiered worker keeps both precisions resident, the `f64` rung
+        // A tiered engine keeps both precisions resident, the `f64` rung
         // under the same plan (its shards sit beside the `f32` ones at twice
         // the bytes): 3× the `f32` charge, so budget-driven eviction makes
         // room for the real footprint up front.
@@ -573,62 +481,19 @@ impl<B: Backend> Registry<B> {
         per_device * tier_factor
     }
 
-    /// Whether the plan gives every model one worker over the whole pool.
-    fn spans_pool(&self) -> bool {
-        self.cfg.plan.split_rows || self.cfg.plan.shard_weights
-    }
-
-    /// The devices a fresh worker for `model` should span: the whole pool
-    /// under a pool plan, else the model's sticky least-loaded placement.
-    fn placement(&self, model: &str) -> Vec<usize> {
-        if self.spans_pool() && self.pool.len() > 1 {
-            (0..self.pool.len()).collect()
-        } else {
-            vec![self.pool.place(model)]
+    /// The devices a fresh engine spans: every device under a pool plan,
+    /// else the one with the least memory in use, ties to the lowest index.
+    fn placement(&self) -> Vec<usize> {
+        if self.cfg.plan.split_rows || self.cfg.plan.shard_weights {
+            return (0..self.devices.len()).collect();
         }
+        let emptiest = (0..self.devices.len())
+            .min_by_key(|&i| self.devices[i].memory_in_use())
+            .expect("a registry has at least one device");
+        vec![emptiest]
     }
 
-    /// Spawns one worker for `model` spanning `device_indices`, wiring its
-    /// reply path to retire admission charges from the home device's load
-    /// gauge.
-    fn spawn_replica(
-        &self,
-        model: &str,
-        net: Network<f32>,
-        device_indices: &[usize],
-        stats: Arc<ModelStats>,
-    ) -> Result<Replica, SubmitError> {
-        let devices: Vec<Device<B>> = device_indices
-            .iter()
-            .map(|&i| self.pool.device(i).clone())
-            .collect();
-        let home = device_indices[0];
-        let pool = self.pool.clone();
-        let wide = self.cfg.precision_tier.then(|| net.widen());
-        let (queue, join) = spawn_worker(
-            model.to_string(),
-            net,
-            wide,
-            devices,
-            self.cfg.verify,
-            self.cfg.policy,
-            self.cfg.queue_cap,
-            self.cfg.plan,
-            stats,
-            Arc::new(move |cost| pool.note_done(home, cost.max(1))),
-        )
-        .map_err(|e| match e {
-            gpupoly_core::VerifyError::Device(_) => SubmitError::DeviceOom(e.to_string()),
-            other => SubmitError::LoadFailed(other.to_string()),
-        })?;
-        Ok(Replica {
-            queue,
-            join: Some(join),
-            devices: device_indices.to_vec(),
-        })
-    }
-
-    /// Loads `model` into a resident worker. Caller holds the model's
+    /// Loads `model` into a resident engine. Caller holds the model's
     /// loading gate (so this runs at most once per model at a time) but
     /// NOT the entries lock — file reads, JSON parsing and engine weight
     /// packing must never stall traffic for already-resident models. The
@@ -644,16 +509,34 @@ impl<B: Backend> Registry<B> {
             (net.input_shape().len(), net.output_len()),
         );
         let incoming = self.incoming_bytes(&net);
-        let device_indices = self.placement(model);
+        let placed = self.placement();
         {
             let mut entries = self.entries.lock();
-            self.make_room(&mut entries, incoming, &device_indices)?;
+            self.make_room(&mut entries, incoming, &placed)?;
         }
         let stats = Arc::new(ModelStats::default());
         stats.last_used_ms.store(self.now_ms(), Ordering::Release);
-        let replica = self.spawn_replica(model, net, &device_indices, stats.clone())?;
+        let wide = self.cfg.precision_tier.then(|| net.widen());
+        let (queue, join) = spawn_worker(
+            model.to_string(),
+            net,
+            wide,
+            placed.iter().map(|&i| self.devices[i].clone()).collect(),
+            self.devices.len(),
+            self.cfg.verify,
+            self.cfg.policy,
+            self.cfg.queue_cap,
+            self.cfg.plan,
+            stats.clone(),
+        )
+        .map_err(|e| match e {
+            gpupoly_core::VerifyError::Device(_) => SubmitError::DeviceOom(e.to_string()),
+            other => SubmitError::LoadFailed(other.to_string()),
+        })?;
         let entry = ModelEntry {
-            replicas: vec![replica],
+            queue,
+            join,
+            devices: placed,
             stats,
         };
         {
@@ -662,130 +545,20 @@ impl<B: Backend> Registry<B> {
             // already swept the map must not be followed by a late insert
             // whose worker nobody would ever join.
             if !self.closed.load(Ordering::Acquire) {
-                for &idx in &device_indices {
-                    self.pool.add_replica(model, idx);
-                }
                 entries.insert(model.to_string(), entry);
                 return Ok(());
             }
         }
-        self.pool.remove_model(model);
         entry.shut_down();
         Err(SubmitError::Overloaded("daemon shutting down".into()))
-    }
-
-    /// Adds one replica of a saturated resident model on the least-loaded
-    /// device not already holding it, serialized through the model's
-    /// loading gate. Returns `true` when the caller should retry admission
-    /// (a replica was added, or another thread changed the replica set
-    /// meanwhile) and `false` when replication cannot help right now —
-    /// the caller then bounces with the structured overload.
-    ///
-    /// The entry is **pinned** for the whole spawn: the new engine is built
-    /// outside the entries lock, and without the pin a concurrent load's
-    /// make-room sweep could evict the very model being replicated.
-    fn replicate(&self, model: &str) -> Result<bool, SubmitError> {
-        struct GateCleanup<'a, B: Backend>(&'a Registry<B>, &'a str);
-        impl<B: Backend> Drop for GateCleanup<'_, B> {
-            fn drop(&mut self) {
-                self.0.loading.lock().remove(self.1);
-            }
-        }
-        /// Drops the replication pin on every exit path, including unwinds.
-        struct Unpin<'a>(&'a ModelStats);
-        impl Drop for Unpin<'_> {
-            fn drop(&mut self) {
-                self.0.unpin();
-            }
-        }
-
-        let claimed = {
-            let mut loading = self.loading.lock();
-            match loading.get(model) {
-                Some(gate) => Err(gate.clone()),
-                None => {
-                    let gate = Arc::new(Mutex::new(()));
-                    loading.insert(model.to_string(), gate.clone());
-                    Ok(gate)
-                }
-            }
-        };
-        let gate = match claimed {
-            Err(gate) => {
-                // Someone else is loading or replicating this model: wait
-                // for them, then retry admission against their result.
-                drop(gate.lock());
-                return Ok(true);
-            }
-            Ok(gate) => gate,
-        };
-        let _cleanup = GateCleanup(self, model);
-        let _guard = gate.lock();
-
-        let (stats, replica_count) = {
-            let entries = self.entries.lock();
-            match entries.get(model) {
-                // Evicted while we claimed the gate; the cold-load path
-                // will reload it on retry.
-                None => return Ok(true),
-                Some(entry) => {
-                    entry.stats.pin();
-                    (entry.stats.clone(), entry.replicas.len())
-                }
-            }
-        };
-        let _unpin = Unpin(&stats);
-
-        let Some(candidate) = self.pool.replication_candidate(model) else {
-            return Ok(false);
-        };
-        // Failures from here on don't fail the request — the model is
-        // still serveable on its existing replicas, so the caller bounces
-        // with overload instead of surfacing a replication-internal error.
-        if !self.model_file_exists(model) {
-            return Ok(false);
-        }
-        let Ok(net) = store::load::<f32>(&self.cfg.model_dir, model) else {
-            return Ok(false);
-        };
-        let incoming = self.incoming_bytes(&net);
-        {
-            let mut entries = self.entries.lock();
-            if self
-                .make_room(&mut entries, incoming, &[candidate])
-                .is_err()
-            {
-                return Ok(false);
-            }
-        }
-        let Ok(replica) = self.spawn_replica(model, net, &[candidate], stats.clone()) else {
-            return Ok(false);
-        };
-        {
-            let mut entries = self.entries.lock();
-            if !self.closed.load(Ordering::Acquire) {
-                if let Some(entry) = entries.get_mut(model) {
-                    if entry.replicas.len() == replica_count {
-                        entry.replicas.push(replica);
-                        self.pool.add_replica(model, candidate);
-                        return Ok(true);
-                    }
-                }
-            }
-        }
-        // The entry changed (or the daemon is closing) while we were
-        // spawning: discard the fresh worker and let the caller retry.
-        replica.shut_down();
-        Ok(true)
     }
 
     /// Reclaims memory on each target device until `incoming` more bytes
     /// fit under its (per-device) budget: shelved pool bytes first (an
     /// idle cache, cheaper to drop than a model), then LRU **unpinned**
     /// models resident on that device. A pinned model has admitted work a
-    /// worker still owes replies for (or a replica spawn in progress), so
-    /// evicting it would race the worker — it is never a victim, however
-    /// stale its LRU stamp.
+    /// drainer still owes replies for, so evicting it would race the
+    /// drainer — it is never a victim, however stale its LRU stamp.
     ///
     /// The budget is enforced at admission time; concurrent loads that
     /// both passed this check can transiently overshoot it, and each
@@ -805,16 +578,24 @@ impl<B: Backend> Registry<B> {
         // much is evicted — a permanent, typed condition, not a retriable
         // overload. (Weight sharding shrinks `incoming` to the worst
         // device's shard + gather buffer, which is how a model bigger than
-        // one device still clears this gate across a pool.)
+        // one device still clears this gate across a pool — so that is
+        // the hint, where it is not on already and there is a pool.)
         if incoming > budget {
+            let hint = if !self.cfg.plan.shard_weights && self.devices.len() > 1 {
+                format!(
+                    " (the {} devices can still serve it together with --weight-sharded)",
+                    self.devices.len()
+                )
+            } else {
+                String::new()
+            };
             return Err(SubmitError::DeviceOom(format!(
-                "model needs {incoming} resident bytes but the per-device memory \
-                 budget is {budget}; it can never fit on one device \
-                 (a multi-device pool can still serve it with --weight-sharded)"
+                "model needs {incoming} resident bytes on a device but the per-device \
+                 memory budget is {budget}; no eviction can make it fit{hint}"
             )));
         }
         for &idx in device_indices {
-            let device = self.pool.device(idx);
+            let device = &self.devices[idx];
             // Clear the buffer pool at most once per device: active workers
             // re-shelve buffers continuously, so "pool non-empty" alone must
             // never keep this loop (which holds the entries lock) spinning.
@@ -830,14 +611,12 @@ impl<B: Backend> Registry<B> {
                 }
                 let victim = entries
                     .iter()
-                    .filter(|(_, e)| !e.stats.is_pinned())
-                    .filter(|(_, e)| e.replicas.iter().any(|r| r.devices.contains(&idx)))
+                    .filter(|(_, e)| !e.stats.is_pinned() && e.devices.contains(&idx))
                     .min_by_key(|(_, e)| e.stats.last_used_ms.load(Ordering::Acquire))
                     .map(|(name, _)| name.clone());
                 match victim {
                     Some(name) => {
                         let entry = entries.remove(&name).expect("victim exists");
-                        self.pool.remove_model(&name);
                         entry.shut_down();
                     }
                     None => {
@@ -941,7 +720,6 @@ impl<B: Backend> Registry<B> {
         let entry = self.entries.lock().remove(model);
         match entry {
             Some(entry) => {
-                self.pool.remove_model(model);
                 entry.shut_down();
                 true
             }
@@ -960,12 +738,11 @@ impl<B: Backend> Registry<B> {
     /// worker; all resident engines drop and their device memory returns.
     pub fn drain(&self) {
         self.closed.store(true, Ordering::Release);
-        let drained: Vec<(String, ModelEntry)> = {
+        let drained: Vec<ModelEntry> = {
             let mut entries = self.entries.lock();
-            entries.drain().collect()
+            entries.drain().map(|(_, entry)| entry).collect()
         };
-        for (name, entry) in drained {
-            self.pool.remove_model(&name);
+        for entry in drained {
             entry.shut_down();
         }
     }
@@ -1078,6 +855,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `n` single-worker devices named `d0`, `d1`, ….
+    fn devices(n: usize) -> Vec<Device> {
+        (0..n)
+            .map(|i| {
+                Device::new(
+                    gpupoly_device::DeviceConfig::new()
+                        .workers(1)
+                        .name(format!("d{i}")),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_models_load_onto_the_device_with_the_least_memory_in_use() {
+        let dir = temp_dir("placement");
+        write_model(&dir, "m1", 8, 24);
+        write_model(&dir, "m2", 8, 24);
+        // Each ~1.2 KB model fits one to a device under a 2000-byte budget.
+        let mut cfg = RegistryConfig::new(&dir);
+        cfg.memory_budget = Some(2000);
+        let registry = Registry::on_devices(devices(2), cfg);
+
+        // Both loads happen while the daemon is idle: nothing is queued or
+        // in flight, so only the bytes each device holds can tell them apart.
+        assert!(recv(registry.submit("m1", vec![0.5; 8], 0, 0.01).unwrap()).is_ok());
+        let d0 = registry.devices()[0].memory_in_use();
+        assert!(d0 > 0, "ties go to the lowest index");
+        assert_eq!(registry.devices()[1].memory_in_use(), 0);
+        assert!(recv(registry.submit("m2", vec![0.5; 8], 1, 0.01).unwrap()).is_ok());
+        assert_eq!(registry.resident(), vec!["m1", "m2"], "nothing was evicted");
+        assert_eq!(
+            registry.devices()[0].memory_in_use(),
+            d0,
+            "m2 left device 0 alone"
+        );
+        assert!(
+            registry.devices()[1].memory_in_use() > 0,
+            "m2 sits on device 1"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn cost_cap_bounces_only_into_nonempty_backlogs() {
         let dir = temp_dir("costcap");
@@ -1162,117 +982,103 @@ mod tests {
     }
 
     #[test]
-    fn saturated_models_replicate_onto_idle_devices() {
-        use gpupoly_device::DeviceConfig;
-        use gpupoly_shard::DevicePool;
-        let dir = temp_dir("replicate");
+    fn a_pool_model_drains_with_one_thread_per_device() {
+        let dir = temp_dir("drainers");
         write_model(&dir, "m", 8, 24);
-
+        // Single-query batches and a one-slot queue: a drainer holds one
+        // popped item, and one more item fills the shared queue.
         let mut cfg = RegistryConfig::new(&dir);
-        // Single-query batches + a one-slot queue: one popped item and one
-        // queued item saturate a replica.
         cfg.queue_cap = 1;
         cfg.policy = BatchPolicy {
             max_batch: 1,
             max_delay: Duration::from_millis(1),
         };
-        let pool: Arc<DevicePool<gpupoly_device::CpuSimBackend>> =
-            Arc::new(DevicePool::build(2, DeviceConfig::new().workers(1)));
-        let registry = Registry::with_pool(pool.clone(), cfg);
-
-        // Waits until every queued item has been popped (the workers hold
-        // one item each, their queues empty) so the next submission lands
-        // in a known queue state.
-        let drained_queues = |registry: &Registry<gpupoly_device::CpuSimBackend>| {
+        let queued = |registry: &Registry<gpupoly_device::CpuSimBackend>, depth: u64| {
             let deadline = Instant::now() + Duration::from_secs(30);
             loop {
                 let stats = registry.model_stats();
-                if stats[0].queue_depth == 0 {
+                if stats[0].queue_depth == depth {
                     return;
                 }
-                assert!(Instant::now() < deadline, "workers never popped: {stats:?}");
+                assert!(
+                    Instant::now() < deadline,
+                    "queue never reached {depth}: {stats:?}"
+                );
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
 
-        let cold = registry.submit("m", vec![0.5; 8], 0, 0.02).unwrap();
-        assert!(recv(cold).is_ok());
-        assert_eq!(pool.replicas("m").len(), 1, "cold load places one replica");
-        // A worker that has popped an item stays busy with it until the test
-        // opens the model's dispatch gate: the saturation below is sequenced
-        // on that, not on how long a verify takes.
-        let stats = registry.entries.lock()["m"].stats.clone();
-        let gate = stats.dispatch_gate.lock();
+        for n in [1, 2] {
+            let registry = Registry::on_devices(devices(n), cfg.clone());
+            assert!(recv(registry.submit("m", vec![0.5; 8], 0, 0.02).unwrap()).is_ok());
+            // A drainer that has popped an item stays busy with it until the
+            // test opens the model's dispatch gate: what leaves the queue is
+            // sequenced on that, not on how long a verify takes.
+            let stats = registry.entries.lock()["m"].stats.clone();
+            let gate = stats.dispatch_gate.lock();
+            let q1 = registry.submit("m", vec![0.45; 8], 0, 0.01).unwrap();
+            queued(&registry, 0);
+            let q2 = registry.submit("m", vec![0.4; 8], 1, 0.01).unwrap();
+            // One drainer a device: on two devices both items leave the
+            // queue; on one, the second waits for the only drainer.
+            queued(&registry, 2 - n as u64);
+            std::thread::sleep(Duration::from_millis(20));
+            queued(&registry, 2 - n as u64);
 
-        // q1 occupies the worker, q2 fills its one-slot queue.
-        let q1 = registry.submit("m", vec![0.5; 8], 0, 0.01).unwrap();
-        drained_queues(&registry);
-        let q2 = registry.submit("m", vec![0.45; 8], 1, 0.01).unwrap();
-        // q3 finds every queue full: the model replicates onto the second
-        // device instead of bouncing, and the query rides the new replica.
-        let q3 = registry.submit("m", vec![0.4; 8], 2, 0.01).unwrap();
-        assert_eq!(
-            pool.replicas("m").len(),
-            2,
-            "saturation must have replicated the model"
-        );
-        assert!(
-            pool.device(0).memory_in_use() > 0 && pool.device(1).memory_in_use() > 0,
-            "weights resident on both devices"
-        );
-        drop(gate);
-        for rx in [q1, q2, q3] {
-            assert!(recv(rx).is_ok());
-        }
-        let wire = registry.model_stats();
-        assert_eq!(wire[0].completed, 4);
-        assert_eq!(wire[0].rejected_overload, 0, "nothing bounced");
-
-        // With the pool covered, saturation of both replicas bounces with
-        // the structured overload: two busy workers, two full queues, and a
-        // fifth query with nowhere left to replicate.
-        let gate = stats.dispatch_gate.lock();
-        let busy_a = registry.submit("m", vec![0.5; 8], 0, 0.01).unwrap();
-        drained_queues(&registry);
-        let busy_b = registry.submit("m", vec![0.44; 8], 1, 0.01).unwrap();
-        drained_queues(&registry);
-        let queued_a = registry.submit("m", vec![0.43; 8], 2, 0.01).unwrap();
-        let queued_b = registry.submit("m", vec![0.42; 8], 0, 0.01).unwrap();
-        match registry.submit("m", vec![0.41; 8], 1, 0.01) {
-            Err(SubmitError::Overloaded(msg)) => {
-                assert!(msg.contains("full"), "untyped bounce: {msg}")
+            // Fill the one shared queue; past it the overload is typed.
+            let mut replies = vec![q1, q2];
+            if n == 2 {
+                replies.push(registry.submit("m", vec![0.35; 8], 2, 0.01).unwrap());
             }
-            other => panic!("expected Overloaded on a covered pool, got {other:?}"),
-        }
-        drop(gate);
-        for rx in [busy_a, busy_b, queued_a, queued_b] {
-            assert!(recv(rx).is_ok());
+            match registry.submit("m", vec![0.3; 8], 0, 0.01) {
+                Err(SubmitError::Overloaded(msg)) => {
+                    assert!(msg.contains("full"), "untyped bounce: {msg}")
+                }
+                other => panic!("{n} devices: expected Overloaded, got {other:?}"),
+            }
+            drop(gate);
+            for rx in replies {
+                assert!(recv(rx).is_ok());
+            }
+
+            // One engine, one analysis cache: a repeated box hits once,
+            // whichever drainer runs it.
+            assert!(recv(registry.submit("m", vec![0.45; 8], 0, 0.01).unwrap()).is_ok());
+            let wire = registry.model_stats();
+            assert_eq!(wire.len(), 1);
+            assert_eq!(wire[0].cache_hits, 1, "{n} devices: {wire:?}");
+            assert_eq!(wire[0].rejected_overload, 1);
+            assert_eq!(wire[0].completed as usize, 3 + n);
+            assert!(
+                registry.devices()[1..]
+                    .iter()
+                    .all(|d| d.memory_in_use() == 0),
+                "the default plan keeps the engine on one device"
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn tensor_parallel_registry_spans_the_pool_per_model() {
-        use gpupoly_device::DeviceConfig;
-        use gpupoly_shard::DevicePool;
         let dir = temp_dir("tp");
         write_model(&dir, "m", 8, 24);
         let mut cfg = RegistryConfig::new(&dir);
         cfg.plan.split_rows = true;
-        let pool: Arc<DevicePool<gpupoly_device::CpuSimBackend>> =
-            Arc::new(DevicePool::build(2, DeviceConfig::new().workers(1)));
-        let registry = Registry::with_pool(pool.clone(), cfg);
+        let registry = Registry::on_devices(devices(2), cfg);
 
         assert!(recv(registry.submit("m", vec![0.5; 8], 0, 0.01).unwrap()).is_ok());
-        // One worker, weights resident on every pool device.
-        assert_eq!(pool.replicas("m").len(), 2);
+        // One engine, weights resident on every device.
+        assert_eq!(registry.resident(), vec!["m"]);
         assert!(
-            pool.device(0).memory_in_use() > 0 && pool.device(1).memory_in_use() > 0,
+            registry
+                .devices()
+                .iter()
+                .all(|d| d.stats().resident_bytes() > 0),
             "tensor-parallel weights span the pool"
         );
         registry.drain();
-        assert_eq!(pool.device(0).memory_in_use(), 0);
-        assert_eq!(pool.device(1).memory_in_use(), 0);
+        assert!(registry.devices().iter().all(|d| d.memory_in_use() == 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,6 @@ use std::time::Duration;
 
 use gpupoly_core::{CompleteVerdict, Plan, RefineBudget, VerifyConfig, VerifyError};
 use gpupoly_device::{Backend, Device, DeviceConfig};
-use gpupoly_shard::DevicePool;
 use parking_lot::Mutex;
 use serde::Value;
 
@@ -38,7 +37,8 @@ pub struct ServerConfig {
     pub model_dir: PathBuf,
     /// Admission batching policy.
     pub policy: BatchPolicy,
-    /// Admission-queue capacity per model.
+    /// Admission-queue capacity per model: one queue a model, however many
+    /// drainers serve it.
     pub queue_cap: usize,
     /// Cost-aware admission cap: maximum *estimated* wall time of queued
     /// work per model (see `RegistryConfig::queue_cost_cap`); `None`
@@ -61,12 +61,13 @@ pub struct ServerConfig {
     /// `f64` escalation). See `RegistryConfig::precision_tier`.
     pub precision_tier: bool,
     /// Number of pool devices to build (`workers` and `memory_budget`
-    /// apply per device). With more than one device, models are placed
-    /// least-loaded and hot models replicate onto idle devices.
+    /// apply per device). Every model's queue gets one drainer a device;
+    /// under the default plan a model loads onto the device with the least
+    /// memory in use.
     pub devices: usize,
     /// How every model is placed over the pool (see `RegistryConfig::plan`):
-    /// `--tensor-parallel` sets [`Plan::split_rows`] (one worker per model,
-    /// its walks dealt over the pool's stream slots, instead of replicating),
+    /// `--tensor-parallel` sets [`Plan::split_rows`] (the model's walks
+    /// dealt over every device's stream slots),
     /// `--weight-sharded` sets [`Plan::shard_weights`] (each device holds
     /// ~1/N of the weight bytes, layers all-gathered just in time), both
     /// together serve **hybrid**. Every plan composes with
@@ -136,8 +137,8 @@ impl<B: Backend + Default> Server<B> {
                 Device::with_backend(B::default(), dev_cfg)
             })
             .collect();
-        let registry = Registry::with_pool(
-            Arc::new(DevicePool::from_devices(devices)),
+        let registry = Registry::on_devices(
+            devices,
             RegistryConfig {
                 model_dir: cfg.model_dir,
                 policy: cfg.policy,
@@ -509,9 +510,9 @@ fn device_wire<B: Backend>(device: &Device<B>) -> DeviceStatsWire {
 
 /// Sums a pool's per-device rows into the aggregate `device` row, so the
 /// top-level launch/FLOP/byte meters cover every device — not just device
-/// 0, which undercounts as soon as work shards or replicates. `capacity`
-/// is the pool total only when every device has a budget; a single-device
-/// pool reports that device verbatim.
+/// 0, which undercounts as soon as a second device holds a model or walks.
+/// `capacity` is the pool total only when every device has a budget; a
+/// single-device pool reports that device verbatim.
 fn aggregate_device_stats(devices: &[DeviceStatsWire]) -> DeviceStatsWire {
     if devices.len() == 1 {
         return devices[0].clone();
@@ -543,7 +544,7 @@ fn aggregate_device_stats(devices: &[DeviceStatsWire]) -> DeviceStatsWire {
 }
 
 fn stats_snapshot<B: Backend>(registry: &Registry<B>) -> StatsReply {
-    let devices: Vec<DeviceStatsWire> = registry.pool().devices().iter().map(device_wire).collect();
+    let devices: Vec<DeviceStatsWire> = registry.devices().iter().map(device_wire).collect();
     StatsReply {
         device: aggregate_device_stats(&devices),
         devices,

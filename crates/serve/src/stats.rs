@@ -1,5 +1,5 @@
 //! Lock-free per-model serving counters, shared between the admission path
-//! (connection threads) and the model's worker thread.
+//! (connection threads) and the model's drainer threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,15 +63,14 @@ pub struct ModelStats {
     pub cex_found: AtomicU64,
     /// Milliseconds since the registry epoch at last use (LRU key).
     pub last_used_ms: AtomicU64,
-    /// Eviction pin refcount: one pin per admitted-but-unanswered request,
-    /// plus one while a replica spawn is in progress. The registry's
-    /// make-room sweep may only evict models whose count is zero — a
-    /// **single** atomic, so there is no two-gauge read window in which a
-    /// model with live work can look evictable.
+    /// Eviction pin refcount: one pin per admitted-but-unanswered request.
+    /// The registry's make-room sweep may only evict models whose count is
+    /// zero — a **single** atomic, so there is no two-gauge read window in
+    /// which a model with live work can look evictable.
     pub pinned: AtomicU64,
-    /// Unit tests only: a worker takes this lock around every batch it has
-    /// popped, so a test holding it keeps the model's workers busy — with
-    /// their queues drained — for exactly as long as it needs.
+    /// Unit tests only: a drainer takes this lock around every batch it has
+    /// popped, so a test holding it keeps the model's drainers busy — with
+    /// what they popped out of the queue — for exactly as long as it needs.
     #[cfg(test)]
     pub(crate) dispatch_gate: parking_lot::Mutex<()>,
 }
@@ -82,7 +81,7 @@ impl ModelStats {
         self.queue_depth.load(Ordering::Acquire) == 0 && self.in_flight.load(Ordering::Acquire) == 0
     }
 
-    /// Takes one eviction pin (admission, or a replica spawn in progress).
+    /// Takes one eviction pin (one per admitted request).
     pub fn pin(&self) {
         self.pinned.fetch_add(1, Ordering::AcqRel);
     }

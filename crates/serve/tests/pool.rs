@@ -12,7 +12,7 @@ use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::{store, Network};
 use gpupoly_serve::protocol::{ErrorCode, Reply, Request, WireMargin};
 use gpupoly_serve::{
-    BatchPolicy, Client, ClientError, DevicePool, Registry, RegistryConfig, Server, ServerConfig,
+    BatchPolicy, Client, ClientError, Registry, RegistryConfig, Server, ServerConfig,
 };
 
 /// Deterministic dense ReLU net: `inputs → width (ReLU) → outputs`.
@@ -567,13 +567,16 @@ fn weight_sharded_eviction_frees_every_devices_shard_and_respects_pins() {
         max_batch: 16,
         max_delay: Duration::from_millis(1500),
     };
-    let pool: std::sync::Arc<DevicePool<CpuSimBackend>> =
-        std::sync::Arc::new(DevicePool::build(2, DeviceConfig::new().workers(1)));
-    let registry = Registry::with_pool(pool.clone(), cfg);
+    let devices: Vec<Device<CpuSimBackend>> = (0..2)
+        .map(|_| Device::with_backend(CpuSimBackend, DeviceConfig::new().workers(1)))
+        .collect();
+    let registry = Registry::on_devices(devices, cfg);
+    let pool = registry.devices();
 
     let pending = registry.submit("m1", vec![0.5; 8], 0, 0.01).unwrap();
+    let m1_bytes: Vec<u64> = pool.iter().map(|d| d.stats().resident_bytes()).collect();
     assert!(
-        (0..2).all(|i| pool.device(i).stats().resident_bytes() > 0),
+        m1_bytes.iter().all(|&b| b > 0),
         "m1's shards must be resident on every device"
     );
 
@@ -599,21 +602,21 @@ fn weight_sharded_eviction_frees_every_devices_shard_and_respects_pins() {
         .recv_timeout(Duration::from_secs(30))
         .expect("m2 replies")
         .is_ok());
-    assert_eq!(registry.resident(), vec!["m2"]);
+    assert_eq!(registry.resident(), vec!["m2"], "m1 is no longer resident");
+    let m2_bytes: Vec<u64> = pool.iter().map(|d| d.stats().resident_bytes()).collect();
     assert!(
-        pool.replicas("m1").is_empty(),
-        "m1's placement is forgotten"
-    );
-    assert!(
-        (0..2).all(|i| pool.device(i).stats().resident_bytes() > 0),
+        m2_bytes.iter().all(|&b| b > 0),
         "m2's shards span the pool after the eviction"
+    );
+    assert_eq!(
+        m1_bytes, m2_bytes,
+        "m1's shards are freed on every device: only m2's (same-shape) shards remain"
     );
 
     // Explicit eviction returns every device's shard bytes (and the gather
     // scratch riding on the executing device).
     assert!(registry.evict("m2"));
-    for i in 0..2 {
-        let dev = pool.device(i);
+    for (i, dev) in pool.iter().enumerate() {
         assert_eq!(
             dev.stats().resident_bytes(),
             0,
@@ -661,8 +664,11 @@ fn oversized_model_loads_weight_sharded_and_device_ooms_without() {
     match client.verify("big", &[0.5; 12], 0, 0.002) {
         Err(ClientError::Server {
             code: ErrorCode::DeviceOom,
-            ..
-        }) => {}
+            message,
+        }) => assert!(
+            message.contains("--weight-sharded"),
+            "a pool without weight sharding names the flag that helps: {message}"
+        ),
         other => panic!("expected device_oom for the oversized model, got {other:?}"),
     }
     handle.shutdown();
@@ -736,9 +742,12 @@ fn oversized_model_loads_weight_sharded_and_device_ooms_without() {
                 Some(_),
                 Err(ClientError::Server {
                     code: ErrorCode::DeviceOom,
-                    ..
+                    message,
                 }),
-            ) => {}
+            ) => assert!(
+                !message.contains("--weight-sharded"),
+                "weight sharding is already on, so it is no hint: {message}"
+            ),
             (None, Ok(_)) => {
                 let stats = client.stats().expect("stats");
                 let worst = stats.devices.iter().map(|d| d.resident_bytes).max();

@@ -1,20 +1,19 @@
 //! Load generator for the serving daemon: throughput and latency
-//! percentiles versus admission batch policy.
+//! percentiles versus admission batch policy and pool plan.
 //!
 //! Boots an in-process `gpupoly-serve` daemon over a small model zoo, then
 //! drives it with concurrent closed-loop clients under several batch
 //! policies and reports queries/s, p50 and p99 reply latency, and the mean
 //! coalesced batch size — the baseline future scheduling work (cost-aware
-//! admission, cross-query fusion) measures against.
+//! admission, cross-query fusion) measures against. On a multi-device pool
+//! every run is repeated once per plan: none (the engine on one device,
+//! one drainer a device), rows (`--tensor-parallel`), weights
+//! (`--weight-sharded`) and hybrid (both).
 //!
 //! Run: `cargo run --release --example serve_loadgen`
 //! Env: `GPUPOLY_BACKEND=cpusim|reference` picks the kernel backend,
 //!      `LOADGEN_CLIENTS` / `LOADGEN_REQUESTS` scale the run,
-//!      `LOADGEN_DEVICES` sizes the device pool (tensor-parallel when >1),
-//!      `LOADGEN_WEIGHT_SHARD=1` switches a multi-device pool from
-//!      tensor-parallel row sharding to FSDP-style weight sharding,
-//!      `LOADGEN_HYBRID=1` turns both on — hybrid 2D sharding: weight
-//!      shards on every device and row-parallel walks across the pool,
+//!      `LOADGEN_DEVICES` sizes the device pool (every plan when >1),
 //!      `LOADGEN_MUX` sets the pipelining window for the multiplexed leg
 //!      (0 disables it).
 
@@ -24,7 +23,7 @@ use std::time::{Duration, Instant};
 use gpupoly::device::{CpuSimBackend, ReferenceBackend};
 use gpupoly::nn::{builder::NetworkBuilder, store, Network};
 use gpupoly::serve::protocol::{Reply, Request};
-use gpupoly::serve::{BatchPolicy, Client, Server, ServerConfig};
+use gpupoly::serve::{BatchPolicy, Client, Plan, Server, ServerConfig};
 
 fn make_net(seed: u64, inputs: usize, width: usize, outputs: usize) -> Network<f32> {
     let mix = |i: usize, s: u64| {
@@ -84,18 +83,14 @@ fn drive<B: gpupoly::device::Backend + Default>(
     clients: usize,
     requests_per_client: usize,
     devices: usize,
-    weight_shard: bool,
-    hybrid: bool,
+    plan: Plan,
     mux_window: usize,
 ) -> RunReport {
     let mut cfg = ServerConfig::new(dir);
     cfg.policy = policy;
     cfg.queue_cap = 4 * clients.max(1);
     cfg.devices = devices;
-    // Hybrid = both flags: weight shards on every device AND row-parallel
-    // walks across the pool.
-    cfg.plan.shard_weights = (weight_shard || hybrid) && devices > 1;
-    cfg.plan.split_rows = (hybrid || !weight_shard) && devices > 1;
+    cfg.plan = plan;
     let server = Server::<B>::bind("127.0.0.1:0", cfg).expect("bind");
     let registry = server.registry().clone();
     let handle = server.spawn();
@@ -199,8 +194,6 @@ fn main() {
     let clients = env_usize("LOADGEN_CLIENTS", 8);
     let requests = env_usize("LOADGEN_REQUESTS", 40);
     let devices = env_usize("LOADGEN_DEVICES", 1).max(1);
-    let weight_shard = env_usize("LOADGEN_WEIGHT_SHARD", 0) != 0;
-    let hybrid = env_usize("LOADGEN_HYBRID", 0) != 0;
     let mux = env_usize("LOADGEN_MUX", 4);
 
     let dir = std::env::temp_dir().join(format!("gpupoly-loadgen-{}", std::process::id()));
@@ -242,18 +235,11 @@ fn main() {
 
     println!(
         "serve_loadgen: backend={backend} model={inputs}->{width}->{width}->{outputs} \
-         clients={clients} requests/client={requests} devices={devices} \
-         sharding={}\n",
-        match (devices > 1, weight_shard, hybrid) {
-            (false, _, _) => "none",
-            (true, _, true) => "hybrid-2d",
-            (true, false, false) => "tensor-parallel",
-            (true, true, false) => "weights",
-        }
+         clients={clients} requests/client={requests} devices={devices}\n"
     );
     println!(
-        "{:<30} {:>10} {:>10} {:>10} {:>11}",
-        "policy", "q/s", "p50", "p99", "mean batch"
+        "{:<8} {:<30} {:>10} {:>10} {:>10} {:>11}",
+        "plan", "policy", "q/s", "p50", "p99", "mean batch"
     );
     let mut runs: Vec<(String, BatchPolicy, usize)> = policies
         .iter()
@@ -271,39 +257,37 @@ fn main() {
             mux,
         ));
     }
-    for (label, policy, mux_window) in runs {
-        let report = match backend.as_str() {
-            "reference" => drive::<ReferenceBackend>(
-                &dir,
-                "loadgen",
-                inputs,
-                outputs,
-                policy,
-                clients,
-                requests,
-                devices,
-                weight_shard,
-                hybrid,
-                mux_window,
-            ),
-            _ => drive::<CpuSimBackend>(
-                &dir,
-                "loadgen",
-                inputs,
-                outputs,
-                policy,
-                clients,
-                requests,
-                devices,
-                weight_shard,
-                hybrid,
-                mux_window,
-            ),
+    // One device has one placement; a pool runs every plan.
+    let plans = [(false, false), (true, false), (false, true), (true, true)];
+    let plans = &plans[..if devices > 1 { plans.len() } else { 1 }];
+    for &(split_rows, shard_weights) in plans {
+        let plan = Plan {
+            split_rows,
+            shard_weights,
         };
-        println!(
-            "{:<30} {:>10.1} {:>10.2?} {:>10.2?} {:>11.2}",
-            label, report.throughput, report.p50, report.p99, report.mean_batch
-        );
+        let plan_name = match (split_rows, shard_weights) {
+            (false, false) => "none",
+            (true, false) => "rows",
+            (false, true) => "weights",
+            (true, true) => "hybrid",
+        };
+        for (label, policy, mux_window) in &runs {
+            let (policy, mux_window) = (*policy, *mux_window);
+            let report = match backend.as_str() {
+                "reference" => drive::<ReferenceBackend>(
+                    &dir, "loadgen", inputs, outputs, policy, clients, requests, devices, plan,
+                    mux_window,
+                ),
+                _ => drive::<CpuSimBackend>(
+                    &dir, "loadgen", inputs, outputs, policy, clients, requests, devices, plan,
+                    mux_window,
+                ),
+            };
+            println!(
+                "{:<8} {:<30} {:>10.1} {:>10.2?} {:>10.2?} {:>11.2}",
+                plan_name, label, report.throughput, report.p50, report.p99, report.mean_batch
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
