@@ -9,9 +9,9 @@
 //! by side as the streams of one pool section, and how many streams a worker
 //! should get is a measurement. The stream count is a constant of the build
 //! and nothing sets it at run time, so one run prints two rows — lists left
-//! in one walk, and cut as built — and the rows for another count come from
-//! editing the constant and running again. End-to-end numbers come from
-//! `benchmark/run.sh`, not from here.
+//! in one walk, which is one thread, and cut as built — and the rows for
+//! another count come from editing the constant and running again.
+//! End-to-end numbers come from `benchmark/run.sh`, not from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpupoly_core::{Engine, EngineOptions, Query, VerifyConfig, STREAMS_PER_WORKER};
@@ -110,10 +110,11 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Wall of one full `analyze` and of one fused batch of 16 on the
-/// benchmark's three networks, with a list's rows in one walk (`1`: what the
-/// walk was before streams, every kernel split over the workers) and cut
-/// into [`STREAMS_PER_WORKER`] streams a worker on a device of `w = 2`
-/// workers (`w`, `2w` and `4w` streams with the constant at 1, 2 and 4);
+/// benchmark's three networks, with a list's rows in one walk (`1`: one
+/// thread does it all, as on a one-worker device — no kernel splits its
+/// rows) and cut into [`STREAMS_PER_WORKER`] streams a worker on a device of
+/// `w = 2` workers (`w`, `2w` and `4w` streams with the constant at 1, 2 and
+/// 4);
 /// `peak_memory()` beside each, and a digest of every bound and margin that
 /// must not differ between the rows. Medians over `ANALYSES` fresh boxes and
 /// `BATCHES` fresh batches after one warm-up of each.

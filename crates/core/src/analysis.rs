@@ -20,7 +20,9 @@
 //! beside its siblings instead of after them. The workers meet once per
 //! layer, when its last walk is done — not once per kernel, of which a layer
 //! has dozens and of which most are through in microseconds once early
-//! termination has thinned the rows. A pool's devices are more stream slots
+//! termination has thinned the rows. Every list is cut, however short, and
+//! no kernel splits its rows: whole walks side by side are the only
+//! parallelism a backsubstitution has. A pool's devices are more stream slots
 //! of the same cut, so one query's refinement spans the pool. The spec walks
 //! that follow an analysis go through the same schedule
 //! ([`crate::Engine::check_spec_with`], the fused driver's stacked spec
@@ -322,10 +324,10 @@ fn refine_layer<'n, F: Fp, B: Backend>(
     Ok(())
 }
 
-/// Streams a list is cut into per worker of its device (a list under
-/// [`STREAM_MIN_COEFFS`] is not cut). Fixed, not configurable. Measured on the
-/// benchmark, seed 1, ten rounds alternating parent (every kernel split over
-/// the two workers, one walk a list), one and two streams a worker —
+/// Streams a list is cut into per worker of its device. Fixed, not
+/// configurable. Measured on the benchmark, seed 1, ten rounds alternating
+/// parent (every kernel split over the two workers, one walk a list), one
+/// and two streams a worker —
 /// `queries_per_s` median \[quartiles\] and `peak_device_mb`:
 ///
 /// | workload | parent | 1 a worker | **2 a worker** |
@@ -345,51 +347,15 @@ fn refine_layer<'n, F: Fp, B: Backend>(
 /// per stream what a launch does once for all its rows (`launch_wmax` over
 /// the weights, the GBC weight repack, the relaxation and side tables of a
 /// segment). `cargo bench -p gpupoly-bench --bench chunking` prints one
-/// analysis and one fused batch, uncut and cut as built, without a benchmark
-/// run; for another count, edit this constant.
+/// analysis and one fused batch in one walk a list (one thread) and cut as
+/// built, without a benchmark run; for another count, edit this constant.
 ///
 /// Also tried: cutting evenly instead of on query boundaries (`cut`) —
 /// `dense_fused` 171.6 against 182.6, `conv_fused` 31.2 against 34.4 q/s
 /// (six rounds, medians, inside the spread) — kept on boundaries, which no
 /// query's tables are made twice for and which blame an out-of-memory walk
-/// on the fewest queries. Not tried again: one row block per launch inside
-/// a stream instead of four per worker, which the prototype of this
-/// schedule read inside noise on `dense_single` and `conv_fused` — not
-/// worth an interface into the worker pool.
+/// on the fewest queries.
 pub const STREAMS_PER_WORKER: usize = 2;
-
-/// A list with fewer coefficients than this — its rows × the network's
-/// widest layer — stays one walk, whose kernels split over the workers as
-/// they did before there were streams. On a 784-pixel input that is a list
-/// of five rows or fewer; on a network under 64 neurons a layer, input
-/// included, every list.
-///
-/// **Higher than speed asks for, and held there by tests.** The same walks
-/// cut (this constant at 0) and uncut (as committed), single queries on
-/// four-layer networks of `n` neurons a layer, ten alternating rounds of
-/// 2000 queries, q/s median \[quartiles\]:
-///
-/// | network (largest list) | uncut | cut | |
-/// | --- | --- | --- | --- |
-/// | 8 wide, 4 inputs (64 coefficients) | 8126 \[7750–8626\] | 6337 \[6037–6851\] | uncut 1.28×, 10 of 10 |
-/// | 24 wide, 16 inputs (576) | 969 \[960–997\] | 1334 \[1298–1424\] | cut 1.38×, 10 of 10 |
-/// | 48 wide, 16 inputs (2304) | 376 \[370–406\] | 596 \[570–630\] | cut 1.58×, 10 of 10 |
-///
-/// so a list is worth cutting from somewhere between 64 and 576
-/// coefficients on, and the benchmark's lists are cut either way (the
-/// smallest are `serve_mix`'s, a dozen rows of 784, and a spec's nine). It is
-/// at 4096 because tier-1 pins, on networks that small, what a walk was
-/// before streams: `a_one_query_batch_still_splits_its_kernels_across_the_workers`
-/// (48 wide: at least eight pool hand-overs a query, where a cut query has
-/// one per list) needs more than 2304; `fused_batch_issues_fewer_gemm_launches`
-/// (8 wide: a fused batch of six at most half the GEMM launches of six single
-/// queries — cut, every walk launches its own, 42 against 62) and
-/// `bad_query_mid_batch_leaves_pool_accounting_intact` (8 wide: no fresh
-/// bytes for single queries after a fused batch warmed the pool — a
-/// stream's shelf lane is cold for sizes its position has not seen) need
-/// their lists uncut. Those tests are not this change's to edit; ROADMAP,
-/// "Retire `STREAM_MIN_COEFFS`", says what re-basing them takes.
-pub const STREAM_MIN_COEFFS: usize = 4096;
 
 /// What the walks of one list did for one query segment.
 #[derive(Copy, Clone, Debug, Default)]
@@ -424,10 +390,8 @@ pub(crate) struct Streamed<F> {
 /// the walks that are live together on it (the least of
 /// [`crate::PreparedGraph::chunk_for`] over [`Device::streams_at_once`];
 /// §4.2, "Memory management") and short enough that every worker of every
-/// device gets [`STREAMS_PER_WORKER`] of them. A list below
-/// [`STREAM_MIN_COEFFS`] is one walk a lane instead, its kernels split over
-/// the lane's workers, and such a list of one query's rows is one walk on
-/// the first lane. [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query
+/// device gets [`STREAMS_PER_WORKER`] of them, whatever the list's size.
+/// [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query
 /// boundaries where one is in reach ([`cut`]).
 ///
 /// **One deal.** The stream slots are (lane, position) pairs, dealt round
@@ -442,14 +406,17 @@ pub(crate) struct Streamed<F> {
 /// rows go round again, cut at half the length, while every walk that fit
 /// keeps its result; at one row a walk, what still fails runs once more on
 /// the first lane with the device to itself before the error stands. One
-/// worker, one row, a list too small to cut, or a caller that is itself a
-/// part of a section is the same loop over one stream a lane.
+/// worker, one row, or a caller that is itself a part of a section is the
+/// same loop over one stream a lane.
+///
+/// A walk's kernels run on the thread that owns the walk, always: whole
+/// walks side by side are the only parallelism a list has.
 ///
 /// The cut is scheduling only — a row's walk reads its own query's bounds
 /// and nothing of its neighbours, and every lane walks the same network —
 /// so `best` is what one walk over the whole list gives, bit for bit.
 pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
-    lanes: &[Lane<'n, F, B>],
+    mut lanes: &[Lane<'n, F, B>],
     cfg: &VerifyConfig,
     rows: usize,
     segs: usize,
@@ -464,20 +431,8 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
         return Ok(out);
     }
     // Walks live together on a device: its workers, or one — for a caller
-    // that is itself a part of a section. A list too small to cut is one
-    // walk a lane, and one query's is one walk on the first lane.
-    let small = rows.saturating_mul(lanes[0].prepared.widest_layer()) < STREAM_MIN_COEFFS;
-    let one_query = seg_of(0) == seg_of(rows - 1);
-    let mut lanes = if small && one_query {
-        &lanes[..1]
-    } else {
-        lanes
-    };
-    let at_once: Vec<usize> = if small {
-        vec![1; lanes.len()]
-    } else {
-        lanes.iter().map(|l| l.device.streams_at_once()).collect()
-    };
+    // that is itself a part of a section.
+    let at_once: Vec<usize> = lanes.iter().map(|l| l.device.streams_at_once()).collect();
     // Finer streams are for balance between a device's workers; one has
     // nobody to balance with.
     let mut streams: Vec<usize> = at_once

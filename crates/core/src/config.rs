@@ -47,8 +47,7 @@ pub struct VerifyConfig {
     /// Upper bound on the rows of one backsubstitution walk; `None` sizes
     /// walks from the device's free memory (paper §4.2, "Memory management")
     /// and from its worker count, which runs that many walks side by side.
-    /// `Some(usize::MAX)` is one walk per layer, every kernel of it split
-    /// over the workers.
+    /// `Some(usize::MAX)` is one walk per layer, on one thread.
     pub chunk_rows: Option<usize>,
 }
 

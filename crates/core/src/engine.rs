@@ -36,7 +36,7 @@ use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
 use crate::analysis::{analyze, analyze_fused, walk_streams, Analysis, AnalysisStats, Streamed};
-use crate::fsdp::{GatheredLayer, ShardStore, WeightShard, PREFETCH_DEPTH};
+use crate::fsdp::{GatheredLayer, ShardStore, WeightShard};
 use crate::sharded::Plan;
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
 use crate::walk::{StopRule, WalkOutcome, Walker};
@@ -168,7 +168,9 @@ pub struct EngineStats {
     pub gather_misses: u64,
     /// Weight-sharded engines: gathered layers evicted by the
     /// next-use-distance policy to stay inside a gather cache's capacity
-    /// (half its walking device's free bytes at construction).
+    /// (half its walking device's free bytes at construction, never below
+    /// two of the largest layer): zero on devices without a memory cap,
+    /// whose caches keep every remote layer.
     pub gather_evictions: u64,
 }
 
@@ -240,7 +242,7 @@ pub struct PreparedGraph<'n, F: Fp, B: Backend> {
     widest_layer: usize,
     /// Bytes of weights resident on the executing device.
     resident_bytes: usize,
-    /// Weight-shard state (gather cache + prefetch thread) when this graph
+    /// Weight-shard state (the gather cache) when this graph
     /// is a view over a pool's [`ShardStore`]; `None` for single-device
     /// graphs.
     shard: Option<WeightShard<F, B>>,
@@ -320,8 +322,8 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
     /// deterministic greedy balance by bytes, so every device holds ~1/N of
     /// the model). Layers `devices[exec_idx]` owns resolve to their
     /// owner-resident buffers copy-free; the other devices' layers are
-    /// all-gathered onto it on demand during the walk, cached
-    /// capacity-aware and prefetched ahead (see [`crate::fsdp`]). Every
+    /// all-gathered onto it on demand during the walk and cached
+    /// capacity-aware (see [`crate::fsdp`]). Every
     /// view of one store shares the same uploads and marks the same layers
     /// `Sharded`; a layer whose upload failed borrows host weights, exactly
     /// like the single-device packing path.
@@ -338,13 +340,7 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             }
         }
         base.resident_bytes = store.shard_bytes()[exec_idx];
-        base.shard = WeightShard::new_view(
-            store,
-            devices[exec_idx].clone(),
-            exec_idx,
-            None,
-            PREFETCH_DEPTH,
-        );
+        base.shard = WeightShard::new_view(store, devices[exec_idx].clone(), exec_idx, None);
         Ok(base)
     }
 
@@ -436,11 +432,6 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
         }
         let bytes_per_row = self.widest_layer * std::mem::size_of::<Itv<F>>() * 2 * 3;
         (free / bytes_per_row.max(1)).max(1)
-    }
-
-    /// Neurons of the network's widest layer.
-    pub(crate) fn widest_layer(&self) -> usize {
-        self.widest_layer
     }
 }
 

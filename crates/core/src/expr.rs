@@ -35,12 +35,9 @@
 //! segment `0` throughout; every per-row operation is unchanged, so fused
 //! results are bit-identical to running each query's rows alone.
 
-use gpupoly_device::{
-    kernels, par_stream, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom,
-};
+use gpupoly_device::{kernels, scan, Backend, Device, DeviceBuffer, DeviceError, ExprGeom};
 use gpupoly_interval::{round, Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
-use rayon::prelude::*;
 
 use crate::VerifyError;
 
@@ -788,15 +785,13 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     /// most `Σ_n |a_n| · err[n]` when they are replaced by the exact map, and
     /// both constants of the row are widened by a bound on that sum. Exact
     /// products and one `f64` sum per plane for `f32`, rounded up once;
-    /// directed `F` operations otherwise. The rows are independent: a batch
-    /// large enough to repay a pool section ([`par_stream`]) runs them across
-    /// the device's workers.
+    /// directed `F` operations otherwise.
     ///
     /// # Panics
     ///
     /// Panics when a segment index is out of range or an `err` slice does
     /// not cover the frontier.
-    pub fn absorb_round_off(&mut self, device: &Device<B>, err_per_seg: &[&[F]]) {
+    pub fn absorb_round_off(&mut self, err_per_seg: &[&[F]]) {
         for err in err_per_seg {
             assert_eq!(err.len(), self.shape.len(), "round-off length");
         }
@@ -817,35 +812,29 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
             })
             .collect();
         let (lo, hi): (&[Itv<F>], &[Itv<F>]) = (&self.lo, &self.hi);
-        let rows = csts.0.par_iter_mut().zip(csts.1.par_iter_mut());
-        par_stream(
-            device,
-            rows.enumerate(),
-            2 * cols,
-            |(r, (cst_lo, cst_hi))| {
-                let s = geom.seg[r] as usize;
-                let (mut owed_lo, mut owed_hi) = (Owed::default(), Owed::default());
-                let mut scratch = Vec::new();
-                for i in 0..geom.win_h {
-                    let (base, n) = (r * cols + i * run, geom.neuron_at(r, i, 0));
-                    let err = &err_per_seg[s][n..n + run];
-                    let wide = match &wide[s] {
-                        Some(wide) => &wide[n..n + run],
-                        None => {
-                            scratch.clear();
-                            if F::EXACT_IN_F64 {
-                                scratch.extend(err.iter().map(Owed::wide_err));
-                            }
-                            &scratch[..]
+        let mut scratch = Vec::new();
+        for (r, (cst_lo, cst_hi)) in csts.0.iter_mut().zip(&mut csts.1).enumerate() {
+            let s = geom.seg[r] as usize;
+            let (mut owed_lo, mut owed_hi) = (Owed::default(), Owed::default());
+            for i in 0..geom.win_h {
+                let (base, n) = (r * cols + i * run, geom.neuron_at(r, i, 0));
+                let err = &err_per_seg[s][n..n + run];
+                let wide = match &wide[s] {
+                    Some(wide) => &wide[n..n + run],
+                    None => {
+                        scratch.clear();
+                        if F::EXACT_IN_F64 {
+                            scratch.extend(err.iter().map(Owed::wide_err));
                         }
-                    };
-                    owed_lo.add(&lo[base..base + run], err, wide);
-                    owed_hi.add(&hi[base..base + run], err, wide);
-                }
-                *cst_lo = cst_lo.widen(owed_lo.bound());
-                *cst_hi = cst_hi.widen(owed_hi.bound());
-            },
-        );
+                        &scratch[..]
+                    }
+                };
+                owed_lo.add(&lo[base..base + run], err, wide);
+                owed_hi.add(&hi[base..base + run], err, wide);
+            }
+            *cst_lo = cst_lo.widen(owed_lo.bound());
+            *cst_hi = cst_hi.widen(owed_hi.bound());
+        }
         (self.cst_lo, self.cst_hi) = csts;
     }
 
@@ -1107,7 +1096,7 @@ mod tests {
         let mut batch = ExprBatch::stack(&device, parts).unwrap();
         batch.hi[3] = Itv::new(F::from_f64(-2.0), F::from_f64(0.5)); // planes differ
         let before = (batch.cst_lo.clone(), batch.cst_hi.clone());
-        batch.absorb_round_off(&device, &[&err_a, &err_b]);
+        batch.absorb_round_off(&[&err_a, &err_b]);
         for r in 0..batch.rows() {
             let err = if r < 3 { &err_a } else { &err_b };
             for (upper, was, now) in [
@@ -1133,7 +1122,7 @@ mod tests {
         let mut batch = padded_conv_rows::<F>(&device);
         let mut err = err_a.clone();
         err[17] = F::INFINITY;
-        batch.absorb_round_off(&device, &[&err]);
+        batch.absorb_round_off(&[&err]);
         assert!(batch.cst_lo[0].is_finite() && batch.cst_hi[0].is_finite());
         assert_eq!(batch.cst_lo[2], Itv::top());
         assert_eq!(batch.cst_hi[2], Itv::top());

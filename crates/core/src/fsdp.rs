@@ -14,25 +14,25 @@
 //! device (one view, on device 0) and with every device walking its share of
 //! every row list (one view per device) alike.
 //!
-//! Three mechanisms bound the gather cost:
+//! Two mechanisms bound the gather cost:
 //!
 //! * a **capacity-aware cache** of gathered layers per view: it holds as
-//!   many gathered layers as the executing device's budget allows (half
-//!   the device's free bytes at view construction), never less than the
-//!   double-buffer floor of two max-size layers;
+//!   many gathered layers as half the executing device's free bytes at view
+//!   construction allow — every remote layer, once gathered, on a device
+//!   without a memory cap — and never fewer than two max-size layers. Those
+//!   two layers are the floor that admission charges a walking device
+//!   ([`crate::WeightShardBudget::worst_device_bytes`]), not a cap;
 //! * **next-use-distance eviction**: the walk visits sharded layers in
-//!   descending node order, cyclically across batches. Each view keeps a
-//!   cursor at the layer the walk last acquired; when the cache overflows,
-//!   the entry whose next use is furthest in that cyclic order is evicted
-//!   (the just-acquired layer is the furthest of all — a full cycle away —
-//!   while a just-prefetched layer is the nearest and is never the
-//!   victim). The layer currently being inserted is pinned, and an evicted
-//!   buffer stays alive while any walk still holds its `Arc`;
-//! * a **prefetch thread** per view: acquiring layer *l* enqueues gathers
-//!   of the next [`PREFETCH_DEPTH`] remote layers in walk order, so those
-//!   copies overlap the walk over layer *l*.
-//!   Prefetching is pure scheduling — a missed or failed prefetch just
-//!   means the walk gathers synchronously — and can never change results.
+//!   descending node order, cyclically across batches. When a gather
+//!   overflows the cache, the entry whose next use is furthest in that
+//!   cyclic order, counted from the layer being gathered, is evicted (the
+//!   layer used just before is the furthest of all — a full cycle away —
+//!   while the layer the walk needs next is the nearest and is never the
+//!   victim). The layer being inserted is pinned, and an evicted buffer
+//!   stays alive while any walk still holds its `Arc`.
+//!
+//! A gather is synchronous, on the thread of the walk that needs the layer:
+//! a CPU thread has no copy engine for a prefetch to overlap.
 //!
 //! Gathered bytes are metered on the executing device under the `comms`
 //! kernel label through [`gpupoly_device::DeviceStats::record_copy`]; cache
@@ -40,10 +40,7 @@
 //! `gather_evict`, so benchmarks and the serving stats endpoint can report
 //! gather-cache behavior per device.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -62,11 +59,6 @@ pub(crate) const GATHER_HIT_LABEL: &str = "gather_hit";
 /// Zero-byte copy label recording a gathered layer evicted by the
 /// next-use-distance policy.
 pub(crate) const GATHER_EVICT_LABEL: &str = "gather_evict";
-
-/// How many upcoming remote layers each walk acquisition prefetches onto
-/// the executing device (in walk order, overlapping the current layer's
-/// step).
-pub(crate) const PREFETCH_DEPTH: usize = 1;
 
 /// One layer's weights gathered onto (or resident on) a device. Shared by
 /// `Arc` between the store, the gather cache and any walk currently using
@@ -93,7 +85,8 @@ pub(crate) struct ShardStore<F: Fp, B: Backend> {
     layer_bytes: Vec<usize>,
     /// Persistent uploaded bytes per pool device.
     shard_bytes: Vec<usize>,
-    /// The largest single affine layer's bytes — the double-buffer unit.
+    /// The largest single affine layer's bytes — the unit of the cache's
+    /// floor.
     max_layer_bytes: usize,
 }
 
@@ -152,9 +145,10 @@ impl<F: Fp, B: Backend> ShardStore<F, B> {
     }
 }
 
-/// Shared view state: the store plus this executing device's gather cache.
-/// `Arc`-held by the prefetch thread, so it borrows nothing.
-struct ViewInner<F: Fp, B: Backend> {
+/// One executing device's weight-shard view, owned by a
+/// [`crate::PreparedGraph`]: the shared store and this device's gather
+/// cache.
+pub(crate) struct WeightShard<F: Fp, B: Backend> {
     store: Arc<ShardStore<F, B>>,
     /// The executing device — gathers of remote layers land here.
     exec: Device<B>,
@@ -166,135 +160,49 @@ struct ViewInner<F: Fp, B: Backend> {
     /// `pos_of[node]` = the node's index in `remote_order` (`None` for
     /// local / host / non-affine nodes).
     pos_of: Vec<Option<usize>>,
-    /// Cache capacity in gathered bytes (never below the double-buffer
-    /// floor of two max-size layers).
+    /// Cache capacity in gathered bytes (never below two max-size layers).
     capacity: usize,
     cache: Mutex<GatherCache<F, B>>,
-    /// Index into `remote_order` of the layer the walk last acquired —
-    /// the origin next-use distances are measured from. Prefetch gathers
-    /// never move it.
-    cursor: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
-/// The gathered-layer cache of one view, with its byte total.
+/// The gathered-layer cache of one view, with its byte total and its
+/// counters.
 struct GatherCache<F: Fp, B: Backend> {
     entries: Vec<GatherEntry<F, B>>,
     bytes: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl<F: Fp, B: Backend> ViewInner<F, B> {
-    /// Cyclic next-use distance of remote-order position `pos` from the
-    /// cursor, in `1..=k`: the walk acquires remote layers in `remote_order`
-    /// cyclically across batches, so the entry at the cursor itself was
-    /// *just* used and is a full cycle (`k`) from its next use.
-    fn next_use_distance(&self, pos: usize, cursor: usize, k: usize) -> usize {
-        let d = (pos + k - cursor) % k;
-        if d == 0 {
-            k
-        } else {
-            d
-        }
+/// Cyclic next-use distance of remote-order position `pos` from position
+/// `cursor`, the layer the walk is acquiring, in `1..=k`: the walk acquires
+/// remote layers in `remote_order` cyclically across batches, so the entry
+/// at the cursor itself is a full cycle (`k`) from its next use.
+fn next_use_distance(pos: usize, cursor: usize, k: usize) -> usize {
+    let d = (pos + k - cursor) % k;
+    if d == 0 {
+        k
+    } else {
+        d
     }
-
-    /// Returns the gathered form of a sharded layer: the store's resident
-    /// buffer when this view's device owns it (no copy, no metering), the
-    /// cached copy on a hit, or a fresh gather onto the executing device on
-    /// a miss. The gather reconstructs the owner's exact bytes — it is
-    /// bit-transparent to the walk. `from_walk` moves the next-use cursor;
-    /// prefetch gathers leave it where the walk put it.
-    fn gather(
-        &self,
-        node: NodeId,
-        from_walk: bool,
-    ) -> Result<Arc<GatheredLayer<F, B>>, DeviceError> {
-        let local = self.store.resident[node]
-            .as_ref()
-            .expect("gather on a layer that is not sharded");
-        if self.store.owner[node] == Some(self.exec_idx) {
-            return Ok(local.clone());
-        }
-        let pos = self.pos_of[node].expect("remote sharded node has a walk position");
-        if from_walk {
-            self.cursor.store(pos, Ordering::Relaxed);
-        }
-        let mut cache = self.cache.lock();
-        if let Some(at) = cache.entries.iter().position(|(n, _)| *n == node) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.exec.stats().record_copy(GATHER_HIT_LABEL, 0);
-            return Ok(cache.entries[at].1.clone());
-        }
-        // Transient scratch on the executing device: pool-recycled when the
-        // engine runs with buffer recycling, charged against its capacity
-        // either way.
-        let weight = DeviceBuffer::from_slice(&self.exec, local.weight.as_slice())?;
-        let bias = DeviceBuffer::from_slice(&self.exec, local.bias.as_slice())?;
-        self.exec
-            .stats()
-            .record_copy(COMMS_LABEL, (weight.bytes() + bias.bytes()) as u64);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let gathered = Arc::new(GatheredLayer { weight, bias });
-        cache.bytes += self.store.layer_bytes[node];
-        cache.entries.push((node, gathered.clone()));
-
-        // Next-use-distance eviction. The just-inserted layer is pinned (it
-        // is about to be used — whether by the walk right now or by the walk
-        // the prefetcher gathered it for); everything else is ranked by how
-        // far away its next use is in cyclic walk order, furthest evicted
-        // first. Evicted entries stay alive while a walk holds their `Arc`.
-        let cursor = self.cursor.load(Ordering::Relaxed);
-        let k = self.remote_order.len();
-        while cache.bytes > self.capacity && cache.entries.len() > 1 {
-            let victim = cache
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, (n, _))| *n != node)
-                .max_by_key(|(_, (n, _))| {
-                    let p = self.pos_of[*n].expect("cached layer is remote");
-                    self.next_use_distance(p, cursor, k)
-                })
-                .map(|(at, _)| at);
-            let Some(at) = victim else { break };
-            let (evicted_node, _) = cache.entries.remove(at);
-            cache.bytes -= self.store.layer_bytes[evicted_node];
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.exec.stats().record_copy(GATHER_EVICT_LABEL, 0);
-        }
-        Ok(gathered)
-    }
-}
-
-/// One executing device's weight-shard view, owned by a
-/// [`crate::PreparedGraph`]: the shared store, this device's gather cache
-/// and its prefetch thread (shut down on drop).
-pub(crate) struct WeightShard<F: Fp, B: Backend> {
-    inner: Arc<ViewInner<F, B>>,
-    /// How many upcoming remote layers each walk acquisition prefetches.
-    prefetch_depth: usize,
-    prefetch_tx: Option<mpsc::Sender<NodeId>>,
-    prefetch_join: Option<JoinHandle<()>>,
 }
 
 impl<F: Fp, B: Backend> WeightShard<F, B> {
     /// Builds one executing device's view over the shared store: computes
-    /// the remote walk order, sizes the gather cache and spawns the
-    /// prefetch thread. Returns `None` when the store sharded nothing (the
-    /// prepared graph then has no `Sharded` layers either).
+    /// the remote walk order and sizes the gather cache. Returns `None` when
+    /// the store sharded nothing (the prepared graph then has no `Sharded`
+    /// layers either).
     ///
-    /// `cache_bytes` caps the gather cache; `None` auto-sizes it to half
-    /// the executing device's free bytes at construction (unlimited on an
-    /// uncapped device). Either way the cache never shrinks below the
-    /// double-buffer floor of two max-size layers, so the layer being
-    /// walked and the prefetched next one always coexist.
+    /// `cache_bytes` caps the gather cache; `None` sizes it to half the
+    /// executing device's free bytes at construction (unlimited on an
+    /// uncapped device). Either way the cache never shrinks below two
+    /// max-size layers.
     pub(crate) fn new_view(
         store: Arc<ShardStore<F, B>>,
         exec: Device<B>,
         exec_idx: usize,
         cache_bytes: Option<usize>,
-        prefetch_depth: usize,
     ) -> Option<Self> {
         if !store.owner.iter().any(Option::is_some) {
             return None;
@@ -321,7 +229,7 @@ impl<F: Fp, B: Backend> WeightShard<F, B> {
                 Some(cap) => floor.max(cap.saturating_sub(exec.memory_in_use()) / 2),
             },
         };
-        let inner = Arc::new(ViewInner {
+        Some(Self {
             store,
             exec,
             exec_idx,
@@ -331,73 +239,74 @@ impl<F: Fp, B: Backend> WeightShard<F, B> {
             cache: Mutex::new(GatherCache {
                 entries: Vec::new(),
                 bytes: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
             }),
-            cursor: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        });
-        let (prefetch_tx, prefetch_join) = if inner.remote_order.is_empty() || prefetch_depth == 0 {
-            // Nothing remote to prefetch (or prefetch disabled): every
-            // gather is a local resolve or a synchronous copy.
-            (None, None)
-        } else {
-            let (tx, rx) = mpsc::channel::<NodeId>();
-            let thread_inner = inner.clone();
-            let join = std::thread::Builder::new()
-                .name("gpupoly-fsdp-prefetch".to_string())
-                .spawn(move || {
-                    // Best-effort: a failed prefetch (e.g. transient OOM on
-                    // the executing device) is dropped; the walk gathers
-                    // synchronously and surfaces any real error itself.
-                    while let Ok(node) = rx.recv() {
-                        let _ = thread_inner.gather(node, false);
-                    }
-                })
-                .ok();
-            // If the thread could not spawn, run without prefetch: every
-            // gather is synchronous, results unchanged.
-            (join.is_some().then_some(tx), join)
-        };
-        Some(Self {
-            inner,
-            prefetch_depth,
-            prefetch_tx,
-            prefetch_join,
         })
     }
 
-    /// Acquires a sharded layer for the walk, then enqueues prefetches of
-    /// the next `prefetch_depth` remote layers in cyclic walk order so
-    /// their gathers overlap this layer's step.
+    /// Acquires a sharded layer for the walk: the store's resident buffer
+    /// when this view's device owns it (no copy, no metering), the cached
+    /// copy on a hit, or a fresh gather onto the executing device on a miss.
+    /// The gather reconstructs the owner's exact bytes — it is
+    /// bit-transparent to the walk.
     pub(crate) fn acquire(&self, node: NodeId) -> Result<Arc<GatheredLayer<F, B>>, DeviceError> {
-        let gathered = self.inner.gather(node, true)?;
-        if let (Some(tx), Some(pos)) = (&self.prefetch_tx, self.inner.pos_of[node]) {
-            let k = self.inner.remote_order.len();
-            for step in 1..=self.prefetch_depth.min(k.saturating_sub(1)) {
-                let _ = tx.send(self.inner.remote_order[(pos + step) % k]);
-            }
+        let local = self.store.resident[node]
+            .as_ref()
+            .expect("gather on a layer that is not sharded");
+        if self.store.owner[node] == Some(self.exec_idx) {
+            return Ok(local.clone());
+        }
+        let pos = self.pos_of[node].expect("remote sharded node has a walk position");
+        let mut cache = self.cache.lock();
+        if let Some(at) = cache.entries.iter().position(|(n, _)| *n == node) {
+            cache.hits += 1;
+            self.exec.stats().record_copy(GATHER_HIT_LABEL, 0);
+            return Ok(cache.entries[at].1.clone());
+        }
+        // Transient scratch on the executing device: pool-recycled when the
+        // engine runs with buffer recycling, charged against its capacity
+        // either way.
+        let weight = DeviceBuffer::from_slice(&self.exec, local.weight.as_slice())?;
+        let bias = DeviceBuffer::from_slice(&self.exec, local.bias.as_slice())?;
+        self.exec
+            .stats()
+            .record_copy(COMMS_LABEL, (weight.bytes() + bias.bytes()) as u64);
+        cache.misses += 1;
+        let gathered = Arc::new(GatheredLayer { weight, bias });
+        cache.bytes += self.store.layer_bytes[node];
+        cache.entries.push((node, gathered.clone()));
+
+        // Next-use-distance eviction. The just-inserted layer is pinned (the
+        // walk is about to use it); everything else is ranked by how far
+        // away its next use is in cyclic walk order, furthest evicted first.
+        // Evicted entries stay alive while a walk holds their `Arc`.
+        let k = self.remote_order.len();
+        while cache.bytes > self.capacity && cache.entries.len() > 1 {
+            let victim = cache
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, (n, _))| *n != node)
+                .max_by_key(|(_, (n, _))| {
+                    let p = self.pos_of[*n].expect("cached layer is remote");
+                    next_use_distance(p, pos, k)
+                })
+                .map(|(at, _)| at);
+            let Some(at) = victim else { break };
+            let (evicted_node, _) = cache.entries.remove(at);
+            cache.bytes -= self.store.layer_bytes[evicted_node];
+            cache.evictions += 1;
+            self.exec.stats().record_copy(GATHER_EVICT_LABEL, 0);
         }
         Ok(gathered)
     }
 
     /// `(hits, misses, evictions)` of this view's gather cache.
     pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.inner.hits.load(Ordering::Relaxed),
-            self.inner.misses.load(Ordering::Relaxed),
-            self.inner.evictions.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl<F: Fp, B: Backend> Drop for WeightShard<F, B> {
-    fn drop(&mut self) {
-        // Close the channel, then join: the thread exits its recv loop.
-        drop(self.prefetch_tx.take());
-        if let Some(join) = self.prefetch_join.take() {
-            let _ = join.join();
-        }
+        let cache = self.cache.lock();
+        (cache.hits, cache.misses, cache.evictions)
     }
 }
 
@@ -431,8 +340,8 @@ pub(crate) fn shard_plan<F: Fp>(
 }
 
 /// The largest single affine layer's weight+bias bytes — the unit of the
-/// double-buffer floor on an executing device (the layer being walked and
-/// the prefetched next one must always coexist).
+/// gather cache's floor on an executing device, two of them: the layer being
+/// walked and the one the walk needs next.
 pub(crate) fn max_layer_bytes<F: Fp>(graph: &Graph<'_, F>) -> usize {
     graph
         .nodes
@@ -465,7 +374,7 @@ mod tests {
 
     /// Four equal-size 8→8 dense layers: on a 4-device pool the greedy plan
     /// gives each device exactly one layer, so a view on device 0 has three
-    /// remote layers — more than the 2-entry double-buffer floor holds.
+    /// remote layers — more than the 2-entry floor holds.
     fn four_layer_net() -> Network<f32> {
         let mut b = NetworkBuilder::new_flat(8);
         for l in 0..4u64 {
@@ -490,7 +399,7 @@ mod tests {
     const L: [NodeId; 4] = [1, 3, 5, 7];
 
     #[test]
-    fn next_use_eviction_keeps_prefetched_layer_not_mru() {
+    fn next_use_eviction_keeps_the_next_layer_not_the_last_one() {
         let net = four_layer_net();
         let graph = net.graph();
         let devs = pool(4);
@@ -500,49 +409,43 @@ mod tests {
         }
         let layer = store.layer_bytes[L[0]];
         // Capacity request below the floor clamps to the 2-layer floor.
-        let view = WeightShard::<f32, CpuSimBackend>::new_view(
-            store.clone(),
-            devs[0].clone(),
-            0,
-            Some(1),
-            0,
-        )
-        .expect("sharded store yields a view");
-        assert_eq!(view.inner.capacity, 2 * layer);
-        assert_eq!(view.inner.remote_order, vec![L[3], L[2], L[1]]);
+        let view =
+            WeightShard::<f32, CpuSimBackend>::new_view(store.clone(), devs[0].clone(), 0, Some(1))
+                .expect("sharded store yields a view");
+        assert_eq!(view.capacity, 2 * layer);
+        assert_eq!(view.remote_order, vec![L[3], L[2], L[1]]);
+        let cached = || -> Vec<NodeId> { view.cache.lock().entries.iter().map(|e| e.0).collect() };
 
-        // The PR 9 MRU reinsertion hazard, replayed deterministically:
-        // walk acquires L3 (the in-use layer), the prefetcher gathers L2,
-        // the walk touches L3 again (old policy: move-to-front), then the
-        // prefetcher inserts L1 and the cache must shed one entry.
-        view.acquire(L[3]).unwrap(); // walk: miss
-        view.inner.gather(L[2], false).unwrap(); // prefetch: miss
-        view.acquire(L[3]).unwrap(); // walk: hit — cursor stays at L3
-        view.inner.gather(L[1], false).unwrap(); // prefetch: miss → evict
+        // The first walk: three misses, and the third overflows the cache.
+        // L3 is the layer the next walk needs first, L2 the one just used
+        // (what an LRU policy keeps, evicting L3).
+        view.acquire(L[3]).unwrap();
+        view.acquire(L[2]).unwrap();
+        view.acquire(L[1]).unwrap();
+        let after_first = cached();
+        assert!(
+            after_first.contains(&L[3]),
+            "the layer needed next survives"
+        );
+        assert!(after_first.contains(&L[1]), "the inserted layer is pinned");
+        assert!(
+            !after_first.contains(&L[2]),
+            "the last-used layer is the victim"
+        );
 
-        // The old MRU order was [L1, L3, L2] + truncate(2): it evicted L2,
-        // the just-prefetched layer the walk needs *next*. Next-use
-        // distance evicts L3 instead (just used ⇒ a full cycle away).
-        let cached: Vec<NodeId> = view
-            .inner
-            .cache
-            .lock()
-            .entries
-            .iter()
-            .map(|e| e.0)
-            .collect();
-        assert!(cached.contains(&L[2]), "just-prefetched layer must survive");
-        assert!(cached.contains(&L[1]), "inserted layer is pinned");
-        assert!(!cached.contains(&L[3]), "the in-use layer is the victim");
-
-        // The walk proceeds: both prefetched layers hit; L3 re-gathers.
-        view.acquire(L[2]).unwrap(); // hit
-        view.acquire(L[1]).unwrap(); // hit
-        view.acquire(L[3]).unwrap(); // miss (was evicted)
+        // The second walk: L3 hits, L2 re-gathers and evicts L3 — just used,
+        // a full cycle from its next use — and L1, needed next, hits.
+        view.acquire(L[3]).unwrap();
+        view.acquire(L[2]).unwrap();
+        let mid_second = cached();
+        assert!(mid_second.contains(&L[1]), "the layer needed next survives");
+        assert!(
+            !mid_second.contains(&L[3]),
+            "the just-used layer is the victim"
+        );
+        view.acquire(L[1]).unwrap();
         let (hits, misses, evictions) = view.counters();
-        assert_eq!(hits, 3);
-        assert_eq!(misses, 4);
-        assert!(evictions >= 1);
+        assert_eq!((hits, misses, evictions), (2, 4, 2));
 
         // Device-visible mirrors of the same counters.
         let stats = devs[0].stats();
@@ -563,27 +466,21 @@ mod tests {
         let graph = net.graph();
         let devs = pool(4);
         let store = ShardStore::build(&devs, &graph);
-        let view = WeightShard::<f32, CpuSimBackend>::new_view(
-            store.clone(),
-            devs[0].clone(),
-            0,
-            Some(0),
-            0,
-        )
-        .unwrap();
+        let view =
+            WeightShard::<f32, CpuSimBackend>::new_view(store.clone(), devs[0].clone(), 0, Some(0))
+                .unwrap();
 
-        let held = view.acquire(L[3]).unwrap();
-        let want: Vec<f32> = held.weight.as_slice().to_vec();
-        // Overflow the 2-entry floor so L3 (the in-use layer) is evicted.
-        view.inner.gather(L[2], false).unwrap();
         view.acquire(L[3]).unwrap();
-        view.inner.gather(L[1], false).unwrap();
-        assert!(view.counters().2 >= 1, "an eviction must have happened");
+        let held = view.acquire(L[2]).unwrap();
+        let want: Vec<f32> = held.weight.as_slice().to_vec();
+        // Overflow the 2-entry floor so L2 (the in-use layer) is evicted.
+        view.acquire(L[1]).unwrap();
+        assert_eq!(view.counters().2, 1, "an eviction must have happened");
         // The walk's Arc keeps the evicted buffer alive and bit-intact.
         assert_eq!(held.weight.as_slice(), want.as_slice());
         assert_eq!(
             held.weight.as_slice(),
-            store.resident[L[3]].as_ref().unwrap().weight.as_slice(),
+            store.resident[L[2]].as_ref().unwrap().weight.as_slice(),
             "gather reconstructed the owner's exact bytes"
         );
     }
@@ -598,10 +495,10 @@ mod tests {
         assert_eq!(store.owner[L[0]], Some(0));
         assert_eq!(store.owner[L[1]], Some(1));
         let view =
-            WeightShard::<f32, CpuSimBackend>::new_view(store.clone(), devs[0].clone(), 0, None, 1)
+            WeightShard::<f32, CpuSimBackend>::new_view(store.clone(), devs[0].clone(), 0, None)
                 .unwrap();
         // Unconstrained device ⇒ the auto-sized cache is unlimited.
-        assert_eq!(view.inner.capacity, usize::MAX);
+        assert_eq!(view.capacity, usize::MAX);
 
         let got = view.acquire(L[0]).unwrap();
         assert!(

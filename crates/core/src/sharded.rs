@@ -30,9 +30,11 @@
 //! [`weight_shard_budget`] gives the exact plan — one copy of the model
 //! pool-wide) and every walking device reads them through its view of that
 //! one store: it resolves its own layers copy-free and all-gathers each
-//! remote layer's exact bytes onto *itself* just in time, into a
-//! capacity-aware gather cache, with upcoming layers' gathers prefetched so
-//! they overlap the current layer's step (see [`crate::fsdp`]). Gathers
+//! remote layer's exact bytes onto *itself* just in time, into a gather
+//! cache sized to half the device's free bytes at construction — every
+//! remote layer stays gathered after its first use on a device without a
+//! memory cap — and never below two of the largest layer (see
+//! [`crate::fsdp`]). Gathers
 //! reconstruct bit patterns, never values, so margins stay
 //! **bit-identical** to a single-device run at any pool size. Gathered
 //! traffic is metered under the `comms` kernel label on the walking device.
@@ -56,8 +58,10 @@ pub struct Plan {
     pub split_rows: bool,
     /// FSDP-style weight sharding: each device permanently holds ~1/N of
     /// the weight bytes and walking devices all-gather remote layers just in
-    /// time, cached capacity-aware and prefetched ahead (off: every walking
-    /// device packs the whole network on itself). Serves models bigger than
+    /// time into a gather cache of half their free bytes (unbounded on an
+    /// uncapped device; never below two of the largest layer, the floor
+    /// [`WeightShardBudget::worst_device_bytes`] charges) (off: every
+    /// walking device packs the whole network on itself). Serves models bigger than
     /// any single device.
     pub shard_weights: bool,
 }
@@ -69,16 +73,20 @@ pub struct WeightShardBudget {
     /// Persistent weight+bias bytes each pool device holds under the
     /// deterministic greedy layer partition, in pool order.
     pub per_device: Vec<usize>,
-    /// Transient gather overhead on a walking device: two gathered
-    /// layers (the one being walked and the prefetched next one) may
-    /// coexist, so this is `2 ×` the largest single layer's bytes.
+    /// `2 ×` the largest single layer's bytes: the floor of a walking
+    /// device's gather cache (the layer being walked and the one the walk
+    /// needs next), and what [`Self::worst_device_bytes`] charges for
+    /// gathers. Not a cap: the cache holds up to half the device's free
+    /// bytes at construction, and every remote layer on a device without a
+    /// memory cap.
     pub double_buffer: usize,
 }
 
 impl WeightShardBudget {
     /// The bytes the most-loaded device must fit: its shard plus — on a
     /// walking device, which is always the most general case an admission
-    /// layer should plan for — the transient double buffer.
+    /// layer should plan for — the gather cache's two-layer floor
+    /// ([`Self::double_buffer`]).
     pub fn worst_device_bytes(&self) -> usize {
         self.per_device.iter().copied().max().unwrap_or(0) + self.double_buffer
     }

@@ -163,7 +163,7 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
             .map(|a| a.round_off[node].as_slice())
             .collect();
         if round_off.iter().any(|e| !e.is_empty()) {
-            batch.absorb_round_off(self.device, &round_off);
+            batch.absorb_round_off(&round_off);
         }
         match op {
             Op::Dense(d) => {

@@ -1,7 +1,8 @@
-//! A batch of one query has nothing to fuse: `Engine::verify_batch_fused`
-//! runs it as the single query it is, so the query's kernels split across
-//! the device's workers. Alone in its test binary on purpose: it watches the
-//! device's helper thread through `/proc`, by name.
+//! A batch of one query has nothing to fuse, yet its lists are cut into
+//! walks that run side by side: `Engine::verify_batch_fused` keeps both of a
+//! two-worker device's threads walking a lone query's rows. Alone in its
+//! test binary on purpose: it watches the device's helper thread through
+//! `/proc`, by name.
 #![cfg(target_os = "linux")]
 
 use gpupoly_core::{Engine, Query, VerifyConfig};
@@ -29,7 +30,7 @@ fn helper_parks() -> Option<u64> {
 }
 
 #[test]
-fn a_one_query_batch_still_splits_its_kernels_across_the_workers() {
+fn a_one_query_batch_keeps_both_workers_busy() {
     let (width, depth) = (48, 4);
     let weight = |i: usize, s: usize| ((i * 37 + s * 11) % 23) as f32 / 23.0 - 0.5;
     let mut b = NetworkBuilder::new_flat(16);
@@ -46,27 +47,31 @@ fn a_one_query_batch_still_splits_its_kernels_across_the_workers() {
     let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
     let query = |shift: f32| Query::new(vec![0.4 + shift; 16], 3, 0.02);
 
-    // Warm-up: the first kernel that splits spawns the helper.
+    // Warm-up: the first section spawns the helper.
     for r in engine.verify_batch_fused(&[query(0.0), query(0.1)]) {
         r.unwrap();
     }
-    // Run as one stream among others, a query would wake the helper once,
-    // for the section, and keep every kernel to one thread. On its own, each
-    // of its backsubstitution GEMMs is a launch of its own, some eighty here. A
-    // woken helper the scheduler does not run before the launcher is done
-    // never parks again, so one quiet batch proves nothing: look at several
-    // (a fresh input box each, so none is served from the analysis cache).
-    let mut most = 0;
+    // A lone query's lists are cut into walks, one pool section a list, and
+    // the helper claims walks of each: it parks once per section it was
+    // woken for. A woken helper the scheduler does not run before the
+    // launcher is done never parks again, so one quiet batch proves
+    // nothing: look at several (a fresh input box each, so none is served
+    // from the analysis cache).
     for attempt in 1..=50 {
         let before = helper_parks().expect("the warm-up spawned the helper");
         let shift = 0.1 + 0.005 * attempt as f32;
-        engine.verify_batch_fused(&[query(shift)])[0]
-            .as_ref()
+        let verdict = engine
+            .verify_batch_fused(&[query(shift)])
+            .remove(0)
             .unwrap();
-        most = most.max(helper_parks().unwrap() - before);
-        if most >= 8 {
+        assert!(
+            verdict.stats.chunks > verdict.stats.relu_nodes,
+            "a lone query's lists are cut: {:?}",
+            verdict.stats
+        );
+        if helper_parks().unwrap() > before {
             return;
         }
     }
-    panic!("no one-query batch woke the helper more than {most} times");
+    panic!("no one-query batch woke the helper");
 }

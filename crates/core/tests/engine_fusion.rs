@@ -158,43 +158,51 @@ fn fused_margins_bit_identical_on_conv_and_reference_backend() {
     assert_bit_identical(&got, &want, "conv/reference");
 }
 
+/// `(GEMM launches, all launches)` of `qs` verified one at a time, then of
+/// `qs` as one fused batch, each on a fresh device of `workers` workers.
+fn launches_single_then_fused(
+    net: &Network<f32>,
+    qs: &[Query<f32>],
+    workers: usize,
+) -> [(u64, u64); 2] {
+    // Distinct boxes, cache off: both sides do the full analysis work.
+    let opts = EngineOptions {
+        analysis_cache: 0,
+        ..Default::default()
+    };
+    let run = |fused: bool| {
+        let dev: Device = Device::new(DeviceConfig::new().workers(workers));
+        let engine = Engine::with_options(dev.clone(), net, VerifyConfig::default(), opts).unwrap();
+        let (gemm0, launches0) = (
+            dev.stats().kernel_launches("gemm_itv_f"),
+            dev.stats().launches(),
+        );
+        if fused {
+            assert!(engine.verify_batch_fused(qs).iter().all(Result::is_ok));
+        } else {
+            for q in qs {
+                engine.verify_robustness(&q.image, q.label, q.eps).unwrap();
+            }
+        }
+        (
+            dev.stats().kernel_launches("gemm_itv_f") - gemm0,
+            dev.stats().launches() - launches0,
+        )
+    };
+    [run(false), run(true)]
+}
+
 #[test]
 fn fused_batch_issues_fewer_gemm_launches() {
     let net = random_net(7, 3, 8);
     let k = 6;
     let qs = queries(k, 4);
 
-    // Distinct boxes, cache off: both sides do the full analysis work.
-    let opts = EngineOptions {
-        analysis_cache: 0,
-        ..Default::default()
-    };
-
-    let dev_seq: Device = Device::new(DeviceConfig::new().workers(2));
-    let seq = Engine::with_options(dev_seq.clone(), &net, VerifyConfig::default(), opts).unwrap();
-    let gemm0 = dev_seq.stats().kernel_launches("gemm_itv_f");
-    let launches0 = dev_seq.stats().launches();
-    for q in &qs {
-        seq.verify_robustness(&q.image, q.label, q.eps).unwrap();
-    }
-    let gemm_seq = dev_seq.stats().kernel_launches("gemm_itv_f") - gemm0;
-    let launches_seq = dev_seq.stats().launches() - launches0;
-
-    let dev_fused: Device = Device::new(DeviceConfig::new().workers(2));
-    let fused =
-        Engine::with_options(dev_fused.clone(), &net, VerifyConfig::default(), opts).unwrap();
-    let gemm1 = dev_fused.stats().kernel_launches("gemm_itv_f");
-    let launches1 = dev_fused.stats().launches();
-    let results = fused.verify_batch_fused(&qs);
-    assert!(results.iter().all(Result::is_ok));
-    let gemm_fused = dev_fused.stats().kernel_launches("gemm_itv_f") - gemm1;
-    let launches_fused = dev_fused.stats().launches() - launches1;
-
+    // One worker: a list is one walk, and a fused batch's walk launches each
+    // GEMM once for all its queries.
+    let [(gemm_seq, launches_seq), (gemm_fused, launches_fused)] =
+        launches_single_then_fused(&net, &qs, 1);
     assert!(gemm_seq > 0, "the walks must exercise the GEMM kernel");
-    assert!(
-        gemm_fused < gemm_seq,
-        "fused batch must issue strictly fewer GEMM launches ({gemm_fused} vs {gemm_seq})"
-    );
     assert!(
         gemm_fused <= gemm_seq / 2,
         "a {k}-query fused batch should issue ~1/{k} the GEMM launches, got {gemm_fused} vs {gemm_seq}"
@@ -202,6 +210,14 @@ fn fused_batch_issues_fewer_gemm_launches() {
     assert!(
         launches_fused < launches_seq,
         "fused batch must issue fewer device launches overall ({launches_fused} vs {launches_seq})"
+    );
+
+    // Two workers: every list is cut into streams and every walk launches
+    // its own GEMMs, but fusing never adds any.
+    let [(gemm_seq, _), (gemm_fused, _)] = launches_single_then_fused(&net, &qs, 2);
+    assert!(
+        gemm_fused <= gemm_seq,
+        "fusing added GEMM launches on two workers ({gemm_fused} vs {gemm_seq})"
     );
 }
 

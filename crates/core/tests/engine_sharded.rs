@@ -36,10 +36,8 @@ fn random_net(seed: u64, depth: usize, width: usize, outputs: usize) -> Network<
     dense_net(seed, 4, depth, width, outputs)
 }
 
-/// 64 inputs, three 96-wide ReLU layers, 10 outputs: a single query's
-/// refinement lists reach `STREAM_MIN_COEFFS` (rows × the widest layer), so
-/// they are cut across the pool — a smaller network's list of one query's
-/// rows is one walk on the first device.
+/// 64 inputs, three 96-wide ReLU layers, 10 outputs: lists long enough that
+/// the pool's walks hold many rows each.
 fn wide_net() -> Network<f32> {
     dense_net(23, 64, 3, 96, 10)
 }
@@ -433,8 +431,8 @@ fn a_pool_hits_repeated_boxes_like_one_engine() {
 /// for bit.
 #[test]
 fn a_lone_query_and_a_repeated_box_walk_on_every_device() {
-    let net = wide_net();
-    let q = wide_queries(1).remove(0);
+    let net = random_net(3, 3, 12, 5);
+    let q = queries(1, 4, 5).remove(0);
     let twice = vec![q.clone(), q.clone()];
     let one = single(&net);
     for batch in [vec![q], twice] {

@@ -17,8 +17,8 @@
 //! crate:
 //!
 //! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
-//!   GEMM and large gathers parallelized across the device's worker pool,
-//!   buffer pooling enabled. This is the default backend.
+//!   GEMM, each kernel a loop over its rows on the launching thread, buffer
+//!   pooling enabled. This is the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
 //!   backend (and any future port): same contract, trivially-auditable
@@ -85,9 +85,9 @@
 //! element-for-element.
 //!
 //! **Blocking rule.** Cache/register blocking of the GEMM family is allowed
-//! — but only over `m` and `n`. [`CpuSimBackend`] hands each worker a block
-//! of rows and walks every row in column blocks whose accumulators stay in
-//! registers across the **full `k` extent**. A port may tile `m`/`n`, pack
+//! — but only over `m` and `n`. [`CpuSimBackend`] walks every row in column
+//! blocks whose accumulators stay in registers across the **full `k`
+//! extent**. A port may tile `m`/`n`, pack
 //! operands, and register-block freely, but must never split, reorder or
 //! tree-reduce `k`, nor take `wmax` over less than the launch's `n` columns.
 //! [`crate::conformance::check_gemm_blocking`] pins the kernels against the
@@ -251,8 +251,7 @@
 //! The shortcuts are results of the rule for a coefficient that is finite,
 //! ordered and does not strictly straddle zero; a row holding any other
 //! coefficient (a hull term, `±inf`, NaN, `lo > hi`) or a non-finite constant,
-//! a segment whose relaxations or concrete bounds are not all finite, a row
-//! that finds its segment's table still being made by another worker, and
+//! a segment whose relaxations or concrete bounds are not all finite, and
 //! every other scalar type take the rule as written, row by row
 //! (`relu_step_row`) — as every row does on [`ReferenceBackend`]. An
 //! exact-zero coefficient is no term on any kind of side.
@@ -286,14 +285,14 @@
 //! is the storage side: [`crate::DeviceBuffer`] still assumes
 //! host-addressable memory (`Deref<[T]>`) — tracked in `ROADMAP.md`.
 //! Passing the conformance suite is the admission gate for the kernels; the
-//! buffer abstraction is the one remaining structural gap.
+//! buffer abstraction is the one remaining structural gap. Nor does the
+//! trait overlap anything: a weight-sharded walk gathers a remote layer
+//! synchronously, on its own thread, when it reaches it. A GPU port with a
+//! copy engine is where a prefetch of the next layer's gather would belong.
 
 use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm};
 use gpupoly_interval::{round, Fp, Itv};
-use rayon::prelude::*;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::cell::{OnceCell, RefCell};
 
 use crate::relax::ReluRelax;
 use crate::Device;
@@ -450,8 +449,8 @@ impl GbcShape {
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-row kernel bodies. Both backends dispatch these row functions
-// (in parallel on CpuSimBackend, serially on ReferenceBackend), so per-row
+// Shared per-row kernel bodies. Both backends run these row functions one
+// row after the other, so per-row
 // arithmetic — and therefore every result bit — is identical by
 // construction. The exceptions are CpuSimBackend's: GBC is a scatter there
 // and the contract's gather on ReferenceBackend, and the ReLU step,
@@ -483,9 +482,8 @@ fn reaching(
     (first..end).map(move |sy| (sy - src_origin, y - sy * stride))
 }
 
-/// The operands of one GBC launch, shared by the row blocks its workers
-/// take, and its [`launch_wmax`], indexed by filter tap and output channel
-/// `t = (f·kw + g)·c_out + d`.
+/// The operands of one GBC launch, and its [`launch_wmax`], indexed by
+/// filter tap and output channel `t = (f·kw + g)·c_out + d`.
 struct GbcLaunch<'a, F> {
     src: &'a [Itv<F>],
     src_geom: &'a ExprGeom<'a>,
@@ -593,11 +591,11 @@ impl<'a, F: Fp> GbcLaunch<'a, F> {
         });
     }
 
-    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`),
-    /// every position a gather.
-    fn gather_rows(&self, r0: usize, dst: &mut [Itv<F>]) {
+    /// The launch's rows into `dst` (whole rows of `dst_cols`), every
+    /// position a gather.
+    fn gather_rows(&self, dst: &mut [Itv<F>]) {
         let mut list = Vec::new();
-        for (r, dst_row) in (r0..).zip(dst.chunks_mut(self.dst_cols)) {
+        for (r, dst_row) in dst.chunks_mut(self.dst_cols).enumerate() {
             for (pos, out) in dst_row.chunks_mut(self.conv.cin).enumerate() {
                 self.position(r, (pos / self.dst_ww, pos % self.dst_ww), out, &mut list);
             }
@@ -670,9 +668,12 @@ impl<'a, F: Fp> GbcScatter<'a, F> {
         Self { launch, w, wmax }
     }
 
-    /// Rows `r0..` of the launch into `dst` (whole rows of `dst_cols`), one
-    /// after the other over one set of row accumulators.
-    fn rows(&self, r0: usize, dst: &mut [Itv<F>]) {
+    /// The launch's rows into `dst` (whole rows of `dst_cols`), one after
+    /// the other over one set of row accumulators. Never inlined, so that
+    /// its lane loop is a symbol of its own for the disassembly check that
+    /// it stays packed.
+    #[inline(never)]
+    fn rows(&self, dst: &mut [Itv<F>]) {
         let l = self.launch;
         let (conv, g) = (l.conv, l.src_geom);
         let (cin, cout, dst_ww) = (conv.cin, conv.cout, l.dst_ww);
@@ -687,7 +688,7 @@ impl<'a, F: Fp> GbcScatter<'a, F> {
             taps: 0,
         };
         let mut landings = vec![nowhere; g.win_w * cout];
-        for (r, dst_row) in (r0..).zip(dst.chunks_mut(l.dst_cols)) {
+        for (r, dst_row) in dst.chunks_mut(l.dst_cols).enumerate() {
             sums.reset(l.dst_cols);
             mags.clear();
             mags.resize(dst_wh * dst_ww, WideMag::new::<F>(&[]));
@@ -945,18 +946,15 @@ fn relu_step_row<F: Fp>(
 }
 
 /// What a launch works out once for the rows of one query segment: a table
-/// per segment, `make(s)`, made inside the launch's one pool section by the
-/// first row of the segment that asks — and only for a segment with more than
-/// one row in the launch: a segment without rows never asks, and the table of
-/// a segment with one row is exactly what that row would compute itself.
-/// Nobody waits for a table. A row that asks while another worker is still
-/// making its segment's gets none, like a row whose segment has none, and
-/// takes the row function that reads the caller's tables — the same bits,
-/// so who got there first decides how long a row takes and nothing else.
+/// per segment, `make(s)`, made by the first row of the segment that asks —
+/// and only for a segment with more than one row in the launch: a segment
+/// without rows never asks, and the table of a segment with one row is
+/// exactly what that row would compute itself. A row whose segment has no
+/// table takes the row function that reads the caller's tables — the same
+/// bits.
 struct SegTables<T, M> {
     rows: Vec<usize>,
-    claimed: Vec<AtomicBool>,
-    tables: Vec<OnceLock<Option<T>>>,
+    tables: Vec<OnceCell<Option<T>>>,
     make: M,
 }
 
@@ -964,20 +962,14 @@ impl<T, M: Fn(usize) -> Option<T>> SegTables<T, M> {
     fn new(geom: &ExprGeom<'_>, segments: usize, make: M) -> Self {
         Self {
             rows: geom.seg_rows(segments),
-            claimed: (0..segments).map(|_| AtomicBool::new(false)).collect(),
-            tables: (0..segments).map(|_| OnceLock::new()).collect(),
+            tables: (0..segments).map(|_| OnceCell::new()).collect(),
             make,
         }
     }
 
-    /// Segment `s`'s table, if it has one by now.
+    /// Segment `s`'s table, if it has one.
     fn of(&self, s: usize) -> Option<&T> {
-        if let Some(table) = self.tables[s].get() {
-            return table.as_ref();
-        }
-        // `Relaxed`: the flag says who makes the table and publishes nothing;
-        // the table is published by the `OnceLock`.
-        if self.rows[s] < 2 || self.claimed[s].swap(true, Ordering::Relaxed) {
+        if self.rows[s] < 2 {
             return None;
         }
         self.tables[s].get_or_init(|| (self.make)(s)).as_ref()
@@ -1090,7 +1082,9 @@ impl ReluSides {
 /// magnitude sum, so nothing to fall back from. Such a row visits its listed
 /// neurons only, in ascending window order — the order of its terms — and
 /// each through the side its sign selects: the same term list, `T`, count and
-/// epilogue as [`relu_step_row`], element for element.
+/// epilogue as [`relu_step_row`], element for element. Never inlined, so
+/// that the disassembly check on its masked add finds it by name.
+#[inline(never)]
 fn relu_step_row_by_sides<F: Fp>(
     r: usize,
     row: &mut [Itv<F>],
@@ -1366,7 +1360,7 @@ fn reference_gemm_itv<F: Fp>(
 /// 10 % ahead.
 const LANES: usize = 4;
 
-/// A block of rows of the interval product for scalar types with
+/// The rows of an interval product for scalar types with
 /// [`Fp::EXACT_IN_F64`]. Each row's non-zero coefficients are widened once
 /// into a term list (so the zero-skip, the `f32`→`f64` conversions and the
 /// row's magnitude sum leave the hot loop); then every [`LANES`]-wide column
@@ -1422,9 +1416,9 @@ fn wide_itv_rows<F: Fp>(
     }
 }
 
-/// The per-step chain over a block of rows, streamed row-wise over `B`: the
-/// interval GEMM of `f64`, and of the rows the wide rule hands back — per
-/// output element ascending `k`, zero coefficients skipped,
+/// The per-step chain over rows of an interval product, streamed row-wise
+/// over `B`: the interval GEMM of `f64`, and of the rows the wide rule hands
+/// back — per output element ascending `k`, zero coefficients skipped,
 /// [`Itv::mul_add_f`] per term.
 fn chain_itv_rows<F: Fp>(
     atile: &[Itv<F>],
@@ -1449,40 +1443,6 @@ fn chain_itv_rows<F: Fp>(
     }
 }
 
-/// Row blocks a GEMM or GBC launch makes per device worker. The blocks are
-/// what the worker pool hands out, and it hands out up to four parts per
-/// thread: a row costs what its non-zero coefficients cost, and on a shared
-/// host a worker can lose its processor under its block, so with one block
-/// each a launch takes as long as its slower half. With four, whoever is
-/// running takes the next block. A block costs its kernel one scratch term
-/// list, nothing per row.
-const BLOCKS_PER_WORKER: usize = 4;
-
-/// Rows per block of an `m`-row launch on `device`: [`BLOCKS_PER_WORKER`]
-/// blocks of whole rows per worker, the last one short.
-fn block_rows(device: &Device<CpuSimBackend>, m: usize) -> usize {
-    m.div_ceil(BLOCKS_PER_WORKER * device.workers()).max(1)
-}
-
-/// Splits `C` (`m×n`) into [`block_rows`] blocks of whole rows and runs
-/// `body` on each block's first row index, its rows of `A` (`m×k`) and its
-/// rows of `C` in parallel — the only blocking over `m` the CPU-sim GEMM
-/// family does. `n` and `k` are non-zero.
-fn par_row_blocks<A: Sync, C: Send>(
-    device: &Device<CpuSimBackend>,
-    a: &[A],
-    c: &mut [C],
-    (m, k, n): (usize, usize, usize),
-    body: impl Fn(usize, &[A], &mut [C]) + Sync,
-) {
-    let rows = block_rows(device, m);
-    device.install(|| {
-        c.par_chunks_mut(rows * n)
-            .enumerate()
-            .for_each(|(t, ctile)| body(t * rows, &a[t * rows * k..][..ctile.len() / n * k], ctile))
-    });
-}
-
 /// The operands of one [`Backend::gemm_itv_f_live`] launch on
 /// [`CpuSimBackend`]: the launch's `B` (`k×n`); per segment, which rows of
 /// `B` a term of one of its rows meets (`used`: a row of `B` that no term
@@ -1499,7 +1459,7 @@ struct LiveGemm<'a, F> {
     used: Vec<Vec<bool>>,
     wmax: Vec<f64>,
     live_per_seg: &'a [&'a [u32]],
-    packed: Vec<OnceLock<Vec<f64>>>,
+    packed: Vec<OnceCell<Vec<f64>>>,
 }
 
 /// Packed columns a launch is done with, kept by the thread that ran it for
@@ -1519,7 +1479,7 @@ impl<F> Drop for LiveGemm<'_, F> {
         PACKED.with(|kept| {
             let mut kept = kept.borrow_mut();
             let room = PACKED_KEPT.saturating_sub(kept.len());
-            kept.extend(self.packed.iter_mut().filter_map(OnceLock::take).take(room));
+            kept.extend(self.packed.iter_mut().filter_map(OnceCell::take).take(room));
         });
     }
 }
@@ -1561,7 +1521,7 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
             used,
             wmax,
             live_per_seg,
-            packed: live_per_seg.iter().map(|_| OnceLock::new()).collect(),
+            packed: live_per_seg.iter().map(|_| OnceCell::new()).collect(),
         }
     }
 
@@ -1588,7 +1548,7 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
         })
     }
 
-    /// The rows of one block, row `i` of `atile` in segment `seg[i]`: each
+    /// The launch's rows, row `i` of `atile` in segment `seg[i]`: each
     /// writes its segment's live columns as [`gemm_itv_rows`] writes them —
     /// the wide rule against the whole-row `wmax` (the same term list, `T`
     /// and lane operations: [`WideAcc::mul_add_wide`] is
@@ -1658,39 +1618,6 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
     }
 }
 
-/// Elements a part of a gather must hold before a pool helper is worth
-/// waking for it: the launch splits from `2 * STREAM_GRAIN` up. A gather is
-/// one copying pass and no arithmetic, so a second worker only pays once the
-/// rows outgrow the cache. Measured on the 2-vCPU reference container,
-/// 8-byte elements, one worker vs. split over two (row lengths 64 to 4096
-/// agree): 64 Ki elements 15 vs. 25 µs, 128 Ki 42 vs. 51 µs, 256 Ki 143 vs.
-/// 96 µs, 1 Mi 650 vs. 380 µs — the break-even lies between 128 Ki and
-/// 256 Ki. Of the benchmark's workloads only `conv_fused` gathers that much
-/// (84 of its 468 calls, two thirds of its gathered elements); the other
-/// three stay below 147 Ki. Fixed, not configurable.
-const STREAM_GRAIN: usize = 128 * 1024;
-
-/// Runs `op` over `items`, each about `elems_per_item` elements of streaming
-/// work: on the calling thread, without touching the pool, when the section
-/// is smaller than two parts of [`STREAM_GRAIN`] elements, and split over
-/// the device's workers otherwise. The split changes who runs an item, never
-/// what it computes. Public for the host-side passes of `gpupoly-core` that
-/// stream a batch the way a gather does — one light pass per element — and
-/// would pay a pool section per step for rows a thread is through in
-/// microseconds.
-pub fn par_stream<B: Backend, I: ParallelIterator>(
-    device: &Device<B>,
-    items: I,
-    elems_per_item: usize,
-    op: impl Fn(I::Item) + Sync + Send,
-) {
-    if items.pi_len() * elems_per_item < 2 * STREAM_GRAIN {
-        items.pi_seq().for_each(op);
-    } else {
-        device.install(|| items.for_each(op));
-    }
-}
-
 /// Exclusive prefix sum in one pass — the scan of both backends. The flag
 /// vectors the verifier scans and compacts hold one entry per row of a bound
 /// matrix (at most 1672 on the benchmark's workloads), far below the size
@@ -1714,18 +1641,8 @@ fn serial_compact(keep: &[bool]) -> Vec<u32> {
         .collect()
 }
 
-/// Driver of the CPU-sim interval GEMM family.
-#[allow(clippy::too_many_arguments)]
-fn gemm_itv_rows<F: Fp>(
-    device: &Device<CpuSimBackend>,
-    a: &[Itv<F>],
-    b: &[F],
-    c: &mut [Itv<F>],
-    m: usize,
-    k: usize,
-    n: usize,
-    fresh: bool,
-) {
+/// The CPU-sim interval GEMM family: the rows of `C` one after the other.
+fn gemm_itv_rows<F: Fp>(a: &[Itv<F>], b: &[F], c: &mut [Itv<F>], k: usize, n: usize, fresh: bool) {
     if n == 0 {
         return;
     }
@@ -1736,14 +1653,11 @@ fn gemm_itv_rows<F: Fp>(
         }
         return;
     }
-    let wmax = launch_wmax(b, n);
-    par_row_blocks(device, a, c, (m, k, n), |_, atile, ctile| {
-        if F::EXACT_IN_F64 {
-            wide_itv_rows(atile, b, &wmax, ctile, k, n, fresh)
-        } else {
-            chain_itv_rows(atile, b, ctile, k, n, fresh)
-        }
-    });
+    if F::EXACT_IN_F64 {
+        wide_itv_rows(a, b, &launch_wmax(b, n), c, k, n, fresh)
+    } else {
+        chain_itv_rows(a, b, c, k, n, fresh)
+    }
 }
 
 /// The kernel surface a device implementation must provide.
@@ -1752,13 +1666,15 @@ fn gemm_itv_rows<F: Fp>(
 /// dimensions) mirroring the BLAS signature; the lint for that is allowed
 /// once here rather than reshaping a conventional kernel interface.
 ///
-/// Methods receive the owning [`Device`] so implementations can use its
-/// worker pool ([`Device::install`]) and report work to its counters
-/// ([`Device::stats`]). Dimension checks, launch recording and flop
-/// accounting are done by the free wrapper functions in [`crate::gemm`] and
-/// [`crate::scan`] *before* delegating here, so implementations contain
-/// only the math. See the module docs for the bit-reproducibility contract
-/// every implementation must honor.
+/// Methods receive the owning [`Device`] so implementations can report work
+/// to its counters ([`Device::stats`]). A kernel runs on the thread that
+/// launched it: the verifier's parallel grain is the walk, whole walks
+/// running side by side as the streams of a [`Device::streams`] section, so
+/// a kernel has nothing to gain from splitting its rows. Dimension checks,
+/// launch recording and flop accounting are done by the free wrapper
+/// functions in [`crate::gemm`] and [`crate::scan`] *before* delegating
+/// here, so implementations contain only the math. See the module docs for
+/// the bit-reproducibility contract every implementation must honor.
 #[allow(clippy::too_many_arguments)]
 pub trait Backend: Send + Sync + Sized + 'static {
     /// Short human-readable backend name for diagnostics (`"cpusim"`,
@@ -1994,8 +1910,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
 }
 
 /// The production CPU simulation of the paper's GPU machine model: blocked
-/// kernels parallelized across the device worker pool, buffer pooling
-/// enabled. The default backend of [`Device`].
+/// kernels, each a loop over its rows on the launching thread, buffer
+/// pooling enabled. The default backend of [`Device`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuSimBackend;
 
@@ -2006,20 +1922,20 @@ impl Backend for CpuSimBackend {
 
     fn gemm_itv_f<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
     ) {
-        gemm_itv_rows(device, a, b, c, m, k, n, true);
+        gemm_itv_rows(a, b, c, k, n, true);
     }
 
     fn gemm_itv_f_live<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
@@ -2036,32 +1952,29 @@ impl Backend for CpuSimBackend {
             c.fill(Itv::zero());
             return;
         }
-        let live = LiveGemm::new(a, b, (k, n), seg, live_per_seg);
-        par_row_blocks(device, a, c, (m, k, n), |r0, atile, ctile| {
-            live.rows(&seg[r0..r0 + ctile.len() / n], atile, ctile)
-        });
+        LiveGemm::new(a, b, (k, n), seg, live_per_seg).rows(seg, a, c);
     }
 
     fn gemm_itv_f_acc<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
     ) {
-        gemm_itv_rows(device, a, b, c, m, k, n, false);
+        gemm_itv_rows(a, b, c, k, n, false);
     }
 
     fn gemm_f_f<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         a: &[F],
         b: &[F],
         c: &mut [F],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
     ) {
@@ -2072,19 +1985,17 @@ impl Backend for CpuSimBackend {
             c.fill(F::ZERO);
             return;
         }
-        par_row_blocks(device, a, c, (m, k, n), |_, atile, ctile| {
-            for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
-                crow.fill(F::ZERO);
-                // No zero-skip here, unlike the interval kernels: under
-                // round-to-nearest, fma(0, b, -0.0) = +0.0, so skipping a
-                // zero term is not a bitwise no-op for plain scalars.
-                for (kk, &aik) in arow.iter().enumerate() {
-                    for (cv, &bv) in crow.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
-                        *cv = aik.mul_add(bv, *cv);
-                    }
+        for (arow, crow) in a.chunks(k).zip(c.chunks_mut(n)) {
+            crow.fill(F::ZERO);
+            // No zero-skip here, unlike the interval kernels: under
+            // round-to-nearest, fma(0, b, -0.0) = +0.0, so skipping a
+            // zero term is not a bitwise no-op for plain scalars.
+            for (kk, &aik) in arow.iter().enumerate() {
+                for (cv, &bv) in crow.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                    *cv = aik.mul_add(bv, *cv);
                 }
             }
-        });
+        }
     }
 
     fn exclusive_scan(&self, _device: &Device<Self>, xs: &[u32]) -> (Vec<u32>, u32) {
@@ -2097,26 +2008,21 @@ impl Backend for CpuSimBackend {
 
     fn gather_rows<T: Copy + Send + Sync>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         src: &[T],
         row_len: usize,
         index: &[u32],
         dst: &mut [T],
     ) {
         // Each destination row copies from its source row.
-        par_stream(
-            device,
-            dst.par_chunks_mut(row_len.max(1)).zip(index.par_iter()),
-            row_len,
-            |(row, &i)| {
-                row.copy_from_slice(&src[i as usize * row_len..(i as usize + 1) * row_len]);
-            },
-        );
+        for (row, &i) in dst.chunks_mut(row_len.max(1)).zip(index) {
+            row.copy_from_slice(&src[i as usize * row_len..(i as usize + 1) * row_len]);
+        }
     }
 
     fn gbc<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         src: &[Itv<F>],
         src_geom: &ExprGeom<'_>,
         weight: &[F],
@@ -2130,24 +2036,18 @@ impl Backend for CpuSimBackend {
             return;
         }
         let launch = GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww);
-        // Blocks of whole rows, like the GEMM family.
-        let rows = block_rows(device, src_geom.rows());
         // The scatter where products are exact in `f64`; the gather is the
         // per-step chain of the other scalar types.
-        let scatter = F::EXACT_IN_F64.then(|| GbcScatter::new(&launch));
-        device.install(|| {
-            dst.par_chunks_mut(rows * dst_cols)
-                .enumerate()
-                .for_each(|(t, block)| match &scatter {
-                    Some(scatter) => scatter.rows(t * rows, block),
-                    None => launch.gather_rows(t * rows, block),
-                })
-        });
+        if F::EXACT_IN_F64 {
+            GbcScatter::new(&launch).rows(dst)
+        } else {
+            launch.gather_rows(dst)
+        }
     }
 
     fn bias_fold<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         plane: &[Itv<F>],
         geom: &ExprGeom<'_>,
         bias: &[F],
@@ -2162,20 +2062,18 @@ impl Backend for CpuSimBackend {
         // what the table holds.
         let widened: Option<Vec<f64>> = (F::EXACT_IN_F64 && out_cst.len() > 1)
             .then(|| bias.iter().map(|b| b.to_f64()).collect());
-        device.install(|| {
-            out_cst.par_iter_mut().enumerate().for_each(|(r, v)| {
-                let row = &plane[r * cols..(r + 1) * cols];
-                *v = widened
-                    .as_deref()
-                    .and_then(|bias| bias_fold_row_widened(row, bias, src_cst[r]))
-                    .unwrap_or_else(|| bias_fold_row(row, bias, src_cst[r]))
-            })
-        });
+        for (r, v) in out_cst.iter_mut().enumerate() {
+            let row = &plane[r * cols..(r + 1) * cols];
+            *v = widened
+                .as_deref()
+                .and_then(|bias| bias_fold_row_widened(row, bias, src_cst[r]))
+                .unwrap_or_else(|| bias_fold_row(row, bias, src_cst[r]))
+        }
     }
 
     fn relu_step<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         plane: &mut [Itv<F>],
         cst: &mut [Itv<F>],
         geom: &ExprGeom<'_>,
@@ -2192,33 +2090,27 @@ impl Backend for CpuSimBackend {
                 .then(|| ReluSides::resolve(relax_per_seg[s], out_bounds_per_seg[s]))
                 .flatten()
         });
-        device.install(|| {
-            plane
-                .par_chunks_mut(cols.max(1))
-                .zip(cst.par_iter_mut())
-                .enumerate()
-                .for_each(|(r, (row, c))| {
-                    let s = geom.seg[r] as usize;
-                    let sides = sides.of(s);
-                    if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
-                        relu_step_row(
-                            r,
-                            row,
-                            c,
-                            geom,
-                            relax_per_seg[s],
-                            out_bounds_per_seg[s],
-                            upper,
-                            sides.is_some(),
-                        )
-                    }
-                })
-        });
+        for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
+            let s = geom.seg[r] as usize;
+            let sides = sides.of(s);
+            if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
+                relu_step_row(
+                    r,
+                    row,
+                    c,
+                    geom,
+                    relax_per_seg[s],
+                    out_bounds_per_seg[s],
+                    upper,
+                    sides.is_some(),
+                )
+            }
+        }
     }
 
     fn densify<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         src: &[Itv<F>],
         geom: &ExprGeom<'_>,
         dst: &mut [Itv<F>],
@@ -2228,16 +2120,14 @@ impl Backend for CpuSimBackend {
             return;
         }
         let cols = geom.cols();
-        device.install(|| {
-            dst.par_chunks_mut(dst_cols)
-                .enumerate()
-                .for_each(|(r, row)| densify_row(r, &src[r * cols..(r + 1) * cols], geom, row))
-        });
+        for (r, row) in dst.chunks_mut(dst_cols).enumerate() {
+            densify_row(r, &src[r * cols..(r + 1) * cols], geom, row)
+        }
     }
 
     fn residual_merge<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         a: &[Itv<F>],
         a_geom: &ExprGeom<'_>,
         b: &[Itv<F>],
@@ -2251,20 +2141,16 @@ impl Backend for CpuSimBackend {
             return;
         }
         let (a_cols, b_cols) = (a_geom.cols(), b_geom.cols());
-        device.install(|| {
-            dst.par_chunks_mut(dst_cols)
-                .enumerate()
-                .for_each(|(r, row)| {
-                    let o = dst_origins[r];
-                    merge_add_row(r, &a[r * a_cols..(r + 1) * a_cols], a_geom, row, o, dst_ww);
-                    merge_add_row(r, &b[r * b_cols..(r + 1) * b_cols], b_geom, row, o, dst_ww);
-                })
-        });
+        for (r, row) in dst.chunks_mut(dst_cols).enumerate() {
+            let o = dst_origins[r];
+            merge_add_row(r, &a[r * a_cols..(r + 1) * a_cols], a_geom, row, o, dst_ww);
+            merge_add_row(r, &b[r * b_cols..(r + 1) * b_cols], b_geom, row, o, dst_ww);
+        }
     }
 
     fn concretize<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         lo: &[Itv<F>],
         hi: &[Itv<F>],
         cst_lo: &[Itv<F>],
@@ -2284,18 +2170,16 @@ impl Backend for CpuSimBackend {
                 bounds_per_seg[s].iter().map(widen).collect::<Vec<_>>()
             })
         });
-        device.install(|| {
-            out.par_iter_mut().enumerate().for_each(|(r, v)| {
-                let s = geom.seg[r] as usize;
-                let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
-                *v = widened
-                    .of(s)
-                    .and_then(|b| concretize_row_widened(r, lo, hi, cst_lo[r], cst_hi[r], geom, b))
-                    .unwrap_or_else(|| {
-                        concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds_per_seg[s])
-                    })
-            })
-        });
+        for (r, v) in out.iter_mut().enumerate() {
+            let s = geom.seg[r] as usize;
+            let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
+            *v = widened
+                .of(s)
+                .and_then(|b| concretize_row_widened(r, lo, hi, cst_lo[r], cst_hi[r], geom, b))
+                .unwrap_or_else(|| {
+                    concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds_per_seg[s])
+                })
+        }
     }
 }
 
@@ -2305,7 +2189,7 @@ impl Backend for CpuSimBackend {
 /// differential tests. Honors the same bit-reproducibility contract as
 /// [`CpuSimBackend`] (ascending-`k` accumulation with the shared
 /// accumulation primitives), so engine margins computed on it are
-/// bit-identical to the blocked parallel backend's.
+/// bit-identical to the blocked backend's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReferenceBackend;
 
@@ -2401,8 +2285,7 @@ impl Backend for ReferenceBackend {
         if dst.is_empty() {
             return;
         }
-        GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww)
-            .gather_rows(0, dst);
+        GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww).gather_rows(dst);
     }
 
     fn bias_fold<F: Fp>(
@@ -2522,53 +2405,14 @@ impl Backend for ReferenceBackend {
 mod tests {
     use super::*;
     use crate::{scan, DeviceConfig};
-    use std::sync::{Barrier, Mutex};
-    use std::thread::{self, ThreadId};
-
-    /// The thread that ran each item of a two-worker [`par_stream`] section
-    /// of `items` items, in item order. `rendezvous` makes every item wait
-    /// for a second one, so a section that returns was split across threads.
-    fn stream_section_threads(
-        items: usize,
-        elems_per_item: usize,
-        rendezvous: bool,
-    ) -> Vec<ThreadId> {
-        let dev = Device::new(DeviceConfig::new().workers(2));
-        let both = Barrier::new(2);
-        let ran = Mutex::new(vec![None; items]);
-        par_stream(&dev, (0..items).into_par_iter(), elems_per_item, |i| {
-            if rendezvous {
-                both.wait();
-            }
-            ran.lock().unwrap()[i] = Some(thread::current().id());
-        });
-        let ran = ran.into_inner().unwrap();
-        ran.into_iter()
-            .map(|id| id.expect("every item ran"))
-            .collect()
-    }
 
     #[test]
-    fn stream_sections_below_the_grain_stay_on_the_caller_and_larger_ones_use_a_helper() {
-        let me = thread::current().id();
-        // Just short of two parts' worth: the whole section is ours.
-        let below = stream_section_threads(8, STREAM_GRAIN / 4 - 1, false);
-        assert!(below.iter().all(|&id| id == me), "{below:?} vs {me:?}");
-        // Two parts' worth: the launcher keeps the last, a helper takes the
-        // first (the rendezvous would hang if one thread ran both).
-        let above = stream_section_threads(2, STREAM_GRAIN, true);
-        assert_eq!(above[1], me);
-        assert_ne!(above[0], me);
-    }
-
-    #[test]
-    fn gather_matches_the_reference_on_both_sides_of_the_grain() {
+    fn gather_matches_the_reference_at_any_worker_count() {
         let reference = Device::reference(DeviceConfig::new());
         for workers in [2, 3] {
             let dev = Device::new(DeviceConfig::new().workers(workers));
-            // Gathered rows of 16: one row short of a split, the first
-            // split, and an uneven one.
-            for rows in [STREAM_GRAIN / 8 - 1, STREAM_GRAIN / 8, STREAM_GRAIN / 3 + 5] {
+            // Gathered rows of 16: one, a few, and more than a cache holds.
+            for rows in [1, 1000, 50_000] {
                 let src: Vec<f32> = (0..3 * rows * 16).map(|i| i as f32 * 0.5).collect();
                 let index: Vec<u32> = (0..3 * rows as u32).rev().step_by(3).collect();
                 assert_eq!(index.len(), rows);

@@ -789,12 +789,13 @@ impl<B: Backend> Device<B> {
         }
     }
 
-    /// Runs a closure inside the device's worker pool. This is how
-    /// [`Backend`] implementations parallelize their kernels (compose
-    /// rayon primitives inside); it is *not* a launch — the wrapper layer
-    /// ([`crate::gemm`] / [`crate::scan`] / [`crate::kernels`]) records
-    /// launches and work before delegating to the backend, so verifier
-    /// compute can never bypass the metered kernel surface.
+    /// Runs a closure inside the device's worker pool: a parallel iterator
+    /// launched in it is split over the device's workers. The sections that
+    /// do so are a [`Device::streams`] section's walks and a batch's host
+    /// work between two layers (one block of queries a device); a kernel
+    /// never does — it runs on the thread that launched it, inline in its
+    /// walk. It is *not* a launch: the wrapper layer ([`crate::gemm`] /
+    /// [`crate::scan`] / [`crate::kernels`]) records launches and work.
     ///
     /// The pool's `workers − 1` helper threads (`gpupoly-dev-{i}`) are
     /// resident: spawned by the first section that splits, parked between

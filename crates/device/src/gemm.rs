@@ -23,8 +23,8 @@
 //! All matrices are dense row-major. The functions here are thin wrappers —
 //! dimension checks, launch recording, flop accounting — around the device's
 //! [`crate::Backend`], which supplies the actual kernel (register-blocked
-//! and parallel over row blocks on [`crate::CpuSimBackend`], straight-line
-//! serial on [`crate::ReferenceBackend`]). Blocking only covers `m`/`n`;
+//! on [`crate::CpuSimBackend`], straight-line on
+//! [`crate::ReferenceBackend`]). Blocking only covers `m`/`n`;
 //! every backend performs the same operation sequence per output element,
 //! so results are bit-identical across backends (see the [`crate::backend`]
 //! module docs for the contract — what a GPU port must reproduce — and

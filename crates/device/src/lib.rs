@@ -58,7 +58,7 @@ pub mod kernels;
 mod relax;
 pub mod scan;
 
-pub use backend::{par_stream, Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
+pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork, SHELF_LIVE_MULTIPLE};
 pub use relax::ReluRelax;

@@ -10,9 +10,8 @@
 //! checks and launch recording here, the kernel itself supplied by the
 //! device's [`crate::Backend`]. On the CPU stand-ins the scan and the index
 //! compaction are one serial pass on both backends — their inputs hold one
-//! flag per matrix row, a few thousand at most — and the row gather, which
-//! moves the matrix itself, splits across [`crate::CpuSimBackend`]'s workers
-//! once it is large enough to repay waking one.
+//! flag per matrix row, a few thousand at most — and so is the row gather,
+//! which moves the matrix itself, inline in the walk that launched it.
 //!
 //! # Example
 //!

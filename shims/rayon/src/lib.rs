@@ -32,19 +32,17 @@
 //! of a launch holds up the part it is in, a fraction of the launch, and
 //! every other part goes to whoever is still running.
 //!
-//! The launches that reach a pool are the *outer* ones: the verifier opens
-//! one section per backsubstitution layer whose items are whole walks
+//! The launches that reach a pool are the verifier's sections: one per
+//! backsubstitution list whose items are whole walks
 //! (`gpupoly_device::Device::streams`), a handful of long parts claimed one
-//! at a time. Everything a walk launches — every GEMM, every element-wise
-//! kernel — is an *inner* launch, made from inside a part, and inner
-//! launches are flattened: a launch from a thread that is running a part
-//! runs whole, sequentially, on that thread, whichever pool is current
-//! there ([`in_part`] is the test; the flag belongs to the thread, not to a
-//! pool, so a part of pool A that launches on pool B stays on its thread
-//! too). Nothing is handed over and nothing is joined inside a walk —
-//! mirroring how a GPU stream serializes its kernels while streams run side
-//! by side. A launch that is not inside a part (a lone kernel, a batch of
-//! forward passes) splits as described above.
+//! at a time, and a fused batch's host work between two layers, one block
+//! of queries a device. Kernels launch no parallel iterator: every kernel a
+//! walk launches runs on the walk's thread — mirroring how a GPU stream
+//! serializes its kernels while streams run side by side. A launch from a
+//! thread that is already running a part is flattened: it runs whole,
+//! sequentially, on that thread, whichever pool is current there
+//! ([`in_part`] is the test; the flag belongs to the thread, not to a pool,
+//! so a part of pool A that launches on pool B stays on its thread too).
 //!
 //! A pool holds one job at a time. A second thread launching on a pool whose
 //! job slot is taken (concurrent callers of one device) runs all of its
@@ -1327,8 +1325,8 @@ mod tests {
     #[test]
     fn a_part_of_one_pool_launching_on_another_stays_on_its_thread() {
         // A traced device's walks are parts of the outer device's pool, and
-        // every kernel inside them launches on the inner device's pool:
-        // that launch must not leave the thread its walk is on.
+        // anything they launch is current on the inner device's pool: such a
+        // launch must not leave the thread its walk is on.
         let outer = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let inner = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         assert!(!in_part());
@@ -1379,8 +1377,9 @@ mod tests {
     #[test]
     fn a_launch_too_short_to_split_is_not_a_part() {
         // One item: the launch runs on the launcher as plain code, not as a
-        // worker, so launches made inside it still split — a one-query batch
-        // keeps its kernels parallel. (Flattened, the rendezvous would hang.)
+        // worker, so launches made inside it still split — the walks of a
+        // one-query batch still run side by side. (Flattened, the rendezvous
+        // would hang.)
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let me = thread::current().id();
         let inner: Vec<Vec<thread::ThreadId>> = pool.install(|| {
