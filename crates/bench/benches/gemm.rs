@@ -10,13 +10,19 @@
 //! rows double as the "before" figure of that change. CPU-sim and reference
 //! results are asserted bit-identical on every shape.
 //!
+//! Then the two builds of `CpuSimBackend`'s row kernels
+//! ([`GemmBuild`]: baseline, and AVX-512 where the host has it) on the
+//! shapes of one query's walk — `m` of 1, 10 and 40 rows against 100- and
+//! 784-wide layers — in the full product and in the live product over about
+//! half the columns, their bits asserted equal.
+//!
 //! Run with `cargo bench --bench gemm`. It prints; end-to-end numbers come
 //! from `benchmark/run.sh`, not from here.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{gemm, Backend, Device, DeviceConfig};
+use gpupoly_device::{gemm, Backend, Device, DeviceConfig, GemmBuild};
 use gpupoly_interval::{Fp, Itv};
 
 /// Deterministic pseudo-random matrix entries in `[-0.5, 0.5)`.
@@ -81,7 +87,88 @@ fn report<F: Fp>(width: &str, workers: usize, m: usize, k: usize, n: usize) {
     }
 }
 
+/// `m×k` interval coefficients — points, intervals and every seventh an
+/// exact zero — and `k×n` weights.
+fn operands(m: usize, k: usize, n: usize) -> (Vec<Itv<f32>>, Vec<f32>) {
+    let a = (0..m * k)
+        .map(|i| match i % 7 {
+            0 => Itv::zero(),
+            _ => {
+                let c = mix(i, 1) as f32;
+                Itv::new(c - 1e-3, c + 1e-3)
+            }
+        })
+        .collect();
+    let b = (0..k * n).map(|i| mix(i, 2) as f32).collect();
+    (a, b)
+}
+
+/// Seconds per call of `launch`, over enough calls for ~20 M multiply-adds
+/// of `terms` each, after one call to warm.
+fn time(terms: usize, mut launch: impl FnMut()) -> f64 {
+    let reps = (20_000_000 / terms.max(1)).clamp(2, 100_000);
+    launch();
+    let t = Instant::now();
+    for _ in 0..reps {
+        launch();
+    }
+    t.elapsed().as_secs_f64() / reps as f64
+}
+
+/// The full and the live product of one shape in each build: ns per
+/// interval multiply-add, and the builds' bits compared.
+fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
+    let (a, b) = operands(m, k, n);
+    // About half the columns live, in runs of uneven length.
+    let live: Vec<u32> = (0..n as u32).filter(|j| j % 5 < 2 || j % 7 == 3).collect();
+    let (seg, lists) = (vec![0u32; m], [live.as_slice()]);
+    let mut bits: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+    for &build in builds {
+        let mut full = vec![Itv::zero(); m * n];
+        let full_s = time(m * k * n, || {
+            build.gemm_itv_f(black_box(&a), black_box(&b), &mut full, (m, k, n));
+            black_box(&full);
+        });
+        let mut part = vec![Itv::zero(); m * n];
+        let live_s = time(m * k * live.len(), || {
+            build.gemm_itv_f_live(black_box(&a), &b, &mut part, (m, k, n), &seg, &lists);
+            black_box(&part);
+        });
+        println!(
+            "[gemm] {:<8} full {m:>2}x{k}x{n:<3} {:>5.2} ns/term   live {:>3} of {n:<3} {:>5.2} ns/term",
+            format!("{build:?}"),
+            full_s * 1e9 / (m * k * n) as f64,
+            live.len(),
+            live_s * 1e9 / (m * k * live.len()) as f64,
+        );
+        let to_bits = |c: &[Itv<f32>]| {
+            c.iter()
+                .flat_map(|v| [v.lo.to_bits(), v.hi.to_bits()])
+                .collect()
+        };
+        bits.push((to_bits(&full), to_bits(&part)));
+    }
+    assert!(
+        bits.windows(2).all(|w| w[0] == w[1]),
+        "{m}x{k}x{n}: the builds' results differ"
+    );
+}
+
 fn main() {
+    let builds: Vec<GemmBuild> = [GemmBuild::Baseline, GemmBuild::Avx512]
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect();
+    println!(
+        "[gemm] builds on this host: {builds:?}; an engine runs {:?}",
+        GemmBuild::detected()
+    );
+    for n in [100, 784] {
+        for m in [1, 10, 40] {
+            report_builds(&builds, m, 100, n);
+        }
+    }
+
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     println!("[gemm] cpusim workers: {workers}; reference: 1");
     // The three GEMM shapes of the Fc zoo networks at benchmark scale (spec

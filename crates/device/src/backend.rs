@@ -17,8 +17,10 @@
 //! crate:
 //!
 //! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
-//!   GEMM, each kernel a loop over its rows on the launching thread, buffer
-//!   pooling enabled. This is the default backend.
+//!   GEMM at the host's vector width (its row kernels are compiled twice,
+//!   and a process runs the build its CPU can, [`GemmBuild`]), each kernel
+//!   a loop over its rows on the launching thread, buffer pooling enabled.
+//!   This is the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
 //!   backend (and any future port): same contract, trivially-auditable
@@ -87,11 +89,21 @@
 //! **Blocking rule.** Cache/register blocking of the GEMM family is allowed
 //! — but only over `m` and `n`. [`CpuSimBackend`] walks every row in column
 //! blocks whose accumulators stay in registers across the **full `k`
-//! extent**. A port may tile `m`/`n`, pack
-//! operands, and register-block freely, but must never split, reorder or
-//! tree-reduce `k`, nor take `wmax` over less than the launch's `n` columns.
+//! extent**, as wide as the build it runs ([`GemmBuild`]): four columns in
+//! the baseline build, sixteen columns of `B` (full product) and eight
+//! packed live columns (live product) in the AVX-512 one. The width is
+//! free because the lanes of a block are independent: each does its own
+//! output's operations, in the order above, whatever else shares its
+//! register — and Rust never contracts `a * b + c` into an FMA, so a build
+//! with FMA units available emits the same multiplies and adds. A port may
+//! tile `m`/`n`, pack operands, and register-block freely, but must never
+//! split, reorder or tree-reduce `k`, nor take `wmax` over less than the
+//! launch's `n` columns (taking each row's maximum over more lanes is
+//! free: the largest magnitude does not depend on the lane that held it).
 //! [`crate::conformance::check_gemm_blocking`] pins the kernels against the
-//! straight-line oracle across block-boundary and remainder shapes.
+//! straight-line oracle across shapes on both sides of 4-, 8- and 16-lane
+//! block edges, and a unit test of this module holds the two builds to
+//! each other and the baseline to the oracle on every host.
 //!
 //! **Live columns.** [`Backend::gemm_itv_f_live`] is `gemm_itv_f` with some
 //! outputs not computed: row `r` writes the columns its segment lists live,
@@ -290,12 +302,16 @@
 //! synchronously, on its own thread, when it reaches it. A GPU port with a
 //! copy engine is where a prefetch of the next layer's gather would belong.
 
-use gpupoly_interval::wide::{max_mag, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm};
+use gpupoly_interval::wide::{
+    max_mag, max_mag_blocked, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm, Widening,
+};
 use gpupoly_interval::{round, Fp, Itv};
 use std::cell::{OnceCell, RefCell};
 
 use crate::relax::ReluRelax;
+use crate::simd::LaneKernel;
 use crate::Device;
+use crate::GemmBuild;
 
 /// Per-row window geometry of a batched polyhedral expression — the
 /// device-side view of `gpupoly_core::ExprBatch`'s layout that the walk-step
@@ -1294,6 +1310,24 @@ fn launch_wmax<F: Fp>(weights: &[F], n: usize) -> Vec<f64> {
     weights.chunks(n).map(max_mag).collect()
 }
 
+/// Lanes of [`CpuSimBackend`]'s `wmax` scan of a GEMM's `B`
+/// ([`max_mag_blocked`]): four 128-bit registers of `f32` in the baseline
+/// build, one 512-bit register in the AVX-512 one.
+const WMAX_LANES: usize = 16;
+
+/// [`launch_wmax`] of a GEMM's `B`, `k` rows of `n`, as [`CpuSimBackend`]
+/// scans it: written out rather than collected, so that the scan is compiled
+/// inside the build that runs the launch ([`crate::simd`]) — a collecting
+/// iterator may be compiled out of line, for the baseline.
+#[inline(always)]
+fn gemm_wmax<F: Fp>(b: &[F], n: usize) -> Vec<f64> {
+    let mut wmax = Vec::with_capacity(b.len() / n);
+    for brow in b.chunks(n) {
+        wmax.push(max_mag_blocked::<F, WMAX_LANES>(brow));
+    }
+    wmax
+}
+
 /// One row of the interval GEMM family: the module-level contract in
 /// straight-line form, which is how [`ReferenceBackend`] computes every row.
 /// `fresh` starts from zero instead of reading `C`.
@@ -1352,22 +1386,39 @@ fn reference_gemm_itv<F: Fp>(
     }
 }
 
-/// Outputs per register block of the wide GEMM kernel: one row of `C` times
-/// this many columns in [`wide_itv_rows`], accumulating in registers over
-/// all of the row's terms. Fixed, not configurable: four lanes keep the
-/// block's accumulators in baseline x86-64's sixteen vector registers, and a
-/// sweep of wider blocks and multi-row micro-kernels found none more than
-/// 10 % ahead.
-const LANES: usize = 4;
+/// One launch of [`wide_itv_rows`], its `wmax` scan included, for a build
+/// of [`crate::simd`] to run at its lane count.
+struct WideLaunch<'a, F> {
+    a: &'a [Itv<F>],
+    b: &'a [F],
+    c: &'a mut [Itv<F>],
+    k: usize,
+    n: usize,
+    fresh: bool,
+}
+
+impl<F: Fp> LaneKernel for WideLaunch<'_, F> {
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        let wmax = gemm_wmax(self.b, self.n);
+        wide_itv_rows::<F, FULL>(self.a, self.b, &wmax, self.c, self.k, self.n, self.fresh)
+    }
+}
 
 /// The rows of an interval product for scalar types with
 /// [`Fp::EXACT_IN_F64`]. Each row's non-zero coefficients are widened once
 /// into a term list (so the zero-skip, the `f32`→`f64` conversions and the
-/// row's magnitude sum leave the hot loop); then every [`LANES`]-wide column
-/// block streams that list in ascending `k`. Per output element this is the
-/// operation sequence of [`gemm_itv_row`] — blocking covers `m`/`n` only —
-/// so the bits are the same. `fresh` starts from zero instead of reading `C`.
-fn wide_itv_rows<F: Fp>(
+/// row's magnitude sum leave the hot loop); then every `L`-wide column block
+/// — one row of `C` times `L` columns, its accumulators in registers over
+/// all of the row's terms — streams that list in ascending `k`. `L` is the
+/// build's ([`crate::simd`]): the lanes of a block are independent, each
+/// doing the operations of [`gemm_itv_row`] for its output in the same
+/// order — blocking covers `m`/`n` only — so the bits are the same at any
+/// width. The last `n mod L` columns of `B` are copied once per launch into
+/// blocks padded with zeros (an unused lane multiplies by zero), so that no
+/// term copies them. `fresh` starts from zero instead of reading `C`.
+#[inline(always)]
+fn wide_itv_rows<F: Fp, const L: usize>(
     atile: &[Itv<F>],
     b: &[F],
     wmax: &[f64],
@@ -1376,6 +1427,16 @@ fn wide_itv_rows<F: Fp>(
     n: usize,
     fresh: bool,
 ) {
+    let full = n - n % L;
+    let mut tail = Vec::new();
+    if full < n {
+        tail.reserve(k);
+        for brow in b.chunks_exact(n) {
+            let mut w = [F::ZERO; L];
+            w[..n - full].copy_from_slice(&brow[full..]);
+            tail.push(w);
+        }
+    }
     let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
     for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
         terms.clear();
@@ -1384,7 +1445,7 @@ fn wide_itv_rows<F: Fp>(
             let term = WideTerm::new(aik);
             if !term.is_zero() {
                 mag.add(term, wmax[kk]);
-                terms.push((kk * n, term));
+                terms.push((kk, term));
             }
         }
         let Some(e) = mag.finish() else {
@@ -1392,34 +1453,46 @@ fn wide_itv_rows<F: Fp>(
             chain_itv_rows(arow, b, crow, k, n, fresh);
             continue;
         };
-        for j0 in (0..n).step_by(LANES) {
-            let nr = LANES.min(n - j0);
-            let init: &[Itv<F>] = if fresh { &[] } else { &crow[j0..j0 + nr] };
-            let mut acc = WideAcc::<LANES>::new(init);
-            if nr == LANES {
-                for &(off, term) in &terms {
-                    let w = &b[off + j0..off + j0 + LANES];
-                    acc.mul_add(term, w.try_into().expect("a full lane block"));
-                }
-            } else {
-                // Remainder columns: unused lanes multiply by zero.
-                let mut w = [F::ZERO; LANES];
-                for &(off, term) in &terms {
-                    w[..nr].copy_from_slice(&b[off + j0..off + j0 + nr]);
-                    acc.mul_add(term, &w);
-                }
-            }
-            for (jj, cv) in crow[j0..j0 + nr].iter_mut().enumerate() {
-                *cv = acc.finish(jj, e);
-            }
+        let (blocks, last) = crow.split_at_mut(full);
+        for (j0, out) in (0..full).step_by(L).zip(blocks.chunks_exact_mut(L)) {
+            lane_block(&terms, out, fresh, e, |kk| {
+                b[kk * n + j0..]
+                    .first_chunk::<L>()
+                    .expect("a full lane block")
+            });
         }
+        if !last.is_empty() {
+            lane_block(&terms, last, fresh, e, |kk| &tail[kk]);
+        }
+    }
+}
+
+/// One block of [`wide_itv_rows`]: the outputs `out`, at most `L` of them,
+/// stream the row's term list `(k, term)` in its order, lane `j` against
+/// weight `w(k)[j]`, and take the list's bound `e`.
+#[inline(always)]
+fn lane_block<'w, F: Fp, const L: usize>(
+    terms: &[(usize, WideTerm)],
+    out: &mut [Itv<F>],
+    fresh: bool,
+    e: Widening,
+    w: impl Fn(usize) -> &'w [F; L],
+) {
+    let mut acc = WideAcc::<L>::new(if fresh { &[] } else { &out[..] });
+    for &(kk, term) in terms {
+        acc.mul_add(term, w(kk));
+    }
+    for (jj, cv) in out.iter_mut().enumerate() {
+        *cv = acc.finish(jj, e);
     }
 }
 
 /// The per-step chain over rows of an interval product, streamed row-wise
 /// over `B`: the interval GEMM of `f64`, and of the rows the wide rule hands
 /// back — per output element ascending `k`, zero coefficients skipped,
-/// [`Itv::mul_add_f`] per term.
+/// [`Itv::mul_add_f`] per term. Never inlined, so that the chain is the same
+/// code whichever build of [`crate::simd`] hands a row back to it.
+#[inline(never)]
 fn chain_itv_rows<F: Fp>(
     atile: &[Itv<F>],
     b: &[F],
@@ -1444,14 +1517,15 @@ fn chain_itv_rows<F: Fp>(
 }
 
 /// The operands of one [`Backend::gemm_itv_f_live`] launch on
-/// [`CpuSimBackend`]: the launch's `B` (`k×n`); per segment, which rows of
-/// `B` a term of one of its rows meets (`used`: a row of `B` that no term
-/// meets is never read); the whole-row `wmax` of the rows some segment uses;
-/// and per segment — made by the first row of the segment that needs them,
-/// once per launch — its live columns of its used rows, widened to `f64` and
-/// packed `k×live`, so that a row streams its term list over them as
-/// [`wide_itv_rows`] streams it over `B`, without a conversion in the lane
-/// loop.
+/// [`CpuSimBackend`], for [`Fp::EXACT_IN_F64`]: the launch's `B` (`k×n`);
+/// per segment, which rows of `B` a term of one of its rows meets (`used`: a
+/// row of `B` that no term meets is never read); the whole-row `wmax` of the
+/// rows some segment uses; and per segment — made by the first row of the
+/// segment that needs them, once per launch — its live columns of its used
+/// rows, widened to `f64` and packed block-major, `k` blocks of `L` columns
+/// for each `L` live columns (the last block padded with zeros), so that a
+/// row streams its term list over a block as [`wide_itv_rows`] streams it
+/// over `B`, without a conversion or more than one bounds check per term.
 struct LiveGemm<'a, F> {
     b: &'a [F],
     k: usize,
@@ -1484,7 +1558,34 @@ impl<F> Drop for LiveGemm<'_, F> {
     }
 }
 
+/// One launch of [`LiveGemm`], its `wmax` scan and packing included, for a
+/// build of [`crate::simd`] to run at its lane count.
+struct LiveLaunch<'a, F> {
+    a: &'a [Itv<F>],
+    b: &'a [F],
+    c: &'a mut [Itv<F>],
+    k: usize,
+    n: usize,
+    seg: &'a [u32],
+    live_per_seg: &'a [&'a [u32]],
+}
+
+impl<F: Fp> LaneKernel for LiveLaunch<'_, F> {
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        LiveGemm::new(
+            self.a,
+            self.b,
+            (self.k, self.n),
+            self.seg,
+            self.live_per_seg,
+        )
+        .rows::<LIVE>(self.seg, self.a, self.c);
+    }
+}
+
 impl<'a, F: Fp> LiveGemm<'a, F> {
+    #[inline(always)]
     fn new(
         a: &[Itv<F>],
         b: &'a [F],
@@ -1500,20 +1601,15 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
                 *u |= !(a.lo == F::ZERO && a.hi == F::ZERO);
             }
         }
-        // `launch_wmax`, row by row, for the rows a term meets.
-        let wmax = match F::EXACT_IN_F64 {
-            true => b
-                .chunks(n)
-                .enumerate()
-                .map(
-                    |(kk, brow)| match used.iter().any(|u| u.get(kk) == Some(&true)) {
-                        true => max_mag(brow),
-                        false => 0.0,
-                    },
-                )
-                .collect(),
-            false => Vec::new(),
-        };
+        // `gemm_wmax`, row by row, for the rows a term meets.
+        let mut wmax = Vec::with_capacity(k);
+        for (kk, brow) in b.chunks(n).enumerate() {
+            let met = used.iter().any(|u| u.get(kk) == Some(&true));
+            wmax.push(match met {
+                true => max_mag_blocked::<F, WMAX_LANES>(brow),
+                false => 0.0,
+            });
+        }
         Self {
             b,
             k,
@@ -1525,27 +1621,35 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
         }
     }
 
-    /// Segment `s`'s live columns of `B`, widened and packed. `s` has a row
-    /// and a live column. The rows of `B` its terms do not meet are left as
-    /// the kept buffer had them: nothing reads them.
-    fn columns(&self, s: usize) -> &[f64] {
-        self.packed[s].get_or_init(|| {
-            let live = self.live_per_seg[s];
+    /// Segment `s`'s live columns of `B`, widened and packed in blocks of
+    /// `L`: block `kk` of the `jb`-th run of `L` live columns is element
+    /// `jb·k + kk`. `s` has a row and a live column. The rows of `B` its
+    /// terms do not meet are left as the kept buffer had them: nothing reads
+    /// them. Packed inline, not in a closure, so that the packing too is
+    /// compiled in the build that runs the launch.
+    #[inline(always)]
+    fn columns<const L: usize>(&self, s: usize) -> &[[f64; L]] {
+        let cell = &self.packed[s];
+        if cell.get().is_none() {
+            let (live, k) = (self.live_per_seg[s], self.k);
             let mut packed = PACKED
                 .with(|kept| kept.borrow_mut().pop())
                 .unwrap_or_default();
-            packed.resize(self.k * live.len(), 0.0);
-            let rows = packed
-                .chunks_exact_mut(live.len())
-                .zip(self.b.chunks_exact(self.n))
-                .zip(&self.used[s]);
-            for ((dst, brow), _) in rows.filter(|(_, &u)| u) {
-                for (d, &j) in dst.iter_mut().zip(live) {
-                    *d = brow[j as usize].to_f64();
+            packed.resize(live.len().div_ceil(L) * k * L, 0.0);
+            let blocks = packed.as_chunks_mut::<L>().0;
+            let rows = self.b.chunks_exact(self.n).zip(&self.used[s]).enumerate();
+            for (kk, (brow, _)) in rows.filter(|(_, (_, &u))| u) {
+                for (jb, cols) in live.chunks(L).enumerate() {
+                    let block = &mut blocks[jb * k + kk];
+                    *block = [0.0; L];
+                    for (d, &j) in block.iter_mut().zip(cols) {
+                        *d = brow[j as usize].to_f64();
+                    }
                 }
             }
-            packed
-        })
+            let _ = cell.set(packed);
+        }
+        cell.get().expect("packed above").as_chunks::<L>().0
     }
 
     /// The launch's rows, row `i` of `atile` in segment `seg[i]`: each
@@ -1553,67 +1657,59 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
     /// the wide rule against the whole-row `wmax` (the same term list, `T`
     /// and lane operations: [`WideAcc::mul_add_wide`] is
     /// [`WideAcc::mul_add`] over weights widened beforehand), or the
-    /// per-step chain for other scalar types and rows with a non-finite
-    /// operand — and every other column as an exact zero. Never inlined, so
-    /// that its lane loop is a symbol of its own for the disassembly check
-    /// that it stays packed.
-    #[inline(never)]
-    fn rows(&self, seg: &[u32], atile: &[Itv<F>], ctile: &mut [Itv<F>]) {
-        let (k, n) = (self.k, self.n);
+    /// per-step chain for rows with a non-finite operand — and every other
+    /// column as an exact zero. `L` is the build's block width.
+    #[inline(always)]
+    fn rows<const L: usize>(&self, seg: &[u32], atile: &[Itv<F>], ctile: &mut [Itv<F>]) {
+        let k = self.k;
         let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
-        for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(n)).zip(seg) {
+        for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(self.n)).zip(seg) {
             crow.fill(Itv::zero());
             let live = self.live_per_seg[s as usize];
             if live.is_empty() {
                 continue;
             }
-            if F::EXACT_IN_F64 {
-                let cols = live.len();
-                terms.clear();
-                let mut mag = WideMag::new::<F>(&[]);
-                for (kk, &aik) in arow.iter().enumerate() {
-                    let term = WideTerm::new(aik);
-                    if !term.is_zero() {
-                        mag.add(term, self.wmax[kk]);
-                        terms.push((kk * cols, term));
-                    }
-                }
-                if let Some(e) = mag.finish() {
-                    let b = self.columns(s as usize);
-                    for (j0, out) in (0..cols).step_by(LANES).zip(live.chunks(LANES)) {
-                        let mut acc = WideAcc::<LANES>::new::<F>(&[]);
-                        if out.len() == LANES {
-                            for &(off, term) in &terms {
-                                let w = &b[off + j0..off + j0 + LANES];
-                                acc.mul_add_wide(term, w.try_into().expect("a full lane block"));
-                            }
-                        } else {
-                            // Remainder columns: unused lanes multiply by zero.
-                            let mut w = [0.0; LANES];
-                            for &(off, term) in &terms {
-                                w[..out.len()].copy_from_slice(&b[off + j0..][..out.len()]);
-                                acc.mul_add_wide(term, &w);
-                            }
-                        }
-                        for (jj, &j) in out.iter().enumerate() {
-                            crow[j as usize] = acc.finish(jj, e);
-                        }
-                    }
-                    continue;
-                }
-            }
-            // The per-step chain from zero, ascending `k`, zero coefficients
-            // skipped: `chain_itv_rows` over the live columns.
+            terms.clear();
+            let mut mag = WideMag::new::<F>(&[]);
             for (kk, &aik) in arow.iter().enumerate() {
-                if aik.lo == F::ZERO && aik.hi == F::ZERO {
-                    continue;
-                }
-                let brow = &self.b[kk * n..(kk + 1) * n];
-                for &j in live {
-                    let j = j as usize;
-                    crow[j] = aik.mul_add_f(brow[j], crow[j]);
+                let term = WideTerm::new(aik);
+                if !term.is_zero() {
+                    mag.add(term, self.wmax[kk]);
+                    terms.push((kk, term));
                 }
             }
+            let Some(e) = mag.finish() else {
+                chain_live_row(arow, self.b, live, crow);
+                continue;
+            };
+            let blocks = self.columns::<L>(s as usize);
+            for (block, out) in blocks.chunks_exact(k).zip(live.chunks(L)) {
+                let mut acc = WideAcc::<L>::new::<F>(&[]);
+                for &(kk, term) in &terms {
+                    acc.mul_add_wide(term, &block[kk]);
+                }
+                for (jj, &j) in out.iter().enumerate() {
+                    crow[j as usize] = acc.finish(jj, e);
+                }
+            }
+        }
+    }
+}
+
+/// The per-step chain from zero over one row's `live` columns, ascending
+/// `k`, zero coefficients skipped: [`chain_itv_rows`] over the live columns
+/// of a zeroed row of `C`. Never inlined, for the reason that one is not.
+#[inline(never)]
+fn chain_live_row<F: Fp>(arow: &[Itv<F>], b: &[F], live: &[u32], crow: &mut [Itv<F>]) {
+    let n = crow.len();
+    for (kk, &aik) in arow.iter().enumerate() {
+        if aik.lo == F::ZERO && aik.hi == F::ZERO {
+            continue;
+        }
+        let brow = &b[kk * n..(kk + 1) * n];
+        for &j in live {
+            let j = j as usize;
+            crow[j] = aik.mul_add_f(brow[j], crow[j]);
         }
     }
 }
@@ -1641,8 +1737,16 @@ fn serial_compact(keep: &[bool]) -> Vec<u32> {
         .collect()
 }
 
-/// The CPU-sim interval GEMM family: the rows of `C` one after the other.
-fn gemm_itv_rows<F: Fp>(a: &[Itv<F>], b: &[F], c: &mut [Itv<F>], k: usize, n: usize, fresh: bool) {
+/// The CPU-sim interval GEMM family: the rows of `C` one after the other,
+/// the wide rule's in `build`.
+pub(crate) fn gemm_itv_rows<F: Fp>(
+    build: GemmBuild,
+    a: &[Itv<F>],
+    b: &[F],
+    c: &mut [Itv<F>],
+    (k, n): (usize, usize),
+    fresh: bool,
+) {
     if n == 0 {
         return;
     }
@@ -1654,9 +1758,52 @@ fn gemm_itv_rows<F: Fp>(a: &[Itv<F>], b: &[F], c: &mut [Itv<F>], k: usize, n: us
         return;
     }
     if F::EXACT_IN_F64 {
-        wide_itv_rows(a, b, &launch_wmax(b, n), c, k, n, fresh)
+        build.run(WideLaunch {
+            a,
+            b,
+            c,
+            k,
+            n,
+            fresh,
+        })
     } else {
         chain_itv_rows(a, b, c, k, n, fresh)
+    }
+}
+
+/// The CPU-sim live GEMM: [`LiveGemm`] in `build` for [`Fp::EXACT_IN_F64`],
+/// the per-step chain over each row's live columns otherwise.
+pub(crate) fn gemm_itv_live_rows<F: Fp>(
+    build: GemmBuild,
+    a: &[Itv<F>],
+    b: &[F],
+    c: &mut [Itv<F>],
+    (k, n): (usize, usize),
+    seg: &[u32],
+    live_per_seg: &[&[u32]],
+) {
+    if n == 0 || seg.is_empty() {
+        return;
+    }
+    if k == 0 {
+        c.fill(Itv::zero());
+        return;
+    }
+    if F::EXACT_IN_F64 {
+        build.run(LiveLaunch {
+            a,
+            b,
+            c,
+            k,
+            n,
+            seg,
+            live_per_seg,
+        })
+    } else {
+        for ((arow, crow), &s) in a.chunks(k).zip(c.chunks_mut(n)).zip(seg) {
+            crow.fill(Itv::zero());
+            chain_live_row(arow, b, live_per_seg[s as usize], crow);
+        }
     }
 }
 
@@ -1930,7 +2077,7 @@ impl Backend for CpuSimBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_itv_rows(a, b, c, k, n, true);
+        gemm_itv_rows(GemmBuild::detected(), a, b, c, (k, n), true);
     }
 
     fn gemm_itv_f_live<F: Fp>(
@@ -1939,20 +2086,13 @@ impl Backend for CpuSimBackend {
         a: &[Itv<F>],
         b: &[F],
         c: &mut [Itv<F>],
-        m: usize,
+        _m: usize,
         k: usize,
         n: usize,
         seg: &[u32],
         live_per_seg: &[&[u32]],
     ) {
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            c.fill(Itv::zero());
-            return;
-        }
-        LiveGemm::new(a, b, (k, n), seg, live_per_seg).rows(seg, a, c);
+        gemm_itv_live_rows(GemmBuild::detected(), a, b, c, (k, n), seg, live_per_seg);
     }
 
     fn gemm_itv_f_acc<F: Fp>(
@@ -1965,7 +2105,7 @@ impl Backend for CpuSimBackend {
         k: usize,
         n: usize,
     ) {
-        gemm_itv_rows(a, b, c, k, n, false);
+        gemm_itv_rows(GemmBuild::detected(), a, b, c, (k, n), false);
     }
 
     fn gemm_f_f<F: Fp>(
@@ -2405,6 +2545,167 @@ impl Backend for ReferenceBackend {
 mod tests {
     use super::*;
     use crate::{scan, DeviceConfig};
+
+    /// Panics, naming `what` and the first element that differs, unless
+    /// `got` and `want` hold the same bits.
+    fn assert_same_bits(got: &[Itv<f32>], want: &[Itv<f32>], what: &str) {
+        let bits = |v: &Itv<f32>| (v.lo.to_bits(), v.hi.to_bits());
+        assert_eq!(got.len(), want.len(), "{what}");
+        if let Some(i) = (0..got.len()).find(|&i| bits(&got[i]) != bits(&want[i])) {
+            panic!("{what}: element {i} is {}, not {}", got[i], want[i]);
+        }
+    }
+
+    /// `m×k` coefficients (exact zeros of both signs, points, intervals),
+    /// `k×n` weights and `m×n` starts for the accumulating kernel, a fifth of
+    /// them `-0.0`; from `m ≥ 6`, `k ≥ 8`, `n ≥ 7` the rows of
+    /// `conformance::check_gemm_special_rows` too: an `inf` bound (row 0), an
+    /// unbounded coefficient (row 1), no term (row 2), one term (row 3), and
+    /// a `-inf` weight met by row 5 but not by row 4; from `m ≥ 7`, row 6
+    /// sums `B[0][j] + 2⁴⁰·B[1][j] − 2⁴⁰·B[1][j]`, whose bits change with the
+    /// order of its terms: in this one the `f64` sum loses low bits of
+    /// `B[0][j]` that the reverse order keeps, and the bound `e` is far below
+    /// an `f32` step of it.
+    fn operands(m: usize, k: usize, n: usize) -> (Vec<Itv<f32>>, Vec<f32>, Vec<Itv<f32>>) {
+        let mut x = (m * 1_000_003 + k * 1009 + n) as u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        };
+        let mut a: Vec<Itv<f32>> = (0..m * k)
+            .map(|_| match ((next() + 1.0) * 3.0) as usize {
+                0 => Itv::zero(),
+                1 => Itv::point(-0.0),
+                2 => {
+                    let lo = next();
+                    Itv::new(lo, lo + next().abs())
+                }
+                _ => Itv::point(next()),
+            })
+            .collect();
+        let mut b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let init = (0..m * n)
+            .map(|_| match next() < -0.6 {
+                true => Itv::point(-0.0),
+                false => Itv::point(next()),
+            })
+            .collect();
+        if m >= 6 && k >= 8 && n >= 7 {
+            a[3] = Itv::new(1.0, f32::INFINITY);
+            a[k + 7] = Itv::top();
+            a[2 * k..3 * k].fill(Itv::zero());
+            a[2 * k + 4] = Itv::point(-0.0);
+            a[3 * k..4 * k].fill(Itv::zero());
+            a[3 * k + 5] = Itv::new(0.1, 0.3);
+            a[4 * k + 2] = Itv::point(-0.0);
+            a[5 * k + 2] = Itv::new(-0.5, 0.25);
+            b[2 * n + 6] = f32::NEG_INFINITY;
+        }
+        if m >= 7 && k >= 8 && n >= 7 {
+            a[6 * k..7 * k].fill(Itv::zero());
+            a[6 * k] = Itv::point(1.0);
+            a[6 * k + 1] = Itv::point(2f32.powi(40));
+            a[6 * k + 3] = Itv::point(-(2f32.powi(40)));
+            b.copy_within(n..2 * n, 3 * n);
+        }
+        (a, b, init)
+    }
+
+    /// Live lists of 1, 7, 8, 9, 16 and 17 columns (as many as `n` has),
+    /// spread over the row, then none and all of them.
+    fn live_lists(n: usize) -> Vec<Vec<u32>> {
+        let spread = |len: usize| (0..len).map(|i| (i * n / len) as u32).collect();
+        let mut lists: Vec<Vec<u32>> = [1, 7, 8, 9, 16, 17]
+            .into_iter()
+            .filter(|&len| len <= n)
+            .map(spread)
+            .collect();
+        lists.push(Vec::new());
+        lists.push((0..n as u32).collect());
+        lists
+    }
+
+    /// The three GEMM kernels of one build on one shape: fresh, accumulating
+    /// and live, every row of the live launch in the segment `i mod lists`.
+    fn gemm_in(build: GemmBuild, (m, k, n): (usize, usize, usize)) -> [Vec<Itv<f32>>; 3] {
+        let (a, b, init) = operands(m, k, n);
+        let lists = live_lists(n);
+        let lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+        let seg: Vec<u32> = (0..m).map(|i| (i % lists.len()) as u32).collect();
+        let mut fresh = vec![Itv::point(9.0); m * n];
+        build.gemm_itv_f(&a, &b, &mut fresh, (m, k, n));
+        let mut acc = init;
+        gemm_itv_rows(build, &a, &b, &mut acc, (k, n), false);
+        let mut live = vec![Itv::point(9.0); m * n];
+        build.gemm_itv_f_live(&a, &b, &mut live, (m, k, n), &seg, &lists);
+        [fresh, acc, live]
+    }
+
+    /// The straight-line form of [`gemm_in`]: [`reference_gemm_itv`], and
+    /// the live launch as the provided `gemm_itv_f_live` defines it.
+    fn gemm_by_reference((m, k, n): (usize, usize, usize)) -> [Vec<Itv<f32>>; 3] {
+        let (a, b, init) = operands(m, k, n);
+        let lists = live_lists(n);
+        let mut fresh = vec![Itv::point(9.0); m * n];
+        reference_gemm_itv(&a, &b, &mut fresh, k, n, true);
+        let mut acc = init;
+        reference_gemm_itv(&a, &b, &mut acc, k, n, false);
+        let mut live = fresh.clone();
+        for (i, row) in live.chunks_mut(n.max(1)).enumerate() {
+            let list = &lists[i % lists.len()];
+            for (j, v) in row.iter_mut().enumerate() {
+                if !list.contains(&(j as u32)) {
+                    *v = Itv::zero();
+                }
+            }
+        }
+        [fresh, acc, live]
+    }
+
+    /// Both builds of `CpuSimBackend`'s GEMM kernels, called directly and
+    /// whichever the process detected: the baseline build writes the
+    /// straight-line bits on every host (where the process runs the AVX-512
+    /// build, the conformance suite does not reach it), and the AVX-512
+    /// build writes the baseline's wherever the host has it — across the 4-,
+    /// 8- and 16-lane block edges, the conformance suite's blocking shapes
+    /// and the special rows. A build that sums a row's terms in another
+    /// order fails on the cancelling row.
+    #[test]
+    fn both_gemm_builds_write_the_same_bits() {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 4, 8),
+            (5, 9, 9),
+            (6, 10, 16),
+            (7, 3, 17),
+            (9, 16, 130),
+            (2, 3, 519),
+            (7, 11, 19),
+            (3, 0, 5),
+        ];
+        shapes.extend([15, 16, 17, 33, 784].map(|n| (7, 11, n)));
+        let kernels = ["gemm_itv_f", "gemm_itv_f_acc", "gemm_itv_f_live"];
+        let wide = GemmBuild::Avx512.is_available();
+        if !wide {
+            eprintln!("note: no AVX-512F on this host; the AVX-512 half of this test is skipped");
+        }
+        for shape in shapes {
+            let baseline = gemm_in(GemmBuild::Baseline, shape);
+            let want = gemm_by_reference(shape);
+            for ((kernel, got), want) in kernels.iter().zip(&baseline).zip(&want) {
+                assert_same_bits(got, want, &format!("{kernel} {shape:?}, baseline build"));
+            }
+            if wide {
+                let avx512 = gemm_in(GemmBuild::Avx512, shape);
+                for ((kernel, got), want) in kernels.iter().zip(&avx512).zip(&baseline) {
+                    assert_same_bits(got, want, &format!("{kernel} {shape:?}, AVX-512 build"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn gather_matches_the_reference_at_any_worker_count() {

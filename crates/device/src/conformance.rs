@@ -356,10 +356,11 @@ pub fn check_gemm_against_oracle<B: Backend>(
 }
 
 /// Pins the GEMM blocking rule (see the [`crate::backend`] module docs):
-/// shapes that land exactly on and just past the register-block width and
-/// the per-worker row split must be bit-identical to the straight-line
-/// oracle, and a launch must leave no device memory behind (accumulators
-/// and term lists are kernel-local, not device buffers).
+/// shapes that land just short of, exactly on and just past register-block
+/// widths of 4, 8 and 16 columns and the per-worker row split must be
+/// bit-identical to the straight-line oracle, and a launch must leave no
+/// device memory behind (accumulators and term lists are kernel-local, not
+/// device buffers).
 ///
 /// `make` builds a device of the backend under test from a configuration.
 ///
@@ -374,6 +375,11 @@ pub fn check_gemm_blocking<B: Backend>(make: &impl Fn(DeviceConfig) -> Device<B>
         (5, 9, 9),
         (6, 10, 16),
         (7, 3, 17), // three workers get 3 + 3 + 1 rows
+        (2, 7, 15),
+        (3, 6, 31),
+        (2, 5, 32),
+        (3, 4, 33),
+        (2, 9, 47),
         (9, 16, 130),
         (2, 3, 519),
     ];
@@ -541,7 +547,8 @@ fn assert_gemm_live_matches_oracle<B: Backend>(
 /// Checks [`gemm::gemm_itv_f_live`] against its oracle over random shapes —
 /// block-boundary and remainder ones among them — with rows dealt to up to
 /// four segments in no particular order, each segment's live list empty,
-/// full, or a random subset of the columns.
+/// full, a random subset of the columns, or one of 7, 8, 9, 15, 16 or 17
+/// random columns (either side of blocks of 8 and 16 live columns).
 ///
 /// # Panics
 ///
@@ -551,6 +558,7 @@ pub fn check_gemm_live_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
     let shapes = [
         (1usize, 1usize, 1usize),
         (7, 3, 17),
+        (5, 7, 33),
         (9, 16, 130),
         (2, 3, 519),
         (
@@ -575,9 +583,18 @@ pub fn check_gemm_live_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
         let segments = s.next_range(4) + 1;
         let seg: Vec<u32> = (0..m).map(|_| s.next_range(segments) as u32).collect();
         let live: Vec<Vec<u32>> = (0..segments)
-            .map(|_| match s.next_range(4) {
+            .map(|_| match s.next_range(5) {
                 0 => Vec::new(),
                 1 => (0..n as u32).collect(),
+                2 => {
+                    // `len` of the columns: drop random ones until it is.
+                    let len = [7, 8, 9, 15, 16, 17][s.next_range(6)].min(n);
+                    let mut cols: Vec<u32> = (0..n as u32).collect();
+                    while cols.len() > len {
+                        cols.remove(s.next_range(cols.len()));
+                    }
+                    cols
+                }
                 _ => (0..n as u32).filter(|_| s.next_range(2) == 0).collect(),
             })
             .collect();

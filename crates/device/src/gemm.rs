@@ -53,7 +53,7 @@ use gpupoly_interval::{Fp, Itv};
 use crate::backend::Backend;
 use crate::Device;
 
-fn check_dims<T, U, V>(a: &[T], b: &[U], c: &[V], m: usize, k: usize, n: usize) {
+pub(crate) fn check_dims<T, U, V>(a: &[T], b: &[U], c: &[V], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "GEMM: A must be m*k");
     assert_eq!(b.len(), k * n, "GEMM: B must be k*n");
     assert_eq!(c.len(), m * n, "GEMM: C must be m*n");

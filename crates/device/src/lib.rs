@@ -34,6 +34,19 @@
 //!   compaction primitives (§4.2) and walk-step kernels. All verifier
 //!   compute enters the backend through these; there is no host-closure
 //!   launch API to bypass them.
+//! * [`GemmBuild`] — the two builds of [`CpuSimBackend`]'s interval GEMM
+//!   row kernels: baseline, and AVX-512 with wider register blocks, picked
+//!   once per process by the host's CPU. They write the same bits.
+//!
+//! # `unsafe`
+//!
+//! The crate denies `unsafe_code` and allows it in one private module,
+//! whose one `unsafe` is the call into the AVX-512 build of the GEMM row
+//! kernels: a function compiled with `avx512f` enabled, called only after
+//! `is_x86_feature_detected!("avx512f")` says the host has the feature. The
+//! repository's other `unsafe` is the rayon shim's (`shims/rayon`): the
+//! lifetime erasure of a job reference in `drive`, sound because no helper
+//! can reach the job once `drive` returns.
 //!
 //! # Example
 //!
@@ -46,7 +59,7 @@
 //! assert!(dev.stats().launches() >= 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -57,8 +70,11 @@ pub mod gemm;
 pub mod kernels;
 mod relax;
 pub mod scan;
+#[allow(unsafe_code)] // the call into the AVX-512 build; see the module docs
+mod simd;
 
 pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork, SHELF_LIVE_MULTIPLE};
 pub use relax::ReluRelax;
+pub use simd::GemmBuild;

@@ -1,0 +1,202 @@
+//! The two builds of the interval GEMM's row kernels, and the one place a
+//! process picks between them.
+//!
+//! The lane loops of [`CpuSimBackend`](crate::CpuSimBackend)'s GEMM family —
+//! the full product's register blocks, the live product's blocks over its
+//! packed columns, and the launch's `wmax` scan — are generic over their
+//! lane count ([`LaneKernel`]) and compiled twice: [`GemmBuild::Baseline`]
+//! for the target's baseline instruction set (SSE2 on x86-64), and
+//! [`GemmBuild::Avx512`] with `avx512f` enabled and wider blocks. Both run
+//! the same IEEE operations per output in the same order — a lane is a lane
+//! however many sit in a register, Rust never contracts `a * b + c` into an
+//! FMA, and the epilogue ([`WideAcc::finish`]) and the per-step chain are
+//! compiled once, never inlined into either build — so they write the same
+//! bits, which the tests of [`crate::backend`] check by calling both.
+//!
+//! Which build a process runs is decided once, by
+//! `is_x86_feature_detected!`, the first time a GEMM launches
+//! ([`GemmBuild::detected`]); a host without AVX-512F, and every other
+//! architecture, runs the baseline build. There is no option to choose.
+//!
+//! This module holds the crate's one `unsafe` — the repository has two; the
+//! other is the rayon shim's lifetime erasure in `drive` — and the crate
+//! allows it here only: the call into the AVX-512 build, made once
+//! `is_x86_feature_detected!` has said the host executes AVX-512F, the one
+//! precondition of a function compiled with `avx512f` enabled.
+//!
+//! [`WideAcc::finish`]: gpupoly_interval::wide::WideAcc::finish
+
+use std::sync::OnceLock;
+
+use gpupoly_interval::{Fp, Itv};
+
+use crate::{backend, gemm};
+
+/// The lane counts of one build: `FULL` columns of `B` per register block of
+/// the full product, `LIVE` packed live columns per block of the live one.
+/// A launch of a row kernel implements this to be run by either build.
+pub(crate) trait LaneKernel {
+    /// Runs the launch at the build's lane counts. Implementations are
+    /// `#[inline(always)]`, so that their lane loops are compiled inside the
+    /// build's entry point, with its target features.
+    fn run<const FULL: usize, const LIVE: usize>(self);
+}
+
+/// Lanes of the baseline build's blocks, full and live alike. Four lanes of
+/// `lo` and `hi` sums take four of baseline x86-64's sixteen 128-bit vector
+/// registers, and the block's weights and products most of the rest. A
+/// sweep of wider blocks and multi-row micro-kernels found none more than
+/// 10 % ahead — on baseline x86-64, which is all that sweep covered; with
+/// AVX-512's thirty-two 512-bit registers the wider blocks below are.
+const BASELINE_LANES: usize = 4;
+
+/// Lanes of the AVX-512 build's full-product block: sixteen columns of `B`
+/// are one 512-bit load of `f32` weights, and their sums four `zmm`
+/// registers. Ahead of eight lanes by 3–8 % on each of seven walk-shaped
+/// products (`m` 3–40, `k` 100 or 784, `n` 10, 100 or 784), timed
+/// interleaved in one process.
+const AVX512_FULL_LANES: usize = 16;
+
+/// Lanes of the AVX-512 build's live-product block: one `zmm` register of
+/// packed `f64` weights per term. Ahead of sixteen lanes by about 10 % on
+/// the same shapes: a segment's live columns are a few dozen, and a narrower
+/// block leaves fewer lanes idle in the last one.
+const AVX512_LIVE_LANES: usize = 8;
+
+/// A build of the interval GEMM's row kernels. Both write the same bits;
+/// they differ in speed.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum GemmBuild {
+    /// Compiled for the target's baseline instruction set, blocks of four
+    /// lanes. Runs everywhere.
+    Baseline,
+    /// Compiled with `avx512f` enabled: blocks of sixteen columns of `B` in
+    /// the full product, eight packed columns in the live one. x86-64 hosts
+    /// with AVX-512F only; running it elsewhere panics.
+    Avx512,
+}
+
+impl GemmBuild {
+    /// The build this process runs: [`GemmBuild::Avx512`] when the host has
+    /// AVX-512F, [`GemmBuild::Baseline`] otherwise. Detected once, on the
+    /// first call.
+    pub fn detected() -> Self {
+        static DETECTED: OnceLock<GemmBuild> = OnceLock::new();
+        *DETECTED.get_or_init(|| match has_avx512() {
+            true => Self::Avx512,
+            false => Self::Baseline,
+        })
+    }
+
+    /// Whether this host can run the build.
+    pub fn is_available(self) -> bool {
+        match self {
+            Self::Baseline => true,
+            Self::Avx512 => has_avx512(),
+        }
+    }
+
+    /// [`Backend::gemm_itv_f`] as [`CpuSimBackend`] computes it, in this
+    /// build, on no device (nothing is metered): `C = A · B`, `A: m×k`
+    /// intervals, `B: k×n`. What the benches and tests hold the builds to
+    /// each other with; an engine runs [`GemmBuild::detected`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatches, and for [`GemmBuild::Avx512`] on a
+    /// host without AVX-512F.
+    ///
+    /// [`Backend::gemm_itv_f`]: crate::Backend::gemm_itv_f
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    pub fn gemm_itv_f<F: Fp>(
+        self,
+        a: &[Itv<F>],
+        b: &[F],
+        c: &mut [Itv<F>],
+        (m, k, n): (usize, usize, usize),
+    ) {
+        gemm::check_dims(a, b, c, m, k, n);
+        backend::gemm_itv_rows(self, a, b, c, (k, n), true);
+    }
+
+    /// [`Backend::gemm_itv_f_live`] as [`CpuSimBackend`] computes it, in
+    /// this build, on no device: row `r` writes the ascending columns
+    /// `live_per_seg[seg[r]]` of `A · B` and exact zeros elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// As [`GemmBuild::gemm_itv_f`], and when `seg` does not have `m`
+    /// entries, names a segment without a list, or a list names a column
+    /// not below `n`.
+    ///
+    /// [`Backend::gemm_itv_f_live`]: crate::Backend::gemm_itv_f_live
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    pub fn gemm_itv_f_live<F: Fp>(
+        self,
+        a: &[Itv<F>],
+        b: &[F],
+        c: &mut [Itv<F>],
+        (m, k, n): (usize, usize, usize),
+        seg: &[u32],
+        live_per_seg: &[&[u32]],
+    ) {
+        gemm::check_dims(a, b, c, m, k, n);
+        assert_eq!(seg.len(), m, "GEMM: one segment index per row");
+        backend::gemm_itv_live_rows(self, a, b, c, (k, n), seg, live_per_seg);
+    }
+
+    /// Runs `kernel` at this build's lane counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`GemmBuild::Avx512`] on a host without AVX-512F.
+    pub(crate) fn run(self, kernel: impl LaneKernel) {
+        match self {
+            Self::Baseline => baseline(kernel),
+            Self::Avx512 => {
+                assert!(
+                    has_avx512(),
+                    "the AVX-512 build of the GEMM kernels on a host without AVX-512F"
+                );
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `avx512` is safe code compiled with `avx512f`
+                // enabled, and its only precondition — the host executes
+                // AVX-512F instructions — was checked just above.
+                unsafe {
+                    avx512(kernel)
+                }
+            }
+        }
+    }
+}
+
+/// Whether the host executes AVX-512F instructions (and its OS saves their
+/// registers); the standard library caches the answer.
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The baseline build. Never inlined, so that its lane loops are a symbol of
+/// their own for CI's disassembly check that they stay packed.
+#[inline(never)]
+fn baseline(kernel: impl LaneKernel) {
+    kernel.run::<BASELINE_LANES, BASELINE_LANES>()
+}
+
+/// The AVX-512 build. Never inlined, so that its lane loops are a symbol of
+/// their own for CI's disassembly check that they run on `zmm` registers — a
+/// kernel body that fell out of this function would be compiled for the
+/// baseline instead, and still pass every test.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline(never)]
+fn avx512(kernel: impl LaneKernel) {
+    kernel.run::<AVX512_FULL_LANES, AVX512_LIVE_LANES>()
+}

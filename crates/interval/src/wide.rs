@@ -287,6 +287,13 @@ pub fn max_mag<F: Fp>(ws: &[F]) -> f64 {
             take(j, w);
         }
     }
+    max_of_lanes(max, poison)
+}
+
+/// The end of [`max_mag`] and [`max_mag_blocked`]: the largest of the lanes'
+/// maxima, or `+inf` when a lane met an infinity or a NaN.
+#[inline(always)]
+fn max_of_lanes<F: Fp, const K: usize>(max: [F; K], poison: [F; K]) -> f64 {
     let (mut all, mut bad) = (F::ZERO, F::ZERO);
     for j in 0..K {
         all = if max[j] > all { max[j] } else { all };
@@ -297,6 +304,29 @@ pub fn max_mag<F: Fp>(ws: &[F]) -> f64 {
     } else {
         all.to_f64()
     }
+}
+
+/// [`max_mag`] written for long runs — a row of a GEMM's `B` — and for any
+/// vector width: `K` lanes, and the remainder as one more block padded with
+/// zeros, which change neither the maximum nor the poison, so that the loop
+/// has one shape and a kernel compiled for a wider instruction set scans at
+/// its width (it is always inlined). The same value as [`max_mag`]: the
+/// largest magnitude does not depend on the lane that held it. On a short
+/// run the padded block costs more than [`max_mag`]'s remainder loop.
+#[inline(always)]
+pub fn max_mag_blocked<F: Fp, const K: usize>(ws: &[F]) -> f64 {
+    let (mut max, mut poison) = ([F::ZERO; K], [F::ZERO; K]);
+    let (blocks, rest) = ws.as_chunks::<K>();
+    let mut last = [F::ZERO; K];
+    last[..rest.len()].copy_from_slice(rest);
+    for block in blocks.iter().chain([&last]) {
+        for j in 0..K {
+            let w = block[j].abs();
+            max[j] = if w > max[j] { w } else { max[j] };
+            poison[j] += w * F::ZERO;
+        }
+    }
+    max_of_lanes(max, poison)
 }
 
 /// One interval coefficient widened to `f64`, prepared once per `(row, k)`
@@ -798,6 +828,32 @@ mod tests {
             acc.mul_add(WideTerm::new(a), &[w]);
         }
         mag.finish().map(|e| acc.finish(0, e))
+    }
+
+    #[test]
+    fn the_blocked_scan_is_max_mag_at_any_length_and_width() {
+        let mut x = 7u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 40) as f32 / (1u64 << 24) as f32) * 8.0 - 4.0
+        };
+        for len in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 33, 100, 784] {
+            let mut ws: Vec<f32> = (0..len).map(|_| next()).collect();
+            let mut cases = vec![ws.clone(), vec![-0.0; len]];
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                if let Some(w) = ws.last_mut() {
+                    *w = bad;
+                    cases.push(ws.clone());
+                }
+            }
+            for ws in &cases {
+                let want = max_mag(ws).to_bits();
+                assert_eq!(max_mag_blocked::<f32, 4>(ws).to_bits(), want, "{ws:?}");
+                assert_eq!(max_mag_blocked::<f32, 16>(ws).to_bits(), want, "{ws:?}");
+            }
+        }
     }
 
     #[test]
