@@ -16,13 +16,20 @@
 //! 784-wide layers — in the full product and in the live product over about
 //! half the columns, their bits asserted equal.
 //!
+//! Then GBC, the conv step's transpose convolution, in each build on the four
+//! conv layers of ConvBig ×0.12 (`c_in` 1/4/4/8, `kw` 3/4/3/4): a
+//! refinement-shaped row set (many rows, 3×3 source windows) and a
+//! spec-walk-shaped one (a few rows over the whole layer) each, in ns per
+//! lane-term — one non-zero coefficient added to one destination element —
+//! and ns per destination element, the builds' bits asserted equal.
+//!
 //! Run with `cargo bench --bench gemm`. It prints; end-to-end numbers come
 //! from `benchmark/run.sh`, not from here.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{gemm, Backend, Device, DeviceConfig, GemmBuild};
+use gpupoly_device::{gemm, Backend, Device, DeviceConfig, ExprGeom, GbcShape, GemmBuild};
 use gpupoly_interval::{Fp, Itv};
 
 /// Deterministic pseudo-random matrix entries in `[-0.5, 0.5)`.
@@ -154,6 +161,176 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
     );
 }
 
+/// The four conv layers of ConvBig ×0.12 on a 28×28 input, as GBC sees
+/// them: `(c_in, c_out, k, stride, input side)`, padding 1.
+const CONVBIG_012: [(usize, usize, usize, usize, usize); 4] = [
+    (1, 4, 3, 1, 28),
+    (4, 4, 4, 2, 28),
+    (4, 8, 3, 1, 14),
+    (8, 8, 4, 2, 14),
+];
+
+/// One GBC launch over `rows` source windows of `win` at spread origins,
+/// their destination windows grown through the convolution and clipped to
+/// its input, as the verifier's conv step asks for them: the source plane
+/// (every seventh coefficient an exact zero), the filter, the geometry and
+/// the count of lane-terms — (non-zero coefficient, destination element)
+/// pairs.
+struct ConvLaunch {
+    conv: GbcShape,
+    src: Vec<Itv<f32>>,
+    weight: Vec<f32>,
+    win: (usize, usize),
+    origins: Vec<(i32, i32)>,
+    seg: Vec<u32>,
+    dst_win: (usize, usize),
+    dst_origins: Vec<(i32, i32)>,
+    lane_terms: usize,
+}
+
+impl ConvLaunch {
+    fn new(
+        (cin, cout, k, s, side): (usize, usize, usize, usize, usize),
+        rows: usize,
+        win: usize,
+    ) -> Self {
+        let conv = GbcShape {
+            kh: k,
+            kw: k,
+            sh: s,
+            sw: s,
+            ph: 1,
+            pw: 1,
+            cout,
+            cin,
+            in_h: side,
+            in_w: side,
+        };
+        let out = (side + 2 - k) / s + 1;
+        let win = (win.min(out), win.min(out));
+        let origins: Vec<(i32, i32)> = (0..rows)
+            .map(|r| {
+                let room = (out - win.0 + 1) as i32;
+                ((r as i32 * 5) % room, (r as i32 * 3) % room)
+            })
+            .collect();
+        let dst_win = (
+            ((win.0 - 1) * s + k).min(side),
+            ((win.1 - 1) * s + k).min(side),
+        );
+        let grow = |o: i32, w: usize| (o * s as i32 - 1).clamp(0, (side - w) as i32);
+        let dst_origins: Vec<(i32, i32)> = origins
+            .iter()
+            .map(|&(oh, ow)| (grow(oh, dst_win.0), grow(ow, dst_win.1)))
+            .collect();
+        let cols = win.0 * win.1 * cout;
+        let src: Vec<Itv<f32>> = (0..rows * cols)
+            .map(|i| match i % 7 {
+                0 => Itv::zero(),
+                _ => {
+                    let c = mix(i, 3) as f32;
+                    Itv::new(c - 1e-3, c + 1e-3)
+                }
+            })
+            .collect();
+        let weight = (0..k * k * cout * cin).map(|i| mix(i, 4) as f32).collect();
+        // Where source position `o·s − p + f` lands in a destination window.
+        let reach = |o: usize, d: i32, w: usize| {
+            (0..k)
+                .filter(|&f| (0..w as isize).contains(&((o * s + f) as isize - 1 - d as isize)))
+                .count()
+        };
+        let mut lane_terms = 0;
+        for (r, (&(oh, ow), &(dh, dw))) in origins.iter().zip(&dst_origins).enumerate() {
+            for i in 0..win.0 {
+                for j in 0..win.1 {
+                    let at = r * cols + (i * win.1 + j) * cout;
+                    let live = src[at..at + cout].iter().filter(|m| m.hi != 0.0).count();
+                    let taps = reach(oh as usize + i, dh, dst_win.0)
+                        * reach(ow as usize + j, dw, dst_win.1);
+                    lane_terms += live * taps * cin;
+                }
+            }
+        }
+        Self {
+            conv,
+            src,
+            weight,
+            win,
+            origins,
+            seg: vec![0; rows],
+            dst_win,
+            dst_origins,
+            lane_terms,
+        }
+    }
+
+    fn dst_len(&self) -> usize {
+        self.origins.len() * self.dst_win.0 * self.dst_win.1 * self.conv.cin
+    }
+
+    fn run(&self, build: GemmBuild, dst: &mut [Itv<f32>]) {
+        let out = (self.conv.in_h + 2 - self.conv.kh) / self.conv.sh + 1;
+        let geom = ExprGeom {
+            win_h: self.win.0,
+            win_w: self.win.1,
+            shape_h: out,
+            shape_w: out,
+            chans: self.conv.cout,
+            origins: &self.origins,
+            seg: &self.seg,
+        };
+        let dst_cols = self.dst_win.0 * self.dst_win.1 * self.conv.cin;
+        build.gbc(
+            black_box(&self.src),
+            &geom,
+            &self.weight,
+            &self.conv,
+            dst,
+            &self.dst_origins,
+            dst_cols,
+            self.dst_win.1,
+        );
+    }
+}
+
+/// GBC on one ConvBig ×0.12 layer, refinement- and spec-walk-shaped, in
+/// each build: ns per lane-term and per destination element, the builds'
+/// bits compared.
+fn report_gbc(builds: &[GemmBuild], layer: (usize, usize, usize, usize, usize)) {
+    let (cin, _, k, _, _) = layer;
+    for (kind, rows, win) in [("refine", 64, 3), ("spec", 9, usize::MAX)] {
+        let launch = ConvLaunch::new(layer, rows, win);
+        let mut bits: Vec<Vec<u32>> = Vec::new();
+        for &build in builds {
+            let mut dst = vec![Itv::zero(); launch.dst_len()];
+            let secs = time(launch.lane_terms, || {
+                launch.run(build, &mut dst);
+                black_box(&dst);
+            });
+            println!(
+                "[gbc] {:<8} c_in {cin} kw {k} {kind:<6} {rows:>2} rows {:>2}x{:<2} -> {:>2}x{:<2} {:>5.2} ns/lane-term {:>6.2} ns/element",
+                format!("{build:?}"),
+                launch.win.0,
+                launch.win.1,
+                launch.dst_win.0,
+                launch.dst_win.1,
+                secs * 1e9 / launch.lane_terms as f64,
+                secs * 1e9 / launch.dst_len() as f64,
+            );
+            bits.push(
+                dst.iter()
+                    .flat_map(|v| [v.lo.to_bits(), v.hi.to_bits()])
+                    .collect(),
+            );
+        }
+        assert!(
+            bits.windows(2).all(|w| w[0] == w[1]),
+            "GBC c_in {cin} kw {k} {kind}: the builds' results differ"
+        );
+    }
+}
+
 fn main() {
     let builds: Vec<GemmBuild> = [GemmBuild::Baseline, GemmBuild::Avx512]
         .into_iter()
@@ -167,6 +344,9 @@ fn main() {
         for m in [1, 10, 40] {
             report_builds(&builds, m, 100, n);
         }
+    }
+    for layer in CONVBIG_012 {
+        report_gbc(&builds, layer);
     }
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());

@@ -17,10 +17,10 @@
 //! crate:
 //!
 //! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
-//!   GEMM at the host's vector width (its row kernels are compiled twice,
-//!   and a process runs the build its CPU can, [`GemmBuild`]), each kernel
-//!   a loop over its rows on the launching thread, buffer pooling enabled.
-//!   This is the default backend.
+//!   GEMM and GBC at the host's vector width (their row kernels are
+//!   compiled twice, and a process runs the build its CPU can,
+//!   [`GemmBuild`]), each kernel a loop over its rows on the launching
+//!   thread, buffer pooling enabled. This is the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
 //!   backend (and any future port): same contract, trivially-auditable
@@ -105,6 +105,21 @@
 //! block edges, and a unit test of this module holds the two builds to
 //! each other and the baseline to the oracle on every host.
 //!
+//! GBC blocks the same way, over the elements of a destination row and never
+//! over a term list: [`CpuSimBackend`] adds one term to a fixed-width block
+//! of consecutive elements at a time — 8 to 32 lanes, starting on a grid of
+//! 4 or 8, as wide as the launch's `kw · c_in` run and the build allow —
+//! and one block of their positions' magnitude sums. Lanes of a block that
+//! the term does not reach take a zero weight, or are scratch the row never
+//! writes out: a finite term times zero adds `±0.0`, which leaves every sum
+//! as it is (a sum starts at `+0.0` and is never `-0.0`); a term that is not
+//! finite enters no block, and the positions it reaches take the per-step
+//! chain as the fallback rule says. Each element still receives its own
+//! terms in the order below, and each position its magnitude sum.
+//! [`crate::conformance::check_gbc_block_edges`] crosses those blocks'
+//! edges, and a unit test holds the two builds to each other and the
+//! baseline to the oracle.
+//!
 //! **Live columns.** [`Backend::gemm_itv_f_live`] is `gemm_itv_f` with some
 //! outputs not computed: row `r` writes the columns its segment lists live,
 //! each the bits `gemm_itv_f` gives it — the row's term list, `T` against
@@ -164,9 +179,9 @@
 //! [`CpuSimBackend`] walks every source row once and adds each non-zero term
 //! to all the elements it reaches (a scatter, [`GbcScatter`]) — an element
 //! receives its terms in the same order either way, because a source position
-//! reaches it through one filter tap at most. The `c_in` channels of one
-//! position may be blocked like GEMM columns; nothing else about the order is
-//! free.
+//! reaches it through one filter tap at most. The elements of a destination
+//! row may be blocked like GEMM columns (the blocking rule above); nothing
+//! else about the order is free.
 //!
 //! **Concretize** evaluates, per row, the lower bound of the lower plane and
 //! the upper bound of the upper plane against interval bounds, so its terms
@@ -565,7 +580,11 @@ impl<'a, F: Fp> GbcLaunch<'a, F> {
     /// [`WideMag`] for all of them, for [`Fp::EXACT_IN_F64`]; through the
     /// per-step chain otherwise, and when that magnitude sum is not finite.
     /// All of [`ReferenceBackend`]; on [`CpuSimBackend`] the `f64` path and
-    /// the positions [`GbcScatter`] hands back. `list` is scratch.
+    /// the positions [`GbcScatter`] hands back. `list` is scratch. Never
+    /// inlined: it is the rare path of the scatter, and its call marks the
+    /// scatter's instance of each build for the disassembly check that the
+    /// scatter's lane loop stays packed.
+    #[inline(never)]
     fn position(
         &self,
         r: usize,
@@ -629,85 +648,114 @@ fn taps_inside(first: isize, k: usize, win: usize) -> std::ops::Range<usize> {
     lo..hi
 }
 
-/// One non-zero coefficient of a source window row, and where its filter
-/// row lands in a destination window row: on `taps` consecutive positions
-/// from column `b`, the first of them through filter tap `t − d·kw`.
+/// The non-zero terms of one source window position: they share the
+/// position's run of destination positions, its first at column `b` of the
+/// window row's storage (whose `kw − 1` scratch positions before the window
+/// take what a run overhangs on either side, so a run is never clipped),
+/// and are `terms[first..][..len]` of [`GbcScatter::rows`]' list.
 #[derive(Copy, Clone)]
 struct Landing {
-    term: WideTerm,
     b: u32,
-    /// `d·kw + first tap`: offset of the run's first weight run in one
-    /// filter row of [`GbcScatter::w`], and of its first `wmax`.
-    t: u32,
-    taps: u32,
+    first: u32,
+    len: u32,
+    /// Whether a term among them is not finite: it adds to no lane, and
+    /// leaves the run's positions without a bound.
+    unbound: bool,
 }
+
+/// Positions of one [`WideRow::count`] block in [`GbcScatter`], and the grid
+/// those blocks start on (one `ymm` register of `f64`, two `xmm`): a filter
+/// row of up to five taps is one block, a wider one several.
+const GBC_LISTS: usize = 8;
+const GBC_LIST_GRID: usize = 4;
 
 /// GBC as a scatter, the production kernel of [`CpuSimBackend`] for
-/// [`Fp::EXACT_IN_F64`]: a row's coefficients are tested for zero **once**,
-/// and every other term is added to all the destination elements it reaches
-/// — per filter row `f` its `kw` taps land on consecutive window positions,
-/// i.e. on `kw · c_in` consecutive lanes of the row's [`WideRow`], against
-/// weights widened and repacked `[f][d][g][c]` once per launch so that those
-/// lanes' weights are consecutive too. The loop nest is source row `i`,
-/// filter row `f`, then the row's non-zero terms in ascending `(j, d)`: one
-/// `(i, f)` pair feeds one destination row, so a destination element
-/// receives its terms in the order [`GbcLaunch::terms`] lists them (a source
-/// position reaches it through one tap at most, and source rows arrive
-/// ascending), its position's [`WideMag`] receives the same terms with the
-/// same `wmax`, and the epilogue is the gather's: the same bits, without a
-/// zero test or an index computation per (term, destination) pair. A
-/// position whose magnitude sum is not finite is recomputed by
-/// [`GbcLaunch::position`].
+/// [`Fp::EXACT_IN_F64`], run in the build the process picked ([`GemmBuild`]):
+/// a row's coefficients are tested for zero **once**, and every other term
+/// is added to all the destination elements it reaches.
+///
+/// Per filter row `f`, the `kw` taps of a source position land on
+/// consecutive window positions, i.e. on `kw · c_in` consecutive lanes of
+/// the row's [`WideRow`] and on `kw` of its term lists, against weights
+/// widened and repacked `[f][d][g][c]` once per launch so that those lanes'
+/// weights are consecutive too. The storage of each destination window row
+/// starts with `kw − 1` scratch positions, which take what a run overhangs
+/// the window on its left, or the previous row's window on its right, so
+/// every run is whole — the taps the window clips land on scratch, which
+/// the epilogue drops — and no run is masked. A source position's non-zero
+/// terms (its `c_out` channels) go in as one [`WideRow::mul_add`] block per
+/// `N` lanes, held in registers across them, and one [`WideRow::count`]
+/// block: fixed-width lane loops, not runtime-length ones. Blocks start on a
+/// fixed grid of `A` lanes, a register or two of the build, with the
+/// repacked weights zero-padded in front and behind to match, so that a
+/// block's loads meet whole earlier stores of the same width (a load that
+/// straddles two stores waits for both to retire); a zero weight adds
+/// `±0.0`, which changes no sum. A term that is not finite adds to no lane
+/// and unbinds its run ([`WideRow::unbind`]): those positions fall back,
+/// whatever the other terms added.
+///
+/// The loop nest is source row `i`, filter row `f`, then the row's source
+/// positions `j` ascending and their terms in ascending `d`: one `(i, f)`
+/// pair feeds one destination row, so a destination element receives its
+/// terms in the order [`GbcLaunch::terms`] lists them (a source position
+/// reaches it through one tap at most, and source rows arrive ascending),
+/// its position's list counts the same terms with the same `wmax`, and the
+/// epilogue is the gather's: the same bits, without a zero test or an index
+/// computation per (term, destination) pair. [`WideRow::finish`] ends each
+/// destination row as one block epilogue — every position's bound, then
+/// every element's enclosure, lane-wise, the storage back at zero for the
+/// next row — and hands back the positions whose magnitude sum is not
+/// finite, which [`GbcLaunch::position`] recomputes.
 struct GbcScatter<'a, F> {
     launch: &'a GbcLaunch<'a, F>,
-    /// `weight` as `f64`, `[f][d][g][c]`.
-    w: Vec<f64>,
-    /// [`GbcLaunch::wmax`], `[f][d][g]`.
-    wmax: Vec<f64>,
+    dst: &'a mut [Itv<F>],
 }
 
-impl<'a, F: Fp> GbcScatter<'a, F> {
-    fn new(launch: &'a GbcLaunch<'a, F>) -> Self {
-        let conv = launch.conv;
-        let mut w = Vec::with_capacity(launch.weight.len());
-        let mut wmax = Vec::with_capacity(launch.wmax.len());
-        for f in 0..conv.kh {
-            for d in 0..conv.cout {
-                for g in 0..conv.kw {
-                    let t = (f * conv.kw + g) * conv.cout + d;
-                    wmax.push(launch.wmax[t]);
-                    let taps = &launch.weight[t * conv.cin..(t + 1) * conv.cin];
-                    w.extend(taps.iter().map(|v| v.to_f64()));
+impl<F: Fp> GbcScatter<'_, F> {
+    /// The launch's rows into `dst` (whole rows of `dst_cols`), one after
+    /// the other over one [`WideRow`], in lane blocks of `N` on a grid of
+    /// `A`.
+    #[inline(always)]
+    fn rows<const A: usize, const N: usize>(self) {
+        let l = self.launch;
+        let (conv, g) = (l.conv, l.src_geom);
+        let (cin, cout, kw, dst_ww) = (conv.cin, conv.cout, conv.kw, l.dst_ww);
+        let dst_wh = l.dst_cols / (dst_ww * cin);
+        // A window row's storage: `kw − 1` scratch positions, then the
+        // window; the next row's scratch takes this one's right overhang,
+        // and as many more after the last row take its.
+        let (margin, stride) = (kw - 1, dst_ww + kw - 1);
+        // The weights of one `(f, d)`, `A` zeros in front and `N` behind, and
+        // their `wmax`s and ones (a real tap) in the same way.
+        let (w_run, wmax_run) = (A + kw * cin + N, GBC_LIST_GRID + kw + GBC_LISTS);
+        let mut w = vec![0.0; conv.kh * cout * w_run];
+        let mut wmax = vec![0.0; conv.kh * cout * wmax_run];
+        let mut real = vec![0.0; wmax_run];
+        real[GBC_LIST_GRID..GBC_LIST_GRID + kw].fill(1.0);
+        for (f, (w, wmax)) in w
+            .chunks_mut(cout * w_run)
+            .zip(wmax.chunks_mut(cout * wmax_run))
+            .enumerate()
+        {
+            for (d, (w, wmax)) in w
+                .chunks_mut(w_run)
+                .zip(wmax.chunks_mut(wmax_run))
+                .enumerate()
+            {
+                for tap in 0..kw {
+                    let t = (f * kw + tap) * cout + d;
+                    wmax[GBC_LIST_GRID + tap] = l.wmax[t];
+                    let taps = &mut w[A + tap * cin..A + (tap + 1) * cin];
+                    for (w, v) in taps.iter_mut().zip(&l.weight[t * cin..]) {
+                        *w = v.to_f64();
+                    }
                 }
             }
         }
-        Self { launch, w, wmax }
-    }
-
-    /// The launch's rows into `dst` (whole rows of `dst_cols`), one after
-    /// the other over one set of row accumulators. Never inlined, so that
-    /// its lane loop is a symbol of its own for the disassembly check that
-    /// it stays packed.
-    #[inline(never)]
-    fn rows(&self, dst: &mut [Itv<F>]) {
-        let l = self.launch;
-        let (conv, g) = (l.conv, l.src_geom);
-        let (cin, cout, dst_ww) = (conv.cin, conv.cout, l.dst_ww);
-        let dst_wh = l.dst_cols / (dst_ww * cin);
-        // One filter row of the repacked weights, and of `wmax`.
-        let (w_row, wmax_row) = (cout * conv.kw * cin, cout * conv.kw);
-        let (mut sums, mut mags, mut list) = (WideRow::default(), Vec::new(), Vec::new());
-        let nowhere = Landing {
-            term: WideTerm::new(Itv::<F>::zero()),
-            b: 0,
-            t: 0,
-            taps: 0,
-        };
-        let mut landings = vec![nowhere; g.win_w * cout];
-        for (r, dst_row) in dst.chunks_mut(l.dst_cols).enumerate() {
-            sums.reset(l.dst_cols);
-            mags.clear();
-            mags.resize(dst_wh * dst_ww, WideMag::new::<F>(&[]));
+        let real = |at: usize| real[at..].first_chunk().expect("a padded block");
+        let mut sums = WideRow::new(dst_wh * stride + margin, cin, N.max(GBC_LISTS));
+        let (mut terms, mut landings, mut list) = (Vec::new(), Vec::new(), Vec::new());
+        for (r, dst_row) in self.dst.chunks_mut(l.dst_cols).enumerate() {
             // Window coordinate of what tap (0, 0) of source position (0, 0)
             // reaches: both origins are the caller's.
             let ((src_h, src_w), (dst_h, dst_w)) = (g.origins[r], l.dst_origins[r]);
@@ -719,49 +767,111 @@ impl<'a, F: Fp> GbcScatter<'a, F> {
                 if fs.is_empty() {
                     continue; // the source row reaches padding only
                 }
-                // The row's terms, compacted: an exact zero is overwritten
-                // by the next coefficient instead of being branched around.
-                let mut terms = 0;
+                // The row's terms, by source position.
+                terms.clear();
+                landings.clear();
                 for (j, coeffs) in src_row.chunks(cout).enumerate() {
                     let b0 = first_w + (j * conv.sw) as isize;
-                    let gs = taps_inside(b0, conv.kw, dst_ww);
-                    if gs.is_empty() {
-                        continue;
+                    if taps_inside(b0, kw, dst_ww).is_empty() {
+                        continue; // all of its run is scratch
                     }
-                    let (b, taps) = ((b0 + gs.start as isize) as u32, gs.len() as u32);
+                    let first = terms.len();
+                    let mut unbound = false;
                     for (d, &m) in coeffs.iter().enumerate() {
                         let term = WideTerm::new(m);
-                        let t = (d * conv.kw + gs.start) as u32;
-                        landings[terms] = Landing { term, b, t, taps };
-                        terms += usize::from(!term.is_zero());
+                        unbound |= !term.is_finite();
+                        if term.is_finite() && !term.is_zero() {
+                            terms.push((term, d));
+                        }
+                    }
+                    if unbound || terms.len() > first {
+                        landings.push(Landing {
+                            b: (b0 + margin as isize) as u32,
+                            first: first as u32,
+                            len: (terms.len() - first) as u32,
+                            unbound,
+                        });
                     }
                 }
                 for f in fs {
-                    let at = (a0 + f as isize) as usize * dst_ww;
-                    let mags = &mut mags[at..at + dst_ww];
-                    let w = &self.w[f * w_row..(f + 1) * w_row];
-                    let wmax = &self.wmax[f * wmax_row..(f + 1) * wmax_row];
-                    for landing in &landings[..terms] {
-                        let (b, t, taps) = (
-                            landing.b as usize,
-                            landing.t as usize,
-                            landing.taps as usize,
-                        );
-                        for (mag, &wmax) in mags[b..b + taps].iter_mut().zip(&wmax[t..t + taps]) {
-                            mag.add(landing.term, wmax);
+                    let at = (a0 + f as isize) as usize * stride;
+                    let w = &w[f * cout * w_run..(f + 1) * cout * w_run];
+                    let wmax = &wmax[f * cout * wmax_run..(f + 1) * cout * wmax_run];
+                    for landing in &landings {
+                        let pos = at + landing.b as usize;
+                        let run = &terms[landing.first as usize..][..landing.len as usize];
+                        // The run's lanes, in blocks from the grid line
+                        // below its first.
+                        let lane = pos * cin;
+                        let shift = lane % A;
+                        let mut k = 0;
+                        while k < shift + kw * cin {
+                            let from = A - shift + k;
+                            sums.mul_add::<N>(
+                                lane - shift + k,
+                                run.iter().map(|&(term, d)| {
+                                    let w = &w[d * w_run + from..];
+                                    (term, w.first_chunk().expect("padded weights"))
+                                }),
+                            );
+                            k += N;
                         }
-                        sums.mul_add((at + b) * cin, landing.term, &w[t * cin..(t + taps) * cin]);
+                        let shift = pos % GBC_LIST_GRID;
+                        let mut k = 0;
+                        while k < shift + kw {
+                            let from = GBC_LIST_GRID - shift + k;
+                            sums.count::<GBC_LISTS>(
+                                pos - shift + k,
+                                run.iter().map(|&(term, d)| {
+                                    let wmax = &wmax[d * wmax_run + from..];
+                                    (term, wmax.first_chunk().expect("padded wmax"))
+                                }),
+                                real(from),
+                            );
+                            k += GBC_LISTS;
+                        }
+                        if landing.unbound {
+                            sums.unbind(pos, kw);
+                        }
                     }
                 }
             }
-            for (pos, (out, mag)) in dst_row.chunks_mut(cin).zip(&mags).enumerate() {
-                match mag.finish() {
-                    Some(e) => sums.finish(pos * cin, e, out),
-                    // A non-finite operand: the whole position, on the chain.
-                    None => l.position(r, (pos / dst_ww, pos % dst_ww), out, &mut list),
-                }
-            }
+            // A non-finite operand: the whole position, on the chain.
+            sums.finish(dst_row, (dst_ww, stride, margin), |pos, out| {
+                l.position(r, (pos / dst_ww, pos % dst_ww), out, &mut list)
+            });
         }
+    }
+}
+
+impl<F: Fp> LaneKernel for GbcScatter<'_, F> {
+    /// Blocks start on a grid of `LIVE` lanes — one `zmm` register of `f64`
+    /// in the AVX-512 build, two `xmm` in the baseline one, so that every
+    /// load and store of the row's sums is a whole register on the same
+    /// grid. Their width `N` is the launch's: the least of 8, 16, 24 and 32
+    /// lanes that holds a run from any grid offset, and at most twice
+    /// `FULL` (8 in the baseline build, whose sixteen registers would spill
+    /// wider blocks; 32 in the AVX-512 one). A longer run takes several.
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        let conv = self.launch.conv;
+        let span = LIVE - gcd(conv.cin, LIVE) + conv.kw * conv.cin;
+        match span.min(2 * FULL) {
+            ..=8 => self.rows::<LIVE, 8>(),
+            9..=16 => self.rows::<LIVE, 16>(),
+            17..=24 => self.rows::<LIVE, 24>(),
+            _ => self.rows::<LIVE, 32>(),
+        }
+    }
+}
+
+/// The greatest common divisor: lanes a run can start at off the grid come
+/// in steps of `gcd(c_in, grid)`.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -1737,6 +1847,34 @@ fn serial_compact(keep: &[bool]) -> Vec<u32> {
         .collect()
 }
 
+/// The CPU-sim GBC: [`GbcScatter`] in `build` where products are exact in
+/// `f64`; the gather, which is the per-step chain, for other scalar types.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gbc_rows<F: Fp>(
+    build: GemmBuild,
+    src: &[Itv<F>],
+    src_geom: &ExprGeom<'_>,
+    weight: &[F],
+    conv: &GbcShape,
+    dst: &mut [Itv<F>],
+    dst_origins: &[(i32, i32)],
+    dst_cols: usize,
+    dst_ww: usize,
+) {
+    if dst.is_empty() {
+        return;
+    }
+    let launch = GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww);
+    if F::EXACT_IN_F64 {
+        build.run(GbcScatter {
+            launch: &launch,
+            dst,
+        })
+    } else {
+        launch.gather_rows(dst)
+    }
+}
+
 /// The CPU-sim interval GEMM family: the rows of `C` one after the other,
 /// the wide rule's in `build`.
 pub(crate) fn gemm_itv_rows<F: Fp>(
@@ -2172,17 +2310,17 @@ impl Backend for CpuSimBackend {
         dst_cols: usize,
         dst_ww: usize,
     ) {
-        if dst.is_empty() {
-            return;
-        }
-        let launch = GbcLaunch::new(src, src_geom, weight, conv, dst_origins, dst_cols, dst_ww);
-        // The scatter where products are exact in `f64`; the gather is the
-        // per-step chain of the other scalar types.
-        if F::EXACT_IN_F64 {
-            GbcScatter::new(&launch).rows(dst)
-        } else {
-            launch.gather_rows(dst)
-        }
+        gbc_rows(
+            GemmBuild::detected(),
+            src,
+            src_geom,
+            weight,
+            conv,
+            dst,
+            dst_origins,
+            dst_cols,
+            dst_ww,
+        )
     }
 
     fn bias_fold<F: Fp>(
@@ -2705,6 +2843,232 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One GBC launch of [`both_gbc_builds_write_the_same_bits`].
+    struct GbcCase {
+        conv: GbcShape,
+        src: Vec<Itv<f32>>,
+        win: (usize, usize),
+        origins: Vec<(i32, i32)>,
+        seg: Vec<u32>,
+        weight: Vec<f32>,
+        dst_win: (usize, usize),
+        dst_origins: Vec<(i32, i32)>,
+    }
+
+    impl GbcCase {
+        /// `c_in`, `kw` and the stride as given, `c_out = 3`, a `kw × kw`
+        /// filter padded by `kw / 2` over a 9×10 input. With `full`, two
+        /// rows whose windows cover the whole conv output; otherwise 2×3
+        /// windows on its corners, inside it and one column in. Each
+        /// destination window is the source window grown through the
+        /// filter, clipped to the input and slid inside it, so that runs are
+        /// clipped on the left and on the right; every third row's window is
+        /// then moved one column right, so that some terms land nowhere and
+        /// some positions are reached by none. The coefficients mix exact
+        /// zeros of both signs, points and intervals. With `special`, row 1
+        /// holds an infinite coefficient (the positions it reaches fall back
+        /// to the chain), a weight is NaN, and the last row is all zeros but
+        /// for three coefficients at one position, `1`, `2⁴⁰` and `−2⁴⁰`,
+        /// met through the same weights in their last two channels: a sum
+        /// whose bits change with the order of its terms.
+        fn new(cin: usize, kw: usize, stride: usize, full: bool, special: bool) -> Self {
+            let conv = GbcShape {
+                kh: kw,
+                kw,
+                sh: stride,
+                sw: stride,
+                ph: kw / 2,
+                pw: kw / 2,
+                cout: 3,
+                cin,
+                in_h: 9,
+                in_w: 10,
+            };
+            let out = (
+                (conv.in_h + 2 * conv.ph - kw) / stride + 1,
+                (conv.in_w + 2 * conv.pw - kw) / stride + 1,
+            );
+            let (win, origins) = if full {
+                (out, vec![(0, 0); 2])
+            } else {
+                let (h, w) = (out.0 as i32 - 2, out.1 as i32 - 3);
+                (
+                    (2, 3),
+                    vec![(0, 0), (0, w), (h / 2, w / 2), (h, 0), (h, w), (0, 1)],
+                )
+            };
+            let mut x = (cin * 1009 + kw * 31 + stride * 7 + usize::from(full)) as u64;
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((x >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+            };
+            let cols = win.0 * win.1 * conv.cout;
+            let rows = origins.len();
+            let mut src: Vec<Itv<f32>> = (0..rows * cols)
+                .map(|_| match ((next() + 1.0) * 3.0) as usize {
+                    0 => Itv::zero(),
+                    1 => Itv::point(-0.0),
+                    2 => {
+                        let lo = next();
+                        Itv::new(lo, lo + next().abs())
+                    }
+                    _ => Itv::point(next()),
+                })
+                .collect();
+            let mut weight: Vec<f32> = (0..kw * kw * conv.cout * cin).map(|_| next()).collect();
+            if special {
+                src[cols + 4] = Itv::new(-1.0, f32::INFINITY);
+                weight[conv.widx(kw - 1, 0, 0, cin - 1)] = f32::NAN;
+                let last = &mut src[(rows - 1) * cols..];
+                last.fill(Itv::zero());
+                last[..3].copy_from_slice(&[
+                    Itv::point(1.0),
+                    Itv::point(2f32.powi(40)),
+                    Itv::point(-(2f32.powi(40))),
+                ]);
+                for t in 0..kw * kw {
+                    let at = (t * conv.cout + 1) * cin;
+                    weight.copy_within(at..at + cin, at + cin);
+                }
+            }
+            let dst_win = (
+                ((win.0 - 1) * stride + kw).min(conv.in_h),
+                ((win.1 - 1) * stride + kw).min(conv.in_w),
+            );
+            let slide = |o: i32, pad: usize, w: usize, extent: usize| {
+                (o * stride as i32 - pad as i32).clamp(0, (extent - w) as i32)
+            };
+            let dst_origins = origins
+                .iter()
+                .enumerate()
+                .map(|(r, &(oh, ow))| {
+                    let room = (conv.in_w - dst_win.1) as i32;
+                    let ow = slide(ow, conv.pw, dst_win.1, conv.in_w) + i32::from(r % 3 == 2);
+                    (slide(oh, conv.ph, dst_win.0, conv.in_h), ow.min(room))
+                })
+                .collect();
+            Self {
+                conv,
+                src,
+                win,
+                seg: vec![0; rows],
+                origins,
+                weight,
+                dst_win,
+                dst_origins,
+            }
+        }
+
+        fn geom(&self) -> ExprGeom<'_> {
+            let (conv, s) = (&self.conv, self.conv.sh);
+            ExprGeom {
+                win_h: self.win.0,
+                win_w: self.win.1,
+                shape_h: (conv.in_h + 2 * conv.ph - conv.kh) / s + 1,
+                shape_w: (conv.in_w + 2 * conv.pw - conv.kw) / s + 1,
+                chans: conv.cout,
+                origins: &self.origins,
+                seg: &self.seg,
+            }
+        }
+
+        /// The launch in `build`, into a destination that was not zeroed.
+        fn run(&self, build: GemmBuild) -> Vec<Itv<f32>> {
+            let dst_cols = self.dst_win.0 * self.dst_win.1 * self.conv.cin;
+            let mut dst = vec![Itv::point(9.0); self.origins.len() * dst_cols];
+            build.gbc(
+                &self.src,
+                &self.geom(),
+                &self.weight,
+                &self.conv,
+                &mut dst,
+                &self.dst_origins,
+                dst_cols,
+                self.dst_win.1,
+            );
+            dst
+        }
+
+        fn oracle(&self) -> Vec<Itv<f32>> {
+            crate::conformance::oracle_gbc(
+                &self.src,
+                &self.geom(),
+                &self.weight,
+                &self.conv,
+                &self.dst_origins,
+                self.dst_win,
+            )
+        }
+    }
+
+    /// [`assert_same_bits`] where a NaN matches any NaN (a NaN weight's
+    /// payload is not part of the contract).
+    fn assert_same_bits_or_nan(got: &[Itv<f32>], want: &[Itv<f32>], what: &str) {
+        let same = |g: f32, w: f32| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert_eq!(got.len(), want.len(), "{what}");
+        let differs = |i: &usize| !(same(got[*i].lo, want[*i].lo) && same(got[*i].hi, want[*i].hi));
+        if let Some(i) = (0..got.len()).find(differs) {
+            panic!("{what}: element {i} is {}, not {}", got[i], want[i]);
+        }
+    }
+
+    /// Both builds of `CpuSimBackend`'s GBC, called directly: the baseline
+    /// build writes the contract's bits ([`crate::conformance::oracle_gbc`])
+    /// on every host — where the process runs the AVX-512 build, the
+    /// conformance suite does not reach it — and the AVX-512 build writes
+    /// the baseline's wherever the host has it: `c_in` 1, 3, 4, 8 and 16,
+    /// `kw` 1, 3, 4 and 5, strides 1 and 2, windows clipped on either side,
+    /// positions no term reaches, the chain's positions, and a row whose
+    /// sum depends on the order of its terms ([`GbcCase::new`]).
+    #[test]
+    fn both_gbc_builds_write_the_same_bits() {
+        let wide = GemmBuild::Avx512.is_available();
+        if !wide {
+            eprintln!("note: no AVX-512F on this host; the AVX-512 half of this test is skipped");
+        }
+        let (mut unreached, mut fallen_back) = (0, 0);
+        for cin in [1, 3, 4, 8, 16] {
+            for kw in [1, 3, 4, 5] {
+                for stride in [1, 2] {
+                    for (full, special) in [(false, false), (false, true), (true, false)] {
+                        let case = GbcCase::new(cin, kw, stride, full, special);
+                        let what = format!(
+                            "gbc c_in {cin} kw {kw} stride {stride}{}{}",
+                            if full { ", full windows" } else { "" },
+                            if special { ", special rows" } else { "" },
+                        );
+                        let baseline = case.run(GemmBuild::Baseline);
+                        let want = case.oracle();
+                        assert_same_bits_or_nan(
+                            &baseline,
+                            &want,
+                            &format!("{what}, baseline build"),
+                        );
+                        unreached += baseline
+                            .iter()
+                            .filter(|v| v.lo.to_bits() == 0 && v.hi.to_bits() == 0)
+                            .count();
+                        fallen_back += baseline.iter().filter(|v| !v.is_finite()).count();
+                        if wide {
+                            let avx512 = case.run(GemmBuild::Avx512);
+                            assert_same_bits_or_nan(
+                                &avx512,
+                                &baseline,
+                                &format!("{what}, AVX-512 build"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            unreached > 0 && fallen_back > 0,
+            "the cases lost their corners"
+        );
     }
 
     #[test]

@@ -503,6 +503,25 @@ mod tests {
     }
 
     #[test]
+    fn pool_shelf_cut_spares_buffers_of_smaller_size_classes() {
+        let dev = Device::default();
+        dev.buffer_pool_retain();
+        // As above: no request is served from the shelf, the live
+        // high-water mark is 1000 and the budget 2000.
+        for len in [60usize, 150, 400, 1000, 450] {
+            let _b = DeviceBuffer::<u8>::zeroed(&dev, len).unwrap();
+        }
+        assert_eq!(dev.peak_live_memory(), 1000);
+        // Shelving 450 (class 256) frees the oldest buffer of class 256 or
+        // larger (400): not the oldest of all (60), nor the largest (1000).
+        assert_eq!(dev.buffer_pool_bytes(), 60 + 150 + 1000 + 450);
+        let hits = dev.stats().pool_hits();
+        let _small = DeviceBuffer::<u8>::zeroed(&dev, 60).unwrap();
+        assert_eq!(dev.stats().pool_hits(), hits + 1, "the oldest is kept");
+        dev.buffer_pool_release();
+    }
+
+    #[test]
     fn inactive_pool_changes_nothing() {
         let dev = Device::default();
         {

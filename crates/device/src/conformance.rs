@@ -936,7 +936,7 @@ fn oracle_gbc_terms<'w>(
 /// or all of them the per-step chain over the same terms where the wide rule
 /// does not apply. A term whose conv-input position no window position
 /// stands for is in no list.
-fn oracle_gbc(
+pub(crate) fn oracle_gbc(
     src: &[Itv<f32>],
     g: &ExprGeom<'_>,
     weight: &[f32],
@@ -1039,7 +1039,6 @@ fn launch_gbc<B: Backend>(
 ///
 /// Panics with a labeled message on any contract violation.
 pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
-    let label = device.backend().label();
     let mut s = Stream::new(seed);
     let conv = GbcShape {
         kh: 1 + s.next_range(3),
@@ -1053,14 +1052,65 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         in_h: 4 + s.next_range(4),
         in_w: 4 + s.next_range(4),
     };
+    check_gbc_shape(device, &mut s, conv);
+}
+
+/// [`check_gbc_against_oracle`] on filters whose `kw · c_in` lanes fall on
+/// both sides of the edges of [`crate::CpuSimBackend`]'s GBC blocks — runs
+/// of 8, 16, 24 and 32 lanes from any offset of a 4- or 8-lane grid, runs
+/// longer than one block, and filter rows of more than five taps, wider than
+/// one block of positions — with `c_in` from 1 to 16 and strides 1 and 2.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gbc_block_edges<B: Backend>(device: &Device<B>) {
+    let mut s = Stream::new(0xb10c);
+    for (cin, kw) in [
+        (1, 1),
+        (1, 3),
+        (2, 3),
+        (4, 2),
+        (3, 3),
+        (4, 3),
+        (5, 3),
+        (4, 4),
+        (3, 6),
+        (8, 3),
+        (8, 4),
+        (9, 4),
+        (16, 3),
+        (1, 7),
+    ] {
+        let kh = 1 + kw % 3;
+        let conv = GbcShape {
+            kh,
+            kw,
+            sh: 1 + s.next_range(2),
+            sw: 1 + s.next_range(2),
+            ph: s.next_range(kh),
+            pw: s.next_range(kw),
+            cout: 2,
+            cin,
+            in_h: kh + 3 + s.next_range(4),
+            in_w: kw + 3 + s.next_range(4),
+        };
+        check_gbc_shape(device, &mut s, conv);
+    }
+}
+
+/// One launch of [`check_gbc_against_oracle`] through the filter `conv`,
+/// the windows and operands drawn from `s`.
+fn check_gbc_shape<B: Backend>(device: &Device<B>, s: &mut Stream, conv: GbcShape) {
+    let label = device.backend().label();
     let (out_h, out_w) = conv_out_extent(&conv);
     let rows = 1 + s.next_range(7);
     let (wh, ww) = (
         1 + s.next_range(3.min(out_h)),
         1 + s.next_range(3.min(out_w)),
     );
-    let case = GeomCase::new(rows, wh, ww, out_h, out_w, conv.cout, 1, &mut s);
-    let src = case.plane(&mut s);
+    let case = GeomCase::new(rows, wh, ww, out_h, out_w, conv.cout, 1, s);
+    let src = case.plane(s);
     let weight: Vec<f32> = (0..conv.kh * conv.kw * conv.cout * conv.cin)
         .map(|_| s.next_f32())
         .collect();
@@ -1079,7 +1129,11 @@ pub fn check_gbc_against_oracle<B: Backend>(device: &Device<B>, seed: u64) {
         "[{label}] gbc must meter its flops"
     );
     let want = oracle_gbc(&src, &case.geom(), &weight, &conv, &dst_origins, dst_win);
-    assert_planes_bit_eq(label, "gbc", &dst, &want);
+    let kernel = format!(
+        "gbc (c_in {}, {}×{} filter, stride ({}, {}))",
+        conv.cin, conv.kh, conv.kw, conv.sh, conv.sw
+    );
+    assert_planes_bit_eq(label, &kernel, &dst, &want);
 }
 
 /// Pins the corners of the GBC contract that random data does not reach, on
@@ -2642,6 +2696,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         }
         check_gemm_special_rows(&device);
         check_gemm_live_special_cases(&device);
+        check_gbc_block_edges(&device);
         check_gbc_special_cases(&device);
         check_gbc_slid_windows(&device);
         check_bias_fold_special_cases(&device);

@@ -267,8 +267,15 @@ struct Shelved {
     data: Box<dyn Any + Send>,
 }
 
+/// The size class of a shelved buffer of `bytes` (non-zero) bytes: the
+/// power of two at or below it. A put cuts its lane back only among buffers
+/// of its own class or larger (see `DeviceInner::shelf`).
+fn size_class(bytes: usize) -> u32 {
+    bytes.ilog2()
+}
+
 /// How many times a shelf lane's live high-water mark the lane may hold
-/// before its oldest shelved buffers are freed (one lane, one stream: on a
+/// before shelved buffers are freed (one lane, one stream: on a
 /// device that runs nothing side by side this is the device's own mark,
 /// [`Device::peak_live_memory`]). Fixed, not configurable. Measured on the
 /// benchmark when the device had one shelf, `conv_fused` / `dense_single`,
@@ -283,6 +290,7 @@ struct Shelved {
 /// Throughput does not tell them apart; at 1 a query no longer finds its own
 /// buffers again (`steady_state_queries_allocate_no_fresh_bytes` fails), and
 /// 4 buys the last misses of `conv_fused` with half as much memory again.
+/// (Measured when the cut took the oldest buffers first, of any size.)
 pub const SHELF_LIVE_MULTIPLE: usize = 2;
 
 thread_local! {
@@ -348,9 +356,10 @@ pub(crate) struct DeviceInner<B> {
     /// dropped, and it is shelved there whichever thread drops it. A request
     /// is served by the smallest buffer *of the requesting thread's lane*
     /// that has its element type, holds it and is at most twice as large;
-    /// after every put the lane is cut back, oldest first, to
-    /// [`SHELF_LIVE_MULTIPLE`] times its own live high-water mark — or its
-    /// share of the device's resident-bytes mark, `resident / workers`,
+    /// after every put the lane is cut back, oldest first among the buffers
+    /// of the put's [`size_class`] or larger, to [`SHELF_LIVE_MULTIPLE`]
+    /// times its own live high-water mark — or its share of the device's
+    /// resident-bytes mark, `resident / workers`,
     /// where that is higher: the weights are in lane 0's mark only (uploads
     /// happen outside any stream), and a stream budgeted by its own few rows
     /// alone loses buffers it asks for again (`dense_single`, traced:
@@ -365,6 +374,19 @@ pub(crate) struct DeviceInner<B> {
     /// misses and `bytes_allocated` repeat from run to run — the CPU
     /// stand-in for a stream-ordered allocator. The price: a lane is warm
     /// for what its position has run, and no other lane's buffers help it.
+    /// The cut spares smaller classes because a put of larger work — a
+    /// fused batch's lists — must not free what smaller work it ran before
+    /// (one query's lists) left there: those buffers are the oldest after a
+    /// burst, and a cut by age alone would free them at exactly the
+    /// positions whose burst shelved more than their budget, so whether a
+    /// daemon's steady traffic after a burst allocated afresh would depend
+    /// on which position the burst had sent what. The put buffer is of its
+    /// own class, so the cut always ends within budget. Within the classes
+    /// it may take, it takes the oldest, not the largest: a cut by size
+    /// would free a fused batch's largest lists, which every batch asks for
+    /// again (the benchmark's traced `steady_alloc_mb`, `dense_fused` /
+    /// `conv_fused`, seed 1, on a 2-vCPU host: 57 / 100 MB by age, 112 /
+    /// 220 MB by size, 69 / 84 MB with the class rule).
     /// Work that reaches a position in a new shape — a fused batch's lists
     /// a quarter each, then one query's — allocates afresh there once, where a single shelf would have served
     /// it. Shelved bytes stay charged against capacity, and an allocation
@@ -606,9 +628,10 @@ impl<B: Backend> Device<B> {
     /// shelf has one lane per stream position ([`Device::streams`]): a
     /// thread takes from its own lane, a buffer returns to the lane it was
     /// allocated in, and after every drop that lane's oldest shelved
-    /// buffers are freed until it holds at most [`SHELF_LIVE_MULTIPLE`]
-    /// times what the lane held live at once ([`Device::peak_live_memory`]
-    /// is the sum over the lanes).
+    /// buffers of the dropped one's size class (its power of two) or larger
+    /// are freed until it holds at most [`SHELF_LIVE_MULTIPLE`] times what
+    /// the lane held live at once ([`Device::peak_live_memory`] is the sum
+    /// over the lanes).
     pub fn buffer_pool_retain(&self) {
         self.inner.recyclers.fetch_add(1, Ordering::Relaxed);
     }
@@ -734,9 +757,10 @@ impl<B: Backend> Device<B> {
 
     /// Ends an allocation of `lane` by shelving its storage there for reuse,
     /// keeping its memory charge, then frees the lane's oldest shelved
-    /// buffers while it holds more than [`SHELF_LIVE_MULTIPLE`] times its
-    /// live high-water mark (or the lane's share of the device's resident
-    /// one, if higher; see `DeviceInner::shelf`). Returns `false` (nothing done) when the pool is
+    /// buffers of its [`size_class`] or larger while it holds more than
+    /// [`SHELF_LIVE_MULTIPLE`] times its live high-water mark (or the lane's
+    /// share of the device's resident one, if higher; see
+    /// `DeviceInner::shelf`). Returns `false` (nothing done) when the pool is
     /// inactive — the caller must then end the allocation itself
     /// ([`Device::lane_free`]).
     pub(crate) fn pool_put<T: Send + 'static>(
@@ -770,13 +794,15 @@ impl<B: Backend> Device<B> {
         // credited with a worker's share.
         let resident = self.inner.stats.peak_resident_bytes() as usize / self.inner.workers;
         let budget = SHELF_LIVE_MULTIPLE.saturating_mul(l.live_peak.max(resident));
+        let class = size_class(bytes);
         let mut evicted = Vec::new();
         while l.shelved_bytes > budget {
-            let Some(oldest) = l.shelved.pop_front() else {
+            let Some(at) = l.shelved.iter().position(|s| size_class(s.bytes) >= class) else {
                 break;
             };
-            l.shelved_bytes -= oldest.bytes;
-            evicted.push(oldest);
+            let cut = l.shelved.remove(at).expect("index from the scan above");
+            l.shelved_bytes -= cut.bytes;
+            evicted.push(cut);
         }
         drop(shelf);
         self.free_shelved(evicted);

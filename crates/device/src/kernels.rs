@@ -52,6 +52,50 @@ pub fn gbc<F: Fp, B: Backend>(
     dst_cols: usize,
     dst_ww: usize,
 ) {
+    check_gbc(
+        src,
+        src_geom,
+        weight,
+        conv,
+        dst,
+        dst_origins,
+        dst_cols,
+        dst_ww,
+    );
+    device.stats().record_work(
+        label,
+        flops_gbc(src_geom.rows(), (src_geom.win_h, src_geom.win_w), conv),
+        itv_bytes::<F>(src.len() + dst.len()) + std::mem::size_of_val(weight) as u64,
+    );
+    device.backend().gbc(
+        device,
+        src,
+        src_geom,
+        weight,
+        conv,
+        dst,
+        dst_origins,
+        dst_cols,
+        dst_ww,
+    );
+}
+
+/// The shape checks of [`gbc`].
+///
+/// # Panics
+///
+/// As [`gbc`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_gbc<F>(
+    src: &[Itv<F>],
+    src_geom: &ExprGeom<'_>,
+    weight: &[F],
+    conv: &GbcShape,
+    dst: &[Itv<F>],
+    dst_origins: &[(i32, i32)],
+    dst_cols: usize,
+    dst_ww: usize,
+) {
     let rows = src_geom.rows();
     assert_eq!(src.len(), rows * src_geom.cols(), "gbc: source shape");
     assert_eq!(dst.len(), rows * dst_cols, "gbc: destination shape");
@@ -72,22 +116,6 @@ pub fn gbc<F: Fp, B: Backend>(
         weight.len(),
         conv.kh * conv.kw * conv.cout * conv.cin,
         "gbc: filter tensor shape"
-    );
-    device.stats().record_work(
-        label,
-        flops_gbc(rows, (src_geom.win_h, src_geom.win_w), conv),
-        itv_bytes::<F>(src.len() + dst.len()) + std::mem::size_of_val(weight) as u64,
-    );
-    device.backend().gbc(
-        device,
-        src,
-        src_geom,
-        weight,
-        conv,
-        dst,
-        dst_origins,
-        dst_cols,
-        dst_ww,
     );
 }
 

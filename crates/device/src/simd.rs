@@ -1,20 +1,25 @@
-//! The two builds of the interval GEMM's row kernels, and the one place a
+//! The two builds of the interval kernels' row loops, and the one place a
 //! process picks between them.
 //!
 //! The lane loops of [`CpuSimBackend`](crate::CpuSimBackend)'s GEMM family —
 //! the full product's register blocks, the live product's blocks over its
-//! packed columns, and the launch's `wmax` scan — are generic over their
-//! lane count ([`LaneKernel`]) and compiled twice: [`GemmBuild::Baseline`]
-//! for the target's baseline instruction set (SSE2 on x86-64), and
-//! [`GemmBuild::Avx512`] with `avx512f` enabled and wider blocks. Both run
-//! the same IEEE operations per output in the same order — a lane is a lane
-//! however many sit in a register, Rust never contracts `a * b + c` into an
-//! FMA, and the epilogue ([`WideAcc::finish`]) and the per-step chain are
-//! compiled once, never inlined into either build — so they write the same
-//! bits, which the tests of [`crate::backend`] check by calling both.
+//! packed columns, and the launch's `wmax` scan — and of its GBC scatter —
+//! the blocks a term adds to, and the block epilogue that ends a
+//! destination row — are generic over their lane count ([`LaneKernel`]) and
+//! compiled twice: [`GemmBuild::Baseline`] for the target's baseline
+//! instruction set (SSE2 on x86-64), and [`GemmBuild::Avx512`] with `avx512f`
+//! enabled and wider blocks. Both run the same IEEE operations per output in
+//! the same order — a lane is a lane however many sit in a register, and
+//! Rust never contracts `a * b + c` into an FMA — so they write the same
+//! bits, which the tests of [`crate::backend`] check by calling both. The
+//! GEMM's epilogue ([`WideAcc::finish`]) and the per-step chain are compiled
+//! once, never inlined into either build; GBC's block epilogue
+//! ([`WideRow::finish`]) is compiled into both, lane-wise, because per
+//! element it is a handful of directed steps written as IEEE operations and
+//! integer operations on bit patterns, which give one result at any width.
 //!
 //! Which build a process runs is decided once, by
-//! `is_x86_feature_detected!`, the first time a GEMM launches
+//! `is_x86_feature_detected!`, the first time a kernel launches
 //! ([`GemmBuild::detected`]); a host without AVX-512F, and every other
 //! architecture, runs the baseline build. There is no option to choose.
 //!
@@ -25,16 +30,19 @@
 //! precondition of a function compiled with `avx512f` enabled.
 //!
 //! [`WideAcc::finish`]: gpupoly_interval::wide::WideAcc::finish
+//! [`WideRow::finish`]: gpupoly_interval::wide::WideRow::finish
 
 use std::sync::OnceLock;
 
 use gpupoly_interval::{Fp, Itv};
 
-use crate::{backend, gemm};
+use crate::backend::{ExprGeom, GbcShape};
+use crate::{backend, gemm, kernels};
 
 /// The lane counts of one build: `FULL` columns of `B` per register block of
-/// the full product, `LIVE` packed live columns per block of the live one.
-/// A launch of a row kernel implements this to be run by either build.
+/// the full product, `LIVE` packed live columns per block of the live one
+/// (GBC sizes its blocks from both and from its launch's shape). A launch
+/// of a row kernel implements this to be run by either build.
 pub(crate) trait LaneKernel {
     /// Runs the launch at the build's lane counts. Implementations are
     /// `#[inline(always)]`, so that their lane loops are compiled inside the
@@ -63,16 +71,18 @@ const AVX512_FULL_LANES: usize = 16;
 /// block leaves fewer lanes idle in the last one.
 const AVX512_LIVE_LANES: usize = 8;
 
-/// A build of the interval GEMM's row kernels. Both write the same bits;
-/// they differ in speed.
+/// A build of the interval kernels' row loops: the GEMM family's and GBC's
+/// (the name is the one the GEMM gave it). Both write the same bits; they
+/// differ in speed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GemmBuild {
     /// Compiled for the target's baseline instruction set, blocks of four
-    /// lanes. Runs everywhere.
+    /// lanes (GBC's of eight). Runs everywhere.
     Baseline,
     /// Compiled with `avx512f` enabled: blocks of sixteen columns of `B` in
-    /// the full product, eight packed columns in the live one. x86-64 hosts
-    /// with AVX-512F only; running it elsewhere panics.
+    /// the full product, eight packed columns in the live one, and up to
+    /// thirty-two elements in GBC's. x86-64 hosts with AVX-512F only;
+    /// running it elsewhere panics.
     Avx512,
 }
 
@@ -145,6 +155,53 @@ impl GemmBuild {
         backend::gemm_itv_live_rows(self, a, b, c, (k, n), seg, live_per_seg);
     }
 
+    /// [`Backend::gbc`] as [`CpuSimBackend`] computes it, in this build, on
+    /// no device: the transpose convolution of one plane, `src` rows in the
+    /// windows of `src_geom` into `dst` rows of `dst_cols` in the windows at
+    /// `dst_origins`, `dst_ww` positions wide.
+    ///
+    /// # Panics
+    ///
+    /// As [`kernels::gbc`], and for [`GemmBuild::Avx512`] on a host without
+    /// AVX-512F.
+    ///
+    /// [`Backend::gbc`]: crate::Backend::gbc
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    #[allow(clippy::too_many_arguments)]
+    pub fn gbc<F: Fp>(
+        self,
+        src: &[Itv<F>],
+        src_geom: &ExprGeom<'_>,
+        weight: &[F],
+        conv: &GbcShape,
+        dst: &mut [Itv<F>],
+        dst_origins: &[(i32, i32)],
+        dst_cols: usize,
+        dst_ww: usize,
+    ) {
+        kernels::check_gbc(
+            src,
+            src_geom,
+            weight,
+            conv,
+            dst,
+            dst_origins,
+            dst_cols,
+            dst_ww,
+        );
+        backend::gbc_rows(
+            self,
+            src,
+            src_geom,
+            weight,
+            conv,
+            dst,
+            dst_origins,
+            dst_cols,
+            dst_ww,
+        );
+    }
+
     /// Runs `kernel` at this build's lane counts.
     ///
     /// # Panics
@@ -156,7 +213,7 @@ impl GemmBuild {
             Self::Avx512 => {
                 assert!(
                     has_avx512(),
-                    "the AVX-512 build of the GEMM kernels on a host without AVX-512F"
+                    "the AVX-512 build of the interval kernels on a host without AVX-512F"
                 );
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `avx512` is safe code compiled with `avx512f`

@@ -13,9 +13,10 @@
 //! magnitude sum the bound needs is taken **once per term list**
 //! ([`WideMag`]) for every output that shares the list — it never enters
 //! the lane loop. [`WideRow`] is the same accumulator with its lanes in
-//! memory, as many as a kernel's row has outputs, for kernels that *scatter*:
-//! a term is visited once and added to every output it reaches, instead of
-//! every output walking its own term list.
+//! memory, as many as a kernel's row has outputs, and the lists' magnitude
+//! sums beside them, for kernels that *scatter*: a term is visited once and
+//! added to every output it reaches, a fixed-width block of lanes at a time,
+//! instead of every output walking its own term list.
 //!
 //! # The rule (what every backend must reproduce, bit for bit)
 //!
@@ -402,6 +403,30 @@ fn widening(t: f64, adds: usize) -> f64 {
     round::mul_up(t, adds as f64 * f64::EPSILON)
 }
 
+/// Terms one list may count: the limit [`widening`] asserts, plus the one
+/// addition that does not round.
+const MAX_TERMS: f64 = ((1u64 << 32) + 1) as f64;
+
+/// [`WideMag::finish`]'s bound for a *finite* `T` over `terms` fed terms
+/// (a count, exact in `f64`), bit for bit, written without a branch so that
+/// a loop over lists vectorizes: `up(T · adds · 2⁻⁵²)` as [`round::mul_up`] takes it — zero
+/// for a zero factor, the other factor for a factor of one, the product one
+/// step up otherwise, which for a product that is `+0` or positive and
+/// finite is the next bit pattern. (`adds · 2⁻⁵²` is never one under
+/// [`MAX_TERMS`].)
+#[inline(always)]
+fn bound_of(t: f64, terms: f64) -> f64 {
+    let adds = if terms > 1.0 { terms - 1.0 } else { 0.0 };
+    let factor = adds * f64::EPSILON;
+    let up = f64::from_bits((t * factor).to_bits() + 1);
+    let up = if t == 1.0 { factor } else { up };
+    if adds == 0.0 || t == 0.0 {
+        0.0
+    } else {
+        up
+    }
+}
+
 /// The error bound of one term list, shared by every output summed over it:
 /// how far [`WideAcc::finish`] moves both sums outward before narrowing.
 /// Only [`WideMag::finish`] makes one.
@@ -569,58 +594,200 @@ impl<const N: usize> WideAcc<N> {
     }
 }
 
-/// [`WideAcc`] with its lanes in memory and their number chosen at run time:
-/// the sums of every output of one kernel row. The caller owns the mapping
-/// from outputs to lanes and from lanes to term lists — lanes that share a
-/// list share its [`WideMag`] — and feeds each lane its terms in the list's
-/// order; between two lanes the order is free, which is what lets a kernel
-/// visit a *term* once and add it to every output it reaches. Per lane the
-/// operations are [`WideAcc::mul_add`]'s, so the bits are.
-#[derive(Clone, Debug, Default)]
+/// [`WideAcc`] with its lanes in memory and their number chosen at run time,
+/// for kernels that *scatter*: the sums of every output of one kernel row,
+/// `group` consecutive lanes to a term list, and beside them each list's
+/// half of [`WideMag`] — its `T` and its count of terms. The caller owns the
+/// mapping from outputs to lanes and feeds each lane, and each list, its
+/// terms in the list's order; between two lanes the order is free, which is
+/// what lets a kernel visit a *term* once and add it to every output it
+/// reaches.
+///
+/// Terms go in as fixed-width blocks — `N` consecutive lanes held in
+/// registers over a run of terms ([`WideRow::mul_add`]), `M` consecutive
+/// lists ([`WideRow::count`]) — so that a kernel's lane loop has one shape
+/// however its runs fall. A block may reach `reach` lanes and lists past
+/// the row's last (they are storage only). What a block adds to a lane
+/// outside the caller's run must change nothing, and `a · 0.0` for a finite
+/// term does not: it is `±0.0`, and a sum starts at `+0.0` and is never
+/// `-0.0` after an addition (round-to-nearest gives `x + (-x) = +0.0`), so
+/// `x ± 0.0` is `x`. Hence blocks take finite terms only; a term that is not
+/// finite leaves its lists without a bound ([`WideRow::unbind`]). Per lane
+/// the operations are [`WideAcc::mul_add`]'s, per list [`WideMag::add`]'s,
+/// so the bits are.
+#[derive(Clone, Debug)]
 pub struct WideRow {
     lo: Vec<f64>,
     hi: Vec<f64>,
+    /// Per list, `T` and the terms fed (a count, exact in `f64`).
+    t: Vec<f64>,
+    terms: Vec<f64>,
+    /// Scratch of [`WideRow::finish`]: every output lane's bound, one output
+    /// row's lists' bounds, and the output lists without one.
+    e: Vec<f64>,
+    bounds: Vec<f64>,
+    unbounded: Vec<usize>,
+    group: usize,
 }
 
 impl WideRow {
-    /// `lanes` outputs, each at exact zero. The storage is kept from one
-    /// row to the next.
-    pub fn reset(&mut self, lanes: usize) {
-        for sums in [&mut self.lo, &mut self.hi] {
-            sums.clear();
-            sums.resize(lanes, 0.0);
+    /// `lists` term lists of `group` lanes each, every sum at exact zero,
+    /// blocks reaching up to `reach` lanes (or lists) past the last.
+    pub fn new(lists: usize, group: usize, reach: usize) -> Self {
+        let lanes = lists * group;
+        Self {
+            lo: vec![0.0; lanes + reach],
+            hi: vec![0.0; lanes + reach],
+            t: vec![0.0; lists + reach],
+            terms: vec![0.0; lists + reach],
+            e: Vec::new(),
+            bounds: Vec::new(),
+            unbounded: Vec::new(),
+            group,
         }
     }
 
-    /// Lane `at + j` accumulates `a · w[j]`, for every `j`: one term into a
-    /// run of consecutive outputs. The weights come widened (`F` → `f64` is
-    /// exact), so a launch converts its weights once.
+    /// Lanes `at..at + N` take `terms` in order, lane `at + j` accumulating
+    /// `a · w[j]` for every term `(a, w)`, with the block held in registers
+    /// across the run. The weights come widened (`F` → `f64` is exact), so a
+    /// launch converts its weights once. The terms must be finite.
     ///
     /// # Panics
     ///
-    /// Panics when the run leaves the lanes of the last [`WideRow::reset`].
+    /// Panics when the block leaves the row's lanes and their reach.
     #[inline(always)]
-    pub fn mul_add(&mut self, at: usize, a: WideTerm, w: &[f64]) {
-        let run = at..at + w.len();
-        let (lo, hi) = (&mut self.lo[run.clone()], &mut self.hi[run]);
-        for ((lo, hi), &w) in lo.iter_mut().zip(hi).zip(w) {
-            let (p, q) = (a.lo * w, a.hi * w);
-            *lo += if p < q { p } else { q };
-            *hi += if p > q { p } else { q };
+    pub fn mul_add<'w, const N: usize>(
+        &mut self,
+        at: usize,
+        terms: impl IntoIterator<Item = (WideTerm, &'w [f64; N])>,
+    ) {
+        let lo = self.lo[at..].first_chunk_mut::<N>().expect("a lane block");
+        let hi = self.hi[at..].first_chunk_mut::<N>().expect("a lane block");
+        let mut acc = WideAcc { lo: *lo, hi: *hi };
+        for (a, w) in terms {
+            debug_assert!(a.is_finite(), "a block takes finite terms");
+            acc.mul_add_wide(a, w);
         }
+        (*lo, *hi) = (acc.lo, acc.hi);
     }
 
-    /// The sound enclosures of lanes `at..at + out.len()` — outputs that
-    /// shared one term list — under the list's error bound `e`.
+    /// Lists `at..at + M` count `terms` in order: list `at + j` adds the
+    /// term `(a, wmax)` with `wmax[j]` ([`WideMag::add`]) where `real[j]` is
+    /// one, and nothing where it is zero (there `wmax[j]` must be zero too).
+    /// The terms must be finite.
     ///
     /// # Panics
     ///
-    /// Panics when the lanes leave those of the last [`WideRow::reset`].
+    /// Panics when the block leaves the row's lists and their reach.
+    #[inline(always)]
+    pub fn count<'w, const M: usize>(
+        &mut self,
+        at: usize,
+        terms: impl IntoIterator<Item = (WideTerm, &'w [f64; M])>,
+        real: &[f64; M],
+    ) {
+        let t = self.t[at..].first_chunk_mut::<M>().expect("a list block");
+        let counts = self.terms[at..]
+            .first_chunk_mut::<M>()
+            .expect("a list block");
+        let (mut sum, mut fed) = (*t, 0.0);
+        for (a, wmax) in terms {
+            for j in 0..M {
+                sum[j] += a.mag * wmax[j];
+            }
+            fed += 1.0;
+        }
+        *t = sum;
+        for j in 0..M {
+            counts[j] += fed * real[j];
+        }
+    }
+
+    /// Lists `at..at + lists` have met a term that is not finite: they have
+    /// no bound, whatever else they are fed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lists leave the row's.
     #[inline]
-    pub fn finish<F: Fp>(&self, at: usize, e: Widening, out: &mut [Itv<F>]) {
-        let (lo, hi) = (&self.lo[at..at + out.len()], &self.hi[at..at + out.len()]);
-        for ((v, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
-            *v = e.enclose(lo, hi);
+    pub fn unbind(&mut self, at: usize, lists: usize) {
+        self.t[at..at + lists].fill(f64::INFINITY);
+    }
+
+    /// The sound enclosures of the row's lists into `out`, and the row back
+    /// at exact zero for the next. `out` holds rows of `width` lists, row
+    /// `r`'s list `b` being the row's list `r·stride + first + b` — the lists
+    /// between, and `first` more after the last row, are the caller's
+    /// scratch and are dropped (and zeroed with the rest). First every list's
+    /// bound — [`WideMag::finish`]'s, bit for bit, computed without a branch
+    /// so that the loop over a row's lists vectorizes — then every lane's
+    /// enclosure under its list's bound, lane after lane. A list nobody fed
+    /// has the bound zero
+    /// over sums at `+0.0`, so its lanes are exact `[+0, +0]`. The lists of
+    /// `out` whose `T` is not finite are handed to `unbounded(list, lanes)`
+    /// last, to be recomputed on the per-step chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is not whole rows, or they leave the row's lists.
+    #[inline(always)]
+    pub fn finish<F: Fp>(
+        &mut self,
+        out: &mut [Itv<F>],
+        (width, stride, first): (usize, usize, usize),
+        mut unbounded: impl FnMut(usize, &mut [Itv<F>]),
+    ) {
+        let group = self.group;
+        assert!(
+            out.len().is_multiple_of(width * group),
+            "whole rows of lists"
+        );
+        let rows = out.len() / (width * group);
+        self.e.resize(out.len(), 0.0);
+        self.bounds.resize(width, 0.0);
+        self.unbounded.clear();
+        for (r, e) in self.e.chunks_exact_mut(width * group).enumerate() {
+            let at = r * stride + first;
+            let (t, terms) = (&self.t[at..at + width], &self.terms[at..at + width]);
+            // Lane-wise over the row's lists, so without a branch.
+            let (mut finite, mut counted) = (true, true);
+            for ((bound, &t), &terms) in self.bounds.iter_mut().zip(t).zip(terms) {
+                *bound = bound_of(t, terms);
+                finite &= t.is_finite();
+                counted &= terms <= MAX_TERMS;
+            }
+            assert!(counted, "wide accumulation over too many terms");
+            if !finite {
+                let unbounded = t.iter().enumerate().filter(|(_, t)| !t.is_finite());
+                self.unbounded.extend(unbounded.map(|(b, _)| r * width + b));
+            }
+            if group == 1 {
+                e.copy_from_slice(&self.bounds);
+            } else {
+                for (e, &bound) in e.chunks_exact_mut(group).zip(&self.bounds) {
+                    e.fill(bound);
+                }
+            }
+        }
+        let lanes = width * group;
+        for (r, (out, e)) in out
+            .chunks_exact_mut(lanes)
+            .zip(self.e.chunks_exact(lanes))
+            .enumerate()
+        {
+            let at = (r * stride + first) * group;
+            let (lo, hi) = (&self.lo[at..at + lanes], &self.hi[at..at + lanes]);
+            for (((v, &lo), &hi), &e) in out.iter_mut().zip(lo).zip(hi).zip(e) {
+                *v = Widening(e).enclose(lo, hi);
+            }
+        }
+        let lists = rows * stride + first;
+        self.t[..lists].fill(0.0);
+        self.terms[..lists].fill(0.0);
+        self.lo[..lists * group].fill(0.0);
+        self.hi[..lists * group].fill(0.0);
+        for &q in &self.unbounded {
+            unbounded(q, &mut out[q * group..(q + 1) * group]);
         }
     }
 }
@@ -945,6 +1112,34 @@ mod tests {
     }
 
     #[test]
+    fn the_branch_free_bound_is_the_lists_bound() {
+        for t in [
+            0.0,
+            f64::MIN_POSITIVE * f64::EPSILON,
+            1e-300,
+            0.5,
+            1.0,
+            1.5,
+            3e7,
+            1e300,
+        ] {
+            for terms in [0.0, 1.0, 2.0, 3.0, 1000.0, 1048576.0, MAX_TERMS] {
+                let want = WideMag {
+                    t,
+                    rounded: terms as usize,
+                }
+                .finish()
+                .expect("finite");
+                assert_eq!(
+                    bound_of(t, terms).to_bits(),
+                    want.0.to_bits(),
+                    "T {t:e}, {terms} terms"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_row_of_lanes_sums_like_register_lanes() {
         let terms = [
             (Itv::new(0.1_f32, 0.2), [3.0_f32, -3.0, 0.0, 1e-3]),
@@ -953,21 +1148,46 @@ mod tests {
         ];
         let mut mag = WideMag::new::<f32>(&[]);
         let mut acc = WideAcc::<4>::new::<f32>(&[]);
-        let mut row = WideRow::default();
-        row.reset(9); // lanes 3..7 take the terms, the others stay at zero
+        // Six lists of two lanes, read back as two rows of two lists three
+        // apart from list 1 (lists 0 and 3 are scratch). List 1 and 2 — lanes
+        // 2..6 — take the terms through a block of eight lanes whose last
+        // four weights are zeros, so list 4 sees `±0.0` added; list 5 is
+        // unbound, so it is handed back.
+        let mut row = WideRow::new(6, 2, 8);
+        let wide: Vec<[f64; 8]> = terms
+            .iter()
+            .map(|(_, w)| {
+                let mut wide = [0.0; 8];
+                wide[..4].copy_from_slice(&w.map(f64::from));
+                wide
+            })
+            .collect();
+        let wmax: Vec<[f64; 4]> = terms
+            .iter()
+            .map(|(_, w)| [max_mag(w), max_mag(w), 0.0, 0.0])
+            .collect();
         for (a, w) in &terms {
             let a = WideTerm::new(*a);
             mag.add(a, max_mag(w));
             acc.mul_add(a, w);
-            row.mul_add(3, a, &w.map(f64::from));
         }
+        let fed = || terms.iter().map(|&(a, _)| WideTerm::new(a));
+        row.mul_add::<8>(2, fed().zip(&wide));
+        row.count::<4>(1, fed().zip(&wmax), &[1.0, 1.0, 0.0, 0.0]);
+        row.unbind(5, 1);
         let e = mag.finish().expect("finite operands");
-        let mut got = [Itv::point(9.0_f32); 9];
-        row.finish(0, e, &mut got);
+        let mut got = [Itv::point(9.0_f32); 8];
+        let mut handed = Vec::new();
+        row.finish(&mut got, (2, 3, 1), |list, out| {
+            handed.push((list, out.len()));
+            out.fill(Itv::point(7.0));
+        });
+        assert_eq!(handed, [(3, 2)]);
         for (j, y) in got.iter().enumerate() {
             let want: Itv<f32> = match j {
-                3..=6 => acc.finish(j - 3, e),
-                _ => e.enclose(0.0, 0.0),
+                0..=3 => acc.finish(j, e),
+                6.. => Itv::point(7.0),
+                _ => Itv::zero(),
             };
             assert_eq!(
                 (y.lo.to_bits(), y.hi.to_bits()),
@@ -975,10 +1195,11 @@ mod tests {
                 "lane {j}"
             );
         }
-        // A reset row is exact zeros again, whatever it held.
-        row.reset(2);
-        let mut zeros = [Itv::point(9.0_f32); 2];
-        row.finish(0, WideMag::new::<f32>(&[]).finish().unwrap(), &mut zeros);
+        // A finished row is exact zeros again, whatever it held.
+        let mut zeros = [Itv::point(9.0_f32); 8];
+        row.finish(&mut zeros, (2, 3, 1), |list, _| {
+            panic!("list {list} has no terms")
+        });
         assert!(zeros
             .iter()
             .all(|z| z.lo.to_bits() == 0 && z.hi.to_bits() == 0));
