@@ -1,10 +1,11 @@
 //! The layer-by-layer analysis driver (paper §4.2).
 //!
-//! A forward interval pass seeds concrete bounds for every node; then ReLU
-//! layers are visited in topological order and the bounds of their *inputs*
-//! are refined by backsubstitution — restricted, when early termination is
-//! on, to neurons whose sign is not yet fixed. After each refinement a
-//! forward interval pass updates the approximations of the following layers.
+//! One forward interval pass computes every node's concrete bounds, each
+//! node once, from its parents' final bounds; ReLU layers are visited in
+//! topological order and the bounds of their *inputs* are refined by
+//! backsubstitution — restricted, when early termination is on, to neurons
+//! whose sign is not yet fixed — as soon as the pass reaches them. The pass
+//! stops at each ReLU input until it is refined and goes on from there.
 //!
 //! # Rows are the parallel grain
 //!
@@ -30,15 +31,15 @@
 //! branch-and-bound generations and tier escalations.
 //!
 //! What is left serial is the host work between two layers' sections: the
-//! forward interval update of everything downstream of a refined node, the
-//! round-off notes and the seeding pass (parallel across the queries of a
-//! fused batch, over every device of a pool; one thread for a single
-//! query).
+//! stretch of the forward pass from one refined node to the next ReLU input,
+//! and that layer's row selection. It runs parallel across the queries of a
+//! fused batch, over every device of a pool; a single query's runs on one
+//! thread while the device's other workers wait.
 
 use std::ops::Range;
 
 use gpupoly_device::{Backend, Device, DeviceError};
-use gpupoly_interval::{round, Fp, Itv};
+use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, NodeId, Op};
 use rayon::prelude::*;
 
@@ -96,8 +97,11 @@ pub struct Analysis<F> {
     /// map of its (computed) input, anywhere in the input region. A
     /// backsubstitution step treats the node as that exact map, so a row owes
     /// `Σ |coefficient| · round_off` to its constants before it steps through
-    /// ([`crate::ExprBatch::absorb_round_off`]). Empty for the nodes that are
-    /// exact (input, ReLU), and for every node when
+    /// ([`crate::ExprBatch::absorb_round_off`]). It is taken where the node's
+    /// bounds are computed, over its parents' final bounds
+    /// ([`Graph::eval_node_itv`]); for a residual add, from the node's bounds
+    /// before any refinement of its own. Empty for the nodes that are exact
+    /// (input, ReLU), and for every node when
     /// [`VerifyConfig::account_inference_error`] is off.
     pub round_off: Vec<Vec<F>>,
     /// Work counters.
@@ -110,8 +114,9 @@ impl<F: Fp> Analysis<F> {
         self.bounds.last().expect("non-empty graph")
     }
 
-    /// The state an analysis starts from: forward interval bounds, no
-    /// round-off noted and no work counted yet.
+    /// An analysis of the nodes `bounds` holds, a prefix of the graph's
+    /// (the input box alone where an analysis starts): no round-off noted
+    /// and no work counted yet.
     pub(crate) fn seeded(bounds: Vec<Vec<Itv<F>>>) -> Self {
         Self {
             round_off: vec![Vec::new(); bounds.len()],
@@ -120,39 +125,19 @@ impl<F: Fp> Analysis<F> {
         }
     }
 
-    /// Notes the round-off of every node up to `upto` that has none yet,
-    /// from the bounds as they stand. The schedule calls this before its
-    /// walks first step through those nodes — by then everything up to `upto`
-    /// has its final bounds — and bounds only tighten, so what was noted
-    /// earlier stays valid.
-    fn note_round_off(&mut self, graph: &Graph<'_, F>, cfg: &VerifyConfig, upto: NodeId) {
-        if !cfg.account_inference_error {
-            return;
-        }
-        for (i, node) in graph.nodes.iter().enumerate().take(upto + 1) {
-            if !self.round_off[i].is_empty() || matches!(node.op, Op::Input | Op::Relu) {
-                continue;
+    /// Computes every node after the last one computed, up to `upto`, from
+    /// its parents' bounds as they stand ([`Graph::eval_node_itv`]), and
+    /// keeps its round-off when inference error is accounted. The schedule
+    /// calls this once a ReLU input is refined, up to the next one, so
+    /// every node is computed once, over its parents' final bounds.
+    fn forward_to(&mut self, graph: &Graph<'_, F>, cfg: &VerifyConfig, upto: NodeId) {
+        for id in self.bounds.len()..=upto {
+            let (bounds, mut round_off) = graph.eval_node_itv(id, &self.bounds);
+            if !cfg.account_inference_error {
+                round_off = Vec::new();
             }
-            let mut err = vec![F::ZERO; node.shape.len()];
-            let mut image = vec![Itv::zero(); err.len()];
-            match &node.op {
-                Op::Dense(d) => {
-                    d.forward_itv_round_off(&self.bounds[node.parents[0]], &mut image, &mut err)
-                }
-                Op::Conv(c) => {
-                    c.forward_itv_round_off(&self.bounds[node.parents[0]], &mut image, &mut err)
-                }
-                // One rounded addition: within half an ulp of its result,
-                // which the node's own bounds hold.
-                Op::Add { .. } => {
-                    let u = F::EPSILON * F::HALF;
-                    for (e, b) in err.iter_mut().zip(&self.bounds[i]) {
-                        *e = round::mul_up(u, b.mag());
-                    }
-                }
-                Op::Input | Op::Relu => unreachable!("exact nodes are skipped above"),
-            }
-            self.round_off[i] = err;
+            self.bounds.push(bounds);
+            self.round_off.push(round_off);
         }
     }
 }
@@ -171,10 +156,24 @@ pub(crate) fn analyze<'n, F: Fp, B: Backend>(
 /// The §4.2 refinement schedule, for any number of same-network input boxes
 /// at once — the cross-query kernel-fusion driver.
 ///
-/// A preliminary forward interval pass seeds every box's bounds. Then, at
-/// every ReLU layer of the precomputed topological schedule (ReLUs directly
-/// on the input are skipped at preparation time: their bounds are already
-/// exact), the selected rows of every query are stacked into one
+/// Every box's forward interval pass runs in stretches: up to the first
+/// ReLU input before any walk, from one refined ReLU input to the next
+/// between two layers' walks, and on to the output after the last. So each
+/// node is computed once, when its parents' bounds are final, and its
+/// round-off is noted from those bounds ([`Analysis::forward_to`]). A
+/// refined node's bounds are its forward bounds intersected with what its
+/// walks find; every other node's are its forward bounds over its parents'
+/// final ones — what a forward pass over everything downstream of each
+/// refined node, intersected with the bounds before it, leaves, since the
+/// interval forward is inclusion-monotone. (The ReLU inputs are in node
+/// order except where a residual branch opens with a ReLU on the block's
+/// head while the other branch has ReLUs of its own: that branch, up to its
+/// last ReLU input, is computed from the head's bounds before the head is
+/// refined — sound, and looser than a pass after it.)
+///
+/// At every ReLU layer of the precomputed topological schedule (ReLUs
+/// directly on the input are skipped at preparation time: their bounds are
+/// already exact), the selected rows of every query are stacked into one
 /// [`ExprBatch`] (tagged with a per-row query-segment index), so each
 /// backsubstitution step issues one large GEMM/GBC/ReLU launch for all
 /// queries instead of one small walk per query. A single box is a batch of
@@ -198,10 +197,9 @@ pub(crate) fn analyze<'n, F: Fp, B: Backend>(
 /// batch shares both.
 ///
 /// The walks run on `lanes` ([`walk_streams`]). Between two layers' walks
-/// each query has host work — the forward update of what the last layer
-/// refined, the next one's row selection and round-off notes — done in one
-/// pass, the queries cut into one block a lane and each block spread over
-/// its device's workers.
+/// each query has host work — its stretch of the forward pass and the next
+/// layer's row selection — done in one pass, the queries cut into one block
+/// a lane and each block spread over its device's workers.
 pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
     lanes: &[Lane<'n, F, B>],
     graph: &Graph<'n, F>,
@@ -225,46 +223,28 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
     let plan = lanes[0].prepared.relu_plan();
     let mut analyses: Vec<Analysis<F>> = inputs
         .iter()
-        .map(|_| Analysis::seeded(Vec::new()))
+        .map(|input| Analysis::seeded(vec![input.to_vec()]))
         .collect();
-    // Per query, the rows its last walked layer selected.
+    // Per query, the rows of the layer about to be walked.
     let mut sels: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
     for step in 0..=plan.len() {
-        let walked = step.checked_sub(1).map(|s| plan[s].1);
         let next = plan.get(step).map(|&(_relu, p)| p);
         // A query's host work between two layers' walks, queries spread over
-        // the devices: finish the layer just walked, then ready the next.
-        let mut queries: Vec<_> = analyses.iter_mut().zip(&mut sels).zip(inputs).collect();
-        on_each_device(lanes, &mut queries, &|((a, sel), input)| {
-            match walked {
-                // Preliminary forward interval analysis (§4.2).
-                None => **a = Analysis::seeded(graph.eval_itv(input)),
-                // Forward interval update of everything downstream of the
-                // refined node, intersected with the existing (still sound)
-                // bounds; a query with nothing selected skips it.
-                Some(p) if !sel.is_empty() => forward_update(graph, &mut a.bounds, p),
-                Some(_) => {}
-            }
-            match next {
-                // Row selection; only a query about to walk needs its
-                // round-off noted.
-                Some(p) => {
-                    a.stats.relu_nodes += 1;
-                    let b = &a.bounds[p];
-                    **sel = if cfg.early_termination {
-                        (0..b.len()).filter(|&i| b[i].straddles_zero()).collect()
-                    } else {
-                        (0..b.len()).collect()
-                    };
-                    a.stats.rows_skipped_stable += b.len() - sel.len();
-                    a.stats.rows_refined += sel.len();
-                    if !sel.is_empty() {
-                        a.note_round_off(graph, cfg, p);
-                    }
-                }
-                // The rest, for the walks that start at the output (spec
-                // checks).
-                None => a.note_round_off(graph, cfg, graph.output()),
+        // the devices: the forward pass up to the next ReLU input (the
+        // output after the last walk), then that layer's row selection.
+        let mut queries: Vec<_> = analyses.iter_mut().zip(&mut sels).collect();
+        on_each_device(lanes, &mut queries, &|(a, sel)| {
+            a.forward_to(graph, cfg, next.unwrap_or(graph.output()));
+            if let Some(p) = next {
+                a.stats.relu_nodes += 1;
+                let b = &a.bounds[p];
+                **sel = if cfg.early_termination {
+                    (0..b.len()).filter(|&i| b[i].straddles_zero()).collect()
+                } else {
+                    (0..b.len()).collect()
+                };
+                a.stats.rows_skipped_stable += b.len() - sel.len();
+                a.stats.rows_refined += sel.len();
             }
         });
         if let Some(p) = next {
@@ -715,43 +695,6 @@ fn initial_batch<F: Fp, B: Backend>(
             ExprBatch::from_conv_with(device, c, weight, bias, rows, par, round_off)
         }
         _ => ExprBatch::identity(device, p, node.shape, rows),
-    }
-}
-
-/// Recomputes forward interval bounds for every node after `from`,
-/// intersecting with the existing bounds (both are sound, so the
-/// intersection is sound and at least as tight).
-fn forward_update<F: Fp>(graph: &Graph<'_, F>, bounds: &mut [Vec<Itv<F>>], from: NodeId) {
-    for i in (from + 1)..graph.nodes.len() {
-        let fresh: Vec<Itv<F>> = match &graph.nodes[i].op {
-            Op::Input => continue,
-            Op::Dense(d) => {
-                let x = &bounds[graph.nodes[i].parents[0]];
-                let mut y = vec![Itv::zero(); d.out_len];
-                d.forward_itv(x, &mut y);
-                y
-            }
-            Op::Conv(c) => {
-                let x = &bounds[graph.nodes[i].parents[0]];
-                let mut y = vec![Itv::zero(); c.out_shape.len()];
-                c.forward_itv(x, &mut y);
-                y
-            }
-            Op::Relu => bounds[graph.nodes[i].parents[0]]
-                .iter()
-                .map(|b| Itv::new(b.lo.max(F::ZERO), b.hi.max(F::ZERO)))
-                .collect(),
-            Op::Add { .. } => {
-                let a = &bounds[graph.nodes[i].parents[0]];
-                let b = &bounds[graph.nodes[i].parents[1]];
-                a.iter().zip(b).map(|(&x, &y)| x.add(y)).collect()
-            }
-        };
-        for (cur, new) in bounds[i].iter_mut().zip(fresh) {
-            if let Some(t) = cur.intersect(new) {
-                *cur = t;
-            }
-        }
     }
 }
 

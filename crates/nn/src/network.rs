@@ -1,6 +1,6 @@
 //! Structured networks and their flattened computation graphs.
 
-use gpupoly_interval::{Fp, Itv};
+use gpupoly_interval::{round, Fp, Itv};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{relu_forward, relu_forward_itv, Conv2d, Dense, NetworkError, Shape};
@@ -523,7 +523,8 @@ impl<F: Fp> Graph<'_, F> {
 
     /// Evaluates every node with sound interval arithmetic; returns bounds
     /// per node. This is the "forward interval analysis" GPUPoly runs as a
-    /// preliminary step for early termination (§4.2).
+    /// preliminary step for early termination (§4.2): [`Graph::eval_node_itv`]
+    /// node after node.
     ///
     /// # Panics
     ///
@@ -535,36 +536,48 @@ impl<F: Fp> Graph<'_, F> {
             "input length mismatch"
         );
         let mut acts: Vec<Vec<Itv<F>>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let out = match &node.op {
-                Op::Input => input.to_vec(),
-                Op::Dense(d) => {
-                    let x = &acts[node.parents[0]];
-                    let mut y = vec![Itv::zero(); d.out_len];
-                    d.forward_itv(x, &mut y);
-                    y
-                }
-                Op::Conv(c) => {
-                    let x = &acts[node.parents[0]];
-                    let mut y = vec![Itv::zero(); c.out_shape.len()];
-                    c.forward_itv(x, &mut y);
-                    y
-                }
-                Op::Relu => {
-                    let x = &acts[node.parents[0]];
-                    let mut y = vec![Itv::zero(); x.len()];
-                    relu_forward_itv(x, &mut y);
-                    y
-                }
-                Op::Add { .. } => {
-                    let a = &acts[node.parents[0]];
-                    let b = &acts[node.parents[1]];
-                    a.iter().zip(b).map(|(&x, &y)| x.add(y)).collect()
-                }
-            };
+        acts.push(input.to_vec());
+        for id in 1..self.nodes.len() {
+            let (out, _round_off) = self.eval_node_itv(id, &acts);
             acts.push(out);
         }
         acts
+    }
+
+    /// The sound interval forward of node `id` from its parents' bounds
+    /// (`bounds` holds every node before `id`; only the parents' are read),
+    /// and the node's inference round-off over those bounds: for a dense or
+    /// convolution node what [`Dense::forward_itv_round_off`] gives, for a
+    /// residual add half an ulp of the node's fresh bounds (one rounded
+    /// addition), empty for a ReLU, which is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the input node (its bounds are the input box) and when
+    /// `bounds` misses a parent of `id`.
+    pub fn eval_node_itv(&self, id: NodeId, bounds: &[Vec<Itv<F>>]) -> (Vec<Itv<F>>, Vec<F>) {
+        let node = &self.nodes[id];
+        let len = node.shape.len();
+        let mut y = vec![Itv::zero(); len];
+        let mut err = match node.op {
+            Op::Relu => Vec::new(),
+            _ => vec![F::ZERO; len],
+        };
+        match &node.op {
+            Op::Input => panic!("the input node's bounds are the input box"),
+            Op::Dense(d) => d.forward_itv_round_off(&bounds[node.parents[0]], &mut y, &mut err),
+            Op::Conv(c) => c.forward_itv_round_off(&bounds[node.parents[0]], &mut y, &mut err),
+            Op::Relu => relu_forward_itv(&bounds[node.parents[0]], &mut y),
+            Op::Add { .. } => {
+                let (a, b) = (&bounds[node.parents[0]], &bounds[node.parents[1]]);
+                let u = F::EPSILON * F::HALF;
+                for (((y, e), &x), &z) in y.iter_mut().zip(&mut err).zip(a).zip(b) {
+                    *y = x.add(z);
+                    *e = round::mul_up(u, y.mag());
+                }
+            }
+        }
+        (y, err)
     }
 }
 
@@ -724,5 +737,35 @@ mod tests {
         let back = Network::<f32>::from_json(&s).unwrap();
         assert_eq!(net, back);
         assert!(Network::<f32>::from_json("{ not json").is_err());
+    }
+
+    #[test]
+    fn eval_node_itv_is_a_node_of_eval_itv_with_its_round_off() {
+        // A dense layer, its ReLU, and a residual add over the two.
+        let net = NetworkBuilder::new_flat(2)
+            .dense_flat(2, vec![0.3, -0.7, 1.1, 0.2], vec![0.1, -0.05])
+            .residual(|a| a.relu(), |b| b)
+            .build()
+            .unwrap();
+        let g = net.graph();
+        let input = [Itv::new(-0.5_f32, 0.5), Itv::new(0.25, 0.75)];
+        let all = g.eval_itv(&input);
+        for id in 1..g.nodes.len() {
+            let (bounds, err) = g.eval_node_itv(id, &all[..id]);
+            assert_eq!(bounds, all[id], "node {id}");
+            match g.nodes[id].op {
+                Op::Dense(d) => {
+                    let mut want = vec![0.0; 2];
+                    d.forward_itv_round_off(&all[0], &mut [Itv::zero(); 2], &mut want);
+                    assert_eq!(err, want);
+                }
+                Op::Relu => assert!(err.is_empty()),
+                Op::Add { .. } => {
+                    let half_ulp = |b: &Itv<f32>| round::mul_up(f32::EPSILON * 0.5, b.mag());
+                    assert_eq!(err, bounds.iter().map(half_ulp).collect::<Vec<_>>());
+                }
+                Op::Input | Op::Conv(_) => unreachable!(),
+            }
+        }
     }
 }
