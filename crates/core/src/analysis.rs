@@ -24,11 +24,16 @@
 //! termination has thinned the rows. Every list is cut, however short, and
 //! no kernel splits its rows: whole walks side by side are the only
 //! parallelism a backsubstitution has. A pool's devices are more stream slots
-//! of the same cut, so one query's refinement spans the pool. The spec walks
-//! that follow an analysis go through the same schedule
-//! ([`crate::Engine::check_spec_with`], the fused driver's stacked spec
-//! rows), and so does everything that reaches the one driver:
-//! branch-and-bound generations and tier escalations.
+//! of the same cut, so one query's refinement spans the pool.
+//!
+//! The engine reaches this module through one driver, for one box or many
+//! ([`crate::Engine`]): its one cache-and-gate routine hands
+//! [`analyze_fused`] the boxes it claimed (a single query's is a batch of
+//! one), and its one spec walk takes the rows of any number of (spec,
+//! analysis) segments through the same schedule — one segment for
+//! [`crate::Engine::check_spec_with`], one per box of a batch. Every entry
+//! goes that way: a query, a spec, a fused batch, a branch-and-bound
+//! generation, a tier escalation.
 //!
 //! What is left serial is the host work between two layers' sections: the
 //! stretch of the forward pass from one refined node to the next ReLU input,
@@ -140,17 +145,6 @@ impl<F: Fp> Analysis<F> {
             self.round_off.push(round_off);
         }
     }
-}
-
-/// One input box through the schedule: [`analyze_fused`] over a batch of one.
-pub(crate) fn analyze<'n, F: Fp, B: Backend>(
-    lanes: &[Lane<'n, F, B>],
-    graph: &Graph<'n, F>,
-    cfg: &VerifyConfig,
-    input: &[Itv<F>],
-) -> Result<Analysis<F>, VerifyError> {
-    let mut one = analyze_fused(lanes, graph, cfg, &[input])?;
-    Ok(one.pop().expect("one analysis per box"))
 }
 
 /// The §4.2 refinement schedule, for any number of same-network input boxes
@@ -644,18 +638,13 @@ fn fused_chunk_walk<'n, F: Fp, B: Backend>(
         .iter()
         .map(|(k, ns)| initial_batch(device, graph, prepared, &analyses[*k], p, ns))
         .collect::<Result<Vec<_>, _>>()?;
-    let stacked = if batches.len() == 1 {
-        batches.into_iter().next().expect("one batch")
-    } else {
-        ExprBatch::stack(device, batches)?
-    };
     let walker = Walker {
         device,
         graph,
         prepared,
         segs: runs.iter().map(|(k, _)| &analyses[*k]).collect(),
     };
-    walker.run(stacked, rule)
+    walker.run(ExprBatch::stack(device, batches)?, rule)
 }
 
 /// The starting expression for refining node `p`'s neurons: the layer's own
@@ -716,6 +705,18 @@ mod tests {
             device: device.clone(),
             prepared,
         }]
+    }
+
+    /// One box through the schedule on `lanes`.
+    fn analyze<'n>(
+        lanes: &[Lane<'n, f32, CpuSimBackend>],
+        graph: &Graph<'n, f32>,
+        cfg: &VerifyConfig,
+        input: &[Itv<f32>],
+    ) -> Result<Analysis<f32>, VerifyError> {
+        Ok(analyze_fused(lanes, graph, cfg, &[input])?
+            .pop()
+            .expect("one analysis per box"))
     }
 
     /// Prepares the graph and analyzes in one go.

@@ -298,7 +298,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             }
             let labels: Vec<usize> = frontier.iter().map(|&(p, _)| pend[p].label).collect();
             let boxes: Vec<Vec<Itv<F>>> = frontier.iter().map(|(_, b)| b.clone()).collect();
-            let results = self.verify_boxes_fused(&labels, boxes, true);
+            let results = self.verify_boxes_fused(&labels, &boxes, true);
 
             let mut next: Vec<(usize, Vec<Itv<F>>)> = Vec::new();
             for ((p, bx), result) in frontier.into_iter().zip(results) {

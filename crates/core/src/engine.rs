@@ -15,10 +15,14 @@
 //! * an LRU analysis cache keyed by the input box lets queries over a
 //!   repeated box (robustness sweeps over ε, several specs over one region)
 //!   share a single DeepPoly analysis;
-//! * every entry runs the same algorithm through one driver: a single
-//!   query's analysis is the fused analysis over a batch of one box,
-//!   [`Engine::verify_batch_fused`] is the walk driver, and branch-and-bound
-//!   refinement sends it each frontier generation;
+//! * every entry runs one driver, for one box or many: the ε-monotone probe,
+//!   then one cache-and-gate routine that resolves every box's analysis (one
+//!   fused analysis over the misses it claims), then one spec walk over every
+//!   (spec rows, analysis) segment. [`Engine::verify_robustness`],
+//!   [`Engine::verify_spec`] and [`Engine::verify_batch_fused`] go through
+//!   it alike, branch-and-bound refinement sends it each frontier
+//!   generation, and [`Engine::analyze`] / [`Engine::check_spec_with`] are
+//!   its two halves for one box;
 //! * an engine owns its devices: one ([`Engine::new`]) or a pool placed by a
 //!   [`Plan`] ([`Engine::on_pool`]), whose walking devices are more stream
 //!   slots of the one walk schedule ([`crate::analysis`]) behind one cache.
@@ -35,7 +39,7 @@ use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceStats};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Network, NodeId, Op};
 
-use crate::analysis::{analyze, analyze_fused, walk_streams, Analysis, AnalysisStats, Streamed};
+use crate::analysis::{analyze_fused, walk_streams, Analysis, AnalysisStats};
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard};
 use crate::sharded::Plan;
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
@@ -120,8 +124,10 @@ pub struct EngineStats {
     /// Refinable ReLU layers in the prepared schedule (the depth factor of
     /// [`Engine::query_cost`]).
     pub relu_layers: usize,
-    /// Batches that ran through the fused cross-query path
-    /// ([`Engine::verify_batch_fused`] without falling back).
+    /// Calls that walked two or more boxes together: a
+    /// [`Engine::verify_batch_fused`] with two or more queries left after
+    /// admission and the ε-monotone probe, or a branch-and-bound generation
+    /// of two or more boxes.
     pub fused_batches: u64,
     /// Kernel launches, summed over the engine's devices (device-wide
     /// counters: shared with other engines on the same device).
@@ -134,8 +140,10 @@ pub struct EngineStats {
     /// (device-wide).
     pub bytes_moved: u64,
     /// Exponentially-weighted moving average of measured wall milliseconds
-    /// per unit of [`Engine::query_cost`], fed by every
-    /// `verify_batch_fused` call. `0.0` until the first measured batch.
+    /// per unit of [`Engine::query_cost`], fed by every verifying entry
+    /// ([`Engine::verify_robustness`], [`Engine::verify_spec`],
+    /// [`Engine::verify_batch_fused`], branch-and-bound generations) that
+    /// walked. `0.0` until the first measured call.
     /// Admission layers multiply it with a query's cost hint to weigh a
     /// queue by estimated *time* instead of raw query count.
     pub ewma_ms_per_cost: f64,
@@ -451,6 +459,12 @@ type BoxKey = Arc<[u64]>;
 /// One query's outcome in a batch.
 type BatchVerdict<F> = Result<RobustnessVerdict<F>, VerifyError>;
 
+/// What the one driver verifies: a box and the spec rows to prove over it.
+type Job<'a, F> = (&'a [Itv<F>], &'a [SpecRow<F>]);
+
+/// One segment of a spec walk: spec rows and the analysis they read.
+type Segment<'a, F> = (&'a [SpecRow<F>], &'a Analysis<F>);
+
 /// One cached analysis together with the box it was computed over (kept so
 /// ε-monotone reuse can probe for containment without decoding key bits).
 struct CacheEntry<F> {
@@ -564,7 +578,7 @@ type InFlight = Mutex<HashMap<BoxKey, Arc<Mutex<()>>>>;
 /// The boxes one thread has claimed in an [`InFlight`] table
 /// ([`Engine::with_claims`]). Dropping it takes them out again — also when
 /// the owner unwinds: a key left behind with its gate open would have every
-/// later [`Engine::analyze`] of that box look, wait on nothing and look
+/// later [`Engine::resolve`] of that box look, wait on nothing and look
 /// again, forever.
 struct GateSet<'a> {
     map: &'a InFlight,
@@ -665,7 +679,7 @@ pub struct Engine<'n, F: Fp, B: Backend> {
     options: EngineOptions,
     /// Queries proven via ε-monotone reuse of a containing box's analysis.
     monotone_hits: AtomicU64,
-    /// Batches that went through the fused path without falling back.
+    /// Calls that walked two or more boxes together.
     fused_batches: AtomicU64,
     /// EWMA of measured wall ms per unit of [`Engine::query_cost`] (f64
     /// bit pattern; `0` until the first measured batch).
@@ -886,7 +900,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     }
 
     /// Runs (or reuses) the full DeepPoly analysis over an input box,
-    /// producing sound concrete bounds for every node. Results are shared
+    /// producing sound concrete bounds for every node: the input validated,
+    /// then the one cache-and-gate routine over one box. Results are shared
     /// through the LRU cache: repeated boxes return the same [`Arc`].
     ///
     /// # Errors
@@ -894,8 +909,13 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// [`VerifyError::BadQuery`] for a wrong input length,
     /// [`VerifyError::Device`] when even single-row chunks exceed memory.
     pub fn analyze(&self, input: &[Itv<F>]) -> Result<Arc<Analysis<F>>, VerifyError> {
-        // Validate the dimension before touching the cache, so a malformed
-        // box can never be keyed, gated or deduplicated.
+        self.check_input(input)?;
+        Ok(self.resolve(&[input])?.pop().expect("one analysis per box"))
+    }
+
+    /// Rejects a box of the wrong dimension before it can be keyed, gated or
+    /// deduplicated.
+    fn check_input(&self, input: &[Itv<F>]) -> Result<(), VerifyError> {
         let in_len = self.graph.nodes[0].shape.len();
         if input.len() != in_len {
             return Err(VerifyError::BadQuery(format!(
@@ -903,51 +923,124 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 input.len()
             )));
         }
-        if self.options.analysis_cache == 0 {
-            return Ok(Arc::new(self.analyze_fresh(input)?));
-        }
-        let key = box_key(input);
+        Ok(())
+    }
+
+    /// The one cache-and-gate routine: an analysis for every box of `boxes`,
+    /// in order, for one box or many. A box repeated in `boxes` is resolved
+    /// once. Cache hits are served; the misses this thread claims are
+    /// computed together by one [`analyze_fused`]; a box another thread is
+    /// computing is waited for on its gate and looked up again (concurrent
+    /// callers over one box share one analysis, whichever entries they came
+    /// through). Accounting is one true miss per computed analysis and one
+    /// hit per other lookup of a box. Without a cache every box is computed
+    /// once, and nothing is claimed or counted.
+    fn resolve(&self, boxes: &[&[Itv<F>]]) -> Result<Vec<Arc<Analysis<F>>>, VerifyError> {
+        let caching = self.options.analysis_cache > 0;
+        // Unique boxes in first-appearance order; `group_of[j]` is the one
+        // the j-th box is.
+        let mut index: HashMap<BoxKey, usize> = HashMap::new();
+        let mut unique: Vec<(BoxKey, &[Itv<F>])> = Vec::new();
+        let group_of: Vec<usize> = boxes
+            .iter()
+            .map(|&input| {
+                let key = box_key(input);
+                *index.entry(key.clone()).or_insert_with(|| {
+                    unique.push((key, input));
+                    unique.len() - 1
+                })
+            })
+            .collect();
+
+        let mut resolved: Vec<Option<Arc<Analysis<F>>>> = vec![None; unique.len()];
         loop {
-            if let Some(hit) = self.cache.lock().get(&key) {
-                return Ok(hit);
+            let mut open: Vec<usize> = (0..unique.len())
+                .filter(|&g| resolved[g].is_none())
+                .collect();
+            if caching {
+                let mut cache = self.cache.lock();
+                open.retain(|&g| match cache.get(&unique[g].0) {
+                    Some(hit) => {
+                        resolved[g] = Some(hit);
+                        false
+                    }
+                    None => true,
+                });
             }
-            // Claim the box, or wait for the thread already computing it
-            // (concurrent queries over one box must share one analysis, not
-            // race to duplicate it).
-            let computed = self.with_claims(std::slice::from_ref(&key), |owned| {
-                if !owned[0] {
-                    return None;
-                }
-                // Re-check: an owner may have finished (and released its
-                // claim) between our cache miss and our claim.
-                if let Some(hit) = self.cache.lock().get(&key) {
-                    return Some(Ok(hit));
-                }
-                self.cache.lock().note_computed();
-                Some(self.analyze_fresh(input).map(|analysis| {
-                    let analysis = Arc::new(analysis);
-                    self.cache
-                        .lock()
-                        .insert(key.clone(), input, analysis.clone());
-                    analysis
-                }))
-            });
-            if let Some(out) = computed {
-                return out;
+            if open.is_empty() {
+                break;
             }
-            // Block until the owner is done, then look again: its result is
+            // Claim the misses, or leave them to the threads already
+            // computing them.
+            let keys: Vec<BoxKey> = if caching {
+                open.iter().map(|&g| unique[g].0.clone()).collect()
+            } else {
+                Vec::new()
+            };
+            let theirs = self.with_claims(&keys, |owned| -> Result<Vec<usize>, VerifyError> {
+                let mut mine = Vec::new();
+                let mut theirs = Vec::new();
+                {
+                    let mut cache = self.cache.lock();
+                    for (i, &g) in open.iter().enumerate() {
+                        if !caching {
+                            mine.push(g);
+                        } else if !owned[i] {
+                            theirs.push(g);
+                        } else if let Some(hit) = cache.get(&unique[g].0) {
+                            // An owner finished (and released its claim)
+                            // between our look and our claim.
+                            resolved[g] = Some(hit);
+                        } else {
+                            mine.push(g);
+                        }
+                    }
+                }
+                if !mine.is_empty() {
+                    let inputs: Vec<&[Itv<F>]> = mine.iter().map(|&g| unique[g].1).collect();
+                    let computed = analyze_fused(&self.lanes, &self.graph, &self.cfg, &inputs)?;
+                    let mut cache = self.cache.lock();
+                    for (&g, analysis) in mine.iter().zip(computed) {
+                        let analysis = Arc::new(analysis);
+                        if caching {
+                            let (key, input) = &unique[g];
+                            cache.note_computed();
+                            cache.insert(key.clone(), input, analysis.clone());
+                        }
+                        resolved[g] = Some(analysis);
+                    }
+                }
+                Ok(theirs)
+            })?;
+            // Block until each owner is done, then look again: its result is
             // in the cache, or it failed and the box is free to claim.
-            let gate = self.in_flight.lock().get(&key).cloned();
-            if let Some(gate) = gate {
-                drop(gate.lock());
+            for g in theirs {
+                let gate = self.in_flight.lock().get(&unique[g].0).cloned();
+                if let Some(gate) = gate {
+                    drop(gate.lock());
+                }
             }
         }
+        // Each further occurrence of a box in `boxes` is one more lookup.
+        if caching {
+            let mut cache = self.cache.lock();
+            let mut seen = vec![false; unique.len()];
+            for &g in &group_of {
+                if std::mem::replace(&mut seen[g], true) {
+                    let _ = cache.get(&unique[g].0);
+                }
+            }
+        }
+        Ok(group_of
+            .iter()
+            .map(|&g| resolved[g].clone().expect("every box resolved"))
+            .collect())
     }
 
     /// The one way into the in-flight table: claims every box of `keys`
     /// that no other thread is computing and runs `body(owned)` holding
     /// their gates, `owned[i]` telling whether `keys[i]` is this thread's.
-    /// Concurrent [`Engine::analyze`] callers of a claimed box park on its
+    /// Concurrent [`Engine::resolve`] callers of a claimed box park on its
     /// gate instead of spinning; the claims are released when `body` is
     /// done — by return, error or unwind ([`GateSet`]), before the gates
     /// open.
@@ -977,12 +1070,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         body(&owned)
     }
 
-    fn analyze_fresh(&self, input: &[Itv<F>]) -> Result<Analysis<F>, VerifyError> {
-        analyze(&self.lanes, &self.graph, &self.cfg, input)
-    }
-
     /// Proves (or fails to prove) each row of a linear output spec over an
-    /// input box.
+    /// input box: the box and the spec validated, then the one driver over
+    /// one box.
     ///
     /// With [`EngineOptions::monotone_cache_reuse`] on, an analysis-cache
     /// miss first probes for a cached analysis over a *containing* box: its
@@ -1001,51 +1091,43 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         input: &[Itv<F>],
         spec: &LinearSpec<F>,
     ) -> Result<SpecVerdict<F>, VerifyError> {
-        if self.options.monotone_cache_reuse
-            && input.len() == self.graph.nodes[0].shape.len()
-            && input.iter().all(|b| !b.lo.is_nan() && !b.hi.is_nan())
-        {
-            if let Some(verdict) = self.prove_from_superset(input, spec)? {
-                return Ok(verdict);
-            }
-        }
-        let analysis = self.analyze(input)?;
-        self.check_spec_with(&analysis, spec)
+        self.check_input(input)?;
+        self.check_spec(spec)?;
+        self.verify_specs(&[(input, spec.rows())], self.options.monotone_cache_reuse)
+            .pop()
+            .expect("one verdict per box")
     }
 
     /// The ε-monotone probe: when the exact box misses the cache but a
-    /// cached analysis covers a box *containing* it, tries to prove `spec`
+    /// cached analysis covers a box *containing* it, tries to prove `rows`
     /// against that analysis. `Some` only for a complete proof (counted in
     /// `monotone_hits`); unproven rows are `None` — the over-approximation
-    /// is never used to refute — and so is an exact hit, which the normal
-    /// lookup serves (and counts).
-    fn prove_from_superset(
-        &self,
-        input: &[Itv<F>],
-        spec: &LinearSpec<F>,
-    ) -> Result<Option<SpecVerdict<F>>, VerifyError> {
+    /// is never used to refute — and so are an exact hit, which the normal
+    /// lookup serves (and counts), a box with a NaN bound, and a probe walk
+    /// that failed: the exact path follows.
+    fn prove_from_superset(&self, input: &[Itv<F>], rows: &[SpecRow<F>]) -> Option<SpecVerdict<F>> {
+        if input.iter().any(|b| b.lo.is_nan() || b.hi.is_nan()) {
+            return None;
+        }
         let key = box_key(input);
         let superset = {
             let cache = self.cache.lock();
             if cache.peek(&key) {
-                None
-            } else {
-                cache.get_containing(&key, input)
+                return None;
             }
+            cache.get_containing(&key, input)?
         };
-        let Some(superset) = superset else {
-            return Ok(None);
-        };
-        let verdict = self.check_spec_with(&superset, spec)?;
+        let verdict = self.walk_segments(&[(rows, &superset)]).ok()?.pop()?;
         if !verdict.all_proven() {
-            return Ok(None);
+            return None;
         }
         self.monotone_hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(verdict))
+        Some(verdict)
     }
 
     /// Spec check reusing an existing analysis (several specs over the same
-    /// input box share one analysis).
+    /// input box share one analysis): the analysis and the spec validated,
+    /// then the one spec walk over one segment.
     ///
     /// # Errors
     ///
@@ -1071,6 +1153,16 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                     .to_string(),
             ));
         }
+        self.check_spec(spec)?;
+        Ok(self
+            .walk_segments(&[(spec.rows(), analysis)])?
+            .pop()
+            .expect("one verdict per segment"))
+    }
+
+    /// Rejects a spec with no rows or with an output index past the
+    /// network's outputs.
+    fn check_spec(&self, spec: &LinearSpec<F>) -> Result<(), VerifyError> {
         if spec.rows().is_empty() {
             return Err(VerifyError::BadQuery(
                 "empty specification: a spec with zero rows proves nothing \
@@ -1088,18 +1180,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 }
             }
         }
-        let rows = spec.rows();
-        let out = walk_streams(
-            &self.lanes,
-            &self.cfg,
-            rows.len(),
-            1,
-            &|_| 0,
-            &|lane, part| self.walk_spec(lane, self.spec_batch(lane, &rows[part])?, vec![analysis]),
-        )?;
-        let mut stats = analysis.stats.clone();
-        stats.absorb_walk(out.work[0].stopped, out.work[0].candidates);
-        Ok(Self::spec_verdict(&out.best, stats))
+        Ok(())
     }
 
     /// Number of network outputs.
@@ -1130,6 +1211,58 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             batch.add_cst(r, Itv::point(row.cst));
         }
         Ok(batch)
+    }
+
+    /// The one spec walk: the rows of every segment `(rows, analysis)`,
+    /// concatenated in order into one list, through the one schedule
+    /// ([`walk_streams`]). Each walk of the list stacks one batch per
+    /// segment it covers, so every segment keeps its own relaxation tables;
+    /// a walk inside one segment stacks nothing. Returns one verdict per
+    /// segment, its analysis's work counters plus its rows' walks.
+    ///
+    /// Where the rows run is pure scheduling. Every kernel of the walk —
+    /// concretize, GEMM, GBC, ReLU substitution, compaction — is per-row:
+    /// rows never read or write each other, relaxation tables depend only on
+    /// the row's segment, and each element accumulates in ascending-`k`
+    /// order regardless of which rows share its launch (the backend
+    /// bit-reproducibility contract).
+    fn walk_segments(&self, segs: &[Segment<'_, F>]) -> Result<Vec<SpecVerdict<F>>, VerifyError> {
+        // Segment k owns rows `starts[k]..starts[k + 1]` of the list.
+        let mut starts = vec![0];
+        for (rows, _) in segs {
+            starts.push(starts[starts.len() - 1] + rows.len());
+        }
+        let seg_of = |r: usize| starts.partition_point(|&s| s <= r) - 1;
+        let walk = |lane: &Lane<'n, F, B>, part: Range<usize>| {
+            let mut batches = Vec::new();
+            let mut analyses = Vec::new();
+            for k in seg_of(part.start)..=seg_of(part.end - 1) {
+                let (rows, analysis) = segs[k];
+                let lo = part.start.max(starts[k]) - starts[k];
+                let hi = part.end.min(starts[k + 1]) - starts[k];
+                batches.push(self.spec_batch(lane, &rows[lo..hi])?);
+                analyses.push(analysis);
+            }
+            self.walk_spec(lane, ExprBatch::stack(&lane.device, batches)?, analyses)
+        };
+        let out = walk_streams(
+            &self.lanes,
+            &self.cfg,
+            starts[segs.len()],
+            segs.len(),
+            &seg_of,
+            &walk,
+        )?;
+        Ok(segs
+            .iter()
+            .zip(&out.work)
+            .enumerate()
+            .map(|(k, ((_, analysis), work))| {
+                let mut stats = analysis.stats.clone();
+                stats.absorb_walk(work.stopped, work.candidates);
+                Self::spec_verdict(&out.best[starts[k]..starts[k + 1]], stats)
+            })
+            .collect())
     }
 
     /// Walks a batch of spec rows to the input on `lane`; segment `k` of the
@@ -1167,6 +1300,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
 
     /// Certifies L∞ robustness of one query: every image within `eps` of
     /// `image` (clamped to the `[0, 1]` pixel domain) classifies as `label`.
+    /// The query validated into its box, then the one driver over one box.
     ///
     /// # Errors
     ///
@@ -1180,19 +1314,9 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         eps: F,
     ) -> Result<RobustnessVerdict<F>, VerifyError> {
         let input = self.robustness_box(image, label, eps)?;
-        self.verify_box(label, &input)
-    }
-
-    /// The robustness verdict for `label` over an already validated box
-    /// ([`Engine::robustness_box`]).
-    fn verify_box(
-        &self,
-        label: usize,
-        input: &[Itv<F>],
-    ) -> Result<RobustnessVerdict<F>, VerifyError> {
-        let out_len = self.out_len();
-        let verdict = self.verify_spec(input, &LinearSpec::robustness(label, out_len))?;
-        Ok(Self::robustness_verdict(label, out_len, verdict))
+        self.verify_boxes_fused(&[label], &[input], self.options.monotone_cache_reuse)
+            .pop()
+            .expect("one verdict per box")
     }
 
     /// Validates one robustness query and builds its clamped input box —
@@ -1271,7 +1395,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     fn with_admitted(
         &self,
         queries: &[Query<F>],
-        verify: impl FnOnce(&[usize], Vec<Vec<Itv<F>>>) -> Vec<BatchVerdict<F>>,
+        verify: impl FnOnce(&[usize], &[Vec<Itv<F>>]) -> Vec<BatchVerdict<F>>,
     ) -> Vec<BatchVerdict<F>> {
         let mut slots: Vec<Option<BatchVerdict<F>>> = queries.iter().map(|_| None).collect();
         let mut admitted: Vec<usize> = Vec::new();
@@ -1287,7 +1411,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 Err(e) => slots[i] = Some(Err(e)),
             }
         }
-        for (i, verdict) in admitted.into_iter().zip(verify(&labels, boxes)) {
+        for (i, verdict) in admitted.into_iter().zip(verify(&labels, &boxes)) {
             slots[i] = Some(verdict);
         }
         slots
@@ -1312,18 +1436,17 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// whole batch instead of one small walk per query — the paper's
     /// batched-bounds scaling lever applied *across* queries.
     ///
-    /// Each query's margins are **bit-identical** to the sequential
-    /// [`Engine::verify_robustness`] path (rows never interact across
-    /// queries; per-row arithmetic, refinement schedules and relaxation
-    /// choices are exactly the per-query ones), repeated input boxes share
-    /// one analysis through the cache, and results come back in submission
-    /// order.
+    /// This is the same driver [`Engine::verify_robustness`] runs over one
+    /// box, here over every admitted query's box. Each query's margins are
+    /// **bit-identical** to its own [`Engine::verify_robustness`] (rows
+    /// never interact across queries; per-row arithmetic, refinement
+    /// schedules and relaxation choices are exactly the per-query ones),
+    /// repeated input boxes share one analysis through the cache, and
+    /// results come back in submission order.
     ///
-    /// With nothing to fuse (fewer than two fusable queries), or after a
-    /// device failure inside the fused pipeline, the queries not already
-    /// resolved go one after the other through the
-    /// [`Engine::verify_robustness`] path — which is also what a device that
-    /// just ran out of memory should get: one query's rows at a time.
+    /// A walk that runs out of device memory is cut again, down to one row
+    /// with the device to itself; an error that still stands is every
+    /// admitted query's.
     ///
     /// With [`EngineOptions::monotone_cache_reuse`] enabled, each query
     /// whose exact box misses the cache first probes for a cached analysis
@@ -1338,285 +1461,95 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
         })
     }
 
-    /// The one walk driver: verifies *arbitrary* validated input boxes (one
-    /// robustness spec, hence one `labels[j]`, each) through the fused
-    /// cross-query pipeline. Query batches arrive here as their boxes;
-    /// branch-and-bound sends each frontier generation of sibling sub-boxes,
-    /// which share one launch per layer step exactly like a fused query
-    /// batch.
-    ///
-    /// Boxes must already be valid for this network (right length, finite,
-    /// inside the input domain) — they come from [`Engine::robustness_box`]
-    /// or from bisecting such a box. With `monotone` set, a box whose exact
-    /// analysis misses the cache first probes it for a cached analysis over
-    /// a *containing* box (an anchor query, an ancestor from an earlier
-    /// refinement, a sibling) and a successful superset proof resolves it
-    /// without any new analysis — proving only, same soundness rule as
-    /// [`EngineOptions::monotone_cache_reuse`]. Fewer than two boxes left to
-    /// fuse, or any device failure inside the fused pipeline, go one box
-    /// after the other (strictly more memory-frugal, same bits).
+    /// [`Engine::verify_specs`] over validated boxes with one robustness
+    /// spec each, `labels[j]` being box j's label. Query batches arrive here
+    /// as their boxes, a single query as a batch of one, and
+    /// branch-and-bound sends each frontier generation of sibling
+    /// sub-boxes.
     pub(crate) fn verify_boxes_fused(
         &self,
         labels: &[usize],
-        boxes: Vec<Vec<Itv<F>>>,
+        boxes: &[Vec<Itv<F>>],
         monotone: bool,
     ) -> Vec<BatchVerdict<F>> {
-        let started = Instant::now();
         let out_len = self.out_len();
-        let total_cost: f64 = boxes.iter().map(|b| self.box_cost(b)).sum();
-
-        let mut slots: Vec<Option<BatchVerdict<F>>> = boxes.iter().map(|_| None).collect();
-        let mut fusable: Vec<usize> = Vec::new();
-        let mut live_labels: Vec<usize> = Vec::new();
-        let mut live: Vec<Vec<Itv<F>>> = Vec::new();
-        for (j, input) in boxes.into_iter().enumerate() {
-            // Any probe failure (unproven rows or a device error) simply
-            // falls through to the exact path below.
-            let proof = if monotone {
-                let spec = LinearSpec::robustness(labels[j], out_len);
-                self.prove_from_superset(&input, &spec).ok().flatten()
-            } else {
-                None
-            };
-            match proof {
-                Some(verdict) => {
-                    slots[j] = Some(Ok(Self::robustness_verdict(labels[j], out_len, verdict)))
-                }
-                None => {
-                    fusable.push(j);
-                    live_labels.push(labels[j]);
-                    live.push(input);
-                }
-            }
-        }
-
-        let fused = if fusable.len() < 2 {
-            None
-        } else {
-            self.fused_pipeline(&live_labels, &live).ok()
-        };
-        let verdicts: Vec<BatchVerdict<F>> = match fused {
-            Some(verdicts) => {
-                self.fused_batches.fetch_add(1, Ordering::Relaxed);
-                self.note_batch_time(started.elapsed().as_secs_f64() * 1e3, total_cost);
-                verdicts.into_iter().map(Ok).collect()
-            }
-            None => {
-                let started = Instant::now();
-                let verdicts = live_labels
-                    .iter()
-                    .zip(&live)
-                    .map(|(&label, input)| self.verify_box(label, input))
-                    .collect();
-                self.note_batch_time(
-                    started.elapsed().as_secs_f64() * 1e3,
-                    live.iter().map(|b| self.box_cost(b)).sum(),
-                );
-                verdicts
-            }
-        };
-        for (j, verdict) in fusable.into_iter().zip(verdicts) {
-            slots[j] = Some(verdict);
-        }
-        slots
+        let specs: Vec<LinearSpec<F>> = labels
+            .iter()
+            .map(|&label| LinearSpec::robustness(label, out_len))
+            .collect();
+        let jobs: Vec<Job<'_, F>> = boxes
+            .iter()
+            .zip(&specs)
+            .map(|(input, spec)| (input.as_slice(), spec.rows()))
+            .collect();
+        self.verify_specs(&jobs, monotone)
             .into_iter()
-            .map(|slot| slot.expect("every box proven from a superset or verified"))
+            .zip(labels)
+            .map(|(verdict, &label)| verdict.map(|v| Self::robustness_verdict(label, out_len, v)))
             .collect()
     }
 
-    /// The fused pipeline proper: one analysis per unique box, then every
-    /// query's robustness-spec rows in one stacked row space through the one
-    /// schedule ([`walk_streams`]).
+    /// The one driver, from (box, spec rows) pairs to verdicts, for one box
+    /// or many: with `monotone` set, the ε-monotone probe per box (a cached
+    /// analysis over a *containing* box — an anchor query, an ancestor from
+    /// an earlier refinement, a sibling — proves it without any new
+    /// analysis; proving only, the soundness rule of
+    /// [`EngineOptions::monotone_cache_reuse`]); then [`Engine::resolve`]
+    /// over every box left; then one spec walk with a segment per box
+    /// ([`Engine::walk_segments`]). Boxes must already be valid for this
+    /// network (right length) and specs non-empty and in range.
     ///
-    /// Where the rows run is pure scheduling. Every kernel of the walk —
-    /// concretize, GEMM, GBC, ReLU substitution, compaction — is per-row:
-    /// rows never read or write each other, relaxation tables depend only on
-    /// the row's query segment, and each element accumulates in
-    /// ascending-`k` order regardless of which rows share its launch (the
-    /// backend bit-reproducibility contract).
-    fn fused_pipeline(
+    /// An error of the resolve or the walk is every walked box's: the walks
+    /// have already been cut down to one row with the device to itself
+    /// ([`walk_streams`]), so no box alone would fare better.
+    fn verify_specs(
         &self,
-        labels: &[usize],
-        boxes: &[Vec<Itv<F>>],
-    ) -> Result<Vec<RobustnessVerdict<F>>, VerifyError> {
-        // Unique boxes in first-appearance order: `groups[g]` is the index
-        // of group g's first box, `group_of[j]` the group of the j-th box.
-        let keys: Vec<BoxKey> = boxes.iter().map(|b| box_key(b)).collect();
-        let mut group_index: HashMap<&[u64], usize> = HashMap::new();
-        let mut groups: Vec<usize> = Vec::new();
-        let mut group_of: Vec<usize> = Vec::with_capacity(boxes.len());
-        for (j, key) in keys.iter().enumerate() {
-            let g = *group_index.entry(key.as_ref()).or_insert_with(|| {
-                groups.push(j);
-                groups.len() - 1
-            });
-            group_of.push(g);
-        }
-
-        let resolved = self.resolve_boxes(boxes, &keys, &groups, &group_of)?;
-        let analyses: Vec<&Analysis<F>> = group_of.iter().map(|&g| &*resolved[g]).collect();
-
-        // Query j owns rows [j·rpq, (j+1)·rpq) of the stacked row space.
-        let out_len = self.out_len();
-        let rpq = out_len - 1;
-        let walked = self.walk_spec_rows(labels, &analyses)?;
-        Ok(labels
+        jobs: &[Job<'_, F>],
+        monotone: bool,
+    ) -> Vec<Result<SpecVerdict<F>, VerifyError>> {
+        let started = Instant::now();
+        let mut slots: Vec<Option<Result<SpecVerdict<F>, VerifyError>>> = jobs
             .iter()
-            .enumerate()
-            .map(|(j, &label)| {
-                let mut stats = analyses[j].stats.clone();
-                stats.absorb_walk(walked.work[j].stopped, walked.work[j].candidates);
-                let verdict = Self::spec_verdict(&walked.best[j * rpq..(j + 1) * rpq], stats);
-                Self::robustness_verdict(label, out_len, verdict)
+            .map(|&(input, rows)| {
+                monotone
+                    .then(|| self.prove_from_superset(input, rows))
+                    .flatten()
+                    .map(Ok)
             })
-            .collect())
-    }
-
-    /// The stacked robustness-spec row space (query j owns rows
-    /// `[j·rpq, (j+1)·rpq)` and reads `analyses[j]`), through the one
-    /// schedule ([`walk_streams`]). Each of its walks is one multi-segment
-    /// pass: per-query sub-batches covering the walk's rows, stacked so each
-    /// query keeps its own segment (and hence its own relaxation tables).
-    fn walk_spec_rows(
-        &self,
-        labels: &[usize],
-        analyses: &[&Analysis<F>],
-    ) -> Result<Streamed<F>, VerifyError> {
-        let out_len = self.out_len();
-        let rpq = out_len - 1;
-        let walk = |lane: &Lane<'n, F, B>, part: Range<usize>| {
-            let mut batches = Vec::new();
-            let mut segs = Vec::new();
-            for j in part.start / rpq..=(part.end - 1) / rpq {
-                let spec = LinearSpec::robustness(labels[j], out_len);
-                let lo = part.start.max(j * rpq) - j * rpq;
-                let hi = part.end.min((j + 1) * rpq) - j * rpq;
-                batches.push(self.spec_batch(lane, &spec.rows()[lo..hi])?);
-                segs.push(analyses[j]);
-            }
-            self.walk_spec(lane, ExprBatch::stack(&lane.device, batches)?, segs)
-        };
-        walk_streams(
-            &self.lanes,
-            &self.cfg,
-            labels.len() * rpq,
-            labels.len(),
-            &|r| r / rpq,
-            &walk,
-        )
-    }
-
-    /// The cache-and-gate half of the fused pipeline: one analysis per
-    /// unique box, served from the cache or computed together by one fused
-    /// multi-query analysis. `groups[g]` indexes the g-th unique box in
-    /// `boxes` / `keys`; `group_of` lists, per query and in query order,
-    /// which one it is over.
-    fn resolve_boxes(
-        &self,
-        boxes: &[Vec<Itv<F>>],
-        keys: &[BoxKey],
-        groups: &[usize],
-        group_of: &[usize],
-    ) -> Result<Vec<Arc<Analysis<F>>>, VerifyError> {
-        let caching = self.options.analysis_cache > 0;
-
-        // Which boxes miss the cache (peeked without counting — the real
-        // lookups below reproduce the sequential hit/miss accounting).
-        let missed: Vec<usize> = {
-            let cache = self.cache.lock();
-            (0..groups.len())
-                .filter(|&g| !caching || !cache.peek(&keys[groups[g]]))
-                .collect()
-        };
-        let mut analyses: Vec<Option<Arc<Analysis<F>>>> = vec![None; groups.len()];
-        // Dedup against concurrent analyses of the same boxes: claim every
-        // missed box, exactly like [`Engine::analyze`]. A box another thread
-        // is already computing is *deferred* — left out of our fused analysis
-        // and resolved through the gated path below, which blocks on that
-        // thread's gate and serves the cache. Without a cache there is
-        // nothing to share, and nothing to claim.
-        let to_claim: Vec<BoxKey> = if caching {
-            missed.iter().map(|&g| keys[groups[g]].clone()).collect()
-        } else {
-            Vec::new()
-        };
-        self.with_claims(&to_claim, |claimed| -> Result<(), VerifyError> {
-            let mut own = vec![false; groups.len()];
-            for (i, &g) in missed.iter().enumerate() {
-                own[g] = !caching || claimed[i];
-            }
-            // Re-check after the claim, like the sequential path: an owner
-            // may have finished (insert + release) between our cache peek
-            // and our claim — recomputing would waste a full analysis and
-            // double-count the miss.
-            if caching {
-                let mut cache = self.cache.lock();
-                for &g in &missed {
-                    if own[g] {
-                        if let Some(hit) = cache.get(&keys[groups[g]]) {
-                            analyses[g] = Some(hit); // counts the hit
-                            own[g] = false;
-                        }
-                    }
+            .collect();
+        let live: Vec<usize> = (0..jobs.len()).filter(|&j| slots[j].is_none()).collect();
+        if live.is_empty() {
+            return slots.into_iter().flatten().collect();
+        }
+        let inputs: Vec<&[Itv<F>]> = live.iter().map(|&j| jobs[j].0).collect();
+        let walked = self.resolve(&inputs).and_then(|analyses| {
+            let segs: Vec<Segment<'_, F>> = live
+                .iter()
+                .zip(&analyses)
+                .map(|(&j, analysis)| (jobs[j].1, &**analysis))
+                .collect();
+            self.walk_segments(&segs)
+        });
+        match walked {
+            Ok(verdicts) => {
+                if live.len() > 1 {
+                    self.fused_batches.fetch_add(1, Ordering::Relaxed);
+                }
+                let cost = jobs.iter().map(|(input, _)| self.box_cost(input)).sum();
+                self.note_batch_time(started.elapsed().as_secs_f64() * 1e3, cost);
+                for (&j, verdict) in live.iter().zip(verdicts) {
+                    slots[j] = Some(Ok(verdict));
                 }
             }
-
-            // Fused analysis of every owned missed box.
-            let owned: Vec<usize> = missed.iter().copied().filter(|&g| own[g]).collect();
-            let inputs: Vec<&[Itv<F>]> =
-                owned.iter().map(|&g| boxes[groups[g]].as_slice()).collect();
-            let computed: Vec<Arc<Analysis<F>>> =
-                analyze_fused(&self.lanes, &self.graph, &self.cfg, &inputs)?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-
-            // Publish to the cache with sequential-path accounting: one true
-            // miss per computed analysis, one hit for every other lookup of
-            // a box. Already-cached boxes are pinned *before* the inserts
-            // so a small-capacity LRU can't evict them mid-batch.
-            if caching {
-                let mut cache = self.cache.lock();
-                for (g, &rep) in groups.iter().enumerate() {
-                    if !missed.contains(&g) {
-                        analyses[g] = cache.get(&keys[rep]); // counts the hit
-                    }
-                }
-                for (&g, analysis) in owned.iter().zip(&computed) {
-                    cache.note_computed();
-                    cache.insert(keys[groups[g]].clone(), &boxes[groups[g]], analysis.clone());
-                    analyses[g] = Some(analysis.clone());
-                }
-                // Each further query of a box is one more cache-served
-                // lookup.
-                let mut first_use = vec![true; groups.len()];
-                for &g in group_of {
-                    if first_use[g] {
-                        first_use[g] = false;
-                    } else {
-                        let _ = cache.get(&keys[groups[g]]);
-                    }
-                }
-            } else {
-                for (&g, analysis) in owned.iter().zip(&computed) {
-                    analyses[g] = Some(analysis.clone());
+            Err(e) => {
+                for &j in &live {
+                    slots[j] = Some(Err(e.clone()));
                 }
             }
-            Ok(())
-            // The claims are released here (the cache already holds the
-            // results), so the deferred/raced resolution below can never
-            // self-deadlock.
-        })?;
-        // A box can still be unresolved: deferred to a concurrent thread's
-        // in-flight computation, or evicted between our peek and the
-        // pinning get. The normal gated path waits/recomputes.
-        analyses
+        }
+        slots
             .into_iter()
-            .enumerate()
-            .map(|(g, a)| match a {
-                Some(a) => Ok(a),
-                None => self.analyze(&boxes[groups[g]]),
-            })
+            .map(|slot| slot.expect("every box proven from a superset or walked"))
             .collect()
     }
 }

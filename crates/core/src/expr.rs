@@ -411,7 +411,8 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     /// into one fused batch: rows concatenate in order and row `r` of input
     /// batch `k` gets segment index `k`. Every per-row quantity is copied
     /// verbatim, so downstream per-row arithmetic is bit-identical to
-    /// processing each input batch alone.
+    /// processing each input batch alone. A single batch is returned as it
+    /// is: no copy, no launch.
     ///
     /// # Errors
     ///
@@ -421,7 +422,15 @@ impl<F: Fp, B: Backend> ExprBatch<F, B> {
     ///
     /// Panics when `batches` is empty, when the batches disagree on
     /// node/shape/window, or when an input batch is itself multi-segment.
-    pub fn stack(device: &Device<B>, batches: Vec<Self>) -> Result<Self, VerifyError> {
+    pub fn stack(device: &Device<B>, mut batches: Vec<Self>) -> Result<Self, VerifyError> {
+        if batches.len() == 1 {
+            let one = batches.pop().expect("one batch");
+            debug_assert!(
+                one.seg.iter().all(|&s| s == 0),
+                "stack: input batch is already multi-segment"
+            );
+            return Ok(one);
+        }
         let first = batches.first().expect("stack: empty batch list");
         let (node, shape) = (first.node, first.shape);
         let (win_h, win_w) = (first.win_h, first.win_w);
@@ -1208,6 +1217,35 @@ mod tests {
         let cand = m.concretize(&device, &bounds);
         // 3 * bounds[5] + 1 * bounds[0] = 15
         assert!(cand[0].contains(15.0), "{}", cand[0]);
+    }
+
+    #[test]
+    fn stacking_one_batch_issues_no_launch_and_keeps_its_planes() {
+        let device = dev();
+        let batch = padded_conv_rows::<f32>(&device);
+        let bits = |b: &ExprBatch<f32, CpuSimBackend>| {
+            let (lo, hi, cst_lo, cst_hi) = b.planes();
+            let itv = |v: &[Itv<f32>]| -> Vec<(u32, u32)> {
+                v.iter().map(|x| (x.lo.to_bits(), x.hi.to_bits())).collect()
+            };
+            (
+                [itv(lo), itv(hi), itv(cst_lo), itv(cst_hi)],
+                b.origins.clone(),
+                b.seg.clone(),
+                (b.node, b.shape, b.win_h, b.win_w),
+            )
+        };
+        let want = bits(&batch);
+        let (launches, allocated) = (device.stats().launches(), device.stats().bytes_allocated());
+        let stacked = ExprBatch::stack(&device, vec![batch]).unwrap();
+        assert_eq!(
+            device.stats().launches(),
+            launches,
+            "a lone batch is not copied"
+        );
+        assert_eq!(device.stats().kernel_launches("stack_copy"), 0);
+        assert_eq!(device.stats().bytes_allocated(), allocated);
+        assert_eq!(bits(&stacked), want);
     }
 
     #[test]

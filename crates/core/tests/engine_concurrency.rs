@@ -3,7 +3,9 @@
 //!
 //! * hammering one input box from many threads runs **exactly one**
 //!   analysis (the in-flight gate deduplicates concurrent misses) and every
-//!   thread shares the same `Arc`;
+//!   thread shares the same `Arc` — also when the threads come in through
+//!   different entries (`analyze`, `verify_robustness`, `verify_spec`,
+//!   `verify_batch_fused`), which all reach one claim-and-wait routine;
 //! * a bounded LRU cache under eviction pressure stays allocation-flat
 //!   (`bytes_allocated` stops growing once the pool is warm);
 //! * a `BadQuery` rejected mid-`verify_batch_fused` leaves the buffer pool's
@@ -11,9 +13,9 @@
 //!   engine returns every byte (regression test for pool double-release /
 //!   leak on the error path).
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use gpupoly_core::{Engine, EngineOptions, Query, VerifyConfig, VerifyError};
+use gpupoly_core::{Engine, EngineOptions, LinearSpec, Query, VerifyConfig, VerifyError};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -76,6 +78,100 @@ fn concurrent_same_box_runs_exactly_one_analysis() {
             "all threads must share one analysis object"
         );
     }
+}
+
+#[test]
+fn mixed_concurrent_entries_share_one_analysis_per_box() {
+    // Every public way to a verdict, over the same two boxes at once: each
+    // box is analyzed exactly once engine-wide, and every caller reads the
+    // margins one engine alone would give.
+    let net = random_net(11, 3, 8);
+    let qs = [
+        Query::new(vec![0.41f32, 0.62, 0.33, 0.74], 0, 0.015),
+        Query::new(vec![0.52f32, 0.27, 0.68, 0.45], 2, 0.02),
+    ];
+    let boxes: Vec<Vec<Itv<f32>>> = qs.iter().map(|q| boxed(&q.image, q.eps)).collect();
+    let spec = |j: usize| LinearSpec::robustness(qs[j].label, 3);
+    let alone = Engine::new(Device::default(), &net, VerifyConfig::default()).unwrap();
+    let want: Vec<Vec<u32>> = qs
+        .iter()
+        .map(|q| {
+            let v = alone.verify_robustness(&q.image, q.label, q.eps).unwrap();
+            v.margins.iter().map(|m| m.lower.to_bits()).collect()
+        })
+        .collect();
+
+    let engine = Engine::new(
+        Device::new(DeviceConfig::new().workers(2)),
+        &net,
+        VerifyConfig::default(),
+    )
+    .unwrap();
+    const ENTRIES: usize = 4;
+    const THREADS: usize = 2 * ENTRIES;
+    let start = Barrier::new(THREADS);
+    let got: Vec<Vec<Vec<u32>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, qs, boxes, start) = (&engine, &qs, &boxes, &start);
+                s.spawn(move || {
+                    // Half the threads take the boxes in the other order.
+                    let order = if t < ENTRIES { [0, 1] } else { [1, 0] };
+                    let bits = |lower: &mut dyn Iterator<Item = f32>| -> Vec<u32> {
+                        lower.map(f32::to_bits).collect()
+                    };
+                    start.wait();
+                    let mut out = vec![Vec::new(); 2];
+                    match t % ENTRIES {
+                        0 => {
+                            for j in order {
+                                let analysis = engine.analyze(&boxes[j]).expect("analysis");
+                                let v = engine.check_spec_with(&analysis, &spec(j)).unwrap();
+                                out[j] = bits(&mut v.lower_bounds.into_iter());
+                            }
+                        }
+                        1 => {
+                            for j in order {
+                                let q = &qs[j];
+                                let v = engine.verify_robustness(&q.image, q.label, q.eps);
+                                out[j] = bits(&mut v.unwrap().margins.iter().map(|m| m.lower));
+                            }
+                        }
+                        2 => {
+                            for j in order {
+                                let v = engine.verify_spec(&boxes[j], &spec(j)).unwrap();
+                                out[j] = bits(&mut v.lower_bounds.into_iter());
+                            }
+                        }
+                        _ => {
+                            let batch = [qs[order[0]].clone(), qs[order[1]].clone()];
+                            for (j, v) in order.into_iter().zip(engine.verify_batch_fused(&batch)) {
+                                out[j] = bits(&mut v.unwrap().margins.iter().map(|m| m.lower));
+                            }
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (t, bits) in got.iter().enumerate() {
+        assert_eq!(
+            bits,
+            &want,
+            "thread {t} (entry {}) read other margins",
+            t % ENTRIES
+        );
+    }
+    let (hits, misses) = engine.cache_stats();
+    assert_eq!(misses, 2, "each box must be analyzed exactly once");
+    assert_eq!(
+        hits + misses,
+        (2 * THREADS) as u64,
+        "every other lookup of a box is a hit"
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! unconstrained run, never exceeds the cap, and fails cleanly when even a
 //! single row cannot fit.
 
-use gpupoly::core::{Engine, VerifyConfig, VerifyError};
+use gpupoly::core::{Engine, Query, VerifyConfig, VerifyError};
 use gpupoly::device::{Device, DeviceConfig, DeviceError};
 use gpupoly::nn::builder::NetworkBuilder;
 use gpupoly::nn::{Network, Shape};
@@ -116,11 +116,25 @@ fn hopeless_capacity_fails_with_oom() {
     // 2 KiB cannot hold even a single backsubstitution row here.
     let device = Device::new(DeviceConfig::new().workers(2).memory_capacity(2 * 1024));
     let engine = Engine::new(device, &net, VerifyConfig::default()).unwrap();
-    match engine.verify_robustness(&image, label, 0.02) {
-        Err(VerifyError::Device(DeviceError::OutOfMemory { capacity, .. })) => {
-            assert_eq!(capacity, 2 * 1024);
+    // A pipeline error is every box's: a fused batch of three and a fused
+    // batch of one get the same typed error in every slot.
+    let fused = |eps: &[f32]| {
+        let queries: Vec<Query<f32>> = eps
+            .iter()
+            .map(|&e| Query::new(image.clone(), label, e))
+            .collect();
+        engine.verify_batch_fused(&queries)
+    };
+    let slots = std::iter::once(engine.verify_robustness(&image, label, 0.02))
+        .chain(fused(&[0.02, 0.03, 0.04]))
+        .chain(fused(&[0.05]));
+    for (slot, verdict) in slots.enumerate() {
+        match verdict {
+            Err(VerifyError::Device(DeviceError::OutOfMemory { capacity, .. })) => {
+                assert_eq!(capacity, 2 * 1024, "slot {slot}");
+            }
+            other => panic!("slot {slot}: expected out-of-memory, got {other:?}"),
         }
-        other => panic!("expected out-of-memory, got {other:?}"),
     }
 }
 
