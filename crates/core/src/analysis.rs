@@ -377,8 +377,8 @@ pub(crate) struct Streamed<F> {
 /// of its own; one lane is one section and no thread.
 ///
 /// **One loop.** A walk that runs out of device memory fails alone: its
-/// rows go round again, cut at half the length, while every walk that fit
-/// keeps its result; at one row a walk, what still fails runs once more on
+/// rows go round again, cut at half the length and on devices whose pool
+/// shelves were emptied first, while every walk that fit keeps its result; at one row a walk, what still fails runs once more on
 /// the first lane with the device to itself before the error stands. One
 /// worker, one row, or a caller that is itself a part of a section is the
 /// same loop over one stream a lane.
@@ -489,6 +489,14 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
             .into_iter()
             .flat_map(|part| cut(part, len, seg_of))
             .collect();
+        // A pool hit larger than its request keeps its slack while it is
+        // live, so shelved buffers handed to the shorter walks could hold
+        // more than the walks do: they start from an empty shelf instead.
+        if !walks.is_empty() {
+            for lane in lanes {
+                lane.device.buffer_pool_clear();
+            }
+        }
     }
     Ok(out)
 }

@@ -6,7 +6,7 @@
 use gpupoly_core::{
     query_cost_hint, Engine, EngineOptions, Query, ReluRelax, VerifyConfig, VerifyError,
 };
-use gpupoly_device::{Backend, Device, DeviceConfig, SHELF_LIVE_MULTIPLE};
+use gpupoly_device::{Backend, Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
 use gpupoly_nn::zoo::{build_arch, ArchId, Dataset};
@@ -297,7 +297,7 @@ fn fused_conv_batches_keep_peak_memory_within_the_pool_bound() {
     }
     let (peak, live) = (device.peak_memory(), device.peak_live_memory());
     assert!(
-        peak <= (SHELF_LIVE_MULTIPLE + 1) * live,
+        peak <= 3 * live,
         "peak {peak} B against a live high-water mark of {live} B"
     );
     let stats = device.stats();

@@ -41,10 +41,9 @@ use crate::{Device, DeviceError};
 /// # Ok::<(), gpupoly_device::DeviceError>(())
 /// ```
 pub struct DeviceBuffer<T: Send + 'static, B: Backend = CpuSimBackend> {
-    /// The allocation, `bytes` long. A pool hit may be served by a shelved
-    /// allocation up to twice the size asked for; the buffer is its first
-    /// `len` elements, the rest is slack that stays charged and goes back to
-    /// the shelf with it.
+    /// The allocation, `bytes` long. A pool hit may be served by a larger
+    /// shelved allocation; the buffer is its first `len` elements, the rest
+    /// is slack that stays charged and goes back to the shelf with it.
     data: Vec<T>,
     len: usize,
     bytes: usize,
@@ -99,14 +98,11 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
         })
     }
 
-    /// A buffer of `len` elements on a shelved allocation of at most
-    /// `max_len` (contents stale), or `None` — counted as a pool miss — when
-    /// the shelf has none that fits.
-    fn recycled(device: &Device<B>, len: usize, max_len: usize) -> Option<Self> {
-        let Some((data, lane)) = device.pool_take::<T>(len, max_len) else {
-            device.note_pool_miss();
-            return None;
-        };
+    /// A buffer of `len` elements, contents stale, on a shelved allocation
+    /// that holds them (of exactly `len` when `exact`), or `None` when the
+    /// shelf has none that fits (see [`Device::buffer_pool_retain`]).
+    fn recycled(device: &Device<B>, len: usize, exact: bool) -> Option<Self> {
+        let (data, lane) = device.pool_take::<T>(len, exact)?;
         Some(Self {
             bytes: data.len() * mem::size_of::<T>(),
             data,
@@ -130,7 +126,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone + Default,
     {
-        match Self::recycled(device, len, len.saturating_mul(2)) {
+        match Self::recycled(device, len, false) {
             Some(mut buf) => {
                 buf.fill(T::default());
                 Ok(buf)
@@ -152,7 +148,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone + Default,
     {
-        match Self::recycled(device, len, len.saturating_mul(2)) {
+        match Self::recycled(device, len, false) {
             Some(buf) => Ok(buf),
             None => Self::fresh(device, vec![T::default(); len]),
         }
@@ -162,8 +158,9 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     /// shelved allocation of exactly its size when the device's pool is
     /// active. Unlike working buffers an upload never takes a larger one: it
     /// is sized by the model, so the same sizes recur exactly, and what is
-    /// uploaded — packed or gathered weights — is held for long and budgeted
-    /// by its length.
+    /// uploaded — packed or gathered weights — is held for long and counted
+    /// in the resident gauge by its length. A miss frees the lane's largest
+    /// shelved buffer of its element type, as a working buffer's does.
     ///
     /// # Errors
     ///
@@ -173,7 +170,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     where
         T: Clone,
     {
-        match Self::recycled(device, src.len(), src.len()) {
+        match Self::recycled(device, src.len(), true) {
             Some(mut buf) => {
                 device.backend().htod(src, &mut buf);
                 Ok(buf)
@@ -183,16 +180,6 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
             // copy).
             None => Self::fresh(device, src.to_vec()),
         }
-    }
-
-    /// Wraps an existing host vector as a device allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::OutOfMemory`] when the allocation would exceed
-    /// the device capacity.
-    pub fn from_vec(device: &Device<B>, data: Vec<T>) -> Result<Self, DeviceError> {
-        Self::fresh(device, data)
     }
 
     /// Exempts this buffer from pool recycling: on drop its memory is
@@ -222,7 +209,7 @@ impl<T: Send + 'static, B: Backend> DeviceBuffer<T, B> {
     }
 
     /// Bytes charged against the device: the allocation's size, which on a
-    /// pool hit can exceed `len` elements (by at most as much again).
+    /// pool hit can exceed `len` elements.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -390,16 +377,16 @@ mod tests {
         let dev = Device::new(DeviceConfig::new().memory_capacity(1024));
         dev.buffer_pool_retain();
         {
-            let _a = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
+            let _a = DeviceBuffer::<u16>::zeroed(&dev, 500).unwrap();
         }
         assert_eq!(dev.memory_in_use(), 1000, "shelved bytes stay charged");
         assert_eq!(dev.memory_free(), 1024, "reclaimable bytes count as free");
-        // The shelved buffer is more than twice this request, so it does not
-        // serve it, and beside it the request would OOM: the shelf is
-        // reclaimed instead.
+        // The shelved buffer is of another element type, so it neither
+        // serves this request nor is freed by its miss, and beside it the
+        // request would OOM: the shelf is reclaimed instead.
         let b = DeviceBuffer::<u8>::zeroed(&dev, 400).unwrap();
         assert_eq!(dev.stats().pool_hits(), 0);
-        assert_eq!(dev.memory_in_use(), 400);
+        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (400, 0));
         drop(b);
         dev.buffer_pool_release();
         assert_eq!(dev.memory_in_use(), 0);
@@ -411,44 +398,48 @@ mod tests {
 
     #[test]
     fn pool_hit_may_be_oversized_and_stays_charged_for_its_capacity() {
-        let dev = Device::default();
+        let dev = Device::new(DeviceConfig::new().memory_capacity(1200));
         dev.buffer_pool_retain();
         {
             let mut a = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
             a.fill(7);
         }
-        // 1000 <= 2 * 512: served by the shelved allocation, charge unchanged.
-        let mut b = DeviceBuffer::<u8>::zeroed(&dev, 512).unwrap();
+        // Any shelved allocation that holds the request serves it, however
+        // much larger: the charge is unchanged.
+        let mut b = DeviceBuffer::<u8>::zeroed(&dev, 100).unwrap();
         assert_eq!(dev.stats().pool_hits(), 1);
-        assert_eq!((b.len(), b.bytes()), (512, 1000));
-        assert_eq!(b.as_mut_slice().len(), 512);
+        assert_eq!((b.len(), b.bytes()), (100, 1000));
+        assert_eq!(b.as_mut_slice().len(), 100);
         assert!(
             b.iter().all(|&x| x == 0),
             "the requested length is re-zeroed"
         );
         assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (1000, 0));
         assert_eq!(dev.stats().bytes_allocated(), 1000, "no fresh bytes");
+        // The slack is not free while the buffer is live.
+        assert_eq!(dev.memory_free(), 200);
+        assert!(DeviceBuffer::<u8>::zeroed(&dev, 300).is_err());
         drop(b);
         assert_eq!(
             dev.buffer_pool_bytes(),
             1000,
             "the whole allocation returns"
         );
-        // 1000 > 2 * 499: too large for this one, which allocates afresh.
-        let c = DeviceBuffer::<u8>::for_overwrite(&dev, 499).unwrap();
-        assert_eq!((c.bytes(), dev.stats().pool_hits()), (499, 1));
         // The smallest allocation that fits wins, whatever the shelving order.
-        drop(c);
-        let d = DeviceBuffer::<u8>::for_overwrite(&dev, 500).unwrap();
-        assert_eq!(d.bytes(), 1000, "499 bytes do not hold 500");
-        let e = DeviceBuffer::<u8>::for_overwrite(&dev, 300).unwrap();
-        assert_eq!(e.bytes(), 499);
+        let c = DeviceBuffer::<u8>::for_overwrite(&dev, 1000).unwrap();
+        let d = DeviceBuffer::<u8>::for_overwrite(&dev, 150).unwrap();
+        assert_eq!((d.bytes(), dev.stats().pool_hits()), (150, 2));
+        drop((c, d));
+        let e = DeviceBuffer::<u8>::for_overwrite(&dev, 120).unwrap();
+        assert_eq!(e.bytes(), 150);
+        let f = DeviceBuffer::<u8>::for_overwrite(&dev, 151).unwrap();
+        assert_eq!(f.bytes(), 1000, "150 bytes do not hold 151");
         assert_eq!(
             e.into_vec().len(),
-            300,
+            120,
             "into_vec returns the buffer, not the slack"
         );
-        drop(d);
+        drop(f);
         dev.buffer_pool_release();
         assert_eq!(dev.memory_in_use(), 0);
     }
@@ -461,9 +452,8 @@ mod tests {
         // computed from lengths.
         let dev = Device::default();
         dev.buffer_pool_retain();
-        {
-            let _a = DeviceBuffer::<u32>::zeroed(&dev, 250).unwrap();
-        }
+        let small = DeviceBuffer::<u8>::zeroed(&dev, 600).unwrap();
+        drop(DeviceBuffer::<u32>::zeroed(&dev, 250).unwrap());
         let w = DeviceBuffer::from_slice(&dev, &[9u32; 150])
             .unwrap()
             .into_persistent();
@@ -471,54 +461,70 @@ mod tests {
         assert_eq!(dev.stats().pool_hits(), 0, "1000 B is not 600 B");
         assert_eq!(dev.stats().resident_bytes(), 600);
         drop(w);
-        assert_eq!(dev.buffer_pool_bytes(), 1000, "persistent: never shelved");
+        assert_eq!(dev.buffer_pool_bytes(), 0, "persistent: never shelved");
+        // An exact fit of its type is taken; a 600-byte buffer of another
+        // type is not, nor freed by the miss.
+        drop(DeviceBuffer::<u32>::zeroed(&dev, 250).unwrap());
+        drop(small);
         let again = DeviceBuffer::from_slice(&dev, &[3u32; 250]).unwrap();
         assert_eq!((again.bytes(), dev.stats().pool_hits()), (1000, 1));
         assert!(again.iter().all(|&x| x == 3));
-        drop(again);
+        let other = DeviceBuffer::from_slice(&dev, &[5u32; 150]).unwrap();
+        assert_eq!((other.bytes(), dev.stats().pool_hits()), (600, 1));
+        assert_eq!(dev.buffer_pool_bytes(), 600, "the u8 buffer stays");
+        drop((again, other));
         dev.buffer_pool_release();
         assert_eq!((dev.memory_in_use(), dev.stats().resident_bytes()), (0, 0));
     }
 
     #[test]
-    fn pool_shelf_is_cut_back_to_twice_the_live_high_water_oldest_first() {
+    fn pool_miss_frees_the_largest_too_small_buffer_of_its_type_only() {
         let dev = Device::default();
         dev.buffer_pool_retain();
-        // Requests that no shelved buffer serves (each is more than twice
-        // too large or too small), held one at a time: the live high-water
-        // mark is 1000.
-        for len in [1000usize, 400, 150, 60, 450] {
-            let _b = DeviceBuffer::<u8>::zeroed(&dev, len).unwrap();
-        }
-        assert_eq!(dev.peak_live_memory(), 1000);
-        // 1000 + 400 + 150 + 60 fit the 2000-byte budget; shelving 450 more
-        // frees the oldest (1000) and nothing else.
-        assert_eq!(dev.buffer_pool_bytes(), 400 + 150 + 60 + 450);
-        assert_eq!(dev.memory_in_use(), dev.buffer_pool_bytes());
-        assert!(dev.peak_memory() <= 3 * dev.peak_live_memory());
-        let hits = dev.stats().pool_hits();
-        let _again = DeviceBuffer::<u8>::zeroed(&dev, 1000).unwrap();
-        assert_eq!(dev.stats().pool_hits(), hits, "the evicted buffer is gone");
+        let held = [
+            DeviceBuffer::<u16>::zeroed(&dev, 2000).unwrap(),
+            DeviceBuffer::<u16>::zeroed(&dev, 10).unwrap(),
+        ];
+        let small = [100, 300, 200].map(|len| DeviceBuffer::<u8>::zeroed(&dev, len).unwrap());
+        drop((held, small));
+        assert_eq!(dev.buffer_pool_bytes(), 4000 + 20 + 600);
+        // Nothing of its type holds 500 bytes: the 300 goes, the smaller
+        // two of its type and the 4000 of another type stay.
+        let b = DeviceBuffer::<u8>::zeroed(&dev, 500).unwrap();
+        assert_eq!((dev.stats().pool_hits(), dev.stats().pool_misses()), (0, 6));
+        assert_eq!(dev.buffer_pool_bytes(), 4000 + 20 + 100 + 200);
+        assert_eq!(dev.memory_in_use(), 4000 + 20 + 100 + 200 + 500);
+        // The survivors still serve their own type.
+        let c = DeviceBuffer::<u8>::for_overwrite(&dev, 150).unwrap();
+        let d = DeviceBuffer::<u16>::for_overwrite(&dev, 5).unwrap();
+        assert_eq!(
+            (c.bytes(), d.bytes(), dev.stats().pool_hits()),
+            (200, 20, 2)
+        );
+        drop((b, c, d));
         dev.buffer_pool_release();
+        assert_eq!(dev.memory_in_use(), 0);
     }
 
     #[test]
-    fn pool_shelf_cut_spares_buffers_of_smaller_size_classes() {
+    fn pool_upload_miss_frees_the_largest_buffer_of_its_type() {
         let dev = Device::default();
         dev.buffer_pool_retain();
-        // As above: no request is served from the shelf, the live
-        // high-water mark is 1000 and the budget 2000.
-        for len in [60usize, 150, 400, 1000, 450] {
-            let _b = DeviceBuffer::<u8>::zeroed(&dev, len).unwrap();
-        }
-        assert_eq!(dev.peak_live_memory(), 1000);
-        // Shelving 450 (class 256) frees the oldest buffer of class 256 or
-        // larger (400): not the oldest of all (60), nor the largest (1000).
-        assert_eq!(dev.buffer_pool_bytes(), 60 + 150 + 1000 + 450);
-        let hits = dev.stats().pool_hits();
-        let _small = DeviceBuffer::<u8>::zeroed(&dev, 60).unwrap();
-        assert_eq!(dev.stats().pool_hits(), hits + 1, "the oldest is kept");
+        let shelved = (
+            DeviceBuffer::<u32>::zeroed(&dev, 100).unwrap(),
+            DeviceBuffer::<u32>::zeroed(&dev, 1000).unwrap(),
+            DeviceBuffer::<u8>::zeroed(&dev, 8000).unwrap(),
+        );
+        drop(shelved);
+        // No u32 buffer of exactly 1000 bytes: the 4000 goes, though it
+        // holds the upload, and the 400 and the u8 buffer stay.
+        let w = DeviceBuffer::from_slice(&dev, &[1u32; 250]).unwrap();
+        assert_eq!((w.bytes(), dev.stats().pool_hits()), (1000, 0));
+        assert_eq!(dev.buffer_pool_bytes(), 400 + 8000);
+        assert_eq!(dev.memory_in_use(), 400 + 8000 + 1000);
+        drop(w);
         dev.buffer_pool_release();
+        assert_eq!(dev.memory_in_use(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::any::{Any, TypeId};
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -267,32 +267,6 @@ struct Shelved {
     data: Box<dyn Any + Send>,
 }
 
-/// The size class of a shelved buffer of `bytes` (non-zero) bytes: the
-/// power of two at or below it. A put cuts its lane back only among buffers
-/// of its own class or larger (see `DeviceInner::shelf`).
-fn size_class(bytes: usize) -> u32 {
-    bytes.ilog2()
-}
-
-/// How many times a shelf lane's live high-water mark the lane may hold
-/// before shelved buffers are freed (one lane, one stream: on a
-/// device that runs nothing side by side this is the device's own mark,
-/// [`Device::peak_live_memory`]). Fixed, not configurable. Measured on the
-/// benchmark when the device had one shelf, `conv_fused` / `dense_single`,
-/// seed 1:
-///
-/// | multiple | pool hit share | `peak_device_mb` | `queries_per_s` |
-/// | --- | --- | --- | --- |
-/// | 1 | 0.37 / 0.73 | 59.9 / 2.05 | 12.4 / 63.0 |
-/// | **2** | 0.78 / 0.992 | 82.3 / 2.85 | 12.0–13.7 / 61.3–65.9 |
-/// | 4 | 0.95 / 0.999 | 127.8 / 3.32 | 13.6 / 62.4 |
-///
-/// Throughput does not tell them apart; at 1 a query no longer finds its own
-/// buffers again (`steady_state_queries_allocate_no_fresh_bytes` fails), and
-/// 4 buys the last misses of `conv_fused` with half as much memory again.
-/// (Measured when the cut took the oldest buffers first, of any size.)
-pub const SHELF_LIVE_MULTIPLE: usize = 2;
-
 thread_local! {
     /// The shelf lane this thread allocates from: the position of the stream
     /// it is running ([`Device::streams`]), 0 outside any. It belongs to the
@@ -322,7 +296,7 @@ impl Drop for LaneScope {
 #[derive(Default)]
 struct Lane {
     /// Shelved buffers, oldest first.
-    shelved: VecDeque<Shelved>,
+    shelved: Vec<Shelved>,
     shelved_bytes: usize,
     /// Bytes of the buffers allocated in this lane and not yet dropped,
     /// wherever they are dropped.
@@ -353,44 +327,26 @@ pub(crate) struct DeviceInner<B> {
     /// The shelf, one lane per stream position (lane 0 is every thread that
     /// is not running a stream). A buffer belongs to the lane it was
     /// allocated in: its bytes count as that lane's live bytes until it is
-    /// dropped, and it is shelved there whichever thread drops it. A request
-    /// is served by the smallest buffer *of the requesting thread's lane*
-    /// that has its element type, holds it and is at most twice as large;
-    /// after every put the lane is cut back, oldest first among the buffers
-    /// of the put's [`size_class`] or larger, to [`SHELF_LIVE_MULTIPLE`]
-    /// times its own live high-water mark — or its share of the device's
-    /// resident-bytes mark, `resident / workers`,
-    /// where that is higher: the weights are in lane 0's mark only (uploads
-    /// happen outside any stream), and a stream budgeted by its own few rows
-    /// alone loses buffers it asks for again (`dense_single`, traced:
-    /// `pool_hit_share` 0.9879 and 2.70 MB of fresh allocations where one
-    /// shelf for the whole device had 0.9934 and 3.12 MB; with the share,
-    /// on two workers, 0.9998 and 0.24 MB).
-    /// The weights' allowance is the device's, dealt out once: `n` lanes
-    /// hold at most `n / workers` times the multiple of the resident bytes
-    /// between them on that account, however many workers the device has.
-    /// So what a stream finds is what the stream at its position left the
-    /// last time, whatever its siblings are doing meanwhile, and hits,
-    /// misses and `bytes_allocated` repeat from run to run — the CPU
-    /// stand-in for a stream-ordered allocator. The price: a lane is warm
-    /// for what its position has run, and no other lane's buffers help it.
-    /// The cut spares smaller classes because a put of larger work — a
-    /// fused batch's lists — must not free what smaller work it ran before
-    /// (one query's lists) left there: those buffers are the oldest after a
-    /// burst, and a cut by age alone would free them at exactly the
-    /// positions whose burst shelved more than their budget, so whether a
-    /// daemon's steady traffic after a burst allocated afresh would depend
-    /// on which position the burst had sent what. The put buffer is of its
-    /// own class, so the cut always ends within budget. Within the classes
-    /// it may take, it takes the oldest, not the largest: a cut by size
-    /// would free a fused batch's largest lists, which every batch asks for
-    /// again (the benchmark's traced `steady_alloc_mb`, `dense_fused` /
-    /// `conv_fused`, seed 1, on a 2-vCPU host: 57 / 100 MB by age, 112 /
-    /// 220 MB by size, 69 / 84 MB with the class rule).
-    /// Work that reaches a position in a new shape — a fused batch's lists
-    /// a quarter each, then one query's — allocates afresh there once, where a single shelf would have served
-    /// it. Shelved bytes stay charged against capacity, and an allocation
-    /// that would fail reclaims every lane before reporting out-of-memory.
+    /// dropped, and it is shelved there whichever thread drops it. One rule
+    /// governs a lane: a request takes the smallest buffer *of the
+    /// requesting thread's lane* that has its element type and holds it (an
+    /// upload one of exactly its size), the newest among equals; on a miss,
+    /// the lane's largest buffer of that type, if it shelves any, is freed
+    /// before the fresh allocation; a drop shelves its buffer, and nothing
+    /// is ever cut. So a lane's shelved plus live buffers of one element
+    /// type never outnumber the most it held live at once: a hit and a drop
+    /// move a buffer between the two, a miss trades one for one, and only a
+    /// miss with none of its type shelved — every one of them live — adds
+    /// one (when the lane's requests come one at a time, as a stream's do).
+    /// A hit may be larger than its request; its slack stays charged and
+    /// cannot serve anyone until the buffer is dropped.
+    /// What a stream finds is what the stream at its position left the last
+    /// time, whatever its siblings are doing meanwhile, and hits, misses and
+    /// `bytes_allocated` repeat from run to run — the CPU stand-in for a
+    /// stream-ordered allocator. The price: a lane is warm for what its
+    /// position has run, and no other lane's buffers help it. Shelved bytes
+    /// stay charged against capacity, and an allocation that would fail
+    /// reclaims every lane before reporting out-of-memory.
     shelf: Mutex<Vec<Lane>>,
     /// Sum of the lanes' `shelved_bytes`, readable without the lock.
     shelved_bytes: AtomicUsize,
@@ -533,7 +489,9 @@ impl<B: Backend> Device<B> {
     /// Bytes still allocatable (`usize::MAX` when unlimited). Shelved pool
     /// buffers count as free: an allocation that does not fit reclaims them
     /// before it reports out-of-memory, so a warm pool leaves as much room
-    /// as a cold one.
+    /// as a cold one. A live buffer's slack — a pool hit larger than its
+    /// request — does not: it is charged and nobody can use it until the
+    /// buffer is dropped.
     pub fn memory_free(&self) -> usize {
         match self.inner.capacity {
             Some(cap) => cap.saturating_sub(self.live_bytes()),
@@ -619,19 +577,19 @@ impl<B: Backend> Device<B> {
     /// with [`Device::buffer_pool_release`]. A no-op in effect on backends
     /// that disable pooling (the user count is still balanced).
     ///
-    /// Reuse is by capacity, not by exact size: a working buffer of `n`
-    /// bytes takes the smallest shelved buffer of its element type holding
-    /// between `n` and `2n` bytes and stays charged for all of it
-    /// ([`crate::DeviceBuffer::bytes`]) — the sizes a backsubstitution walk
-    /// asks for drift with every row it drops and rarely repeat. (Uploads,
-    /// [`crate::DeviceBuffer::from_slice`], take an exact fit only.) The
-    /// shelf has one lane per stream position ([`Device::streams`]): a
-    /// thread takes from its own lane, a buffer returns to the lane it was
-    /// allocated in, and after every drop that lane's oldest shelved
-    /// buffers of the dropped one's size class (its power of two) or larger
-    /// are freed until it holds at most [`SHELF_LIVE_MULTIPLE`] times what
-    /// the lane held live at once ([`Device::peak_live_memory`] is the sum
-    /// over the lanes).
+    /// Reuse is by capacity, not by exact size — the sizes a
+    /// backsubstitution walk asks for drift with every row it drops and
+    /// rarely repeat — with one shelf lane per stream position
+    /// ([`Device::streams`]): a thread takes from its own lane and a buffer
+    /// returns to the lane it was allocated in. A request takes the lane's
+    /// smallest shelved buffer of its element type that holds it and stays
+    /// charged for all of it ([`crate::DeviceBuffer::bytes`]), the slack
+    /// included, until it is dropped (uploads,
+    /// [`crate::DeviceBuffer::from_slice`], take an exact fit only); a miss
+    /// first frees the lane's largest buffer of that type, if any; a drop
+    /// shelves the buffer and nothing is ever cut. So per lane and element
+    /// type, shelved plus live buffers never outnumber the most the lane
+    /// held live at once.
     pub fn buffer_pool_retain(&self) {
         self.inner.recyclers.fetch_add(1, Ordering::Relaxed);
     }
@@ -672,13 +630,12 @@ impl<B: Backend> Device<B> {
 
     /// Returns the charge of buffers already taken off the shelf, then drops
     /// their storage (outside the shelf lock).
-    fn free_shelved(&self, buffers: Vec<Shelved>) {
-        if buffers.is_empty() {
-            return;
+    fn free_shelved(&self, buffers: impl IntoIterator<Item = Shelved>) {
+        let freed: usize = buffers.into_iter().map(|s| s.bytes).sum();
+        if freed > 0 {
+            self.track_free(freed);
+            self.inner.shelved_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
-        let freed: usize = buffers.iter().map(|s| s.bytes).sum();
-        self.track_free(freed);
-        self.inner.shelved_bytes.fetch_sub(freed, Ordering::Relaxed);
     }
 
     /// Bytes currently held by shelved (reusable) buffers. These count
@@ -694,12 +651,11 @@ impl<B: Backend> Device<B> {
     /// device's own high-water mark; where streams run side by side it is
     /// what they would hold if every one were at its peak at the same
     /// moment, which no schedule exceeds and which, unlike the moment's sum,
-    /// does not depend on the schedule. Each lane's shelf is bounded by a
-    /// fixed multiple of its mark, or of `1 / workers` of the resident
-    /// weights' bytes where a lane's own mark is lower, so with `n` lanes
-    /// [`Device::peak_memory`] stays within [`SHELF_LIVE_MULTIPLE`] plus one
-    /// of this sum, plus [`SHELF_LIVE_MULTIPLE`] × `n / workers` of the
-    /// resident bytes.
+    /// does not depend on the schedule. Live bytes include the slack of
+    /// pool hits larger than their requests. The shelf is bounded by count,
+    /// not bytes: per lane and element type, shelved plus live buffers never
+    /// outnumber the most the lane held live at once (see
+    /// [`Device::buffer_pool_retain`]).
     pub fn peak_live_memory(&self) -> usize {
         let shelf = self.inner.shelf.lock();
         shelf.iter().map(|lane| lane.live_peak).sum()
@@ -715,53 +671,66 @@ impl<B: Backend> Device<B> {
             .collect()
     }
 
-    /// Takes the best-fitting buffer for `len` elements of `T` off the
-    /// calling thread's lane of the shelf: the smallest one of that element
-    /// type holding at least `len` and at most `max_len` elements (the
-    /// newest among equals). The returned storage may therefore be longer
-    /// than `len`; it keeps its memory charge and is live in the lane
-    /// returned with it, the one it was shelved in.
+    /// Serves `len` elements of `T` from the calling thread's lane of the
+    /// shelf: the smallest buffer of that element type holding at least
+    /// `len` elements — exactly `len` when `exact` — the newest among equals.
+    /// The returned storage may therefore be longer than `len`; it keeps its
+    /// memory charge and is live in the lane returned with it, the one it
+    /// was shelved in. On a miss (`None`, counted while the pool is active)
+    /// the lane's largest buffer of that type, if it shelves any, is freed,
+    /// so the fresh allocation the caller makes instead replaces it.
     pub(crate) fn pool_take<T: Send + 'static>(
         &self,
         len: usize,
-        max_len: usize,
+        exact: bool,
     ) -> Option<(Vec<T>, usize)> {
         if !self.buffer_pool_active() {
             return None;
         }
-        let size = std::mem::size_of::<T>();
-        let fits = len.saturating_mul(size)..=max_len.saturating_mul(size);
+        let want = len.saturating_mul(std::mem::size_of::<T>());
         let elem = TypeId::of::<T>();
         let lane = LANE.with(Cell::get);
         let taken = self.with_lane(lane, |l| {
-            let at = l
-                .shelved
-                .iter()
-                .enumerate()
-                .rev()
-                .filter(|(_, s)| s.elem == elem && fits.contains(&s.bytes))
-                .min_by_key(|(_, s)| s.bytes)?
-                .0;
-            let taken = l.shelved.remove(at).expect("index from the scan above");
+            let mine = || {
+                l.shelved
+                    .iter()
+                    .enumerate()
+                    .rev()
+                    .filter(|(_, s)| s.elem == elem)
+            };
+            let fit = mine()
+                .filter(|(_, s)| s.bytes == want || (!exact && s.bytes > want))
+                .min_by_key(|(_, s)| s.bytes);
+            let hit = fit.is_some();
+            let at = fit.or_else(|| mine().max_by_key(|(_, s)| s.bytes))?.0;
+            let taken = l.shelved.remove(at);
             l.shelved_bytes -= taken.bytes;
-            l.grow(taken.bytes);
-            Some(taken)
-        })?;
-        self.inner
-            .shelved_bytes
-            .fetch_sub(taken.bytes, Ordering::Relaxed);
-        self.inner.stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-        let data = *taken.data.downcast::<Vec<T>>().expect("shelf type tag");
-        Some((data, lane))
+            if hit {
+                l.grow(taken.bytes);
+            }
+            Some((taken, hit))
+        });
+        let stats = &self.inner.stats;
+        match taken {
+            Some((taken, true)) => {
+                self.inner
+                    .shelved_bytes
+                    .fetch_sub(taken.bytes, Ordering::Relaxed);
+                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
+                let data = *taken.data.downcast::<Vec<T>>().expect("shelf type tag");
+                Some((data, lane))
+            }
+            evicted => {
+                stats.pool_misses.fetch_add(1, Ordering::Relaxed);
+                self.free_shelved(evicted.map(|(s, _)| s));
+                None
+            }
+        }
     }
 
     /// Ends an allocation of `lane` by shelving its storage there for reuse,
-    /// keeping its memory charge, then frees the lane's oldest shelved
-    /// buffers of its [`size_class`] or larger while it holds more than
-    /// [`SHELF_LIVE_MULTIPLE`] times its live high-water mark (or the lane's
-    /// share of the device's resident one, if higher; see
-    /// `DeviceInner::shelf`). Returns `false` (nothing done) when the pool is
-    /// inactive — the caller must then end the allocation itself
+    /// keeping its memory charge. Returns `false` (nothing done) when the
+    /// pool is inactive — the caller must then end the allocation itself
     /// ([`Device::lane_free`]).
     pub(crate) fn pool_put<T: Send + 'static>(
         &self,
@@ -782,37 +751,14 @@ impl<B: Backend> Device<B> {
         }
         let l = &mut shelf[lane]; // made when the allocation became live
         l.live -= bytes;
-        l.shelved.push_back(Shelved {
+        l.shelved.push(Shelved {
             elem: TypeId::of::<T>(),
             bytes,
             data: Box::new(data),
         });
         l.shelved_bytes += bytes;
         self.inner.shelved_bytes.fetch_add(bytes, Ordering::Relaxed);
-        // Resident weights counted as live for the one shelf a device used
-        // to have; now only lane 0's own mark holds them, and every lane is
-        // credited with a worker's share.
-        let resident = self.inner.stats.peak_resident_bytes() as usize / self.inner.workers;
-        let budget = SHELF_LIVE_MULTIPLE.saturating_mul(l.live_peak.max(resident));
-        let class = size_class(bytes);
-        let mut evicted = Vec::new();
-        while l.shelved_bytes > budget {
-            let Some(at) = l.shelved.iter().position(|s| size_class(s.bytes) >= class) else {
-                break;
-            };
-            let cut = l.shelved.remove(at).expect("index from the scan above");
-            l.shelved_bytes -= cut.bytes;
-            evicted.push(cut);
-        }
-        drop(shelf);
-        self.free_shelved(evicted);
         true
-    }
-
-    pub(crate) fn note_pool_miss(&self) {
-        if self.buffer_pool_active() {
-            self.inner.stats.pool_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Runs a closure inside the device's worker pool: a parallel iterator

@@ -24,9 +24,12 @@
 //!   the failure mode the paper reports for dense GPU implementations and the
 //!   reason for its chunked backsubstitution. While an engine is registered
 //!   ([`Device::buffer_pool_retain`]) dropped buffers are shelved and reused
-//!   by capacity — a working buffer takes the smallest shelved one that
-//!   holds it and is at most twice as large — and the shelf is held to
-//!   [`SHELF_LIVE_MULTIPLE`] times what was ever live at once. Its
+//!   by capacity, one shelf lane per stream: a request takes the smallest
+//!   shelved buffer of its element type that holds it (its slack stays
+//!   charged, and unusable, while it is live), a miss first frees the lane's
+//!   largest buffer of that type, and nothing else is ever freed — so per
+//!   lane and element type, shelved plus live buffers never outnumber the
+//!   most that were live at once. Its
 //!   [`DeviceStats`] meter attributes launches, scalar-equivalent flops and
 //!   bytes moved to every kernel label.
 //! * [`gemm`] / [`scan`] / [`kernels`] — the launch wrappers (dimension
@@ -75,6 +78,6 @@ mod simd;
 
 pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
-pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork, SHELF_LIVE_MULTIPLE};
+pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork};
 pub use relax::ReluRelax;
 pub use simd::GemmBuild;

@@ -7,7 +7,7 @@
 //! strictly stronger than the original per-kernel assertions.
 
 use gpupoly_device::{conformance, gemm, CpuSimBackend, Device, DeviceConfig};
-use gpupoly_device::{Backend, DeviceBuffer, ReferenceBackend, SHELF_LIVE_MULTIPLE};
+use gpupoly_device::{Backend, DeviceBuffer, ReferenceBackend};
 use gpupoly_interval::Itv;
 use proptest::prelude::*;
 
@@ -123,11 +123,20 @@ impl Held {
             Held::I(b) => b.bytes(),
         }
     }
+
+    /// 0 for `u64`, 1 for `i64`.
+    fn kind(&self) -> usize {
+        match self {
+            Held::U(_) => 0,
+            Held::I(_) => 1,
+        }
+    }
 }
 
 /// Allocates `len` elements of `T` through one of the three pool-eligible
 /// constructors and checks what the pool handed out: the length asked for,
-/// the promised contents, and a charge of one to two times the request.
+/// the promised contents, and a charge of at least the request — exactly the
+/// request for an upload.
 fn pool_alloc<T>(dev: &Device, len: usize, ctor: u32, fill: T) -> DeviceBuffer<T>
 where
     T: Copy + Default + PartialEq + std::fmt::Debug + Send + 'static,
@@ -140,7 +149,7 @@ where
     let want = len * std::mem::size_of::<T>();
     assert_eq!(buf.len(), len);
     assert!(
-        (want..=2 * want).contains(&buf.bytes()),
+        buf.bytes() == want || (ctor < 2 && buf.bytes() > want),
         "{want} B served by a {} B allocation",
         buf.bytes()
     );
@@ -153,9 +162,105 @@ where
     buf
 }
 
+/// What one shelf lane should hold, per element type ([`Held::kind`]): the
+/// sizes of the buffers the test dropped there and the pool has neither
+/// handed out again nor freed, and the most the test held live at once.
+#[derive(Default)]
+struct LaneModel {
+    shelf: [Vec<usize>; 2],
+    most: [usize; 2],
+}
+
+/// Runs an alloc/drop sequence in the calling thread's shelf lane, which
+/// `lane` models, and checks every step against the pool's rule: a hit is
+/// the smallest shelved buffer of its type that holds the request (exactly
+/// it, for an upload) and adds no fresh bytes; a miss charges exactly the
+/// request and frees that type's largest shelved buffer, if any. Other
+/// lanes stay as they were. After every step the lane's shelved plus held
+/// buffers of each type number at most the most it held at once.
+fn run_lane_ops(
+    dev: &Device,
+    ops: &[(u32, f32, bool, u32, usize)],
+    lane: &mut LaneModel,
+) -> Result<(), TestCaseError> {
+    let (others_in_use, others_shelved) = (
+        dev.memory_in_use() - lane.shelf.iter().flatten().sum::<usize>(),
+        dev.buffer_pool_bytes() - lane.shelf.iter().flatten().sum::<usize>(),
+    );
+    let mut held: Vec<Held> = Vec::new();
+    // Request sizes drift downwards, as the rows of a walk do after every
+    // early-termination filter, and start over with the next walk.
+    let mut base = 6000usize;
+    for &(choice, scale, unsigned, ctor, pick) in ops {
+        if choice < 55 || held.is_empty() {
+            let len = (base as f32 * scale) as usize + 1;
+            base = if base < 64 { 6000 } else { base * 15 / 16 };
+            let want = len * 8;
+            let kind = usize::from(!unsigned);
+            let shelf = &mut lane.shelf[kind];
+            let fit = shelf
+                .iter()
+                .enumerate()
+                .filter(|&(_, &b)| b == want || (ctor < 2 && b > want))
+                .min_by_key(|&(_, &b)| b)
+                .map(|(at, _)| at);
+            let (hits0, fresh0, in_use0) = (
+                dev.stats().pool_hits(),
+                dev.stats().bytes_allocated(),
+                dev.memory_in_use(),
+            );
+            let buf = if unsigned {
+                Held::U(pool_alloc(dev, len, ctor, u64::MAX))
+            } else {
+                Held::I(pool_alloc(dev, len, ctor, -1i64))
+            };
+            let fresh = (dev.stats().bytes_allocated() - fresh0) as usize;
+            let hit = dev.stats().pool_hits() > hits0;
+            prop_assert_eq!(hit, fit.is_some(), "{} B of kind {}", want, kind);
+            if let Some(at) = fit {
+                // Recycled: no fresh bytes, the best fit's charge.
+                prop_assert_eq!((fresh, buf.bytes()), (0, shelf.swap_remove(at)));
+            } else {
+                // Fresh, exactly the request, in place of the largest.
+                prop_assert_eq!((fresh, buf.bytes()), (want, want));
+                let largest = (0..shelf.len()).max_by_key(|&at| shelf[at]);
+                let freed = largest.map_or(0, |at| shelf.swap_remove(at));
+                prop_assert_eq!(dev.memory_in_use(), in_use0 + want - freed);
+            }
+            held.push(buf);
+        } else {
+            let buf = held.swap_remove(pick % held.len());
+            lane.shelf[buf.kind()].push(buf.bytes());
+        }
+        let live: usize = held.iter().map(Held::bytes).sum();
+        let shelved: usize = lane.shelf.iter().flatten().sum();
+        prop_assert_eq!(dev.buffer_pool_bytes(), others_shelved + shelved);
+        prop_assert_eq!(dev.memory_in_use(), others_in_use + live + shelved);
+        prop_assert!(live <= dev.peak_live_memory());
+        for kind in 0..2 {
+            let holding = held.iter().filter(|h| h.kind() == kind).count();
+            lane.most[kind] = lane.most[kind].max(holding);
+            prop_assert!(
+                holding + lane.shelf[kind].len() <= lane.most[kind],
+                "{} held and {} shelved of kind {}, at most {} held at once",
+                holding,
+                lane.shelf[kind].len(),
+                kind,
+                lane.most[kind]
+            );
+        }
+    }
+    for buf in held {
+        lane.shelf[buf.kind()].push(buf.bytes());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The sequence runs in lane 0, then in a stream's lane 1, which must
+    /// find nothing of lane 0's, then in lane 0 again.
     #[test]
     fn pool_accounting_holds_over_random_alloc_drop_sequences(
         ops in prop::collection::vec(
@@ -165,39 +270,17 @@ proptest! {
     ) {
         let dev = Device::new(DeviceConfig::new().workers(1));
         dev.buffer_pool_retain();
-        let mut held: Vec<Held> = Vec::new();
-        // Request sizes drift downwards, as the rows of a walk do after every
-        // early-termination filter, and start over with the next walk.
-        let mut base = 6000usize;
-        for &(choice, scale, unsigned, ctor, pick) in &ops {
-            if choice < 55 || held.is_empty() {
-                let len = (base as f32 * scale) as usize + 1;
-                base = if base < 64 { 6000 } else { base * 15 / 16 };
-                let (hits0, fresh0) = (dev.stats().pool_hits(), dev.stats().bytes_allocated());
-                let buf = if unsigned {
-                    Held::U(pool_alloc(&dev, len, ctor, u64::MAX))
-                } else {
-                    Held::I(pool_alloc(&dev, len, ctor, -1i64))
-                };
-                // Recycled (no fresh bytes) or fresh (exactly the request).
-                let fresh = (dev.stats().bytes_allocated() - fresh0) as usize;
-                if dev.stats().pool_hits() > hits0 {
-                    prop_assert_eq!(fresh, 0);
-                } else {
-                    prop_assert_eq!((fresh, buf.bytes()), (len * 8, len * 8));
-                }
-                held.push(buf);
-            } else {
-                held.swap_remove(pick % held.len());
-            }
-            let live: usize = held.iter().map(Held::bytes).sum();
-            prop_assert_eq!(dev.memory_in_use(), live + dev.buffer_pool_bytes());
-            prop_assert!(live <= dev.peak_live_memory());
-            prop_assert!(dev.buffer_pool_bytes() <= SHELF_LIVE_MULTIPLE * dev.peak_live_memory());
-            prop_assert!(dev.peak_memory() <= (SHELF_LIVE_MULTIPLE + 1) * dev.peak_live_memory());
+        let (first, then) = ops.split_at(ops.len() / 2);
+        let mut lane0 = LaneModel::default();
+        run_lane_ops(&dev, first, &mut lane0)?;
+        for lane1 in dev.streams(2, |pos| {
+            (pos == 1).then(|| run_lane_ops(&dev, &ops, &mut LaneModel::default()))
+        }) {
+            lane1.unwrap_or(Ok(()))?;
         }
+        run_lane_ops(&dev, then, &mut lane0)?;
+        prop_assert_eq!(dev.shelf_lanes().len(), 2);
         prop_assert!(dev.stats().pool_hits() > 0, "the sequence never recycled");
-        drop(held);
         prop_assert_eq!(dev.memory_in_use(), dev.buffer_pool_bytes());
         dev.buffer_pool_release();
         prop_assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
@@ -314,51 +397,6 @@ fn pool_counters_of_streams_repeat_whatever_the_interleaving() {
     assert_eq!(want.4.len(), 4, "one lane per stream position");
     for yields in 1..200 {
         assert_eq!(counters(yields), want, "yield pattern {yields}");
-    }
-}
-
-/// Resident weights are in lane 0's live mark only, and every lane's budget
-/// is credited with a worker's share of them — so the allowance they add to
-/// the shelf is the device's, `lanes / workers` times over, not one per
-/// lane. Eight workers, two lanes each; a stream holds one 8 kB buffer at a
-/// time, of five element types in turn, so its own mark lets it keep two of
-/// the five: with 160 kB of weights (a 20 kB share) it keeps all five, with
-/// 16 kB (2 kB) the two — and the device's peak stays inside the bound
-/// [`gpupoly_device::Device::peak_live_memory`] documents.
-#[test]
-fn pool_lanes_share_the_resident_allowance_between_them() {
-    const WORKERS: usize = 8;
-    const LANES: usize = 2 * WORKERS;
-    for (weights, kept) in [(160_000, 40_000), (16_000, 16_000)] {
-        let dev = Device::new(DeviceConfig::new().workers(WORKERS));
-        dev.buffer_pool_retain();
-        let resident = DeviceBuffer::from_slice(&dev, &vec![1u8; weights])
-            .unwrap()
-            .into_persistent();
-        dev.streams(LANES, |_| {
-            drop(DeviceBuffer::<u8>::for_overwrite(&dev, 8000).unwrap());
-            drop(DeviceBuffer::<u16>::for_overwrite(&dev, 4000).unwrap());
-            drop(DeviceBuffer::<u32>::for_overwrite(&dev, 2000).unwrap());
-            drop(DeviceBuffer::<u64>::for_overwrite(&dev, 1000).unwrap());
-            drop(DeviceBuffer::<i64>::for_overwrite(&dev, 1000).unwrap());
-        });
-        let lanes = dev.shelf_lanes();
-        assert_eq!(lanes.len(), LANES);
-        // Lane 0 also holds the weights, live: its own mark covers all five.
-        assert_eq!(lanes[0], (40_000, weights + 8000));
-        for (lane, &seen) in lanes.iter().enumerate().skip(1) {
-            assert_eq!(seen, (kept, 8000), "lane {lane} on {weights} B of weights");
-        }
-        let live = dev.peak_live_memory();
-        assert_eq!(live, weights + LANES * 8000);
-        let allowance = SHELF_LIVE_MULTIPLE * (LANES / WORKERS) * weights;
-        assert!(dev.buffer_pool_bytes() <= SHELF_LIVE_MULTIPLE * live + allowance);
-        assert!(dev.peak_memory() <= (SHELF_LIVE_MULTIPLE + 1) * live + allowance);
-        // A share apiece, not the weights apiece.
-        assert!(dev.buffer_pool_bytes() <= 40_000 + (LANES - 1) * kept);
-        drop(resident);
-        dev.buffer_pool_release();
-        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
     }
 }
 
