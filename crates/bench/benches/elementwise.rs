@@ -7,11 +7,16 @@
 //! coefficient** (per plane, on one worker) on a dense geometry and on a
 //! dependence-set-window geometry, at a given share of *stable* neurons
 //! (half of them stably positive, half stably negative; the rest unstable)
-//! and a given density of non-zero coefficients. The reference backend runs
-//! the contract's straight-line row functions, which is also what the
-//! production backend ran for every row before it resolved a launch's tables
-//! once, so its column doubles as the "before" figure. Outputs of the two
-//! backends are asserted bit-identical and their digest is printed.
+//! and a given density of non-zero coefficients. `concretize` and
+//! `bias_fold` run in row blocks, and their blocks are built twice
+//! ([`GemmBuild`]): each build the host has gets a row — `baseline`, and
+//! `avx512` where the host has AVX-512F — with the ReLU step, which is built
+//! once, timed on the production backend in both. The reference backend
+//! runs the contract's straight-line row functions, which is also what the
+//! production backend ran for every row before it resolved a launch's
+//! tables once and blocked its rows, so its row doubles as the "before"
+//! figure. The outputs of every row are asserted bit-identical and their
+//! digest is printed.
 //!
 //! Run with `cargo bench --bench elementwise` (the benchmark's two regimes,
 //! dense and sparse coefficients) or
@@ -21,7 +26,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{kernels, Backend, Device, DeviceConfig, ExprGeom, ReluRelax};
+use gpupoly_device::{kernels, Backend, Device, DeviceConfig, ExprGeom, GemmBuild, ReluRelax};
 use gpupoly_interval::Itv;
 
 /// splitmix64, as a stream of uniform draws from `[0, 1)`.
@@ -143,9 +148,12 @@ fn fnv(mut hash: u64, out: &[Itv<f32>]) -> u64 {
 
 /// Seconds per launch of each kernel — `[relu_step, concretize, bias_fold]`,
 /// the ReLU step's copy of its plane subtracted — and a digest of what they
-/// wrote.
+/// wrote. With a `build`, concretize and the bias fold run in that build of
+/// the production kernels, on no device; the ReLU step, which has one build,
+/// runs on `device` either way.
 fn time_case<B: Backend>(
     device: &Device<B>,
+    build: Option<GemmBuild>,
     case: &Case,
     ops: &Operands,
     reps: usize,
@@ -199,16 +207,13 @@ fn time_case<B: Backend>(
     let mut out = vec![Itv::<f32>::zero(); case.rows];
     let t = Instant::now();
     for _ in 0..reps {
-        kernels::concretize(
-            device,
-            black_box(&ops.plane),
-            &ops.plane,
-            &ops.cst,
-            &ops.cst,
-            &geom,
-            &bounds,
-            &mut out,
-        );
+        let (lo, hi) = (black_box(&ops.plane), &ops.plane);
+        match build {
+            Some(build) => build.concretize(lo, hi, &ops.cst, &ops.cst, &geom, &bounds, &mut out),
+            None => {
+                kernels::concretize(device, lo, hi, &ops.cst, &ops.cst, &geom, &bounds, &mut out)
+            }
+        }
         black_box(&out);
     }
     // Two planes per launch.
@@ -217,15 +222,19 @@ fn time_case<B: Backend>(
 
     let t = Instant::now();
     for _ in 0..reps {
-        kernels::bias_fold(
-            device,
-            "bias_fold_lo",
-            black_box(&ops.plane),
-            &geom,
-            &ops.bias,
-            &ops.cst,
-            &mut out,
-        );
+        let plane = black_box(&ops.plane);
+        match build {
+            Some(build) => build.bias_fold(plane, &geom, &ops.bias, &ops.cst, &mut out),
+            None => kernels::bias_fold(
+                device,
+                "bias_fold_lo",
+                plane,
+                &geom,
+                &ops.bias,
+                &ops.cst,
+                &mut out,
+            ),
+        }
         black_box(&out);
     }
     let bias_fold = t.elapsed().as_secs_f64() / reps as f64;
@@ -240,17 +249,31 @@ fn report(case: &Case, stable: f64, density: f64) {
     // One worker each: the figure is a thread's.
     let cpusim = Device::new(DeviceConfig::new().workers(1));
     let reference = Device::reference(DeviceConfig::new().workers(1));
-    let (fast, fast_digest) = time_case(&cpusim, case, &ops, reps);
-    let (naive, naive_digest) = time_case(&reference, case, &ops, reps.div_ceil(4));
-    assert_eq!(
-        fast_digest, naive_digest,
-        "{}: cpusim and reference outputs differ",
-        case.name
-    );
-    for (backend, secs) in [("cpusim", fast), ("reference", naive)] {
+    let mut rows = Vec::new();
+    for (name, build) in [
+        ("baseline", GemmBuild::Baseline),
+        ("avx512", GemmBuild::Avx512),
+    ] {
+        if build.is_available() {
+            rows.push((name, time_case(&cpusim, Some(build), case, &ops, reps)));
+        }
+    }
+    rows.push((
+        "reference",
+        time_case(&reference, None, case, &ops, reps.div_ceil(4)),
+    ));
+    let digest = rows[0].1 .1;
+    for (name, (_, other)) in &rows {
+        assert_eq!(
+            *other, digest,
+            "{}: {name} and {} outputs differ",
+            case.name, rows[0].0
+        );
+    }
+    for (name, (secs, _)) in rows {
         println!(
-            "[elementwise] {backend:<9} {:<6} stable {stable:.3} density {density:.2}  \
-             relu_step {:>6.2}  concretize {:>6.2}  bias_fold {:>6.2} ns/coeff  digest {fast_digest:016x}",
+            "[elementwise] {name:<9} {:<6} stable {stable:.3} density {density:.2}  \
+             relu_step {:>6.2}  concretize {:>6.2}  bias_fold {:>6.2} ns/coeff  digest {digest:016x}",
             case.name,
             secs[0] * 1e9 / coeffs,
             secs[1] * 1e9 / coeffs,

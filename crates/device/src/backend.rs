@@ -17,10 +17,11 @@
 //! crate:
 //!
 //! * [`CpuSimBackend`] — the production CPU simulation: register-blocked
-//!   GEMM and GBC at the host's vector width (their row kernels are
-//!   compiled twice, and a process runs the build its CPU can,
-//!   [`GemmBuild`]), each kernel a loop over its rows on the launching
-//!   thread, buffer pooling enabled. This is the default backend.
+//!   GEMM and GBC, and concretize and the bias fold in row blocks, at the
+//!   host's vector width (their row kernels are compiled twice, and a
+//!   process runs the build its CPU can, [`GemmBuild`]), each kernel a loop
+//!   over its rows on the launching thread, buffer pooling enabled. This is
+//!   the default backend.
 //! * [`ReferenceBackend`] — deliberately naive straight-line scalar loops
 //!   with pooling disabled. It exists to *differentially test* the clever
 //!   backend (and any future port): same contract, trivially-auditable
@@ -120,6 +121,24 @@
 //! edges, and a unit test holds the two builds to each other and the
 //! baseline to the oracle.
 //!
+//! Concretize and the bias fold block over **rows**, each row one output
+//! over its own term list: [`CpuSimBackend`] runs the rows of a launch in
+//! *row blocks* — four rows in the baseline build, eight in the AVX-512 one
+//! — whose lanes are rows stepping through their coefficients together,
+//! lane `j` adding its own row's term at each step, in the order below, to
+//! its own sums, `T` and count ([`WideBounds`], [`WideDots`]). A term list
+//! is never split across lanes or steps. The zero-skip is a mask: a lane
+//! whose coefficient is an exact zero adds `-0.0` to its sums, `+0.0` to
+//! its `T` and `0` to its count, which leaves each as it is, bit for bit
+//! (the module docs of [`gpupoly_interval::wide`], "The masked add"). The
+//! idle lanes of a partial block repeat one of its rows and are never
+//! written. The fallback is per lane: a lane whose `T` is not finite takes
+//! its own row's per-step chain, and the block's other lanes keep their
+//! results. [`crate::conformance::check_concretize_block_edges`] and
+//! [`crate::conformance::check_bias_fold_block_edges`] cross those blocks'
+//! edges, and a unit test holds the two builds to each other and the
+//! baseline to the oracle.
+//!
 //! **Live columns.** [`Backend::gemm_itv_f_live`] is `gemm_itv_f` with some
 //! outputs not computed: row `r` writes the columns its segment lists live,
 //! each the bits `gemm_itv_f` gives it — the row's term list, `T` against
@@ -205,12 +224,11 @@
 //! [`gpupoly_interval::wide`].
 //!
 //! Widening a bound to `f64` is exact, so *when* it happens is scheduling,
-//! not arithmetic: [`ReferenceBackend`] widens the bound of every term as it
-//! meets it, [`CpuSimBackend`] widens a segment's bounds once per launch —
-//! for the segments with more than one row in it; a single row would widen
-//! exactly what the table holds, and after early termination a fused batch
-//! carries segments without rows — and the bias fold does the same with its
-//! bias. Neither changes a term list, its order, a skip or a count.
+//! not arithmetic: both backends widen the bound of every term as they meet
+//! it, [`CpuSimBackend`] a row block's lanes' bounds at once (one bound for
+//! all of them when the block's rows share a segment and an origin), and
+//! the bias fold does the same with its bias. Neither changes a term list,
+//! its order, a skip or a count.
 //!
 //! **Bias fold** is one interval×scalar output per row over its own term
 //! list: the row's non-zero coefficients, window positions ascending
@@ -318,9 +336,11 @@
 //! copy engine is where a prefetch of the next layer's gather would belong.
 
 use gpupoly_interval::wide::{
-    max_mag, max_mag_blocked, WideAcc, WideBound, WideMag, WideRow, WideSum, WideTerm, Widening,
+    max_mag, max_mag_blocked, WideAcc, WideBound, WideBounds, WideDots, WideMag, WideRow, WideSum,
+    WideTerm, Widening,
 };
 use gpupoly_interval::{round, Fp, Itv};
+use std::array::from_fn;
 use std::cell::{OnceCell, RefCell};
 
 use crate::relax::ReluRelax;
@@ -357,7 +377,8 @@ pub struct ExprGeom<'a> {
     pub chans: usize,
     /// Per-row window origins in the frontier extent.
     pub origins: &'a [(i32, i32)],
-    /// Per-row query-segment indices (all `0` for single-query batches).
+    /// Per-row query-segment indices (all `0` for single-query batches);
+    /// one per row for the kernels that read them, whose launches check it.
     pub seg: &'a [u32],
 }
 
@@ -411,6 +432,20 @@ impl ExprGeom<'_> {
             self.origins,
             (self.win_h, self.win_w),
             (self.shape_h, self.shape_w),
+        );
+    }
+
+    /// Checks that `seg` has one entry per row, once per launch, for the
+    /// kernels that read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `kernel`, when `seg` and `origins` differ in length.
+    pub(crate) fn assert_one_segment_per_row(&self, kernel: &str) {
+        assert_eq!(
+            self.seg.len(),
+            self.origins.len(),
+            "{kernel}: one segment index per row"
         );
     }
 }
@@ -484,12 +519,12 @@ impl GbcShape {
 // row after the other, so per-row
 // arithmetic — and therefore every result bit — is identical by
 // construction. The exceptions are CpuSimBackend's: GBC is a scatter there
-// and the contract's gather on ReferenceBackend, and the ReLU step,
-// concretize and the bias fold run `relu_step_row_by_sides`,
-// `concretize_row_widened` and `bias_fold_row_widened` over tables the launch
-// made once, with `relu_step_row`, `concretize_row` and `bias_fold_row` — all
-// that ReferenceBackend runs — for other scalar types and for the rows those
-// hand back. The conformance suite checks each backend against *independent*
+// and the contract's gather on ReferenceBackend, the ReLU step runs
+// `relu_step_row_by_sides` over tables the launch made once, and concretize
+// and the bias fold run in row blocks (`ConcretizeBlocks`,
+// `BiasFoldBlocks`); `relu_step_row`, `concretize_row` and `bias_fold_row` —
+// all that ReferenceBackend runs — take other scalar types and the rows
+// those hand back. The conformance suite checks each backend against *independent*
 // straight-line oracles, so a port that reimplements the rows is held to
 // the same bits.
 // ---------------------------------------------------------------------------
@@ -896,8 +931,11 @@ fn bias_terms<F: Fp, W: Copy>(row: &[Itv<F>], bias: &[W], mut visit: impl FnMut(
 /// [`bias_terms`] — one output over its own term list: the wide rule seeded
 /// with `cst` for [`Fp::EXACT_IN_F64`], the per-step chain otherwise and
 /// when an operand is not finite. Exact-zero coefficients are skipped on
-/// both (mandatory, like the GEMM zero-skip).
-#[inline]
+/// both (mandatory, like the GEMM zero-skip). All of [`ReferenceBackend`]'s
+/// bias fold; on [`CpuSimBackend`] the rows of other scalar types and the
+/// lanes [`BiasFoldBlocks`] hands back. Never inlined, for the reason
+/// [`concretize_row`] is not.
+#[inline(never)]
 fn bias_fold_row<F: Fp>(row: &[Itv<F>], bias: &[F], cst: Itv<F>) -> Itv<F> {
     if F::EXACT_IN_F64 {
         let mut mag = WideMag::new(&[cst]);
@@ -914,21 +952,6 @@ fn bias_fold_row<F: Fp>(row: &[Itv<F>], bias: &[F], cst: Itv<F>) -> Itv<F> {
     let mut acc = cst;
     bias_terms(row, bias, |a, b| acc = a.mul_add_f(b, acc));
     acc
-}
-
-/// [`bias_fold_row`]'s wide rule over a bias the launch widened once, for
-/// [`Fp::EXACT_IN_F64`]; `None` when an operand is not finite and the row is
-/// [`bias_fold_row`]'s.
-#[inline]
-fn bias_fold_row_widened<F: Fp>(row: &[Itv<F>], bias: &[f64], cst: Itv<F>) -> Option<Itv<F>> {
-    let mut mag = WideMag::new(&[cst]);
-    let mut acc = WideAcc::<1>::new(&[cst]);
-    bias_terms(row, bias, |a, b| {
-        let a = WideTerm::new(a);
-        mag.add(a, b.abs());
-        acc.mul_add_wide(a, &[b]);
-    });
-    mag.finish().map(|e| acc.finish(0, e))
 }
 
 /// What the ReLU step does with one coefficient.
@@ -1317,8 +1340,12 @@ fn window_rows<'a>(r: usize, geom: &'a ExprGeom<'_>) -> impl Iterator<Item = (us
 /// lower bound of the lower expression and the upper bound of the upper one,
 /// each through a [`WideBound`] for [`Fp::EXACT_IN_F64`]; on the per-step
 /// chain otherwise, and for a row either of whose magnitude sums is not
-/// finite. Exact-zero coefficients are skipped on both.
-#[inline]
+/// finite. Exact-zero coefficients are skipped on both. All of
+/// [`ReferenceBackend`]'s concretize; on [`CpuSimBackend`] the rows of other
+/// scalar types and the lanes [`ConcretizeBlocks`] hands back. Never
+/// inlined, so that the chain is the same code whichever build hands a row
+/// back to it.
+#[inline(never)]
 fn concretize_row<F: Fp>(
     r: usize,
     lo_row: &[Itv<F>],
@@ -1370,41 +1397,162 @@ fn concretize_row<F: Fp>(
     Itv { lo, hi: hi.max(lo) }
 }
 
-/// [`concretize_row`]'s wide rule over bounds the launch widened once per
-/// segment, for [`Fp::EXACT_IN_F64`]; `None` when either magnitude sum is not
-/// finite and the row is [`concretize_row`]'s.
-#[inline]
-fn concretize_row_widened<F: Fp>(
-    r: usize,
-    lo_row: &[Itv<F>],
-    hi_row: &[Itv<F>],
-    cst_lo: Itv<F>,
-    cst_hi: Itv<F>,
-    geom: &ExprGeom<'_>,
-    bounds: &[WideTerm],
-) -> Option<Itv<F>> {
-    let is_zero = |a: Itv<F>| a.lo == F::ZERO && a.hi == F::ZERO;
-    let run = geom.win_w * geom.chans;
-    let mut lo = WideBound::<false>::new(cst_lo.lo);
-    let mut hi = WideBound::<true>::new(cst_hi.hi);
-    for (base, nbase) in window_rows(r, geom) {
-        let rows = lo_row[base..base + run]
-            .iter()
-            .zip(&hi_row[base..base + run]);
-        for ((&a_lo, &a_hi), &b) in rows.zip(&bounds[nbase..nbase + run]) {
-            if is_zero(a_lo) && is_zero(a_hi) {
-                continue;
+/// The rows of a row-reduction launch — concretize's or the bias fold's —
+/// in blocks of `L`: `(first row, live lanes, the row of lane j)`. A partial
+/// block's idle lanes repeat its last row, so that every lane reads real
+/// operands; they are never written out.
+#[inline(always)]
+fn row_blocks<const L: usize>(
+    rows: usize,
+) -> impl Iterator<Item = (usize, usize, impl Fn(usize) -> usize + Copy)> {
+    (0..rows).step_by(L).map(move |r0| {
+        let live = L.min(rows - r0);
+        (r0, live, move |j: usize| r0 + j.min(live - 1))
+    })
+}
+
+/// One concretize launch on [`CpuSimBackend`] for [`Fp::EXACT_IN_F64`], in
+/// row blocks, for a build of [`crate::simd`] to run at its lane count:
+/// one row a lane, the lanes stepping through their windows together, lane
+/// `j` adding its own row's terms of both planes ([`WideBounds`]) in the
+/// order [`concretize_row`] adds them — window rows ascending, a window
+/// row's run of `win_w · chans` elements ascending — each against its own
+/// segment's bound at its own window position. When every row of a block
+/// reads the same bounds (one segment and one origin: a full window, or a
+/// dense layer) one bound per step serves every lane. A lane either of
+/// whose magnitude sums is not finite is [`concretize_row`]'s, on its chain;
+/// its neighbours keep their results.
+struct ConcretizeBlocks<'a, F> {
+    lo: &'a [Itv<F>],
+    hi: &'a [Itv<F>],
+    cst_lo: &'a [Itv<F>],
+    cst_hi: &'a [Itv<F>],
+    geom: &'a ExprGeom<'a>,
+    bounds_per_seg: &'a [&'a [Itv<F>]],
+    out: &'a mut [Itv<F>],
+}
+
+impl<F: Fp> LaneKernel for ConcretizeBlocks<'_, F> {
+    /// Blocks of `LIVE` rows: eight, one `zmm` register of `f64` a sum, in
+    /// the AVX-512 build; four in the baseline one.
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        self.rows::<LIVE>()
+    }
+}
+
+impl<F: Fp> ConcretizeBlocks<'_, F> {
+    #[inline(always)]
+    fn rows<const L: usize>(self) {
+        let (g, cols) = (self.geom, self.geom.cols());
+        // A window as wide as its layer is one run, in the plane and in the
+        // frontier alike.
+        let (win_h, run) = match g.win_w == g.shape_w {
+            true => (1, cols),
+            false => (g.win_h, g.win_w * g.chans),
+        };
+        let bounds = |r: usize| self.bounds_per_seg[g.seg[r] as usize];
+        for (r0, live, lane) in row_blocks::<L>(g.rows()) {
+            let mut lo = WideBounds::<L, false>::new(from_fn(|j| self.cst_lo[lane(j)].lo));
+            let mut hi = WideBounds::<L, true>::new(from_fn(|j| self.cst_hi[lane(j)].hi));
+            let shared =
+                (r0..r0 + live).all(|r| g.seg[r] == g.seg[r0] && g.origins[r] == g.origins[r0]);
+            for i in 0..win_h {
+                let at = |j: usize| lane(j) * cols + i * run;
+                let a_lo = lane_runs::<_, L>(|j| &self.lo[at(j)..], run);
+                let a_hi = lane_runs::<_, L>(|j| &self.hi[at(j)..], run);
+                let b_at = |j: usize| g.neuron_at(lane(j), i, 0);
+                if shared {
+                    let b = &bounds(r0)[b_at(0)..][..run];
+                    for k in 0..run {
+                        let b = [b[k]; L];
+                        lo.mul_add_nonzero(&from_fn(|j| a_lo[j][k]), &b);
+                        hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
+                    }
+                } else {
+                    let b = lane_runs::<_, L>(|j| &bounds(lane(j))[b_at(j)..], run);
+                    for k in 0..run {
+                        let b = from_fn(|j| b[j][k]);
+                        lo.mul_add_nonzero(&from_fn(|j| a_lo[j][k]), &b);
+                        hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
+                    }
+                }
             }
-            if !is_zero(a_lo) {
-                lo.mul_add(WideTerm::new(a_lo), b);
-            }
-            if !is_zero(a_hi) {
-                hi.mul_add(WideTerm::new(a_hi), b);
+            let (lo, hi) = (lo.finish::<F>(), hi.finish::<F>());
+            for (j, r) in (r0..r0 + live).enumerate() {
+                self.out[r] = match (lo[j], hi[j]) {
+                    (Some(lo), Some(hi)) => Itv { lo, hi: hi.max(lo) },
+                    _ => concretize_row(
+                        r,
+                        &self.lo[r * cols..(r + 1) * cols],
+                        &self.hi[r * cols..(r + 1) * cols],
+                        self.cst_lo[r],
+                        self.cst_hi[r],
+                        g,
+                        bounds(r),
+                    ),
+                };
             }
         }
     }
-    let (lo, hi) = (lo.finish::<F>()?, hi.finish::<F>()?);
-    Some(Itv { lo, hi: hi.max(lo) })
+}
+
+/// The first `len` elements of `start(j)` for every lane `j` of a block:
+/// the lanes' runs, each `len` long, so that a step's loads need no bounds
+/// check.
+#[inline(always)]
+fn lane_runs<'a, T, const L: usize>(start: impl Fn(usize) -> &'a [T], len: usize) -> [&'a [T]; L] {
+    let mut runs = [&[][..]; L];
+    for (j, run) in runs.iter_mut().enumerate() {
+        *run = &start(j)[..len];
+    }
+    runs
+}
+
+/// One bias-fold launch on [`CpuSimBackend`] for [`Fp::EXACT_IN_F64`], in
+/// row blocks, for a build of [`crate::simd`] to run at its lane count: one
+/// row a lane, the lanes stepping through their rows' coefficients together
+/// against one bias entry a step ([`WideDots`]) — each lane adding its own
+/// row's terms in the order of [`bias_terms`]. A lane whose magnitude sum
+/// is not finite is [`bias_fold_row`]'s, on its chain.
+struct BiasFoldBlocks<'a, F> {
+    plane: &'a [Itv<F>],
+    cols: usize,
+    bias: &'a [F],
+    src_cst: &'a [Itv<F>],
+    out_cst: &'a mut [Itv<F>],
+}
+
+impl<F: Fp> LaneKernel for BiasFoldBlocks<'_, F> {
+    /// Blocks of `LIVE` rows, as [`ConcretizeBlocks`].
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        self.rows::<LIVE>()
+    }
+}
+
+impl<F: Fp> BiasFoldBlocks<'_, F> {
+    #[inline(always)]
+    fn rows<const L: usize>(self) {
+        let cols = self.cols;
+        for (r0, live, lane) in row_blocks::<L>(self.out_cst.len()) {
+            let a = lane_runs::<_, L>(|j| &self.plane[lane(j) * cols..], cols);
+            let mut dots = WideDots::<L>::new(from_fn(|j| self.src_cst[lane(j)]));
+            for (k, &w) in (0..cols).zip(self.bias.iter().cycle()) {
+                dots.mul_add_nonzero(&from_fn(|j| a[j][k]), w);
+            }
+            let dots = dots.finish();
+            for (j, r) in (r0..r0 + live).enumerate() {
+                self.out_cst[r] = dots[j].unwrap_or_else(|| {
+                    bias_fold_row(
+                        &self.plane[r * cols..(r + 1) * cols],
+                        self.bias,
+                        self.src_cst[r],
+                    )
+                });
+            }
+        }
+    }
 }
 
 /// `wmax` of a launch for scalar types with [`Fp::EXACT_IN_F64`] (empty
@@ -1875,6 +2023,65 @@ pub(crate) fn gbc_rows<F: Fp>(
     }
 }
 
+/// The CPU-sim concretize: [`ConcretizeBlocks`] in `build` for
+/// [`Fp::EXACT_IN_F64`], [`concretize_row`]'s chain row by row otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn concretize_rows<F: Fp>(
+    build: GemmBuild,
+    lo: &[Itv<F>],
+    hi: &[Itv<F>],
+    cst_lo: &[Itv<F>],
+    cst_hi: &[Itv<F>],
+    geom: &ExprGeom<'_>,
+    bounds_per_seg: &[&[Itv<F>]],
+    out: &mut [Itv<F>],
+) {
+    if F::EXACT_IN_F64 {
+        build.run(ConcretizeBlocks {
+            lo,
+            hi,
+            cst_lo,
+            cst_hi,
+            geom,
+            bounds_per_seg,
+            out,
+        })
+    } else {
+        let cols = geom.cols();
+        for (r, v) in out.iter_mut().enumerate() {
+            let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
+            let bounds = bounds_per_seg[geom.seg[r] as usize];
+            *v = concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds);
+        }
+    }
+}
+
+/// The CPU-sim bias fold over rows of `cols` coefficients: [`BiasFoldBlocks`]
+/// in `build` for [`Fp::EXACT_IN_F64`], [`bias_fold_row`]'s chain row by row
+/// otherwise.
+pub(crate) fn bias_fold_rows<F: Fp>(
+    build: GemmBuild,
+    plane: &[Itv<F>],
+    cols: usize,
+    bias: &[F],
+    src_cst: &[Itv<F>],
+    out_cst: &mut [Itv<F>],
+) {
+    if F::EXACT_IN_F64 {
+        build.run(BiasFoldBlocks {
+            plane,
+            cols,
+            bias,
+            src_cst,
+            out_cst,
+        })
+    } else {
+        for (r, v) in out_cst.iter_mut().enumerate() {
+            *v = bias_fold_row(&plane[r * cols..(r + 1) * cols], bias, src_cst[r]);
+        }
+    }
+}
+
 /// The CPU-sim interval GEMM family: the rows of `C` one after the other,
 /// the wide rule's in `build`.
 pub(crate) fn gemm_itv_rows<F: Fp>(
@@ -2332,21 +2539,14 @@ impl Backend for CpuSimBackend {
         src_cst: &[Itv<F>],
         out_cst: &mut [Itv<F>],
     ) {
-        if out_cst.is_empty() {
-            return;
-        }
-        let cols = geom.cols();
-        // Like a segment's table (`SegTables`): one row would widen exactly
-        // what the table holds.
-        let widened: Option<Vec<f64>> = (F::EXACT_IN_F64 && out_cst.len() > 1)
-            .then(|| bias.iter().map(|b| b.to_f64()).collect());
-        for (r, v) in out_cst.iter_mut().enumerate() {
-            let row = &plane[r * cols..(r + 1) * cols];
-            *v = widened
-                .as_deref()
-                .and_then(|bias| bias_fold_row_widened(row, bias, src_cst[r]))
-                .unwrap_or_else(|| bias_fold_row(row, bias, src_cst[r]))
-        }
+        bias_fold_rows(
+            GemmBuild::detected(),
+            plane,
+            geom.cols(),
+            bias,
+            src_cst,
+            out_cst,
+        )
     }
 
     fn relu_step<F: Fp>(
@@ -2437,27 +2637,16 @@ impl Backend for CpuSimBackend {
         bounds_per_seg: &[&[Itv<F>]],
         out: &mut [Itv<F>],
     ) {
-        if out.is_empty() {
-            return;
-        }
-        let cols = geom.cols();
-        // The one place bounds are widened for a launch.
-        let widened = SegTables::new(geom, bounds_per_seg.len(), |s| {
-            F::EXACT_IN_F64.then(|| {
-                let widen = |&b: &Itv<F>| WideTerm::new(b);
-                bounds_per_seg[s].iter().map(widen).collect::<Vec<_>>()
-            })
-        });
-        for (r, v) in out.iter_mut().enumerate() {
-            let s = geom.seg[r] as usize;
-            let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
-            *v = widened
-                .of(s)
-                .and_then(|b| concretize_row_widened(r, lo, hi, cst_lo[r], cst_hi[r], geom, b))
-                .unwrap_or_else(|| {
-                    concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds_per_seg[s])
-                })
-        }
+        concretize_rows(
+            GemmBuild::detected(),
+            lo,
+            hi,
+            cst_lo,
+            cst_hi,
+            geom,
+            bounds_per_seg,
+            out,
+        )
     }
 }
 
@@ -2682,6 +2871,7 @@ impl Backend for ReferenceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::RowReductionCase;
     use crate::{scan, DeviceConfig};
 
     /// Panics, naming `what` and the first element that differs, unless
@@ -3068,6 +3258,88 @@ mod tests {
         assert!(
             unreached > 0 && fallen_back > 0,
             "the cases lost their corners"
+        );
+    }
+
+    /// Both builds of `CpuSimBackend`'s row reductions, concretize and the
+    /// bias fold, called directly: the baseline build writes the contract's
+    /// bits ([`crate::conformance::oracle_concretize`],
+    /// [`crate::conformance::oracle_bias_fold_row`]) on every host — where
+    /// the process runs the AVX-512 build, the conformance suite does not
+    /// reach it — and the AVX-512 build writes the baseline's wherever the
+    /// host has it: 1 to 17 rows, full and partial blocks of four and eight,
+    /// segments shared and interleaved, non-finite operands inside a block,
+    /// and a row whose sum depends on the order of its terms
+    /// ([`RowReductionCase`]).
+    #[test]
+    fn both_row_reduction_builds_write_the_same_bits() {
+        let wide = GemmBuild::Avx512.is_available();
+        if !wide {
+            eprintln!("note: no AVX-512F on this host; the AVX-512 half of this test is skipped");
+        }
+        for rows in 1..=17 {
+            for layout in 0..3 {
+                let case = RowReductionCase::new(rows, layout);
+                let (geom, bounds) = (case.geom(), case.bounds());
+                let run = |build: GemmBuild| {
+                    let mut candidates = vec![Itv::point(9.0); rows];
+                    let (lo, hi) = (&case.lo, &case.hi);
+                    build.concretize(
+                        lo,
+                        hi,
+                        &case.cst_lo,
+                        &case.cst_hi,
+                        &geom,
+                        &bounds,
+                        &mut candidates,
+                    );
+                    let mut folded = vec![Itv::point(9.0); rows];
+                    build.bias_fold(lo, &geom, &case.bias, &case.cst_lo, &mut folded);
+                    [candidates, folded]
+                };
+                let baseline = run(GemmBuild::Baseline);
+                let want = [case.concretized(), case.bias_folded()];
+                for ((kernel, got), want) in
+                    ["concretize", "bias_fold"].iter().zip(&baseline).zip(&want)
+                {
+                    let what = format!("{kernel}, {rows} rows, layout {layout}");
+                    assert_same_bits_or_nan(got, want, &format!("{what}, baseline build"));
+                }
+                if wide {
+                    let avx512 = run(GemmBuild::Avx512);
+                    for ((kernel, got), want) in ["concretize", "bias_fold"]
+                        .iter()
+                        .zip(&avx512)
+                        .zip(&baseline)
+                    {
+                        let what = format!("{kernel}, {rows} rows, layout {layout}");
+                        assert_same_bits_or_nan(got, want, &format!("{what}, AVX-512 build"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A geometry whose `seg` is shorter than its rows is refused at the
+    /// launch, naming the kernel, not deep inside it.
+    #[test]
+    #[should_panic(expected = "concretize: one segment index per row")]
+    fn a_short_segment_list_is_refused_at_the_launch() {
+        let case = RowReductionCase::new(5, 1);
+        let mut geom = case.geom();
+        geom.seg = &geom.seg[..4];
+        let mut out = vec![Itv::point(9.0); 5];
+        let device = Device::new(DeviceConfig::new());
+        let (lo, hi, bounds) = (&case.lo, &case.hi, case.bounds());
+        crate::kernels::concretize(
+            &device,
+            lo,
+            hi,
+            &case.cst_lo,
+            &case.cst_hi,
+            &geom,
+            &bounds,
+            &mut out,
         );
     }
 

@@ -23,9 +23,10 @@
 //!   ReLU substitution step (including its stable-zero column guarantee),
 //!   densify, residual merge and concretize each match an independent
 //!   straight-line oracle bit for bit over cuboid/full windows on every
-//!   border of their layer and fused multi-segment batches; for GBC (its
-//!   oracle written in the layers' absolute coordinates, over destination
-//!   windows that were clipped, slid and moved; one bound per
+//!   border of their layer and fused multi-segment batches (concretize and
+//!   the bias fold also across the edges of row blocks of four and eight);
+//!   for GBC (its oracle written in the layers' absolute coordinates, over
+//!   destination windows that were clipped, slid and moved; one bound per
 //!   destination position), bias fold, the ReLU step and concretize that
 //!   oracle is the contract's wide rule restated per output in plain `f64`
 //!   (per-step chain for non-finite operands), with the corners random data
@@ -1354,7 +1355,7 @@ pub fn check_gbc_slid_windows<B: Backend>(device: &Device<B>) {
 /// one output's own term list (`wmax = |bias|`) — the wide rule seeded with
 /// the constant, or the per-step chain over the same terms where it does not
 /// apply.
-fn oracle_bias_fold_row(row: &[Itv<f32>], bias: &[f32], cst: Itv<f32>) -> Itv<f32> {
+pub(crate) fn oracle_bias_fold_row(row: &[Itv<f32>], bias: &[f32], cst: Itv<f32>) -> Itv<f32> {
     let terms: Vec<(Itv<f32>, f32)> = row
         .iter()
         .enumerate()
@@ -1378,7 +1379,7 @@ pub fn check_bias_fold_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
     let label = device.backend().label();
     let mut s = Stream::new(seed ^ 0x5ca1e);
     let case = GeomCase::new(
-        1 + s.next_range(6),
+        1 + s.next_range(40),
         1 + s.next_range(3),
         1 + s.next_range(3),
         4,
@@ -2230,7 +2231,7 @@ pub fn check_residual_merge_against_oracle<B: Backend>(device: &Device<B>, seed:
 /// the row's segment's bounds; the lower bound of the lower plane and the
 /// upper bound of the upper plane by [`oracle_wide_bound`], both on the
 /// per-step chain when either does not apply; `hi.max(lo)` last.
-fn oracle_concretize(
+pub(crate) fn oracle_concretize(
     lo: &[Itv<f32>],
     hi: &[Itv<f32>],
     cst_lo: &[Itv<f32>],
@@ -2290,7 +2291,7 @@ pub fn check_concretize_against_oracle<B: Backend>(device: &Device<B>, seed: u64
     let mut s = Stream::new(seed ^ 0xc0c0);
     let segments = 1 + s.next_range(3);
     let case = GeomCase::new(
-        1 + s.next_range(8),
+        1 + s.next_range(40),
         1 + s.next_range(3),
         1 + s.next_range(3),
         4,
@@ -2456,6 +2457,218 @@ pub fn check_concretize_special_cases<B: Backend>(device: &Device<B>) {
         "[{label}] concretize: single-term row {} is not the tightest enclosure {tight}",
         out[3]
     );
+}
+
+/// One launch of a row reduction — concretize or the bias fold — shaped to
+/// cross the edges of the row blocks a backend may run them in: `rows` rows
+/// of 2×2×4 windows in one of three `layout`s — 0: full windows of a 2×2
+/// layer, one segment (every row of a block reads the same bounds); 1: full
+/// windows, segments interleaved; 2: windows at random origins of a 4×4
+/// layer, segments interleaved. Interleaved, rows alternate between
+/// segments 0 and 1, and row `rows − 2` is segment 2's only row. Among the
+/// random rows (constants `-0.0` one time in five): with full windows, row 0
+/// sums `x + 2⁴⁰ − 2⁴⁰` first, whose bits change with the order of its terms
+/// (the `f64` sum loses low bits of `x` that the reverse order keeps); from
+/// five rows on, row 2 — inside a full block of four or eight — meets `+inf`
+/// and NaN operands, and row 3 has no term and `-0.0` constants.
+pub(crate) struct RowReductionCase {
+    geom: GeomCase,
+    /// Coefficient planes; the bias fold folds `lo`.
+    pub(crate) lo: Vec<Itv<f32>>,
+    pub(crate) hi: Vec<Itv<f32>>,
+    pub(crate) cst_lo: Vec<Itv<f32>>,
+    pub(crate) cst_hi: Vec<Itv<f32>>,
+    /// Concrete bounds of three segments.
+    bounds: Vec<Vec<Itv<f32>>>,
+    /// One entry per channel; the first three are `1.0`, so that row 0's
+    /// cancelling terms meet unit weights in the bias fold too.
+    pub(crate) bias: Vec<f32>,
+}
+
+impl RowReductionCase {
+    pub(crate) fn new(rows: usize, layout: usize) -> Self {
+        let mut s = Stream::new(0x10_ca1 ^ (rows * 3 + layout) as u64);
+        let full = layout < 2;
+        let side = if full { 2 } else { 4 };
+        let mut geom = GeomCase::new(rows, 2, 2, side, side, 4, 1, &mut s);
+        if layout > 0 {
+            geom.seg = (0..rows).map(|r| (r % 2) as u32).collect();
+            if rows >= 3 {
+                geom.seg[rows - 2] = 2;
+            }
+        }
+        let (lo, hi) = (geom.plane(&mut s), geom.plane(&mut s));
+        let (cst_lo, cst_hi) = (geom.csts(&mut s), geom.csts(&mut s));
+        let bounds = (0..3)
+            .map(|_| {
+                (0..geom.frontier_len())
+                    .map(|_| {
+                        let l = s.next_f32();
+                        Itv::new(l, l + s.next_f32().abs())
+                    })
+                    .collect()
+            })
+            .collect();
+        let bias = (0..4)
+            .map(|c| if c < 3 { 1.0 } else { s.next_f32() })
+            .collect();
+        let mut case = Self {
+            geom,
+            lo,
+            hi,
+            cst_lo,
+            cst_hi,
+            bounds,
+            bias,
+        };
+        let cols = case.geom.cols();
+        if full {
+            // Row 0 (at the origin, as every full window): `x`, `2⁴⁰` and
+            // `−2⁴⁰` against unit bounds and unit bias entries, then the
+            // row's random terms.
+            let (x, big) = (Itv::point(0.1_f32), Itv::point(2f32.powi(40)));
+            for plane in [&mut case.lo, &mut case.hi] {
+                plane[..3].copy_from_slice(&[x, big, -big]);
+            }
+            for seg in &mut case.bounds {
+                seg[..3].fill(Itv::point(1.0));
+            }
+        }
+        if rows >= 5 {
+            let nan = f32::NAN;
+            case.lo[2 * cols + 1] = Itv::new(1.0, f32::INFINITY);
+            case.hi[2 * cols + 2] = Itv { lo: nan, hi: 0.5 };
+            case.cst_hi[2] = Itv { lo: nan, hi: nan };
+            for plane in [&mut case.lo, &mut case.hi] {
+                for (k, v) in plane[3 * cols..4 * cols].iter_mut().enumerate() {
+                    *v = Itv::point(if k % 2 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+            case.cst_lo[3] = Itv::point(-0.0);
+            case.cst_hi[3] = Itv::point(-0.0);
+        }
+        case
+    }
+
+    pub(crate) fn geom(&self) -> ExprGeom<'_> {
+        self.geom.geom()
+    }
+
+    pub(crate) fn bounds(&self) -> Vec<&[Itv<f32>]> {
+        self.bounds.iter().map(Vec::as_slice).collect()
+    }
+
+    /// [`oracle_concretize`] of the case.
+    pub(crate) fn concretized(&self) -> Vec<Itv<f32>> {
+        let (lo, hi) = (&self.lo, &self.hi);
+        oracle_concretize(
+            lo,
+            hi,
+            &self.cst_lo,
+            &self.cst_hi,
+            &self.geom(),
+            &self.bounds(),
+        )
+    }
+
+    /// [`oracle_bias_fold_row`] of every row of `lo`, from `cst_lo`.
+    pub(crate) fn bias_folded(&self) -> Vec<Itv<f32>> {
+        let cols = self.geom.cols();
+        (0..self.geom.rows())
+            .map(|r| oracle_bias_fold_row(&self.lo[r * cols..][..cols], &self.bias, self.cst_lo[r]))
+            .collect()
+    }
+}
+
+/// Asserts what the special rows of a [`RowReductionCase`] of five rows or
+/// more are there for, on `out` (which equals the oracle): row 2's
+/// neighbours, whose operands are finite, have finite results; row 3 is
+/// `want3`, its constant, bit for bit.
+fn assert_row_reduction_corners(label: &str, kernel: &str, out: &[Itv<f32>], want3: Itv<f32>) {
+    assert!(
+        [1, 3, 4].iter().all(|&r| out[r].is_finite()),
+        "[{label}] {kernel}: rows 1, 3 and 4 have finite operands: {out:?}"
+    );
+    assert!(
+        bit_eq(out[3], want3),
+        "[{label}] {kernel}: the all-zero row must return its constant {want3}, got {}",
+        out[3]
+    );
+}
+
+/// Checks concretize against its straight-line oracle across the edges of
+/// row blocks: 1 to 17 rows — full and partial blocks of four and of eight
+/// — in three layouts (full windows over one segment, full windows over
+/// interleaved segments, windows at random origins over interleaved
+/// segments, one of them with a single row), with `-0.0` constants, a row
+/// with `+inf` and NaN operands inside a full block, a row with no term,
+/// and a row whose bits change with the order of its terms. A row with
+/// finite operands takes the wide rule, whose bits the per-step chain does
+/// not give, so a neighbour of the non-finite row that fell back with it
+/// fails the comparison.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_concretize_block_edges<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    for rows in 1..=17 {
+        for layout in 0..3 {
+            let case = RowReductionCase::new(rows, layout);
+            let mut out = vec![Itv::point(9.0_f32); rows]; // poisoned
+            kernels::concretize(
+                device,
+                &case.lo,
+                &case.hi,
+                &case.cst_lo,
+                &case.cst_hi,
+                &case.geom(),
+                &case.bounds(),
+                &mut out,
+            );
+            let kernel = format!("concretize ({rows} rows, layout {layout})");
+            assert_planes_bit_eq_or_nan(label, &kernel, &out, &case.concretized());
+            if rows >= 5 {
+                let (lo, hi) = (case.cst_lo[3].lo, case.cst_hi[3].hi);
+                assert_row_reduction_corners(label, &kernel, &out, Itv { lo, hi });
+            }
+        }
+    }
+}
+
+/// Checks the bias fold against its straight-line oracle across the edges
+/// of row blocks, as [`check_concretize_block_edges`] checks concretize: the
+/// case's `lo` plane from its `cst_lo` constants, row 2's a NaN.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_bias_fold_block_edges<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    for rows in 1..=17 {
+        for layout in 0..3 {
+            let mut case = RowReductionCase::new(rows, layout);
+            if rows >= 5 {
+                let nan = f32::NAN;
+                case.cst_lo[2] = Itv { lo: nan, hi: nan };
+            }
+            let mut out = vec![Itv::point(9.0_f32); rows]; // poisoned
+            kernels::bias_fold(
+                device,
+                "bias_fold_lo",
+                &case.lo,
+                &case.geom(),
+                &case.bias,
+                &case.cst_lo,
+                &mut out,
+            );
+            let kernel = format!("bias_fold ({rows} rows, layout {layout})");
+            assert_planes_bit_eq_or_nan(label, &kernel, &out, &case.bias_folded());
+            if rows >= 5 {
+                assert_row_reduction_corners(label, &kernel, &out, case.cst_lo[3]);
+            }
+        }
+    }
 }
 
 /// The device→device copy hook must round-trip bit-exactly and record its
@@ -2703,6 +2916,8 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         check_relu_step_special_cases(&device);
         check_relu_step_sides(&device);
         check_concretize_special_cases(&device);
+        check_concretize_block_edges(&device);
+        check_bias_fold_block_edges(&device);
         check_dtod(&device);
         check_copies(&device);
         assert!(

@@ -134,12 +134,7 @@ pub fn bias_fold<F: Fp, B: Backend>(
     src_cst: &[Itv<F>],
     out_cst: &mut [Itv<F>],
 ) {
-    let rows = geom.rows();
-    assert_eq!(plane.len(), rows * geom.cols(), "bias_fold: plane shape");
-    assert_eq!(src_cst.len(), rows, "bias_fold: source constants");
-    assert_eq!(out_cst.len(), rows, "bias_fold: output constants");
-    assert!(!bias.is_empty() || rows == 0, "bias_fold: empty bias");
-    geom.assert_in_extent("bias_fold");
+    check_bias_fold(plane, geom, bias, src_cst, out_cst);
     device.stats().record_work(
         label,
         4 * plane.len() as u64,
@@ -150,12 +145,33 @@ pub fn bias_fold<F: Fp, B: Backend>(
         .bias_fold(device, plane, geom, bias, src_cst, out_cst);
 }
 
+/// The shape checks of [`bias_fold`].
+///
+/// # Panics
+///
+/// As [`bias_fold`].
+pub(crate) fn check_bias_fold<F>(
+    plane: &[Itv<F>],
+    geom: &ExprGeom<'_>,
+    bias: &[F],
+    src_cst: &[Itv<F>],
+    out_cst: &[Itv<F>],
+) {
+    let rows = geom.rows();
+    assert_eq!(plane.len(), rows * geom.cols(), "bias_fold: plane shape");
+    assert_eq!(src_cst.len(), rows, "bias_fold: source constants");
+    assert_eq!(out_cst.len(), rows, "bias_fold: output constants");
+    assert!(!bias.is_empty() || rows == 0, "bias_fold: empty bias");
+    geom.assert_in_extent("bias_fold");
+}
+
 /// The DeepPoly ReLU substitution step, one plane per launch.
 ///
 /// # Panics
 ///
-/// Panics when a relaxation/bounds table does not cover the frontier, a
-/// segment index is out of range, or a window leaves the frontier extent.
+/// Panics when a relaxation/bounds table does not cover the frontier, a row
+/// has no segment index or one out of range, or a window leaves the
+/// frontier extent.
 #[allow(clippy::too_many_arguments)]
 pub fn relu_step<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -171,6 +187,7 @@ pub fn relu_step<F: Fp, B: Backend>(
     assert_eq!(plane.len(), rows * geom.cols(), "relu_step: plane shape");
     assert_eq!(cst.len(), rows, "relu_step: constants");
     geom.assert_in_extent("relu_step");
+    geom.assert_one_segment_per_row("relu_step");
     assert_eq!(
         relax_per_seg.len(),
         out_bounds_per_seg.len(),
@@ -290,8 +307,9 @@ pub fn residual_merge<F: Fp, B: Backend>(
 ///
 /// # Panics
 ///
-/// Panics when a bounds slice does not cover the frontier, a segment index
-/// is out of range, or a window leaves the frontier extent.
+/// Panics when a bounds slice does not cover the frontier, a row has no
+/// segment index or one out of range, or a window leaves the frontier
+/// extent.
 #[allow(clippy::too_many_arguments)]
 pub fn concretize<F: Fp, B: Backend>(
     device: &Device<B>,
@@ -303,6 +321,31 @@ pub fn concretize<F: Fp, B: Backend>(
     bounds_per_seg: &[&[Itv<F>]],
     out: &mut [Itv<F>],
 ) {
+    check_concretize(lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
+    device.stats().record_work(
+        "concretize",
+        4 * lo.len() as u64,
+        itv_bytes::<F>(lo.len() + hi.len() + out.len()),
+    );
+    device
+        .backend()
+        .concretize(device, lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
+}
+
+/// The shape checks of [`concretize`].
+///
+/// # Panics
+///
+/// As [`concretize`].
+pub(crate) fn check_concretize<F>(
+    lo: &[Itv<F>],
+    hi: &[Itv<F>],
+    cst_lo: &[Itv<F>],
+    cst_hi: &[Itv<F>],
+    geom: &ExprGeom<'_>,
+    bounds_per_seg: &[&[Itv<F>]],
+    out: &[Itv<F>],
+) {
     let rows = geom.rows();
     assert_eq!(lo.len(), rows * geom.cols(), "concretize: lower plane");
     assert_eq!(hi.len(), rows * geom.cols(), "concretize: upper plane");
@@ -310,6 +353,7 @@ pub fn concretize<F: Fp, B: Backend>(
     assert_eq!(cst_hi.len(), rows, "concretize: upper constants");
     assert_eq!(out.len(), rows, "concretize: output length");
     geom.assert_in_extent("concretize");
+    geom.assert_one_segment_per_row("concretize");
     for b in bounds_per_seg {
         assert_eq!(b.len(), geom.frontier_len(), "concretize: bounds length");
     }
@@ -320,14 +364,6 @@ pub fn concretize<F: Fp, B: Backend>(
         "concretize: segment index out of range for {} bounds slices",
         bounds_per_seg.len()
     );
-    device.stats().record_work(
-        "concretize",
-        4 * lo.len() as u64,
-        itv_bytes::<F>(lo.len() + hi.len() + out.len()),
-    );
-    device
-        .backend()
-        .concretize(device, lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
 }
 
 /// Device→device copy between equal-length buffers (the plane duplications

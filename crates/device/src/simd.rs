@@ -3,17 +3,20 @@
 //!
 //! The lane loops of [`CpuSimBackend`](crate::CpuSimBackend)'s GEMM family —
 //! the full product's register blocks, the live product's blocks over its
-//! packed columns, and the launch's `wmax` scan — and of its GBC scatter —
-//! the blocks a term adds to, and the block epilogue that ends a
-//! destination row — are generic over their lane count ([`LaneKernel`]) and
+//! packed columns, and the launch's `wmax` scan — of its GBC scatter — the
+//! blocks a term adds to, and the block epilogue that ends a destination
+//! row — and of its row reductions, concretize and the bias fold — row
+//! blocks, one row a lane, stepping through their rows' coefficients
+//! together — are generic over their lane count ([`LaneKernel`]) and
 //! compiled twice: [`GemmBuild::Baseline`] for the target's baseline
 //! instruction set (SSE2 on x86-64), and [`GemmBuild::Avx512`] with `avx512f`
 //! enabled and wider blocks. Both run the same IEEE operations per output in
 //! the same order — a lane is a lane however many sit in a register, and
 //! Rust never contracts `a * b + c` into an FMA — so they write the same
 //! bits, which the tests of [`crate::backend`] check by calling both. The
-//! GEMM's epilogue ([`WideAcc::finish`]) and the per-step chain are compiled
-//! once, never inlined into either build; GBC's block epilogue
+//! GEMM's epilogue ([`WideAcc::finish`]), the row blocks'
+//! ([`WideBounds::finish`], [`WideDots::finish`]) and the per-step chains
+//! are compiled once, never inlined into either build; GBC's block epilogue
 //! ([`WideRow::finish`]) is compiled into both, lane-wise, because per
 //! element it is a handful of directed steps written as IEEE operations and
 //! integer operations on bit patterns, which give one result at any width.
@@ -31,6 +34,8 @@
 //!
 //! [`WideAcc::finish`]: gpupoly_interval::wide::WideAcc::finish
 //! [`WideRow::finish`]: gpupoly_interval::wide::WideRow::finish
+//! [`WideBounds::finish`]: gpupoly_interval::wide::WideBounds::finish
+//! [`WideDots::finish`]: gpupoly_interval::wide::WideDots::finish
 
 use std::sync::OnceLock;
 
@@ -41,8 +46,9 @@ use crate::{backend, gemm, kernels};
 
 /// The lane counts of one build: `FULL` columns of `B` per register block of
 /// the full product, `LIVE` packed live columns per block of the live one
-/// (GBC sizes its blocks from both and from its launch's shape). A launch
-/// of a row kernel implements this to be run by either build.
+/// and rows per row block of concretize and the bias fold (GBC sizes its
+/// blocks from both and from its launch's shape). A launch of a row kernel
+/// implements this to be run by either build.
 pub(crate) trait LaneKernel {
     /// Runs the launch at the build's lane counts. Implementations are
     /// `#[inline(always)]`, so that their lane loops are compiled inside the
@@ -50,12 +56,13 @@ pub(crate) trait LaneKernel {
     fn run<const FULL: usize, const LIVE: usize>(self);
 }
 
-/// Lanes of the baseline build's blocks, full and live alike. Four lanes of
-/// `lo` and `hi` sums take four of baseline x86-64's sixteen 128-bit vector
-/// registers, and the block's weights and products most of the rest. A
-/// sweep of wider blocks and multi-row micro-kernels found none more than
-/// 10 % ahead — on baseline x86-64, which is all that sweep covered; with
-/// AVX-512's thirty-two 512-bit registers the wider blocks below are.
+/// Lanes of the baseline build's blocks, full, live and row blocks alike.
+/// Four lanes of `lo` and `hi` sums take four of baseline x86-64's sixteen
+/// 128-bit vector registers, and the block's weights and products most of
+/// the rest. A sweep of wider blocks and multi-row micro-kernels found none
+/// more than 10 % ahead — on baseline x86-64, which is all that sweep
+/// covered; with AVX-512's thirty-two 512-bit registers the wider blocks
+/// below are. A row block of two rows timed within noise of four.
 const BASELINE_LANES: usize = 4;
 
 /// Lanes of the AVX-512 build's full-product block: sixteen columns of `B`
@@ -68,21 +75,22 @@ const AVX512_FULL_LANES: usize = 16;
 /// Lanes of the AVX-512 build's live-product block: one `zmm` register of
 /// packed `f64` weights per term. Ahead of sixteen lanes by about 10 % on
 /// the same shapes: a segment's live columns are a few dozen, and a narrower
-/// block leaves fewer lanes idle in the last one.
+/// block leaves fewer lanes idle in the last one. Also the rows of its row
+/// blocks: one `zmm` register a sum.
 const AVX512_LIVE_LANES: usize = 8;
 
-/// A build of the interval kernels' row loops: the GEMM family's and GBC's
-/// (the name is the one the GEMM gave it). Both write the same bits; they
-/// differ in speed.
+/// A build of the interval kernels' row loops: the GEMM family's, GBC's,
+/// and the row blocks of concretize and the bias fold (the name is the one
+/// the GEMM gave it). Both write the same bits; they differ in speed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GemmBuild {
     /// Compiled for the target's baseline instruction set, blocks of four
-    /// lanes (GBC's of eight). Runs everywhere.
+    /// lanes (GBC's of eight; row blocks of four rows). Runs everywhere.
     Baseline,
     /// Compiled with `avx512f` enabled: blocks of sixteen columns of `B` in
-    /// the full product, eight packed columns in the live one, and up to
-    /// thirty-two elements in GBC's. x86-64 hosts with AVX-512F only;
-    /// running it elsewhere panics.
+    /// the full product, eight packed columns in the live one, up to
+    /// thirty-two elements in GBC's, and eight rows in a row block. x86-64
+    /// hosts with AVX-512F only; running it elsewhere panics.
     Avx512,
 }
 
@@ -200,6 +208,55 @@ impl GemmBuild {
             dst_cols,
             dst_ww,
         );
+    }
+
+    /// [`Backend::concretize`] as [`CpuSimBackend`] computes it, in this
+    /// build, on no device: row `r`'s candidate from both planes against
+    /// the bounds of its segment, `bounds_per_seg[geom.seg[r]]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`kernels::concretize`], and for [`GemmBuild::Avx512`] on a host
+    /// without AVX-512F.
+    ///
+    /// [`Backend::concretize`]: crate::Backend::concretize
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    #[allow(clippy::too_many_arguments)]
+    pub fn concretize<F: Fp>(
+        self,
+        lo: &[Itv<F>],
+        hi: &[Itv<F>],
+        cst_lo: &[Itv<F>],
+        cst_hi: &[Itv<F>],
+        geom: &ExprGeom<'_>,
+        bounds_per_seg: &[&[Itv<F>]],
+        out: &mut [Itv<F>],
+    ) {
+        kernels::check_concretize(lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
+        backend::concretize_rows(self, lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
+    }
+
+    /// [`Backend::bias_fold`] as [`CpuSimBackend`] computes it, in this
+    /// build, on no device: `out_cst[r] = src_cst[r] + Σ_t plane[r][t] ·
+    /// bias[t mod |bias|]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`kernels::bias_fold`], and for [`GemmBuild::Avx512`] on a host
+    /// without AVX-512F.
+    ///
+    /// [`Backend::bias_fold`]: crate::Backend::bias_fold
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    pub fn bias_fold<F: Fp>(
+        self,
+        plane: &[Itv<F>],
+        geom: &ExprGeom<'_>,
+        bias: &[F],
+        src_cst: &[Itv<F>],
+        out_cst: &mut [Itv<F>],
+    ) {
+        kernels::check_bias_fold(plane, geom, bias, src_cst, out_cst);
+        backend::bias_fold_rows(self, plane, geom.cols(), bias, src_cst, out_cst);
     }
 
     /// Runs `kernel` at this build's lane counts.

@@ -16,7 +16,10 @@
 //! memory, as many as a kernel's row has outputs, and the lists' magnitude
 //! sums beside them, for kernels that *scatter*: a term is visited once and
 //! added to every output it reaches, a fixed-width block of lanes at a time,
-//! instead of every output walking its own term list.
+//! instead of every output walking its own term list. [`WideBounds`] and
+//! [`WideDots`] turn the lanes the other way: each lane is one output over
+//! its own term list, with its own magnitude sum — a row of a *row block*,
+//! whose rows step through their term lists together.
 //!
 //! # The rule (what every backend must reproduce, bit for bit)
 //!
@@ -981,6 +984,187 @@ impl WideSum {
     }
 }
 
+/// A lane's `max(|lo|, |hi|)` — [`mag_or_inf`] for finite bounds, bit for
+/// bit — and NaN where [`mag_or_inf`] gives `+inf`, so that a sum it enters
+/// is not finite either way. Written for a row block's lane loop: a packed
+/// `max`, an add, a multiply and an add, no select (`s · 0` is `+0.0` for a
+/// finite `s ≥ 0` and NaN otherwise, and adding `+0.0` to a magnitude
+/// changes no bit).
+#[inline(always)]
+fn lane_mag(lo: f64, hi: f64) -> f64 {
+    let (lo, hi) = (lo.abs(), hi.abs());
+    (if lo > hi { lo } else { hi }) + (lo + hi) * 0.0
+}
+
+/// Per lane, the count `rounded += take` of [`WideMag::add_if`], in `f64` so
+/// that it sits in a vector register beside the sums (exact below `2⁵³`).
+#[inline(always)]
+fn count_if(take: bool) -> f64 {
+    keep_if(take, 1.0, 0.0)
+}
+
+/// The error bound of one lane of a row block: [`WideMag::finish`] over the
+/// lane's `T` and count. A lane whose `T` is NaN ([`lane_mag`]) has none,
+/// as one whose `T` is `+inf`.
+#[inline(always)]
+fn lane_bound(t: f64, rounded: f64) -> Option<Widening> {
+    WideMag {
+        t,
+        rounded: rounded as usize,
+    }
+    .finish()
+}
+
+/// `L` [`WideBound`]s side by side, one term list a lane: the lanes of a
+/// *row block*, whose rows step through their coefficients together, lane
+/// `j` adding its own row's term at each step. Nothing is shared between
+/// lanes — each has its own sum, `T` and count — so a lane's result is
+/// [`WideBound`]'s over the same list, bit for bit, whatever its neighbours
+/// hold; and a lane has no result exactly where [`WideBound`] has none. The
+/// caller's zero-skip is a mask ([`WideBounds::mul_add_nonzero`]), as in
+/// [`WideSum::mul_add_if`], so that a step has one shape for every lane.
+#[derive(Copy, Clone, Debug)]
+pub struct WideBounds<const L: usize, const UPPER: bool> {
+    sum: [f64; L],
+    t: [f64; L],
+    /// Additions that can round, per lane: a non-zero start, then every
+    /// term taken.
+    rounded: [f64; L],
+}
+
+impl<const L: usize, const UPPER: bool> WideBounds<L, UPPER> {
+    /// Starts lane `j` at the scalar `c[j]` ([`WideBound::new`]).
+    #[inline(always)]
+    pub fn new<F: Fp>(c: [F; L]) -> Self {
+        let mut lanes = Self {
+            sum: [0.0; L],
+            t: [0.0; L],
+            rounded: [0.0; L],
+        };
+        for (j, c) in c.into_iter().enumerate() {
+            let mag = WideMag::new(&[Itv { lo: c, hi: c }]);
+            (lanes.sum[j], lanes.t[j]) = (c.to_f64(), mag.t);
+            lanes.rounded[j] = mag.rounded as f64;
+        }
+        lanes
+    }
+
+    /// Lane `j` accumulates this side's endpoint of `a[j] · b[j]`
+    /// ([`WideBound::mul_add`]) where `a[j]` is not an exact zero, and
+    /// nothing where it is: the sum takes `-0.0`, `T` takes `+0.0` and the
+    /// count `0` — selects, not a branch, which leave no trace whatever the
+    /// operands (module docs, "The masked add"). One loop over the lanes,
+    /// widening included, so that it compiles to one packed operation per
+    /// step of the rule.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // one index over the lane arrays
+    pub fn mul_add_nonzero<F: Fp>(&mut self, a: &[Itv<F>; L], b: &[Itv<F>; L]) {
+        for j in 0..L {
+            let (lo, hi) = (a[j].lo.to_f64(), a[j].hi.to_f64());
+            let (b_lo, b_hi) = (b[j].lo.to_f64(), b[j].hi.to_f64());
+            let mag = lane_mag(lo, hi);
+            let take = mag != 0.0;
+            let (p1, p2) = (lo * b_lo, lo * b_hi);
+            let (p3, p4) = (hi * b_lo, hi * b_hi);
+            let v = if UPPER {
+                let max = |p: f64, q: f64| if p > q { p } else { q };
+                max(max(p1, p2), max(p3, p4))
+            } else {
+                let min = |p: f64, q: f64| if p < q { p } else { q };
+                min(min(p1, p2), min(p3, p4))
+            };
+            self.sum[j] += keep_if(take, v, -0.0);
+            self.t[j] += keep_if(take, mag * lane_mag(b_lo, b_hi), 0.0);
+            self.rounded[j] += count_if(take);
+        }
+    }
+
+    /// Every lane's bound, `None` for a lane that took an operand that was
+    /// not finite ([`WideBound::finish`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lane took more than `2³²` terms.
+    // Never inlined, and by value: reading lanes back next to the lane loop
+    // leads the compiler to keep the lanes apart, each step then paying to
+    // put them together, and a reference to the sums would keep them in
+    // memory across the loop, stored at every step.
+    #[inline(never)]
+    pub fn finish<F: Fp>(self) -> [Option<F>; L] {
+        std::array::from_fn(|j| {
+            let sum = self.sum[j];
+            let y: Itv<F> = lane_bound(self.t[j], self.rounded[j])?.enclose(sum, sum);
+            Some(if UPPER { y.hi } else { y.lo })
+        })
+    }
+}
+
+/// `L` interval×scalar dot products side by side, one term list and one
+/// output a lane — [`WideAcc::<1>`](WideAcc) with its own [`WideMag`], `L`
+/// times, for the rows of a row block (see [`WideBounds`]). At each step
+/// every lane takes its own coefficient against one weight, the same for all
+/// of them, and the caller's zero-skip is a mask.
+#[derive(Copy, Clone, Debug)]
+pub struct WideDots<const L: usize> {
+    lo: [f64; L],
+    hi: [f64; L],
+    t: [f64; L],
+    rounded: [f64; L],
+}
+
+impl<const L: usize> WideDots<L> {
+    /// Starts lane `j` at `c[j]`, its magnitude sum at `c[j]`'s magnitude.
+    #[inline(always)]
+    pub fn new<F: Fp>(c: [Itv<F>; L]) -> Self {
+        let mut lanes = Self {
+            lo: [0.0; L],
+            hi: [0.0; L],
+            t: [0.0; L],
+            rounded: [0.0; L],
+        };
+        for (j, c) in c.into_iter().enumerate() {
+            let mag = WideMag::new(&[c]);
+            (lanes.lo[j], lanes.hi[j]) = (c.lo.to_f64(), c.hi.to_f64());
+            (lanes.t[j], lanes.rounded[j]) = (mag.t, mag.rounded as f64);
+        }
+        lanes
+    }
+
+    /// Lane `j` accumulates `a[j] · w` — [`WideAcc::mul_add`], and
+    /// [`WideMag::add`] against `|w|` — where `a[j]` is not an exact zero,
+    /// and nothing where it is, as [`WideBounds::mul_add_nonzero`] does.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // one index over the lane arrays
+    pub fn mul_add_nonzero<F: Fp>(&mut self, a: &[Itv<F>; L], w: F) {
+        let w = w.to_f64();
+        for j in 0..L {
+            let (lo, hi) = (a[j].lo.to_f64(), a[j].hi.to_f64());
+            let mag = lane_mag(lo, hi);
+            let take = mag != 0.0;
+            let (p, q) = (lo * w, hi * w);
+            self.lo[j] += keep_if(take, if p < q { p } else { q }, -0.0);
+            self.hi[j] += keep_if(take, if p > q { p } else { q }, -0.0);
+            self.t[j] += keep_if(take, mag * w.abs(), 0.0);
+            self.rounded[j] += count_if(take);
+        }
+    }
+
+    /// Every lane's enclosure, `None` for a lane that took an operand that
+    /// was not finite (the caller then takes the per-step chain for that
+    /// lane's row).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lane took more than `2³²` terms.
+    // Never inlined, and by value, for the reasons `WideBounds::finish` is.
+    #[inline(never)]
+    pub fn finish<F: Fp>(self) -> [Option<Itv<F>>; L] {
+        std::array::from_fn(|j| {
+            Some(lane_bound(self.t[j], self.rounded[j])?.enclose(self.lo[j], self.hi[j]))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1477,6 +1661,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The lanes of a row block against the one-list accumulators they
+    /// stand for, over operands from every corner of the format: each lane
+    /// of [`WideBounds`] is [`WideBound`] over its own non-zero terms, each
+    /// lane of [`WideDots`] is [`WideAcc::<1>`](WideAcc) with its own
+    /// [`WideMag`], bit for bit, and a lane has no result exactly where they
+    /// have none — whatever the other lanes hold.
+    #[test]
+    fn row_block_lanes_are_their_own_lists_bit_for_bit() {
+        const L: usize = 8;
+        let mut state = 0xb10c_u64;
+        let itv = |state: &mut u64| {
+            let z = next(state);
+            match z % 4 {
+                0 => Itv::point(if z & 16 == 0 { 0.0_f32 } else { -0.0 }),
+                1 => {
+                    let lo = wild(state);
+                    let hi = lo + (wild(state) * 0.5).abs();
+                    Itv { lo, hi } // ordered, or NaN
+                }
+                _ => Itv {
+                    lo: wild(state),
+                    hi: wild(state),
+                },
+            }
+        };
+        let bits = |y: Option<f32>| y.map(f32::to_bits);
+        let (mut unbounded, mut bounded) = (0, 0);
+        for case in 0..4000 {
+            let starts: [Itv<f32>; L] = std::array::from_fn(|_| match next(&mut state) % 4 {
+                0 => Itv::point(-0.0),
+                1 => Itv::zero(),
+                _ => itv(&mut state),
+            });
+            let steps = (next(&mut state) % 12) as usize;
+            // Per step, every lane's coefficient and bound, and the weight.
+            type Step = ([Itv<f32>; L], [Itv<f32>; L], f32);
+            let terms: Vec<Step> = (0..steps)
+                .map(|_| {
+                    let a = std::array::from_fn(|_| itv(&mut state));
+                    let b = std::array::from_fn(|_| itv(&mut state));
+                    (a, b, wild(&mut state))
+                })
+                .collect();
+            let mut lo = WideBounds::<L, false>::new(starts.map(|c| c.lo));
+            let mut hi = WideBounds::<L, true>::new(starts.map(|c| c.hi));
+            let mut dots = WideDots::<L>::new(starts);
+            for (a, b, w) in &terms {
+                lo.mul_add_nonzero(a, b);
+                hi.mul_add_nonzero(a, b);
+                dots.mul_add_nonzero(a, *w);
+            }
+            let (lo, hi, dots) = (lo.finish::<f32>(), hi.finish::<f32>(), dots.finish::<f32>());
+            for (j, c) in starts.into_iter().enumerate() {
+                let mut one_lo = WideBound::<false>::new(c.lo);
+                let mut one_hi = WideBound::<true>::new(c.hi);
+                let (mut mag, mut acc) = (WideMag::new(&[c]), WideAcc::<1>::new(&[c]));
+                for (a, b, w) in &terms {
+                    let (a, b) = (WideTerm::new(a[j]), WideTerm::new(b[j]));
+                    if !a.is_zero() {
+                        one_lo.mul_add(a, b);
+                        one_hi.mul_add(a, b);
+                        mag.add(a, w.to_f64().abs());
+                        acc.mul_add(a, &[*w]);
+                    }
+                }
+                let what = format!("case {case}, lane {j}");
+                assert_eq!(bits(lo[j]), bits(one_lo.finish()), "{what}: lower");
+                assert_eq!(bits(hi[j]), bits(one_hi.finish()), "{what}: upper");
+                let want = mag.finish().map(|e| acc.finish::<f32>(0, e));
+                let got = dots[j];
+                assert_eq!(
+                    got.map(|y| (y.lo.to_bits(), y.hi.to_bits())),
+                    want.map(|y| (y.lo.to_bits(), y.hi.to_bits())),
+                    "{what}: dot"
+                );
+                match got {
+                    Some(_) => bounded += 1,
+                    None => unbounded += 1,
+                }
+            }
+        }
+        assert!(
+            bounded > 1000 && unbounded > 1000,
+            "{bounded} / {unbounded}"
+        );
     }
 
     #[test]
