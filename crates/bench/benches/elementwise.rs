@@ -4,8 +4,9 @@
 //!
 //! None of them has a FLOP meter that means anything — what a coefficient
 //! costs depends on what its neuron is — so this prints **nanoseconds per
-//! coefficient** (per plane, on one worker) on a dense geometry and on a
-//! dependence-set-window geometry, at a given share of *stable* neurons
+//! coefficient** (per plane, on one worker) on dense geometries — a
+//! layer's rows, two rows (less than one row block), sixteen queries'
+//! rows — and on a dependence-set-window geometry, at a given share of *stable* neurons
 //! (half of them stably positive, half stably negative; the rest unstable)
 //! and a given density of non-zero coefficients. `concretize` and
 //! `bias_fold` run in row blocks, and their blocks are built twice
@@ -245,7 +246,7 @@ fn time_case<B: Backend>(
 fn report(case: &Case, stable: f64, density: f64) {
     let ops = case.operands(stable, density);
     let coeffs = ops.plane.len() as f64;
-    let reps = (20_000_000 / ops.plane.len()).clamp(4, 4000);
+    let reps = (20_000_000 / ops.plane.len()).clamp(4, 100_000);
     // One worker each: the figure is a thread's.
     let cpusim = Device::new(DeviceConfig::new().workers(1));
     let reference = Device::reference(DeviceConfig::new().workers(1));
@@ -294,11 +295,20 @@ fn main() {
         _ => vec![(0.55, 1.0), (0.925, 1.0), (0.925, 0.5)],
     };
     // `Fc6x500` ×0.2: 100 rows over a 100-neuron layer, one query or sixteen
-    // fused; a `ConvBig`-sized layer under 7×7 windows, eight queries fused.
+    // fused, or two, as a walk's short lists launch them; a `ConvBig`-sized
+    // layer under 7×7 windows, eight queries fused.
     let cases = [
         Case {
             name: "dense",
             rows: 100,
+            win: 1,
+            side: 1,
+            chans: 100,
+            segments: 1,
+        },
+        Case {
+            name: "tiny",
+            rows: 2,
             win: 1,
             side: 1,
             chans: 100,

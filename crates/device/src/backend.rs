@@ -225,10 +225,9 @@
 //!
 //! Widening a bound to `f64` is exact, so *when* it happens is scheduling,
 //! not arithmetic: both backends widen the bound of every term as they meet
-//! it, [`CpuSimBackend`] a row block's lanes' bounds at once (one bound for
-//! all of them when the block's rows share a segment and an origin), and
-//! the bias fold does the same with its bias. Neither changes a term list,
-//! its order, a skip or a count.
+//! it, [`CpuSimBackend`] a row block's lanes' bounds at once (each lane its
+//! own row's), and the bias fold does the same with its bias. Neither
+//! changes a term list, its order, a skip or a count.
 //!
 //! **Bias fold** is one interval×scalar output per row over its own term
 //! list: the row's non-zero coefficients, window positions ascending
@@ -1417,11 +1416,9 @@ fn row_blocks<const L: usize>(
 /// `j` adding its own row's terms of both planes ([`WideBounds`]) in the
 /// order [`concretize_row`] adds them — window rows ascending, a window
 /// row's run of `win_w · chans` elements ascending — each against its own
-/// segment's bound at its own window position. When every row of a block
-/// reads the same bounds (one segment and one origin: a full window, or a
-/// dense layer) one bound per step serves every lane. A lane either of
-/// whose magnitude sums is not finite is [`concretize_row`]'s, on its chain;
-/// its neighbours keep their results.
+/// segment's bound at its own window position. A lane either of whose
+/// magnitude sums is not finite is [`concretize_row`]'s, on its chain; its
+/// neighbours keep their results.
 struct ConcretizeBlocks<'a, F> {
     lo: &'a [Itv<F>],
     hi: &'a [Itv<F>],
@@ -1445,37 +1442,20 @@ impl<F: Fp> ConcretizeBlocks<'_, F> {
     #[inline(always)]
     fn rows<const L: usize>(self) {
         let (g, cols) = (self.geom, self.geom.cols());
-        // A window as wide as its layer is one run, in the plane and in the
-        // frontier alike.
-        let (win_h, run) = match g.win_w == g.shape_w {
-            true => (1, cols),
-            false => (g.win_h, g.win_w * g.chans),
-        };
+        let run = g.win_w * g.chans;
         let bounds = |r: usize| self.bounds_per_seg[g.seg[r] as usize];
         for (r0, live, lane) in row_blocks::<L>(g.rows()) {
             let mut lo = WideBounds::<L, false>::new(from_fn(|j| self.cst_lo[lane(j)].lo));
             let mut hi = WideBounds::<L, true>::new(from_fn(|j| self.cst_hi[lane(j)].hi));
-            let shared =
-                (r0..r0 + live).all(|r| g.seg[r] == g.seg[r0] && g.origins[r] == g.origins[r0]);
-            for i in 0..win_h {
+            for i in 0..g.win_h {
                 let at = |j: usize| lane(j) * cols + i * run;
                 let a_lo = lane_runs::<_, L>(|j| &self.lo[at(j)..], run);
                 let a_hi = lane_runs::<_, L>(|j| &self.hi[at(j)..], run);
-                let b_at = |j: usize| g.neuron_at(lane(j), i, 0);
-                if shared {
-                    let b = &bounds(r0)[b_at(0)..][..run];
-                    for k in 0..run {
-                        let b = [b[k]; L];
-                        lo.mul_add_nonzero(&from_fn(|j| a_lo[j][k]), &b);
-                        hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
-                    }
-                } else {
-                    let b = lane_runs::<_, L>(|j| &bounds(lane(j))[b_at(j)..], run);
-                    for k in 0..run {
-                        let b = from_fn(|j| b[j][k]);
-                        lo.mul_add_nonzero(&from_fn(|j| a_lo[j][k]), &b);
-                        hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
-                    }
+                let b = lane_runs::<_, L>(|j| &bounds(lane(j))[g.neuron_at(lane(j), i, 0)..], run);
+                for k in 0..run {
+                    let b = from_fn(|j| b[j][k]);
+                    lo.mul_add_nonzero(&from_fn(|j| a_lo[j][k]), &b);
+                    hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
                 }
             }
             let (lo, hi) = (lo.finish::<F>(), hi.finish::<F>());
