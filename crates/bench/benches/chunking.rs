@@ -12,9 +12,14 @@
 //! in one walk, which is one thread, and cut as built — and the rows for
 //! another count come from editing the constant and running again.
 //! End-to-end numbers come from `benchmark/run.sh`, not from here.
+//!
+//! Last, the sweep [`gpupoly_core::WALK_BYTES`] is chosen by
+//! ([`budget_table`]): wall and peak memory of fused batches with every walk
+//! held to a working set of so many bytes, on three of the zoo's families
+//! at two scales each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpupoly_core::{Engine, EngineOptions, Query, VerifyConfig, STREAMS_PER_WORKER};
+use gpupoly_core::{Engine, EngineOptions, Query, VerifyConfig, STREAMS_PER_WORKER, WALK_BYTES};
 use gpupoly_device::{Device, DeviceConfig};
 use gpupoly_interval::Itv;
 use gpupoly_nn::builder::NetworkBuilder;
@@ -95,6 +100,7 @@ fn bench_chunking(c: &mut Criterion) {
         tight,
     );
     stream_table();
+    budget_table();
 }
 
 fn fnv1a(hash: &mut u64, bits: u64) {
@@ -195,6 +201,91 @@ fn stream_table() {
         assert!(
             digests.iter().all(|d| *d == digests[0]),
             "{name}: the cut changed a bound or a margin"
+        );
+    }
+}
+
+/// Median wall (ms) of `BATCHES` fused batches of `BATCH` queries (the
+/// slower of two) and the device's peak memory (MB) per walk budget, on two
+/// scales of `Fc6x500`, `ConvBig` and `ResNet18` and a device of two
+/// workers, after one warm-up batch. About five minutes on two cores. A budget
+/// of `b` bytes runs at [`VerifyConfig::chunk_rows`] `= b ÷ priced row`
+/// (`PreparedGraph::row_bytes`): every walk that long, where the rule as
+/// built also cuts a list into at least two streams a worker — the `built`
+/// row, at [`WALK_BYTES`] — and `1 walk` is a list left whole (one thread).
+/// A digest of every margin must not differ between the rows.
+fn budget_table() {
+    const WORKERS: usize = 2;
+    const BATCH: usize = 8;
+    const BATCHES: usize = 2;
+    const MIB: usize = 1 << 20;
+    let nets = [
+        ("Fc6x500 x0.2", ArchId::Fc6x500, 0.2, 1e-4f32),
+        ("Fc6x500 x0.5", ArchId::Fc6x500, 0.5, 1e-4),
+        ("ConvBig x0.12", ArchId::ConvBig, 0.12, 1e-3),
+        ("ConvBig x0.5", ArchId::ConvBig, 0.5, 1e-3),
+        ("ResNet18 x0.01", ArchId::ResNet18, 0.01, 1e-3),
+        ("ResNet18 x0.02", ArchId::ResNet18, 0.02, 1e-3),
+    ];
+    println!(
+        "[budget] {WORKERS} workers, fused batches of {BATCH}: ms | peak MB per walk budget \
+         (built: {} MiB)",
+        WALK_BYTES / MIB
+    );
+    for (name, arch, scale, eps) in nets {
+        let net = build_arch(arch, Dataset::MnistLike, scale, 7).expect("zoo architecture");
+        let images = data::synthetic(Dataset::MnistLike, BATCH * (1 + BATCHES), 1).images;
+        let queries: Vec<Query<f32>> = images
+            .iter()
+            .map(|image| Query::new(image.clone(), net.classify(image), eps))
+            .collect();
+        let mut digests = Vec::new();
+        let mut cells = Vec::new();
+        let budgets = [2, 4, 8, 16, 32, 64].map(|m| (format!("{m} MiB"), Some(m * MIB)));
+        let rows = budgets.into_iter().chain([
+            ("built".to_string(), None),
+            ("1 walk".to_string(), Some(usize::MAX)),
+        ]);
+        let priced = Engine::new(
+            Device::new(DeviceConfig::new()),
+            &net,
+            VerifyConfig::default(),
+        )
+        .expect("engine")
+        .prepared()
+        .row_bytes();
+        for (label, budget) in rows {
+            let device = Device::new(DeviceConfig::new().workers(WORKERS));
+            let cfg = VerifyConfig {
+                chunk_rows: budget.map(|b| (b / priced).max(1)),
+                ..Default::default()
+            };
+            let engine = Engine::with_options(device.clone(), &net, cfg, UNCACHED).expect("engine");
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut walls = Vec::new();
+            for (i, batch) in queries.chunks(BATCH).enumerate() {
+                let t = Instant::now();
+                let verdicts = engine.verify_batch_fused(batch);
+                if i > 0 {
+                    walls.push(t.elapsed().as_secs_f64() * 1e3);
+                }
+                for v in verdicts {
+                    for m in v.expect("verdict").margins {
+                        fnv1a(&mut digest, m.lower.to_bits() as u64);
+                    }
+                }
+            }
+            cells.push(format!(
+                "{label} {:.1} | {:.2}",
+                median(walls),
+                device.peak_memory() as f64 / 1e6
+            ));
+            digests.push(digest);
+        }
+        println!("[budget] {name:14} {}", cells.join("; "));
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "{name}: the walk budget changed a margin"
         );
     }
 }

@@ -50,7 +50,7 @@ use rayon::prelude::*;
 
 use crate::engine::{Lane, PreparedGraph};
 use crate::expr::ExprBatch;
-use crate::walk::{StopRule, WalkOutcome, Walker};
+use crate::walk::{StepTables, StopRule, WalkOutcome, Walker};
 use crate::{VerifyConfig, VerifyError};
 
 /// Work counters of one analysis (and of the spec check run on top of it).
@@ -181,8 +181,8 @@ impl<F: Fp> Analysis<F> {
 /// find is written back only when all of them are done) and the network's
 /// weights; every kernel accumulates an output element in ascending-`k`
 /// order whatever rows share its launch (the backend bit-reproducibility
-/// contract); and the relaxation tables a walk makes are functions of a
-/// query's bounds, the same in every walk that makes them. So where the
+/// contract); and the ReLU tables the walks read are functions of a query's
+/// bounds, made once per call and borrowed by every walk. So where the
 /// list is cut, how many walks run at once and which thread runs which is
 /// scheduling: every returned [`Analysis`] carries the bounds it would
 /// have alone, on one worker of one device, in one walk. Work counters
@@ -221,6 +221,8 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
         .collect();
     // Per query, the rows of the layer about to be walked.
     let mut sels: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
+    // A query's ReLU tables, made once for the call: query `k` is slot `k`.
+    let mut tables = StepTables::new(inputs.len(), graph.nodes.len());
     for step in 0..=plan.len() {
         let next = plan.get(step).map(|&(_relu, p)| p);
         // A query's host work between two layers' walks, queries spread over
@@ -243,7 +245,16 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
         });
         if let Some(p) = next {
             if sels.iter().any(|sel| !sel.is_empty()) {
-                refine_layer(lanes, graph, cfg, &mut analyses, p, &sels, rule)?;
+                refine_layer(
+                    lanes,
+                    graph,
+                    cfg,
+                    &mut analyses,
+                    &mut tables,
+                    p,
+                    &sels,
+                    rule,
+                )?;
             }
         }
     }
@@ -253,12 +264,15 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
 /// Backsubstitution of one layer: the concatenated (query, neuron) work list
 /// goes through [`walk_streams`]; each of its walks stacks one initial batch
 /// per contributing query (built against that query's own bounds, including
-/// the §4.1 inference-error widening) and runs a single multi-segment walk.
+/// the §4.1 inference-error widening) and runs a single multi-segment walk,
+/// borrowing the call's ReLU `tables` (query `k`'s are slot `k`).
+#[allow(clippy::too_many_arguments)]
 fn refine_layer<'n, F: Fp, B: Backend>(
     lanes: &[Lane<'n, F, B>],
     graph: &Graph<'n, F>,
     cfg: &VerifyConfig,
     analyses: &mut [Analysis<F>],
+    tables: &mut StepTables<F>,
     p: NodeId,
     sels: &[Vec<usize>],
     rule: StopRule,
@@ -276,16 +290,22 @@ fn refine_layer<'n, F: Fp, B: Backend>(
         // walk reads ancestor bounds, which stay fixed while `p` refines,
         // and of `p`'s own bounds (a residual head starts from the
         // identity) only its own neuron's.
-        let analyses = &*analyses;
+        let (analyses, tables) = (&*analyses, &*tables);
         walk_streams(
             lanes,
             cfg,
             work.len(),
             analyses.len(),
             &|i| work[i].0,
-            &|lane, rows| fused_chunk_walk(lane, graph, analyses, p, &work[rows], rule),
+            &|lane, rows| fused_chunk_walk(lane, graph, analyses, tables, p, &work[rows], rule),
         )?
     };
+    // `p`'s bounds change: no table may keep what it read of them.
+    for (k, sel) in sels.iter().enumerate() {
+        if !sel.is_empty() {
+            tables.forget(k, p);
+        }
+    }
     for (&(k, n), best) in work.iter().zip(streamed.best) {
         let cur = analyses[k].bounds[p][n];
         analyses[k].bounds[p][n] = cur.intersect(best).unwrap_or(cur);
@@ -319,17 +339,61 @@ fn refine_layer<'n, F: Fp, B: Backend>(
 /// `2·workers` streams only `workers` are live — and finer streams are the
 /// ones that even out rows that stop early. Four buys nothing and repeats
 /// per stream what a launch does once for all its rows (`launch_wmax` over
-/// the weights, the GBC weight repack, the relaxation and side tables of a
-/// segment). `cargo bench -p gpupoly-bench --bench chunking` prints one
+/// the weights, the GBC weight repack); a query's ReLU tables are not
+/// among them, being made once a call for every walk. `cargo bench -p
+/// gpupoly-bench --bench chunking` prints one
 /// analysis and one fused batch in one walk a list (one thread) and cut as
 /// built, without a benchmark run; for another count, edit this constant.
 ///
 /// Also tried: cutting evenly instead of on query boundaries (`cut`) —
 /// `dense_fused` 171.6 against 182.6, `conv_fused` 31.2 against 34.4 q/s
-/// (six rounds, medians, inside the spread) — kept on boundaries, which no
-/// query's tables are made twice for and which blame an out-of-memory walk
-/// on the fewest queries.
+/// (six rounds, medians, inside the spread) — kept on boundaries, which
+/// stack the fewest segments into a walk and blame an out-of-memory walk on
+/// the fewest queries.
 pub const STREAMS_PER_WORKER: usize = 2;
+
+/// The working set of one walk, in bytes: on any device, a walk of the
+/// schedule of every backsubstitution is at most this many bytes of rows
+/// priced at [`crate::PreparedGraph::row_bytes`] long. Fixed, not
+/// configurable. A shorter walk holds less and repeats more of what a walk
+/// does once (concretize, bias fold and GBC set-up a launch); a longer one
+/// holds more and buys nothing past the knee. `cargo bench -p gpupoly-bench --bench chunking`
+/// prints the sweep, every walk held to the budget through
+/// [`VerifyConfig::chunk_rows`] (`built` is this rule, `1 walk` a list left
+/// whole), fused batches of 8 on two workers, ms | peak MB, margins equal in
+/// every column:
+///
+/// | network | 2 MiB | 4 MiB | 8 MiB | **16 MiB** | 32 MiB | 64 MiB | built | 1 walk |
+/// | --- | --- | --- | --- | --- | --- | --- | --- | --- |
+/// | `Fc6x500` ×0.2 | 42.6 \| 1.85 | 33.8 \| 2.40 | 32.0 \| 4.68 | 30.5 \| 6.52 | 48.1 \| 7.01 | 45.9 \| 7.01 | 25.5 \| 4.07 | 43.9 \| 7.01 |
+/// | `Fc6x500` ×0.5 | 251 \| 5.42 | 260 \| 6.93 | 238 \| 11.3 | 233 \| 16.1 | 244 \| 33.7 | 330 \| 34.4 | 191 \| 12.3 | 408 \| 40.7 |
+/// | `ConvBig` ×0.12 | 181 \| 3.56 | 191 \| 6.85 | 192 \| 12.2 | 169 \| 13.7 | 163 \| 28.4 | 305 \| 34.7 | 175 \| 13.4 | 338 \| 32.1 |
+/// | `ConvBig` ×0.5 | 4606 \| 6.80 | 4022 \| 11.6 | 3952 \| 21.9 | 3614 \| 40.5 | 3061 \| 73.9 | 3567 \| 141 | 3760 \| 40.5 | 6577 \| 639 |
+/// | `ResNet18` ×0.01 | 2448 \| 7.82 | 1957 \| 14.6 | 2391 \| 29.6 | 3128 \| 38.0 | 4181 \| 34.5 | 3726 \| 28.9 | 1936 \| 27.2 | 4146 \| 28.9 |
+/// | `ResNet18` ×0.02 | 3723 \| 8.32 | 4363 \| 13.9 | 3265 \| 25.6 | 3771 \| 54.2 | 5502 \| 82.8 | 6046 \| 75.7 | 3753 \| 49.2 | 7289 \| 53.3 |
+///
+/// Walls fall to about 16 MiB and do not fall further while peaks keep
+/// growing (`ResNet18`'s walls are the noisiest: two batches of 8, the
+/// slower shown). On the benchmark (`--seconds 20 --trace 0`, q/s median
+/// \[quartiles\] against the parent's one walk a list over the streams;
+/// seed 1, ten rounds):
+///
+/// | workload | parent | 4 MiB | 8 MiB | **16 MiB** |
+/// | --- | --- | --- | --- | --- |
+/// | `conv_fused` | 50.7 \[49.3–54.5\], 27.4 MB | 49.9 \[48.1–55.7\], 7.03 | 48.4 \[46.6–49.0\], 12.0 | 54.9 \[52.7–56.9\], 14.2 |
+/// | `dense_fused` | 320.7 \[302.1–333.4\], 9.80 | 306.6 \[291.2–313.0\], 2.84 | 310.1 \[308.0–321.4\], 4.90 | 292.9 \[284.3–324.1\], 9.80 |
+/// | `dense_single` | 225.8 \[203.4–237.5\] | 216.5 \[213.1–228.5\] | 216.9 \[207.0–234.3\] | 221.0 \[214.4–226.0\] |
+/// | `serve_mix` | 879 \[857–890\] | 866 \[823–892\] | 890 \[837–935\] | 843 \[816–854\] |
+///
+/// `dense_single` and `serve_mix` keep their schedules at every budget
+/// here and `dense_fused` at 16 MiB; their moves did not repeat from one
+/// session to the next (a later set read `dense_fused` 293.7 → 312.6 at
+/// 16 MiB). The smaller budgets save more memory and cost `conv_fused` and
+/// one `ConvBig` ×1.0 query some wall (×1.0, uncapped: 2.6–3.4 s at
+/// 49.6 MB at 16 MiB, 3.1–4.1 s at 17.5 MB at 4 MiB, 3.2–3.9 s at
+/// 424–445 MB one walk a list over the streams), so 16 MiB: `conv_fused`
+/// in half the memory, and no slower.
+pub const WALK_BYTES: usize = 16 << 20;
 
 /// What the walks of one list did for one query segment.
 #[derive(Copy, Clone, Debug, Default)]
@@ -360,11 +424,15 @@ pub(crate) struct Streamed<F> {
 /// side, every kernel of a walk inline on the thread that owns it. `walk`
 /// takes a range of the list to the input on the lane it is given.
 ///
-/// **One cut.** A walk is at most as long as every device's memory allows
-/// the walks that are live together on it (the least of
-/// [`crate::PreparedGraph::chunk_for`] over [`Device::streams_at_once`];
-/// §4.2, "Memory management") and short enough that every worker of every
-/// device gets [`STREAMS_PER_WORKER`] of them, whatever the list's size.
+/// **One cut.** A walk is sized to a fixed working set: at most
+/// [`WALK_BYTES`] of rows priced at [`crate::PreparedGraph::row_bytes`],
+/// however wide its layer and however many rows the list has (§4.2, "Memory
+/// management": the bound matrices always fit). It is also short enough that
+/// every worker of every device gets [`STREAMS_PER_WORKER`] of them, and no
+/// longer than every device's free memory allows the walks that are live
+/// together on it (the least of [`crate::PreparedGraph::chunk_for`] over
+/// [`Device::streams_at_once`]) — on an uncapped device no ceiling, on a
+/// capped one what keeps a walk from running out of memory.
 /// [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query
 /// boundaries where one is in reach ([`cut`]).
 ///
@@ -422,7 +490,13 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
                 .map(|(lane, &a)| (lane.prepared.chunk_for(&lane.device) / a).max(1))
                 .min()
                 .expect("at least one lane");
-            fits.min(rows.div_ceil(streams.iter().sum()))
+            let budget = lanes
+                .iter()
+                .map(|lane| WALK_BYTES / lane.prepared.row_bytes())
+                .min()
+                .expect("at least one lane");
+            fits.min(budget.max(1))
+                .min(rows.div_ceil(streams.iter().sum()))
         })
         .clamp(1, rows);
     // Segments of a range of the list, each once.
@@ -629,6 +703,7 @@ fn fused_chunk_walk<'n, F: Fp, B: Backend>(
     lane: &Lane<'n, F, B>,
     graph: &Graph<'n, F>,
     analyses: &[Analysis<F>],
+    tables: &StepTables<F>,
     p: NodeId,
     rows: &[(usize, usize)],
     rule: StopRule,
@@ -651,6 +726,8 @@ fn fused_chunk_walk<'n, F: Fp, B: Backend>(
         graph,
         prepared,
         segs: runs.iter().map(|(k, _)| &analyses[*k]).collect(),
+        slots: runs.iter().map(|(k, _)| *k).collect(),
+        tables,
     };
     walker.run(ExprBatch::stack(device, batches)?, rule)
 }
@@ -1023,6 +1100,90 @@ mod tests {
             device.buffer_pool_release();
             assert_eq!(device.memory_in_use(), 0);
         }
+    }
+
+    #[test]
+    fn walks_fit_the_working_set_on_an_uncapped_device() {
+        // A 16×16 image into 8 channels: a first layer of 2048 rows, each
+        // priced at the widest layer, longer than the working set of a walk.
+        let b = NetworkBuilder::new(gpupoly_nn::Shape::new(16, 16, 1))
+            .conv(
+                8,
+                (3, 3),
+                (1, 1),
+                (1, 1),
+                (0..72).map(|i| ((i % 9) as f32 - 4.0) * 0.15).collect(),
+                vec![0.01; 8],
+            )
+            .relu()
+            .conv(
+                8,
+                (3, 3),
+                (2, 2),
+                (1, 1),
+                (0..576).map(|i| ((i % 7) as f32 - 3.0) * 0.05).collect(),
+                vec![0.0; 8],
+            )
+            .relu();
+        let in_len = b.current_shape().len();
+        let net = b
+            .flatten_dense(
+                10,
+                move |i| (((i * 13) % 23) as f32 - 11.0) * 0.3 / in_len as f32,
+                |_| 0.0,
+            )
+            .build()
+            .unwrap();
+        let graph = net.graph();
+        let input: Vec<Itv<f32>> = (0..256)
+            .map(|i| {
+                let x = (i % 17) as f32 / 17.0;
+                Itv::new(x, x + 0.05)
+            })
+            .collect();
+        // Every neuron refined, so each list is its layer.
+        let cfg = VerifyConfig {
+            early_termination: false,
+            ..Default::default()
+        };
+        let device = dev();
+        let lanes = lane(&device, &graph);
+        let priced = lanes[0].prepared.row_bytes();
+        let budget = WALK_BYTES / priced;
+        let lists = [2048, 512];
+        assert!(
+            lists[0] * priced > WALK_BYTES && budget < lists[0] / (STREAMS_PER_WORKER * 2),
+            "the first list must be cut by the working set, not by the streams"
+        );
+        let cut = analyze(&lanes, &graph, &cfg, &input).unwrap();
+        // Two streams a worker; a walk is at most `budget` rows long.
+        let walks: usize = lists
+            .iter()
+            .map(|&rows| rows.div_ceil(budget.min(rows.div_ceil(STREAMS_PER_WORKER * 2))))
+            .sum();
+        assert_eq!(cut.stats.relu_nodes, lists.len());
+        assert_eq!(cut.stats.chunks, walks);
+        assert!(budget * priced <= WALK_BYTES);
+        // One walk a list: the same bounds, bit for bit.
+        let whole = analyze(
+            &lanes,
+            &graph,
+            &VerifyConfig {
+                chunk_rows: Some(usize::MAX),
+                ..cfg
+            },
+            &input,
+        )
+        .unwrap();
+        assert_eq!(whole.stats.chunks, lists.len());
+        let bits = |a: &Analysis<f32>| -> Vec<(u32, u32)> {
+            a.bounds
+                .iter()
+                .flatten()
+                .map(|b| (b.lo.to_bits(), b.hi.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&cut), bits(&whole));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::analysis::{analyze_fused, walk_streams, Analysis, AnalysisStats};
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard};
 use crate::sharded::Plan;
 use crate::verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};
-use crate::walk::{StopRule, WalkOutcome, Walker};
+use crate::walk::{StepTables, StopRule, WalkOutcome, Walker};
 use crate::{ExprBatch, VerifyConfig, VerifyError};
 
 /// One robustness query: is `label` certified for every image within `eps`
@@ -428,18 +428,24 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
         self.resident_bytes
     }
 
+    /// The price of one backsubstitution row, in bytes: its worst-case
+    /// footprint. The window of a backsubstituted expression is stored
+    /// clipped to its layer ([`crate::expr`]), so a row is bounded by the
+    /// widest layer times two interval planes, double-buffered across a
+    /// step. A walk is at most [`crate::WALK_BYTES`] of them long.
+    pub fn row_bytes(&self) -> usize {
+        (self.widest_layer * std::mem::size_of::<Itv<F>>() * 2 * 3).max(1)
+    }
+
     /// How many backsubstitution rows fit in the device's currently free
-    /// memory (the §4.2 chunking heuristic). Worst-case per-row footprint:
-    /// the window of a backsubstituted expression is stored clipped to its
-    /// layer ([`crate::expr`]), so a row is bounded by the widest layer
-    /// times two interval planes, double-buffered across a step.
+    /// memory (the §4.2 chunking heuristic), at [`PreparedGraph::row_bytes`]
+    /// a row.
     pub(crate) fn chunk_for(&self, device: &Device<B>) -> usize {
         let free = device.memory_free();
         if free == usize::MAX {
             return usize::MAX;
         }
-        let bytes_per_row = self.widest_layer * std::mem::size_of::<Itv<F>>() * 2 * 3;
-        (free / bytes_per_row.max(1)).max(1)
+        (free / self.row_bytes()).max(1)
     }
 }
 
@@ -1233,17 +1239,23 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             starts.push(starts[starts.len() - 1] + rows.len());
         }
         let seg_of = |r: usize| starts.partition_point(|&s| s <= r) - 1;
+        // Segments sharing an analysis share its ReLU tables.
+        let (slot_of, slots) = StepTables::slots_of(segs.iter().map(|&(_, a)| a));
+        let tables = StepTables::new(slots, self.graph.nodes.len());
         let walk = |lane: &Lane<'n, F, B>, part: Range<usize>| {
             let mut batches = Vec::new();
             let mut analyses = Vec::new();
+            let mut slots = Vec::new();
             for k in seg_of(part.start)..=seg_of(part.end - 1) {
                 let (rows, analysis) = segs[k];
                 let lo = part.start.max(starts[k]) - starts[k];
                 let hi = part.end.min(starts[k + 1]) - starts[k];
                 batches.push(self.spec_batch(lane, &rows[lo..hi])?);
                 analyses.push(analysis);
+                slots.push(slot_of[k]);
             }
-            self.walk_spec(lane, ExprBatch::stack(&lane.device, batches)?, analyses)
+            let batch = ExprBatch::stack(&lane.device, batches)?;
+            self.walk_spec(lane, batch, analyses, slots, &tables)
         };
         let out = walk_streams(
             &self.lanes,
@@ -1266,12 +1278,14 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     }
 
     /// Walks a batch of spec rows to the input on `lane`; segment `k` of the
-    /// batch reads `segs[k]`'s bounds.
+    /// batch reads `segs[k]`'s bounds and slot `slots[k]` of `tables`.
     fn walk_spec(
         &self,
         lane: &Lane<'n, F, B>,
         batch: ExprBatch<F, B>,
         segs: Vec<&Analysis<F>>,
+        slots: Vec<usize>,
+        tables: &StepTables<F>,
     ) -> Result<WalkOutcome<F>, VerifyError> {
         let rule = if self.cfg.early_termination {
             StopRule::ProvenPositive
@@ -1283,6 +1297,8 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
             graph: &self.graph,
             prepared: &lane.prepared,
             segs,
+            slots,
+            tables,
         };
         walker.run(batch, rule)
     }

@@ -54,13 +54,13 @@ mod tiered;
 mod verifier;
 mod walk;
 
-pub use analysis::{Analysis, AnalysisStats, STREAMS_PER_WORKER};
+pub use analysis::{Analysis, AnalysisStats, STREAMS_PER_WORKER, WALK_BYTES};
 pub use bnb::CompleteVerdict;
 pub use config::{RefineBudget, SplitRule, VerifyConfig};
 pub use engine::{query_cost_hint, Engine, EngineOptions, EngineStats, PreparedGraph, Query};
 pub use error::VerifyError;
 pub use expr::ExprBatch;
-pub use relax::ReluRelax;
+pub use relax::{ReluRelax, ReluTable};
 pub use sharded::{weight_shard_budget, Plan, WeightShardBudget};
 pub use tiered::{escalation_cost_weight, TieredEngine};
 pub use verifier::{LinearSpec, Margin, RobustnessVerdict, SpecRow, SpecVerdict};

@@ -7,7 +7,8 @@
 //!   the filter taps instead of the full layer, performing a transpose
 //!   convolution from `D^{ℓ-k}` to `D^{ℓ-k+1}`;
 //! * [`step_relu`] — the diagonal substitution of the DeepPoly ReLU
-//!   relaxation, sign- and sense-aware.
+//!   relaxation, sign- and sense-aware ([`step_relu_tables`] against tables
+//!   made once for every step through the layer).
 //!
 //! Residual Add nodes are handled by the walk engine via
 //! [`crate::expr::ExprBatch::split_add`] / [`crate::expr::ExprBatch::merge`].
@@ -17,7 +18,7 @@ use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
 use crate::expr::{clip_origin, ExprBatch};
-use crate::relax::ReluRelax;
+use crate::relax::{ReluRelax, ReluTable};
 use crate::VerifyError;
 
 /// Backsubstitutes through a fully-connected layer: the batch (over the
@@ -319,8 +320,9 @@ pub fn step_relu<F: Fp, B: Backend>(
 /// *its own* query's neuron bounds (`relax_per_seg[seg[r]]`), in one launch
 /// per plane for the whole stacked batch. DeepPoly relaxations genuinely
 /// differ per query (each query's analysis gives its ReLU inputs different
-/// bounds), so the fused walk must select coefficients per segment; the
-/// per-row arithmetic is identical to [`step_relu`] on the row's own query.
+/// bounds), so a fused step selects coefficients per segment; the per-row
+/// arithmetic is identical to [`step_relu`] on the row's own query. The
+/// walk itself steps against tables made once ([`step_relu_tables`]).
 ///
 /// # Panics
 ///
@@ -328,7 +330,7 @@ pub fn step_relu<F: Fp, B: Backend>(
 /// doesn't match the frontier length.
 pub fn step_relu_per_seg<F: Fp, B: Backend>(
     device: &Device<B>,
-    mut batch: ExprBatch<F, B>,
+    batch: ExprBatch<F, B>,
     relax_per_seg: &[&[ReluRelax<F>]],
     out_bounds_per_seg: &[&[Itv<F>]],
     parent: NodeId,
@@ -343,6 +345,52 @@ pub fn step_relu_per_seg<F: Fp, B: Backend>(
         "segment index out of range for {} relaxation tables",
         relax_per_seg.len()
     );
+    relu_planes(batch, parent, |label, plane, cst, geom, upper| {
+        kernels::relu_step(
+            device,
+            label,
+            plane,
+            cst,
+            geom,
+            relax_per_seg,
+            out_bounds_per_seg,
+            upper,
+        )
+    })
+}
+
+/// [`step_relu_per_seg`] against tables made once for every step through
+/// the layer: row `r` substitutes `tables[seg[r]]`, each query's
+/// [`ReluTable`] of the layer. The walk's ReLU step.
+///
+/// # Panics
+///
+/// Panics when a segment index is out of range or a table doesn't match the
+/// frontier length.
+pub fn step_relu_tables<F: Fp, B: Backend>(
+    device: &Device<B>,
+    batch: ExprBatch<F, B>,
+    tables: &[&ReluTable<F>],
+    parent: NodeId,
+) -> ExprBatch<F, B> {
+    assert!(
+        batch.segment_count() <= tables.len(),
+        "segment index out of range for {} relaxation tables",
+        tables.len()
+    );
+    relu_planes(batch, parent, |label, plane, cst, geom, upper| {
+        kernels::relu_step_tables(device, label, plane, cst, geom, tables, upper)
+    })
+}
+
+/// The ReLU step's two launches over `batch`, `launch(label, plane,
+/// constants, geometry, upper)` a plane; the batch then stands over
+/// `parent`.
+fn relu_planes<F: Fp, B: Backend>(
+    mut batch: ExprBatch<F, B>,
+    parent: NodeId,
+    launch: impl Fn(&'static str, &mut [Itv<F>], &mut [Itv<F>], &ExprGeom<'_>, bool),
+) -> ExprBatch<F, B> {
     let (win_h, win_w) = batch.window();
     let shape = batch.shape();
     let origins = batch.origins().to_vec();
@@ -356,31 +404,11 @@ pub fn step_relu_per_seg<F: Fp, B: Backend>(
         origins: &origins,
         seg: &seg,
     };
-    {
-        let (lo, hi, cst_lo, cst_hi) = batch.planes_mut();
-        // Lower plane: a >= 0 -> (alpha, beta); a <= 0 -> (gamma, delta);
-        // the upper plane mirrors the choice (`upper = true`).
-        kernels::relu_step(
-            device,
-            "relu_step_lo",
-            lo,
-            cst_lo,
-            &geom,
-            relax_per_seg,
-            out_bounds_per_seg,
-            false,
-        );
-        kernels::relu_step(
-            device,
-            "relu_step_hi",
-            hi,
-            cst_hi,
-            &geom,
-            relax_per_seg,
-            out_bounds_per_seg,
-            true,
-        );
-    }
+    let (lo, hi, cst_lo, cst_hi) = batch.planes_mut();
+    // Lower plane: a >= 0 -> (alpha, beta); a <= 0 -> (gamma, delta); the
+    // upper plane mirrors the choice (`upper = true`).
+    launch("relu_step_lo", lo, cst_lo, &geom, false);
+    launch("relu_step_hi", hi, cst_hi, &geom, true);
     batch.set_node(parent);
     batch
 }

@@ -2,6 +2,8 @@
 //! to the input layer, taking the best concrete candidate at every frontier
 //! (§2) and optionally compacting away rows that satisfy a stop rule (§4.2).
 
+use std::sync::OnceLock;
+
 use gpupoly_device::{Backend, Device};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Graph, Op};
@@ -9,8 +11,8 @@ use gpupoly_nn::{Graph, Op};
 use crate::analysis::Analysis;
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
-use crate::relax::ReluRelax;
-use crate::steps::{step_conv_with, step_dense_with, step_relu_per_seg};
+use crate::relax::ReluTable;
+use crate::steps::{step_conv_with, step_dense_with, step_relu_tables};
 use crate::VerifyError;
 
 /// When a row may be dropped mid-walk.
@@ -38,6 +40,73 @@ pub(crate) struct WalkOutcome<F> {
     pub candidates: usize,
 }
 
+/// What the walks of one call read of its queries' ReLU layers: one
+/// [`ReluTable`] per (analysis, ReLU node), made the first time a walk
+/// steps into or through the layer and borrowed by every walk after it — of
+/// any list, any layer and any lane of the call. A table is a function of
+/// its analysis's bounds, so where a list is cut and how many walks share a
+/// layer decide nothing about it. The caller numbers its analyses (a
+/// *slot* each; analyses that are one by identity share a slot) and, where
+/// a layer's walks change an analysis's bounds, forgets the table that reads
+/// them ([`StepTables::forget`]).
+pub(crate) struct StepTables<F> {
+    /// `relu[slot][node]`: the slot's table of ReLU node `node`.
+    relu: Vec<Vec<OnceLock<ReluTable<F>>>>,
+}
+
+impl<F: Fp> StepTables<F> {
+    /// No table yet, for `slots` analyses of a graph of `nodes` nodes.
+    pub fn new(slots: usize, nodes: usize) -> Self {
+        Self {
+            relu: (0..slots)
+                .map(|_| (0..nodes).map(|_| OnceLock::new()).collect())
+                .collect(),
+        }
+    }
+
+    /// The slots of `analyses`, in order: the first of each analysis by
+    /// identity takes the next slot, and a repeat takes its first's.
+    pub fn slots_of<'a>(analyses: impl Iterator<Item = &'a Analysis<F>>) -> (Vec<usize>, usize) {
+        let mut firsts: Vec<&Analysis<F>> = Vec::new();
+        let slots = analyses
+            .map(|a| {
+                firsts
+                    .iter()
+                    .position(|&f| std::ptr::eq(f, a))
+                    .unwrap_or_else(|| {
+                        firsts.push(a);
+                        firsts.len() - 1
+                    })
+            })
+            .collect();
+        (slots, firsts.len())
+    }
+
+    /// `slot`'s table of ReLU node `node`, made from `analysis` — the
+    /// slot's — the first time it is asked for.
+    fn relu(
+        &self,
+        slot: usize,
+        node: usize,
+        graph: &Graph<'_, F>,
+        analysis: &Analysis<F>,
+    ) -> &ReluTable<F> {
+        self.relu[slot][node].get_or_init(|| {
+            let p = graph.nodes[node].parents[0];
+            ReluTable::new(&analysis.bounds[p], &analysis.bounds[node])
+        })
+    }
+
+    /// Drops `slot`'s table of node `p`, for a caller about to change `p`'s
+    /// bounds: a ReLU whose input is a ReLU has its table read by the walks
+    /// that refine that input. The tables of the ReLUs on `p` need no such
+    /// care — a walk steps only through nodes behind the one it refines, so
+    /// none is made before `p`'s walks are done.
+    pub fn forget(&mut self, slot: usize, p: usize) {
+        self.relu[slot][p].take();
+    }
+}
+
 /// Borrowed context for walks: the graph, its prepared (device-resident)
 /// weights, and the current concrete bounds — one bounds set per query
 /// segment of the batch being walked. Single-query walks pass one entry;
@@ -53,6 +122,10 @@ pub(crate) struct Walker<'a, 'n, F: Fp, B: Backend> {
     /// own float arithmetic may add to the exact map the substitution
     /// assumes ([`Analysis::round_off`]).
     pub segs: Vec<&'a Analysis<F>>,
+    /// Per segment, its analysis's slot of `tables`.
+    pub slots: Vec<usize>,
+    /// The call's ReLU tables, shared by all of its walks.
+    pub tables: &'a StepTables<F>,
 }
 
 impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
@@ -64,25 +137,13 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
             .collect()
     }
 
-    /// `make` of each *distinct* analysis among the segments, and per
-    /// segment the index of its own. Segments sharing one analysis
-    /// (duplicate input boxes in a fused batch resolve to the same cached
-    /// `Analysis`) share one result instead of recomputing identical ones;
-    /// sharing is by identity.
-    fn per_analysis<T>(&self, make: impl Fn(&Analysis<F>) -> T) -> (Vec<T>, Vec<usize>) {
-        let mut owners: Vec<usize> = Vec::new();
-        let mut of: Vec<usize> = Vec::with_capacity(self.segs.len());
-        for s in 0..self.segs.len() {
-            let at = owners
-                .iter()
-                .position(|&o| std::ptr::eq(self.segs[o], self.segs[s]))
-                .unwrap_or_else(|| {
-                    owners.push(s);
-                    owners.len() - 1
-                });
-            of.push(at);
-        }
-        (owners.iter().map(|&s| make(self.segs[s])).collect(), of)
+    /// Every segment's table of ReLU node `node`, in segment order.
+    fn relu_tables(&self, node: usize) -> Vec<&ReluTable<F>> {
+        self.segs
+            .iter()
+            .zip(&self.slots)
+            .map(|(a, &slot)| self.tables.relu(slot, node, self.graph, a))
+            .collect()
     }
 
     /// Runs the batch to the input node, returning per-row best bounds.
@@ -170,14 +231,14 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                 let p = self.graph.nodes[node].parents[0];
                 // Into a ReLU layer, each query's product skips the columns
                 // over its stably-off neurons: the ReLU step, next, would
-                // zero them, by the relaxation table made from these bounds.
-                let live = matches!(self.graph.nodes[p].op, Op::Relu).then(|| {
-                    let q = self.graph.nodes[p].parents[0];
-                    self.per_analysis(|a| ReluRelax::live(&a.bounds[q]))
-                });
-                let live_refs: Option<Vec<&[u32]>> = live
-                    .as_ref()
-                    .map(|(lists, of)| of.iter().map(|&l| lists[l].as_slice()).collect());
+                // zero them, by the same table.
+                let live_refs: Option<Vec<&[u32]>> = matches!(self.graph.nodes[p].op, Op::Relu)
+                    .then(|| {
+                        self.relu_tables(p)
+                            .into_iter()
+                            .map(ReluTable::live)
+                            .collect()
+                    });
                 let packed = self.prepared.weights(node)?;
                 let (weight, bias) = packed.slices();
                 step_dense_with(
@@ -199,17 +260,12 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
             }
             Op::Relu => {
                 let p = self.graph.nodes[node].parents[0];
-                // One relaxation table per distinct analysis: each query's
-                // bounds the ReLU inputs differently, so the fused step
-                // selects coefficients per segment.
-                let (tables, table_of) = self.per_analysis(|a| ReluRelax::layer(&a.bounds[p]));
-                let relax_refs: Vec<&[ReluRelax<F>]> =
-                    table_of.iter().map(|&t| tables[t].as_slice()).collect();
-                Ok(step_relu_per_seg(
+                // Each query's bounds relax the layer differently, so the
+                // fused step selects a table per segment.
+                Ok(step_relu_tables(
                     self.device,
                     batch,
-                    &relax_refs,
-                    &self.node_bounds(node),
+                    &self.relu_tables(node),
                     p,
                 ))
             }
@@ -262,6 +318,7 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relax::ReluRelax;
     use crate::steps::{step_dense, step_relu};
     use gpupoly_device::DeviceConfig;
     use gpupoly_nn::builder::NetworkBuilder;
@@ -295,6 +352,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         // Bound the output node's neurons via identity start.
         let on = graph.output();
@@ -331,6 +390,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         let batch = ExprBatch::identity(&device, 2, graph.nodes[2].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::None).unwrap();
@@ -377,6 +438,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         let start = || ExprBatch::identity(&device, 3, graph.nodes[3].shape, &[0, 1]).unwrap();
         // Through the walker: the live product, then the ReLU step.
@@ -421,6 +484,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         let batch = ExprBatch::identity(&device, 1, graph.nodes[1].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::StableSign).unwrap();
@@ -456,6 +521,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         let out_node = graph.output();
         let batch =
@@ -484,6 +551,8 @@ mod tests {
             graph: &graph,
             prepared: &prepared,
             segs: vec![&analysis],
+            slots: vec![0],
+            tables: &StepTables::new(1, graph.nodes.len()),
         };
         let on = graph.output();
         let batch = ExprBatch::identity(&device, on, graph.nodes[on].shape, &[0, 1]).unwrap();

@@ -268,12 +268,14 @@
 //! **Resolving the table is scheduling.** Whether an element is a term, and
 //! of which kind, is decided by the coefficient and the four intervals of its
 //! neuron, by value, as written above; a backend may look at a segment's table
-//! once per launch instead of once per element, and skip arithmetic whose
-//! result the table already tells — it may not change a term list, its
-//! order, `T` or a count by doing so. [`CpuSimBackend`] resolves each side
-//! `(slope, intercept)` of each neuron (for the segments with more than one
-//! row in the launch, whose tables are finite) to one of three kinds, and
-//! these are the only patterns that resolve:
+//! once per launch — or once for a [`crate::ReluTable`]'s life, when the
+//! launch comes through [`Backend::relu_step_tables`] — instead of once per
+//! element, and skip arithmetic whose result the table already tells — it
+//! may not change a term list, its order, `T` or a count by doing so.
+//! [`CpuSimBackend`] resolves each side `(slope, intercept)` of each neuron
+//! (of a `ReluTable`, or of the segments with more than one row in a
+//! `relu_step` launch; in either case of finite tables only) to one of three
+//! kinds, and these are the only patterns that resolve:
 //!
 //! * **One** — slope `[1, 1]` and an intercept that is an exact zero (either
 //!   sign of zero, the test the zero-skip uses): no term of the constant, and
@@ -342,7 +344,7 @@ use gpupoly_interval::{round, Fp, Itv};
 use std::array::from_fn;
 use std::cell::{OnceCell, RefCell};
 
-use crate::relax::ReluRelax;
+use crate::relax::{ReluRelax, ReluTable};
 use crate::simd::LaneKernel;
 use crate::Device;
 use crate::GemmBuild;
@@ -1126,7 +1128,8 @@ impl<T, M: Fn(usize) -> Option<T>> SegTables<T, M> {
 
 /// One side of a neuron's relaxation — the `(slope, intercept)` pair
 /// `(alpha, beta)` or `(gamma, delta)` — as the ReLU step meets it, resolved
-/// **by value** once per launch. The kinds are scheduling: each does what
+/// **by value** once per launch, or once per [`ReluTable`]. The kinds are
+/// scheduling: each does what
 /// [`relu_step_row`] does with such a pair, minus the arithmetic whose result
 /// is known beforehand.
 #[derive(Copy, Clone)]
@@ -1156,7 +1159,7 @@ struct Line {
 /// neurons with a side that is not [`Side::One`] — every neuron but those
 /// [`ReluRelax::is_identity`] passes by — and where a run of the frontier
 /// finds them.
-struct ReluSides {
+pub(crate) struct ReluSides {
     /// `(neuron, [(alpha, beta), (gamma, delta)])`, ascending.
     listed: Vec<(u32, [Side; 2])>,
     /// `first[n]`: the listed neurons below `n`, for `n` up to the frontier's
@@ -1189,7 +1192,7 @@ impl ReluSides {
     /// concrete bounds is not finite: a row of finite coefficients over a
     /// resolved table has a finite magnitude sum, and [`relu_step_row`] need
     /// not keep the copy it would fall back from.
-    fn resolve<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> Option<Self> {
+    pub(crate) fn resolve<F: Fp>(relax: &[ReluRelax<F>], out_bounds: &[Itv<F>]) -> Option<Self> {
         // `x · 0` is a zero for a finite `x` and NaN for any other: one sum
         // over the tables instead of a test per value.
         let poison = |v: Itv<F>| v.lo * F::ZERO + v.hi * F::ZERO;
@@ -1281,6 +1284,26 @@ fn relu_step_row_by_sides<F: Fp>(
     }
     *cst = sum.finish().expect("finite operands sum to a finite bound");
     true
+}
+
+/// The rows of one ReLU-step launch on [`CpuSimBackend`]: row `r` through
+/// `table(seg[r])` — its segment's relaxations, output bounds and, where the
+/// segment has them, resolved sides — by [`relu_step_row_by_sides`] where it
+/// takes the row and by [`relu_step_row`] where it does not.
+fn relu_step_rows<'t, F: Fp>(
+    plane: &mut [Itv<F>],
+    cst: &mut [Itv<F>],
+    geom: &ExprGeom<'_>,
+    upper: bool,
+    table: impl Fn(usize) -> (&'t [ReluRelax<F>], &'t [Itv<F>], Option<&'t ReluSides>),
+) {
+    let cols = geom.cols();
+    for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
+        let (relax, out_bounds, sides) = table(geom.seg[r] as usize);
+        if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
+            relu_step_row(r, row, c, geom, relax, out_bounds, upper, sides.is_some())
+        }
+    }
 }
 
 /// One row of the densify scatter: copy each row of the cuboid window into
@@ -1720,9 +1743,8 @@ fn lane_block<'w, F: Fp, const L: usize>(
     for &(kk, term) in terms {
         acc.mul_add(term, w(kk));
     }
-    for (jj, cv) in out.iter_mut().enumerate() {
-        *cv = acc.finish(jj, e);
-    }
+    let lanes = acc.finish_lanes(e);
+    out.copy_from_slice(&lanes[..out.len()]);
 }
 
 /// The per-step chain over rows of an interval product, streamed row-wise
@@ -1926,8 +1948,8 @@ impl<'a, F: Fp> LiveGemm<'a, F> {
                 for &(kk, term) in &terms {
                     acc.mul_add_wide(term, &block[kk]);
                 }
-                for (jj, &j) in out.iter().enumerate() {
-                    crow[j as usize] = acc.finish(jj, e);
+                for (&j, v) in out.iter().zip(acc.finish_lanes(e)) {
+                    crow[j as usize] = v;
                 }
             }
         }
@@ -2335,6 +2357,30 @@ pub trait Backend: Send + Sync + Sized + 'static {
         upper: bool,
     );
 
+    /// [`Backend::relu_step`] against tables a caller made once for every
+    /// launch through the layer: row `r` steps through
+    /// `tables[geom.seg[r]]`'s relaxations and output bounds.
+    ///
+    /// The provided body is that definition: `relu_step` over the tables'
+    /// slices. It is the conformance oracle of the method and what
+    /// [`ReferenceBackend`] runs. A backend overrides it to keep what it
+    /// works out of a table with the table ([`CpuSimBackend`] resolves a
+    /// table's sides once for the table's life instead of once per launch,
+    /// plane and segment).
+    fn relu_step_tables<F: Fp>(
+        &self,
+        device: &Device<Self>,
+        plane: &mut [Itv<F>],
+        cst: &mut [Itv<F>],
+        geom: &ExprGeom<'_>,
+        tables: &[&ReluTable<F>],
+        upper: bool,
+    ) {
+        let relax: Vec<&[ReluRelax<F>]> = tables.iter().map(|t| t.relax()).collect();
+        let out_bounds: Vec<&[Itv<F>]> = tables.iter().map(|t| t.out_bounds()).collect();
+        self.relu_step(device, plane, cst, geom, &relax, &out_bounds, upper);
+    }
+
     /// Expands cuboid windows to full rows over the frontier node, one
     /// plane per launch: scatter each row's window positions into
     /// their linear frontier slots. `dst` must be zeroed.
@@ -2542,28 +2588,32 @@ impl Backend for CpuSimBackend {
         if cst.is_empty() {
             return;
         }
-        let cols = geom.cols();
         let sides = SegTables::new(geom, relax_per_seg.len(), |s| {
             F::EXACT_IN_F64
                 .then(|| ReluSides::resolve(relax_per_seg[s], out_bounds_per_seg[s]))
                 .flatten()
         });
-        for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
-            let s = geom.seg[r] as usize;
-            let sides = sides.of(s);
-            if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
-                relu_step_row(
-                    r,
-                    row,
-                    c,
-                    geom,
-                    relax_per_seg[s],
-                    out_bounds_per_seg[s],
-                    upper,
-                    sides.is_some(),
-                )
-            }
+        relu_step_rows(plane, cst, geom, upper, |s| {
+            (relax_per_seg[s], out_bounds_per_seg[s], sides.of(s))
+        });
+    }
+
+    fn relu_step_tables<F: Fp>(
+        &self,
+        _device: &Device<Self>,
+        plane: &mut [Itv<F>],
+        cst: &mut [Itv<F>],
+        geom: &ExprGeom<'_>,
+        tables: &[&ReluTable<F>],
+        upper: bool,
+    ) {
+        if cst.is_empty() {
+            return;
         }
+        relu_step_rows(plane, cst, geom, upper, |s| {
+            let t = tables[s];
+            (t.relax(), t.out_bounds(), t.sides())
+        });
     }
 
     fn densify<F: Fp>(

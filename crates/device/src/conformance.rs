@@ -57,7 +57,7 @@
 use gpupoly_interval::{round, Fp, Itv};
 
 use crate::backend::{Backend, ExprGeom, GbcShape};
-use crate::relax::ReluRelax;
+use crate::relax::{ReluRelax, ReluTable};
 use crate::{gemm, kernels, scan, Device, DeviceBuffer, DeviceConfig, DeviceError};
 
 /// Deterministic splitmix64 stream for generating test data without
@@ -1911,7 +1911,8 @@ pub fn check_relu_step_special_cases<B: Backend>(device: &Device<B>) {
 
 /// Pins what a backend may and may not conclude from a relaxation *table* —
 /// [`crate::CpuSimBackend`] resolves every side `(slope, intercept)` of every
-/// neuron once per launch and skips the arithmetic whose result it knows —
+/// neuron once per launch (or per [`ReluTable`]) and skips the arithmetic
+/// whose result it knows —
 /// against `oracle_relu_step_row`, which knows no such thing. Hand-made
 /// tables mix the relaxations real bounds produce (identity, zero, unstable
 /// with `alpha` 0 and 1) with sides that look resolvable and are not: slope
@@ -1935,6 +1936,146 @@ pub fn check_relu_step_special_cases<B: Backend>(device: &Device<B>) {
 /// Panics with a labeled message on any contract violation.
 pub fn check_relu_step_sides<B: Backend>(device: &Device<B>) {
     let label = device.backend().label();
+    for launch in relu_sides_launches() {
+        let (case, g) = (&launch.case, launch.case.geom());
+        let cols = case.cols();
+        for poisoned in [false, true] {
+            let mut relax = launch.relax.clone();
+            if poisoned {
+                // A table that is not finite: nothing of segment 0 resolves.
+                relax[0][2].gamma.hi = f32::INFINITY;
+            }
+            for upper in [false, true] {
+                let klabel = relu_label(upper);
+                let (got, _) = assert_relu_step_matches_oracle(
+                    device,
+                    klabel,
+                    case,
+                    &launch.plane,
+                    &launch.cst,
+                    &relax,
+                    &launch.out_bounds,
+                    upper,
+                );
+                // Stable-zero guarantee: the zero neuron's column.
+                for r in 0..case.rows() {
+                    for i in 0..case.win_h {
+                        for j in 0..case.win_w {
+                            for c in 0..case.chans {
+                                let n = g.neuron_at(r, i, j) + c;
+                                let v = got[r * cols + (i * case.win_w + j) * case.chans + c];
+                                assert!(
+                                    n % RELU_PATTERNS != 1 || (v.lo == 0.0 && v.hi == 0.0),
+                                    "[{label}] {klabel}: stably-dead neuron {n} left a non-zero \
+                                     column entry {v} in row {r}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Holds [`Backend::relu_step_tables`] to its definition — [`Backend::relu_step`]
+/// over the tables' slices — on the launches of [`check_relu_step_sides`]:
+/// tables built to look resolvable where they are not, tables with a
+/// non-finite relaxation, and tables whose output bounds are infinite or
+/// NaN. Each table steps both planes twice, so that the later launches read
+/// whatever the first one kept with the table.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_relu_step_tables<B: Backend>(device: &Device<B>) {
+    let label = device.backend().label();
+    for launch in relu_sides_launches() {
+        let g = launch.case.geom();
+        for variant in 0..3 {
+            let (mut relax, mut out_bounds) = (launch.relax.clone(), launch.out_bounds.clone());
+            match variant {
+                1 => relax[0][2].gamma.hi = f32::INFINITY,
+                2 => {
+                    out_bounds[0][3] = Itv::top();
+                    out_bounds[3][2].hi = f32::NAN;
+                    out_bounds[2][0] = Itv::new(f32::NEG_INFINITY, f32::NEG_INFINITY);
+                }
+                _ => {}
+            }
+            let relax_refs: Vec<&[ReluRelax<f32>]> = relax.iter().map(Vec::as_slice).collect();
+            let ob_refs: Vec<&[Itv<f32>]> = out_bounds.iter().map(Vec::as_slice).collect();
+            let tables: Vec<ReluTable<f32>> = relax
+                .iter()
+                .zip(&out_bounds)
+                .map(|(r, o)| ReluTable::from_parts(r.clone(), o.clone()))
+                .collect();
+            let table_refs: Vec<&ReluTable<f32>> = tables.iter().collect();
+            for _ in 0..2 {
+                for upper in [false, true] {
+                    let klabel = relu_label(upper);
+                    let (mut want, mut want_cst) = (launch.plane.clone(), launch.cst.clone());
+                    kernels::relu_step(
+                        device,
+                        klabel,
+                        &mut want,
+                        &mut want_cst,
+                        &g,
+                        &relax_refs,
+                        &ob_refs,
+                        upper,
+                    );
+                    let (mut got, mut got_cst) = (launch.plane.clone(), launch.cst.clone());
+                    let launches0 = device.stats().kernel_launches(klabel);
+                    kernels::relu_step_tables(
+                        device,
+                        klabel,
+                        &mut got,
+                        &mut got_cst,
+                        &g,
+                        &table_refs,
+                        upper,
+                    );
+                    assert_eq!(
+                        device.stats().kernel_launches(klabel),
+                        launches0 + 1,
+                        "[{label}] relu_step_tables must record its launch"
+                    );
+                    assert_planes_bit_eq_or_nan(label, klabel, &got, &want);
+                    assert_planes_bit_eq_or_nan(label, klabel, &got_cst, &want_cst);
+                }
+            }
+        }
+    }
+}
+
+/// The launch label of a ReLU-step plane.
+fn relu_label(upper: bool) -> &'static str {
+    if upper {
+        "relu_step_hi"
+    } else {
+        "relu_step_lo"
+    }
+}
+
+/// The relaxation patterns of [`relu_sides_launches`]; neuron `n` is on
+/// pattern `n % RELU_PATTERNS`, and pattern 1 is the zero neuron.
+const RELU_PATTERNS: usize = 10;
+
+/// One hand-made ReLU-step launch: the geometry, the plane and constants
+/// before the step, and per segment a relaxation table and output bounds.
+struct SidesLaunch {
+    case: GeomCase,
+    plane: Vec<Itv<f32>>,
+    cst: Vec<Itv<f32>>,
+    relax: Vec<Vec<ReluRelax<f32>>>,
+    out_bounds: Vec<Vec<Itv<f32>>>,
+}
+
+/// The launches of [`check_relu_step_sides`] (see there): full windows over
+/// one neuron per pattern, with the rows that are the straight rule's, then
+/// slid cuboid windows over a layer that repeats the patterns.
+fn relu_sides_launches() -> Vec<SidesLaunch> {
     let itv = |lo: f32, hi: f32| Itv { lo, hi };
     let (zero, one) = (Itv::<f32>::zero(), Itv::point(1.0_f32));
     let (gamma, delta) = (itv(0.625, 0.625_f32.next_up()), itv(0.125, 0.25));
@@ -1945,7 +2086,7 @@ pub fn check_relu_step_sides<B: Backend>(device: &Device<B>) {
         delta,
         exact: false,
     };
-    let patterns = [
+    let patterns: [ReluRelax<f32>; RELU_PATTERNS] = [
         relax_of(one, zero, one, zero),     // identity
         relax_of(zero, zero, zero, zero),   // zero
         relax_of(zero, zero, gamma, delta), // unstable, alpha = 0
@@ -1987,11 +2128,12 @@ pub fn check_relu_step_sides<B: Backend>(device: &Device<B>) {
     // Full windows over one neuron per pattern, then slid cuboid windows
     // over a layer that repeats the patterns.
     let rows = 2 * KINDS + 1;
-    let mut cases = [
+    let cases = [
         GeomCase::new(rows + 6, 1, 1, 1, 1, patterns.len(), 1, &mut s),
         GeomCase::new(rows, 2, 3, 4, 5, 2, 1, &mut s),
     ];
-    for (which, case) in cases.iter_mut().enumerate() {
+    let mut launches = Vec::new();
+    for (which, mut case) in cases.into_iter().enumerate() {
         case.seg = (0..case.rows()).map(|r| seg_of(r) as u32).collect();
         let cols = case.cols();
         let pattern_of = |n: usize| n % patterns.len();
@@ -2043,47 +2185,15 @@ pub fn check_relu_step_sides<B: Backend>(device: &Device<B>) {
             cst[rows + 4] = Itv::top();
             plane[at(rows + 5, 3)] = itv(0.5, 0.25); // bounds out of order
         }
-        for poisoned in [false, true] {
-            let mut relax = relax.clone();
-            if poisoned {
-                // A table that is not finite: nothing of segment 0 resolves.
-                relax[0][2].gamma.hi = f32::INFINITY;
-            }
-            for upper in [false, true] {
-                let klabel: &'static str = if upper {
-                    "relu_step_hi"
-                } else {
-                    "relu_step_lo"
-                };
-                let (got, _) = assert_relu_step_matches_oracle(
-                    device,
-                    klabel,
-                    case,
-                    &plane,
-                    &cst,
-                    &relax,
-                    &out_bounds,
-                    upper,
-                );
-                // Stable-zero guarantee: the zero neuron's column.
-                for r in 0..case.rows() {
-                    for i in 0..case.win_h {
-                        for j in 0..case.win_w {
-                            for c in 0..case.chans {
-                                let n = g.neuron_at(r, i, j) + c;
-                                let v = got[r * cols + (i * case.win_w + j) * case.chans + c];
-                                assert!(
-                                    pattern_of(n) != 1 || (v.lo == 0.0 && v.hi == 0.0),
-                                    "[{label}] {klabel}: stably-dead neuron {n} left a non-zero \
-                                     column entry {v} in row {r}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        launches.push(SidesLaunch {
+            case,
+            plane,
+            cst,
+            relax,
+            out_bounds,
+        });
     }
+    launches
 }
 
 /// Checks the densify scatter against a serial oracle.
@@ -2915,6 +3025,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         check_bias_fold_special_cases(&device);
         check_relu_step_special_cases(&device);
         check_relu_step_sides(&device);
+        check_relu_step_tables(&device);
         check_concretize_special_cases(&device);
         check_concretize_block_edges(&device);
         check_bias_fold_block_edges(&device);

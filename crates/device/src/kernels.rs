@@ -17,7 +17,7 @@
 use gpupoly_interval::{Fp, Itv};
 
 use crate::backend::{assert_windows_in_extent, Backend, ExprGeom, GbcShape};
-use crate::relax::ReluRelax;
+use crate::relax::{ReluRelax, ReluTable};
 use crate::Device;
 
 fn itv_bytes<F>(elems: usize) -> u64 {
@@ -183,33 +183,19 @@ pub fn relu_step<F: Fp, B: Backend>(
     out_bounds_per_seg: &[&[Itv<F>]],
     upper: bool,
 ) {
-    let rows = geom.rows();
-    assert_eq!(plane.len(), rows * geom.cols(), "relu_step: plane shape");
-    assert_eq!(cst.len(), rows, "relu_step: constants");
-    geom.assert_in_extent("relu_step");
-    geom.assert_one_segment_per_row("relu_step");
     assert_eq!(
         relax_per_seg.len(),
         out_bounds_per_seg.len(),
         "relu_step: relax/out-bounds segment counts differ"
     );
-    for (relax, out_bounds) in relax_per_seg.iter().zip(out_bounds_per_seg) {
-        assert_eq!(relax.len(), geom.frontier_len(), "relu_step: relax length");
-        assert_eq!(
-            out_bounds.len(),
-            geom.frontier_len(),
-            "relu_step: out bounds length"
-        );
-    }
-    assert!(
-        geom.seg.iter().all(|&s| (s as usize) < relax_per_seg.len()),
-        "relu_step: segment index out of range for {} relaxation tables",
-        relax_per_seg.len()
-    );
-    device.stats().record_work(
+    let lens = relax_per_seg.iter().zip(out_bounds_per_seg);
+    check_relu_step(
+        device,
         label,
-        4 * plane.len() as u64,
-        itv_bytes::<F>(2 * plane.len() + 2 * cst.len()),
+        plane,
+        cst,
+        geom,
+        lens.map(|(r, o)| (r.len(), o.len())),
     );
     device.backend().relu_step(
         device,
@@ -219,6 +205,66 @@ pub fn relu_step<F: Fp, B: Backend>(
         relax_per_seg,
         out_bounds_per_seg,
         upper,
+    );
+}
+
+/// [`relu_step`] against tables made once for every launch through the
+/// layer ([`Backend::relu_step_tables`]): row `r` steps through
+/// `tables[geom.seg[r]]`.
+///
+/// # Panics
+///
+/// As [`relu_step`].
+pub fn relu_step_tables<F: Fp, B: Backend>(
+    device: &Device<B>,
+    label: &'static str,
+    plane: &mut [Itv<F>],
+    cst: &mut [Itv<F>],
+    geom: &ExprGeom<'_>,
+    tables: &[&ReluTable<F>],
+    upper: bool,
+) {
+    let lens = tables
+        .iter()
+        .map(|t| (t.relax().len(), t.out_bounds().len()));
+    check_relu_step(device, label, plane, cst, geom, lens);
+    device
+        .backend()
+        .relu_step_tables(device, plane, cst, geom, tables, upper);
+}
+
+/// The shape checks of a ReLU-step launch over segments whose relaxation
+/// and output-bound tables are `lens` long, and its launch record.
+fn check_relu_step<F: Fp, B: Backend>(
+    device: &Device<B>,
+    label: &'static str,
+    plane: &[Itv<F>],
+    cst: &[Itv<F>],
+    geom: &ExprGeom<'_>,
+    lens: impl ExactSizeIterator<Item = (usize, usize)>,
+) {
+    let rows = geom.rows();
+    assert_eq!(plane.len(), rows * geom.cols(), "relu_step: plane shape");
+    assert_eq!(cst.len(), rows, "relu_step: constants");
+    geom.assert_in_extent("relu_step");
+    geom.assert_one_segment_per_row("relu_step");
+    let segments = lens.len();
+    for (relax, out_bounds) in lens {
+        assert_eq!(relax, geom.frontier_len(), "relu_step: relax length");
+        assert_eq!(
+            out_bounds,
+            geom.frontier_len(),
+            "relu_step: out bounds length"
+        );
+    }
+    assert!(
+        geom.seg.iter().all(|&s| (s as usize) < segments),
+        "relu_step: segment index out of range for {segments} relaxation tables"
+    );
+    device.stats().record_work(
+        label,
+        4 * plane.len() as u64,
+        itv_bytes::<F>(2 * plane.len() + 2 * cst.len()),
     );
 }
 

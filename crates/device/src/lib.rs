@@ -79,5 +79,5 @@ mod simd;
 pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork};
-pub use relax::ReluRelax;
+pub use relax::{ReluRelax, ReluTable};
 pub use simd::GemmBuild;

@@ -3,8 +3,15 @@
 //! The relaxation table is consumed by the backend's ReLU substitution
 //! kernel ([`crate::Backend::relu_step`]), so the type lives in this crate;
 //! `gpupoly-core` re-exports it unchanged as `gpupoly_core::ReluRelax`.
+//! [`ReluTable`] is what a walk reads of one query's ReLU layer, made once
+//! and borrowed by every launch that steps through the layer
+//! ([`crate::Backend::relu_step_tables`]).
+
+use std::sync::OnceLock;
 
 use gpupoly_interval::{round, Fp, Itv};
+
+use crate::backend::ReluSides;
 
 /// The four relaxation coefficients DeepPoly attaches to a ReLU neuron
 /// `y = max(x, 0)` with input bounds `l ≤ x ≤ u`:
@@ -131,6 +138,83 @@ impl<F: Fp> ReluRelax<F> {
     pub fn is_zero(&self) -> bool {
         let z = |v: Itv<F>| v.lo == F::ZERO && v.hi == F::ZERO;
         z(self.alpha) && z(self.beta) && z(self.gamma) && z(self.delta)
+    }
+}
+
+/// What a backsubstitution step reads of one query's ReLU layer: the
+/// relaxation of every neuron, the concrete bounds of the layer's output, the
+/// live neurons ([`ReluRelax::live`]) and, made the first time a launch asks,
+/// the sides [`crate::CpuSimBackend`] resolves the relaxations to. All of it
+/// is a function of the query's bounds, so a table made once serves every
+/// walk of every list through the layer, however the list is cut.
+pub struct ReluTable<F> {
+    relax: Vec<ReluRelax<F>>,
+    out_bounds: Vec<Itv<F>>,
+    live: Vec<u32>,
+    sides: OnceLock<Option<ReluSides>>,
+}
+
+impl<F: Fp> ReluTable<F> {
+    /// The table of a ReLU layer whose input is bounded by `in_bounds` and
+    /// whose output by `out_bounds`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReluTable::from_parts`].
+    pub fn new(in_bounds: &[Itv<F>], out_bounds: &[Itv<F>]) -> Self {
+        Self::from_parts(ReluRelax::layer(in_bounds), out_bounds.to_vec())
+    }
+
+    /// A table over relaxations made some other way (the conformance suite
+    /// makes ones no bounds give); the live list is read off `relax`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `relax` and `out_bounds` differ in length.
+    pub fn from_parts(relax: Vec<ReluRelax<F>>, out_bounds: Vec<Itv<F>>) -> Self {
+        assert_eq!(
+            relax.len(),
+            out_bounds.len(),
+            "a relaxation and an output bound per neuron"
+        );
+        let live = (0..relax.len() as u32)
+            .filter(|&j| !relax[j as usize].is_zero())
+            .collect();
+        Self {
+            relax,
+            out_bounds,
+            live,
+            sides: OnceLock::new(),
+        }
+    }
+
+    /// The relaxation of every neuron.
+    pub fn relax(&self) -> &[ReluRelax<F>] {
+        &self.relax
+    }
+
+    /// The concrete bounds of the layer's output.
+    pub fn out_bounds(&self) -> &[Itv<F>] {
+        &self.out_bounds
+    }
+
+    /// The live neurons, ascending: those whose relaxation is not
+    /// [`ReluRelax::is_zero`].
+    pub fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// The sides of every relaxation, resolved once for the table's life
+    /// (`None` for a table that does not resolve, and for a scalar type
+    /// without [`Fp::EXACT_IN_F64`]).
+    pub(crate) fn sides(&self) -> Option<&ReluSides> {
+        self.sides
+            .get_or_init(|| {
+                F::EXACT_IN_F64
+                    .then(|| ReluSides::resolve(&self.relax, &self.out_bounds))
+                    .flatten()
+            })
+            .as_ref()
     }
 }
 

@@ -595,6 +595,17 @@ impl<const N: usize> WideAcc<N> {
     pub fn finish<F: Fp>(&self, j: usize, e: Widening) -> Itv<F> {
         e.enclose(self.lo[j], self.hi[j])
     }
+
+    /// The sound enclosure of every lane under the error bound `e` of the
+    /// term list the lanes were fed: lane `j`'s is [`WideAcc::finish`]'s
+    /// for `j`, bit for bit.
+    // Never inlined, and by value, for the reasons `WideBounds::finish` is:
+    // a reference to the accumulators would keep them in memory across the
+    // lane loop, stored at every term.
+    #[inline(never)]
+    pub fn finish_lanes<F: Fp>(self, e: Widening) -> [Itv<F>; N] {
+        std::array::from_fn(|j| e.enclose(self.lo[j], self.hi[j]))
+    }
 }
 
 /// [`WideAcc`] with its lanes in memory and their number chosen at run time,
