@@ -1,6 +1,9 @@
 //! The element-wise kernels in isolation: `relu_step`, `concretize` and
 //! `bias_fold`, the passes that stream a batch between two GEMM / GBC
-//! launches.
+//! launches. The ReLU step is timed twice: as `relu_step`, which works out
+//! a launch's sides itself, and as `relu_tables`, the same launches stepped
+//! through one [`ReluTable`] per segment made beforehand, as a walk steps
+//! them.
 //!
 //! None of them has a FLOP meter that means anything — what a coefficient
 //! costs depends on what its neuron is — so this prints **nanoseconds per
@@ -27,7 +30,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{kernels, Backend, Device, DeviceConfig, ExprGeom, GemmBuild, ReluRelax};
+use gpupoly_device::{
+    kernels, Backend, Device, DeviceConfig, ExprGeom, GemmBuild, ReluRelax, ReluTable,
+};
 use gpupoly_interval::Itv;
 
 /// splitmix64, as a stream of uniform draws from `[0, 1)`.
@@ -147,9 +152,10 @@ fn fnv(mut hash: u64, out: &[Itv<f32>]) -> u64 {
     hash
 }
 
-/// Seconds per launch of each kernel — `[relu_step, concretize, bias_fold]`,
-/// the ReLU step's copy of its plane subtracted — and a digest of what they
-/// wrote. With a `build`, concretize and the bias fold run in that build of
+/// Seconds per launch of each kernel — `[relu_step, relu_tables,
+/// concretize, bias_fold]`, the ReLU step's copy of its plane subtracted —
+/// and a digest of what they wrote (both ReLU steps asserted to write the
+/// same bits). With a `build`, concretize and the bias fold run in that build of
 /// the production kernels, on no device; the ReLU step, which has one build,
 /// runs on `device` either way.
 fn time_case<B: Backend>(
@@ -158,7 +164,7 @@ fn time_case<B: Backend>(
     case: &Case,
     ops: &Operands,
     reps: usize,
-) -> ([f64; 3], u64) {
+) -> ([f64; 4], u64) {
     let geom = case.geom(ops);
     let relax: Vec<&[ReluRelax<f32>]> = ops.relax.iter().map(Vec::as_slice).collect();
     let bounds: Vec<&[Itv<f32>]> = ops.bounds.iter().map(Vec::as_slice).collect();
@@ -173,6 +179,14 @@ fn time_case<B: Backend>(
         })
         .collect();
     let out_bounds: Vec<&[Itv<f32>]> = out_bounds.iter().map(Vec::as_slice).collect();
+    // Made once, outside the timing, as a walk makes a query's tables once a
+    // call.
+    let tables: Vec<ReluTable<f32>> = relax
+        .iter()
+        .zip(&out_bounds)
+        .map(|(r, o)| ReluTable::from_parts(r.to_vec(), o.to_vec()))
+        .collect();
+    let tables: Vec<&ReluTable<f32>> = tables.iter().collect();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
 
     let (mut plane, mut cst) = (ops.plane.clone(), ops.cst.clone());
@@ -204,6 +218,31 @@ fn time_case<B: Backend>(
         }
     }
     let relu = (t.elapsed().as_secs_f64() - copy).max(0.0) / reps as f64;
+
+    let mut tables_digest = 0xcbf2_9ce4_8422_2325u64;
+    let t = Instant::now();
+    for rep in 0..reps {
+        plane.copy_from_slice(black_box(&ops.plane));
+        cst.copy_from_slice(&ops.cst);
+        kernels::relu_step_tables(
+            device,
+            "relu_step_lo",
+            &mut plane,
+            &mut cst,
+            &geom,
+            &tables,
+            (reps - rep) % 2 == 1,
+        );
+        black_box(&plane);
+        if rep + 2 >= reps {
+            tables_digest = fnv(fnv(tables_digest, &plane), &cst);
+        }
+    }
+    let relu_tables = (t.elapsed().as_secs_f64() - copy).max(0.0) / reps as f64;
+    assert_eq!(
+        tables_digest, digest,
+        "relu_step and relu_step_tables outputs differ"
+    );
 
     let mut out = vec![Itv::<f32>::zero(); case.rows];
     let t = Instant::now();
@@ -240,7 +279,7 @@ fn time_case<B: Backend>(
     }
     let bias_fold = t.elapsed().as_secs_f64() / reps as f64;
     digest = fnv(digest, &out);
-    ([relu, concretize, bias_fold], digest)
+    ([relu, relu_tables, concretize, bias_fold], digest)
 }
 
 fn report(case: &Case, stable: f64, density: f64) {
@@ -274,11 +313,13 @@ fn report(case: &Case, stable: f64, density: f64) {
     for (name, (secs, _)) in rows {
         println!(
             "[elementwise] {name:<9} {:<6} stable {stable:.3} density {density:.2}  \
-             relu_step {:>6.2}  concretize {:>6.2}  bias_fold {:>6.2} ns/coeff  digest {digest:016x}",
+             relu_step {:>6.2}  relu_tables {:>6.2}  concretize {:>6.2}  bias_fold {:>6.2} \
+             ns/coeff  digest {digest:016x}",
             case.name,
             secs[0] * 1e9 / coeffs,
             secs[1] * 1e9 / coeffs,
             secs[2] * 1e9 / coeffs,
+            secs[3] * 1e9 / coeffs,
         );
     }
 }

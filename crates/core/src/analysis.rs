@@ -375,24 +375,45 @@ pub const STREAMS_PER_WORKER: usize = 2;
 /// Walls fall to about 16 MiB and do not fall further while peaks keep
 /// growing (`ResNet18`'s walls are the noisiest: two batches of 8, the
 /// slower shown). On the benchmark (`--seconds 20 --trace 0`, q/s median
-/// \[quartiles\] against the parent's one walk a list over the streams;
-/// seed 1, ten rounds):
+/// \[the parent's quartiles\], each build from its own directory, runs
+/// alternating; every sweep that was run: A seed 1 and B seed 2 before the
+/// last changes to the tables, C seed 1 on this code, with `p+fl` the
+/// parent plus [`gpupoly_interval::wide::WideAcc::finish_lanes`] alone):
 ///
-/// | workload | parent | 4 MiB | 8 MiB | **16 MiB** |
-/// | --- | --- | --- | --- | --- |
-/// | `conv_fused` | 50.7 \[49.3–54.5\], 27.4 MB | 49.9 \[48.1–55.7\], 7.03 | 48.4 \[46.6–49.0\], 12.0 | 54.9 \[52.7–56.9\], 14.2 |
-/// | `dense_fused` | 320.7 \[302.1–333.4\], 9.80 | 306.6 \[291.2–313.0\], 2.84 | 310.1 \[308.0–321.4\], 4.90 | 292.9 \[284.3–324.1\], 9.80 |
-/// | `dense_single` | 225.8 \[203.4–237.5\] | 216.5 \[213.1–228.5\] | 216.9 \[207.0–234.3\] | 221.0 \[214.4–226.0\] |
-/// | `serve_mix` | 879 \[857–890\] | 866 \[823–892\] | 890 \[837–935\] | 843 \[816–854\] |
+/// | workload | sweep | parent | `p+fl` | 4 MiB | 8 MiB | **16 MiB** |
+/// | --- | --- | --- | --- | --- | --- | --- |
+/// | `conv_fused` | A, 10 | 50.7 \[49.3–54.5\] | | 49.9 | 48.4 | 54.9 |
+/// | | B, 12 | 51.6 \[50.0–52.6\] | | 50.9 | 51.6 | 53.0 |
+/// | | C, 10 | 52.4 \[51.5–55.2\] | 55.0 | 52.3 | | 53.8 |
+/// | `dense_fused` | A | 320.7 \[302.1–333.4\] | | 306.6 | 310.1 | 292.9 |
+/// | | B | 338.7 \[330.3–356.3\] | | 304.6 | 299.0 | 302.4 |
+/// | | C | 329.8 \[305.6–382.5\] | 361.5 | 329.2 | | 305.7 |
+/// | `dense_single` | A | 225.8 \[203.4–237.5\] | | 216.5 | 216.9 | 221.0 |
+/// | | B | 236.3 \[220.7–241.5\] | | 227.1 | 218.2 | 227.9 |
+/// | | C | 251.3 \[230.3–264.4\] | 240.6 | 228.8 | | 224.1 |
+/// | `serve_mix` | A | 879 \[857–890\] | | 866 | 890 | 843 |
+/// | | B | 874 \[856–910\] | | 838 | 834 | 839 |
+/// | | C | 945 \[904–970\] | 1025 | 860 | | 871 |
 ///
-/// `dense_single` and `serve_mix` keep their schedules at every budget
-/// here and `dense_fused` at 16 MiB; their moves did not repeat from one
-/// session to the next (a later set read `dense_fused` 293.7 → 312.6 at
-/// 16 MiB). The smaller budgets save more memory and cost `conv_fused` and
-/// one `ConvBig` ×1.0 query some wall (×1.0, uncapped: 2.6–3.4 s at
-/// 49.6 MB at 16 MiB, 3.1–4.1 s at 17.5 MB at 4 MiB, 3.2–3.9 s at
-/// 424–445 MB one walk a list over the streams), so 16 MiB: `conv_fused`
-/// in half the memory, and no slower.
+/// `peak_device_mb`: `conv_fused` 27.4 → 7.0 / 12.0 / 14.2 at 4 / 8 /
+/// 16 MiB, `dense_fused` 9.80 → 2.84 / 4.90 / 9.80; `dense_single` and
+/// `serve_mix` keep their schedules at every budget here and `dense_fused`
+/// at 16 MiB.
+///
+/// The rule — the smallest budget whose walls stay inside the parent's
+/// quartiles on all four workloads — holds for 4 MiB in sweep A and for no
+/// budget in B or C: there `dense_single` and `serve_mix` (and in B
+/// `dense_fused`) fall below at every budget, with schedules no budget
+/// changes, so what moves them is not the budget (in C, `p+fl` against
+/// 16 MiB on the same schedules: the ReLU tables' cost, see the README's
+/// *Performance: walks sized to a working set*). In C, where 4 and 16 MiB
+/// ran in the same rounds, 16 MiB was ahead of 4 MiB in 6, 5, 7 and 4 of 10
+/// pairs: the four workloads do not separate them. The tie is broken by
+/// the one other wall this budget is held to, one uncapped `ConvBig` ×1.0
+/// query against one walk a list over the streams (two workers, three runs
+/// of two queries alternating): 2.6–3.5 s at 424–445 MB, 2.9–3.7 s at
+/// 49.6 MB at 16 MiB, 3.5–4.5 s at 17.5 MB at 4 MiB. So 16 MiB, the smallest
+/// budget measured that keeps that wall: `conv_fused` in half the memory.
 pub const WALK_BYTES: usize = 16 << 20;
 
 /// What the walks of one list did for one query segment.

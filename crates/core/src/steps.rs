@@ -301,7 +301,8 @@ pub fn step_conv_with<F: Fp, B: Backend>(
 /// `relax` must be derived from the bounds of the ReLU's *input* (parent)
 /// and `out_bounds` are the concrete bounds of the ReLU's *output* node.
 ///
-/// Single-query convenience over [`step_relu_per_seg`].
+/// Single-query convenience over [`step_relu_tables`], through a table
+/// made for this one step.
 ///
 /// # Panics
 ///
@@ -313,55 +314,18 @@ pub fn step_relu<F: Fp, B: Backend>(
     out_bounds: &[Itv<F>],
     parent: NodeId,
 ) -> ExprBatch<F, B> {
-    step_relu_per_seg(device, batch, &[relax], &[out_bounds], parent)
+    let table = ReluTable::from_parts(relax.to_vec(), out_bounds.to_vec());
+    step_relu_tables(device, batch, &[&table], parent)
 }
 
-/// Segment-aware ReLU step: row `r` substitutes the relaxation derived from
-/// *its own* query's neuron bounds (`relax_per_seg[seg[r]]`), in one launch
+/// Segment-aware ReLU step: row `r` substitutes `tables[seg[r]]`, the
+/// [`ReluTable`] made from *its own* query's neuron bounds, in one launch
 /// per plane for the whole stacked batch. DeepPoly relaxations genuinely
 /// differ per query (each query's analysis gives its ReLU inputs different
 /// bounds), so a fused step selects coefficients per segment; the per-row
-/// arithmetic is identical to [`step_relu`] on the row's own query. The
-/// walk itself steps against tables made once ([`step_relu_tables`]).
-///
-/// # Panics
-///
-/// Panics when a segment index is out of range or a relax/out-bounds slice
-/// doesn't match the frontier length.
-pub fn step_relu_per_seg<F: Fp, B: Backend>(
-    device: &Device<B>,
-    batch: ExprBatch<F, B>,
-    relax_per_seg: &[&[ReluRelax<F>]],
-    out_bounds_per_seg: &[&[Itv<F>]],
-    parent: NodeId,
-) -> ExprBatch<F, B> {
-    assert_eq!(
-        relax_per_seg.len(),
-        out_bounds_per_seg.len(),
-        "relax/out-bounds segment counts differ"
-    );
-    assert!(
-        batch.segment_count() <= relax_per_seg.len(),
-        "segment index out of range for {} relaxation tables",
-        relax_per_seg.len()
-    );
-    relu_planes(batch, parent, |label, plane, cst, geom, upper| {
-        kernels::relu_step(
-            device,
-            label,
-            plane,
-            cst,
-            geom,
-            relax_per_seg,
-            out_bounds_per_seg,
-            upper,
-        )
-    })
-}
-
-/// [`step_relu_per_seg`] against tables made once for every step through
-/// the layer: row `r` substitutes `tables[seg[r]]`, each query's
-/// [`ReluTable`] of the layer. The walk's ReLU step.
+/// arithmetic is identical to [`step_relu`] on the row's own query. A walk
+/// makes each table once and steps every launch through the layer against
+/// it.
 ///
 /// # Panics
 ///
@@ -369,7 +333,7 @@ pub fn step_relu_per_seg<F: Fp, B: Backend>(
 /// frontier length.
 pub fn step_relu_tables<F: Fp, B: Backend>(
     device: &Device<B>,
-    batch: ExprBatch<F, B>,
+    mut batch: ExprBatch<F, B>,
     tables: &[&ReluTable<F>],
     parent: NodeId,
 ) -> ExprBatch<F, B> {
@@ -378,19 +342,6 @@ pub fn step_relu_tables<F: Fp, B: Backend>(
         "segment index out of range for {} relaxation tables",
         tables.len()
     );
-    relu_planes(batch, parent, |label, plane, cst, geom, upper| {
-        kernels::relu_step_tables(device, label, plane, cst, geom, tables, upper)
-    })
-}
-
-/// The ReLU step's two launches over `batch`, `launch(label, plane,
-/// constants, geometry, upper)` a plane; the batch then stands over
-/// `parent`.
-fn relu_planes<F: Fp, B: Backend>(
-    mut batch: ExprBatch<F, B>,
-    parent: NodeId,
-    launch: impl Fn(&'static str, &mut [Itv<F>], &mut [Itv<F>], &ExprGeom<'_>, bool),
-) -> ExprBatch<F, B> {
     let (win_h, win_w) = batch.window();
     let shape = batch.shape();
     let origins = batch.origins().to_vec();
@@ -407,8 +358,8 @@ fn relu_planes<F: Fp, B: Backend>(
     let (lo, hi, cst_lo, cst_hi) = batch.planes_mut();
     // Lower plane: a >= 0 -> (alpha, beta); a <= 0 -> (gamma, delta); the
     // upper plane mirrors the choice (`upper = true`).
-    launch("relu_step_lo", lo, cst_lo, &geom, false);
-    launch("relu_step_hi", hi, cst_hi, &geom, true);
+    kernels::relu_step_tables(device, "relu_step_lo", lo, cst_lo, &geom, tables, false);
+    kernels::relu_step_tables(device, "relu_step_hi", hi, cst_hi, &geom, tables, true);
     batch.set_node(parent);
     batch
 }
