@@ -14,7 +14,11 @@
 //! ([`GemmBuild`]: baseline, and AVX-512 where the host has it) on the
 //! shapes of one query's walk — `m` of 1, 10 and 40 rows against 100- and
 //! 784-wide layers — in the full product and in the live product over about
-//! half the columns, their bits asserted equal.
+//! half the columns, their bits asserted equal. The live product is timed
+//! twice: over raw slices, as a launch makes its own `wmax` and packs its
+//! live columns, and prepared, as a walk runs it — the layer's `wmax` and
+//! the query's live panel made before the timing — its bits asserted equal
+//! to the first.
 //!
 //! Then GBC, the conv step's transpose convolution, in each build on the four
 //! conv layers of ConvBig ×0.12 (`c_in` 1/4/4/8, `kw` 3/4/3/4): a
@@ -29,7 +33,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpupoly_device::{gemm, Backend, Device, DeviceConfig, ExprGeom, GbcShape, GemmBuild};
+use gpupoly_device::{
+    gemm, Backend, DenseWeights, Device, DeviceConfig, ExprGeom, GbcShape, GemmBuild,
+};
 use gpupoly_interval::{Fp, Itv};
 
 /// Deterministic pseudo-random matrix entries in `[-0.5, 0.5)`.
@@ -141,18 +147,42 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
             build.gemm_itv_f_live(black_box(&a), &b, &mut part, (m, k, n), &seg, &lists);
             black_box(&part);
         });
+        // As a walk reads it: the layer's `wmax` and the query's panel made
+        // before the timing, once.
+        let wmax = gemm::layer_wmax(&b, k, n);
+        let weights = DenseWeights::new(&b, &wmax, k, n);
+        let panel = build.live_panel(&weights, &live);
+        let mut prepared = vec![Itv::zero(); m * n];
+        let prepared_s = time(m * k * live.len(), || {
+            let panels = [&panel];
+            build.gemm_itv_f_prepared(
+                black_box(&a),
+                &weights,
+                &mut prepared,
+                m,
+                &seg,
+                Some(&panels),
+            );
+            black_box(&prepared);
+        });
         println!(
-            "[gemm] {:<8} full {m:>2}x{k}x{n:<3} {:>5.2} ns/term   live {:>3} of {n:<3} {:>5.2} ns/term",
+            "[gemm] {:<8} full {m:>2}x{k}x{n:<3} {:>5.2} ns/term   live {:>3} of {n:<3} {:>5.2} ns/term   prepared {:>5.2} ns/term",
             format!("{build:?}"),
             full_s * 1e9 / (m * k * n) as f64,
             live.len(),
             live_s * 1e9 / (m * k * live.len()) as f64,
+            prepared_s * 1e9 / (m * k * live.len()) as f64,
         );
-        let to_bits = |c: &[Itv<f32>]| {
+        let to_bits = |c: &[Itv<f32>]| -> Vec<u32> {
             c.iter()
                 .flat_map(|v| [v.lo.to_bits(), v.hi.to_bits()])
                 .collect()
         };
+        assert_eq!(
+            to_bits(&prepared),
+            to_bits(&part),
+            "{m}x{k}x{n}, {build:?}: the prepared product differs from the per-launch one"
+        );
         bits.push((to_bits(&full), to_bits(&part)));
     }
     assert!(

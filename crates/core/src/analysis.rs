@@ -200,6 +200,20 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
     cfg: &VerifyConfig,
     inputs: &[&[Itv<F>]],
 ) -> Result<Vec<Analysis<F>>, VerifyError> {
+    // A query's ReLU tables and live panels, made once for the call: query
+    // `k` is slot `k`.
+    let mut tables = StepTables::new(inputs.len(), graph);
+    analyze_tabled(lanes, graph, cfg, inputs, &mut tables)
+}
+
+/// [`analyze_fused`] over the call's `tables`, one slot per input.
+fn analyze_tabled<'n, F: Fp, B: Backend>(
+    lanes: &[Lane<'n, F, B>],
+    graph: &Graph<'n, F>,
+    cfg: &VerifyConfig,
+    inputs: &[&[Itv<F>]],
+    tables: &mut StepTables<F>,
+) -> Result<Vec<Analysis<F>>, VerifyError> {
     let in_len = graph.nodes[0].shape.len();
     for input in inputs {
         if input.len() != in_len {
@@ -221,8 +235,6 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
         .collect();
     // Per query, the rows of the layer about to be walked.
     let mut sels: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-    // A query's ReLU tables, made once for the call: query `k` is slot `k`.
-    let mut tables = StepTables::new(inputs.len(), graph.nodes.len());
     for step in 0..=plan.len() {
         let next = plan.get(step).map(|&(_relu, p)| p);
         // A query's host work between two layers' walks, queries spread over
@@ -245,16 +257,7 @@ pub(crate) fn analyze_fused<'n, F: Fp, B: Backend>(
         });
         if let Some(p) = next {
             if sels.iter().any(|sel| !sel.is_empty()) {
-                refine_layer(
-                    lanes,
-                    graph,
-                    cfg,
-                    &mut analyses,
-                    &mut tables,
-                    p,
-                    &sels,
-                    rule,
-                )?;
+                refine_layer(lanes, graph, cfg, &mut analyses, tables, p, &sels, rule)?;
             }
         }
     }
@@ -796,6 +799,7 @@ fn initial_batch<F: Fp, B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relax::ReluTable;
     use gpupoly_device::{CpuSimBackend, DeviceConfig};
     use gpupoly_nn::builder::NetworkBuilder;
     use gpupoly_nn::Network;
@@ -1197,14 +1201,160 @@ mod tests {
         )
         .unwrap();
         assert_eq!(whole.stats.chunks, lists.len());
-        let bits = |a: &Analysis<f32>| -> Vec<(u32, u32)> {
-            a.bounds
-                .iter()
-                .flatten()
-                .map(|b| (b.lo.to_bits(), b.hi.to_bits()))
-                .collect()
-        };
         assert_eq!(bits(&cut), bits(&whole));
+    }
+
+    /// Bounds of every node, as bits.
+    fn bits(a: &Analysis<f32>) -> Vec<(u32, u32)> {
+        a.bounds
+            .iter()
+            .flatten()
+            .map(|b| (b.lo.to_bits(), b.hi.to_bits()))
+            .collect()
+    }
+
+    /// `widths` hidden layers, each a dense step into a ReLU (a ReLU
+    /// straight after the first when `relu_on_relu`), then a dense output
+    /// of two; weights of mixed sign, so that some neurons are stably off.
+    fn hidden_net(widths: &[usize], relu_on_relu: bool) -> Network<f32> {
+        let mut b = NetworkBuilder::new_flat(3);
+        let mut fan_in = 3;
+        for (l, &w) in widths.iter().enumerate() {
+            let weight = (0..w * fan_in)
+                .map(|i| (((i * 7 + l * 5) % 11) as f32 - 5.0) * 0.2)
+                .collect();
+            let bias = (0..w).map(|i| ((i % 3) as f32 - 1.0) * 0.3).collect();
+            b = b.dense_flat(w, weight, bias).relu();
+            if relu_on_relu && l == 0 {
+                b = b.relu();
+            }
+            fan_in = w;
+        }
+        b.dense_flat(
+            2,
+            (0..2 * fan_in)
+                .map(|i| (i % 5) as f32 * 0.25 - 0.5)
+                .collect(),
+            vec![0.0; 2],
+        )
+        .build()
+        .unwrap()
+    }
+
+    /// Three boxes of the three inputs.
+    fn boxes() -> Vec<Vec<Itv<f32>>> {
+        (0..3)
+            .map(|q| {
+                (0..3)
+                    .map(|i| {
+                        let x = ((q * 3 + i) % 5) as f32 * 0.2 - 0.4;
+                        Itv::new(x - 0.3, x + 0.3)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_call_makes_each_querys_live_panel_of_a_layer_once() {
+        // Nodes: 1 dense, 2 relu, 3 dense, 4 relu, 5 dense, 6 relu, 7 dense,
+        // 8 relu, 9 dense. The walks refining node 5 step through dense
+        // node 3, those refining node 7 through nodes 5 and 3: two panels
+        // a query (node 9's only a spec walk steps through), node 3's read
+        // by the walks of two layers.
+        let net = hidden_net(&[6, 5, 7, 4], false);
+        let graph = net.graph();
+        let device = dev();
+        let lanes = lane(&device, &graph);
+        let boxes = boxes();
+        let inputs: Vec<&[Itv<f32>]> = boxes.iter().map(Vec::as_slice).collect();
+        let cfg = VerifyConfig {
+            early_termination: false,
+            chunk_rows: Some(2),
+            ..Default::default()
+        };
+        let mut tables = StepTables::new(inputs.len(), &graph);
+        let cut = analyze_tabled(&lanes, &graph, &cfg, &inputs, &mut tables).unwrap();
+        assert!(
+            cut.iter().all(|a| a.stats.chunks > 4),
+            "lists cut into walks"
+        );
+        assert_eq!(tables.panels_made(), 2 * inputs.len());
+        let whole = analyze_fused(
+            &lanes,
+            &graph,
+            &VerifyConfig {
+                chunk_rows: Some(usize::MAX),
+                ..cfg
+            },
+            &inputs,
+        )
+        .unwrap();
+        for (c, w) in cut.iter().zip(&whole) {
+            assert_eq!(bits(c), bits(w));
+        }
+    }
+
+    #[test]
+    fn forgetting_a_relu_table_drops_the_panels_read_from_it() {
+        // Nodes: 1 dense, 2 relu, 3 relu, 4 dense, 5 relu, 6 dense, 7 relu,
+        // 8 dense. Node 2 is refined (the input of ReLU 3), its table
+        // forgotten after; dense node 4 reads ReLU 3's table.
+        let net = hidden_net(&[6, 5, 4], true);
+        let graph = net.graph();
+        assert!(matches!(graph.nodes[3].op, Op::Relu) && graph.nodes[3].parents[0] == 2);
+        let Op::Dense(d) = graph.nodes[4].op else {
+            unreachable!("node 4 is dense")
+        };
+        let device = dev();
+        let lanes = lane(&device, &graph);
+        let boxes = boxes();
+        let analysis = analyze(&lanes, &graph, &VerifyConfig::default(), &boxes[0]).unwrap();
+        let prepared = &lanes[0].prepared;
+        let weight = prepared.weights(4).unwrap();
+        let weights = prepared.dense_weights(4, d, weight.slices().0);
+        let mut tables = StepTables::new(1, &graph);
+        let live = tables
+            .panel(0, 4, &graph, &analysis, &weights)
+            .live()
+            .to_vec();
+        assert_eq!(
+            live,
+            ReluTable::new(&analysis.bounds[2], &analysis.bounds[3]).live()
+        );
+        tables.panel(0, 4, &graph, &analysis, &weights);
+        assert_eq!(tables.panels_made(), 1, "one panel, borrowed twice");
+        // ReLU 2's table is no panel's: forgetting it keeps node 4's.
+        tables.forget(0, 2);
+        tables.panel(0, 4, &graph, &analysis, &weights);
+        assert_eq!(tables.panels_made(), 1);
+        // ReLU 3's is node 4's: the panel goes with it.
+        tables.forget(0, 3);
+        tables.panel(0, 4, &graph, &analysis, &weights);
+        assert_eq!(tables.panels_made(), 2);
+        // The schedule, which forgets node 2's table once its walks are
+        // done, gives the bounds of one walk a list, bit for bit.
+        let inputs: Vec<&[Itv<f32>]> = boxes.iter().map(Vec::as_slice).collect();
+        for early_termination in [false, true] {
+            let cfg = VerifyConfig {
+                early_termination,
+                ..Default::default()
+            };
+            let cut = analyze_fused(&lanes, &graph, &cfg, &inputs).unwrap();
+            let whole = analyze_fused(
+                &lanes,
+                &graph,
+                &VerifyConfig {
+                    chunk_rows: Some(usize::MAX),
+                    ..cfg
+                },
+                &inputs,
+            )
+            .unwrap();
+            for (c, w) in cut.iter().zip(&whole) {
+                assert_eq!(bits(c), bits(w));
+            }
+        }
     }
 
     #[test]

@@ -35,9 +35,9 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use gpupoly_device::{Backend, Device, DeviceBuffer, DeviceStats};
+use gpupoly_device::{gemm, Backend, DenseWeights, Device, DeviceBuffer, DeviceStats};
 use gpupoly_interval::{Fp, Itv};
-use gpupoly_nn::{Graph, Network, NodeId, Op};
+use gpupoly_nn::{Dense, Graph, Network, NodeId, Op};
 
 use crate::analysis::{analyze_fused, walk_streams, Analysis, AnalysisStats};
 use crate::fsdp::{GatheredLayer, ShardStore, WeightShard};
@@ -242,6 +242,10 @@ impl<F: Fp, B: Backend> WeightRef<'_, F, B> {
 /// weight storage from here instead of re-reading host slices per query.
 pub struct PreparedGraph<'n, F: Fp, B: Backend> {
     affine: Vec<Option<PackedAffine<'n, F, B>>>,
+    /// Per dense node, its weights' `wmax` ([`gemm::layer_wmax`]), made
+    /// here once for every step through the layer, wherever its weights
+    /// live; empty for other nodes.
+    wmax: Vec<Vec<f64>>,
     /// `(relu_node, parent)` for every ReLU whose input can be refined,
     /// in topological order.
     relu_plan: Vec<(NodeId, NodeId)>,
@@ -307,6 +311,14 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
                 _ => None,
             })
             .collect();
+        let wmax = graph
+            .nodes
+            .iter()
+            .map(|node| match node.op {
+                Op::Dense(d) => gemm::layer_wmax(&d.weight, d.out_len, d.in_len),
+                _ => Vec::new(),
+            })
+            .collect();
         let relu_plan = graph
             .nodes
             .iter()
@@ -317,6 +329,7 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
             .collect();
         Ok(Self {
             affine,
+            wmax,
             relu_plan,
             widest_layer: graph.nodes.iter().map(|n| n.shape.len()).max().unwrap_or(1),
             resident_bytes,
@@ -410,6 +423,22 @@ impl<'n, F: Fp, B: Backend> PreparedGraph<'n, F, B> {
                 Ok(WeightRef::Gathered(shard.acquire(node)?))
             }
         }
+    }
+
+    /// Dense node `node`'s weights as the interval product reads them:
+    /// `weight`, its storage as [`PreparedGraph::weights`] gives it, with the
+    /// layer's `wmax`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` is not a dense node.
+    pub(crate) fn dense_weights<'a>(
+        &'a self,
+        node: NodeId,
+        dense: &Dense<F>,
+        weight: &'a [F],
+    ) -> DenseWeights<'a, F> {
+        DenseWeights::new(weight, &self.wmax[node], dense.out_len, dense.in_len)
     }
 
     /// `(hits, misses, evictions)` of the gather cache; all zero for
@@ -1233,15 +1262,26 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
     /// order regardless of which rows share its launch (the backend
     /// bit-reproducibility contract).
     fn walk_segments(&self, segs: &[Segment<'_, F>]) -> Result<Vec<SpecVerdict<F>>, VerifyError> {
+        // Segments sharing an analysis share its ReLU tables and panels.
+        let (slot_of, slots) = StepTables::slots_of(segs.iter().map(|&(_, a)| a));
+        let tables = StepTables::new(slots, &self.graph);
+        self.walk_segments_tabled(segs, &slot_of, &tables)
+    }
+
+    /// [`Engine::walk_segments`] over the call's `tables`, segment `k`
+    /// reading slot `slot_of[k]`.
+    fn walk_segments_tabled(
+        &self,
+        segs: &[Segment<'_, F>],
+        slot_of: &[usize],
+        tables: &StepTables<F>,
+    ) -> Result<Vec<SpecVerdict<F>>, VerifyError> {
         // Segment k owns rows `starts[k]..starts[k + 1]` of the list.
         let mut starts = vec![0];
         for (rows, _) in segs {
             starts.push(starts[starts.len() - 1] + rows.len());
         }
         let seg_of = |r: usize| starts.partition_point(|&s| s <= r) - 1;
-        // Segments sharing an analysis share its ReLU tables.
-        let (slot_of, slots) = StepTables::slots_of(segs.iter().map(|&(_, a)| a));
-        let tables = StepTables::new(slots, self.graph.nodes.len());
         let walk = |lane: &Lane<'n, F, B>, part: Range<usize>| {
             let mut batches = Vec::new();
             let mut analyses = Vec::new();
@@ -1255,7 +1295,7 @@ impl<'n, F: Fp, B: Backend> Engine<'n, F, B> {
                 slots.push(slot_of[k]);
             }
             let batch = ExprBatch::stack(&lane.device, batches)?;
-            self.walk_spec(lane, batch, analyses, slots, &tables)
+            self.walk_spec(lane, batch, analyses, slots, tables)
         };
         let out = walk_streams(
             &self.lanes,
@@ -1581,6 +1621,7 @@ impl<F: Fp, B: Backend> Drop for Engine<'_, F, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpupoly_device::DeviceConfig;
     use gpupoly_nn::builder::NetworkBuilder;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1615,5 +1656,65 @@ mod tests {
         assert!(engine.analyze(&input).is_ok());
         assert_eq!(engine.cache_stats(), (0, 1));
         assert!(engine.in_flight.lock().is_empty());
+    }
+
+    #[test]
+    fn a_spec_walk_makes_each_analysis_live_panel_of_a_layer_once() {
+        // Nodes 1 dense, 2 relu, 3 dense, 4 relu, 5 dense: a spec walk
+        // steps through both dense nodes above a ReLU, 3 and 5.
+        let net = NetworkBuilder::new_flat(2)
+            .dense(
+                &[[1.0_f32, -1.0], [1.0, 1.0], [0.5, -2.0]],
+                &[0.1, -0.2, 0.0],
+            )
+            .relu()
+            .dense(
+                &[[1.0_f32, -0.5, 0.25], [-1.0, 1.0, 0.5], [0.75, 0.5, -1.0]],
+                &[0.0, 0.1, -0.1],
+            )
+            .relu()
+            .dense(
+                &[[1.0_f32, 1.0, -0.5], [1.0, -1.0, 0.5], [-0.25, 0.5, 1.0]],
+                &[0.5, 0.0, -0.5],
+            )
+            .build()
+            .unwrap();
+        let engine = |chunk_rows| {
+            let cfg = VerifyConfig {
+                early_termination: false,
+                chunk_rows: Some(chunk_rows),
+                ..Default::default()
+            };
+            Engine::new(Device::new(DeviceConfig::new().workers(2)), &net, cfg).unwrap()
+        };
+        let (cut, whole) = (engine(1), engine(usize::MAX));
+        let boxes = [
+            [Itv::new(0.1_f32, 0.6), Itv::new(-0.4, 0.2)],
+            [Itv::new(-0.5_f32, 0.5), Itv::new(0.0, 0.3)],
+        ];
+        let (a, b) = (
+            cut.analyze(&boxes[0]).unwrap(),
+            cut.analyze(&boxes[1]).unwrap(),
+        );
+        let spec = LinearSpec::robustness(0, 3);
+        // Three segments over two analyses: the first and the last share one.
+        let segs = [(spec.rows(), &*a), (spec.rows(), &*b), (spec.rows(), &*a)];
+        let (slot_of, slots) = StepTables::slots_of(segs.iter().map(|&(_, a)| a));
+        assert_eq!((slot_of.as_slice(), slots), ([0, 1, 0].as_slice(), 2));
+        let tables = StepTables::new(slots, &cut.graph);
+        let verdicts = cut.walk_segments_tabled(&segs, &slot_of, &tables).unwrap();
+        assert_eq!(tables.panels_made(), 2 * slots, "two layers, two analyses");
+        // One walk a list: the same margins, bit for bit.
+        let bits = |v: &SpecVerdict<f32>| -> Vec<u32> {
+            v.lower_bounds.iter().map(|l| l.to_bits()).collect()
+        };
+        for (got, (rows, analysis)) in verdicts.iter().zip(segs) {
+            let want = whole
+                .walk_segments(&[(rows, analysis)])
+                .unwrap()
+                .pop()
+                .unwrap();
+            assert_eq!(bits(got), bits(&want));
+        }
     }
 }

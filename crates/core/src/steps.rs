@@ -13,7 +13,7 @@
 //! Residual Add nodes are handled by the walk engine via
 //! [`crate::expr::ExprBatch::split_add`] / [`crate::expr::ExprBatch::merge`].
 
-use gpupoly_device::{gemm, kernels, Backend, Device, ExprGeom, GbcShape};
+use gpupoly_device::{gemm, kernels, Backend, DenseWeights, Device, ExprGeom, GbcShape, LivePanel};
 use gpupoly_interval::{Fp, Itv};
 use gpupoly_nn::{Conv2d, Dense, NodeId, Shape};
 
@@ -39,11 +39,13 @@ pub fn step_dense<F: Fp, B: Backend>(
     parent: NodeId,
     parent_shape: Shape,
 ) -> Result<ExprBatch<F, B>, VerifyError> {
+    let wmax = gemm::layer_wmax(&dense.weight, dense.out_len, dense.in_len);
+    let weights = DenseWeights::new(&dense.weight, &wmax, dense.out_len, dense.in_len);
     step_dense_with(
         device,
         batch,
         dense,
-        &dense.weight,
+        &weights,
         &dense.bias,
         parent,
         parent_shape,
@@ -51,17 +53,19 @@ pub fn step_dense<F: Fp, B: Backend>(
     )
 }
 
-/// [`step_dense`] with explicit weight/bias storage: the walk engine passes
-/// the device-resident buffers prepacked by
-/// [`crate::PreparedGraph`] so no host weight slice is touched per query.
-/// `weight`/`bias` must hold the same values and layout as `dense`'s own.
+/// [`step_dense`] over operands made beforehand: the walk engine passes the
+/// layer's weights as [`crate::PreparedGraph`] holds them — device-resident
+/// buffers packed once, so no host weight slice is touched per query, with
+/// the `wmax` made once for the layer ([`DenseWeights`]) — and `bias`.
+/// Both must hold the same values and layout as `dense`'s own.
 ///
-/// `live_per_seg`, when the layer's input is a ReLU layer, lists per query
-/// segment the input neurons that are not stably off
-/// ([`ReluRelax::live`], from the bounds the ReLU step will relax): the
-/// product is computed over those columns only and every other column is an
-/// exact zero ([`gemm::gemm_itv_f_live`]) — what the ReLU step would make
-/// of it anyway. `None` computes every column.
+/// `panels`, when the layer's input is a ReLU layer, holds per query
+/// segment its [`LivePanel`]: the input neurons that are not stably off
+/// ([`ReluRelax::live`], from the bounds the ReLU step will relax), with
+/// their columns of the weights packed. The product is computed over those
+/// columns only and every other column is an exact zero
+/// ([`gemm::gemm_itv_f_prepared`]) — what the ReLU step would make of it
+/// anyway. `None` computes every column.
 ///
 /// # Errors
 ///
@@ -70,17 +74,17 @@ pub fn step_dense<F: Fp, B: Backend>(
 /// # Panics
 ///
 /// Panics when the batch frontier does not match the layer's output, or a
-/// segment has no live list.
+/// segment has no panel.
 #[allow(clippy::too_many_arguments)]
 pub fn step_dense_with<F: Fp, B: Backend>(
     device: &Device<B>,
     batch: ExprBatch<F, B>,
     dense: &Dense<F>,
-    weight: &[F],
+    weights: &DenseWeights<'_, F>,
     bias: &[F],
     parent: NodeId,
     parent_shape: Shape,
-    live_per_seg: Option<&[&[u32]]>,
+    panels: Option<&[&LivePanel<F>]>,
 ) -> Result<ExprBatch<F, B>, VerifyError> {
     let batch = batch.densify(device)?;
     assert_eq!(
@@ -122,22 +126,8 @@ pub fn step_dense_with<F: Fp, B: Backend>(
             src_cst_hi,
             out_cst_hi,
         );
-        let (k, n) = (dense.out_len, dense.in_len);
         for (src, dst) in [(src_lo, out_lo), (src_hi, out_hi)] {
-            match live_per_seg {
-                Some(live) => gemm::gemm_itv_f_live(
-                    device,
-                    src,
-                    weight,
-                    dst,
-                    rows,
-                    k,
-                    n,
-                    batch.segments(),
-                    live,
-                ),
-                None => gemm::gemm_itv_f(device, src, weight, dst, rows, k, n),
-            }
+            gemm::gemm_itv_f_prepared(device, src, weights, dst, rows, batch.segments(), panels);
         }
     }
     Ok(out)
@@ -538,11 +528,14 @@ mod tests {
             .map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.25)
             .collect();
         let layer = Dense::new(3, n, w, vec![0.5, -0.25, 0.125]).unwrap();
+        let wmax = gemm::layer_wmax(&layer.weight, 3, n);
+        let weights = DenseWeights::new(&layer.weight, &wmax, 3, n);
+        let panel = LivePanel::new(&weights, &live);
         let zero = |v: Itv<f32>| v.lo == 0.0 && v.hi == 0.0;
         // Rows of point coefficients, and rows whose coefficients straddle
         // zero: those make straddling columns, hull terms of the ReLU step.
         for straddle in [false, true] {
-            let run = |live: Option<&[&[u32]]>| {
+            let run = |panels: Option<&[&LivePanel<f32>]>| {
                 let mut batch = ExprBatch::<f32, _>::zeroed(
                     &device,
                     2,
@@ -567,17 +560,17 @@ mod tests {
                     &device,
                     batch,
                     &layer,
-                    &layer.weight,
+                    &weights,
                     &layer.bias,
                     1,
                     flat,
-                    live,
+                    panels,
                 )
                 .unwrap();
                 step_relu(&device, b, &relax, &out_bounds, 0)
             };
             let full = run(None);
-            let skipped = run(Some(&[&live]));
+            let skipped = run(Some(&[&panel]));
             let (full, skipped) = (full.planes(), skipped.planes());
             // The coefficients are the same, but for the sign of an exact
             // zero: the ReLU step writes `a.hi · 0` over a dead neuron, the

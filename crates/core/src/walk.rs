@@ -2,11 +2,13 @@
 //! to the input layer, taking the best concrete candidate at every frontier
 //! (§2) and optionally compacting away rows that satisfy a stop rule (§4.2).
 
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use gpupoly_device::{Backend, Device};
+use gpupoly_device::{Backend, DenseWeights, Device, LivePanel};
 use gpupoly_interval::{Fp, Itv};
-use gpupoly_nn::{Graph, Op};
+use gpupoly_nn::{Graph, NodeId, Op};
 
 use crate::analysis::Analysis;
 use crate::engine::PreparedGraph;
@@ -41,26 +43,52 @@ pub(crate) struct WalkOutcome<F> {
 }
 
 /// What the walks of one call read of its queries' ReLU layers: one
-/// [`ReluTable`] per (analysis, ReLU node), made the first time a walk
-/// steps into or through the layer and borrowed by every walk after it — of
-/// any list, any layer and any lane of the call. A table is a function of
-/// its analysis's bounds, so where a list is cut and how many walks share a
-/// layer decide nothing about it. The caller numbers its analyses (a
+/// [`ReluTable`] per (analysis, ReLU node), and beside it one
+/// [`LivePanel`] per (analysis, dense node whose input is a ReLU layer) —
+/// the dense layer's weights over the live columns the table lists, packed
+/// for the product. Each is made the first time a walk steps into or
+/// through its layer and borrowed by every walk after it — of any list, any
+/// layer and any lane of the call, both planes of each step. A table is a
+/// function of its analysis's bounds, and a panel of a table and the
+/// network's weights, so where a list is cut and how many walks share a
+/// layer decide nothing about either. The caller numbers its analyses (a
 /// *slot* each; analyses that are one by identity share a slot) and, where
-/// a layer's walks change an analysis's bounds, forgets the table that reads
-/// them ([`StepTables::forget`]).
+/// a layer's walks change an analysis's bounds, forgets the table that
+/// reads them and the panels read from it ([`StepTables::forget`]).
 pub(crate) struct StepTables<F> {
     /// `relu[slot][node]`: the slot's table of ReLU node `node`.
     relu: Vec<Vec<OnceLock<ReluTable<F>>>>,
+    /// `panels[slot][node]`: the slot's panel of dense node `node`, read
+    /// from its table of the node's input.
+    panels: Vec<Vec<OnceLock<LivePanel<F>>>>,
+    /// Per node, the dense nodes it is the input of: those whose panels
+    /// read its table.
+    readers: Vec<Vec<NodeId>>,
+    /// Panels made so far.
+    #[cfg(test)]
+    panels_made: AtomicUsize,
 }
 
 impl<F: Fp> StepTables<F> {
-    /// No table yet, for `slots` analyses of a graph of `nodes` nodes.
-    pub fn new(slots: usize, nodes: usize) -> Self {
-        Self {
-            relu: (0..slots)
+    /// No table or panel yet, for `slots` analyses of `graph`.
+    pub fn new(slots: usize, graph: &Graph<'_, F>) -> Self {
+        fn cells<T>(slots: usize, nodes: usize) -> Vec<Vec<OnceLock<T>>> {
+            (0..slots)
                 .map(|_| (0..nodes).map(|_| OnceLock::new()).collect())
-                .collect(),
+                .collect()
+        }
+        let mut readers = vec![Vec::new(); graph.nodes.len()];
+        for (id, node) in graph.nodes.iter().enumerate() {
+            if let Op::Dense(_) = node.op {
+                readers[node.parents[0]].push(id);
+            }
+        }
+        Self {
+            relu: cells(slots, graph.nodes.len()),
+            panels: cells(slots, graph.nodes.len()),
+            readers,
+            #[cfg(test)]
+            panels_made: AtomicUsize::new(0),
         }
     }
 
@@ -97,13 +125,42 @@ impl<F: Fp> StepTables<F> {
         })
     }
 
-    /// Drops `slot`'s table of node `p`, for a caller about to change `p`'s
-    /// bounds: a ReLU whose input is a ReLU has its table read by the walks
-    /// that refine that input. The tables of the ReLUs on `p` need no such
-    /// care — a walk steps only through nodes behind the one it refines, so
-    /// none is made before `p`'s walks are done.
+    /// `slot`'s panel of dense node `node`, whose input is a ReLU layer:
+    /// `weights` — the node's — over the live columns of the slot's table
+    /// of that layer, made the first time it is asked for.
+    pub fn panel(
+        &self,
+        slot: usize,
+        node: usize,
+        graph: &Graph<'_, F>,
+        analysis: &Analysis<F>,
+        weights: &DenseWeights<'_, F>,
+    ) -> &LivePanel<F> {
+        self.panels[slot][node].get_or_init(|| {
+            #[cfg(test)]
+            self.panels_made.fetch_add(1, Ordering::Relaxed);
+            let p = graph.nodes[node].parents[0];
+            LivePanel::new(weights, self.relu(slot, p, graph, analysis).live())
+        })
+    }
+
+    /// Drops `slot`'s table of node `p`, and the panels read from it, for a
+    /// caller about to change `p`'s bounds: a ReLU whose input is a ReLU has
+    /// its table read by the walks that refine that input. The tables of the
+    /// ReLUs on `p` need no such care — a walk steps only through nodes
+    /// behind the one it refines, so none is made before `p`'s walks are
+    /// done.
     pub fn forget(&mut self, slot: usize, p: usize) {
         self.relu[slot][p].take();
+        for &d in &self.readers[p] {
+            self.panels[slot][d].take();
+        }
+    }
+
+    /// Panels made so far, over every slot.
+    #[cfg(test)]
+    pub fn panels_made(&self) -> usize {
+        self.panels_made.load(Ordering::Relaxed)
     }
 }
 
@@ -229,27 +286,32 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
         match op {
             Op::Dense(d) => {
                 let p = self.graph.nodes[node].parents[0];
-                // Into a ReLU layer, each query's product skips the columns
-                // over its stably-off neurons: the ReLU step, next, would
-                // zero them, by the same table.
-                let live_refs: Option<Vec<&[u32]>> = matches!(self.graph.nodes[p].op, Op::Relu)
-                    .then(|| {
-                        self.relu_tables(p)
-                            .into_iter()
-                            .map(ReluTable::live)
-                            .collect()
-                    });
                 let packed = self.prepared.weights(node)?;
                 let (weight, bias) = packed.slices();
+                let weights = self.prepared.dense_weights(node, d, weight);
+                // Into a ReLU layer, each query's product skips the columns
+                // over its stably-off neurons: the ReLU step, next, would
+                // zero them, by the same table. The query's panel holds its
+                // live columns of the weights, packed once for the call.
+                let panels: Option<Vec<&LivePanel<F>>> = matches!(self.graph.nodes[p].op, Op::Relu)
+                    .then(|| {
+                        self.segs
+                            .iter()
+                            .zip(&self.slots)
+                            .map(|(a, &slot)| {
+                                self.tables.panel(slot, node, self.graph, a, &weights)
+                            })
+                            .collect()
+                    });
                 step_dense_with(
                     self.device,
                     batch,
                     d,
-                    weight,
+                    &weights,
                     bias,
                     p,
                     self.graph.nodes[p].shape,
-                    live_refs.as_deref(),
+                    panels.as_deref(),
                 )
             }
             Op::Conv(c) => {
@@ -353,7 +415,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         // Bound the output node's neurons via identity start.
         let on = graph.output();
@@ -391,7 +453,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         let batch = ExprBatch::identity(&device, 2, graph.nodes[2].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::None).unwrap();
@@ -439,7 +501,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         let start = || ExprBatch::identity(&device, 3, graph.nodes[3].shape, &[0, 1]).unwrap();
         // Through the walker: the live product, then the ReLU step.
@@ -485,7 +547,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         let batch = ExprBatch::identity(&device, 1, graph.nodes[1].shape, &[0, 1]).unwrap();
         let out = walker.run(batch, StopRule::StableSign).unwrap();
@@ -522,7 +584,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         let out_node = graph.output();
         let batch =
@@ -552,7 +614,7 @@ mod tests {
             prepared: &prepared,
             segs: vec![&analysis],
             slots: vec![0],
-            tables: &StepTables::new(1, graph.nodes.len()),
+            tables: &StepTables::new(1, &graph),
         };
         let on = graph.output();
         let batch = ExprBatch::identity(&device, on, graph.nodes[on].shape, &[0, 1]).unwrap();

@@ -82,7 +82,7 @@
 //! by construction, since they privatize one output element per thread — and
 //! needs no rounding-mode control inside the `k` loop: plain `f64` multiplies
 //! and adds (or FMAs, which give the same bits because the products are
-//! exact), one `max`-reduction over `B` per launch, one short sum per row,
+//! exact), one `max`-reduction over `B` per layer, one short sum per row,
 //! then the four directed operations of the epilogue. Scan, compaction and
 //! gather are exact integer/copy operations and must match
 //! element-for-element.
@@ -153,10 +153,27 @@
 //! hull term (a coefficient straddling zero) of a dead neuron. Such a term
 //! adds nothing to either sum or to `T` — the bound is `[0, 0]` — and one to
 //! `adds`, so without it `e` is the same or smaller: the candidate, or the
-//! constant, is the same or inside. [`CpuSimBackend`] packs each segment's
-//! live columns of `B` once per launch and streams a row's term list over
-//! them as [`gemm_itv_f`](Backend::gemm_itv_f) streams it over `B`; the
-//! provided body computes every column and zeroes the dead ones.
+//! constant, is the same or inside. [`CpuSimBackend`] streams a row's term
+//! list over its segment's live columns of `B`, widened and packed, as
+//! [`gemm_itv_f`](Backend::gemm_itv_f) streams it over `B`; the provided
+//! body computes every column and zeroes the dead ones.
+//!
+//! **Where `wmax` and the packed columns come from.** Both are functions of
+//! operands that outlive a launch: `wmax` of the layer's `B`, a segment's
+//! packed columns of `B` and its query's live list. A dense step of the
+//! verifier goes through [`Backend::gemm_itv_f_prepared`] with both made
+//! beforehand: each dense layer's `wmax` once, when its network is prepared
+//! (`gpupoly_core::PreparedGraph`, by [`crate::gemm::layer_wmax`], the scan
+//! a launch over raw slices runs), held in [`DenseWeights`]; and each
+//! query's [`LivePanel`] of a dense layer whose input is a ReLU layer once
+//! per call, the first time a walk steps through the layer (core's step
+//! tables, beside the query's [`ReluTable`] it reads the live list from),
+//! borrowed by both planes and every walk of the call. A launch over raw
+//! slices ([`Backend::gemm_itv_f`], [`Backend::gemm_itv_f_live`]) makes the
+//! same operands for itself — [`CpuSimBackend`] scans `B` and packs the
+//! live columns of the segments it has rows of — and goes through the same
+//! rows. Which is used changes no bit: the same `wmax`, the same widened
+//! weights, the same term order.
 //!
 //! **GBC** (the transpose convolution of a conv step) is the same
 //! interval×scalar sum with the terms *gathered*, stated in the two layers'
@@ -342,8 +359,9 @@ use gpupoly_interval::wide::{
 };
 use gpupoly_interval::{round, Fp, Itv};
 use std::array::from_fn;
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 
+use crate::gemm::{DenseWeights, LivePanel};
 use crate::relax::{ReluRelax, ReluTable};
 use crate::simd::LaneKernel;
 use crate::Device;
@@ -1577,11 +1595,12 @@ fn launch_wmax<F: Fp>(weights: &[F], n: usize) -> Vec<f64> {
 const WMAX_LANES: usize = 16;
 
 /// [`launch_wmax`] of a GEMM's `B`, `k` rows of `n`, as [`CpuSimBackend`]
-/// scans it: written out rather than collected, so that the scan is compiled
-/// inside the build that runs the launch ([`crate::simd`]) — a collecting
-/// iterator may be compiled out of line, for the baseline.
+/// scans it — a launch over raw slices, and [`crate::gemm::layer_wmax`]
+/// once for a layer: written out rather than collected, so that the scan is
+/// compiled inside the build that runs the launch ([`crate::simd`]) — a
+/// collecting iterator may be compiled out of line, for the baseline.
 #[inline(always)]
-fn gemm_wmax<F: Fp>(b: &[F], n: usize) -> Vec<f64> {
+pub(crate) fn gemm_wmax<F: Fp>(b: &[F], n: usize) -> Vec<f64> {
     let mut wmax = Vec::with_capacity(b.len() / n);
     for brow in b.chunks(n) {
         wmax.push(max_mag_blocked::<F, WMAX_LANES>(brow));
@@ -1647,22 +1666,119 @@ fn reference_gemm_itv<F: Fp>(
     }
 }
 
-/// One launch of [`wide_itv_rows`], its `wmax` scan included, for a build
-/// of [`crate::simd`] to run at its lane count.
-struct WideLaunch<'a, F> {
+/// The columns one [`GemmLaunch`] computes.
+enum Cols<'a, F> {
+    /// Every column of `B`.
+    All,
+    /// Row `r` its segment's live columns, `lists[seg[r]]`, packed by the
+    /// launch (`seg`, `lists`).
+    Lists(&'a [u32], &'a [&'a [u32]]),
+    /// Row `r` the columns of its segment's panel, `panels[seg[r]]`, packed
+    /// before the launch (`seg`, `panels`).
+    Panels(&'a [u32], &'a [&'a LivePanel<F>]),
+}
+
+/// One launch of [`CpuSimBackend`]'s interval product, `C = A · B` (`A`
+/// `k` coefficients a row, `B` `k×n`) over its [`Cols`], for a build of
+/// [`crate::simd`] to run at its lane counts. A launch over operands made
+/// beforehand ([`Backend::gemm_itv_f_prepared`]) comes with the layer's
+/// `wmax` and its segments' panels; a launch over raw slices makes the same
+/// operands for itself — it scans `B` ([`gemm_wmax`]) and packs the live
+/// columns of the segments it has rows of ([`pack_live`]), inside the
+/// build — and both go through the same rows: [`wide_itv_rows`] for every
+/// column, [`live_rows`] for live ones. `fresh` starts from zero instead of
+/// reading `C` (every column) and is always set for live columns.
+struct GemmLaunch<'a, F> {
     a: &'a [Itv<F>],
     b: &'a [F],
     c: &'a mut [Itv<F>],
     k: usize,
     n: usize,
     fresh: bool,
+    /// The layer's `wmax`, made once; `None` scans `B` at the launch.
+    wmax: Option<&'a [f64]>,
+    cols: Cols<'a, F>,
 }
 
-impl<F: Fp> LaneKernel for WideLaunch<'_, F> {
+impl<F: Fp> LaneKernel for GemmLaunch<'_, F> {
     #[inline(always)]
     fn run<const FULL: usize, const LIVE: usize>(self) {
-        let wmax = gemm_wmax(self.b, self.n);
-        wide_itv_rows::<F, FULL>(self.a, self.b, &wmax, self.c, self.k, self.n, self.fresh)
+        let Self {
+            a,
+            b,
+            c,
+            k,
+            n,
+            fresh,
+            wmax,
+            cols,
+        } = self;
+        let scanned;
+        let wmax = match wmax {
+            Some(wmax) => wmax,
+            None => {
+                scanned = gemm_wmax(b, n);
+                &scanned
+            }
+        };
+        let mut packed: Vec<Vec<f64>> = Vec::new();
+        let (seg, lists, panels) = match cols {
+            Cols::All => return wide_itv_rows::<F, FULL>(a, b, wmax, c, k, n, fresh),
+            Cols::Lists(seg, lists) => {
+                let mut met = vec![false; lists.len()];
+                for &s in seg {
+                    met[s as usize] = true;
+                }
+                for (live, met) in lists.iter().zip(met) {
+                    packed.push(match met {
+                        true => pack_live(b, n, live, LIVE),
+                        false => Vec::new(),
+                    });
+                }
+                (seg, lists.to_vec(), None)
+            }
+            Cols::Panels(seg, panels) => {
+                (seg, panels.iter().map(|p| p.live()).collect(), Some(panels))
+            }
+        };
+        // Written out rather than collected, so that the call to `columns`
+        // is the build's own (CI finds the prepared product by it).
+        let mut blocks: Vec<&[[f64; LIVE]]> = Vec::with_capacity(lists.len());
+        match panels {
+            Some(panels) => {
+                for panel in panels {
+                    blocks.push(panel.columns::<LIVE>());
+                }
+            }
+            None => blocks.extend(packed.iter().map(|p| p.as_chunks::<LIVE>().0)),
+        }
+        live_rows::<F, LIVE>(a, b, wmax, c, (k, n), seg, &lists, &blocks);
+    }
+}
+
+impl<F: Fp> GemmLaunch<'_, F> {
+    /// The launch for scalar types without [`Fp::EXACT_IN_F64`]: the
+    /// per-step chain over every column, or over each row's live ones.
+    fn chain(self) {
+        let Self {
+            a,
+            b,
+            c,
+            k,
+            n,
+            fresh,
+            cols,
+            ..
+        } = self;
+        let (seg, lists): (&[u32], Vec<&[u32]>) = match cols {
+            Cols::All => return chain_itv_rows(a, b, c, k, n, fresh),
+            Cols::Lists(seg, lists) => (seg, lists.to_vec()),
+            Cols::Panels(seg, panels) => (seg, panels.iter().map(|p| p.live()).collect()),
+        };
+        for ((arow, crow), &s) in a.chunks(k).zip(c.chunks_mut(n)).zip(seg) {
+            crow.fill(Itv::zero());
+            chain_live_row(arow, b, lists[s as usize], crow);
+        }
     }
 }
 
@@ -1776,181 +1892,78 @@ fn chain_itv_rows<F: Fp>(
     }
 }
 
-/// The operands of one [`Backend::gemm_itv_f_live`] launch on
-/// [`CpuSimBackend`], for [`Fp::EXACT_IN_F64`]: the launch's `B` (`k×n`);
-/// per segment, which rows of `B` a term of one of its rows meets (`used`: a
-/// row of `B` that no term meets is never read); the whole-row `wmax` of the
-/// rows some segment uses; and per segment — made by the first row of the
-/// segment that needs them, once per launch — its live columns of its used
-/// rows, widened to `f64` and packed block-major, `k` blocks of `L` columns
-/// for each `L` live columns (the last block padded with zeros), so that a
-/// row streams its term list over a block as [`wide_itv_rows`] streams it
-/// over `B`, without a conversion or more than one bounds check per term.
-struct LiveGemm<'a, F> {
-    b: &'a [F],
-    k: usize,
-    n: usize,
-    used: Vec<Vec<bool>>,
-    wmax: Vec<f64>,
-    live_per_seg: &'a [&'a [u32]],
-    packed: Vec<OnceCell<Vec<f64>>>,
-}
-
-/// Packed columns a launch is done with, kept by the thread that ran it for
-/// the next launch to pack into (at most [`PACKED_KEPT`]). A launch packs
-/// tens of kilobytes per segment; allocated and freed afresh each time, that
-/// memory goes back to the system at the end of one launch and is faulted in
-/// again by the next — measured slower than the arithmetic it saves on a
-/// launch of sixteen segments.
-const PACKED_KEPT: usize = 16;
-
-thread_local! {
-    static PACKED: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
-}
-
-impl<F> Drop for LiveGemm<'_, F> {
-    fn drop(&mut self) {
-        PACKED.with(|kept| {
-            let mut kept = kept.borrow_mut();
-            let room = PACKED_KEPT.saturating_sub(kept.len());
-            kept.extend(self.packed.iter_mut().filter_map(OnceCell::take).take(room));
-        });
+/// `live` columns of `B` (`k×n`), widened to `f64` and packed in blocks of
+/// `lanes`: lane `d` of block `jb·k + kk` is `B[kk][live[jb·lanes + d]]`,
+/// the lanes past the last live column zero. A row streams its term list
+/// over a run of blocks as [`wide_itv_rows`] streams it over `B`, without a
+/// conversion or more than one bounds check per term. What a
+/// [`LivePanel`] holds, and what a launch over raw slices makes of its
+/// segments' lists.
+#[inline(always)]
+pub(crate) fn pack_live<F: Fp>(b: &[F], n: usize, live: &[u32], lanes: usize) -> Vec<f64> {
+    if n == 0 || live.is_empty() {
+        return Vec::new();
     }
-}
-
-/// One launch of [`LiveGemm`], its `wmax` scan and packing included, for a
-/// build of [`crate::simd`] to run at its lane count.
-struct LiveLaunch<'a, F> {
-    a: &'a [Itv<F>],
-    b: &'a [F],
-    c: &'a mut [Itv<F>],
-    k: usize,
-    n: usize,
-    seg: &'a [u32],
-    live_per_seg: &'a [&'a [u32]],
-}
-
-impl<F: Fp> LaneKernel for LiveLaunch<'_, F> {
-    #[inline(always)]
-    fn run<const FULL: usize, const LIVE: usize>(self) {
-        LiveGemm::new(
-            self.a,
-            self.b,
-            (self.k, self.n),
-            self.seg,
-            self.live_per_seg,
-        )
-        .rows::<LIVE>(self.seg, self.a, self.c);
-    }
-}
-
-impl<'a, F: Fp> LiveGemm<'a, F> {
-    #[inline(always)]
-    fn new(
-        a: &[Itv<F>],
-        b: &'a [F],
-        (k, n): (usize, usize),
-        seg: &[u32],
-        live_per_seg: &'a [&'a [u32]],
-    ) -> Self {
-        let mut used = vec![Vec::new(); live_per_seg.len()];
-        for (arow, &s) in a.chunks(k).zip(seg) {
-            let used = &mut used[s as usize];
-            used.resize(k, false);
-            for (u, a) in used.iter_mut().zip(arow) {
-                *u |= !(a.lo == F::ZERO && a.hi == F::ZERO);
+    let k = b.len() / n;
+    let mut packed = vec![0.0; live.len().div_ceil(lanes) * k * lanes];
+    for (kk, brow) in b.chunks_exact(n).enumerate() {
+        for (jb, cols) in live.chunks(lanes).enumerate() {
+            let block = &mut packed[(jb * k + kk) * lanes..][..lanes];
+            for (d, &j) in block.iter_mut().zip(cols) {
+                *d = brow[j as usize].to_f64();
             }
         }
-        // `gemm_wmax`, row by row, for the rows a term meets.
-        let mut wmax = Vec::with_capacity(k);
-        for (kk, brow) in b.chunks(n).enumerate() {
-            let met = used.iter().any(|u| u.get(kk) == Some(&true));
-            wmax.push(match met {
-                true => max_mag_blocked::<F, WMAX_LANES>(brow),
-                false => 0.0,
-            });
-        }
-        Self {
-            b,
-            k,
-            n,
-            used,
-            wmax,
-            live_per_seg,
-            packed: live_per_seg.iter().map(|_| OnceCell::new()).collect(),
-        }
     }
+    packed
+}
 
-    /// Segment `s`'s live columns of `B`, widened and packed in blocks of
-    /// `L`: block `kk` of the `jb`-th run of `L` live columns is element
-    /// `jb·k + kk`. `s` has a row and a live column. The rows of `B` its
-    /// terms do not meet are left as the kept buffer had them: nothing reads
-    /// them. Packed inline, not in a closure, so that the packing too is
-    /// compiled in the build that runs the launch.
-    #[inline(always)]
-    fn columns<const L: usize>(&self, s: usize) -> &[[f64; L]] {
-        let cell = &self.packed[s];
-        if cell.get().is_none() {
-            let (live, k) = (self.live_per_seg[s], self.k);
-            let mut packed = PACKED
-                .with(|kept| kept.borrow_mut().pop())
-                .unwrap_or_default();
-            packed.resize(live.len().div_ceil(L) * k * L, 0.0);
-            let blocks = packed.as_chunks_mut::<L>().0;
-            let rows = self.b.chunks_exact(self.n).zip(&self.used[s]).enumerate();
-            for (kk, (brow, _)) in rows.filter(|(_, (_, &u))| u) {
-                for (jb, cols) in live.chunks(L).enumerate() {
-                    let block = &mut blocks[jb * k + kk];
-                    *block = [0.0; L];
-                    for (d, &j) in block.iter_mut().zip(cols) {
-                        *d = brow[j as usize].to_f64();
-                    }
-                }
-            }
-            let _ = cell.set(packed);
+/// The rows of a live product, row `i` of `atile` in segment `seg[i]`: each
+/// writes its segment's columns `lists[s]` as [`wide_itv_rows`] writes them
+/// — the wide rule against the whole-row `wmax` (the same term list, `T`
+/// and lane operations: [`WideAcc::mul_add_wide`] is [`WideAcc::mul_add`]
+/// over weights widened beforehand, here `blocks[s]`, [`pack_live`]'s
+/// layout at `L` lanes), or the per-step chain for rows with a non-finite
+/// operand — and every other column as an exact zero. `L` is the build's
+/// block width.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn live_rows<F: Fp, const L: usize>(
+    atile: &[Itv<F>],
+    b: &[F],
+    wmax: &[f64],
+    ctile: &mut [Itv<F>],
+    (k, n): (usize, usize),
+    seg: &[u32],
+    lists: &[&[u32]],
+    blocks: &[&[[f64; L]]],
+) {
+    let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
+    for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(n)).zip(seg) {
+        crow.fill(Itv::zero());
+        let live = lists[s as usize];
+        if live.is_empty() {
+            continue;
         }
-        cell.get().expect("packed above").as_chunks::<L>().0
-    }
-
-    /// The launch's rows, row `i` of `atile` in segment `seg[i]`: each
-    /// writes its segment's live columns as [`gemm_itv_rows`] writes them —
-    /// the wide rule against the whole-row `wmax` (the same term list, `T`
-    /// and lane operations: [`WideAcc::mul_add_wide`] is
-    /// [`WideAcc::mul_add`] over weights widened beforehand), or the
-    /// per-step chain for rows with a non-finite operand — and every other
-    /// column as an exact zero. `L` is the build's block width.
-    #[inline(always)]
-    fn rows<const L: usize>(&self, seg: &[u32], atile: &[Itv<F>], ctile: &mut [Itv<F>]) {
-        let k = self.k;
-        let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
-        for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(self.n)).zip(seg) {
-            crow.fill(Itv::zero());
-            let live = self.live_per_seg[s as usize];
-            if live.is_empty() {
-                continue;
+        terms.clear();
+        let mut mag = WideMag::new::<F>(&[]);
+        for (kk, &aik) in arow.iter().enumerate() {
+            let term = WideTerm::new(aik);
+            if !term.is_zero() {
+                mag.add(term, wmax[kk]);
+                terms.push((kk, term));
             }
-            terms.clear();
-            let mut mag = WideMag::new::<F>(&[]);
-            for (kk, &aik) in arow.iter().enumerate() {
-                let term = WideTerm::new(aik);
-                if !term.is_zero() {
-                    mag.add(term, self.wmax[kk]);
-                    terms.push((kk, term));
-                }
+        }
+        let Some(e) = mag.finish() else {
+            chain_live_row(arow, b, live, crow);
+            continue;
+        };
+        for (block, out) in blocks[s as usize].chunks_exact(k).zip(live.chunks(L)) {
+            let mut acc = WideAcc::<L>::new::<F>(&[]);
+            for &(kk, term) in &terms {
+                acc.mul_add_wide(term, &block[kk]);
             }
-            let Some(e) = mag.finish() else {
-                chain_live_row(arow, self.b, live, crow);
-                continue;
-            };
-            let blocks = self.columns::<L>(s as usize);
-            for (block, out) in blocks.chunks_exact(k).zip(live.chunks(L)) {
-                let mut acc = WideAcc::<L>::new::<F>(&[]);
-                for &(kk, term) in &terms {
-                    acc.mul_add_wide(term, &block[kk]);
-                }
-                for (&j, v) in out.iter().zip(acc.finish_lanes(e)) {
-                    crow[j as usize] = v;
-                }
+            for (&j, v) in out.iter().zip(acc.finish_lanes(e)) {
+                crow[j as usize] = v;
             }
         }
     }
@@ -2084,8 +2097,28 @@ pub(crate) fn bias_fold_rows<F: Fp>(
     }
 }
 
-/// The CPU-sim interval GEMM family: the rows of `C` one after the other,
-/// the wide rule's in `build`.
+/// The CPU-sim interval GEMM family: `launch` in `build` for
+/// [`Fp::EXACT_IN_F64`], the per-step chain otherwise.
+fn gemm_launch<F: Fp>(build: GemmBuild, launch: GemmLaunch<'_, F>) {
+    if launch.n == 0 || launch.c.is_empty() {
+        return;
+    }
+    if launch.k == 0 {
+        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
+        if launch.fresh {
+            launch.c.fill(Itv::zero());
+        }
+        return;
+    }
+    if F::EXACT_IN_F64 {
+        build.run(launch)
+    } else {
+        launch.chain()
+    }
+}
+
+/// The CPU-sim interval GEMM over raw slices, every column: `C = A · B`, or
+/// `C += A · B` without `fresh`.
 pub(crate) fn gemm_itv_rows<F: Fp>(
     build: GemmBuild,
     a: &[Itv<F>],
@@ -2094,32 +2127,22 @@ pub(crate) fn gemm_itv_rows<F: Fp>(
     (k, n): (usize, usize),
     fresh: bool,
 ) {
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
-        if fresh {
-            c.fill(Itv::zero());
-        }
-        return;
-    }
-    if F::EXACT_IN_F64 {
-        build.run(WideLaunch {
+    gemm_launch(
+        build,
+        GemmLaunch {
             a,
             b,
             c,
             k,
             n,
             fresh,
-        })
-    } else {
-        chain_itv_rows(a, b, c, k, n, fresh)
-    }
+            wmax: None,
+            cols: Cols::All,
+        },
+    )
 }
 
-/// The CPU-sim live GEMM: [`LiveGemm`] in `build` for [`Fp::EXACT_IN_F64`],
-/// the per-step chain over each row's live columns otherwise.
+/// The CPU-sim live GEMM over raw slices.
 pub(crate) fn gemm_itv_live_rows<F: Fp>(
     build: GemmBuild,
     a: &[Itv<F>],
@@ -2129,29 +2152,44 @@ pub(crate) fn gemm_itv_live_rows<F: Fp>(
     seg: &[u32],
     live_per_seg: &[&[u32]],
 ) {
-    if n == 0 || seg.is_empty() {
-        return;
-    }
-    if k == 0 {
-        c.fill(Itv::zero());
-        return;
-    }
-    if F::EXACT_IN_F64 {
-        build.run(LiveLaunch {
+    gemm_launch(
+        build,
+        GemmLaunch {
             a,
             b,
             c,
             k,
             n,
-            seg,
-            live_per_seg,
-        })
-    } else {
-        for ((arow, crow), &s) in a.chunks(k).zip(c.chunks_mut(n)).zip(seg) {
-            crow.fill(Itv::zero());
-            chain_live_row(arow, b, live_per_seg[s as usize], crow);
-        }
-    }
+            fresh: true,
+            wmax: None,
+            cols: Cols::Lists(seg, live_per_seg),
+        },
+    )
+}
+
+/// The CPU-sim GEMM over prepared operands: every column, or with `panels`
+/// row `r` the columns of `panels[seg[r]]`.
+pub(crate) fn gemm_itv_prepared_rows<F: Fp>(
+    build: GemmBuild,
+    a: &[Itv<F>],
+    weights: &DenseWeights<'_, F>,
+    c: &mut [Itv<F>],
+    seg: &[u32],
+    panels: Option<&[&LivePanel<F>]>,
+) {
+    gemm_launch(
+        build,
+        GemmLaunch {
+            a,
+            b: weights.b(),
+            c,
+            k: weights.k(),
+            n: weights.n(),
+            fresh: true,
+            wmax: Some(weights.wmax()),
+            cols: panels.map_or(Cols::All, |panels| Cols::Panels(seg, panels)),
+        },
+    )
 }
 
 /// The kernel surface a device implementation must provide.
@@ -2249,6 +2287,40 @@ pub trait Backend: Send + Sync + Sized + 'static {
                 if live.next_if(|&&l| l as usize == j).is_none() {
                     *v = Itv::zero();
                 }
+            }
+        }
+    }
+
+    /// [`Backend::gemm_itv_f`] — or, with `panels`,
+    /// [`Backend::gemm_itv_f_live`], row `r` computing the columns
+    /// `panels[seg[r]].live()` — over operands made beforehand: the layer's
+    /// [`DenseWeights`] (`B` and its `wmax`, made once for the layer) and
+    /// one [`LivePanel`] per segment (its live columns of `B`, made once for
+    /// the query and the layer). The bits are those launches' over
+    /// `weights.b()`: a prepared operand holds what they would make of `B`.
+    ///
+    /// The provided body is that definition: the launch over the raw slices
+    /// and the panels' lists. It is the conformance oracle of the method
+    /// and what [`ReferenceBackend`] runs. A backend overrides it to read
+    /// the operands instead of making them again ([`CpuSimBackend`] takes
+    /// the layer's `wmax` instead of scanning `B`, and each panel's packed
+    /// columns instead of packing them).
+    fn gemm_itv_f_prepared<F: Fp>(
+        &self,
+        device: &Device<Self>,
+        a: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        c: &mut [Itv<F>],
+        m: usize,
+        seg: &[u32],
+        panels: Option<&[&LivePanel<F>]>,
+    ) {
+        let (b, k, n) = (weights.b(), weights.k(), weights.n());
+        match panels {
+            None => self.gemm_itv_f(device, a, b, c, m, k, n),
+            Some(panels) => {
+                let lists: Vec<&[u32]> = panels.iter().map(|p| p.live()).collect();
+                self.gemm_itv_f_live(device, a, b, c, m, k, n, seg, &lists);
             }
         }
     }
@@ -2464,6 +2536,19 @@ impl Backend for CpuSimBackend {
         live_per_seg: &[&[u32]],
     ) {
         gemm_itv_live_rows(GemmBuild::detected(), a, b, c, (k, n), seg, live_per_seg);
+    }
+
+    fn gemm_itv_f_prepared<F: Fp>(
+        &self,
+        _device: &Device<Self>,
+        a: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        c: &mut [Itv<F>],
+        _m: usize,
+        seg: &[u32],
+        panels: Option<&[&LivePanel<F>]>,
+    ) {
+        gemm_itv_prepared_rows(GemmBuild::detected(), a, weights, c, seg, panels);
     }
 
     fn gemm_itv_f_acc<F: Fp>(

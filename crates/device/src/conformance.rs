@@ -15,6 +15,9 @@
 //! * **the live GEMM** — [`gemm::gemm_itv_f_live`] equals the full product
 //!   in every live column and is an exact zero in every other, per segment,
 //!   non-finite operands in live and dead columns included;
+//! * **the prepared GEMM** — [`gemm::gemm_itv_f_prepared`] over a layer's
+//!   [`DenseWeights`] and its segments' [`LivePanel`]s equals the launches
+//!   over raw slices it is defined by, bit for bit and meter for meter;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
 //!   product, and the outputs of single-term rows are the tightest
 //!   enclosure;
@@ -57,6 +60,7 @@
 use gpupoly_interval::{round, Fp, Itv};
 
 use crate::backend::{Backend, ExprGeom, GbcShape};
+use crate::gemm::{DenseWeights, LivePanel};
 use crate::relax::{ReluRelax, ReluTable};
 use crate::{gemm, kernels, scan, Device, DeviceBuffer, DeviceConfig, DeviceError};
 
@@ -684,6 +688,147 @@ pub fn check_gemm_live_special_cases<B: Backend>(device: &Device<B>) {
         &[0, 0],
         &[Vec::new()],
     );
+}
+
+/// Holds [`Backend::gemm_itv_f_prepared`] to the launches over raw slices
+/// it is defined by — [`gemm::gemm_itv_f`] without panels,
+/// [`gemm::gemm_itv_f_live`] over the panels' lists with them — bit for bit,
+/// on the same device (so an override is held to the provided body), and
+/// both to the straight-line oracle; and its meter to theirs: one
+/// `gemm_itv_f` launch of the same flops. Over random shapes, among them
+/// the special rows of [`check_gemm_live_special_cases`] (a `-inf` weight in
+/// a column one segment has dead and another live, an unbounded coefficient,
+/// rows without live columns), with `±0`, subnormals, `±inf` and NaN among
+/// the coefficients and weights, live lists empty, full and random, and
+/// every panel read by two launches.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_gemm_prepared<B: Backend>(device: &Device<B>, seed: u64) {
+    let label = device.backend().label();
+    let mut s = Stream::new(seed ^ 0x9e9a);
+    let special = [
+        0.0f32,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x7f_ffff),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (6, 11, 19),
+        (9, 16, 130),
+        (2, 3, 519),
+        (4, 0, 5),
+        (0, 3, 4),
+        (
+            s.next_range(12) + 1,
+            s.next_range(40) + 1,
+            s.next_range(40) + 1,
+        ),
+    ];
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        // Every fourth case holds no special value, and is held to the
+        // oracle bit for bit; the others to the oracle but for NaN's bits.
+        let odd = case % 4 != 0;
+        let value = |s: &mut Stream| match odd && s.next_range(10) == 0 {
+            true => special[s.next_range(special.len())],
+            false => s.next_f32(),
+        };
+        let mut a: Vec<Itv<f32>> = (0..m * k)
+            .map(|_| match s.next_range(5) {
+                0 => Itv::zero(),
+                1 => Itv::point(-0.0),
+                2 => {
+                    let (x, y) = (value(&mut s), value(&mut s));
+                    Itv {
+                        lo: x.min(y),
+                        hi: x.max(y),
+                    }
+                }
+                _ => {
+                    let x = value(&mut s);
+                    Itv { lo: x, hi: x }
+                }
+            })
+            .collect();
+        let mut b: Vec<f32> = (0..k * n).map(|_| value(&mut s)).collect();
+        let segments = 3;
+        let mut seg: Vec<u32> = (0..m).map(|_| s.next_range(segments) as u32).collect();
+        let mut live: Vec<Vec<u32>> = vec![
+            Vec::new(),
+            (0..n as u32).collect(),
+            (0..n as u32).filter(|_| s.next_range(2) == 0).collect(),
+        ];
+        if (m, k, n) == (6, 11, 19) {
+            // `check_gemm_live_special_cases`' rows, on finite operands.
+            a = a
+                .iter()
+                .map(|v| if v.is_finite() { *v } else { Itv::point(0.5) })
+                .collect();
+            b = b
+                .iter()
+                .map(|w| if w.is_finite() { *w } else { -0.25 })
+                .collect();
+            a[3] = Itv::new(1.0, f32::INFINITY);
+            a[k + 7] = Itv::top();
+            b[2 * n + 6] = f32::NEG_INFINITY;
+            a[4 * k + 2] = Itv::point(-0.0);
+            seg = vec![0, 1, 2, 0, 1, 2];
+            live[2] = (0..n as u32).filter(|j| j % 3 != 0).collect();
+        }
+        let tag = format!("{m}x{k}x{n}, case {case}");
+        let wmax = gemm::layer_wmax(&b, k, n);
+        let weights = DenseWeights::new(&b, &wmax, k, n);
+        let panels: Vec<LivePanel<f32>> =
+            live.iter().map(|l| LivePanel::new(&weights, l)).collect();
+        let panels: Vec<&LivePanel<f32>> = panels.iter().collect();
+        let lists: Vec<&[u32]> = live.iter().map(Vec::as_slice).collect();
+        let meter = || {
+            (
+                device.stats().kernel_launches("gemm_itv_f"),
+                device.stats().kernel_flops("gemm_itv_f"),
+            )
+        };
+        for with_panels in [false, true] {
+            let mut want = vec![Itv::new(9.0f32, 9.0); m * n];
+            let before = meter();
+            match with_panels {
+                false => gemm::gemm_itv_f(device, &a, &b, &mut want, m, k, n),
+                true => gemm::gemm_itv_f_live(device, &a, &b, &mut want, m, k, n, &seg, &lists),
+            }
+            let raw = meter();
+            let oracle = match with_panels {
+                false => oracle_gemm_itv_f(&a, &b, None, m, k, n),
+                true => oracle_gemm_itv_f_live(&a, &b, (m, k, n), &seg, &live),
+            };
+            let what = format!("gemm_itv_f_prepared ({tag}, panels {with_panels})");
+            for _ in 0..2 {
+                let mut got = vec![Itv::new(7.0f32, 7.0); m * n];
+                let before_prepared = meter();
+                gemm::gemm_itv_f_prepared(
+                    device,
+                    &a,
+                    &weights,
+                    &mut got,
+                    m,
+                    &seg,
+                    with_panels.then_some(panels.as_slice()),
+                );
+                let after = meter();
+                assert_eq!(
+                    (after.0 - before_prepared.0, after.1 - before_prepared.1),
+                    (raw.0 - before.0, raw.1 - before.1),
+                    "[{label}] {what}: one gemm_itv_f launch of the raw launch's flops"
+                );
+                assert_planes_bit_eq(label, &what, &got, &want);
+                assert_planes_bit_eq_or_nan(label, &what, &got, &oracle);
+            }
+        }
+    }
 }
 
 /// Checks [`scan::exclusive_scan`] against the serial oracle on one input.
@@ -3016,6 +3161,9 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         }
         for case in 0..4u64 {
             check_gemm_live_against_oracle(&device, case * 7919 + workers as u64);
+        }
+        for case in 0..2u64 {
+            check_gemm_prepared(&device, case * 7919 + workers as u64);
         }
         check_gemm_special_rows(&device);
         check_gemm_live_special_cases(&device);

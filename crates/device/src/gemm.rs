@@ -48,10 +48,12 @@
 //! assert!(c[0].contains(1.0) && c[1].contains(2.0));
 //! ```
 
+use std::marker::PhantomData;
+
 use gpupoly_interval::{Fp, Itv};
 
-use crate::backend::Backend;
-use crate::Device;
+use crate::backend::{self, Backend};
+use crate::{Device, GemmBuild};
 
 pub(crate) fn check_dims<T, U, V>(a: &[T], b: &[U], c: &[V], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "GEMM: A must be m*k");
@@ -139,16 +141,33 @@ pub fn gemm_itv_f_live<F: Fp, B: Backend>(
             "GEMM: live columns must be strictly ascending and below n = {n}"
         );
     }
-    let mut rows = vec![0u64; live_per_seg.len()];
+    let lens: Vec<usize> = live_per_seg.iter().map(|live| live.len()).collect();
+    record_live_work(device, (a, c), k, seg, &lens);
+    device
+        .backend()
+        .gemm_itv_f_live(device, a, b, c, m, k, n, seg, live_per_seg);
+}
+
+/// Meters a live launch under the `gemm_itv_f` label: flops `4·k` per live
+/// output, and `B` read once per segment with rows, its live columns only
+/// (segment `s` has `lens[s]` of them).
+fn record_live_work<F: Fp, B: Backend>(
+    device: &Device<B>,
+    (a, c): (&[Itv<F>], &[Itv<F>]),
+    k: usize,
+    seg: &[u32],
+    lens: &[usize],
+) {
+    let mut rows = vec![0u64; lens.len()];
     for &s in seg {
         *rows
             .get_mut(s as usize)
             .expect("GEMM: segment index without a live list") += 1;
     }
     let (mut outputs, mut b_read) = (0u64, 0u64);
-    for (&r, live) in rows.iter().zip(live_per_seg) {
-        outputs += r * live.len() as u64;
-        b_read += u64::from(r > 0) * live.len() as u64;
+    for (&r, &len) in rows.iter().zip(lens) {
+        outputs += r * len as u64;
+        b_read += u64::from(r > 0) * len as u64;
     }
     let itv = std::mem::size_of::<Itv<F>>() as u64;
     device.stats().record_work(
@@ -156,9 +175,197 @@ pub fn gemm_itv_f_live<F: Fp, B: Backend>(
         4 * k as u64 * outputs,
         itv * (a.len() + c.len()) as u64 + std::mem::size_of::<F>() as u64 * k as u64 * b_read,
     );
+}
+
+/// A dense layer's weights as the interval product reads them: `B`, `k×n`
+/// row-major, and its `wmax` — per row of `B` the largest magnitude,
+/// `+inf` for a row holding `±inf` or NaN ([`layer_wmax`]). Every launch
+/// over the whole of `B` takes that `wmax` (the [`crate::backend`]
+/// contract), so a layer's is made once, when its network is prepared,
+/// instead of scanned by every launch through it.
+#[derive(Clone, Copy, Debug)]
+pub struct DenseWeights<'a, F> {
+    b: &'a [F],
+    wmax: &'a [f64],
+    k: usize,
+    n: usize,
+}
+
+impl<'a, F: Fp> DenseWeights<'a, F> {
+    /// `B` (`k×n`) with its `wmax`, which must be [`layer_wmax`]'s of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` does not have `k·n` entries or `wmax` not
+    /// [`layer_wmax`]'s length.
+    pub fn new(b: &'a [F], wmax: &'a [f64], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "GEMM: B must be k*n");
+        assert_eq!(
+            wmax.len(),
+            if F::EXACT_IN_F64 { k } else { 0 },
+            "GEMM: one wmax per row of B (none for a scalar type the wide rule does not take)"
+        );
+        Self { b, wmax, k, n }
+    }
+
+    /// `B`, `k×n` row-major.
+    pub fn b(&self) -> &'a [F] {
+        self.b
+    }
+
+    /// Each row's `wmax`.
+    pub fn wmax(&self) -> &'a [f64] {
+        self.wmax
+    }
+
+    /// Rows of `B`: the product's inner dimension.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of `B`.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+}
+
+/// The `wmax` of `B`, `k` rows of `n`, for [`DenseWeights`]: per row the
+/// largest magnitude, `+inf` when one of its weights is `±inf` or NaN, zero
+/// for an empty row — the scan [`crate::CpuSimBackend`]'s launches over raw
+/// slices run. Empty for scalar types without [`Fp::EXACT_IN_F64`], whose
+/// products never read it.
+///
+/// # Panics
+///
+/// Panics when `b` does not have `k·n` entries.
+pub fn layer_wmax<F: Fp>(b: &[F], k: usize, n: usize) -> Vec<f64> {
+    assert_eq!(b.len(), k * n, "GEMM: B must be k*n");
+    match (F::EXACT_IN_F64, n) {
+        (false, _) => Vec::new(),
+        (true, 0) => vec![0.0; k],
+        (true, _) => backend::gemm_wmax(b, n),
+    }
+}
+
+/// One query's *live panel* of a dense layer: the columns of `B` it lists
+/// live (the neurons of the layer's input that are not stably off, read off
+/// the query's [`crate::ReluTable`]), widened to `f64` and packed in blocks
+/// of the lane width of the build that made it ([`GemmBuild`]) —
+/// block-major, `k` blocks for each run of that many live columns, the last
+/// one padded with zeros. A step into the layer reads each query's panel
+/// through [`gemm_itv_f_prepared`]: made once, it serves both planes and
+/// every walk of the query through the layer, where a launch over raw
+/// slices packs its segments' columns afresh. Host memory, like the `B` it
+/// is read from on this simulator.
+pub struct LivePanel<F> {
+    live: Vec<u32>,
+    k: usize,
+    n: usize,
+    lanes: usize,
+    packed: Vec<f64>,
+    scalar: PhantomData<F>,
+}
+
+impl<F: Fp> LivePanel<F> {
+    /// The panel of `weights` over the ascending columns `live`, packed for
+    /// the build this process runs ([`GemmBuild::detected`];
+    /// [`GemmBuild::live_panel`] for another).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `live` is not strictly ascending below `n`.
+    pub fn new(weights: &DenseWeights<'_, F>, live: &[u32]) -> Self {
+        GemmBuild::detected().live_panel(weights, live)
+    }
+
+    /// The panel packed in blocks of `lanes`; nothing is packed for a scalar
+    /// type the wide rule does not take.
+    pub(crate) fn packed_for(weights: &DenseWeights<'_, F>, live: &[u32], lanes: usize) -> Self {
+        let n = weights.n();
+        assert!(
+            live.windows(2).all(|p| p[0] < p[1]) && live.last().is_none_or(|&j| (j as usize) < n),
+            "GEMM: live columns must be strictly ascending and below n = {n}"
+        );
+        let packed = match F::EXACT_IN_F64 {
+            true => backend::pack_live(weights.b(), n, live, lanes),
+            false => Vec::new(),
+        };
+        Self {
+            live: live.to_vec(),
+            k: weights.k(),
+            n,
+            lanes,
+            packed,
+            scalar: PhantomData,
+        }
+    }
+
+    /// The live columns, ascending.
+    pub fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// Whether the panel was made over a `k×n` `B`.
+    pub(crate) fn fits(&self, k: usize, n: usize) -> bool {
+        (self.k, self.n) == (k, n)
+    }
+
+    /// The packed blocks, `L` lanes each. Never inlined: a build's call to
+    /// it is what marks the prepared product among its kernels in the
+    /// disassembly (CI checks its lane loops).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the panel was packed for another lane width.
+    #[inline(never)]
+    pub(crate) fn columns<const L: usize>(&self) -> &[[f64; L]] {
+        assert_eq!(self.lanes, L, "a live panel packed for another build");
+        self.packed.as_chunks::<L>().0
+    }
+}
+
+/// [`gemm_itv_f`], or with `panels` [`gemm_itv_f_live`], over operands made
+/// beforehand: the layer's [`DenseWeights`] and, for a step into a ReLU
+/// layer, one [`LivePanel`] per segment — row `r` computes the columns
+/// `panels[seg[r]].live()`. The bits, and the meter, are those launches'
+/// over `weights.b()`; what is not done is the per-launch preparation: the
+/// `wmax` scan of `B` and the packing of live columns.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches, and with `panels` when `seg` does not
+/// have `m` entries or names a segment without a panel, or a panel was made
+/// over another shape of `B`.
+pub fn gemm_itv_f_prepared<F: Fp, B: Backend>(
+    device: &Device<B>,
+    a: &[Itv<F>],
+    weights: &DenseWeights<'_, F>,
+    c: &mut [Itv<F>],
+    m: usize,
+    seg: &[u32],
+    panels: Option<&[&LivePanel<F>]>,
+) {
+    let (b, k, n) = (weights.b(), weights.k(), weights.n());
+    check_dims(a, b, c, m, k, n);
+    match panels {
+        None => {
+            device
+                .stats()
+                .record_work("gemm_itv_f", flops_itv_f(m, k, n), bytes_moved(a, b, c))
+        }
+        Some(panels) => {
+            assert_eq!(seg.len(), m, "GEMM: one segment index per row");
+            assert!(
+                panels.iter().all(|p| p.fits(k, n)),
+                "GEMM: a live panel made over another shape of B"
+            );
+            let lens: Vec<usize> = panels.iter().map(|p| p.live().len()).collect();
+            record_live_work(device, (a, c), k, seg, &lens);
+        }
+    }
     device
         .backend()
-        .gemm_itv_f_live(device, a, b, c, m, k, n, seg, live_per_seg);
+        .gemm_itv_f_prepared(device, a, weights, c, m, seg, panels);
 }
 
 /// Sound interval×scalar GEMM accumulating into `C`: `C += A · B`.

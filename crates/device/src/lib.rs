@@ -79,5 +79,6 @@ mod simd;
 pub use backend::{Backend, CpuSimBackend, ExprGeom, GbcShape, ReferenceBackend};
 pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig, DeviceError, DeviceStats, KernelWork};
+pub use gemm::{DenseWeights, LivePanel};
 pub use relax::{ReluRelax, ReluTable};
 pub use simd::GemmBuild;

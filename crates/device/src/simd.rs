@@ -3,7 +3,8 @@
 //!
 //! The lane loops of [`CpuSimBackend`](crate::CpuSimBackend)'s GEMM family —
 //! the full product's register blocks, the live product's blocks over its
-//! packed columns, and the launch's `wmax` scan — of its GBC scatter — the
+//! packed columns, and, for a launch over raw slices, its `wmax` scan and
+//! packing — of its GBC scatter — the
 //! blocks a term adds to, and the block epilogue that ends a destination
 //! row — and of its row reductions, concretize and the bias fold — row
 //! blocks, one row a lane, stepping through their rows' coefficients
@@ -42,6 +43,7 @@ use std::sync::OnceLock;
 use gpupoly_interval::{Fp, Itv};
 
 use crate::backend::{ExprGeom, GbcShape};
+use crate::gemm::{DenseWeights, LivePanel};
 use crate::{backend, gemm, kernels};
 
 /// The lane counts of one build: `FULL` columns of `B` per register block of
@@ -161,6 +163,54 @@ impl GemmBuild {
         gemm::check_dims(a, b, c, m, k, n);
         assert_eq!(seg.len(), m, "GEMM: one segment index per row");
         backend::gemm_itv_live_rows(self, a, b, c, (k, n), seg, live_per_seg);
+    }
+
+    /// [`Backend::gemm_itv_f_prepared`] as [`CpuSimBackend`] computes it,
+    /// in this build, on no device: [`GemmBuild::gemm_itv_f`] over
+    /// `weights`, or with `panels` [`GemmBuild::gemm_itv_f_live`] over each
+    /// segment's panel, which must have been made for this build
+    /// ([`GemmBuild::live_panel`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`GemmBuild::gemm_itv_f_live`], and when a panel was made for
+    /// another build or over another shape of `B`.
+    ///
+    /// [`Backend::gemm_itv_f_prepared`]: crate::Backend::gemm_itv_f_prepared
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    pub fn gemm_itv_f_prepared<F: Fp>(
+        self,
+        a: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        c: &mut [Itv<F>],
+        m: usize,
+        seg: &[u32],
+        panels: Option<&[&LivePanel<F>]>,
+    ) {
+        let (k, n) = (weights.k(), weights.n());
+        gemm::check_dims(a, weights.b(), c, m, k, n);
+        if let Some(panels) = panels {
+            assert_eq!(seg.len(), m, "GEMM: one segment index per row");
+            assert!(
+                panels.iter().all(|p| p.fits(k, n)),
+                "GEMM: a live panel made over another shape of B"
+            );
+        }
+        backend::gemm_itv_prepared_rows(self, a, weights, c, seg, panels);
+    }
+
+    /// The [`LivePanel`] of `weights` over the ascending columns `live`,
+    /// packed for this build's live-product blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `live` is not strictly ascending below `n`.
+    pub fn live_panel<F: Fp>(self, weights: &DenseWeights<'_, F>, live: &[u32]) -> LivePanel<F> {
+        let lanes = match self {
+            Self::Baseline => BASELINE_LANES,
+            Self::Avx512 => AVX512_LIVE_LANES,
+        };
+        LivePanel::packed_for(weights, live, lanes)
     }
 
     /// [`Backend::gbc`] as [`CpuSimBackend`] computes it, in this build, on
