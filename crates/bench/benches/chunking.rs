@@ -6,8 +6,8 @@
 //!
 //! It also prints the table [`gpupoly_core::STREAMS_PER_WORKER`] is read
 //! from ([`stream_table`]): a layer's rows are cut into walks that run side
-//! by side as the streams of one pool section, and how many streams a worker
-//! should get is a measurement. The stream count is a constant of the build
+//! by side as the streams of one pool section, and how many walks a worker
+//! should get is a measurement. The walk count is a constant of the build
 //! and nothing sets it at run time, so one run prints two rows — lists left
 //! in one walk, which is one thread, and cut as built — and the rows for
 //! another count come from editing the constant and running again.
@@ -118,8 +118,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// Wall of one full `analyze` and of one fused batch of 16 on the
 /// benchmark's three networks, with a list's rows in one walk (`1`: one
 /// thread does it all, as on a one-worker device — no kernel splits its
-/// rows) and cut into [`STREAMS_PER_WORKER`] streams a worker on a device of
-/// `w = 2` workers (`w`, `2w` and `4w` streams with the constant at 1, 2 and
+/// rows) and cut into [`STREAMS_PER_WORKER`] walks a worker on a device of
+/// `w = 2` workers (`w`, `2w` and `4w` walks with the constant at 1, 2 and
 /// 4);
 /// `peak_memory()` beside each, and a digest of every bound and margin that
 /// must not differ between the rows. Medians over `ANALYSES` fresh boxes and

@@ -321,32 +321,25 @@ fn refine_layer<'n, F: Fp, B: Backend>(
     Ok(())
 }
 
-/// Streams a list is cut into per worker of its device. Fixed, not
-/// configurable. Measured on the benchmark, seed 1, ten rounds alternating
-/// parent (every kernel split over the two workers, one walk a list), one
-/// and two streams a worker —
-/// `queries_per_s` median \[quartiles\] and `peak_device_mb`:
-///
-/// | workload | parent | 1 a worker | **2 a worker** |
-/// | --- | --- | --- | --- |
-/// | `dense_single` | 98.2 \[91.2–104.9\], 2.84 | 133.4 \[130.3–137.9\], 2.17 | 131.1 \[120.6–135.6\], 1.79 |
-/// | `dense_fused` | 149.5 \[135.5–162.6\], 24.3 | 182.2 \[169.5–201.5\], 18.0 | 178.4 \[174.2–192.5\], 14.7–14.9 |
-/// | `conv_fused` | 30.6 \[30.1–32.2\], 60.7 | 33.4 \[32.9–34.9\], 57.7 | 34.0 \[30.7–36.4\], 52.5 |
-/// | `serve_mix` | 630 \[611–684\], 3.14–3.44 | 815 \[726–889\], 2.79–3.21 | 800 \[775–889\], 3.00–3.49 |
-///
-/// and six rounds with four a worker beside them (`dense_single` /
-/// `dense_fused` medians): parent 101.5 / 150.4, one 153.6 / 192.6, two
-/// 139.6 / 188.0, four 137.0 / 200.5 q/s at 1.87 / 15.6 MB. Throughput does
-/// not tell one from two (either is ahead of the parent in every round);
-/// memory does — a stream holds its rows and a shelf lane of its own, and of
-/// `2·workers` streams only `workers` are live — and finer streams are the
-/// ones that even out rows that stop early. Four buys nothing and repeats
-/// per stream what a launch does once for all its rows (`launch_wmax` over
-/// the weights, the GBC weight repack); a query's ReLU tables are not
-/// among them, being made once a call for every walk. `cargo bench -p
-/// gpupoly-bench --bench chunking` prints one
-/// analysis and one fused batch in one walk a list (one thread) and cut as
-/// built, without a benchmark run; for another count, edit this constant.
+/// How finely a list is cut: into this many walks per worker of its device (one
+/// on a device of one worker), or finer where [`WALK_BYTES`] cuts it. Fixed,
+/// not configurable. The walks are dealt to the workers in turn before any runs
+/// (`walk_streams`): a worker runs its walks back to back and all of them
+/// allocate from its one shelf lane of the buffer pool, so the count sets
+/// balance, not memory — finer walks even out rows that stop early, and repeat
+/// per walk what a walk does once (concretize, the bias fold and GBC set-up a
+/// launch). Chosen at two (one to four a worker, measured when every stream had
+/// a shelf lane of its own). With one lane a worker, four against two on the
+/// benchmark (seed 1, `--trace 0`, one 10-second run of the fused workloads and
+/// three alternating 20-second pairs of the others): `peak_device_mb`
+/// `dense_fused` 5.03 → 2.28, `conv_fused` 7.04 → 6.93, `dense_single` 0.736 →
+/// 0.708, `serve_mix` 1.12–1.25 → 0.74–0.78; `queries_per_s` `serve_mix`
+/// 862–886 → 828–859 (lower in 3 of 3 pairs), `dense_single` 183–246 → 221–235
+/// (inside the spread). Two stays: four buys memory on `dense_fused` alone and
+/// costs `serve_mix` throughput. `cargo bench -p gpupoly-bench --bench
+/// chunking` prints one analysis and one fused batch in one walk a list (one
+/// thread) and cut as built, without a benchmark run; for another count, edit
+/// this constant.
 ///
 /// Also tried: cutting evenly instead of on query boundaries (`cut`) —
 /// `dense_fused` 171.6 against 182.6, `conv_fused` 31.2 against 34.4 q/s
@@ -448,25 +441,37 @@ pub(crate) struct Streamed<F> {
 /// side, every kernel of a walk inline on the thread that owns it. `walk`
 /// takes a range of the list to the input on the lane it is given.
 ///
-/// **One cut.** A walk is sized to a fixed working set: at most
-/// [`WALK_BYTES`] of rows priced at [`crate::PreparedGraph::row_bytes`],
-/// however wide its layer and however many rows the list has (§4.2, "Memory
-/// management": the bound matrices always fit). It is also short enough that
-/// every worker of every device gets [`STREAMS_PER_WORKER`] of them, and no
-/// longer than every device's free memory allows the walks that are live
-/// together on it (the least of [`crate::PreparedGraph::chunk_for`] over
-/// [`Device::streams_at_once`]) — on an uncapped device no ceiling, on a
-/// capped one what keeps a walk from running out of memory.
-/// [`VerifyConfig::chunk_rows`] fixes the length instead. Cuts fall on query
-/// boundaries where one is in reach ([`cut`]).
+/// **One cut.** A walk is sized to a fixed working set: at most [`WALK_BYTES`]
+/// of rows priced at [`crate::PreparedGraph::row_bytes`], however wide its
+/// layer and however many rows the list has (§4.2, "Memory management": the
+/// bound matrices always fit). It is also short enough that the list is cut
+/// into [`STREAMS_PER_WORKER`] walks for every worker of every device (one for
+/// a device of one worker), and no longer than every device's free memory
+/// allows the walks that are live together on it (the least of
+/// [`crate::PreparedGraph::chunk_for`] over [`Device::streams_at_once`]) — on
+/// an uncapped device no ceiling, on a capped one what keeps a walk from
+/// running out of memory. [`VerifyConfig::chunk_rows`] fixes the length
+/// instead. Cuts fall on query boundaries where one is in reach ([`cut`]).
 ///
-/// **One deal.** The stream slots are (lane, position) pairs, dealt round
-/// the lanes — every lane's position 0, then every position 1, … — and slot
-/// `s` of `n` takes walks `s`, `s + n`, … in order, so what runs in a slot —
-/// and what that position's lane of its device's buffer pool holds — depends
-/// on the list alone, not on which thread claims it when. The first lane's
-/// section runs on the calling thread, every other lane's on a scoped thread
-/// of its own; one lane is one section and no thread.
+/// **One deal.** A stream slot is one walk that is live at once: one per worker
+/// of each walking device, dealt round the lanes — every lane's first worker,
+/// then every second, … — and slot `s` of `n` takes walks `s`, `s + n`, … in
+/// order, back to back on its worker. A device's slots are the streams of one
+/// section of its pool ([`Device::streams`]), whose worker `w` runs stream `w`
+/// and allocates from shelf lane `w` of the device's buffer pool, so what a
+/// worker runs — and what its lane holds — depends on the list alone, not on
+/// which thread gets there first. The first lane's section runs on the calling
+/// thread, every other lane's on a scoped thread of its own; one lane is one
+/// section and no thread.
+///
+/// Also tried: each walk to the slot with the fewest rows so far, which evens
+/// out lists whose query-boundary cuts differ in length. On `conv_fused`
+/// (`--seconds 20 --trace 0`, medians in q/s), ten rounds of the parent, the
+/// in-turn deal and the row-count deal read 48.5, 45.3 and 47.2 (seed 1);
+/// ten pairs a seed against the parent read 50.6 → 48.4 (seed 1) and 49.6 →
+/// 48.2 (seed 2) in turn, 48.8 → 47.4 and 50.5 → 48.5 by rows, at 7.59 /
+/// 7.21 MB in turn against 7.82 / 7.73 MB by rows. It did not separate from
+/// the in-turn deal and held more memory: not kept.
 ///
 /// **One loop.** A walk that runs out of device memory fails alone: its
 /// rows go round again, cut at half the length and on devices whose pool
@@ -497,14 +502,15 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
         return Ok(out);
     }
     // Walks live together on a device: its workers, or one — for a caller
-    // that is itself a part of a section.
+    // that is itself a part of a section. Each is a stream slot.
     let at_once: Vec<usize> = lanes.iter().map(|l| l.device.streams_at_once()).collect();
-    // Finer streams are for balance between a device's workers; one has
+    let mut streams = at_once.clone();
+    // Finer walks are for balance between a device's workers; one has
     // nobody to balance with.
-    let mut streams: Vec<usize> = at_once
+    let cuts: usize = at_once
         .iter()
         .map(|&a| if a > 1 { STREAMS_PER_WORKER * a } else { 1 })
-        .collect();
+        .sum();
     let mut len = cfg
         .chunk_rows
         .unwrap_or_else(|| {
@@ -519,8 +525,7 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
                 .map(|lane| WALK_BYTES / lane.prepared.row_bytes())
                 .min()
                 .expect("at least one lane");
-            fits.min(budget.max(1))
-                .min(rows.div_ceil(streams.iter().sum()))
+            fits.min(budget.max(1)).min(rows.div_ceil(cuts))
         })
         .clamp(1, rows);
     // Segments of a range of the list, each once.
@@ -599,10 +604,10 @@ pub(crate) fn walk_streams<'n, F: Fp, B: Backend>(
     Ok(out)
 }
 
-/// The first `n` stream slots `(lane, position)` of lanes running
+/// The first `n` stream slots `(lane, worker)` of lanes running
 /// `streams[lane]` streams each, dealt round the lanes: every lane's
-/// position 0, then every lane's position 1, and so on. A lane's slots are
-/// its positions from 0 up, in order.
+/// worker 0, then every lane's worker 1, and so on. A lane's slots are its
+/// workers from 0 up, in order.
 fn deal(streams: &[usize], n: usize) -> Vec<(usize, usize)> {
     let deepest = streams.iter().copied().max().unwrap_or(0);
     (0..deepest)
@@ -618,9 +623,9 @@ fn deal(streams: &[usize], n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs `stream(lane, s)` for every slot `s` of `slots`: a lane's slots as
-/// the streams of one section of its device ([`Device::streams`], position
-/// `p` being the lane's slot `(lane, p)`), the first lane's section on the
-/// calling thread and every other lane's on a scoped thread of its own.
+/// the streams of one section of its device ([`Device::streams`], whose
+/// worker `w` runs the lane's slot `(lane, w)`), the first lane's section on
+/// the calling thread and every other lane's on a scoped thread of its own.
 /// Results come back in slot order.
 fn run_slots<'n, F: Fp, B: Backend, R: Send>(
     lanes: &[Lane<'n, F, B>],
@@ -630,13 +635,13 @@ fn run_slots<'n, F: Fp, B: Backend, R: Send>(
     // Slots are dealt round the lanes, so the lanes holding one are a prefix.
     let used = slots.iter().map(|&(l, _)| l + 1).max().unwrap_or(1);
     let mut ran = side_by_side(lanes[..used].iter().collect(), |l, lane| {
-        let positions = slots.iter().filter(|&&(x, _)| x == l).count();
-        let slot = |p| slots.iter().position(|&x| x == (l, p)).expect("dealt");
+        let workers = slots.iter().filter(|&&(x, _)| x == l).count();
+        let slot = |w| slots.iter().position(|&x| x == (l, w)).expect("dealt");
         lane.device
-            .streams(positions, |p| stream(lane, slot(p)))
+            .streams(workers, |w| stream(lane, slot(w)))
             .into_iter()
     });
-    // A lane's slots come in its position order.
+    // A lane's slots come in its worker order.
     slots
         .iter()
         .map(|&(l, _)| ran[l].next().expect("every slot ran"))

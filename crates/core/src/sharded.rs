@@ -7,7 +7,7 @@
 //! # Who walks rows ([`Plan::split_rows`])
 //!
 //! With `split_rows` every pool device is a walking lane of the one engine:
-//! its stream positions are more slots of the one walk schedule
+//! its workers are more stream slots of the one walk schedule
 //! ([`crate::analysis`]), so every row list — a layer's refinement rows, a
 //! fused batch's stacked spec rows, a branch-and-bound generation — is cut
 //! once and its walks dealt over every device, and a lone query's

@@ -268,15 +268,16 @@ struct Shelved {
 }
 
 thread_local! {
-    /// The shelf lane this thread allocates from: the position of the stream
+    /// The shelf lane this thread allocates from: the worker whose streams
     /// it is running ([`Device::streams`]), 0 outside any. It belongs to the
     /// thread, not to a device — a kernel of a wrapping backend that
-    /// allocates scratch on an inner device stays in its stream's lane there.
+    /// allocates scratch on an inner device stays in its worker's lane there.
     static LANE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Makes `lane` the calling thread's shelf lane until dropped (also on
-/// unwind).
+/// unwind): entered by a worker of a [`Device::streams`] section for the
+/// streams dealt to it.
 struct LaneScope(usize);
 
 impl LaneScope {
@@ -291,8 +292,8 @@ impl Drop for LaneScope {
     }
 }
 
-/// One lane of the shelf: what the stream at one position
-/// ([`Device::streams`]) left behind, and how much it held at once.
+/// One lane of the shelf: what the streams one worker ran
+/// ([`Device::streams`]) left behind, and how much they held at once.
 #[derive(Default)]
 struct Lane {
     /// Shelved buffers, oldest first.
@@ -324,29 +325,31 @@ pub(crate) struct DeviceInner<B> {
     /// the backend supports pooling), dropped pooled [`crate::DeviceBuffer`]s
     /// are shelved here for reuse instead of being freed.
     recyclers: AtomicUsize,
-    /// The shelf, one lane per stream position (lane 0 is every thread that
-    /// is not running a stream). A buffer belongs to the lane it was
-    /// allocated in: its bytes count as that lane's live bytes until it is
-    /// dropped, and it is shelved there whichever thread drops it. One rule
-    /// governs a lane: a request takes the smallest buffer *of the
-    /// requesting thread's lane* that has its element type and holds it (an
-    /// upload one of exactly its size), the newest among equals; on a miss,
-    /// the lane's largest buffer of that type, if it shelves any, is freed
-    /// before the fresh allocation; a drop shelves its buffer, and nothing
-    /// is ever cut. So a lane's shelved plus live buffers of one element
-    /// type never outnumber the most it held live at once: a hit and a drop
-    /// move a buffer between the two, a miss trades one for one, and only a
-    /// miss with none of its type shelved — every one of them live — adds
-    /// one (when the lane's requests come one at a time, as a stream's do).
-    /// A hit may be larger than its request; its slack stays charged and
-    /// cannot serve anyone until the buffer is dropped.
-    /// What a stream finds is what the stream at its position left the last
-    /// time, whatever its siblings are doing meanwhile, and hits, misses and
-    /// `bytes_allocated` repeat from run to run — the CPU stand-in for a
-    /// stream-ordered allocator. The price: a lane is warm for what its
-    /// position has run, and no other lane's buffers help it. Shelved bytes
-    /// stay charged against capacity, and an allocation that would fail
-    /// reclaims every lane before reporting out-of-memory.
+    /// The shelf, one lane per worker of a [`Device::streams`] section (lane 0
+    /// is also every thread that is not running a stream): a worker's streams
+    /// run back to back and allocate from its lane, so the shelf holds what the
+    /// walks live at once need. A buffer belongs to the lane it was allocated
+    /// in: its bytes count as that lane's live bytes until it is dropped, and
+    /// it is shelved there whichever thread drops it. One rule governs a lane:
+    /// a request takes the smallest buffer *of the requesting thread's lane*
+    /// that has its element type and holds it (an upload one of exactly its
+    /// size), the newest among equals; on a miss, the lane's largest buffer of
+    /// that type, if it shelves any, is freed before the fresh allocation; a
+    /// drop shelves its buffer, and nothing is ever cut. So a lane's shelved
+    /// plus live buffers of one element type never outnumber the most it held
+    /// live at once: a hit and a drop move a buffer between the two, a miss
+    /// trades one for one, and only a miss with none of its type shelved —
+    /// every one of them live — adds one (when the lane's requests come one at
+    /// a time, as a stream's do). A hit may be larger than its request; its
+    /// slack stays charged and cannot serve anyone until the buffer is dropped.
+    /// The deal of streams to workers is static, so what a stream finds is what
+    /// the streams dealt to its worker before it left, whatever the other
+    /// workers are doing meanwhile, and hits, misses and `bytes_allocated`
+    /// repeat from run to run — the CPU stand-in for one stream-ordered
+    /// allocator per worker. The price: a lane is warm for what its worker has
+    /// run, and no other lane's buffers help it. Shelved bytes stay charged
+    /// against capacity, and an allocation that would fail reclaims every lane
+    /// before reporting out-of-memory.
     shelf: Mutex<Vec<Lane>>,
     /// Sum of the lanes' `shelved_bytes`, readable without the lock.
     shelved_bytes: AtomicUsize,
@@ -579,7 +582,7 @@ impl<B: Backend> Device<B> {
     ///
     /// Reuse is by capacity, not by exact size — the sizes a
     /// backsubstitution walk asks for drift with every row it drops and
-    /// rarely repeat — with one shelf lane per stream position
+    /// rarely repeat — with one shelf lane per worker of a stream section
     /// ([`Device::streams`]): a thread takes from its own lane and a buffer
     /// returns to the lane it was allocated in. A request takes the lane's
     /// smallest shelved buffer of its element type that holds it and stays
@@ -648,10 +651,10 @@ impl<B: Backend> Device<B> {
     /// [`Device::buffer_pool_bytes`], what buffers in their owners' hands
     /// (resident weights included) held at once — taken per shelf lane and
     /// summed. On a device whose walks run one at a time that is the
-    /// device's own high-water mark; where streams run side by side it is
-    /// what they would hold if every one were at its peak at the same
-    /// moment, which no schedule exceeds and which, unlike the moment's sum,
-    /// does not depend on the schedule. Live bytes include the slack of
+    /// device's own high-water mark; where a section's workers run side by
+    /// side it is what they would hold if every one were at its peak at the
+    /// same moment, which no schedule exceeds and which, unlike the moment's
+    /// sum, does not depend on the schedule. Live bytes include the slack of
     /// pool hits larger than their requests. The shelf is bounded by count,
     /// not bytes: per lane and element type, shelved plus live buffers never
     /// outnumber the most the lane held live at once (see
@@ -790,28 +793,36 @@ impl<B: Backend> Device<B> {
     }
 
     /// Runs `f(0)`, …, `f(n − 1)` as the *streams* of one pool section and
-    /// returns their results in order. Streams are claimed one at a time by
-    /// the device's workers, so at most [`Device::streams_at_once`] are live
-    /// together, and everything a stream launches — every kernel of a
-    /// backsubstitution walk — runs inline on the thread that claimed it:
+    /// returns their results in order. The streams are dealt round the
+    /// device's `W` workers before any runs: worker `w` runs streams `w`,
+    /// `w + W`, … back to back, so at most [`Device::streams_at_once`] are
+    /// live together, and everything a stream launches — every kernel of a
+    /// backsubstitution walk — runs inline on the thread running its worker:
     /// the workers meet again when the section ends, not once per kernel.
-    /// While it runs, a stream allocates from the shelf lane of its position
-    /// (see `DeviceInner::shelf`; on every device, so a wrapping backend's
-    /// inner device follows). A section opened from inside a part runs its
-    /// streams one after the other in the lane the thread is already in.
+    /// All of worker `w`'s streams allocate from shelf lane `w` (see
+    /// `DeviceInner::shelf`; on every device, so a wrapping backend's inner
+    /// device follows), and since the deal depends on `n` and `W` alone,
+    /// what each lane serves does too. A section opened from inside a part
+    /// runs its streams one after the other in the lane the thread is
+    /// already in.
     pub fn streams<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync + Send) -> Vec<R> {
         if rayon::in_part() {
             return (0..n).map(f).collect();
         }
-        self.install(|| {
-            (0..n)
+        let workers = self.inner.workers.min(n);
+        let ran: Vec<Vec<R>> = self.install(|| {
+            (0..workers)
                 .into_par_iter()
-                .map(|pos| {
-                    let _lane = LaneScope::enter(pos);
-                    f(pos)
+                .map(|w| {
+                    let _lane = LaneScope::enter(w);
+                    (w..n).step_by(workers).map(&f).collect()
                 })
                 .collect()
-        })
+        });
+        let mut ran: Vec<_> = ran.into_iter().map(Vec::into_iter).collect();
+        (0..n)
+            .map(|s| ran[s % workers].next().expect("every stream ran"))
+            .collect()
     }
 }
 

@@ -24,7 +24,7 @@
 //!   the failure mode the paper reports for dense GPU implementations and the
 //!   reason for its chunked backsubstitution. While an engine is registered
 //!   ([`Device::buffer_pool_retain`]) dropped buffers are shelved and reused
-//!   by capacity, one shelf lane per stream: a request takes the smallest
+//!   by capacity, one shelf lane per worker: a request takes the smallest
 //!   shelved buffer of its element type that holds it (its slack stays
 //!   charged, and unusable, while it is live), a miss first frees the lane's
 //!   largest buffer of that type, and nothing else is ever freed — so per

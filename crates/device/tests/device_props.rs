@@ -259,8 +259,9 @@ fn run_lane_ops(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The sequence runs in lane 0, then in a stream's lane 1, which must
-    /// find nothing of lane 0's, then in lane 0 again.
+    /// The sequence runs in lane 0, then in the lane of a two-worker
+    /// section's second worker, lane 1, which must find nothing of lane 0's,
+    /// then in lane 0 again.
     #[test]
     fn pool_accounting_holds_over_random_alloc_drop_sequences(
         ops in prop::collection::vec(
@@ -268,7 +269,7 @@ proptest! {
             50..400,
         ),
     ) {
-        let dev = Device::new(DeviceConfig::new().workers(1));
+        let dev = Device::new(DeviceConfig::new().workers(2));
         dev.buffer_pool_retain();
         let (first, then) = ops.split_at(ops.len() / 2);
         let mut lane0 = LaneModel::default();
@@ -364,8 +365,9 @@ fn run_pool_script(dev: &Device, pos: usize, mut yields: u64) {
     }
 }
 
-/// The shelf has one lane per stream position, so what a stream finds there
-/// is what the stream at its position left — whatever its siblings did in
+/// The shelf has one lane per worker and the streams are dealt to the
+/// workers before any runs, so what a stream finds there is what the
+/// streams its worker ran before it left — whatever the other worker did in
 /// between. The same script on fresh devices, its streams yielding at
 /// different points every time, must leave the same counters every time.
 #[test]
@@ -394,10 +396,53 @@ fn pool_counters_of_streams_repeat_whatever_the_interleaving() {
     };
     let want = counters(0);
     assert!(want.0 > 0 && want.1 > 0, "the script both hits and misses");
-    assert_eq!(want.4.len(), 4, "one lane per stream position");
+    assert_eq!(want.4.len(), 2, "one lane per worker");
     for yields in 1..200 {
         assert_eq!(counters(yields), want, "yield pattern {yields}");
     }
+}
+
+/// Four streams on two workers: worker `w` runs streams `w` and `w + 2`,
+/// back to back in lane `w`. When a worker's two streams run the same
+/// script, the second is served whole from what the first shelved — every
+/// request a hit, no fresh bytes — so the device ends exactly as one stream
+/// a worker leaves it.
+#[test]
+fn a_workers_later_streams_are_served_from_its_earlier_streams_shelf() {
+    let script = |dev: &Device, pos: usize| {
+        let held: Vec<DeviceBuffer<u32>> = (1..=3)
+            .map(|k| DeviceBuffer::for_overwrite(dev, 1000 * k + pos % 2).unwrap())
+            .collect();
+        drop(held);
+    };
+    let run = |streams: usize| {
+        let dev = Device::new(DeviceConfig::new().workers(2));
+        dev.buffer_pool_retain();
+        dev.streams(streams, |pos| script(&dev, pos));
+        let stats = dev.stats();
+        let seen = (
+            stats.pool_hits(),
+            stats.pool_misses(),
+            stats.bytes_allocated(),
+            dev.peak_live_memory(),
+            dev.shelf_lanes(),
+        );
+        dev.buffer_pool_release();
+        assert_eq!((dev.memory_in_use(), dev.buffer_pool_bytes()), (0, 0));
+        seen
+    };
+    let (hits, misses, fresh, peak, lanes) = run(2);
+    assert_eq!(
+        (hits, misses),
+        (0, 6),
+        "one stream a worker: every request fresh"
+    );
+    assert_eq!(lanes.len(), 2, "one lane per worker");
+    assert_eq!(
+        run(4),
+        (hits + 6, misses, fresh, peak, lanes),
+        "the second stream of each worker hits on every request, in its worker's lane"
+    );
 }
 
 #[test]
