@@ -13,12 +13,12 @@
 //! Then the two builds of `CpuSimBackend`'s row kernels
 //! ([`GemmBuild`]: baseline, and AVX-512 where the host has it) on the
 //! shapes of one query's walk — `m` of 1, 10 and 40 rows against 100- and
-//! 784-wide layers — in the full product and in the live product over about
-//! half the columns, their bits asserted equal. The live product is timed
-//! twice: over raw slices, as a launch makes its own `wmax` and packs its
-//! live columns, and prepared, as a walk runs it — the layer's `wmax` and
-//! the query's live panel made before the timing — its bits asserted equal
-//! to the first.
+//! 784-wide layers — in the full product over raw slices, which scans its
+//! own `wmax`, and in the live product over about half the columns, timed
+//! as a walk runs it (`prepared`: the layer's `wmax` and the query's live
+//! panel made before the timing); the live product's bits are asserted to be
+//! the full product's in its live columns and exact zeros elsewhere, and the
+//! builds' bits equal.
 //!
 //! Then GBC, the conv step's transpose convolution, in each build on the four
 //! conv layers of ConvBig ×0.12 (`c_in` 1/4/4/8, `kw` 3/4/3/4): a
@@ -134,18 +134,13 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
     let (a, b) = operands(m, k, n);
     // About half the columns live, in runs of uneven length.
     let live: Vec<u32> = (0..n as u32).filter(|j| j % 5 < 2 || j % 7 == 3).collect();
-    let (seg, lists) = (vec![0u32; m], [live.as_slice()]);
+    let seg = vec![0u32; m];
     let mut bits: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
     for &build in builds {
         let mut full = vec![Itv::zero(); m * n];
         let full_s = time(m * k * n, || {
             build.gemm_itv_f(black_box(&a), black_box(&b), &mut full, (m, k, n));
             black_box(&full);
-        });
-        let mut part = vec![Itv::zero(); m * n];
-        let live_s = time(m * k * live.len(), || {
-            build.gemm_itv_f_live(black_box(&a), &b, &mut part, (m, k, n), &seg, &lists);
-            black_box(&part);
         });
         // As a walk reads it: the layer's `wmax` and the query's panel made
         // before the timing, once.
@@ -166,11 +161,10 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
             black_box(&prepared);
         });
         println!(
-            "[gemm] {:<8} full {m:>2}x{k}x{n:<3} {:>5.2} ns/term   live {:>3} of {n:<3} {:>5.2} ns/term   prepared {:>5.2} ns/term",
+            "[gemm] {:<8} full {m:>2}x{k}x{n:<3} {:>5.2} ns/term   prepared, live {:>3} of {n:<3} {:>5.2} ns/term",
             format!("{build:?}"),
             full_s * 1e9 / (m * k * n) as f64,
             live.len(),
-            live_s * 1e9 / (m * k * live.len()) as f64,
             prepared_s * 1e9 / (m * k * live.len()) as f64,
         );
         let to_bits = |c: &[Itv<f32>]| -> Vec<u32> {
@@ -178,12 +172,20 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
                 .flat_map(|v| [v.lo.to_bits(), v.hi.to_bits()])
                 .collect()
         };
+        let mut want = full.clone();
+        for row in want.chunks_mut(n) {
+            for (j, v) in row.iter_mut().enumerate() {
+                if live.binary_search(&(j as u32)).is_err() {
+                    *v = Itv::zero();
+                }
+            }
+        }
         assert_eq!(
             to_bits(&prepared),
-            to_bits(&part),
-            "{m}x{k}x{n}, {build:?}: the prepared product differs from the per-launch one"
+            to_bits(&want),
+            "{m}x{k}x{n}, {build:?}: the live product is not the full one's live columns"
         );
-        bits.push((to_bits(&full), to_bits(&part)));
+        bits.push((to_bits(&full), to_bits(&prepared)));
     }
     assert!(
         bits.windows(2).all(|w| w[0] == w[1]),

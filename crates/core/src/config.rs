@@ -45,9 +45,12 @@ pub struct VerifyConfig {
     /// set to.
     pub account_inference_error: bool,
     /// Upper bound on the rows of one backsubstitution walk; `None` sizes
-    /// walks from the device's free memory (paper §4.2, "Memory management")
-    /// and from its worker count, which runs that many walks side by side.
-    /// `Some(usize::MAX)` is one walk per layer, on one thread.
+    /// walks to a fixed working set, at most [`crate::WALK_BYTES`] of rows
+    /// (paper §4.2, "Memory management"), short enough that a list is cut
+    /// into [`crate::STREAMS_PER_WORKER`] walks for every worker, which runs
+    /// them side by side with the other workers', and no longer than a
+    /// capped device's free memory allows. `Some(usize::MAX)` is one walk per
+    /// layer, on one thread.
     pub chunk_rows: Option<usize>,
 }
 

@@ -381,9 +381,10 @@ fn a_walk_that_runs_out_of_memory_fails_alone() {
 
 #[test]
 fn a_stream_finds_its_own_buffers_whatever_its_siblings_do() {
-    // The shelf has a lane per stream position, so the pool's counters are a
-    // function of the queries, not of the interleaving: two fresh devices
-    // end the same run with the same hits, misses, fresh bytes and lanes.
+    // The shelf has a lane per worker, and a section's streams are dealt
+    // round the workers in order, so the pool's counters are a function of
+    // the queries, not of the interleaving: two fresh devices end the same
+    // run with the same hits, misses, fresh bytes and lanes.
     // (`peak_memory` is the one reading that is a moment's sum.)
     let case = cases().swap_remove(0);
     let qs = queries(&case.net, 3, case.eps, 31);

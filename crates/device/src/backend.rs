@@ -139,22 +139,23 @@
 //! edges, and a unit test holds the two builds to each other and the
 //! baseline to the oracle.
 //!
-//! **Live columns.** [`Backend::gemm_itv_f_live`] is `gemm_itv_f` with some
-//! outputs not computed: row `r` writes the columns its segment lists live,
-//! each the bits `gemm_itv_f` gives it — the row's term list, `T` against
-//! `wmax` over the **whole** `B` row, dead columns and their non-finite
-//! weights included, and the fallback rule as stated — and exact `[+0, +0]`
-//! in every other column. Which columns are dead is the caller's: the
-//! verifier lists the outputs over a stably-off ReLU neuron, which the ReLU
-//! step would turn into zeros whatever they held. The zeros are skipped by
-//! every later kernel, so they change no bit *except* where a dead column's
-//! coefficient, had it been computed, would have counted: concretize counts
-//! a term whatever its bound, `[0, 0]` included, and the ReLU step counts a
-//! hull term (a coefficient straddling zero) of a dead neuron. Such a term
-//! adds nothing to either sum or to `T` — the bound is `[0, 0]` — and one to
-//! `adds`, so without it `e` is the same or smaller: the candidate, or the
-//! constant, is the same or inside. [`CpuSimBackend`] streams a row's term
-//! list over its segment's live columns of `B`, widened and packed, as
+//! **Live columns.** [`Backend::gemm_itv_f_prepared`] with panels is
+//! `gemm_itv_f` with some outputs not computed: row `r` writes the columns
+//! its segment's [`LivePanel`] lists live, each the bits `gemm_itv_f` gives
+//! it — the row's term list, `T` against `wmax` over the **whole** `B` row,
+//! dead columns and their non-finite weights included, and the fallback rule
+//! as stated — and exact `[+0, +0]` in every other column. Which columns are
+//! dead is the caller's: the verifier lists the outputs over a stably-off
+//! ReLU neuron, which the ReLU step would turn into zeros whatever they
+//! held. The zeros are skipped by every later kernel, so they change no bit
+//! *except* where a dead column's coefficient, had it been computed, would
+//! have counted: concretize counts a term whatever its bound, `[0, 0]`
+//! included, and the ReLU step counts a hull term (a coefficient straddling
+//! zero) of a dead neuron. Such a term adds nothing to either sum or to `T`
+//! — the bound is `[0, 0]` — and one to `adds`, so without it `e` is the
+//! same or smaller: the candidate, or the constant, is the same or inside.
+//! [`CpuSimBackend`] streams a row's term list over its segment's panel —
+//! the live columns of `B`, widened and packed — as
 //! [`gemm_itv_f`](Backend::gemm_itv_f) streams it over `B`; the provided
 //! body computes every column and zeroes the dead ones.
 //!
@@ -163,17 +164,16 @@
 //! packed columns of `B` and its query's live list. A dense step of the
 //! verifier goes through [`Backend::gemm_itv_f_prepared`] with both made
 //! beforehand: each dense layer's `wmax` once, when its network is prepared
-//! (`gpupoly_core::PreparedGraph`, by [`crate::gemm::layer_wmax`], the scan
-//! a launch over raw slices runs), held in [`DenseWeights`]; and each
-//! query's [`LivePanel`] of a dense layer whose input is a ReLU layer once
-//! per call, the first time a walk steps through the layer (core's step
-//! tables, beside the query's [`ReluTable`] it reads the live list from),
-//! borrowed by both planes and every walk of the call. A launch over raw
-//! slices ([`Backend::gemm_itv_f`], [`Backend::gemm_itv_f_live`]) makes the
-//! same operands for itself — [`CpuSimBackend`] scans `B` and packs the
-//! live columns of the segments it has rows of — and goes through the same
-//! rows. Which is used changes no bit: the same `wmax`, the same widened
-//! weights, the same term order.
+//! (`gpupoly_core::PreparedGraph`, by [`crate::gemm::layer_wmax`]), held in
+//! [`DenseWeights`]; and each query's [`LivePanel`] of a dense layer whose
+//! input is a ReLU layer once per call, the first time a walk steps through
+//! the layer (core's step tables, beside the query's [`ReluTable`] it reads
+//! the live list from), borrowed by both planes and every walk of the call.
+//! A launch over raw slices ([`Backend::gemm_itv_f`],
+//! [`Backend::gemm_itv_f_acc`]) computes every column; [`CpuSimBackend`]
+//! makes a one-launch [`DenseWeights`] of its `B` by the same `layer_wmax`
+//! and runs the same launch. Which is used changes no bit: the same `wmax`,
+//! the same term order.
 //!
 //! **GBC** (the transpose convolution of a conv step) is the same
 //! interval×scalar sum with the terms *gathered*, stated in the two layers'
@@ -285,14 +285,14 @@
 //! **Resolving the table is scheduling.** Whether an element is a term, and
 //! of which kind, is decided by the coefficient and the four intervals of its
 //! neuron, by value, as written above; a backend may look at a segment's table
-//! once per launch — or once for a [`crate::ReluTable`]'s life, when the
-//! launch comes through [`Backend::relu_step_tables`] — instead of once per
-//! element, and skip arithmetic whose result the table already tells — it
-//! may not change a term list, its order, `T` or a count by doing so.
-//! [`CpuSimBackend`] resolves each side `(slope, intercept)` of each neuron
-//! (of a `ReluTable`, or of the segments with more than one row in a
-//! `relu_step` launch; in either case of finite tables only) to one of three
-//! kinds, and these are the only patterns that resolve:
+//! once for a [`crate::ReluTable`]'s life instead of once per element, and
+//! skip arithmetic whose result the table already tells — it may not change a
+//! term list, its order, `T` or a count by doing so. [`CpuSimBackend`]
+//! resolves each side `(slope, intercept)` of each neuron of a `ReluTable` —
+//! a [`Backend::relu_step`] launch makes one for each of its segments and
+//! runs the rows of [`Backend::relu_step_tables`] — the first time a row
+//! asks, of finite tables only, to one of three kinds, and these are the
+//! only patterns that resolve:
 //!
 //! * **One** — slope `[1, 1]` and an intercept that is an exact zero (either
 //!   sign of zero, the test the zero-skip uses): no term of the constant, and
@@ -354,12 +354,11 @@
 //! copy engine is where a prefetch of the next layer's gather would belong.
 
 use gpupoly_interval::wide::{
-    max_mag, max_mag_blocked, WideAcc, WideBound, WideBounds, WideDots, WideMag, WideRow, WideSum,
-    WideTerm, Widening,
+    max_mag, WideAcc, WideBound, WideBounds, WideDots, WideMag, WideRow, WideSum, WideTerm,
+    Widening,
 };
 use gpupoly_interval::{round, Fp, Itv};
 use std::array::from_fn;
-use std::cell::OnceCell;
 
 use crate::gemm::{DenseWeights, LivePanel};
 use crate::relax::{ReluRelax, ReluTable};
@@ -539,7 +538,7 @@ impl GbcShape {
 // arithmetic — and therefore every result bit — is identical by
 // construction. The exceptions are CpuSimBackend's: GBC is a scatter there
 // and the contract's gather on ReferenceBackend, the ReLU step runs
-// `relu_step_row_by_sides` over tables the launch made once, and concretize
+// `relu_step_row_by_sides` over a `ReluTable`'s resolved sides, and concretize
 // and the bias fold run in row blocks (`ConcretizeBlocks`,
 // `BiasFoldBlocks`); `relu_step_row`, `concretize_row` and `bias_fold_row` —
 // all that ReferenceBackend runs — take other scalar types and the rows
@@ -1113,43 +1112,11 @@ fn relu_step_row<F: Fp>(
     });
 }
 
-/// What a launch works out once for the rows of one query segment: a table
-/// per segment, `make(s)`, made by the first row of the segment that asks —
-/// and only for a segment with more than one row in the launch: a segment
-/// without rows never asks, and the table of a segment with one row is
-/// exactly what that row would compute itself. A row whose segment has no
-/// table takes the row function that reads the caller's tables — the same
-/// bits.
-struct SegTables<T, M> {
-    rows: Vec<usize>,
-    tables: Vec<OnceCell<Option<T>>>,
-    make: M,
-}
-
-impl<T, M: Fn(usize) -> Option<T>> SegTables<T, M> {
-    fn new(geom: &ExprGeom<'_>, segments: usize, make: M) -> Self {
-        Self {
-            rows: geom.seg_rows(segments),
-            tables: (0..segments).map(|_| OnceCell::new()).collect(),
-            make,
-        }
-    }
-
-    /// Segment `s`'s table, if it has one.
-    fn of(&self, s: usize) -> Option<&T> {
-        if self.rows[s] < 2 {
-            return None;
-        }
-        self.tables[s].get_or_init(|| (self.make)(s)).as_ref()
-    }
-}
-
 /// One side of a neuron's relaxation — the `(slope, intercept)` pair
 /// `(alpha, beta)` or `(gamma, delta)` — as the ReLU step meets it, resolved
-/// **by value** once per launch, or once per [`ReluTable`]. The kinds are
-/// scheduling: each does what
-/// [`relu_step_row`] does with such a pair, minus the arithmetic whose result
-/// is known beforehand.
+/// **by value** once per [`ReluTable`]. The kinds are scheduling: each does
+/// what [`relu_step_row`] does with such a pair, minus the arithmetic whose
+/// result is known beforehand.
 #[derive(Copy, Clone)]
 enum Side {
     /// Slope `[1, 1]`, intercept an exact zero: `a · [1, 1]` narrows to `a`
@@ -1173,7 +1140,7 @@ struct Line {
     take: bool,
 }
 
-/// One segment's relaxation table resolved for a ReLU-step launch: the
+/// One segment's relaxation table resolved for its [`ReluTable`]: the
 /// neurons with a side that is not [`Side::One`] — every neuron but those
 /// [`ReluRelax::is_identity`] passes by — and where a run of the frontier
 /// finds them.
@@ -1305,21 +1272,31 @@ fn relu_step_row_by_sides<F: Fp>(
 }
 
 /// The rows of one ReLU-step launch on [`CpuSimBackend`]: row `r` through
-/// `table(seg[r])` — its segment's relaxations, output bounds and, where the
-/// segment has them, resolved sides — by [`relu_step_row_by_sides`] where it
-/// takes the row and by [`relu_step_row`] where it does not.
-fn relu_step_rows<'t, F: Fp>(
+/// `tables[seg[r]]` — its segment's relaxations, output bounds and, where the
+/// table resolves, its sides — by [`relu_step_row_by_sides`] where it takes
+/// the row and by [`relu_step_row`] where it does not.
+fn relu_step_rows<F: Fp>(
     plane: &mut [Itv<F>],
     cst: &mut [Itv<F>],
     geom: &ExprGeom<'_>,
+    tables: &[&ReluTable<F>],
     upper: bool,
-    table: impl Fn(usize) -> (&'t [ReluRelax<F>], &'t [Itv<F>], Option<&'t ReluSides>),
 ) {
     let cols = geom.cols();
     for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
-        let (relax, out_bounds, sides) = table(geom.seg[r] as usize);
-        if !sides.is_some_and(|t| relu_step_row_by_sides(r, row, c, geom, t, upper)) {
-            relu_step_row(r, row, c, geom, relax, out_bounds, upper, sides.is_some())
+        let t = tables[geom.seg[r] as usize];
+        let sides = t.sides();
+        if !sides.is_some_and(|s| relu_step_row_by_sides(r, row, c, geom, s, upper)) {
+            relu_step_row(
+                r,
+                row,
+                c,
+                geom,
+                t.relax(),
+                t.out_bounds(),
+                upper,
+                sides.is_some(),
+            )
         }
     }
 }
@@ -1589,25 +1566,6 @@ fn launch_wmax<F: Fp>(weights: &[F], n: usize) -> Vec<f64> {
     weights.chunks(n).map(max_mag).collect()
 }
 
-/// Lanes of [`CpuSimBackend`]'s `wmax` scan of a GEMM's `B`
-/// ([`max_mag_blocked`]): four 128-bit registers of `f32` in the baseline
-/// build, one 512-bit register in the AVX-512 one.
-const WMAX_LANES: usize = 16;
-
-/// [`launch_wmax`] of a GEMM's `B`, `k` rows of `n`, as [`CpuSimBackend`]
-/// scans it — a launch over raw slices, and [`crate::gemm::layer_wmax`]
-/// once for a layer: written out rather than collected, so that the scan is
-/// compiled inside the build that runs the launch ([`crate::simd`]) — a
-/// collecting iterator may be compiled out of line, for the baseline.
-#[inline(always)]
-pub(crate) fn gemm_wmax<F: Fp>(b: &[F], n: usize) -> Vec<f64> {
-    let mut wmax = Vec::with_capacity(b.len() / n);
-    for brow in b.chunks(n) {
-        wmax.push(max_mag_blocked::<F, WMAX_LANES>(brow));
-    }
-    wmax
-}
-
 /// One row of the interval GEMM family: the module-level contract in
 /// straight-line form, which is how [`ReferenceBackend`] computes every row.
 /// `fresh` starts from zero instead of reading `C`.
@@ -1670,9 +1628,6 @@ fn reference_gemm_itv<F: Fp>(
 enum Cols<'a, F> {
     /// Every column of `B`.
     All,
-    /// Row `r` its segment's live columns, `lists[seg[r]]`, packed by the
-    /// launch (`seg`, `lists`).
-    Lists(&'a [u32], &'a [&'a [u32]]),
     /// Row `r` the columns of its segment's panel, `panels[seg[r]]`, packed
     /// before the launch (`seg`, `panels`).
     Panels(&'a [u32], &'a [&'a LivePanel<F>]),
@@ -1680,14 +1635,12 @@ enum Cols<'a, F> {
 
 /// One launch of [`CpuSimBackend`]'s interval product, `C = A · B` (`A`
 /// `k` coefficients a row, `B` `k×n`) over its [`Cols`], for a build of
-/// [`crate::simd`] to run at its lane counts. A launch over operands made
-/// beforehand ([`Backend::gemm_itv_f_prepared`]) comes with the layer's
-/// `wmax` and its segments' panels; a launch over raw slices makes the same
-/// operands for itself — it scans `B` ([`gemm_wmax`]) and packs the live
-/// columns of the segments it has rows of ([`pack_live`]), inside the
-/// build — and both go through the same rows: [`wide_itv_rows`] for every
-/// column, [`live_rows`] for live ones. `fresh` starts from zero instead of
-/// reading `C` (every column) and is always set for live columns.
+/// [`crate::simd`] to run at its lane counts: every launch comes with its
+/// `B`'s `wmax` ([`DenseWeights`]) — the layer's, made once, or one a launch
+/// over raw slices scanned for itself — and, for live columns, its
+/// segments' panels; it goes through [`wide_itv_rows`] for every column and
+/// [`live_rows`] for live ones. `fresh` starts from zero instead of reading
+/// `C` (every column) and is always set for live columns.
 struct GemmLaunch<'a, F> {
     a: &'a [Itv<F>],
     b: &'a [F],
@@ -1695,8 +1648,7 @@ struct GemmLaunch<'a, F> {
     k: usize,
     n: usize,
     fresh: bool,
-    /// The layer's `wmax`, made once; `None` scans `B` at the launch.
-    wmax: Option<&'a [f64]>,
+    wmax: &'a [f64],
     cols: Cols<'a, F>,
 }
 
@@ -1713,50 +1665,42 @@ impl<F: Fp> LaneKernel for GemmLaunch<'_, F> {
             wmax,
             cols,
         } = self;
-        let scanned;
-        let wmax = match wmax {
-            Some(wmax) => wmax,
-            None => {
-                scanned = gemm_wmax(b, n);
-                &scanned
-            }
-        };
-        let mut packed: Vec<Vec<f64>> = Vec::new();
-        let (seg, lists, panels) = match cols {
+        let (seg, panels) = match cols {
             Cols::All => return wide_itv_rows::<F, FULL>(a, b, wmax, c, k, n, fresh),
-            Cols::Lists(seg, lists) => {
-                let mut met = vec![false; lists.len()];
-                for &s in seg {
-                    met[s as usize] = true;
-                }
-                for (live, met) in lists.iter().zip(met) {
-                    packed.push(match met {
-                        true => pack_live(b, n, live, LIVE),
-                        false => Vec::new(),
-                    });
-                }
-                (seg, lists.to_vec(), None)
-            }
-            Cols::Panels(seg, panels) => {
-                (seg, panels.iter().map(|p| p.live()).collect(), Some(panels))
-            }
+            Cols::Panels(seg, panels) => (seg, panels),
         };
         // Written out rather than collected, so that the call to `columns`
         // is the build's own (CI finds the prepared product by it).
-        let mut blocks: Vec<&[[f64; LIVE]]> = Vec::with_capacity(lists.len());
-        match panels {
-            Some(panels) => {
-                for panel in panels {
-                    blocks.push(panel.columns::<LIVE>());
-                }
-            }
-            None => blocks.extend(packed.iter().map(|p| p.as_chunks::<LIVE>().0)),
+        let mut lists: Vec<&[u32]> = Vec::with_capacity(panels.len());
+        let mut blocks: Vec<&[[f64; LIVE]]> = Vec::with_capacity(panels.len());
+        for panel in panels {
+            lists.push(panel.live());
+            blocks.push(panel.columns::<LIVE>());
         }
         live_rows::<F, LIVE>(a, b, wmax, c, (k, n), seg, &lists, &blocks);
     }
 }
 
-impl<F: Fp> GemmLaunch<'_, F> {
+impl<'a, F: Fp> GemmLaunch<'a, F> {
+    fn new(
+        a: &'a [Itv<F>],
+        weights: &DenseWeights<'a, F>,
+        c: &'a mut [Itv<F>],
+        fresh: bool,
+        cols: Cols<'a, F>,
+    ) -> Self {
+        Self {
+            a,
+            b: weights.b(),
+            c,
+            k: weights.k(),
+            n: weights.n(),
+            fresh,
+            wmax: weights.wmax(),
+            cols,
+        }
+    }
+
     /// The launch for scalar types without [`Fp::EXACT_IN_F64`]: the
     /// per-step chain over every column, or over each row's live ones.
     fn chain(self) {
@@ -1770,14 +1714,12 @@ impl<F: Fp> GemmLaunch<'_, F> {
             cols,
             ..
         } = self;
-        let (seg, lists): (&[u32], Vec<&[u32]>) = match cols {
-            Cols::All => return chain_itv_rows(a, b, c, k, n, fresh),
-            Cols::Lists(seg, lists) => (seg, lists.to_vec()),
-            Cols::Panels(seg, panels) => (seg, panels.iter().map(|p| p.live()).collect()),
+        let Cols::Panels(seg, panels) = cols else {
+            return chain_itv_rows(a, b, c, k, n, fresh);
         };
         for ((arow, crow), &s) in a.chunks(k).zip(c.chunks_mut(n)).zip(seg) {
             crow.fill(Itv::zero());
-            chain_live_row(arow, b, lists[s as usize], crow);
+            chain_live_row(arow, b, panels[s as usize].live(), crow);
         }
     }
 }
@@ -1897,8 +1839,7 @@ fn chain_itv_rows<F: Fp>(
 /// the lanes past the last live column zero. A row streams its term list
 /// over a run of blocks as [`wide_itv_rows`] streams it over `B`, without a
 /// conversion or more than one bounds check per term. What a
-/// [`LivePanel`] holds, and what a launch over raw slices makes of its
-/// segments' lists.
+/// [`LivePanel`] holds.
 #[inline(always)]
 pub(crate) fn pack_live<F: Fp>(b: &[F], n: usize, live: &[u32], lanes: usize) -> Vec<f64> {
     if n == 0 || live.is_empty() {
@@ -2118,7 +2059,9 @@ fn gemm_launch<F: Fp>(build: GemmBuild, launch: GemmLaunch<'_, F>) {
 }
 
 /// The CPU-sim interval GEMM over raw slices, every column: `C = A · B`, or
-/// `C += A · B` without `fresh`.
+/// `C += A · B` without `fresh` — [`gemm_itv_prepared_rows`]' launch over a
+/// one-launch [`DenseWeights`], its `wmax` scanned by
+/// [`crate::gemm::layer_wmax`].
 pub(crate) fn gemm_itv_rows<F: Fp>(
     build: GemmBuild,
     a: &[Itv<F>],
@@ -2127,43 +2070,10 @@ pub(crate) fn gemm_itv_rows<F: Fp>(
     (k, n): (usize, usize),
     fresh: bool,
 ) {
+    let wmax = crate::gemm::layer_wmax(b, k, n);
     gemm_launch(
         build,
-        GemmLaunch {
-            a,
-            b,
-            c,
-            k,
-            n,
-            fresh,
-            wmax: None,
-            cols: Cols::All,
-        },
-    )
-}
-
-/// The CPU-sim live GEMM over raw slices.
-pub(crate) fn gemm_itv_live_rows<F: Fp>(
-    build: GemmBuild,
-    a: &[Itv<F>],
-    b: &[F],
-    c: &mut [Itv<F>],
-    (k, n): (usize, usize),
-    seg: &[u32],
-    live_per_seg: &[&[u32]],
-) {
-    gemm_launch(
-        build,
-        GemmLaunch {
-            a,
-            b,
-            c,
-            k,
-            n,
-            fresh: true,
-            wmax: None,
-            cols: Cols::Lists(seg, live_per_seg),
-        },
+        GemmLaunch::new(a, &DenseWeights::new(b, &wmax, k, n), c, fresh, Cols::All),
     )
 }
 
@@ -2177,19 +2087,8 @@ pub(crate) fn gemm_itv_prepared_rows<F: Fp>(
     seg: &[u32],
     panels: Option<&[&LivePanel<F>]>,
 ) {
-    gemm_launch(
-        build,
-        GemmLaunch {
-            a,
-            b: weights.b(),
-            c,
-            k: weights.k(),
-            n: weights.n(),
-            fresh: true,
-            wmax: Some(weights.wmax()),
-            cols: panels.map_or(Cols::All, |panels| Cols::Panels(seg, panels)),
-        },
-    )
+    let cols = panels.map_or(Cols::All, |panels| Cols::Panels(seg, panels));
+    gemm_launch(build, GemmLaunch::new(a, weights, c, true, cols))
 }
 
 /// The kernel surface a device implementation must provide.
@@ -2249,62 +2148,29 @@ pub trait Backend: Send + Sync + Sized + 'static {
         n: usize,
     );
 
-    /// [`Backend::gemm_itv_f`] over each row's *live* columns: row `r` of `C`
-    /// holds, in the ascending columns `live_per_seg[seg[r]]`, exactly the
-    /// bits `gemm_itv_f` writes there — its term list, and `wmax` taken over
-    /// the **whole** `B` row, dead columns included, so a non-finite weight
+    /// [`Backend::gemm_itv_f`] over operands made beforehand — the layer's
+    /// [`DenseWeights`] (`B` and its `wmax`, made once for the layer) — and,
+    /// with `panels`, over each row's *live* columns: row `r` of `C` holds,
+    /// in the ascending columns `panels[seg[r]].live()`, exactly the bits
+    /// `gemm_itv_f` writes there — its term list, and `wmax` taken over the
+    /// **whole** `B` row, dead columns included, so a non-finite weight
     /// anywhere in a row of `B` sends the rows that meet it to the per-step
     /// chain as it does there — and exact `[+0, +0]` in every other column.
-    /// The caller lists as dead only columns whose every use multiplies them
-    /// by zero (the outputs over a stably-off ReLU neuron, which the next
-    /// step annihilates whatever they hold), so the zeros are exact, not
-    /// merely sound, and the zero-skip of every later kernel drops them.
+    /// A [`LivePanel`] holds one segment's live columns of `B`, made once
+    /// for the query and the layer. The caller lists as dead only columns
+    /// whose every use multiplies them by zero (the outputs over a
+    /// stably-off ReLU neuron, which the next step annihilates whatever they
+    /// hold), so the zeros are exact, not merely sound, and the zero-skip of
+    /// every later kernel drops them. One launch covers every segment, as
+    /// `gemm_itv_f`'s does.
     ///
-    /// The provided body is that definition: the full product, then the dead
-    /// columns zeroed. It is the conformance oracle of the method and what
-    /// [`ReferenceBackend`] runs. A backend overrides it to skip the dead
-    /// columns' arithmetic ([`CpuSimBackend`] does); one launch covers every
-    /// segment, as `gemm_itv_f`'s does.
-    fn gemm_itv_f_live<F: Fp>(
-        &self,
-        device: &Device<Self>,
-        a: &[Itv<F>],
-        b: &[F],
-        c: &mut [Itv<F>],
-        m: usize,
-        k: usize,
-        n: usize,
-        seg: &[u32],
-        live_per_seg: &[&[u32]],
-    ) {
-        self.gemm_itv_f(device, a, b, c, m, k, n);
-        if n == 0 {
-            return;
-        }
-        for (crow, &s) in c.chunks_mut(n).zip(seg) {
-            let mut live = live_per_seg[s as usize].iter().peekable();
-            for (j, v) in crow.iter_mut().enumerate() {
-                if live.next_if(|&&l| l as usize == j).is_none() {
-                    *v = Itv::zero();
-                }
-            }
-        }
-    }
-
-    /// [`Backend::gemm_itv_f`] — or, with `panels`,
-    /// [`Backend::gemm_itv_f_live`], row `r` computing the columns
-    /// `panels[seg[r]].live()` — over operands made beforehand: the layer's
-    /// [`DenseWeights`] (`B` and its `wmax`, made once for the layer) and
-    /// one [`LivePanel`] per segment (its live columns of `B`, made once for
-    /// the query and the layer). The bits are those launches' over
-    /// `weights.b()`: a prepared operand holds what they would make of `B`.
-    ///
-    /// The provided body is that definition: the launch over the raw slices
-    /// and the panels' lists. It is the conformance oracle of the method
-    /// and what [`ReferenceBackend`] runs. A backend overrides it to read
-    /// the operands instead of making them again ([`CpuSimBackend`] takes
-    /// the layer's `wmax` instead of scanning `B`, and each panel's packed
-    /// columns instead of packing them).
+    /// The provided body is that definition: `gemm_itv_f` over
+    /// `weights.b()`, then the dead columns zeroed. It is the conformance
+    /// oracle of the method and what [`ReferenceBackend`] runs. A backend
+    /// overrides it to read the operands instead of making them again and to
+    /// skip the dead columns' arithmetic ([`CpuSimBackend`] takes the
+    /// layer's `wmax` instead of scanning `B`, and streams each row over its
+    /// segment's packed columns).
     fn gemm_itv_f_prepared<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -2316,11 +2182,16 @@ pub trait Backend: Send + Sync + Sized + 'static {
         panels: Option<&[&LivePanel<F>]>,
     ) {
         let (b, k, n) = (weights.b(), weights.k(), weights.n());
-        match panels {
-            None => self.gemm_itv_f(device, a, b, c, m, k, n),
-            Some(panels) => {
-                let lists: Vec<&[u32]> = panels.iter().map(|p| p.live()).collect();
-                self.gemm_itv_f_live(device, a, b, c, m, k, n, seg, &lists);
+        self.gemm_itv_f(device, a, b, c, m, k, n);
+        let Some(panels) = panels.filter(|_| n > 0) else {
+            return;
+        };
+        for (crow, &s) in c.chunks_mut(n).zip(seg) {
+            let mut live = panels[s as usize].live().iter().peekable();
+            for (j, v) in crow.iter_mut().enumerate() {
+                if live.next_if(|&&l| l as usize == j).is_none() {
+                    *v = Itv::zero();
+                }
             }
         }
     }
@@ -2437,8 +2308,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// slices. It is the conformance oracle of the method and what
     /// [`ReferenceBackend`] runs. A backend overrides it to keep what it
     /// works out of a table with the table ([`CpuSimBackend`] resolves a
-    /// table's sides once for the table's life instead of once per launch,
-    /// plane and segment).
+    /// table's sides once for the table's life, and its `relu_step` runs
+    /// this method over one table a segment made for the launch).
     fn relu_step_tables<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -2521,21 +2392,6 @@ impl Backend for CpuSimBackend {
         n: usize,
     ) {
         gemm_itv_rows(GemmBuild::detected(), a, b, c, (k, n), true);
-    }
-
-    fn gemm_itv_f_live<F: Fp>(
-        &self,
-        _device: &Device<Self>,
-        a: &[Itv<F>],
-        b: &[F],
-        c: &mut [Itv<F>],
-        _m: usize,
-        k: usize,
-        n: usize,
-        seg: &[u32],
-        live_per_seg: &[&[u32]],
-    ) {
-        gemm_itv_live_rows(GemmBuild::detected(), a, b, c, (k, n), seg, live_per_seg);
     }
 
     fn gemm_itv_f_prepared<F: Fp>(
@@ -2662,7 +2518,7 @@ impl Backend for CpuSimBackend {
 
     fn relu_step<F: Fp>(
         &self,
-        _device: &Device<Self>,
+        device: &Device<Self>,
         plane: &mut [Itv<F>],
         cst: &mut [Itv<F>],
         geom: &ExprGeom<'_>,
@@ -2673,14 +2529,13 @@ impl Backend for CpuSimBackend {
         if cst.is_empty() {
             return;
         }
-        let sides = SegTables::new(geom, relax_per_seg.len(), |s| {
-            F::EXACT_IN_F64
-                .then(|| ReluSides::resolve(relax_per_seg[s], out_bounds_per_seg[s]))
-                .flatten()
-        });
-        relu_step_rows(plane, cst, geom, upper, |s| {
-            (relax_per_seg[s], out_bounds_per_seg[s], sides.of(s))
-        });
+        let tables: Vec<ReluTable<F>> = relax_per_seg
+            .iter()
+            .zip(out_bounds_per_seg)
+            .map(|(relax, out_bounds)| ReluTable::from_parts(relax.to_vec(), out_bounds.to_vec()))
+            .collect();
+        let tables: Vec<&ReluTable<F>> = tables.iter().collect();
+        self.relu_step_tables(device, plane, cst, geom, &tables, upper);
     }
 
     fn relu_step_tables<F: Fp>(
@@ -2695,10 +2550,7 @@ impl Backend for CpuSimBackend {
         if cst.is_empty() {
             return;
         }
-        relu_step_rows(plane, cst, geom, upper, |s| {
-            let t = tables[s];
-            (t.relax(), t.out_bounds(), t.sides())
-        });
+        relu_step_rows(plane, cst, geom, tables, upper);
     }
 
     fn densify<F: Fp>(
@@ -3071,23 +2923,30 @@ mod tests {
     }
 
     /// The three GEMM kernels of one build on one shape: fresh, accumulating
-    /// and live, every row of the live launch in the segment `i mod lists`.
+    /// and live — the prepared entry over the build's panels, every row in
+    /// the segment `i mod lists`.
     fn gemm_in(build: GemmBuild, (m, k, n): (usize, usize, usize)) -> [Vec<Itv<f32>>; 3] {
         let (a, b, init) = operands(m, k, n);
         let lists = live_lists(n);
-        let lists: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
         let seg: Vec<u32> = (0..m).map(|i| (i % lists.len()) as u32).collect();
         let mut fresh = vec![Itv::point(9.0); m * n];
         build.gemm_itv_f(&a, &b, &mut fresh, (m, k, n));
         let mut acc = init;
         gemm_itv_rows(build, &a, &b, &mut acc, (k, n), false);
+        let wmax = crate::gemm::layer_wmax(&b, k, n);
+        let weights = DenseWeights::new(&b, &wmax, k, n);
+        let panels: Vec<LivePanel<f32>> = lists
+            .iter()
+            .map(|l| build.live_panel(&weights, l))
+            .collect();
+        let panels: Vec<&LivePanel<f32>> = panels.iter().collect();
         let mut live = vec![Itv::point(9.0); m * n];
-        build.gemm_itv_f_live(&a, &b, &mut live, (m, k, n), &seg, &lists);
+        build.gemm_itv_f_prepared(&a, &weights, &mut live, m, &seg, Some(&panels));
         [fresh, acc, live]
     }
 
     /// The straight-line form of [`gemm_in`]: [`reference_gemm_itv`], and
-    /// the live launch as the provided `gemm_itv_f_live` defines it.
+    /// the live launch as the provided `gemm_itv_f_prepared` defines it.
     fn gemm_by_reference((m, k, n): (usize, usize, usize)) -> [Vec<Itv<f32>>; 3] {
         let (a, b, init) = operands(m, k, n);
         let lists = live_lists(n);
@@ -3130,7 +2989,11 @@ mod tests {
             (3, 0, 5),
         ];
         shapes.extend([15, 16, 17, 33, 784].map(|n| (7, 11, n)));
-        let kernels = ["gemm_itv_f", "gemm_itv_f_acc", "gemm_itv_f_live"];
+        let kernels = [
+            "gemm_itv_f",
+            "gemm_itv_f_acc",
+            "gemm_itv_f_prepared (panels)",
+        ];
         let wide = GemmBuild::Avx512.is_available();
         if !wide {
             eprintln!("note: no AVX-512F on this host; the AVX-512 half of this test is skipped");

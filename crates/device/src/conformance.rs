@@ -12,12 +12,12 @@
 //!   the per-step directed chain for rows with a non-finite operand), over a
 //!   matrix of shapes that includes empty, single-element, non-square and
 //!   block-boundary cases;
-//! * **the live GEMM** — [`gemm::gemm_itv_f_live`] equals the full product
-//!   in every live column and is an exact zero in every other, per segment,
-//!   non-finite operands in live and dead columns included;
 //! * **the prepared GEMM** — [`gemm::gemm_itv_f_prepared`] over a layer's
-//!   [`DenseWeights`] and its segments' [`LivePanel`]s equals the launches
-//!   over raw slices it is defined by, bit for bit and meter for meter;
+//!   [`DenseWeights`] equals the full product over raw slices, bit for bit
+//!   and meter for meter, and with its segments' [`LivePanel`]s — the live
+//!   GEMM — equals the full product's oracle in every live column and is an
+//!   exact zero in every other, per segment, non-finite operands in live and
+//!   dead columns included, metered by its live outputs;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
 //!   product, and the outputs of single-term rows are the tightest
 //!   enclosure;
@@ -493,10 +493,10 @@ pub fn check_gemm_special_rows<B: Backend>(device: &Device<B>) {
     }
 }
 
-/// The contract of [`Backend::gemm_itv_f_live`] in straight-line form: the
-/// [`oracle_gemm_itv_f`] product, every column outside row `i`'s list
-/// `live_per_seg[seg[i]]` an exact `[+0, +0]`.
-fn oracle_gemm_itv_f_live(
+/// The contract of [`Backend::gemm_itv_f_prepared`] with panels in
+/// straight-line form: the [`oracle_gemm_itv_f`] product, every column
+/// outside row `i`'s list `live_per_seg[seg[i]]` an exact `[+0, +0]`.
+fn oracle_gemm_live(
     a: &[Itv<f32>],
     b: &[f32],
     (m, k, n): (usize, usize, usize),
@@ -514,9 +514,21 @@ fn oracle_gemm_itv_f_live(
     c
 }
 
-/// Runs [`gemm::gemm_itv_f_live`] into a poisoned `C` and holds it to
-/// [`oracle_gemm_itv_f_live`] bit for bit, and its meter to one
-/// `gemm_itv_f` launch of `4·k` flops per live output. Returns `C`.
+/// The `gemm_itv_f` meter of `device`: launches and flops.
+fn gemm_meter<B: Backend>(device: &Device<B>) -> (u64, u64) {
+    (
+        device.stats().kernel_launches("gemm_itv_f"),
+        device.stats().kernel_flops("gemm_itv_f"),
+    )
+}
+
+/// Runs [`gemm::gemm_itv_f_prepared`] over `B`'s [`DenseWeights`] and one
+/// [`LivePanel`] per list of `live_per_seg` — twice, as a panel serves every
+/// launch through its layer — into a poisoned `C`, and holds each launch to
+/// [`oracle_gemm_live`] — bit for bit, or with `nan` but for a NaN's
+/// payload — and its meter to one `gemm_itv_f` launch of `4·k` flops per
+/// live output. Returns `C`.
+#[allow(clippy::too_many_arguments)]
 fn assert_gemm_live_matches_oracle<B: Backend>(
     device: &Device<B>,
     tag: &str,
@@ -524,36 +536,48 @@ fn assert_gemm_live_matches_oracle<B: Backend>(
     (m, k, n): (usize, usize, usize),
     seg: &[u32],
     live_per_seg: &[Vec<u32>],
+    nan: bool,
 ) -> Vec<Itv<f32>> {
     let label = device.backend().label();
-    let lists: Vec<&[u32]> = live_per_seg.iter().map(Vec::as_slice).collect();
-    let mut c = vec![Itv::new(9.0f32, 9.0); m * n];
-    let (launches0, flops0) = (
-        device.stats().kernel_launches("gemm_itv_f"),
-        device.stats().kernel_flops("gemm_itv_f"),
-    );
-    gemm::gemm_itv_f_live(device, a, b, &mut c, m, k, n, seg, &lists);
-    let outputs: usize = seg.iter().map(|&s| lists[s as usize].len()).sum();
-    assert_eq!(
-        device.stats().kernel_launches("gemm_itv_f"),
-        launches0 + 1,
-        "[{label}] {tag}: gemm_itv_f_live is one gemm_itv_f launch"
-    );
-    assert_eq!(
-        device.stats().kernel_flops("gemm_itv_f") - flops0,
-        4 * (k * outputs) as u64,
-        "[{label}] {tag}: gemm_itv_f_live meters its live outputs only"
-    );
-    let want = oracle_gemm_itv_f_live(a, b, (m, k, n), seg, live_per_seg);
-    assert_planes_bit_eq(label, &format!("gemm_itv_f_live ({tag})"), &c, &want);
+    let wmax = gemm::layer_wmax(b, k, n);
+    let weights = DenseWeights::new(b, &wmax, k, n);
+    let panels: Vec<LivePanel<f32>> = live_per_seg
+        .iter()
+        .map(|l| LivePanel::new(&weights, l))
+        .collect();
+    let panels: Vec<&LivePanel<f32>> = panels.iter().collect();
+    let outputs: usize = seg.iter().map(|&s| live_per_seg[s as usize].len()).sum();
+    let want = oracle_gemm_live(a, b, (m, k, n), seg, live_per_seg);
+    let what = format!("gemm_itv_f_prepared ({tag}, panels)");
+    let mut c = Vec::new();
+    for _ in 0..2 {
+        c = vec![Itv::new(9.0f32, 9.0); m * n];
+        let before = gemm_meter(device);
+        gemm::gemm_itv_f_prepared(device, a, &weights, &mut c, m, seg, Some(&panels));
+        let after = gemm_meter(device);
+        assert_eq!(
+            after.0,
+            before.0 + 1,
+            "[{label}] {what}: one gemm_itv_f launch"
+        );
+        assert_eq!(
+            after.1 - before.1,
+            4 * (k * outputs) as u64,
+            "[{label}] {what}: metered by its live outputs only"
+        );
+        match nan {
+            true => assert_planes_bit_eq_or_nan(label, &what, &c, &want),
+            false => assert_planes_bit_eq(label, &what, &c, &want),
+        }
+    }
     c
 }
 
-/// Checks [`gemm::gemm_itv_f_live`] against its oracle over random shapes —
-/// block-boundary and remainder ones among them — with rows dealt to up to
-/// four segments in no particular order, each segment's live list empty,
-/// full, a random subset of the columns, or one of 7, 8, 9, 15, 16 or 17
-/// random columns (either side of blocks of 8 and 16 live columns).
+/// Checks [`gemm::gemm_itv_f_prepared`] with panels against its oracle over
+/// random shapes — block-boundary and remainder ones among them — with rows
+/// dealt to up to four segments in no particular order, each segment's live
+/// list empty, full, a random subset of the columns, or one of 7, 8, 9, 15,
+/// 16 or 17 random columns (either side of blocks of 8 and 16 live columns).
 ///
 /// # Panics
 ///
@@ -604,15 +628,15 @@ pub fn check_gemm_live_against_oracle<B: Backend>(device: &Device<B>, seed: u64)
             })
             .collect();
         let tag = format!("{m}x{k}x{n}, case {case}");
-        assert_gemm_live_matches_oracle(device, &tag, (&a, &b), (m, k, n), &seg, &live);
+        assert_gemm_live_matches_oracle(device, &tag, (&a, &b), (m, k, n), &seg, &live, false);
     }
 }
 
-/// Pins the corners of [`gemm::gemm_itv_f_live`] that random data does not
-/// reach. A `-inf` weight in a column one segment has dead and another live:
-/// a row that meets its `B` row goes to the per-step chain in its live
-/// columns either way (`wmax` spans the whole row), and the dead column is
-/// still an exact zero. A row with a non-finite coefficient takes the chain
+/// Pins the corners of [`gemm::gemm_itv_f_prepared`] with panels that random
+/// data does not reach. A `-inf` weight in a column one segment has dead and
+/// another live: a row that meets its `B` row goes to the per-step chain in
+/// its live columns either way (`wmax` spans the whole row), and the dead
+/// column is still an exact zero. A row with a non-finite coefficient takes the chain
 /// over its live columns; under an empty list it is all zeros. And the
 /// empty dimensions: `k = 0` writes zeros, `m = 0` and `n = 0` nothing.
 ///
@@ -641,7 +665,8 @@ pub fn check_gemm_live_special_cases<B: Backend>(device: &Device<B>) {
         (0..n as u32).filter(|j| j % 3 != 0).collect::<Vec<_>>(),
     ];
     assert!(!live[2].contains(&6));
-    let c = assert_gemm_live_matches_oracle(device, "special", (&a, &b), (m, k, n), &seg, &live);
+    let c =
+        assert_gemm_live_matches_oracle(device, "special", (&a, &b), (m, k, n), &seg, &live, false);
     let zero = Itv::<f32>::zero();
     assert!(
         c[..n]
@@ -675,11 +700,26 @@ pub fn check_gemm_live_special_cases<B: Backend>(device: &Device<B>) {
     }
     // Empty dimensions.
     let lists = [vec![0, 1, 2, 3], vec![1, 3]];
-    let k0 =
-        assert_gemm_live_matches_oracle(device, "k = 0", (&[], &[]), (3, 0, 4), &[0, 1, 0], &lists);
+    let k0 = assert_gemm_live_matches_oracle(
+        device,
+        "k = 0",
+        (&[], &[]),
+        (3, 0, 4),
+        &[0, 1, 0],
+        &lists,
+        false,
+    );
     assert!(k0.iter().all(|v| bit_eq(*v, zero)), "[{label}] k = 0");
     let none: Vec<Vec<u32>> = vec![vec![0, 2]];
-    assert_gemm_live_matches_oracle(device, "m = 0", (&[], &b[..2 * 3]), (0, 2, 3), &[], &none);
+    assert_gemm_live_matches_oracle(
+        device,
+        "m = 0",
+        (&[], &b[..2 * 3]),
+        (0, 2, 3),
+        &[],
+        &none,
+        false,
+    );
     assert_gemm_live_matches_oracle(
         device,
         "n = 0",
@@ -687,20 +727,21 @@ pub fn check_gemm_live_special_cases<B: Backend>(device: &Device<B>) {
         (2, 2, 0),
         &[0, 0],
         &[Vec::new()],
+        false,
     );
 }
 
-/// Holds [`Backend::gemm_itv_f_prepared`] to the launches over raw slices
-/// it is defined by — [`gemm::gemm_itv_f`] without panels,
-/// [`gemm::gemm_itv_f_live`] over the panels' lists with them — bit for bit,
-/// on the same device (so an override is held to the provided body), and
-/// both to the straight-line oracle; and its meter to theirs: one
-/// `gemm_itv_f` launch of the same flops. Over random shapes, among them
-/// the special rows of [`check_gemm_live_special_cases`] (a `-inf` weight in
-/// a column one segment has dead and another live, an unbounded coefficient,
-/// rows without live columns), with `±0`, subnormals, `±inf` and NaN among
-/// the coefficients and weights, live lists empty, full and random, and
-/// every panel read by two launches.
+/// Holds [`Backend::gemm_itv_f_prepared`] without panels to the launch
+/// over raw slices it is defined by, [`gemm::gemm_itv_f`] — bit for bit, on
+/// the same device (so an override is held to the provided body), and meter
+/// for meter: one `gemm_itv_f` launch of the same flops — and both to the
+/// straight-line oracle; and with panels to its oracle, as
+/// [`check_gemm_live_against_oracle`] holds it. Over random shapes, among
+/// them the special rows of [`check_gemm_live_special_cases`] (a `-inf`
+/// weight in a column one segment has dead and another live, an unbounded
+/// coefficient, rows without live columns), with `±0`, subnormals, `±inf`
+/// and NaN among the coefficients and weights, live lists empty, full and
+/// random, and every operand read by two launches.
 ///
 /// # Panics
 ///
@@ -783,51 +824,26 @@ pub fn check_gemm_prepared<B: Backend>(device: &Device<B>, seed: u64) {
         let tag = format!("{m}x{k}x{n}, case {case}");
         let wmax = gemm::layer_wmax(&b, k, n);
         let weights = DenseWeights::new(&b, &wmax, k, n);
-        let panels: Vec<LivePanel<f32>> =
-            live.iter().map(|l| LivePanel::new(&weights, l)).collect();
-        let panels: Vec<&LivePanel<f32>> = panels.iter().collect();
-        let lists: Vec<&[u32]> = live.iter().map(Vec::as_slice).collect();
-        let meter = || {
-            (
-                device.stats().kernel_launches("gemm_itv_f"),
-                device.stats().kernel_flops("gemm_itv_f"),
-            )
-        };
-        for with_panels in [false, true] {
-            let mut want = vec![Itv::new(9.0f32, 9.0); m * n];
-            let before = meter();
-            match with_panels {
-                false => gemm::gemm_itv_f(device, &a, &b, &mut want, m, k, n),
-                true => gemm::gemm_itv_f_live(device, &a, &b, &mut want, m, k, n, &seg, &lists),
-            }
-            let raw = meter();
-            let oracle = match with_panels {
-                false => oracle_gemm_itv_f(&a, &b, None, m, k, n),
-                true => oracle_gemm_itv_f_live(&a, &b, (m, k, n), &seg, &live),
-            };
-            let what = format!("gemm_itv_f_prepared ({tag}, panels {with_panels})");
-            for _ in 0..2 {
-                let mut got = vec![Itv::new(7.0f32, 7.0); m * n];
-                let before_prepared = meter();
-                gemm::gemm_itv_f_prepared(
-                    device,
-                    &a,
-                    &weights,
-                    &mut got,
-                    m,
-                    &seg,
-                    with_panels.then_some(panels.as_slice()),
-                );
-                let after = meter();
-                assert_eq!(
-                    (after.0 - before_prepared.0, after.1 - before_prepared.1),
-                    (raw.0 - before.0, raw.1 - before.1),
-                    "[{label}] {what}: one gemm_itv_f launch of the raw launch's flops"
-                );
-                assert_planes_bit_eq(label, &what, &got, &want);
-                assert_planes_bit_eq_or_nan(label, &what, &got, &oracle);
-            }
+        let mut want = vec![Itv::new(9.0f32, 9.0); m * n];
+        let before = gemm_meter(device);
+        gemm::gemm_itv_f(device, &a, &b, &mut want, m, k, n);
+        let raw = gemm_meter(device);
+        let oracle = oracle_gemm_itv_f(&a, &b, None, m, k, n);
+        let what = format!("gemm_itv_f_prepared ({tag})");
+        for _ in 0..2 {
+            let mut got = vec![Itv::new(7.0f32, 7.0); m * n];
+            let before_prepared = gemm_meter(device);
+            gemm::gemm_itv_f_prepared(device, &a, &weights, &mut got, m, &seg, None);
+            let after = gemm_meter(device);
+            assert_eq!(
+                (after.0 - before_prepared.0, after.1 - before_prepared.1),
+                (raw.0 - before.0, raw.1 - before.1),
+                "[{label}] {what}: one gemm_itv_f launch of the raw launch's flops"
+            );
+            assert_planes_bit_eq(label, &what, &got, &want);
+            assert_planes_bit_eq_or_nan(label, &what, &got, &oracle);
         }
+        assert_gemm_live_matches_oracle(device, &tag, (&a, &b), (m, k, n), &seg, &live, odd);
     }
 }
 
@@ -2056,8 +2072,8 @@ pub fn check_relu_step_special_cases<B: Backend>(device: &Device<B>) {
 
 /// Pins what a backend may and may not conclude from a relaxation *table* —
 /// [`crate::CpuSimBackend`] resolves every side `(slope, intercept)` of every
-/// neuron once per launch (or per [`ReluTable`]) and skips the arithmetic
-/// whose result it knows —
+/// neuron once per [`ReluTable`] (its `relu_step` makes one a segment for
+/// the launch) and skips the arithmetic whose result it knows —
 /// against `oracle_relu_step_row`, which knows no such thing. Hand-made
 /// tables mix the relaxations real bounds produce (identity, zero, unstable
 /// with `alpha` 0 and 1) with sides that look resolvable and are not: slope

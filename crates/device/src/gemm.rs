@@ -50,6 +50,7 @@
 
 use std::marker::PhantomData;
 
+use gpupoly_interval::wide::max_mag_blocked;
 use gpupoly_interval::{Fp, Itv};
 
 use crate::backend::{self, Backend};
@@ -102,50 +103,6 @@ pub fn gemm_itv_f<F: Fp, B: Backend>(
         .stats()
         .record_work("gemm_itv_f", flops_itv_f(m, k, n), bytes_moved(a, b, c));
     device.backend().gemm_itv_f(device, a, b, c, m, k, n);
-}
-
-/// [`gemm_itv_f`] over each row's live columns: row `r` computes the
-/// ascending columns `live_per_seg[seg[r]]` — bit for bit what
-/// [`gemm_itv_f`] writes there, each term's `wmax` taken over the whole row
-/// of `B` — and writes every other column as an exact zero (see
-/// [`Backend::gemm_itv_f_live`]). A dense step whose input is a ReLU layer
-/// lists each query's neurons that are not stably off: the columns over a
-/// dead neuron are multiplied by zero in the next step whatever they hold.
-///
-/// One launch for every segment, metered under the `gemm_itv_f` label and
-/// counting live columns only: flops `4·k` per live output, and `B` read
-/// once per segment with rows, its live columns only.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches, when `seg` does not have `m` entries or
-/// names a segment without a list, and when a list is not strictly
-/// ascending below `n`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_itv_f_live<F: Fp, B: Backend>(
-    device: &Device<B>,
-    a: &[Itv<F>],
-    b: &[F],
-    c: &mut [Itv<F>],
-    m: usize,
-    k: usize,
-    n: usize,
-    seg: &[u32],
-    live_per_seg: &[&[u32]],
-) {
-    check_dims(a, b, c, m, k, n);
-    assert_eq!(seg.len(), m, "GEMM: one segment index per row");
-    for live in live_per_seg {
-        assert!(
-            live.windows(2).all(|p| p[0] < p[1]) && live.last().is_none_or(|&j| (j as usize) < n),
-            "GEMM: live columns must be strictly ascending and below n = {n}"
-        );
-    }
-    let lens: Vec<usize> = live_per_seg.iter().map(|live| live.len()).collect();
-    record_live_work(device, (a, c), k, seg, &lens);
-    device
-        .backend()
-        .gemm_itv_f_live(device, a, b, c, m, k, n, seg, live_per_seg);
 }
 
 /// Meters a live launch under the `gemm_itv_f` label: flops `4·k` per live
@@ -229,11 +186,16 @@ impl<'a, F: Fp> DenseWeights<'a, F> {
     }
 }
 
+/// Lanes of the `wmax` scan of a GEMM's `B` ([`max_mag_blocked`]): sixteen
+/// running maxima, four 128-bit registers of `f32`.
+const WMAX_LANES: usize = 16;
+
 /// The `wmax` of `B`, `k` rows of `n`, for [`DenseWeights`]: per row the
 /// largest magnitude, `+inf` when one of its weights is `±inf` or NaN, zero
-/// for an empty row — the scan [`crate::CpuSimBackend`]'s launches over raw
-/// slices run. Empty for scalar types without [`Fp::EXACT_IN_F64`], whose
-/// products never read it.
+/// for an empty row — made once for a layer, and by
+/// [`crate::CpuSimBackend`]'s launches over raw slices for their one launch.
+/// Empty for scalar types without [`Fp::EXACT_IN_F64`], whose products never
+/// read it.
 ///
 /// # Panics
 ///
@@ -243,7 +205,7 @@ pub fn layer_wmax<F: Fp>(b: &[F], k: usize, n: usize) -> Vec<f64> {
     match (F::EXACT_IN_F64, n) {
         (false, _) => Vec::new(),
         (true, 0) => vec![0.0; k],
-        (true, _) => backend::gemm_wmax(b, n),
+        (true, _) => b.chunks(n).map(max_mag_blocked::<F, WMAX_LANES>).collect(),
     }
 }
 
@@ -253,10 +215,9 @@ pub fn layer_wmax<F: Fp>(b: &[F], k: usize, n: usize) -> Vec<f64> {
 /// of the lane width of the build that made it ([`GemmBuild`]) —
 /// block-major, `k` blocks for each run of that many live columns, the last
 /// one padded with zeros. A step into the layer reads each query's panel
-/// through [`gemm_itv_f_prepared`]: made once, it serves both planes and
-/// every walk of the query through the layer, where a launch over raw
-/// slices packs its segments' columns afresh. Host memory, like the `B` it
-/// is read from on this simulator.
+/// through [`gemm_itv_f_prepared`], the one entry of the live product: made
+/// once, it serves both planes and every walk of the query through the
+/// layer. Host memory, like the `B` it is read from on this simulator.
 pub struct LivePanel<F> {
     live: Vec<u32>,
     k: usize,
@@ -324,12 +285,22 @@ impl<F: Fp> LivePanel<F> {
     }
 }
 
-/// [`gemm_itv_f`], or with `panels` [`gemm_itv_f_live`], over operands made
-/// beforehand: the layer's [`DenseWeights`] and, for a step into a ReLU
-/// layer, one [`LivePanel`] per segment — row `r` computes the columns
-/// `panels[seg[r]].live()`. The bits, and the meter, are those launches'
-/// over `weights.b()`; what is not done is the per-launch preparation: the
-/// `wmax` scan of `B` and the packing of live columns.
+/// [`gemm_itv_f`] over operands made beforehand — the layer's
+/// [`DenseWeights`] — and, for a step into a ReLU layer, with one
+/// [`LivePanel`] per segment: row `r` then computes the ascending columns
+/// `panels[seg[r]].live()` — bit for bit what [`gemm_itv_f`] writes there,
+/// each term's `wmax` taken over the whole row of `B` — and writes every
+/// other column as an exact zero (see [`Backend::gemm_itv_f_prepared`]). A
+/// dense step whose input is a ReLU layer lists each query's neurons that
+/// are not stably off: the columns over a dead neuron are multiplied by zero
+/// in the next step whatever they hold. The bits are those of
+/// [`gemm_itv_f`] over `weights.b()`, dead columns zeroed; a launch neither
+/// scans `B` for `wmax` nor packs live columns.
+///
+/// One launch for every segment, metered under the `gemm_itv_f` label:
+/// without panels as [`gemm_itv_f`], with them counting live columns only —
+/// flops `4·k` per live output, and `B` read once per segment with rows, its
+/// live columns only.
 ///
 /// # Panics
 ///

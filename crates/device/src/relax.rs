@@ -106,7 +106,7 @@ impl<F: Fp> ReluRelax<F> {
     /// The *live* neurons of a layer whose inputs are bounded by `bounds`,
     /// ascending: those whose relaxation is not [`ReluRelax::is_zero`]. A
     /// dense step into the layer computes only these columns
-    /// ([`crate::gemm::gemm_itv_f_live`]). The test is the relaxation
+    /// ([`crate::gemm::gemm_itv_f_prepared`]). The test is the relaxation
     /// table's own, not a second comparison on the bounds: an input bound
     /// `b.hi > 0` would disagree with it on a NaN bound, which the table
     /// treats as unstable.

@@ -2,9 +2,8 @@
 //! process picks between them.
 //!
 //! The lane loops of [`CpuSimBackend`](crate::CpuSimBackend)'s GEMM family —
-//! the full product's register blocks, the live product's blocks over its
-//! packed columns, and, for a launch over raw slices, its `wmax` scan and
-//! packing — of its GBC scatter — the
+//! the full product's register blocks and the live product's blocks over
+//! its panels' packed columns — of its GBC scatter — the
 //! blocks a term adds to, and the block epilogue that ends a destination
 //! row — and of its row reductions, concretize and the bias fold — row
 //! blocks, one row a lane, stepping through their rows' coefficients
@@ -139,42 +138,17 @@ impl GemmBuild {
         backend::gemm_itv_rows(self, a, b, c, (k, n), true);
     }
 
-    /// [`Backend::gemm_itv_f_live`] as [`CpuSimBackend`] computes it, in
-    /// this build, on no device: row `r` writes the ascending columns
-    /// `live_per_seg[seg[r]]` of `A · B` and exact zeros elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// As [`GemmBuild::gemm_itv_f`], and when `seg` does not have `m`
-    /// entries, names a segment without a list, or a list names a column
-    /// not below `n`.
-    ///
-    /// [`Backend::gemm_itv_f_live`]: crate::Backend::gemm_itv_f_live
-    /// [`CpuSimBackend`]: crate::CpuSimBackend
-    pub fn gemm_itv_f_live<F: Fp>(
-        self,
-        a: &[Itv<F>],
-        b: &[F],
-        c: &mut [Itv<F>],
-        (m, k, n): (usize, usize, usize),
-        seg: &[u32],
-        live_per_seg: &[&[u32]],
-    ) {
-        gemm::check_dims(a, b, c, m, k, n);
-        assert_eq!(seg.len(), m, "GEMM: one segment index per row");
-        backend::gemm_itv_live_rows(self, a, b, c, (k, n), seg, live_per_seg);
-    }
-
     /// [`Backend::gemm_itv_f_prepared`] as [`CpuSimBackend`] computes it,
     /// in this build, on no device: [`GemmBuild::gemm_itv_f`] over
-    /// `weights`, or with `panels` [`GemmBuild::gemm_itv_f_live`] over each
-    /// segment's panel, which must have been made for this build
-    /// ([`GemmBuild::live_panel`]).
+    /// `weights`, or with `panels` row `r` the ascending columns
+    /// `panels[seg[r]].live()` of `A · B` and exact zeros elsewhere, each
+    /// panel made for this build ([`GemmBuild::live_panel`]).
     ///
     /// # Panics
     ///
-    /// As [`GemmBuild::gemm_itv_f_live`], and when a panel was made for
-    /// another build or over another shape of `B`.
+    /// As [`GemmBuild::gemm_itv_f`], and with `panels` when `seg` does not
+    /// have `m` entries or names a segment without a panel, or a panel was
+    /// made for another build or over another shape of `B`.
     ///
     /// [`Backend::gemm_itv_f_prepared`]: crate::Backend::gemm_itv_f_prepared
     /// [`CpuSimBackend`]: crate::CpuSimBackend

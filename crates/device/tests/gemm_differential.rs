@@ -1,10 +1,9 @@
-//! Seeded random-shape differential of the interval products: the full and
-//! the live product over raw slices ([`GemmBuild::gemm_itv_f`],
-//! [`GemmBuild::gemm_itv_f_live`]) and the prepared entry over a layer's
-//! [`DenseWeights`] and each segment's [`LivePanel`]
-//! ([`GemmBuild::gemm_itv_f_prepared`]), in every build the host has,
-//! against [`ReferenceBackend`](gpupoly_device::ReferenceBackend) — bits
-//! equal, NaN payloads included.
+//! Seeded random-shape differential of the interval products: the full
+//! product over raw slices ([`GemmBuild::gemm_itv_f`]) and the prepared
+//! entry over a layer's [`DenseWeights`], without and with each segment's
+//! [`LivePanel`] ([`GemmBuild::gemm_itv_f_prepared`]), in every build the
+//! host has, against [`ReferenceBackend`](gpupoly_device::ReferenceBackend)
+//! — bits equal, NaN payloads included.
 //!
 //! Shapes `m ∈ 0..=40`, `k ∈ 0..=130`, `n ∈ 1..=130`, every residue of `n`
 //! modulo 16 among them (the last partial block of either build's lanes);
@@ -102,8 +101,16 @@ fn every_product_in_every_build_writes_the_reference_bits() {
 
         let mut full = t.out();
         gemm::gemm_itv_f(&reference, &t.a, &t.b, &mut full, m, k, n);
-        let mut live = t.out();
-        gemm::gemm_itv_f_live(&reference, &t.a, &t.b, &mut live, m, k, n, &t.seg, &lists);
+        // The live product by its definition: the full one, dead columns
+        // exact zeros.
+        let mut live = full.clone();
+        for (row, &s) in live.chunks_mut(n).zip(&t.seg) {
+            for (j, v) in row.iter_mut().enumerate() {
+                if !lists[s as usize].contains(&(j as u32)) {
+                    *v = Itv::zero();
+                }
+            }
+        }
         chained += usize::from(live.iter().any(|v| !v.is_finite()));
         // The reference runs the provided body of the prepared entry.
         let panels: Vec<LivePanel<f32>> =
@@ -120,9 +127,6 @@ fn every_product_in_every_build_writes_the_reference_bits() {
             let mut c = t.out();
             build.gemm_itv_f(&t.a, &t.b, &mut c, (m, k, n));
             assert_same(&c, &full, &what("gemm_itv_f", &name));
-            let mut c = t.out();
-            build.gemm_itv_f_live(&t.a, &t.b, &mut c, (m, k, n), &t.seg, &lists);
-            assert_same(&c, &live, &what("gemm_itv_f_live", &name));
             let panels: Vec<LivePanel<f32>> = lists
                 .iter()
                 .map(|l| build.live_panel(&weights, l))
@@ -159,7 +163,16 @@ fn a_non_finite_weight_in_a_dead_column_sends_its_rows_to_the_chain() {
     let weights = DenseWeights::new(&b, &wmax, k, n);
     let reference = Device::reference(DeviceConfig::new().workers(1));
     let mut want = vec![Itv::zero(); m * n];
-    gemm::gemm_itv_f_live(&reference, &a, &b, &mut want, m, k, n, &[0, 0], &[&live]);
+    let panel = LivePanel::new(&weights, &live);
+    gemm::gemm_itv_f_prepared(
+        &reference,
+        &a,
+        &weights,
+        &mut want,
+        m,
+        &[0, 0],
+        Some(&[&panel]),
+    );
     for r in 0..m {
         for &j in &live {
             let j = j as usize;

@@ -601,10 +601,14 @@ impl<const N: usize> WideAcc<N> {
     /// for `j`, bit for bit.
     // Never inlined, and by value, for the reasons `WideBounds::finish` is:
     // a reference to the accumulators would keep them in memory across the
-    // lane loop, stored at every term.
+    // lane loop, stored at every term. A loop, for the reason given there.
     #[inline(never)]
     pub fn finish_lanes<F: Fp>(self, e: Widening) -> [Itv<F>; N] {
-        std::array::from_fn(|j| e.enclose(self.lo[j], self.hi[j]))
+        let mut out = [Itv::zero(); N];
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = e.enclose(self.lo[j], self.hi[j]);
+        }
+        out
     }
 }
 
@@ -1099,14 +1103,21 @@ impl<const L: usize, const UPPER: bool> WideBounds<L, UPPER> {
     // Never inlined, and by value: reading lanes back next to the lane loop
     // leads the compiler to keep the lanes apart, each step then paying to
     // put them together, and a reference to the sums would keep them in
-    // memory across the loop, stored at every step.
+    // memory across the loop, stored at every step. A loop rather than
+    // `std::array::from_fn`, whose per-lane closure the compiler inlines or
+    // calls depending on how it splits the calling crate into codegen
+    // units: a change elsewhere in that crate then moves every lane's
+    // epilogue in or out of line.
     #[inline(never)]
     pub fn finish<F: Fp>(self) -> [Option<F>; L] {
-        std::array::from_fn(|j| {
-            let sum = self.sum[j];
-            let y: Itv<F> = lane_bound(self.t[j], self.rounded[j])?.enclose(sum, sum);
-            Some(if UPPER { y.hi } else { y.lo })
-        })
+        let mut out = [None; L];
+        for (j, v) in out.iter_mut().enumerate() {
+            if let Some(e) = lane_bound(self.t[j], self.rounded[j]) {
+                let y: Itv<F> = e.enclose(self.sum[j], self.sum[j]);
+                *v = Some(if UPPER { y.hi } else { y.lo });
+            }
+        }
+        out
     }
 }
 
@@ -1167,12 +1178,17 @@ impl<const L: usize> WideDots<L> {
     /// # Panics
     ///
     /// Panics when a lane took more than `2³²` terms.
-    // Never inlined, and by value, for the reasons `WideBounds::finish` is.
+    // Never inlined, by value and a loop, for the reasons `WideBounds::finish`
+    // is.
     #[inline(never)]
     pub fn finish<F: Fp>(self) -> [Option<Itv<F>>; L] {
-        std::array::from_fn(|j| {
-            Some(lane_bound(self.t[j], self.rounded[j])?.enclose(self.lo[j], self.hi[j]))
-        })
+        let mut out = [None; L];
+        for (j, v) in out.iter_mut().enumerate() {
+            if let Some(e) = lane_bound(self.t[j], self.rounded[j]) {
+                *v = Some(e.enclose(self.lo[j], self.hi[j]));
+            }
+        }
+        out
     }
 }
 
