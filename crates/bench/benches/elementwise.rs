@@ -1,9 +1,10 @@
 //! The element-wise kernels in isolation: `relu_step`, `concretize` and
 //! `bias_fold`, the passes that stream a batch between two GEMM / GBC
 //! launches. The ReLU step is timed twice: as `relu_step`, the raw entry,
-//! which makes a one-launch [`ReluTable`] of each segment's slices and
-//! steps through it, and as `relu_tables`, the same launches stepped through
-//! one `ReluTable` per segment made beforehand, as a walk steps them.
+//! which makes a one-launch [`ReluTable`] of the slices of each segment of
+//! several rows and steps through it (a lone row takes the rule as written),
+//! and as `relu_tables`, the same launches stepped through one `ReluTable`
+//! per segment made beforehand, as a walk steps them.
 //!
 //! None of them has a FLOP meter that means anything — what a coefficient
 //! costs depends on what its neuron is — so this prints **nanoseconds per

@@ -20,6 +20,12 @@
 //! the full product's in its live columns and exact zeros elsewhere, and the
 //! builds' bits equal.
 //!
+//! Then a walk's last step through a dense layer over a 784-wide input and
+//! its candidates, in each build: the one launch of
+//! `GemmBuild::concretize_dense` against the two products and the concretize
+//! it stands for, `m` of 1, 10, 40 and a spec walk's 144 rows against `k` of
+//! 100 and 25, the bits asserted equal.
+//!
 //! Then GBC, the conv step's transpose convolution, in each build on the four
 //! conv layers of ConvBig ×0.12 (`c_in` 1/4/4/8, `kw` 3/4/3/4): a
 //! refinement-shaped row set (many rows, 3×3 source windows) and a
@@ -186,6 +192,83 @@ fn report_builds(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
             "{m}x{k}x{n}, {build:?}: the live product is not the full one's live columns"
         );
         bits.push((to_bits(&full), to_bits(&prepared)));
+    }
+    assert!(
+        bits.windows(2).all(|w| w[0] == w[1]),
+        "{m}x{k}x{n}: the builds' results differ"
+    );
+}
+
+/// A walk's last step, `m` rows through a `k×n` dense layer over the input
+/// and their candidates, in each build: the one launch
+/// ([`GemmBuild::concretize_dense`]) against the three it stands for — two
+/// products without panels into `m × n` planes and concretize over them —
+/// in µs per step, the bits asserted equal.
+fn report_last_step(builds: &[GemmBuild], m: usize, k: usize, n: usize) {
+    let (lo, b) = operands(m, k, n);
+    let hi: Vec<Itv<f32>> = lo.iter().map(|v| Itv::new(v.lo, v.hi + 1e-3)).collect();
+    let cst: Vec<Itv<f32>> = (0..m).map(|r| Itv::point(mix(r, 5) as f32)).collect();
+    let bounds: Vec<Itv<f32>> = (0..n)
+        .map(|j| {
+            let c = mix(j, 6) as f32;
+            Itv::new(c - 0.05, c + 0.05)
+        })
+        .collect();
+    let (seg, origins) = (vec![0u32; m], vec![(0, 0); m]);
+    let flat = ExprGeom {
+        win_h: 1,
+        win_w: n,
+        shape_h: 1,
+        shape_w: n,
+        chans: 1,
+        origins: &origins,
+        seg: &seg,
+    };
+    let wmax = gemm::layer_wmax(&b, k, n);
+    let weights = DenseWeights::new(&b, &wmax, k, n);
+    let bounds = [&bounds[..]];
+    let mut bits: Vec<Vec<u32>> = Vec::new();
+    for &build in builds {
+        let mut fused = vec![Itv::zero(); m];
+        let fused_s = time(2 * m * k * n, || {
+            build.concretize_dense(
+                black_box(&lo),
+                &hi,
+                &weights,
+                &cst,
+                &cst,
+                &seg,
+                &bounds,
+                &mut fused,
+            );
+            black_box(&fused);
+        });
+        let (mut lo_in, mut hi_in) = (vec![Itv::zero(); m * n], vec![Itv::zero(); m * n]);
+        let mut unfused = vec![Itv::zero(); m];
+        let unfused_s = time(2 * m * k * n, || {
+            build.gemm_itv_f_prepared(black_box(&lo), &weights, &mut lo_in, m, &seg, None);
+            build.gemm_itv_f_prepared(black_box(&hi), &weights, &mut hi_in, m, &seg, None);
+            build.concretize(&lo_in, &hi_in, &cst, &cst, &flat, &bounds, &mut unfused);
+            black_box(&unfused);
+        });
+        println!(
+            "[last step] {:<8} {m:>3}x{k:<3}x{n} one launch {:>8.1} us   three launches {:>8.1} us   ({:.2}x)",
+            format!("{build:?}"),
+            fused_s * 1e6,
+            unfused_s * 1e6,
+            unfused_s / fused_s,
+        );
+        let to_bits = |c: &[Itv<f32>]| -> Vec<u32> {
+            c.iter()
+                .flat_map(|v| [v.lo.to_bits(), v.hi.to_bits()])
+                .collect()
+        };
+        assert_eq!(
+            to_bits(&fused),
+            to_bits(&unfused),
+            "{m}x{k}x{n}, {build:?}: the one launch's candidates are not the three's"
+        );
+        bits.push(to_bits(&fused));
     }
     assert!(
         bits.windows(2).all(|w| w[0] == w[1]),
@@ -375,6 +458,11 @@ fn main() {
     for n in [100, 784] {
         for m in [1, 10, 40] {
             report_builds(&builds, m, 100, n);
+        }
+    }
+    for k in [100, 25] {
+        for m in [1, 10, 40, 144] {
+            report_last_step(&builds, m, k, 784);
         }
     }
     for layer in CONVBIG_012 {

@@ -86,12 +86,7 @@ pub fn step_dense_with<F: Fp, B: Backend>(
     parent_shape: Shape,
     panels: Option<&[&LivePanel<F>]>,
 ) -> Result<ExprBatch<F, B>, VerifyError> {
-    let batch = batch.densify(device)?;
-    assert_eq!(
-        batch.shape().len(),
-        dense.out_len,
-        "dense step: frontier/layer mismatch"
-    );
+    let batch = dense_frontier(device, batch, dense)?;
     debug_assert_eq!(parent_shape.len(), dense.in_len);
     let rows = batch.rows();
     // The fresh GEMM writes every coefficient of both planes.
@@ -103,34 +98,88 @@ pub fn step_dense_with<F: Fp, B: Backend>(
         vec![(0, 0); rows],
     )?;
     out.inherit_segments(&batch);
-    let geom = batch.geom();
-    let (src_lo, src_hi, src_cst_lo, src_cst_hi) = batch.planes();
-    {
-        let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
-        // Constants absorb the bias: cst' = cst + Σ_i a_i · b_i.
-        kernels::bias_fold(
-            device,
-            "bias_fold_lo",
-            src_lo,
-            &geom,
-            bias,
-            src_cst_lo,
-            out_cst_lo,
-        );
-        kernels::bias_fold(
-            device,
-            "bias_fold_hi",
-            src_hi,
-            &geom,
-            bias,
-            src_cst_hi,
-            out_cst_hi,
-        );
-        for (src, dst) in [(src_lo, out_lo), (src_hi, out_hi)] {
-            gemm::gemm_itv_f_prepared(device, src, weights, dst, rows, batch.segments(), panels);
-        }
+    let (src_lo, src_hi, _, _) = batch.planes();
+    let (out_lo, out_hi, out_cst_lo, out_cst_hi) = out.planes_mut();
+    fold_bias(device, &batch, bias, out_cst_lo, out_cst_hi);
+    for (src, dst) in [(src_lo, out_lo), (src_hi, out_hi)] {
+        gemm::gemm_itv_f_prepared(device, src, weights, dst, rows, batch.segments(), panels);
     }
     Ok(out)
+}
+
+/// A walk's last step through a dense layer over the input, and its
+/// candidate: [`step_dense_with`] into the input (no panels: the input is no
+/// ReLU layer), then [`ExprBatch::concretize_per_seg`] against each segment's
+/// bounds of the input, `bounds_per_seg` — bit for bit — in one kernel that
+/// never writes the step's planes, `rows × in_len` each
+/// ([`gemm::concretize_dense`]). Densify and the bias folds run as they do
+/// there.
+///
+/// # Errors
+///
+/// Device out-of-memory.
+///
+/// # Panics
+///
+/// Panics when the batch frontier does not match the layer's output, or a
+/// segment has no bounds or bounds of another length than the input's.
+pub fn concretize_dense_with<F: Fp, B: Backend>(
+    device: &Device<B>,
+    batch: ExprBatch<F, B>,
+    dense: &Dense<F>,
+    weights: &DenseWeights<'_, F>,
+    bias: &[F],
+    bounds_per_seg: &[&[Itv<F>]],
+) -> Result<Vec<Itv<F>>, VerifyError> {
+    let batch = dense_frontier(device, batch, dense)?;
+    let rows = batch.rows();
+    let (mut cst_lo, mut cst_hi) = (vec![Itv::zero(); rows], vec![Itv::zero(); rows]);
+    fold_bias(device, &batch, bias, &mut cst_lo, &mut cst_hi);
+    let (lo, hi, _, _) = batch.planes();
+    let mut out = vec![Itv::top(); rows];
+    gemm::concretize_dense(
+        device,
+        lo,
+        hi,
+        weights,
+        &cst_lo,
+        &cst_hi,
+        batch.segments(),
+        bounds_per_seg,
+        &mut out,
+    );
+    Ok(out)
+}
+
+/// The batch over a dense layer's output as the layer's step reads it:
+/// densified, every row a full row of the layer.
+fn dense_frontier<F: Fp, B: Backend>(
+    device: &Device<B>,
+    batch: ExprBatch<F, B>,
+    dense: &Dense<F>,
+) -> Result<ExprBatch<F, B>, VerifyError> {
+    let batch = batch.densify(device)?;
+    assert_eq!(
+        batch.shape().len(),
+        dense.out_len,
+        "dense step: frontier/layer mismatch"
+    );
+    Ok(batch)
+}
+
+/// The constants of an affine step: each plane's absorb the bias,
+/// `cst' = cst + Σ_i a_i · b_i`.
+fn fold_bias<F: Fp, B: Backend>(
+    device: &Device<B>,
+    batch: &ExprBatch<F, B>,
+    bias: &[F],
+    out_cst_lo: &mut [Itv<F>],
+    out_cst_hi: &mut [Itv<F>],
+) {
+    let geom = batch.geom();
+    let (lo, hi, cst_lo, cst_hi) = batch.planes();
+    kernels::bias_fold(device, "bias_fold_lo", lo, &geom, bias, cst_lo, out_cst_lo);
+    kernels::bias_fold(device, "bias_fold_hi", hi, &geom, bias, cst_hi, out_cst_hi);
 }
 
 /// GBC: backsubstitutes through a convolution (paper Algorithm 1).

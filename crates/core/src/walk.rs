@@ -8,13 +8,13 @@ use std::sync::OnceLock;
 
 use gpupoly_device::{Backend, DenseWeights, Device, LivePanel};
 use gpupoly_interval::{Fp, Itv};
-use gpupoly_nn::{Graph, NodeId, Op};
+use gpupoly_nn::{Dense, Graph, NodeId, Op};
 
 use crate::analysis::Analysis;
 use crate::engine::PreparedGraph;
 use crate::expr::ExprBatch;
 use crate::relax::ReluTable;
-use crate::steps::{step_conv_with, step_dense_with, step_relu_tables};
+use crate::steps::{concretize_dense_with, step_conv_with, step_dense_with, step_relu_tables};
 use crate::VerifyError;
 
 /// When a row may be dropped mid-walk.
@@ -214,18 +214,22 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
         let mut map: Vec<u32> = (0..total as u32).collect();
         let mut stopped_rows: Vec<u32> = Vec::new();
         let mut candidates = 0usize;
-        loop {
-            let node = batch.node();
-            // Candidate: substitute the frontier's concrete bounds (each
-            // row against its own query's bounds).
-            let cand = batch.concretize_per_seg(self.device, &self.node_bounds(node));
-            candidates += 1;
+        // Row `r` of a candidate tightens its original row's best.
+        let take = |best: &mut [Itv<F>], cand: Vec<Itv<F>>, map: &[u32]| {
             for (r, c) in cand.iter().enumerate() {
                 let b = &mut best[map[r] as usize];
                 b.lo = b.lo.max(c.lo);
                 b.hi = b.hi.min(c.hi);
                 debug_assert!(b.lo <= b.hi, "candidate bounds crossed: {b}");
             }
+        };
+        loop {
+            let node = batch.node();
+            // Candidate: substitute the frontier's concrete bounds (each
+            // row against its own query's bounds).
+            let cand = batch.concretize_per_seg(self.device, &self.node_bounds(node));
+            take(&mut best, cand, &map);
+            candidates += 1;
             if node == 0 {
                 break; // reached the input layer
             }
@@ -260,6 +264,14 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
                     map = index.iter().map(|&i| map[i as usize]).collect();
                 }
             }
+            // A dense layer over the input: its step and the input's
+            // candidate are one kernel, which writes no plane as wide as
+            // the input.
+            if let Some(d) = self.dense_over_input(node) {
+                take(&mut best, self.concretize_through(batch, d)?, &map);
+                candidates += 1;
+                break;
+            }
             batch = self.step_through(batch)?;
         }
         Ok(WalkOutcome {
@@ -269,12 +281,42 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
         })
     }
 
-    /// One step backwards through the frontier node's operation.
-    fn step_through(&self, mut batch: ExprBatch<F, B>) -> Result<ExprBatch<F, B>, VerifyError> {
+    /// The layer of `node` when it is a dense layer whose input is the
+    /// network's input.
+    fn dense_over_input(&self, node: NodeId) -> Option<&Dense<F>> {
+        match self.graph.nodes[node].op {
+            Op::Dense(d) if self.graph.nodes[node].parents[0] == 0 => Some(d),
+            _ => None,
+        }
+    }
+
+    /// The step through `dense`, the frontier's layer, whose input is the
+    /// network's input, and the candidate there: what [`Self::step_through`]
+    /// and the input's candidate give, bit for bit.
+    fn concretize_through(
+        &self,
+        mut batch: ExprBatch<F, B>,
+        dense: &Dense<F>,
+    ) -> Result<Vec<Itv<F>>, VerifyError> {
         let node = batch.node();
-        let op = self.graph.nodes[node].op;
-        // §4.1: the step below treats the node as the exact map of its
-        // input; inference computes it in floats.
+        self.absorb_round_off(&mut batch);
+        let packed = self.prepared.weights(node)?;
+        let (weight, bias) = packed.slices();
+        let weights = self.prepared.dense_weights(node, dense, weight);
+        concretize_dense_with(
+            self.device,
+            batch,
+            dense,
+            &weights,
+            bias,
+            &self.node_bounds(0),
+        )
+    }
+
+    /// §4.1: a step treats the frontier's node as the exact map of its
+    /// input; inference computes it in floats.
+    fn absorb_round_off(&self, batch: &mut ExprBatch<F, B>) {
+        let node = batch.node();
         let round_off: Vec<&[F]> = self
             .segs
             .iter()
@@ -283,6 +325,13 @@ impl<F: Fp, B: Backend> Walker<'_, '_, F, B> {
         if round_off.iter().any(|e| !e.is_empty()) {
             batch.absorb_round_off(&round_off);
         }
+    }
+
+    /// One step backwards through the frontier node's operation.
+    fn step_through(&self, mut batch: ExprBatch<F, B>) -> Result<ExprBatch<F, B>, VerifyError> {
+        let node = batch.node();
+        let op = self.graph.nodes[node].op;
+        self.absorb_round_off(&mut batch);
         match op {
             Op::Dense(d) => {
                 let p = self.graph.nodes[node].parents[0];
@@ -524,6 +573,149 @@ mod tests {
         }
         // The neuron that is exactly zero keeps its coefficient.
         assert!(!zero(&wl[0]) && zero(&wl[1]));
+    }
+
+    /// [`Walker::run`] by its steps alone: every step through
+    /// [`Walker::step_through`] — the last one [`step_dense_with`], writing
+    /// the input's planes — and the input's candidate by
+    /// [`ExprBatch::concretize_per_seg`].
+    fn run_by_steps<B: Backend>(
+        walker: &Walker<'_, '_, f32, B>,
+        mut batch: ExprBatch<f32, B>,
+        rule: StopRule,
+    ) -> WalkOutcome<f32> {
+        let mut best: Vec<Itv<f32>> = vec![Itv::top(); batch.rows()];
+        let mut map: Vec<u32> = (0..batch.rows() as u32).collect();
+        let (mut stopped_rows, mut candidates) = (Vec::new(), 0);
+        loop {
+            let node = batch.node();
+            let cand = batch.concretize_per_seg(walker.device, &walker.node_bounds(node));
+            candidates += 1;
+            for (r, c) in cand.iter().enumerate() {
+                let b = &mut best[map[r] as usize];
+                (b.lo, b.hi) = (b.lo.max(c.lo), b.hi.min(c.hi));
+            }
+            if node == 0 {
+                break;
+            }
+            if rule == StopRule::StableSign {
+                let keep: Vec<bool> = (0..batch.rows())
+                    .map(|r| best[map[r] as usize].straddles_zero())
+                    .collect();
+                stopped_rows.extend((0..keep.len()).filter(|&r| !keep[r]).map(|r| map[r]));
+                if keep.iter().all(|&k| !k) {
+                    break;
+                }
+                if keep.iter().any(|&k| !k) {
+                    let (filtered, index) = batch.filter_rows(walker.device, &keep).unwrap();
+                    batch = filtered;
+                    map = index.iter().map(|&i| map[i as usize]).collect();
+                }
+            }
+            batch = walker.step_through(batch).unwrap();
+        }
+        WalkOutcome {
+            best,
+            stopped_rows,
+            candidates,
+        }
+    }
+
+    #[test]
+    fn the_step_into_the_input_writes_no_plane_as_wide_as_the_input() {
+        let (n_in, hidden) = (784, 20);
+        let w1: Vec<f32> = (0..hidden * n_in)
+            .map(|i| ((i * 37 % 101) as f32 / 101.0 - 0.5) * 0.02)
+            .collect();
+        let w2: Vec<f32> = (0..3 * hidden)
+            .map(|i| ((i * 13 % 7) as f32 - 3.0) * 0.25)
+            .collect();
+        let input: Vec<Itv<f32>> = (0..n_in)
+            .map(|i| {
+                let c = (i % 10) as f32 / 10.0;
+                Itv::new(c - 0.05, c + 0.05)
+            })
+            .collect();
+        // Hidden neurons 0..4 stably off, 4..8 stably on, the other twelve
+        // unstable — more rows than a row block — the biases placing each
+        // neuron's range from its range without one.
+        let unbiased = NetworkBuilder::new_flat(n_in)
+            .dense_flat(hidden, w1.clone(), vec![0.0; hidden])
+            .build()
+            .unwrap();
+        let pre = unbiased.graph().eval_itv(&input)[1].clone();
+        let b1: Vec<f32> = pre
+            .iter()
+            .enumerate()
+            .map(|(j, v)| match j / 4 {
+                0 => -v.hi - 1.0,
+                1 => 1.0 - v.lo,
+                _ => -(v.lo + v.hi) / 2.0,
+            })
+            .collect();
+        let net = NetworkBuilder::new_flat(n_in)
+            .dense_flat(hidden, w1, b1)
+            .relu()
+            .dense_flat(3, w2, vec![0.5, -0.5, 0.0])
+            .build()
+            .unwrap();
+        let graph = net.graph();
+        let bounds = graph.eval_itv(&input);
+        let live = ReluRelax::live(&bounds[1]);
+        assert!(live.len() > 4 && live.len() < hidden, "{live:?}");
+        let mut analysis = Analysis::seeded(bounds.clone());
+        // Round-off for the walks to absorb at both dense layers.
+        analysis.round_off[1] = vec![1e-6; hidden];
+        analysis.round_off[3] = vec![1e-6; 3];
+        // From the output through every layer; from the hidden layer with
+        // its stable rows stopped.
+        let plane = n_in * std::mem::size_of::<Itv<f32>>();
+        for (start, rows, rule) in [
+            (3, vec![0, 1, 2], StopRule::None),
+            (1, (0..hidden).collect(), StopRule::StableSign),
+        ] {
+            // The walk, and how far the device's peak rose above what it
+            // held when the walk began.
+            let walk = |by_steps: bool| {
+                let device = dev();
+                let prepared = PreparedGraph::new(&device, &graph).unwrap();
+                let tables = StepTables::new(1, &graph);
+                let walker = Walker {
+                    device: &device,
+                    graph: &graph,
+                    prepared: &prepared,
+                    segs: vec![&analysis],
+                    slots: vec![0],
+                    tables: &tables,
+                };
+                let shape = graph.nodes[start].shape;
+                let batch = ExprBatch::identity(&device, start, shape, &rows).unwrap();
+                let held = device.memory_in_use();
+                assert!(device.peak_memory() < held + plane);
+                let out = match by_steps {
+                    false => walker.run(batch, rule).unwrap(),
+                    true => run_by_steps(&walker, batch, rule),
+                };
+                (out, device.peak_memory() - held)
+            };
+            let ((fused, rose), (by_steps, rose_by_steps)) = (walk(false), walk(true));
+            let bits = |o: &WalkOutcome<f32>| -> Vec<(u32, u32)> {
+                o.best
+                    .iter()
+                    .map(|v| (v.lo.to_bits(), v.hi.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&fused), bits(&by_steps), "from node {start}");
+            assert_eq!(fused.stopped_rows, by_steps.stopped_rows);
+            assert_eq!(fused.candidates, by_steps.candidates);
+            assert_eq!(fused.stopped_rows.is_empty(), rule == StopRule::None);
+            // The rows that reach the input: together they never held one
+            // plane of the input's width; by steps, they held two.
+            let last = (rows.len() - fused.stopped_rows.len()) * plane;
+            assert!(last > 0, "from node {start}: no row reached the input");
+            assert!(rose < last, "from node {start}: the peak rose {rose} B");
+            assert!(rose_by_steps > last, "{rose_by_steps} B by steps");
+        }
     }
 
     #[test]

@@ -240,6 +240,24 @@
 //! rule and its proof are the "Interval × interval" section of
 //! [`gpupoly_interval::wide`].
 //!
+//! **Concretize through a dense layer** ([`Backend::concretize_dense`]) is a
+//! walk's last step through a dense layer over the input together with the
+//! input's candidate: per row, both planes' products with the layer's
+//! weights as [`Backend::gemm_itv_f_prepared`] without panels computes them
+//! — every column, the row's term list, `wmax` over the whole row of `B`,
+//! the fallback rule — and then concretize of those products from the row's
+//! constants, as a flat window of `n`: ascending columns, each against its
+//! own bound. Every candidate is the bits of those three launches; the rule
+//! adds nothing to theirs. The provided body is the three launches. A
+//! backend may fuse them however it keeps each output's operations, and
+//! [`CpuSimBackend`] does: per row block of concretize's, the block's
+//! products of both planes into scratch of one row block of `n` columns a
+//! plane, reused from block to block, then the block's row-block step over
+//! it. The products' planes, `m × n` each, never exist: a walk that reaches
+//! the input through a dense layer holds no plane as wide as the input.
+//! [`crate::conformance::check_concretize_dense`] holds a backend to its own
+//! unfused launches and to the oracles.
+//!
 //! Widening a bound to `f64` is exact, so *when* it happens is scheduling,
 //! not arithmetic: both backends widen the bound of every term as they meet
 //! it, [`CpuSimBackend`] a row block's lanes' bounds at once (each lane its
@@ -289,10 +307,10 @@
 //! skip arithmetic whose result the table already tells — it may not change a
 //! term list, its order, `T` or a count by doing so. [`CpuSimBackend`]
 //! resolves each side `(slope, intercept)` of each neuron of a `ReluTable` —
-//! a [`Backend::relu_step`] launch makes one for each of its segments and
-//! runs the rows of [`Backend::relu_step_tables`] — the first time a row
-//! asks, of finite tables only, to one of three kinds, and these are the
-//! only patterns that resolve:
+//! a [`Backend::relu_step`] launch makes one for each of its segments that
+//! has more than one row, and a lone row takes the rule as written — the
+//! first time a row asks, of finite tables only, to one of three kinds, and
+//! these are the only patterns that resolve:
 //!
 //! * **One** — slope `[1, 1]` and an intercept that is an exact zero (either
 //!   sign of zero, the test the zero-skip uses): no term of the constant, and
@@ -1271,33 +1289,31 @@ fn relu_step_row_by_sides<F: Fp>(
     true
 }
 
-/// The rows of one ReLU-step launch on [`CpuSimBackend`]: row `r` through
-/// `tables[seg[r]]` — its segment's relaxations, output bounds and, where the
-/// table resolves, its sides — by [`relu_step_row_by_sides`] where it takes
-/// the row and by [`relu_step_row`] where it does not.
-fn relu_step_rows<F: Fp>(
-    plane: &mut [Itv<F>],
-    cst: &mut [Itv<F>],
+/// One row of a ReLU-step launch on [`CpuSimBackend`] through its
+/// segment's table `t` — relaxations, output bounds and, where the table
+/// resolves, its sides — by [`relu_step_row_by_sides`] where it takes the
+/// row and by [`relu_step_row`] where it does not.
+#[inline(always)]
+fn relu_step_table_row<F: Fp>(
+    r: usize,
+    row: &mut [Itv<F>],
+    cst: &mut Itv<F>,
     geom: &ExprGeom<'_>,
-    tables: &[&ReluTable<F>],
+    t: &ReluTable<F>,
     upper: bool,
 ) {
-    let cols = geom.cols();
-    for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
-        let t = tables[geom.seg[r] as usize];
-        let sides = t.sides();
-        if !sides.is_some_and(|s| relu_step_row_by_sides(r, row, c, geom, s, upper)) {
-            relu_step_row(
-                r,
-                row,
-                c,
-                geom,
-                t.relax(),
-                t.out_bounds(),
-                upper,
-                sides.is_some(),
-            )
-        }
+    let sides = t.sides();
+    if !sides.is_some_and(|s| relu_step_row_by_sides(r, row, cst, geom, s, upper)) {
+        relu_step_row(
+            r,
+            row,
+            cst,
+            geom,
+            t.relax(),
+            t.out_bounds(),
+            upper,
+            sides.is_some(),
+        )
     }
 }
 
@@ -1491,6 +1507,20 @@ impl<F: Fp> ConcretizeBlocks<'_, F> {
                     ),
                 };
             }
+        }
+    }
+
+    /// The launch for scalar types without [`Fp::EXACT_IN_F64`]:
+    /// [`concretize_row`]'s chain, row by row.
+    fn chain(self) {
+        let (g, cols) = (self.geom, self.geom.cols());
+        for (r, v) in self.out.iter_mut().enumerate() {
+            let (lo, hi) = (
+                &self.lo[r * cols..(r + 1) * cols],
+                &self.hi[r * cols..(r + 1) * cols],
+            );
+            let bounds = self.bounds_per_seg[g.seg[r] as usize];
+            *v = concretize_row(r, lo, hi, self.cst_lo[r], self.cst_hi[r], g, bounds);
         }
     }
 }
@@ -1699,6 +1729,22 @@ impl<'a, F: Fp> GemmLaunch<'a, F> {
             wmax: weights.wmax(),
             cols,
         }
+    }
+
+    /// Finishes a launch with nothing to sum — no column, no row, or an
+    /// empty reduction (`k = 0`: `C` all zeros when `fresh`, unchanged
+    /// otherwise) — and says whether it did.
+    fn finish_if_empty(&mut self) -> bool {
+        if self.n == 0 || self.c.is_empty() {
+            return true;
+        }
+        if self.k == 0 {
+            if self.fresh {
+                self.c.fill(Itv::zero());
+            }
+            return true;
+        }
+        false
     }
 
     /// The launch for scalar types without [`Fp::EXACT_IN_F64`]: the
@@ -1992,23 +2038,19 @@ pub(crate) fn concretize_rows<F: Fp>(
     bounds_per_seg: &[&[Itv<F>]],
     out: &mut [Itv<F>],
 ) {
+    let launch = ConcretizeBlocks {
+        lo,
+        hi,
+        cst_lo,
+        cst_hi,
+        geom,
+        bounds_per_seg,
+        out,
+    };
     if F::EXACT_IN_F64 {
-        build.run(ConcretizeBlocks {
-            lo,
-            hi,
-            cst_lo,
-            cst_hi,
-            geom,
-            bounds_per_seg,
-            out,
-        })
+        build.run(launch)
     } else {
-        let cols = geom.cols();
-        for (r, v) in out.iter_mut().enumerate() {
-            let (lo, hi) = (&lo[r * cols..(r + 1) * cols], &hi[r * cols..(r + 1) * cols]);
-            let bounds = bounds_per_seg[geom.seg[r] as usize];
-            *v = concretize_row(r, lo, hi, cst_lo[r], cst_hi[r], geom, bounds);
-        }
+        launch.chain()
     }
 }
 
@@ -2040,15 +2082,8 @@ pub(crate) fn bias_fold_rows<F: Fp>(
 
 /// The CPU-sim interval GEMM family: `launch` in `build` for
 /// [`Fp::EXACT_IN_F64`], the per-step chain otherwise.
-fn gemm_launch<F: Fp>(build: GemmBuild, launch: GemmLaunch<'_, F>) {
-    if launch.n == 0 || launch.c.is_empty() {
-        return;
-    }
-    if launch.k == 0 {
-        // Empty reduction: C is all zeros (fresh) / unchanged (acc).
-        if launch.fresh {
-            launch.c.fill(Itv::zero());
-        }
+fn gemm_launch<F: Fp>(build: GemmBuild, mut launch: GemmLaunch<'_, F>) {
+    if launch.finish_if_empty() {
         return;
     }
     if F::EXACT_IN_F64 {
@@ -2089,6 +2124,127 @@ pub(crate) fn gemm_itv_prepared_rows<F: Fp>(
 ) {
     let cols = panels.map_or(Cols::All, |panels| Cols::Panels(seg, panels));
     gemm_launch(build, GemmLaunch::new(a, weights, c, true, cols))
+}
+
+/// One [`Backend::concretize_dense`] launch on [`CpuSimBackend`], for a
+/// build of [`crate::simd`] to run at its lane counts: the rows in the
+/// build's row blocks (`LIVE` rows), each block computing its rows'
+/// products of both planes into scratch of one block of `n` columns — the
+/// [`GemmLaunch`] of every column over the block's rows, so the term list,
+/// the whole-row `wmax`, `e` and the chain for a row with a non-finite
+/// operand are the full product's — and then the block's candidates from
+/// that scratch, by [`ConcretizeBlocks`]' row-block step over a flat window
+/// of `n` (its fallback, [`concretize_row`], included). The scratch is reused
+/// from block to block: no plane of `m × n` is ever made.
+struct ConcretizeDense<'a, F> {
+    build: GemmBuild,
+    lo: &'a [Itv<F>],
+    hi: &'a [Itv<F>],
+    weights: &'a DenseWeights<'a, F>,
+    cst_lo: &'a [Itv<F>],
+    cst_hi: &'a [Itv<F>],
+    seg: &'a [u32],
+    bounds_per_seg: &'a [&'a [Itv<F>]],
+    out: &'a mut [Itv<F>],
+}
+
+impl<F: Fp> LaneKernel for ConcretizeDense<'_, F> {
+    /// Blocks of `LIVE` rows, as [`ConcretizeBlocks`]; the products in
+    /// column blocks of `FULL`, as [`GemmLaunch`]'s.
+    #[inline(always)]
+    fn run<const FULL: usize, const LIVE: usize>(self) {
+        self.blocks::<FULL, LIVE, true>()
+    }
+}
+
+impl<F: Fp> ConcretizeDense<'_, F> {
+    /// The launch in blocks of `L` rows, each plane's products of a block
+    /// into the scratch and then the block's candidates from it: in the
+    /// build's lane loops when `WIDE` — a `FULL`-column [`GemmLaunch`], and
+    /// [`ConcretizeBlocks`]' row-block step through the build's entry, so
+    /// that the candidates run the code a concretize launch runs, not a copy
+    /// of it whose registers the products' loops share — on their chains
+    /// otherwise.
+    #[inline(always)]
+    fn blocks<const FULL: usize, const L: usize, const WIDE: bool>(self) {
+        let (k, n) = (self.weights.k(), self.weights.n());
+        let block = L.min(self.out.len()) * n;
+        let mut scratch = vec![Itv::zero(); 2 * block];
+        let (s_lo, s_hi) = scratch.split_at_mut(block);
+        let origins = [(0, 0); L];
+        for (r0, live, _) in row_blocks::<L>(self.out.len()) {
+            let (rows, len) = (r0..r0 + live, live * n);
+            for (a, c) in [(self.lo, &mut *s_lo), (self.hi, &mut *s_hi)] {
+                let a = &a[r0 * k..(r0 + live) * k];
+                let mut launch = GemmLaunch::new(a, self.weights, &mut c[..len], true, Cols::All);
+                match (launch.finish_if_empty(), WIDE) {
+                    (true, _) => {}
+                    (false, true) => launch.run::<FULL, L>(),
+                    (false, false) => launch.chain(),
+                }
+            }
+            // The input's full window, flat: its coefficients in ascending
+            // order, each against the bound of its own column.
+            let geom = ExprGeom {
+                win_h: 1,
+                win_w: n,
+                shape_h: 1,
+                shape_w: n,
+                chans: 1,
+                origins: &origins[..live],
+                seg: &self.seg[rows.clone()],
+            };
+            let candidates = ConcretizeBlocks {
+                lo: &s_lo[..len],
+                hi: &s_hi[..len],
+                cst_lo: &self.cst_lo[rows.clone()],
+                cst_hi: &self.cst_hi[rows.clone()],
+                geom: &geom,
+                bounds_per_seg: self.bounds_per_seg,
+                out: &mut self.out[rows],
+            };
+            match WIDE {
+                true => self.build.run(candidates),
+                false => candidates.chain(),
+            }
+        }
+    }
+}
+
+/// The CPU-sim [`Backend::concretize_dense`]: [`ConcretizeDense`] in
+/// `build` for [`Fp::EXACT_IN_F64`]; for other scalar types the same blocks
+/// of one row, each product and candidate on its per-step chain.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn concretize_dense_rows<F: Fp>(
+    build: GemmBuild,
+    lo: &[Itv<F>],
+    hi: &[Itv<F>],
+    weights: &DenseWeights<'_, F>,
+    cst_lo: &[Itv<F>],
+    cst_hi: &[Itv<F>],
+    seg: &[u32],
+    bounds_per_seg: &[&[Itv<F>]],
+    out: &mut [Itv<F>],
+) {
+    if out.is_empty() {
+        return;
+    }
+    let launch = ConcretizeDense {
+        build,
+        lo,
+        hi,
+        weights,
+        cst_lo,
+        cst_hi,
+        seg,
+        bounds_per_seg,
+        out,
+    };
+    if F::EXACT_IN_F64 {
+        build.run(launch)
+    } else {
+        launch.blocks::<1, 1, false>()
+    }
 }
 
 /// The kernel surface a device implementation must provide.
@@ -2308,8 +2464,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// slices. It is the conformance oracle of the method and what
     /// [`ReferenceBackend`] runs. A backend overrides it to keep what it
     /// works out of a table with the table ([`CpuSimBackend`] resolves a
-    /// table's sides once for the table's life, and its `relu_step` runs
-    /// this method over one table a segment made for the launch).
+    /// table's sides once for the table's life; its `relu_step` makes a
+    /// table for the launch only for a segment of several rows).
     fn relu_step_tables<F: Fp>(
         &self,
         device: &Device<Self>,
@@ -2368,6 +2524,53 @@ pub trait Backend: Send + Sync + Sized + 'static {
         bounds_per_seg: &[&[Itv<F>]],
         out: &mut [Itv<F>],
     );
+
+    /// The last step of a walk through a dense layer over the input, and
+    /// the candidate it yields: both planes `lo`, `hi` (`m` rows of
+    /// `weights.k()` coefficients) times the layer's [`DenseWeights`], then
+    /// each row of the products concretized from its constants `cst_lo[r]`,
+    /// `cst_hi[r]` (the bias already folded in) against its segment's bounds
+    /// of the input, `bounds_per_seg[seg[r]]` (`weights.n()` each), into
+    /// `out[r]`. Every candidate is, bit for bit, what the two products and
+    /// [`Backend::concretize`] over the input's full window give.
+    ///
+    /// The provided body is that sequence: two [`Backend::gemm_itv_f_prepared`]
+    /// launches, without panels, into fresh `m × n` planes, then
+    /// `concretize` over a flat window of `n`. It is the conformance oracle
+    /// of the method. A backend overrides it so that the products' planes
+    /// never exist: [`CpuSimBackend`] runs one launch over blocks of rows,
+    /// its scratch one row block of `n` columns a plane (module docs,
+    /// "Concretize through a dense layer").
+    fn concretize_dense<F: Fp>(
+        &self,
+        device: &Device<Self>,
+        lo: &[Itv<F>],
+        hi: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        cst_lo: &[Itv<F>],
+        cst_hi: &[Itv<F>],
+        seg: &[u32],
+        bounds_per_seg: &[&[Itv<F>]],
+        out: &mut [Itv<F>],
+    ) {
+        let (m, n) = (out.len(), weights.n());
+        let mut planes = [vec![Itv::zero(); m * n], vec![Itv::zero(); m * n]];
+        for (a, c) in [lo, hi].into_iter().zip(&mut planes) {
+            self.gemm_itv_f_prepared(device, a, weights, c, m, seg, None);
+        }
+        let origins = vec![(0, 0); m];
+        let geom = ExprGeom {
+            win_h: 1,
+            win_w: n,
+            shape_h: 1,
+            shape_w: n,
+            chans: 1,
+            origins: &origins,
+            seg,
+        };
+        let [lo, hi] = &planes;
+        self.concretize(device, lo, hi, cst_lo, cst_hi, &geom, bounds_per_seg, out);
+    }
 }
 
 /// The production CPU simulation of the paper's GPU machine model: blocked
@@ -2518,7 +2721,7 @@ impl Backend for CpuSimBackend {
 
     fn relu_step<F: Fp>(
         &self,
-        device: &Device<Self>,
+        _device: &Device<Self>,
         plane: &mut [Itv<F>],
         cst: &mut [Itv<F>],
         geom: &ExprGeom<'_>,
@@ -2529,13 +2732,35 @@ impl Backend for CpuSimBackend {
         if cst.is_empty() {
             return;
         }
-        let tables: Vec<ReluTable<F>> = relax_per_seg
+        // Resolving a table is scheduling: a segment of several rows makes
+        // one for the launch and resolves it once for all of them; a lone
+        // row takes the rule as written, and a segment without rows nothing.
+        let rows = geom.seg_rows(relax_per_seg.len());
+        let tables: Vec<Option<ReluTable<F>>> = relax_per_seg
             .iter()
             .zip(out_bounds_per_seg)
-            .map(|(relax, out_bounds)| ReluTable::from_parts(relax.to_vec(), out_bounds.to_vec()))
+            .zip(rows)
+            .map(|((relax, out_bounds), rows)| {
+                (rows > 1).then(|| ReluTable::from_parts(relax.to_vec(), out_bounds.to_vec()))
+            })
             .collect();
-        let tables: Vec<&ReluTable<F>> = tables.iter().collect();
-        self.relu_step_tables(device, plane, cst, geom, &tables, upper);
+        let cols = geom.cols();
+        for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
+            let s = geom.seg[r] as usize;
+            match &tables[s] {
+                Some(t) => relu_step_table_row(r, row, c, geom, t, upper),
+                None => relu_step_row(
+                    r,
+                    row,
+                    c,
+                    geom,
+                    relax_per_seg[s],
+                    out_bounds_per_seg[s],
+                    upper,
+                    false,
+                ),
+            }
+        }
     }
 
     fn relu_step_tables<F: Fp>(
@@ -2550,7 +2775,10 @@ impl Backend for CpuSimBackend {
         if cst.is_empty() {
             return;
         }
-        relu_step_rows(plane, cst, geom, tables, upper);
+        let cols = geom.cols();
+        for (r, (row, c)) in plane.chunks_mut(cols.max(1)).zip(cst).enumerate() {
+            relu_step_table_row(r, row, c, geom, tables[geom.seg[r] as usize], upper);
+        }
     }
 
     fn densify<F: Fp>(
@@ -2611,6 +2839,31 @@ impl Backend for CpuSimBackend {
             cst_lo,
             cst_hi,
             geom,
+            bounds_per_seg,
+            out,
+        )
+    }
+
+    fn concretize_dense<F: Fp>(
+        &self,
+        _device: &Device<Self>,
+        lo: &[Itv<F>],
+        hi: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        cst_lo: &[Itv<F>],
+        cst_hi: &[Itv<F>],
+        seg: &[u32],
+        bounds_per_seg: &[&[Itv<F>]],
+        out: &mut [Itv<F>],
+    ) {
+        concretize_dense_rows(
+            GemmBuild::detected(),
+            lo,
+            hi,
+            weights,
+            cst_lo,
+            cst_hi,
+            seg,
             bounds_per_seg,
             out,
         )

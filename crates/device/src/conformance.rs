@@ -18,6 +18,11 @@
 //!   GEMM — equals the full product's oracle in every live column and is an
 //!   exact zero in every other, per segment, non-finite operands in live and
 //!   dead columns included, metered by its live outputs;
+//! * **concretize through a dense layer** —
+//!   [`gemm::concretize_dense`] equals, candidate for candidate and bit for
+//!   bit, the same device's two products without panels and concretize
+//!   over them, and the straight-line oracles of both, non-finite operands
+//!   and segments without rows included;
 //! * **GEMM soundness** — interval results contain the exact (`f64`)
 //!   product, and the outputs of single-term rows are the tightest
 //!   enclosure;
@@ -844,6 +849,183 @@ pub fn check_gemm_prepared<B: Backend>(device: &Device<B>, seed: u64) {
             assert_planes_bit_eq_or_nan(label, &what, &got, &oracle);
         }
         assert_gemm_live_matches_oracle(device, &tag, (&a, &b), (m, k, n), &seg, &live, odd);
+    }
+}
+
+/// Checks [`gemm::concretize_dense`] — a walk's last dense step and the
+/// input's candidate in one launch — on a spread of shapes (`m` across row
+/// blocks of four and eight, `n` 784 and the edges of column blocks, empty
+/// dimensions) with three segments, one of them without rows: its candidates
+/// equal, bit for bit, those of the same device's unfused launches — two
+/// [`gemm::gemm_itv_f_prepared`] without panels and [`kernels::concretize`]
+/// over the products, flat and, where `n` is `2·3·c`, as a `2×3×c` window
+/// — and the straight-line oracles' (the GEMM family's, then
+/// concretize's); and it records one `concretize_dense` launch.
+/// Every third case mixes `±0`, subnormals, `±inf` and NaN into the planes,
+/// the weights, the constants and the bounds (`top` bounds included), and
+/// is held to the oracles but for NaN payloads; one holds a non-finite
+/// weight met by some rows only, and a row whose magnitude sum against the
+/// bounds is not finite.
+///
+/// # Panics
+///
+/// Panics with a labeled message on any contract violation.
+pub fn check_concretize_dense<B: Backend>(device: &Device<B>, seed: u64) {
+    let label = device.backend().label();
+    let mut s = Stream::new(seed ^ 0xcdd5);
+    let special = [
+        0.0f32,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x7f_ffff),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let shapes = [
+        (1usize, 1usize, 1usize),
+        (10, 25, 784),
+        (9, 16, 131),
+        (8, 7, 12),
+        (17, 5, 30),
+        (3, 0, 6),
+        (0, 4, 5),
+        (5, 3, 0),
+        (
+            s.next_range(20) + 1,
+            s.next_range(30) + 1,
+            s.next_range(60) + 1,
+        ),
+    ];
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let odd = case % 3 == 2;
+        let value = |s: &mut Stream| match odd && s.next_range(8) == 0 {
+            true => special[s.next_range(special.len())],
+            false => s.next_f32(),
+        };
+        let itv = |s: &mut Stream| match s.next_range(5) {
+            0 => Itv::zero(),
+            1 => Itv::point(-0.0),
+            2 => {
+                let (x, y) = (value(s), value(s));
+                Itv {
+                    lo: x.min(y),
+                    hi: x.max(y),
+                }
+            }
+            _ => {
+                let x = value(s);
+                Itv { lo: x, hi: x }
+            }
+        };
+        let mut lo: Vec<Itv<f32>> = (0..m * k).map(|_| itv(&mut s)).collect();
+        let hi: Vec<Itv<f32>> = (0..m * k).map(|_| itv(&mut s)).collect();
+        let mut b: Vec<f32> = (0..k * n).map(|_| value(&mut s)).collect();
+        let cst_lo: Vec<Itv<f32>> = (0..m).map(|_| itv(&mut s)).collect();
+        let cst_hi: Vec<Itv<f32>> = (0..m).map(|_| itv(&mut s)).collect();
+        // Segment 1 has no rows.
+        let seg: Vec<u32> = (0..m).map(|_| 2 * s.next_range(2) as u32).collect();
+        let mut bounds: Vec<Vec<Itv<f32>>> = (0..3)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        let (x, y) = (value(&mut s), value(&mut s));
+                        Itv {
+                            lo: x.min(y),
+                            hi: x.max(y),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        if (m, k, n) == (17, 5, 30) {
+            // Row 0's lower plane meets an infinite weight, which sends its
+            // product to the chain; no other row's lower plane has a term in
+            // that row of B. Rows of segment 2 meet a `top` bound, which
+            // sends their candidates to the chain.
+            b[2 * n + 4] = f32::INFINITY;
+            lo[2] = Itv::point(0.5);
+            for r in 1..m {
+                lo[r * k + 2] = Itv::zero();
+            }
+            bounds[2][7] = Itv::top();
+        }
+        let bref: Vec<&[Itv<f32>]> = bounds.iter().map(Vec::as_slice).collect();
+        let wmax = gemm::layer_wmax(&b, k, n);
+        let weights = DenseWeights::new(&b, &wmax, k, n);
+        let tag = format!("concretize_dense ({m}x{k}x{n}, case {case})");
+
+        // The same device's unfused launches.
+        let (mut lo_in, mut hi_in) = (vec![Itv::zero(); m * n], vec![Itv::zero(); m * n]);
+        gemm::gemm_itv_f_prepared(device, &lo, &weights, &mut lo_in, m, &seg, None);
+        gemm::gemm_itv_f_prepared(device, &hi, &weights, &mut hi_in, m, &seg, None);
+        let flat_origins = vec![(0, 0); m];
+        let flat = ExprGeom {
+            win_h: 1,
+            win_w: n,
+            shape_h: 1,
+            shape_w: n,
+            chans: 1,
+            origins: &flat_origins,
+            seg: &seg,
+        };
+        let mut want = vec![Itv::point(9.0f32); m];
+        kernels::concretize(
+            device, &lo_in, &hi_in, &cst_lo, &cst_hi, &flat, &bref, &mut want,
+        );
+        if n % 6 == 0 && n > 0 {
+            let windowed = ExprGeom {
+                win_h: 2,
+                win_w: 3,
+                shape_h: 2,
+                shape_w: 3,
+                chans: n / 6,
+                ..flat
+            };
+            let mut got = vec![Itv::point(9.0f32); m];
+            kernels::concretize(
+                device, &lo_in, &hi_in, &cst_lo, &cst_hi, &windowed, &bref, &mut got,
+            );
+            assert_planes_bit_eq(label, &format!("{tag}: a 2x3 window"), &got, &want);
+        }
+        let oracle = oracle_concretize(
+            &oracle_gemm_itv_f(&lo, &b, None, m, k, n),
+            &oracle_gemm_itv_f(&hi, &b, None, m, k, n),
+            &cst_lo,
+            &cst_hi,
+            &flat,
+            &bref,
+        );
+        for _ in 0..2 {
+            let mut got = vec![Itv::point(7.0f32); m];
+            let launches0 = device.stats().kernel_launches("concretize_dense");
+            gemm::concretize_dense(
+                device, &lo, &hi, &weights, &cst_lo, &cst_hi, &seg, &bref, &mut got,
+            );
+            assert_eq!(
+                device.stats().kernel_launches("concretize_dense"),
+                launches0 + 1,
+                "[{label}] {tag} must record one launch"
+            );
+            assert_planes_bit_eq(
+                label,
+                &format!("{tag} against the unfused launches"),
+                &got,
+                &want,
+            );
+            match odd {
+                true => assert_planes_bit_eq_or_nan(label, &tag, &got, &oracle),
+                false => assert_planes_bit_eq(label, &tag, &got, &oracle),
+            }
+        }
+        if (m, k, n) == (17, 5, 30) {
+            assert!(
+                want.iter()
+                    .zip(&seg)
+                    .all(|(c, &g)| g != 2 || !c.is_finite()),
+                "[{label}] {tag}: a top bound must reach every row of its segment"
+            );
+        }
     }
 }
 
@@ -3180,6 +3362,7 @@ pub fn assert_backend_conformance<B: Backend>(make: impl Fn(DeviceConfig) -> Dev
         }
         for case in 0..2u64 {
             check_gemm_prepared(&device, case * 7919 + workers as u64);
+            check_concretize_dense(&device, case * 7919 + workers as u64);
         }
         check_gemm_special_rows(&device);
         check_gemm_live_special_cases(&device);

@@ -339,6 +339,88 @@ pub fn gemm_itv_f_prepared<F: Fp, B: Backend>(
         .gemm_itv_f_prepared(device, a, weights, c, m, seg, panels);
 }
 
+/// A walk's last step through a dense layer over the input, and the
+/// candidate it yields, in one launch: both planes `lo`, `hi` (`m` rows of
+/// `weights.k()` coefficients) times `weights`, each row of the products
+/// concretized from `cst_lo[r]`, `cst_hi[r]` — the constants, bias folded in
+/// — against `bounds_per_seg[seg[r]]`, the input's bounds of the row's
+/// segment, into `out[r]` ([`Backend::concretize_dense`]). The candidates
+/// are bit for bit those of [`gemm_itv_f_prepared`] twice, without panels,
+/// and [`crate::kernels::concretize`] over the products; the products are
+/// never written out.
+///
+/// One launch, metered under `concretize_dense` with the flops of the three
+/// it stands for — `4·k` per output of each product, `4` per coefficient
+/// of one concretize — and the bytes of both planes, `B` and the
+/// candidates.
+///
+/// # Panics
+///
+/// Panics when a plane does not have `m·k` entries, a constant, `seg` or
+/// `out` not `m`, a bounds slice not `n`, or a row's segment has no bounds.
+#[allow(clippy::too_many_arguments)]
+pub fn concretize_dense<F: Fp, B: Backend>(
+    device: &Device<B>,
+    lo: &[Itv<F>],
+    hi: &[Itv<F>],
+    weights: &DenseWeights<'_, F>,
+    cst_lo: &[Itv<F>],
+    cst_hi: &[Itv<F>],
+    seg: &[u32],
+    bounds_per_seg: &[&[Itv<F>]],
+    out: &mut [Itv<F>],
+) {
+    check_concretize_dense(lo, hi, weights, (cst_lo, cst_hi), seg, bounds_per_seg, out);
+    let (m, k, n) = (out.len(), weights.k(), weights.n());
+    device.stats().record_work(
+        "concretize_dense",
+        2 * flops_itv_f(m, k, n) + 4 * (m * n) as u64,
+        (std::mem::size_of_val(lo) + std::mem::size_of_val(hi) + std::mem::size_of_val(out)) as u64
+            + std::mem::size_of_val(weights.b()) as u64,
+    );
+    device.backend().concretize_dense(
+        device,
+        lo,
+        hi,
+        weights,
+        cst_lo,
+        cst_hi,
+        seg,
+        bounds_per_seg,
+        out,
+    );
+}
+
+/// The shape checks of [`concretize_dense`].
+///
+/// # Panics
+///
+/// As [`concretize_dense`].
+pub(crate) fn check_concretize_dense<F>(
+    lo: &[Itv<F>],
+    hi: &[Itv<F>],
+    weights: &DenseWeights<'_, F>,
+    (cst_lo, cst_hi): (&[Itv<F>], &[Itv<F>]),
+    seg: &[u32],
+    bounds_per_seg: &[&[Itv<F>]],
+    out: &[Itv<F>],
+) {
+    let (m, k, n) = (out.len(), weights.k, weights.n);
+    assert_eq!(lo.len(), m * k, "concretize_dense: lower plane must be m*k");
+    assert_eq!(hi.len(), m * k, "concretize_dense: upper plane must be m*k");
+    assert_eq!(cst_lo.len(), m, "concretize_dense: lower constants");
+    assert_eq!(cst_hi.len(), m, "concretize_dense: upper constants");
+    assert_eq!(seg.len(), m, "concretize_dense: one segment index per row");
+    for b in bounds_per_seg {
+        assert_eq!(b.len(), n, "concretize_dense: bounds length");
+    }
+    assert!(
+        seg.iter().all(|&s| (s as usize) < bounds_per_seg.len()),
+        "concretize_dense: segment index out of range for {} bounds slices",
+        bounds_per_seg.len()
+    );
+}
+
 /// Sound interval×scalar GEMM accumulating into `C`: `C += A · B`.
 ///
 /// Used when the two branches of a residual block merge their coefficient

@@ -13,8 +13,9 @@
 //!   verifier: the GEMM family with directed rounding, scan/compaction,
 //!   row gather, the walk-step kernels (GBC transpose conv, bias fold,
 //!   ReLU substitution, densify, residual merge, concretize — see
-//!   [`kernels`]), and host↔device/device↔device copies plus the pooling
-//!   policy. [`CpuSimBackend`] is the production CPU simulation,
+//!   [`kernels`] — and a walk's last dense step with its candidate,
+//!   [`gemm::concretize_dense`]), and host↔device/device↔device copies plus
+//!   the pooling policy. [`CpuSimBackend`] is the production CPU simulation,
 //!   [`ReferenceBackend`] a naive straight-line oracle for differential
 //!   testing; a CUDA/wgpu port implements the same trait and must pass
 //!   [`conformance::assert_backend_conformance`].

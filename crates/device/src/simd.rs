@@ -5,9 +5,12 @@
 //! the full product's register blocks and the live product's blocks over
 //! its panels' packed columns — of its GBC scatter — the
 //! blocks a term adds to, and the block epilogue that ends a destination
-//! row — and of its row reductions, concretize and the bias fold — row
+//! row — of its row reductions, concretize and the bias fold — row
 //! blocks, one row a lane, stepping through their rows' coefficients
-//! together — are generic over their lane count ([`LaneKernel`]) and
+//! together — and of a walk's last dense step with its candidate — the
+//! full product's blocks over one row block's rows, whose candidates it
+//! takes through the build's concretize instance — are generic over their
+//! lane count ([`LaneKernel`]) and
 //! compiled twice: [`GemmBuild::Baseline`] for the target's baseline
 //! instruction set (SSE2 on x86-64), and [`GemmBuild::Avx512`] with `avx512f`
 //! enabled and wider blocks. Both run the same IEEE operations per output in
@@ -47,9 +50,9 @@ use crate::{backend, gemm, kernels};
 
 /// The lane counts of one build: `FULL` columns of `B` per register block of
 /// the full product, `LIVE` packed live columns per block of the live one
-/// and rows per row block of concretize and the bias fold (GBC sizes its
-/// blocks from both and from its launch's shape). A launch of a row kernel
-/// implements this to be run by either build.
+/// and rows per row block of concretize, the bias fold and the last dense
+/// step (GBC sizes its blocks from both and from its launch's shape). A
+/// launch of a row kernel implements this to be run by either build.
 pub(crate) trait LaneKernel {
     /// Runs the launch at the build's lane counts. Implementations are
     /// `#[inline(always)]`, so that their lane loops are compiled inside the
@@ -81,8 +84,9 @@ const AVX512_FULL_LANES: usize = 16;
 const AVX512_LIVE_LANES: usize = 8;
 
 /// A build of the interval kernels' row loops: the GEMM family's, GBC's,
-/// and the row blocks of concretize and the bias fold (the name is the one
-/// the GEMM gave it). Both write the same bits; they differ in speed.
+/// the row blocks of concretize and the bias fold, and the last dense step's
+/// (the name is the one the GEMM gave it). Both write the same bits; they
+/// differ in speed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GemmBuild {
     /// Compiled for the target's baseline instruction set, blocks of four
@@ -258,6 +262,45 @@ impl GemmBuild {
     ) {
         kernels::check_concretize(lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
         backend::concretize_rows(self, lo, hi, cst_lo, cst_hi, geom, bounds_per_seg, out);
+    }
+
+    /// [`Backend::concretize_dense`] as [`CpuSimBackend`] computes it, in
+    /// this build, on no device: row `r`'s candidate from both planes'
+    /// products with `weights`, started from its constants, against the
+    /// bounds of its segment, `bounds_per_seg[seg[r]]`, without writing the
+    /// products out.
+    ///
+    /// # Panics
+    ///
+    /// As [`gemm::concretize_dense`], and for [`GemmBuild::Avx512`] on a
+    /// host without AVX-512F.
+    ///
+    /// [`Backend::concretize_dense`]: crate::Backend::concretize_dense
+    /// [`CpuSimBackend`]: crate::CpuSimBackend
+    #[allow(clippy::too_many_arguments)]
+    pub fn concretize_dense<F: Fp>(
+        self,
+        lo: &[Itv<F>],
+        hi: &[Itv<F>],
+        weights: &DenseWeights<'_, F>,
+        cst_lo: &[Itv<F>],
+        cst_hi: &[Itv<F>],
+        seg: &[u32],
+        bounds_per_seg: &[&[Itv<F>]],
+        out: &mut [Itv<F>],
+    ) {
+        gemm::check_concretize_dense(lo, hi, weights, (cst_lo, cst_hi), seg, bounds_per_seg, out);
+        backend::concretize_dense_rows(
+            self,
+            lo,
+            hi,
+            weights,
+            cst_lo,
+            cst_hi,
+            seg,
+            bounds_per_seg,
+            out,
+        );
     }
 
     /// [`Backend::bias_fold`] as [`CpuSimBackend`] computes it, in this
