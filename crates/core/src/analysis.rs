@@ -374,7 +374,7 @@ pub const STREAMS_PER_WORKER: usize = 2;
 /// \[the parent's quartiles\], each build from its own directory, runs
 /// alternating; every sweep that was run: A seed 1 and B seed 2 before the
 /// last changes to the tables, C seed 1 on this code, with `p+fl` the
-/// parent plus [`gpupoly_interval::wide::WideAcc::finish_lanes`] alone):
+/// parent plus the GEMM epilogue as a loop, `WideAcc::finish_lanes`, alone):
 ///
 /// | workload | sweep | parent | `p+fl` | 4 MiB | 8 MiB | **16 MiB** |
 /// | --- | --- | --- | --- | --- | --- | --- |
@@ -694,31 +694,39 @@ fn side_by_side<I: Send, R: Send>(parts: Vec<I>, run: impl Fn(usize, I) -> R + S
 
 /// Cuts `rows` of a list into walks of at most `len` rows: each walk is the
 /// largest prefix of whole-query runs that fits, or — when even the first
-/// query's run exceeds `len` — the plain `len` cut into that single query.
-/// A walk then covers whole queries whenever it can, and one that fails
-/// (out of memory) re-runs, and has its `chunk_shrinks` attributed to, the
-/// fewest of them.
+/// query's run exceeds `len` — one of `⌈run / len⌉` walks of near-equal
+/// length that the run is split into, the longer first. A walk then covers
+/// whole queries whenever it can, and one that fails (out of memory)
+/// re-runs, and has its `chunk_shrinks` attributed to, the fewest of them;
+/// and a query larger than a walk leaves no runt of a walk behind it.
 fn cut<'a>(
     rows: Range<usize>,
     len: usize,
     seg_of: &'a impl Fn(usize) -> usize,
 ) -> impl Iterator<Item = Range<usize>> + 'a {
     let mut start = rows.start;
+    // The end of the query run being split, and the walks it has left.
+    let mut split = (start, 0);
     std::iter::from_fn(move || {
         if start == rows.end {
             return None;
         }
-        let full = (start + len).min(rows.end);
         let on_boundary = |e: usize| e == rows.end || seg_of(e - 1) != seg_of(e);
-        let end = if on_boundary(full) {
-            full
+        if split.1 == 0 {
+            let run_end = (start + 1..=rows.end).find(|&e| on_boundary(e));
+            let run_end = run_end.expect("a list ends on a boundary");
+            if run_end - start > len {
+                split = (run_end, (run_end - start).div_ceil(len));
+            }
+        }
+        let end = if split.1 > 0 {
+            split.1 -= 1;
+            start + (split.0 - start).div_ceil(split.1 + 1)
         } else {
-            // Back to the last boundary inside; without one, a single query
-            // is larger than the walk and is split.
-            (start + 1..full)
-                .rev()
-                .find(|&e| on_boundary(e))
-                .unwrap_or(full)
+            // Back to the last boundary that fits.
+            let full = (start + len).min(rows.end);
+            let fits = (start + 1..=full).rev().find(|&e| on_boundary(e));
+            fits.expect("the first run fits")
         };
         let walk = start..end;
         start = end;
@@ -842,6 +850,33 @@ mod tests {
         input: &[Itv<f32>],
     ) -> Result<Analysis<f32>, VerifyError> {
         analyze(&lane(device, graph), graph, cfg, input)
+    }
+
+    /// Walk lengths of `cut` over runs of queries of the given lengths.
+    fn walk_lengths(runs: &[usize], len: usize) -> Vec<usize> {
+        let seg: Vec<usize> = (0..runs.len()).flat_map(|q| vec![q; runs[q]]).collect();
+        let seg_of = |r: usize| seg[r];
+        cut(0..seg.len(), len, &seg_of).map(|w| w.len()).collect()
+    }
+
+    #[test]
+    fn a_query_larger_than_a_walk_is_cut_into_walks_of_near_equal_length() {
+        // `conv_fused`'s lists that a plain cut at `len` left with runts:
+        // [60, 1, 60, 60, 58] and [6, 1, 6, 6, 4].
+        assert_eq!(walk_lengths(&[61, 178], 60), [31, 30, 60, 59, 59]);
+        assert_eq!(walk_lengths(&[7, 16], 6), [4, 3, 6, 5, 5]);
+        // Whole queries share a walk while they fit; a split query's last
+        // walk takes no other query along.
+        assert_eq!(walk_lengths(&[3, 4, 5, 13, 2, 2], 6), [3, 4, 5, 5, 4, 4, 4]);
+        assert_eq!(walk_lengths(&[2, 2, 2, 7], 6), [6, 4, 3]);
+        assert_eq!(walk_lengths(&[12], 6), [6, 6]);
+        assert_eq!(walk_lengths(&[5], 1), [1; 5]);
+        // A part of a list that starts inside a query (a failed walk, cut
+        // again at half the length) splits what it holds of that query.
+        let seg = [0, 0, 0, 0, 0, 0, 0, 1, 1];
+        let seg_of = |r: usize| seg[r];
+        let walks: Vec<_> = cut(2..9, 2, &seg_of).collect();
+        assert_eq!(walks, [2..4, 4..6, 6..7, 7..9]);
     }
 
     fn deep_net() -> Network<f32> {

@@ -126,8 +126,10 @@
 //! *row blocks* — four rows in the baseline build, eight in the AVX-512 one
 //! — whose lanes are rows stepping through their coefficients together,
 //! lane `j` adding its own row's term at each step, in the order below, to
-//! its own sums, `T` and count ([`WideBounds`], [`WideDots`]). A term list
-//! is never split across lanes or steps. The zero-skip is a mask: a lane
+//! its own sums, `T` and count ([`WideBounds`], [`WideDots`]); a block
+//! stores its lanes when its rows end, and one lane-wise pass over the
+//! launch's rows finishes them ([`RowSums`]). A term list is never split
+//! across lanes or steps. The zero-skip is a mask: a lane
 //! whose coefficient is an exact zero adds `-0.0` to its sums, `+0.0` to
 //! its `T` and `0` to its count, which leaves each as it is, bit for bit
 //! (the module docs of [`gpupoly_interval::wide`], "The masked add"). The
@@ -372,8 +374,7 @@
 //! copy engine is where a prefetch of the next layer's gather would belong.
 
 use gpupoly_interval::wide::{
-    max_mag, WideAcc, WideBound, WideBounds, WideDots, WideMag, WideRow, WideSum, WideTerm,
-    Widening,
+    max_mag, RowSums, WideAcc, WideBound, WideBounds, WideDots, WideMag, WideRow, WideSum, WideTerm,
 };
 use gpupoly_interval::{round, Fp, Itv};
 use std::array::from_fn;
@@ -1431,16 +1432,16 @@ fn concretize_row<F: Fp>(
 }
 
 /// The rows of a row-reduction launch — concretize's or the bias fold's —
-/// in blocks of `L`: `(first row, live lanes, the row of lane j)`. A partial
-/// block's idle lanes repeat its last row, so that every lane reads real
-/// operands; they are never written out.
+/// in blocks of `L`: `(first row, the row of lane j)`. A partial block's
+/// idle lanes repeat its last row, so that every lane reads real operands;
+/// they are never written out.
 #[inline(always)]
 fn row_blocks<const L: usize>(
     rows: usize,
-) -> impl Iterator<Item = (usize, usize, impl Fn(usize) -> usize + Copy)> {
+) -> impl Iterator<Item = (usize, impl Fn(usize) -> usize + Copy)> {
     (0..rows).step_by(L).map(move |r0| {
-        let live = L.min(rows - r0);
-        (r0, live, move |j: usize| r0 + j.min(live - 1))
+        let last = rows - 1;
+        (r0, move |j: usize| (r0 + j).min(last))
     })
 }
 
@@ -1450,9 +1451,10 @@ fn row_blocks<const L: usize>(
 /// `j` adding its own row's terms of both planes ([`WideBounds`]) in the
 /// order [`concretize_row`] adds them — window rows ascending, a window
 /// row's run of `win_w · chans` elements ascending — each against its own
-/// segment's bound at its own window position. A lane either of whose
-/// magnitude sums is not finite is [`concretize_row`]'s, on its chain; its
-/// neighbours keep their results.
+/// segment's bound at its own window position. The blocks store their lanes
+/// and one pass over the launch's rows finishes them ([`RowSums`]). A row
+/// either of whose magnitude sums is not finite is [`concretize_row`]'s, on
+/// its chain; its neighbours keep their results.
 struct ConcretizeBlocks<'a, F> {
     lo: &'a [Itv<F>],
     hi: &'a [Itv<F>],
@@ -1478,7 +1480,8 @@ impl<F: Fp> ConcretizeBlocks<'_, F> {
         let (g, cols) = (self.geom, self.geom.cols());
         let run = g.win_w * g.chans;
         let bounds = |r: usize| self.bounds_per_seg[g.seg[r] as usize];
-        for (r0, live, lane) in row_blocks::<L>(g.rows()) {
+        let mut sums = RowSums::new(g.rows() + L);
+        for (r0, lane) in row_blocks::<L>(g.rows()) {
             let mut lo = WideBounds::<L, false>::new(from_fn(|j| self.cst_lo[lane(j)].lo));
             let mut hi = WideBounds::<L, true>::new(from_fn(|j| self.cst_hi[lane(j)].hi));
             for i in 0..g.win_h {
@@ -1492,21 +1495,23 @@ impl<F: Fp> ConcretizeBlocks<'_, F> {
                     hi.mul_add_nonzero(&from_fn(|j| a_hi[j][k]), &b);
                 }
             }
-            let (lo, hi) = (lo.finish::<F>(), hi.finish::<F>());
-            for (j, r) in (r0..r0 + live).enumerate() {
-                self.out[r] = match (lo[j], hi[j]) {
-                    (Some(lo), Some(hi)) => Itv { lo, hi: hi.max(lo) },
-                    _ => concretize_row(
-                        r,
-                        &self.lo[r * cols..(r + 1) * cols],
-                        &self.hi[r * cols..(r + 1) * cols],
-                        self.cst_lo[r],
-                        self.cst_hi[r],
-                        g,
-                        bounds(r),
-                    ),
-                };
-            }
+            lo.store(&mut sums, r0);
+            hi.store(&mut sums, r0);
+        }
+        let unbounded = sums.finish(self.out);
+        for v in self.out.iter_mut() {
+            v.hi = v.hi.max(v.lo);
+        }
+        for r in unbounded {
+            self.out[r] = concretize_row(
+                r,
+                &self.lo[r * cols..(r + 1) * cols],
+                &self.hi[r * cols..(r + 1) * cols],
+                self.cst_lo[r],
+                self.cst_hi[r],
+                g,
+                bounds(r),
+            );
         }
     }
 
@@ -1541,8 +1546,9 @@ fn lane_runs<'a, T, const L: usize>(start: impl Fn(usize) -> &'a [T], len: usize
 /// row blocks, for a build of [`crate::simd`] to run at its lane count: one
 /// row a lane, the lanes stepping through their rows' coefficients together
 /// against one bias entry a step ([`WideDots`]) — each lane adding its own
-/// row's terms in the order of [`bias_terms`]. A lane whose magnitude sum
-/// is not finite is [`bias_fold_row`]'s, on its chain.
+/// row's terms in the order of [`bias_terms`], finished as
+/// [`ConcretizeBlocks`]' are. A row whose magnitude sum is not finite is
+/// [`bias_fold_row`]'s, on its chain.
 struct BiasFoldBlocks<'a, F> {
     plane: &'a [Itv<F>],
     cols: usize,
@@ -1563,22 +1569,21 @@ impl<F: Fp> BiasFoldBlocks<'_, F> {
     #[inline(always)]
     fn rows<const L: usize>(self) {
         let cols = self.cols;
-        for (r0, live, lane) in row_blocks::<L>(self.out_cst.len()) {
+        let mut sums = RowSums::new(self.out_cst.len() + L);
+        for (r0, lane) in row_blocks::<L>(self.out_cst.len()) {
             let a = lane_runs::<_, L>(|j| &self.plane[lane(j) * cols..], cols);
             let mut dots = WideDots::<L>::new(from_fn(|j| self.src_cst[lane(j)]));
             for (k, &w) in (0..cols).zip(self.bias.iter().cycle()) {
                 dots.mul_add_nonzero(&from_fn(|j| a[j][k]), w);
             }
-            let dots = dots.finish();
-            for (j, r) in (r0..r0 + live).enumerate() {
-                self.out_cst[r] = dots[j].unwrap_or_else(|| {
-                    bias_fold_row(
-                        &self.plane[r * cols..(r + 1) * cols],
-                        self.bias,
-                        self.src_cst[r],
-                    )
-                });
-            }
+            dots.store(&mut sums, r0);
+        }
+        for r in sums.finish(self.out_cst) {
+            self.out_cst[r] = bias_fold_row(
+                &self.plane[r * cols..(r + 1) * cols],
+                self.bias,
+                self.src_cst[r],
+            );
         }
     }
 }
@@ -1775,13 +1780,16 @@ impl<'a, F: Fp> GemmLaunch<'a, F> {
 /// into a term list (so the zero-skip, the `f32`→`f64` conversions and the
 /// row's magnitude sum leave the hot loop); then every `L`-wide column block
 /// — one row of `C` times `L` columns, its accumulators in registers over
-/// all of the row's terms — streams that list in ascending `k`. `L` is the
-/// build's ([`crate::simd`]): the lanes of a block are independent, each
-/// doing the operations of [`gemm_itv_row`] for its output in the same
-/// order — blocking covers `m`/`n` only — so the bits are the same at any
-/// width. The last `n mod L` columns of `B` are copied once per launch into
-/// blocks padded with zeros (an unused lane multiplies by zero), so that no
-/// term copies them. `fresh` starts from zero instead of reading `C`.
+/// all of the row's terms — streams that list in ascending `k` and stores
+/// its raw sums, and one lane-wise pass
+/// ([`Widening::enclose_lanes`](gpupoly_interval::wide::Widening::enclose_lanes))
+/// turns the row's sums into its outputs. `L` is the build's ([`crate::simd`]):
+/// the lanes of a block are independent, each doing the operations of
+/// [`gemm_itv_row`] for its output in the same order — blocking covers
+/// `m`/`n` only — so the bits are the same at any width. The last `n mod L`
+/// columns of `B` are copied once per launch into blocks padded with zeros
+/// (an unused lane multiplies by zero), so that no term copies them.
+/// `fresh` starts from zero instead of reading `C`.
 #[inline(always)]
 fn wide_itv_rows<F: Fp, const L: usize>(
     atile: &[Itv<F>],
@@ -1802,6 +1810,9 @@ fn wide_itv_rows<F: Fp, const L: usize>(
             tail.push(w);
         }
     }
+    // A row's raw sums, block after block, the last one padded.
+    let mut sums = vec![0.0; 2 * (full + L)];
+    let (lo, hi) = sums.split_at_mut(full + L);
     let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
     for (arow, crow) in atile.chunks(k).zip(ctile.chunks_mut(n)) {
         terms.clear();
@@ -1818,37 +1829,48 @@ fn wide_itv_rows<F: Fp, const L: usize>(
             chain_itv_rows(arow, b, crow, k, n, fresh);
             continue;
         };
-        let (blocks, last) = crow.split_at_mut(full);
-        for (j0, out) in (0..full).step_by(L).zip(blocks.chunks_exact_mut(L)) {
-            lane_block(&terms, out, fresh, e, |kk| {
-                b[kk * n + j0..]
-                    .first_chunk::<L>()
-                    .expect("a full lane block")
-            });
+        let init = |j0: usize| {
+            if fresh {
+                &[][..]
+            } else {
+                &crow[j0..n.min(j0 + L)]
+            }
+        };
+        let sums = lo
+            .as_chunks_mut::<L>()
+            .0
+            .iter_mut()
+            .zip(hi.as_chunks_mut::<L>().0);
+        for (j0, (lo, hi)) in (0..n).step_by(L).zip(sums) {
+            let acc = if j0 < full {
+                lane_block(&terms, init(j0), |kk| {
+                    b[kk * n + j0..]
+                        .first_chunk::<L>()
+                        .expect("a full lane block")
+                })
+            } else {
+                lane_block(&terms, init(j0), |kk| &tail[kk])
+            };
+            (*lo, *hi) = acc.into_sums();
         }
-        if !last.is_empty() {
-            lane_block(&terms, last, fresh, e, |kk| &tail[kk]);
-        }
+        e.enclose_lanes(lo, hi, crow);
     }
 }
 
-/// One block of [`wide_itv_rows`]: the outputs `out`, at most `L` of them,
-/// stream the row's term list `(k, term)` in its order, lane `j` against
-/// weight `w(k)[j]`, and take the list's bound `e`.
+/// One block of [`wide_itv_rows`]: `L` lanes started at `init` (exact
+/// zeros past it) stream the row's term list `(k, term)` in its order, lane
+/// `j` against weight `w(k)[j]`.
 #[inline(always)]
 fn lane_block<'w, F: Fp, const L: usize>(
     terms: &[(usize, WideTerm)],
-    out: &mut [Itv<F>],
-    fresh: bool,
-    e: Widening,
+    init: &[Itv<F>],
     w: impl Fn(usize) -> &'w [F; L],
-) {
-    let mut acc = WideAcc::<L>::new(if fresh { &[] } else { &out[..] });
+) -> WideAcc<L> {
+    let mut acc = WideAcc::<L>::new(init);
     for &(kk, term) in terms {
         acc.mul_add(term, w(kk));
     }
-    let lanes = acc.finish_lanes(e);
-    out.copy_from_slice(&lanes[..out.len()]);
+    acc
 }
 
 /// The per-step chain over rows of an interval product, streamed row-wise
@@ -1924,6 +1946,12 @@ fn live_rows<F: Fp, const L: usize>(
     lists: &[&[u32]],
     blocks: &[&[[f64; L]]],
 ) {
+    // A row's raw sums and outputs, packed: live column after live column.
+    let width = lists.iter().map(|l| l.len().next_multiple_of(L)).max();
+    let width = width.unwrap_or(0);
+    let mut sums = vec![0.0; 2 * width];
+    let (lo, hi) = sums.split_at_mut(width);
+    let mut packed = vec![Itv::zero(); width];
     let mut terms: Vec<(usize, WideTerm)> = Vec::with_capacity(k);
     for ((arow, crow), &s) in atile.chunks(k).zip(ctile.chunks_mut(n)).zip(seg) {
         crow.fill(Itv::zero());
@@ -1944,14 +1972,22 @@ fn live_rows<F: Fp, const L: usize>(
             chain_live_row(arow, b, live, crow);
             continue;
         };
-        for (block, out) in blocks[s as usize].chunks_exact(k).zip(live.chunks(L)) {
+        let sums = lo
+            .as_chunks_mut::<L>()
+            .0
+            .iter_mut()
+            .zip(hi.as_chunks_mut::<L>().0);
+        for (block, (lo, hi)) in blocks[s as usize].chunks_exact(k).zip(sums) {
             let mut acc = WideAcc::<L>::new::<F>(&[]);
             for &(kk, term) in &terms {
                 acc.mul_add_wide(term, &block[kk]);
             }
-            for (&j, v) in out.iter().zip(acc.finish_lanes(e)) {
-                crow[j as usize] = v;
-            }
+            (*lo, *hi) = acc.into_sums();
+        }
+        let packed = &mut packed[..live.len()];
+        e.enclose_lanes(lo, hi, packed);
+        for (&j, &v) in live.iter().zip(&*packed) {
+            crow[j as usize] = v;
         }
     }
 }
@@ -2172,7 +2208,8 @@ impl<F: Fp> ConcretizeDense<'_, F> {
         let mut scratch = vec![Itv::zero(); 2 * block];
         let (s_lo, s_hi) = scratch.split_at_mut(block);
         let origins = [(0, 0); L];
-        for (r0, live, _) in row_blocks::<L>(self.out.len()) {
+        for r0 in (0..self.out.len()).step_by(L) {
+            let live = L.min(self.out.len() - r0);
             let (rows, len) = (r0..r0 + live, live * n);
             for (a, c) in [(self.lo, &mut *s_lo), (self.hi, &mut *s_hi)] {
                 let a = &a[r0 * k..(r0 + live) * k];

@@ -17,12 +17,20 @@
 //! the same order — a lane is a lane however many sit in a register, and
 //! Rust never contracts `a * b + c` into an FMA — so they write the same
 //! bits, which the tests of [`crate::backend`] check by calling both. The
-//! GEMM's epilogue ([`WideAcc::finish`]), the row blocks'
-//! ([`WideBounds::finish`], [`WideDots::finish`]) and the per-step chains
-//! are compiled once, never inlined into either build; GBC's block epilogue
-//! ([`WideRow::finish`]) is compiled into both, lane-wise, because per
-//! element it is a handful of directed steps written as IEEE operations and
-//! integer operations on bit patterns, which give one result at any width.
+//! epilogues of the wide rule are compiled into both builds too, as lane
+//! loops — per output a handful of directed steps written as IEEE
+//! operations and integer operations on bit patterns, which give one result
+//! at any width — but never next to the lane loop whose sums they take: a
+//! block stores its raw sums and one pass over the row (the GEMM's
+//! [`Widening::enclose_lanes`]), over the launch's rows (the row blocks'
+//! [`RowSums::finish`]) or over a destination row (GBC's
+//! [`WideRow::finish`]) turns them into outputs. Written after the lane
+//! loop in the same straight-line code, the epilogue decides how the
+//! compiler lays the loop's accumulators out in registers — a lane's lower
+//! sum beside its upper one, every step then paying shuffles — and, compiled
+//! once out of line for the baseline instead, it cost the GEMM a third of
+//! its time. Only the per-step chains, which take the rows the wide rule
+//! hands back, are compiled once and never inlined into either build.
 //!
 //! Which build a process runs is decided once, by
 //! `is_x86_feature_detected!`, the first time a kernel launches
@@ -35,10 +43,9 @@
 //! `is_x86_feature_detected!` has said the host executes AVX-512F, the one
 //! precondition of a function compiled with `avx512f` enabled.
 //!
-//! [`WideAcc::finish`]: gpupoly_interval::wide::WideAcc::finish
+//! [`Widening::enclose_lanes`]: gpupoly_interval::wide::Widening::enclose_lanes
+//! [`RowSums::finish`]: gpupoly_interval::wide::RowSums::finish
 //! [`WideRow::finish`]: gpupoly_interval::wide::WideRow::finish
-//! [`WideBounds::finish`]: gpupoly_interval::wide::WideBounds::finish
-//! [`WideDots::finish`]: gpupoly_interval::wide::WideDots::finish
 
 use std::sync::OnceLock;
 

@@ -154,18 +154,19 @@ macro_rules! impl_fp {
             }
             #[inline(always)]
             fn next_up_if(self, step: bool) -> Self {
-                const SIGN: $bits = 1 << (<$bits>::BITS - 1);
-                const INF: $bits = <$t>::INFINITY.to_bits();
                 let bits = self.to_bits();
-                let abs = bits & !SIGN;
                 // Either zero steps as `+0` does: its pattern is cleared
                 // first (all ones here at a zero, to mask with).
-                let zero = ((abs == 0) as $bits).wrapping_neg();
+                let zero = ((self == 0.0) as $bits).wrapping_neg();
                 // Towards `+inf` the pattern of a positive value counts up
                 // and that of a negative one down: `1 - 2 * sign`.
                 let delta = (1 as $bits).wrapping_sub((bits & !zero) >> (<$bits>::BITS - 1) << 1);
-                // Nothing lies above `+inf`, and a NaN stays what it is.
-                let go = ((step & (abs <= INF) & (bits != INF)) as $bits).wrapping_neg();
+                // Nothing lies above `+inf`, and a NaN stays what it is:
+                // both fail `self < +inf`. The tests on the value are float
+                // comparisons, one instruction in any vector build, where
+                // those on the pattern would be 64-bit integer comparisons,
+                // which baseline x86-64 (SSE2) does not have for vectors.
+                let go = ((step & (self < <$t>::INFINITY)) as $bits).wrapping_neg();
                 // One addition to the pattern, of zero when there is no step
                 // to take: written as a choice between two *values* the
                 // compiler picks between two floats, which on x86-64 is a

@@ -19,7 +19,8 @@
 //! instead of every output walking its own term list. [`WideBounds`] and
 //! [`WideDots`] turn the lanes the other way: each lane is one output over
 //! its own term list, with its own magnitude sum — a row of a *row block*,
-//! whose rows step through their term lists together.
+//! whose rows step through their term lists together; [`RowSums`] keeps a
+//! launch's blocks in memory for one pass that finishes every row.
 //!
 //! # The rule (what every backend must reproduce, bit for bit)
 //!
@@ -458,6 +459,17 @@ impl Widening {
             hi: round::from_f64_up(hi),
         }
     }
+
+    /// The rule's epilogue of `lo[j]` and `hi[j]` into `out[j]` for every
+    /// lane of `out`, in one loop: a GEMM row's over its blocks' sums
+    /// ([`WideAcc::into_sums`]). Panics when `lo` or `hi` is shorter.
+    #[inline(always)]
+    pub fn enclose_lanes<F: Fp>(self, lo: &[f64], hi: &[f64], out: &mut [Itv<F>]) {
+        let (lo, hi) = (&lo[..out.len()], &hi[..out.len()]);
+        for ((v, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+            *v = self.enclose(lo, hi);
+        }
+    }
 }
 
 /// The magnitude sum `T` of one term list and the count of its additions —
@@ -587,28 +599,16 @@ impl<const N: usize> WideAcc<N> {
 
     /// The sound enclosure of lane `j` under the error bound `e` of the term
     /// list the lane was fed.
-    // Never inlined: next to the lane loop, the epilogue's pairing of a
-    // lane's `lo` with its `hi` decides how the compiler lays the
-    // accumulators out in vector registers — pairwise, every term then
-    // paying shuffles — and a call per output costs nothing against that.
+    // Never inlined: next to a lane loop it pairs a lane's `lo` and `hi`.
     #[inline(never)]
     pub fn finish<F: Fp>(&self, j: usize, e: Widening) -> Itv<F> {
         e.enclose(self.lo[j], self.hi[j])
     }
 
-    /// The sound enclosure of every lane under the error bound `e` of the
-    /// term list the lanes were fed: lane `j`'s is [`WideAcc::finish`]'s
-    /// for `j`, bit for bit.
-    // Never inlined, and by value, for the reasons `WideBounds::finish` is:
-    // a reference to the accumulators would keep them in memory across the
-    // lane loop, stored at every term. A loop, for the reason given there.
-    #[inline(never)]
-    pub fn finish_lanes<F: Fp>(self, e: Widening) -> [Itv<F>; N] {
-        let mut out = [Itv::zero(); N];
-        for (j, v) in out.iter_mut().enumerate() {
-            *v = e.enclose(self.lo[j], self.hi[j]);
-        }
-        out
+    /// The lanes' sums, lower and upper, by value ([`Widening::enclose_lanes`]).
+    #[inline(always)]
+    pub fn into_sums(self) -> ([f64; N], [f64; N]) {
+        (self.lo, self.hi)
     }
 }
 
@@ -1018,18 +1018,6 @@ fn count_if(take: bool) -> f64 {
     keep_if(take, 1.0, 0.0)
 }
 
-/// The error bound of one lane of a row block: [`WideMag::finish`] over the
-/// lane's `T` and count. A lane whose `T` is NaN ([`lane_mag`]) has none,
-/// as one whose `T` is `+inf`.
-#[inline(always)]
-fn lane_bound(t: f64, rounded: f64) -> Option<Widening> {
-    WideMag {
-        t,
-        rounded: rounded as usize,
-    }
-    .finish()
-}
-
 /// `L` [`WideBound`]s side by side, one term list a lane: the lanes of a
 /// *row block*, whose rows step through their coefficients together, lane
 /// `j` adding its own row's term at each step. Nothing is shared between
@@ -1094,30 +1082,10 @@ impl<const L: usize, const UPPER: bool> WideBounds<L, UPPER> {
         }
     }
 
-    /// Every lane's bound, `None` for a lane that took an operand that was
-    /// not finite ([`WideBound::finish`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane took more than `2³²` terms.
-    // Never inlined, and by value: reading lanes back next to the lane loop
-    // leads the compiler to keep the lanes apart, each step then paying to
-    // put them together, and a reference to the sums would keep them in
-    // memory across the loop, stored at every step. A loop rather than
-    // `std::array::from_fn`, whose per-lane closure the compiler inlines or
-    // calls depending on how it splits the calling crate into codegen
-    // units: a change elsewhere in that crate then moves every lane's
-    // epilogue in or out of line.
-    #[inline(never)]
-    pub fn finish<F: Fp>(self) -> [Option<F>; L] {
-        let mut out = [None; L];
-        for (j, v) in out.iter_mut().enumerate() {
-            if let Some(e) = lane_bound(self.t[j], self.rounded[j]) {
-                let y: Itv<F> = e.enclose(self.sum[j], self.sum[j]);
-                *v = Some(if UPPER { y.hi } else { y.lo });
-            }
-        }
-        out
+    /// Lane `j` as row `at + j` of `rows`, this side: [`WideBound`]'s.
+    #[inline(always)]
+    pub fn store(self, rows: &mut RowSums, at: usize) {
+        rows.put(usize::from(UPPER), at, [self.sum, self.t, self.rounded]);
     }
 }
 
@@ -1171,24 +1139,61 @@ impl<const L: usize> WideDots<L> {
         }
     }
 
-    /// Every lane's enclosure, `None` for a lane that took an operand that
-    /// was not finite (the caller then takes the per-step chain for that
-    /// lane's row).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane took more than `2³²` terms.
-    // Never inlined, by value and a loop, for the reasons `WideBounds::finish`
-    // is.
-    #[inline(never)]
-    pub fn finish<F: Fp>(self) -> [Option<Itv<F>>; L] {
-        let mut out = [None; L];
-        for (j, v) in out.iter_mut().enumerate() {
-            if let Some(e) = lane_bound(self.t[j], self.rounded[j]) {
-                *v = Some(e.enclose(self.lo[j], self.hi[j]));
-            }
+    /// Lane `j` as row `at + j` of `rows`, both sides: [`WideAcc::finish`]'s.
+    #[inline(always)]
+    pub fn store(self, rows: &mut RowSums, at: usize) {
+        rows.put(0, at, [self.lo, self.t, self.rounded]);
+        rows.put(1, at, [self.hi, self.t, self.rounded]);
+    }
+}
+
+/// The lanes of a launch's row blocks ([`WideBounds`], [`WideDots`]), each
+/// side of a row with its own sum, `T` and count, for one lane-wise pass
+/// apart from the lane loops, whose registers it would lay out.
+#[derive(Clone, Debug)]
+pub struct RowSums {
+    /// Per side, the rows' sums, then their `T`, then their counts.
+    lanes: Vec<f64>,
+    rows: usize,
+}
+
+impl RowSums {
+    /// `rows` rows, every side at exact zero with no term.
+    pub fn new(rows: usize) -> Self {
+        let lanes = vec![0.0; 6 * rows];
+        Self { lanes, rows }
+    }
+
+    #[inline(always)]
+    fn put<const L: usize>(&mut self, side: usize, at: usize, lanes: [[f64; L]; 3]) {
+        for (k, lanes) in (3 * side..).zip(lanes) {
+            let run = &mut self.lanes[k * self.rows..][..self.rows][at..];
+            *run.first_chunk_mut().expect("lanes in the rows") = lanes;
         }
-        out
+    }
+
+    /// Row `r`'s enclosure into `out[r]` for every row of `out`, each side
+    /// under its own bound ([`WideMag::finish`]'s, taken without a branch).
+    /// Returns the rows with a side whose `T` is `+inf` or NaN: they have
+    /// none. Panics when `out` has more rows than this, or a side with a
+    /// bound took more than `2³²` terms.
+    #[inline(always)]
+    pub fn finish<F: Fp>(&self, out: &mut [Itv<F>]) -> impl Iterator<Item = usize> + '_ {
+        let rows = out.len();
+        let run = |k: usize| &self.lanes[k * self.rows..][..rows];
+        let (lo, t_lo, n_lo, hi, t_hi, n_hi) = (run(0), run(1), run(2), run(3), run(4), run(5));
+        let mut counted = true;
+        for (r, v) in out.iter_mut().enumerate() {
+            let lo = Widening(bound_of(t_lo[r], n_lo[r])).enclose::<F>(lo[r], lo[r]);
+            let hi = Widening(bound_of(t_hi[r], n_hi[r])).enclose::<F>(hi[r], hi[r]);
+            (v.lo, v.hi) = (lo.lo, hi.hi);
+            counted &= !t_lo[r].is_finite() | (n_lo[r] <= MAX_TERMS);
+            counted &= !t_hi[r].is_finite() | (n_hi[r] <= MAX_TERMS);
+        }
+        assert!(counted, "wide accumulation over too many terms");
+        // `T` is never negative: the sum is finite exactly when both are.
+        let finite = t_lo.iter().zip(t_hi).map(|(lo, hi)| (lo + hi).is_finite());
+        (0..rows).zip(finite).filter(|&(_, f)| !f).map(|(r, _)| r)
     }
 }
 
@@ -1276,31 +1281,24 @@ mod tests {
         assert!(y.lo >= (-7.0_f32).next_down() && y.hi <= 1.0_f32.next_up());
     }
 
+    /// Sums to enclose: both zeros, subnormal edges, values past `f32::MAX`.
+    #[rustfmt::skip]
+    const SUMS: [f64; 16] = [
+        0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e-300, -1e-300, 5e-324, -5e-324, 3.5e38, -3.5e38,
+        f64::MAX, f64::MIN,
+        1.401298464324817e-45, -7.006492321624085e-46, // 2⁻¹⁴⁹, -2⁻¹⁵⁰
+    ];
+
+    /// Bounds to enclose them under, zero first.
+    const BOUNDS: [f64; 6] = [0.0, 5e-324, 1e-30, 0.25, 1e300, f64::MAX];
+
     #[test]
     fn the_epilogue_is_the_directed_operations_it_stands_for() {
         // `enclose` spells `sub_down`, `add_up` and their exact shortcuts
         // without branches; here they are with them.
-        let sums = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            0.1,
-            -0.3,
-            1e-300,
-            -1e-300,
-            5e-324,
-            -5e-324,
-            3.5e38,
-            -3.5e38,
-            f64::MAX,
-            f64::MIN,
-            2f64.powi(-149),
-            -(2f64.powi(-150)),
-        ];
-        for e in [0.0, 5e-324, 1e-30, 0.25, 1e300, f64::MAX] {
-            for lo in sums {
-                for hi in sums {
+        for e in BOUNDS {
+            for lo in SUMS {
+                for hi in SUMS {
                     let got: Itv<f32> = Widening(e).enclose(lo, hi);
                     // A zero bound moves nothing, the sign of a zero included.
                     let (down, up) = if e > 0.0 {
@@ -1320,6 +1318,161 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`Widening::enclose_lanes`] over the sums of a `WideAcc<N>`, every
+    /// pair of [`SUMS`] in every lane under every bound of [`BOUNDS`], the
+    /// other lanes holding other pairs and `out` as long as the lanes up to
+    /// it: each lane is the scalar epilogue's, bit for bit.
+    fn lanes_are_the_scalar_epilogue<const N: usize>() {
+        let pairs: Vec<(f64, f64)> = SUMS
+            .iter()
+            .flat_map(|&lo| SUMS.map(|hi| (lo, hi)))
+            .collect();
+        for e in BOUNDS.map(Widening) {
+            for (p, &pair) in pairs.iter().enumerate() {
+                for at in 0..N {
+                    let lane = |j| match j == at {
+                        true => pair,
+                        false => pairs[(p + 7 * j + 1) % pairs.len()],
+                    };
+                    let acc = WideAcc::<N> {
+                        lo: std::array::from_fn(|j| lane(j).0),
+                        hi: std::array::from_fn(|j| lane(j).1),
+                    };
+                    let (lo, hi) = acc.into_sums();
+                    let mut out = [Itv::point(9.0_f32); N];
+                    e.enclose_lanes(&lo, &hi, &mut out[..=at]);
+                    for (j, y) in out.iter().enumerate() {
+                        let want: Itv<f32> = match j <= at {
+                            true => e.enclose(lane(j).0, lane(j).1),
+                            false => Itv::point(9.0),
+                        };
+                        assert_eq!(
+                            (y.lo.to_bits(), y.hi.to_bits()),
+                            (want.lo.to_bits(), want.hi.to_bits()),
+                            "N {N}, lane {j} of {at}, {:?} under {e:?}",
+                            lane(j)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_wise_epilogue_is_the_scalar_one_in_every_lane() {
+        lanes_are_the_scalar_epilogue::<1>();
+        lanes_are_the_scalar_epilogue::<4>();
+        lanes_are_the_scalar_epilogue::<8>();
+        lanes_are_the_scalar_epilogue::<16>();
+    }
+
+    /// The rows `store` leaves in a [`RowSums`], finished: `None` if handed back.
+    fn finished<const L: usize>(store: impl FnOnce(&mut RowSums)) -> [Option<Itv<f32>>; L] {
+        let (mut sums, mut out) = (RowSums::new(L), [Itv::point(9.0); L]);
+        store(&mut sums);
+        let unbounded: Vec<usize> = sums.finish(&mut out).collect();
+        std::array::from_fn(|r| (!unbounded.contains(&r)).then_some(out[r]))
+    }
+
+    /// Rows of a row block's lanes, `L` at a time, over every side from a
+    /// grid of sums, `T` (`+inf` and NaN among them) and counts, finished by
+    /// [`RowSums::finish`]: each side of a [`WideBounds`] lane is
+    /// [`WideBound::finish`]'s over the same sum, `T` and count, each
+    /// [`WideDots`] lane [`WideMag::finish`] and [`WideAcc::finish`]'s, and a
+    /// row is handed back exactly where one of them has no result.
+    fn row_lanes_are_their_lists<const L: usize>() {
+        let ts = [0.0, 5e-324, 0.5, 1.0, 1.5, 1e300, f64::INFINITY, f64::NAN];
+        let counts = [0.0, 1.0, 2.0, 3.0, 1000.0, MAX_TERMS];
+        let sides: Vec<[f64; 3]> = (SUMS.iter().step_by(2))
+            .flat_map(|&s| ts.iter().flat_map(move |&t| counts.map(|n| [s, t, n])))
+            .collect();
+        let side = |r: usize, upper: bool| sides[(r * if upper { 37 } else { 1 }) % sides.len()];
+        let bits = |y: Option<f32>| y.map(f32::to_bits);
+        for r0 in (0..sides.len()).step_by(L) {
+            let lanes = |k: usize, upper| std::array::from_fn(|j| side(r0 + j, upper)[k]);
+            let bounds = finished::<L>(|rows| {
+                let lower = WideBounds::<L, false> {
+                    sum: lanes(0, false),
+                    t: lanes(1, false),
+                    rounded: lanes(2, false),
+                };
+                let upper = WideBounds::<L, true> {
+                    sum: lanes(0, true),
+                    t: lanes(1, true),
+                    rounded: lanes(2, true),
+                };
+                lower.store(rows, 0);
+                upper.store(rows, 0);
+            });
+            let dots = finished::<L>(|rows| {
+                let dots = WideDots::<L> {
+                    lo: lanes(0, false),
+                    hi: lanes(0, true),
+                    t: lanes(1, false),
+                    rounded: lanes(2, false),
+                };
+                dots.store(rows, 0)
+            });
+            for j in 0..L {
+                let one = |upper: bool| {
+                    let [sum, t, n] = side(r0 + j, upper);
+                    let mag = WideMag {
+                        t,
+                        rounded: n as usize,
+                    };
+                    (
+                        WideBound::<false> { sum, mag },
+                        WideBound::<true> { sum, mag },
+                        mag,
+                    )
+                };
+                let (lower, upper) = (one(false).0.finish::<f32>(), one(true).1.finish::<f32>());
+                let want = lower
+                    .zip(upper)
+                    .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+                let got = bounds[j].map(|y| (y.lo.to_bits(), y.hi.to_bits()));
+                assert_eq!(
+                    got,
+                    want,
+                    "L {L}, row {}: {:?}",
+                    r0 + j,
+                    (bits(lower), bits(upper))
+                );
+                let (lo, hi) = (side(r0 + j, false)[0], side(r0 + j, true)[0]);
+                let acc = WideAcc::<1> { lo: [lo], hi: [hi] };
+                let want = one(false).2.finish().map(|e| acc.finish::<f32>(0, e));
+                let got = dots[j].map(|y| (y.lo.to_bits(), y.hi.to_bits()));
+                assert_eq!(
+                    got,
+                    want.map(|y| (y.lo.to_bits(), y.hi.to_bits())),
+                    "L {L}, row {}: dot",
+                    r0 + j
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_sums_finish_each_lane_as_its_own_list() {
+        row_lanes_are_their_lists::<1>();
+        row_lanes_are_their_lists::<4>();
+        row_lanes_are_their_lists::<8>();
+        row_lanes_are_their_lists::<16>();
+    }
+
+    #[test]
+    #[should_panic(expected = "wide accumulation over too many terms")]
+    fn row_sums_panic_past_two_to_the_32_terms() {
+        // Without a bound the count does not matter, as in `WideMag::finish`.
+        let mut out = [Itv::<f32>::zero(); 1];
+        let over = MAX_TERMS + 1.0;
+        let mut rows = RowSums::new(1);
+        rows.put(0, 0, [[1.0], [f64::INFINITY], [over]]);
+        assert_eq!(rows.finish(&mut out).collect::<Vec<_>>(), [0]);
+        rows.put(0, 0, [[1.0], [1.0], [over]]);
+        let _ = rows.finish(&mut out).count();
     }
 
     #[test]
@@ -1741,7 +1894,9 @@ mod tests {
                 hi.mul_add_nonzero(a, b);
                 dots.mul_add_nonzero(a, *w);
             }
-            let (lo, hi, dots) = (lo.finish::<f32>(), hi.finish::<f32>(), dots.finish::<f32>());
+            let lo = finished::<L>(|rows| lo.store(rows, 0)).map(|y| y.map(|y| y.lo));
+            let hi = finished::<L>(|rows| hi.store(rows, 0)).map(|y| y.map(|y| y.hi));
+            let dots = finished::<L>(|rows| dots.store(rows, 0));
             for (j, c) in starts.into_iter().enumerate() {
                 let mut one_lo = WideBound::<false>::new(c.lo);
                 let mut one_hi = WideBound::<true>::new(c.hi);
