@@ -117,7 +117,8 @@ impl Client {
     pub fn exchange(&mut self, request: &Request) -> Result<Reply, ClientError> {
         let line =
             serde_json::to_string(request).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        self.send_raw(&line)
+        self.write_line(line)?;
+        Ok(self.recv_any()?.1)
     }
 
     /// Sends one raw line verbatim and reads one reply — the tests use
@@ -128,20 +129,17 @@ impl Client {
     /// [`ClientError::Io`] / [`ClientError::Protocol`] when the exchange
     /// itself fails.
     pub fn send_raw(&mut self, line: &str) -> Result<Reply, ClientError> {
+        self.write_line(line.to_string())?;
+        Ok(self.recv_any()?.1)
+    }
+
+    /// Writes one frame, the line and its newline, in one write: two
+    /// writes on a `TCP_NODELAY` socket are two syscalls and a one-byte
+    /// segment.
+    fn write_line(&mut self, mut line: String) -> Result<(), ClientError> {
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut reply_line = String::new();
-        let n = self.reader.read_line(&mut reply_line)?;
-        if n == 0 {
-            return Err(ClientError::Protocol(
-                "server closed the connection".to_string(),
-            ));
-        }
-        Reply::from_value(
-            &serde_json::from_str(&reply_line).map_err(|e| ClientError::Protocol(e.to_string()))?,
-        )
-        .map_err(|e| ClientError::Protocol(e.to_string()))
+        Ok(())
     }
 
     /// Sends one request *without* waiting for its reply, tagging it with
@@ -158,10 +156,7 @@ impl Client {
         let framed = frame_with_id(request, id);
         let line =
             serde_json::to_string(&framed).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        self.write_line(line)
     }
 
     /// Reads the next reply frame off the connection, whichever request it

@@ -5,9 +5,24 @@
 //! reply with a typed [`ErrorCode`] and the connection stays open — a client
 //! can never crash a connection, only earn error replies.
 //!
-//! Numbers ride as JSON numbers (f64). Every `f32` the verifier produces
-//! round-trips exactly through f64 and shortest-round-trip printing, so a
-//! margin read off the wire is bit-identical to the engine's.
+//! A verify frame's `"image"` rides as one base64 string (RFC 4648 §4,
+//! padded) of the pixels' little-endian `f32` bytes: the string carries the
+//! bits, so the image the engine sees is the client's, bit for bit. That is
+//! what [`Request`]'s `Serialize` writes and what [`Client`](crate::Client)
+//! sends; 784 pixels make a 4.2 KB string where 784 shortest-round-trip
+//! decimals made 15 KB. The decoder picks the form by the value's type: a
+//! JSON array of numbers is accepted too, so a hand-written client (or
+//! `nc`) can spell the pixels out. A string that is not whole base64 of
+//! whole `f32`s — a length that is not a multiple of 4, a byte outside the
+//! alphabet, an `=` anywhere but the last one or two places, non-zero pad
+//! bits, or a byte count that is not a multiple of 4 — earns `bad_request`.
+//! Base64 can carry a NaN or an infinity, which the engine's own check
+//! answers with `bad_query`.
+//!
+//! Every other number rides as a JSON number (f64). Every `f32` the
+//! verifier produces round-trips exactly through f64 and
+//! shortest-round-trip printing, so a margin read off the wire is
+//! bit-identical to the engine's.
 //!
 //! # Multiplexing
 //!
@@ -27,8 +42,11 @@
 //! | `{"type":"ping"}`                                      | `{"type":"pong"}` |
 //! | `{"type":"models"}`                                    | `{"type":"models","models":[...]}` |
 //! | `{"type":"stats"}`                                     | `{"type":"stats","device":{...},"devices":[...],"models":[...]}` |
-//! | `{"type":"verify","model":m,"image":[..],"label":l,"eps":e}` | `{"type":"verdict",...}` or `{"type":"error",...}` |
+//! | `{"type":"verify","model":m,"image":b,"label":l,"eps":e}` | `{"type":"verdict",...}` or `{"type":"error",...}` |
+//! | `{"type":"verify_complete","model":m,"image":b,"label":l,"eps":e,"max_splits":s?,"deadline_ms":d?}` | `{"type":"complete",...}` or `{"type":"error",...}` |
 //! | any of the above + `"id":n`                            | the same reply + `"id":n`, possibly out of order |
+//!
+//! `b` is the image's base64 string, or a JSON array of its pixels.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -45,7 +63,9 @@ pub enum Request {
     Verify {
         /// Model name (resolved against the daemon's model directory).
         model: String,
-        /// Center image.
+        /// Center image. On the wire, the base64 string of its pixels'
+        /// little-endian `f32` bytes, or an array of numbers (see the
+        /// [module docs](self)).
         image: Vec<f32>,
         /// Claimed label.
         label: usize,
@@ -58,7 +78,9 @@ pub enum Request {
     VerifyComplete {
         /// Model name (resolved against the daemon's model directory).
         model: String,
-        /// Center image.
+        /// Center image. On the wire, the base64 string of its pixels'
+        /// little-endian `f32` bytes, or an array of numbers (see the
+        /// [module docs](self)).
         image: Vec<f32>,
         /// Claimed label.
         label: usize,
@@ -413,6 +435,125 @@ pub fn reply_id(v: &Value) -> Option<u64> {
     frame_id(v).ok().flatten()
 }
 
+/// The base64 alphabet of RFC 4648 §4.
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// [`BASE64_VALUE`]'s mark for a byte outside the alphabet.
+const NOT_BASE64: u8 = 0xff;
+
+/// Each byte's 6-bit value in [`BASE64`], or [`NOT_BASE64`].
+const BASE64_VALUE: [u8; 256] = {
+    let mut table = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The wire form of an image: padded base64 of its pixels' LE bytes.
+fn encode_image(image: &[f32]) -> String {
+    let mut bytes = Vec::with_capacity(4 * image.len());
+    for x in image {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
+    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    let sextet = |bits: u32, shift: u32| BASE64[(bits >> shift) as usize & 63];
+    let groups = bytes.chunks_exact(3);
+    let rest = groups.remainder();
+    for g in groups {
+        let bits = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
+        out.extend([18, 12, 6, 0].map(|shift| sextet(bits, shift)));
+    }
+    if let [first, more @ ..] = rest {
+        // One or two bytes left: two or three characters, then `=`s.
+        let bits = u32::from(*first) << 16 | u32::from(more.first().copied().unwrap_or(0)) << 8;
+        let quad = [18, 12, 6].map(|shift| sextet(bits, shift));
+        out.extend_from_slice(&quad[..=rest.len()]);
+        out.extend_from_slice(&b"=="[rest.len() - 1..]);
+    }
+    String::from_utf8(out).expect("base64 is ASCII")
+}
+
+/// The 24 bits of four base64 characters; `at` is the first one's offset,
+/// for the error.
+fn decode_quad(quad: &[u8], at: usize) -> Result<u32, DeError> {
+    let mut bits = 0;
+    for (k, &c) in quad.iter().enumerate() {
+        let value = BASE64_VALUE[usize::from(c)];
+        if value == NOT_BASE64 {
+            return Err(DeError(if c == b'=' {
+                format!("image: misplaced `=` at byte {}", at + k)
+            } else {
+                format!("image: byte {} (0x{c:02x}) is not base64", at + k)
+            }));
+        }
+        bits = bits << 6 | u32::from(value);
+    }
+    Ok(bits)
+}
+
+/// One pixel from its four little-endian bytes.
+fn pixel(b: &[u8]) -> f32 {
+    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// Decodes an image's base64 string straight into its pixels, four groups
+/// of four characters (twelve bytes, three pixels) at a time.
+fn decode_image(text: &str) -> Result<Vec<f32>, DeError> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return Err(DeError(format!(
+            "image: {} base64 characters, not a multiple of 4",
+            text.len()
+        )));
+    }
+    let pad = text
+        .iter()
+        .rev()
+        .take(2)
+        .take_while(|&&c| c == b'=')
+        .count();
+    let len = text.len() / 4 * 3 - pad;
+    if !len.is_multiple_of(4) {
+        return Err(DeError(format!(
+            "image: {len} bytes, not a whole number of f32s"
+        )));
+    }
+    let mut image = Vec::with_capacity(len / 4);
+    let mut bytes = [0u8; 12];
+    let quads = text.len() / 4;
+    for (q, quad) in text.chunks_exact(4).enumerate() {
+        let last = q + 1 == quads;
+        let mut quad = [quad[0], quad[1], quad[2], quad[3]];
+        if last {
+            quad[4 - pad..].fill(b'A');
+        }
+        let bits = decode_quad(&quad, 4 * q)?;
+        if last && bits & ((1 << (8 * pad)) - 1) != 0 {
+            return Err(DeError("image: non-zero base64 pad bits".into()));
+        }
+        let k = q % 4;
+        bytes[3 * k..3 * k + 3].copy_from_slice(&bits.to_be_bytes()[1..]);
+        if k == 3 || last {
+            // Whole pixels: twelve bytes, or the rest of `len`, which is
+            // a multiple of 4.
+            let filled = 3 * (k + 1) - if last { pad } else { 0 };
+            image.extend(bytes[..filled].chunks_exact(4).map(pixel));
+        }
+    }
+    Ok(image)
+}
+
+/// Reads a frame's `"image"`: a base64 string, or an array of numbers.
+fn image_from_value(v: &Value) -> Result<Vec<f32>, DeError> {
+    match v {
+        Value::Str(text) => decode_image(text),
+        other => Vec::from_value(other),
+    }
+}
+
 impl Serialize for Request {
     fn to_value(&self) -> Value {
         match self {
@@ -427,7 +568,7 @@ impl Serialize for Request {
             } => Value::obj([
                 ("type", Value::Str("verify".into())),
                 ("model", Value::Str(model.clone())),
-                ("image", image.to_value()),
+                ("image", Value::Str(encode_image(image))),
                 ("label", Value::Num(*label as f64)),
                 ("eps", Value::Num(f64::from(*eps))),
             ]),
@@ -441,7 +582,7 @@ impl Serialize for Request {
             } => Value::obj([
                 ("type", Value::Str("verify_complete".into())),
                 ("model", Value::Str(model.clone())),
-                ("image", image.to_value()),
+                ("image", Value::Str(encode_image(image))),
                 ("label", Value::Num(*label as f64)),
                 ("eps", Value::Num(f64::from(*eps))),
                 (
@@ -471,13 +612,13 @@ impl<'de> Deserialize<'de> for Request {
             "stats" => Ok(Request::Stats),
             "verify" => Ok(Request::Verify {
                 model: v.field("model")?.as_str()?.to_string(),
-                image: Vec::from_value(v.field("image")?)?,
+                image: image_from_value(v.field("image")?)?,
                 label: as_index(v.field("label")?)?,
                 eps: f32::from_value(v.field("eps")?)?,
             }),
             "verify_complete" => Ok(Request::VerifyComplete {
                 model: v.field("model")?.as_str()?.to_string(),
-                image: Vec::from_value(v.field("image")?)?,
+                image: image_from_value(v.field("image")?)?,
                 label: as_index(v.field("label")?)?,
                 eps: f32::from_value(v.field("eps")?)?,
                 max_splits: match opt_field(v, "max_splits") {
@@ -1071,6 +1212,172 @@ mod tests {
                 other => panic!("wrong reply {other:?}"),
             }
         }
+    }
+
+    fn verify_frame(image: &Value) -> String {
+        let frame = Value::obj([
+            ("type", Value::Str("verify".into())),
+            ("model", Value::Str("m".into())),
+            ("image", image.clone()),
+            ("label", Value::Num(1.0)),
+            ("eps", Value::Num(0.01)),
+        ]);
+        serde_json::to_string(&frame).unwrap()
+    }
+
+    fn image_of(text: &str) -> Result<Vec<f32>, DeError> {
+        match serde_json::from_str::<Request>(&verify_frame(&Value::Str(text.into()))) {
+            Ok(Request::Verify { image, .. }) => Ok(image),
+            Ok(other) => panic!("wrong request {other:?}"),
+            Err(e) => Err(DeError(e.to_string())),
+        }
+    }
+
+    #[test]
+    fn images_ride_as_base64_of_their_bits() {
+        // RFC 4648 §4's alphabet and padding: 1.0f32 is LE bytes 00 00 80 3f.
+        assert_eq!(encode_image(&[1.0]), "AACAPw==");
+        assert_eq!(encode_image(&[]), "");
+        assert_eq!(image_of("AACAPw==").unwrap(), [1.0]);
+        assert_eq!(image_of("").unwrap(), Vec::<f32>::new());
+        // Every length's padding (0, 1 or 2 `=`), and bits JSON numbers
+        // cannot carry, survive exactly.
+        let pixels = [
+            0.1f32,
+            -0.0,
+            f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+        ];
+        for n in 0..=pixels.len() {
+            let image = &pixels[..n];
+            let text = encode_image(image);
+            assert_eq!(text.len(), (4 * n).div_ceil(3) * 4);
+            let back = image_of(&text).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(image), "{text}");
+        }
+        // A 784-pixel frame is a third of its decimal spelling.
+        let image: Vec<f32> = (0..784).map(|i| (i as f32 * 0.618).fract()).collect();
+        let request = Request::Verify {
+            model: "m".into(),
+            image: image.clone(),
+            label: 3,
+            eps: 0.01,
+        };
+        let base64 = serde_json::to_string(&request).unwrap();
+        let decimal = verify_frame(&image.to_value());
+        assert!(
+            base64.len() * 3 < decimal.len(),
+            "{} vs {}",
+            base64.len(),
+            decimal.len()
+        );
+        // The array spelling is still accepted and reads the same pixels.
+        let Request::Verify { image: read, .. } = serde_json::from_str(&decimal).unwrap() else {
+            panic!("not a verify frame");
+        };
+        assert_eq!(read, image);
+        round_trip_request(&request);
+    }
+
+    #[test]
+    fn malformed_base64_images_are_typed_errors() {
+        for (text, why) in [
+            ("AACAPw=", "not a multiple of 4"),
+            ("AACAP", "not a multiple of 4"),
+            ("AAC*Pw==", "not base64"),
+            ("AACAPw==AACAPw==AACAPw==", "misplaced `=`"),
+            ("AA=APw==", "misplaced `=`"),
+            ("A===AA==", "misplaced `=`"),
+            ("====AA==", "misplaced `=`"),
+            ("AACAP===", "misplaced `=`"),
+            ("AACAA===AACAPw==AACAPw==", "misplaced `=`"),
+            ("AACAPx==", "pad bits"),
+            ("AACAPw", "not a multiple of 4"),
+            ("AACA", "not a whole number of f32s"),
+            ("AACAPwA=", "not a whole number of f32s"),
+            ("AACAP-==", "not base64"),
+            ("AAéPw==", "not base64"),
+        ] {
+            let err = image_of(text).expect_err(text);
+            assert!(err.0.contains(why), "{text}: {}", err.0);
+        }
+        // Neither a number nor an object is an image.
+        for image in [
+            Value::Num(1.0),
+            Value::Null,
+            Value::obj([("a", Value::Num(1.0))]),
+        ] {
+            assert!(serde_json::from_str::<Request>(&verify_frame(&image)).is_err());
+        }
+    }
+
+    /// Seeded mutations of valid frames in both encodings — bytes flipped,
+    /// inserted and deleted — parse to a request or a typed error, never a
+    /// panic.
+    #[test]
+    fn mutated_frames_parse_or_fail_typed() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let image: Vec<f32> = (0..40).map(|i| i as f32 / 40.0).collect();
+        let frames = [
+            verify_frame(&Value::Str(encode_image(&image))),
+            verify_frame(&image.to_value()),
+            serde_json::to_string(&frame_with_id(
+                &Request::VerifyComplete {
+                    model: "m".into(),
+                    image: image.clone(),
+                    label: 2,
+                    eps: 0.05,
+                    max_splits: Some(8),
+                    deadline_ms: Some(100),
+                },
+                Some(9),
+            ))
+            .unwrap(),
+        ];
+        let (mut parsed, mut typed) = (0, 0);
+        for round in 0..20_000 {
+            let mut bytes = frames[round % frames.len()].clone().into_bytes();
+            for _ in 0..1 + next() % 4 {
+                let at = next() as usize % (bytes.len() + 1);
+                let syntax = b"\"=\\[]{}:,-e.0A/+";
+                let byte = match next() % 4 {
+                    0 => syntax[next() as usize % syntax.len()],
+                    _ => next() as u8,
+                };
+                match next() % 3 {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << (next() % 8),
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            // As the server reads a frame: lossy UTF-8, then JSON, then the
+            // request.
+            let line = String::from_utf8_lossy(&bytes);
+            match serde_json::from_str::<Value>(&line) {
+                Ok(v) => match Request::from_value(&v) {
+                    Ok(_) => parsed += 1,
+                    Err(e) => {
+                        assert!(!e.0.is_empty());
+                        typed += 1;
+                    }
+                },
+                Err(e) => {
+                    assert!(!e.to_string().is_empty());
+                    typed += 1;
+                }
+            }
+        }
+        assert!(parsed > 0 && typed > 0, "{parsed} parsed, {typed} refused");
     }
 
     #[test]

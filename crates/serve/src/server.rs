@@ -430,16 +430,15 @@ fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>, max_len: usize) -> F
     }
 }
 
-/// Writes one reply line behind the connection's shared write lock,
-/// echoing the request id when present. The lock scope covers the whole
-/// line, so concurrent multiplexed replies never interleave bytes.
+/// Writes one reply line, newline included, in one write behind the
+/// connection's shared write lock, echoing the request id when present. The
+/// lock scope covers the whole line, so concurrent multiplexed replies never
+/// interleave bytes.
 fn write_framed(writer: &Mutex<TcpStream>, reply: &Reply, id: Option<u64>) -> std::io::Result<()> {
     let framed = frame_with_id(reply, id);
-    let text = serde_json::to_string(&framed).map_err(std::io::Error::other)?;
-    let mut w = writer.lock();
-    w.write_all(text.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+    let mut text = serde_json::to_string(&framed).map_err(std::io::Error::other)?;
+    text.push('\n');
+    writer.lock().write_all(text.as_bytes())
 }
 
 fn handle_value<B: Backend>(

@@ -1,11 +1,19 @@
 //! In-workspace stand-in for the `serde_json` crate: prints and parses JSON
 //! text for the `serde` shim's [`serde::Value`] model.
 //!
-//! Numbers are emitted with Rust's shortest-round-trip float formatting, so
-//! every `f32`/`f64`/integer value the workspace serializes survives a
-//! print/parse cycle exactly.
+//! Numbers are emitted with Rust's shortest-round-trip float formatting,
+//! written straight into the output, so every `f32`/`f64`/integer value the
+//! workspace serializes survives a print/parse cycle exactly.
+//!
+//! Strings are written and parsed in time linear in their length: each run
+//! of bytes up to the next quote, backslash (or, when writing, control
+//! byte) is copied in one step. That is what lets the wire protocol carry a
+//! verify frame's image as one long base64 string.
+//!
+//! Values nest at most 128 deep: the parser recurses once a level, and text
+//! from a socket must not be able to overflow its stack.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -47,6 +55,7 @@ pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -66,10 +75,11 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
             if !x.is_finite() {
                 return Err(Error(format!("cannot serialize non-finite number {x}")));
             }
+            // `fmt::Write` for `String` cannot fail.
             if x.fract() == 0.0 && x.abs() < 9.0e15 && !(*x == 0.0 && x.is_sign_negative()) {
-                out.push_str(&format!("{}", *x as i64));
+                let _ = write!(out, "{}", *x as i64);
             } else {
-                out.push_str(&format!("{x}"));
+                let _ = write!(out, "{x}");
             }
         }
         Value::Str(s) => write_string(s, out),
@@ -99,25 +109,60 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
     Ok(())
 }
 
+/// The length of the run of `bytes` before the first byte `stop` picks,
+/// sixteen bytes a test so that the scan vectorizes.
+fn run_until(bytes: &[u8], stop: impl Fn(u8) -> bool) -> usize {
+    let mut at = 0;
+    for chunk in bytes.chunks_exact(16) {
+        if chunk.iter().fold(false, |hit, &b| hit | stop(b)) {
+            break;
+        }
+        at += 16;
+    }
+    at + bytes[at..]
+        .iter()
+        .position(|&b| stop(b))
+        .unwrap_or(bytes.len() - at)
+}
+
+/// Writes `s` quoted, copying each run of bytes that needs no escape in one
+/// step. The bytes that do (`"`, `\`, controls) are ASCII, so every run
+/// starts and ends on a character boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut start = 0;
+    loop {
+        let end = start
+            + run_until(&s.as_bytes()[start..], |b| {
+                b == b'"' || b == b'\\' || b < 0x20
+            });
+        out.push_str(&s[start..end]);
+        let Some(&b) = s.as_bytes().get(end) else {
+            break;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        start = end + 1;
     }
     out.push('"');
 }
 
+/// How deep values may nest (the outermost value is at depth 1).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values open around the parser's position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,7 +201,24 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one value, refusing to nest deeper than [`MAX_DEPTH`]: each
+    /// level is a frame of the parser's recursion, and a line of a hundred
+    /// thousand `[` would otherwise overflow the thread's stack, which
+    /// aborts the process.
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "values nest deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = self.parse_level();
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_level(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
@@ -278,12 +340,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Copy one UTF-8 code point verbatim.
-                    let s = std::str::from_utf8(rest)
+                    // Copy the run up to the next quote or backslash
+                    // verbatim, in one step: both are ASCII, so the run is
+                    // whole characters of the input text.
+                    let run = run_until(rest, |b| b == b'"' || b == b'\\');
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| Error("invalid utf-8 in string".to_string()))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -319,6 +383,7 @@ mod tests {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         assert_eq!(parser.parse_value().unwrap(), v);
     }
@@ -328,6 +393,52 @@ mod tests {
         assert!(from_str::<f64>("{ not json").is_err());
         assert!(from_str::<f64>("1 2").is_err());
         assert!(from_str::<f64>("").is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_with_escapes_and_multibyte_text() {
+        for text in [
+            "",
+            "plain",
+            "q\"uote\\back\nline\r\ttab\u{1}\u{1f}",
+            "\"leading and trailing\\",
+            "π ≈ 3.14159, ünïcödé ✓ 🦀",
+        ] {
+            let json = to_string(&text.to_string()).unwrap();
+            assert!(!json.contains('\n'), "{json}");
+            assert_eq!(from_str::<String>(&json).unwrap(), text, "{json}");
+        }
+        // Escapes the writer never emits still parse.
+        let parsed: String = from_str(r#""a\/b\u00e9\b\f""#).unwrap();
+        assert_eq!(parsed, "a/b\u{e9}\u{8}\u{c}");
+        assert!(from_str::<String>(r#""open"#).is_err());
+        assert!(from_str::<String>(r#""bad \q escape""#).is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // A parser that checks the rest of the text for each character it
+        // copies takes tens of seconds on these 560 KB; a linear one, well
+        // under a millisecond.
+        let long = "AbC+/0=".repeat(40_000);
+        let json = to_string(&vec![long.clone(), long.clone()]).unwrap();
+        let started = std::time::Instant::now();
+        let back: Vec<String> = from_str(&json).unwrap();
+        assert!(started.elapsed().as_secs_f64() < 1.0);
+        assert_eq!(back, [long.clone(), long]);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&objects).is_err());
+        // Unclosed, as a hostile frame would send it: refused at the limit,
+        // long before the stack runs out.
+        let err = from_str::<Value>(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
     }
 
     #[test]
